@@ -19,6 +19,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/ssb"
 )
@@ -213,20 +214,20 @@ func benchQuery(b *testing.B, engine func(q *ssb.Query) error, name string) {
 // BenchmarkClydesdaleQ21 measures one Clydesdale execution of Q2.1.
 func BenchmarkClydesdaleQ21(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Execute(context.Background(), q); return err }, "Q2.1")
+	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q2.1")
 }
 
 // BenchmarkClydesdaleQ31 measures Q3.1 (three dims with a big customer
 // hash).
 func BenchmarkClydesdaleQ31(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Execute(context.Background(), q); return err }, "Q3.1")
+	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q3.1")
 }
 
 // BenchmarkClydesdaleQ43 measures Q4.3 (all four dims).
 func BenchmarkClydesdaleQ43(b *testing.B) {
 	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Execute(context.Background(), q); return err }, "Q4.3")
+	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q4.3")
 }
 
 // BenchmarkHiveMapjoinQ21 measures the mapjoin plan on Q2.1.
@@ -448,34 +449,6 @@ func BenchmarkShuffleWordCount(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeOrderQueryOrder probes Q4.1 in plan order (the paper's
-// §4.2 strategy): the unfiltered date dimension is probed first, so the
-// early-out rarely fires early.
-func BenchmarkProbeOrderQueryOrder(b *testing.B) {
-	benchProbeOrder(b, false)
-}
-
-// BenchmarkProbeOrderSelectivity probes the most selective dimension first,
-// the design alternative DESIGN.md calls out.
-func BenchmarkProbeOrderSelectivity(b *testing.B) {
-	benchProbeOrder(b, true)
-}
-
-func benchProbeOrder(b *testing.B, selectiveFirst bool) {
-	env := sharedEnv(b)
-	eng := core.New(env.mr, env.lay.Catalog(), core.Options{ProbeMostSelectiveFirst: selectiveFirst})
-	q, err := ssb.QueryByName("Q4.1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.Execute(context.Background(), q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStagedVsSingleJob compares the §5.1 staged fallback against the
 // single-job plan on the same query (the fallback's extra intermediate I/O
 // is the price of its lower memory high-water mark).
@@ -486,18 +459,22 @@ func BenchmarkStagedVsSingleJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("single-job", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.Execute(context.Background(), q); err != nil {
-				b.Fatal(err)
-			}
+	l, err := core.LogicalOf(q, env.lay.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []plan.Kind{plan.KindStar, plan.KindStaged} {
+		p, err := eng.Lower(l)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("staged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.ExecuteStaged(context.Background(), q); err != nil {
-				b.Fatal(err)
+		p.Kind = kind
+		b.Run(kind.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eng.RunPlan(context.Background(), p); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

@@ -97,11 +97,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	feats := core.AllFeatures()
-	feats.BlockIteration = !*noBlock
-	feats.ColumnarStorage = !*noCol
-	feats.MultiThreaded = !*noMT
-	feats.InMapperCombining = !*noIMC
+	var ablate core.Ablate
+	for _, f := range []struct {
+		off  bool
+		flag core.Ablate
+	}{
+		{*noBlock, core.NoBlockIteration}, {*noCol, core.NoColumnarStorage},
+		{*noMT, core.NoMultiThreading}, {*noIMC, core.NoInMapperCombining},
+		{*noPrune, core.NoScanPruning}, {*noLateMat, core.NoLateMaterialization},
+		{*noCodePreds, core.NoCodeSpacePreds}, {*noBloom, core.NoBloomPushdown},
+	} {
+		if f.off {
+			ablate |= f.flag
+		}
+	}
 
 	// Observability: one tracer and registry for all runs. The memory sink
 	// feeds the timeline and EXPLAIN ANALYZE; the JSONL sink streams the
@@ -135,28 +144,11 @@ func main() {
 	fs.Observe(tracer, metrics)
 
 	mreng := mr.NewEngine(c, fs, mr.Options{Tracer: tracer, Metrics: metrics})
-	eng := core.New(mreng, lay.Catalog(), core.Options{
-		Features:              feats,
-		NoScanPruning:         *noPrune,
-		NoLateMaterialization: *noLateMat,
-		NoCodeSpacePreds:      *noCodePreds,
-		NoBloomPushdown:       *noBloom,
-	})
+	cat := lay.Catalog()
+	eng := core.New(mreng, cat, core.Options{Ablate: ablate})
 
 	queries := ssb.Queries()
-	switch {
-	case *sqlText != "":
-		l, err := sql.Parse(*sqlText, lay.Catalog())
-		if err != nil {
-			fatal(err)
-		}
-		l.Name = "ad-hoc"
-		q, err := core.QueryFromLogical(l)
-		if err != nil {
-			fatal(err)
-		}
-		queries = []*ssb.Query{q}
-	case *query != "all":
+	if *query != "all" && *sqlText == "" {
 		q, err := ssb.QueryByName(*query)
 		if err != nil {
 			fatal(err)
@@ -165,20 +157,55 @@ func main() {
 	}
 
 	if *serveMode {
-		runServe(mreng, lay.Catalog(), feats, queries, *conc, *rowsMax, *debugAddr)
+		if *sqlText != "" {
+			// A session takes a core.Query; ParseStar is the SQL door to it.
+			q, err := sql.ParseStar(*sqlText, sql.StarFromCatalog(cat, cat.FactName))
+			if err != nil {
+				fatal(err)
+			}
+			q.Name = "ad-hoc"
+			queries = []*ssb.Query{q}
+		}
+		runServe(mreng, cat, ablate, queries, *conc, *rowsMax, *debugAddr)
 		return
 	}
 
+	// Everything below runs bound logical plans: a named query lifts into
+	// one, a SQL statement parses straight to one (snowflake joins
+	// included).
+	type stmt struct {
+		desc string
+		l    *plan.Logical
+	}
+	var stmts []stmt
+	if *sqlText != "" {
+		l, err := sql.Parse(*sqlText, cat)
+		if err != nil {
+			fatal(err)
+		}
+		l.Name = "ad-hoc"
+		stmts = []stmt{{"ad-hoc: " + *sqlText, l}}
+	} else {
+		for _, q := range queries {
+			l, err := core.LogicalOf(q, cat)
+			if err != nil {
+				fatal(err)
+			}
+			stmts = append(stmts, stmt{q.String(), l})
+		}
+	}
+
 	var lastJob *mr.JobResult
-	for _, q := range queries {
-		fmt.Printf("\n== %s\n", q)
+	for _, st := range stmts {
+		l := st.l
+		fmt.Printf("\n== %s\n", st.desc)
 		if *explain {
 			// The cost-based chooser's verdict: chosen strategy per join
 			// with its cost, plus the rejected alternatives. The measured
 			// EXPLAIN ANALYZE profile follows after execution.
-			phys, err := eng.Plan(q)
+			phys, err := eng.PlanLogical(l)
 			if err != nil {
-				fatal(fmt.Errorf("%s: plan: %w", q.Name, err))
+				fatal(fmt.Errorf("%s: plan: %w", l.Name, err))
 			}
 			if err := plan.Explain(os.Stdout, phys); err != nil {
 				fatal(err)
@@ -187,7 +214,11 @@ func main() {
 		if memSink != nil {
 			memSink.Reset()
 		}
-		rs, rep, err := eng.Execute(context.Background(), q)
+		phys, err := eng.Lower(l)
+		if err != nil {
+			fatal(err)
+		}
+		rs, rep, err := eng.RunPlan(context.Background(), phys)
 		if err != nil {
 			fatal(err)
 		}
@@ -204,7 +235,7 @@ func main() {
 		}
 		ctr := rep.Job.Counters
 		fmt.Printf("-- %s in %v: %d map tasks (%d data-local), %d hash builds, %d probe rows, %d emits, sort %v\n",
-			q.Name, rep.Total.Round(time.Millisecond),
+			l.Name, rep.Total.Round(time.Millisecond),
 			ctr.Get(mr.CtrMapTasks), ctr.Get(mr.CtrDataLocalMaps),
 			ctr.Get(core.CtrHashTablesBuilt),
 			ctr.Get(core.CtrProbeRows), ctr.Get(core.CtrProbeEmits),
@@ -224,13 +255,13 @@ func main() {
 				Counters: rep.Job.Counters.Snapshot(),
 			})
 			if err != nil {
-				fatal(fmt.Errorf("%s: explain: %w", q.Name, err))
+				fatal(fmt.Errorf("%s: explain: %w", l.Name, err))
 			}
 			fmt.Println()
 			p.WriteText(os.Stdout)
 			if *explCheck {
 				if err := checkProfile(p); err != nil {
-					fatal(fmt.Errorf("%s: explain-check: %w", q.Name, err))
+					fatal(fmt.Errorf("%s: explain-check: %w", l.Name, err))
 				}
 				fmt.Printf("-- explain-check ok: %d phase walls sum to %v (query wall %v), %d spans, %d orphans\n",
 					len(p.Phases), p.PhaseWallTotal().Round(time.Microsecond),
@@ -272,9 +303,9 @@ func main() {
 // concurrency, so later queries probe the dimension tables earlier ones
 // built, then prints per-query summaries and the session's cache and
 // admission statistics.
-func runServe(mreng *mr.Engine, cat *core.Catalog, feats core.Features, queries []*ssb.Query, conc, rowsMax int, debugAddr string) {
+func runServe(mreng *mr.Engine, cat *core.Catalog, ablate core.Ablate, queries []*ssb.Query, conc, rowsMax int, debugAddr string) {
 	sess := serve.New(mreng, cat, serve.Options{
-		Engine:        core.Options{Features: feats},
+		Engine:        core.Options{Ablate: ablate},
 		MaxConcurrent: conc,
 	})
 	if debugAddr != "" {

@@ -21,6 +21,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
@@ -58,30 +59,36 @@ func main() {
 	}
 	eng := hive.New(mr.NewEngine(c, fs, mr.Options{}), lay.RCCatalog(), hive.Options{Strategy: strat})
 
-	queries := ssb.Queries()
-	switch {
-	case *sqlText != "":
-		l, err := sql.Parse(*sqlText, lay.Catalog())
+	cat := lay.Catalog()
+	var plans []*plan.Logical
+	if *sqlText != "" {
+		l, err := sql.Parse(*sqlText, cat)
 		if err != nil {
 			fatal(err)
 		}
 		l.Name = "ad-hoc"
-		q, err := core.QueryFromLogical(l)
-		if err != nil {
-			fatal(err)
+		plans = []*plan.Logical{l}
+	} else {
+		queries := ssb.Queries()
+		if *query != "all" {
+			q, err := ssb.QueryByName(*query)
+			if err != nil {
+				fatal(err)
+			}
+			queries = []*ssb.Query{q}
 		}
-		queries = []*ssb.Query{q}
-	case *query != "all":
-		q, err := ssb.QueryByName(*query)
-		if err != nil {
-			fatal(err)
+		for _, q := range queries {
+			l, err := core.LogicalOf(q, cat)
+			if err != nil {
+				fatal(err)
+			}
+			plans = append(plans, l)
 		}
-		queries = []*ssb.Query{q}
 	}
 
-	for _, q := range queries {
-		fmt.Printf("\n== %s (%s plan)\n", q, strat)
-		rs, rep, err := eng.Execute(context.Background(), q)
+	for _, q := range plans {
+		fmt.Printf("\n== %s (%s plan)\n", q.Name, strat)
+		rs, rep, err := eng.ExecutePlan(context.Background(), q)
 		if err != nil {
 			fmt.Printf("-- %s FAILED: %v\n", q.Name, err)
 			continue

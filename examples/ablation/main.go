@@ -42,25 +42,24 @@ func main() {
 	}
 
 	configs := []struct {
-		label string
-		feats core.Features
+		label  string
+		ablate core.Ablate
 	}{
-		{"full Clydesdale", core.AllFeatures()},
-		{"- block iteration", core.Features{ColumnarStorage: true, BlockIteration: false, MultiThreaded: true, InMapperCombining: true}},
-		{"- columnar storage", core.Features{ColumnarStorage: false, BlockIteration: true, MultiThreaded: true, InMapperCombining: true}},
-		{"- multi-threading", core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: false, InMapperCombining: true}},
-		{"- in-mapper combining", core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: true, InMapperCombining: false}},
+		{"full Clydesdale", 0},
+		{"- block iteration", core.NoBlockIteration},
+		{"- columnar storage", core.NoColumnarStorage},
+		{"- multi-threading", core.NoMultiThreading},
+		{"- in-mapper combining", core.NoInMapperCombining},
 	}
 
 	var baseline time.Duration
 	fmt.Printf("\n%-22s %10s %9s %14s %12s %12s\n",
 		"configuration", "time", "vs full", "bytes read", "hash builds", "map tasks")
 	for i, cfgCase := range configs {
-		feats := cfgCase.feats
-		eng := core.New(engine, lay.Catalog(), core.Options{Features: feats})
+		eng := core.New(engine, lay.Catalog(), core.Options{Ablate: cfgCase.ablate})
 
 		before := fs.Metrics().Snapshot()
-		_, rep, err := eng.Execute(context.Background(), q)
+		_, rep, err := eng.Run(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func main() {
 		GroupBy: []string{"name"},
 		OrderBy: []core.OrderKey{{Col: "name"}},
 	}
-	rs, report, err := engine.Execute(context.Background(), q)
+	rs, report, err := engine.Run(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

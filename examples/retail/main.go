@@ -121,7 +121,7 @@ func main() {
 
 	for _, q := range queries {
 		fmt.Printf("\n== %s\n", q.Name)
-		rs, crep, err := cly.Execute(context.Background(), q)
+		rs, crep, err := cly.Run(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -99,7 +99,7 @@ func main() {
 	}
 
 	run := func(label string) {
-		rs, rep, err := engine.Execute(context.Background(), q)
+		rs, rep, err := engine.Run(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -138,14 +138,14 @@ func (h *Harness) estimateHashSizes() error {
 	h.hashMax = make(map[string]int64)
 	each := func(tbl string, fn func(records.Record) error) error { return h.gen.Each(tbl, fn) }
 	for _, q := range ssb.Queries() {
-		per, err := core.EstimateDimHashBytes(q, each)
+		per, err := core.EstimateDimHashBytes(q.Dims, each)
 		if err != nil {
 			return err
 		}
 		for _, b := range per {
 			h.hashSum[q.Name] += b
 		}
-		mjPer, err := hive.EstimateMapJoinHashBytes(q, each)
+		mjPer, err := hive.EstimateMapJoinHashBytes(q.Dims, each)
 		if err != nil {
 			return err
 		}
@@ -281,9 +281,10 @@ func (h *Harness) setupCluster(profile string, relaxMemory bool) (*Env, error) {
 	return env, nil
 }
 
-// Clydesdale builds a Clydesdale engine over the env.
-func (e *Env) Clydesdale(feats core.Features) *core.Engine {
-	return core.New(e.MR, e.Layout.Catalog(), core.Options{Features: feats})
+// Clydesdale builds a Clydesdale engine over the env, without the
+// techniques in ablate.
+func (e *Env) Clydesdale(ablate core.Ablate) *core.Engine {
+	return core.New(e.MR, e.Layout.Catalog(), core.Options{Ablate: ablate})
 }
 
 // Hive builds a baseline engine over the env.

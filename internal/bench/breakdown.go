@@ -71,7 +71,7 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 	env.MR.SetTracer(obs.NewTracer(sink))
 
 	before := env.FS.Metrics().Snapshot()
-	_, crep, err := env.Clydesdale(core.DefaultFeatures()).Execute(context.Background(), q)
+	_, crep, err := env.Clydesdale(0).Run(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}

@@ -75,7 +75,7 @@ func (h *Harness) RunFigure(profile string, w io.Writer) (*FigureResult, error) 
 	}
 	out := &FigureResult{Figure: fig, Cluster: profile}
 
-	cly := env.Clydesdale(core.DefaultFeatures())
+	cly := env.Clydesdale(0)
 	rep := env.Hive(hive.Repartition)
 	mj := env.Hive(hive.MapJoin)
 
@@ -84,7 +84,7 @@ func (h *Harness) RunFigure(profile string, w io.Writer) (*FigureResult, error) 
 		row := QueryRow{Query: q.Name}
 
 		t, err := h.medianTime(func() (time.Duration, error) {
-			_, rep, err := cly.Execute(context.Background(), q)
+			_, rep, err := cly.Run(context.Background(), q)
 			if err != nil {
 				return 0, err
 			}
@@ -207,11 +207,11 @@ func (h *Harness) RunFigure9(w io.Writer) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	full := env.Clydesdale(core.DefaultFeatures())
-	noBlock := env.Clydesdale(core.Features{ColumnarStorage: true, BlockIteration: false, MultiThreaded: true, InMapperCombining: true})
-	noCol := env.Clydesdale(core.Features{ColumnarStorage: false, BlockIteration: true, MultiThreaded: true, InMapperCombining: true})
-	noMT := env.Clydesdale(core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: false, InMapperCombining: true})
-	noIMC := env.Clydesdale(core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: true, InMapperCombining: false})
+	full := env.Clydesdale(0)
+	noBlock := env.Clydesdale(core.NoBlockIteration)
+	noCol := env.Clydesdale(core.NoColumnarStorage)
+	noMT := env.Clydesdale(core.NoMultiThreading)
+	noIMC := env.Clydesdale(core.NoInMapperCombining)
 
 	out := &AblationResult{}
 	for _, q := range ssb.Queries() {
@@ -252,7 +252,7 @@ func (h *Harness) RunFigure9(w io.Writer) (*AblationResult, error) {
 
 func (h *Harness) timeQuery(e *core.Engine, q *core.Query) (time.Duration, error) {
 	return h.medianTime(func() (time.Duration, error) {
-		_, rep, err := e.Execute(context.Background(), q)
+		_, rep, err := e.Run(context.Background(), q)
 		if err != nil {
 			return 0, err
 		}

@@ -88,9 +88,7 @@ func RunProbeBench(factRows int64, workers int, seed uint64, w io.Writer) (*Prob
 		return nil, err
 	}
 	eng := core.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), core.Options{
-		NoScanPruning:         true,
-		NoLateMaterialization: true,
-		NoBloomPushdown:       true,
+		Ablate: core.NoScanPruning | core.NoLateMaterialization | core.NoBloomPushdown,
 	})
 
 	out := &ProbeBenchResult{Config: ProbeBenchConfig{
@@ -106,10 +104,10 @@ func RunProbeBench(factRows int64, workers int, seed uint64, w io.Writer) (*Prob
 			"Query", "total_ns", "probe_ns", "build_ns", "rows", "emits", "code_rows", "ns/row")
 	}
 	for _, q := range ssb.Queries() {
-		if _, _, err := eng.Execute(context.Background(), q); err != nil { // warm-up
+		if _, _, err := eng.Run(context.Background(), q); err != nil { // warm-up
 			return nil, fmt.Errorf("bench: probe warm-up %s: %w", q.Name, err)
 		}
-		_, rep, err := eng.Execute(context.Background(), q)
+		_, rep, err := eng.Run(context.Background(), q)
 		if err != nil {
 			return nil, fmt.Errorf("bench: probe %s: %w", q.Name, err)
 		}

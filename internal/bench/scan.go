@@ -104,16 +104,12 @@ func RunScanBench(factRows int64, workers int, seed uint64, w io.Writer) (*ScanB
 	// scan-path differences this baseline exists to measure.
 	tables := serve.NewTableProvider(0)
 	plainEng := core.New(mrEng, lay.Catalog(), core.Options{
-		NoScanPruning:         true,
-		NoLateMaterialization: true,
-		NoCodeSpacePreds:      true,
-		NoBloomPushdown:       true,
-		Tables:                tables,
+		Ablate: core.NoScanPruning | core.NoLateMaterialization | core.NoCodeSpacePreds | core.NoBloomPushdown,
+		Tables: tables,
 	})
 	noCompEng := core.New(mrEng, lay.Catalog(), core.Options{
-		NoCodeSpacePreds: true,
-		NoBloomPushdown:  true,
-		Tables:           tables,
+		Ablate: core.NoCodeSpacePreds | core.NoBloomPushdown,
+		Tables: tables,
 	})
 	optEng := core.New(mrEng, lay.Catalog(), core.Options{Tables: tables})
 
@@ -137,12 +133,12 @@ func RunScanBench(factRows int64, workers int, seed uint64, w io.Writer) (*ScanB
 	// across runs, so which run is kept only affects the timing.
 	const benchRuns = 9
 	measure := func(eng *core.Engine, q *core.Query) (ScanRunStats, error) {
-		if _, _, err := eng.Execute(context.Background(), q); err != nil { // warm-up
+		if _, _, err := eng.Run(context.Background(), q); err != nil { // warm-up
 			return ScanRunStats{}, err
 		}
 		runs := make([]ScanRunStats, 0, benchRuns)
 		for run := 0; run < benchRuns; run++ {
-			_, rep, err := eng.Execute(context.Background(), q)
+			_, rep, err := eng.Run(context.Background(), q)
 			if err != nil {
 				return ScanRunStats{}, err
 			}

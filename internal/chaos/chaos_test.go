@@ -184,7 +184,7 @@ func TestChaosOracleAllQueries(t *testing.T) {
 
 			eng := core.New(e.mr, e.lay.Catalog(), tc.opts)
 			for _, q := range ssb.Queries() {
-				rs, _, err := eng.Execute(context.Background(), q)
+				rs, _, err := eng.Run(context.Background(), q)
 				if err != nil {
 					// None of these plans lose data (replication 3, one
 					// fault), so any error is a recovery bug.
@@ -232,7 +232,7 @@ func TestChaosAllReplicasCorrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := eng.Execute(context.Background(), q)
+	rs, _, err := eng.Run(context.Background(), q)
 	if err == nil {
 		// The only acceptable success is a correct one (e.g. if the engine
 		// re-reads a healed copy); silent corruption is the failure mode.
@@ -385,7 +385,7 @@ func TestRecoveryOverheadReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			rs, _, err := eng.Execute(context.Background(), q)
+			rs, _, err := eng.Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -36,13 +36,13 @@ func TestSlowDiskStragglerProfile(t *testing.T) {
 	e.mr.SetTracer(obs.NewTracer(sink))
 	// Pruning off so every partition is scanned: the slow disk must show up
 	// in the fact scan, and each node gets comparable read volume.
-	eng := core.New(e.mr, e.lay.Catalog(), core.Options{NoScanPruning: true})
+	eng := core.New(e.mr, e.lay.Catalog(), core.Options{Ablate: core.NoScanPruning})
 
 	q, err := ssb.QueryByName("Q1.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, rep, err := eng.Execute(context.Background(), q)
+	rs, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,49 +7,31 @@ import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 )
 
-// aggJobSpec parameterizes the final grouped-SUM job shared by the staged
-// and cascade executors, which both feed it a row-table intermediate.
-type aggJobSpec struct {
-	name         string
-	agg          expr.Expr
-	gschema      *records.Schema
-	groupBy      []string
-	resultSchema *records.Schema
-}
-
-// runAggJob sums the measure grouped by the group-by columns over a
-// row-table directory.
-func (e *Engine) runAggJob(ctx context.Context, spec aggJobSpec, inDir string, inSchema *records.Schema) (*results.ResultSet, *mr.JobResult, error) {
-	aggFn, err := expr.CompileNum(spec.agg, inSchema)
+// runAggJob is the final job of the staged and cascade executors: the
+// shape's grouped SUM over the row-table intermediate their last join pass
+// wrote.
+func (e *Engine) runAggJob(ctx context.Context, name string, sh *plan.Shape, in *colstore.RowInput) (*mr.MemoryOutput, *mr.JobResult, error) {
+	aggFn, err := expr.CompileNum(sh.Agg, in.Schema)
 	if err != nil {
 		return nil, nil, err
 	}
-	gIdx := make([]int, len(spec.groupBy))
-	for i, g := range spec.groupBy {
-		j := inSchema.Index(g)
-		if j < 0 {
+	gIdx := make([]int, len(sh.GroupBy))
+	for i, g := range sh.GroupBy {
+		if gIdx[i] = in.Schema.Index(g); gIdx[i] < 0 {
 			return nil, nil, fmt.Errorf("core: aggregation input lacks group column %s", g)
 		}
-		gIdx[i] = j
 	}
-	numReduce := e.opts.Reducers
-	if len(spec.groupBy) == 0 {
-		numReduce = 1
-	}
-	conf := mr.NewJobConf()
-	if e.opts.Speculative {
-		conf.SetBool(mr.ConfSpeculative, true)
-	}
-	gschema := spec.gschema
+	gschema := sh.GroupSchema()
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
-		Name:   spec.name,
-		Conf:   conf,
-		Input:  &colstore.RowInput{Dir: inDir, Schema: inSchema},
+		Name:   name,
+		Conf:   mr.NewJobConf(),
+		Input:  in,
 		Output: out,
 		NewMapper: func() mr.Mapper {
 			return mr.MapperFunc(func(_, v records.Record, c mr.Collector) error {
@@ -61,17 +43,10 @@ func (e *Engine) runAggJob(ctx context.Context, spec aggJobSpec, inDir string, i
 					records.Make(aggValueSchema, records.Float(aggFn(v))))
 			})
 		},
-		NewReducer:     func() mr.Reducer { return sumReducer{} },
-		NewCombiner:    func() mr.Reducer { return sumReducer{} },
-		NumReduceTasks: numReduce,
-		KeySchema:      gschema,
-		ValueSchema:    aggValueSchema,
 	}
+	e.sumJob(job, sh)
 	res, err := e.mr.Submit(ctx, job)
-	if err != nil {
-		return nil, nil, err
-	}
-	return collectRows(spec.resultSchema, len(spec.groupBy) > 0, out), res, nil
+	return out, res, err
 }
 
 // collectRows turns grouped-SUM reduce output into a result set.

@@ -50,40 +50,37 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	if buckets < 1 {
 		buckets = 1
 	}
-
-	// The synthetic head query drives the star machinery: dimension cache
-	// dissemination, FK prune hints, and the fact predicate.
-	headQ := &Query{Name: sh.Name, FactPred: sh.FactPred, AggExpr: sh.Agg, AggName: sh.AggName}
-	for i := 0; i < head; i++ {
-		st := &p.Steps[i]
-		headQ.Dims = append(headQ.Dims, DimSpec{
-			Table: st.Table, Schema: st.Schema, FactFK: st.FK, DimPK: st.PK,
-			Pred: st.Pred, Aux: append([]string(nil), st.Aux...),
-		})
-	}
-	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, headQ); err != nil {
-		cacheDone()
+	dims := DimSpecs(p.Steps[:head])
+	if err := e.ensureCached(ctx, dims); err != nil {
 		return nil, nil, err
 	}
-	cacheDone()
 
 	tmp := fmt.Sprintf("/tmp/clydesdale/%s-cascade-%d", sh.Name, cascadeSeq.Add(1))
 	defer e.mr.FS().DeletePrefix(tmp)
 
-	agg := mr.NewCounters()
-	report := &Report{Query: sh.Name, Cascade: true}
+	counters := mr.NewCounters()
+	passes := 0
 
-	// Pass 1: one map-only star pass over the depth-1 dimensions, output
-	// bucketed on the first deep join key.
+	// Pass 1: the star-join runner over the depth-1 dimensions as one
+	// map-only job (per-node shared hash tables, early-out probes), its
+	// carried rows written bucketed on the first deep join key. It is the
+	// only pass that reads the fact table; deeper passes consume bucketed
+	// intermediates.
+	scan, release, err := e.factScan(sh, dims)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer release()
 	curDir := tmp + "/pass-1"
 	curSchema := p.Steps[head-1].Out
-	res, err := e.runCascadeStarPass(ctx, p, headQ, head, curDir, curSchema, buckets)
+	res, err := e.runJoinPass(ctx, "clydesdale-cascade-"+sh.Name+"-star", scan,
+		&colstore.BucketRowOutput{Dir: curDir, Schema: curSchema, KeyCol: p.Steps[head].FK, Buckets: buckets},
+		newRowRunner(e, dims, sh.FactPred, curSchema))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s cascade star pass: %w", sh.Name, err)
 	}
-	agg.Merge(res.Counters)
-	report.CascadePasses++
+	counters.Merge(res.Counters)
+	passes++
 
 	// Deep passes: one map-only job per snowflake edge, probe stream
 	// co-partitioned with a driver-bucketed side table.
@@ -105,250 +102,20 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %s cascade pass %d (%s): %w", sh.Name, i-head+2, st.Table, err)
 		}
-		agg.Merge(res.Counters)
-		report.CascadePasses++
+		counters.Merge(res.Counters)
+		passes++
 		curDir, curSchema = outDir, st.Out
 	}
 
-	rs, res, err := e.runAggJob(ctx, aggJobSpec{
-		name:         "clydesdale-cascade-agg-" + sh.Name,
-		agg:          sh.Agg,
-		gschema:      sh.GroupSchema(),
-		groupBy:      sh.GroupBy,
-		resultSchema: sh.ResultSchema(),
-	}, curDir, curSchema)
+	out, res, err := e.runAggJob(ctx, "clydesdale-cascade-agg-"+sh.Name, sh, &colstore.RowInput{Dir: curDir, Schema: curSchema})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s cascade aggregation: %w", sh.Name, err)
 	}
-	agg.Merge(res.Counters)
-	agg.Add(CtrCascadePasses, int64(report.CascadePasses))
-
-	sortStart := time.Now()
-	orders := make([]results.Order, 0, len(sh.GroupBy))
-	for _, o := range sh.Orders() {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
-	}
-	if len(orders) > 0 {
-		if err := rs.Sort(orders); err != nil {
-			return nil, nil, err
-		}
-	}
-	report.SortTime = time.Since(sortStart)
-	report.Total = time.Since(start)
-	report.Job = &mr.JobResult{JobID: "cascade", Counters: agg, Duration: report.Total}
-	report.fillScanStats(agg)
-	return rs, report, nil
+	counters.Merge(res.Counters)
+	counters.Add(CtrCascadePasses, int64(passes))
+	job := &mr.JobResult{JobID: "cascade", Counters: counters, Duration: time.Since(start)}
+	return finish(sh, out, &Report{Job: job, Cascade: true, CascadePasses: passes}, start)
 }
-
-// runCascadeStarPass joins the fact scan with every depth-1 dimension in
-// one map-only job (per-node shared hash tables, early-out probes) and
-// writes the output bucketed on the first deep join key.
-func (e *Engine) runCascadeStarPass(ctx context.Context, p *plan.Physical, headQ *Query, head int, outDir string, outSchema *records.Schema, buckets int) (*mr.JobResult, error) {
-	inSchema := p.Steps[0].In
-	readCols := inSchema.Names()
-	if !e.feats.ColumnarStorage {
-		readCols = e.cat.FactSchema.Names()
-		s, err := e.cat.FactSchema.Project(readCols...)
-		if err != nil {
-			return nil, err
-		}
-		inSchema = s
-	}
-	var hints []expr.Pred
-	if !e.opts.NoScanPruning {
-		hints = e.fkPruneHints(headQ)
-	}
-	// The cascade reads the fact table in its star pass only; deeper passes
-	// consume bucketed intermediates. Pin the partition list for this pass.
-	snap, err := e.snaps.Acquire(e.cat.FactDir)
-	if err != nil {
-		return nil, err
-	}
-	defer snap.Release()
-	input := &colstore.CIFInput{
-		Dir: e.cat.FactDir, Columns: readCols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
-		Snapshot: snap.Parts,
-		Pred:     headQ.FactPred, PrunePreds: hints, EagerColumns: factFKs(headQ),
-		DisablePruning: e.opts.NoScanPruning, DisableLateMat: true,
-	}
-
-	var factPred expr.RowPred
-	if headQ.FactPred != nil {
-		fp, err := expr.CompilePred(headQ.FactPred, inSchema)
-		if err != nil {
-			return nil, err
-		}
-		factPred = fp
-	}
-	specs := make([]*DimSpec, head)
-	dimDirs := make([]string, head)
-	fkIdx := make([]int, head)
-	for i := 0; i < head; i++ {
-		spec := headQ.Dims[i]
-		specs[i] = &spec
-		dir, err := e.cat.DimDir(spec.Table)
-		if err != nil {
-			return nil, err
-		}
-		dimDirs[i] = dir
-		fkIdx[i] = inSchema.Index(spec.FactFK)
-		if fkIdx[i] < 0 {
-			return nil, fmt.Errorf("core: cascade fact read lacks FK %s", spec.FactFK)
-		}
-	}
-	srcs, err := outputSources(outSchema, inSchema, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	eng := e
-	group := &nodeTableGroup{}
-	cfg := e.mr.Cluster().Config()
-	conf := mr.NewJobConf()
-	if e.feats.MultiThreaded {
-		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
-		conf.SetBool(mr.ConfJVMReuse, true)
-		conf.SetInt(mr.ConfMultiSplitPack, int64(e.opts.MultiSplitPack))
-		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
-	}
-	job := &mr.Job{
-		Name:  "clydesdale-cascade-" + headQ.Name + "-star",
-		Conf:  conf,
-		Input: input,
-		Output: &colstore.BucketRowOutput{
-			Dir: outDir, Schema: outSchema, KeyCol: p.Steps[head].FK, Buckets: buckets,
-		},
-		NewMapper: func() mr.Mapper {
-			return &cascadeStarMapper{
-				eng: eng, specs: specs, dimDirs: dimDirs, group: group,
-				factPred: factPred, fkIdx: fkIdx, srcs: srcs, outSchema: outSchema,
-			}
-		},
-		NumReduceTasks: 0,
-	}
-	return e.mr.Submit(ctx, job)
-}
-
-// outputSource locates one output column: a carried probe-stream column or
-// a dimension aux column.
-type outputSource struct {
-	factIdx int // >= 0: index in the probe stream's schema
-	dim     int // else: specs[dim].Aux[aux]
-	aux     int
-}
-
-// outputSources maps every field of out onto the probe stream or a
-// dimension's aux payload.
-func outputSources(out, in *records.Schema, specs []*DimSpec) ([]outputSource, error) {
-	srcs := make([]outputSource, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		name := out.Field(i).Name
-		if j := in.Index(name); j >= 0 {
-			srcs[i] = outputSource{factIdx: j, dim: -1}
-			continue
-		}
-		found := false
-		for d, spec := range specs {
-			for a, auxCol := range spec.Aux {
-				if auxCol == name {
-					srcs[i] = outputSource{factIdx: -1, dim: d, aux: a}
-					found = true
-					break
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("core: cascade output column %s has no source", name)
-		}
-	}
-	return srcs, nil
-}
-
-// cascadeStarMapper probes every depth-1 dimension's per-node shared hash
-// table with early-out, like the single-pass star join, but assembles a
-// carried row instead of aggregating.
-type cascadeStarMapper struct {
-	eng       *Engine
-	specs     []*DimSpec
-	dimDirs   []string
-	group     *nodeTableGroup
-	factPred  expr.RowPred
-	fkIdx     []int
-	srcs      []outputSource
-	outSchema *records.Schema
-
-	hts []*DimHashTable
-	aux [][]records.Value
-}
-
-// Setup implements mr.Mapper: build or fetch the node's shared tables for
-// all depth-1 dimensions.
-func (m *cascadeStarMapper) Setup(ctx *mr.TaskContext) error {
-	build := func() ([]*DimHashTable, error) {
-		start := time.Now()
-		hts := make([]*DimHashTable, len(m.specs))
-		for i, spec := range m.specs {
-			h, err := BuildDimHashTable(ctx.FS, ctx.Node(), m.dimDirs[i], spec)
-			if err != nil {
-				return nil, err
-			}
-			hts[i] = h
-			ctx.Counters.Add(CtrHashTablesBuilt, 1)
-		}
-		ctx.Counters.Add(CtrHashBuildNanos, time.Since(start).Nanoseconds())
-		ctx.Span(obs.PhaseHashBuild, start, "tables", fmt.Sprint(len(hts)))
-		return hts, nil
-	}
-	var err error
-	if !m.eng.feats.MultiThreaded {
-		m.hts, err = build()
-	} else {
-		var reused bool
-		m.hts, reused, err = m.group.do(ctx.Node().ID(), build)
-		if err == nil && reused {
-			ctx.Counters.Add(CtrHashReuses, 1)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	var mem int64
-	for _, h := range m.hts {
-		mem += h.MemBytes
-	}
-	m.aux = make([][]records.Value, len(m.hts))
-	return ctx.ReserveMemory(mem)
-}
-
-// Map implements mr.Mapper: early-out probe of every dimension, then emit
-// the carried row.
-func (m *cascadeStarMapper) Map(_, v records.Record, out mr.Collector) error {
-	if m.factPred != nil && !m.factPred(v) {
-		return nil
-	}
-	for i, h := range m.hts {
-		aux, ok := h.Probe(v.At(m.fkIdx[i]).Int64())
-		if !ok {
-			return nil
-		}
-		m.aux[i] = aux
-	}
-	row := make([]records.Value, len(m.srcs))
-	for i, s := range m.srcs {
-		if s.factIdx >= 0 {
-			row[i] = v.At(s.factIdx)
-		} else {
-			row[i] = m.aux[s.dim][s.aux]
-		}
-	}
-	return out.Collect(records.Record{}, records.Make(m.outSchema, row...))
-}
-
-// Cleanup implements mr.Mapper.
-func (m *cascadeStarMapper) Cleanup(mr.Collector) error { return nil }
 
 // writeCascadeSideTable scans a snowflake dimension on the driver,
 // filters it, and writes one blob per bucket (PK + aux columns, bucketed

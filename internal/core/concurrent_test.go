@@ -33,7 +33,7 @@ func TestConcurrentQueries(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			rs, _, err := eng.Execute(context.Background(), q)
+			rs, _, err := eng.Run(context.Background(), q)
 			sets[i], errs[i] = rs, err
 		}(i, name)
 	}
@@ -70,8 +70,8 @@ func TestConcurrentMixedEngines(t *testing.T) {
 	var rs1, rs2 *results.ResultSet
 	var err1, err2 error
 	wg.Add(2)
-	go func() { defer wg.Done(); rs1, _, err1 = eng.Execute(context.Background(), q1) }()
-	go func() { defer wg.Done(); rs2, _, err2 = eng.ExecuteStaged(context.Background(), q2) }()
+	go func() { defer wg.Done(); rs1, _, err1 = eng.Run(context.Background(), q1) }()
+	go func() { defer wg.Done(); rs2, _, err2 = runStaged(eng, q2) }()
 	wg.Wait()
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v / %v", err1, err2)

@@ -46,7 +46,7 @@ func TestAllQueriesMatchReference(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	eng := e.engine(core.Options{})
 	for _, q := range ssb.Queries() {
-		rs, rep, err := eng.Execute(context.Background(), q)
+		rs, rep, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -86,17 +86,16 @@ func TestAblationConfigsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	configs := map[string]core.Features{
-		"all":          core.AllFeatures(),
-		"no-block":     {ColumnarStorage: true, BlockIteration: false, MultiThreaded: true},
-		"no-columnar":  {ColumnarStorage: false, BlockIteration: true, MultiThreaded: true},
-		"no-threading": {ColumnarStorage: true, BlockIteration: true, MultiThreaded: false},
-		"none":         core.NoFeatures(),
+	configs := map[string]core.Ablate{
+		"all":          0,
+		"no-block":     core.NoBlockIteration | core.NoInMapperCombining,
+		"no-columnar":  core.NoColumnarStorage | core.NoInMapperCombining,
+		"no-threading": core.NoMultiThreading | core.NoInMapperCombining,
+		"none":         core.NoColumnarStorage | core.NoBlockIteration | core.NoMultiThreading | core.NoInMapperCombining,
 	}
-	for name, f := range configs {
-		feats := f
-		eng := e.engine(core.Options{Features: feats})
-		rs, _, err := eng.Execute(context.Background(), q)
+	for name, ab := range configs {
+		eng := e.engine(core.Options{Ablate: ab})
+		rs, _, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -114,7 +113,7 @@ func TestHashTablesBuiltOncePerNode(t *testing.T) {
 	q, _ := ssb.QueryByName("Q3.1")
 
 	eng := e.engine(core.Options{})
-	_, rep, err := eng.Execute(context.Background(), q)
+	_, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +125,7 @@ func TestHashTablesBuiltOncePerNode(t *testing.T) {
 	}
 
 	// Without multi-threading every map task builds privately.
-	feats := core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: false}
-	_, rep2, err := e.engine(core.Options{Features: feats}).Execute(context.Background(), q)
+	_, rep2, err := e.engine(core.Options{Ablate: core.NoMultiThreading | core.NoInMapperCombining}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,21 +149,21 @@ func TestColumnarPruningReadsFewerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	readDelta := func(feats core.Features) int64 {
+	readDelta := func(ab core.Ablate) int64 {
 		before := e.fs.Metrics().Snapshot()
 		// Zone-map pruning and bloom pushdown off: this test isolates the
 		// saving of column projection alone (pruning has its own tests, and
 		// bloom derivation adds driver-side dimension reads that would skew
 		// the scan-byte comparison).
-		eng := e.engine(core.Options{Features: feats, NoScanPruning: true, NoBloomPushdown: true})
-		if _, _, err := eng.Execute(context.Background(), q); err != nil {
+		eng := e.engine(core.Options{Ablate: ab | core.NoScanPruning | core.NoBloomPushdown})
+		if _, _, err := eng.Run(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 		after := e.fs.Metrics().Snapshot()
 		return (after.LocalBytesRead + after.RemoteBytesRead) - (before.LocalBytesRead + before.RemoteBytesRead)
 	}
-	pruned := readDelta(core.AllFeatures())
-	full := readDelta(core.Features{ColumnarStorage: false, BlockIteration: true, MultiThreaded: true})
+	pruned := readDelta(0)
+	full := readDelta(core.NoColumnarStorage | core.NoInMapperCombining)
 	if pruned*2 >= full {
 		t.Errorf("pruned scan read %d bytes, full %d; expected a large saving", pruned, full)
 	}
@@ -175,7 +173,7 @@ func TestColumnarPruningReadsFewerBytes(t *testing.T) {
 func TestMultiThreadedRunsOneTaskPerNode(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	q, _ := ssb.QueryByName("Q2.1")
-	_, rep, err := e.engine(core.Options{}).Execute(context.Background(), q)
+	_, rep, err := e.engine(core.Options{}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +224,7 @@ func TestDimCache(t *testing.T) {
 	}
 	e.cluster.Node("node-1").Revive()
 	q, _ := ssb.QueryByName("Q1.2")
-	rs, _, err := e.engine(core.Options{}).Execute(context.Background(), q)
+	rs, _, err := e.engine(core.Options{}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +239,7 @@ func TestDimCache(t *testing.T) {
 func TestMemoryReservedDuringQuery(t *testing.T) {
 	e := newEnv(t, 2, 0.002)
 	q, _ := ssb.QueryByName("Q4.1")
-	if _, _, err := e.engine(core.Options{}).Execute(context.Background(), q); err != nil {
+	if _, _, err := e.engine(core.Options{}).Run(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range e.cluster.Nodes() {
@@ -262,7 +260,7 @@ func TestQueryOOMWhenHashTablesExceedNode(t *testing.T) {
 	}
 	eng := core.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), core.Options{})
 	q, _ := ssb.QueryByName("Q3.1") // large-ish customer hash
-	if _, _, err := eng.Execute(context.Background(), q); err == nil {
+	if _, _, err := eng.Run(context.Background(), q); err == nil {
 		t.Error("expected OOM with a 2 KB node budget")
 	}
 }
@@ -272,11 +270,11 @@ func TestEstimateHashTableBytes(t *testing.T) {
 	q31, _ := ssb.QueryByName("Q3.1")
 	q32, _ := ssb.QueryByName("Q3.2")
 	each := func(table string, fn func(records.Record) error) error { return gen.Each(table, fn) }
-	b31, err := core.EstimateHashTableBytes(q31, each)
+	b31, err := core.EstimateHashTableBytes(q31.Dims, each)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b32, err := core.EstimateHashTableBytes(q32, each)
+	b32, err := core.EstimateHashTableBytes(q32.Dims, each)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,31 +292,8 @@ func TestValidationErrors(t *testing.T) {
 	e := newEnv(t, 1, 0.002)
 	eng := e.engine(core.Options{})
 	bad := &core.Query{Name: "no-agg"}
-	if _, _, err := eng.Execute(context.Background(), bad); err == nil {
+	if _, _, err := eng.Run(context.Background(), bad); err == nil {
 		t.Error("expected validation error")
-	}
-}
-
-// TestProbeOrderOptionAgrees verifies that reordering the early-out probe
-// by selectivity changes no answers.
-func TestProbeOrderOptionAgrees(t *testing.T) {
-	e := newEnv(t, 2, 0.002)
-	for _, q := range []string{"Q2.1", "Q4.1"} {
-		query, err := ssb.QueryByName(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, _, err := e.engine(core.Options{}).Execute(context.Background(), query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reord, _, err := e.engine(core.Options{ProbeMostSelectiveFirst: true}).Execute(context.Background(), query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, why := results.Equivalent(base, reord, 1e-9); !ok {
-			t.Errorf("%s: probe order changed answers: %s", q, why)
-		}
 	}
 }
 
@@ -331,8 +306,7 @@ func TestProbeOrderOptionAgrees(t *testing.T) {
 func TestCombinerShrinksShuffle(t *testing.T) {
 	e := newEnv(t, 2, 0.005)
 	q, _ := ssb.QueryByName("Q1.1") // grand aggregate: every task combines to one pair
-	feats := core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: true, InMapperCombining: false}
-	_, rep, err := e.engine(core.Options{Features: feats}).Execute(context.Background(), q)
+	_, rep, err := e.engine(core.Options{Ablate: core.NoInMapperCombining}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,13 +338,11 @@ func TestInMapperCombiningShrinksMapOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		on := core.AllFeatures()
-		off := core.Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: true, InMapperCombining: false}
-		rsOn, repOn, err := e.engine(core.Options{Features: on}).Execute(context.Background(), q)
+		rsOn, repOn, err := e.engine(core.Options{}).Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s combining on: %v", name, err)
 		}
-		rsOff, repOff, err := e.engine(core.Options{Features: off}).Execute(context.Background(), q)
+		rsOff, repOff, err := e.engine(core.Options{Ablate: core.NoInMapperCombining}).Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s combining off: %v", name, err)
 		}

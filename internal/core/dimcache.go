@@ -22,27 +22,20 @@ func dimCacheKey(dir string) string { return "clydesdale/dimcache" + dir }
 // not already hold it, storing rows in wire encoding. It returns the number
 // of nodes that received a fresh copy.
 func EnsureDimCached(fs *hdfs.FileSystem, dir string) (int, error) {
-	key := dimCacheKey(dir)
 	copied := 0
 	for _, n := range fs.Cluster().Alive() {
-		if n.HasLocal(key) {
-			continue
-		}
-		var buf []byte
-		err := colstore.ScanRowTable(fs, dir, n.ID(), func(r records.Record) error {
-			buf = records.AppendRecord(buf, r)
-			return nil
-		})
+		fresh, err := ensureDimCachedOn(fs, n, dir)
 		if err != nil {
+			if !n.IsAlive() {
+				// Died mid-copy: no task will run there, and if it revives
+				// localDimBytes re-copies on first use.
+				continue
+			}
 			return copied, fmt.Errorf("core: caching %s on %s: %w", dir, n.ID(), err)
 		}
-		if err := n.ChargeDiskWrite(int64(len(buf)), false); err != nil {
-			return copied, err
+		if fresh {
+			copied++
 		}
-		if err := n.PutLocal(key, buf); err != nil {
-			return copied, err
-		}
-		copied++
 	}
 	return copied, nil
 }
@@ -78,12 +71,12 @@ func EnsureCatalogCached(fs *hdfs.FileSystem, cat *Catalog) (int, error) {
 	return total, nil
 }
 
-// EnsureCatalogCachedFor caches only the dimensions the query touches on
-// every live node (normally a no-op after cluster setup).
-func EnsureCatalogCachedFor(fs *hdfs.FileSystem, cat *Catalog, q *Query) (int, error) {
+// EnsureCatalogCachedFor caches only the listed dimensions on every live
+// node (normally a no-op after cluster setup).
+func EnsureCatalogCachedFor(fs *hdfs.FileSystem, cat *Catalog, dims []DimSpec) (int, error) {
 	total := 0
-	for i := range q.Dims {
-		dir, err := cat.DimDir(q.Dims[i].Table)
+	for i := range dims {
+		dir, err := cat.DimDir(dims[i].Table)
 		if err != nil {
 			return total, err
 		}
@@ -120,6 +113,8 @@ func localDimBytes(fs *hdfs.FileSystem, node *cluster.Node, dir string) ([]byte,
 	return data, nil
 }
 
+// ensureDimCachedOn gives one node its local copy of the dimension at dir,
+// reporting whether it had to copy.
 func ensureDimCachedOn(fs *hdfs.FileSystem, node *cluster.Node, dir string) (bool, error) {
 	key := dimCacheKey(dir)
 	if node.HasLocal(key) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,10 +10,9 @@ import (
 	"clydesdale/internal/cluster"
 
 	"clydesdale/internal/colstore"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
-	"clydesdale/internal/records"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/results"
 )
 
@@ -24,117 +22,55 @@ import (
 // match too.
 var ErrOOM = cluster.ErrOutOfMemory
 
-// Features toggles the techniques §6.5 ablates. All on is Clydesdale
-// proper.
-type Features struct {
-	// ColumnarStorage prunes the fact scan to the query's columns; off
-	// reads every CIF column.
-	ColumnarStorage bool
-	// BlockIteration reads the fact table a block of rows at a time; off
-	// boxes one record per row (Volcano-style).
-	BlockIteration bool
-	// MultiThreaded runs one multi-threaded map task per node with shared
-	// hash tables (MTMapRunner + JVM reuse + capacity scheduling + MultiCIF);
-	// off runs ordinary single-threaded tasks that each build private hash
-	// tables.
-	MultiThreaded bool
-	// InMapperCombining accumulates the algebraic sum aggregate in a
-	// per-thread hash table inside the map task, emitting one record per
-	// group at reader close instead of one per joined row (the combiner
-	// then sees ~|groups| entries, and sort/combine/spill shrink
-	// proportionally); off emits per joined row and leaves all map-side
-	// aggregation to the combiner.
-	InMapperCombining bool
-
-	// explicit distinguishes a deliberately constructed Features value from
-	// the zero value: NoFeatures() sets it, so "everything off" survives the
-	// Options normalization that maps the plain zero value to defaults.
-	explicit bool
-}
-
-// DefaultFeatures returns the full Clydesdale configuration (every
-// technique on). This is what a zero Options.Features resolves to.
-func DefaultFeatures() Features {
-	return Features{ColumnarStorage: true, BlockIteration: true, MultiThreaded: true, InMapperCombining: true, explicit: true}
-}
-
-// AllFeatures returns the full Clydesdale configuration.
-//
-// Deprecated: use DefaultFeatures.
-func AllFeatures() Features { return DefaultFeatures() }
-
-// NoFeatures returns the everything-off ablation baseline. It is NOT the
-// zero value: a zero Options.Features means "defaults", so the all-off
-// configuration must be requested explicitly.
-func NoFeatures() Features { return Features{explicit: true} }
-
-// Mode selects the execution strategy Run uses.
-type Mode int
+// Ablate is the set of techniques an engine runs without; the zero value is
+// full Clydesdale. The first four are the ablations of §6.5 (Figure 9), the
+// rest switch off the scan-side and compressed-execution paths one by one.
+type Ablate uint
 
 const (
-	// ModeAuto runs the single-pass plan and falls back to the staged plan
-	// when the dimension tables exceed node memory (§5.1). The default.
-	ModeAuto Mode = iota
-	// ModeSinglePass always runs the one-job star join.
-	ModeSinglePass
-	// ModeStaged always runs one join pass per dimension.
-	ModeStaged
+	// NoColumnarStorage reads every CIF column instead of pruning the fact
+	// scan to the query's columns.
+	NoColumnarStorage Ablate = 1 << iota
+	// NoBlockIteration boxes one record per fact row (Volcano-style)
+	// instead of reading a block of rows at a time.
+	NoBlockIteration
+	// NoMultiThreading runs ordinary single-threaded map tasks that each
+	// build private hash tables, instead of one multi-threaded map task per
+	// node with shared tables (MTMapRunner + JVM reuse + capacity
+	// scheduling + MultiCIF).
+	NoMultiThreading
+	// NoInMapperCombining emits one record per joined row and leaves all
+	// map-side aggregation to the combiner, instead of accumulating the
+	// algebraic sum in a per-thread hash table inside the map task and
+	// emitting one record per group at reader close.
+	NoInMapperCombining
+	// NoScanPruning scans every partition: no zone-map pruning, no
+	// driver-side FK-range hints.
+	NoScanPruning
+	// NoLateMaterialization decodes all projected columns eagerly instead
+	// of predicate-first.
+	NoLateMaterialization
+	// NoCodeSpacePreds evaluates predicates over materialized values
+	// instead of dictionary codes, turns delta range fusion off, and probes
+	// the hash table instead of dictionary side tables.
+	NoCodeSpacePreds
+	// NoBloomPushdown drops rows that miss the probe at the probe instead
+	// of in the scan.
+	NoBloomPushdown
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeSinglePass:
-		return "single-pass"
-	case ModeStaged:
-		return "staged"
-	default:
-		return "auto"
-	}
-}
+// Has reports whether any technique in f is switched off.
+func (a Ablate) Has(f Ablate) bool { return a&f != 0 }
 
 // Options configures the engine.
 type Options struct {
-	// Features selects the ablation configuration. The zero value means all
-	// techniques on (DefaultFeatures); use NoFeatures() for the all-off
-	// baseline.
-	Features Features
-	// Mode selects the plan Run executes; zero value is ModeAuto.
-	Mode Mode
-	// Tables, when non-nil, supplies the dimension hash tables for the
-	// single-pass plan instead of per-job builds — the hook a serving layer
-	// uses to share tables across queries. The provider owns node memory
-	// accounting and build instrumentation for the tables it hands out.
+	// Ablate switches techniques off; zero runs everything.
+	Ablate Ablate
+	// Tables, when non-nil, supplies the dimension hash tables instead of
+	// per-job builds — the hook a serving layer uses to share tables across
+	// queries. The provider owns node memory accounting and build
+	// instrumentation for the tables it hands out.
 	Tables TableProvider
-	// Reducers is the grouped-aggregation parallelism; <= 0 uses one per
-	// worker node (the paper's one reduce slot per node).
-	Reducers int
-	// BlockRows is the B-CIF block size; <= 0 uses 1024.
-	BlockRows int
-	// MultiSplitPack is how many partitions MultiCIF packs per multi-split;
-	// <= 0 uses the cluster's map-slot count (one constituent split per
-	// thread).
-	MultiSplitPack int
-	// ProbeMostSelectiveFirst reorders the early-out probe sequence by
-	// ascending hash-table size (most selective dimension first) instead of
-	// the query's dimension order. The paper probes in plan order (§4.2);
-	// this option ablates that design choice — see
-	// BenchmarkProbeOrderSelectivity.
-	ProbeMostSelectiveFirst bool
-	// NoScanPruning disables zone-map partition pruning (including the
-	// driver-side FK-range hints) for ablation; every partition is scanned.
-	NoScanPruning bool
-	// NoLateMaterialization disables predicate-first column decoding in the
-	// block scan for ablation; all projected columns decode eagerly.
-	NoLateMaterialization bool
-	// NoCodeSpacePreds disables compressed execution for ablation:
-	// predicates evaluate over materialized values instead of dictionary
-	// codes, delta range fusion is off, and the probe uses the hash table
-	// instead of dictionary side tables.
-	NoCodeSpacePreds bool
-	// NoBloomPushdown disables semi-join bloom pushdown into the fact scan
-	// for ablation; rows that would miss the probe are dropped at the probe
-	// instead of in the scan.
-	NoBloomPushdown bool
 	// Speculative enables MapReduce speculative execution for the query
 	// jobs: once the pending queue drains, still-running map tasks get
 	// backup attempts on other nodes, masking stragglers (slow disks, hot
@@ -142,40 +78,34 @@ type Options struct {
 	Speculative bool
 }
 
-// Engine executes star queries as single MapReduce jobs.
+// Engine executes physical plans (plan.Physical) on the MapReduce engine:
+// the single-job star join, the staged one-pass-per-dimension plan, and the
+// cascading map-side join. Lower and the cost-based chooser produce the
+// plans; Run is the front door for a star Query.
 type Engine struct {
 	mr    *mr.Engine
 	cat   *Catalog
-	feats Features
 	opts  Options
 	snaps *colstore.Snapshots
 
 	// hintMu guards hintCache, the per-(dimension, predicate) memo of
-	// derived scan pushdowns (FK-range prune hint + semi-join bloom):
-	// dimension contents only change on roll-in, which must evict the memo
+	// derived scan pushdowns (FK-range prune hint + semi-join bloom).
+	// Dimension contents change on roll-in, which must evict the memo
 	// through InvalidateTable — a stale bloom silently kills fact rows that
-	// should match.
+	// should match. hintGen counts a table's invalidations, so a derive
+	// that raced one does not put its pre-roll-in result back.
 	hintMu    sync.Mutex
 	hintCache map[string]*dimScan
+	hintGen   map[string]uint64
 }
 
 // New creates an engine over a MapReduce engine and a catalog.
 func New(mrEngine *mr.Engine, cat *Catalog, opts Options) *Engine {
-	feats := opts.Features
-	if feats == (Features{}) {
-		feats = DefaultFeatures()
+	return &Engine{mr: mrEngine, cat: cat, opts: opts,
+		snaps:     colstore.NewSnapshots(mrEngine.FS()),
+		hintCache: make(map[string]*dimScan),
+		hintGen:   make(map[string]uint64),
 	}
-	if opts.Reducers <= 0 {
-		opts.Reducers = len(mrEngine.Cluster().Nodes())
-	}
-	if opts.BlockRows <= 0 {
-		opts.BlockRows = 1024
-	}
-	if opts.MultiSplitPack <= 0 {
-		opts.MultiSplitPack = mrEngine.Cluster().Config().MapSlots
-	}
-	return &Engine{mr: mrEngine, cat: cat, feats: feats, opts: opts,
-		snaps: colstore.NewSnapshots(mrEngine.FS())}
 }
 
 // Catalog returns the engine's catalog.
@@ -196,6 +126,7 @@ func (e *Engine) InvalidateTable(table string) int {
 	prefix := table + "|"
 	e.hintMu.Lock()
 	defer e.hintMu.Unlock()
+	e.hintGen[table]++
 	n := 0
 	for k := range e.hintCache {
 		if strings.HasPrefix(k, prefix) {
@@ -213,7 +144,8 @@ type Report struct {
 	Total    time.Duration
 	SortTime time.Duration
 	// Staged reports whether the staged (one pass per dimension) plan ran,
-	// either by explicit ModeStaged or by ModeAuto's OOM fallback.
+	// either because the plan asked for it or as the star plan's OOM
+	// fallback.
 	Staged bool
 	// Cascade reports whether the cascading map-side join executor ran;
 	// CascadePasses counts its map-side join jobs (the star pass plus one
@@ -239,25 +171,22 @@ func (r *Report) fillScanStats(c *mr.Counters) {
 	r.RowsBloomSkipped = c.Get(colstore.CtrRowsBloomSkipped)
 }
 
-// Run executes the query by lowering it into a physical plan and running
-// that: under the engine's configured Options.Mode the plan is the
-// single-pass star join, the staged per-dimension plan, or (the default)
-// single-pass with automatic staged fallback on memory exhaustion. Callers
-// that want the cost-based chooser to pick the shape — including the
-// cascading map-side join for snowflake plans — go through Plan /
-// PlanLogical and RunPlan instead. ctx cancels the query; the error then
-// matches the context cause and mr.ErrCanceled.
-func (e *Engine) Run(ctx context.Context, q *Query) (rs *results.ResultSet, rep *Report, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p, err := e.lowerQuery(q)
+// Run executes a star query: LogicalOf lifts it into the plan IR, Lower
+// compiles that, RunPlan executes it (the single-pass star join, with the
+// staged fallback on memory exhaustion). Callers that want the cost-based
+// chooser to pick the shape — including the cascading map-side join for
+// snowflake plans — go through PlanLogical and RunPlan instead. ctx cancels
+// the query; the error then matches the context cause and mr.ErrCanceled.
+func (e *Engine) Run(ctx context.Context, q *Query) (*results.ResultSet, *Report, error) {
+	l, err := LogicalOf(q, e.cat)
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx, finish := e.traceRoot(ctx, q.Name)
-	defer func() { finish(err) }()
-	return e.runPhysical(ctx, p, e.opts.Mode)
+	p, err := e.Lower(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.RunPlan(ctx, p)
 }
 
 // traceRoot makes the query the root of its own trace when tracing is on
@@ -284,37 +213,6 @@ func (e *Engine) traceRoot(ctx context.Context, name string) (context.Context, f
 	}
 }
 
-// Execute runs the single-pass plan regardless of Options.Mode.
-//
-// Deprecated: use Run with Options.Mode set to ModeSinglePass.
-func (e *Engine) Execute(ctx context.Context, q *Query) (rs *results.ResultSet, rep *Report, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, finish := e.traceRoot(ctx, q.Name)
-	defer func() { finish(err) }()
-	return e.executeSinglePass(ctx, q)
-}
-
-// ExecuteAuto runs the single-pass plan with staged fallback on OOM,
-// regardless of Options.Mode; the bool reports whether the fallback ran.
-//
-// Deprecated: use Run with Options.Mode set to ModeAuto (the zero value)
-// and read Report.Staged.
-func (e *Engine) ExecuteAuto(ctx context.Context, q *Query) (rs *results.ResultSet, rep *Report, staged bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, finish := e.traceRoot(ctx, q.Name)
-	defer func() { finish(err) }()
-	rs, rep, err = e.executeSinglePass(ctx, q)
-	if err == nil || !errors.Is(err, ErrOOM) || ctx.Err() != nil {
-		return rs, rep, false, err
-	}
-	rs, rep, err = e.executeStaged(ctx, q)
-	return rs, rep, true, err
-}
-
 // phaseSpan opens a driver-side phase span under the query's trace root and
 // returns its closer; a no-op when tracing is off or ctx carries no trace.
 func (e *Engine) phaseSpan(ctx context.Context, name string) func() {
@@ -331,125 +229,154 @@ func (e *Engine) phaseSpan(ctx context.Context, name string) func() {
 	}
 }
 
-// executeSinglePass runs the query: one MapReduce job for the join +
-// aggregation, then the driver-side final sort (Figure 4 line 33).
-func (e *Engine) executeSinglePass(ctx context.Context, q *Query) (*results.ResultSet, *Report, error) {
-	start := time.Now()
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, q); err != nil {
-		cacheDone()
-		return nil, nil, err
-	}
-	cacheDone()
+// ensureCached makes every listed dimension's node-local copy present on
+// every live node (normally a no-op after cluster setup), under a dim-cache
+// phase span.
+func (e *Engine) ensureCached(ctx context.Context, dims []DimSpec) error {
+	defer e.phaseSpan(ctx, obs.PhaseDimCache)()
+	_, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, dims)
+	return err
+}
 
-	var cols []string
-	if e.feats.ColumnarStorage {
-		cols = q.FactColumns()
+// factScan is the fact-table input of every executor's first pass: the
+// shape's fact read set (every column under NoColumnarStorage), the fact
+// predicate, and the scan pushdowns derived from the depth-1 dimensions
+// head — FK-range prune hints, semi-join blooms, FKs decoded eagerly. It
+// pins the partition list here, at plan time: a roll-in, compaction or
+// retention landing while the query runs changes what ListPartitions would
+// return, not what the query scans. The caller runs release when the query
+// ends.
+func (e *Engine) factScan(sh *plan.Shape, head []DimSpec) (*colstore.CIFInput, func(), error) {
+	ab := e.opts.Ablate
+	input := &colstore.CIFInput{
+		Dir: e.cat.FactDir, Schema: e.cat.FactSchema,
+		Pred: sh.FactPred, EagerColumns: factFKs(head),
+		DisablePruning: ab.Has(NoScanPruning), DisableLateMat: ab.Has(NoLateMaterialization),
+		DisableCodeSpacePreds: ab.Has(NoCodeSpacePreds),
 	}
-	factSchema, err := e.factReaderSchema(cols)
-	if err != nil {
-		return nil, nil, err
+	if !ab.Has(NoColumnarStorage) {
+		input.Columns = sh.FactColumns()
 	}
-	runner, err := newStarJoinRunner(e, q, factSchema)
-	if err != nil {
-		return nil, nil, err
+	if !ab.Has(NoScanPruning) {
+		input.PrunePreds = e.fkPruneHints(head)
 	}
-
-	cfg := e.mr.Cluster().Config()
-	conf := mr.NewJobConf()
-	if e.feats.MultiThreaded {
-		// One map task per node (capacity scheduling via a whole-node memory
-		// request), JVM reuse for hash-table sharing across consecutive
-		// tasks, MultiCIF packing so each thread gets its own reader.
-		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
-		conf.SetBool(mr.ConfJVMReuse, true)
-		conf.SetInt(mr.ConfMultiSplitPack, int64(e.opts.MultiSplitPack))
-		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
+	if !ab.Has(NoBloomPushdown) {
+		input.KeyFilters = e.semiJoinFilters(head)
 	}
-	if e.opts.Speculative {
-		conf.SetBool(mr.ConfSpeculative, true)
-	}
-
-	numReduce := e.opts.Reducers
-	if len(q.GroupBy) == 0 {
-		numReduce = 1
-	}
-	var hints []expr.Pred
-	if !e.opts.NoScanPruning {
-		hints = e.fkPruneHints(q)
-	}
-	var filters []colstore.KeyFilter
-	if !e.opts.NoBloomPushdown {
-		filters = e.semiJoinFilters(q)
-	}
-	// Pin the fact partition list once, here at plan time: a roll-in,
-	// compaction, or retention landing while the job runs changes what
-	// ListPartitions would return, but not what this query scans.
 	snap, err := e.snaps.Acquire(e.cat.FactDir)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer snap.Release()
+	input.Snapshot = snap.Parts
+	return input, snap.Release, nil
+}
+
+// mapJoinConf configures a job whose map side runs the star-join runner.
+// With multi-threading on: one map task per node (capacity scheduling via a
+// whole-node memory request), JVM reuse so consecutive tasks share the
+// node's hash tables, and MultiCIF packing so each of the node's map slots
+// gets its own reader and probe thread.
+func (e *Engine) mapJoinConf() *mr.JobConf {
+	conf := mr.NewJobConf()
+	if !e.opts.Ablate.Has(NoMultiThreading) {
+		cfg := e.mr.Cluster().Config()
+		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
+		conf.SetBool(mr.ConfJVMReuse, true)
+		conf.SetInt(mr.ConfMultiSplitPack, int64(cfg.MapSlots))
+		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
+	}
+	return conf
+}
+
+// sumJob fills in the grouped-SUM reduce side every executor's last job
+// shares: sumReducer as combiner and reducer over (group key, partial sum),
+// one reducer per worker node (the paper's one reduce slot per node), a
+// single one for a grand aggregate.
+func (e *Engine) sumJob(job *mr.Job, sh *plan.Shape) {
+	if e.opts.Speculative {
+		job.Conf.SetBool(mr.ConfSpeculative, true)
+	}
+	job.NewReducer = func() mr.Reducer { return sumReducer{} }
+	job.NewCombiner = func() mr.Reducer { return sumReducer{} }
+	job.NumReduceTasks = len(e.mr.Cluster().Nodes())
+	if len(sh.GroupBy) == 0 {
+		job.NumReduceTasks = 1
+	}
+	job.KeySchema = sh.GroupSchema()
+	job.ValueSchema = aggValueSchema
+}
+
+// runStar runs a depth-1 plan as one MapReduce job: the runner joins and
+// partially aggregates on the map side, reducers finish the grouped sums.
+func (e *Engine) runStar(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
+	start := time.Now()
+	sh := p.Shape
+	dims := DimSpecs(p.Steps)
+	if err := e.ensureCached(ctx, dims); err != nil {
+		return nil, nil, err
+	}
+	runner, err := newSumRunner(e, sh, dims)
+	if err != nil {
+		return nil, nil, err
+	}
+	input, release, err := e.factScan(sh, dims)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer release()
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
-		Name: "clydesdale-" + q.Name,
-		Conf: conf,
-		Input: &colstore.CIFInput{
-			Dir: e.cat.FactDir, Columns: cols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
-			Snapshot: snap.Parts,
-			Pred:     q.FactPred, PrunePreds: hints, EagerColumns: factFKs(q), KeyFilters: filters,
-			DisablePruning: e.opts.NoScanPruning, DisableLateMat: e.opts.NoLateMaterialization,
-			DisableCodeSpacePreds: e.opts.NoCodeSpacePreds,
-		},
-		Output: out,
-		NewMapRunner: func() mr.MapRunner {
-			return runner
-		},
-		NewReducer:     func() mr.Reducer { return sumReducer{} },
-		NewCombiner:    func() mr.Reducer { return sumReducer{} },
-		NumReduceTasks: numReduce,
-		KeySchema:      q.GroupSchema(),
-		ValueSchema:    aggValueSchema,
+		Name:         "clydesdale-" + sh.Name,
+		Conf:         e.mapJoinConf(),
+		Input:        input,
+		Output:       out,
+		NewMapRunner: func() mr.MapRunner { return runner },
 	}
-
+	e.sumJob(job, sh)
 	res, err := e.mr.Submit(ctx, job)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s: %w", q.Name, err)
+		return nil, nil, fmt.Errorf("core: %s: %w", sh.Name, err)
 	}
+	return finish(sh, out, &Report{Job: res}, start)
+}
 
-	rs := e.collect(q, out)
-	sortStart := time.Now()
-	orders := make([]results.Order, 0, len(q.OrderBy))
-	for _, o := range q.Orders() {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
+// runJoinPass runs one map-only join pass of a multi-job plan: runner over
+// input, its carried rows written to output.
+func (e *Engine) runJoinPass(ctx context.Context, name string, input mr.InputFormat, output mr.OutputFormat, runner *starJoinRunner) (*mr.JobResult, error) {
+	return e.mr.Submit(ctx, &mr.Job{
+		Name:         name,
+		Conf:         e.mapJoinConf(),
+		Input:        input,
+		Output:       output,
+		NewMapRunner: func() mr.MapRunner { return runner },
+	})
+}
+
+// Orders is the shape's effective result ordering in the result package's
+// vocabulary.
+func Orders(sh *plan.Shape) []results.Order {
+	keys := sh.Orders()
+	orders := make([]results.Order, len(keys))
+	for i, k := range keys {
+		orders[i] = results.Order(k)
 	}
-	if len(orders) > 0 {
+	return orders
+}
+
+// finish is the epilogue every executor shares: collect the grouped sums
+// the last job reduced into out, run the driver-side final sort (Figure 4
+// line 33), and complete the report.
+func finish(sh *plan.Shape, out *mr.MemoryOutput, rep *Report, start time.Time) (*results.ResultSet, *Report, error) {
+	rs := collectRows(sh.ResultSchema(), len(sh.GroupBy) > 0, out)
+	sortStart := time.Now()
+	if orders := Orders(sh); len(orders) > 0 {
 		if err := rs.Sort(orders); err != nil {
 			return nil, nil, err
 		}
 	}
-	report := &Report{
-		Query:    q.Name,
-		Job:      res,
-		SortTime: time.Since(sortStart),
-		Total:    time.Since(start),
-	}
-	report.fillScanStats(res.Counters)
-	return rs, report, nil
-}
-
-// factReaderSchema computes the schema the CIF reader will yield.
-func (e *Engine) factReaderSchema(cols []string) (*records.Schema, error) {
-	if cols == nil {
-		return e.cat.FactSchema, nil
-	}
-	return e.cat.FactSchema.Project(cols...)
-}
-
-// collect turns the reduce output into the result set.
-func (e *Engine) collect(q *Query, out *mr.MemoryOutput) *results.ResultSet {
-	return collectRows(q.ResultSchema(), len(q.GroupBy) > 0, out)
+	rep.Query = sh.Name
+	rep.SortTime = time.Since(sortStart)
+	rep.Total = time.Since(start)
+	rep.fillScanStats(rep.Job.Counters)
+	return rs, rep, nil
 }

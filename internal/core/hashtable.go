@@ -338,8 +338,8 @@ func dimTableCapacity(n int64) int64 {
 	return c
 }
 
-// EstimateDimHashBytes computes the memory each of a query's dimension hash
-// tables would occupy (one entry per dimension, in query order), by
+// EstimateDimHashBytes computes the memory each listed dimension hash
+// table would occupy (one entry per spec, in order), by
 // evaluating the dimension predicates over rows supplied by each(table).
 // It mirrors the open-addressing layout exactly — slot and tag arrays at
 // the capacity the build ends with, plus the aux-value arena — so the
@@ -348,10 +348,10 @@ func dimTableCapacity(n int64) int64 {
 // charged) to size the Clydesdale residency constraint: a node holds the
 // *sum* of the query's tables (§6.4). Mapjoin budgets use the boxed-map
 // model in package hive instead.
-func EstimateDimHashBytes(q *Query, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
-	out := make([]int64, len(q.Dims))
-	for i := range q.Dims {
-		spec := &q.Dims[i]
+func EstimateDimHashBytes(dims []DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
+	out := make([]int64, len(dims))
+	for i := range dims {
+		spec := &dims[i]
 		var pred expr.RowPred
 		if spec.Pred != nil {
 			p, err := expr.CompilePred(spec.Pred, spec.Schema)
@@ -384,10 +384,10 @@ func EstimateDimHashBytes(q *Query, each func(table string, fn func(records.Reco
 	return out, nil
 }
 
-// EstimateHashTableBytes sums EstimateDimHashBytes: one full copy of the
+// EstimateHashTableBytes sums EstimateDimHashBytes: one full copy of a
 // query's dimension hash tables (what a Clydesdale node holds).
-func EstimateHashTableBytes(q *Query, each func(table string, fn func(records.Record) error) error) (int64, error) {
-	per, err := EstimateDimHashBytes(q, each)
+func EstimateHashTableBytes(dims []DimSpec, each func(table string, fn func(records.Record) error) error) (int64, error) {
+	per, err := EstimateDimHashBytes(dims, each)
 	if err != nil {
 		return 0, err
 	}

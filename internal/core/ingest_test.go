@@ -90,7 +90,7 @@ func TestRollInInvalidatesDerivedScanState(t *testing.T) {
 	}
 	sum := func() float64 {
 		t.Helper()
-		rs, _, err := eng.Execute(context.Background(), q)
+		rs, _, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestFactRollInMatchesReference(t *testing.T) {
 		AggExpr: expr.Col("lo_revenue"),
 		AggName: "revenue",
 	}
-	before, _, err := eng.Execute(context.Background(), q1998)
+	before, _, err := eng.Run(context.Background(), q1998)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFactRollInMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []*core.Query{q1998, q11} {
-		after, _, err := eng.Execute(context.Background(), q)
+		after, _, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"clydesdale/internal/plan"
-)
+import "clydesdale/internal/plan"
 
 // LogicalOf lifts a star Query into the shared logical-plan IR: a filtered
 // fact scan, one join per dimension in declaration order, the grouped SUM,
@@ -45,42 +41,43 @@ func LogicalOf(q *Query, cat *Catalog) (*plan.Logical, error) {
 	return &plan.Logical{Name: name, Root: n}, nil
 }
 
-// QueryFromLogical lowers a bound logical plan back into the star Query
-// model. Only pure star plans qualify: a snowflake edge (depth > 1) has no
-// Query representation and returns an error.
-func QueryFromLogical(l *plan.Logical) (*Query, error) {
+// Lower compiles a bound logical plan into the physical plan RunPlan
+// executes when nobody asked the cost-based chooser: the shape's bind-order
+// pipeline, as the single-pass star join when every join hangs off the fact
+// and as the staged plan (feasible for any shape the IR expresses) when the
+// plan has snowflake edges. It reads no table, so it is cheap enough for
+// every query; PlanLogical is the stat-scanning alternative.
+func (e *Engine) Lower(l *plan.Logical) (*plan.Physical, error) {
 	sh, err := plan.Decompose(l)
 	if err != nil {
 		return nil, err
 	}
-	return QueryFromShape(sh)
+	steps, err := sh.Linearize()
+	if err != nil {
+		return nil, err
+	}
+	for i := range steps {
+		steps[i].Strategy = plan.StrategyStar
+	}
+	kind := plan.KindStar
+	if sh.MaxDepth() > 1 {
+		kind = plan.KindStaged
+	}
+	return &plan.Physical{Shape: sh, Kind: kind, Steps: steps, Feasible: true}, nil
 }
 
-// QueryFromShape is QueryFromLogical for an already-decomposed shape.
-func QueryFromShape(sh *plan.Shape) (*Query, error) {
-	q := &Query{
-		Name:     sh.Name,
-		FactPred: sh.FactPred,
-		AggExpr:  sh.Agg,
-		AggName:  sh.AggName,
-		GroupBy:  append([]string(nil), sh.GroupBy...),
+// DimSpecOf is the build spec of one join edge: what hash table to build
+// over which table. Every lowering that builds from the plan IR goes through
+// it.
+func DimSpecOf(e *plan.JoinEdge) DimSpec {
+	return DimSpec{Table: e.Table, Schema: e.Schema, FactFK: e.FK, DimPK: e.PK, Pred: e.Pred, Aux: e.Aux}
+}
+
+// DimSpecs is DimSpecOf over a pipeline, in step order.
+func DimSpecs(steps []plan.Step) []DimSpec {
+	dims := make([]DimSpec, len(steps))
+	for i := range steps {
+		dims[i] = DimSpecOf(&steps[i].JoinEdge)
 	}
-	for i := range sh.Joins {
-		e := &sh.Joins[i]
-		if e.Depth != 1 {
-			return nil, fmt.Errorf("core: %s joins through %s (depth %d); a star query cannot express snowflake edges", e.Table, e.Parent, e.Depth)
-		}
-		q.Dims = append(q.Dims, DimSpec{
-			Table:  e.Table,
-			Schema: e.Schema,
-			FactFK: e.FK,
-			DimPK:  e.PK,
-			Pred:   e.Pred,
-			Aux:    append([]string(nil), e.Aux...),
-		})
-	}
-	for _, k := range sh.OrderBy {
-		q.OrderBy = append(q.OrderBy, OrderKey{Col: k.Col, Desc: k.Desc})
-	}
-	return q, nil
+	return dims
 }

@@ -19,16 +19,16 @@ import (
 func TestPruningOracleAllQueries(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	opt := e.engine(core.Options{})
-	base := e.engine(core.Options{NoScanPruning: true, NoLateMaterialization: true})
+	base := e.engine(core.Options{Ablate: core.NoScanPruning | core.NoLateMaterialization})
 
 	mustPrune := map[string]bool{"Q1.1": true, "Q3.4": true}
 	var totalPruned int64
 	for _, q := range ssb.Queries() {
-		got, rep, err := opt.Execute(context.Background(), q)
+		got, rep, err := opt.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s optimized: %v", q.Name, err)
 		}
-		want, _, err := base.Execute(context.Background(), q)
+		want, _, err := base.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", q.Name, err)
 		}
@@ -59,20 +59,20 @@ func TestCompressedExecutionOracle(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	opt := e.engine(core.Options{})
 	ablations := map[string]*core.Engine{
-		"no-code-preds": e.engine(core.Options{NoCodeSpacePreds: true}),
-		"no-bloom":      e.engine(core.Options{NoBloomPushdown: true}),
-		"neither":       e.engine(core.Options{NoCodeSpacePreds: true, NoBloomPushdown: true}),
+		"no-code-preds": e.engine(core.Options{Ablate: core.NoCodeSpacePreds}),
+		"no-bloom":      e.engine(core.Options{Ablate: core.NoBloomPushdown}),
+		"neither":       e.engine(core.Options{Ablate: core.NoCodeSpacePreds | core.NoBloomPushdown}),
 	}
 
 	mustBloom := map[string]bool{"Q2.1": true, "Q2.2": true}
 	var totalBloom, totalSide, totalCodeProbe int64
 	for _, q := range ssb.Queries() {
-		got, rep, err := opt.Execute(context.Background(), q)
+		got, rep, err := opt.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s optimized: %v", q.Name, err)
 		}
 		for name, eng := range ablations {
-			want, wrep, err := eng.Execute(context.Background(), q)
+			want, wrep, err := eng.Run(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s %s: %v", q.Name, name, err)
 			}

@@ -12,33 +12,6 @@ import (
 	"clydesdale/internal/results"
 )
 
-// lowerQuery builds the physical plan Run executes for a star Query: the
-// shape's bind-order pipeline with the kind fixed by Options.Mode (no
-// cost-based choice, so Run stays deterministic and stat-scan free on the
-// hot path).
-func (e *Engine) lowerQuery(q *Query) (*plan.Physical, error) {
-	l, err := LogicalOf(q, e.cat)
-	if err != nil {
-		return nil, err
-	}
-	sh, err := plan.Decompose(l)
-	if err != nil {
-		return nil, err
-	}
-	steps, err := sh.Linearize()
-	if err != nil {
-		return nil, err
-	}
-	kind := plan.KindStar
-	if e.opts.Mode == ModeStaged {
-		kind = plan.KindStaged
-	}
-	for i := range steps {
-		steps[i].Strategy = plan.StrategyStar
-	}
-	return &plan.Physical{Shape: sh, Kind: kind, Steps: steps, Feasible: true}, nil
-}
-
 // PlanStats gathers the cost model's inputs for a logical plan: fact
 // cardinality from the CIF zone maps, per-table row counts and hash-table
 // footprints from the unified estimators (the star model and the boxed
@@ -61,17 +34,11 @@ func (e *Engine) PlanStats(l *plan.Logical) (*plan.Stats, error) {
 		}
 		return colstore.ScanRowTable(fs, dir, "", fn)
 	}
-	// One synthetic query carrying every edge as a DimSpec feeds the star
-	// estimator; FactFK is never consulted there.
-	hq := &Query{Name: sh.Name}
+	specs := make([]DimSpec, len(sh.Joins))
 	for i := range sh.Joins {
-		ed := &sh.Joins[i]
-		hq.Dims = append(hq.Dims, DimSpec{
-			Table: ed.Table, Schema: ed.Schema, FactFK: ed.FK, DimPK: ed.PK,
-			Pred: ed.Pred, Aux: append([]string(nil), ed.Aux...),
-		})
+		specs[i] = DimSpecOf(&sh.Joins[i])
 	}
-	hashBytes, err := EstimateDimHashBytes(hq, each)
+	hashBytes, err := EstimateDimHashBytes(specs, each)
 	if err != nil {
 		return nil, err
 	}
@@ -130,18 +97,10 @@ func (e *Engine) PlanLogical(l *plan.Logical) (*plan.Physical, error) {
 	return plan.Choose(l, st)
 }
 
-// Plan is PlanLogical for a star Query.
-func (e *Engine) Plan(q *Query) (*plan.Physical, error) {
-	l, err := LogicalOf(q, e.cat)
-	if err != nil {
-		return nil, err
-	}
-	return e.PlanLogical(l)
-}
-
-// RunPlan executes a chosen physical plan: the single-pass star join (with
-// the §5.1 staged fallback on memory exhaustion), the staged plan, or the
-// cascading map-side join.
+// RunPlan executes a physical plan: the single-pass star join, the staged
+// plan, or the cascading map-side join. A star plan whose hash tables
+// exceed node memory re-runs the same shape staged — the §5.1 fallback,
+// one table resident at a time — and the report says so (Report.Staged).
 func (e *Engine) RunPlan(ctx context.Context, p *plan.Physical) (rs *results.ResultSet, rep *Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -149,28 +108,17 @@ func (e *Engine) RunPlan(ctx context.Context, p *plan.Physical) (rs *results.Res
 	if p == nil || p.Shape == nil {
 		return nil, nil, fmt.Errorf("core: RunPlan needs a physical plan with a shape")
 	}
-	ctx, finish := e.traceRoot(ctx, p.Shape.Name)
-	defer func() { finish(err) }()
-	return e.runPhysical(ctx, p, ModeAuto)
-}
-
-// runPhysical dispatches a physical plan to its executor. mode only
-// matters for KindStar: ModeSinglePass suppresses the staged OOM fallback.
-func (e *Engine) runPhysical(ctx context.Context, p *plan.Physical, mode Mode) (*results.ResultSet, *Report, error) {
+	ctx, done := e.traceRoot(ctx, p.Shape.Name)
+	defer func() { done(err) }()
 	switch p.Kind {
 	case plan.KindStaged:
-		return e.runStagedShape(ctx, p)
+		return e.runStaged(ctx, p)
 	case plan.KindCascade:
 		return e.runCascade(ctx, p)
-	default:
-		q, err := QueryFromShape(p.Shape)
-		if err != nil {
-			return nil, nil, err
-		}
-		rs, rep, err := e.executeSinglePass(ctx, q)
-		if mode == ModeSinglePass || err == nil || !errors.Is(err, ErrOOM) || ctx.Err() != nil {
-			return rs, rep, err
-		}
-		return e.executeStaged(ctx, q)
 	}
+	rs, rep, err = e.runStar(ctx, p)
+	if err == nil || !errors.Is(err, ErrOOM) || ctx.Err() != nil {
+		return rs, rep, err
+	}
+	return e.runStaged(ctx, p)
 }

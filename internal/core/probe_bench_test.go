@@ -164,9 +164,13 @@ func BenchmarkAggregateEmit(b *testing.B) {
 		brands[i] = []records.Value{records.Str(fmt.Sprintf("MFGR#12%02d", i))}
 	}
 	newRunner := func(combining bool) *starJoinRunner {
+		var ab Ablate
+		if !combining {
+			ab = NoInMapperCombining
+		}
 		return &starJoinRunner{
-			eng:       &Engine{feats: Features{InMapperCombining: combining}},
-			q:         &Query{Dims: make([]DimSpec, 2)},
+			eng:       &Engine{opts: Options{Ablate: ab}},
+			dims:      make([]DimSpec, 2),
 			groupSrcs: []groupSrc{{dim: 0, aux: 0}, {dim: 1, aux: 0}},
 			gschema:   gschema,
 		}
@@ -181,7 +185,7 @@ func BenchmarkAggregateEmit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := i % groups
 			sc.auxRow[0], sc.auxRow[1] = years[g], brands[g]
-			if err := r.emit(sc, out, float64(i)); err != nil {
+			if err := r.emitSum(sc, out, float64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -201,7 +205,7 @@ func BenchmarkAggregateEmit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := i % groups
 			sc.auxRow[0], sc.auxRow[1] = years[g], brands[g]
-			if err := r.emit(sc, out, float64(i)); err != nil {
+			if err := r.emitSum(sc, out, float64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,9 +46,12 @@ type dimScan struct {
 }
 
 // dimScanFor returns the memoized scan products for one dimension, scanning
-// at most once per (dimension, predicate, fact FK): dimension contents are
-// immutable for an engine's lifetime. Returns nil for dimensions that can
-// yield nothing (no predicate, no schema).
+// once per (dimension, predicate, fact FK) between roll-ins of the
+// dimension. The scan runs outside hintMu; if InvalidateTable ran for the
+// table meanwhile, the result describes the pre-roll-in contents and is
+// handed to this caller but not memoized, so the next query derives afresh.
+// Returns nil for dimensions that can yield nothing (no predicate, no
+// schema).
 func (e *Engine) dimScanFor(d *DimSpec) *dimScan {
 	if d.Pred == nil || d.Schema == nil {
 		return nil
@@ -56,16 +59,17 @@ func (e *Engine) dimScanFor(d *DimSpec) *dimScan {
 	key := d.Table + "|" + d.FactFK + "|" + d.Pred.String()
 	e.hintMu.Lock()
 	ds, cached := e.hintCache[key]
+	gen := e.hintGen[d.Table]
 	e.hintMu.Unlock()
-	if !cached {
-		ds = deriveDimScan(e.mr.FS(), e.cat, d)
-		e.hintMu.Lock()
-		if e.hintCache == nil {
-			e.hintCache = make(map[string]*dimScan)
-		}
-		e.hintCache[key] = ds
-		e.hintMu.Unlock()
+	if cached {
+		return ds
 	}
+	ds = deriveDimScan(e.mr.FS(), e.cat, d)
+	e.hintMu.Lock()
+	if e.hintGen[d.Table] == gen {
+		e.hintCache[key] = ds
+	}
+	e.hintMu.Unlock()
 	return ds
 }
 
@@ -73,10 +77,10 @@ func (e *Engine) dimScanFor(d *DimSpec) *dimScan {
 // primary keys are non-empty. Dimensions that cannot yield a hint (no
 // predicate, non-integer key, scan error) are skipped — pruning just sees
 // fewer hints.
-func (e *Engine) fkPruneHints(q *Query) []expr.Pred {
+func (e *Engine) fkPruneHints(dims []DimSpec) []expr.Pred {
 	var hints []expr.Pred
-	for i := range q.Dims {
-		if ds := e.dimScanFor(&q.Dims[i]); ds != nil && ds.hint != nil {
+	for i := range dims {
+		if ds := e.dimScanFor(&dims[i]); ds != nil && ds.hint != nil {
 			hints = append(hints, ds.hint)
 		}
 	}
@@ -88,10 +92,10 @@ func (e *Engine) fkPruneHints(q *Query) []expr.Pred {
 // The filters are derived on the driver before the job is submitted — they
 // are plain immutable state shipped with the input format, so retried,
 // speculative, and failed-over task attempts all see the same filters.
-func (e *Engine) semiJoinFilters(q *Query) []colstore.KeyFilter {
+func (e *Engine) semiJoinFilters(dims []DimSpec) []colstore.KeyFilter {
 	var filters []colstore.KeyFilter
-	for i := range q.Dims {
-		d := &q.Dims[i]
+	for i := range dims {
+		d := &dims[i]
 		if ds := e.dimScanFor(d); ds != nil && ds.bloom != nil {
 			filters = append(filters, colstore.KeyFilter{Column: d.FactFK, Keys: ds.bloom})
 		}
@@ -151,10 +155,10 @@ func deriveDimScan(fs *hdfs.FileSystem, cat *Catalog, d *DimSpec) *dimScan {
 
 // factFKs lists the fact-side join keys, the columns the probe needs before
 // any selection (CIFInput.EagerColumns).
-func factFKs(q *Query) []string {
-	fks := make([]string, len(q.Dims))
-	for i := range q.Dims {
-		fks[i] = q.Dims[i].FactFK
+func factFKs(dims []DimSpec) []string {
+	fks := make([]string, len(dims))
+	for i := range dims {
+		fks[i] = dims[i].FactFK
 	}
 	return fks
 }

@@ -18,7 +18,9 @@ import (
 	"clydesdale/internal/records"
 )
 
-// DimSpec names one dimension participating in a star join.
+// DimSpec names one dimension participating in a join and says what hash
+// table to build over it. A Query lists them by hand; the executors derive
+// them from a plan's join edges (DimSpecOf).
 type DimSpec struct {
 	// Table is the dimension's name in the catalog.
 	Table string
@@ -55,8 +57,10 @@ type OrderKey struct {
 }
 
 // Query is a declarative star query: join the fact table with the listed
-// dimensions, filter, aggregate one SUM measure, group and order. This is
-// the query model both Clydesdale and the Hive baseline compile.
+// dimensions, filter, aggregate one SUM measure, group and order. It is the
+// builder for hand-written queries (the 13 SSB queries, the examples);
+// LogicalOf lifts it into the plan IR, which is what Clydesdale and the Hive
+// baseline execute.
 type Query struct {
 	Name     string
 	Dims     []DimSpec
@@ -177,20 +181,6 @@ func (q *Query) String() string {
 	}
 	return fmt.Sprintf("%s: SUM(%s) JOIN %s GROUP BY %s",
 		q.Name, q.AggExpr, strings.Join(dims, ", "), strings.Join(q.GroupBy, ","))
-}
-
-// Orders converts the query's ORDER BY into results.Order terms; when the
-// query has no explicit ordering, group columns ascending are used so output
-// is deterministic.
-func (q *Query) Orders() []OrderKey {
-	if len(q.OrderBy) > 0 {
-		return q.OrderBy
-	}
-	out := make([]OrderKey, len(q.GroupBy))
-	for i, g := range q.GroupBy {
-		out[i] = OrderKey{Col: g}
-	}
-	return out
 }
 
 // Catalog locates a star schema's tables in HDFS.

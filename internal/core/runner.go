@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -29,33 +29,51 @@ const (
 	CtrCodeProbeRows  = "CLYDESDALE_CODE_PROBE_ROWS"
 )
 
-// starJoinRunner is Clydesdale's MTMapRunner (§5.1, Figure 5): it builds or
-// reuses the node's dimension hash tables, unpacks its multi-split into one
-// reader per thread, and runs the probe phase over all of them, sharing the
-// single copy of the hash tables.
+// starJoinRunner is Clydesdale's MTMapRunner (§5.1, Figure 5) and the one
+// map-side join implementation in this package: it acquires the node's
+// dimension hash tables (from the TableProvider, the job's per-node shared
+// build, or a private build), unpacks its multi-split into one reader per
+// thread, and probes every table with early-out over block or row readers.
+// What it does with a joined row is the sink, fixed once per job: fold the
+// measure into grouped partial sums (the star job) or carry the row on
+// through the collector (a staged pass, the cascade head pass).
 //
-// One runner instance serves every task of the job (see Engine.Execute), so
-// the table group below is the per-job, per-node build cache — the Go
-// equivalent of the paper's JVM statics, minus the race two concurrent
-// tasks on one node would have hitting a load-then-store cache.
+// One runner instance serves every task of the job, so the table group
+// below is the per-job, per-node build cache — the Go equivalent of the
+// paper's JVM statics, minus the race two concurrent tasks on one node
+// would have hitting a load-then-store cache.
 type starJoinRunner struct {
-	eng        *Engine
-	q          *Query
-	factSchema *records.Schema // the projected fact schema the reader yields
-	groupSrcs  []groupSrc
-	gschema    *records.Schema
-	tables     nodeTableGroup
+	eng *Engine
+	// dims are the tables to build, in probe order; their FactFK columns
+	// are read off the probe stream.
+	dims []DimSpec
+	// factPred filters the probe stream before the probe; nil when the
+	// stream is an already-filtered intermediate.
+	factPred expr.Pred
+
+	// The grouped-partial-sum sink: agg is the measure, groupSrcs locate
+	// the group key in the joined aux values.
+	agg       expr.Expr
+	groupSrcs []groupSrc
+	gschema   *records.Schema
+	// The carried-row sink, selected by a non-nil rowSchema: each joined
+	// row is assembled from probe-stream columns and aux values.
+	rowSchema *records.Schema
+
+	tables nodeTableGroup
 }
 
 // groupSrc locates one group-by column inside a dimension's aux values.
 type groupSrc struct{ dim, aux int }
 
-func newStarJoinRunner(eng *Engine, q *Query, factSchema *records.Schema) (*starJoinRunner, error) {
-	srcs := make([]groupSrc, len(q.GroupBy))
-	for gi, gcol := range q.GroupBy {
+// newSumRunner is the star job's runner: join dims, SUM the shape's measure
+// grouped by its group-by columns.
+func newSumRunner(eng *Engine, sh *plan.Shape, dims []DimSpec) (*starJoinRunner, error) {
+	srcs := make([]groupSrc, len(sh.GroupBy))
+	for gi, gcol := range sh.GroupBy {
 		found := false
-		for di := range q.Dims {
-			for ai, aux := range q.Dims[di].Aux {
+		for di := range dims {
+			for ai, aux := range dims[di].Aux {
 				if aux == gcol {
 					srcs[gi] = groupSrc{dim: di, aux: ai}
 					found = true
@@ -67,12 +85,15 @@ func newStarJoinRunner(eng *Engine, q *Query, factSchema *records.Schema) (*star
 		}
 	}
 	return &starJoinRunner{
-		eng:        eng,
-		q:          q,
-		factSchema: factSchema,
-		groupSrcs:  srcs,
-		gschema:    q.GroupSchema(),
+		eng: eng, dims: dims, factPred: sh.FactPred,
+		agg: sh.Agg, groupSrcs: srcs, gschema: sh.GroupSchema(),
 	}, nil
+}
+
+// newRowRunner is a join pass's runner: join dims and carry rows of schema
+// out on to the next pass.
+func newRowRunner(eng *Engine, dims []DimSpec, factPred expr.Pred, out *records.Schema) *starJoinRunner {
+	return &starJoinRunner{eng: eng, dims: dims, factPred: factPred, rowSchema: out}
 }
 
 // nodeTableGroup deduplicates hash-table builds across the concurrently
@@ -132,22 +153,23 @@ type TableProvider interface {
 // plus a release the caller runs when probing ends. With a TableProvider
 // configured the tables come from (and are accounted by) the provider;
 // otherwise, with multi-threading enabled the tables are shared per node
-// across consecutive and concurrent tasks of the job, and with it disabled
-// each task builds privately, reproducing the Figure 9 ablation. In the
-// provider-less paths the caller's task reserves the resident size (the
-// release is then a no-op: the reservation falls with the task).
+// across consecutive and concurrent tasks of the job, and under
+// NoMultiThreading each task builds privately, reproducing the Figure 9
+// ablation. In the provider-less paths the caller's task reserves the
+// resident size (the release is then a no-op: the reservation falls with
+// the task).
 func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(), error) {
 	noop := func() {}
 	if p := r.eng.opts.Tables; p != nil {
-		hts := make([]*DimHashTable, len(r.q.Dims))
-		releases := make([]func(), 0, len(r.q.Dims))
+		hts := make([]*DimHashTable, len(r.dims))
+		releases := make([]func(), 0, len(r.dims))
 		releaseAll := func() {
 			for _, rel := range releases {
 				rel()
 			}
 		}
-		for i := range r.q.Dims {
-			spec := &r.q.Dims[i]
+		for i := range r.dims {
+			spec := &r.dims[i]
 			dir, err := r.eng.cat.DimDir(spec.Table)
 			if err != nil {
 				releaseAll()
@@ -163,7 +185,7 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 		}
 		return hts, releaseAll, nil
 	}
-	if !r.eng.feats.MultiThreaded {
+	if r.eng.opts.Ablate.Has(NoMultiThreading) {
 		hts, err := r.buildHashTables(ctx)
 		if err != nil {
 			return nil, nil, err
@@ -184,9 +206,9 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 
 func (r *starJoinRunner) buildHashTables(ctx *mr.TaskContext) ([]*DimHashTable, error) {
 	start := time.Now()
-	hts := make([]*DimHashTable, len(r.q.Dims))
-	for i := range r.q.Dims {
-		spec := &r.q.Dims[i]
+	hts := make([]*DimHashTable, len(r.dims))
+	for i := range r.dims {
+		spec := &r.dims[i]
 		dir, err := r.eng.cat.DimDir(spec.Table)
 		if err != nil {
 			return nil, err
@@ -212,9 +234,10 @@ func (r *starJoinRunner) reserve(ctx *mr.TaskContext, hts []*DimHashTable) error
 }
 
 // probeScratch is one probe thread's reusable state: the per-row join
-// buffers, the boxed key/value records the legacy emit path hands to the
-// collector (safe to reuse — the map collector serializes immediately and
-// retains nothing), and the in-mapper aggregator when combining is on.
+// buffers, the boxed records handed to the collector — key/value for an
+// uncombined partial sum, rowRec for a carried row; safe to reuse, since
+// the map collector and the row writers serialize immediately and retain
+// nothing — and the in-mapper aggregator when combining is on.
 type probeScratch struct {
 	auxRow  [][]records.Value
 	fkCols  [][]int64
@@ -226,20 +249,27 @@ type probeScratch struct {
 	valRec  records.Record // wraps valVals
 	keyBuf  []byte
 	agg     *groupAgg
+	rowVals []records.Value
+	rowRec  records.Record // wraps rowVals
 }
 
 func (r *starJoinRunner) newScratch() *probeScratch {
 	sc := &probeScratch{
-		auxRow:  make([][]records.Value, len(r.q.Dims)),
-		fkCols:  make([][]int64, len(r.q.Dims)),
-		fkCodes: make([][]uint32, len(r.q.Dims)),
-		fkSide:  make([][]int32, len(r.q.Dims)),
+		auxRow:  make([][]records.Value, len(r.dims)),
+		fkCols:  make([][]int64, len(r.dims)),
+		fkCodes: make([][]uint32, len(r.dims)),
+		fkSide:  make([][]int32, len(r.dims)),
 		keyVals: make([]records.Value, len(r.groupSrcs)),
 		valVals: make([]records.Value, 1),
 	}
+	if r.rowSchema != nil {
+		sc.rowVals = make([]records.Value, r.rowSchema.Len())
+		sc.rowRec = records.Make(r.rowSchema, sc.rowVals...)
+		return sc
+	}
 	sc.keyRec = records.Make(r.gschema, sc.keyVals...)
 	sc.valRec = records.Make(aggValueSchema, sc.valVals...)
-	if r.eng.feats.InMapperCombining {
+	if !r.eng.opts.Ablate.Has(NoInMapperCombining) {
 		sc.agg = newGroupAgg()
 	}
 	return sc
@@ -295,7 +325,7 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 	defer release()
 
 	readers := []mr.RecordReader{reader}
-	if multi, ok := reader.(mr.MultiReader); ok && r.eng.feats.MultiThreaded {
+	if multi, ok := reader.(mr.MultiReader); ok && !r.eng.opts.Ablate.Has(NoMultiThreading) {
 		rs, err := multi.Readers()
 		if err != nil {
 			return err
@@ -315,8 +345,6 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 	}
 	ctx.Counters.Add(CtrProbeThreads, int64(threads))
 
-	order := probeOrder(hts, r.eng.opts.ProbeMostSelectiveFirst)
-
 	probeStart := time.Now()
 	queue := make(chan mr.RecordReader, len(readers))
 	for _, rd := range readers {
@@ -331,7 +359,7 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 			defer wg.Done()
 			sc := r.newScratch()
 			for rd := range queue {
-				if err := r.probe(ctx, rd, hts, order, sc, out); err != nil {
+				if err := r.probe(ctx, rd, hts, sc, out); err != nil {
 					errs[i] = err
 					return
 				}
@@ -356,35 +384,36 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 
 // probe drains one reader, choosing the block-iteration path when enabled
 // and available (§5.3).
-func (r *starJoinRunner) probe(ctx *mr.TaskContext, rd mr.RecordReader, hts []*DimHashTable, order []int, sc *probeScratch, out mr.Collector) error {
-	if br, ok := rd.(colstore.BlockReader); ok && r.eng.feats.BlockIteration {
-		return r.probeBlocks(ctx, br, hts, order, sc, out)
+func (r *starJoinRunner) probe(ctx *mr.TaskContext, rd mr.RecordReader, hts []*DimHashTable, sc *probeScratch, out mr.Collector) error {
+	if br, ok := rd.(colstore.BlockReader); ok && !r.eng.opts.Ablate.Has(NoBlockIteration) {
+		return r.probeBlocks(ctx, br, hts, sc, out)
 	}
-	return r.probeRows(ctx, rd, hts, order, sc, out)
+	return r.probeRows(ctx, rd, hts, sc, out)
 }
 
-// probeOrder returns the dimension visit order for the early-out probe:
-// query order by default, ascending hash-table size when the engine is
-// configured to put the most selective dimension first.
-func probeOrder(hts []*DimHashTable, selectiveFirst bool) []int {
-	order := make([]int, len(hts))
-	for i := range order {
-		order[i] = i
+// bind resolves, against the schema a reader yields, where each dimension's
+// FK sits and — for the carried-row sink — where every output column comes
+// from.
+func (r *starJoinRunner) bind(schema *records.Schema) (fkIdx []int, srcs []outputSource, err error) {
+	fkIdx = make([]int, len(r.dims))
+	for i, d := range r.dims {
+		if fkIdx[i] = schema.Index(d.FactFK); fkIdx[i] < 0 {
+			return nil, nil, fmt.Errorf("core: probe stream %v lacks FK %s", schema, d.FactFK)
+		}
 	}
-	if selectiveFirst {
-		sort.SliceStable(order, func(a, b int) bool {
-			return hts[order[a]].Len() < hts[order[b]].Len()
-		})
+	if r.rowSchema != nil {
+		srcs, err = outputSources(r.rowSchema, schema, r.dims)
 	}
-	return order
+	return fkIdx, srcs, err
 }
 
 // probeBlocks is the B-CIF path: one reader call per block, tight loops
 // over typed column vectors, no per-row boxing before the join filter.
-func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReader, hts []*DimHashTable, order []int, sc *probeScratch, out mr.Collector) error {
+func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReader, hts []*DimHashTable, sc *probeScratch, out mr.Collector) error {
 	var pred expr.BlockPred
 	var agg expr.BlockNum
 	var fkIdx []int
+	var srcs []outputSource
 	compiled := false
 	auxRow := sc.auxRow
 	var rows, emits, codeProbes int64
@@ -402,25 +431,18 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 		}
 		if !compiled {
 			schema := blk.Schema()
-			if r.q.FactPred != nil {
-				p, err := expr.CompileBlockPred(r.q.FactPred, schema)
-				if err != nil {
+			if r.factPred != nil {
+				if pred, err = expr.CompileBlockPred(r.factPred, schema); err != nil {
 					return err
 				}
-				pred = p
 			}
-			a, err := expr.CompileBlockNum(r.q.AggExpr, schema)
-			if err != nil {
-				return err
-			}
-			agg = a
-			fkIdx = make([]int, len(r.q.Dims))
-			for i, d := range r.q.Dims {
-				ix := schema.Index(d.FactFK)
-				if ix < 0 {
-					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FactFK)
+			if r.rowSchema == nil {
+				if agg, err = expr.CompileBlockNum(r.agg, schema); err != nil {
+					return err
 				}
-				fkIdx[i] = ix
+			}
+			if fkIdx, srcs, err = r.bind(schema); err != nil {
+				return err
 			}
 			compiled = true
 		}
@@ -432,7 +454,7 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 			// Dictionary-probe side table: when the reader carried the FK
 			// column's codes out of the scan, translate its dictionary to
 			// arena offsets once and probe by array index below.
-			if !r.eng.opts.NoCodeSpacePreds && cv.Dict != nil && len(cv.Codes) == len(cv.Ints) {
+			if !r.eng.opts.Ablate.Has(NoCodeSpacePreds) && cv.Dict != nil && len(cv.Codes) == len(cv.Ints) {
 				if side, built := hts[i].CodeSideTable(cv.Dict); side != nil {
 					fkSide[i] = side
 					fkCodes[i] = cv.Codes
@@ -449,8 +471,9 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 			if pred != nil && !pred(blk, i) {
 				continue
 			}
-			// Early-out probe (§4.2): stop at the first dimension miss.
-			for _, d := range order {
+			// Early-out probe (§4.2), in plan order: stop at the first
+			// dimension miss.
+			for d := range hts {
 				if side := fkSide[d]; side != nil {
 					codeProbes++ // misses are side-table answers too
 					off := side[fkCodes[d][i]]
@@ -466,7 +489,17 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 				}
 				auxRow[d] = aux
 			}
-			if err := r.emit(sc, out, agg(blk, i)); err != nil {
+			if srcs != nil {
+				for oi, s := range srcs {
+					if s.factIdx >= 0 {
+						sc.rowVals[oi] = blk.Col(s.factIdx).Value(i)
+					}
+				}
+				err = r.emitRow(sc, out, srcs)
+			} else {
+				err = r.emitSum(sc, out, agg(blk, i))
+			}
+			if err != nil {
 				return err
 			}
 			emits++
@@ -478,12 +511,14 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 	return nil
 }
 
-// probeRows is the row-at-a-time CIF path: one reader call and one boxed
-// record per row.
-func (r *starJoinRunner) probeRows(ctx *mr.TaskContext, rd mr.RecordReader, hts []*DimHashTable, order []int, sc *probeScratch, out mr.Collector) error {
+// probeRows is the row-at-a-time path — CIF under NoBlockIteration, and the
+// row-format intermediates of multi-pass plans: one reader call and one
+// boxed record per row.
+func (r *starJoinRunner) probeRows(ctx *mr.TaskContext, rd mr.RecordReader, hts []*DimHashTable, sc *probeScratch, out mr.Collector) error {
 	var pred expr.RowPred
 	var agg expr.RowNum
 	var fkIdx []int
+	var srcs []outputSource
 	compiled := false
 	auxRow := sc.auxRow
 	var rows, emits int64
@@ -504,25 +539,18 @@ rowLoop:
 		}
 		if !compiled {
 			schema := rec.Schema()
-			if r.q.FactPred != nil {
-				p, err := expr.CompilePred(r.q.FactPred, schema)
-				if err != nil {
+			if r.factPred != nil {
+				if pred, err = expr.CompilePred(r.factPred, schema); err != nil {
 					return err
 				}
-				pred = p
 			}
-			a, err := expr.CompileNum(r.q.AggExpr, schema)
-			if err != nil {
-				return err
-			}
-			agg = a
-			fkIdx = make([]int, len(r.q.Dims))
-			for i, d := range r.q.Dims {
-				ix := schema.Index(d.FactFK)
-				if ix < 0 {
-					return fmt.Errorf("core: fact reader schema %v lacks FK %s", schema, d.FactFK)
+			if r.rowSchema == nil {
+				if agg, err = expr.CompileNum(r.agg, schema); err != nil {
+					return err
 				}
-				fkIdx[i] = ix
+			}
+			if fkIdx, srcs, err = r.bind(schema); err != nil {
+				return err
 			}
 			compiled = true
 		}
@@ -530,14 +558,24 @@ rowLoop:
 		if pred != nil && !pred(rec) {
 			continue
 		}
-		for _, d := range order {
+		for d := range hts {
 			aux, ok := hts[d].Probe(rec.At(fkIdx[d]).Int64())
 			if !ok {
 				continue rowLoop
 			}
 			auxRow[d] = aux
 		}
-		if err := r.emit(sc, out, agg(rec)); err != nil {
+		if srcs != nil {
+			for oi, s := range srcs {
+				if s.factIdx >= 0 {
+					sc.rowVals[oi] = rec.At(s.factIdx)
+				}
+			}
+			err = r.emitRow(sc, out, srcs)
+		} else {
+			err = r.emitSum(sc, out, agg(rec))
+		}
+		if err != nil {
 			return err
 		}
 		emits++
@@ -547,11 +585,11 @@ rowLoop:
 	return nil
 }
 
-// emit gathers the group key from the joined aux values and either folds
-// the measure into the thread's aggregator (in-mapper combining) or
-// collects a (key, measure) pair through the reusable scratch records —
-// both paths allocation-free per row.
-func (r *starJoinRunner) emit(sc *probeScratch, out mr.Collector, measure float64) error {
+// emitSum is the grouped-partial-sum sink: it gathers the group key from
+// the joined aux values and either folds the measure into the thread's
+// aggregator (in-mapper combining) or collects a (key, measure) pair through
+// the reusable scratch records — both paths allocation-free per row.
+func (r *starJoinRunner) emitSum(sc *probeScratch, out mr.Collector, measure float64) error {
 	for gi, src := range r.groupSrcs {
 		sc.keyVals[gi] = sc.auxRow[src.dim][src.aux]
 	}
@@ -562,6 +600,50 @@ func (r *starJoinRunner) emit(sc *probeScratch, out mr.Collector, measure float6
 	}
 	sc.valVals[0] = records.Float(measure)
 	return out.Collect(sc.keyRec, sc.valRec)
+}
+
+// emitRow is the carried-row sink: the caller has filled the columns that
+// come off the probe stream; the rest come from the joined aux values. The
+// row goes through the collector in the thread's reusable record.
+func (r *starJoinRunner) emitRow(sc *probeScratch, out mr.Collector, srcs []outputSource) error {
+	for oi, s := range srcs {
+		if s.factIdx < 0 {
+			sc.rowVals[oi] = sc.auxRow[s.dim][s.aux]
+		}
+	}
+	return out.Collect(records.Record{}, sc.rowRec)
+}
+
+// outputSource locates one column of a carried row: a probe-stream column
+// or a dimension aux column.
+type outputSource struct {
+	factIdx int // >= 0: index in the probe stream's schema
+	dim     int // else: dims[dim].Aux[aux]
+	aux     int
+}
+
+// outputSources maps every field of out onto the probe stream in or a
+// dimension's aux payload.
+func outputSources(out, in *records.Schema, dims []DimSpec) ([]outputSource, error) {
+	srcs := make([]outputSource, out.Len())
+fields:
+	for i := range srcs {
+		name := out.Field(i).Name
+		if j := in.Index(name); j >= 0 {
+			srcs[i] = outputSource{factIdx: j}
+			continue
+		}
+		for d := range dims {
+			for a, auxCol := range dims[d].Aux {
+				if auxCol == name {
+					srcs[i] = outputSource{factIdx: -1, dim: d, aux: a}
+					continue fields
+				}
+			}
+		}
+		return nil, fmt.Errorf("core: carried column %s has no source", name)
+	}
+	return srcs, nil
 }
 
 // aggValueSchema is the map-output value: one partial aggregate.

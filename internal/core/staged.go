@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"clydesdale/internal/colstore"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
-	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
-	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 )
 
@@ -21,403 +18,74 @@ import (
 // a time. A subsequent pass over the intermediate joined result can be made
 // to join with the remaining dimension tables."
 //
-// ExecuteStaged implements that strategy: one map-only MapReduce job per
-// dimension — still with Clydesdale's per-node shared hash table (built
-// from the local dimension cache, one task per node, JVM reuse), unlike
-// Hive's broadcast mapjoin — writing each intermediate to HDFS, followed by
-// an aggregation job. Memory high-water per node drops from the sum of the
-// dimension tables to the largest single one.
+// runStaged implements that strategy: one map-only MapReduce job per join
+// step — the star-join runner over a single dimension, so still with
+// Clydesdale's per-node shared hash table (built from the local dimension
+// cache, one task per node, JVM reuse), unlike Hive's broadcast mapjoin —
+// writing each intermediate to HDFS, followed by an aggregation job. Memory
+// high-water per node drops from the sum of the dimension tables to the
+// largest single one.
 
 var stagedSeq atomic.Int64
 
-// ExecuteStaged runs the staged plan regardless of Options.Mode.
-//
-// Deprecated: use Run with Options.Mode set to ModeStaged.
-func (e *Engine) ExecuteStaged(ctx context.Context, q *Query) (*results.ResultSet, *Report, error) {
-	return e.executeStaged(ctx, q)
-}
-
-// executeStaged runs the query with one join pass per dimension.
-func (e *Engine) executeStaged(ctx context.Context, q *Query) (*results.ResultSet, *Report, error) {
+// runStaged executes a plan's pipeline one join pass per step. It is not
+// limited to star shapes: a snowflake edge is one more pass, probing the FK
+// its parent's pass carried, so the staged plan runs any shape the IR can
+// express.
+func (e *Engine) runStaged(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
 	start := time.Now()
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, q); err != nil {
-		cacheDone()
-		return nil, nil, err
-	}
-	cacheDone()
-
-	tmp := fmt.Sprintf("/tmp/clydesdale/%s-staged-%d", q.Name, stagedSeq.Add(1))
-	defer e.mr.FS().DeletePrefix(tmp)
-
-	measures := expr.ColumnsOf([]expr.Expr{q.AggExpr}, nil)
-	factPredCols := expr.ColumnsOf(nil, []expr.Pred{q.FactPred})
-
-	// The first pass reads the pruned fact columns from CIF.
-	readCols := q.FactColumns()
-	if !e.feats.ColumnarStorage {
-		readCols = e.cat.FactSchema.Names()
-	}
-	curSchema, err := e.cat.FactSchema.Project(readCols...)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	agg := mr.NewCounters()
-	report := &Report{Query: q.Name, Staged: true}
-	var curDir string // "" means the fact table
-
-	for i := range q.Dims {
-		spec := &q.Dims[i]
-		outSchema := stagedOutSchema(curSchema, spec, i == 0, factPredCols, measures, q, i)
-		outDir := fmt.Sprintf("%s/pass-%d", tmp, i+1)
-
-		res, err := e.runStagedJoinPass(ctx, q, spec, curDir, curSchema, outDir, outSchema, i == 0)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s staged pass %d (%s): %w", q.Name, i+1, spec.Table, err)
-		}
-		agg.Merge(res.Counters)
-		curDir, curSchema = outDir, outSchema
-	}
-
-	rs, res, err := e.runStagedAggregation(ctx, q, curDir, curSchema)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s staged aggregation: %w", q.Name, err)
-	}
-	agg.Merge(res.Counters)
-
-	orders := make([]results.Order, 0, len(q.OrderBy))
-	for _, o := range q.Orders() {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
-	}
-	sortStart := time.Now()
-	if len(orders) > 0 {
-		if err := rs.Sort(orders); err != nil {
-			return nil, nil, err
-		}
-	}
-	report.SortTime = time.Since(sortStart)
-	report.Total = time.Since(start)
-	report.Job = &mr.JobResult{JobID: "staged", Counters: agg, Duration: report.Total}
-	report.fillScanStats(agg)
-	return rs, report, nil
-}
-
-// stagedOutSchema drops the consumed FK (and, on the first pass, columns
-// only the fact predicate needed) and appends the dimension's aux columns.
-func stagedOutSchema(in *records.Schema, spec *DimSpec, firstPass bool, factPredCols, measures []string, q *Query, stage int) *records.Schema {
-	var fields []records.Field
-	for i := 0; i < in.Len(); i++ {
-		f := in.Field(i)
-		if f.Name == spec.FactFK {
-			continue
-		}
-		if firstPass && predOnlyColumn(f.Name, factPredCols, measures, q, stage) {
-			continue
-		}
-		fields = append(fields, f)
-	}
-	for _, a := range spec.Aux {
-		fields = append(fields, records.F(a, spec.Schema.Field(spec.Schema.MustIndex(a)).Kind))
-	}
-	return records.NewSchema(fields...)
-}
-
-// predOnlyColumn reports whether col is needed only by the fact predicate.
-func predOnlyColumn(col string, factPredCols, measures []string, q *Query, stage int) bool {
-	inPred := false
-	for _, c := range factPredCols {
-		if c == col {
-			inPred = true
-		}
-	}
-	if !inPred {
-		return false
-	}
-	for _, c := range measures {
-		if c == col {
-			return false
-		}
-	}
-	for i := stage + 1; i < len(q.Dims); i++ {
-		if q.Dims[i].FactFK == col {
-			return false
-		}
-	}
-	return true
-}
-
-// runStagedShape executes a KindStaged physical plan directly from the
-// shape's linearized pipeline. Unlike executeStaged it is not limited to
-// star queries: snowflake edges run as additional passes probing their
-// parent's carried FK, so the chooser's always-feasible staged candidate
-// executes for any shape the IR can express.
-func (e *Engine) runStagedShape(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
-	start := time.Now()
-	sh := p.Shape
-	steps := p.Steps
-	if len(steps) == 0 {
-		var err error
-		if steps, err = sh.Linearize(); err != nil {
-			return nil, nil, err
-		}
-	}
+	sh, steps := p.Shape, p.Steps
 	if len(steps) == 0 {
 		return nil, nil, fmt.Errorf("core: staged plan for %s has no joins", sh.Name)
 	}
-
-	// cacheQ carries every edge so each pass finds its table cached; hintQ
-	// carries only the depth-1 edges, whose FKs are fact columns — the only
-	// ones zone-map prune hints and eager-read sets may reference.
-	cacheQ := &Query{Name: sh.Name}
-	hintQ := &Query{Name: sh.Name, FactPred: sh.FactPred}
-	for i := range steps {
-		st := &steps[i]
-		spec := DimSpec{
-			Table: st.Table, Schema: st.Schema, FactFK: st.FK, DimPK: st.PK,
-			Pred: st.Pred, Aux: append([]string(nil), st.Aux...),
-		}
-		cacheQ.Dims = append(cacheQ.Dims, spec)
-		if st.Depth == 1 {
-			hintQ.Dims = append(hintQ.Dims, spec)
-		}
-	}
-	cacheDone := e.phaseSpan(ctx, obs.PhaseDimCache)
-	if _, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, cacheQ); err != nil {
-		cacheDone()
+	dims := DimSpecs(steps)
+	if err := e.ensureCached(ctx, dims); err != nil {
 		return nil, nil, err
 	}
-	cacheDone()
+	// Only depth-1 FKs are fact columns, so only those dimensions may feed
+	// the fact scan's prune hints, blooms and eager-read set.
+	var head []DimSpec
+	for i := range steps {
+		if steps[i].Depth == 1 {
+			head = append(head, dims[i])
+		}
+	}
 
 	tmp := fmt.Sprintf("/tmp/clydesdale/%s-staged-%d", sh.Name, stagedSeq.Add(1))
 	defer e.mr.FS().DeletePrefix(tmp)
 
-	// The pipeline already resolved column liveness; the first pass reads
-	// Steps[0].In from CIF (or the full fact schema on row storage — the
-	// pruned Out schemas still apply, carry indexes are matched by name).
-	curSchema := steps[0].In
-	if !e.feats.ColumnarStorage {
-		s, err := e.cat.FactSchema.Project(e.cat.FactSchema.Names()...)
-		if err != nil {
-			return nil, nil, err
-		}
-		curSchema = s
+	// The first pass scans the fact table and applies the fact predicate;
+	// every later pass reads the previous pass's row-format intermediate,
+	// which nothing rolls into.
+	scan, release, err := e.factScan(sh, head)
+	if err != nil {
+		return nil, nil, err
 	}
+	defer release()
+	var input mr.InputFormat = scan
+	factPred := sh.FactPred
+	var inter *colstore.RowInput
 
-	agg := mr.NewCounters()
-	report := &Report{Query: sh.Name, Staged: true}
-	var curDir string // "" means the fact table
-
+	counters := mr.NewCounters()
 	for i := range steps {
 		st := &steps[i]
-		spec := &cacheQ.Dims[i]
 		outDir := fmt.Sprintf("%s/pass-%d", tmp, i+1)
-		res, err := e.runStagedJoinPass(ctx, hintQ, spec, curDir, curSchema, outDir, st.Out, i == 0)
+		res, err := e.runJoinPass(ctx, fmt.Sprintf("clydesdale-staged-%s-%s", sh.Name, st.Table), input,
+			&colstore.RowOutput{Dir: outDir, Schema: st.Out},
+			newRowRunner(e, dims[i:i+1], factPred, st.Out))
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %s staged pass %d (%s): %w", sh.Name, i+1, st.Table, err)
 		}
-		agg.Merge(res.Counters)
-		curDir, curSchema = outDir, st.Out
+		counters.Merge(res.Counters)
+		inter = &colstore.RowInput{Dir: outDir, Schema: st.Out}
+		input, factPred = inter, nil
 	}
 
-	rs, res, err := e.runAggJob(ctx, aggJobSpec{
-		name:         "clydesdale-staged-agg-" + sh.Name,
-		agg:          sh.Agg,
-		gschema:      sh.GroupSchema(),
-		groupBy:      sh.GroupBy,
-		resultSchema: sh.ResultSchema(),
-	}, curDir, curSchema)
+	out, res, err := e.runAggJob(ctx, "clydesdale-staged-agg-"+sh.Name, sh, inter)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s staged aggregation: %w", sh.Name, err)
 	}
-	agg.Merge(res.Counters)
-
-	orders := make([]results.Order, 0, len(sh.GroupBy))
-	for _, o := range sh.Orders() {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
-	}
-	sortStart := time.Now()
-	if len(orders) > 0 {
-		if err := rs.Sort(orders); err != nil {
-			return nil, nil, err
-		}
-	}
-	report.SortTime = time.Since(sortStart)
-	report.Total = time.Since(start)
-	report.Job = &mr.JobResult{JobID: "staged", Counters: agg, Duration: report.Total}
-	report.fillScanStats(agg)
-	return rs, report, nil
-}
-
-// runStagedJoinPass joins the current intermediate (or the fact table) with
-// one dimension as a map-only job.
-func (e *Engine) runStagedJoinPass(ctx context.Context, q *Query, spec *DimSpec, inDir string, inSchema *records.Schema, outDir string, outSchema *records.Schema, firstPass bool) (*mr.JobResult, error) {
-	var input mr.InputFormat
-	if inDir == "" {
-		cols := inSchema.Names()
-		// Zone-map pruning applies to the fact-table pass only; the staged
-		// mappers read row-at-a-time, so late materialization never engages.
-		var hints []expr.Pred
-		if !e.opts.NoScanPruning {
-			hints = e.fkPruneHints(q)
-		}
-		// Only the first pass scans the fact table; later passes read the
-		// previous pass's intermediate, which nothing rolls into. Pinning
-		// here still gives the query one fact state end to end.
-		snap, err := e.snaps.Acquire(e.cat.FactDir)
-		if err != nil {
-			return nil, err
-		}
-		defer snap.Release()
-		input = &colstore.CIFInput{
-			Dir: e.cat.FactDir, Columns: cols, Schema: e.cat.FactSchema, BlockRows: e.opts.BlockRows,
-			Snapshot: snap.Parts,
-			Pred:     q.FactPred, PrunePreds: hints, EagerColumns: factFKs(q),
-			DisablePruning: e.opts.NoScanPruning, DisableLateMat: true,
-		}
-	} else {
-		input = &colstore.RowInput{Dir: inDir, Schema: inSchema}
-	}
-
-	var factPred expr.RowPred
-	if firstPass && q.FactPred != nil {
-		p, err := expr.CompilePred(q.FactPred, inSchema)
-		if err != nil {
-			return nil, err
-		}
-		factPred = p
-	}
-	fkIdx := inSchema.Index(spec.FactFK)
-	if fkIdx < 0 {
-		return nil, fmt.Errorf("core: staged input lacks FK %s", spec.FactFK)
-	}
-	var carryIdx []int
-	for i := 0; i < outSchema.Len(); i++ {
-		name := outSchema.Field(i).Name
-		if j := inSchema.Index(name); j >= 0 {
-			carryIdx = append(carryIdx, j)
-		}
-	}
-
-	dimDir, err := e.cat.DimDir(spec.Table)
-	if err != nil {
-		return nil, err
-	}
-	eng := e
-	specCopy := *spec
-	// One table group per pass: all of the pass's mappers share it, so each
-	// node builds this dimension's table once even when tasks run
-	// concurrently.
-	group := &nodeTableGroup{}
-
-	cfg := e.mr.Cluster().Config()
-	conf := mr.NewJobConf()
-	if e.feats.MultiThreaded {
-		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
-		conf.SetBool(mr.ConfJVMReuse, true)
-		conf.SetInt(mr.ConfMultiSplitPack, int64(e.opts.MultiSplitPack))
-		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
-	}
-
-	job := &mr.Job{
-		Name:   fmt.Sprintf("clydesdale-staged-%s-%s", q.Name, spec.Table),
-		Conf:   conf,
-		Input:  input,
-		Output: &colstore.RowOutput{Dir: outDir, Schema: outSchema},
-		NewMapper: func() mr.Mapper {
-			return &stagedJoinMapper{
-				eng: eng, spec: &specCopy, dimDir: dimDir, group: group,
-				factPred: factPred, fkIdx: fkIdx, carryIdx: carryIdx, outSchema: outSchema,
-			}
-		},
-		NumReduceTasks: 0,
-	}
-	return e.mr.Submit(ctx, job)
-}
-
-// stagedJoinMapper probes one per-node shared dimension hash table.
-type stagedJoinMapper struct {
-	eng       *Engine
-	spec      *DimSpec
-	dimDir    string
-	group     *nodeTableGroup
-	factPred  expr.RowPred
-	fkIdx     int
-	carryIdx  []int
-	outSchema *records.Schema
-
-	hash *DimHashTable
-}
-
-// Setup implements mr.Mapper: fetch or build the node's shared table for
-// this single dimension. The pass-wide table group guarantees one build per
-// node even for concurrently launched tasks, as in the main path.
-func (m *stagedJoinMapper) Setup(ctx *mr.TaskContext) error {
-	build := func() (*DimHashTable, error) {
-		start := time.Now()
-		h, err := BuildDimHashTable(ctx.FS, ctx.Node(), m.dimDir, m.spec)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Counters.Add(CtrHashTablesBuilt, 1)
-		ctx.Counters.Add(CtrHashBuildNanos, time.Since(start).Nanoseconds())
-		return h, nil
-	}
-	if !m.eng.feats.MultiThreaded {
-		h, err := build()
-		if err != nil {
-			return err
-		}
-		m.hash = h
-		return ctx.ReserveMemory(h.MemBytes)
-	}
-	hts, reused, err := m.group.do(ctx.Node().ID(), func() ([]*DimHashTable, error) {
-		h, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return []*DimHashTable{h}, nil
-	})
-	if err != nil {
-		return err
-	}
-	if reused {
-		ctx.Counters.Add(CtrHashReuses, 1)
-	}
-	m.hash = hts[0]
-	return ctx.ReserveMemory(m.hash.MemBytes)
-}
-
-// Map implements mr.Mapper.
-func (m *stagedJoinMapper) Map(_, v records.Record, out mr.Collector) error {
-	if m.factPred != nil && !m.factPred(v) {
-		return nil
-	}
-	aux, ok := m.hash.Probe(v.At(m.fkIdx).Int64())
-	if !ok {
-		return nil
-	}
-	row := make([]records.Value, 0, len(m.carryIdx)+len(aux))
-	for _, ix := range m.carryIdx {
-		row = append(row, v.At(ix))
-	}
-	row = append(row, aux...)
-	return out.Collect(records.Record{}, records.Make(m.outSchema, row...))
-}
-
-// Cleanup implements mr.Mapper.
-func (m *stagedJoinMapper) Cleanup(mr.Collector) error { return nil }
-
-// runStagedAggregation sums the measure grouped by the group-by columns.
-func (e *Engine) runStagedAggregation(ctx context.Context, q *Query, inDir string, inSchema *records.Schema) (*results.ResultSet, *mr.JobResult, error) {
-	return e.runAggJob(ctx, aggJobSpec{
-		name:         "clydesdale-staged-agg-" + q.Name,
-		agg:          q.AggExpr,
-		gschema:      q.GroupSchema(),
-		groupBy:      q.GroupBy,
-		resultSchema: q.ResultSchema(),
-	}, inDir, inSchema)
+	counters.Merge(res.Counters)
+	job := &mr.JobResult{JobID: "staged", Counters: counters, Duration: time.Since(start)}
+	return finish(sh, out, &Report{Job: job, Staged: true}, start)
 }

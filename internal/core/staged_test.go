@@ -8,31 +8,60 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
 )
 
+// runStaged forces the staged plan: it lowers q as Run would, flips the
+// plan's kind, and executes that.
+func runStaged(eng *core.Engine, q *core.Query) (*results.ResultSet, *core.Report, error) {
+	l, err := core.LogicalOf(q, eng.Catalog())
+	if err != nil {
+		return nil, nil, err
+	}
+	p, err := eng.Lower(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	p.Kind = plan.KindStaged
+	return eng.RunPlan(context.Background(), p)
+}
+
 // TestStagedMatchesReference runs every SSB query through the §5.1 staged
-// plan and checks the answers against the reference executor.
+// plan and checks the answers against the reference executor — under full
+// Clydesdale and under each ablation that changes how a join pass reads and
+// probes (its carried-row sink runs over block and row readers, on one
+// thread or many).
 func TestStagedMatchesReference(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
-	eng := e.engine(core.Options{})
-	for _, q := range ssb.Queries() {
-		rs, rep, err := eng.ExecuteStaged(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
-		}
-		want, err := refexec.Run(e.gen, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
-			t.Errorf("%s staged: %s", q.Name, why)
-		}
-		if rep.Job.Counters.Get(core.CtrHashTablesBuilt) == 0 {
-			t.Errorf("%s: no hash builds recorded", q.Name)
+	for name, ab := range map[string]core.Ablate{
+		"none":               0,
+		"no-columnar":        core.NoColumnarStorage,
+		"no-block-iteration": core.NoBlockIteration,
+		"no-multithread":     core.NoMultiThreading,
+	} {
+		eng := e.engine(core.Options{Ablate: ab})
+		for _, q := range ssb.Queries() {
+			rs, rep, err := runStaged(eng, q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, q.Name, err)
+			}
+			want, err := refexec.Run(e.gen, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+				t.Errorf("%s %s staged: %s", name, q.Name, why)
+			}
+			if !rep.Staged {
+				t.Errorf("%s %s: report does not say staged", name, q.Name)
+			}
+			if rep.Job.Counters.Get(core.CtrHashTablesBuilt) == 0 {
+				t.Errorf("%s %s: no hash builds recorded", name, q.Name)
+			}
 		}
 	}
 }
@@ -46,7 +75,7 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := core.EstimateDimHashBytes(q, func(tbl string, fn func(records.Record) error) error {
+	per, err := core.EstimateDimHashBytes(q.Dims, func(tbl string, fn func(records.Record) error) error {
 		return gen.Each(tbl, fn)
 	})
 	if err != nil {
@@ -72,13 +101,8 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	}
 	eng := core.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), core.Options{})
 
-	// Single-job plan must OOM.
-	if _, _, err := eng.Execute(context.Background(), q); err == nil {
-		t.Fatal("expected single-job OOM under tight budget")
-	}
-
 	// Staged plan completes with correct answers.
-	rs, _, err := eng.ExecuteStaged(context.Background(), q)
+	rs, _, err := runStaged(eng, q)
 	if err != nil {
 		t.Fatalf("staged: %v", err)
 	}
@@ -87,13 +111,14 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 		t.Errorf("staged under pressure: %s", why)
 	}
 
-	// ExecuteAuto picks the staged path automatically.
-	rs2, _, staged, err := eng.ExecuteAuto(context.Background(), q)
+	// Run tries the single-job plan, which must OOM — the fallback runs on
+	// no other error — and picks the staged path automatically.
+	rs2, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
-	if !staged {
-		t.Error("ExecuteAuto should have fallen back to the staged plan")
+	if !rep.Staged {
+		t.Error("Run should have hit the single-job OOM and fallen back to the staged plan")
 	}
 	if ok, why := results.Equivalent(rs2, want, 1e-9); !ok {
 		t.Errorf("auto: %s", why)
@@ -110,28 +135,28 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	}
 }
 
-// TestExecuteAutoPrefersSinglePass checks the fast path is used when memory
+// TestRunPrefersSinglePass checks the fast path is used when memory
 // suffices.
-func TestExecuteAutoPrefersSinglePass(t *testing.T) {
+func TestRunPrefersSinglePass(t *testing.T) {
 	e := newEnv(t, 2, 0.002)
 	eng := e.engine(core.Options{})
 	q, _ := ssb.QueryByName("Q2.1")
-	_, _, staged, err := eng.ExecuteAuto(context.Background(), q)
+	_, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if staged {
+	if rep.Staged {
 		t.Error("should not stage with ample memory")
 	}
 }
 
-// TestExecuteAutoPropagatesNonOOM ensures unrelated failures are not
-// retried as staged plans.
-func TestExecuteAutoPropagatesNonOOM(t *testing.T) {
+// TestRunPropagatesNonOOM ensures unrelated failures are not retried as
+// staged plans.
+func TestRunPropagatesNonOOM(t *testing.T) {
 	e := newEnv(t, 1, 0.002)
 	eng := e.engine(core.Options{})
 	bad := &core.Query{Name: "bad"} // fails validation, not OOM
-	if _, _, _, err := eng.ExecuteAuto(context.Background(), bad); err == nil {
+	if _, _, err := eng.Run(context.Background(), bad); err == nil {
 		t.Error("expected validation error")
 	}
 }

@@ -15,7 +15,7 @@
 //     of memory on queries with large dimension hash tables (§6.4).
 //
 // The engine is deliberately faithful to the baseline's pathologies; it
-// shares the query model (core.Query), storage (RCFile fact table, row-
+// shares the plan IR (internal/plan), storage (RCFile fact table, row-
 // format dimensions) and MapReduce substrate with Clydesdale so that the
 // comparison isolates the plan and execution-strategy differences.
 package hive

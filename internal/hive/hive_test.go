@@ -127,7 +127,7 @@ func TestMapJoinOOMOnConstrainedCluster(t *testing.T) {
 	q, _ := ssb.QueryByName("Q3.1")
 
 	// One copy of Q3.1's hash tables.
-	oneCopy, err := core.EstimateHashTableBytes(q, func(tbl string, fn func(r records.Record) error) error {
+	oneCopy, err := core.EstimateHashTableBytes(q.Dims, func(tbl string, fn func(r records.Record) error) error {
 		return gen.Each(tbl, fn)
 	})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestMapJoinOOMOnConstrainedCluster(t *testing.T) {
 	}
 
 	// Clydesdale succeeds: one shared copy per node fits.
-	crs, _, err := core.New(eng, lay.Catalog(), core.Options{}).Execute(context.Background(), q)
+	crs, _, err := core.New(eng, lay.Catalog(), core.Options{}).Run(context.Background(), q)
 	if err != nil {
 		t.Fatalf("clydesdale: %v", err)
 	}

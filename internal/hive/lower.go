@@ -72,23 +72,13 @@ func (e *Engine) lower(l *plan.Logical) (*stagedPlan, error) {
 		orders:       sh.Orders(),
 		hasOrderBy:   len(sh.OrderBy) > 0,
 	}
-	if len(steps) > 0 {
-		sp.factRead = steps[0].In
-	} else {
-		s, err := sh.FactSchema.Project(sh.FactColumns()...)
-		if err != nil {
-			return nil, err
-		}
-		sp.factRead = s
+	if sp.factRead, err = sh.FactRead(); err != nil {
+		return nil, err
 	}
 	for i := range steps {
 		st := &steps[i]
 		sp.joins = append(sp.joins, joinStage{
-			spec: core.DimSpec{
-				Table: st.Table, Schema: st.Schema,
-				FactFK: st.FK, DimPK: st.PK,
-				Pred: st.Pred, Aux: append([]string(nil), st.Aux...),
-			},
+			spec:          core.DimSpecOf(&st.JoinEdge),
 			fk:            st.FK,
 			auxSchema:     st.AuxSchema(),
 			outDir:        fmt.Sprintf("%s/stage-%d", sp.tmpDir, i+1),

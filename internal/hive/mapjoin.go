@@ -178,7 +178,7 @@ func (m *mapJoinMapper) Map(_, v records.Record, out mr.Collector) error {
 func (m *mapJoinMapper) Cleanup(mr.Collector) error { return nil }
 
 // EstimateMapJoinHashBytes computes the memory one deserialized mapjoin
-// hash-table copy occupies per query dimension (in query order), by
+// hash-table copy occupies per listed dimension (in order), by
 // evaluating the dimension predicates over rows supplied by each(table).
 // The per-entry model is plan.MapJoinEntryBytes — the boxed map
 // mapJoinMapper.Setup builds — which keeps this estimate, Setup's runtime
@@ -186,10 +186,10 @@ func (m *mapJoinMapper) Cleanup(mr.Collector) error { return nil }
 // the benchmark harness calibrates the §6.4 OOM budgets from it: each
 // mapjoin task holds one dimension at a time, so its constraint is the
 // *maximum* dimension.
-func EstimateMapJoinHashBytes(q *core.Query, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
-	out := make([]int64, len(q.Dims))
-	for i := range q.Dims {
-		spec := &q.Dims[i]
+func EstimateMapJoinHashBytes(dims []core.DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
+	out := make([]int64, len(dims))
+	for i := range dims {
+		spec := &dims[i]
 		var pred expr.RowPred
 		if spec.Pred != nil {
 			p, err := expr.CompilePred(spec.Pred, spec.Schema)

@@ -40,7 +40,7 @@ func statsFor(t *testing.T, gen *ssb.Generator, q *ssb.Query) *plan.Stats {
 	each := func(table string, fn func(records.Record) error) error {
 		return gen.Each(table, fn)
 	}
-	hashBytes, err := core.EstimateDimHashBytes(q, each)
+	hashBytes, err := core.EstimateDimHashBytes(q.Dims, each)
 	if err != nil {
 		t.Fatal(err)
 	}

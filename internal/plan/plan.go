@@ -67,11 +67,18 @@ type Join struct {
 	LeftKey, RightKey string
 }
 
-// Schema implements Node: the concatenation of both input schemas (column
-// names must be globally unique; Decompose rejects ambiguity).
+// Schema implements Node: the concatenation of both input schemas. Column
+// names must be globally unique (Decompose rejects ambiguity), with one
+// exception: a build-side key spelled like the probe key is equal to it by
+// the join condition, so the output carries the probe side's copy only.
 func (j *Join) Schema() *records.Schema {
 	fields := append([]records.Field(nil), j.Left.Schema().Fields()...)
-	fields = append(fields, j.Right.Schema().Fields()...)
+	for _, f := range j.Right.Schema().Fields() {
+		if f.Name == j.RightKey && j.RightKey == j.LeftKey {
+			continue
+		}
+		fields = append(fields, f)
+	}
 	return records.NewSchema(fields...)
 }
 

@@ -29,7 +29,11 @@ func TestPlannerSSBEndToEnd(t *testing.T) {
 	}
 	eng := core.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), core.Options{})
 	for _, q := range ssb.Queries() {
-		phys, err := eng.Plan(q)
+		l, err := core.LogicalOf(q, lay.Catalog())
+		if err != nil {
+			t.Fatalf("%s: bind: %v", q.Name, err)
+		}
+		phys, err := eng.PlanLogical(l)
 		if err != nil {
 			t.Fatalf("%s: plan: %v", q.Name, err)
 		}

@@ -104,6 +104,11 @@ func Decompose(l *Logical) (*Shape, error) {
 	}
 	depth := map[string]int{sh.Fact: 0}
 	seenTable := map[string]bool{sh.Fact: true}
+	// sharedKey maps a join key spelled the same on both sides (fact
+	// store_id = store.store_id) to the table building on it: the probe side
+	// stays the column's owner, but a GROUP BY on it may take the build
+	// side's copy, which is the only one a fact-owned key can be grouped by.
+	sharedKey := map[string]string{}
 	for _, j := range joins {
 		rn := j.Right
 		var pred expr.Pred
@@ -132,6 +137,12 @@ func Decompose(l *Logical) (*Shape, error) {
 		e.Depth = depth[parent] + 1
 		for _, f := range sc.Source.Fields() {
 			if _, dup := owner[f.Name]; dup {
+				if f.Name == e.PK && e.PK == e.FK {
+					// Equal to the probe column by the join condition, so
+					// not ambiguous.
+					sharedKey[f.Name] = sc.Table
+					continue
+				}
 				return nil, fmt.Errorf("plan: column %s is ambiguous between %s and %s", f.Name, owner[f.Name], sc.Table)
 			}
 			owner[f.Name] = sc.Table
@@ -153,6 +164,9 @@ func Decompose(l *Logical) (*Shape, error) {
 			return nil, fmt.Errorf("plan: group column %s is not produced by the plan", g)
 		}
 		e, ok := byTable[t]
+		if !ok {
+			e, ok = byTable[sharedKey[g]]
+		}
 		if !ok {
 			return nil, fmt.Errorf("plan: group column %s must come from a joined dimension", g)
 		}
@@ -235,6 +249,16 @@ func (sh *Shape) FactColumns() []string {
 		add(c)
 	}
 	return cols
+}
+
+// FactRead is the schema of the fact scan: FactColumns projected from the
+// fact table.
+func (sh *Shape) FactRead() (*records.Schema, error) {
+	s, err := sh.FactSchema.Project(sh.FactColumns()...)
+	if err != nil {
+		return nil, fmt.Errorf("plan: fact read set: %w", err)
+	}
+	return s, nil
 }
 
 // GroupSchema is the shuffle key schema of the final aggregation.
@@ -327,7 +351,9 @@ func (sh *Shape) Linearize() ([]Step, error) {
 // into Joins). The order must be topological: a snowflake edge after the
 // edge producing its FK. Column liveness is resolved per step: a consumed
 // FK is dropped as soon as no later step, measure, or group column needs
-// it, and fact-predicate-only columns are dropped by the first step.
+// it, and fact-predicate-only columns are dropped by the first step. An FK
+// the edge's own Aux re-supplies under the same name (a shared-name key that
+// is grouped on) is dropped too: the build side's equal copy replaces it.
 func (sh *Shape) Pipeline(order []int) ([]Step, error) {
 	if len(order) != len(sh.Joins) {
 		return nil, fmt.Errorf("plan: pipeline order has %d entries for %d joins", len(order), len(sh.Joins))
@@ -372,9 +398,9 @@ func (sh *Shape) Pipeline(order []int) ([]Step, error) {
 		return false
 	}
 
-	factRead, err := sh.FactSchema.Project(sh.FactColumns()...)
+	factRead, err := sh.FactRead()
 	if err != nil {
-		return nil, fmt.Errorf("plan: fact read set: %w", err)
+		return nil, err
 	}
 	steps := make([]Step, 0, len(order))
 	cur := factRead
@@ -385,7 +411,7 @@ func (sh *Shape) Pipeline(order []int) ([]Step, error) {
 		}
 		var fields []records.Field
 		for _, f := range cur.Fields() {
-			if f.Name == e.FK && !liveLater(f.Name, k) {
+			if f.Name == e.FK && (!liveLater(f.Name, k) || contains(e.Aux, f.Name)) {
 				continue
 			}
 			if k == 0 && predCols[f.Name] && !measures[f.Name] && !liveLater(f.Name, k) && f.Name != e.FK {

@@ -104,7 +104,12 @@ func evalNode(n plan.Node, each func(table string, fn func(records.Record) error
 			for _, r := range matches {
 				vals := make([]records.Value, 0, schema.Len())
 				vals = append(vals, l.Values()...)
-				vals = append(vals, r.Values()...)
+				for i, v := range r.Values() {
+					if i == rIx && t.RightKey == t.LeftKey {
+						continue // same-named key: Join.Schema keeps the left copy only
+					}
+					vals = append(vals, v)
+				}
 				rows = append(rows, records.Make(schema, vals...))
 			}
 		}

@@ -22,7 +22,7 @@ func TestServeSurvivesNodeDeathBetweenQueries(t *testing.T) {
 	e := newEnv(t, 4, 0.002, mr.Options{})
 	// Pruning off so every node builds Q2.1's tables — making the post-kill
 	// eviction observable.
-	s := e.session(serve.Options{Engine: core.Options{NoScanPruning: true}})
+	s := e.session(serve.Options{Engine: core.Options{Ablate: core.NoScanPruning}})
 	defer s.Close()
 
 	check := func(name string) {

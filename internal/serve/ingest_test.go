@@ -97,7 +97,7 @@ func TestServeDimRollInRebuildsTables(t *testing.T) {
 	e := newEnv(t, workers, 0.002, mr.Options{})
 	// Pruning off so builds are exactly tables x nodes, as in the headline
 	// concurrency test.
-	s := e.session(serve.Options{MaxConcurrent: 4, Engine: core.Options{NoScanPruning: true}})
+	s := e.session(serve.Options{MaxConcurrent: 4, Engine: core.Options{Ablate: core.NoScanPruning}})
 
 	q, err := ssb.QueryByName("Q2.1")
 	if err != nil {

@@ -268,38 +268,48 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 		ctx = obs.ContextWith(ctx, sc)
 	}
 
+	// Lower once: the one physical plan supplies the result-cache key, the
+	// effective ordering, the admission cost and the execution.
+	p, err := s.lower(q)
+	if err != nil {
+		s.slo(class, "error", 0)
+		s.finishTrace(sc, q, qstart, err, nil)
+		return nil, nil, err
+	}
+
 	// Result cache first: a hit (exact or by subsumption) answers without
 	// touching admission or MapReduce at all. A miss leaves us owning the
 	// singleflight placeholder — concurrent equal queries block on it, so
 	// the publish below (or the abort on any failure path) must always run.
 	var cachePublish func(*results.ResultSet)
 	if s.rcache != nil {
-		if key, fp, ok := s.cacheKey(q); ok {
-			crs, kind, publish, lerr := s.rcache.lookup(ctx, key, fp)
-			if lerr != nil {
-				s.slo(class, "error", 0)
-				s.finishTrace(sc, q, qstart, lerr, nil)
-				return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, lerr)
-			}
-			if kind != "miss" {
-				if err := crs.Sort(resultOrders(q)); err != nil {
-					s.slo(class, "error", 0)
-					s.finishTrace(sc, q, qstart, err, nil)
-					return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
-				}
-				rep := &core.Report{
-					Query: q.Name,
-					// No job ran; synthesize empty counters so report
-					// consumers need no cache-hit special case.
-					Job:   &mr.JobResult{Counters: mr.NewCounters()},
-					Total: time.Since(qstart),
-				}
-				s.slo(class, "ok", time.Since(qstart))
-				s.finishTrace(sc, q, qstart, nil, rep)
-				return crs, rep, nil
-			}
-			cachePublish = publish
+		key := plan.KeyOf(p.Shape)
+		crs, kind, publish, lerr := s.rcache.lookup(ctx, &key, key.Fingerprint())
+		if lerr != nil {
+			s.slo(class, "error", 0)
+			s.finishTrace(sc, q, qstart, lerr, nil)
+			return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, lerr)
 		}
+		if kind != "miss" {
+			// Cached rows are re-sorted per query; ordering is not part of
+			// the cache identity.
+			if err := crs.Sort(core.Orders(p.Shape)); err != nil {
+				s.slo(class, "error", 0)
+				s.finishTrace(sc, q, qstart, err, nil)
+				return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
+			}
+			rep := &core.Report{
+				Query: q.Name,
+				// No job ran; synthesize empty counters so report
+				// consumers need no cache-hit special case.
+				Job:   &mr.JobResult{Counters: mr.NewCounters()},
+				Total: time.Since(qstart),
+			}
+			s.slo(class, "ok", time.Since(qstart))
+			s.finishTrace(sc, q, qstart, nil, rep)
+			return crs, rep, nil
+		}
+		cachePublish = publish
 	}
 	defer func() {
 		if cachePublish != nil {
@@ -307,7 +317,7 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 		}
 	}()
 
-	cost, err := s.admissionCost(q)
+	cost, err := s.admissionCost(q.Name, core.DimSpecs(p.Steps))
 	if err != nil {
 		s.slo(class, "error", 0)
 		s.finishTrace(sc, q, qstart, err, nil)
@@ -328,7 +338,7 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	defer release()
 	s.observeQueueWait(sc, q, waitStart)
 
-	rs, rep, err := s.eng.Run(ctx, q)
+	rs, rep, err := s.eng.RunPlan(ctx, p)
 	if err == nil {
 		if cachePublish != nil {
 			cachePublish(rs)
@@ -342,32 +352,14 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	return rs, rep, err
 }
 
-// cacheKey canonicalizes the query into its result-cache identity; ok is
-// false for queries the plan layer cannot normalize (those just bypass the
-// cache rather than fail).
-func (s *Session) cacheKey(q *core.Query) (*plan.CacheKey, string, bool) {
-	lg, err := core.LogicalOf(q, s.cat)
+// lower compiles the query into the physical plan the session keys,
+// admits and executes it by.
+func (s *Session) lower(q *core.Query) (*plan.Physical, error) {
+	l, err := core.LogicalOf(q, s.cat)
 	if err != nil {
-		return nil, "", false
+		return nil, err
 	}
-	sh, err := plan.Decompose(lg)
-	if err != nil {
-		return nil, "", false
-	}
-	k := plan.KeyOf(sh)
-	return &k, k.Fingerprint(), true
-}
-
-// resultOrders is the query's effective ORDER BY in the result package's
-// vocabulary (cached rows are re-sorted per query; ordering is not part of
-// the cache identity).
-func resultOrders(q *core.Query) []results.Order {
-	ords := q.Orders()
-	out := make([]results.Order, len(ords))
-	for i, o := range ords {
-		out[i] = results.Order{Col: o.Col, Desc: o.Desc}
-	}
-	return out
+	return s.eng.Lower(l)
 }
 
 // InvalidateTable drops every cached result whose plan read the named table
@@ -674,34 +666,26 @@ func (s *Session) observeQueueWait(sc obs.SpanContext, q *core.Query, start time
 // core.EstimateDimHashBytes, which mirrors the build layout byte-for-byte,
 // over a driver-side scan of the dimension master copy; each (dimDir,
 // fingerprint) is estimated once per session.
-func (s *Session) admissionCost(q *core.Query) (int64, error) {
+func (s *Session) admissionCost(name string, dims []core.DimSpec) (int64, error) {
 	nodeIDs := s.aliveIDs()
-	var missing []int // dim indices needing a fresh estimate
-	keys := make([]string, len(q.Dims))
-	dirs := make([]string, len(q.Dims))
-	for i := range q.Dims {
-		dir, err := s.cat.DimDir(q.Dims[i].Table)
+	keys := make([]string, len(dims))
+	need := make(map[string]string) // table → dir, for dims needing a fresh estimate
+	s.estMu.Lock()
+	for i := range dims {
+		dir, err := s.cat.DimDir(dims[i].Table)
 		if err != nil {
+			s.estMu.Unlock()
 			return 0, err
 		}
-		dirs[i] = dir
-		keys[i] = s.cache.keyFor(dir, &q.Dims[i])
-	}
-
-	s.estMu.Lock()
-	for i, k := range keys {
-		if _, ok := s.estimates[k]; !ok {
-			missing = append(missing, i)
+		keys[i] = s.cache.keyFor(dir, &dims[i])
+		if _, ok := s.estimates[keys[i]]; !ok {
+			need[dims[i].Table] = dir
 		}
 	}
 	s.estMu.Unlock()
 
-	if len(missing) > 0 {
-		need := make(map[string]string, len(missing)) // table → dir
-		for _, i := range missing {
-			need[q.Dims[i].Table] = dirs[i]
-		}
-		per, err := core.EstimateDimHashBytes(q, func(table string, fn func(records.Record) error) error {
+	if len(need) > 0 {
+		per, err := core.EstimateDimHashBytes(dims, func(table string, fn func(records.Record) error) error {
 			dir, ok := need[table]
 			if !ok {
 				return nil // already estimated; contributes nothing here
@@ -709,11 +693,13 @@ func (s *Session) admissionCost(q *core.Query) (int64, error) {
 			return colstore.ScanRowTable(s.mrEng.FS(), dir, "", fn)
 		})
 		if err != nil {
-			return 0, fmt.Errorf("serve: estimating %s tables: %w", q.Name, err)
+			return 0, fmt.Errorf("serve: estimating %s tables: %w", name, err)
 		}
 		s.estMu.Lock()
-		for _, i := range missing {
-			s.estimates[keys[i]] = per[i]
+		for i := range dims {
+			if _, ok := need[dims[i].Table]; ok {
+				s.estimates[keys[i]] = per[i]
+			}
 		}
 		s.estMu.Unlock()
 	}

@@ -11,6 +11,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
@@ -78,7 +79,7 @@ func TestServeConcurrentQueries(t *testing.T) {
 	// Zone-map pruning off: with pruning a node whose every fact partition
 	// is pruned for some query never builds that query's dimension tables,
 	// and the exact builds == tables x nodes accounting below would not hold.
-	s := e.session(serve.Options{MaxConcurrent: 8, Engine: core.Options{NoScanPruning: true}})
+	s := e.session(serve.Options{MaxConcurrent: 8, Engine: core.Options{Ablate: core.NoScanPruning}})
 
 	queries := ssb.Queries()
 	if len(queries) < 8 {
@@ -327,4 +328,80 @@ func countSpans(spans []obs.Span, name string) int {
 		}
 	}
 	return n
+}
+
+// TestServeStagedFallbackUsesTableCache runs a query through a session whose
+// nodes hold the largest of its dimension tables but not all four at once:
+// the star plan exhausts node memory and the engine re-runs the shape
+// staged. The staged passes must take their tables from the session's cache
+// like the star job does — one table pinned at a time, earlier ones evicted
+// to make room — so afterwards every byte reserved on a node is a resident
+// cached table: no private build, no second reservation.
+func TestServeStagedFallbackUsesTableCache(t *testing.T) {
+	gen := ssb.NewGenerator(0.002, 42)
+	q, err := ssb.QueryByName("Q4.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	per, err := core.EstimateDimHashBytes(q.Dims, func(tbl string, fn func(records.Record) error) error {
+		return gen.Each(tbl, fn)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum, max int64
+	for _, b := range per {
+		sum += b
+		if b > max {
+			max = b
+		}
+	}
+	budget := max + (sum-max)/4
+	c := cluster.New(cluster.Config{Workers: 2, MapSlots: 2, ReduceSlots: 1, MemoryPerNode: budget})
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 13})
+	lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{SkipRC: true, PartitionRows: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), serve.Options{CacheBudget: budget})
+
+	rs, rep, err := s.Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refexec.Run(gen, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+		t.Errorf("staged fallback through the session: %s", why)
+	}
+	if !rep.Staged {
+		t.Fatal("the star plan fit; the fixture's node budget should have forced the staged fallback")
+	}
+	st := s.Stats()
+	if built := rep.Job.Counters.Get(core.CtrHashTablesBuilt); built == 0 || built > st.Builds {
+		t.Errorf("staged passes report %d table builds, the session cache %d: every build should be the cache's", built, st.Builds)
+	}
+	if st.Evictions == 0 {
+		t.Error("no cached table was evicted; the passes did not cycle tables through the cache budget")
+	}
+	var reserved int64
+	for _, n := range c.Nodes() {
+		reserved += n.MemoryUsed()
+	}
+	if reserved != st.ResidentBytes {
+		t.Errorf("nodes hold %d reserved bytes, the cache %d resident: a pass reserved outside the cache", reserved, st.ResidentBytes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		if used := n.MemoryUsed(); used != 0 {
+			t.Errorf("node %s holds %d bytes after session close", n.ID(), used)
+		}
+	}
+	if files := fs.List("/tmp/clydesdale/"); len(files) != 0 {
+		t.Errorf("leftover staged intermediates: %v", files)
+	}
 }

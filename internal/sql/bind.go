@@ -12,8 +12,11 @@ import (
 // Star describes the tables a statement may reference: one fact table and
 // its dimensions.
 //
-// Deprecated: bind against a core.Catalog with Parse; Star remains only to
-// serve ParseStar.
+// Deprecated: bind against a core.Catalog with Parse. Star, StarFromCatalog
+// and ParseStar stay because they are the repository benchmark's SQL front
+// door (benchmark/ parses its serve_mix templates through them), and they
+// remain the way to hand SQL to serve.Session.Query, which takes a
+// core.Query.
 type Star struct {
 	Fact       string
 	FactSchema *records.Schema
@@ -43,7 +46,7 @@ func Parse(input string, cat *core.Catalog) (*plan.Logical, error) {
 // ParseStar compiles a SQL string against a star schema into a core.Query.
 //
 // Deprecated: use Parse with the engine catalog; it returns the logical
-// plan all three executors now accept. ParseStar still works for pure star
+// plan all three executors accept. ParseStar still works for pure star
 // statements but rejects snowflake joins, which core.Query cannot express.
 func ParseStar(input string, star *Star) (*core.Query, error) {
 	cat := &core.Catalog{
@@ -55,7 +58,28 @@ func ParseStar(input string, star *Star) (*core.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.QueryFromLogical(l)
+	sh, err := plan.Decompose(l)
+	if err != nil {
+		return nil, err
+	}
+	q := &core.Query{
+		Name:     sh.Name,
+		FactPred: sh.FactPred,
+		AggExpr:  sh.Agg,
+		AggName:  sh.AggName,
+		GroupBy:  sh.GroupBy,
+	}
+	for i := range sh.Joins {
+		e := &sh.Joins[i]
+		if e.Depth != 1 {
+			return nil, fmt.Errorf("sql: %s joins through %s (depth %d); a star query cannot express snowflake edges", e.Table, e.Parent, e.Depth)
+		}
+		q.Dims = append(q.Dims, core.DimSpecOf(e))
+	}
+	for _, k := range sh.OrderBy {
+		q.OrderBy = append(q.OrderBy, core.OrderKey(k))
+	}
+	return q, nil
 }
 
 // binder resolves column ownership for the tables a statement references.

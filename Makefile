@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet no-deprecated build test race race-concurrency chaos plan-golden bench bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke examples-smoke loc clean
+.PHONY: check fmt vet no-deprecated build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke examples-smoke loc clean
 
 check: fmt vet no-deprecated build race-concurrency chaos plan-golden ingest-smoke examples-smoke
 
@@ -61,9 +61,17 @@ plan-golden:
 # probe/build microbenchmarks and the per-row emit benchmark, with allocation
 # counts. The gomap/boxed variants are the pre-change layouts kept in-tree as
 # the comparison baseline — open vs gomap and inmapper/scratch vs boxed are
-# the ratios to watch. CI-friendly: short benchtime, no external state.
+# the ratios to watch; DimBuildFromLocal is the whole per-node build phase,
+# from the node-local dimension copy to a probe-ready table. CI-friendly:
+# short benchtime, no external state.
 bench:
-	$(GO) test -run '^$$' -bench 'Probe|HashBuild|Aggregate|CIFScan' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ .
+	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ .
+
+# Ten seconds of coverage-guided fuzzing of the node-local dimension copy's
+# decoder from its checked-in corpus (testdata/fuzz/FuzzOpenColumnSet): no
+# input may panic it or make it allocate by a count the blob merely claims.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzOpenColumnSet -fuzztime 10s ./internal/colstore/
 
 # One-iteration smoke run of every benchmark in the repo, then the row
 # accounting gate: on all 13 SSB queries, every fact row must be attributed

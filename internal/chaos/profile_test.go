@@ -21,7 +21,10 @@ import (
 // acceptance path: the same report `clydesdale -explain -slow-disk` prints.
 func TestSlowDiskStragglerProfile(t *testing.T) {
 	cfg := cluster.Testing(4)
-	cfg.TimeScale = 5 // modeled second → 5 real seconds; this query models ~ms
+	// A modeled second is 20 real ones (this query models milliseconds): at
+	// 5 the slow node's task came out 2.1-2.8x the median against a threshold
+	// of 2, the rest being real CPU time, and one run in ten flagged nothing.
+	cfg.TimeScale = 20
 	e := newEnvConfig(t, cfg, 0.002)
 	ctl := chaos.New(e.cluster, e.fs, chaos.Plan{
 		Name:       "straggler-profile",

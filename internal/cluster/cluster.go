@@ -241,8 +241,9 @@ type Node struct {
 	alive    bool
 	memUsed  int64
 	local    map[string][]byte // node-local file store (dim cache, distributed cache)
-	diskSem  chan struct{}     // limits concurrent disk streams to DisksPerNode
-	diskSlow atomicFloat       // disk slowdown factor; >= 1, 1 = nominal
+	filling  map[string]*localFill
+	diskSem  chan struct{} // limits concurrent disk streams to DisksPerNode
+	diskSlow atomicFloat   // disk slowdown factor; >= 1, 1 = nominal
 	modelled accounting
 }
 
@@ -381,11 +382,74 @@ func (n *Node) HasLocal(path string) bool {
 	return ok
 }
 
-// DropLocal removes a node-local file.
+// DropLocal removes a node-local file. A FillLocal of the path still
+// running produced its content before the drop, so it starts over instead
+// of storing it.
 func (n *Node) DropLocal(path string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.local, path)
+	if f, ok := n.filling[path]; ok {
+		f.stale = true
+	}
+}
+
+// localFill is one FillLocal in progress. done closes when it ends; err and
+// stale are written under the node's lock before that.
+type localFill struct {
+	done  chan struct{}
+	err   error
+	stale bool
+}
+
+// FillLocal stores fill's result as the node-local file at path unless the
+// file already exists, reporting whether this call stored it. Concurrent
+// calls for one path share a single run of fill: the others wait for it and
+// return its error. fill runs without the node's lock held.
+func (n *Node) FillLocal(path string, fill func() ([]byte, error)) (bool, error) {
+	for {
+		n.mu.Lock()
+		if !n.alive {
+			n.mu.Unlock()
+			return false, ErrNodeDown
+		}
+		if _, ok := n.local[path]; ok {
+			n.mu.Unlock()
+			return false, nil
+		}
+		if f, ok := n.filling[path]; ok {
+			n.mu.Unlock()
+			<-f.done
+			if f.stale {
+				continue
+			}
+			return false, f.err
+		}
+		f := &localFill{done: make(chan struct{})}
+		if n.filling == nil {
+			n.filling = make(map[string]*localFill)
+		}
+		n.filling[path] = f
+		n.mu.Unlock()
+
+		data, err := fill()
+
+		n.mu.Lock()
+		delete(n.filling, path)
+		switch {
+		case err != nil:
+		case !n.alive:
+			err = ErrNodeDown
+		case !f.stale:
+			n.local[path] = data
+		}
+		f.err = err
+		n.mu.Unlock()
+		close(f.done)
+		if err != nil || !f.stale {
+			return err == nil, err
+		}
+	}
 }
 
 // charge accounts d of modeled time and sleeps TimeScale*d of real time.

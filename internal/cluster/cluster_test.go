@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -107,6 +108,69 @@ func TestLocalStore(t *testing.T) {
 	n.DropLocal("a")
 	if n.HasLocal("a") {
 		t.Error("DropLocal failed")
+	}
+}
+
+// TestFillLocal: concurrent fills of one missing path run the fill once and
+// all see its file; an existing file is left alone; a failed fill is not
+// remembered; and a fill overtaken by DropLocal starts over rather than
+// storing what it read before the drop.
+func TestFillLocal(t *testing.T) {
+	n := New(Testing(1)).Nodes()[0]
+	var runs atomic.Int64
+	release := make(chan struct{})
+	const callers = 12
+	var wg sync.WaitGroup
+	var filled atomic.Int64
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok, err := n.FillLocal("f", func() ([]byte, error) {
+				runs.Add(1)
+				<-release // hold the fill so the other callers pile up behind it
+				return []byte("v1"), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			if ok {
+				filled.Add(1)
+			}
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if runs.Load() != 1 || filled.Load() != 1 {
+		t.Fatalf("fill ran %d times and %d callers report storing it, want 1 and 1", runs.Load(), filled.Load())
+	}
+	if ok, err := n.FillLocal("f", func() ([]byte, error) { t.Error("fill ran over an existing file"); return nil, nil }); ok || err != nil {
+		t.Fatalf("FillLocal over an existing file = (%v, %v)", ok, err)
+	}
+
+	boom := errors.New("master unreadable")
+	if _, err := n.FillLocal("g", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if ok, err := n.FillLocal("g", func() ([]byte, error) { return []byte("v"), nil }); !ok || err != nil {
+		t.Fatalf("fill after a failed one = (%v, %v)", ok, err)
+	}
+
+	version := 0
+	ok, err := n.FillLocal("h", func() ([]byte, error) {
+		version++
+		if version == 1 {
+			n.DropLocal("h") // the file changed under the first read
+		}
+		return []byte{byte(version)}, nil
+	})
+	if got, _ := n.GetLocal("h"); !ok || err != nil || len(got) != 1 || got[0] != 2 {
+		t.Fatalf("fill overtaken by a drop stored %v (filled %v, err %v), want the second read", got, ok, err)
+	}
+
+	n.Kill()
+	if _, err := n.FillLocal("f", func() ([]byte, error) { return nil, nil }); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("FillLocal on a dead node: %v", err)
 	}
 }
 

@@ -181,6 +181,10 @@ func (w *CIFWriter) flushPartition() error {
 	}
 	pdir := fmt.Sprintf("%s/p-%05d", w.dir, w.partition)
 	ps := &PartitionStats{Rows: int64(w.block.Len()), Cols: make([]ColStats, w.schema.Len())}
+	// The column files and the sidecar go to the filesystem in one call: a
+	// roll-in stages its partitions beside running queries, and a write
+	// beside readers costs by the number of trips to the namenode.
+	files := make([]hdfs.File, 0, w.schema.Len()+1)
 	for i := 0; i < w.schema.Len(); i++ {
 		col := w.block.Col(i)
 		enc, payload, dict := encodeColumn(col)
@@ -190,12 +194,10 @@ func (w *CIFWriter) flushPartition() error {
 		buf = append(buf, byte(enc))
 		buf = append(buf, payload...)
 		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-		path := fmt.Sprintf("%s/%s.col", pdir, w.schema.Field(i).Name)
-		if err := w.fs.WriteFile(path, "", buf); err != nil {
-			return err
-		}
+		files = append(files, hdfs.File{Path: fmt.Sprintf("%s/%s.col", pdir, w.schema.Field(i).Name), Data: buf})
 	}
-	if err := WritePartitionStats(w.fs, pdir, ps); err != nil {
+	files = append(files, hdfs.File{Path: pdir + "/" + StatsFileName, Data: ps.encode()})
+	if err := w.fs.WriteFiles("", files); err != nil {
 		return err
 	}
 	if w.staged {

@@ -198,7 +198,7 @@ func newColDecoder(kind records.Kind, enc Encoding, payload []byte) (*colDecoder
 			return nil, fmt.Errorf("colstore: dict-i64 encoding on %s column", kind)
 		}
 		n, used := binary.Uvarint(d.buf)
-		if used <= 0 || n > maxDictEntries {
+		if used <= 0 || n > maxDictEntries || n > uint64(len(d.buf)-used) { // an entry is at least a byte
 			return nil, fmt.Errorf("colstore: bad dictionary size")
 		}
 		d.buf = d.buf[used:]
@@ -216,19 +216,29 @@ func newColDecoder(kind records.Kind, enc Encoding, payload []byte) (*colDecoder
 			return nil, fmt.Errorf("colstore: dict encoding on %s column", kind)
 		}
 		n, used := binary.Uvarint(d.buf)
-		if used <= 0 {
+		if used <= 0 || n > maxDictEntries || n > uint64(len(d.buf)-used) { // an entry is at least a byte
 			return nil, fmt.Errorf("colstore: bad dictionary size")
 		}
 		d.buf = d.buf[used:]
-		d.dict = make([]string, n)
-		for i := range d.dict {
-			l, used := binary.Uvarint(d.buf)
-			if used <= 0 || uint64(len(d.buf)-used) < l {
+		// Entries are substrings of one copy of the dictionary's bytes: one
+		// allocation for the strings, not one per entry.
+		type span struct{ lo, hi int }
+		spans := make([]span, n)
+		pos := 0
+		for i := range spans {
+			l, used := binary.Uvarint(d.buf[pos:])
+			if used <= 0 || uint64(len(d.buf)-pos-used) < l {
 				return nil, fmt.Errorf("colstore: bad dictionary entry")
 			}
-			d.dict[i] = string(d.buf[used : used+int(l)])
-			d.buf = d.buf[used+int(l):]
+			spans[i] = span{pos + used, pos + used + int(l)}
+			pos = spans[i].hi
 		}
+		all := string(d.buf[:pos])
+		d.dict = make([]string, n)
+		for i, sp := range spans {
+			d.dict[i] = all[sp.lo:sp.hi]
+		}
+		d.buf = d.buf[pos:]
 	default:
 		return nil, fmt.Errorf("colstore: unknown column encoding %d", uint8(enc))
 	}
@@ -491,7 +501,7 @@ func (d *colDecoder) decodeDeltaRangeSel(cv *records.ColumnVector, sel []bool, l
 // the column kind's zero value. The CIF writer never emits nulls, but plain
 // payloads from v1 or foreign writers may; a null run must degrade to zero
 // values, not crash the scan task.
-func appendCoerced(cv *records.ColumnVector, v records.Value) {
+func appendCoerced(cv *records.ColumnVector, v records.Value) error {
 	if v.IsNull() {
 		switch cv.Kind {
 		case records.KindInt64:
@@ -503,9 +513,20 @@ func appendCoerced(cv *records.ColumnVector, v records.Value) {
 		case records.KindBool:
 			cv.Bools = append(cv.Bools, false)
 		}
-		return
+		return nil
+	}
+	// Append takes what the Value accessors widen (bool as int, int as
+	// float) and panics on the rest; a stream is outside input.
+	k := v.Kind()
+	switch {
+	case k == cv.Kind:
+	case cv.Kind == records.KindInt64 && k == records.KindBool:
+	case cv.Kind == records.KindFloat64 && (k == records.KindInt64 || k == records.KindBool):
+	default:
+		return fmt.Errorf("colstore: %s value in %s column", k, cv.Kind)
 	}
 	cv.Append(v)
+	return nil
 }
 
 // decodePlainInto is the typed decoder of the tagged AppendValue stream.
@@ -527,7 +548,9 @@ func (d *colDecoder) decodePlainInto(cv *records.ColumnVector, n int, sel []bool
 			}
 			buf = buf[used:]
 			if keep {
-				appendCoerced(cv, v)
+				if err := appendCoerced(cv, v); err != nil {
+					return err
+				}
 			}
 			continue
 		}

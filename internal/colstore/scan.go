@@ -15,6 +15,10 @@ func ScanRowTable(fs *hdfs.FileSystem, dir, clientNode string, fn func(records.R
 	if err != nil {
 		return err
 	}
+	return scanRowTable(fs, dir, clientNode, schema, fn)
+}
+
+func scanRowTable(fs *hdfs.FileSystem, dir, clientNode string, schema *records.Schema, fn func(records.Record) error) error {
 	for _, path := range listDataFiles(fs, dir) {
 		r, err := fs.Open(path, clientNode)
 		if err != nil {

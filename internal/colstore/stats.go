@@ -52,8 +52,8 @@ func (ps *PartitionStats) RangeSource() expr.RangeSource {
 	}
 }
 
-// WritePartitionStats stores the zone map of the partition directory.
-func WritePartitionStats(fs *hdfs.FileSystem, pdir string, ps *PartitionStats) error {
+// encode is the zone map as the partition's _stats sidecar holds it.
+func (ps *PartitionStats) encode() []byte {
 	buf := append([]byte(nil), statsMagic...)
 	buf = binary.AppendUvarint(buf, uint64(ps.Rows))
 	buf = binary.AppendUvarint(buf, uint64(len(ps.Cols)))
@@ -64,8 +64,7 @@ func WritePartitionStats(fs *hdfs.FileSystem, pdir string, ps *PartitionStats) e
 		buf = records.AppendValue(buf, c.Min)
 		buf = records.AppendValue(buf, c.Max)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return fs.WriteFile(pdir+"/"+StatsFileName, "", buf)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // ReadPartitionStats loads a partition's zone map. A missing, truncated, or

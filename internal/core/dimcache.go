@@ -19,8 +19,8 @@ import (
 func dimCacheKey(dir string) string { return "clydesdale/dimcache" + dir }
 
 // EnsureDimCached copies the dimension at dir to every live node that does
-// not already hold it, storing rows in wire encoding. It returns the number
-// of nodes that received a fresh copy.
+// not already hold it. It returns the number of nodes that received a fresh
+// copy.
 func EnsureDimCached(fs *hdfs.FileSystem, dir string) (int, error) {
 	copied := 0
 	for _, n := range fs.Cluster().Alive() {
@@ -28,7 +28,7 @@ func EnsureDimCached(fs *hdfs.FileSystem, dir string) (int, error) {
 		if err != nil {
 			if !n.IsAlive() {
 				// Died mid-copy: no task will run there, and if it revives
-				// localDimBytes re-copies on first use.
+				// localDim re-copies on first use.
 				continue
 			}
 			return copied, fmt.Errorf("core: caching %s on %s: %w", dir, n.ID(), err)
@@ -89,50 +89,33 @@ func EnsureCatalogCachedFor(fs *hdfs.FileSystem, cat *Catalog, dims []DimSpec) (
 	return total, nil
 }
 
-// localDimBytes fetches the node-local copy of a dimension, re-copying from
-// HDFS if the node lost it (§4: "nodes that have lost their local copy ...
-// may copy the dimension data from HDFS"). The read is charged as a local
-// raw-disk read.
-func localDimBytes(fs *hdfs.FileSystem, node *cluster.Node, dir string) ([]byte, error) {
+// localDim opens the node-local copy of a dimension, re-copying from HDFS
+// if the node lost it (§4: "nodes that have lost their local copy ... may
+// copy the dimension data from HDFS").
+func localDim(fs *hdfs.FileSystem, node *cluster.Node, dir string, schema *records.Schema) (*colstore.ColumnSet, error) {
 	key := dimCacheKey(dir)
 	data, ok := node.GetLocal(key)
 	if !ok {
 		if _, err := ensureDimCachedOn(fs, node, dir); err != nil {
 			return nil, err
 		}
-		data, ok = node.GetLocal(key)
-		if !ok {
+		if data, ok = node.GetLocal(key); !ok {
 			return nil, fmt.Errorf("core: dimension %s not cachable on %s", dir, node.ID())
 		}
 	}
-	// The local dimension copy reads at nominal device speed: at the
-	// paper's scale it is page-cache-resident between tasks.
-	if err := node.ChargeDiskReadNominal(int64(len(data))); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return colstore.OpenColumnSet(data, schema)
 }
 
-// ensureDimCachedOn gives one node its local copy of the dimension at dir,
-// reporting whether it had to copy.
+// ensureDimCachedOn gives one node its local copy of the dimension at dir —
+// a colstore column set — reporting whether it had to copy. Builds that miss
+// the copy on one node at the same time share one scan of the master and one
+// disk write.
 func ensureDimCachedOn(fs *hdfs.FileSystem, node *cluster.Node, dir string) (bool, error) {
-	key := dimCacheKey(dir)
-	if node.HasLocal(key) {
-		return false, nil
-	}
-	var buf []byte
-	err := colstore.ScanRowTable(fs, dir, node.ID(), func(r records.Record) error {
-		buf = records.AppendRecord(buf, r)
-		return nil
+	return node.FillLocal(dimCacheKey(dir), func() ([]byte, error) {
+		buf, err := colstore.EncodeRowTable(fs, dir, node.ID())
+		if err != nil {
+			return nil, err
+		}
+		return buf, node.ChargeDiskWrite(int64(len(buf)), false)
 	})
-	if err != nil {
-		return false, err
-	}
-	if err := node.ChargeDiskWrite(int64(len(buf)), false); err != nil {
-		return false, err
-	}
-	if err := node.PutLocal(key, buf); err != nil {
-		return false, err
-	}
-	return true, nil
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"clydesdale/internal/cluster"
+	"clydesdale/internal/colstore"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/records"
@@ -36,11 +38,13 @@ type DimHashTable struct {
 	auxWidth int
 	mask     uint64
 	n        int
-	growAt   int
 
 	// MemBytes is the table's resident size for node memory accounting,
 	// computed from the actual slot array and arena by finalize.
 	MemBytes int64
+
+	// Stats is what the build read from the node-local dimension copy.
+	Stats DimBuildStats
 
 	// sideTables caches code→arena-offset translations per fact-column
 	// dictionary (keyed by dictionary fingerprint). They are the one
@@ -76,17 +80,21 @@ const (
 	tagOccupied = uint8(0x80)
 )
 
-// newDimHashTable returns an empty table sized for about sizeHint entries.
-func newDimHashTable(table string, auxWidth, sizeHint int) *DimHashTable {
+// DimBuildStats accounts one BuildDimHashTable: the rows of the dimension
+// copy, the rows that passed the predicate (duplicate keys counted, so it
+// can exceed Len), and the bytes read — the copy's directory plus the
+// payloads of the columns the build opened.
+type DimBuildStats struct {
+	RowsScanned int64
+	RowsKept    int64
+	BytesRead   int64
+}
+
+// newDimHashTable returns an empty table whose slot array holds the given
+// number of entries without growing.
+func newDimHashTable(table string, auxWidth, entries int) *DimHashTable {
 	h := &DimHashTable{Table: table, auxWidth: auxWidth}
-	capacity := 16
-	for capacity*7/10 < sizeHint {
-		capacity *= 2
-	}
-	h.alloc(capacity)
-	if auxWidth > 0 {
-		h.arena = make([]records.Value, 0, sizeHint*auxWidth)
-	}
+	h.alloc(int(dimTableCapacity(int64(entries))))
 	return h
 }
 
@@ -94,7 +102,6 @@ func (h *DimHashTable) alloc(capacity int) {
 	h.slots = make([]dimSlot, capacity)
 	h.tags = make([]uint8, capacity)
 	h.mask = uint64(capacity - 1)
-	h.growAt = capacity * 7 / 10
 }
 
 // mix64 is a splitmix64-style finalizer: full-avalanche, so sequential
@@ -218,40 +225,33 @@ func sameIntDict(a, b []int64) bool {
 	return true
 }
 
-// insert adds one entry during the build. A duplicate key overwrites the
-// earlier aux values in place (last write wins, matching map semantics).
-func (h *DimHashTable) insert(k int64, aux []records.Value) {
-	if h.n >= h.growAt {
-		h.grow()
-	}
+// insertKey claims a slot for k during the build and returns the arena
+// offset of its aux values: the next free span for a new key, the existing
+// one for a duplicate (whose values the caller overwrites: last write wins,
+// matching map semantics). The slot array must have a free slot.
+func (h *DimHashTable) insertKey(k int64) int32 {
 	hv := mix64(uint64(k))
 	tag := uint8(hv>>56) | tagOccupied
 	for i := hv & h.mask; ; i = (i + 1) & h.mask {
+		s := &h.slots[i]
 		if h.tags[i] == tagEmpty {
 			h.tags[i] = tag
-			s := &h.slots[i]
 			s.key = k
-			if h.auxWidth > 0 {
-				s.off = int32(len(h.arena))
-				h.arena = append(h.arena, aux...)
-			}
+			s.off = int32(h.n * h.auxWidth)
 			h.n++
-			return
+			return s.off
 		}
-		if s := &h.slots[i]; h.tags[i] == tag && s.key == k {
-			if h.auxWidth > 0 {
-				copy(h.arena[s.off:s.off+int32(h.auxWidth)], aux)
-			}
-			return
+		if h.tags[i] == tag && s.key == k {
+			return s.off
 		}
 	}
 }
 
-// grow doubles the slot array and rehashes. Arena offsets are untouched —
-// only the key→slot mapping moves.
-func (h *DimHashTable) grow() {
+// rehash moves the entries to a slot array of the given capacity. Arena
+// offsets are untouched — only the key→slot mapping moves.
+func (h *DimHashTable) rehash(capacity int) {
 	oldSlots, oldTags := h.slots, h.tags
-	h.alloc(len(oldSlots) * 2)
+	h.alloc(capacity)
 	for j, t := range oldTags {
 		if t == tagEmpty {
 			continue
@@ -275,23 +275,26 @@ func (h *DimHashTable) finalize() {
 }
 
 // BuildDimHashTable builds the hash table for one dimension spec from the
-// node-local dimension copy (charging the local read and the deserialization
-// work — this is the §6.3 "build" phase that runs once per node). The build
-// is single-threaded, as in the paper.
+// node-local dimension copy (charging the local read of what it decodes —
+// this is the §6.3 "build" phase that runs once per node). The build is
+// single-threaded, as in the paper, and projected: it opens only the
+// predicate's columns, the key and the aux columns, and materializes the
+// latter two for qualifying rows alone. A copy that fails its checks is
+// dropped and re-copied from HDFS once (§4) before the build gives up.
 func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, spec *DimSpec) (*DimHashTable, error) {
-	data, err := localDimBytes(fs, node, dimDir)
-	if err != nil {
-		return nil, err
+	h, err := buildDimHashTable(fs, node, dimDir, spec)
+	if !errors.Is(err, colstore.ErrBadColumnSet) {
+		return h, err
 	}
+	node.DropLocal(dimCacheKey(dimDir))
+	if h, err = buildDimHashTable(fs, node, dimDir, spec); errors.Is(err, colstore.ErrBadColumnSet) {
+		return nil, fmt.Errorf("core: dim %s: local copy on %s unusable after a re-copy: %w", spec.Table, node.ID(), err)
+	}
+	return h, err
+}
+
+func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, spec *DimSpec) (*DimHashTable, error) {
 	schema := spec.Schema
-	var pred expr.RowPred
-	if spec.Pred != nil {
-		p, err := expr.CompilePred(spec.Pred, schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: dim %s predicate: %w", spec.Table, err)
-		}
-		pred = p
-	}
 	pkIx := schema.Index(spec.DimPK)
 	if pkIx < 0 {
 		return nil, fmt.Errorf("core: dim %s has no column %s", spec.Table, spec.DimPK)
@@ -303,33 +306,264 @@ func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, s
 	for i, a := range spec.Aux {
 		auxIx[i] = schema.MustIndex(a)
 	}
+	set, err := localDim(fs, node, dimDir, schema)
+	if err != nil {
+		return nil, err
+	}
+	b := &dimBuild{
+		spec:  spec,
+		set:   set,
+		cols:  make([]*colstore.ColumnReader, schema.Len()),
+		codes: make([][]uint32, schema.Len()),
+		bytes: set.DirBytes(),
+	}
 
-	h := newDimHashTable(spec.Table, len(auxIx), 64)
-	aux := make([]records.Value, len(auxIx))
-	pos := 0
-	for pos < len(data) {
-		rec, n, err := records.DecodeRecord(data[pos:], schema)
-		if err != nil {
-			return nil, fmt.Errorf("core: decoding cached dim %s: %w", spec.Table, err)
+	// Selection first: the table is allocated once, at the capacity the
+	// kept rows need, and nothing else is decoded for a row that fails.
+	sel, kept, err := b.selectRows()
+	if err != nil {
+		return nil, err
+	}
+	h := newDimHashTable(spec.Table, len(auxIx), kept)
+	pk, err := b.column(pkIx)
+	if err != nil {
+		return nil, err
+	}
+	if pk.Boxed() {
+		return nil, fmt.Errorf("core: dim %s key %s holds values that are not int64", spec.Table, spec.DimPK)
+	}
+	keys := &records.ColumnVector{Kind: records.KindInt64, Ints: make([]int64, 0, kept)}
+	if err := pk.Decode(keys, sel); err != nil {
+		return nil, err
+	}
+	// offs[j] is where the j-th kept row's aux values go; rows sharing a key
+	// share a span, and filling in row order leaves the last one's values.
+	var offs []int32
+	if len(auxIx) > 0 {
+		offs = make([]int32, kept)
+	}
+	for j, k := range keys.Ints {
+		off := h.insertKey(k)
+		if offs != nil {
+			offs[j] = off
 		}
-		pos += n
-		if pred != nil && !pred(rec) {
+	}
+	if c := int(dimTableCapacity(int64(h.n))); c < len(h.slots) {
+		h.rehash(c) // duplicate keys: fewer entries than kept rows
+	}
+	h.arena = make([]records.Value, h.n*len(auxIx))
+	var vals []records.Value
+	for a, ix := range auxIx {
+		col, err := b.column(ix)
+		if err != nil {
+			return nil, err
+		}
+		if dict := col.Dict(); dict != nil {
+			// One boxed value per dictionary entry, shared by every row
+			// carrying its code: no per-row string.
+			codes, err := b.colCodes(ix)
+			if err != nil {
+				return nil, err
+			}
+			j := 0
+			for r, code := range codes {
+				if sel == nil || sel[r] {
+					h.arena[int(offs[j])+a] = dict[code]
+					j++
+				}
+			}
 			continue
 		}
-		for i, ix := range auxIx {
-			aux[i] = rec.At(ix)
+		if vals, err = col.Values(vals[:0], sel); err != nil {
+			return nil, err
 		}
-		h.insert(rec.At(pkIx).Int64(), aux)
+		for j, v := range vals {
+			h.arena[int(offs[j])+a] = v
+		}
 	}
 	h.finalize()
+	h.Stats = DimBuildStats{RowsScanned: int64(set.Rows()), RowsKept: int64(kept), BytesRead: b.bytes}
+	// The local dimension copy reads at nominal device speed: at the
+	// paper's scale it is page-cache-resident between tasks.
+	if err := node.ChargeDiskReadNominal(b.bytes); err != nil {
+		return nil, err
+	}
 	return h, nil
+}
+
+// dimBuild is the state of one build over a dimension's column set: the
+// columns opened so far (each read, and charged, once however many roles it
+// plays) and their dictionary codes.
+type dimBuild struct {
+	spec  *DimSpec
+	set   *colstore.ColumnSet
+	cols  []*colstore.ColumnReader
+	codes [][]uint32
+	bytes int64
+}
+
+func (b *dimBuild) column(ix int) (*colstore.ColumnReader, error) {
+	if b.cols[ix] == nil {
+		col, err := b.set.Column(ix)
+		if err != nil {
+			return nil, err
+		}
+		b.cols[ix] = col
+		b.bytes += col.Bytes()
+	}
+	return b.cols[ix], nil
+}
+
+func (b *dimBuild) colCodes(ix int) ([]uint32, error) {
+	if b.codes[ix] == nil {
+		codes, err := b.cols[ix].Codes(make([]uint32, 0, b.set.Rows()))
+		if err != nil {
+			return nil, err
+		}
+		b.codes[ix] = codes
+	}
+	return b.codes[ix], nil
+}
+
+// selectRows evaluates the spec's predicate over the copy and returns the
+// selection (nil when there is no predicate: every row) and its size. A
+// conjunct reading one dictionary-encoded column is decided once per
+// dictionary entry and applied to the codes; the rest run as one block
+// predicate over the columns they read.
+func (b *dimBuild) selectRows() ([]bool, int, error) {
+	n := b.set.Rows()
+	if b.spec.Pred == nil {
+		return nil, n, nil
+	}
+	schema := b.spec.Schema
+	sel := make([]bool, n)
+	for r := range sel {
+		sel[r] = true
+	}
+	var residual []expr.Pred
+	for _, c := range expr.Conjuncts(b.spec.Pred) {
+		name, single := expr.SingleColumn(c)
+		ix := -1
+		if single {
+			ix = schema.Index(name)
+		}
+		if ix < 0 {
+			residual = append(residual, c)
+			continue
+		}
+		col, err := b.column(ix)
+		if err != nil {
+			return nil, 0, err
+		}
+		dict := col.Dict()
+		if dict == nil {
+			residual = append(residual, c)
+			continue
+		}
+		holds, err := expr.CompileValuePred(c, name, schema.Field(ix).Kind)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: dim %s predicate: %w", b.spec.Table, err)
+		}
+		keep := make([]bool, len(dict))
+		for e, v := range dict {
+			keep[e] = holds(v)
+		}
+		codes, err := b.colCodes(ix)
+		if err != nil {
+			return nil, 0, err
+		}
+		for r, code := range codes {
+			if !keep[code] {
+				sel[r] = false
+			}
+		}
+	}
+	if len(residual) > 0 {
+		if err := b.applyResidual(expr.And(residual...), sel); err != nil {
+			return nil, 0, err
+		}
+	}
+	kept := 0
+	for _, s := range sel {
+		if s {
+			kept++
+		}
+	}
+	return sel, kept, nil
+}
+
+// applyResidual clears sel where pred fails, reading only pred's columns:
+// as typed vectors under a block predicate, or — when one of them holds
+// nulls, which a vector cannot carry — boxed, under the row predicate.
+func (b *dimBuild) applyResidual(pred expr.Pred, sel []bool) error {
+	schema := b.spec.Schema
+	names := expr.ColumnsOf(nil, []expr.Pred{pred})
+	fields := make([]records.Field, len(names))
+	cols := make([]*colstore.ColumnReader, len(names))
+	boxed := false
+	for j, name := range names {
+		ix := schema.Index(name)
+		if ix < 0 {
+			return fmt.Errorf("core: dim %s predicate: unknown column %q in %v", b.spec.Table, name, schema)
+		}
+		col, err := b.column(ix)
+		if err != nil {
+			return err
+		}
+		fields[j], cols[j] = schema.Field(ix), col
+		boxed = boxed || col.Boxed()
+	}
+	sub := records.NewSchema(fields...)
+	if !boxed {
+		holds, err := expr.CompileBlockPred(pred, sub)
+		if err != nil {
+			return fmt.Errorf("core: dim %s predicate: %w", b.spec.Table, err)
+		}
+		block := records.NewRowBlock(sub, len(sel))
+		for j, col := range cols {
+			if err := col.Decode(block.Col(j), nil); err != nil {
+				return err
+			}
+		}
+		block.SetLen(len(sel))
+		for r := range sel {
+			if sel[r] && !holds(block, r) {
+				sel[r] = false
+			}
+		}
+		return nil
+	}
+	holds, err := expr.CompilePred(pred, sub)
+	if err != nil {
+		return fmt.Errorf("core: dim %s predicate: %w", b.spec.Table, err)
+	}
+	vals := make([][]records.Value, len(cols))
+	for j, col := range cols {
+		if vals[j], err = col.Values(make([]records.Value, 0, len(sel)), nil); err != nil {
+			return err
+		}
+	}
+	row := make([]records.Value, len(cols))
+	rec := records.Make(sub, row...) // wraps row: refilled per dimension row
+	for r := range sel {
+		if !sel[r] {
+			continue
+		}
+		for j := range row {
+			row[j] = vals[j][r]
+		}
+		if !holds(rec) {
+			sel[r] = false
+		}
+	}
+	return nil
 }
 
 // dimTableCapacity returns the slot-array capacity the open-addressing
 // table ends up with after inserting n entries: the smallest power of two
-// (at least 16) whose 0.7 load threshold admits n. It must mirror
-// newDimHashTable/grow exactly, so size estimates match what builds
-// actually reserve.
+// (at least 16) whose 0.7 load threshold admits n. Builds allocate with it
+// and estimates count with it, so an estimate matches what a build
+// reserves.
 func dimTableCapacity(n int64) int64 {
 	c := int64(16)
 	for c*7/10 < n {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -27,7 +28,34 @@ const (
 	// lookups answered by a side-table array read instead of a hash probe.
 	CtrCodeSideTables = "CLYDESDALE_CODE_SIDE_TABLES"
 	CtrCodeProbeRows  = "CLYDESDALE_CODE_PROBE_ROWS"
+	// What the hash builds read from the node-local dimension copies, kept
+	// per table as "<name>.<table>" (DimBuildStats has the definitions).
+	CtrDimRowsScanned = "dim_rows_scanned"
+	CtrDimRowsKept    = "dim_rows_kept"
+	CtrDimBytesRead   = "dim_bytes_read"
 )
+
+// RecordDimBuilds adds the read accounting of freshly built tables to the
+// task counters, per table, and returns the same numbers as hash-build span
+// attributes ("dim_rows_scanned.customer", "30000", ...).
+func RecordDimBuilds(ctrs *mr.Counters, hts ...*DimHashTable) []string {
+	attrs := make([]string, 0, 6*len(hts))
+	for _, h := range hts {
+		for _, m := range [...]struct {
+			name string
+			v    int64
+		}{
+			{CtrDimRowsScanned, h.Stats.RowsScanned},
+			{CtrDimRowsKept, h.Stats.RowsKept},
+			{CtrDimBytesRead, h.Stats.BytesRead},
+		} {
+			name := m.name + "." + h.Table
+			ctrs.Add(name, m.v)
+			attrs = append(attrs, name, strconv.FormatInt(m.v, 10))
+		}
+	}
+	return attrs
+}
 
 // starJoinRunner is Clydesdale's MTMapRunner (§5.1, Figure 5) and the one
 // map-side join implementation in this package: it acquires the node's
@@ -221,7 +249,8 @@ func (r *starJoinRunner) buildHashTables(ctx *mr.TaskContext) ([]*DimHashTable, 
 		ctx.Counters.Add(CtrHashTablesBuilt, 1)
 	}
 	ctx.Counters.Add(CtrHashBuildNanos, time.Since(start).Nanoseconds())
-	ctx.Span(obs.PhaseHashBuild, start, "tables", fmt.Sprint(len(hts)))
+	attrs := append([]string{"tables", fmt.Sprint(len(hts))}, RecordDimBuilds(ctx.Counters, hts...)...)
+	ctx.Span(obs.PhaseHashBuild, start, attrs...)
 	return hts, nil
 }
 

@@ -63,6 +63,56 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 }
 
+// TestConcurrentWriteFileOneWinner: writers racing for one name conflict
+// deterministically. Exactly one WriteFile succeeds, the file holds that
+// writer's bytes, and the losers leave no blocks behind.
+func TestConcurrentWriteFileOneWinner(t *testing.T) {
+	c := cluster.New(cluster.Testing(4))
+	fs := New(c, Options{BlockSize: 64, Seed: 5})
+	for round := 0; round < 20; round++ {
+		path := fmt.Sprintf("/race/f-%d", round)
+		const writers = 8
+		var wg sync.WaitGroup
+		won := make([]bool, writers)
+		for i := 0; i < writers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// Sizes on both sides of a block, so losers abort with and
+				// without sealed blocks of their own.
+				data := bytes.Repeat([]byte{byte(i + 1)}, 10+i*30)
+				won[i] = fs.WriteFile(path, fmt.Sprintf("node-%d", i%4), data) == nil
+			}(i)
+		}
+		wg.Wait()
+		winner := -1
+		for i, ok := range won {
+			if ok {
+				if winner >= 0 {
+					t.Fatalf("round %d: writers %d and %d both succeeded", round, winner, i)
+				}
+				winner = i
+			}
+		}
+		if winner < 0 {
+			t.Fatalf("round %d: no writer succeeded", round)
+		}
+		got, err := fs.ReadAll(path, "node-0")
+		if want := bytes.Repeat([]byte{byte(winner + 1)}, 10+winner*30); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round %d: file holds %d bytes of %v (%v), want writer %d's", round, len(got), got[:1], err, winner)
+		}
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	referenced := 0
+	for _, f := range fs.files {
+		referenced += len(f.blocks)
+	}
+	if len(fs.blocks) != referenced {
+		t.Errorf("%d blocks recorded, %d referenced by files: losers left blocks behind", len(fs.blocks), referenced)
+	}
+}
+
 // TestDefaultPlacementSpreadsReplicas checks the default policy balances
 // second/third replicas across the cluster rather than pinning them.
 func TestDefaultPlacementSpreadsReplicas(t *testing.T) {

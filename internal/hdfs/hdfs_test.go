@@ -73,6 +73,108 @@ func TestCreateExistingFails(t *testing.T) {
 	}
 }
 
+// TestWriteFileExistingLeavesIt: WriteFile reserves its name only when it
+// places its first block (or closes an empty file), so a WriteFile that
+// loses to an existing file must fail without touching it, whatever the
+// size of what it was asked to write.
+func TestWriteFileExistingLeavesIt(t *testing.T) {
+	fs := newTestFS(t, 2, 8)
+	if err := fs.WriteFile("/a", "", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	blocks := len(fs.blocks)
+	for _, data := range [][]byte{nil, []byte("x"), make([]byte, 8), make([]byte, 100)} {
+		if err := fs.WriteFile("/a", "", data); err == nil {
+			t.Fatalf("WriteFile of %d bytes over an existing file succeeded", len(data))
+		}
+		got, err := fs.ReadAll("/a", "")
+		if err != nil || string(got) != "first" {
+			t.Fatalf("after a refused %d-byte WriteFile the file reads %q, %v", len(data), got, err)
+		}
+		if len(fs.blocks) != blocks {
+			t.Fatalf("a refused %d-byte WriteFile left %d blocks behind", len(data), len(fs.blocks)-blocks)
+		}
+	}
+}
+
+// TestWriteFilesMatchesWriteFile: a batch stores what the same WriteFile
+// calls in the same order would have stored, block for block and replica
+// for replica (placement draws from the filesystem's generator in the same
+// order), whatever mix of empty, one-block and many-block files it holds.
+func TestWriteFilesMatchesWriteFile(t *testing.T) {
+	files := []File{
+		{"/b/empty", nil},
+		{"/b/small", []byte("abc")},
+		{"/b/exact", bytes.Repeat([]byte{7}, 16)},
+		{"/b/large", bytes.Repeat([]byte{9}, 16*3+5)},
+		{"/b/tail", []byte("z")},
+	}
+	one, batch := newTestFS(t, 4, 16), newTestFS(t, 4, 16)
+	for _, f := range files {
+		if err := one.WriteFile(f.Path, "node-1", f.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := batch.WriteFiles("node-1", files); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		got, err := batch.ReadAll(f.Path, "node-2")
+		if err != nil || !bytes.Equal(got, f.Data) {
+			t.Fatalf("%s reads %d bytes, %v; want %d", f.Path, len(got), err, len(f.Data))
+		}
+		want, _ := one.BlockLocations(f.Path, 0, 1<<20)
+		have, _ := batch.BlockLocations(f.Path, 0, 1<<20)
+		if fmt.Sprint(have) != fmt.Sprint(want) {
+			t.Errorf("%s: blocks %v, one at a time %v", f.Path, have, want)
+		}
+	}
+	if a, b := one.Metrics().Snapshot().BytesWritten, batch.Metrics().Snapshot().BytesWritten; a != b {
+		t.Errorf("bytes written %d in a batch, %d one at a time", b, a)
+	}
+}
+
+// TestWriteFilesAllOrNothing: a batch naming an existing file fails and
+// leaves nothing of itself behind, and the existing file untouched.
+func TestWriteFilesAllOrNothing(t *testing.T) {
+	fs := newTestFS(t, 2, 8)
+	if err := fs.WriteFile("/d/taken", "", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	blocks := len(fs.blocks)
+	err := fs.WriteFiles("", []File{{"/d/a", []byte("x")}, {"/d/b", make([]byte, 30)}, {"/d/taken", []byte("second")}, {"/d/c", nil}})
+	if err == nil {
+		t.Fatal("batch over an existing file succeeded")
+	}
+	if got := fs.List("/d/"); len(got) != 1 || got[0] != "/d/taken" {
+		t.Errorf("after the refused batch the directory holds %v", got)
+	}
+	if got, err := fs.ReadAll("/d/taken", ""); err != nil || string(got) != "first" {
+		t.Errorf("the existing file reads %q, %v", got, err)
+	}
+	if len(fs.blocks) != blocks {
+		t.Errorf("the refused batch left %d blocks behind", len(fs.blocks)-blocks)
+	}
+	// The names are free again.
+	if err := fs.WriteFiles("", []File{{"/d/a", []byte("x")}, {"/d/b", make([]byte, 30)}}); err != nil {
+		t.Errorf("rewriting the refused names: %v", err)
+	}
+}
+
+func TestWriteFileEmpty(t *testing.T) {
+	fs := newTestFS(t, 2, 8)
+	if err := fs.WriteFile("/empty", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	info, err := fs.Stat("/empty")
+	if err != nil || info.Size != 0 || info.Blocks != 0 {
+		t.Fatalf("Stat = %+v, %v; want an empty file", info, err)
+	}
+	if got, err := fs.ReadAll("/empty", ""); err != nil || len(got) != 0 {
+		t.Fatalf("ReadAll = %q, %v", got, err)
+	}
+}
+
 func TestAbortDiscards(t *testing.T) {
 	fs := newTestFS(t, 2, 8)
 	w, err := fs.Create("/a", "")

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"clydesdale/internal/cluster"
 	"clydesdale/internal/obs"
 )
 
@@ -14,13 +15,15 @@ import (
 // Close, like an HDFS file being closed. Writer is not safe for concurrent
 // use.
 type Writer struct {
-	fs     *FileSystem
-	path   string
-	writer string // node ID of the writing client, or "" for external
-	buf    []byte
-	blocks []*blockMeta
-	size   int64
-	closed bool
+	fs       *FileSystem
+	path     string
+	writer   string // node ID of the writing client, or "" for external
+	reserved bool   // the name is taken in the namespace
+	placed   int    // blocks given replica targets so far
+	buf      []byte
+	blocks   []*blockMeta
+	size     int64
+	closed   bool
 }
 
 // Create starts writing a new file. writerNode is the cluster node the
@@ -28,14 +31,27 @@ type Writer struct {
 // accounting); pass "" for an external client. Create fails if the path
 // already exists.
 func (fs *FileSystem) Create(path, writerNode string) (*Writer, error) {
+	w := &Writer{fs: fs, path: path, writer: writerNode}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, exists := fs.files[path]; exists {
-		return nil, fmt.Errorf("hdfs: create %s: file exists", path)
+	if err := w.reserve(); err != nil {
+		return nil, err
 	}
-	// Reserve the name so concurrent creators conflict deterministically.
-	fs.files[path] = &fileMeta{path: path}
-	return &Writer{fs: fs, path: path, writer: writerNode}, nil
+	return w, nil
+}
+
+// reserve takes the writer's name in the namespace, so concurrent creators
+// conflict deterministically. Caller holds fs.mu.
+func (w *Writer) reserve() error {
+	if w.reserved {
+		return nil
+	}
+	if _, exists := w.fs.files[w.path]; exists {
+		return fmt.Errorf("hdfs: create %s: file exists", w.path)
+	}
+	w.fs.files[w.path] = &fileMeta{path: w.path}
+	w.reserved = true
+	return nil
 }
 
 // Write buffers p, sealing full blocks as they fill.
@@ -45,7 +61,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 	}
 	w.buf = append(w.buf, p...)
 	for int64(len(w.buf)) >= w.fs.blockSize {
-		if err := w.seal(w.buf[:w.fs.blockSize]); err != nil {
+		if err := w.fs.seal([]*sealing{{w: w, data: w.buf[:w.fs.blockSize]}}); err != nil {
 			return 0, err
 		}
 		w.buf = w.buf[w.fs.blockSize:]
@@ -53,60 +69,104 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// seal stores one block: chooses replica targets via the placement policy,
-// charges the write pipeline, and records the block.
-func (w *Writer) seal(data []byte) error {
-	fs := w.fs
-	alive := fs.cluster.Alive()
-	if len(alive) == 0 {
-		return fmt.Errorf("hdfs: write %s: no alive datanodes", w.path)
+// sealing is one step of a write on its way into the filesystem: a block
+// of a file, the end of the file, or both.
+type sealing struct {
+	w    *Writer
+	data []byte // the block; empty only with last: an empty file, or one whose last Write filled a block
+	last bool   // the file ends here: recording this step publishes it
+
+	id      int64
+	targets []*cluster.Node
+	block   *blockMeta
+}
+
+// seal stores blocks: chooses replica targets via the placement policy,
+// charges the write pipeline, records the blocks and publishes the files
+// that end with one of them.
+//
+// A writer beside running tasks parks whenever it finds the namenode lock
+// taken and then queues for a processor behind those tasks, so what a write
+// costs is set by how often it takes that lock, not by how long it holds it.
+// seal takes it twice for everything it is given: once to reserve names and
+// place blocks, once to record and publish.
+func (fs *FileSystem) seal(steps []*sealing) error {
+	var alive []*cluster.Node
+	for _, s := range steps {
+		if len(s.data) > 0 {
+			if alive = fs.cluster.Alive(); len(alive) == 0 {
+				return fmt.Errorf("hdfs: write %s: no alive datanodes", s.w.path)
+			}
+			break
+		}
 	}
 
 	fs.mu.Lock()
-	policy := fs.policyFor(w.path)
-	id := fs.nextBlockID()
-	targets := policy.ChooseTargets(w.path, len(w.blocks), fs.replication, w.writer, alive, fs.rng)
+	for _, s := range steps {
+		if err := s.w.reserve(); err != nil {
+			fs.mu.Unlock()
+			return err
+		}
+		if len(s.data) == 0 {
+			continue
+		}
+		s.id = fs.nextBlockID()
+		s.targets = fs.policyFor(s.w.path).ChooseTargets(s.w.path, s.w.placed, fs.replication, s.w.writer, alive, fs.rng)
+		s.w.placed++
+	}
+	written := fs.mWrittenBytes
 	fs.mu.Unlock()
 
-	if len(targets) == 0 {
-		return fmt.Errorf("hdfs: write %s: placement policy returned no targets", w.path)
-	}
-
-	// Charge the replication pipeline: every replica pays a disk write;
-	// every hop that crosses nodes pays network on the receiver.
-	for i, n := range targets {
-		if err := n.ChargeDiskWrite(int64(len(data)), true); err != nil {
-			return fmt.Errorf("hdfs: write %s: %w", w.path, err)
+	for _, s := range steps {
+		if len(s.data) == 0 {
+			continue
 		}
-		crossesNetwork := i > 0 || n.ID() != w.writer
-		if crossesNetwork {
-			if err := n.ChargeNet(int64(len(data))); err != nil {
-				return fmt.Errorf("hdfs: write %s: %w", w.path, err)
+		if len(s.targets) == 0 {
+			return fmt.Errorf("hdfs: write %s: placement policy returned no targets", s.w.path)
+		}
+		// Charge the replication pipeline: every replica pays a disk write;
+		// every hop that crosses nodes pays network on the receiver.
+		for i, n := range s.targets {
+			if err := n.ChargeDiskWrite(int64(len(s.data)), true); err != nil {
+				return fmt.Errorf("hdfs: write %s: %w", s.w.path, err)
+			}
+			crossesNetwork := i > 0 || n.ID() != s.w.writer
+			if crossesNetwork {
+				if err := n.ChargeNet(int64(len(s.data))); err != nil {
+					return fmt.Errorf("hdfs: write %s: %w", s.w.path, err)
+				}
 			}
 		}
-	}
-	fs.metrics.BytesWritten.Add(int64(len(data)))
-	fs.mu.RLock()
-	written := fs.mWrittenBytes
-	fs.mu.RUnlock()
-	if written != nil {
-		written.Add(int64(len(data)))
+		fs.metrics.BytesWritten.Add(int64(len(s.data)))
+		if written != nil {
+			written.Add(int64(len(s.data)))
+		}
+		s.block = &blockMeta{
+			id:   s.id,
+			size: int64(len(s.data)),
+			data: append([]byte(nil), s.data...),
+			crc:  crc32.ChecksumIEEE(s.data),
+		}
+		for _, n := range s.targets {
+			s.block.replicas = append(s.block.replicas, n.ID())
+		}
 	}
 
-	b := &blockMeta{
-		id:   id,
-		size: int64(len(data)),
-		data: append([]byte(nil), data...),
-		crc:  crc32.ChecksumIEEE(data),
-	}
-	for _, n := range targets {
-		b.replicas = append(b.replicas, n.ID())
-	}
 	fs.mu.Lock()
-	fs.blocks[id] = b
+	for _, s := range steps {
+		w := s.w
+		if s.block != nil {
+			fs.blocks[s.id] = s.block
+			w.blocks = append(w.blocks, s.block)
+			w.size += s.block.size
+		}
+		if s.last {
+			f := fs.files[w.path]
+			f.size = w.size
+			f.blocks = w.blocks
+		}
+	}
 	fs.mu.Unlock()
-	w.blocks = append(w.blocks, b)
-	w.size += int64(len(data))
 	return nil
 }
 
@@ -116,19 +176,9 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	if len(w.buf) > 0 {
-		if err := w.seal(w.buf); err != nil {
-			return err
-		}
-		w.buf = nil
-	}
-	fs := w.fs
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f := fs.files[w.path]
-	f.size = w.size
-	f.blocks = w.blocks
-	return nil
+	buf := w.buf
+	w.buf = nil
+	return w.fs.seal([]*sealing{{w: w, data: buf, last: true}})
 }
 
 // Abort discards a partially written file.
@@ -143,20 +193,49 @@ func (w *Writer) Abort() {
 	for _, b := range w.blocks {
 		delete(fs.blocks, b.id)
 	}
-	delete(fs.files, w.path)
+	if w.reserved {
+		delete(fs.files, w.path)
+	}
 }
 
-// WriteFile writes data as a new file in one call.
+// File is one file of a WriteFiles call.
+type File struct {
+	Path string
+	Data []byte
+}
+
+// WriteFile writes data as a new file in one call. It fails if the path
+// already exists.
 func (fs *FileSystem) WriteFile(path, writerNode string, data []byte) error {
-	w, err := fs.Create(path, writerNode)
+	return fs.WriteFiles(writerNode, []File{{Path: path, Data: data}})
+}
+
+// WriteFiles writes several new files in one pass over the namenode: all
+// names are reserved and all blocks placed together, then charged, then
+// recorded and published together, in the order given. It fails, leaving
+// none of the files behind, if any path already exists or a write fails.
+func (fs *FileSystem) WriteFiles(writerNode string, files []File) error {
+	var steps []*sealing
+	writers := make([]*Writer, len(files))
+	for i, f := range files {
+		// Not Create: seal reserves the names, in the acquisition that
+		// places the blocks.
+		w := &Writer{fs: fs, path: f.Path, writer: writerNode}
+		writers[i] = w
+		data := f.Data
+		for int64(len(data)) > fs.blockSize {
+			steps = append(steps, &sealing{w: w, data: data[:fs.blockSize]})
+			data = data[fs.blockSize:]
+		}
+		steps = append(steps, &sealing{w: w, data: data, last: true})
+	}
+	err := fs.seal(steps)
 	if err != nil {
-		return err
+		for _, w := range writers {
+			w.Abort()
+		}
 	}
-	if _, err := w.Write(data); err != nil {
-		w.Abort()
-		return err
-	}
-	return w.Close()
+	return err
 }
 
 // Reader reads a file with locality-aware cost accounting. It implements

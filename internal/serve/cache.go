@@ -180,7 +180,8 @@ func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *c
 	c.builds.Add(1)
 	ctx.Counters.Add(core.CtrHashTablesBuilt, 1)
 	ctx.Counters.Add(core.CtrHashBuildNanos, time.Since(start).Nanoseconds())
-	ctx.Span(obs.PhaseHashBuild, start, "table", spec.Table, "cache", "miss")
+	attrs := append([]string{"table", spec.Table, "cache", "miss"}, core.RecordDimBuilds(ctx.Counters, ht)...)
+	ctx.Span(obs.PhaseHashBuild, start, attrs...)
 	return ht, func() { c.unpin(node, nc, e) }, nil
 }
 

@@ -20,10 +20,15 @@ vet:
 # The engine, the serving layer and the baseline carry no deprecated entry
 # points: a replaced API is deleted with its call sites migrated, not kept
 # beside its successor. (internal/sql keeps three markers on the star-only
-# front door the repository benchmark calls.)
+# front door the repository benchmark calls.) Nor does the invalidation
+# fan-out come back: derived state is keyed by table version (DESIGN.md
+# "Table versions"), so the engine and the serving layer have no hint
+# generations, table-cache generations or doomed entries to maintain.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
+	@if grep -rnw -e hintGen -e invalidateDim -e dropEstimates -e doomed internal/core internal/serve; then \
+		echo "invalidation fan-out in core/serve: key the state by table version instead"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -104,10 +109,11 @@ serve-smoke:
 	$(GO) run ./cmd/loadgen -duration 5s -rate 40 -fact-rows 60000 -check -out ''
 
 # CI gate for live ingestion (see DESIGN.md "Live ingestion"): batched fact
-# roll-ins racing queries, the background compactor, a dimension roll-in and
-# date retention; after every step a query must answer exactly like the
-# in-memory reference over the rows acknowledged so far, and the final table
-# must hold every acknowledged row. The run is its own check — any torn
+# roll-ins racing queries, the background compactor, a late-arriving
+# dimension (fact rows referencing customers not yet published, then the
+# customers) and date retention; after every step a query must answer
+# exactly like the in-memory reference over the rows acknowledged so far,
+# and the final table must hold every acknowledged row. The run is its own check — any torn
 # snapshot, stale cache or lost row exits non-zero.
 ingest-smoke:
 	$(GO) run ./cmd/loadgen -ingest -out ''

@@ -11,6 +11,7 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
+	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
@@ -23,11 +24,12 @@ import (
 
 // The ingest smoke run: the CI gate for live ingestion. It drives a serving
 // session through the full ingestion lifecycle — batched fact roll-ins
-// racing queries, the background compactor, a dimension roll-in, a
-// backdated batch and date retention — and verifies after every step that a
-// query answers exactly like the in-memory reference over the rows rolled
-// in so far. It is a correctness smoke, not a performance benchmark: any
-// torn snapshot, stale cache, or lost acknowledged row fails the run.
+// racing queries, the background compactor, a late-arriving dimension (fact
+// rows first, the customers they reference after), a backdated batch and
+// date retention — and verifies after every step that a query answers
+// exactly like the in-memory reference over the rows rolled in so far. It
+// is a correctness smoke, not a performance benchmark: any torn snapshot,
+// stale cache, or lost acknowledged row fails the run.
 
 // IngestSmokeConfig sizes the smoke run; zero values take defaults small
 // enough for CI.
@@ -76,6 +78,24 @@ func (r *IngestSmokeResult) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
+func emitAll(rows []records.Record) func(emit func(records.Record) error) error {
+	return func(emit func(records.Record) error) error {
+		for _, r := range rows {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// withColumn returns the lineorder row with one integer column replaced.
+func withColumn(r records.Record, col string, v int64) records.Record {
+	vals := append([]records.Value(nil), r.Values()...)
+	vals[ssb.LineorderSchema.MustIndex(col)] = records.Int(v)
+	return records.Make(ssb.LineorderSchema, vals...)
+}
+
 // RunIngestSmoke runs the live-ingestion smoke: see the package comment
 // above. Progress lines go to w.
 func RunIngestSmoke(cfg IngestSmokeConfig, w io.Writer) (*IngestSmokeResult, error) {
@@ -112,36 +132,35 @@ func RunIngestSmoke(cfg IngestSmokeConfig, w io.Writer) (*IngestSmokeResult, err
 
 	queries := ssb.Queries()
 	base := gen.LineorderRows()
-	var extras []records.Record
-	var extrasMu sync.Mutex
+	// extras are the acknowledged rows beyond the generator's, per table.
+	extras := map[string][]records.Record{}
 
-	// check holds one query to the reference over base + extras-so-far.
+	// reference answers q over the generator's tables + extras-so-far.
+	reference := func(q *core.Query) (*results.ResultSet, error) {
+		l, err := core.LogicalOf(q, cat)
+		if err != nil {
+			return nil, err
+		}
+		return refexec.RunLogical(l, func(table string, fn func(records.Record) error) error {
+			if err := gen.Each(table, fn); err != nil {
+				return err
+			}
+			for _, r := range extras[table] {
+				if err := fn(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	// check holds one query to the reference.
 	checks := 0
 	check := func(q *core.Query) error {
 		rs, _, err := s.Query(context.Background(), q)
 		if err != nil {
 			return fmt.Errorf("bench: ingest smoke %s: %w", q.Name, err)
 		}
-		l, err := core.LogicalOf(q, cat)
-		if err != nil {
-			return err
-		}
-		extrasMu.Lock()
-		snap := append([]records.Record(nil), extras...)
-		extrasMu.Unlock()
-		want, err := refexec.RunLogical(l, func(table string, fn func(records.Record) error) error {
-			if err := gen.Each(table, fn); err != nil {
-				return err
-			}
-			if table == cat.FactName {
-				for _, r := range snap {
-					if err := fn(r); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
+		want, err := reference(q)
 		if err != nil {
 			return err
 		}
@@ -151,11 +170,39 @@ func RunIngestSmoke(cfg IngestSmokeConfig, w io.Writer) (*IngestSmokeResult, err
 		checks++
 		return nil
 	}
+	rollIn := func(table string, rows []records.Record) error {
+		n, err := s.RollIn(table, emitAll(rows))
+		if err != nil {
+			return err
+		}
+		if n != int64(len(rows)) {
+			return fmt.Errorf("bench: %s roll-in acknowledged %d rows, want %d", table, n, len(rows))
+		}
+		extras[table] = append(extras[table], rows...)
+		return nil
+	}
+
+	// The last fact batch is the first half of a late-arriving dimension: its
+	// rows reference customers the dimension does not hold yet. They must not
+	// join before the customer batch is acknowledged and must all join after
+	// it — through a result cache, hash tables, prune hints and node-local
+	// copies that each hold state of the older customer version. byNation
+	// sums revenue per customer nation, so the customers have to move it.
+	const lateCustomers = 64
+	firstNew := gen.CustomerRows() // customer row i has key i+1
+	byNation := &core.Query{
+		Name: "late-customers",
+		Dims: []core.DimSpec{{
+			Table: ssb.TableCustomer, Schema: cat.DimSchemas[ssb.TableCustomer],
+			FactFK: "lo_custkey", DimPK: "c_custkey", Aux: []string{"c_nation"},
+		}},
+		AggExpr: expr.Col("lo_revenue"),
+		AggName: "revenue",
+		GroupBy: []string{"c_nation"},
+	}
 
 	var rolled int64
 	for b := 0; b < cfg.Batches; b++ {
-		lo := base + int64(b)*cfg.BatchRows
-		hi := lo + cfg.BatchRows
 		// Queries race the roll-in; the oracle check below runs after the
 		// batch is acknowledged, so it must see every batch row.
 		var qwg sync.WaitGroup
@@ -175,14 +222,14 @@ func RunIngestSmoke(cfg IngestSmokeConfig, w io.Writer) (*IngestSmokeResult, err
 				}
 			}(q)
 		}
-		n, err := s.RollIn(cat.FactName, func(emit func(records.Record) error) error {
-			for i := lo; i < hi; i++ {
-				if err := emit(gen.Lineorder(i)); err != nil {
-					return err
-				}
+		batch := make([]records.Record, cfg.BatchRows)
+		for i := range batch {
+			batch[i] = gen.Lineorder(base + rolled + int64(i))
+			if b == cfg.Batches-1 {
+				batch[i] = withColumn(batch[i], "lo_custkey", firstNew+1+int64(i)%lateCustomers)
 			}
-			return nil
-		})
+		}
+		err := rollIn(cat.FactName, batch)
 		qwg.Wait()
 		if err != nil {
 			return nil, err
@@ -190,57 +237,47 @@ func RunIngestSmoke(cfg IngestSmokeConfig, w io.Writer) (*IngestSmokeResult, err
 		if qerr != nil {
 			return nil, qerr
 		}
-		if n != cfg.BatchRows {
-			return nil, fmt.Errorf("bench: batch %d acknowledged %d rows, want %d", b, n, cfg.BatchRows)
-		}
-		rolled += n
-		extrasMu.Lock()
-		for i := lo; i < hi; i++ {
-			extras = append(extras, gen.Lineorder(i))
-		}
-		extrasMu.Unlock()
+		rolled += cfg.BatchRows
 		if err := check(queries[b%len(queries)]); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "batch %d/%d: %d rows acknowledged, oracle ok\n", b+1, cfg.Batches, n)
+		fmt.Fprintf(w, "batch %d/%d: %d rows acknowledged, oracle ok\n", b+1, cfg.Batches, cfg.BatchRows)
 	}
 
-	// Dimension roll-in: duplicate supplier rows change nothing numerically
-	// but force every derived cache through its invalidation path.
-	if _, err := s.RollIn("supplier", func(emit func(records.Record) error) error {
-		for i := int64(0); i < 8; i++ {
-			if err := emit(gen.Supplier(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	// The second half: the customers.
+	if err := check(byNation); err != nil {
 		return nil, err
 	}
-	if err := check(queries[0]); err != nil {
+	orphaned, err := reference(byNation)
+	if err != nil {
 		return nil, err
 	}
+	customers := make([]records.Record, lateCustomers)
+	for i := range customers {
+		customers[i] = gen.Customer(firstNew + int64(i))
+	}
+	if err := rollIn(ssb.TableCustomer, customers); err != nil {
+		return nil, err
+	}
+	if err := check(byNation); err != nil {
+		return nil, err
+	}
+	if joined, err := reference(byNation); err != nil {
+		return nil, err
+	} else if ok, _ := results.Equivalent(orphaned, joined, 1e-9); ok {
+		return nil, fmt.Errorf("bench: the late customers changed no answer; the step checked nothing")
+	}
+	fmt.Fprintf(w, "late dimension: %d customers after the fact rows referencing them, oracle ok\n", lateCustomers)
 
 	// Retention: a backdated batch, then a cutoff that provably expires
 	// exactly that batch.
 	stop() // quiesce compaction so the backdated partitions stay distinct
 	const oldDate, cutoff = 19920101, 19920102
-	odi := ssb.LineorderSchema.Index("lo_orderdate")
-	backRows := cfg.BatchRows / 2
-	if _, err := s.RollIn(cat.FactName, func(emit func(records.Record) error) error {
-		for i := int64(0); i < backRows; i++ {
-			r := gen.Lineorder(base + rolled + i)
-			vals := make([]records.Value, r.Len())
-			for j := 0; j < r.Len(); j++ {
-				vals[j] = r.At(j)
-			}
-			vals[odi] = records.Int(oldDate)
-			if err := emit(records.Make(ssb.LineorderSchema, vals...)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	back := make([]records.Record, cfg.BatchRows/2)
+	for i := range back {
+		back[i] = withColumn(gen.Lineorder(base+rolled+int64(i)), "lo_orderdate", oldDate)
+	}
+	if _, err := s.RollIn(cat.FactName, emitAll(back)); err != nil {
 		return nil, err
 	}
 	retired, err := s.RetainFact("lo_orderdate", cutoff)

@@ -1,11 +1,16 @@
 package chaos_test
 
 import (
+	"context"
 	"testing"
 
 	"clydesdale/internal/chaos"
 	"clydesdale/internal/colstore"
+	"clydesdale/internal/core"
+	"clydesdale/internal/expr"
 	"clydesdale/internal/records"
+	"clydesdale/internal/refexec"
+	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
 )
 
@@ -163,5 +168,161 @@ func TestChaosKillMidCompaction(t *testing.T) {
 	rows, sum = factFingerprint(t, e)
 	if rows != preRows || sum != preSum {
 		t.Fatalf("post-retry multiset drifted: %d rows / sum %d, want %d / %d", rows, sum, preRows, preSum)
+	}
+}
+
+// TestChaosKillMidDimRollIn kills a node while a customer batch is being
+// staged into the dimension's master copy, then revives it. The contract is
+// the fact table's: an acknowledged roll-in is one new version holding the
+// whole batch, a failed one is invisible — same version, no new part file,
+// no debris a reader could trip over — and a retry lands it. The revived
+// node comes back with no local copies and serves whatever version a query
+// pinned: the newest for the next query, and the older one, re-copied from
+// the master's file prefix, for a build still pinned there.
+func TestChaosKillMidDimRollIn(t *testing.T) {
+	e := newEnv(t, 4, 0.002)
+	cat := e.lay.Catalog()
+	eng := core.New(e.mr, cat, core.Options{})
+	reg := eng.Snapshots()
+	custDir := cat.DimDirs[ssb.TableCustomer]
+	custSchema := cat.DimSchemas[ssb.TableCustomer]
+
+	// Fact rows referencing customers the dimension does not hold yet, so
+	// the customer batch visibly changes the answer below.
+	gen := e.gen
+	firstNew := gen.CustomerRows() // customer row i has key i+1
+	const newCustomers, lateRows = 40, 400
+	cki := ssb.LineorderSchema.MustIndex("lo_custkey")
+	var late, customers []records.Record
+	for i := int64(0); i < lateRows; i++ {
+		vals := append([]records.Value(nil), gen.Lineorder(gen.LineorderRows()+i).Values()...)
+		vals[cki] = records.Int(firstNew + 1 + i%newCustomers)
+		late = append(late, records.Make(ssb.LineorderSchema, vals...))
+	}
+	for i := int64(0); i < newCustomers; i++ {
+		customers = append(customers, gen.Customer(firstNew+i))
+	}
+	emitAll := func(rows []records.Record) func(emit func(records.Record) error) error {
+		return func(emit func(records.Record) error) error {
+			for _, r := range rows {
+				if err := emit(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	if _, _, err := reg.RollIn(cat.FactDir, 200, emitAll(late)); err != nil {
+		t.Fatal(err)
+	}
+
+	q := &core.Query{
+		Name: "revenue-by-region",
+		Dims: []core.DimSpec{{
+			Table: ssb.TableCustomer, Schema: custSchema,
+			FactFK: "lo_custkey", DimPK: "c_custkey", Aux: []string{"c_region"},
+		}},
+		AggExpr: expr.Col("lo_revenue"),
+		AggName: "revenue",
+		GroupBy: []string{"c_region"},
+	}
+	l, err := core.LogicalOf(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// check holds the engine to the reference over base + late fact rows,
+	// with or without the customer batch, and to the version it must read.
+	check := func(version uint64) {
+		t.Helper()
+		rs, rep, err := eng.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Read.Of(ssb.TableCustomer); got != version {
+			t.Fatalf("query read %s, want customer@%d", rep.Read, version)
+		}
+		want, err := refexec.RunLogical(l, func(table string, fn func(records.Record) error) error {
+			if err := gen.Each(table, fn); err != nil {
+				return err
+			}
+			switch {
+			case table == cat.FactName:
+				return emitAll(late)(fn)
+			case table == ssb.TableCustomer && version == 2:
+				return emitAll(customers)(fn)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+			t.Fatalf("customer@%d: %s", version, why)
+		}
+	}
+	check(1)
+
+	// The node dies partway through staging the batch.
+	victim := e.cluster.Node("node-1")
+	emitted := 0
+	_, err = reg.AppendRows(custDir, func(emit func(records.Record) error) error {
+		for _, r := range customers {
+			if emitted == newCustomers*2/5 {
+				victim.Kill()
+			}
+			if err := emit(r); err != nil {
+				return err
+			}
+			emitted++
+		}
+		return nil
+	})
+	if victim.IsAlive() {
+		t.Fatal("victim survived its own kill")
+	}
+	if err != nil {
+		// Failed roll-in: invisible, and no debris left behind.
+		if got := colstore.RowTableVersion(e.fs, custDir); got != 1 {
+			t.Fatalf("failed roll-in left the dimension at version %d", got)
+		}
+		if files := e.fs.List(custDir + "/"); len(files) != 2 { // _schema, part-00000
+			t.Fatalf("failed roll-in left debris: %v", files)
+		}
+		check(1)
+		// Retry on the degraded cluster must succeed (3 nodes still alive).
+		if _, err := reg.AppendRows(custDir, emitAll(customers)); err != nil {
+			t.Fatalf("retry after clean failure: %v", err)
+		}
+	}
+	// Acknowledged state: the whole batch, as exactly one new version.
+	if got := colstore.RowTableVersion(e.fs, custDir); got != 2 {
+		t.Fatalf("acknowledged roll-in left the dimension at version %d, want 2", got)
+	}
+	if files := e.fs.List(custDir + "/"); len(files) != 3 {
+		t.Fatalf("dimension files after the ack: %v", files)
+	}
+	check(2)
+
+	// The node comes back empty. The next query pins customer@2 and gives
+	// the node that version's copy; a build still pinned at customer@1 gets
+	// the first file's rows, not the batch.
+	victim.Revive()
+	if copies := victim.LocalPaths("clydesdale/dimcache"); len(copies) != 0 {
+		t.Fatalf("revived node kept local files: %v", copies)
+	}
+	check(2)
+	if copies := victim.LocalPaths("clydesdale/dimcache" + custDir + "@"); len(copies) != 1 || copies[0] != "clydesdale/dimcache"+custDir+"@2" {
+		t.Errorf("revived node holds customer copies %v, want the version-2 copy alone", copies)
+	}
+	spec := q.Dims[0]
+	for version, rows := range map[uint64]int{1: int(firstNew), 2: int(firstNew) + newCustomers} {
+		spec.Version = version
+		h, err := core.BuildDimHashTable(e.fs, victim, custDir, &spec)
+		if err != nil {
+			t.Fatalf("build at customer@%d on the revived node: %v", version, err)
+		}
+		if h.Len() != rows {
+			t.Errorf("revived node built %d entries at customer@%d, want %d", h.Len(), version, rows)
+		}
 	}
 }

@@ -13,6 +13,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -382,74 +383,76 @@ func (n *Node) HasLocal(path string) bool {
 	return ok
 }
 
-// DropLocal removes a node-local file. A FillLocal of the path still
-// running produced its content before the drop, so it starts over instead
-// of storing it.
+// DropLocal removes a node-local file.
 func (n *Node) DropLocal(path string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.local, path)
-	if f, ok := n.filling[path]; ok {
-		f.stale = true
-	}
 }
 
-// localFill is one FillLocal in progress. done closes when it ends; err and
-// stale are written under the node's lock before that.
+// LocalPaths lists the node-local files whose path starts with prefix.
+func (n *Node) LocalPaths(prefix string) []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var out []string
+	for p := range n.local {
+		if strings.HasPrefix(p, prefix) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// localFill is one FillLocal in progress. done closes when it ends; err is
+// written before that.
 type localFill struct {
-	done  chan struct{}
-	err   error
-	stale bool
+	done chan struct{}
+	err  error
 }
 
 // FillLocal stores fill's result as the node-local file at path unless the
 // file already exists, reporting whether this call stored it. Concurrent
 // calls for one path share a single run of fill: the others wait for it and
-// return its error. fill runs without the node's lock held.
+// return its error. fill runs without the node's lock held. A path names
+// immutable content (one version of a table), so a file dropped while its
+// fill is in flight is simply stored again.
 func (n *Node) FillLocal(path string, fill func() ([]byte, error)) (bool, error) {
-	for {
-		n.mu.Lock()
-		if !n.alive {
-			n.mu.Unlock()
-			return false, ErrNodeDown
-		}
-		if _, ok := n.local[path]; ok {
-			n.mu.Unlock()
-			return false, nil
-		}
-		if f, ok := n.filling[path]; ok {
-			n.mu.Unlock()
-			<-f.done
-			if f.stale {
-				continue
-			}
-			return false, f.err
-		}
-		f := &localFill{done: make(chan struct{})}
-		if n.filling == nil {
-			n.filling = make(map[string]*localFill)
-		}
-		n.filling[path] = f
+	n.mu.Lock()
+	if !n.alive {
 		n.mu.Unlock()
-
-		data, err := fill()
-
-		n.mu.Lock()
-		delete(n.filling, path)
-		switch {
-		case err != nil:
-		case !n.alive:
-			err = ErrNodeDown
-		case !f.stale:
-			n.local[path] = data
-		}
-		f.err = err
-		n.mu.Unlock()
-		close(f.done)
-		if err != nil || !f.stale {
-			return err == nil, err
-		}
+		return false, ErrNodeDown
 	}
+	if _, ok := n.local[path]; ok {
+		n.mu.Unlock()
+		return false, nil
+	}
+	if f, ok := n.filling[path]; ok {
+		n.mu.Unlock()
+		<-f.done
+		return false, f.err
+	}
+	f := &localFill{done: make(chan struct{})}
+	if n.filling == nil {
+		n.filling = make(map[string]*localFill)
+	}
+	n.filling[path] = f
+	n.mu.Unlock()
+
+	data, err := fill()
+
+	n.mu.Lock()
+	delete(n.filling, path)
+	switch {
+	case err != nil:
+	case !n.alive:
+		err = ErrNodeDown
+	default:
+		n.local[path] = data
+	}
+	f.err = err
+	n.mu.Unlock()
+	close(f.done)
+	return err == nil, err
 }
 
 // charge accounts d of modeled time and sleeps TimeScale*d of real time.

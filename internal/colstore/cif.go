@@ -309,33 +309,6 @@ func WriteCIFTable(fs *hdfs.FileSystem, dir string, schema *records.Schema, part
 	return w.Rows(), nil
 }
 
-// DropPartitions removes the named partition directories from a CIF table
-// (roll-out, §2: old fact data leaves without rewriting anything else).
-// Unknown partitions are ignored. The delete is immediate — callers with
-// live queries must instead retire partitions through Snapshots, which
-// unlinks them from visibility first and defers the physical delete until
-// no pinned snapshot reads them.
-func DropPartitions(fs *hdfs.FileSystem, dir string, partitions []string) error {
-	known, err := ListPartitions(fs, dir)
-	if err != nil {
-		return err
-	}
-	isKnown := make(map[string]bool, len(known))
-	for _, p := range known {
-		isKnown[p] = true
-	}
-	for _, p := range partitions {
-		if !strings.HasPrefix(p, dir+"/") {
-			p = dir + "/" + p
-		}
-		if isKnown[p] {
-			fs.Delete(p + "/" + CommitMarkerName)
-			fs.DeletePrefix(p + "/")
-		}
-	}
-	return nil
-}
-
 // partitionIndex parses the numeric index out of a "p-<n>" partition
 // directory name.
 func partitionIndex(pdir string) (int, bool) {

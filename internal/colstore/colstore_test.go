@@ -501,8 +501,10 @@ func TestCIFRollOut(t *testing.T) {
 	if len(parts) != 4 {
 		t.Fatalf("partitions = %v", parts)
 	}
-	// Drop the two oldest partitions (rows 0..99).
-	if err := DropPartitions(e.fs, "/cif", parts[:2]); err != nil {
+	// Retire the two oldest partitions (rows 0..99): nothing pins them, so
+	// they leave visibility and the disk at once, as a new content version.
+	reg := NewSnapshots(e.fs)
+	if err := reg.Retire("/cif", parts[:2]); err != nil {
 		t.Fatal(err)
 	}
 	rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil)
@@ -516,15 +518,8 @@ func TestCIFRollOut(t *testing.T) {
 	if !byID[150].Equal(makeRow(150)) {
 		t.Error("surviving rows corrupted")
 	}
-	// Dropping by bare partition name and unknown names is tolerated.
-	remaining, _ := ListPartitions(e.fs, "/cif")
-	bare := remaining[0][len("/cif/"):]
-	if err := DropPartitions(e.fs, "/cif", []string{bare, "p-99999"}); err != nil {
-		t.Fatal(err)
-	}
-	rows = scanAll(t, e, &CIFInput{Dir: "/cif"}, nil)
-	if len(rows) != 50 {
-		t.Errorf("after second roll-out: %d rows", len(rows))
+	if files := e.fs.List(parts[0] + "/"); len(files) != 0 || reg.Versions("/cif")[0] != 1 {
+		t.Errorf("rolled-out partition left %v behind at content version %d", files, reg.Versions("/cif")[0])
 	}
 }
 
@@ -558,103 +553,5 @@ func TestCIFChecksumDetectsCorruption(t *testing.T) {
 	_, _, _, err = r.Next()
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("expected checksum error, got %v", err)
-	}
-}
-
-func TestTextTableRoundTrip(t *testing.T) {
-	e := newEnv(3, 256) // small blocks → many splits with line-boundary logic
-	const n = 400
-	written, err := WriteTextTable(e.fs, "/tsv", tblSchema, genRows(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != n {
-		t.Errorf("wrote %d", written)
-	}
-	rows := scanAll(t, e, &TextInput{Dir: "/tsv"}, nil)
-	if len(rows) != n {
-		t.Fatalf("read %d rows, want %d (line-boundary split bug?)", len(rows), n)
-	}
-	byID := sortByID(rows)
-	for i := 0; i < n; i++ {
-		if !byID[int64(i)].Equal(makeRow(i)) {
-			t.Fatalf("row %d = %v, want %v", i, byID[int64(i)], makeRow(i))
-		}
-	}
-	// Splits must be block-aligned and numerous for this file size.
-	in := &TextInput{Dir: "/tsv"}
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
-	splits, err := in.Splits(jctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) < 4 {
-		t.Errorf("splits = %d; expected block-grained splitting", len(splits))
-	}
-}
-
-func TestTextFieldSanitization(t *testing.T) {
-	e := newEnv(1, 1024)
-	s := records.NewSchema(records.F("id", records.KindInt64), records.F("txt", records.KindString))
-	if _, err := WriteTextTable(e.fs, "/tsv2", s, func(emit func(records.Record) error) error {
-		return emit(records.Make(s, records.Int(1), records.Str("has\ttab and\nnewline")))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rows := scanAll(t, e, &TextInput{Dir: "/tsv2"}, nil)
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if got := rows[0].Get("txt").Str(); strings.ContainsAny(got, "\t\n") {
-		t.Errorf("framing characters leaked: %q", got)
-	}
-}
-
-func TestTextBadFieldErrors(t *testing.T) {
-	e := newEnv(1, 1024)
-	if err := WriteSchema(e.fs, "/tsv3", tblSchema); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.fs.WriteFile("/tsv3/part-00000.tsv", "", []byte("notanint\tname\t1.5\n")); err != nil {
-		t.Fatal(err)
-	}
-	in := &TextInput{Dir: "/tsv3"}
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
-	splits, err := in.Splits(jctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := in.Open(splits[0], mr.NewTestTaskContext(jctx, e.cluster.Nodes()[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, _, _, err := r.Next(); err == nil {
-		t.Error("expected parse error")
-	}
-}
-
-func TestImportTSVToCIF(t *testing.T) {
-	e := newEnv(2, 512)
-	const n = 150
-	if _, err := WriteTextTable(e.fs, "/raw", tblSchema, genRows(n)); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := ImportTSV(e.fs, "/raw", "/imported", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imported != n {
-		t.Errorf("imported %d rows", imported)
-	}
-	rows := scanAll(t, e, &CIFInput{Dir: "/imported"}, nil)
-	if len(rows) != n {
-		t.Fatalf("CIF read %d rows", len(rows))
-	}
-	byID := sortByID(rows)
-	for i := 0; i < n; i += 17 {
-		if !byID[int64(i)].Equal(makeRow(i)) {
-			t.Errorf("row %d mismatch after import", i)
-		}
 	}
 }

@@ -123,15 +123,16 @@ func (w *columnSetWriter) encode() []byte {
 	return append(buf, payloads...)
 }
 
-// EncodeRowTable reads the row-format table at dir exactly as ScanRowTable
-// does (same reads, charged to clientNode) and returns it as a column set.
-func EncodeRowTable(fs *hdfs.FileSystem, dir, clientNode string) ([]byte, error) {
+// EncodeRowTable reads one version of the row-format table at dir exactly as
+// ScanRowTableAt does (same reads, charged to clientNode) and returns it as
+// a column set.
+func EncodeRowTable(fs *hdfs.FileSystem, dir string, version uint64, clientNode string) ([]byte, error) {
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	w := newColumnSetWriter(schema)
-	if err := scanRowTable(fs, dir, clientNode, schema, w.append); err != nil {
+	if err := scanRowFiles(fs, rowPartPaths(dir, version), clientNode, schema, w.append); err != nil {
 		return nil, err
 	}
 	return w.encode(), nil

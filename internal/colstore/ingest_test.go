@@ -401,3 +401,144 @@ func TestExpireBeforeRetiresOnlyProvablyOld(t *testing.T) {
 		t.Fatalf("no-op retention retired %v", retired)
 	}
 }
+
+// TestTableVersions pins what a version is and when it moves. A row table's
+// version is its count of part files and every past version stays readable
+// as that many files; the fact table's content version moves on a publish
+// and a retirement, not on a compaction's swap; an empty or failed batch
+// moves nothing and leaves no file; Acquire pins all of it at once; Bump
+// re-derives a version after an external writer.
+func TestTableVersions(t *testing.T) {
+	e := newEnv(2, 1024)
+	if _, err := WriteCIFTable(e.fs, "/fact", tblSchema, 32, genRows(64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteRowTable(e.fs, "/dim", tblSchema, genRows(10)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewSnapshots(e.fs)
+	want := func(fact, dim uint64) {
+		t.Helper()
+		if got := reg.Versions("/fact", "/dim"); got[0] != fact || got[1] != dim {
+			t.Fatalf("versions = fact@%d dim@%d, want fact@%d dim@%d", got[0], got[1], fact, dim)
+		}
+	}
+	rows := func(lo, n int) func(emit func(records.Record) error) error {
+		return func(emit func(records.Record) error) error {
+			for i := lo; i < lo+n; i++ {
+				if err := emit(makeRow(i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	countAt := func(version uint64) int {
+		t.Helper()
+		n := 0
+		if err := ScanRowTableAt(e.fs, "/dim", version, "", func(records.Record) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	want(0, 1)
+
+	// Empty and failed batches: no version, no file.
+	files := e.fs.List("/")
+	if n, err := reg.AppendRows("/dim", rows(0, 0)); n != 0 || err != nil {
+		t.Fatalf("empty append = (%d, %v)", n, err)
+	}
+	if n, _, err := reg.RollIn("/fact", 32, rows(0, 0)); n != 0 || err != nil {
+		t.Fatalf("empty roll-in = (%d, %v)", n, err)
+	}
+	boom := errors.New("source failed")
+	if _, err := reg.AppendRows("/dim", func(emit func(records.Record) error) error {
+		emit(makeRow(99))
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("failed append: %v", err)
+	}
+	if got := e.fs.List("/"); fmt.Sprint(got) != fmt.Sprint(files) {
+		t.Fatalf("empty and failed batches left files:\n%v\nwas\n%v", got, files)
+	}
+	want(0, 1)
+
+	// A pin taken now keeps reading version 1 whatever lands afterwards.
+	pin, err := reg.Acquire("/fact", "/dim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	if n, err := reg.AppendRows("/dim", rows(10, 5)); n != 5 || err != nil {
+		t.Fatalf("append = (%d, %v)", n, err)
+	}
+	if n, parts, err := reg.RollIn("/fact", 32, rows(64, 40)); n != 40 || len(parts) != 2 || err != nil {
+		t.Fatalf("roll-in = (%d, %v, %v)", n, parts, err)
+	}
+	want(1, 2)
+	if pin.Versions[0] != 0 || pin.Versions[1] != 1 || len(pin.Parts) != 2 {
+		t.Fatalf("pin moved: fact@%d (%d partitions) dim@%d", pin.Versions[0], len(pin.Parts), pin.Versions[1])
+	}
+	if got := [2]int{countAt(1), countAt(2)}; got != [2]int{10, 15} {
+		t.Fatalf("dim@1 and dim@2 hold %v rows, want [10 15]", got)
+	}
+
+	// Compaction keeps the content version; retention moves it.
+	if res, err := Compact(reg, "/fact", CompactOptions{MinRows: 33, TargetRows: 64}); err != nil || len(res.Retired) == 0 {
+		t.Fatalf("compaction = %+v, %v", res, err)
+	}
+	want(1, 2)
+	parts, err := ListPartitions(e.fs, "/fact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Retire("/fact", parts[:1]); err != nil {
+		t.Fatal(err)
+	}
+	want(2, 2)
+
+	// An external writer's part file counts once the registry is told.
+	w, err := NewRowWriter(e.fs, "/dim/part-00002", "", tblSchema, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(makeRow(15)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want(2, 2)
+	reg.Bump("/dim")
+	reg.Bump("/fact")
+	want(3, 3)
+	if got := countAt(3); got != 16 {
+		t.Fatalf("dim@3 holds %d rows, want 16", got)
+	}
+}
+
+// TestVersionMemo: a memo keeps a table's newest version only, whatever the
+// order versions are put in, and tables do not disturb each other.
+func TestVersionMemo(t *testing.T) {
+	var m VersionMemo[int]
+	if _, ok := m.Get("a", 1, "k"); ok {
+		t.Fatal("hit in an empty memo")
+	}
+	m.Put("a", 1, "k", 10)
+	m.Put("a", 1, "l", 11)
+	m.Put("b", 7, "k", 70)
+	if v, ok := m.Get("a", 1, "k"); !ok || v != 10 || m.Len() != 3 {
+		t.Fatalf("a@1/k = (%d, %v), %d entries", v, ok, m.Len())
+	}
+	m.Put("a", 2, "k", 20) // supersedes both a@1 entries
+	if _, ok := m.Get("a", 1, "k"); ok || m.Len() != 2 {
+		t.Fatalf("a@1 survived a@2: %d entries", m.Len())
+	}
+	m.Put("a", 1, "k", 10) // a query still pinned at 1: not kept
+	if v, ok := m.Get("a", 2, "k"); !ok || v != 20 || m.Len() != 2 {
+		t.Fatalf("a@2/k = (%d, %v), %d entries", v, ok, m.Len())
+	}
+	if v, ok := m.Get("b", 7, "k"); !ok || v != 70 {
+		t.Fatalf("b@7/k = (%d, %v)", v, ok)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
@@ -168,7 +167,7 @@ func WriteRowTable(fs *hdfs.FileSystem, dir string, schema *records.Schema, rows
 	if err := WriteSchema(fs, dir, schema); err != nil {
 		return 0, err
 	}
-	w, err := NewRowWriter(fs, dir+"/part-00000", "", schema, 0)
+	w, err := NewRowWriter(fs, rowPartPath(dir, 0), "", schema, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -183,53 +182,24 @@ func WriteRowTable(fs *hdfs.FileSystem, dir string, schema *records.Schema, rows
 	return n, w.Close()
 }
 
-// AppendRowTable rolls rows into an existing row table as one fresh data
-// file, published atomically: rows stream into a "_"-prefixed temp name
-// (invisible to listDataFiles, hence to every reader) that is renamed into
-// place only after its footer is written. A concurrent ScanRowTable or
-// RowInput — both list data files per call — sees the table before the
-// append or after it, never a torn file; a crashed append leaves only
-// invisible "_ingest-*" debris. Returns the rows appended.
-func AppendRowTable(fs *hdfs.FileSystem, dir string, rows func(emit func(records.Record) error) error) (int64, error) {
-	schema, err := ReadSchema(fs, dir)
-	if err != nil {
-		return 0, err
+// rowPartPath names the i-th part file of a row table. Files are numbered
+// densely from zero, so the table's first v files are its version v.
+func rowPartPath(dir string, i uint64) string {
+	n := strconv.FormatUint(i, 10)
+	if len(n) < 5 {
+		n = "00000"[len(n):] + n
 	}
-	next := 0
-	for _, p := range listDataFiles(fs, dir) {
-		base := p[len(dir)+1:]
-		if n, err := strconv.Atoi(strings.TrimPrefix(base, "part-")); err == nil && n >= next {
-			next = n + 1
-		}
+	return dir + "/part-" + n
+}
+
+// RowTableVersion returns the row table's current version: the number of
+// part files published into it (0 when there is no such table).
+func RowTableVersion(fs *hdfs.FileSystem, dir string) uint64 {
+	v := uint64(0)
+	for fs.Exists(rowPartPath(dir, v)) {
+		v++
 	}
-	tmp := fmt.Sprintf("%s/_ingest-%05d", dir, next)
-	final := fmt.Sprintf("%s/part-%05d", dir, next)
-	if fs.Exists(tmp) {
-		fs.Delete(tmp) // debris of a crashed earlier append
-	}
-	w, err := NewRowWriter(fs, tmp, "", schema, 0)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	emit := func(r records.Record) error {
-		n++
-		return w.Append(r)
-	}
-	if err := rows(emit); err != nil {
-		w.Close()
-		fs.Delete(tmp)
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		fs.Delete(tmp)
-		return 0, err
-	}
-	if err := fs.Rename(tmp, final); err != nil {
-		fs.Delete(tmp)
-		return 0, err
-	}
-	return n, nil
+	return v
 }
 
 // RowSplit is a run of whole groups of one row file.

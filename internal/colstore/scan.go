@@ -8,18 +8,38 @@ import (
 )
 
 // ScanRowTable reads every row of a row-format table directly (outside any
-// MapReduce job), charging I/O to clientNode. Used for loading dimension
-// tables into node-local caches and for driver-side reads.
+// MapReduce job), charging I/O to clientNode: whatever data files the table
+// holds when it is called. Reads on behalf of a query go through
+// ScanRowTableAt instead.
 func ScanRowTable(fs *hdfs.FileSystem, dir, clientNode string, fn func(records.Record) error) error {
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return err
 	}
-	return scanRowTable(fs, dir, clientNode, schema, fn)
+	return scanRowFiles(fs, listDataFiles(fs, dir), clientNode, schema, fn)
 }
 
-func scanRowTable(fs *hdfs.FileSystem, dir, clientNode string, schema *records.Schema, fn func(records.Record) error) error {
-	for _, path := range listDataFiles(fs, dir) {
+// ScanRowTableAt reads the rows of one version of a row table — its first
+// version part files, which no later append touches — charging I/O to
+// clientNode.
+func ScanRowTableAt(fs *hdfs.FileSystem, dir string, version uint64, clientNode string, fn func(records.Record) error) error {
+	schema, err := ReadSchema(fs, dir)
+	if err != nil {
+		return err
+	}
+	return scanRowFiles(fs, rowPartPaths(dir, version), clientNode, schema, fn)
+}
+
+func rowPartPaths(dir string, version uint64) []string {
+	paths := make([]string, version)
+	for i := range paths {
+		paths[i] = rowPartPath(dir, uint64(i))
+	}
+	return paths
+}
+
+func scanRowFiles(fs *hdfs.FileSystem, paths []string, clientNode string, schema *records.Schema, fn func(records.Record) error) error {
+	for _, path := range paths {
 		r, err := fs.Open(path, clientNode)
 		if err != nil {
 			return err

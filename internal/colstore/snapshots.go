@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"fmt"
 	"sync"
 
 	"clydesdale/internal/hdfs"
@@ -8,15 +9,22 @@ import (
 )
 
 // Snapshots is the table-visibility registry that makes roll-in, compaction
-// and retention safe to run while queries execute. It owns two things:
+// and retention safe to run while queries execute, and the one place that
+// knows table versions. It owns three things:
 //
-//   - Pinned partition-list snapshots. A query acquires its fact partition
-//     list exactly once, at plan time; every split of every pass reads that
-//     frozen list, so the query sees one table state end to end.
-//   - Atomic visibility swaps. Publishing staged partitions and retiring
-//     old ones happens under the same mutex Acquire takes, so a snapshot
-//     observes the table strictly before or strictly after a batch — never
-//     a half-published roll-in or a half-retired compaction.
+//   - Table versions. A row table (a dimension) is append-only: its version
+//     is the number of part files published into it, so any past version is
+//     still readable as a file prefix (ScanRowTableAt). A partitioned table
+//     (the fact) has a content version that moves on whenever its row
+//     multiset changes: on Publish and Retire, not on a compaction's Swap.
+//   - Pinned snapshots. A query acquires its fact partition list and the
+//     version of every row table it joins exactly once, at plan time, under
+//     one hold of the mutex; every pass reads that frozen vector, so the
+//     query sees one state of every table end to end.
+//   - Atomic visibility swaps. Every publish and retirement happens under
+//     the mutex Acquire takes, so a snapshot observes a table strictly
+//     before or strictly after a batch — never a half-published roll-in or
+//     a half-retired compaction.
 //
 // Retired partitions are unlinked from visibility immediately (their commit
 // marker is removed) but physically deleted only once no pinned snapshot
@@ -25,46 +33,95 @@ import (
 type Snapshots struct {
 	fs *hdfs.FileSystem
 
-	mu     sync.Mutex
-	live   map[string]map[*Snapshot]bool // dir → pinned snapshots
-	doomed map[string][]string           // dir → retired, delete when unpinned
+	mu       sync.Mutex
+	live     map[string]map[*Snapshot]bool // dir → pinned snapshots
+	doomed   map[string][]string           // dir → retired, delete when unpinned
+	versions map[string]uint64             // dir → content version or part files published
 }
 
 // NewSnapshots creates a registry over one filesystem.
 func NewSnapshots(fs *hdfs.FileSystem) *Snapshots {
 	return &Snapshots{
-		fs:     fs,
-		live:   make(map[string]map[*Snapshot]bool),
-		doomed: make(map[string][]string),
+		fs:       fs,
+		live:     make(map[string]map[*Snapshot]bool),
+		doomed:   make(map[string][]string),
+		versions: make(map[string]uint64),
 	}
 }
 
-// Snapshot is one pinned partition list. Parts is immutable; Release it
-// when the query ends so retired partitions it pinned can be reclaimed.
+// Snapshot is one pinned {table → version} vector: the partition list of
+// Dir, and in Versions its content version followed by the version of each
+// row table acquired with it, in argument order. It is immutable; Release
+// it when the query ends so retired partitions it pinned can be reclaimed.
 type Snapshot struct {
-	Dir   string
-	Parts []string
+	Dir      string
+	Parts    []string
+	Versions []uint64
 
 	reg      *Snapshots
 	released bool
 }
 
-// Acquire pins the table's current committed partition list. The listing
-// happens under the registry mutex, so it is atomic with respect to every
-// Swap: a concurrent roll-in or compaction is observed fully or not at all.
-func (s *Snapshots) Acquire(dir string) (*Snapshot, error) {
+// Acquire pins the current state of the partitioned table at dir together
+// with the current version of every listed row table. All of it is read
+// under one hold of the registry mutex, so the vector is atomic with respect
+// to every publish: a concurrent roll-in into any of the tables, or a
+// compaction, is observed fully or not at all.
+func (s *Snapshots) Acquire(dir string, rowTables ...string) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	parts, err := ListPartitions(s.fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	sn := &Snapshot{Dir: dir, Parts: parts, reg: s}
+	sn := &Snapshot{Dir: dir, Parts: parts, Versions: s.versionsLocked(dir, rowTables), reg: s}
 	if s.live[dir] == nil {
 		s.live[dir] = make(map[*Snapshot]bool)
 	}
 	s.live[dir][sn] = true
 	return sn, nil
+}
+
+// Versions returns the vector Acquire would pin, without listing or pinning
+// anything: counters read under the mutex.
+func (s *Snapshots) Versions(dir string, rowTables ...string) []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.versionsLocked(dir, rowTables)
+}
+
+func (s *Snapshots) versionsLocked(dir string, rowTables []string) []uint64 {
+	out := make([]uint64, 1+len(rowTables))
+	out[0] = s.versions[dir]
+	for i, t := range rowTables {
+		out[1+i] = s.rowVersionLocked(t)
+	}
+	return out
+}
+
+// rowVersionLocked is the row table's version, counted from its files the
+// first time the registry sees it.
+func (s *Snapshots) rowVersionLocked(dir string) uint64 {
+	v, ok := s.versions[dir]
+	if !ok {
+		if v = RowTableVersion(s.fs, dir); v > 0 {
+			s.versions[dir] = v
+		}
+	}
+	return v
+}
+
+// Bump gives the table at dir a new version after a writer outside the
+// registry changed it: a row table is recounted from its part files, a
+// partitioned table's content version moves on by one.
+func (s *Snapshots) Bump(dir string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v := RowTableVersion(s.fs, dir); v > 0 {
+		s.versions[dir] = v
+	} else {
+		s.versions[dir]++
+	}
 }
 
 // Release unpins the snapshot, physically deleting any retired partitions
@@ -120,24 +177,31 @@ func (s *Snapshots) reapLocked(dir string) {
 	}
 }
 
-// Publish commits staged partitions, making them visible as one batch.
+// Publish commits staged partitions, making them visible as one batch and
+// the table's content a new version.
 func (s *Snapshots) Publish(dir string, parts []string) error {
-	return s.Swap(dir, parts, nil)
+	return s.swap(dir, parts, nil, true)
 }
 
-// Retire removes partitions from visibility as one batch; physical deletion
-// waits for pinned snapshots to drain.
+// Retire removes partitions from visibility as one batch, making the
+// table's content a new version; physical deletion waits for pinned
+// snapshots to drain.
 func (s *Snapshots) Retire(dir string, parts []string) error {
-	return s.Swap(dir, nil, parts)
+	return s.swap(dir, nil, parts, true)
 }
 
-// Swap atomically publishes staged partitions and retires old ones: the
-// compactor's commit point. Both lists change visibility under the mutex
-// Acquire holds, so no snapshot sees the new partitions alongside the old.
+// Swap atomically publishes staged partitions and retires old ones holding
+// the same rows: the compactor's commit point. Both lists change visibility
+// under the mutex Acquire holds, so no snapshot sees the new partitions
+// alongside the old; the content version stays, because every answer does.
 // Marker writes are the one phase that can fail (no alive datanodes); on
 // error nothing was retired and the published prefix is committed — a
 // retried Swap is idempotent.
 func (s *Snapshots) Swap(dir string, publish, retire []string) error {
+	return s.swap(dir, publish, retire, false)
+}
+
+func (s *Snapshots) swap(dir string, publish, retire []string, newContent bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, p := range publish {
@@ -150,6 +214,9 @@ func (s *Snapshots) Swap(dir string, publish, retire []string) error {
 		s.doomed[dir] = append(s.doomed[dir], p)
 	}
 	s.reapLocked(dir)
+	if newContent && len(publish)+len(retire) > 0 {
+		s.versions[dir]++
+	}
 	return nil
 }
 
@@ -179,4 +246,100 @@ func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(
 		return 0, nil, err
 	}
 	return w.Rows(), pending, nil
+}
+
+// AppendRows rolls a batch of rows into the row table at dir as its next
+// part file and version: rows stream into a "_"-prefixed name no reader
+// opens, which is renamed into place, and counted, under the registry mutex
+// once its footer is written. A snapshot pins the table before the batch or
+// after it; a failed or empty batch publishes nothing and leaves no file.
+// Returns the rows appended.
+func (s *Snapshots) AppendRows(dir string, rows func(emit func(records.Record) error) error) (int64, error) {
+	schema, err := ReadSchema(s.fs, dir)
+	if err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	tmp := fmt.Sprintf("%s/_ingest-%05d", dir, s.rowVersionLocked(dir))
+	s.mu.Unlock()
+	s.fs.Delete(tmp) // debris of a crashed earlier append
+	w, err := NewRowWriter(s.fs, tmp, "", schema, 0)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	err = rows(func(r records.Record) error {
+		n++
+		return w.Append(r)
+	})
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && n > 0 {
+		s.mu.Lock()
+		v := s.rowVersionLocked(dir)
+		if err = s.fs.Rename(tmp, rowPartPath(dir, v)); err == nil {
+			s.versions[dir] = v + 1
+		}
+		s.mu.Unlock()
+		if err == nil {
+			return n, nil
+		}
+	}
+	s.fs.Delete(tmp)
+	return 0, err
+}
+
+// VersionMemo memoizes values derived from one version of a table (prune
+// hints, size estimates), keeping a table's entries for the newest version
+// it has been handed only: the first Put at a newer version drops the older
+// ones', a Put at an older version — a query still pinned there — is not
+// kept. The zero value is ready to use, from any goroutine.
+type VersionMemo[V any] struct {
+	mu     sync.Mutex
+	tables map[string]*memoTable[V]
+}
+
+type memoTable[V any] struct {
+	version uint64
+	vals    map[string]V
+}
+
+// Get returns the value memoized under key for that version of the table.
+func (m *VersionMemo[V]) Get(table string, version uint64, key string) (v V, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t := m.tables[table]; t != nil && t.version == version {
+		v, ok = t.vals[key]
+	}
+	return v, ok
+}
+
+// Put memoizes v under key for that version of the table.
+func (m *VersionMemo[V]) Put(table string, version uint64, key string, v V) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := m.tables[table]
+	switch {
+	case t == nil || t.version < version:
+		if m.tables == nil {
+			m.tables = make(map[string]*memoTable[V])
+		}
+		t = &memoTable[V]{version: version, vals: make(map[string]V)}
+		m.tables[table] = t
+	case t.version > version:
+		return
+	}
+	t.vals[key] = v
+}
+
+// Len returns the number of values held.
+func (m *VersionMemo[V]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, t := range m.tables {
+		n += len(t.vals)
+	}
+	return n
 }

@@ -36,7 +36,7 @@ const (
 var cascadeSeq atomic.Int64
 
 // runCascade executes a KindCascade physical plan.
-func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
+func (e *Engine) runCascade(ctx context.Context, p *plan.Physical, pin *Pin) (*results.ResultSet, *Report, error) {
 	start := time.Now()
 	sh := p.Shape
 	head := 0
@@ -50,7 +50,7 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	if buckets < 1 {
 		buckets = 1
 	}
-	dims := DimSpecs(p.Steps[:head])
+	dims := pin.DimSpecs(p.Steps[:head])
 	if err := e.ensureCached(ctx, dims); err != nil {
 		return nil, nil, err
 	}
@@ -66,14 +66,9 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	// carried rows written bucketed on the first deep join key. It is the
 	// only pass that reads the fact table; deeper passes consume bucketed
 	// intermediates.
-	scan, release, err := e.factScan(sh, dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
 	curDir := tmp + "/pass-1"
 	curSchema := p.Steps[head-1].Out
-	res, err := e.runJoinPass(ctx, "clydesdale-cascade-"+sh.Name+"-star", scan,
+	res, err := e.runJoinPass(ctx, "clydesdale-cascade-"+sh.Name+"-star", e.factScan(sh, dims, pin),
 		&colstore.BucketRowOutput{Dir: curDir, Schema: curSchema, KeyCol: p.Steps[head].FK, Buckets: buckets},
 		newRowRunner(e, dims, sh.FactPred, curSchema))
 	if err != nil {
@@ -87,7 +82,7 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	for i := head; i < len(p.Steps); i++ {
 		st := &p.Steps[i]
 		sideDir := fmt.Sprintf("%s/side-%s", tmp, st.Table)
-		sideSchema, err := e.writeCascadeSideTable(ctx, st, sideDir, buckets)
+		sideSchema, err := e.writeCascadeSideTable(ctx, st, pin.Read.Of(st.Table), sideDir, buckets)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: %s cascade side table %s: %w", sh.Name, st.Table, err)
 		}
@@ -117,11 +112,11 @@ func (e *Engine) runCascade(ctx context.Context, p *plan.Physical) (*results.Res
 	return finish(sh, out, &Report{Job: job, Cascade: true, CascadePasses: passes}, start)
 }
 
-// writeCascadeSideTable scans a snowflake dimension on the driver,
-// filters it, and writes one blob per bucket (PK + aux columns, bucketed
+// writeCascadeSideTable scans the pinned version of a snowflake dimension on
+// the driver, filters it, and writes one blob per bucket (PK + aux columns, bucketed
 // by mr.BucketOf on the PK — the same function that bucketed the probe
 // stream). Returns the side blob's record schema.
-func (e *Engine) writeCascadeSideTable(ctx context.Context, st *plan.Step, sideDir string, buckets int) (*records.Schema, error) {
+func (e *Engine) writeCascadeSideTable(ctx context.Context, st *plan.Step, version uint64, sideDir string, buckets int) (*records.Schema, error) {
 	done := e.phaseSpan(ctx, obs.PhaseHashBuild)
 	defer done()
 	dimDir, err := e.cat.DimDir(st.Table)
@@ -146,7 +141,7 @@ func (e *Engine) writeCascadeSideTable(ctx context.Context, st *plan.Step, sideD
 	}
 	blobs := make([][]byte, buckets)
 	fs := e.mr.FS()
-	err = colstore.ScanRowTable(fs, dimDir, "", func(r records.Record) error {
+	err = colstore.ScanRowTableAt(fs, dimDir, version, "", func(r records.Record) error {
 		if pred != nil && !pred(r) {
 			return nil
 		}

@@ -128,8 +128,8 @@ func TestColumnarBuildMatchesRowwiseSnowflake(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, spec := range core.DimSpecs(steps) {
-				spec := spec
+			for i := range steps {
+				spec := core.DimSpecOf(&steps[i].JoinEdge)
 				dir, err := cat.DimDir(spec.Table)
 				if err != nil {
 					t.Fatal(err)
@@ -313,7 +313,7 @@ func TestCustomerBuildAllocations(t *testing.T) {
 	allocs := map[string]float64{}
 	for dir, scale := range map[string]float64{"/small": 0.1, "/large": 1} {
 		writeCustomers(t, fs, dir, scale)
-		if _, err := core.EnsureDimCached(fs, dir); err != nil {
+		if _, err := core.EnsureCatalogCached(fs, &core.Catalog{DimDirs: map[string]string{"customer": dir}}); err != nil {
 			t.Fatal(err)
 		}
 		dir := dir
@@ -333,9 +333,9 @@ func TestCustomerBuildAllocations(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildsShareOneRecopy: after the node-local copy is dropped
-// (a dimension roll-in, a revived node), builds that miss it at the same
-// time scan the master once and write one copy.
+// TestConcurrentBuildsShareOneRecopy: after the node-local copy is lost (a
+// failed disk, a revived node), builds that miss it at the same time scan
+// the master once and write one copy.
 func TestConcurrentBuildsShareOneRecopy(t *testing.T) {
 	q, err := ssb.QueryByName("Q3.1")
 	if err != nil {
@@ -347,10 +347,10 @@ func TestConcurrentBuildsShareOneRecopy(t *testing.T) {
 	node := c.Nodes()[0]
 	const dir = "/customer"
 	writeCustomers(t, fs, dir, 0.1)
-	if n, err := core.EnsureDimCached(fs, dir); err != nil || n != 1 {
+	if n, err := core.EnsureCatalogCached(fs, &core.Catalog{DimDirs: map[string]string{"customer": dir}}); err != nil || n != 1 {
 		t.Fatalf("first copy: %d nodes, err %v", n, err)
 	}
-	blob, _ := node.GetLocal("clydesdale/dimcache" + dir)
+	blob, _ := node.GetLocal("clydesdale/dimcache" + dir + "@1")
 	oneCopy := int64(len(blob))
 	reads := fs.Metrics().Snapshot()
 	oneScan := reads.LocalBytesRead + reads.RemoteBytesRead
@@ -415,7 +415,7 @@ func TestDamagedLocalCopyIsRecopiedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := "clydesdale/dimcache" + dir
+	key := "clydesdale/dimcache" + dir + "@1"
 	good, ok := node.GetLocal(key)
 	if !ok {
 		t.Fatal("no local copy after a build")
@@ -482,7 +482,7 @@ func BenchmarkDimBuildFromLocal(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.EnsureDimCached(fs, dir); err != nil {
+		if _, err := core.EnsureCatalogCached(fs, &core.Catalog{DimDirs: map[string]string{bc.table: dir}}); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(bc.query+"/"+bc.table, func(b *testing.B) {

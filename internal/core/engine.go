@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"clydesdale/internal/cluster"
@@ -88,53 +87,115 @@ type Engine struct {
 	opts  Options
 	snaps *colstore.Snapshots
 
-	// hintMu guards hintCache, the per-(dimension, predicate) memo of
-	// derived scan pushdowns (FK-range prune hint + semi-join bloom).
-	// Dimension contents change on roll-in, which must evict the memo
-	// through InvalidateTable — a stale bloom silently kills fact rows that
-	// should match. hintGen counts a table's invalidations, so a derive
-	// that raced one does not put its pre-roll-in result back.
-	hintMu    sync.Mutex
-	hintCache map[string]*dimScan
-	hintGen   map[string]uint64
+	// hints memoizes the scan pushdowns (FK-range prune hint + semi-join
+	// bloom) derived from one version of a dimension under one predicate.
+	hints colstore.VersionMemo[*dimScan]
 }
 
 // New creates an engine over a MapReduce engine and a catalog.
 func New(mrEngine *mr.Engine, cat *Catalog, opts Options) *Engine {
-	return &Engine{mr: mrEngine, cat: cat, opts: opts,
-		snaps:     colstore.NewSnapshots(mrEngine.FS()),
-		hintCache: make(map[string]*dimScan),
-		hintGen:   make(map[string]uint64),
-	}
+	return &Engine{mr: mrEngine, cat: cat, opts: opts, snaps: colstore.NewSnapshots(mrEngine.FS())}
 }
 
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *Catalog { return e.cat }
 
-// Snapshots returns the engine's partition-visibility registry. Every fact
-// scan the engine runs pins its partition list here at plan time, so
+// Snapshots returns the engine's table-version registry. Every query the
+// engine runs pins its {table → version} vector here at plan time, so
 // ingestion paths (roll-in, compaction, retention) must publish and retire
 // through the same registry to stay atomic with respect to queries.
 func (e *Engine) Snapshots() *colstore.Snapshots { return e.snaps }
 
-// InvalidateTable drops the derived scan state memoized for a table — the
-// FK-range prune hints and semi-join blooms keyed by its dimension
-// predicates. Call it after rolling new rows into the table, before the
-// next query plans; serve.Session.RollIn wires this into its invalidation
-// fan-out. Returns the entries dropped.
-func (e *Engine) InvalidateTable(table string) int {
-	prefix := table + "|"
-	e.hintMu.Lock()
-	defer e.hintMu.Unlock()
-	e.hintGen[table]++
-	n := 0
-	for k := range e.hintCache {
-		if strings.HasPrefix(k, prefix) {
-			delete(e.hintCache, k)
-			n++
+// Versions is a {table → version} vector: Tables in plan.Shape.Tables order
+// (the fact table first, then the joined tables by name), At index-aligned.
+type Versions struct {
+	Tables []string
+	At     []uint64
+}
+
+// Of returns the version of the named table, 0 when the vector lacks it.
+func (v Versions) Of(table string) uint64 {
+	for i, t := range v.Tables {
+		if t == table {
+			return v.At[i]
 		}
 	}
-	return n
+	return 0
+}
+
+// String renders the vector as "lineorder@7 customer@3".
+func (v Versions) String() string {
+	parts := make([]string, len(v.Tables))
+	for i, t := range v.Tables {
+		parts[i] = fmt.Sprintf("%s@%d", t, v.At[i])
+	}
+	return strings.Join(parts, " ")
+}
+
+// Pin is the one state of the catalog a query reads: the fact table's
+// partition list and the version of every table the plan joins, taken
+// under one hold of the registry mutex. Release it when the query ends.
+type Pin struct {
+	Read Versions
+	snap *colstore.Snapshot
+}
+
+// Release unpins the fact partitions. Safe on nil and idempotent.
+func (p *Pin) Release() {
+	if p != nil {
+		p.snap.Release()
+	}
+}
+
+// DimSpecs are the build specs of a pipeline's join edges, in step order,
+// each reading the version of its table the query pinned.
+func (p *Pin) DimSpecs(steps []plan.Step) []DimSpec {
+	dims := make([]DimSpec, len(steps))
+	for i := range steps {
+		dims[i] = DimSpecOf(&steps[i].JoinEdge)
+		dims[i].Version = p.Read.Of(dims[i].Table)
+	}
+	return dims
+}
+
+// dirsOf resolves a shape's tables (plan.Shape.Tables: the fact table
+// first) to their directories.
+func (e *Engine) dirsOf(tables []string) ([]string, error) {
+	dirs := make([]string, len(tables))
+	dirs[0] = e.cat.FactDir
+	for i, t := range tables[1:] {
+		dir, err := e.cat.DimDir(t)
+		if err != nil {
+			return nil, err
+		}
+		dirs[1+i] = dir
+	}
+	return dirs, nil
+}
+
+// Pin pins the vector a query over a shape reads: the current state of
+// every table in sh.Tables(), all taken at one instant.
+func (e *Engine) Pin(sh *plan.Shape) (*Pin, error) {
+	tables := sh.Tables()
+	dirs, err := e.dirsOf(tables)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := e.snaps.Acquire(dirs[0], dirs[1:]...)
+	if err != nil {
+		return nil, err
+	}
+	return &Pin{Read: Versions{tables, snap.Versions}, snap: snap}, nil
+}
+
+// CurrentVersions returns the vector Pin would pin for the listed tables
+// (plan.Shape.Tables order) without pinning or listing anything.
+func (e *Engine) CurrentVersions(tables []string) (Versions, error) {
+	dirs, err := e.dirsOf(tables)
+	if err != nil {
+		return Versions{}, err
+	}
+	return Versions{tables, e.snaps.Versions(dirs[0], dirs[1:]...)}, nil
 }
 
 // Report describes one executed query.
@@ -143,6 +204,8 @@ type Report struct {
 	Job      *mr.JobResult
 	Total    time.Duration
 	SortTime time.Duration
+	// Read is the {table → version} vector the answer was computed from.
+	Read Versions
 	// Staged reports whether the staged (one pass per dimension) plan ran,
 	// either because the plan asked for it or as the star plan's OOM
 	// fallback.
@@ -194,7 +257,7 @@ func (e *Engine) Run(ctx context.Context, q *Query) (*results.ResultSet, *Report
 // standalone CLI or test does not). The returned context carries the root
 // span context for the jobs below; the returned finish emits the root
 // "query" span — call it exactly once, after the query ends.
-func (e *Engine) traceRoot(ctx context.Context, name string) (context.Context, func(error)) {
+func (e *Engine) traceRoot(ctx context.Context, name string, read Versions) (context.Context, func(error)) {
 	tr := e.mr.Tracer()
 	if _, ok := obs.FromContext(ctx); ok || !tr.Enabled() {
 		return ctx, func(error) {}
@@ -207,7 +270,7 @@ func (e *Engine) traceRoot(ctx context.Context, name string) (context.Context, f
 			status = "error"
 		}
 		s := obs.Span{Name: obs.PhaseQuery, Start: start, End: time.Now(),
-			Attrs: obs.Attrs("query", name, "status", status)}
+			Attrs: obs.Attrs("query", name, "status", status, "read", read.String())}
 		sc.Fill(&s, "")
 		tr.Emit(s)
 	}
@@ -229,30 +292,38 @@ func (e *Engine) phaseSpan(ctx context.Context, name string) func() {
 	}
 }
 
-// ensureCached makes every listed dimension's node-local copy present on
-// every live node (normally a no-op after cluster setup), under a dim-cache
-// phase span.
+// ensureCached makes the node-local copy of every listed dimension, at the
+// version its spec names, present on every live node (normally a no-op
+// after cluster setup), under a dim-cache phase span.
 func (e *Engine) ensureCached(ctx context.Context, dims []DimSpec) error {
 	defer e.phaseSpan(ctx, obs.PhaseDimCache)()
-	_, err := EnsureCatalogCachedFor(e.mr.FS(), e.cat, dims)
-	return err
+	for i := range dims {
+		dir, err := e.cat.DimDir(dims[i].Table)
+		if err != nil {
+			return err
+		}
+		if _, err := ensureDimCached(e.mr.FS(), dir, dims[i].Version); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // factScan is the fact-table input of every executor's first pass: the
 // shape's fact read set (every column under NoColumnarStorage), the fact
 // predicate, and the scan pushdowns derived from the depth-1 dimensions
 // head — FK-range prune hints, semi-join blooms, FKs decoded eagerly. It
-// pins the partition list here, at plan time: a roll-in, compaction or
+// scans the partition list the query pinned: a roll-in, compaction or
 // retention landing while the query runs changes what ListPartitions would
-// return, not what the query scans. The caller runs release when the query
-// ends.
-func (e *Engine) factScan(sh *plan.Shape, head []DimSpec) (*colstore.CIFInput, func(), error) {
+// return, not what the query scans.
+func (e *Engine) factScan(sh *plan.Shape, head []DimSpec, pin *Pin) *colstore.CIFInput {
 	ab := e.opts.Ablate
 	input := &colstore.CIFInput{
 		Dir: e.cat.FactDir, Schema: e.cat.FactSchema,
 		Pred: sh.FactPred, EagerColumns: factFKs(head),
 		DisablePruning: ab.Has(NoScanPruning), DisableLateMat: ab.Has(NoLateMaterialization),
 		DisableCodeSpacePreds: ab.Has(NoCodeSpacePreds),
+		Snapshot:              pin.snap.Parts,
 	}
 	if !ab.Has(NoColumnarStorage) {
 		input.Columns = sh.FactColumns()
@@ -263,12 +334,7 @@ func (e *Engine) factScan(sh *plan.Shape, head []DimSpec) (*colstore.CIFInput, f
 	if !ab.Has(NoBloomPushdown) {
 		input.KeyFilters = e.semiJoinFilters(head)
 	}
-	snap, err := e.snaps.Acquire(e.cat.FactDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	input.Snapshot = snap.Parts
-	return input, snap.Release, nil
+	return input
 }
 
 // mapJoinConf configures a job whose map side runs the star-join runner.
@@ -308,10 +374,10 @@ func (e *Engine) sumJob(job *mr.Job, sh *plan.Shape) {
 
 // runStar runs a depth-1 plan as one MapReduce job: the runner joins and
 // partially aggregates on the map side, reducers finish the grouped sums.
-func (e *Engine) runStar(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
+func (e *Engine) runStar(ctx context.Context, p *plan.Physical, pin *Pin) (*results.ResultSet, *Report, error) {
 	start := time.Now()
 	sh := p.Shape
-	dims := DimSpecs(p.Steps)
+	dims := pin.DimSpecs(p.Steps)
 	if err := e.ensureCached(ctx, dims); err != nil {
 		return nil, nil, err
 	}
@@ -319,16 +385,11 @@ func (e *Engine) runStar(ctx context.Context, p *plan.Physical) (*results.Result
 	if err != nil {
 		return nil, nil, err
 	}
-	input, release, err := e.factScan(sh, dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
 		Name:         "clydesdale-" + sh.Name,
 		Conf:         e.mapJoinConf(),
-		Input:        input,
+		Input:        e.factScan(sh, dims, pin),
 		Output:       out,
 		NewMapRunner: func() mr.MapRunner { return runner },
 	}

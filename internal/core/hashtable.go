@@ -279,21 +279,27 @@ func (h *DimHashTable) finalize() {
 // this is the §6.3 "build" phase that runs once per node). The build is
 // single-threaded, as in the paper, and projected: it opens only the
 // predicate's columns, the key and the aux columns, and materializes the
-// latter two for qualifying rows alone. A copy that fails its checks is
-// dropped and re-copied from HDFS once (§4) before the build gives up.
+// latter two for qualifying rows alone. It reads the version of the table
+// the spec names, the current one when the spec names none. A copy that
+// fails its checks is dropped and re-copied from HDFS once (§4) before the
+// build gives up.
 func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, spec *DimSpec) (*DimHashTable, error) {
-	h, err := buildDimHashTable(fs, node, dimDir, spec)
+	version := spec.Version
+	if version == 0 {
+		version = colstore.RowTableVersion(fs, dimDir)
+	}
+	h, err := buildDimHashTable(fs, node, dimDir, version, spec)
 	if !errors.Is(err, colstore.ErrBadColumnSet) {
 		return h, err
 	}
-	node.DropLocal(dimCacheKey(dimDir))
-	if h, err = buildDimHashTable(fs, node, dimDir, spec); errors.Is(err, colstore.ErrBadColumnSet) {
+	node.DropLocal(dimCacheKey(dimDir, version))
+	if h, err = buildDimHashTable(fs, node, dimDir, version, spec); errors.Is(err, colstore.ErrBadColumnSet) {
 		return nil, fmt.Errorf("core: dim %s: local copy on %s unusable after a re-copy: %w", spec.Table, node.ID(), err)
 	}
 	return h, err
 }
 
-func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, spec *DimSpec) (*DimHashTable, error) {
+func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, version uint64, spec *DimSpec) (*DimHashTable, error) {
 	schema := spec.Schema
 	pkIx := schema.Index(spec.DimPK)
 	if pkIx < 0 {
@@ -306,7 +312,7 @@ func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, s
 	for i, a := range spec.Aux {
 		auxIx[i] = schema.MustIndex(a)
 	}
-	set, err := localDim(fs, node, dimDir, schema)
+	set, err := localDim(fs, node, dimDir, version, schema)
 	if err != nil {
 		return nil, err
 	}

@@ -13,16 +13,17 @@ import (
 	"clydesdale/internal/ssb"
 )
 
-// TestRollInInvalidatesDerivedScanState is the regression test for the
-// stale-pushdown bug: Engine.hintCache memoizes the FK-range prune hint and
+// TestDimRollInReachesNextQuery is the regression test for the
+// stale-pushdown bug: the engine memoizes the FK-range prune hint and
 // semi-join bloom derived from a filtered dimension scan, and the node-local
-// dimension copies feed every hash-table build. Before the fix, rolling new
-// rows into a dimension left both caches holding pre-roll-in state — the
-// stale hint pruned every new fact partition and the stale bloom dropped
-// every new fact row, so queries silently returned the old answer forever.
-// After the invalidation fan-out (DropDimCached + Engine.InvalidateTable)
-// the very next query must see the new rows.
-func TestRollInInvalidatesDerivedScanState(t *testing.T) {
+// dimension copies feed every hash-table build. Serving either from the
+// state before a dimension roll-in prunes every new fact partition, drops
+// every new fact row, or builds tables missing the new keys, so queries
+// silently return the old answer forever. All of it is keyed by the version
+// of the dimension it was derived from: the very next query pins the new
+// version, must see the new rows, and every node ends up holding the new
+// version's copy alone.
+func TestDimRollInReachesNextQuery(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 
 	factSchema := records.NewSchema(
@@ -88,21 +89,24 @@ func TestRollInInvalidatesDerivedScanState(t *testing.T) {
 		AggExpr: expr.Col("f_m"),
 		AggName: "total",
 	}
-	sum := func() float64 {
+	sum := func(wantRead string) float64 {
 		t.Helper()
-		rs, _, err := eng.Run(context.Background(), q)
+		rs, rep, err := eng.Run(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rs.Rows) != 1 {
 			t.Fatalf("result = %s", rs)
 		}
+		if got := rep.Read.String(); got != wantRead {
+			t.Errorf("query read %q, want %q", got, wantRead)
+		}
 		return rs.Rows[0].At(0).Float64()
 	}
 
 	// Pre-roll-in: hot keys {1..4}, total 1+2+3+4. This run populates the
 	// hint memo, the bloom, and every node's local dimension copy.
-	if got := sum(); got != 10 {
+	if got := sum("f@0 d@1"); got != 10 {
 		t.Fatalf("pre-roll-in total = %v, want 10", got)
 	}
 
@@ -110,7 +114,7 @@ func TestRollInInvalidatesDerivedScanState(t *testing.T) {
 	// stale bloom {1..4} would drop the new fact rows; a stale hint [1,4]
 	// would prune their partitions before the bloom even ran; a stale
 	// node-local dimension copy would build hash tables missing 9..12.
-	if _, err := colstore.AppendRowTable(e.fs, "/star/d", func(emit func(records.Record) error) error {
+	if _, err := eng.Snapshots().AppendRows("/star/d", func(emit func(records.Record) error) error {
 		for pk := int64(9); pk <= 12; pk++ {
 			if err := emit(dimRow(pk, "hot")); err != nil {
 				return err
@@ -131,17 +135,16 @@ func TestRollInInvalidatesDerivedScanState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The invalidation fan-out under test.
-	if n := core.DropDimCached(e.cluster, "/star/d"); n == 0 {
-		t.Fatal("no node-local dimension copies to drop — test exercised nothing")
-	}
-	if n := eng.InvalidateTable("d"); n == 0 {
-		t.Fatal("no memoized dim scans evicted — test exercised nothing")
-	}
-
 	// Post-roll-in: hot keys {1..4, 9..12}, total 10 + (9+10+11+12).
-	if got := sum(); got != 52 {
+	if got := sum("f@1 d@2"); got != 52 {
 		t.Fatalf("post-roll-in total = %v, want 52 (stale pushdown state?)", got)
+	}
+	// Every node re-copied the dimension at its new version and dropped the
+	// copy that version superseded.
+	for _, n := range e.cluster.Nodes() {
+		if got := n.LocalPaths("clydesdale/dimcache/star/d@"); len(got) != 1 || got[0] != "clydesdale/dimcache/star/d@2" {
+			t.Errorf("%s holds dimension copies %v, want the version-2 copy alone", n.ID(), got)
+		}
 	}
 }
 

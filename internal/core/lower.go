@@ -72,12 +72,3 @@ func (e *Engine) Lower(l *plan.Logical) (*plan.Physical, error) {
 func DimSpecOf(e *plan.JoinEdge) DimSpec {
 	return DimSpec{Table: e.Table, Schema: e.Schema, FactFK: e.FK, DimPK: e.PK, Pred: e.Pred, Aux: e.Aux}
 }
-
-// DimSpecs is DimSpecOf over a pipeline, in step order.
-func DimSpecs(steps []plan.Step) []DimSpec {
-	dims := make([]DimSpec, len(steps))
-	for i := range steps {
-		dims[i] = DimSpecOf(&steps[i].JoinEdge)
-	}
-	return dims
-}

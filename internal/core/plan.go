@@ -16,12 +16,18 @@ import (
 // cardinality from the CIF zone maps, per-table row counts and hash-table
 // footprints from the unified estimators (the star model and the boxed
 // mapjoin model), and the cluster geometry. It scans each joined table
-// once on the driver, so call it at plan time, not per execution.
+// once on the driver — every table at the version of one pinned vector —
+// so call it at plan time, not per execution.
 func (e *Engine) PlanStats(l *plan.Logical) (*plan.Stats, error) {
 	sh, err := plan.Decompose(l)
 	if err != nil {
 		return nil, err
 	}
+	pin, err := e.Pin(sh)
+	if err != nil {
+		return nil, err
+	}
+	defer pin.Release()
 	fs := e.mr.FS()
 	factRows, err := colstore.TableRowCount(fs, e.cat.FactDir)
 	if err != nil {
@@ -32,7 +38,7 @@ func (e *Engine) PlanStats(l *plan.Logical) (*plan.Stats, error) {
 		if err != nil {
 			return err
 		}
-		return colstore.ScanRowTable(fs, dir, "", fn)
+		return colstore.ScanRowTableAt(fs, dir, pin.Read.Of(table), "", fn)
 	}
 	specs := make([]DimSpec, len(sh.Joins))
 	for i := range sh.Joins {
@@ -97,28 +103,45 @@ func (e *Engine) PlanLogical(l *plan.Logical) (*plan.Physical, error) {
 	return plan.Choose(l, st)
 }
 
-// RunPlan executes a physical plan: the single-pass star join, the staged
-// plan, or the cascading map-side join. A star plan whose hash tables
-// exceed node memory re-runs the same shape staged — the §5.1 fallback,
-// one table resident at a time — and the report says so (Report.Staged).
-func (e *Engine) RunPlan(ctx context.Context, p *plan.Physical) (rs *results.ResultSet, rep *Report, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// RunPlan pins the vector the plan's shape reads, executes the plan over it
+// (RunPlanAt) and releases the pin.
+func (e *Engine) RunPlan(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
 	if p == nil || p.Shape == nil {
 		return nil, nil, fmt.Errorf("core: RunPlan needs a physical plan with a shape")
 	}
-	ctx, done := e.traceRoot(ctx, p.Shape.Name)
+	pin, err := e.Pin(p.Shape)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer pin.Release()
+	return e.RunPlanAt(ctx, p, pin)
+}
+
+// RunPlanAt executes a physical plan over a pinned vector: the single-pass
+// star join, the staged plan, or the cascading map-side join. Every job of
+// the plan, and every table built or scanned for it, reads that one vector.
+// A star plan whose hash tables exceed node memory re-runs the same shape
+// staged over the same vector — the §5.1 fallback, one table resident at a
+// time — and the report says so (Report.Staged).
+func (e *Engine) RunPlanAt(ctx context.Context, p *plan.Physical, pin *Pin) (rs *results.ResultSet, rep *Report, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, done := e.traceRoot(ctx, p.Shape.Name, pin.Read)
 	defer func() { done(err) }()
 	switch p.Kind {
 	case plan.KindStaged:
-		return e.runStaged(ctx, p)
+		rs, rep, err = e.runStaged(ctx, p, pin)
 	case plan.KindCascade:
-		return e.runCascade(ctx, p)
+		rs, rep, err = e.runCascade(ctx, p, pin)
+	default:
+		rs, rep, err = e.runStar(ctx, p, pin)
+		if err != nil && errors.Is(err, ErrOOM) && ctx.Err() == nil {
+			rs, rep, err = e.runStaged(ctx, p, pin)
+		}
 	}
-	rs, rep, err = e.runStar(ctx, p)
-	if err == nil || !errors.Is(err, ErrOOM) || ctx.Err() != nil {
-		return rs, rep, err
+	if rep != nil {
+		rep.Read = pin.Read
 	}
-	return e.runStaged(ctx, p)
+	return rs, rep, err
 }

@@ -38,38 +38,26 @@ const bloomMaxSelectivity = 0.5
 
 // dimScan is what one driver-side scan of a filtered dimension yields:
 // the FK-range prune hint and the semi-join bloom filter (either may be nil
-// when underivable or not worth pushing). Memoized per (dimension, fact FK,
-// predicate) in Engine.hintCache.
+// when underivable or not worth pushing). Memoized per (dimension version,
+// fact FK, predicate) in Engine.hints.
 type dimScan struct {
 	hint  expr.Pred
 	bloom *colstore.KeyBloom
 }
 
-// dimScanFor returns the memoized scan products for one dimension, scanning
-// once per (dimension, predicate, fact FK) between roll-ins of the
-// dimension. The scan runs outside hintMu; if InvalidateTable ran for the
-// table meanwhile, the result describes the pre-roll-in contents and is
-// handed to this caller but not memoized, so the next query derives afresh.
-// Returns nil for dimensions that can yield nothing (no predicate, no
-// schema).
+// dimScanFor returns the scan products for the version of the dimension the
+// spec names, scanning that version once per (predicate, fact FK). Returns
+// nil for dimensions that can yield nothing (no predicate, no schema).
 func (e *Engine) dimScanFor(d *DimSpec) *dimScan {
 	if d.Pred == nil || d.Schema == nil {
 		return nil
 	}
-	key := d.Table + "|" + d.FactFK + "|" + d.Pred.String()
-	e.hintMu.Lock()
-	ds, cached := e.hintCache[key]
-	gen := e.hintGen[d.Table]
-	e.hintMu.Unlock()
-	if cached {
-		return ds
+	key := d.FactFK + "|" + d.Pred.String()
+	ds, ok := e.hints.Get(d.Table, d.Version, key)
+	if !ok {
+		ds = deriveDimScan(e.mr.FS(), e.cat, d)
+		e.hints.Put(d.Table, d.Version, key, ds)
 	}
-	ds = deriveDimScan(e.mr.FS(), e.cat, d)
-	e.hintMu.Lock()
-	if e.hintGen[d.Table] == gen {
-		e.hintCache[key] = ds
-	}
-	e.hintMu.Unlock()
 	return ds
 }
 
@@ -103,7 +91,7 @@ func (e *Engine) semiJoinFilters(dims []DimSpec) []colstore.KeyFilter {
 	return filters
 }
 
-// deriveDimScan scans one filtered dimension once, collecting the
+// deriveDimScan scans one version of a filtered dimension once, collecting the
 // qualifying-key range (→ prune hint) and the qualifying keys themselves
 // (→ bloom filter, when selective enough). Never returns nil; an empty
 // dimScan means nothing was derivable.
@@ -124,7 +112,7 @@ func deriveDimScan(fs *hdfs.FileSystem, cat *Catalog, d *DimSpec) *dimScan {
 	var keys []int64
 	var total int64
 	var lo, hi int64
-	err = colstore.ScanRowTable(fs, dir, "", func(r records.Record) error {
+	err = colstore.ScanRowTableAt(fs, dir, d.Version, "", func(r records.Record) error {
 		total++
 		if !pred(r) {
 			return nil

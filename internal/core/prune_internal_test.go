@@ -28,13 +28,15 @@ func (r *rollInDuringRead) BeforeBlockRead(string, int64) error {
 	return nil
 }
 
-// TestDimScanNotMemoizedAcrossInvalidation is the regression test for the
-// stale-store race in dimScanFor: a derive that started before a dimension
-// roll-in and finished after InvalidateTable used to re-insert its
-// pre-append FK-range hint and bloom, which then pruned and killed fact rows
-// joining the new keys for every later query. The derive racing the roll-in
-// may return the old state; the next one must see the appended key.
-func TestDimScanNotMemoizedAcrossInvalidation(t *testing.T) {
+// TestDimScanReadsItsVersion is the regression test for the stale-store race
+// in dimScanFor: a derive that started before a dimension roll-in and
+// finished after it must not leave its pre-append FK-range hint and bloom
+// where a later query finds them — they would prune and kill fact rows
+// joining the new keys. A derive reads the version its spec names and is
+// memoized under it: the one racing the roll-in sees the old table whole,
+// the next query, pinned at the new version, sees the appended key, and the
+// memo keeps the newer version's entry only.
+func TestDimScanReadsItsVersion(t *testing.T) {
 	schema := records.NewSchema(
 		records.F("k", records.KindInt64),
 		records.F("region", records.KindString),
@@ -58,7 +60,7 @@ func TestDimScanNotMemoizedAcrossInvalidation(t *testing.T) {
 	}
 	eng := New(mr.NewEngine(c, fs, mr.Options{}), cat, Options{})
 	spec := &DimSpec{Table: "dim", Schema: schema, FactFK: "fk", DimPK: "k",
-		Pred: expr.Eq(expr.Col("region"), expr.ConstStr("A"))}
+		Pred: expr.Eq(expr.Col("region"), expr.ConstStr("A")), Version: 1}
 
 	// A dry run counts the block reads of one derive; the roll-in then fires
 	// at the last of them, after the scan has listed the table's files.
@@ -71,22 +73,26 @@ func TestDimScanNotMemoizedAcrossInvalidation(t *testing.T) {
 
 	const newKey = 100
 	hook = &rollInDuringRead{fireAt: hook.reads.Load(), rollIn: func() {
-		_, err := colstore.AppendRowTable(fs, dir, func(emit func(records.Record) error) error {
+		_, err := eng.Snapshots().AppendRows(dir, func(emit func(records.Record) error) error {
 			return emit(records.Make(schema, records.Int(newKey), records.Str("A")))
 		})
 		if err != nil {
 			t.Error(err)
 		}
-		eng.InvalidateTable("dim")
 	}}
 	fs.SetReadFaultInjector(hook)
 	racing := eng.dimScanFor(spec)
 	fs.SetReadFaultInjector(nil)
 	if hint, ok := racing.hint.(expr.BetweenPred); !ok || hint.Hi.Int64() >= newKey {
-		t.Fatalf("racing derive's hint = %v; the fixture should have it scan the pre-append table", racing.hint)
+		t.Fatalf("racing derive's hint = %v, want the range of version 1", racing.hint)
+	}
+	if got := eng.Snapshots().Versions("/t/fact", dir)[1]; got != 2 {
+		t.Fatalf("dimension at version %d after the roll-in, want 2", got)
 	}
 
-	ds := eng.dimScanFor(spec)
+	next := *spec
+	next.Version = 2
+	ds := eng.dimScanFor(&next)
 	hint, ok := ds.hint.(expr.BetweenPred)
 	if !ok {
 		t.Fatalf("hint = %v, want a BETWEEN range", ds.hint)
@@ -96,5 +102,13 @@ func TestDimScanNotMemoizedAcrossInvalidation(t *testing.T) {
 	}
 	if ds.bloom == nil || !ds.bloom.MayContain(newKey) {
 		t.Errorf("bloom after the roll-in does not admit key %d: fact rows joining it would be killed in the scan", newKey)
+	}
+	// A query still pinned at version 1 derives its own state again and
+	// leaves the memo to the newer version.
+	if hint, ok := eng.dimScanFor(spec).hint.(expr.BetweenPred); !ok || hint.Hi.Int64() >= newKey {
+		t.Errorf("version-1 derive after the roll-in = %v, want the range of version 1", hint)
+	}
+	if n := eng.hints.Len(); n != 1 {
+		t.Errorf("hint memo holds %d entries, want the version-2 entry alone", n)
 	}
 }

@@ -34,19 +34,23 @@ type DimSpec struct {
 	Pred expr.Pred
 	// Aux lists the dimension columns the query projects (group-by inputs).
 	Aux []string
+	// Version is the version of the table the build reads (see
+	// colstore.Snapshots). The executors stamp it from the query's pinned
+	// vector; zero builds from whatever version is current.
+	Version uint64
 }
 
 // Fingerprint identifies the hash table this spec builds over a given
-// dimension directory: the join key, the build-time predicate, and the
-// projected aux columns. Two specs with equal fingerprints over the same
-// directory produce byte-identical tables, so a cross-query cache may share
-// one build between them.
+// dimension directory: the table version, the join key, the build-time
+// predicate, and the projected aux columns. Two specs with equal
+// fingerprints over the same directory produce byte-identical tables, so a
+// cross-query cache may share one build between them.
 func (d *DimSpec) Fingerprint() string {
 	p := "TRUE"
 	if d.Pred != nil {
 		p = d.Pred.String()
 	}
-	return d.DimPK + "|" + p + "|" + strings.Join(d.Aux, ",")
+	return fmt.Sprintf("%d|%s|%s|%s", d.Version, d.DimPK, p, strings.Join(d.Aux, ","))
 }
 
 // OrderKey is one ORDER BY term; Col may name a group-by column or the

@@ -32,13 +32,13 @@ var stagedSeq atomic.Int64
 // limited to star shapes: a snowflake edge is one more pass, probing the FK
 // its parent's pass carried, so the staged plan runs any shape the IR can
 // express.
-func (e *Engine) runStaged(ctx context.Context, p *plan.Physical) (*results.ResultSet, *Report, error) {
+func (e *Engine) runStaged(ctx context.Context, p *plan.Physical, pin *Pin) (*results.ResultSet, *Report, error) {
 	start := time.Now()
 	sh, steps := p.Shape, p.Steps
 	if len(steps) == 0 {
 		return nil, nil, fmt.Errorf("core: staged plan for %s has no joins", sh.Name)
 	}
-	dims := DimSpecs(steps)
+	dims := pin.DimSpecs(steps)
 	if err := e.ensureCached(ctx, dims); err != nil {
 		return nil, nil, err
 	}
@@ -57,12 +57,7 @@ func (e *Engine) runStaged(ctx context.Context, p *plan.Physical) (*results.Resu
 	// The first pass scans the fact table and applies the fact predicate;
 	// every later pass reads the previous pass's row-format intermediate,
 	// which nothing rolls into.
-	scan, release, err := e.factScan(sh, head)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	var input mr.InputFormat = scan
+	var input mr.InputFormat = e.factScan(sh, head, pin)
 	factPred := sh.FactPred
 	var inter *colstore.RowInput
 

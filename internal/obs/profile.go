@@ -20,6 +20,9 @@ type Profile struct {
 	Trace string
 	// Query is the root span's query attribute (or its name as a fallback).
 	Query string
+	// Read is the root span's read attribute: the table versions the query
+	// was answered from ("lineorder@7 customer@3"), empty when unrecorded.
+	Read string
 	// Start/End/Wall cover the root span.
 	Start time.Time
 	End   time.Time
@@ -205,6 +208,7 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 	p := &Profile{
 		Trace:    trace,
 		Query:    rootQueryName(root),
+		Read:     root.Span.Attrs["read"],
 		Start:    root.Span.Start,
 		End:      root.Span.End,
 		Wall:     root.Span.Duration(),
@@ -678,6 +682,9 @@ var reportCounters = []string{
 // the interesting depth.
 func (p *Profile) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "EXPLAIN ANALYZE %s  (trace %s)\n", p.Query, p.Trace)
+	if p.Read != "" {
+		fmt.Fprintf(w, "read: %s\n", p.Read)
+	}
 	fmt.Fprintf(w, "wall %v, %d spans", p.Wall.Round(time.Microsecond), p.Spans)
 	if p.Orphans > 0 {
 		fmt.Fprintf(w, ", %d ORPHANS", p.Orphans)
@@ -799,6 +806,7 @@ func leavesOnly(ns []*ProfileNode) bool {
 type jsonProfile struct {
 	Trace      string           `json:"trace"`
 	Query      string           `json:"query"`
+	Read       string           `json:"read,omitempty"`
 	StartNs    int64            `json:"start_ns"`
 	WallNs     int64            `json:"wall_ns"`
 	Spans      int              `json:"spans"`
@@ -873,6 +881,7 @@ func (p *Profile) MarshalJSON() ([]byte, error) {
 	out := jsonProfile{
 		Trace:    p.Trace,
 		Query:    p.Query,
+		Read:     p.Read,
 		StartNs:  p.Start.UnixNano(),
 		WallNs:   int64(p.Wall),
 		Spans:    p.Spans,

@@ -37,8 +37,8 @@ type CacheKey struct {
 	ConjPreds []expr.Pred
 	// GroupBy is the plan's group-by list.
 	GroupBy []string
-	// Tables lists every table the plan reads (fact first), for
-	// invalidation when a table's contents change.
+	// Tables lists every table the plan reads (Shape.Tables): the tables
+	// whose versions a cached result is labelled with.
 	Tables []string
 }
 
@@ -46,7 +46,7 @@ type CacheKey struct {
 func KeyOf(sh *Shape) CacheKey {
 	k := CacheKey{
 		GroupBy: append([]string(nil), sh.GroupBy...),
-		Tables:  []string{sh.Fact},
+		Tables:  sh.Tables(),
 	}
 
 	type conj struct {
@@ -71,10 +71,8 @@ func KeyOf(sh *Shape) CacheKey {
 		e := &sh.Joins[i]
 		edges = append(edges, e.Table+" ON "+e.FK+"="+e.PK)
 		addPred(e.Pred)
-		k.Tables = append(k.Tables, e.Table)
 	}
 	sort.Strings(edges)
-	sort.Strings(k.Tables[1:])
 
 	agg := ""
 	if sh.Agg != nil {

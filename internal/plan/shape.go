@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"sort"
 
 	"clydesdale/internal/expr"
 	"clydesdale/internal/records"
@@ -212,6 +213,19 @@ func Decompose(l *Logical) (*Shape, error) {
 		}
 	}
 	return sh, nil
+}
+
+// Tables lists every table the shape reads: the fact table first, then the
+// joined tables sorted by name, so equal join sets list equally whatever
+// their declaration order.
+func (sh *Shape) Tables() []string {
+	tables := make([]string, 1, 1+len(sh.Joins))
+	tables[0] = sh.Fact
+	for i := range sh.Joins {
+		tables = append(tables, sh.Joins[i].Table)
+	}
+	sort.Strings(tables[1:])
+	return tables
 }
 
 // MaxDepth is the deepest join edge: 1 for a pure star, ≥ 2 for a

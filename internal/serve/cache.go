@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,39 +19,29 @@ import (
 // memory (each cached table holds a cluster reservation) and bounded by a
 // per-node budget with LRU eviction of unpinned entries.
 //
-// Cache identity is generation-stamped: invalidateDim bumps a per-dimension
-// generation, instantly unmapping every key built from the old contents —
-// queries after a dimension roll-in rebuild from the new master copy
-// instead of probing stale tables.
+// The version of the dimension a spec reads is part of its fingerprint, so
+// a query that pinned a newer version cannot reach a table built from an
+// older one. A node reclaims those when it first builds from the newer
+// version, or under budget pressure like any other entry.
 type tableCache struct {
 	budget int64 // per-node resident-bytes bound
 
 	mu    sync.Mutex
 	nodes map[string]*nodeCache
-	gens  map[string]uint64 // dimDir → generation, bumped by invalidateDim
-	clock uint64            // LRU clock; ticks on every acquire/release
+	clock uint64 // LRU clock; ticks on every acquire/release
 
 	hits          atomic.Int64
 	misses        atomic.Int64
 	builds        atomic.Int64
 	evictions     atomic.Int64
-	invalidations atomic.Int64
+	invalidations atomic.Int64 // evictions of tables a newer version superseded
 }
 
-// keyFor is the cache identity of one table build: dimension directory,
-// the directory's current roll-in generation, and the build fingerprint
-// (join key, predicate, aux projection). Two lookups with equal keys probe
-// byte-identical tables; bumping the generation retires every outstanding
-// key at once without touching the entries that carry them.
-func (c *tableCache) keyFor(dimDir string, spec *core.DimSpec) string {
-	c.mu.Lock()
-	g := c.gens[dimDir]
-	c.mu.Unlock()
-	return keyAt(dimDir, g, spec)
-}
-
-func keyAt(dimDir string, gen uint64, spec *core.DimSpec) string {
-	return fmt.Sprintf("%s\x00%d\x00%s", dimDir, gen, spec.Fingerprint())
+// cacheKey is the cache identity of one table build: dimension directory
+// and build fingerprint (table version, join key, predicate, aux
+// projection). Two lookups with equal keys probe byte-identical tables.
+func cacheKey(dimDir string, spec *core.DimSpec) string {
+	return dimDir + "\x00" + spec.Fingerprint()
 }
 
 type nodeCache struct {
@@ -70,22 +58,29 @@ type nodeCache struct {
 // finishes (singleflight); pins counts tasks currently probing the table,
 // which eviction must skip.
 type cacheEntry struct {
-	key     string // the entry's key in its nodeCache, for self-removal
+	dir     string // the dimension the table was built from, and
+	version uint64 // which version of it
 	done    chan struct{}
 	ht      *core.DimHashTable
 	err     error
 	bytes   int64
 	pins    int
 	lastUse uint64
-	// doomed marks an entry invalidated while pinned or still building: the
-	// generation bump already unmapped its key for new lookups, but queries
-	// that resolved the key before the invalidation may keep probing it (a
-	// consistent pre-roll-in read). The last unpin evicts it.
-	doomed bool
+}
+
+// idle reports whether the entry holds a finished table nobody probes: the
+// only kind eviction may take.
+func (e *cacheEntry) idle() bool {
+	select {
+	case <-e.done:
+		return e.err == nil && e.pins == 0
+	default:
+		return false
+	}
 }
 
 func newTableCache(budget int64) *tableCache {
-	return &tableCache{budget: budget, nodes: make(map[string]*nodeCache), gens: make(map[string]uint64)}
+	return &tableCache{budget: budget, nodes: make(map[string]*nodeCache)}
 }
 
 // NewTableProvider returns a standalone cross-query dimension-table cache
@@ -107,7 +102,7 @@ func NewTableProvider(budget int64) core.TableProvider {
 // and reserved — until LRU eviction or Close.
 func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *core.DimSpec) (*core.DimHashTable, func(), error) {
 	node := ctx.Node()
-	key := c.keyFor(dimDir, spec)
+	key := cacheKey(dimDir, spec)
 
 	c.mu.Lock()
 	nc, ok := c.nodes[node.ID()]
@@ -135,7 +130,15 @@ func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *c
 		c.hits.Add(1)
 		return e.ht, func() { c.unpin(node, nc, e) }, nil
 	}
-	e := &cacheEntry{key: key, done: make(chan struct{}), pins: 1}
+	// First sight of this version on the node: tables built from older
+	// versions of the dimension are superseded, so reclaim the idle ones.
+	for k, old := range nc.entries {
+		if old.dir == dimDir && old.version < spec.Version && old.idle() {
+			c.evictEntryLocked(node, nc, k, old)
+			c.invalidations.Add(1)
+		}
+	}
+	e := &cacheEntry{dir: dimDir, version: spec.Version, done: make(chan struct{}), pins: 1}
 	c.clock++
 	e.lastUse = c.clock
 	nc.entries[key] = e
@@ -190,67 +193,16 @@ func (c *tableCache) unpin(node *cluster.Node, nc *nodeCache, e *cacheEntry) {
 	e.pins--
 	c.clock++
 	e.lastUse = c.clock
-	if e.doomed && e.pins == 0 {
-		// Last reader of an invalidated table: its key is already unmapped
-		// for new lookups, so drop it now and return the reservation.
-		if cur, ok := nc.entries[e.key]; ok && cur == e {
-			delete(nc.entries, e.key)
-			nc.resident -= e.bytes
-			if !nc.dead {
-				node.ReleaseMemory(e.bytes)
-			}
-			c.evictions.Add(1)
-		}
-	}
 	c.evictLocked(node, nc, 0)
 	c.mu.Unlock()
 }
 
-// invalidateDim retires every cached table built from dimDir, in three
-// moves: the generation bump unmaps all their keys for future lookups (a
-// later query can only rebuild from the new dimension contents), finished
-// unpinned entries are evicted immediately with their reservations
-// released, and pinned or still-building entries are marked doomed — the
-// queries that already resolved their key keep probing them (a consistent
-// pre-roll-in read) and the last unpin evicts them. nodeOf resolves node
-// IDs for releasing reservations. Returns entries evicted or doomed.
-func (c *tableCache) invalidateDim(dimDir string, nodeOf func(string) *cluster.Node) int {
-	prefix := dimDir + "\x00"
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[dimDir]++
-	n := 0
-	for id, nc := range c.nodes {
-		for k, e := range nc.entries {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			n++
-			c.invalidations.Add(1)
-			finished := false
-			select {
-			case <-e.done:
-				finished = true
-			default:
-			}
-			if !finished || e.pins > 0 {
-				e.doomed = true
-				continue
-			}
-			delete(nc.entries, k)
-			if e.err != nil {
-				continue
-			}
-			nc.resident -= e.bytes
-			if !nc.dead {
-				if node := nodeOf(id); node != nil {
-					node.ReleaseMemory(e.bytes)
-				}
-			}
-			c.evictions.Add(1)
-		}
-	}
-	return n
+// evictEntryLocked drops one idle entry and returns its reservation.
+func (c *tableCache) evictEntryLocked(node *cluster.Node, nc *nodeCache, key string, e *cacheEntry) {
+	delete(nc.entries, key)
+	nc.resident -= e.bytes
+	node.ReleaseMemory(e.bytes)
+	c.evictions.Add(1)
 }
 
 // evictLocked drops unpinned tables, least recently used first, until the
@@ -263,25 +215,14 @@ func (c *tableCache) evictLocked(node *cluster.Node, nc *nodeCache, incoming int
 		var victimKey string
 		var victim *cacheEntry
 		for k, e := range nc.entries {
-			select {
-			case <-e.done:
-			default:
-				continue // still building
-			}
-			if e.err != nil || e.pins > 0 {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
+			if e.idle() && (victim == nil || e.lastUse < victim.lastUse) {
 				victimKey, victim = k, e
 			}
 		}
 		if victim == nil {
 			return
 		}
-		delete(nc.entries, victimKey)
-		nc.resident -= victim.bytes
-		node.ReleaseMemory(victim.bytes)
-		c.evictions.Add(1)
+		c.evictEntryLocked(node, nc, victimKey, victim)
 	}
 }
 
@@ -290,8 +231,8 @@ func (c *tableCache) evictLocked(node *cluster.Node, nc *nodeCache, incoming int
 // reservations are not returned via ReleaseMemory: Kill already zeroed the
 // node's memory accounting, and double-releasing would corrupt it after a
 // revive. Entries still pinned by in-flight probes are dropped too — those
-// probes are doomed anyway (every charge on the dead node fails) and their
-// later unpin of a removed entry is harmless.
+// probes fail anyway (every charge on the dead node does) and their later
+// unpin of a removed entry is harmless.
 func (c *tableCache) dropNode(nodeID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

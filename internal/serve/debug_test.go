@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"clydesdale/internal/mr"
+	"clydesdale/internal/records"
 	"clydesdale/internal/serve"
 	"clydesdale/internal/ssb"
 )
@@ -145,6 +146,60 @@ func TestDebugMetricsLiveGauges(t *testing.T) {
 	}
 	if v := gauge("serve_result_cache_hits"); v != 0 {
 		t.Errorf("serve_result_cache_hits = %d with no repeated query, want 0", v)
+	}
+	// One version gauge per catalog table: the fact table's content version
+	// (nothing rolled in yet), each dimension's count of published files.
+	if v := gauge("serve_table_version_lineorder"); v != 0 {
+		t.Errorf("serve_table_version_lineorder = %d before any roll-in, want 0", v)
+	}
+	for _, dim := range []string{"customer", "supplier", "part", "date"} {
+		if v := gauge("serve_table_version_" + dim); v != 1 {
+			t.Errorf("serve_table_version_%s = %d for a freshly loaded dimension, want 1", dim, v)
+		}
+	}
+}
+
+// TestDebugTableVersions checks that a roll-in shows where the issue says it
+// must: the table's /metrics gauge moves, and the next query's profile —
+// root span, /profilez text and JSON — names the versions it read.
+func TestDebugTableVersions(t *testing.T) {
+	sess, srv := debugEnv(t, "Q3.1")
+	if _, err := sess.RollIn("customer", func(emit func(records.Record) error) error {
+		return emit(ssb.NewGenerator(0.002, 42).Customer(0))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := ssb.QueryByName("Q3.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Query(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+
+	body, _ := get(t, srv.URL+"/metrics")
+	if !regexp.MustCompile(`(?m)^serve_table_version_customer 2$`).MatchString(body) {
+		t.Errorf("no serve_table_version_customer 2 after a customer roll-in:\n%s", body)
+	}
+	const before, after = "read: lineorder@0 customer@1 date@1 supplier@1\n", "read: lineorder@0 customer@2 date@1 supplier@1\n"
+	text, _ := get(t, srv.URL+"/profilez")
+	if !strings.Contains(text, before) || !strings.Contains(text, after) {
+		t.Errorf("/profilez lacks the read lines %q and %q:\n%s", before, after, text)
+	}
+	jsonBody, _ := get(t, srv.URL+"/profilez?format=json")
+	var profiles []struct {
+		Read string `json:"read"`
+		Root struct {
+			Attrs map[string]string `json:"attrs"`
+		} `json:"root"`
+	}
+	if err := json.Unmarshal([]byte(jsonBody), &profiles); err != nil {
+		t.Fatalf("bad /profilez JSON: %v", err)
+	}
+	for _, p := range profiles {
+		if p.Read == "" || p.Root.Attrs["read"] != p.Read {
+			t.Errorf("profile read %q, root query span read %q", p.Read, p.Root.Attrs["read"])
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
@@ -14,7 +15,7 @@ import (
 )
 
 // errResultNotCached marks a placeholder whose build did not publish (the
-// query failed, was shed, or the entry was invalidated mid-build). Waiters
+// query failed, was shed, or its rows outgrew the budget). Waiters
 // piggybacked on the placeholder retry the cache from scratch.
 var errResultNotCached = errors.New("serve: result not cached")
 
@@ -30,9 +31,12 @@ var errResultNotCached = errors.New("serve: result not cached")
 // Like the table cache, residency is byte-accounted (records.Record
 // MemSize) against a budget with LRU eviction; unlike it, results live on
 // the driver, so the reservation ledger is the cache's own bytes gauge
-// rather than node memory. Entries drop on Close and on roll-in
-// (Session.InvalidateTable) — a cached SUM is stale the moment any table it
-// read grows.
+// rather than node memory.
+//
+// A cached SUM is stale the moment any table it read changes, so an entry
+// is labelled with the {table → version} vector its rows were computed from
+// and every lookup brings the current one: an entry older in any table is
+// dropped on sight and the lookup is a miss.
 type resultCache struct {
 	budget int64
 	reg    *obs.Registry // live gauges; may be nil
@@ -53,13 +57,29 @@ type resultCache struct {
 // aborts (singleflight); rs is immutable once set — readers copy the row
 // slice, never the entry.
 type resultEntry struct {
-	key     plan.CacheKey
-	fp      string
-	done    chan struct{}
-	rs      *results.ResultSet
+	key  plan.CacheKey
+	fp   string
+	done chan struct{}
+	rs   *results.ResultSet
+	// at is the version of each of key.Tables the rows were computed from,
+	// in that order; set with rs.
+	at      core.Versions
 	err     error
 	bytes   int64
 	lastUse uint64
+}
+
+// staleAt reports whether some table has moved past the version the entry's
+// rows were computed from. cur lists the entry's tables in the entry's
+// order: equal fingerprints and subsuming skeletons both imply equal
+// key.Tables.
+func (e *resultEntry) staleAt(cur core.Versions) bool {
+	for i, v := range cur.At {
+		if e.at.At[i] < v {
+			return true
+		}
+	}
+	return false
 }
 
 func newResultCache(budget int64, reg *obs.Registry) *resultCache {
@@ -83,17 +103,20 @@ func (rc *resultCache) count(c *atomic.Int64, name string) {
 	}
 }
 
-// lookup resolves key against the cache. Outcomes:
-//   - exact hit: (rows, "hit", nil) — rows are a fresh ResultSet whose row
-//     slice the caller owns (it may re-sort freely);
-//   - subsumption hit: (rows, "subsumed", nil) — cached rows of a broader
-//     query, already post-filtered by the extra conjuncts;
-//   - miss: (nil, "miss", publish) — the caller owns the placeholder and
-//     MUST call publish exactly once: with the computed result to cache it,
-//     or with nil to abort (query failed or was shed).
+// lookup resolves key against the cache for a query arriving when the
+// tables of key.Tables are at versions cur. Outcomes:
+//   - exact hit: (rows, "hit", at, nil) — rows are a fresh ResultSet whose
+//     row slice the caller owns (it may re-sort freely), computed from
+//     versions at, none older than cur;
+//   - subsumption hit: (rows, "subsumed", at, nil) — cached rows of a
+//     broader query, already post-filtered by the extra conjuncts;
+//   - miss: (nil, "miss", nil, publish) — the caller owns the placeholder
+//     and MUST call publish exactly once: with the computed result and the
+//     versions it was computed from to cache it, or with nil to abort
+//     (query failed or was shed).
 //
 // Waiting on a concurrent build blocks until it resolves or ctx ends.
-func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string) (*results.ResultSet, string, func(*results.ResultSet), error) {
+func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string, cur core.Versions) (*results.ResultSet, string, core.Versions, func(*results.ResultSet, core.Versions), error) {
 	trySubsume := true
 	for {
 		rc.mu.Lock()
@@ -104,18 +127,24 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string
 			select {
 			case <-e.done:
 			case <-ctx.Done():
-				return nil, "", nil, ctx.Err()
+				return nil, "", core.Versions{}, nil, ctx.Err()
 			}
 			if e.err != nil {
 				continue // build aborted; retry (likely becoming the builder)
 			}
+			if e.staleAt(cur) {
+				rc.mu.Lock()
+				rc.dropStaleLocked(e)
+				rc.mu.Unlock()
+				continue
+			}
 			rc.count(&rc.hits, "hits")
 			rc.updateGauges()
-			return copyResult(e.rs), "hit", nil, nil
+			return copyResult(e.rs), "hit", e.at, nil, nil
 		}
 		// No exact entry: a finished broader one may subsume this query.
 		if trySubsume {
-			if e, extra := rc.subsumerLocked(key); e != nil {
+			if e, extra := rc.subsumerLocked(key, cur); e != nil {
 				rc.clock++
 				e.lastUse = rc.clock
 				rs := e.rs // immutable once published; filter outside the lock
@@ -124,7 +153,7 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string
 				if err == nil {
 					rc.count(&rc.subsumedHits, "subsumption_hits")
 					rc.updateGauges()
-					return filtered, "subsumed", nil, nil
+					return filtered, "subsumed", e.at, nil, nil
 				}
 				// A predicate the result schema cannot evaluate: degrade to a
 				// plain miss (retaking the lock, since an exact entry may have
@@ -140,13 +169,25 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string
 		rc.entries[fp] = e
 		rc.mu.Unlock()
 		rc.count(&rc.misses, "misses")
-		return nil, "miss", func(rs *results.ResultSet) { rc.publish(e, rs) }, nil
+		return nil, "miss", core.Versions{}, func(rs *results.ResultSet, at core.Versions) { rc.publish(e, rs, at) }, nil
 	}
 }
 
-// subsumerLocked finds a finished entry whose key subsumes the lookup key,
-// returning it with the extra post-filter conjuncts.
-func (rc *resultCache) subsumerLocked(key *plan.CacheKey) (*resultEntry, []expr.Pred) {
+// dropStaleLocked reclaims a finished entry some table has moved past.
+func (rc *resultCache) dropStaleLocked(e *resultEntry) {
+	if rc.entries[e.fp] != e {
+		return // another lookup already did
+	}
+	delete(rc.entries, e.fp)
+	rc.bytes -= e.bytes
+	rc.count(&rc.invalidations, "invalidations")
+	rc.updateGaugesLocked()
+}
+
+// subsumerLocked finds a finished entry, current at versions cur, whose key
+// subsumes the lookup key, returning it with the extra post-filter
+// conjuncts. Stale subsumers it comes across are reclaimed.
+func (rc *resultCache) subsumerLocked(key *plan.CacheKey, cur core.Versions) (*resultEntry, []expr.Pred) {
 	for _, e := range rc.entries {
 		select {
 		case <-e.done:
@@ -157,15 +198,19 @@ func (rc *resultCache) subsumerLocked(key *plan.CacheKey) (*resultEntry, []expr.
 			continue
 		}
 		if extra, ok := e.key.Subsumes(key); ok {
+			if e.staleAt(cur) {
+				rc.dropStaleLocked(e)
+				continue
+			}
 			return e, extra
 		}
 	}
 	return nil, nil
 }
 
-// publish resolves a miss placeholder: caches rs, or aborts on nil. Either
-// way every waiter on the entry unblocks.
-func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet) {
+// publish resolves a miss placeholder: caches rs as computed from versions
+// at, or aborts on nil. Either way every waiter on the entry unblocks.
+func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet, at core.Versions) {
 	if rs == nil {
 		rc.mu.Lock()
 		if rc.entries[e.fp] == e {
@@ -182,17 +227,12 @@ func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet) {
 	canonical := copyResult(rs)
 	bytes := resultBytes(canonical)
 	rc.mu.Lock()
-	switch {
-	case rc.entries[e.fp] != e:
-		// Invalidated (Close or roll-in) while the query ran: the rows were
-		// computed from pre-roll-in data and must not be cached.
-		e.err = errResultNotCached
-	case bytes > rc.budget:
+	if bytes > rc.budget {
 		delete(rc.entries, e.fp)
 		e.err = errResultNotCached
-	default:
+	} else {
 		rc.evictLocked(bytes)
-		e.rs, e.bytes = canonical, bytes
+		e.rs, e.at, e.bytes = canonical, at, bytes
 		rc.bytes += bytes
 	}
 	rc.updateGaugesLocked()
@@ -228,35 +268,7 @@ func (rc *resultCache) evictLocked(incoming int64) {
 	}
 }
 
-// invalidateTable drops every entry whose plan read the table (fact or
-// dimension); call on roll-in, before new data becomes visible to queries.
-// In-flight builds are unmapped too — publish then refuses to cache their
-// stale rows. Returns the number of entries dropped.
-func (rc *resultCache) invalidateTable(table string) int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	n := 0
-	for fp, e := range rc.entries {
-		reads := false
-		for _, t := range e.key.Tables {
-			if t == table {
-				reads = true
-				break
-			}
-		}
-		if !reads {
-			continue
-		}
-		delete(rc.entries, fp)
-		rc.bytes -= e.bytes // zero for in-flight builds
-		rc.count(&rc.invalidations, "invalidations")
-		n++
-	}
-	rc.updateGaugesLocked()
-	return n
-}
-
-// evictAll empties the cache (Close); in-flight builds abort via publish.
+// evictAll empties the cache (Close, after every query has drained).
 func (rc *resultCache) evictAll() {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

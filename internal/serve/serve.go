@@ -84,7 +84,8 @@ type Stats struct {
 	Admitted, Rejected int64
 	Running, Queued    int
 	PeakConcurrent     int
-	// Result cache.
+	// Result cache. ResultInvalidations counts the entries a lookup dropped
+	// for being older than a table's current version (and those Close drops).
 	ResultHits, ResultSubsumedHits, ResultMisses int64
 	ResultEvictions, ResultInvalidations         int64
 	ResultBytes                                  int64
@@ -93,7 +94,7 @@ type Stats struct {
 	Compactions, CompactedRows          int64
 	PartitionsPublished                 int64 // roll-in + compaction output
 	PartitionsRetired                   int64 // compaction input + retention
-	TableInvalidations                  int64 // cached dim tables evicted/doomed by roll-in
+	TableInvalidations                  int64 // cached dim tables reclaimed because a newer version of their table superseded them
 }
 
 // Session serves queries over one cluster, sharing dimension hash tables
@@ -125,10 +126,8 @@ type Session struct {
 	rollIns, rollInRows, rollInFailures atomic.Int64
 	compactions, compactedRows          atomic.Int64
 	partsPublished, partsRetired        atomic.Int64
-	tableInvalidations                  atomic.Int64
 
-	estMu     sync.Mutex
-	estimates map[string]int64 // cache key → estimated build bytes
+	estimates colstore.VersionMemo[int64] // dimDir, version, table-cache key → build bytes
 }
 
 // New creates a serving session over a MapReduce engine and catalog.
@@ -178,8 +177,7 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 			weights:     opts.TenantWeights,
 			agingPasses: opts.AgingPasses,
 		}, reg),
-		opts:      opts,
-		estimates: make(map[string]int64),
+		opts: opts,
 	}
 	// A killed node takes its memory reservations with it; drop its cached
 	// tables immediately so warm probes of later queries don't touch tables
@@ -281,10 +279,21 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	// touching admission or MapReduce at all. A miss leaves us owning the
 	// singleflight placeholder — concurrent equal queries block on it, so
 	// the publish below (or the abort on any failure path) must always run.
-	var cachePublish func(*results.ResultSet)
+	// An entry answers only if no table has moved past the version it was
+	// computed from; the current versions are counters, read without a pin.
+	var cachePublish func(*results.ResultSet, core.Versions)
 	if s.rcache != nil {
 		key := plan.KeyOf(p.Shape)
-		crs, kind, publish, lerr := s.rcache.lookup(ctx, &key, key.Fingerprint())
+		var (
+			crs     *results.ResultSet
+			kind    string
+			read    core.Versions
+			publish func(*results.ResultSet, core.Versions)
+		)
+		cur, lerr := s.eng.CurrentVersions(key.Tables)
+		if lerr == nil {
+			crs, kind, read, publish, lerr = s.rcache.lookup(ctx, &key, key.Fingerprint(), cur)
+		}
 		if lerr != nil {
 			s.slo(class, "error", 0)
 			s.finishTrace(sc, q, qstart, lerr, nil)
@@ -304,6 +313,7 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 				// consumers need no cache-hit special case.
 				Job:   &mr.JobResult{Counters: mr.NewCounters()},
 				Total: time.Since(qstart),
+				Read:  read,
 			}
 			s.slo(class, "ok", time.Since(qstart))
 			s.finishTrace(sc, q, qstart, nil, rep)
@@ -313,11 +323,21 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	}
 	defer func() {
 		if cachePublish != nil {
-			cachePublish(nil) // not cached: unblock singleflight waiters
+			cachePublish(nil, core.Versions{}) // not cached: unblock singleflight waiters
 		}
 	}()
 
-	cost, err := s.admissionCost(q.Name, core.DimSpecs(p.Steps))
+	// A miss: pin the one {table → version} vector the admission estimate,
+	// every job of the plan and the cached rows' label all read.
+	pin, err := s.eng.Pin(p.Shape)
+	if err != nil {
+		s.slo(class, "error", 0)
+		s.finishTrace(sc, q, qstart, err, nil)
+		return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
+	}
+	defer pin.Release()
+
+	cost, err := s.admissionCost(q.Name, pin.DimSpecs(p.Steps))
 	if err != nil {
 		s.slo(class, "error", 0)
 		s.finishTrace(sc, q, qstart, err, nil)
@@ -338,10 +358,10 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	defer release()
 	s.observeQueueWait(sc, q, waitStart)
 
-	rs, rep, err := s.eng.RunPlan(ctx, p)
+	rs, rep, err := s.eng.RunPlanAt(ctx, p, pin)
 	if err == nil {
 		if cachePublish != nil {
-			cachePublish(rs)
+			cachePublish(rs, pin.Read)
 			cachePublish = nil
 		}
 		s.slo(class, "ok", time.Since(qstart))
@@ -362,39 +382,33 @@ func (s *Session) lower(q *core.Query) (*plan.Physical, error) {
 	return s.eng.Lower(l)
 }
 
-// InvalidateTable drops every cached result whose plan read the named table
-// (fact or dimension); call it after rolling new data into the table so
-// stale sums never serve. Returns the number of results dropped.
-//
-// RollIn calls this as part of its fan-out; use it directly only when data
-// changed outside the session (an external writer appended partitions).
-func (s *Session) InvalidateTable(table string) int {
-	if s.rcache == nil {
-		return 0
+// InvalidateTable tells the session that a writer outside it changed the
+// named table (appended fact partitions or dimension part files): the table
+// gets a new version, so nothing derived from the old one answers a later
+// query. RollIn, RetainFact and CompactFact publish their own versions and
+// need no such call.
+func (s *Session) InvalidateTable(table string) error {
+	dir := s.cat.FactDir
+	if table != s.cat.FactName {
+		var err error
+		if dir, err = s.cat.DimDir(table); err != nil {
+			return err
+		}
 	}
-	return s.rcache.invalidateTable(table)
+	s.eng.Snapshots().Bump(dir)
+	return nil
 }
 
-// RollIn appends a batch of rows to the named table — the fact table or a
-// dimension — and is the single notification path that keeps every piece
-// of derived state coherent with the new data:
-//
-//	fact:      rows stage into fresh CIF partitions and publish in one
-//	           atomic swap (a query snapshots the partition list at plan
-//	           time, so it computes entirely over the pre- or post-batch
-//	           table, never a mix), then cached results for the table drop;
-//	dimension: rows append to the master row table (atomic rename publish),
-//	           then node-local dimension copies drop, the engine's FK-range
-//	           hints and semi-join blooms for the table evict, the serve
-//	           table cache bumps the dimension's generation, admission
-//	           estimates reset, and cached results drop.
-//
-// The result cache is invalidated after the data publishes: invalidating
-// first would let a query that computed pre-batch rows cache them as
-// post-batch; this order instead unmaps any in-flight build, whose publish
-// then refuses the stale rows. A nil error means the whole batch is
-// visible; on error nothing became visible. Roll-ins serialize with each
-// other and with compaction/retention, not with queries.
+// RollIn appends a batch of rows to the named table by publishing a new
+// version of it: fact rows stage into fresh CIF partitions that publish in
+// one atomic swap, dimension rows into the master row table's next part
+// file. A query pins the version of every table it reads at plan time, so it
+// computes over the pre- or post-batch state of each, never a mix, and
+// everything derived from a table is keyed by the version it was derived
+// from, so RollIn tells no cache anything. A nil error means the whole batch
+// is visible; on error, or for an empty batch, nothing was published.
+// Roll-ins serialize with each other and with compaction/retention, not
+// with queries.
 func (s *Session) RollIn(table string, rows func(emit func(records.Record) error) error) (int64, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -407,74 +421,36 @@ func (s *Session) RollIn(table string, rows func(emit func(records.Record) error
 
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	var (
+		n     int64
+		parts []string
+		err   error
+	)
 	if table == s.cat.FactName {
-		return s.rollInFact(table, rows)
+		n, parts, err = s.eng.Snapshots().RollIn(s.cat.FactDir, s.opts.IngestPartitionRows, rows)
+	} else {
+		var dir string
+		if dir, err = s.cat.DimDir(table); err != nil {
+			return 0, err
+		}
+		n, err = s.eng.Snapshots().AppendRows(dir, rows)
 	}
-	return s.rollInDim(table, rows)
-}
-
-func (s *Session) rollInFact(table string, rows func(emit func(records.Record) error) error) (int64, error) {
-	n, parts, err := s.eng.Snapshots().RollIn(s.cat.FactDir, s.opts.IngestPartitionRows, rows)
 	if err != nil {
 		s.rollInFailures.Add(1)
 		s.countIngest("roll_in_failures")
 		return 0, fmt.Errorf("serve: roll-in %s: %w", table, err)
+	}
+	if n == 0 {
+		return 0, nil
 	}
 	s.partsPublished.Add(int64(len(parts)))
-	s.finishRollIn(table, n)
-	return n, nil
-}
-
-func (s *Session) rollInDim(table string, rows func(emit func(records.Record) error) error) (int64, error) {
-	dir, err := s.cat.DimDir(table)
-	if err != nil {
-		return 0, err
-	}
-	n, err := colstore.AppendRowTable(s.mrEng.FS(), dir, rows)
-	if err != nil {
-		s.rollInFailures.Add(1)
-		s.countIngest("roll_in_failures")
-		return 0, fmt.Errorf("serve: roll-in %s: %w", table, err)
-	}
-	// Invalidation fan-out, innermost state first: node-local dimension
-	// copies (the hash-table build source), the engine's derived scan
-	// pushdowns, the cross-query table cache, the admission estimates. All
-	// of it is derived purely from the dimension's master copy, so any
-	// query interleaving here rebuilds consistently from either side of the
-	// append.
-	core.DropDimCached(s.mrEng.Cluster(), dir)
-	s.eng.InvalidateTable(table)
-	s.tableInvalidations.Add(int64(s.cache.invalidateDim(dir, s.mrEng.Cluster().Node)))
-	s.dropEstimates(dir)
-	s.finishRollIn(table, n)
-	return n, nil
-}
-
-// finishRollIn is the tail shared by both roll-in paths: result-cache
-// invalidation (after publish — see RollIn) and accounting.
-func (s *Session) finishRollIn(table string, n int64) {
-	if s.rcache != nil {
-		s.rcache.invalidateTable(table)
-	}
 	s.rollIns.Add(1)
 	s.rollInRows.Add(n)
 	s.countIngest("roll_ins")
 	if m := s.Metrics(); m != nil {
 		m.Counter("serve.ingest.rows").Add(n)
 	}
-}
-
-// dropEstimates forgets admission estimates derived from the dimension at
-// dir (any generation).
-func (s *Session) dropEstimates(dir string) {
-	prefix := dir + "\x00"
-	s.estMu.Lock()
-	for k := range s.estimates {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(s.estimates, k)
-		}
-	}
-	s.estMu.Unlock()
+	return n, nil
 }
 
 func (s *Session) countIngest(name string) {
@@ -519,7 +495,7 @@ func (s *Session) CompactFact(opts colstore.CompactOptions) (*colstore.CompactRe
 // whose zone maps prove every value of col is below cutoff retire in one
 // atomic swap; partitions straddling the cutoff stay (retention never
 // drops a row it cannot prove expired). Dropping rows changes answers, so
-// cached results for the fact table are invalidated. Returns the retired
+// the swap gives the fact table a new content version. Returns the retired
 // partitions.
 func (s *Session) RetainFact(col string, cutoff int64) ([]string, error) {
 	s.mu.Lock()
@@ -540,9 +516,6 @@ func (s *Session) RetainFact(col string, cutoff int64) ([]string, error) {
 	if len(retired) > 0 {
 		s.partsRetired.Add(int64(len(retired)))
 		s.countIngest("retentions")
-		if s.rcache != nil {
-			s.rcache.invalidateTable(s.cat.FactName)
-		}
 	}
 	return retired, nil
 }
@@ -589,11 +562,20 @@ func (s *Session) StartCompactor(interval time.Duration, opts colstore.CompactOp
 }
 
 // syncGauges refreshes scrape-time gauges for sources without inline update
-// hooks (the table cache) and republishes the admission and result-cache
-// levels so every scrape sees the full gauge set.
+// hooks (the table cache, the table versions) and republishes the admission
+// and result-cache levels so every scrape sees the full gauge set.
 func (s *Session) syncGauges() {
 	if m := s.Metrics(); m != nil {
 		m.Gauge("serve.cache.resident_bytes").Set(s.cache.residentBytes())
+		tables := []string{s.cat.FactName}
+		for t := range s.cat.DimDirs {
+			tables = append(tables, t)
+		}
+		if cur, err := s.eng.CurrentVersions(tables); err == nil {
+			for i, t := range tables {
+				m.Gauge("serve.table_version." + t).Set(int64(cur.At[i]))
+			}
+		}
 	}
 	s.adm.syncGauges()
 	if s.rcache != nil {
@@ -613,8 +595,12 @@ func (s *Session) finishTrace(sc obs.SpanContext, q *core.Query, start time.Time
 		if qerr != nil {
 			status = "error"
 		}
+		var read core.Versions
+		if rep != nil {
+			read = rep.Read
+		}
 		root := obs.Span{Name: obs.PhaseQuery, Start: start, End: time.Now(),
-			Attrs: obs.Attrs("query", q.Name, "status", status)}
+			Attrs: obs.Attrs("query", q.Name, "status", status, "read", read.String())}
 		sc.Fill(&root, "")
 		tr.Emit(root)
 	}
@@ -664,56 +650,34 @@ func (s *Session) observeQueueWait(sc obs.SpanContext, q *core.Query, start time
 // live node (cached tables are free — that is the point of the cache),
 // plus the configured task working memory. Estimates reuse
 // core.EstimateDimHashBytes, which mirrors the build layout byte-for-byte,
-// over a driver-side scan of the dimension master copy; each (dimDir,
-// fingerprint) is estimated once per session.
+// over a driver-side scan of the version of the dimension the query
+// pinned; each (dimDir, version, fingerprint) is estimated once.
 func (s *Session) admissionCost(name string, dims []core.DimSpec) (int64, error) {
 	nodeIDs := s.aliveIDs()
-	keys := make([]string, len(dims))
-	need := make(map[string]string) // table → dir, for dims needing a fresh estimate
-	s.estMu.Lock()
+	cost := s.opts.TaskMemory
 	for i := range dims {
-		dir, err := s.cat.DimDir(dims[i].Table)
+		d := &dims[i]
+		dir, err := s.cat.DimDir(d.Table)
 		if err != nil {
-			s.estMu.Unlock()
 			return 0, err
 		}
-		keys[i] = s.cache.keyFor(dir, &dims[i])
-		if _, ok := s.estimates[keys[i]]; !ok {
-			need[dims[i].Table] = dir
-		}
-	}
-	s.estMu.Unlock()
-
-	if len(need) > 0 {
-		per, err := core.EstimateDimHashBytes(dims, func(table string, fn func(records.Record) error) error {
-			dir, ok := need[table]
-			if !ok {
-				return nil // already estimated; contributes nothing here
+		key := cacheKey(dir, d)
+		est, ok := s.estimates.Get(dir, d.Version, key)
+		if !ok {
+			per, err := core.EstimateDimHashBytes(dims[i:i+1], func(_ string, fn func(records.Record) error) error {
+				return colstore.ScanRowTableAt(s.mrEng.FS(), dir, d.Version, "", fn)
+			})
+			if err != nil {
+				return 0, fmt.Errorf("serve: estimating %s tables: %w", name, err)
 			}
-			return colstore.ScanRowTable(s.mrEng.FS(), dir, "", fn)
-		})
-		if err != nil {
-			return 0, fmt.Errorf("serve: estimating %s tables: %w", name, err)
+			est = per[0]
+			s.estimates.Put(dir, d.Version, key, est)
 		}
-		s.estMu.Lock()
-		for i := range dims {
-			if _, ok := need[dims[i].Table]; ok {
-				s.estimates[keys[i]] = per[i]
-			}
+		if !s.cache.residentEverywhere(key, nodeIDs) {
+			cost += est
 		}
-		s.estMu.Unlock()
 	}
-
-	var cost int64
-	s.estMu.Lock()
-	for _, k := range keys {
-		if s.cache.residentEverywhere(k, nodeIDs) {
-			continue
-		}
-		cost += s.estimates[k]
-	}
-	s.estMu.Unlock()
-	return cost + s.opts.TaskMemory, nil
+	return cost, nil
 }
 
 func (s *Session) aliveIDs() []string {
@@ -755,7 +719,7 @@ func (s *Session) Stats() Stats {
 	st.CompactedRows = s.compactedRows.Load()
 	st.PartitionsPublished = s.partsPublished.Load()
 	st.PartitionsRetired = s.partsRetired.Load()
-	st.TableInvalidations = s.tableInvalidations.Load()
+	st.TableInvalidations = s.cache.invalidations.Load()
 	return st
 }
 

@@ -67,16 +67,22 @@ plan-golden:
 # counts. The gomap/boxed variants are the pre-change layouts kept in-tree as
 # the comparison baseline — open vs gomap and inmapper/scratch vs boxed are
 # the ratios to watch; DimBuildFromLocal is the whole per-node build phase,
-# from the node-local dimension copy to a probe-ready table. CI-friendly:
-# short benchtime, no external state.
+# from the node-local dimension copy to a probe-ready table; ColumnDecode is
+# the column codec by itself, ns and bytes per value for runs, gathers and
+# skips (see DESIGN.md "Scan path"). CI-friendly: short benchtime, no
+# external state.
 bench:
-	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ .
+	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ .
 
-# Ten seconds of coverage-guided fuzzing of the node-local dimension copy's
-# decoder from its checked-in corpus (testdata/fuzz/FuzzOpenColumnSet): no
-# input may panic it or make it allocate by a count the blob merely claims.
+# Ten seconds of coverage-guided fuzzing of the column decoders from their
+# checked-in corpora (testdata/fuzz, held current by TestFuzzSeedCorpus):
+# five of the node-local dimension copy's column sets and five of a
+# partition's column files. No input may panic them or make them allocate by
+# a count the bytes merely claim. Minimising an input that widened coverage
+# is capped at a second, or one such input would use up the run.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzOpenColumnSet -fuzztime 10s ./internal/colstore/
+	$(GO) test -run '^$$' -fuzz FuzzOpenColumnSet -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
+	$(GO) test -run '^$$' -fuzz FuzzOpenColumnFile -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 
 # One-iteration smoke run of every benchmark in the repo, then the row
 # accounting gate: on all 13 SSB queries, every fact row must be attributed

@@ -30,11 +30,15 @@ import (
 //	trailing CRC-32 (IEEE) of everything before it — the checksum HDFS keeps
 //	per block, letting readers detect corrupted replicas.
 //	v2 "CCF2": uvarint row count, one Encoding byte, the encoded payload
-//	(see encoding.go), and the same CRC-32 trailer.
+//	(see encoding.go: a plain stream, bit-packed dictionary codes or
+//	frame-of-reference integers), and the same CRC-32 trailer.
 //
 // The writer emits v2 plus a per-partition "_stats" zone-map sidecar (see
 // stats.go); the reader accepts both versions, so tables written before this
 // format existed keep working — they just decode plain and never prune.
+// openColumnFile is the one place a column file is taken apart: checksum
+// first, then the row count, bounded by the payload's length before anything
+// is sized by it, then the payload's own consistency checks.
 // The table prefix is registered with the co-locating placement policy so
 // all the column files of a partition replicate to the same nodes, keeping
 // column-pruned scans data-local (§4.1).
@@ -118,6 +122,10 @@ const (
 	// account for every fact row exactly once:
 	// probed + late_skipped + bloom_skipped + pruned == total rows.
 	CtrRowsBloomSkipped = "scan.rows_bloom_skipped"
+	// CtrBlocksSkipped counts blocks in which no row survived selection, so
+	// no deferred column was touched: on packed columns such a block costs
+	// its eager columns and nothing else.
+	CtrBlocksSkipped = "scan.blocks_skipped"
 )
 
 // DefaultPartitionRows is the row count per CIF partition when unspecified.
@@ -208,6 +216,16 @@ func (w *CIFWriter) flushPartition() error {
 	w.partition++
 	w.block.Reset()
 	return nil
+}
+
+// columnFile frames one encoded column as a v2 column file.
+func columnFile(rows int, enc Encoding, payload []byte) []byte {
+	buf := make([]byte, 0, len(cifMagicV2)+binary.MaxVarintLen64+1+len(payload)+4)
+	buf = append(buf, cifMagicV2...)
+	buf = binary.AppendUvarint(buf, uint64(rows))
+	buf = append(buf, byte(enc))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // Close flushes the final partition. Rows written so far remain valid; CIF
@@ -495,8 +513,8 @@ type CIFInput struct {
 	DisablePruning bool
 	DisableLateMat bool
 	// DisableCodeSpacePreds turns off code-space execution in the scan
-	// (dictionary-code predicate bitmaps, delta range fusion, code
-	// carrying) for ablation; predicates and filters then evaluate over
+	// (dictionary-code predicate bitmaps, frame-of-reference range fusion,
+	// code carrying) for ablation; predicates and filters then evaluate over
 	// materialized values only, and blocks carry no Codes.
 	DisableCodeSpacePreds bool
 
@@ -512,7 +530,7 @@ type CIFInput struct {
 // independent precompiled: the generic block evaluation, and — for
 // single-column conjuncts — a per-value evaluator (for translating the
 // conjunct into a dictionary-code bitmap) and an integer range (for fusing
-// into delta decode). Which form applies is decided per partition, since it
+// into frame-of-reference decode). Which form applies is decided per partition, since it
 // depends on each partition's column encodings.
 type conjunctPlan struct {
 	pred   expr.Pred
@@ -818,24 +836,24 @@ type cifReader struct {
 	pos     int64
 	block   *records.RowBlock
 	scratch []records.Value // Next's reused value slice
-	sel     []bool          // late materialization selection vector
+	sel     selection       // late materialization: the current block's selection
 
 	havePlan bool
 	plan     partPlan
-	codeBufs [][]uint32 // per projected column, reused raw-code scratch
+	codeBufs [][]uint32 // per projected column, reused raw-code scratch indexed by position in the block
 }
 
 // partPlan is the partition-scoped form of the selection plan: the same
 // conjuncts and filters as CIFInput's plan, specialized to this partition's
 // column encodings. Rebuilt per partition in load().
 type partPlan struct {
-	fused     []fusedRange     // delta columns decoded with a fused range check
+	fused     []fusedRange     // frame-of-reference columns decoded with a fused range check
 	codeCols  []codeCol        // dictionary columns decoded as raw codes
 	preVals   []int            // other early columns fully decoded before selection
 	post      []int            // early columns deferred behind the selection vector
 	codePreds []codeBitmap     // predicate conjuncts as bitmaps over codes
 	rowPreds  []expr.BlockPred // residual conjuncts evaluated per row
-	codeFilts []codeBitmap     // semi-join filters as bitmaps over codes
+	codeFilts []codeFilter     // semi-join filters as bitmaps over codes, most selective first
 	valFilts  []filterPlan     // semi-join filters tested per decoded value
 }
 
@@ -844,13 +862,26 @@ type fusedRange struct {
 	lo, hi int64
 }
 
-// codeCol is a dictionary-encoded early column. Its raw codes are always
-// decoded before selection; values materialize pre-selection only when a
-// residual predicate reads them (fullVals), otherwise post-selection.
+// codeCol is a dictionary-encoded early column, read as raw codes. When its
+// codes are needed decides how many of them are decoded: a column a
+// predicate reads is unpacked for the whole block before selection, one
+// first read by a semi-join filter is decoded there for the rows still
+// selected, and one only the consumer reads for the rows the selection
+// kept. Values materialize pre-selection only when a residual predicate
+// reads them (fullVals), otherwise post-selection.
 type codeCol struct {
 	col      int
 	fullVals bool
+	when     codesWhen
 }
+
+type codesWhen uint8
+
+const (
+	codesEarly codesWhen = iota
+	codesAtFilter
+	codesLate
+)
 
 // codeBitmap is a per-dictionary-entry decision: bits[code] is whether a
 // row carrying that code passes. Predicates and bloom filters are evaluated
@@ -860,12 +891,23 @@ type codeBitmap struct {
 	bits []bool
 }
 
+// codeFilter is a semi-join filter as a code bitmap; decode marks the filter
+// that is its column's first reader and so decodes it.
+type codeFilter struct {
+	codeBitmap
+	passing int // dictionary entries that pass
+	decode  bool
+}
+
 // planPartition specializes the input's selection plan to this partition's
 // encodings: single-column conjuncts on dictionary columns become code
-// bitmaps, range conjuncts on delta columns fuse into decode, semi-join
+// bitmaps, range conjuncts on frame-of-reference columns fuse into decode
+// (settled per frame where the frame's bounds decide them), semi-join
 // filters on dictionary columns become code bitmaps (the bloom is probed
-// once per dictionary entry, not once per row), and everything else falls
-// back to per-row evaluation over materialized values.
+// once per dictionary entry, not once per row) applied in order of the
+// share of the dictionary they pass, so that the columns of the later ones
+// are decoded for few rows, and everything else falls back to per-row
+// evaluation over materialized values.
 func (r *cifReader) planPartition() {
 	r.plan = partPlan{}
 	r.havePlan = r.in.planned
@@ -876,8 +918,10 @@ func (r *cifReader) planPartition() {
 	codeOK := !r.in.DisableCodeSpacePreds
 
 	// needVals marks early columns whose values must exist for all rows
-	// before residual predicates or value-form filters run.
+	// before residual predicates or value-form filters run; when is each
+	// dictionary column's first reader.
 	needVals := make(map[int]bool)
+	when := make(map[int]codesWhen)
 	fused := make(map[int]fusedRange)
 	for _, cp := range r.in.conj {
 		var dec *colDecoder
@@ -890,9 +934,10 @@ func (r *cifReader) planPartition() {
 				bits[c] = cp.vp(dec.dictValue(c))
 			}
 			p.codePreds = append(p.codePreds, codeBitmap{col: cp.col, bits: bits})
+			when[cp.col] = codesEarly
 			continue
 		}
-		if codeOK && dec != nil && dec.enc == EncDelta && cp.ranged {
+		if codeOK && dec != nil && dec.enc == EncFOR && cp.ranged {
 			f, ok := fused[cp.col]
 			if !ok {
 				f = fusedRange{col: cp.col, lo: cp.lo, hi: cp.hi}
@@ -911,19 +956,32 @@ func (r *cifReader) planPartition() {
 		p.rowPreds = append(p.rowPreds, cp.bp)
 		for _, c := range cp.cols {
 			needVals[c] = true
+			when[c] = codesEarly
 		}
 	}
 	for _, f := range r.in.filters {
 		dec := r.decs[f.col]
 		if codeOK && dec.enc == EncDictI64 {
-			bits := make([]bool, len(dec.intDict))
+			cf := codeFilter{codeBitmap: codeBitmap{col: f.col, bits: make([]bool, len(dec.intDict))}}
 			for c, v := range dec.intDict {
-				bits[c] = f.keys.MayContain(v)
+				if cf.bits[c] = f.keys.MayContain(v); cf.bits[c] {
+					cf.passing++
+				}
 			}
-			p.codeFilts = append(p.codeFilts, codeBitmap{col: f.col, bits: bits})
+			p.codeFilts = append(p.codeFilts, cf)
 		} else {
 			p.valFilts = append(p.valFilts, f)
 			needVals[f.col] = true
+		}
+	}
+	sort.SliceStable(p.codeFilts, func(i, j int) bool {
+		a, b := &p.codeFilts[i], &p.codeFilts[j]
+		return a.passing*len(b.bits) < b.passing*len(a.bits)
+	})
+	for i := range p.codeFilts {
+		f := &p.codeFilts[i]
+		if _, read := when[f.col]; !read {
+			f.decode, when[f.col] = true, codesAtFilter
 		}
 	}
 	for _, c := range r.in.earlyIdx {
@@ -934,7 +992,11 @@ func (r *cifReader) planPartition() {
 		dec := r.decs[c]
 		switch {
 		case codeOK && dec.dictSize() > 0:
-			p.codeCols = append(p.codeCols, codeCol{col: c, fullVals: needVals[c]})
+			w, read := when[c]
+			if !read {
+				w = codesLate
+			}
+			p.codeCols = append(p.codeCols, codeCol{col: c, fullVals: needVals[c], when: w})
 		case needVals[c]:
 			p.preVals = append(p.preVals, c)
 		default:
@@ -943,6 +1005,76 @@ func (r *cifReader) planPartition() {
 			p.post = append(p.post, c)
 		}
 	}
+}
+
+// openColumnFile takes one column file apart and returns a decoder over its
+// payload, positioned at the first row. The CRC is verified before any other
+// byte is interpreted, and the row count the file claims is bounded by its
+// payload (a packed value is at least one bit: rows <= 8 x bytes) before
+// anything is sized by it. Every error names the file.
+func openColumnFile(path string, data []byte, kind records.Kind) (*colDecoder, error) {
+	if len(data) < len(cifMagicV1)+4 {
+		return nil, fmt.Errorf("colstore: %s: short column file", path)
+	}
+	var v2 bool
+	switch string(data[:len(cifMagicV1)]) {
+	case string(cifMagicV1):
+	case string(cifMagicV2):
+		v2 = true
+	default:
+		return nil, fmt.Errorf("colstore: %s: bad column magic", path)
+	}
+	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
+	if crc32.ChecksumIEEE(body) != sum {
+		return nil, fmt.Errorf("colstore: %s: checksum mismatch (corrupted replica?)", path)
+	}
+	pos := len(cifMagicV1)
+	count, n := binary.Uvarint(body[pos:])
+	if n <= 0 {
+		return nil, fmt.Errorf("colstore: %s: bad row count", path)
+	}
+	pos += n
+	enc := EncPlain
+	if v2 {
+		if pos >= len(body) {
+			return nil, fmt.Errorf("colstore: %s: missing encoding byte", path)
+		}
+		enc = Encoding(body[pos])
+		pos++
+	}
+	payload := body[pos:]
+	if count > 8*uint64(len(payload)) {
+		return nil, fmt.Errorf("colstore: %s: %d rows claimed by a %d-byte payload", path, count, len(payload))
+	}
+	dec, err := newColDecoder(kind, enc, int(count), payload)
+	if err != nil {
+		return nil, fmt.Errorf("colstore: %s: %w", path, err)
+	}
+	return dec, nil
+}
+
+// openPartition opens the column file of every schema column of the
+// partition at pdir, fetched through read, and checks that they agree on the
+// row count, which it returns.
+func openPartition(pdir string, schema *records.Schema, read func(path string) ([]byte, error)) ([]*colDecoder, int, error) {
+	decs := make([]*colDecoder, schema.Len())
+	rows := 0
+	for i := range decs {
+		path := fmt.Sprintf("%s/%s.col", pdir, schema.Field(i).Name)
+		data, err := read(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		if decs[i], err = openColumnFile(path, data, schema.Field(i).Kind); err != nil {
+			return nil, 0, err
+		}
+		if i == 0 {
+			rows = decs[i].rows
+		} else if decs[i].rows != rows {
+			return nil, 0, fmt.Errorf("colstore: %s: %d rows, sibling columns have %d", path, decs[i].rows, rows)
+		}
+	}
+	return decs, rows, nil
 }
 
 func newCIFReader(ctx *mr.TaskContext, s *CIFSplit, in *CIFInput, blockRows int) *cifReader {
@@ -971,54 +1103,14 @@ func (r *cifReader) load() error {
 			"partition", r.split.PartitionDir,
 			"local", strconv.FormatBool(local))
 	}()
-	r.decs = make([]*colDecoder, r.schema.Len())
-	r.rows = -1
-	for i := 0; i < r.schema.Len(); i++ {
-		path := fmt.Sprintf("%s/%s.col", r.split.PartitionDir, r.schema.Field(i).Name)
-		data, err := r.ctx.FS.ReadAllTraced(path, r.ctx.Node().ID(), r.ctx.TraceContext())
-		if err != nil {
-			return err
-		}
-		if len(data) < len(cifMagicV1)+4 {
-			return fmt.Errorf("colstore: %s: short column file", path)
-		}
-		var v2 bool
-		switch string(data[:len(cifMagicV1)]) {
-		case string(cifMagicV1):
-		case string(cifMagicV2):
-			v2 = true
-		default:
-			return fmt.Errorf("colstore: %s: bad column magic", path)
-		}
-		body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-		if crc32.ChecksumIEEE(body) != sum {
-			return fmt.Errorf("colstore: %s: checksum mismatch (corrupted replica?)", path)
-		}
-		pos := len(cifMagicV1)
-		count, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return fmt.Errorf("colstore: %s: bad row count", path)
-		}
-		pos += n
-		if r.rows < 0 {
-			r.rows = int64(count)
-		} else if r.rows != int64(count) {
-			return fmt.Errorf("colstore: %s: %d rows, sibling columns have %d", path, count, r.rows)
-		}
-		enc := EncPlain
-		if v2 {
-			if pos >= len(body) {
-				return fmt.Errorf("colstore: %s: missing encoding byte", path)
-			}
-			enc = Encoding(body[pos])
-			pos++
-		}
-		dec, err := newColDecoder(r.schema.Field(i).Kind, enc, body[pos:])
-		if err != nil {
-			return fmt.Errorf("colstore: %s: %w", path, err)
-		}
-		r.decs[i] = dec
+	decs, rows, err := openPartition(r.split.PartitionDir, r.schema, func(path string) ([]byte, error) {
+		return r.ctx.FS.ReadAllTraced(path, r.ctx.Node().ID(), r.ctx.TraceContext())
+	})
+	if err != nil {
+		return err
 	}
+	r.decs, r.rows = decs, int64(rows)
+	r.codeBufs = make([][]uint32, len(decs))
 	r.planPartition()
 	return nil
 }
@@ -1049,25 +1141,35 @@ func (r *cifReader) Next() (records.Record, records.Record, bool, error) {
 	return records.Record{}, records.Make(r.schema, r.scratch...), true, nil
 }
 
-// codeBuf returns the reusable raw-code scratch slice for projected column c.
-func (r *cifReader) codeBuf(c int) []uint32 {
-	if r.codeBufs == nil {
-		r.codeBufs = make([][]uint32, r.schema.Len())
+// blockCodes decodes projected column c's raw codes for the current block
+// into the column's scratch: every row's when s is nil or dense, the
+// selected rows' only when it is sparse.
+func (r *cifReader) blockCodes(c, n int, s *selection) ([]uint32, error) {
+	var err error
+	if s == nil {
+		r.codeBufs[c], err = r.decs[c].decodeCodes(r.codeBufs[c][:0], n)
+	} else {
+		r.codeBufs[c], err = r.decs[c].decodeCodesSelected(r.codeBufs[c], s)
 	}
-	return r.codeBufs[c][:0]
+	return r.codeBufs[c], err
 }
 
 // NextBlock implements BlockReader (B-CIF): it fills the reusable block with
 // typed bulk decodes. With a selection plan, the scan works on encoded data
-// as long as it can: dictionary columns are decoded to raw codes and
+// as long as it can: dictionary columns are unpacked to raw codes and
 // predicates/semi-join filters translated to code bitmaps are tested
-// against them, range conjuncts on delta columns are checked during decode
-// (reusing the comparison across runs of equal values), residual conjuncts
+// against them, range conjuncts on frame-of-reference columns are checked
+// during decode (per frame where its bounds settle them), residual conjuncts
 // run per row over the materialized eager values, and only rows surviving
-// all of that ever materialize their remaining columns. Predicate drops are
-// counted as rows_late_skipped, semi-join drops (tested only on rows the
-// predicate kept) as rows_bloom_skipped. Blocks in which no row survives
-// are skipped entirely.
+// all of that ever materialize their remaining columns. Every column is
+// decoded as late as its first reader allows, and once the selection is
+// sparse a column is gathered at the selected positions instead of
+// unpacked: the semi-join filters after the first, the consumer's columns
+// and the deferred ones cost by rows kept, not rows stored. Predicate drops
+// are counted as rows_late_skipped, semi-join drops (tested only on rows
+// the predicate kept) as rows_bloom_skipped. Blocks in which no row
+// survives are skipped entirely (blocks_skipped): the cursors of the
+// columns not yet read move past them.
 func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 	if err := r.load(); err != nil {
 		return nil, false, err
@@ -1092,8 +1194,7 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 			for c, dec := range r.decs {
 				cv := r.block.Col(c)
 				if !r.in.DisableCodeSpacePreds && dec.dictSize() > 0 {
-					codes, err := dec.decodeCodes(r.codeBuf(c), n)
-					r.codeBufs[c] = codes
+					codes, err := r.blockCodes(c, n, nil)
 					if err != nil {
 						return nil, false, err
 					}
@@ -1107,35 +1208,39 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 			return r.block, true, nil
 		}
 
-		p := &r.plan
-		if cap(r.sel) < n {
-			r.sel = make([]bool, n)
+		p, s := &r.plan, &r.sel
+		if cap(s.mask) < n {
+			s.mask = make([]bool, n)
 		}
-		sel := r.sel[:n]
+		s.mask, s.count, s.listed = s.mask[:n], n, false
+		sel := s.mask
 		for i := range sel {
 			sel[i] = true
 		}
-		// Range conjuncts fused into delta decode.
+		// The predicate: range conjuncts fused into frame-of-reference
+		// decode, then code bitmaps over the dictionary columns it reads.
 		for _, f := range p.fused {
-			if err := r.decs[f.col].decodeDeltaRangeSel(r.block.Col(f.col), sel, f.lo, f.hi); err != nil {
+			if err := r.decs[f.col].decodeRangeSel(r.block.Col(f.col), sel, f.lo, f.hi); err != nil {
 				return nil, false, err
 			}
 		}
-		// Dictionary columns: raw codes only; code bitmaps select on them.
+		if len(p.fused) > 0 {
+			s.count = 0
+			for _, keep := range sel {
+				if keep {
+					s.count++
+				}
+			}
+		}
 		for _, cc := range p.codeCols {
-			codes, err := r.decs[cc.col].decodeCodes(r.codeBuf(cc.col), n)
-			r.codeBufs[cc.col] = codes
-			if err != nil {
-				return nil, false, err
+			if cc.when == codesEarly {
+				if _, err := r.blockCodes(cc.col, n, nil); err != nil {
+					return nil, false, err
+				}
 			}
 		}
 		for _, cb := range p.codePreds {
-			codes := r.codeBufs[cb.col]
-			for i := range sel {
-				if sel[i] && !cb.bits[codes[i]] {
-					sel[i] = false
-				}
-			}
+			s.keepCodes(r.codeBufs[cb.col], cb.bits)
 		}
 		// Values residual conjuncts read must exist for every row.
 		for _, c := range p.preVals {
@@ -1150,67 +1255,62 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 				cv.Dict = r.decs[cc.col].dictDescriptor()
 			}
 		}
-		if len(p.rowPreds) > 0 {
-			for i := 0; i < n; i++ {
-				if !sel[i] {
-					continue
-				}
-				for _, bp := range p.rowPreds {
-					if !bp(r.block, i) {
-						sel[i] = false
-						break
-					}
-				}
-			}
+		for _, bp := range p.rowPreds {
+			s.keepIf(func(i int32) bool { return bp(r.block, int(i)) })
 		}
-		predKept := 0
-		for i := range sel {
-			if sel[i] {
-				predKept++
-			}
-		}
+		predKept := s.count
 		if r.ctx.Counters != nil {
 			r.ctx.Counters.Add(CtrRowsLateSkipped, int64(n-predKept))
 		}
 		// Semi-join filters run after the predicate, on surviving rows only,
 		// so the two drop counters partition the dropped rows.
-		for _, cb := range p.codeFilts {
-			codes := r.codeBufs[cb.col]
-			for i := range sel {
-				if sel[i] && !cb.bits[codes[i]] {
-					sel[i] = false
+		ran := 0
+		for ; ran < len(p.codeFilts) && s.count > 0; ran++ {
+			f := &p.codeFilts[ran]
+			if f.decode {
+				if _, err := r.blockCodes(f.col, n, s); err != nil {
+					return nil, false, err
 				}
 			}
+			s.keepCodes(r.codeBufs[f.col], f.bits)
 		}
 		for _, vf := range p.valFilts {
 			ints := r.block.Col(vf.col).Ints
-			for i := range sel {
-				if sel[i] && !vf.keys.MayContain(ints[i]) {
-					sel[i] = false
-				}
-			}
+			s.keepIf(func(i int32) bool { return vf.keys.MayContain(ints[i]) })
 		}
-		selected := 0
-		for i := range sel {
-			if sel[i] {
-				selected++
-			}
-		}
+		selected := s.count
 		if r.ctx.Counters != nil {
 			r.ctx.Counters.Add(CtrRowsBloomSkipped, int64(predKept-selected))
 		}
 		if selected == 0 {
-			// Nothing survived: parse the deferred columns past this block
-			// without materializing and move on.
-			for _, c := range p.post {
-				if err := r.decs[c].decodeFiltered(r.block.Col(c), sel); err != nil {
-					return nil, false, err
+			// Nothing survived: move the columns not yet read past this
+			// block.
+			if r.ctx.Counters != nil {
+				r.ctx.Counters.Add(CtrBlocksSkipped, 1)
+			}
+			var err error
+			skip := func(c int) {
+				if err == nil {
+					err = r.decs[c].skip(n)
 				}
 			}
-			for _, c := range r.in.lateIdx {
-				if err := r.decs[c].decodeFiltered(r.block.Col(c), sel); err != nil {
-					return nil, false, err
+			for _, f := range p.codeFilts[ran:] {
+				if f.decode {
+					skip(f.col)
 				}
+			}
+			for _, cc := range p.codeCols {
+				if cc.when == codesLate {
+					skip(cc.col)
+				}
+			}
+			for _, set := range [][]int{p.post, r.in.lateIdx} {
+				for _, c := range set {
+					skip(c)
+				}
+			}
+			if err != nil {
+				return nil, false, err
 			}
 			continue
 		}
@@ -1231,22 +1331,17 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 				}
 				continue
 			}
-			keep := sel
-			if selected == n {
-				keep = nil
+			if cc.when == codesLate {
+				if _, err := r.blockCodes(cc.col, n, s); err != nil {
+					return nil, false, err
+				}
 			}
-			r.decs[cc.col].appendFromCodes(cv, r.codeBufs[cc.col], keep)
+			r.decs[cc.col].appendFromCodes(cv, r.codeBufs[cc.col], s)
 			cv.Dict = r.decs[cc.col].dictDescriptor()
 		}
 		for _, set := range [][]int{p.post, r.in.lateIdx} {
 			for _, c := range set {
-				var err error
-				if selected == n {
-					err = r.decs[c].decodeInto(r.block.Col(c), n)
-				} else {
-					err = r.decs[c].decodeFiltered(r.block.Col(c), sel)
-				}
-				if err != nil {
+				if err := r.decs[c].decodeSelected(r.block.Col(c), s); err != nil {
 					return nil, false, err
 				}
 			}

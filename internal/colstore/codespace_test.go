@@ -3,7 +3,6 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 )
 
 // Code-space execution property tests: for every encoding the scan can
-// choose (dict strings, dict ints, delta ints, plain fallback), predicates
-// evaluated against raw codes / fused into delta decoding must select
+// choose (dict strings, dict ints, frame-of-reference ints, plain fallback),
+// predicates evaluated against raw codes / fused into frame decoding must select
 // exactly the rows that decoded-value evaluation selects. The reference is
 // computed independently by compiling the predicate against the full
 // unfiltered row set.
@@ -21,7 +20,7 @@ import (
 var csSchema = records.NewSchema(
 	records.F("dictstr", records.KindString), // low-cardinality → EncDict
 	records.F("dicti", records.KindInt64),    // sparse large low-cardinality → EncDictI64
-	records.F("seq", records.KindInt64),      // ascending with runs → EncDelta
+	records.F("seq", records.KindInt64),      // ascending with runs → EncFOR
 	records.F("hc", records.KindString),      // > maxDictEntries distinct → EncPlain fallback
 )
 
@@ -33,12 +32,7 @@ var csIntPool = []int64{19940101, 19950315, 19961224, 19980704, 20011231, 200302
 // encoding by construction instead of coaxing the selector with bulk data.
 func writeEncodedCol(t *testing.T, e *env, path string, enc Encoding, n int, payload []byte) {
 	t.Helper()
-	buf := append([]byte(nil), cifMagicV2...)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = append(buf, byte(enc))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	if err := e.fs.WriteFile(path, "", buf); err != nil {
+	if err := e.fs.WriteFile(path, "", columnFile(n, enc, payload)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,7 +45,7 @@ func writeCodeSpaceTable(t *testing.T, e *env, dir string, rows, partRows int) [
 		all = append(all, records.Make(csSchema,
 			records.Str(csStrPool[rng.Intn(len(csStrPool))]),
 			records.Int(csIntPool[rng.Intn(len(csIntPool))]),
-			records.Int(int64(1000+i/7)), // ascending runs of 7 → zero-delta run skipping
+			records.Int(int64(1000+i/7)), // ascending runs of 7: a range settles most frames outright
 			records.Str(fmt.Sprintf("u-%06d", i)),
 		))
 	}
@@ -61,29 +55,25 @@ func writeCodeSpaceTable(t *testing.T, e *env, dir string, rows, partRows int) [
 			hi = rows
 		}
 		part := all[lo:hi]
-		strs := make([]string, len(part))
-		dictis := make([]int64, len(part))
+		strs := newDictBuilder[string](len(part))
+		dictis := newDictBuilder[int64](len(part))
 		seqs := make([]int64, len(part))
 		hcs := &records.ColumnVector{Kind: records.KindString}
 		for i, r := range part {
-			strs[i] = r.At(0).Str()
-			dictis[i] = r.At(1).Int64()
+			strs.add(r.At(0).Str(), 0)
+			dictis.add(r.At(1).Int64(), 0)
 			seqs[i] = r.At(2).Int64()
 			hcs.Strs = append(hcs.Strs, r.At(3).Str())
 		}
+		if strs.full || dictis.full {
+			t.Fatal("pool columns overflowed the dictionary")
+		}
+		frames, size := measureFrames(seqs)
 		pdir := fmt.Sprintf("%s/p-%05d", dir, p)
-		dictPay, _, ok := encodeDict(strs)
-		if !ok {
-			t.Fatal("dictstr refused dictionary encoding")
-		}
-		dictiPay, _, ok := encodeDictI64(dictis)
-		if !ok {
-			t.Fatal("dicti refused dictionary encoding")
-		}
-		writeEncodedCol(t, e, pdir+"/dictstr.col", EncDict, len(part), dictPay)
-		writeEncodedCol(t, e, pdir+"/dicti.col", EncDictI64, len(part), dictiPay)
-		writeEncodedCol(t, e, pdir+"/seq.col", EncDelta, len(part), encodeDelta(seqs))
-		writeEncodedCol(t, e, pdir+"/hc.col", EncPlain, len(part), encodePlain(hcs))
+		writeEncodedCol(t, e, pdir+"/dictstr.col", EncDict, len(part), strs.payload(appendDictString))
+		writeEncodedCol(t, e, pdir+"/dicti.col", EncDictI64, len(part), dictis.payload(binary.AppendVarint))
+		writeEncodedCol(t, e, pdir+"/seq.col", EncFOR, len(part), packFrames(seqs, frames, size))
+		writeEncodedCol(t, e, pdir+"/hc.col", EncPlain, len(part), encodePlain(hcs, 0))
 	}
 	if err := WriteSchema(e.fs, dir, csSchema); err != nil {
 		t.Fatal(err)
@@ -195,12 +185,7 @@ func TestCodeSpaceNullParity(t *testing.T) {
 		for _, v := range vals {
 			payload = records.AppendValue(payload, v)
 		}
-		buf := append([]byte(nil), cifMagicV2...)
-		buf = binary.AppendUvarint(buf, uint64(n))
-		buf = append(buf, byte(EncPlain))
-		buf = append(buf, payload...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-		if err := e.fs.WriteFile("/nulls/p-00000/"+name+".col", "", buf); err != nil {
+		if err := e.fs.WriteFile("/nulls/p-00000/"+name+".col", "", columnFile(n, EncPlain, payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,5 +273,130 @@ func TestDictOverflowFallbackParity(t *testing.T) {
 	got, _ := readBlocks(t, e, &CIFInput{Dir: "/ovf", Schema: schema, Pred: p, BlockRows: 256})
 	if !sameRows(got, want) {
 		t.Fatalf("mixed dict/plain table: got %d rows, reference %d", len(got), len(want))
+	}
+}
+
+// TestSemiJoinFilterParity: semi-join filters pushed into the scan, on
+// dictionary columns (tested per dictionary entry, their codes decoded only
+// for the rows the filters before them kept) and on a frame-of-reference
+// column (tested per value), alone and behind a predicate, must keep exactly
+// the rows a row-at-a-time evaluation of predicate and filters keeps —
+// columns that were gathered, unpacked, or skipped all in step — and must
+// account for every row dropped, at block sizes that straddle frames and
+// selectivities from almost nothing to almost everything.
+func TestSemiJoinFilterParity(t *testing.T) {
+	schema := records.NewSchema(
+		records.F("fa", records.KindInt64),   // 40 distinct → EncDictI64
+		records.F("fb", records.KindInt64),   // 700 distinct → EncDictI64
+		records.F("fc", records.KindInt64),   // EncFOR
+		records.F("m", records.KindInt64),    // EncFOR, read late
+		records.F("tag", records.KindString), // EncDict, read late
+	)
+	e := newEnv(1, 1<<20)
+	rng := rand.New(rand.NewSource(31))
+	const parts, partRows = 3, 2500
+	var all []records.Record
+	for p := 0; p < parts; p++ {
+		fa, fb := newDictBuilder[int64](partRows), newDictBuilder[int64](partRows)
+		tag := newDictBuilder[string](partRows)
+		fc, m := make([]int64, partRows), make([]int64, partRows)
+		for i := 0; i < partRows; i++ {
+			r := records.Make(schema,
+				records.Int(int64(rng.Intn(40))*7),
+				records.Int(int64(rng.Intn(700))+1000),
+				records.Int(int64(rng.Intn(30000))),
+				records.Int(int64(len(all))*3-5000),
+				records.Str(csStrPool[rng.Intn(len(csStrPool))]))
+			all = append(all, r)
+			fa.add(r.At(0).Int64(), 0)
+			fb.add(r.At(1).Int64(), 0)
+			fc[i], m[i] = r.At(2).Int64(), r.At(3).Int64()
+			tag.add(r.At(4).Str(), 0)
+		}
+		pdir := fmt.Sprintf("/sj/p-%05d", p)
+		writeEncodedCol(t, e, pdir+"/fa.col", EncDictI64, partRows, fa.payload(binary.AppendVarint))
+		writeEncodedCol(t, e, pdir+"/fb.col", EncDictI64, partRows, fb.payload(binary.AppendVarint))
+		for name, vals := range map[string][]int64{"fc": fc, "m": m} {
+			frames, size := measureFrames(vals)
+			writeEncodedCol(t, e, pdir+"/"+name+".col", EncFOR, partRows, packFrames(vals, frames, size))
+		}
+		writeEncodedCol(t, e, pdir+"/tag.col", EncDict, partRows, tag.payload(appendDictString))
+	}
+	if err := WriteSchema(e.fs, "/sj", schema); err != nil {
+		t.Fatal(err)
+	}
+
+	// keysOf draws a key set holding about the given share of [lo, lo+span).
+	keysOf := func(lo, span, step int64, share float64) *KeyBloom {
+		var keys []int64
+		for k := int64(0); k < span; k++ {
+			if rng.Float64() < share {
+				keys = append(keys, lo+k*step)
+			}
+		}
+		return NewKeyBloom(keys, 10)
+	}
+	shares := []float64{0.01, 0.2, 0.6, 0.97}
+	share := func() float64 { return shares[rng.Intn(len(shares))] }
+	for trial := 0; trial < 24; trial++ {
+		filters := []KeyFilter{
+			{Column: "fa", Keys: keysOf(0, 40, 7, share())},
+			{Column: "fb", Keys: keysOf(1000, 700, 1, share())},
+			{Column: "fc", Keys: keysOf(0, 30000, 1, share())},
+		}
+		rng.Shuffle(len(filters), func(i, j int) { filters[i], filters[j] = filters[j], filters[i] })
+		filters = filters[:1+rng.Intn(len(filters))]
+		var pred expr.Pred
+		switch trial % 4 {
+		case 1: // a predicate on a filtered dictionary column: its codes are read early
+			pred = expr.Ge(expr.Col("fa"), expr.ConstInt(int64(rng.Intn(40))*7))
+		case 2: // one that empties most blocks
+			pred = expr.Between(expr.Col("m"), records.Int(-4000), records.Int(int64(rng.Intn(3000))))
+		case 3: // and a code bitmap followed by a conjunct over two columns, tested row by row
+			pred = expr.And(
+				expr.Ge(expr.Col("fa"), expr.ConstInt(int64(rng.Intn(20))*7)),
+				expr.Or(expr.Lt(expr.Col("fb"), expr.ConstInt(1000+int64(rng.Intn(700)))),
+					expr.Lt(expr.Col("fc"), expr.ConstInt(int64(rng.Intn(30000))))))
+		}
+		holds := func(records.Record) bool { return true }
+		if pred != nil {
+			var err error
+			if holds, err = expr.CompilePred(pred, schema); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want []records.Record
+		late := 0
+		for _, r := range all {
+			if !holds(r) {
+				late++
+				continue
+			}
+			keep := true
+			for _, f := range filters {
+				keep = keep && f.Keys.MayContain(r.At(schema.Index(f.Column)).Int64())
+			}
+			if keep {
+				want = append(want, r)
+			}
+		}
+		for _, blockRows := range []int{100, 1024, 1500} {
+			for _, valueSpace := range []bool{false, true} {
+				got, ctr := readBlocks(t, e, &CIFInput{Dir: "/sj", Schema: schema, Pred: pred, KeyFilters: filters,
+					BlockRows: blockRows, DisablePruning: true, DisableCodeSpacePreds: valueSpace})
+				what := fmt.Sprintf("trial %d (pred %v, %d filters), blocks of %d, value space %v", trial, pred, len(filters), blockRows, valueSpace)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d rows, reference %d", what, len(got), len(want))
+				}
+				for i := range want { // a scan returns rows in table order
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("%s: row %d is %v, reference %v", what, i, got[i], want[i])
+					}
+				}
+				if l, b := ctr.Get(CtrRowsLateSkipped), ctr.Get(CtrRowsBloomSkipped); int(l) != late || int(b) != len(all)-late-len(want) {
+					t.Fatalf("%s: %d rows late-skipped and %d bloom-skipped, want %d and %d", what, l, b, late, len(all)-late-len(want))
+				}
+			}
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // A column set is a whole (small) table held as one blob, column by column:
 // the form of the node-local dimension copies (§4). It reuses the CCF2
-// column codec — every column is one encodeColumn payload (delta, dict,
-// dict-i64 or plain) — behind a directory that lets a reader open any
+// column codec — every column is one encodeColumn payload (dict, dict-i64,
+// frame-of-reference or plain) — behind a directory that lets a reader open any
 // subset of the columns without touching the rest:
 //
 //	magic "CCS1"
@@ -93,28 +93,41 @@ func (w *columnSetWriter) append(r records.Record) error {
 }
 
 func (w *columnSetWriter) encode() []byte {
-	dir := binary.AppendUvarint(nil, uint64(w.rows))
-	dir = binary.AppendUvarint(dir, uint64(len(w.typed)))
-	var payloads []byte
+	cols := make([]columnBlob, len(w.typed))
 	for i, cv := range w.typed {
-		var (
-			enc     = EncPlain
-			flags   byte
-			payload []byte
-		)
+		cols[i] = columnBlob{kind: w.schema.Field(i).Kind}
 		if cv != nil {
-			enc, payload, _ = encodeColumn(cv)
-		} else {
-			flags = colBoxed
-			for _, v := range w.boxed[i] {
-				payload = records.AppendValue(payload, v)
-			}
+			cols[i].enc, cols[i].payload, _ = encodeColumn(cv)
+			continue
 		}
-		dir = append(dir, byte(w.schema.Field(i).Kind), byte(enc), flags)
+		cols[i].flags = colBoxed
+		for _, v := range w.boxed[i] {
+			cols[i].payload = records.AppendValue(cols[i].payload, v)
+		}
+	}
+	return assembleColumnSet(w.rows, cols)
+}
+
+// columnBlob is one column on its way into a column set.
+type columnBlob struct {
+	kind    records.Kind
+	enc     Encoding
+	flags   byte
+	payload []byte
+}
+
+// assembleColumnSet lays the blob out: header, directory, directory CRC,
+// payloads.
+func assembleColumnSet(rows int, cols []columnBlob) []byte {
+	dir := binary.AppendUvarint(nil, uint64(rows))
+	dir = binary.AppendUvarint(dir, uint64(len(cols)))
+	var payloads []byte
+	for _, c := range cols {
+		dir = append(dir, byte(c.kind), byte(c.enc), c.flags)
 		dir = binary.AppendUvarint(dir, uint64(len(payloads)))
-		dir = binary.AppendUvarint(dir, uint64(len(payload)))
-		dir = binary.LittleEndian.AppendUint32(dir, crc32.ChecksumIEEE(payload))
-		payloads = append(payloads, payload...)
+		dir = binary.AppendUvarint(dir, uint64(len(c.payload)))
+		dir = binary.LittleEndian.AppendUint32(dir, crc32.ChecksumIEEE(c.payload))
+		payloads = append(payloads, c.payload...)
 	}
 	buf := append([]byte(nil), columnSetMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dir)))
@@ -157,8 +170,9 @@ type columnMeta struct {
 
 // OpenColumnSet checks the blob's directory (magic, CRC, that the columns
 // are the schema's in number and kind, that the payloads tile the rest of
-// the blob and are long enough for the row count) and returns the set. No
-// column payload is read.
+// the blob and are long enough for the row count: a packed value is at least
+// one bit, so rows <= 8 x bytes) and returns the set. No column payload is
+// read.
 func OpenColumnSet(data []byte, schema *records.Schema) (*ColumnSet, error) {
 	const head = len(columnSetMagic) + 4
 	if len(data) < head+4 || string(data[:len(columnSetMagic)]) != string(columnSetMagic[:]) {
@@ -213,9 +227,10 @@ func OpenColumnSet(data []byte, schema *records.Schema) (*ColumnSet, error) {
 			return nil, badColumnSet("column %d: boxed values in %s encoding", i, m.enc)
 		}
 		// Payloads tile the blob in column order, and every encoding spends
-		// at least one byte per row: a directory cannot make a reader
-		// allocate for more rows than the blob has bytes.
-		if off != next || length > uint64(len(s.payloads))-off || rows > length {
+		// at least one bit per row: a directory cannot make a reader
+		// allocate for more rows than eight times the bytes of the blob's
+		// shortest column.
+		if off != next || length > uint64(len(s.payloads))-off || rows > 8*length {
 			return nil, badColumnSet("column %d: %d rows in bytes [%d,+%d) of %d", i, rows, off, length, len(s.payloads))
 		}
 		m.off, m.len = int(off), int(length)
@@ -243,7 +258,7 @@ func (s *ColumnSet) Column(i int) (*ColumnReader, error) {
 	if crc32.ChecksumIEEE(payload) != m.crc {
 		return nil, badColumnSet("column %d: payload checksum mismatch", i)
 	}
-	d, err := newColDecoder(m.kind, m.enc, payload)
+	d, err := newColDecoder(m.kind, m.enc, s.rows, payload)
 	if err != nil {
 		return nil, badColumnSet("column %d: %v", i, err)
 	}
@@ -254,7 +269,7 @@ func (s *ColumnSet) Column(i int) (*ColumnReader, error) {
 // the column's first row, so a reader can serve several passes.
 type ColumnReader struct {
 	d     *colDecoder
-	body  []byte // the payload after any dictionary
+	body  []byte // the decoder's buffer with its cursor on the first row
 	rows  int
 	boxed bool
 	bytes int64
@@ -283,11 +298,14 @@ func (c *ColumnReader) Dict() []records.Value {
 }
 
 func (c *ColumnReader) rewind() {
-	c.d.buf, c.d.prev = c.body, 0
+	c.d.buf, c.d.pos = c.body, 0
 }
 
+// finish wraps a read's error. A packed payload's length was checked
+// against the row count when the column was opened; a plain stream shows
+// only now, read to its last row, whether bytes follow it.
 func (c *ColumnReader) finish(err error) error {
-	if err == nil && len(c.d.buf) != 0 {
+	if err == nil && c.d.enc == EncPlain && len(c.d.buf) != 0 {
 		err = fmt.Errorf("%d bytes after the last row", len(c.d.buf))
 	}
 	if err != nil {
@@ -309,7 +327,8 @@ func (c *ColumnReader) Codes(dst []uint32) ([]uint32, error) {
 
 // Decode appends the column's values to cv, which must be of the column's
 // kind: every row when sel is nil, else the rows where sel (one entry per
-// row) is true. Unselected values are parsed past, never materialized.
+// row) is true. Unselected values are never materialized, and on a packed
+// column under a sparse selection never looked at.
 func (c *ColumnReader) Decode(cv *records.ColumnVector, sel []bool) error {
 	if c.boxed || cv.Kind != c.d.kind {
 		return badColumnSet("typed %s read of a %s column (boxed %v)", cv.Kind, c.d.kind, c.boxed)

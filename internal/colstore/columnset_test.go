@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -195,15 +194,7 @@ func TestColumnSetRejectsDamage(t *testing.T) {
 
 	// A directory that checksums correctly but lies: rebuilt with one field
 	// changed, as a writer bug or a crafted blob would produce it.
-	dirLen := int(binary.LittleEndian.Uint32(good[4:]))
-	relie := func(edit func(dir []byte) []byte) []byte {
-		dir := edit(append([]byte(nil), good[8:8+dirLen]...))
-		out := append([]byte(nil), good[:4]...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(dir)))
-		out = append(out, dir...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-		return append(out, good[8+dirLen+4:]...)
-	}
+	relie := func(edit func(dir []byte) []byte) []byte { return relieDirectory(good, edit) }
 	expectBad("row count beyond the payloads", relie(func(dir []byte) []byte {
 		_, n := binary.Uvarint(dir)
 		return append(binary.AppendUvarint(nil, 1<<40), dir[n:]...)
@@ -237,9 +228,10 @@ func TestColumnSetRejectsDamage(t *testing.T) {
 // FuzzOpenColumnSet: whatever the bytes, opening a column set and reading
 // every column every way returns values or an error — it does not panic,
 // and because the directory is checked against the blob's length before any
-// column is touched (a row costs at least a byte in every encoding, a
-// dictionary entry likewise), nothing it allocates is sized by a number the
-// blob merely claims: the row count never exceeds the shortest payload.
+// column is touched (a row costs at least a bit in every encoding, a
+// dictionary entry at least a byte), nothing it allocates is sized by a
+// number the blob merely claims: the row count never exceeds eight times the
+// shortest payload's bytes.
 func FuzzOpenColumnSet(f *testing.F) {
 	good := encodeColumnSet(f, columnSetTestSchema, columnSetTestRows(64))
 	f.Add(good)
@@ -253,12 +245,16 @@ func FuzzOpenColumnSet(f *testing.F) {
 			}
 			return
 		}
-		if set.Rows() > len(data) {
-			t.Fatalf("%d rows claimed by a %d-byte blob", set.Rows(), len(data))
+		for c, m := range set.cols {
+			if set.Rows() > 8*m.len {
+				t.Fatalf("%d rows claimed by a blob whose column %d has %d bytes", set.Rows(), c, m.len)
+			}
 		}
-		sel := make([]bool, set.Rows())
+		// Every second row is read by unpacking runs, every sixteenth by
+		// gathering positions.
+		sel, sparse := make([]bool, set.Rows()), make([]bool, set.Rows())
 		for i := range sel {
-			sel[i] = i%2 == 0
+			sel[i], sparse[i] = i%2 == 0, i%16 == 3
 		}
 		for c := 0; c < columnSetTestSchema.Len(); c++ {
 			col, err := set.Column(c)
@@ -266,11 +262,23 @@ func FuzzOpenColumnSet(f *testing.F) {
 				continue
 			}
 			vals, err := col.Values(nil, nil)
-			if err == nil && len(vals) != set.Rows() {
+			whole := err == nil
+			if whole && len(vals) != set.Rows() {
 				t.Fatalf("column %d: %d values for %d rows", c, len(vals), set.Rows())
 			}
-			if _, err := col.Values(nil, sel); err != nil && !errors.Is(err, ErrBadColumnSet) {
-				t.Fatalf("column %d: read error does not wrap ErrBadColumnSet: %v", c, err)
+			for _, sel := range [][]bool{sel, sparse} {
+				picked, err := col.Values(nil, sel)
+				if err != nil && !errors.Is(err, ErrBadColumnSet) {
+					t.Fatalf("column %d: read error does not wrap ErrBadColumnSet: %v", c, err)
+				}
+				for i, k := 0, 0; whole && err == nil && i < len(sel); i++ {
+					if sel[i] {
+						if !sameValue(picked[k], vals[i]) {
+							t.Fatalf("column %d row %d: %v under a selection, %v without", c, i, picked[k], vals[i])
+						}
+						k++
+					}
+				}
 			}
 			if dict := col.Dict(); dict != nil {
 				codes, err := col.Codes(nil)

@@ -1,9 +1,7 @@
 package colstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"clydesdale/internal/hdfs"
@@ -166,65 +164,38 @@ func ExpireBefore(reg *Snapshots, dir, col string, cutoff int64) ([]string, erro
 // decoding every schema column. Records own their values — fn may retain
 // them.
 func ScanCIFPartition(fs *hdfs.FileSystem, pdir string, schema *records.Schema, clientNode string, fn func(records.Record) error) error {
-	decs := make([]*colDecoder, schema.Len())
-	var nrows int64 = -1
-	for i := 0; i < schema.Len(); i++ {
-		path := fmt.Sprintf("%s/%s.col", pdir, schema.Field(i).Name)
-		data, err := fs.ReadAll(path, clientNode)
-		if err != nil {
-			return err
-		}
-		if len(data) < len(cifMagicV1)+4 {
-			return fmt.Errorf("colstore: %s: short column file", path)
-		}
-		var v2 bool
-		switch string(data[:len(cifMagicV1)]) {
-		case string(cifMagicV1):
-		case string(cifMagicV2):
-			v2 = true
-		default:
-			return fmt.Errorf("colstore: %s: bad column magic", path)
-		}
-		body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-		if crc32.ChecksumIEEE(body) != sum {
-			return fmt.Errorf("colstore: %s: checksum mismatch (corrupted replica?)", path)
-		}
-		pos := len(cifMagicV1)
-		count, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return fmt.Errorf("colstore: %s: bad row count", path)
-		}
-		pos += n
-		if nrows < 0 {
-			nrows = int64(count)
-		} else if nrows != int64(count) {
-			return fmt.Errorf("colstore: %s: %d rows, sibling columns have %d", path, count, nrows)
-		}
-		enc := EncPlain
-		if v2 {
-			if pos >= len(body) {
-				return fmt.Errorf("colstore: %s: missing encoding byte", path)
-			}
-			enc = Encoding(body[pos])
-			pos++
-		}
-		dec, err := newColDecoder(schema.Field(i).Kind, enc, body[pos:])
-		if err != nil {
-			return fmt.Errorf("colstore: %s: %w", path, err)
-		}
-		decs[i] = dec
+	decs, nrows, err := openPartition(pdir, schema, func(path string) ([]byte, error) {
+		return fs.ReadAll(path, clientNode)
+	})
+	if err != nil {
+		return err
 	}
-	for r := int64(0); r < nrows; r++ {
-		vals := make([]records.Value, schema.Len())
+	// Packed columns are unpacked a block at a time and boxed from the typed
+	// vectors; a plain stream is read value by value, because it may hold
+	// nulls, which a vector cannot carry.
+	block := records.NewRowBlock(schema, forFrameRows)
+	for at := 0; at < nrows; at += forFrameRows {
+		n := min(forFrameRows, nrows-at)
+		block.Reset()
 		for i, dec := range decs {
-			v, err := dec.next()
-			if err != nil {
+			if dec.enc != EncPlain {
+				if err := dec.decodeInto(block.Col(i), n); err != nil {
+					return err
+				}
+			}
+		}
+		for r := 0; r < n; r++ {
+			vals := make([]records.Value, len(decs))
+			for i, dec := range decs {
+				if dec.enc != EncPlain {
+					vals[i] = block.Col(i).Value(r)
+				} else if vals[i], err = dec.next(); err != nil {
+					return err
+				}
+			}
+			if err := fn(records.Make(schema, vals...)); err != nil {
 				return err
 			}
-			vals[i] = v
-		}
-		if err := fn(records.Make(schema, vals...)); err != nil {
-			return err
 		}
 	}
 	return nil

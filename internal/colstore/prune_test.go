@@ -133,6 +133,38 @@ func TestPrunePredsAreNotRowFilters(t *testing.T) {
 	}
 }
 
+// TestBlocksSkippedCounter: a block in which the selection keeps no row is
+// counted in scan.blocks_skipped and costs its deferred columns nothing but
+// a cursor move; they still line up with the rows of the blocks after it.
+func TestBlocksSkippedCounter(t *testing.T) {
+	e := newEnv(1, 1<<16)
+	writePruneTable(t, e, "/skip", 1, 200) // one partition: two blocks of 100
+	for _, c := range []struct {
+		pred    expr.Pred
+		rows    int
+		skipped int64
+	}{
+		{expr.Ge(expr.Col("id"), expr.ConstInt(150)), 50, 1}, // nothing in the first block
+		{expr.Lt(expr.Col("id"), expr.ConstInt(30)), 30, 1},  // nothing in the second
+		{expr.Ge(expr.Col("id"), expr.ConstInt(90)), 110, 0}, // survivors in both
+		{expr.Ge(expr.Col("id"), expr.ConstInt(1000)), 0, 2}, // none anywhere
+	} {
+		rows, ctr := readBlocks(t, e, &CIFInput{Dir: "/skip", Schema: pruneSchema, Pred: c.pred, BlockRows: 100, DisablePruning: true})
+		if got := ctr.Get(CtrBlocksSkipped); got != c.skipped {
+			t.Errorf("%v: %d blocks skipped, want %d", c.pred, got, c.skipped)
+		}
+		if len(rows) != c.rows {
+			t.Fatalf("%v: %d rows, want %d", c.pred, len(rows), c.rows)
+		}
+		for _, r := range rows {
+			id := r.At(0).Int64()
+			if r.At(1).Str() != fmt.Sprintf("tag-%d", id%4) || r.At(2).Float64() != float64(id)*0.5 {
+				t.Fatalf("%v: row %v: deferred columns out of step with id", c.pred, r)
+			}
+		}
+	}
+}
+
 // TestCorruptedStatsFallsBack: a damaged or truncated _stats sidecar must
 // disable pruning for that partition, never fail or misprune the scan.
 func TestCorruptedStatsFallsBack(t *testing.T) {

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"math/rand"
 	"testing"
 
 	"clydesdale/internal/expr"
@@ -64,6 +65,79 @@ func BenchmarkCIFScan(b *testing.B) {
 				b.Fatal("benchmark scanned no rows")
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalRows*int64(b.N)), "ns/tablerow")
+		})
+	}
+}
+
+// BenchmarkColumnDecode measures the positional decoders a block at a time
+// (1024 rows) over a 64-block column: unpacking a run of 12-bit dictionary
+// codes, unpacking a frame-of-reference run, gathering a late column under
+// selections that keep 1 %, 10 % and 50 % of the rows (the last is dense
+// enough that the decoder unpacks and compacts instead), and skipping.
+// ns/value is per row the call moves past, kept or not — the number to
+// hold against a stream decoder, which pays it for every row — and
+// bytes/value what a row of the column occupies; allocs/op must stay 0.
+func BenchmarkColumnDecode(b *testing.B) {
+	const blockRows, blocks = 1024, 64
+	rng := rand.New(rand.NewSource(9))
+	codes := records.NewColumnVector(records.KindInt64, blockRows*blocks)
+	wide := records.NewColumnVector(records.KindInt64, blockRows*blocks)
+	for i := 0; i < blockRows*blocks; i++ {
+		codes.Ints = append(codes.Ints, 19920101+int64(rng.Intn(maxDictEntries)))
+		wide.Ints = append(wide.Ints, 1_000_000+int64(rng.Intn(6_000_000)))
+	}
+	open := func(cv *records.ColumnVector, want Encoding) *colDecoder {
+		enc, payload, _ := encodeColumn(cv)
+		if enc != want {
+			b.Fatalf("column encoded as %s, want %s", enc, want)
+		}
+		return openPayload(b, cv.Kind, enc, cv.Len(), payload)
+	}
+	out := records.NewColumnVector(records.KindInt64, blockRows)
+	// gather reads a block under a selection keeping about percent of its
+	// rows, as NextBlock reads a deferred column: the list of selected
+	// positions is built once per block (here, per call).
+	gather := func(percent int) func(d *colDecoder) error {
+		s := &selection{mask: make([]bool, blockRows)}
+		for i := range s.mask {
+			if s.mask[i] = rng.Intn(100) < percent; s.mask[i] {
+				s.count++
+			}
+		}
+		return func(d *colDecoder) error {
+			s.listed = false
+			return d.decodeSelected(out, s)
+		}
+	}
+	var raw []uint32
+	for _, bc := range []struct {
+		name string
+		dec  *colDecoder
+		read func(d *colDecoder) error
+	}{
+		{"codes", open(codes, EncDictI64), func(d *colDecoder) (err error) {
+			raw, err = d.decodeCodes(raw[:0], blockRows)
+			return err
+		}},
+		{"for", open(wide, EncFOR), func(d *colDecoder) error { return d.decodeInto(out, blockRows) }},
+		{"gather-1pct", open(wide, EncFOR), gather(1)},
+		{"gather-10pct", open(wide, EncFOR), gather(10)},
+		{"gather-50pct", open(wide, EncFOR), gather(50)},
+		{"skip", open(wide, EncFOR), func(d *colDecoder) error { return d.skip(blockRows) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if bc.dec.pos == bc.dec.rows {
+					bc.dec.pos = 0
+				}
+				out.Reset()
+				if err := bc.read(bc.dec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(blockRows*b.N), "ns/value")
+			b.ReportMetric(float64(len(bc.dec.buf))/float64(bc.dec.rows), "bytes/value")
 		})
 	}
 }

@@ -668,6 +668,7 @@ var reportCounters = []string{
 	"scan.bytes_skipped",
 	"scan.rows_late_skipped",
 	"scan.rows_bloom_skipped",
+	"scan.blocks_skipped",
 	"core.probe_rows",
 	"core.probe_emits",
 	"mr.map_tasks",

@@ -20,18 +20,16 @@ import (
 // the surviving nodes.
 func TestServeSurvivesNodeDeathBetweenQueries(t *testing.T) {
 	e := newEnv(t, 4, 0.002, mr.Options{})
-	// Pruning off so every node builds Q2.1's tables — making the post-kill
-	// eviction observable.
-	s := e.session(serve.Options{Engine: core.Options{Ablate: core.NoScanPruning}})
+	s := e.session(serve.Options{})
 	defer s.Close()
 
-	check := func(name string) {
+	check := func(name string) *core.Report {
 		t.Helper()
 		q, err := ssb.QueryByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, _, err := s.Query(context.Background(), q)
+		rs, rep, err := s.Query(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -42,15 +40,18 @@ func TestServeSurvivesNodeDeathBetweenQueries(t *testing.T) {
 		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 			t.Fatalf("%s: %s", name, why)
 		}
+		return rep
 	}
 
-	check("Q2.1")
+	// The victim is a node that ran a map task of Q2.1 and so holds its
+	// tables; which nodes do is the scheduler's choice.
+	victim := mapNodes(check("Q2.1").Job)[0]
 	evBefore := s.Stats().Evictions
 
 	// The node dies; the session's death watcher drops its cached tables
 	// and the namenode re-replicates its blocks.
-	e.cluster.Node("node-2").Kill()
-	_, _, _ = e.fs.OnNodeFailure("node-2")
+	e.cluster.Node(victim).Kill()
+	_, _, _ = e.fs.OnNodeFailure(victim)
 
 	if ev := s.Stats().Evictions; ev <= evBefore {
 		t.Errorf("evictions %d -> %d; dead node's cached tables were not dropped", evBefore, ev)

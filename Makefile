@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet no-deprecated build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke examples-smoke loc clean
+.PHONY: check fmt vet no-deprecated no-sleep build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke examples-smoke loc clean
 
-check: fmt vet no-deprecated build race-concurrency chaos plan-golden ingest-smoke examples-smoke
+check: fmt vet no-deprecated no-sleep build race-concurrency chaos plan-golden ingest-smoke examples-smoke
 
 # Fail if any file is not gofmt-clean, listing the offenders.
 fmt:
@@ -29,6 +29,16 @@ no-deprecated:
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
 	@if grep -rnw -e hintGen -e invalidateDim -e dropEstimates -e doomed internal/core internal/serve; then \
 		echo "invalidation fan-out in core/serve: key the state by table version instead"; exit 1; fi
+
+# The MapReduce runtime waits on events, never on the clock: task assignment
+# is decided by one dispatch step at phase start, attempt completion, node
+# death and cancellation (DESIGN.md "MapReduce scheduler"), so a job's wall
+# time holds no timer. A sleep or timer in non-test internal/mr is a
+# scheduling wait in disguise (the nap this gate was added with cost every
+# job 2 ms); modeled time is charged through cluster.Node, not slept here.
+no-sleep:
+	@if grep -n -E 'time\.(Sleep|After|Tick|NewTimer)' $$(ls internal/mr/*.go | grep -v _test.go); then \
+		echo "timer or sleep in internal/mr: wait on the event, not on the clock"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -69,10 +79,12 @@ plan-golden:
 # the ratios to watch; DimBuildFromLocal is the whole per-node build phase,
 # from the node-local dimension copy to a probe-ready table; ColumnDecode is
 # the column codec by itself, ns and bytes per value for runs, gathers and
-# skips (see DESIGN.md "Scan path"). CI-friendly: short benchtime, no
-# external state.
+# skips (see DESIGN.md "Scan path"); SubmitEmptyJob is the MapReduce
+# runtime's fixed cost per job and Dispatch the scheduler's state machine
+# alone (see DESIGN.md "MapReduce scheduler"). CI-friendly: short benchtime,
+# no external state.
 bench:
-	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ .
+	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ .
 
 # Ten seconds of coverage-guided fuzzing of the column decoders from their
 # checked-in corpora (testdata/fuzz, held current by TestFuzzSeedCorpus):

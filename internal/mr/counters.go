@@ -21,6 +21,13 @@ const (
 	CtrReduceTasks        = "REDUCE_TASKS_LAUNCHED"
 	CtrDataLocalMaps      = "DATA_LOCAL_MAPS"
 	CtrRemoteMaps         = "REMOTE_MAPS"
+	// REMOTE_MAPS by cause, summing to it: the attempt ran off its input
+	// because no live node held it (no locations, or every holder dead), or
+	// although one did (every holder stayed at capacity through the locality
+	// delay; also a retry kept off the holder it failed on, a backup beside
+	// the holder's attempt, a map re-executed at the reducer that lost it).
+	CtrRemoteMapsNoHolder = "REMOTE_MAPS_NO_HOLDER"
+	CtrRemoteMapsDelayed  = "REMOTE_MAPS_DELAYED"
 	CtrTaskRetries        = "TASK_RETRIES"
 	CtrJVMsStarted        = "JVMS_STARTED"
 	CtrJVMReuses          = "JVM_REUSES"

@@ -136,8 +136,7 @@ type jobRun struct {
 	jvmMu    sync.Mutex
 	jvmPools map[string]*jvmPool // node → pool
 
-	reportMu sync.Mutex
-	reports  []TaskReport
+	reports []TaskReport // appended by the goroutine running the phase
 
 	taskMem int64 // per-task memory requirement (allowance)
 	reuse   bool
@@ -309,12 +308,6 @@ func (run *jobRun) capPerNode() int {
 	return cap
 }
 
-func (run *jobRun) addReport(r TaskReport) {
-	run.reportMu.Lock()
-	run.reports = append(run.reports, r)
-	run.reportMu.Unlock()
-}
-
 // emitSpanUnder emits one completed span, parented at the given trace
 // position, when tracing is enabled; a no-op (one atomic load) otherwise.
 // With an invalid parent the span is emitted uncorrelated, preserving the
@@ -361,372 +354,195 @@ func (run *jobRun) observeDur(name string, d time.Duration) {
 	}
 }
 
-// ---------------------------------------------------------------- map phase
-
-// taskSched assigns tasks of one phase to requesting slot workers. It
-// implements locality preference with delay scheduling: a worker with no
-// local pending task waits a few completion rounds before accepting remote
-// work, which is what keeps map tasks data-local in a loaded Hadoop
-// cluster. It also enforces the capacity scheduler's per-node concurrency
-// cap and routes retries away from the node where the task last failed.
-type taskSched struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	kind      string // "m" or "r"
-	localOf   func(int) []string
-	pending   map[int]bool
-	attempts  []int
-	lastNode  []string
-	running   map[string]int
-	totalRun  int
-	misses    map[string]int
-	capNode   int
-	completed int
-	total     int
-	aborted   error
-	// speculative enables backup attempts of running tasks once the pending
-	// queue drains; active tracks live attempts per task and doneSet the
-	// tasks that already completed (their late attempts are ignored).
-	speculative bool
-	active      map[int]int
-	doneSet     map[int]bool
-	// isAlive, when set, gates assignment on node liveness: a dead node's
-	// slot workers are told to exit instead of receiving attempts (which
-	// would burn the task's retry budget on guaranteed failures).
-	isAlive func(node string) bool
-	// eagerRequeue lets onNodeDeath put a dead node's in-flight tasks back
-	// on the pending queue immediately instead of waiting for the doomed
-	// attempts to report failure. Only safe when task output is buffered
-	// and committed first-wins (map tasks of jobs with reducers) — the
-	// zombie attempt and its replacement may otherwise both publish.
-	eagerRequeue bool
-	// started counts launched attempts per task (attempt numbering);
-	// specLaunched counts speculative backups for the job counters.
-	started      []int
-	specLaunched int64
-	// readyAt is when each task last became schedulable (phase start or
-	// requeue after a failed attempt); lastWait is the queue wait measured
-	// at the most recent assignment, read back by the slot worker for the
-	// queue-wait span.
-	readyAt  []time.Time
-	lastWait []time.Duration
-}
-
-// delayTolerance is how many wake-ups a worker waits for local work before
-// settling for a remote task.
-const delayTolerance = 3
-
-func newTaskSched(kind string, total, capNode int, localOf func(int) []string) *taskSched {
-	if localOf == nil {
-		localOf = func(int) []string { return nil }
-	}
-	s := &taskSched{
-		kind:     kind,
-		localOf:  localOf,
-		pending:  make(map[int]bool, total),
-		attempts: make([]int, total),
-		lastNode: make([]string, total),
-		running:  make(map[string]int),
-		misses:   make(map[string]int),
-		active:   make(map[int]int),
-		doneSet:  make(map[int]bool),
-		started:  make([]int, total),
-		readyAt:  make([]time.Time, total),
-		lastWait: make([]time.Duration, total),
-		capNode:  capNode,
-		total:    total,
-	}
-	now := time.Now()
-	for i := 0; i < total; i++ {
-		s.pending[i] = true
-		s.readyAt[i] = now
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// next blocks until a task is assignable to the node, everything finished,
-// or the job aborted. ok is false when the worker should exit.
-func (s *taskSched) next(node string) (task, attempt int, local, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.aborted != nil || s.completed == s.total {
-			return 0, 0, false, false
-		}
-		if s.isAlive != nil && !s.isAlive(node) {
-			return 0, 0, false, false
-		}
-		if s.running[node] < s.capNode {
-			// First preference: a task whose data is local.
-			for t := range s.pending {
-				for _, h := range s.localOf(t) {
-					if h == node {
-						return s.assign(t, node, true)
-					}
-				}
-			}
-			// Delay scheduling: pass up remote work a few rounds, giving the
-			// nodes that hold the remaining splits a chance to claim them.
-			// Speculative execution: with nothing pending but tasks still
-			// running, launch a backup attempt on a different node.
-			if len(s.pending) == 0 && s.speculative {
-				for t := range s.active {
-					if s.active[t] == 1 && !s.doneSet[t] && s.lastNode[t] != node {
-						s.specLaunched++
-						return s.assign(t, node, false)
-					}
-				}
-			}
-			if len(s.pending) > 0 && s.misses[node] >= delayTolerance {
-				// Among remote candidates, avoid the node the task last
-				// failed on when any alternative exists.
-				best := -1
-				for t := range s.pending {
-					if s.lastNode[t] != node {
-						best = t
-						break
-					}
-					if best == -1 {
-						best = t
-					}
-				}
-				if best >= 0 {
-					s.misses[node] = 0
-					return s.assign(best, node, false)
-				}
-			}
-		}
-		s.misses[node]++
-		if s.totalRun == 0 {
-			// Nothing in flight, so no completion will broadcast; yield
-			// briefly instead of waiting so other nodes' slot workers get
-			// scheduled and claim their local splits.
-			s.mu.Unlock()
-			time.Sleep(50 * time.Microsecond)
-			s.mu.Lock()
-		} else {
-			s.cond.Wait()
-		}
-	}
-}
-
-func (s *taskSched) assign(t int, node string, local bool) (int, int, bool, bool) {
-	delete(s.pending, t)
-	s.running[node]++
-	s.totalRun++
-	s.active[t]++
-	s.started[t]++
-	s.lastNode[t] = node
-	s.lastWait[t] = time.Since(s.readyAt[t])
-	return t, s.started[t], local, true
-}
-
-// queueWait returns the queue wait of the task's most recent assignment;
-// valid for the worker that was just assigned the task.
-func (s *taskSched) queueWait(t int) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastWait[t]
-}
-
-// isCompleted reports whether another attempt already finished the task;
-// in-flight attempts poll it to abandon superseded work.
-func (s *taskSched) isCompleted(t int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.doneSet[t]
-}
-
-// complete records a finished attempt; failed tasks are requeued until the
-// attempt budget is exhausted. It reports whether this attempt won the
-// task: exactly one attempt per task returns won=true (the one that flipped
-// it into doneSet), so callers can publish output, task reports and
-// duration metrics exactly once even when a speculative backup and the
-// original finish near-simultaneously.
-func (s *taskSched) complete(task int, node string, err error, maxAttempts int) (won bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running[node]--
-	s.totalRun--
-	s.active[task]--
-	if s.doneSet[task] {
-		// A sibling attempt already won; this result (success, failure or
-		// abandonment) is irrelevant.
-		s.cond.Broadcast()
-		return false
-	}
-	s.attempts[task]++
-	switch {
-	case err == nil:
-		s.doneSet[task] = true
-		s.completed++
-		won = true
-	case s.active[task] > 0:
-		// A backup attempt is still running; let it decide the task's fate
-		// instead of requeueing a duplicate.
-	case s.attempts[task] >= maxAttempts:
-		if s.aborted == nil {
-			s.aborted = fmt.Errorf("task %s-%d failed %d times, last: %w", s.kind, task, s.attempts[task], err)
-		}
-	default:
-		s.pending[task] = true
-		s.readyAt[task] = time.Now()
-	}
-	s.cond.Broadcast()
-	return won
-}
-
-// onNodeDeath reacts to a node dying mid-phase: it wakes every blocked slot
-// worker (the dead node's workers observe isAlive and exit) and, when eager
-// requeue is enabled, puts the dead node's in-flight tasks back on the
-// pending queue so live nodes pick them up immediately rather than after
-// the doomed attempts time out. It returns the number of tasks requeued.
-func (s *taskSched) onNodeDeath(node string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	requeued := 0
-	if s.eagerRequeue {
-		for t, n := range s.active {
-			if n > 0 && s.lastNode[t] == node && !s.doneSet[t] && !s.pending[t] {
-				s.pending[t] = true
-				s.readyAt[t] = time.Now()
-				requeued++
-			}
-		}
-	}
-	s.cond.Broadcast()
-	return requeued
-}
-
-// cancel aborts the phase: no further tasks are assigned and all blocked
-// slot workers wake and exit. The first abort cause sticks.
-func (s *taskSched) cancel(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.aborted == nil {
-		s.aborted = err
-	}
-	s.cond.Broadcast()
-}
-
-func (s *taskSched) result(phase string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.aborted != nil {
-		return s.aborted
-	}
-	if s.completed != s.total {
-		return fmt.Errorf("mr: %d of %d %s tasks completed (cluster lost?)", s.completed, s.total, phase)
-	}
-	return nil
-}
+// ---------------------------------------------------------------- phases
 
 // errSuperseded marks an attempt abandoned because a speculative sibling
 // finished first; it is not a failure.
 var errSuperseded = fmt.Errorf("mr: attempt superseded by a faster sibling")
 
-func (run *jobRun) mapPhase() error {
-	sched := newTaskSched("m", len(run.splits), run.capPerNode(),
-		func(t int) []string { return run.splits[t].Locations() })
-	// Speculation is only safe when map output is buffered and committed
-	// first-wins (jobs with reducers); map-only jobs write straight to the
-	// OutputFormat, where a losing attempt's partial output would duplicate
-	// rows (Hadoop guards that case with an output committer).
-	sched.speculative = run.job.conf().GetBool(ConfSpeculative, false) && run.job.NumReduceTasks > 0
-	// Eager requeue on node death shares the same first-wins requirement:
-	// the dead node's attempt may still be mid-write when its replacement
-	// starts.
-	sched.eagerRequeue = run.job.NumReduceTasks > 0
-	sched.isAlive = func(id string) bool {
-		nd := run.engine.cluster.Node(id)
-		return nd != nil && nd.IsAlive()
+// phaseSpec describes one phase of a job to runPhase.
+type phaseSpec struct {
+	name      string     // "map" or "reduce"
+	capNode   int        // concurrent attempts per node
+	locations [][]string // per task, the hosts holding its input
+	// speculative and eagerRequeue switch on the scheduler's backup attempts
+	// and its requeue of a dead node's in-flight tasks.
+	speculative, eagerRequeue bool
+	// exec runs one attempt on a node and returns its output (map attempts
+	// only) and measured sub-phases. superseded turns true once the
+	// attempt's result can no longer matter.
+	exec func(a assignment, node *cluster.Node, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (*mapOutput, map[string]time.Duration, error)
+}
+
+// attemptDone is what an attempt's goroutine hands back to its phase.
+type attemptDone struct {
+	a          assignment
+	taskID     string
+	node       *cluster.Node
+	tsc        obs.SpanContext
+	start, end time.Time
+	out        *mapOutput
+	phases     map[string]time.Duration
+	err        error
+}
+
+// phaseEvent is one thing that happened to a running phase: an attempt
+// finished, a node died, or (neither set) the job's context ended.
+type phaseEvent struct {
+	done *attemptDone
+	dead *cluster.Node
+}
+
+// runPhase runs the tasks of one phase to the end. The calling goroutine
+// owns the scheduler: it applies each event to it, starts a goroutine for
+// every attempt the event's dispatch assigns (a goroutine lives exactly as
+// long as its attempt) and publishes what finished attempts produced.
+// Nothing here polls or sleeps: between events the phase waits on the event
+// channel, and it is over when no attempt is running, because the dispatch
+// that followed the last completion assigned nothing.
+func (run *jobRun) runPhase(p phaseSpec) error {
+	nodes := run.engine.cluster.Alive()
+	names := make([]string, len(nodes))
+	for i, n := range nodes {
+		names[i] = n.ID()
 	}
-	unwatch := run.engine.cluster.OnDeath(func(n *cluster.Node) {
-		if k := sched.onNodeDeath(n.ID()); k > 0 {
-			run.counters.Add(CtrAttemptsRequeuedDeadNode, int64(k))
-			if m := run.engine.opts.Metrics; m != nil {
-				m.Counter("mr.attempts_requeued_dead_node").Add(int64(k))
-			}
+	s := newTaskSched(p.name[:1], names, p.capNode, run.engine.opts.MaxTaskAttempts, p.locations)
+	s.alive = func(n int) bool { return nodes[n].IsAlive() }
+	s.speculative, s.eagerRequeue = p.speculative, p.eagerRequeue
+
+	events := make(chan phaseEvent)
+	quit := make(chan struct{})
+	defer close(quit)
+	// post delivers an event from outside the phase (a killer's goroutine,
+	// the context's) unless the phase has ended meanwhile.
+	post := func(ev phaseEvent) {
+		select {
+		case events <- ev:
+		case <-quit:
 		}
-	})
+	}
+	unwatch := run.engine.cluster.OnDeath(func(n *cluster.Node) { post(phaseEvent{dead: n}) })
 	defer unwatch()
-	stop := context.AfterFunc(run.ctx, func() {
-		sched.cancel(run.cancelErr(run.ctx.Err()))
-	})
+	stop := context.AfterFunc(run.ctx, func() { post(phaseEvent{}) })
 	defer stop()
 
-	var wg sync.WaitGroup
-	for _, node := range run.engine.cluster.Alive() {
-		for slot := 0; slot < run.engine.cluster.Config().MapSlots; slot++ {
-			wg.Add(1)
-			go func(n *cluster.Node) {
-				defer wg.Done()
-				for n.IsAlive() {
-					task, attempt, local, ok := sched.next(n.ID())
-					if !ok {
-						return
-					}
-					taskID := fmt.Sprintf("m-%d", task)
-					qwait := sched.queueWait(task)
-					start := time.Now()
-					tsc := run.jctx.Trace.NewChild()
-					run.emitSpanUnder(tsc, obs.PhaseQueueWait, n.ID(), taskID, start.Add(-qwait), start)
-					run.observeDur("mr.queue_wait_ns", qwait)
-					superseded := func() bool { return sched.isCompleted(task) || run.ctx.Err() != nil }
-					out, phases, err := run.executeMapAttempt(task, n, attempt, local, qwait, tsc, superseded)
-					won := sched.complete(task, n.ID(), err, run.engine.opts.MaxTaskAttempts)
-					run.emitTaskSpan(tsc, run.jctx.Trace.Span, taskID, n.ID(), start.Add(-qwait), time.Now(), attempt, won, err)
-					switch {
-					case err == nil && won:
-						// Exactly one attempt per task wins; only it
-						// publishes output and reports, so a speculative
-						// backup and the original finishing together cannot
-						// double-count task metrics.
-						run.outMu.Lock()
-						if run.mapOutputs[task] == nil {
-							run.mapOutputs[task] = out
-						}
-						run.outMu.Unlock()
-						dur := time.Since(start)
-						run.addReport(TaskReport{
-							TaskID: taskID, Node: n.ID(), Attempts: attempt,
-							Start: start, Duration: dur, Local: local, Phases: phases,
-						})
-						run.observeDur("mr.map.duration_ns", dur)
-					case err == nil:
-						// Successful loser of a speculative race; discarded.
-					case errors.Is(err, errSuperseded):
-						// Abandoned backup; not a retryable failure.
-					case run.ctx.Err() != nil:
-						// Job canceled; the ctx watcher aborts the scheduler,
-						// so this is not a retryable failure either.
-					default:
-						run.counters.Add(CtrTaskRetries, 1)
-					}
-				}
-			}(node)
+	queueWait, duration := "mr."+p.name+".queue_wait_ns", "mr."+p.name+".duration_ns"
+	launch := func(as []assignment) {
+		for _, a := range as {
+			go func() {
+				d := &attemptDone{a: a, taskID: s.taskID(a.task), node: nodes[a.node],
+					tsc: run.jctx.Trace.NewChild(), start: time.Now()}
+				qwait := d.start.Sub(a.ready)
+				run.emitSpanUnder(d.tsc, obs.PhaseQueueWait, d.node.ID(), d.taskID, a.ready, d.start)
+				run.observeDur("mr.queue_wait_ns", qwait)
+				run.observeDur(queueWait, qwait)
+				superseded := func() bool { return s.isDone(a.task) || run.ctx.Err() != nil }
+				d.out, d.phases, d.err = p.exec(a, d.node, qwait, d.tsc, superseded)
+				d.end = time.Now()
+				// The phase outlives every attempt it started, so this send
+				// is always received.
+				events <- phaseEvent{done: d}
+			}()
 		}
 	}
-	wg.Wait()
-	sched.mu.Lock()
-	run.counters.Add(CtrSpeculativeMaps, sched.specLaunched)
-	sched.mu.Unlock()
-	return sched.result("map")
+
+	if err := run.ctx.Err(); err != nil {
+		s.cancel(run.cancelErr(err))
+	}
+	launch(s.start(time.Now()))
+	for s.totalRun > 0 {
+		switch ev := <-events; {
+		case ev.done != nil:
+			d := ev.done
+			won, next := s.complete(d.a, d.err, time.Now())
+			launch(next)
+			run.finishAttempt(d, won, duration)
+		case ev.dead != nil:
+			k, next := s.nodeDied(ev.dead.ID(), time.Now())
+			launch(next)
+			if k > 0 {
+				run.counters.Add(CtrAttemptsRequeuedDeadNode, int64(k))
+				if m := run.engine.opts.Metrics; m != nil {
+					m.Counter("mr.attempts_requeued_dead_node").Add(int64(k))
+				}
+			}
+		default:
+			s.cancel(run.cancelErr(run.ctx.Err()))
+		}
+	}
+	run.counters.Add(CtrSpeculativeMaps, s.specLaunched)
+	return s.result(p.name)
+}
+
+// finishAttempt publishes a finished attempt: its task span always, and the
+// output, task report and duration sample of the one attempt per task that
+// won, so a speculative backup and the original finishing together cannot
+// double-count.
+func (run *jobRun) finishAttempt(d *attemptDone, won bool, durationMetric string) {
+	run.emitTaskSpan(d.tsc, run.jctx.Trace.Span, d.taskID, d.node.ID(), d.a.ready, d.end, d.a.attempt, won, d.err)
+	switch {
+	case d.err == nil && won:
+		if d.out != nil {
+			run.mapOutputs[d.a.task] = d.out
+		}
+		dur := d.end.Sub(d.start)
+		run.reports = append(run.reports, TaskReport{
+			TaskID: d.taskID, Node: d.node.ID(), Attempts: d.a.attempt,
+			Start: d.start, Duration: dur, Local: d.a.place == placeLocal, Phases: d.phases,
+		})
+		run.observeDur(durationMetric, dur)
+	case d.err == nil:
+		// Successful loser of a speculative race; discarded.
+	case errors.Is(d.err, errSuperseded):
+		// Abandoned backup; not a retryable failure.
+	case run.ctx.Err() != nil:
+		// Job canceled: the scheduler is aborted, nothing is retried.
+	default:
+		run.counters.Add(CtrTaskRetries, 1)
+	}
+}
+
+func (run *jobRun) mapPhase() error {
+	locations := make([][]string, len(run.splits))
+	for t, sp := range run.splits {
+		locations[t] = sp.Locations()
+	}
+	// Backup attempts and eager requeue are only safe when map output is
+	// buffered and committed first-wins (jobs with reducers); map-only jobs
+	// write straight to the OutputFormat, where a second attempt's partial
+	// output would duplicate rows (Hadoop guards that case with an output
+	// committer).
+	firstWins := run.job.NumReduceTasks > 0
+	return run.runPhase(phaseSpec{
+		name:         "map",
+		capNode:      run.capPerNode(),
+		locations:    locations,
+		speculative:  firstWins && run.job.conf().GetBool(ConfSpeculative, false),
+		eagerRequeue: firstWins,
+		exec: func(a assignment, node *cluster.Node, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (*mapOutput, map[string]time.Duration, error) {
+			return run.executeMapAttempt(a.task, node, a.attempt, a.place, qwait, tsc, superseded)
+		},
+	})
 }
 
 // executeMapAttempt runs one attempt of one map task on a node and returns
 // its sorted/combined output (nil parts for map-only jobs, whose output goes
 // straight to the OutputFormat) plus the attempt's measured sub-phase
 // durations.
-func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, local bool, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (mo *mapOutput, phases map[string]time.Duration, err error) {
+func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, place placement, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (mo *mapOutput, phases map[string]time.Duration, err error) {
 	e := run.engine
 	taskID := fmt.Sprintf("m-%d", task)
+	local := place == placeLocal
 	run.counters.Add(CtrMapTasks, 1)
-	if local {
+	switch place {
+	case placeLocal:
 		run.counters.Add(CtrDataLocalMaps, 1)
-	} else {
+	case placeNoHolder:
 		run.counters.Add(CtrRemoteMaps, 1)
+		run.counters.Add(CtrRemoteMapsNoHolder, 1)
+	default:
+		run.counters.Add(CtrRemoteMaps, 1)
+		run.counters.Add(CtrRemoteMapsDelayed, 1)
 	}
 	if cerr := run.ctx.Err(); cerr != nil {
 		return nil, nil, run.cancelErr(cerr)

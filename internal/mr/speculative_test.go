@@ -2,25 +2,42 @@ package mr
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
 	"clydesdale/internal/records"
 )
 
-// stragglerMapper sleeps per record during the *first* attempt of one task,
-// simulating a degraded machine; backup attempts run at full speed.
+// stragglerMapper parks the *first* attempt of one task, simulating a
+// degraded machine, until a backup attempt of the same task has mapped its
+// whole split and then won; backup attempts run at full speed.
 type stragglerMapper struct {
-	slowTask string
-	delay    time.Duration
-	ctx      *TaskContext
+	slowTask   string
+	backupDone chan struct{} // closed by the backup's Cleanup
+	ctx        *TaskContext
 }
 
 func (m *stragglerMapper) Setup(ctx *TaskContext) error { m.ctx = ctx; return nil }
-func (m *stragglerMapper) Cleanup(Collector) error      { return nil }
+func (m *stragglerMapper) Cleanup(Collector) error {
+	if m.ctx.TaskID == m.slowTask && m.ctx.Attempt == 2 {
+		close(m.backupDone)
+	}
+	return nil
+}
 func (m *stragglerMapper) Map(_, v records.Record, out Collector) error {
 	if m.ctx.TaskID == m.slowTask && m.ctx.Attempt == 1 {
-		time.Sleep(m.delay)
+		select {
+		case <-m.backupDone:
+		case <-m.ctx.Context().Done():
+			return m.ctx.Err()
+		}
+		// The backup is past its last record; it is superseding this attempt
+		// as fast as the host runs it.
+		for !m.ctx.Superseded() {
+			runtime.Gosched()
+		}
+		return errSuperseded
 	}
 	return out.Collect(v, records.Make(countSchema, records.Int(1)))
 }
@@ -34,10 +51,13 @@ func bigWordSplit(word string, n int, hosts ...string) *MemorySplit {
 	return s
 }
 
-// TestSpeculativeExecutionMitigatesStraggler pins a big split to a node
-// that processes records pathologically slowly. With speculation enabled, a
-// healthy node runs a backup attempt, wins, and the straggling attempt
-// abandons itself — the job finishes fast and the counts stay exact.
+// TestSpeculativeExecutionMitigatesStraggler runs two splits on two
+// one-slot nodes; the first attempt of m-0 never finishes on its own. The
+// dispatch that follows m-1's completion finds nothing pending and starts
+// the one backup the job needs on the freed node; the backup wins, the
+// straggling attempt abandons itself, and the counts stay exact. No clock is
+// involved: every step waits on the event before it (the 30 s context is a
+// watchdog for a scheduler that never launches the backup, not a margin).
 func TestSpeculativeExecutionMitigatesStraggler(t *testing.T) {
 	e := newTestEngine(2)
 	const rows = 4000
@@ -45,13 +65,17 @@ func TestSpeculativeExecutionMitigatesStraggler(t *testing.T) {
 		bigWordSplit("x", rows), // m-0: straggles on its first attempt
 		bigWordSplit("y", 50),
 	}
+	backupDone := make(chan struct{})
 	out := &MemoryOutput{}
 	job := &Job{
-		Name:  "speculative",
-		Conf:  NewJobConf().SetBool(ConfSpeculative, true),
+		Name: "speculative",
+		// A whole node's memory per task: one map slot per node, so the only
+		// slot a backup can get is the one m-1 frees.
+		Conf: NewJobConf().SetBool(ConfSpeculative, true).
+			SetInt(ConfTaskMemory, e.Cluster().Config().MemoryPerNode),
 		Input: &MemoryInput{SplitsList: splits},
 		NewMapper: func() Mapper {
-			return &stragglerMapper{slowTask: "m-0", delay: 2 * time.Millisecond}
+			return &stragglerMapper{slowTask: "m-0", backupDone: backupDone}
 		},
 		NewReducer: func() Reducer {
 			return ReducerFunc(func(k records.Record, vs Values, c Collector) error {
@@ -67,26 +91,35 @@ func TestSpeculativeExecutionMitigatesStraggler(t *testing.T) {
 		KeySchema:      wordSchema,
 		ValueSchema:    countSchema,
 	}
-	start := time.Now()
-	res, err := e.Submit(context.Background(), job)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := e.Submit(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
 
 	// Counts must be exact despite the duplicate attempt.
 	got := countsFrom(out)
 	if got["x"] != rows || got["y"] != 50 {
 		t.Errorf("counts = %v", got)
 	}
-	if res.Counters.Get(CtrSpeculativeMaps) == 0 {
-		t.Error("no speculative attempts launched")
+	if n := res.Counters.Get(CtrSpeculativeMaps); n != 1 {
+		t.Errorf("%s = %d, want 1", CtrSpeculativeMaps, n)
 	}
-	// Without speculation the straggler alone needs rows × 2 ms = 8 s; the
-	// backup finishes in milliseconds and the straggler aborts at its next
-	// poll (every 128 records ≈ 256 ms).
-	if elapsed > 4*time.Second {
-		t.Errorf("job took %v; speculation did not mitigate the straggler", elapsed)
+	if n := res.Counters.Get(CtrMapTasks); n != 3 {
+		t.Errorf("%s = %d, want 3 (m-0 twice, m-1 once)", CtrMapTasks, n)
+	}
+	if n := res.Counters.Get(CtrTaskRetries); n != 0 {
+		t.Errorf("%s = %d, want 0: a superseded attempt is not a failure", CtrTaskRetries, n)
+	}
+	var m0 []TaskReport
+	for _, r := range res.Tasks {
+		if r.TaskID == "m-0" {
+			m0 = append(m0, r)
+		}
+	}
+	if len(m0) != 1 || m0[0].Attempts != 2 || m0[0].Node != "node-1" {
+		t.Errorf("m-0 reports = %+v, want one, from attempt 2 on node-1", m0)
 	}
 }
 

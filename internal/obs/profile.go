@@ -661,7 +661,9 @@ func (p *Profile) Phase(name string) PhaseStat {
 }
 
 // reportCounters lists the counters the report surfaces first, the
-// accounting the scan/probe/serve layers maintain.
+// accounting the scan/probe/serve layers maintain. The map-placement block
+// goes by the job counters' own names (mr/counters.go): attempts, how many
+// ran on their input, and the two causes of the rest.
 var reportCounters = []string{
 	"scan.partitions_pruned",
 	"scan.rows_pruned",
@@ -671,10 +673,12 @@ var reportCounters = []string{
 	"scan.blocks_skipped",
 	"core.probe_rows",
 	"core.probe_emits",
-	"mr.map_tasks",
-	"mr.data_local_maps",
-	"mr.speculative_maps",
-	"mr.task_retries",
+	"MAP_TASKS_LAUNCHED",
+	"DATA_LOCAL_MAPS",
+	"REMOTE_MAPS_NO_HOLDER",
+	"REMOTE_MAPS_DELAYED",
+	"SPECULATIVE_MAP_ATTEMPTS",
+	"TASK_RETRIES",
 	"hdfs.failovers",
 }
 

@@ -181,16 +181,19 @@ func TestBuildProfileStragglers(t *testing.T) {
 
 func TestProfileRenderers(t *testing.T) {
 	p, err := BuildProfile(profileFixture(), ProfileOptions{
-		Counters: map[string]int64{"scan.rows_pruned": 1234, "scan.rows_bloom_skipped": 5, "scan.blocks_skipped": 7, "a.counter": 1},
+		Counters: map[string]int64{"scan.rows_pruned": 1234, "scan.rows_bloom_skipped": 5, "scan.blocks_skipped": 7, "a.counter": 1,
+			"REMOTE_MAPS_DELAYED": 1, "REMOTE_MAPS_NO_HOLDER": 2, "DATA_LOCAL_MAPS": 6},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var txt bytes.Buffer
 	p.WriteText(&txt)
-	// The scan's accounting leads the counter list, blocks_skipped with it;
-	// everything else follows by name.
-	order := []string{"scan.rows_pruned", "scan.rows_bloom_skipped", "scan.blocks_skipped", "a.counter"}
+	// The scan's accounting leads the counter list, blocks_skipped with it,
+	// then where the map attempts ran and why not on their input; everything
+	// else follows by name.
+	order := []string{"scan.rows_pruned", "scan.rows_bloom_skipped", "scan.blocks_skipped",
+		"DATA_LOCAL_MAPS", "REMOTE_MAPS_NO_HOLDER", "REMOTE_MAPS_DELAYED", "a.counter"}
 	for i := 1; i < len(order); i++ {
 		if a, b := strings.Index(txt.String(), order[i-1]), strings.Index(txt.String(), order[i]); a < 0 || b < a {
 			t.Errorf("text report lists %s before %s, or not at all:\n%s", order[i], order[i-1], txt.String())

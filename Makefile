@@ -64,11 +64,12 @@ race-concurrency:
 chaos:
 	$(GO) test -race ./internal/chaos/... ./internal/hdfs/... ./internal/cluster/...
 
-# Planner gate (see DESIGN.md "Planner"): the golden plan texts for all 13
-# SSB queries (regenerate with `go test ./internal/plan -run GoldenPlans
-# -update`), the snowflake property suite holding every lowering — star,
-# staged, cascade, and both Hive strategies — to the logical-plan oracle,
-# and the cascade's zero-intermediate-reduce span check, all under -race.
+# Lowering gate (see DESIGN.md "Query pipeline"): the golden plan texts for
+# all 13 SSB queries (regenerate with `go test ./internal/plan -run
+# GoldenPlans -update`), the snowflake property suite holding the lowered
+# plan, its one-step-per-pass form, the automatic fallback between them and
+# both Hive strategies to the logical-plan oracle, and the span check that a
+# depth-d snowflake plan runs d map-only join jobs, all under -race.
 plan-golden:
 	$(GO) test -race ./internal/plan/...
 
@@ -81,20 +82,26 @@ plan-golden:
 # the column codec by itself, ns and bytes per value for runs, gathers and
 # skips (see DESIGN.md "Scan path"); SubmitEmptyJob is the MapReduce
 # runtime's fixed cost per job and Dispatch the scheduler's state machine
-# alone (see DESIGN.md "MapReduce scheduler"). CI-friendly: short benchtime,
-# no external state.
+# alone (see DESIGN.md "MapReduce scheduler"); SnowflakeLowering is host wall
+# and modeled seconds of generated snowflake queries as lowered and one step
+# per pass (see EXPERIMENTS.md "Snowflake lowering"). CI-friendly: short
+# benchtime, no external state.
 bench:
-	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ .
+	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|SnowflakeLowering' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ .
 
-# Ten seconds of coverage-guided fuzzing of the column decoders from their
-# checked-in corpora (testdata/fuzz, held current by TestFuzzSeedCorpus):
-# five of the node-local dimension copy's column sets and five of a
-# partition's column files. No input may panic them or make them allocate by
-# a count the bytes merely claim. Minimising an input that widened coverage
-# is capped at a second, or one such input would use up the run.
+# Fifteen seconds of coverage-guided fuzzing. Ten of the column decoders from
+# their checked-in corpora (testdata/fuzz, held current by
+# TestFuzzSeedCorpus): five of the node-local dimension copy's column sets
+# and five of a partition's column files. No input may panic them or make
+# them allocate by a count the bytes merely claim. Five of the SQL front end
+# against the SSB catalog, seeded with the 13 SSB statements and the
+# malformed ones of its tests: no input may panic it, and whatever it accepts
+# must lower. Minimising an input that widened coverage is capped at a
+# second, or one such input would use up the run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenColumnSet -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzOpenColumnFile -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 1s ./internal/sql/
 
 # One-iteration smoke run of every benchmark in the repo, then the row
 # accounting gate: on all 13 SSB queries, every fact row must be attributed

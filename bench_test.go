@@ -8,9 +8,11 @@ package clydesdale_bench
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"clydesdale/internal/bench"
 	"clydesdale/internal/cluster"
@@ -21,6 +23,8 @@ import (
 	"clydesdale/internal/mr"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
+	"clydesdale/internal/refexec"
+	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
 )
 
@@ -463,18 +467,74 @@ func BenchmarkStagedVsSingleJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range []plan.Kind{plan.KindStar, plan.KindStaged} {
-		p, err := eng.Lower(l)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p.Kind = kind
-		b.Run(kind.String(), func(b *testing.B) {
+	star, err := plan.Lower(l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []*plan.Physical{star, star.OneStepPerPass()} {
+		b.Run(p.Kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := eng.RunPlan(context.Background(), p); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSnowflakeLowering measures the snowflake lowering on generated
+// schemas (EXPERIMENTS.md "Snowflake lowering"): six GenSnowflake seeds ×
+// three random queries at 240 000 fact rows on the repository benchmark's
+// cluster shape (4 workers × 2 map slots, I/O slowed 2000×, 1 s task launch
+// + 3 s JVM start, no sleeping), each run as the plan Lower builds — one
+// join pass per depth level — and as its one-step-per-pass form. ns/op is
+// host wall; modeled-s/op the cluster's charged disk, network and task
+// overhead. Every answer is held to the logical-plan oracle.
+func BenchmarkSnowflakeLowering(b *testing.B) {
+	for _, seed := range []uint64{7, 23, 101, 5, 11, 42} {
+		shape := cluster.ClusterA()
+		shape.Workers, shape.MapSlots, shape.TimeScale = 4, 2, 0
+		cl := cluster.New(shape)
+		fs := hdfs.New(cl, hdfs.Options{BlockSize: 256 << 10, Seed: int64(seed)})
+		snow := ssb.GenSnowflake(seed, 240_000)
+		lay, err := ssb.LoadSnowflake(fs, snow, "/snow")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cat := lay.Catalog(snow)
+		if _, err := core.EnsureCatalogCached(fs, cat); err != nil {
+			b.Fatal(err)
+		}
+		cl.ScaleIO(2000)
+		eng := core.New(mr.NewEngine(cl, fs, mr.Options{TaskLaunchOverhead: time.Second, JVMStartup: 3 * time.Second}), cat, core.Options{})
+		for qi := int64(0); qi < 3; qi++ {
+			l := snow.RandomSnowQuery(qi)
+			want, err := refexec.RunLogical(l, snow.Each)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lowered, err := plan.Lower(l)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, v := range []struct {
+				name string
+				p    *plan.Physical
+			}{{"lowered", lowered}, {"one-step-per-pass", lowered.OneStepPerPass()}} {
+				b.Run(fmt.Sprintf("seed-%d/q%d/%s", seed, qi, v.name), func(b *testing.B) {
+					before := cl.TotalStats().ModelTime
+					for i := 0; i < b.N; i++ {
+						got, _, err := eng.RunPlan(context.Background(), v.p)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if ok, why := results.Equivalent(got, want, 1e-9); !ok {
+							b.Fatalf("disagrees with the reference: %s", why)
+						}
+					}
+					b.ReportMetric((cl.TotalStats().ModelTime-before).Seconds()/float64(b.N), "modeled-s/op")
+				})
+			}
+		}
 	}
 }

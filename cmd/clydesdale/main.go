@@ -40,6 +40,12 @@ import (
 	"clydesdale/internal/ssb"
 )
 
+// stmt is one bound statement to run and the line that announces it.
+type stmt struct {
+	desc string
+	l    *plan.Logical
+}
+
 func main() {
 	var (
 		query       = flag.String("query", "Q2.1", "SSB query name (Q1.1..Q4.3) or 'all'")
@@ -156,27 +162,9 @@ func main() {
 		queries = []*ssb.Query{q}
 	}
 
-	if *serveMode {
-		if *sqlText != "" {
-			// A session takes a core.Query; ParseStar is the SQL door to it.
-			q, err := sql.ParseStar(*sqlText, sql.StarFromCatalog(cat, cat.FactName))
-			if err != nil {
-				fatal(err)
-			}
-			q.Name = "ad-hoc"
-			queries = []*ssb.Query{q}
-		}
-		runServe(mreng, cat, ablate, queries, *conc, *rowsMax, *debugAddr)
-		return
-	}
-
 	// Everything below runs bound logical plans: a named query lifts into
 	// one, a SQL statement parses straight to one (snowflake joins
 	// included).
-	type stmt struct {
-		desc string
-		l    *plan.Logical
-	}
 	var stmts []stmt
 	if *sqlText != "" {
 		l, err := sql.Parse(*sqlText, cat)
@@ -195,28 +183,28 @@ func main() {
 		}
 	}
 
+	if *serveMode {
+		runServe(mreng, cat, ablate, stmts, *conc, *rowsMax, *debugAddr)
+		return
+	}
+
 	var lastJob *mr.JobResult
 	for _, st := range stmts {
 		l := st.l
 		fmt.Printf("\n== %s\n", st.desc)
+		phys, err := plan.Lower(l)
+		if err != nil {
+			fatal(fmt.Errorf("%s: plan: %w", l.Name, err))
+		}
 		if *explain {
-			// The cost-based chooser's verdict: chosen strategy per join
-			// with its cost, plus the rejected alternatives. The measured
-			// EXPLAIN ANALYZE profile follows after execution.
-			phys, err := eng.PlanLogical(l)
-			if err != nil {
-				fatal(fmt.Errorf("%s: plan: %w", l.Name, err))
-			}
+			// The plan about to run: kind, passes and per-step join text.
+			// The measured EXPLAIN ANALYZE profile follows after execution.
 			if err := plan.Explain(os.Stdout, phys); err != nil {
 				fatal(err)
 			}
 		}
 		if memSink != nil {
 			memSink.Reset()
-		}
-		phys, err := eng.Lower(l)
-		if err != nil {
-			fatal(err)
 		}
 		rs, rep, err := eng.RunPlan(context.Background(), phys)
 		if err != nil {
@@ -299,11 +287,11 @@ func main() {
 	}
 }
 
-// runServe pushes every query through one serving session at the given
+// runServe pushes every statement through one serving session at the given
 // concurrency, so later queries probe the dimension tables earlier ones
 // built, then prints per-query summaries and the session's cache and
 // admission statistics.
-func runServe(mreng *mr.Engine, cat *core.Catalog, ablate core.Ablate, queries []*ssb.Query, conc, rowsMax int, debugAddr string) {
+func runServe(mreng *mr.Engine, cat *core.Catalog, ablate core.Ablate, stmts []stmt, conc, rowsMax int, debugAddr string) {
 	sess := serve.New(mreng, cat, serve.Options{
 		Engine:        core.Options{Ablate: ablate},
 		MaxConcurrent: conc,
@@ -316,34 +304,34 @@ func runServe(mreng *mr.Engine, cat *core.Catalog, ablate core.Ablate, queries [
 		defer dbg.Close()
 		fmt.Printf("debug surface on http://%s  (/metrics /profilez /slo /debug/pprof)\n", dbg.Addr())
 	}
-	fmt.Printf("\nserving %d queries (max %d concurrent)...\n", len(queries), conc)
+	fmt.Printf("\nserving %d queries (max %d concurrent)...\n", len(stmts), conc)
 	type outcome struct {
 		rs    *results.ResultSet
 		rep   *core.Report
 		err   error
 		total time.Duration
 	}
-	outs := make([]outcome, len(queries))
+	outs := make([]outcome, len(stmts))
 	var wg sync.WaitGroup
 	wallStart := time.Now()
-	for i, q := range queries {
+	for i, st := range stmts {
 		wg.Add(1)
-		go func(i int, q *ssb.Query) {
+		go func(i int, l *plan.Logical) {
 			defer wg.Done()
 			start := time.Now()
-			rs, rep, err := sess.Query(context.Background(), q)
+			rs, rep, err := sess.QueryPlan(context.Background(), l)
 			outs[i] = outcome{rs: rs, rep: rep, err: err, total: time.Since(start)}
-		}(i, q)
+		}(i, st.l)
 	}
 	wg.Wait()
 	wall := time.Since(wallStart)
 
-	for i, q := range queries {
+	for i, st := range stmts {
 		o := outs[i]
 		if o.err != nil {
-			fatal(fmt.Errorf("%s: %w", q.Name, o.err))
+			fatal(fmt.Errorf("%s: %w", st.l.Name, o.err))
 		}
-		fmt.Printf("\n== %s\n", q)
+		fmt.Printf("\n== %s\n", st.desc)
 		printed := 0
 		fmt.Println(header(o.rs.Schema.Names()))
 		for _, r := range o.rs.Rows {
@@ -356,12 +344,12 @@ func runServe(mreng *mr.Engine, cat *core.Catalog, ablate core.Ablate, queries [
 		}
 		ctr := o.rep.Job.Counters
 		fmt.Printf("-- %s in %v (wall %v): %d map tasks, %d hash builds, %d probe rows\n",
-			q.Name, o.rep.Total.Round(time.Millisecond), o.total.Round(time.Millisecond),
+			st.l.Name, o.rep.Total.Round(time.Millisecond), o.total.Round(time.Millisecond),
 			ctr.Get(mr.CtrMapTasks), ctr.Get(core.CtrHashTablesBuilt), ctr.Get(core.CtrProbeRows))
 	}
 
 	st := sess.Stats()
-	fmt.Printf("\n-- serving session: %d queries in %v wall\n", len(queries), wall.Round(time.Millisecond))
+	fmt.Printf("\n-- serving session: %d queries in %v wall\n", len(stmts), wall.Round(time.Millisecond))
 	fmt.Printf("   table cache: %d builds, %d hits, %d misses, %d evictions, %d bytes resident\n",
 		st.Builds, st.Hits, st.Misses, st.Evictions, st.ResidentBytes)
 	fmt.Printf("   admission:   %d admitted, %d rejected, peak %d concurrent\n",

@@ -218,3 +218,23 @@ func columnStats(name string, cv *records.ColumnVector, dict *dictEntries) ColSt
 	}
 	return st
 }
+
+// TableRowCount sums the zone-map row counts of a CIF table's partitions.
+// Partitions without stats count zero.
+func TableRowCount(fs *hdfs.FileSystem, dir string) (int64, error) {
+	parts, err := ListPartitions(fs, dir)
+	if err != nil {
+		return 0, err
+	}
+	var rows int64
+	for _, p := range parts {
+		st, err := ReadPartitionStats(fs, p)
+		if err != nil {
+			return 0, err
+		}
+		if st != nil {
+			rows += st.Rows
+		}
+	}
+	return rows, nil
+}

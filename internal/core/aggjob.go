@@ -12,9 +12,8 @@ import (
 	"clydesdale/internal/results"
 )
 
-// runAggJob is the final job of the staged and cascade executors: the
-// shape's grouped SUM over the row-table intermediate their last join pass
-// wrote.
+// runAggJob is the final job of the staged executor: the shape's grouped SUM
+// over the row-table intermediate its last join pass wrote.
 func (e *Engine) runAggJob(ctx context.Context, name string, sh *plan.Shape, in *colstore.RowInput) (*mr.MemoryOutput, *mr.JobResult, error) {
 	aggFn, err := expr.CompileNum(sh.Agg, in.Schema)
 	if err != nil {

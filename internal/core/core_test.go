@@ -279,14 +279,18 @@ func TestEstimateHashTableBytes(t *testing.T) {
 	q31, _ := ssb.QueryByName("Q3.1")
 	q32, _ := ssb.QueryByName("Q3.2")
 	each := func(table string, fn func(records.Record) error) error { return gen.Each(table, fn) }
-	b31, err := core.EstimateHashTableBytes(q31.Dims, each)
-	if err != nil {
-		t.Fatal(err)
+	total := func(dims []core.DimSpec) (sum int64) {
+		t.Helper()
+		per, err := core.EstimateDimHashBytes(dims, each)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range per {
+			sum += b
+		}
+		return sum
 	}
-	b32, err := core.EstimateHashTableBytes(q32.Dims, each)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b31, b32 := total(q31.Dims), total(q32.Dims)
 	if b31 <= 0 || b32 <= 0 {
 		t.Fatal("estimates must be positive")
 	}

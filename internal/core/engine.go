@@ -78,9 +78,8 @@ type Options struct {
 }
 
 // Engine executes physical plans (plan.Physical) on the MapReduce engine:
-// the single-job star join, the staged one-pass-per-dimension plan, and the
-// cascading map-side join. Lower and the cost-based chooser produce the
-// plans; Run is the front door for a star Query.
+// the single-job star join and the multi-pass staged plan. plan.Lower
+// produces the plans; Run is the front door for a star Query.
 type Engine struct {
 	mr    *mr.Engine
 	cat   *Catalog
@@ -206,15 +205,13 @@ type Report struct {
 	SortTime time.Duration
 	// Read is the {table → version} vector the answer was computed from.
 	Read Versions
-	// Staged reports whether the staged (one pass per dimension) plan ran,
-	// either because the plan asked for it or as the star plan's OOM
-	// fallback.
+	// Staged reports whether the multi-pass plan ran, either because the
+	// plan asked for it or as the one-step-per-pass fallback of a plan that
+	// ran out of node memory. Passes counts the join jobs that ran: 1 for
+	// the star job, one map-only job per depth level for a snowflake plan,
+	// one per step after the fallback; 0 when no job ran.
 	Staged bool
-	// Cascade reports whether the cascading map-side join executor ran;
-	// CascadePasses counts its map-side join jobs (the star pass plus one
-	// per snowflake edge).
-	Cascade       bool
-	CascadePasses int
+	Passes int
 	// PartitionsPruned and BytesSkipped summarize zone-map partition
 	// pruning on the fact scan (the scan.* counters).
 	PartitionsPruned int64
@@ -222,6 +219,20 @@ type Report struct {
 	// RowsBloomSkipped counts fact rows dropped in the scan by semi-join
 	// bloom pushdown (rows whose FK provably misses the dimension probe).
 	RowsBloomSkipped int64
+}
+
+// PlanAttr is the root query span's "plan" attribute, which EXPLAIN ANALYZE
+// prints on its header: what ran, as "staged passes=2". Empty when no job
+// ran (a nil report, a result-cache hit).
+func (r *Report) PlanAttr() string {
+	if r == nil || r.Passes == 0 {
+		return ""
+	}
+	kind := plan.KindStar
+	if r.Staged {
+		kind = plan.KindStaged
+	}
+	return fmt.Sprintf("%s passes=%d", kind, r.Passes)
 }
 
 // fillScanStats copies the pruning counters into the report.
@@ -234,18 +245,16 @@ func (r *Report) fillScanStats(c *mr.Counters) {
 	r.RowsBloomSkipped = c.Get(colstore.CtrRowsBloomSkipped)
 }
 
-// Run executes a star query: LogicalOf lifts it into the plan IR, Lower
+// Run executes a star query: LogicalOf lifts it into the plan IR, plan.Lower
 // compiles that, RunPlan executes it (the single-pass star join, with the
-// staged fallback on memory exhaustion). Callers that want the cost-based
-// chooser to pick the shape — including the cascading map-side join for
-// snowflake plans — go through PlanLogical and RunPlan instead. ctx cancels
-// the query; the error then matches the context cause and mr.ErrCanceled.
+// one-step-per-pass fallback on memory exhaustion). ctx cancels the query;
+// the error then matches the context cause and mr.ErrCanceled.
 func (e *Engine) Run(ctx context.Context, q *Query) (*results.ResultSet, *Report, error) {
 	l, err := LogicalOf(q, e.cat)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := e.Lower(l)
+	p, err := plan.Lower(l)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -256,21 +265,22 @@ func (e *Engine) Run(ctx context.Context, q *Query) (*results.ResultSet, *Report
 // and no caller owns one (serve.Session puts a SpanContext in ctx; a
 // standalone CLI or test does not). The returned context carries the root
 // span context for the jobs below; the returned finish emits the root
-// "query" span — call it exactly once, after the query ends.
-func (e *Engine) traceRoot(ctx context.Context, name string, read Versions) (context.Context, func(error)) {
+// "query" span — call it exactly once, after the query ends, with the
+// query's report (nil when it failed).
+func (e *Engine) traceRoot(ctx context.Context, name string, read Versions) (context.Context, func(*Report, error)) {
 	tr := e.mr.Tracer()
 	if _, ok := obs.FromContext(ctx); ok || !tr.Enabled() {
-		return ctx, func(error) {}
+		return ctx, func(*Report, error) {}
 	}
 	sc := obs.NewTrace()
 	start := time.Now()
-	return obs.ContextWith(ctx, sc), func(err error) {
+	return obs.ContextWith(ctx, sc), func(rep *Report, err error) {
 		status := "ok"
 		if err != nil {
 			status = "error"
 		}
 		s := obs.Span{Name: obs.PhaseQuery, Start: start, End: time.Now(),
-			Attrs: obs.Attrs("query", name, "status", status, "read", read.String())}
+			Attrs: obs.Attrs("query", name, "status", status, "read", read.String(), "plan", rep.PlanAttr())}
 		sc.Fill(&s, "")
 		tr.Emit(s)
 	}
@@ -309,7 +319,7 @@ func (e *Engine) ensureCached(ctx context.Context, dims []DimSpec) error {
 	return nil
 }
 
-// factScan is the fact-table input of every executor's first pass: the
+// factScan is the fact-table input of both executors' first pass: the
 // shape's fact read set (every column under NoColumnarStorage), the fact
 // predicate, and the scan pushdowns derived from the depth-1 dimensions
 // head — FK-range prune hints, semi-join blooms, FKs decoded eagerly. It
@@ -354,7 +364,7 @@ func (e *Engine) mapJoinConf() *mr.JobConf {
 	return conf
 }
 
-// sumJob fills in the grouped-SUM reduce side every executor's last job
+// sumJob fills in the grouped-SUM reduce side both executors' last job
 // shares: sumReducer as combiner and reducer over (group key, partial sum),
 // one reducer per worker node (the paper's one reduce slot per node), a
 // single one for a grand aggregate.
@@ -398,7 +408,7 @@ func (e *Engine) runStar(ctx context.Context, p *plan.Physical, pin *Pin) (*resu
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %s: %w", sh.Name, err)
 	}
-	return finish(sh, out, &Report{Job: res}, start)
+	return finish(sh, out, &Report{Job: res, Passes: 1}, start)
 }
 
 // runJoinPass runs one map-only join pass of a multi-job plan: runner over
@@ -424,7 +434,7 @@ func Orders(sh *plan.Shape) []results.Order {
 	return orders
 }
 
-// finish is the epilogue every executor shares: collect the grouped sums
+// finish is the epilogue both executors share: collect the grouped sums
 // the last job reduced into out, run the driver-side final sort (Figure 4
 // line 33), and complete the report.
 func finish(sh *plan.Shape, out *mr.MemoryOutput, rep *Report, start time.Time) (*results.ResultSet, *Report, error) {

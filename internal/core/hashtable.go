@@ -623,17 +623,3 @@ func EstimateDimHashBytes(dims []DimSpec, each func(table string, fn func(record
 	}
 	return out, nil
 }
-
-// EstimateHashTableBytes sums EstimateDimHashBytes: one full copy of a
-// query's dimension hash tables (what a Clydesdale node holds).
-func EstimateHashTableBytes(dims []DimSpec, each func(table string, fn func(records.Record) error) error) (int64, error) {
-	per, err := EstimateDimHashBytes(dims, each)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, b := range per {
-		total += b
-	}
-	return total, nil
-}

@@ -41,31 +41,6 @@ func LogicalOf(q *Query, cat *Catalog) (*plan.Logical, error) {
 	return &plan.Logical{Name: name, Root: n}, nil
 }
 
-// Lower compiles a bound logical plan into the physical plan RunPlan
-// executes when nobody asked the cost-based chooser: the shape's bind-order
-// pipeline, as the single-pass star join when every join hangs off the fact
-// and as the staged plan (feasible for any shape the IR expresses) when the
-// plan has snowflake edges. It reads no table, so it is cheap enough for
-// every query; PlanLogical is the stat-scanning alternative.
-func (e *Engine) Lower(l *plan.Logical) (*plan.Physical, error) {
-	sh, err := plan.Decompose(l)
-	if err != nil {
-		return nil, err
-	}
-	steps, err := sh.Linearize()
-	if err != nil {
-		return nil, err
-	}
-	for i := range steps {
-		steps[i].Strategy = plan.StrategyStar
-	}
-	kind := plan.KindStar
-	if sh.MaxDepth() > 1 {
-		kind = plan.KindStaged
-	}
-	return &plan.Physical{Shape: sh, Kind: kind, Steps: steps, Feasible: true}, nil
-}
-
 // DimSpecOf is the build spec of one join edge: what hash table to build
 // over which table. Every lowering that builds from the plan IR goes through
 // it.

@@ -64,7 +64,7 @@ func RecordDimBuilds(ctrs *mr.Counters, hts ...*DimHashTable) []string {
 // thread, and probes every table with early-out over block or row readers.
 // What it does with a joined row is the sink, fixed once per job: fold the
 // measure into grouped partial sums (the star job) or carry the row on
-// through the collector (a staged pass, the cascade head pass).
+// through the collector (a staged pass).
 //
 // One runner instance serves every task of the job, so the table group
 // below is the per-job, per-node build cache — the Go equivalent of the

@@ -12,41 +12,39 @@ import (
 	"clydesdale/internal/results"
 )
 
-// The §5.1 fallback: "for the rare case where the cluster nodes have little
-// memory or for unusual datasets with extremely large dimension tables, one
-// could reduce the memory footprint by joining with a single hash table at
-// a time. A subsequent pass over the intermediate joined result can be made
-// to join with the remaining dimension tables."
-//
-// runStaged implements that strategy: one map-only MapReduce job per join
-// step — the star-join runner over a single dimension, so still with
-// Clydesdale's per-node shared hash table (built from the local dimension
-// cache, one task per node, JVM reuse), unlike Hive's broadcast mapjoin —
-// writing each intermediate to HDFS, followed by an aggregation job. Memory
-// high-water per node drops from the sum of the dimension tables to the
-// largest single one.
-
+// stagedSeq numbers the intermediate directories of staged runs.
 var stagedSeq atomic.Int64
 
-// runStaged executes a plan's pipeline one join pass per step. It is not
-// limited to star shapes: a snowflake edge is one more pass, probing the FK
-// its parent's pass carried, so the staged plan runs any shape the IR can
-// express.
+// runStaged executes a multi-pass plan: one map-only MapReduce job per pass
+// — the star-join runner over the pass's dimensions, so with Clydesdale's
+// per-node shared hash tables (built from the local dimension cache, one
+// task per node, JVM reuse), unlike Hive's broadcast mapjoin — each writing
+// its carried rows to an HDFS intermediate, followed by an aggregation job.
+// A snowflake plan has one pass per depth level: every table of a level
+// probes a key an earlier level carried. Cut one step per pass it is the
+// paper's §5.1 fallback: "for the rare case where the cluster nodes have
+// little memory or for unusual datasets with extremely large dimension
+// tables, one could reduce the memory footprint by joining with a single
+// hash table at a time. A subsequent pass over the intermediate joined
+// result can be made to join with the remaining dimension tables." Memory
+// high-water per node is the largest pass, not the sum of the tables.
 func (e *Engine) runStaged(ctx context.Context, p *plan.Physical, pin *Pin) (*results.ResultSet, *Report, error) {
 	start := time.Now()
-	sh, steps := p.Shape, p.Steps
-	if len(steps) == 0 {
+	sh := p.Shape
+	passes := p.PassSteps()
+	if len(passes) == 0 {
 		return nil, nil, fmt.Errorf("core: staged plan for %s has no joins", sh.Name)
 	}
-	dims := pin.DimSpecs(steps)
+	dims := pin.DimSpecs(p.Steps)
 	if err := e.ensureCached(ctx, dims); err != nil {
 		return nil, nil, err
 	}
-	// Only depth-1 FKs are fact columns, so only those dimensions may feed
-	// the fact scan's prune hints, blooms and eager-read set.
+	// Only depth-1 FKs are fact columns, so only those dimensions — whichever
+	// pass joins them — may feed the fact scan's prune hints, blooms and
+	// eager-read set.
 	var head []DimSpec
-	for i := range steps {
-		if steps[i].Depth == 1 {
+	for i := range p.Steps {
+		if p.Steps[i].Depth == 1 {
 			head = append(head, dims[i])
 		}
 	}
@@ -62,17 +60,19 @@ func (e *Engine) runStaged(ctx context.Context, p *plan.Physical, pin *Pin) (*re
 	var inter *colstore.RowInput
 
 	counters := mr.NewCounters()
-	for i := range steps {
-		st := &steps[i]
+	for i, steps := range passes {
+		passDims := dims[:len(steps)]
+		dims = dims[len(steps):]
+		out := steps[len(steps)-1].Out
 		outDir := fmt.Sprintf("%s/pass-%d", tmp, i+1)
-		res, err := e.runJoinPass(ctx, fmt.Sprintf("clydesdale-staged-%s-%s", sh.Name, st.Table), input,
-			&colstore.RowOutput{Dir: outDir, Schema: st.Out},
-			newRowRunner(e, dims[i:i+1], factPred, st.Out))
+		res, err := e.runJoinPass(ctx, fmt.Sprintf("clydesdale-staged-%s-pass-%d", sh.Name, i+1), input,
+			&colstore.RowOutput{Dir: outDir, Schema: out},
+			newRowRunner(e, passDims, factPred, out))
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: %s staged pass %d (%s): %w", sh.Name, i+1, st.Table, err)
+			return nil, nil, fmt.Errorf("core: %s staged pass %d (%s): %w", sh.Name, i+1, steps[0].Table, err)
 		}
 		counters.Merge(res.Counters)
-		inter = &colstore.RowInput{Dir: outDir, Schema: st.Out}
+		inter = &colstore.RowInput{Dir: outDir, Schema: out}
 		input, factPred = inter, nil
 	}
 
@@ -82,5 +82,5 @@ func (e *Engine) runStaged(ctx context.Context, p *plan.Physical, pin *Pin) (*re
 	}
 	counters.Merge(res.Counters)
 	job := &mr.JobResult{JobID: "staged", Counters: counters, Duration: time.Since(start)}
-	return finish(sh, out, &Report{Job: job, Staged: true}, start)
+	return finish(sh, out, &Report{Job: job, Staged: true, Passes: len(passes)}, start)
 }

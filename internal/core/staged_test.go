@@ -15,19 +15,18 @@ import (
 	"clydesdale/internal/ssb"
 )
 
-// runStaged forces the staged plan: it lowers q as Run would, flips the
-// plan's kind, and executes that.
+// runStaged forces the §5.1 plan: it lowers q as Run would and executes the
+// plan's one-step-per-pass form.
 func runStaged(eng *core.Engine, q *core.Query) (*results.ResultSet, *core.Report, error) {
 	l, err := core.LogicalOf(q, eng.Catalog())
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := eng.Lower(l)
+	p, err := plan.Lower(l)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.Kind = plan.KindStaged
-	return eng.RunPlan(context.Background(), p)
+	return eng.RunPlan(context.Background(), p.OneStepPerPass())
 }
 
 // TestStagedMatchesReference runs every SSB query through the §5.1 staged

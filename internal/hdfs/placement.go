@@ -51,9 +51,6 @@ func (defaultPolicy) ChooseTargets(filePath string, blockIndex, repl int, writer
 	return out
 }
 
-// DefaultPolicy returns the stock HDFS placement policy.
-func DefaultPolicy() PlacementPolicy { return defaultPolicy{} }
-
 // ColocatePolicy places every block of every file that shares the same
 // parent directory on the same replica set, chosen deterministically by
 // rendezvous (highest-random-weight) hashing of the directory name over the

@@ -127,11 +127,15 @@ func TestMapJoinOOMOnConstrainedCluster(t *testing.T) {
 	q, _ := ssb.QueryByName("Q3.1")
 
 	// One copy of Q3.1's hash tables.
-	oneCopy, err := core.EstimateHashTableBytes(q.Dims, func(tbl string, fn func(r records.Record) error) error {
+	perDim, err := core.EstimateDimHashBytes(q.Dims, func(tbl string, fn func(r records.Record) error) error {
 		return gen.Each(tbl, fn)
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var oneCopy int64
+	for _, b := range perDim {
+		oneCopy += b
 	}
 
 	slots := 3

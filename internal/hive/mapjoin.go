@@ -181,11 +181,10 @@ func (m *mapJoinMapper) Cleanup(mr.Collector) error { return nil }
 // hash-table copy occupies per listed dimension (in order), by
 // evaluating the dimension predicates over rows supplied by each(table).
 // The per-entry model is plan.MapJoinEntryBytes — the boxed map
-// mapJoinMapper.Setup builds — which keeps this estimate, Setup's runtime
-// accounting, and the cost model's feasibility check in exact agreement;
-// the benchmark harness calibrates the §6.4 OOM budgets from it: each
-// mapjoin task holds one dimension at a time, so its constraint is the
-// *maximum* dimension.
+// mapJoinMapper.Setup builds — which keeps this estimate and Setup's
+// runtime accounting in exact agreement; the benchmark harness calibrates
+// the §6.4 OOM budgets from it: each mapjoin task holds one dimension at a
+// time, so its constraint is the *maximum* dimension.
 func EstimateMapJoinHashBytes(dims []core.DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
 	out := make([]int64, len(dims))
 	for i := range dims {

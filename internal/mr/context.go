@@ -183,10 +183,6 @@ func (t *TaskContext) Node() *cluster.Node { return t.node }
 // consecutive tasks of the job on this node.
 func (t *TaskContext) JVM() *JVM { return t.jvm }
 
-// MemoryAllowance is the per-task memory budget in bytes (the task's
-// requested memory under the capacity scheduler).
-func (t *TaskContext) MemoryAllowance() int64 { return t.allowance }
-
 // ReserveMemory reserves b bytes against both the task allowance and the
 // node budget, returning cluster.ErrOutOfMemory when either is exceeded.
 // Reservations are released automatically when the task attempt ends.

@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"sort"
 	"sync"
 
 	"clydesdale/internal/records"
@@ -122,19 +121,6 @@ func (m *MemoryOutput) Pairs() []KV {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]KV(nil), m.pairs...)
-}
-
-// SortedPairs returns the collected output sorted by key then value, for
-// deterministic assertions.
-func (m *MemoryOutput) SortedPairs() []KV {
-	pairs := m.Pairs()
-	sort.SliceStable(pairs, func(i, j int) bool {
-		if c := pairs[i].Key.Compare(pairs[j].Key); c != 0 {
-			return c < 0
-		}
-		return pairs[i].Value.Compare(pairs[j].Value) < 0
-	})
-	return pairs
 }
 
 type memoryWriter struct{ out *MemoryOutput }

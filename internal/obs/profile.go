@@ -23,6 +23,9 @@ type Profile struct {
 	// Read is the root span's read attribute: the table versions the query
 	// was answered from ("lineorder@7 customer@3"), empty when unrecorded.
 	Read string
+	// Plan is the root span's plan attribute: what ran, as the executor
+	// reports it ("staged passes=2"); empty when no job ran.
+	Plan string
 	// Start/End/Wall cover the root span.
 	Start time.Time
 	End   time.Time
@@ -209,6 +212,7 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 		Trace:    trace,
 		Query:    rootQueryName(root),
 		Read:     root.Span.Attrs["read"],
+		Plan:     root.Span.Attrs["plan"],
 		Start:    root.Span.Start,
 		End:      root.Span.End,
 		Wall:     root.Span.Duration(),
@@ -690,6 +694,9 @@ func (p *Profile) WriteText(w io.Writer) {
 	if p.Read != "" {
 		fmt.Fprintf(w, "read: %s\n", p.Read)
 	}
+	if p.Plan != "" {
+		fmt.Fprintf(w, "plan: %s\n", p.Plan)
+	}
 	fmt.Fprintf(w, "wall %v, %d spans", p.Wall.Round(time.Microsecond), p.Spans)
 	if p.Orphans > 0 {
 		fmt.Fprintf(w, ", %d ORPHANS", p.Orphans)
@@ -812,6 +819,7 @@ type jsonProfile struct {
 	Trace      string           `json:"trace"`
 	Query      string           `json:"query"`
 	Read       string           `json:"read,omitempty"`
+	Plan       string           `json:"plan,omitempty"`
 	StartNs    int64            `json:"start_ns"`
 	WallNs     int64            `json:"wall_ns"`
 	Spans      int              `json:"spans"`
@@ -887,6 +895,7 @@ func (p *Profile) MarshalJSON() ([]byte, error) {
 		Trace:    p.Trace,
 		Query:    p.Query,
 		Read:     p.Read,
+		Plan:     p.Plan,
 		StartNs:  p.Start.UnixNano(),
 		WallNs:   int64(p.Wall),
 		Spans:    p.Spans,

@@ -6,43 +6,32 @@ import (
 	"strings"
 )
 
-// Explain renders a physical plan as deterministic text: one line per
-// operator with the chosen strategy, cost inputs and partitioning
-// properties, followed by the candidates the chooser rejected. The 13 SSB
-// plans are golden-pinned on this format, so changes to the chooser show
-// up in review as golden diffs.
+// Explain renders a physical plan as deterministic text: the kind and pass
+// count, the fact scan, then one line per join step led by the pass that
+// runs it (steps with equal pass numbers share a job) with its join and
+// filter text. The 13 SSB plans are golden-pinned on this format, so a
+// change to the lowering shows up in review as golden diffs.
 func Explain(w io.Writer, p *Physical) error {
 	sh := p.Shape
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan %s: kind=%s cost=%.0f row-units\n", sh.Name, p.Kind, p.Cost)
-	if p.Reason != "" {
-		fmt.Fprintf(&b, "  -- %s\n", p.Reason)
-	}
+	fmt.Fprintf(&b, "plan %s: kind=%s passes=%d\n", sh.Name, p.Kind, len(p.Passes))
 	fmt.Fprintf(&b, "  scan %s read=[%s]", sh.Fact, strings.Join(sh.FactColumns(), " "))
 	if sh.FactPred != nil {
 		fmt.Fprintf(&b, " where %s", sh.FactPred)
 	}
 	b.WriteByte('\n')
-	for i := range p.Steps {
-		st := &p.Steps[i]
-		fmt.Fprintf(&b, "  join %s on %s = %s", st.Table, st.FK, st.PK)
-		if st.Parent != "" {
-			fmt.Fprintf(&b, " (via %s, depth %d)", st.Parent, st.Depth)
+	for pi, steps := range p.PassSteps() {
+		for i := range steps {
+			st := &steps[i]
+			fmt.Fprintf(&b, "  pass %d: join %s on %s = %s", pi+1, st.Table, st.FK, st.PK)
+			if st.Parent != "" {
+				fmt.Fprintf(&b, " (via %s, depth %d)", st.Parent, st.Depth)
+			}
+			if st.Pred != nil {
+				fmt.Fprintf(&b, " where %s", st.Pred)
+			}
+			b.WriteByte('\n')
 		}
-		if st.Pred != nil {
-			fmt.Fprintf(&b, " where %s", st.Pred)
-		}
-		fmt.Fprintf(&b, " strategy=%s", st.Strategy)
-		if st.BuildRows > 0 || st.BuildBytes > 0 {
-			fmt.Fprintf(&b, " build~%d rows/%d bytes", st.BuildRows, st.BuildBytes)
-		}
-		if !st.Require.IsNone() {
-			fmt.Fprintf(&b, " require=%s", st.Require)
-		}
-		if !st.Deliver.IsNone() {
-			fmt.Fprintf(&b, " deliver=%s", st.Deliver)
-		}
-		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "  aggregate %s(%s)", strings.ToUpper("sum"), sh.Agg)
 	fmt.Fprintf(&b, " as %s", sh.AggName)
@@ -62,13 +51,6 @@ func Explain(w io.Writer, p *Physical) error {
 			}
 		}
 		b.WriteByte('\n')
-	}
-	for _, a := range p.Alternatives {
-		if a.Feasible {
-			fmt.Fprintf(&b, "  alternative %s cost=%.0f: %s\n", a.Kind, a.Cost, a.Reason)
-		} else {
-			fmt.Fprintf(&b, "  alternative %s infeasible: %s\n", a.Kind, a.Reason)
-		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

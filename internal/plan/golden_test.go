@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"clydesdale/internal/core"
-	"clydesdale/internal/expr"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/ssb"
@@ -16,8 +15,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden plan files")
 
-// ssbPlanCatalog is a storage-less catalog: the golden tests bind and cost
-// plans from the generator's statistics without materializing a dataset.
+// ssbPlanCatalog is a storage-less catalog: the golden test binds and lowers
+// plans without materializing a dataset.
 func ssbPlanCatalog() *core.Catalog {
 	return &core.Catalog{
 		FactName:   ssb.TableLineorder,
@@ -31,82 +30,26 @@ func ssbPlanCatalog() *core.Catalog {
 	}
 }
 
-// statsFor mirrors core.(*Engine).PlanStats over generator rows instead of
-// stored tables: the same estimators (star hash model, boxed mapjoin
-// model), a fixed SF-1 fact cardinality, and a pinned cluster geometry so
-// the golden costs are stable.
-func statsFor(t *testing.T, gen *ssb.Generator, q *ssb.Query) *plan.Stats {
-	t.Helper()
-	each := func(table string, fn func(records.Record) error) error {
-		return gen.Each(table, fn)
-	}
-	hashBytes, err := core.EstimateDimHashBytes(q.Dims, each)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := make(map[string]plan.TableStats, len(q.Dims))
-	for i := range q.Dims {
-		spec := &q.Dims[i]
-		var pred expr.RowPred
-		if spec.Pred != nil {
-			p, err := expr.CompilePred(spec.Pred, spec.Schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pred = p
-		}
-		auxIdx := make([]int, len(spec.Aux))
-		for j, a := range spec.Aux {
-			auxIdx[j] = spec.Schema.MustIndex(a)
-		}
-		ts := plan.TableStats{HashBytes: hashBytes[i]}
-		aux := make([]records.Value, len(auxIdx))
-		err := each(spec.Table, func(r records.Record) error {
-			ts.Rows++
-			if pred != nil && !pred(r) {
-				return nil
-			}
-			ts.FilteredRows++
-			for j, ix := range auxIdx {
-				aux[j] = r.At(ix)
-			}
-			ts.MapJoinBytes += plan.MapJoinEntryBytes(aux)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tables[spec.Table] = ts
-	}
-	return &plan.Stats{
-		FactRows:      gen.LineorderRows(),
-		Tables:        tables,
-		Nodes:         5,
-		MapSlots:      2,
-		MemoryPerNode: 512 << 20,
-	}
-}
-
-// TestSSBGoldenPlans pins the chooser's output for all 13 SSB queries:
-// bind to the IR, cost with SF-1 statistics, explain, and compare against
-// testdata/<query>.golden. Regenerate with `go test ./internal/plan
-// -run GoldenPlans -update`. Every SSB query is a pure star on a cluster
-// with memory to spare, so the chosen kind must always be the single-pass
-// star join.
+// TestSSBGoldenPlans pins the lowering of all 13 SSB queries: bind to the
+// IR, lower, explain, and compare against testdata/<query>.golden.
+// Regenerate with `go test ./internal/plan -run GoldenPlans -update`. Every
+// SSB query is a pure star, so each must lower to the single star-join job:
+// one pass over all of its steps. (That the plans answer correctly is
+// core's TestAllQueriesMatchReference, which runs them through the same
+// Lower.)
 func TestSSBGoldenPlans(t *testing.T) {
-	gen := ssb.NewGenerator(1, 42)
 	cat := ssbPlanCatalog()
 	for _, q := range ssb.Queries() {
 		l, err := core.LogicalOf(q, cat)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		phys, err := plan.Choose(l, statsFor(t, gen, q))
+		phys, err := plan.Lower(l)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if phys.Kind != plan.KindStar {
-			t.Errorf("%s: chose %s, want %s", q.Name, phys.Kind, plan.KindStar)
+		if phys.Kind != plan.KindStar || len(phys.Passes) != 1 || phys.Passes[0] != len(q.Dims) {
+			t.Errorf("%s: lowered to %s passes %v, want one star pass over %d steps", q.Name, phys.Kind, phys.Passes, len(q.Dims))
 		}
 		var buf bytes.Buffer
 		if err := plan.Explain(&buf, phys); err != nil {

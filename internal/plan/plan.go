@@ -1,13 +1,11 @@
 // Package plan is the shared logical-plan IR that sits between the SQL
 // binder and the execution engines. A query binds into a tree of scan /
 // filter / join / aggregate / order nodes; Decompose canonicalizes the tree
-// into a Shape (fact scan + join pipeline + aggregation), Linearize turns
-// the join tree into an ordered pipeline of Steps with resolved column
-// liveness, and Choose lowers each join into a physical strategy — the
-// Clydesdale star join, a Hive-style mapjoin or repartition join, or a
-// cascading map-side join whose co-partitioned output feeds the next join
-// without an intervening reduce (after "Cascading Map-Side Joins over
-// HBase", arXiv 1206.6293).
+// into a Shape (fact scan + join pipeline + aggregation), Pipeline turns the
+// join tree into an ordered pipeline of Steps with resolved column liveness,
+// and Lower cuts that pipeline into the MapReduce passes Clydesdale runs:
+// the single star-join job, or one map-only join pass per snowflake depth
+// level. The Hive baseline lowers the same Shape its own way.
 //
 // The package deliberately depends only on the expression and record
 // layers, so the engines (core, hive), the binder (sql) and the schema
@@ -15,8 +13,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"clydesdale/internal/expr"
 	"clydesdale/internal/records"
 )
@@ -85,12 +81,6 @@ func (j *Join) Schema() *records.Schema {
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
-// Requires is the join's required-partitioning property: for a
-// co-partitioned (map-side, shuffle-free) execution, the probe input must
-// arrive hash-partitioned on the probe key, with the build side bucketed by
-// the same function.
-func (j *Join) Requires() Partitioning { return Partitioning{Key: j.LeftKey} }
-
 // Aggregate computes one SUM measure over the input, grouped by GroupBy
 // columns.
 type Aggregate struct {
@@ -134,38 +124,6 @@ func (o *Order) Children() []Node { return []Node{o.Input} }
 type OrderKey struct {
 	Col  string
 	Desc bool
-}
-
-// Partitioning describes how an operator's output rows are distributed:
-// hash-partitioned on Key into Buckets buckets, or unconstrained when Key
-// is empty. All writers and side-table builders must place keys with the
-// same bucket function (see the co-partitioned output contract,
-// mr.BucketOf) for a Satisfies answer to mean anything across jobs.
-type Partitioning struct {
-	Key     string
-	Buckets int
-}
-
-// IsNone reports an unconstrained (or unknown) distribution.
-func (p Partitioning) IsNone() bool { return p.Key == "" }
-
-// Satisfies reports whether rows distributed like p meet requirement req.
-func (p Partitioning) Satisfies(req Partitioning) bool {
-	if req.IsNone() {
-		return true
-	}
-	return p.Key == req.Key && (req.Buckets == 0 || p.Buckets == req.Buckets)
-}
-
-// String renders the property for EXPLAIN output.
-func (p Partitioning) String() string {
-	if p.IsNone() {
-		return "none"
-	}
-	if p.Buckets > 0 {
-		return fmt.Sprintf("hash(%s)%%%d", p.Key, p.Buckets)
-	}
-	return fmt.Sprintf("hash(%s)", p.Key)
 }
 
 // Logical is a bound logical plan: what sql.Parse returns and what the

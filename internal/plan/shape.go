@@ -328,16 +328,6 @@ type Step struct {
 	// (always the first, where the fact stream is first materialized).
 	ApplyFactPred bool
 	In, Out       *records.Schema
-	// Strategy is filled by the chooser.
-	Strategy Strategy
-	// Require / Deliver are the step's partitioning properties under a
-	// cascade lowering: Require is what the step's probe input must
-	// satisfy, Deliver what its output provides for the next step.
-	Require, Deliver Partitioning
-	// BuildRows / BuildBytes are the chooser's build-side estimates
-	// (filtered row count and hash table footprint under the chosen
-	// strategy); zero when no stats were available.
-	BuildRows, BuildBytes int64
 }
 
 // AuxSchema is the build-side payload schema: the columns of Aux, typed
@@ -351,8 +341,8 @@ func (st *Step) AuxSchema() *records.Schema {
 }
 
 // Linearize computes the join pipeline in the plan's bind order — the
-// order the staged (Hive-style) lowering executes, matching Hive's
-// join-order faithfulness rather than re-optimizing.
+// order the Hive lowering executes, matching Hive's join-order faithfulness
+// rather than re-optimizing.
 func (sh *Shape) Linearize() ([]Step, error) {
 	order := make([]int, len(sh.Joins))
 	for i := range order {

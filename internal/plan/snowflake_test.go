@@ -1,8 +1,10 @@
 package plan_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"clydesdale/internal/cluster"
@@ -20,13 +22,20 @@ import (
 type snowEnv struct {
 	snow *ssb.Snowflake
 	lay  *ssb.SnowLayout
+	fs   *hdfs.FileSystem
 	mr   *mr.Engine
 	sink *obs.MemorySink
 }
 
-func newSnowEnv(t *testing.T, seed uint64, factRows int64) *snowEnv {
+// newSnowEnv loads the seed's snowflake dataset on a three-node test
+// cluster; nodeMemory > 0 overrides the per-node memory budget.
+func newSnowEnv(t *testing.T, seed uint64, factRows, nodeMemory int64) *snowEnv {
 	t.Helper()
-	c := cluster.New(cluster.Testing(3))
+	cfg := cluster.Testing(3)
+	if nodeMemory > 0 {
+		cfg.MemoryPerNode = nodeMemory
+	}
+	c := cluster.New(cfg)
 	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: int64(seed)})
 	snow := ssb.GenSnowflake(seed, factRows)
 	lay, err := ssb.LoadSnowflake(fs, snow, "/snow")
@@ -35,62 +44,115 @@ func newSnowEnv(t *testing.T, seed uint64, factRows int64) *snowEnv {
 	}
 	sink := obs.NewMemorySink()
 	tracer := obs.NewTracer(sink)
-	return &snowEnv{snow: snow, lay: lay, mr: mr.NewEngine(c, fs, mr.Options{Tracer: tracer}), sink: sink}
+	return &snowEnv{snow: snow, lay: lay, fs: fs, mr: mr.NewEngine(c, fs, mr.Options{Tracer: tracer}), sink: sink}
 }
 
-// snowStats derives the chooser's inputs from the dataset via the engine's
-// own stat gatherer.
-func (e *snowEnv) stats(t *testing.T, eng *core.Engine, l *plan.Logical) *plan.Stats {
+func (e *snowEnv) engine() *core.Engine {
+	return core.New(e.mr, e.lay.Catalog(e.snow), core.Options{})
+}
+
+// tightBudget returns a node memory budget that holds the largest single
+// hash table of p but not the tables of its largest pass together, or 0 when
+// no such budget exists (the largest table is a pass of its own and
+// outweighs every other pass).
+func tightBudget(t *testing.T, snow *ssb.Snowflake, p *plan.Physical) int64 {
 	t.Helper()
-	st, err := eng.PlanStats(l)
-	if err != nil {
-		t.Fatal(err)
+	var largest, largestPass int64
+	for _, steps := range p.PassSteps() {
+		specs := make([]core.DimSpec, len(steps))
+		for i := range steps {
+			specs[i] = core.DimSpecOf(&steps[i].JoinEdge)
+		}
+		per, err := core.EstimateDimHashBytes(specs, snow.Each)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pass int64
+		for _, b := range per {
+			pass += b
+			if b > largest {
+				largest = b
+			}
+		}
+		if pass > largestPass {
+			largestPass = pass
+		}
 	}
-	return st
+	if largestPass <= largest {
+		return 0
+	}
+	return largest + (largestPass-largest)/2
 }
 
-// TestSnowflakePropertyAllStrategiesAgree is the planner's property test:
-// random snowflake schemas and random queries over them, executed through
-// every lowering the chooser considers — the cascade, the core staged
-// plan, and the Hive baseline with both join strategies — must all equal
-// the logical-plan oracle. Star joins only qualify for depth-1 plans and
-// are covered where the chooser deems them feasible.
+// TestSnowflakePropertyAllStrategiesAgree is the lowering's property test:
+// random snowflake schemas and random queries over them, executed as the
+// lowered plan (one pass per depth level), as its one-step-per-pass form,
+// through the automatic fallback from the first to the second on a cluster
+// whose nodes hold the largest single table but not a level's tables
+// together, and on the Hive baseline with both join strategies, must all
+// equal the logical-plan oracle.
 func TestSnowflakePropertyAllStrategiesAgree(t *testing.T) {
 	for _, seed := range []uint64{7, 23, 101} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			e := newSnowEnv(t, seed, 3000)
-			eng := core.New(e.mr, e.lay.Catalog(e.snow), core.Options{})
+			e := newSnowEnv(t, seed, 3000, 0)
+			eng := e.engine()
+			fallbacks := 0
 			for qi := int64(0); qi < 3; qi++ {
 				l := e.snow.RandomSnowQuery(qi)
 				want, err := refexec.RunLogical(l, e.snow.Each)
 				if err != nil {
 					t.Fatalf("q%d oracle: %v", qi, err)
 				}
-				cands, err := plan.Candidates(l, e.stats(t, eng, l))
-				if err != nil {
-					t.Fatalf("q%d candidates: %v", qi, err)
-				}
-				ranFeasible := 0
-				for _, p := range cands {
-					if !p.Feasible {
-						continue
-					}
-					ranFeasible++
-					got, rep, err := eng.RunPlan(context.Background(), p)
-					if err != nil {
-						t.Fatalf("q%d %s: %v", qi, p.Kind, err)
-					}
-					if p.Kind == plan.KindCascade && (!rep.Cascade || rep.CascadePasses < 2) {
-						t.Errorf("q%d cascade report: ran=%v passes=%d", qi, rep.Cascade, rep.CascadePasses)
-					}
+				check := func(what string, got *results.ResultSet) {
+					t.Helper()
 					if ok, why := results.Equivalent(got, want, 1e-9); !ok {
-						t.Errorf("q%d %s disagrees with oracle: %s\ngot:\n%s\nwant:\n%s",
-							qi, p.Kind, why, got, want)
+						t.Errorf("q%d %s disagrees with oracle: %s\ngot:\n%s\nwant:\n%s", qi, what, why, got, want)
 					}
 				}
-				if ranFeasible == 0 {
-					t.Errorf("q%d: no feasible candidate", qi)
+				p, err := plan.Lower(l)
+				if err != nil {
+					t.Fatalf("q%d lower: %v", qi, err)
+				}
+				depth := p.Shape.MaxDepth()
+				if p.Kind != plan.KindStaged || len(p.Passes) != depth {
+					t.Fatalf("q%d lowered to %s passes %v, want one staged pass per level of depth %d", qi, p.Kind, p.Passes, depth)
+				}
+				for _, v := range []struct {
+					what   string
+					p      *plan.Physical
+					passes int
+				}{
+					{"lowered", p, depth},
+					{"one-step-per-pass", p.OneStepPerPass(), len(p.Steps)},
+				} {
+					got, rep, err := eng.RunPlan(context.Background(), v.p)
+					if err != nil {
+						t.Fatalf("q%d %s: %v", qi, v.what, err)
+					}
+					check(v.what, got)
+					if !rep.Staged || rep.Passes != v.passes {
+						t.Errorf("q%d %s report: staged=%v passes=%d, want %d passes", qi, v.what, rep.Staged, rep.Passes, v.passes)
+					}
+				}
+
+				// Memory pressure: the lowered plan's largest pass does not
+				// fit, every single table does, so the run must fall back to
+				// one step per pass by itself.
+				if budget := tightBudget(t, e.snow, p); budget > 0 {
+					fallbacks++
+					tight := newSnowEnv(t, seed, 3000, budget)
+					got, rep, err := tight.engine().RunPlan(context.Background(), p)
+					if err != nil {
+						t.Fatalf("q%d fallback under a %d-byte node budget: %v", qi, budget, err)
+					}
+					check("fallback", got)
+					if !rep.Staged || rep.Passes != len(p.Steps) {
+						t.Errorf("q%d fallback report: staged=%v passes=%d, want %d passes", qi, rep.Staged, rep.Passes, len(p.Steps))
+					}
+					if files := tight.fs.List("/tmp/clydesdale/"); len(files) != 0 {
+						t.Errorf("q%d fallback left intermediates: %v", qi, files)
+					}
 				}
 
 				// The Hive baseline lowers the same IR; both join
@@ -101,74 +163,73 @@ func TestSnowflakePropertyAllStrategiesAgree(t *testing.T) {
 					if err != nil {
 						t.Fatalf("q%d hive %s: %v", qi, strat, err)
 					}
-					if ok, why := results.Equivalent(got, want, 1e-9); !ok {
-						t.Errorf("q%d hive %s disagrees with oracle: %s", qi, strat, why)
-					}
+					check("hive "+strat.String(), got)
 				}
+			}
+			if fallbacks == 0 {
+				t.Error("no query of this seed admits a budget between its largest table and its largest pass")
+			}
+			if files := e.fs.List("/tmp/clydesdale/"); len(files) != 0 {
+				t.Errorf("leftover intermediates: %v", files)
 			}
 		})
 	}
 }
 
-// TestCascadeZeroIntermediateReduce executes a snowflake query as a
-// cascade and verifies, from the job span tree, the defining property: the
-// map-side join jobs (the ones that build hash tables) run with zero
-// shuffle, sort, or reduce work between them — the co-partitioned bucket
-// output feeds the next join's map side directly.
-func TestCascadeZeroIntermediateReduce(t *testing.T) {
-	e := newSnowEnv(t, 7, 3000)
-	eng := core.New(e.mr, e.lay.Catalog(e.snow), core.Options{})
-	l := e.snow.RandomSnowQuery(0)
-	st := e.stats(t, eng, l)
-	cands, err := plan.Candidates(l, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cascade *plan.Physical
-	for _, p := range cands {
-		if p.Kind == plan.KindCascade && p.Feasible {
-			cascade = p
+// TestSnowflakeRunsOneMapOnlyJobPerLevel executes lowered snowflake plans
+// and verifies, from the span tree, what the lowering promises: a depth-d
+// plan runs exactly d join jobs (the ones whose tasks build hash tables),
+// none of them with a shuffle, sort or reduce span — each level's carried
+// rows feed the next level's map side directly — and the count is what the
+// report and the EXPLAIN ANALYZE header say.
+func TestSnowflakeRunsOneMapOnlyJobPerLevel(t *testing.T) {
+	for _, seed := range []uint64{7, 11, 42} { // query 0 of these: depth 2, 3, 3
+		e := newSnowEnv(t, seed, 3000, 0)
+		l := e.snow.RandomSnowQuery(0)
+		p, err := plan.Lower(l)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if cascade == nil {
-		t.Fatal("no feasible cascade candidate for the depth-2 chain")
-	}
+		depth := p.Shape.MaxDepth()
+		if depth < 2 {
+			t.Fatalf("seed %d: query 0 has depth %d, want a snowflake", seed, depth)
+		}
+		_, rep, err := e.engine().RunPlan(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Passes != depth {
+			t.Errorf("seed %d: report says %d passes, want %d", seed, rep.Passes, depth)
+		}
 
-	want, err := refexec.RunLogical(l, e.snow.Each)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := eng.RunPlan(context.Background(), cascade)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, why := results.Equivalent(got, want, 1e-9); !ok {
-		t.Fatalf("cascade disagrees with oracle: %s", why)
-	}
-	if !rep.Cascade || rep.CascadePasses < 2 {
-		t.Fatalf("cascade report: ran=%v passes=%d, want >= 2 passes", rep.Cascade, rep.CascadePasses)
-	}
+		spans := e.sink.Spans()
+		joinJobs := map[string]bool{}
+		for _, s := range spans {
+			if s.Name == obs.PhaseHashBuild && s.Job != "" {
+				joinJobs[s.Job] = true
+			}
+		}
+		if len(joinJobs) != depth {
+			t.Errorf("seed %d: %d jobs built hash tables, want %d (one per level)", seed, len(joinJobs), depth)
+		}
+		for _, s := range spans {
+			if !joinJobs[s.Job] {
+				continue
+			}
+			switch s.Name {
+			case obs.PhaseShuffle, obs.PhaseSort, obs.PhaseReduce:
+				t.Errorf("seed %d: join job %s ran a %s phase; a level pass must be map-only", seed, s.Job, s.Name)
+			}
+		}
 
-	// Span-tree check: join jobs are the ones whose tasks built hash
-	// tables. At least two must exist (the head star pass and one chained
-	// map-side join), and none may contain shuffle/sort/reduce spans.
-	spans := e.sink.Spans()
-	joinJobs := map[string]bool{}
-	for _, s := range spans {
-		if s.Name == obs.PhaseHashBuild && s.Job != "" {
-			joinJobs[s.Job] = true
+		prof, err := obs.BuildProfile(spans, obs.ProfileOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(joinJobs) < 2 {
-		t.Fatalf("found %d join jobs with hash builds, want >= 2 (cascade = map-side join feeding map-side join)", len(joinJobs))
-	}
-	for _, s := range spans {
-		if !joinJobs[s.Job] {
-			continue
-		}
-		switch s.Name {
-		case obs.PhaseShuffle, obs.PhaseSort, obs.PhaseReduce:
-			t.Errorf("join job %s ran a %s phase; cascade joins must be pure map-side", s.Job, s.Name)
+		var text bytes.Buffer
+		prof.WriteText(&text)
+		if header := fmt.Sprintf("plan: staged passes=%d\n", depth); !strings.Contains(text.String(), header) {
+			t.Errorf("seed %d: EXPLAIN ANALYZE lacks the header line %q:\n%s", seed, header, text.String())
 		}
 	}
 }

@@ -237,14 +237,25 @@ func (s *Session) slo(class, outcome string, latency time.Duration) {
 // Engine exposes the session's core engine (e.g. for catalog access).
 func (s *Session) Engine() *core.Engine { return s.eng }
 
-// Query runs one star query through the result cache, admission control and
-// the shared table cache. It blocks while queued; ctx cancels both the wait
-// and, once running, the query itself. ctx also carries the tenant identity
-// (WithTenant) the admission controller fair-shares on. Each call is one
-// trace: the session emits the root "query" span, every job/task/read span
-// the query causes parents into it via the context, and the assembled
-// profile lands in the flight recorder.
+// Query runs one star query: LogicalOf lifts it into the plan IR, QueryPlan
+// serves that.
 func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet, *core.Report, error) {
+	l, err := core.LogicalOf(q, s.cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.QueryPlan(ctx, l)
+}
+
+// QueryPlan runs one bound logical plan — a star or a snowflake — through
+// the result cache, admission control and the shared table cache. It blocks
+// while queued; ctx cancels both the wait and, once running, the query
+// itself. ctx also carries the tenant identity (WithTenant) the admission
+// controller fair-shares on. Each call is one trace: the session emits the
+// root "query" span, every job/task/read span the query causes parents into
+// it via the context, and the assembled profile lands in the flight
+// recorder.
+func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.ResultSet, *core.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -257,7 +268,7 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	s.mu.Unlock()
 	defer s.wg.Done()
 
-	class := QueryClass(q.Name)
+	class := QueryClass(l.Name)
 	tenant := TenantFrom(ctx)
 	qstart := time.Now()
 	var sc obs.SpanContext
@@ -268,10 +279,10 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 
 	// Lower once: the one physical plan supplies the result-cache key, the
 	// effective ordering, the admission cost and the execution.
-	p, err := s.lower(q)
+	p, err := plan.Lower(l)
 	if err != nil {
 		s.slo(class, "error", 0)
-		s.finishTrace(sc, q, qstart, err, nil)
+		s.finishTrace(sc, l.Name, qstart, err, nil)
 		return nil, nil, err
 	}
 
@@ -296,19 +307,19 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 		}
 		if lerr != nil {
 			s.slo(class, "error", 0)
-			s.finishTrace(sc, q, qstart, lerr, nil)
-			return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, lerr)
+			s.finishTrace(sc, l.Name, qstart, lerr, nil)
+			return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, lerr)
 		}
 		if kind != "miss" {
 			// Cached rows are re-sorted per query; ordering is not part of
 			// the cache identity.
 			if err := crs.Sort(core.Orders(p.Shape)); err != nil {
 				s.slo(class, "error", 0)
-				s.finishTrace(sc, q, qstart, err, nil)
-				return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
+				s.finishTrace(sc, l.Name, qstart, err, nil)
+				return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 			}
 			rep := &core.Report{
-				Query: q.Name,
+				Query: l.Name,
 				// No job ran; synthesize empty counters so report
 				// consumers need no cache-hit special case.
 				Job:   &mr.JobResult{Counters: mr.NewCounters()},
@@ -316,7 +327,7 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 				Read:  read,
 			}
 			s.slo(class, "ok", time.Since(qstart))
-			s.finishTrace(sc, q, qstart, nil, rep)
+			s.finishTrace(sc, l.Name, qstart, nil, rep)
 			return crs, rep, nil
 		}
 		cachePublish = publish
@@ -332,15 +343,15 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	pin, err := s.eng.Pin(p.Shape)
 	if err != nil {
 		s.slo(class, "error", 0)
-		s.finishTrace(sc, q, qstart, err, nil)
-		return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
+		s.finishTrace(sc, l.Name, qstart, err, nil)
+		return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 	}
 	defer pin.Release()
 
-	cost, err := s.admissionCost(q.Name, pin.DimSpecs(p.Steps))
+	cost, err := s.admissionCost(l.Name, pin.DimSpecs(p.Steps))
 	if err != nil {
 		s.slo(class, "error", 0)
-		s.finishTrace(sc, q, qstart, err, nil)
+		s.finishTrace(sc, l.Name, qstart, err, nil)
 		return nil, nil, err
 	}
 
@@ -352,11 +363,11 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 			outcome = "shed"
 		}
 		s.slo(class, outcome, 0)
-		s.finishTrace(sc, q, qstart, err, nil)
-		return nil, nil, fmt.Errorf("serve: %s: %w", q.Name, err)
+		s.finishTrace(sc, l.Name, qstart, err, nil)
+		return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 	}
 	defer release()
-	s.observeQueueWait(sc, q, waitStart)
+	s.observeQueueWait(sc, l.Name, waitStart)
 
 	rs, rep, err := s.eng.RunPlanAt(ctx, p, pin)
 	if err == nil {
@@ -368,18 +379,8 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	} else {
 		s.slo(class, "error", 0)
 	}
-	s.finishTrace(sc, q, qstart, err, rep)
+	s.finishTrace(sc, l.Name, qstart, err, rep)
 	return rs, rep, err
-}
-
-// lower compiles the query into the physical plan the session keys,
-// admits and executes it by.
-func (s *Session) lower(q *core.Query) (*plan.Physical, error) {
-	l, err := core.LogicalOf(q, s.cat)
-	if err != nil {
-		return nil, err
-	}
-	return s.eng.Lower(l)
 }
 
 // InvalidateTable tells the session that a writer outside it changed the
@@ -586,7 +587,7 @@ func (s *Session) syncGauges() {
 // finishTrace emits the root query span, claims the trace's spans from the
 // collector, and records the assembled profile in the flight recorder. A
 // no-op for untraced queries.
-func (s *Session) finishTrace(sc obs.SpanContext, q *core.Query, start time.Time, qerr error, rep *core.Report) {
+func (s *Session) finishTrace(sc obs.SpanContext, query string, start time.Time, qerr error, rep *core.Report) {
 	if !sc.Valid() {
 		return
 	}
@@ -600,7 +601,7 @@ func (s *Session) finishTrace(sc obs.SpanContext, q *core.Query, start time.Time
 			read = rep.Read
 		}
 		root := obs.Span{Name: obs.PhaseQuery, Start: start, End: time.Now(),
-			Attrs: obs.Attrs("query", q.Name, "status", status, "read", read.String())}
+			Attrs: obs.Attrs("query", query, "status", status, "read", read.String(), "plan", rep.PlanAttr())}
 		sc.Fill(&root, "")
 		tr.Emit(root)
 	}
@@ -628,14 +629,14 @@ func (s *Session) finishTrace(sc obs.SpanContext, q *core.Query, start time.Time
 
 // observeQueueWait surfaces the admission wait as a span (parented under
 // the query's root) and a histogram sample on the engine's tracer/registry.
-func (s *Session) observeQueueWait(sc obs.SpanContext, q *core.Query, start time.Time) {
+func (s *Session) observeQueueWait(sc obs.SpanContext, query string, start time.Time) {
 	end := time.Now()
 	if tr := s.mrEng.Tracer(); tr.Enabled() {
 		span := obs.Span{
 			Name:  obs.PhaseAdmissionWait,
 			Start: start,
 			End:   end,
-			Attrs: obs.Attrs("query", q.Name),
+			Attrs: obs.Attrs("query", query),
 		}
 		sc.NewChild().Fill(&span, sc.Span)
 		tr.Emit(span)

@@ -151,29 +151,32 @@ func TestSSBQueriesFromSQLMatchCatalog(t *testing.T) {
 	}
 }
 
+// parseErrorCases are statements the front end must reject, with a fragment
+// of the error each must produce; they also seed FuzzParse.
+var parseErrorCases = []struct {
+	name, text, wantErr string
+}{
+	{"no sum", "SELECT d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year", "SUM"},
+	{"unknown table", "SELECT SUM(lo_revenue) FROM lineorder, nope WHERE lo_orderdate = d_datekey", "unknown table"},
+	{"no fact", "SELECT SUM(lo_revenue) FROM date", "fact table"},
+	{"missing join", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE d_year = 1993", "no join condition"},
+	{"unknown column", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey AND wat = 3", "unknown column"},
+	{"group not dim", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY lo_quantity", "GROUP BY"},
+	{"select not grouped", "SELECT d_year, SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey", "not in GROUP BY"},
+	{"order not grouped", "SELECT SUM(lo_revenue) AS r FROM lineorder, date WHERE lo_orderdate = d_datekey ORDER BY d_year", "ORDER BY"},
+	{"two sums", "SELECT SUM(lo_revenue), SUM(lo_quantity) FROM lineorder, date WHERE lo_orderdate = d_datekey", "one SUM"},
+	{"sum of dim col", "SELECT SUM(d_year) FROM lineorder, date WHERE lo_orderdate = d_datekey", "fact column"},
+	{"join dim dim", "SELECT SUM(lo_revenue) FROM lineorder, date, part WHERE lo_orderdate = d_datekey AND d_datekey = p_partkey AND lo_partkey = p_partkey", "already-joined"},
+	{"joined twice", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey AND lo_commitdate = d_datekey", "already-joined"},
+	{"disconnected join", "SELECT SUM(lo_revenue) FROM lineorder, date, part WHERE d_datekey = p_partkey", "not connected"},
+	{"unterminated string", "SELECT SUM(lo_revenue) FROM lineorder WHERE lo_shipmode = 'AIR", "unterminated"},
+	{"trailing garbage", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey )", "trailing"},
+	{"bad char", "SELECT SUM(lo_revenue) FROM lineorder @", "unexpected character"},
+}
+
 func TestParseErrors(t *testing.T) {
 	star := ssbStar()
-	cases := []struct {
-		name, text, wantErr string
-	}{
-		{"no sum", "SELECT d_year FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year", "SUM"},
-		{"unknown table", "SELECT SUM(lo_revenue) FROM lineorder, nope WHERE lo_orderdate = d_datekey", "unknown table"},
-		{"no fact", "SELECT SUM(lo_revenue) FROM date", "fact table"},
-		{"missing join", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE d_year = 1993", "no join condition"},
-		{"unknown column", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey AND wat = 3", "unknown column"},
-		{"group not dim", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY lo_quantity", "GROUP BY"},
-		{"select not grouped", "SELECT d_year, SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey", "not in GROUP BY"},
-		{"order not grouped", "SELECT SUM(lo_revenue) AS r FROM lineorder, date WHERE lo_orderdate = d_datekey ORDER BY d_year", "ORDER BY"},
-		{"two sums", "SELECT SUM(lo_revenue), SUM(lo_quantity) FROM lineorder, date WHERE lo_orderdate = d_datekey", "one SUM"},
-		{"sum of dim col", "SELECT SUM(d_year) FROM lineorder, date WHERE lo_orderdate = d_datekey", "fact column"},
-		{"join dim dim", "SELECT SUM(lo_revenue) FROM lineorder, date, part WHERE lo_orderdate = d_datekey AND d_datekey = p_partkey AND lo_partkey = p_partkey", "already-joined"},
-		{"joined twice", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey AND lo_commitdate = d_datekey", "already-joined"},
-		{"disconnected join", "SELECT SUM(lo_revenue) FROM lineorder, date, part WHERE d_datekey = p_partkey", "not connected"},
-		{"unterminated string", "SELECT SUM(lo_revenue) FROM lineorder WHERE lo_shipmode = 'AIR", "unterminated"},
-		{"trailing garbage", "SELECT SUM(lo_revenue) FROM lineorder, date WHERE lo_orderdate = d_datekey )", "trailing"},
-		{"bad char", "SELECT SUM(lo_revenue) FROM lineorder @", "unexpected character"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := ParseStar(c.text, star)
 		if err == nil {
 			t.Errorf("%s: expected error", c.name)

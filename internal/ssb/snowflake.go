@@ -13,8 +13,8 @@ import (
 
 // Snowflake schemas for the planner oracle: a generated fact table whose
 // dimension chains extend beyond a star — each chain's table may itself
-// reference a deeper table (depth ≤ 3), which is exactly the shape the
-// cascading map-side join lowering exists for. Everything is a pure
+// reference a deeper table (depth ≤ 3), the shape the lowering runs as one
+// join pass per depth level. Everything is a pure
 // function of the seed, so a failing property-test case reproduces from
 // its seed alone.
 
@@ -34,7 +34,7 @@ type SnowTable struct {
 
 // Snowflake is a generated snowflake dataset description: 2–3 chains of
 // depth 1–3 hanging off one fact table, with the first chain always at
-// least depth 2 so every generated schema exercises a cascade.
+// least depth 2 so every generated schema has a snowflake edge.
 type Snowflake struct {
 	Seed       uint64
 	FactRows   int64
@@ -168,7 +168,7 @@ type SnowLayout struct {
 }
 
 // LoadSnowflake materializes the snowflake dataset: the fact table in both
-// CIF (Clydesdale/cascade executors) and RCFile (the Hive baseline),
+// CIF (the Clydesdale engine) and RCFile (the Hive baseline),
 // every chain table as a row table.
 func LoadSnowflake(fs *hdfs.FileSystem, s *Snowflake, root string) (*SnowLayout, error) {
 	lay := &SnowLayout{
@@ -229,7 +229,7 @@ func (l *SnowLayout) catalog(s *Snowflake, factDir string) *core.Catalog {
 // to a random depth (chain 0 always to its full depth, so the deep chain is
 // always in play), a random subset of attr columns grouped, optional val
 // predicates on the joined tables and a fact predicate on f_m2. Returned
-// as a bound logical plan, ready for any executor or the chooser.
+// as a bound logical plan, ready for either engine.
 func (s *Snowflake) RandomSnowQuery(qi int64) *plan.Logical {
 	g := &Generator{Seed: s.Seed}
 	r := g.rngFor("snow-query", qi)

@@ -1,13 +1,13 @@
 # Standard developer checks. `make check` (the default goal) is the gate
 # used before sending changes: formatting, vet, a full build, the
 # concurrency-heavy packages (serve, core, mr) under the race detector, and
-# the smoke runs of the ingestion harness and the examples.
+# the smoke runs of the repository benchmark, the examples and the commands.
 
 GO ?= go
 
-.PHONY: check fmt vet no-deprecated no-sleep build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke serve-bench serve-smoke ingest-smoke examples-smoke loc clean
+.PHONY: check fmt vet no-deprecated no-sleep build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke benchmark-smoke examples-smoke loc clean
 
-check: fmt vet no-deprecated no-sleep build race-concurrency chaos plan-golden ingest-smoke examples-smoke
+check: fmt vet no-deprecated no-sleep build race-concurrency chaos plan-golden benchmark-smoke examples-smoke
 
 # Fail if any file is not gofmt-clean, listing the offenders.
 fmt:
@@ -52,8 +52,8 @@ race:
 # The serving layer, engine and MapReduce runtime are where the shared
 # mutable state lives (table cache, admission queue, scheduler); their tests
 # run under -race on every check. colstore rides along so the scan-path
-# property tests (encoding round-trips, zone-map oracle, v1 format compat)
-# run race-checked too.
+# property tests (encoding round-trips, zone-map oracle) run race-checked
+# too.
 race-concurrency:
 	$(GO) test -race ./internal/serve/... ./internal/core/... ./internal/mr/... ./internal/colstore/...
 
@@ -120,33 +120,22 @@ profile-smoke:
 	@out="$$($(GO) run ./cmd/clydesdale -query Q1.1 -factrows 20000 -explain -explain-check)" || \
 		{ echo "$$out"; exit 1; }; echo "$$out" | grep 'explain-check'
 
-# Serving benchmark (see EXPERIMENTS.md "Serving at scale"): replay one
-# seed-deterministic open-loop tenant mix under FIFO, weighted fair-share,
-# and fair-share + result cache, writing per-class latency/SLO/shed numbers
-# and the cache cold/warm measurement to BENCH_serve.json.
-serve-bench:
-	$(GO) run ./cmd/loadgen -out BENCH_serve.json
+# The repository benchmark's own smoke (benchmark/README.md): all four
+# workloads (ssb_star, hive_shuffle, serve_mix, ingest_live) for a quarter
+# second each, traced and untraced, every answer held to the oracle, and a
+# flipped answer must fail the run. It is what gates the serving path (open
+# loop, tenants, result cache) and live ingestion (roll-ins racing a reader
+# with the background compactor on; no acknowledged row lost) end to end;
+# the numbers come from `go run ./benchmark --workload W --seed N --seconds
+# 20 --trace 0|1`. Running the package's tests edits nothing in it.
+benchmark-smoke:
+	$(GO) test -count=1 -run 'TestSmoke|TestWrongAnswerFailsTheRun' ./benchmark/
 
-# CI gate for the serving path: a short load run must complete queries in
-# every pass without shedding its whole offered load, and the warm
-# result-cache pass must submit zero MapReduce jobs (counter-verified).
-serve-smoke:
-	$(GO) run ./cmd/loadgen -duration 5s -rate 40 -fact-rows 60000 -check -out ''
-
-# CI gate for live ingestion (see DESIGN.md "Live ingestion"): batched fact
-# roll-ins racing queries, the background compactor, a late-arriving
-# dimension (fact rows referencing customers not yet published, then the
-# customers) and date retention; after every step a query must answer
-# exactly like the in-memory reference over the rows acknowledged so far,
-# and the final table must hold every acknowledged row. The run is its own check — any torn
-# snapshot, stale cache or lost row exits non-zero.
-ingest-smoke:
-	$(GO) run ./cmd/loadgen -ingest -out ''
-
-# Every example and the SQL front door of the main CLI must run to
-# completion (~1 s together). The examples are the only programs that build
-# catalogs and queries by hand, so they are what breaks first when the
-# supported entry point gets stricter than the tests' fixtures.
+# Every example, the SQL front door of the main CLI and the three commands
+# no test drives must run to completion (~15 s together, most of it Table 1,
+# which runs last). The examples are the only programs that build catalogs
+# and queries by hand, so they are what breaks first when the supported
+# entry point gets stricter than the tests' fixtures.
 examples-smoke:
 	@for e in quickstart retail weblogs ablation; do \
 		$(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e failed"; exit 1; }; done
@@ -155,6 +144,9 @@ examples-smoke:
 		WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey \
 		AND p_category = 'MFGR#12' AND s_region = 'AMERICA' \
 		GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1" >/dev/null || { echo "clydesdale -sql failed"; exit 1; }
+	@$(GO) run ./cmd/hivesim -query Q3.1 -strategy mapjoin -factrows 20000 >/dev/null || { echo "hivesim failed"; exit 1; }
+	@$(GO) run ./cmd/ssbgen -dimscale 1 -factrows 20000 >/dev/null || { echo "ssbgen failed"; exit 1; }
+	@$(GO) run ./cmd/benchssb -figure table1 -dfsio-mb 1 >/dev/null || { echo "benchssb -figure table1 failed"; exit 1; }
 	@echo "examples-smoke ok"
 
 # Non-test Go lines per package, the repository benchmark excluded: the

@@ -19,10 +19,8 @@ import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
-	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/plan"
-	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
@@ -155,17 +153,14 @@ func BenchmarkBreakdownQ21(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Per-query engine benchmarks over a shared environment (no modeled-time
-// sleeping: pure execution cost).
+// A shared environment for the benchmarks below (no modeled-time sleeping:
+// pure execution cost).
 
 type queryEnv struct {
 	cluster *cluster.Cluster
 	fs      *hdfs.FileSystem
 	mr      *mr.Engine
 	lay     *ssb.Layout
-	cly     *core.Engine
-	mapj    *hive.Engine
-	repart  *hive.Engine
 }
 
 var (
@@ -189,61 +184,12 @@ func sharedEnv(b *testing.B) *queryEnv {
 			qenvErr = err
 			return
 		}
-		qenv = &queryEnv{
-			cluster: c, fs: fs, mr: e, lay: lay,
-			cly:    core.New(e, lay.Catalog(), core.Options{}),
-			mapj:   hive.New(e, lay.RCCatalog(), hive.Options{Strategy: hive.MapJoin}),
-			repart: hive.New(e, lay.RCCatalog(), hive.Options{Strategy: hive.Repartition}),
-		}
+		qenv = &queryEnv{cluster: c, fs: fs, mr: e, lay: lay}
 	})
 	if qenvErr != nil {
 		b.Fatal(qenvErr)
 	}
 	return qenv
-}
-
-func benchQuery(b *testing.B, engine func(q *ssb.Query) error, name string) {
-	q, err := ssb.QueryByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := engine(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClydesdaleQ21 measures one Clydesdale execution of Q2.1.
-func BenchmarkClydesdaleQ21(b *testing.B) {
-	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q2.1")
-}
-
-// BenchmarkClydesdaleQ31 measures Q3.1 (three dims with a big customer
-// hash).
-func BenchmarkClydesdaleQ31(b *testing.B) {
-	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q3.1")
-}
-
-// BenchmarkClydesdaleQ43 measures Q4.3 (all four dims).
-func BenchmarkClydesdaleQ43(b *testing.B) {
-	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.cly.Run(context.Background(), q); return err }, "Q4.3")
-}
-
-// BenchmarkHiveMapjoinQ21 measures the mapjoin plan on Q2.1.
-func BenchmarkHiveMapjoinQ21(b *testing.B) {
-	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.mapj.Execute(context.Background(), q); return err }, "Q2.1")
-}
-
-// BenchmarkHiveRepartitionQ21 measures the repartition plan on Q2.1.
-func BenchmarkHiveRepartitionQ21(b *testing.B) {
-	env := sharedEnv(b)
-	benchQuery(b, func(q *ssb.Query) error { _, _, err := env.repart.Execute(context.Background(), q); return err }, "Q2.1")
 }
 
 // ---------------------------------------------------------------------
@@ -366,89 +312,6 @@ func BenchmarkRowIteration(b *testing.B) {
 		}
 		if sum == 0 {
 			b.Fatal("no data")
-		}
-	}
-}
-
-// BenchmarkHashTableBuild measures one node's dimension hash build for
-// Q3.1 (the §6.3 "27 seconds to build three hash tables" component).
-func BenchmarkHashTableBuild(b *testing.B) {
-	env := sharedEnv(b)
-	q, err := ssb.QueryByName("Q3.1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	node := env.cluster.Nodes()[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for d := range q.Dims {
-			dir := env.lay.DimPath(q.Dims[d].Table)
-			h, err := core.BuildDimHashTable(env.fs, node, dir, &q.Dims[d])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if h.Len() == 0 {
-				b.Fatal("empty hash table")
-			}
-		}
-	}
-}
-
-// BenchmarkRecordEncodeDecode measures the wire codec on a fact row.
-func BenchmarkRecordEncodeDecode(b *testing.B) {
-	gen := ssb.NewGenerator(0.01, 1)
-	row := gen.Lineorder(12345)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := row.Encode()
-		if _, _, err := records.DecodeRecord(buf, ssb.LineorderSchema); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShuffleWordCount measures a small end-to-end MapReduce job with
-// a full shuffle (framework overhead floor).
-func BenchmarkShuffleWordCount(b *testing.B) {
-	c := cluster.New(cluster.Testing(2))
-	fs := hdfs.New(c, hdfs.Options{Seed: 2})
-	engine := mr.NewEngine(c, fs, mr.Options{})
-	wordSchema := records.NewSchema(records.F("w", records.KindString))
-	one := records.NewSchema(records.F("n", records.KindInt64))
-	var pairs []mr.KV
-	words := []string{"the", "quick", "brown", "fox", "jumps"}
-	for i := 0; i < 2000; i++ {
-		pairs = append(pairs, mr.KV{Value: records.Make(wordSchema, records.Str(words[i%5]))})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := &mr.MemoryOutput{}
-		job := &mr.Job{
-			Input:  &mr.MemoryInput{SplitsList: []*mr.MemorySplit{{Pairs: pairs}}},
-			Output: out,
-			NewMapper: func() mr.Mapper {
-				return mr.MapperFunc(func(_, v records.Record, c mr.Collector) error {
-					return c.Collect(v, records.Make(one, records.Int(1)))
-				})
-			},
-			NewReducer: func() mr.Reducer {
-				return mr.ReducerFunc(func(k records.Record, vs mr.Values, c mr.Collector) error {
-					var n int64
-					for _, ok := vs.Next(); ok; _, ok = vs.Next() {
-						n++
-					}
-					return c.Collect(k, records.Make(one, records.Int(n)))
-				})
-			},
-			NumReduceTasks: 2,
-			KeySchema:      wordSchema,
-			ValueSchema:    one,
-		}
-		if _, err := engine.Submit(context.Background(), job); err != nil {
-			b.Fatal(err)
-		}
-		if len(out.Pairs()) != 5 {
-			b.Fatal("bad output")
 		}
 	}
 }

@@ -9,8 +9,6 @@
 //	benchssb -figure breakdown -query Q2.1
 //	benchssb -figure breakdown -job-json job.json   # Clydesdale job history as JSON
 //	benchssb -figure breakdown -profile-json p.json # correlated query profile as JSON
-//	benchssb -figure probe                  # probe-path baseline → BENCH_probe.json
-//	benchssb -figure scan                   # scan-path baseline → BENCH_scan.json
 //	benchssb -factrows 300000 -dimscale 2   # bigger run
 package main
 
@@ -26,9 +24,7 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "experiment: 7 | 8 | 9 | table1 | breakdown | probe | scan | all")
-		probeOut = flag.String("probe-out", "BENCH_probe.json", "with -figure probe: write the probe baseline JSON here ('-' for stdout)")
-		scanOut  = flag.String("scan-out", "BENCH_scan.json", "with -figure scan: write the scan baseline JSON here ('-' for stdout)")
+		figure   = flag.String("figure", "all", "experiment: 7 | 8 | 9 | table1 | breakdown | all")
 		query    = flag.String("query", "Q2.1", "query for -figure breakdown")
 		dimScale = flag.Float64("dimscale", 0, "dimension scale (default 2)")
 		factRows = flag.Int64("factrows", 0, "fact rows (default 60000)")
@@ -73,52 +69,6 @@ func main() {
 		_, err := h.RunTable1("B", *fileMB, os.Stdout)
 		return err
 	})
-	// The probe baseline runs only when asked for by name: it writes a file
-	// (BENCH_probe.json) and measures raw data-path CPU, so it doesn't
-	// belong in the default figure sweep.
-	if *figure == "probe" {
-		res, err := bench.RunProbeBench(*factRows, *workersA, *seed, os.Stdout)
-		if err != nil {
-			fatal(fmt.Errorf("probe: %w", err))
-		}
-		w := os.Stdout
-		if *probeOut != "-" {
-			f, err := os.Create(*probeOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := res.WriteJSON(w); err != nil {
-			fatal(err)
-		}
-		if *probeOut != "-" {
-			fmt.Printf("probe baseline written to %s\n", *probeOut)
-		}
-	}
-	// Like probe, the scan baseline runs only by name.
-	if *figure == "scan" {
-		res, err := bench.RunScanBench(*factRows, *workersA, *seed, os.Stdout)
-		if err != nil {
-			fatal(fmt.Errorf("scan: %w", err))
-		}
-		w := os.Stdout
-		if *scanOut != "-" {
-			f, err := os.Create(*scanOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := res.WriteJSON(w); err != nil {
-			fatal(err)
-		}
-		if *scanOut != "-" {
-			fmt.Printf("scan baseline written to %s\n", *scanOut)
-		}
-	}
 	run("breakdown", func() error {
 		b, err := h.RunBreakdown(*query, os.Stdout)
 		if err != nil {

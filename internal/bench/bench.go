@@ -130,9 +130,6 @@ func NewHarness(cfg Config) (*Harness, error) {
 	return h, nil
 }
 
-// Generator exposes the harness dataset generator.
-func (h *Harness) Generator() *ssb.Generator { return h.gen }
-
 func (h *Harness) estimateHashSizes() error {
 	h.hashSum = make(map[string]int64)
 	h.hashMax = make(map[string]int64)
@@ -205,12 +202,10 @@ func (h *Harness) CalibrateBudgets(slots int) (budgetA, budgetB int64, err error
 
 // Env is one prepared cluster + dataset.
 type Env struct {
-	Profile string
 	Cluster *cluster.Cluster
 	FS      *hdfs.FileSystem
 	MR      *mr.Engine
 	Layout  *ssb.Layout
-	Harness *Harness
 }
 
 // SetupCluster builds the named profile ("A" or "B"), loads the dataset and
@@ -261,15 +256,13 @@ func (h *Harness) setupCluster(profile string, relaxMemory bool) (*Env, error) {
 		return nil, err
 	}
 	env := &Env{
-		Profile: profile,
 		Cluster: c,
 		FS:      fs,
 		MR: mr.NewEngine(c, fs, mr.Options{
 			TaskLaunchOverhead: h.cfg.TaskLaunchOverhead,
 			JVMStartup:         h.cfg.JVMStartup,
 		}),
-		Layout:  lay,
-		Harness: h,
+		Layout: lay,
 	}
 	if _, err := core.EnsureCatalogCached(fs, lay.Catalog()); err != nil {
 		return nil, err

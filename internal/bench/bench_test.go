@@ -219,42 +219,3 @@ func TestSetupClusterUnknownProfile(t *testing.T) {
 		t.Error("expected error for unknown profile")
 	}
 }
-
-// TestScanBenchQuick runs the scan-path baseline small and checks its
-// headline claims: results cover every query, the selective date-driven
-// queries actually prune partitions, and pruning shows up as skipped bytes.
-func TestScanBenchQuick(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunScanBench(24_000, 2, 42, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Queries) != 13 {
-		t.Fatalf("scan bench covered %d queries, want 13", len(res.Queries))
-	}
-	for _, q := range res.Queries {
-		if q.Plain.PartitionsPruned != 0 {
-			t.Errorf("%s: plain config pruned %d partitions, want 0", q.Query, q.Plain.PartitionsPruned)
-		}
-		if q.Optimized.PartitionsPruned > 0 && q.Optimized.BytesSkipped == 0 {
-			t.Errorf("%s: pruned partitions but skipped no bytes", q.Query)
-		}
-		if q.Speedup <= 0 {
-			t.Errorf("%s: speedup %f not computed", q.Query, q.Speedup)
-		}
-	}
-	for _, name := range []string{"Q1.1", "Q3.4"} {
-		found := false
-		for _, q := range res.Queries {
-			if q.Query == name && q.Optimized.PartitionsPruned > 0 {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: expected partitions pruned in scan bench", name)
-		}
-	}
-	if !strings.Contains(buf.String(), "scan-path baseline") {
-		t.Error("progress output missing header")
-	}
-}

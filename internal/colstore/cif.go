@@ -24,18 +24,12 @@ import (
 //	<dir>/p-00000/_stats
 //	<dir>/p-00001/<column>.col ...
 //
-// The column-file format is versioned by its magic:
-//
-//	v1 "CCF1": uvarint row count, a tagged records.AppendValue stream, and a
-//	trailing CRC-32 (IEEE) of everything before it — the checksum HDFS keeps
-//	per block, letting readers detect corrupted replicas.
-//	v2 "CCF2": uvarint row count, one Encoding byte, the encoded payload
-//	(see encoding.go: a plain stream, bit-packed dictionary codes or
-//	frame-of-reference integers), and the same CRC-32 trailer.
-//
-// The writer emits v2 plus a per-partition "_stats" zone-map sidecar (see
-// stats.go); the reader accepts both versions, so tables written before this
-// format existed keep working — they just decode plain and never prune.
+// A column file is the magic "CCF2", a uvarint row count, one Encoding byte,
+// the encoded payload (see encoding.go: a plain stream, bit-packed dictionary
+// codes or frame-of-reference integers) and a trailing CRC-32 (IEEE) of
+// everything before it — the checksum HDFS keeps per block, letting readers
+// detect corrupted replicas. Beside the column files the writer emits a
+// per-partition "_stats" zone-map sidecar (see stats.go).
 // openColumnFile is the one place a column file is taken apart: checksum
 // first, then the row count, bounded by the payload's length before anything
 // is sized by it, then the payload's own consistency checks.
@@ -43,10 +37,7 @@ import (
 // all the column files of a partition replicate to the same nodes, keeping
 // column-pruned scans data-local (§4.1).
 
-var (
-	cifMagicV1 = []byte{'C', 'C', 'F', '1'}
-	cifMagicV2 = []byte{'C', 'C', 'F', '2'}
-)
+const cifMagic = "CCF2"
 
 // Two-phase partition publication. A partition directory is written column
 // file by column file, so a crashed or failed writer leaves a half-written
@@ -57,21 +48,11 @@ var (
 //	phase 2: write <pdir>/_committed — one small file, created atomically.
 //
 // ListPartitions returns only committed partitions, so readers never see a
-// partition whose phase 2 did not run. The protocol is announced by a
-// table-level _commitproto sentinel written by NewCIFWriter: tables written
-// before the protocol existed (the v1 fixtures) have no sentinel and every
-// p-* directory stays visible, exactly as before. Appending writers upgrade
-// legacy tables in a crash-safe order — markers into every existing
-// partition first, the sentinel last — so a crash mid-upgrade leaves the
-// table legacy (markers are inert without the sentinel).
-const (
-	// CommitMarkerName is the per-partition commit record; a partition
-	// without it is invisible to ListPartitions on protocol tables.
-	CommitMarkerName = "_committed"
-	// commitProtoName is the table-level sentinel announcing the commit
-	// protocol is in effect for this table.
-	commitProtoName = "_commitproto"
-)
+// partition whose phase 2 did not run.
+
+// CommitMarkerName is the per-partition commit record; a partition without
+// it is invisible to ListPartitions.
+const CommitMarkerName = "_committed"
 
 // commitPartition writes a partition's commit marker (phase 2). Idempotent:
 // re-committing a committed partition is a no-op.
@@ -81,23 +62,6 @@ func commitPartition(fs *hdfs.FileSystem, pdir string) error {
 		return nil
 	}
 	return fs.WriteFile(path, "", []byte{'c'})
-}
-
-// ensureCommitProtocol upgrades a table to two-phase publication: every
-// existing partition gets its marker first, the sentinel goes last, so a
-// crash anywhere leaves either a legacy table (markers without effect) or a
-// fully upgraded one — never a table whose pre-protocol partitions vanish.
-func ensureCommitProtocol(fs *hdfs.FileSystem, dir string) error {
-	if fs.Exists(dir + "/" + commitProtoName) {
-		return nil
-	}
-	all, _ := scanPartitionDirs(fs, dir)
-	for _, p := range all {
-		if err := commitPartition(fs, p); err != nil {
-			return err
-		}
-	}
-	return fs.WriteFile(dir+"/"+commitProtoName, "", []byte{'v'})
 }
 
 // Scan counters surfaced in job reports. The pruning set is charged by
@@ -158,9 +122,6 @@ func NewCIFWriter(fs *hdfs.FileSystem, dir string, schema *records.Schema, parti
 	if err := WriteSchema(fs, dir, schema); err != nil {
 		return nil, err
 	}
-	if err := ensureCommitProtocol(fs, dir); err != nil {
-		return nil, err
-	}
 	return &CIFWriter{
 		fs:            fs,
 		dir:           dir,
@@ -197,7 +158,7 @@ func (w *CIFWriter) flushPartition() error {
 		col := w.block.Col(i)
 		enc, payload, dict := encodeColumn(col)
 		ps.Cols[i] = columnStats(w.schema.Field(i).Name, col, dict)
-		buf := append([]byte(nil), cifMagicV2...)
+		buf := append([]byte(nil), cifMagic...)
 		buf = binary.AppendUvarint(buf, uint64(col.Len()))
 		buf = append(buf, byte(enc))
 		buf = append(buf, payload...)
@@ -218,10 +179,10 @@ func (w *CIFWriter) flushPartition() error {
 	return nil
 }
 
-// columnFile frames one encoded column as a v2 column file.
+// columnFile frames one encoded column as a column file.
 func columnFile(rows int, enc Encoding, payload []byte) []byte {
-	buf := make([]byte, 0, len(cifMagicV2)+binary.MaxVarintLen64+1+len(payload)+4)
-	buf = append(buf, cifMagicV2...)
+	buf := make([]byte, 0, len(cifMagic)+binary.MaxVarintLen64+1+len(payload)+4)
+	buf = append(buf, cifMagic...)
 	buf = binary.AppendUvarint(buf, uint64(rows))
 	buf = append(buf, byte(enc))
 	buf = append(buf, payload...)
@@ -261,8 +222,7 @@ func (w *CIFWriter) DiscardPending() {
 
 // AppendPartitions opens an existing CIF table for roll-in: new rows go to
 // fresh partitions after the existing ones, without touching old data.
-// Opening for append upgrades legacy tables to two-phase publication (see
-// ensureCommitProtocol); each flushed partition commits immediately.
+// Each flushed partition commits immediately.
 func AppendPartitions(fs *hdfs.FileSystem, dir string, partitionRows int64) (*CIFWriter, error) {
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
@@ -287,9 +247,6 @@ func StagePartitions(fs *hdfs.FileSystem, dir string, partitionRows int64) (*CIF
 func newAppendingCIFWriter(fs *hdfs.FileSystem, dir string, schema *records.Schema, partitionRows int64) (*CIFWriter, error) {
 	if partitionRows <= 0 {
 		partitionRows = DefaultPartitionRows
-	}
-	if err := ensureCommitProtocol(fs, dir); err != nil {
-		return nil, err
 	}
 	// Number after the highest existing index, committed or not: counting
 	// visible partitions would collide with uncommitted stages, and reusing
@@ -385,20 +342,15 @@ func scanPartitionDirs(fs *hdfs.FileSystem, dir string) ([]string, map[string]bo
 	return parts, committed
 }
 
-// ListPartitions returns the partition directories of a CIF table in
-// numeric order. On tables using two-phase publication (the _commitproto
-// sentinel) only committed partitions are returned, so a half-written or
-// still-staged partition is never scheduled; legacy tables return every
-// partition, as before the protocol existed.
+// ListPartitions returns the committed partition directories of a CIF table
+// in numeric order, so a half-written or still-staged partition is never
+// scheduled.
 func ListPartitions(fs *hdfs.FileSystem, dir string) ([]string, error) {
 	all, committed := scanPartitionDirs(fs, dir)
-	parts := all
-	if fs.Exists(dir + "/" + commitProtoName) {
-		parts = all[:0]
-		for _, p := range all {
-			if committed[p] {
-				parts = append(parts, p)
-			}
+	parts := all[:0]
+	for _, p := range all {
+		if committed[p] {
+			parts = append(parts, p)
 		}
 	}
 	sortPartitionDirs(parts)
@@ -406,14 +358,9 @@ func ListPartitions(fs *hdfs.FileSystem, dir string) ([]string, error) {
 }
 
 // SweepUncommitted removes partition directories that never committed —
-// the debris of writers that crashed between phases. Only protocol tables
-// are swept (legacy tables have no notion of uncommitted), and callers must
-// ensure no writer is actively staging into the table. Returns the swept
-// directories.
+// the debris of writers that crashed between phases. Callers must ensure no
+// writer is actively staging into the table. Returns the swept directories.
 func SweepUncommitted(fs *hdfs.FileSystem, dir string) ([]string, error) {
-	if !fs.Exists(dir + "/" + commitProtoName) {
-		return nil, nil
-	}
 	all, committed := scanPartitionDirs(fs, dir)
 	var swept []string
 	for _, p := range all {
@@ -1013,14 +960,13 @@ func (r *cifReader) planPartition() {
 // payload (a packed value is at least one bit: rows <= 8 x bytes) before
 // anything is sized by it. Every error names the file.
 func openColumnFile(path string, data []byte, kind records.Kind) (*colDecoder, error) {
-	if len(data) < len(cifMagicV1)+4 {
+	if len(data) < len(cifMagic)+4 {
 		return nil, fmt.Errorf("colstore: %s: short column file", path)
 	}
-	var v2 bool
-	switch string(data[:len(cifMagicV1)]) {
-	case string(cifMagicV1):
-	case string(cifMagicV2):
-		v2 = true
+	switch string(data[:len(cifMagic)]) {
+	case cifMagic:
+	case "CCF1":
+		return nil, fmt.Errorf("colstore: %s: column magic %s is retired: the table predates the encoding byte and must be rewritten", path, data[:len(cifMagic)])
 	default:
 		return nil, fmt.Errorf("colstore: %s: bad column magic", path)
 	}
@@ -1028,20 +974,17 @@ func openColumnFile(path string, data []byte, kind records.Kind) (*colDecoder, e
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("colstore: %s: checksum mismatch (corrupted replica?)", path)
 	}
-	pos := len(cifMagicV1)
+	pos := len(cifMagic)
 	count, n := binary.Uvarint(body[pos:])
 	if n <= 0 {
 		return nil, fmt.Errorf("colstore: %s: bad row count", path)
 	}
 	pos += n
-	enc := EncPlain
-	if v2 {
-		if pos >= len(body) {
-			return nil, fmt.Errorf("colstore: %s: missing encoding byte", path)
-		}
-		enc = Encoding(body[pos])
-		pos++
+	if pos >= len(body) {
+		return nil, fmt.Errorf("colstore: %s: missing encoding byte", path)
 	}
+	enc := Encoding(body[pos])
+	pos++
 	payload := body[pos:]
 	if count > 8*uint64(len(payload)) {
 		return nil, fmt.Errorf("colstore: %s: %d rows claimed by a %d-byte payload", path, count, len(payload))

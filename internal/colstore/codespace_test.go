@@ -74,6 +74,9 @@ func writeCodeSpaceTable(t *testing.T, e *env, dir string, rows, partRows int) [
 		writeEncodedCol(t, e, pdir+"/dicti.col", EncDictI64, len(part), dictis.payload(binary.AppendVarint))
 		writeEncodedCol(t, e, pdir+"/seq.col", EncFOR, len(part), packFrames(seqs, frames, size))
 		writeEncodedCol(t, e, pdir+"/hc.col", EncPlain, len(part), encodePlain(hcs, 0))
+		if err := commitPartition(e.fs, pdir); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := WriteSchema(e.fs, dir, csSchema); err != nil {
 		t.Fatal(err)
@@ -88,8 +91,8 @@ func colEncoding(t *testing.T, e *env, path string) Encoding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n := binary.Uvarint(data[len(cifMagicV2):])
-	return Encoding(data[len(cifMagicV2)+n])
+	_, n := binary.Uvarint(data[len(cifMagic):])
+	return Encoding(data[len(cifMagic)+n])
 }
 
 func TestCodeSpacePredicateParity(t *testing.T) {
@@ -200,6 +203,9 @@ func TestCodeSpaceNullParity(t *testing.T) {
 	}
 	writeCol("a", av)
 	writeCol("s", sv)
+	if err := commitPartition(e.fs, "/nulls/p-00000"); err != nil {
+		t.Fatal(err)
+	}
 	if err := WriteSchema(e.fs, "/nulls", schema); err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +327,9 @@ func TestSemiJoinFilterParity(t *testing.T) {
 			writeEncodedCol(t, e, pdir+"/"+name+".col", EncFOR, partRows, packFrames(vals, frames, size))
 		}
 		writeEncodedCol(t, e, pdir+"/tag.col", EncDict, partRows, tag.payload(appendDictString))
+		if err := commitPartition(e.fs, pdir); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := WriteSchema(e.fs, "/sj", schema); err != nil {
 		t.Fatal(err)

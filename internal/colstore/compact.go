@@ -24,7 +24,7 @@ import (
 type CompactOptions struct {
 	// MinRows marks a partition small enough to compact (strictly fewer
 	// rows); <= 0 uses DefaultPartitionRows / 4. Partitions without stats
-	// (legacy v1) are never touched.
+	// are never touched.
 	MinRows int64
 	// TargetRows sizes the rewritten partitions; <= 0 uses
 	// DefaultPartitionRows.

@@ -10,14 +10,14 @@ import (
 	"clydesdale/internal/records"
 )
 
-// Typed column encodings for the v2 ("CCF2") column-file format and for the
+// Typed column encodings for the column-file format ("CCF2") and for the
 // columns of a column set. Three payload kinds exist; every one but the
 // plain stream is positional (row i's value sits at an offset computed from
 // i), so a reader pays for the rows it wants and not for the rows before
 // them.
 //
-//	EncPlain   — a tagged records.AppendValue stream (any kind; the v1
-//	             payload). Always valid, always the fallback, and the one
+//	EncPlain   — a tagged records.AppendValue stream (any kind).
+//	             Always valid, always the fallback, and the one
 //	             layout that can only be read front to back.
 //	EncDict    — low-cardinality strings: a uvarint entry count, the
 //	             distinct strings (uvarint length + bytes) in first-seen
@@ -49,7 +49,7 @@ import (
 type Encoding uint8
 
 const (
-	// EncPlain is a tagged AppendValue stream (any kind; the v1 payload).
+	// EncPlain is a tagged AppendValue stream (any kind).
 	EncPlain Encoding = 0
 	// EncDict is dictionary-coded strings with bit-packed codes.
 	EncDict Encoding = 4
@@ -831,7 +831,7 @@ func (d *colDecoder) decodeRangeSel(cv *records.ColumnVector, sel []bool, lo, hi
 // appendCoerced appends a boxed value to a typed vector, mapping nulls
 // (which the block representation cannot carry — there is no null mask) to
 // the column kind's zero value. The CIF writer never emits nulls, but plain
-// payloads from v1 or foreign writers may; a null run must degrade to zero
+// payloads from foreign writers may; a null run must degrade to zero
 // values, not crash the scan task.
 func appendCoerced(cv *records.ColumnVector, v records.Value) error {
 	if v.IsNull() {
@@ -865,8 +865,8 @@ func appendCoerced(cv *records.ColumnVector, v records.Value) error {
 // consumes n values and appends them to cv — all of them when sel is nil,
 // those at selected positions otherwise, none when cv is nil (a skip);
 // strings that are not kept are never allocated. Tag bytes not matching the
-// column's kind fall back to the boxed path (preserving v1 semantics for
-// null or mixed-kind streams).
+// column's kind fall back to the boxed path (null or mixed-kind
+// streams).
 func (d *colDecoder) decodePlainInto(cv *records.ColumnVector, n int, sel []bool) error {
 	if _, err := d.take(n); err != nil {
 		return err
@@ -878,7 +878,7 @@ func (d *colDecoder) decodePlainInto(cv *records.ColumnVector, n int, sel []bool
 			return fmt.Errorf("colstore: short column payload")
 		}
 		if records.Kind(buf[0]) != d.kind {
-			// Rare path: boxed decode keeps exact v1 behavior.
+			// Rare path: boxed decode.
 			v, used, err := records.DecodeValue(buf)
 			if err != nil {
 				return err

@@ -214,12 +214,14 @@ func columnFileCorpus() map[string]fuzzSeed {
 		floats.Floats = append(floats.Floats, float64(i)/8)
 		bools.Bools = append(bools.Bools, i%3 == 0)
 	}
-	v1 := append([]byte(nil), cifMagicV1...)
-	v1 = binary.AppendUvarint(v1, 3)
+	var nulls []byte
 	for _, v := range []records.Value{records.Int(7), records.Null, records.Int(-7)} {
-		v1 = records.AppendValue(v1, v)
+		nulls = records.AppendValue(nulls, v)
 	}
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	// The same rows as the writer without an encoding byte framed them.
+	retired := binary.AppendUvarint([]byte("CCF1"), 3)
+	retired = append(retired, nulls...)
+	retired = binary.LittleEndian.AppendUint32(retired, crc32.ChecksumIEEE(retired))
 
 	goodFOR := file(forCol, EncFOR)
 	goodDict := file(strs(n, func(i int) string { return fmt.Sprintf("name-%d", i%9) }), EncDict)
@@ -230,7 +232,8 @@ func columnFileCorpus() map[string]fuzzSeed {
 		"good-plain-string": corpusEntry(file(strs(150, func(i int) string { return fmt.Sprintf("text-%06d", i) }), EncPlain), 1),
 		"good-plain-float":  corpusEntry(file(floats, EncPlain), 2),
 		"good-plain-bool":   corpusEntry(file(bools, EncPlain), 3),
-		"good-v1-nulls":     corpusEntry(v1, 0),
+		"good-plain-nulls":  corpusEntry(columnFile(3, EncPlain, nulls), 0),
+		"retired-magic":     corpusEntry(retired, 0),
 		"truncated":         corpusEntry(goodFOR[:len(goodFOR)/2], 0),
 		"flipped":           corpusEntry(flipBit(goodDict, len(goodDict)/2), 1),
 		"wrong-kind":        corpusEntry(goodDict, 0),
@@ -332,14 +335,22 @@ func relieDirectory(good []byte, edit func(dir []byte) []byte) []byte {
 // TestFuzzSeedCorpus holds the checked-in seed corpora to what the current
 // encoders write: a corpus of files in a layout the decoders no longer
 // accept would still pass (every entry an error) and seed nothing. Every
-// "good" entry must read without error; `-update-corpus` rewrites the files.
+// "good" entry must read without error and every "retired" one be refused as
+// retired; `-update-corpus` rewrites the files.
 func TestFuzzSeedCorpus(t *testing.T) {
 	files, sets := columnFileCorpus(), columnSetCorpus(t)
 	for name, seed := range files {
-		if !strings.HasPrefix(name, "good") {
+		good, retired := strings.HasPrefix(name, "good"), strings.HasPrefix(name, "retired")
+		if !good && !retired {
 			continue
 		}
 		d, err := openColumnFile(name, seed.data, fuzzKinds[seed.kind[0]])
+		if retired {
+			if err == nil || !strings.Contains(err.Error(), "is retired") {
+				t.Fatalf("%s: opened, or refused without saying why: %v", name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

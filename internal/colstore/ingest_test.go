@@ -76,75 +76,11 @@ func TestUncommittedPartitionsInvisible(t *testing.T) {
 	}
 }
 
-func TestSweepUncommittedLegacyNoop(t *testing.T) {
-	e := newEnv(2, 1024)
-	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 32, genRows(64)); err != nil {
-		t.Fatal(err)
-	}
-	// Strip the protocol: no sentinel means every p-* dir is data, and the
-	// sweeper must not touch any of it.
-	e.fs.Delete("/cif/" + commitProtoName)
-	swept, err := SweepUncommitted(e.fs, "/cif")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swept) != 0 {
-		t.Fatalf("sweep deleted %v from a legacy table", swept)
-	}
-	if rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil); len(rows) != 64 {
-		t.Fatalf("legacy table lost rows: %d", len(rows))
-	}
-}
-
-func TestLegacyTableUpgradeOnAppend(t *testing.T) {
-	e := newEnv(2, 1024)
-	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 32, genRows(64)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a pre-protocol table: drop the sentinel and every marker.
-	parts, _ := ListPartitions(e.fs, "/cif")
-	e.fs.Delete("/cif/" + commitProtoName)
-	for _, p := range parts {
-		e.fs.Delete(p + "/" + CommitMarkerName)
-	}
-	// Legacy tables keep every partition visible.
-	if got, _ := ListPartitions(e.fs, "/cif"); len(got) != len(parts) {
-		t.Fatalf("legacy listing = %v", got)
-	}
-	// Appending upgrades: markers first, sentinel last, old rows intact.
-	w, err := AppendPartitions(e.fs, "/cif", 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 64; i < 96; i++ {
-		if err := w.Append(makeRow(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.fs.Exists("/cif/" + commitProtoName) {
-		t.Fatal("append did not upgrade the table")
-	}
-	for _, p := range parts {
-		if !e.fs.Exists(p + "/" + CommitMarkerName) {
-			t.Fatalf("pre-protocol partition %s not committed by upgrade", p)
-		}
-	}
-	if rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil); len(rows) != 96 {
-		t.Fatalf("after upgrade+append: %d rows, want 96", len(rows))
-	}
-}
-
 func TestListPartitionsNumericOrder(t *testing.T) {
 	e := newEnv(2, 1024)
-	// Build the listing shape directly: a protocol table whose partition
-	// indexes cross the five-digit boundary where lexical order breaks
-	// ("p-100000" < "p-99999" byte-wise).
-	if err := e.fs.WriteFile("/cif/"+commitProtoName, "", []byte{'v'}); err != nil {
-		t.Fatal(err)
-	}
+	// Build the listing shape directly: a table whose partition indexes
+	// cross the five-digit boundary where lexical order breaks ("p-100000" <
+	// "p-99999" byte-wise).
 	for _, i := range []int{100001, 7, 99999, 100000, 42} {
 		pdir := fmt.Sprintf("/cif/p-%05d", i)
 		if err := e.fs.WriteFile(pdir+"/id.col", "", []byte{0}); err != nil {

@@ -3,8 +3,6 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"clydesdale/internal/expr"
@@ -214,106 +212,6 @@ func TestCorruptedStatsFallsBack(t *testing.T) {
 	}
 }
 
-// loadV1Fixture copies the checked-in pre-stats, plain-encoding ("CCF1")
-// fixture table into the simulated HDFS.
-func loadV1Fixture(t *testing.T, e *env, dir string) {
-	t.Helper()
-	root := filepath.Join("testdata", "v1")
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		return e.fs.WriteFile(dir+"/"+filepath.ToSlash(rel), "", data)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// v1FixtureRow reproduces row i of the checked-in fixture (40 rows written
-// with partitionRows=16 by the pre-v2 writer).
-func v1FixtureRow(schema *records.Schema, i int) records.Record {
-	return records.Make(schema,
-		records.Int(int64(i*3)),
-		records.Str(fmt.Sprintf("name-%02d", i%5)),
-		records.Float(float64(i)*0.25),
-		records.Bool(i%2 == 0),
-	)
-}
-
-// TestV1FormatCompat: tables written before typed encodings and zone maps
-// existed (v1 "CCF1" column files, no _stats sidecar) must keep reading
-// through every access path, and rolling new data into them must work.
-func TestV1FormatCompat(t *testing.T) {
-	e := newEnv(2, 1<<16)
-	loadV1Fixture(t, e, "/v1")
-
-	schema, err := ReadSchema(e.fs, "/v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]records.Record, 40)
-	for i := range want {
-		want[i] = v1FixtureRow(schema, i)
-	}
-
-	// Row-at-a-time.
-	got := readAllVia(t, e, &CIFInput{Dir: "/v1", Schema: schema})
-	if !sameRows(want, got) {
-		t.Fatalf("v1 row iteration: got %d rows, mismatch", len(got))
-	}
-
-	// Block iteration with a predicate: late materialization over plain v1
-	// payloads, and pruning silently disabled by the absent _stats.
-	pred := expr.Ge(expr.Col("id"), expr.ConstInt(60)) // rows 20..39
-	rows, c := readBlocks(t, e, &CIFInput{Dir: "/v1", Schema: schema, Pred: pred, BlockRows: 7})
-	if len(rows) != 20 {
-		t.Fatalf("v1 predicate scan: got %d rows, want 20", len(rows))
-	}
-	for _, r := range rows {
-		if r.At(0).Int64() < 60 {
-			t.Fatalf("v1 predicate scan returned filtered-out row %v", r)
-		}
-	}
-	if got := c.Get(CtrPartitionsPruned); got != 0 {
-		t.Errorf("pruned %d v1 partitions without stats, want 0", got)
-	}
-
-	// Roll-in: appending writes v2 partitions (with stats) next to the v1
-	// ones; the mixed-version table reads as one table.
-	w, err := AppendPartitions(e.fs, "/v1", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 40; i < 56; i++ {
-		if err := w.Append(v1FixtureRow(schema, i)); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, v1FixtureRow(schema, i))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got = readAllVia(t, e, &CIFInput{Dir: "/v1", Schema: schema})
-	if !sameRows(want, got) {
-		t.Fatalf("mixed v1+v2 table: got %d rows, want %d", len(got), len(want))
-	}
-	// The new partition is prunable even though the v1 ones are not.
-	_, c = readBlocks(t, e, &CIFInput{Dir: "/v1", Schema: schema,
-		Pred: expr.Ge(expr.Col("id"), expr.ConstInt(1000)), BlockRows: 16})
-	if gotP := c.Get(CtrPartitionsPruned); gotP != 1 {
-		t.Errorf("pruned %d partitions of the mixed table, want 1 (the rolled-in v2 one)", gotP)
-	}
-}
-
 // TestDictZoneMapStatsValueOrder: dictionaries record entries in first-seen
 // order, and this table is written so that first-seen order starts in the
 // middle of value order for both the string (EncDict) and int (EncDictI64)
@@ -347,8 +245,8 @@ func TestDictZoneMapStatsValueOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, n := binary.Uvarint(data[len(cifMagicV2):]) // row count
-		enc := Encoding(data[len(cifMagicV2)+n])
+		_, n := binary.Uvarint(data[len(cifMagic):]) // row count
+		enc := Encoding(data[len(cifMagic)+n])
 		if enc != EncDict && enc != EncDictI64 {
 			t.Fatalf("column %s encoded as %s, want a dictionary encoding", col, enc)
 		}

@@ -28,12 +28,15 @@ func TestPruningOracleAllQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s optimized: %v", q.Name, err)
 		}
-		want, _, err := base.Run(context.Background(), q)
+		want, brep, err := base.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s baseline: %v", q.Name, err)
 		}
 		if ok, why := results.Equivalent(got, want, 1e-9); !ok {
 			t.Errorf("%s: pruned and unpruned runs disagree: %s", q.Name, why)
+		}
+		if brep.PartitionsPruned != 0 {
+			t.Errorf("%s: NoScanPruning still pruned %d partitions", q.Name, brep.PartitionsPruned)
 		}
 		totalPruned += rep.PartitionsPruned
 		if mustPrune[q.Name] && rep.PartitionsPruned == 0 {

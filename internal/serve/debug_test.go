@@ -208,6 +208,15 @@ func TestDebugTableVersions(t *testing.T) {
 // snapshot the /metrics exposition uses).
 func TestDebugSLOEndpoint(t *testing.T) {
 	sess, srv := debugEnv(t, "Q1.1", "Q1.2", "Q2.1")
+	// A query refused at validation is an error of its class like any other.
+	bad, err := ssb.QueryByName("Q2.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.GroupBy = append(bad.GroupBy, "no_such_column")
+	if _, _, err := sess.Query(context.Background(), bad); err == nil {
+		t.Fatal("a query grouping by an unknown column ran")
+	}
 
 	body, ctype := get(t, srv.URL+"/slo")
 	if !strings.HasPrefix(ctype, "application/json") {
@@ -242,6 +251,7 @@ func TestDebugSLOEndpoint(t *testing.T) {
 		t.Errorf("no flight-2 class in /slo: %s", body)
 	}
 
+	wantErrors := map[string]int64{"flight-2": 1}
 	snap := sess.Metrics().Snapshot()
 	for _, c := range out.Classes {
 		h, ok := snap.Histograms["serve.slo."+c.Class+".latency_ns"]
@@ -253,8 +263,8 @@ func TestDebugSLOEndpoint(t *testing.T) {
 			t.Errorf("class %s: /slo (n=%d p50=%d p99=%d) != registry (n=%d p50=%d p99=%d)",
 				c.Class, c.Completed, c.P50Ns, c.P99Ns, h.Count, int64(h.P50), int64(h.P99))
 		}
-		if c.Errors != 0 || c.Shed != 0 {
-			t.Errorf("class %s: unexpected errors=%d shed=%d", c.Class, c.Errors, c.Shed)
+		if c.Errors != wantErrors[c.Class] || c.Shed != 0 {
+			t.Errorf("class %s: errors=%d shed=%d, want %d and 0", c.Class, c.Errors, c.Shed, wantErrors[c.Class])
 		}
 	}
 }

@@ -177,9 +177,10 @@ func TestServeDimRollInRebuildsTables(t *testing.T) {
 // queries, twice over, run concurrently with a late-arriving dimension (a
 // fact batch whose rows reference customers not yet published, then the
 // customer batch, then a fact batch referencing the customers just
-// published), a compaction pass, a backdated fact batch and date retention —
-// under -race via make check. Every answer, computed or served from the
-// result cache, must equal the reference executor over exactly the
+// published), a compaction pass, a backdated fact batch and date retention,
+// then once more against one batch the background compactor folds behind the
+// writer — under -race via make check. Every answer, computed or served from
+// the result cache, must equal the reference executor over exactly the
 // {table → version} vector its report names, and that vector must be one the
 // mutation sequence went through: every table's version is pinned at plan
 // time under one lock, so no query sees the customers without the fact rows
@@ -197,6 +198,7 @@ func TestServeSnapshotIsolationOracle(t *testing.T) {
 		batchO       = 600 // rows referencing customers not yet published
 		batchJ       = 400 // rows referencing the customers just published
 		batchB       = 500 // backdated rows, all on the retention boundary
+		batchC       = 500 // rows rolled in under the background compactor
 		oldDate      = 19920101
 		cutoff       = 19920102
 		queryGap     = 3 * time.Millisecond
@@ -216,6 +218,7 @@ func TestServeSnapshotIsolationOracle(t *testing.T) {
 	rowsO = lateRows(base, batchO)
 	rowsJ = lateRows(base+batchO, batchJ)
 	rowsB := materialize(gen, base+batchO+batchJ, base+batchO+batchJ+batchB, oldDate)
+	rowsC := materialize(gen, base+batchO+batchJ+batchB, base+batchO+batchJ+batchB+batchC, -1)
 
 	// The states the mutation sequence goes through, as the version vector
 	// a query pins: lineorder's content version, customer's file count.
@@ -226,8 +229,11 @@ func TestServeSnapshotIsolationOracle(t *testing.T) {
 		2: append(append([]records.Record(nil), rowsO...), rowsJ...),
 		3: append(append(append([]records.Record(nil), rowsO...), rowsJ...), rowsB...),
 	}
-	factAt = append(factAt, factAt[2]) // 4: batch B retired again
-	valid := []vector{{0, 1}, {1, 1}, {1, 2}, {2, 2}, {3, 2}, {4, 2}}
+	factAt = append(factAt,
+		factAt[2], // 4: batch B retired again
+		append(append([]records.Record(nil), factAt[2]...), rowsC...), // 5: batch C
+	)
+	valid := []vector{{0, 1}, {1, 1}, {1, 2}, {2, 2}, {3, 2}, {4, 2}, {5, 2}}
 	queries := ssb.Queries()
 	refs := map[string]*results.ResultSet{}
 	refKey := func(q *core.Query, v vector) string {
@@ -314,7 +320,8 @@ func TestServeSnapshotIsolationOracle(t *testing.T) {
 	rollIn(ssb.TableLineorder, rowsJ)
 	// Compact the two late batches' small partitions (base partitions are
 	// full-size); the row multiset is unchanged, so no new state appears.
-	res, err := s.CompactFact(colstore.CompactOptions{MinRows: 500, TargetRows: 1000, ClusterBy: "lo_orderdate"})
+	compactOpts := colstore.CompactOptions{MinRows: 500, TargetRows: 1000, ClusterBy: "lo_orderdate"}
+	res, err := s.CompactFact(compactOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,31 +341,64 @@ func TestServeSnapshotIsolationOracle(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Quiesced end state: base + both late batches, batch B retired, nothing
+	// Quiesced end state: every acknowledged, unexpired row and nothing
 	// uncommitted, every query at the last vector.
-	var rows int64
-	if err := colstore.ScanCIFTable(e.fs, e.lay.Catalog().FactDir, "", func(records.Record) error {
-		rows++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rows != base+batchO+batchJ {
-		t.Fatalf("final table has %d rows, want %d", rows, base+batchO+batchJ)
-	}
-	for _, q := range queries {
-		rs, rep, err := s.Query(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
+	endState := func(wantRows int64, version uint64) {
+		t.Helper()
+		var rows int64
+		if err := colstore.ScanCIFTable(e.fs, e.lay.Catalog().FactDir, "", func(records.Record) error {
+			rows++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if got := rep.Read.Of(ssb.TableLineorder); got != 4 {
-			t.Errorf("%s after retention read %s, want lineorder@4", q.Name, rep.Read)
+		if rows != wantRows {
+			t.Fatalf("final table has %d rows, want %d", rows, wantRows)
 		}
-		check(q, rs, rep)
+		for _, q := range queries {
+			rs, rep, err := s.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+			if got := rep.Read.Of(ssb.TableLineorder); got != version {
+				t.Errorf("%s read %s, want lineorder@%d", q.Name, rep.Read, version)
+			}
+			check(q, rs, rep)
+		}
 	}
-
+	// Base + both late batches, batch B retired.
+	endState(base+batchO+batchJ, 4)
 	st := s.Stats()
 	if st.RollIns != 4 || st.Compactions != 1 || st.PartitionsRetired != 5+3 {
+		t.Errorf("ingest stats = %+v", st)
+	}
+
+	// The same under the background compactor, as a deployment runs it: one
+	// more batch races the queries while the compactor folds the batch's
+	// small partitions behind the writer.
+	stop := s.StartCompactor(time.Millisecond, compactOpts)
+	for _, q := range queries {
+		wg.Add(1)
+		go func(q *core.Query) {
+			defer wg.Done()
+			rs, rep, err := s.Query(context.Background(), q)
+			if err != nil {
+				t.Errorf("%s: %v", q.Name, err)
+				return
+			}
+			check(q, rs, rep)
+		}(q)
+	}
+	rollIn(ssb.TableLineorder, rowsC)
+	for deadline := time.Now().Add(30 * time.Second); s.Stats().Compactions < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the background compactor never folded batch C's partitions")
+		}
+	}
+	stop()
+	wg.Wait()
+	endState(base+batchO+batchJ+batchC, 5)
+	if st := s.Stats(); st.RollIns != 5 || st.RollInFailures != 0 || st.CompactedRows < batchO+batchJ+batchC {
 		t.Errorf("ingest stats = %+v", st)
 	}
 }

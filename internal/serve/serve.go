@@ -238,10 +238,18 @@ func (s *Session) slo(class, outcome string, latency time.Duration) {
 func (s *Session) Engine() *core.Engine { return s.eng }
 
 // Query runs one star query: LogicalOf lifts it into the plan IR, QueryPlan
-// serves that.
+// serves that. A query that does not validate is an error of its class, and
+// a closed session answers ErrClosed whatever it is asked.
 func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet, *core.Report, error) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, nil, ErrClosed
+	}
 	l, err := core.LogicalOf(q, s.cat)
 	if err != nil {
+		s.slo(QueryClass(q.Name), "error", 0)
 		return nil, nil, err
 	}
 	return s.QueryPlan(ctx, l)

@@ -166,6 +166,9 @@ func TestServeConcurrentQueries(t *testing.T) {
 	if _, _, err := s.Query(context.Background(), queries[0]); !errors.Is(err, serve.ErrClosed) {
 		t.Errorf("Query after Close: got %v, want ErrClosed", err)
 	}
+	if _, _, err := s.Query(context.Background(), &core.Query{Name: "invalid"}); !errors.Is(err, serve.ErrClosed) {
+		t.Errorf("invalid Query after Close: got %v, want ErrClosed", err)
+	}
 }
 
 // TestServeAdmissionSerializes proves the admission controller serializes

@@ -53,7 +53,8 @@ race:
 # mutable state lives (table cache, admission queue, scheduler); their tests
 # run under -race on every check. colstore rides along so the scan-path
 # property tests (encoding round-trips, zone-map oracle) run race-checked
-# too.
+# too, and with internal/mr come the record path's model tests (random jobs
+# held to the sorted-pairs reference, four goroutines on one collector).
 race-concurrency:
 	$(GO) test -race ./internal/serve/... ./internal/core/... ./internal/mr/... ./internal/colstore/...
 
@@ -82,25 +83,34 @@ plan-golden:
 # the column codec by itself, ns and bytes per value for runs, gathers and
 # skips (see DESIGN.md "Scan path"); SubmitEmptyJob is the MapReduce
 # runtime's fixed cost per job and Dispatch the scheduler's state machine
-# alone (see DESIGN.md "MapReduce scheduler"); SnowflakeLowering is host wall
-# and modeled seconds of generated snowflake queries as lowered and one step
-# per pass (see EXPERIMENTS.md "Snowflake lowering"). CI-friendly: short
-# benchtime, no external state.
+# alone (see DESIGN.md "MapReduce scheduler"); Shuffle is the intermediate
+# record path, ns per pair collected, sorted, merged and decoded, with
+# allocations per job that must not grow with the pairs, and RepartitionStage
+# one join job of the Hive baseline on top of it (see DESIGN.md "MapReduce
+# scheduler", Record path); SnowflakeLowering is host wall and modeled seconds
+# of generated snowflake queries as lowered and one step per pass (see
+# EXPERIMENTS.md "Snowflake lowering"). CI-friendly: short benchtime, no
+# external state.
 bench:
-	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|SnowflakeLowering' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ .
+	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|Shuffle|RepartitionStage|SnowflakeLowering' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ ./internal/hive/ .
 
-# Fifteen seconds of coverage-guided fuzzing. Ten of the column decoders from
-# their checked-in corpora (testdata/fuzz, held current by
-# TestFuzzSeedCorpus): five of the node-local dimension copy's column sets
-# and five of a partition's column files. No input may panic them or make
-# them allocate by a count the bytes merely claim. Five of the SQL front end
-# against the SSB catalog, seeded with the 13 SSB statements and the
-# malformed ones of its tests: no input may panic it, and whatever it accepts
-# must lower. Minimising an input that widened coverage is capped at a
-# second, or one such input would use up the run.
+# Twenty-five seconds of coverage-guided fuzzing, five targets at five
+# seconds each. FuzzOpenColumnSet and FuzzOpenColumnFile: the column decoders
+# from their checked-in corpora (testdata/fuzz, held current by
+# TestFuzzSeedCorpus), the node-local dimension copy's column sets and a
+# partition's column files. FuzzRCFooter: a whole RC file, footer then rows.
+# FuzzDecodeRecord: the wire record every row file, spill and broadcast hash
+# table is made of. No input may panic them or make them allocate by a count
+# the bytes merely claim. FuzzParse: the SQL front end against the SSB
+# catalog, seeded with the 13 SSB statements and the malformed ones of its
+# tests: no input may panic it, and whatever it accepts must lower.
+# Minimising an input that widened coverage is capped at a second, or one
+# such input would use up the run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenColumnSet -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzOpenColumnFile -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
+	$(GO) test -run '^$$' -fuzz FuzzRCFooter -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/records/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 1s ./internal/sql/
 
 # One-iteration smoke run of every benchmark in the repo, then the row

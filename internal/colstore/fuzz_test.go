@@ -376,7 +376,12 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		}
 	}
 
-	for target, want := range map[string]map[string]fuzzSeed{"FuzzOpenColumnFile": files, "FuzzOpenColumnSet": sets} {
+	footers := rcFooterCorpus(t)
+	if _, err := decodeRCFooterOf(footers["good"].data); err != nil {
+		t.Fatalf("rc footer corpus: good: %v", err)
+	}
+
+	for target, want := range map[string]map[string]fuzzSeed{"FuzzOpenColumnFile": files, "FuzzOpenColumnSet": sets, "FuzzRCFooter": footers} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if *updateCorpus {
 			if err := os.RemoveAll(dir); err != nil {

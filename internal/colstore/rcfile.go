@@ -118,48 +118,55 @@ func (rw *RCWriter) Close() error {
 	return rw.w.Close()
 }
 
-func readRCFooter(r *hdfs.Reader, numCols int) ([]rcGroupMeta, error) {
-	size := r.Size()
-	if size < 8 {
-		return nil, fmt.Errorf("colstore: RC file too small (%d bytes)", size)
+// readRCFooter loads and checks the footer of the RC file at path.
+func readRCFooter(r *hdfs.Reader, path string, numCols int) ([]rcGroupMeta, error) {
+	var groups []rcGroupMeta
+	buf, err := readTail(r, rcMagic)
+	if err == nil {
+		groups, err = decodeRCFooter(buf, numCols, r.Size()-8-int64(len(buf)))
 	}
-	var tail [8]byte
-	if _, err := r.ReadAt(tail[:], size-8); err != nil && err != io.EOF {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("colstore: RC file %s: %w", path, err)
 	}
-	for i := 0; i < 4; i++ {
-		if tail[4+i] != rcMagic[i] {
-			return nil, fmt.Errorf("colstore: bad RC magic %q", tail[4:])
-		}
-	}
-	flen := int64(binary.LittleEndian.Uint32(tail[:4]))
-	if flen <= 0 || flen > size-8 {
-		return nil, fmt.Errorf("colstore: bad RC footer length %d", flen)
-	}
-	buf := make([]byte, flen)
-	if _, err := r.ReadAt(buf, size-8-flen); err != nil && err != io.EOF {
-		return nil, err
-	}
+	return groups, nil
+}
+
+// decodeRCFooter parses an RC footer whose row groups must lie within the
+// dataLen bytes in front of it. The footer's own counts size nothing until
+// they are checked: a group takes at least 2+numCols footer bytes, and a
+// reader sizes its chunk buffers from lengths held to the file here.
+func decodeRCFooter(buf []byte, numCols int, dataLen int64) ([]rcGroupMeta, error) {
 	n, read := binary.Uvarint(buf)
 	if read <= 0 {
-		return nil, fmt.Errorf("colstore: bad RC group count")
+		return nil, fmt.Errorf("bad group count")
 	}
 	pos := read
+	if n > uint64(len(buf)-pos)/uint64(2+numCols) {
+		return nil, fmt.Errorf("%d groups claimed by a %d-byte footer", n, len(buf))
+	}
 	groups := make([]rcGroupMeta, n)
+	vals := make([]int64, (2+numCols)*int(n))
 	for i := range groups {
-		g := rcGroupMeta{chunkLens: make([]int64, numCols)}
-		vals := make([]int64, 2+numCols)
-		for j := range vals {
+		g := vals[i*(2+numCols) : (i+1)*(2+numCols)]
+		for j := range g {
 			v, r := binary.Uvarint(buf[pos:])
 			if r <= 0 {
-				return nil, fmt.Errorf("colstore: truncated RC footer")
+				return nil, fmt.Errorf("truncated footer")
 			}
-			vals[j] = int64(v)
+			if v > uint64(dataLen) {
+				return nil, fmt.Errorf("group %d: %d exceeds the %d bytes of row groups", i, v, dataLen)
+			}
+			g[j] = int64(v)
 			pos += r
 		}
-		g.offset, g.rows = vals[0], vals[1]
-		copy(g.chunkLens, vals[2:])
-		groups[i] = g
+		groups[i] = rcGroupMeta{offset: g[0], rows: g[1], chunkLens: g[2:]}
+		end := g[0]
+		for _, l := range g[2:] {
+			end += l // each term is at most dataLen, so the sum cannot wrap before it is caught
+			if end > dataLen {
+				return nil, fmt.Errorf("group %d runs past the %d bytes of row groups", i, dataLen)
+			}
+		}
 	}
 	return groups, nil
 }
@@ -222,10 +229,10 @@ func (in *RCInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 		if err != nil {
 			return nil, err
 		}
-		groups, err := readRCFooter(r, in.Schema.Len())
+		groups, err := readRCFooter(r, path, in.Schema.Len())
 		r.Close()
 		if err != nil {
-			return nil, fmt.Errorf("colstore: %s: %w", path, err)
+			return nil, err
 		}
 		var cur *RCSplit
 		var curBlock int64 = -1
@@ -298,7 +305,8 @@ func (in *RCInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRead
 }
 
 // rcReader iterates a split's rows, fetching only the projected columns'
-// chunks one row group at a time.
+// chunks one row group at a time. Every row is decoded into the same value
+// slice (see mr.RecordReader).
 type rcReader struct {
 	r      *hdfs.Reader
 	in     *RCInput
@@ -307,6 +315,7 @@ type rcReader struct {
 
 	chunks [][]byte // per projected column, remaining bytes
 	left   int64    // rows left in current group
+	row    records.Record
 }
 
 func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
@@ -319,17 +328,19 @@ func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
 		}
 		rc.gi++
 	}
-	vals := make([]records.Value, len(rc.in.colIdx))
-	for i := range rc.in.colIdx {
+	if rc.row.IsZero() {
+		rc.row = records.New(rc.in.projected)
+	}
+	for i := range rc.chunks {
 		v, n, err := records.DecodeValue(rc.chunks[i])
 		if err != nil {
 			return records.Record{}, records.Record{}, false, err
 		}
 		rc.chunks[i] = rc.chunks[i][n:]
-		vals[i] = v
+		rc.row.Set(i, v)
 	}
 	rc.left--
-	return records.Record{}, records.Make(rc.in.projected, vals...), true, nil
+	return records.Record{}, rc.row, true, nil
 }
 
 func (rc *rcReader) loadGroup(g rcGroupMeta) error {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"clydesdale/internal/hdfs"
@@ -115,50 +116,77 @@ func encodeGroupFooter(groups []groupMeta) []byte {
 	return out
 }
 
-func decodeGroupFooter(buf []byte) ([]groupMeta, error) {
+// decodeGroupFooter parses a row-file footer whose groups must lie within
+// the dataLen bytes in front of it. A group takes at least three footer
+// bytes, so a count beyond a third of the footer is refused before anything
+// is sized by it.
+func decodeGroupFooter(buf []byte, dataLen int64) ([]groupMeta, error) {
 	n, read := binary.Uvarint(buf)
 	if read <= 0 {
-		return nil, fmt.Errorf("colstore: bad group count")
+		return nil, fmt.Errorf("bad group count")
 	}
 	pos := read
+	if n > uint64(len(buf)-pos)/3 {
+		return nil, fmt.Errorf("%d groups claimed by a %d-byte footer", n, len(buf))
+	}
 	groups := make([]groupMeta, n)
 	for i := range groups {
 		var vals [3]int64
 		for j := 0; j < 3; j++ {
 			v, r := binary.Uvarint(buf[pos:])
 			if r <= 0 {
-				return nil, fmt.Errorf("colstore: truncated footer")
+				return nil, fmt.Errorf("truncated footer")
+			}
+			if v > uint64(dataLen) {
+				return nil, fmt.Errorf("group %d: %d exceeds the %d bytes of row groups", i, v, dataLen)
 			}
 			vals[j] = int64(v)
 			pos += r
+		}
+		if vals[0]+vals[1] > dataLen {
+			return nil, fmt.Errorf("group %d runs past the %d bytes of row groups", i, dataLen)
 		}
 		groups[i] = groupMeta{offset: vals[0], length: vals[1], rows: vals[2]}
 	}
 	return groups, nil
 }
 
-// readFooter loads a group footer from the tail of a file, verifying magic.
-func readFooter(r *hdfs.Reader, magic [4]byte) ([]groupMeta, error) {
+// readTail returns the footer bytes of a file ending in footer,
+// footerLen(uint32 LE), magic.
+func readTail(r *hdfs.Reader, magic [4]byte) ([]byte, error) {
 	size := r.Size()
 	if size < 8 {
-		return nil, fmt.Errorf("colstore: file too small (%d bytes)", size)
+		return nil, fmt.Errorf("file too small (%d bytes)", size)
 	}
 	var tail [8]byte
 	if _, err := r.ReadAt(tail[:], size-8); err != nil && err != io.EOF {
 		return nil, err
 	}
-	if tail[4] != magic[0] || tail[5] != magic[1] || tail[6] != magic[2] || tail[7] != magic[3] {
-		return nil, fmt.Errorf("colstore: bad magic %q, want %q", tail[4:], magic[:])
+	if [4]byte(tail[4:]) != magic {
+		return nil, fmt.Errorf("bad magic %q, want %q", tail[4:], magic[:])
 	}
 	flen := int64(binary.LittleEndian.Uint32(tail[:4]))
 	if flen <= 0 || flen > size-8 {
-		return nil, fmt.Errorf("colstore: bad footer length %d", flen)
+		return nil, fmt.Errorf("bad footer length %d", flen)
 	}
 	buf := make([]byte, flen)
 	if _, err := r.ReadAt(buf, size-8-flen); err != nil && err != io.EOF {
 		return nil, err
 	}
-	return decodeGroupFooter(buf)
+	return buf, nil
+}
+
+// readFooter loads and checks the group footer of the row file at path.
+func readFooter(r *hdfs.Reader, path string) ([]groupMeta, error) {
+	var groups []groupMeta
+	buf, err := readTail(r, rowMagic)
+	if err == nil {
+		groups, err = decodeGroupFooter(buf, r.Size()-8-int64(len(buf)))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("colstore: row file %s: %w", path, err)
+	}
+	return groups, nil
 }
 
 // WriteRowTable writes rows into dir/part-00000 as one row file plus the
@@ -270,9 +298,9 @@ func splitRowFile(fs *hdfs.FileSystem, path string) ([]mr.InputSplit, error) {
 		return nil, err
 	}
 	defer r.Close()
-	groups, err := readFooter(r, rowMagic)
+	groups, err := readFooter(r, path)
 	if err != nil {
-		return nil, fmt.Errorf("colstore: %s: %w", path, err)
+		return nil, err
 	}
 	blockSize := fs.BlockSize()
 	var splits []mr.InputSplit
@@ -317,7 +345,9 @@ func (in *RowInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRea
 }
 
 // rowReader iterates the records of a row split, reading one group at a
-// time from HDFS.
+// time from HDFS. Groups are read into one buffer and rows decoded into one
+// value slice (see mr.RecordReader); DecodeRecord copies string bytes out of
+// the buffer, so nothing handed out points into it.
 type rowReader struct {
 	r      *hdfs.Reader
 	schema *records.Schema
@@ -325,6 +355,7 @@ type rowReader struct {
 	gi     int
 	buf    []byte
 	pos    int
+	row    records.Record
 }
 
 func (rr *rowReader) Next() (records.Record, records.Record, bool, error) {
@@ -334,16 +365,17 @@ func (rr *rowReader) Next() (records.Record, records.Record, bool, error) {
 		}
 		g := rr.groups[rr.gi]
 		rr.gi++
-		rr.buf = make([]byte, g.length)
+		rr.buf = slices.Grow(rr.buf[:0], int(g.length))[:g.length]
 		if _, err := rr.r.ReadAt(rr.buf, g.offset); err != nil && err != io.EOF {
 			return records.Record{}, records.Record{}, false, err
 		}
 		rr.pos = 0
 	}
-	rec, n, err := records.DecodeRecord(rr.buf[rr.pos:], rr.schema)
+	rec, n, err := records.DecodeRecordInto(rr.row.Values(), rr.buf[rr.pos:], rr.schema)
 	if err != nil {
 		return records.Record{}, records.Record{}, false, err
 	}
+	rr.row = rec
 	rr.pos += n
 	return records.Record{}, rec, true, nil
 }

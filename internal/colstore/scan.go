@@ -44,7 +44,7 @@ func scanRowFiles(fs *hdfs.FileSystem, paths []string, clientNode string, schema
 		if err != nil {
 			return err
 		}
-		groups, err := readFooter(r, rowMagic)
+		groups, err := readFooter(r, path)
 		if err != nil {
 			r.Close()
 			return err

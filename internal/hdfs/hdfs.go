@@ -324,6 +324,20 @@ func (fs *FileSystem) List(prefix string) []string {
 	return out
 }
 
+// Visit calls fn with every path that has the given prefix, in no order and
+// without collecting them, for a caller that folds the names into something
+// smaller and would pay List for a sorted copy it drops. fn runs under the
+// namespace lock and must not call the filesystem.
+func (fs *FileSystem) Visit(prefix string, fn func(path string)) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	for p := range fs.files {
+		if strings.HasPrefix(p, prefix) {
+			fn(p)
+		}
+	}
+}
+
 // Delete removes the path (and its blocks). Deleting a missing path is not
 // an error, matching HDFS semantics with recursive delete.
 func (fs *FileSystem) Delete(path string) {

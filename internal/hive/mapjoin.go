@@ -48,17 +48,16 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 		auxIdx[i] = st.spec.Schema.MustIndex(a)
 	}
 	var blob []byte
-	entrySchema := anonSchema(1 + len(auxIdx))
+	entry := records.New(anonSchema(1 + len(auxIdx)))
 	err = colstore.ScanRowTable(e.mr.FS(), dimDir, "", func(r records.Record) error {
 		if dimPred != nil && !dimPred(r) {
 			return nil
 		}
-		vals := make([]records.Value, 0, 1+len(auxIdx))
-		vals = append(vals, r.At(pkIdx))
-		for _, ix := range auxIdx {
-			vals = append(vals, r.At(ix))
+		entry.Set(0, r.At(pkIdx))
+		for i, ix := range auxIdx {
+			entry.Set(1+i, r.At(ix))
 		}
-		blob = records.AppendRecord(blob, records.Make(entrySchema, vals...))
+		blob = records.AppendRecord(blob, entry)
 		return nil
 	})
 	if err != nil {
@@ -124,6 +123,7 @@ type mapJoinMapper struct {
 	outSchema *records.Schema
 
 	hash map[int64][]records.Value
+	row  records.Record // the output row, refilled for every match
 }
 
 // Setup implements mr.Mapper: deserialize the hash table and account its
@@ -152,6 +152,7 @@ func (m *mapJoinMapper) Setup(ctx *mr.TaskContext) error {
 	if err := ctx.ReserveMemory(memBytes); err != nil {
 		return fmt.Errorf("hive: mapjoin hash table for %s: %w", m.cachePath, err)
 	}
+	m.row = records.New(m.outSchema)
 	ctx.Counters.Add(CtrHashLoads, 1)
 	ctx.Counters.Add(CtrHashLoadNanos, time.Since(start).Nanoseconds())
 	return nil
@@ -166,12 +167,11 @@ func (m *mapJoinMapper) Map(_, v records.Record, out mr.Collector) error {
 	if !ok {
 		return nil
 	}
-	row := make([]records.Value, 0, len(m.carryIdx)+len(aux))
-	for _, ix := range m.carryIdx {
-		row = append(row, v.At(ix))
+	for i, ix := range m.carryIdx {
+		m.row.Set(i, v.At(ix))
 	}
-	row = append(row, aux...)
-	return out.Collect(records.Record{}, records.Make(m.outSchema, row...))
+	copy(m.row.Values()[len(m.carryIdx):], aux)
+	return out.Collect(records.Record{}, m.row)
 }
 
 // Cleanup implements mr.Mapper.

@@ -13,7 +13,10 @@ import (
 // The repartition (common) join: map tasks read both the big side and the
 // dimension table, tag each record with its source, and emit it keyed by
 // the join column; reducers collect each key's dimension row(s) and stream
-// the big-side rows against them (§6.1). Both tables cross the shuffle.
+// the big-side rows against them (§6.1). Both tables cross the shuffle. The
+// streaming rests on an order the plan arranges: the dimension's splits come
+// first in taggedInput.Splits and a reducer sees a key's values in map-task
+// order, so the dimension rows of a key precede its big-side rows.
 
 // Source tags.
 const (
@@ -115,6 +118,10 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 		return nil, err
 	}
 
+	// The tagged payloads' schemas only size them (values carry their own
+	// kinds); they are built here, once per stage, not per record.
+	dimPayload, factPayload := anonSchema(1+len(auxIdx)), anonSchema(1+len(carryIdx))
+
 	job := &mr.Job{
 		Name:  fmt.Sprintf("hive-rep-%s-%s", sp.name, st.spec.Table),
 		Conf:  mr.NewJobConf(),
@@ -124,58 +131,31 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 			Schema: st.outSchema,
 		},
 		NewMapper: func() mr.Mapper {
+			// One key and one payload per side and task, refilled for every
+			// row: Collect serialises at once and keeps nothing.
+			key := records.New(joinKeySchema)
+			dimOut := records.New(dimPayload).Set(0, records.Int(tagDim))
+			factOut := records.New(factPayload).Set(0, records.Int(tagFact))
 			return mr.MapperFunc(func(k, v records.Record, out mr.Collector) error {
 				if k.At(0).Int64() == tagDim {
 					if dimPred != nil && !dimPred(v) {
 						return nil
 					}
-					payload := make([]records.Value, 0, 1+len(auxIdx))
-					payload = append(payload, records.Int(tagDim))
-					for _, ix := range auxIdx {
-						payload = append(payload, v.At(ix))
+					for i, ix := range auxIdx {
+						dimOut.Set(1+i, v.At(ix))
 					}
-					key := records.Make(joinKeySchema, v.At(dimPK))
-					return out.Collect(key, records.Make(anonSchema(len(payload)), payload...))
+					return out.Collect(key.Set(0, v.At(dimPK)), dimOut)
 				}
 				if factPred != nil && !factPred(v) {
 					return nil
 				}
-				payload := make([]records.Value, 0, 1+len(carryIdx))
-				payload = append(payload, records.Int(tagFact))
-				for _, ix := range carryIdx {
-					payload = append(payload, v.At(ix))
+				for i, ix := range carryIdx {
+					factOut.Set(1+i, v.At(ix))
 				}
-				key := records.Make(joinKeySchema, v.At(fkIdx))
-				return out.Collect(key, records.Make(anonSchema(len(payload)), payload...))
+				return out.Collect(key.Set(0, v.At(fkIdx)), factOut)
 			})
 		},
-		NewReducer: func() mr.Reducer {
-			return mr.ReducerFunc(func(key records.Record, vals mr.Values, out mr.Collector) error {
-				// Buffer the key's dimension aux rows and big-side rows,
-				// then emit their cross product (pk keys make the dim side
-				// a singleton in practice).
-				var dimRows [][]records.Value
-				var factRows [][]records.Value
-				for v, ok := vals.Next(); ok; v, ok = vals.Next() {
-					if v.At(0).Int64() == tagDim {
-						dimRows = append(dimRows, v.Values()[1:])
-					} else {
-						factRows = append(factRows, v.Values()[1:])
-					}
-				}
-				for _, f := range factRows {
-					for _, d := range dimRows {
-						row := make([]records.Value, 0, len(f)+len(d))
-						row = append(row, f...)
-						row = append(row, d...)
-						if err := out.Collect(records.Record{}, records.Make(st.outSchema, row...)); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-		},
+		NewReducer:     func() mr.Reducer { return newRepartitionReducer(st.outSchema, len(auxIdx)) },
 		NumReduceTasks: e.opts.Reducers,
 		KeySchema:      joinKeySchema,
 	}
@@ -185,6 +165,41 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 	}
 	res.Counters.Add(CtrIntermediateRows, res.Counters.Get(mr.CtrReduceOutput))
 	return res, nil
+}
+
+// newRepartitionReducer joins one key's values: it keeps the key's
+// dimension rows (numAux values each; primary keys make that one row in
+// practice), which arrive first, and emits every big-side row that follows
+// once per kept row, carried columns then aux columns, as it arrives. A
+// dimension row after a big-side row would have missed the rows already
+// streamed past it, so it is an error and not a shorter answer.
+func newRepartitionReducer(outSchema *records.Schema, numAux int) mr.Reducer {
+	var dims []records.Value // the key's dimension rows, end to end
+	row := records.New(outSchema)
+	return mr.ReducerFunc(func(key records.Record, vals mr.Values, out mr.Collector) error {
+		dims = dims[:0]
+		numDims, streaming := 0, false
+		for v, ok := vals.Next(); ok; v, ok = vals.Next() {
+			payload := v.Values()[1:]
+			if v.At(0).Int64() == tagDim {
+				if streaming {
+					return fmt.Errorf("hive: repartition join: a dimension row of key %v follows a big-side row", key)
+				}
+				dims = append(dims, payload...) // a copy: v is gone at the next Next
+				numDims++
+				continue
+			}
+			streaming = true
+			for d := 0; d < numDims; d++ {
+				copy(row.Values(), payload)
+				copy(row.Values()[len(payload):], dims[d*numAux:(d+1)*numAux])
+				if err := out.Collect(records.Record{}, row); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // bigSideInput opens the stage's big side: the pruned RCFile fact table for

@@ -45,13 +45,13 @@ func (e *Engine) runGroupByStage(ctx context.Context, sp *stagedPlan, in stageIn
 		Input:  input,
 		Output: out,
 		NewMapper: func() mr.Mapper {
+			// One output pair per task, refilled for every row.
+			key, val := records.New(gschema), records.New(hiveAggSchema)
 			return mr.MapperFunc(func(_, v records.Record, out mr.Collector) error {
-				keyVals := make([]records.Value, len(gIdx))
 				for i, ix := range gIdx {
-					keyVals[i] = v.At(ix)
+					key.Set(i, v.At(ix))
 				}
-				return out.Collect(records.Make(gschema, keyVals...),
-					records.Make(hiveAggSchema, records.Float(agg(v))))
+				return out.Collect(key, val.Set(0, records.Float(agg(v))))
 			})
 		},
 		NewReducer:     func() mr.Reducer { return hiveSumReducer{} },

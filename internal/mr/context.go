@@ -93,6 +93,8 @@ type TaskContext struct {
 
 	phaseMu sync.Mutex
 	phases  map[string]time.Duration
+
+	tally tally
 }
 
 // ObservePhase accumulates d into this attempt's named sub-phase duration,

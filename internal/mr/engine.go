@@ -1,11 +1,9 @@
 package mr
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,49 +68,6 @@ func (e *Engine) Metrics() *obs.Registry { return e.opts.Metrics }
 
 // SetMetrics attaches a metrics registry. Call between jobs, not during one.
 func (e *Engine) SetMetrics(r *obs.Registry) { e.opts.Metrics = r }
-
-// kvEntry is one serialized map-output pair. Both key and value are wire
-// bytes: the sort and the grouping compare key bytes directly (the codec is
-// deterministic, so equal keys have identical encodings) and the key is
-// decoded once per group, not once per comparison. seq preserves emit order
-// among equal keys, standing in for a stable sort.
-type kvEntry struct {
-	key []byte
-	val []byte
-	seq uint64
-}
-
-// kvByKey sorts entries by raw key bytes with emit order breaking ties. The
-// byte order differs from records.Record.Compare order (varints are not
-// order-preserving), which is fine: reducers only need equal keys adjacent,
-// and the driver applies any user-visible ordering itself. The one caveat:
-// float keys whose Compare treats distinct bit patterns as equal (NaN, ±0.0)
-// encode differently and would land in separate groups.
-type kvByKey []kvEntry
-
-func (s kvByKey) Len() int      { return len(s) }
-func (s kvByKey) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s kvByKey) Less(i, j int) bool {
-	if c := bytes.Compare(s[i].key, s[j].key); c != 0 {
-		return c < 0
-	}
-	return s[i].seq < s[j].seq
-}
-
-// mapOutput is the spilled, sorted, combined output of one map task,
-// resident on the local disk of the node that ran it.
-type mapOutput struct {
-	node  string
-	parts [][]kvEntry
-}
-
-func (mo *mapOutput) partBytes(p int) int64 {
-	var n int64
-	for _, e := range mo.parts[p] {
-		n += int64(len(e.key) + len(e.val))
-	}
-	return n
-}
 
 // ErrCanceled marks a job that was stopped because its submission context
 // was canceled or timed out. Errors returned by Submit for such jobs match
@@ -525,31 +480,27 @@ func (run *jobRun) mapPhase() error {
 	})
 }
 
-// executeMapAttempt runs one attempt of one map task on a node and returns
-// its sorted/combined output (nil parts for map-only jobs, whose output goes
-// straight to the OutputFormat) plus the attempt's measured sub-phase
-// durations.
-func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, place placement, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (mo *mapOutput, phases map[string]time.Duration, err error) {
+// tally holds an attempt's per-record counters as plain integers: each is
+// written by one goroutine, or under the lock of the collector that counts
+// it, and endAttempt adds them to the job's Counters once. The job-wide
+// lock and map assignment are paid per attempt, not per record.
+type tally struct {
+	mapInput, mapOutput, mapOutputBytes int64
+	reduceGroups, reduceOutput          int64
+}
+
+// startAttempt is what every task attempt begins with: the cancellation and
+// failure-injection checks, the modeled launch charge, a JVM from the node's
+// pool and the attempt's TaskContext. fresh reports a newly started JVM.
+// Once it has returned a context the caller defers endAttempt.
+func (run *jobRun) startAttempt(taskID string, node *cluster.Node, attempt int, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (ctx *TaskContext, fresh bool, err error) {
 	e := run.engine
-	taskID := fmt.Sprintf("m-%d", task)
-	local := place == placeLocal
-	run.counters.Add(CtrMapTasks, 1)
-	switch place {
-	case placeLocal:
-		run.counters.Add(CtrDataLocalMaps, 1)
-	case placeNoHolder:
-		run.counters.Add(CtrRemoteMaps, 1)
-		run.counters.Add(CtrRemoteMapsNoHolder, 1)
-	default:
-		run.counters.Add(CtrRemoteMaps, 1)
-		run.counters.Add(CtrRemoteMapsDelayed, 1)
-	}
 	if cerr := run.ctx.Err(); cerr != nil {
-		return nil, nil, run.cancelErr(cerr)
+		return nil, false, run.cancelErr(cerr)
 	}
 	if run.job.FailureInjector != nil {
 		if ferr := run.job.FailureInjector(taskID, attempt); ferr != nil {
-			return nil, nil, ferr
+			return nil, false, ferr
 		}
 	}
 	launchStart := time.Now()
@@ -567,9 +518,8 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	} else {
 		run.counters.Add(CtrJVMReuses, 1)
 	}
-	defer run.pool(node.ID()).release(jvm, run.reuse)
 
-	ctx := &TaskContext{
+	ctx = &TaskContext{
 		JobContext: run.jctx,
 		TaskID:     taskID,
 		Attempt:    attempt,
@@ -589,12 +539,54 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	if fresh {
 		ctx.ObservePhase(obs.PhaseJVMStart, jvmDur)
 	}
-	defer ctx.releaseAll()
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("map task m-%d panicked: %v", task, r)
+	return ctx, fresh, nil
+}
+
+// endAttempt, deferred, ends an attempt on every path out of it (success,
+// error, superseded, panic): a panic in the task's code becomes the
+// attempt's error, the tallies are added to the job's counters (so a failed
+// attempt's records are counted, as Hadoop counts them), reserved memory
+// goes back to the node and the JVM to its pool.
+func (run *jobRun) endAttempt(ctx *TaskContext, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("task %s panicked: %v", ctx.TaskID, r)
+	}
+	add := func(name string, n int64) {
+		if n != 0 { // a counter nothing counted stays absent from the job's
+			run.counters.Add(name, n)
 		}
-	}()
+	}
+	add(CtrMapInputRecords, ctx.tally.mapInput)
+	add(CtrMapOutputRecords, ctx.tally.mapOutput)
+	add(CtrMapOutputBytes, ctx.tally.mapOutputBytes)
+	add(CtrReduceInputGroups, ctx.tally.reduceGroups)
+	add(CtrReduceOutput, ctx.tally.reduceOutput)
+	ctx.releaseAll()
+	run.pool(ctx.node.ID()).release(ctx.jvm, run.reuse)
+}
+
+// executeMapAttempt runs one attempt of one map task on a node and returns
+// its sorted/combined output (nil parts for map-only jobs, whose output goes
+// straight to the OutputFormat) plus the attempt's measured sub-phase
+// durations.
+func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, place placement, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (mo *mapOutput, phases map[string]time.Duration, err error) {
+	local := place == placeLocal
+	run.counters.Add(CtrMapTasks, 1)
+	switch place {
+	case placeLocal:
+		run.counters.Add(CtrDataLocalMaps, 1)
+	case placeNoHolder:
+		run.counters.Add(CtrRemoteMaps, 1)
+		run.counters.Add(CtrRemoteMapsNoHolder, 1)
+	default:
+		run.counters.Add(CtrRemoteMaps, 1)
+		run.counters.Add(CtrRemoteMapsDelayed, 1)
+	}
+	ctx, fresh, err := run.startAttempt(fmt.Sprintf("m-%d", task), node, attempt, qwait, tsc, superseded)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer run.endAttempt(ctx, &err)
 
 	jvmAttr := "reused"
 	if fresh {
@@ -611,14 +603,14 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	var mc *mapCollector
 	var writer RecordWriter
 	if run.job.NumReduceTasks > 0 {
-		mc = newMapCollector(run.job.NumReduceTasks, run.job.Partitioner, run.counters)
+		mc = newMapCollector(run.job.NumReduceTasks, run.job.Partitioner, &ctx.tally)
 		collector = mc
 	} else {
 		writer, err = run.job.Output.OpenWriter(ctx, task)
 		if err != nil {
 			return nil, nil, err
 		}
-		collector = &writerCollector{w: writer, counters: run.counters}
+		collector = &writerCollector{w: writer, n: &ctx.tally.mapOutput}
 	}
 
 	var runner MapRunner
@@ -651,8 +643,8 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	// Spilling the sorted output to the node's local disk (raw device, not
 	// HDFS).
 	var spill int64
-	for p := range out.parts {
-		spill += out.partBytes(p)
+	for _, b := range out.bytes {
+		spill += b
 	}
 	spillStart := time.Now()
 	if err := node.ChargeDiskWrite(spill, false); err != nil {
@@ -672,7 +664,6 @@ func (r *defaultMapRunner) Run(ctx *TaskContext, reader RecordReader, out Collec
 	if err := m.Setup(ctx); err != nil {
 		return err
 	}
-	n := 0
 	for {
 		k, v, ok, err := reader.Next()
 		if err != nil {
@@ -681,8 +672,7 @@ func (r *defaultMapRunner) Run(ctx *TaskContext, reader RecordReader, out Collec
 		if !ok {
 			break
 		}
-		n++
-		if n%128 == 0 {
+		if (ctx.tally.mapInput+1)%128 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -690,7 +680,7 @@ func (r *defaultMapRunner) Run(ctx *TaskContext, reader RecordReader, out Collec
 				return errSuperseded
 			}
 		}
-		ctx.Counters.Add(CtrMapInputRecords, 1)
+		ctx.tally.mapInput++
 		if err := m.Map(k, v, out); err != nil {
 			return err
 		}
@@ -698,150 +688,18 @@ func (r *defaultMapRunner) Run(ctx *TaskContext, reader RecordReader, out Collec
 	return m.Cleanup(out)
 }
 
-// writerCollector adapts an OutputFormat writer for map-only jobs; it is
-// synchronized so multi-threaded runners can share it.
+// writerCollector hands a task's output pairs to its OutputFormat writer
+// (map-only jobs and reducers), counting them into the attempt's tally; it
+// is synchronized so multi-threaded runners can share it.
 type writerCollector struct {
-	mu       sync.Mutex
-	w        RecordWriter
-	counters *Counters
+	mu sync.Mutex
+	w  RecordWriter
+	n  *int64
 }
 
 func (c *writerCollector) Collect(k, v records.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.counters.Add(CtrMapOutputRecords, 1)
+	*c.n++
 	return c.w.Write(k, v)
-}
-
-// mapCollector partitions and buffers map output, then sorts and combines.
-// Collect serializes immediately and retains no records, so mappers and map
-// runners may reuse key/value records (and their backing value slices)
-// across Collect calls.
-type mapCollector struct {
-	mu          sync.Mutex
-	parts       [][]kvEntry
-	partitioner Partitioner
-	counters    *Counters
-	seq         uint64
-}
-
-func newMapCollector(numParts int, p Partitioner, c *Counters) *mapCollector {
-	return &mapCollector{parts: make([][]kvEntry, numParts), partitioner: p, counters: c}
-}
-
-func (c *mapCollector) Collect(k, v records.Record) error {
-	// Serialization happens here, as in Hadoop's collect path; its cost is
-	// real work in the simulation too.
-	kb := k.Encode()
-	vb := v.Encode()
-	p := c.partitioner(k, len(c.parts))
-	if p < 0 || p >= len(c.parts) {
-		return fmt.Errorf("mr: partitioner returned %d of %d", p, len(c.parts))
-	}
-	c.mu.Lock()
-	c.seq++
-	c.parts[p] = append(c.parts[p], kvEntry{key: kb, val: vb, seq: c.seq})
-	c.mu.Unlock()
-	c.counters.Add(CtrMapOutputRecords, 1)
-	c.counters.Add(CtrMapOutputBytes, int64(len(kb)+len(vb)))
-	return nil
-}
-
-// finish sorts each partition and applies the combiner.
-func (c *mapCollector) finish(ctx *TaskContext, job *Job) (*mapOutput, error) {
-	out := &mapOutput{node: ctx.node.ID(), parts: make([][]kvEntry, len(c.parts))}
-	for p, entries := range c.parts {
-		sort.Sort(kvByKey(entries))
-		if job.NewCombiner != nil && len(entries) > 0 {
-			combined, err := runCombiner(ctx, job, entries)
-			if err != nil {
-				return nil, err
-			}
-			entries = combined
-		}
-		out.parts[p] = entries
-	}
-	return out, nil
-}
-
-// runCombiner groups sorted entries and feeds them through a fresh combiner.
-func runCombiner(ctx *TaskContext, job *Job, entries []kvEntry) ([]kvEntry, error) {
-	comb := job.NewCombiner()
-	if err := comb.Setup(ctx); err != nil {
-		return nil, err
-	}
-	sink := &entrySink{}
-	ctx.Counters.Add(CtrCombineInput, int64(len(entries)))
-	if err := forEachGroup(entries, job.KeySchema, job.ValueSchema, func(key records.Record, vals Values) error {
-		return comb.Reduce(key, vals, sink)
-	}); err != nil {
-		return nil, err
-	}
-	if err := comb.Cleanup(sink); err != nil {
-		return nil, err
-	}
-	ctx.Counters.Add(CtrCombineOutput, int64(len(sink.out)))
-	// Combiner output for a sorted input with grouped keys is still sorted
-	// as long as the combiner emits one pair per group in order, which the
-	// grouping loop guarantees; re-sort defensively anyway.
-	sort.Sort(kvByKey(sink.out))
-	return sink.out, nil
-}
-
-// entrySink collects combiner output back into entries.
-type entrySink struct {
-	out []kvEntry
-}
-
-func (s *entrySink) Collect(k, v records.Record) error {
-	s.out = append(s.out, kvEntry{key: k.Encode(), val: v.Encode(), seq: uint64(len(s.out))})
-	return nil
-}
-
-// forEachGroup walks sorted entries and invokes fn once per distinct key
-// with an iterator over that key's values. Keys group by byte equality and
-// are decoded once per group against keySchema (nil yields a positional
-// record, matching jobs that set no KeySchema).
-func forEachGroup(entries []kvEntry, keySchema, valueSchema *records.Schema, fn func(key records.Record, vals Values) error) error {
-	i := 0
-	for i < len(entries) {
-		j := i + 1
-		for j < len(entries) && bytes.Equal(entries[j].key, entries[i].key) {
-			j++
-		}
-		key, _, err := records.DecodeRecord(entries[i].key, keySchema)
-		if err != nil {
-			return fmt.Errorf("mr: decoding group key: %w", err)
-		}
-		it := &sliceValues{entries: entries[i:j], schema: valueSchema}
-		if err := fn(key, it); err != nil {
-			return err
-		}
-		if it.err != nil {
-			return it.err
-		}
-		i = j
-	}
-	return nil
-}
-
-// sliceValues lazily decodes the serialized values of one group.
-type sliceValues struct {
-	entries []kvEntry
-	schema  *records.Schema
-	pos     int
-	err     error
-}
-
-func (s *sliceValues) Next() (records.Record, bool) {
-	if s.pos >= len(s.entries) || s.err != nil {
-		return records.Record{}, false
-	}
-	r, _, err := records.DecodeRecord(s.entries[s.pos].val, s.schema)
-	if err != nil {
-		s.err = err
-		return records.Record{}, false
-	}
-	s.pos++
-	return r, true
 }

@@ -125,7 +125,11 @@ type InputSplit interface {
 
 // RecordReader iterates the key/value pairs of one split.
 type RecordReader interface {
-	// Next returns the next pair; ok is false at end of input.
+	// Next returns the next pair; ok is false at end of input. A reader may
+	// decode every pair into the same value slices, so a pair is valid only
+	// until the following call to Next: a consumer that keeps a record
+	// copies it (Record.Clone) or the values it needs. Collecting or
+	// writing a record keeps nothing of it.
 	Next() (key, value records.Record, ok bool, err error)
 	Close() error
 }
@@ -168,13 +172,17 @@ type Mapper interface {
 	Cleanup(out Collector) error
 }
 
-// Values iterates the values of one reduce group.
+// Values iterates the values of one reduce group, in map-task order and,
+// within a map task, in emit order. Each value is decoded into the slice the
+// one before it occupied: a record is valid until the next call to Next,
+// and a reducer that keeps one copies it.
 type Values interface {
 	Next() (records.Record, bool)
 }
 
 // Reducer is the user reduce function plus lifecycle hooks. Combiners use
-// the same interface.
+// the same interface. The key is valid until Reduce returns, under the same
+// rule as the values.
 type Reducer interface {
 	Setup(ctx *TaskContext) error
 	Reduce(key records.Record, values Values, out Collector) error

@@ -1,9 +1,18 @@
 package mr
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+	"testing/quick"
 
 	"clydesdale/internal/records"
 )
@@ -79,5 +88,353 @@ func TestFailedAttemptCountersAreKept(t *testing.T) {
 		if got := res.Counters.Get(c.name); got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
+	}
+}
+
+// ------------------------------------------------- the path held to a model
+
+// seenGroup is one Reduce call as a reducer saw it.
+type seenGroup struct {
+	key  string
+	vals []string
+}
+
+// renderValue names a value: the zero Record, an integer or (out of the
+// concatenating combiner) a string.
+func renderValue(v records.Record) string {
+	switch {
+	case v.Len() == 0:
+		return "-"
+	case v.At(0).Kind() == records.KindString:
+		return v.At(0).Str()
+	}
+	return strconv.FormatInt(v.At(0).Int64(), 10)
+}
+
+// concatCombiner replaces a group's values by one string naming them in the
+// order they came. With backwards set it holds everything back to Cleanup
+// and emits the groups in reverse, which the sort after the combiner has to
+// undo; holding a key past Reduce, it clones it (see Reducer).
+type concatCombiner struct {
+	BaseReducer
+	backwards bool
+	held      []KV
+}
+
+var concatSchema = records.NewSchema(records.F("vals", records.KindString))
+
+func (c *concatCombiner) Reduce(k records.Record, vs Values, out Collector) error {
+	var parts []string
+	for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+		parts = append(parts, renderValue(v))
+	}
+	joined := records.Make(concatSchema, records.Str(strings.Join(parts, ",")))
+	if !c.backwards {
+		return out.Collect(k, joined)
+	}
+	c.held = append(c.held, KV{Key: k.Clone(), Value: joined})
+	return nil
+}
+
+func (c *concatCombiner) Cleanup(out Collector) error {
+	for i := len(c.held) - 1; i >= 0; i-- {
+		if err := out.Collect(c.held[i].Key, c.held[i].Value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// logReducer appends every group it is given to its partition's log.
+type logReducer struct {
+	BaseReducer
+	mu   *sync.Mutex
+	logs [][]seenGroup
+	part int
+}
+
+func (r *logReducer) Setup(ctx *TaskContext) error {
+	_, err := fmt.Sscanf(ctx.TaskID, "r-%d", &r.part)
+	return err
+}
+
+func (r *logReducer) Reduce(k records.Record, vs Values, _ Collector) error {
+	g := seenGroup{key: k.At(0).Str()}
+	for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+		g.vals = append(g.vals, renderValue(v))
+	}
+	r.mu.Lock()
+	r.logs[r.part] = append(r.logs[r.part], g)
+	r.mu.Unlock()
+	return nil
+}
+
+// TestReducersSeeTheReferenceOrder runs random jobs through the engine and
+// holds what each reducer saw, group by group and value by value, to the
+// definition of the path: all pairs ordered by key bytes, then map task,
+// then emit order, cut by partition; with a combiner, one value per key and
+// map task naming that task's values in emit order.
+func TestReducersSeeTheReferenceOrder(t *testing.T) {
+	// Heavy duplication; keys alike in their first eight encoded bytes (a
+	// string key is count, kind, length, then the text) and different after,
+	// one of them the text another begins with; the empty string.
+	keyPool := []string{"", "a", "b", "k1", "k2", "sharedpfx", "sharedpfx1", "sharedpfx2", "sharedpf"}
+	e := newTestEngine(3)
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tasks, parts := 1+rng.Intn(6), 1+rng.Intn(4)
+		combiner := rng.Intn(3) // 0 none, 1 in order, 2 backwards
+		keys := keyPool[:1+rng.Intn(len(keyPool))]
+
+		type pair struct {
+			key        []byte
+			task, emit int
+			part       int
+			text, val  string
+		}
+		var all []pair
+		splits := make([]*MemorySplit, tasks)
+		id := int64(0)
+		for task := range splits {
+			splits[task] = &MemorySplit{}
+			n := rng.Intn(40)
+			if rng.Intn(4) == 0 {
+				n = 0 // a task with nothing to say
+			}
+			for emit := 0; emit < n; emit++ {
+				k := records.Make(wordSchema, records.Str(keys[rng.Intn(len(keys))]))
+				v := records.Record{}
+				if rng.Intn(5) > 0 {
+					id++
+					v = records.Make(countSchema, records.Int(id))
+				}
+				splits[task].Pairs = append(splits[task].Pairs, KV{Key: k, Value: v})
+				all = append(all, pair{key: k.Encode(), task: task, emit: emit,
+					part: HashPartitioner(k, parts), text: k.At(0).Str(), val: renderValue(v)})
+			}
+		}
+
+		// The reference.
+		sort.Slice(all, func(i, j int) bool {
+			a, b := all[i], all[j]
+			if c := bytes.Compare(a.key, b.key); c != 0 {
+				return c < 0
+			}
+			if a.task != b.task {
+				return a.task < b.task
+			}
+			return a.emit < b.emit
+		})
+		want := make([][]seenGroup, parts)
+		for i, p := range all {
+			log := &want[p.part]
+			if i == 0 || !bytes.Equal(all[i-1].key, p.key) {
+				*log = append(*log, seenGroup{key: p.text})
+			}
+			g := &(*log)[len(*log)-1]
+			if combiner != 0 && i > 0 && bytes.Equal(all[i-1].key, p.key) && all[i-1].task == p.task {
+				g.vals[len(g.vals)-1] += "," + p.val
+			} else {
+				g.vals = append(g.vals, p.val)
+			}
+		}
+
+		var mu sync.Mutex
+		got := make([][]seenGroup, parts)
+		job := &Job{
+			Name:   "property",
+			Input:  &MemoryInput{SplitsList: splits},
+			Output: DiscardOutput{},
+			NewMapper: func() Mapper {
+				return MapperFunc(func(k, v records.Record, c Collector) error { return c.Collect(k, v) })
+			},
+			NewReducer:     func() Reducer { return &logReducer{mu: &mu, logs: got} },
+			NumReduceTasks: parts,
+			KeySchema:      wordSchema,
+		}
+		if combiner != 0 {
+			job.NewCombiner = func() Reducer { return &concatCombiner{backwards: combiner == 2} }
+		}
+		if _, err := e.Submit(context.Background(), job); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			return false
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d (%d tasks, %d partitions, combiner %d):\n got %v\nwant %v", seed, tasks, parts, combiner, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}
+
+// addRaw appends a pair of raw bytes, for keys no record encodes to: the
+// codec is prefix-free, so only here can one key be the beginning of another.
+func addRaw(b *pairBuffer, part int, key, val []byte) {
+	off := len(b.data)
+	b.data = append(append(b.data, key...), val...)
+	b.refs = append(b.refs, pairRef{prefix: keyPrefix(key), off: off, klen: uint32(len(key)), vlen: uint32(len(val)), part: uint32(part)})
+}
+
+// TestSortAndMergeOrderRawKeys holds the index sort and the k-way merge to
+// sort.SliceStable over arbitrary byte strings: empty keys, keys that begin
+// other keys, keys that differ only after their first eight bytes or only in
+// trailing zero bytes (which the zero-padded prefix cannot tell apart).
+func TestSortAndMergeOrderRawKeys(t *testing.T) {
+	alphabet := [][]byte{nil, {0}, {0, 0}, []byte("a"), []byte("ab"), []byte("abcdefgh"), []byte("abcdefgh\x00"),
+		[]byte("abcdefghi"), []byte("abcdefghj"), []byte("abcdefg"), {0xff}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0}}
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		type raw struct {
+			key      []byte
+			run, seq int
+		}
+		var want []raw
+		runs := make([]pairRun, 1+rng.Intn(6))
+		for r := range runs {
+			var b pairBuffer
+			for seq, n := 0, rng.Intn(30); seq < n; seq++ {
+				key := alphabet[rng.Intn(len(alphabet))]
+				addRaw(&b, 0, key, []byte(fmt.Sprintf("%d/%d", r, seq)))
+				want = append(want, raw{key, r, seq})
+			}
+			b.sort()
+			runs[r] = pairRun{data: b.data, refs: b.refs}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return bytes.Compare(want[i].key, want[j].key) < 0 })
+		m := mergeRuns(runs)
+		for i, w := range want {
+			r := m.head()
+			if r == nil {
+				t.Errorf("seed %d: merge ended after %d of %d pairs", seed, i, len(want))
+				return false
+			}
+			key := r.headKey()
+			if val := string(m.pop()); !bytes.Equal(key, w.key) || val != fmt.Sprintf("%d/%d", w.run, w.seq) {
+				t.Errorf("seed %d: pair %d is %q=%s, want %q=%d/%d", seed, i, key, val, w.key, w.run, w.seq)
+				return false
+			}
+		}
+		return m.head() == nil
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCollectFromFourGoroutines is the multi-threaded runner's use of the
+// collector, for the race detector: four threads share one mapCollector, and
+// the sorted output holds every pair once, each thread's pairs of one key in
+// the order that thread emitted them.
+func TestCollectFromFourGoroutines(t *testing.T) {
+	const threads, perThread, parts = 4, 2000, 3
+	var tl tally
+	mc := newMapCollector(parts, HashPartitioner, &tl)
+	var wg sync.WaitGroup
+	for th := 0; th < threads; th++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key, val := records.New(countSchema), records.New(countSchema)
+			for i := 0; i < perThread; i++ {
+				if err := mc.Collect(key.Set(0, records.Int(int64(i%17))), val.Set(0, records.Int(int64(th*perThread+i)))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	out := mc.sorted("node-0")
+	if tl.mapOutput != threads*perThread || len(out.pairs.refs) != threads*perThread {
+		t.Fatalf("%d pairs tallied, %d indexed, want %d", tl.mapOutput, len(out.pairs.refs), threads*perThread)
+	}
+	var bytesTotal int64
+	seen := 0
+	for p := 0; p < parts; p++ {
+		bytesTotal += out.bytes[p]
+		last := map[[2]int64]int64{} // (key, thread) → last value seen
+		_, err := forEachGroup(mergeRuns([]pairRun{out.run(p)}), countSchema, countSchema, func(k records.Record, vs Values) error {
+			if HashPartitioner(k, parts) != p {
+				t.Errorf("key %v in partition %d", k, p)
+			}
+			for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+				seen++
+				n := v.At(0).Int64()
+				at := [2]int64{k.At(0).Int64(), n / perThread}
+				if prev, ok := last[at]; ok && prev >= n {
+					t.Errorf("key %d: thread %d's %d after its %d", at[0], at[1], n, prev)
+				}
+				last[at] = n
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen != threads*perThread || bytesTotal != tl.mapOutputBytes {
+		t.Errorf("%d pairs and %d bytes in the runs, %d and %d collected", seen, bytesTotal, threads*perThread, tl.mapOutputBytes)
+	}
+}
+
+// ------------------------------------------------------- allocation gates
+
+// TestCollectAllocatesByDoubling: 10 000 pairs cost a few dozen buffer and
+// index growths, not two slices a pair.
+func TestCollectAllocatesByDoubling(t *testing.T) {
+	key, val := records.New(countSchema), records.New(countSchema)
+	allocs := testing.AllocsPerRun(5, func() {
+		mc := newMapCollector(4, HashPartitioner, &tally{})
+		for i := 0; i < 10000; i++ {
+			if err := mc.Collect(key.Set(0, records.Int(int64(i))), val.Set(0, records.Int(int64(i)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs >= 64 {
+		t.Errorf("10 000 Collects allocated %.0f times, want fewer than 64", allocs)
+	}
+}
+
+// TestMergeAllocatesPerRunNotPerRecord: merging and grouping eight runs
+// allocates the same few times whether they hold 800 pairs or 40 000.
+func TestMergeAllocatesPerRunNotPerRecord(t *testing.T) {
+	const numRuns = 8
+	build := func(perRun int) []pairRun {
+		runs := make([]pairRun, numRuns)
+		key, val := records.New(countSchema), records.New(countSchema)
+		for r := range runs {
+			var b pairBuffer
+			for i := 0; i < perRun; i++ {
+				b.add(0, key.Set(0, records.Int(int64(i/3))), val.Set(0, records.Int(int64(i))))
+			}
+			b.sort()
+			runs[r] = pairRun{data: b.data, refs: b.refs}
+		}
+		return runs
+	}
+	measure := func(perRun int) float64 {
+		runs := build(perRun)
+		scratch := make([]pairRun, numRuns)
+		return testing.AllocsPerRun(3, func() {
+			copy(scratch, runs) // the merge consumes the run headers
+			var sum int64
+			groups, err := forEachGroup(mergeRuns(scratch), countSchema, countSchema, func(_ records.Record, vs Values) error {
+				for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+					sum += v.At(0).Int64()
+				}
+				return nil
+			})
+			if err != nil || groups != int64((perRun+2)/3) {
+				t.Fatalf("%d groups, %v", groups, err)
+			}
+		})
+	}
+	small, large := measure(100), measure(5000)
+	if small != large || large > numRuns {
+		t.Errorf("merge allocated %.0f times over 800 pairs and %.0f over 40 000, want the same and at most %d", small, large, numRuns)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/records"
 )
 
 // BenchmarkSubmitEmptyJob is the engine's fixed cost per job: one empty
@@ -48,4 +49,58 @@ func BenchmarkDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkShuffle is the record path end to end, the job the repository
+// benchmark's mr.shuffle_ns_per_record probe times: 200 000 integer pairs
+// over 4 splits, mapped, sorted, shuffled to 4 reducers and written out
+// unchanged. ns/record is the per-pair cost of collect, sort, merge and
+// decode; allocs/op is per job and must not grow with the pairs.
+func BenchmarkShuffle(b *testing.B) {
+	const pairs, splits, reducers = 200_000, 4, 4
+	cfg := cluster.Testing(4)
+	cfg.ReduceSlots = 2
+	c := cluster.New(cfg)
+	e := NewEngine(c, hdfs.New(c, hdfs.Options{Seed: 11}), Options{})
+	in := &MemoryInput{}
+	for s := 0; s < splits; s++ {
+		sp := &MemorySplit{}
+		for i := 0; i < pairs/splits; i++ {
+			n := int64(s*pairs/splits + i)
+			sp.Pairs = append(sp.Pairs, KV{
+				Key:   records.Make(countSchema, records.Int(n*2654435761%pairs)),
+				Value: records.Make(countSchema, records.Int(n)),
+			})
+		}
+		in.SplitsList = append(in.SplitsList, sp)
+	}
+	job := &Job{
+		Name:   "bench-identity",
+		Input:  in,
+		Output: DiscardOutput{},
+		NewMapper: func() Mapper {
+			return MapperFunc(func(k, v records.Record, out Collector) error { return out.Collect(k, v) })
+		},
+		NewReducer: func() Reducer {
+			return ReducerFunc(func(k records.Record, vs Values, out Collector) error {
+				for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+					if err := out.Collect(k, v); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		},
+		NumReduceTasks: reducers,
+		KeySchema:      countSchema,
+		ValueSchema:    countSchema,
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := e.Submit(ctx, job); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/record")
 }

@@ -84,15 +84,34 @@ func (r Record) Encode() []byte { return AppendRecord(nil, r) }
 // schema (which may be nil, producing an anonymous record usable only
 // positionally). It returns the record and the number of bytes consumed.
 func DecodeRecord(buf []byte, schema *Schema) (Record, int, error) {
+	return DecodeRecordInto(nil, buf, schema)
+}
+
+// DecodeRecordInto is DecodeRecord with the caller supplying the value
+// slice: the record's values are decoded into dst's backing array when it is
+// large enough (a fresh slice is allocated otherwise) and the returned record
+// aliases it, so the record is valid only until dst's array is decoded into
+// again. Readers that hand out one record at a time pass the previous
+// record's Values back in.
+func DecodeRecordInto(dst []Value, buf []byte, schema *Schema) (Record, int, error) {
 	n, read := binary.Uvarint(buf)
 	if read <= 0 {
 		return Record{}, 0, fmt.Errorf("records: decode record: bad field count")
+	}
+	// A value is at least its kind byte, so a count beyond the bytes that
+	// remain is corrupt; refuse it before sizing anything by it.
+	if n > uint64(len(buf)-read) {
+		return Record{}, 0, fmt.Errorf("records: decode record: %d fields claimed in %d bytes", n, len(buf)-read)
 	}
 	if schema != nil && int(n) != schema.Len() {
 		return Record{}, 0, fmt.Errorf("records: decode record: %d values for %d-field schema", n, schema.Len())
 	}
 	pos := read
-	vals := make([]Value, n)
+	vals := dst
+	if vals == nil || cap(vals) < int(n) {
+		vals = make([]Value, n)
+	}
+	vals = vals[:n]
 	for i := range vals {
 		v, used, err := DecodeValue(buf[pos:])
 		if err != nil {

@@ -1,6 +1,9 @@
 package records
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -205,6 +208,59 @@ func TestDecodeRecordErrors(t *testing.T) {
 	if _, _, err := DecodeRecord(buf, nil); err == nil {
 		t.Error("expected error on truncated record")
 	}
+	// Nine bytes claiming 2^62 fields: refused by the count, before anything
+	// is sized by it (it used to be a makeslice panic, or an exabyte).
+	huge := binary.AppendUvarint(nil, 1<<62)
+	if _, _, err := DecodeRecord(huge, nil); err == nil || !strings.Contains(err.Error(), "fields claimed") {
+		t.Errorf("oversized field count: %v", err)
+	}
+}
+
+// TestDecodeRecordIntoReusesTheSlice: decoding into a slice with room takes
+// its backing array; one without room, or nil, gets a fresh one.
+func TestDecodeRecordIntoReusesTheSlice(t *testing.T) {
+	a := Make(testSchema(), Int(1), Str("x"), Float(2)).Encode()
+	b := Make(testSchema(), Int(7), Str("y"), Float(3)).Encode()
+	first, _, err := DecodeRecordInto(nil, a, testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, n, err := DecodeRecordInto(first.Values(), b, testSchema())
+	if err != nil || n != len(b) {
+		t.Fatal(n, err)
+	}
+	if &first.Values()[0] != &second.Values()[0] || first.At(0).Int64() != 7 {
+		t.Error("second decode did not take the first record's slice")
+	}
+	third, _, err := DecodeRecordInto(make([]Value, 0, 2), a, testSchema())
+	if err != nil || third.Len() != 3 || third.At(1).Str() != "x" {
+		t.Errorf("decode into a short slice: %v %v", third, err)
+	}
+	zero, _, err := DecodeRecordInto(second.Values(), Record{}.Encode(), nil)
+	if err != nil || zero.Len() != 0 || !zero.IsZero() {
+		t.Errorf("zero record decoded as %v (%v)", zero, err)
+	}
+}
+
+// FuzzDecodeRecord: whatever the bytes, DecodeRecord returns a record or an
+// error. It does not panic, it consumes no more than it was given and yields
+// no more values than bytes (so nothing is sized by a count the bytes merely
+// claim), and what it accepts survives a round trip through the encoder.
+func FuzzDecodeRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, n, err := DecodeRecord(data, nil)
+		if err != nil {
+			return
+		}
+		if n > len(data) || rec.Len() >= n {
+			t.Fatalf("%d values and %d bytes consumed out of %d", rec.Len(), n, len(data))
+		}
+		wire := rec.Encode()
+		again, m, err := DecodeRecordInto(make([]Value, 1), wire, nil)
+		if err != nil || m != len(wire) || !bytes.Equal(again.Encode(), wire) {
+			t.Fatalf("%v re-encoded as %x does not decode back (%v)", rec, wire, err)
+		}
+	})
 }
 
 func TestRowBlock(t *testing.T) {

@@ -68,9 +68,11 @@ chaos:
 # Lowering gate (see DESIGN.md "Query pipeline"): the golden plan texts for
 # all 13 SSB queries (regenerate with `go test ./internal/plan -run
 # GoldenPlans -update`), the snowflake property suite holding the lowered
-# plan, its one-step-per-pass form, the automatic fallback between them and
-# both Hive strategies to the logical-plan oracle, and the span check that a
-# depth-d snowflake plan runs d map-only join jobs, all under -race.
+# plan, its one-step-per-pass form, both under each ablation, the automatic
+# fallback between them and both Hive strategies to the logical-plan oracle,
+# the span check that a plan runs d jobs for depth d, the last one
+# aggregating, and the multi-pass counter golden (`-run
+# SnowflakeCountersGolden -update`), all under -race.
 plan-golden:
 	$(GO) test -race ./internal/plan/...
 

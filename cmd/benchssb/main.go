@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	benchssb                         # everything, default size
+//	benchssb                         # everything, at the size -h states (bench.Defaults)
 //	benchssb -figure 7               # one experiment
 //	benchssb -figure breakdown -query Q2.1
 //	benchssb -figure breakdown -job-json job.json   # Clydesdale job history as JSON
 //	benchssb -figure breakdown -profile-json p.json # correlated query profile as JSON
-//	benchssb -factrows 300000 -dimscale 2   # bigger run
+//	benchssb -factrows 300000 -dimscale 2   # a bigger run
 package main
 
 import (
@@ -23,14 +23,16 @@ import (
 )
 
 func main() {
+	// The flag defaults are the harness's own, so -h states what runs.
+	def := bench.Defaults()
 	var (
 		figure   = flag.String("figure", "all", "experiment: 7 | 8 | 9 | table1 | breakdown | all")
 		query    = flag.String("query", "Q2.1", "query for -figure breakdown")
-		dimScale = flag.Float64("dimscale", 0, "dimension scale (default 2)")
-		factRows = flag.Int64("factrows", 0, "fact rows (default 60000)")
-		seed     = flag.Uint64("seed", 42, "generator seed")
-		workersA = flag.Int("workers-a", 0, "cluster A workers (default 8)")
-		workersB = flag.Int("workers-b", 0, "cluster B workers (default 40)")
+		dimScale = flag.Float64("dimscale", def.DimScale, "dimension scale")
+		factRows = flag.Int64("factrows", def.FactRows, "fact rows")
+		seed     = flag.Uint64("seed", def.Seed, "generator seed")
+		workersA = flag.Int("workers-a", def.WorkersA, "cluster A workers")
+		workersB = flag.Int("workers-b", def.WorkersB, "cluster B workers")
 		fileMB   = flag.Int64("dfsio-mb", 8, "TestDFSIO file size in MB")
 		jobJSON  = flag.String("job-json", "", "with -figure breakdown: write the Clydesdale job result as JSON to this file ('-' for stdout)")
 		profJSON = flag.String("profile-json", "", "with -figure breakdown: write the Clydesdale query profile (EXPLAIN ANALYZE) as JSON to this file ('-' for stdout)")

@@ -117,6 +117,10 @@ type Harness struct {
 	hashMax map[string]int64
 }
 
+// Defaults is what a zero Config runs as; cmd/benchssb's flag defaults are
+// these, so its help states what runs.
+func Defaults() Config { return Config{}.withDefaults() }
+
 // NewHarness builds a harness.
 func NewHarness(cfg Config) (*Harness, error) {
 	cfg = cfg.withDefaults()

@@ -306,9 +306,6 @@ func (n *Node) SetDiskSlowdown(factor float64) {
 	n.diskSlow.Store(factor)
 }
 
-// DiskSlowdown returns the node's current disk slowdown factor.
-func (n *Node) DiskSlowdown() float64 { return n.diskSlow.Load() }
-
 // Revive brings a dead node back up with empty local state.
 func (n *Node) Revive() {
 	n.mu.Lock()

@@ -12,6 +12,7 @@ import (
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
+	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 )
 
@@ -77,9 +78,10 @@ type Options struct {
 	Speculative bool
 }
 
-// Engine executes physical plans (plan.Physical) on the MapReduce engine:
-// the single-job star join and the multi-pass staged plan. plan.Lower
-// produces the plans; Run is the front door for a star Query.
+// Engine executes physical plans (plan.Physical) on the MapReduce engine,
+// one job per pass of the plan: a star is one job, a multi-pass plan carries
+// rows from job to job and aggregates in the last. plan.Lower produces the
+// plans; Run is the front door for a star Query.
 type Engine struct {
 	mr    *mr.Engine
 	cat   *Catalog
@@ -205,11 +207,11 @@ type Report struct {
 	SortTime time.Duration
 	// Read is the {table → version} vector the answer was computed from.
 	Read Versions
-	// Staged reports whether the multi-pass plan ran, either because the
-	// plan asked for it or as the one-step-per-pass fallback of a plan that
-	// ran out of node memory. Passes counts the join jobs that ran: 1 for
-	// the star job, one map-only job per depth level for a snowflake plan,
-	// one per step after the fallback; 0 when no job ran.
+	// Passes counts the jobs that ran, one per pass of the plan: 1 for a
+	// star, one per depth level for a snowflake plan, one per step after the
+	// one-step-per-pass fallback of a plan that ran out of node memory; 0
+	// when no job ran. Staged reports that more than one did. Job is then
+	// the last pass's job, its counters those of every pass together.
 	Staged bool
 	Passes int
 	// PartitionsPruned and BytesSkipped summarize zone-map partition
@@ -228,9 +230,9 @@ func (r *Report) PlanAttr() string {
 	if r == nil || r.Passes == 0 {
 		return ""
 	}
-	kind := plan.KindStar
+	kind := "star"
 	if r.Staged {
-		kind = plan.KindStaged
+		kind = "staged"
 	}
 	return fmt.Sprintf("%s passes=%d", kind, r.Passes)
 }
@@ -319,13 +321,13 @@ func (e *Engine) ensureCached(ctx context.Context, dims []DimSpec) error {
 	return nil
 }
 
-// factScan is the fact-table input of both executors' first pass: the
-// shape's fact read set (every column under NoColumnarStorage), the fact
-// predicate, and the scan pushdowns derived from the depth-1 dimensions
-// head — FK-range prune hints, semi-join blooms, FKs decoded eagerly. It
-// scans the partition list the query pinned: a roll-in, compaction or
-// retention landing while the query runs changes what ListPartitions would
-// return, not what the query scans.
+// factScan is the fact-table input of a plan's first pass: the shape's fact
+// read set (every column under NoColumnarStorage), the fact predicate, and
+// the scan pushdowns derived from the depth-1 dimensions head — FK-range
+// prune hints, semi-join blooms, FKs decoded eagerly. It scans the partition
+// list the query pinned: a roll-in, compaction or retention landing while
+// the query runs changes what ListPartitions would return, not what the
+// query scans.
 func (e *Engine) factScan(sh *plan.Shape, head []DimSpec, pin *Pin) *colstore.CIFInput {
 	ab := e.opts.Ablate
 	input := &colstore.CIFInput{
@@ -347,11 +349,11 @@ func (e *Engine) factScan(sh *plan.Shape, head []DimSpec, pin *Pin) *colstore.CI
 	return input
 }
 
-// mapJoinConf configures a job whose map side runs the star-join runner.
-// With multi-threading on: one map task per node (capacity scheduling via a
-// whole-node memory request), JVM reuse so consecutive tasks share the
-// node's hash tables, and MultiCIF packing so each of the node's map slots
-// gets its own reader and probe thread.
+// mapJoinConf configures a pass, a job whose map side runs the star-join
+// runner. With multi-threading on: one map task per node (capacity
+// scheduling via a whole-node memory request), JVM reuse so consecutive
+// tasks share the node's hash tables, and MultiCIF packing so each of the
+// node's map slots gets its own reader and probe thread.
 func (e *Engine) mapJoinConf() *mr.JobConf {
 	conf := mr.NewJobConf()
 	if !e.opts.Ablate.Has(NoMultiThreading) {
@@ -364,10 +366,10 @@ func (e *Engine) mapJoinConf() *mr.JobConf {
 	return conf
 }
 
-// sumJob fills in the grouped-SUM reduce side both executors' last job
-// shares: sumReducer as combiner and reducer over (group key, partial sum),
-// one reducer per worker node (the paper's one reduce slot per node), a
-// single one for a grand aggregate.
+// sumJob fills in the grouped-SUM reduce side of a plan's last pass:
+// sumReducer as combiner and reducer over (group key, partial sum), one
+// reducer per worker node (the paper's one reduce slot per node), a single
+// one for a grand aggregate.
 func (e *Engine) sumJob(job *mr.Job, sh *plan.Shape) {
 	if e.opts.Speculative {
 		job.Conf.SetBool(mr.ConfSpeculative, true)
@@ -382,47 +384,6 @@ func (e *Engine) sumJob(job *mr.Job, sh *plan.Shape) {
 	job.ValueSchema = aggValueSchema
 }
 
-// runStar runs a depth-1 plan as one MapReduce job: the runner joins and
-// partially aggregates on the map side, reducers finish the grouped sums.
-func (e *Engine) runStar(ctx context.Context, p *plan.Physical, pin *Pin) (*results.ResultSet, *Report, error) {
-	start := time.Now()
-	sh := p.Shape
-	dims := pin.DimSpecs(p.Steps)
-	if err := e.ensureCached(ctx, dims); err != nil {
-		return nil, nil, err
-	}
-	runner, err := newSumRunner(e, sh, dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := &mr.MemoryOutput{}
-	job := &mr.Job{
-		Name:         "clydesdale-" + sh.Name,
-		Conf:         e.mapJoinConf(),
-		Input:        e.factScan(sh, dims, pin),
-		Output:       out,
-		NewMapRunner: func() mr.MapRunner { return runner },
-	}
-	e.sumJob(job, sh)
-	res, err := e.mr.Submit(ctx, job)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s: %w", sh.Name, err)
-	}
-	return finish(sh, out, &Report{Job: res, Passes: 1}, start)
-}
-
-// runJoinPass runs one map-only join pass of a multi-job plan: runner over
-// input, its carried rows written to output.
-func (e *Engine) runJoinPass(ctx context.Context, name string, input mr.InputFormat, output mr.OutputFormat, runner *starJoinRunner) (*mr.JobResult, error) {
-	return e.mr.Submit(ctx, &mr.Job{
-		Name:         name,
-		Conf:         e.mapJoinConf(),
-		Input:        input,
-		Output:       output,
-		NewMapRunner: func() mr.MapRunner { return runner },
-	})
-}
-
 // Orders is the shape's effective result ordering in the result package's
 // vocabulary.
 func Orders(sh *plan.Shape) []results.Order {
@@ -434,9 +395,9 @@ func Orders(sh *plan.Shape) []results.Order {
 	return orders
 }
 
-// finish is the epilogue both executors share: collect the grouped sums
-// the last job reduced into out, run the driver-side final sort (Figure 4
-// line 33), and complete the report.
+// finish is the driver-side epilogue: collect the grouped sums the last
+// pass reduced into out, run the final sort (Figure 4 line 33), and complete
+// the report.
 func finish(sh *plan.Shape, out *mr.MemoryOutput, rep *Report, start time.Time) (*results.ResultSet, *Report, error) {
 	rs := collectRows(sh.ResultSchema(), len(sh.GroupBy) > 0, out)
 	sortStart := time.Now()
@@ -450,4 +411,22 @@ func finish(sh *plan.Shape, out *mr.MemoryOutput, rep *Report, start time.Time) 
 	rep.Total = time.Since(start)
 	rep.fillScanStats(rep.Job.Counters)
 	return rs, rep, nil
+}
+
+// collectRows turns grouped-SUM reduce output into a result set.
+func collectRows(schema *records.Schema, grouped bool, out *mr.MemoryOutput) *results.ResultSet {
+	rs := &results.ResultSet{Schema: schema}
+	pairs := out.Pairs()
+	if len(pairs) == 0 && !grouped {
+		// Grand aggregate over an empty selection: one zero row.
+		rs.Rows = append(rs.Rows, records.Make(schema, records.Float(0)))
+		return rs
+	}
+	for _, kv := range pairs {
+		vals := make([]records.Value, 0, schema.Len())
+		vals = append(vals, kv.Key.Values()...)
+		vals = append(vals, records.Float(kv.Value.At(0).Float64()))
+		rs.Rows = append(rs.Rows, records.Make(schema, vals...))
+	}
+	return rs
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"clydesdale/internal/expr"
 	"clydesdale/internal/records"
 )
 
@@ -173,12 +174,14 @@ func BenchmarkAggregateEmit(b *testing.B) {
 			ab = NoInMapperCombining
 		}
 		return &starJoinRunner{
-			eng:       &Engine{opts: Options{Ablate: ab}},
-			dims:      make([]DimSpec, 2),
-			groupSrcs: []groupSrc{{dim: 0, aux: 0}, {dim: 1, aux: 0}},
-			gschema:   gschema,
+			eng:  &Engine{opts: Options{Ablate: ab}},
+			dims: make([]DimSpec, 2),
+			out:  gschema,
+			agg:  expr.Col("lo_revenue"),
 		}
 	}
+	// Where bind would find the group key: one aux column of each dimension.
+	srcs := []outputSource{{factIdx: -1, dim: 0, aux: 0}, {factIdx: -1, dim: 1, aux: 0}}
 
 	b.Run("inmapper", func(b *testing.B) {
 		r := newRunner(true)
@@ -189,7 +192,7 @@ func BenchmarkAggregateEmit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := i % groups
 			sc.auxRow[0], sc.auxRow[1] = years[g], brands[g]
-			if err := r.emitSum(sc, out, float64(i)); err != nil {
+			if err := r.emit(sc, out, srcs, float64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -209,7 +212,7 @@ func BenchmarkAggregateEmit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := i % groups
 			sc.auxRow[0], sc.auxRow[1] = years[g], brands[g]
-			if err := r.emitSum(sc, out, float64(i)); err != nil {
+			if err := r.emit(sc, out, srcs, float64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -225,8 +228,8 @@ func BenchmarkAggregateEmit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g := i % groups
 			sc.auxRow[0], sc.auxRow[1] = years[g], brands[g]
-			keyVals := make([]records.Value, len(r.groupSrcs))
-			for gi, src := range r.groupSrcs {
+			keyVals := make([]records.Value, len(srcs))
+			for gi, src := range srcs {
 				keyVals[gi] = sc.auxRow[src.dim][src.aux]
 			}
 			key := records.Make(gschema, keyVals...)

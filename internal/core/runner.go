@@ -10,7 +10,6 @@ import (
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
-	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -63,8 +62,8 @@ func RecordDimBuilds(ctrs *mr.Counters, hts ...*DimHashTable) []string {
 // build, or a private build), unpacks its multi-split into one reader per
 // thread, and probes every table with early-out over block or row readers.
 // What it does with a joined row is the sink, fixed once per job: fold the
-// measure into grouped partial sums (the star job) or carry the row on
-// through the collector (a staged pass).
+// measure into grouped partial sums (a plan's last pass, the star job) or
+// carry the row on through the collector (every pass before it).
 //
 // One runner instance serves every task of the job, so the table group
 // below is the per-job, per-node build cache — the Go equivalent of the
@@ -79,49 +78,13 @@ type starJoinRunner struct {
 	// stream is an already-filtered intermediate.
 	factPred expr.Pred
 
-	// The grouped-partial-sum sink: agg is the measure, groupSrcs locate
-	// the group key in the joined aux values.
-	agg       expr.Expr
-	groupSrcs []groupSrc
-	gschema   *records.Schema
-	// The carried-row sink, selected by a non-nil rowSchema: each joined
-	// row is assembled from probe-stream columns and aux values.
-	rowSchema *records.Schema
+	// out is what the sink assembles from every joined row, each column off
+	// the probe stream or out of a dimension's aux values: the carried row,
+	// or with a measure agg (the grouped-partial-sum sink) the group key.
+	out *records.Schema
+	agg expr.Expr
 
 	tables nodeTableGroup
-}
-
-// groupSrc locates one group-by column inside a dimension's aux values.
-type groupSrc struct{ dim, aux int }
-
-// newSumRunner is the star job's runner: join dims, SUM the shape's measure
-// grouped by its group-by columns.
-func newSumRunner(eng *Engine, sh *plan.Shape, dims []DimSpec) (*starJoinRunner, error) {
-	srcs := make([]groupSrc, len(sh.GroupBy))
-	for gi, gcol := range sh.GroupBy {
-		found := false
-		for di := range dims {
-			for ai, aux := range dims[di].Aux {
-				if aux == gcol {
-					srcs[gi] = groupSrc{dim: di, aux: ai}
-					found = true
-				}
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("core: group column %s not covered by dimension aux columns", gcol)
-		}
-	}
-	return &starJoinRunner{
-		eng: eng, dims: dims, factPred: sh.FactPred,
-		agg: sh.Agg, groupSrcs: srcs, gschema: sh.GroupSchema(),
-	}, nil
-}
-
-// newRowRunner is a join pass's runner: join dims and carry rows of schema
-// out on to the next pass.
-func newRowRunner(eng *Engine, dims []DimSpec, factPred expr.Pred, out *records.Schema) *starJoinRunner {
-	return &starJoinRunner{eng: eng, dims: dims, factPred: factPred, rowSchema: out}
 }
 
 // nodeTableGroup deduplicates hash-table builds across the concurrently
@@ -263,23 +226,21 @@ func (r *starJoinRunner) reserve(ctx *mr.TaskContext, hts []*DimHashTable) error
 }
 
 // probeScratch is one probe thread's reusable state: the per-row join
-// buffers, the boxed records handed to the collector — key/value for an
-// uncombined partial sum, rowRec for a carried row; safe to reuse, since
-// the map collector and the row writers serialize immediately and retain
-// nothing — and the in-mapper aggregator when combining is on.
+// buffers, the boxed records handed to the collector — outRec the carried
+// row or the group key, valRec an uncombined partial sum; safe to reuse,
+// since the map collector and the row writers serialize immediately and
+// retain nothing — and the in-mapper aggregator when combining is on.
 type probeScratch struct {
 	auxRow  [][]records.Value
 	fkCols  [][]int64
 	fkCodes [][]uint32 // per dim: the FK column's dictionary codes, when carried
 	fkSide  [][]int32  // per dim: code→arena-offset side table, nil → hash probe
-	keyVals []records.Value
-	keyRec  records.Record // wraps keyVals
+	outVals []records.Value
+	outRec  records.Record // wraps outVals
 	valVals []records.Value
 	valRec  records.Record // wraps valVals
 	keyBuf  []byte
 	agg     *groupAgg
-	rowVals []records.Value
-	rowRec  records.Record // wraps rowVals
 }
 
 func (r *starJoinRunner) newScratch() *probeScratch {
@@ -288,17 +249,12 @@ func (r *starJoinRunner) newScratch() *probeScratch {
 		fkCols:  make([][]int64, len(r.dims)),
 		fkCodes: make([][]uint32, len(r.dims)),
 		fkSide:  make([][]int32, len(r.dims)),
-		keyVals: make([]records.Value, len(r.groupSrcs)),
+		outVals: make([]records.Value, r.out.Len()),
 		valVals: make([]records.Value, 1),
 	}
-	if r.rowSchema != nil {
-		sc.rowVals = make([]records.Value, r.rowSchema.Len())
-		sc.rowRec = records.Make(r.rowSchema, sc.rowVals...)
-		return sc
-	}
-	sc.keyRec = records.Make(r.gschema, sc.keyVals...)
+	sc.outRec = records.Make(r.out, sc.outVals...)
 	sc.valRec = records.Make(aggValueSchema, sc.valVals...)
-	if !r.eng.opts.Ablate.Has(NoInMapperCombining) {
+	if r.agg != nil && !r.eng.opts.Ablate.Has(NoInMapperCombining) {
 		sc.agg = newGroupAgg()
 	}
 	return sc
@@ -396,7 +352,7 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 			if sc.agg != nil {
 				// In-mapper combining: the boxed records exist only now,
 				// one pair per group instead of one per joined row.
-				errs[i] = sc.agg.flush(r.gschema, out)
+				errs[i] = sc.agg.flush(r.out, out)
 			}
 		}(i)
 	}
@@ -421,8 +377,7 @@ func (r *starJoinRunner) probe(ctx *mr.TaskContext, rd mr.RecordReader, hts []*D
 }
 
 // bind resolves, against the schema a reader yields, where each dimension's
-// FK sits and — for the carried-row sink — where every output column comes
-// from.
+// FK sits and where every column the sink assembles comes from.
 func (r *starJoinRunner) bind(schema *records.Schema) (fkIdx []int, srcs []outputSource, err error) {
 	fkIdx = make([]int, len(r.dims))
 	for i, d := range r.dims {
@@ -430,9 +385,7 @@ func (r *starJoinRunner) bind(schema *records.Schema) (fkIdx []int, srcs []outpu
 			return nil, nil, fmt.Errorf("core: probe stream %v lacks FK %s", schema, d.FactFK)
 		}
 	}
-	if r.rowSchema != nil {
-		srcs, err = outputSources(r.rowSchema, schema, r.dims)
-	}
+	srcs, err = outputSources(r.out, schema, r.dims)
 	return fkIdx, srcs, err
 }
 
@@ -465,7 +418,7 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 					return err
 				}
 			}
-			if r.rowSchema == nil {
+			if r.agg != nil {
 				if agg, err = expr.CompileBlockNum(r.agg, schema); err != nil {
 					return err
 				}
@@ -518,17 +471,16 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 				}
 				auxRow[d] = aux
 			}
-			if srcs != nil {
-				for oi, s := range srcs {
-					if s.factIdx >= 0 {
-						sc.rowVals[oi] = blk.Col(s.factIdx).Value(i)
-					}
+			for oi, s := range srcs {
+				if s.factIdx >= 0 {
+					sc.outVals[oi] = blk.Col(s.factIdx).Value(i)
 				}
-				err = r.emitRow(sc, out, srcs)
-			} else {
-				err = r.emitSum(sc, out, agg(blk, i))
 			}
-			if err != nil {
+			var measure float64
+			if agg != nil {
+				measure = agg(blk, i)
+			}
+			if err := r.emit(sc, out, srcs, measure); err != nil {
 				return err
 			}
 			emits++
@@ -573,7 +525,7 @@ rowLoop:
 					return err
 				}
 			}
-			if r.rowSchema == nil {
+			if r.agg != nil {
 				if agg, err = expr.CompileNum(r.agg, schema); err != nil {
 					return err
 				}
@@ -594,17 +546,16 @@ rowLoop:
 			}
 			auxRow[d] = aux
 		}
-		if srcs != nil {
-			for oi, s := range srcs {
-				if s.factIdx >= 0 {
-					sc.rowVals[oi] = rec.At(s.factIdx)
-				}
+		for oi, s := range srcs {
+			if s.factIdx >= 0 {
+				sc.outVals[oi] = rec.At(s.factIdx)
 			}
-			err = r.emitRow(sc, out, srcs)
-		} else {
-			err = r.emitSum(sc, out, agg(rec))
 		}
-		if err != nil {
+		var measure float64
+		if agg != nil {
+			measure = agg(rec)
+		}
+		if err := r.emit(sc, out, srcs, measure); err != nil {
 			return err
 		}
 		emits++
@@ -614,36 +565,31 @@ rowLoop:
 	return nil
 }
 
-// emitSum is the grouped-partial-sum sink: it gathers the group key from
-// the joined aux values and either folds the measure into the thread's
-// aggregator (in-mapper combining) or collects a (key, measure) pair through
-// the reusable scratch records — both paths allocation-free per row.
-func (r *starJoinRunner) emitSum(sc *probeScratch, out mr.Collector, measure float64) error {
-	for gi, src := range r.groupSrcs {
-		sc.keyVals[gi] = sc.auxRow[src.dim][src.aux]
+// emit is the sink. The caller has filled the columns of out that come off
+// the probe stream; the rest come from the joined aux values. A carried row
+// then goes through the collector in the thread's reusable record; a group
+// key has its measure folded into the thread's aggregator (in-mapper
+// combining) or collected as a (key, measure) pair through the reusable
+// records — every path allocation-free per row.
+func (r *starJoinRunner) emit(sc *probeScratch, out mr.Collector, srcs []outputSource, measure float64) error {
+	for oi, s := range srcs {
+		if s.factIdx < 0 {
+			sc.outVals[oi] = sc.auxRow[s.dim][s.aux]
+		}
 	}
-	if sc.agg != nil {
-		sc.keyBuf = records.AppendRecord(sc.keyBuf[:0], sc.keyRec)
+	switch {
+	case r.agg == nil:
+		return out.Collect(records.Record{}, sc.outRec)
+	case sc.agg != nil:
+		sc.keyBuf = records.AppendRecord(sc.keyBuf[:0], sc.outRec)
 		sc.agg.add(sc.keyBuf, measure)
 		return nil
 	}
 	sc.valVals[0] = records.Float(measure)
-	return out.Collect(sc.keyRec, sc.valRec)
+	return out.Collect(sc.outRec, sc.valRec)
 }
 
-// emitRow is the carried-row sink: the caller has filled the columns that
-// come off the probe stream; the rest come from the joined aux values. The
-// row goes through the collector in the thread's reusable record.
-func (r *starJoinRunner) emitRow(sc *probeScratch, out mr.Collector, srcs []outputSource) error {
-	for oi, s := range srcs {
-		if s.factIdx < 0 {
-			sc.rowVals[oi] = sc.auxRow[s.dim][s.aux]
-		}
-	}
-	return out.Collect(records.Record{}, sc.rowRec)
-}
-
-// outputSource locates one column of a carried row: a probe-stream column
+// outputSource locates one column the sink assembles: a probe-stream column
 // or a dimension aux column.
 type outputSource struct {
 	factIdx int // >= 0: index in the probe stream's schema
@@ -670,7 +616,7 @@ fields:
 				}
 			}
 		}
-		return nil, fmt.Errorf("core: carried column %s has no source", name)
+		return nil, fmt.Errorf("core: output column %s has neither a probe-stream nor an aux source", name)
 	}
 	return srcs, nil
 }

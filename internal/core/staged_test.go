@@ -2,10 +2,13 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
+	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/plan"
@@ -15,14 +18,19 @@ import (
 	"clydesdale/internal/ssb"
 )
 
+// lowerAsRun lowers q the way Run does.
+func lowerAsRun(eng *core.Engine, q *core.Query) (*plan.Physical, error) {
+	l, err := core.LogicalOf(q, eng.Catalog())
+	if err != nil {
+		return nil, err
+	}
+	return plan.Lower(l)
+}
+
 // runStaged forces the §5.1 plan: it lowers q as Run would and executes the
 // plan's one-step-per-pass form.
 func runStaged(eng *core.Engine, q *core.Query) (*results.ResultSet, *core.Report, error) {
-	l, err := core.LogicalOf(q, eng.Catalog())
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := plan.Lower(l)
+	p, err := lowerAsRun(eng, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -31,16 +39,18 @@ func runStaged(eng *core.Engine, q *core.Query) (*results.ResultSet, *core.Repor
 
 // TestStagedMatchesReference runs every SSB query through the §5.1 staged
 // plan and checks the answers against the reference executor — under full
-// Clydesdale and under each ablation that changes how a join pass reads and
-// probes (its carried-row sink runs over block and row readers, on one
-// thread or many).
+// Clydesdale and under each of the paper's ablations: the carried-row sink
+// runs over block and row readers, on one thread or many, and the last
+// pass's sum sink, combining in the mapper or not, over carried rows. A
+// one-join query's one-step-per-pass form is the plan itself, one job.
 func TestStagedMatchesReference(t *testing.T) {
 	e := newEnv(t, 3, 0.002)
 	for name, ab := range map[string]core.Ablate{
-		"none":               0,
-		"no-columnar":        core.NoColumnarStorage,
-		"no-block-iteration": core.NoBlockIteration,
-		"no-multithread":     core.NoMultiThreading,
+		"none":                   0,
+		"no-columnar":            core.NoColumnarStorage,
+		"no-block-iteration":     core.NoBlockIteration,
+		"no-multithread":         core.NoMultiThreading,
+		"no-in-mapper-combining": core.NoInMapperCombining,
 	} {
 		eng := e.engine(core.Options{Ablate: ab})
 		for _, q := range ssb.Queries() {
@@ -55,8 +65,8 @@ func TestStagedMatchesReference(t *testing.T) {
 			if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 				t.Errorf("%s %s staged: %s", name, q.Name, why)
 			}
-			if !rep.Staged {
-				t.Errorf("%s %s: report does not say staged", name, q.Name)
+			if rep.Passes != len(q.Dims) || rep.Staged != (len(q.Dims) > 1) {
+				t.Errorf("%s %s: report says staged=%v passes=%d for %d joins", name, q.Name, rep.Staged, rep.Passes, len(q.Dims))
 			}
 			if rep.Job.Counters.Get(core.CtrHashTablesBuilt) == 0 {
 				t.Errorf("%s %s: no hash builds recorded", name, q.Name)
@@ -110,8 +120,29 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 		t.Errorf("staged under pressure: %s", why)
 	}
 
-	// Run tries the single-job plan, which must OOM — the fallback runs on
-	// no other error — and picks the staged path automatically.
+	// The single-job plan as lowered, with no fallback, must OOM, and the
+	// error names every table of the pass that failed, not just the first.
+	star, err := lowerAsRun(eng, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := eng.Pin(star.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = core.RunAsLowered(eng, context.Background(), star, pin)
+	pin.Release()
+	if !errors.Is(err, core.ErrOOM) {
+		t.Fatalf("single job under pressure: %v, want ErrOOM", err)
+	}
+	for _, d := range q.Dims {
+		if !strings.Contains(err.Error(), d.Table) {
+			t.Errorf("the failed pass joins %s, its error does not say so: %v", d.Table, err)
+		}
+	}
+
+	// Run hits the same OOM — the fallback runs on no other error — and
+	// picks the staged path automatically.
 	rs2, rep, err := eng.Run(context.Background(), q)
 	if err != nil {
 		t.Fatalf("auto: %v", err)
@@ -132,6 +163,49 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	if files := fs.List("/tmp/clydesdale/"); len(files) != 0 {
 		t.Errorf("leftover staged intermediates: %v", files)
 	}
+}
+
+// TestZeroJoinStatementIsOnePass runs a statement with no joins, SELECT
+// SUM(lo_revenue) FROM lineorder WHERE lo_discount < 3: a plan of zero steps
+// is still one pass, the fact scan aggregated by one job that builds nothing
+// and leaves nothing behind, as lowered and one step per pass alike.
+func TestZeroJoinStatementIsOnePass(t *testing.T) {
+	e := newEnv(t, 2, 0.002)
+	eng := e.engine(core.Options{})
+	l := zeroJoinStatement(eng.Catalog())
+	want, err := refexec.RunLogical(l, e.gen.Each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Lower(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*plan.Physical{p, p.OneStepPerPass()} {
+		rs, rep, err := eng.RunPlan(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+			t.Errorf("zero joins: %s\ngot:\n%swant:\n%s", why, rs, want)
+		}
+		c := rep.Job.Counters
+		if rep.Passes != 1 || rep.Staged || c.Get(mr.CtrMapTasks) == 0 || c.Get(mr.CtrReduceTasks) != 1 || c.Get(core.CtrHashTablesBuilt) != 0 {
+			t.Errorf("zero joins ran staged=%v passes=%d with %d map tasks, %d reduce tasks and %d hash builds; want one aggregating job that builds nothing",
+				rep.Staged, rep.Passes, c.Get(mr.CtrMapTasks), c.Get(mr.CtrReduceTasks), c.Get(core.CtrHashTablesBuilt))
+		}
+	}
+	if files := e.fs.List("/tmp/clydesdale/"); len(files) != 0 {
+		t.Errorf("a one-pass plan wrote intermediates: %v", files)
+	}
+}
+
+// zeroJoinStatement is SELECT SUM(lo_revenue) AS revenue FROM lineorder
+// WHERE lo_discount < 3 as a bound logical plan.
+func zeroJoinStatement(cat *core.Catalog) *plan.Logical {
+	var n plan.Node = &plan.Scan{Table: cat.FactName, Source: cat.FactSchema, Fact: true}
+	n = &plan.Filter{Input: n, Pred: expr.Lt(expr.Col("lo_discount"), expr.ConstInt(3))}
+	return &plan.Logical{Name: "zero-joins", Root: &plan.Aggregate{Input: n, Agg: expr.Col("lo_revenue"), AggName: "revenue"}}
 }
 
 // TestRunPrefersSinglePass checks the fast path is used when memory

@@ -6,21 +6,27 @@ import (
 	"strings"
 )
 
-// Explain renders a physical plan as deterministic text: the kind and pass
-// count, the fact scan, then one line per join step led by the pass that
-// runs it (steps with equal pass numbers share a job) with its join and
-// filter text. The 13 SSB plans are golden-pinned on this format, so a
-// change to the lowering shows up in review as golden diffs.
+// Explain renders a physical plan as deterministic text: the kind (star for
+// one pass, staged for more) and pass count, the fact scan, then one line
+// per join step led by the pass that runs it (steps with equal pass numbers
+// share a job) with its join and filter text. The 13 SSB plans are
+// golden-pinned on this format, so a change to the lowering shows up in
+// review as golden diffs.
 func Explain(w io.Writer, p *Physical) error {
 	sh := p.Shape
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan %s: kind=%s passes=%d\n", sh.Name, p.Kind, len(p.Passes))
+	passes := p.PassSteps()
+	kind := "star"
+	if len(passes) > 1 {
+		kind = "staged"
+	}
+	fmt.Fprintf(&b, "plan %s: kind=%s passes=%d\n", sh.Name, kind, len(passes))
 	fmt.Fprintf(&b, "  scan %s read=[%s]", sh.Fact, strings.Join(sh.FactColumns(), " "))
 	if sh.FactPred != nil {
 		fmt.Fprintf(&b, " where %s", sh.FactPred)
 	}
 	b.WriteByte('\n')
-	for pi, steps := range p.PassSteps() {
+	for pi, steps := range passes {
 		for i := range steps {
 			st := &steps[i]
 			fmt.Fprintf(&b, "  pass %d: join %s on %s = %s", pi+1, st.Table, st.FK, st.PK)

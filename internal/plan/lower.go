@@ -1,53 +1,25 @@
 package plan
 
-import (
-	"fmt"
-
-	"clydesdale/internal/records"
-)
-
-// Kind says what a plan's join passes do with a joined row.
-type Kind uint8
-
-const (
-	// KindStar is the single Clydesdale star-join job: its one pass folds
-	// every joined row into the grouped sums the job's reducers finish.
-	KindStar Kind = iota
-	// KindStaged is the multi-pass plan: every pass is a map-only job that
-	// carries its joined rows to an intermediate, and one more job
-	// aggregates the last intermediate.
-	KindStaged
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindStar:
-		return "star"
-	case KindStaged:
-		return "staged"
-	}
-	return fmt.Sprintf("kind(%d)", k)
-}
+import "clydesdale/internal/records"
 
 // Physical is a lowered plan: the shape, its join pipeline, and how the
 // pipeline is cut into MapReduce jobs. Lower builds it and OneStepPerPass
 // re-cuts it; there is no other way to obtain one.
 type Physical struct {
 	Shape *Shape
-	Kind  Kind
 	Steps []Step
-	// Passes cuts Steps into join jobs: pass i probes the next Passes[i]
-	// steps' tables together, each table resident on every node while the
-	// pass runs. The counts sum to len(Steps).
+	// Passes cuts Steps into jobs: pass i probes the next Passes[i] steps'
+	// tables together, each table resident on every node while the pass
+	// runs, and the last pass also aggregates. The counts sum to len(Steps).
 	Passes []int
 }
 
 // Lower compiles a bound logical plan into the physical plan the engine
-// runs. Steps are ordered depth-first (a star keeps its bind order): a shape
-// whose joins all hang off the fact is one star-join job, and a snowflake is
-// one map-only pass per depth level — every table of a level probes a key
-// the levels before it carried — followed by the aggregation job. It reads
-// no table, so it is cheap enough for every query.
+// runs. Steps are ordered level by level (a star keeps its bind order): a
+// shape whose joins all hang off the fact is one star-join job, and a
+// snowflake is one pass per depth level — every table of a level probes a
+// key the levels before it carried — map-only but for the last, which
+// aggregates. It reads no table, so it is cheap enough for every query.
 func Lower(l *Logical) (*Physical, error) {
 	sh, err := Decompose(l)
 	if err != nil {
@@ -70,15 +42,15 @@ func Lower(l *Logical) (*Physical, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Physical{Shape: sh, Steps: steps, Passes: passes}
-	if len(passes) > 1 {
-		p.Kind = KindStaged
-	}
-	return p, nil
+	return &Physical{Shape: sh, Steps: steps, Passes: passes}, nil
 }
 
-// PassSteps returns the steps of each pass, in pass order.
+// PassSteps returns the steps of each pass, in pass order. A plan with no
+// joins is still one pass, over zero tables: the fact scan aggregated.
 func (p *Physical) PassSteps() [][]Step {
+	if len(p.Steps) == 0 {
+		return [][]Step{nil}
+	}
 	out := make([][]Step, len(p.Passes))
 	next := 0
 	for i, n := range p.Passes {
@@ -93,7 +65,7 @@ func (p *Physical) PassSteps() [][]Step {
 // sum. The engine re-runs a plan this way when a pass runs out of node
 // memory; the staged-plan tests and benchmarks obtain it the same way.
 func (p *Physical) OneStepPerPass() *Physical {
-	q := &Physical{Shape: p.Shape, Kind: KindStaged, Steps: p.Steps, Passes: make([]int, len(p.Steps))}
+	q := &Physical{Shape: p.Shape, Steps: p.Steps, Passes: make([]int, len(p.Steps))}
 	for i := range q.Passes {
 		q.Passes[i] = 1
 	}

@@ -3,8 +3,8 @@
 // filter / join / aggregate / order nodes; Decompose canonicalizes the tree
 // into a Shape (fact scan + join pipeline + aggregation), Pipeline turns the
 // join tree into an ordered pipeline of Steps with resolved column liveness,
-// and Lower cuts that pipeline into the MapReduce passes Clydesdale runs:
-// the single star-join job, or one map-only join pass per snowflake depth
+// and Lower cuts that pipeline into the MapReduce passes Clydesdale runs,
+// one job each: the single star-join job, or one pass per snowflake depth
 // level. The Hive baseline lowers the same Shape its own way.
 //
 // The package deliberately depends only on the expression and record

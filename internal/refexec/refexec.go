@@ -72,14 +72,14 @@ func Run(gen *ssb.Generator, q *ssb.Query) (*results.ResultSet, error) {
 	}
 
 	// Map group-by columns to (dim index, aux index).
-	type groupSrc struct{ dim, aux int }
-	groupSrcs := make([]groupSrc, len(q.GroupBy))
+	type keySrc struct{ dim, aux int }
+	keySrcs := make([]keySrc, len(q.GroupBy))
 	for gi, gcol := range q.GroupBy {
 		found := false
 		for di, d := range dims {
 			for ai, aux := range d.spec.Aux {
 				if aux == gcol {
-					groupSrcs[gi] = groupSrc{dim: di, aux: ai}
+					keySrcs[gi] = keySrc{dim: di, aux: ai}
 					found = true
 				}
 			}
@@ -108,8 +108,8 @@ func Run(gen *ssb.Generator, q *ssb.Query) (*results.ResultSet, error) {
 			auxRow[i] = aux
 		}
 		var keyStr string
-		key := make([]records.Value, len(groupSrcs))
-		for gi, src := range groupSrcs {
+		key := make([]records.Value, len(keySrcs))
+		for gi, src := range keySrcs {
 			v := auxRow[src.dim][src.aux]
 			key[gi] = v
 			keyStr += v.String() + "\x00"

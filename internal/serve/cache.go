@@ -83,19 +83,6 @@ func newTableCache(budget int64) *tableCache {
 	return &tableCache{budget: budget, nodes: make(map[string]*nodeCache)}
 }
 
-// NewTableProvider returns a standalone cross-query dimension-table cache
-// implementing core.TableProvider, for embedders (benchmark harnesses,
-// tools) that want resident hash tables across jobs without a full serving
-// Session. Unlike a Session's cache it is not wired to the cluster death
-// watcher, so it suits single-process use where nodes are not killed.
-// budget bounds resident table bytes per node (<= 0 means 256 MiB).
-func NewTableProvider(budget int64) core.TableProvider {
-	if budget <= 0 {
-		budget = 256 << 20
-	}
-	return newTableCache(budget)
-}
-
 // AcquireDimTable implements core.TableProvider: return the node's resident
 // table for the spec, building (and reserving node memory for) it on first
 // use. The returned release unpins the table; the bytes stay resident —

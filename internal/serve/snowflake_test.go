@@ -15,6 +15,7 @@ import (
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
+	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
 
@@ -118,4 +119,44 @@ func TestServeSnowflakeOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeZeroJoinStatement serves a statement with no joins: a plan of
+// zero steps is one pass over zero tables, so the session admits it at no
+// table cost, runs one job that builds nothing, answers as the logical-plan
+// oracle does and then from the result cache, and leaves no intermediate.
+func TestServeZeroJoinStatement(t *testing.T) {
+	e := newEnv(t, 2, 0.002, mr.Options{})
+	l, err := sql.Parse("SELECT SUM(lo_revenue) AS revenue FROM lineorder WHERE lo_discount < 3", e.lay.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refexec.RunLogical(l, e.gen.Each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.session(serve.Options{})
+	for _, round := range []string{"computed", "cached"} {
+		rs, rep, err := s.QueryPlan(context.Background(), l)
+		if err != nil {
+			t.Fatalf("%s: %v", round, err)
+		}
+		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+			t.Errorf("%s: %s\ngot:\n%swant:\n%s", round, why, rs, want)
+		}
+		if round == "computed" && (rep.Passes != 1 || rep.Staged || rep.Job.Counters.Get(core.CtrHashTablesBuilt) != 0) {
+			t.Errorf("zero joins ran staged=%v passes=%d with %d hash builds, want one pass that builds nothing",
+				rep.Staged, rep.Passes, rep.Job.Counters.Get(core.CtrHashTablesBuilt))
+		}
+	}
+	if st := s.Stats(); st.ResultHits != 1 || st.Builds != 0 {
+		t.Errorf("second round: %d result-cache hits and %d table builds, want 1 and 0", st.ResultHits, st.Builds)
+	}
+	if files := e.fs.List("/tmp/clydesdale/"); len(files) != 0 {
+		t.Errorf("a one-pass plan wrote intermediates: %v", files)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e.checkNoLeak(t)
 }

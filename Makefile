@@ -23,12 +23,19 @@ vet:
 # front door the repository benchmark calls.) Nor does the invalidation
 # fan-out come back: derived state is keyed by table version (DESIGN.md
 # "Table versions"), so the engine and the serving layer have no hint
-# generations, table-cache generations or doomed entries to maintain.
+# generations, table-cache generations or doomed entries to maintain. Nor
+# does a second dimension path: a task gets its hash tables from
+# core.TableCache and the driver scans a dimension version once, in
+# core.Engine.dimScanFor (DESIGN.md "Dimension cache"), so no TableProvider,
+# nodeTableGroup or version memo of its own belongs in the serving layer.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
 	@if grep -rnw -e hintGen -e invalidateDim -e dropEstimates -e doomed internal/core internal/serve; then \
 		echo "invalidation fan-out in core/serve: key the state by table version instead"; exit 1; fi
+	@if grep -rnw -e TableProvider -e nodeTableGroup internal/core internal/serve || \
+		grep -n VersionMemo $$(ls internal/serve/*.go | grep -v _test.go); then \
+		echo "second dimension path: tables come from core.TableCache, driver-side dimension scans from core.Engine.dimScanFor (DimTableBytes)"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

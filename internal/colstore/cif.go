@@ -158,12 +158,7 @@ func (w *CIFWriter) flushPartition() error {
 		col := w.block.Col(i)
 		enc, payload, dict := encodeColumn(col)
 		ps.Cols[i] = columnStats(w.schema.Field(i).Name, col, dict)
-		buf := append([]byte(nil), cifMagic...)
-		buf = binary.AppendUvarint(buf, uint64(col.Len()))
-		buf = append(buf, byte(enc))
-		buf = append(buf, payload...)
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-		files = append(files, hdfs.File{Path: fmt.Sprintf("%s/%s.col", pdir, w.schema.Field(i).Name), Data: buf})
+		files = append(files, hdfs.File{Path: fmt.Sprintf("%s/%s.col", pdir, w.schema.Field(i).Name), Data: columnFile(col.Len(), enc, payload)})
 	}
 	files = append(files, hdfs.File{Path: pdir + "/" + StatsFileName, Data: ps.encode()})
 	if err := w.fs.WriteFiles("", files); err != nil {
@@ -179,7 +174,9 @@ func (w *CIFWriter) flushPartition() error {
 	return nil
 }
 
-// columnFile frames one encoded column as a column file.
+// columnFile frames one encoded column as a column file: what every writer
+// (load, roll-in, compaction) stores and what the decoder tests and fuzz
+// seeds are built with.
 func columnFile(rows int, enc Encoding, payload []byte) []byte {
 	buf := make([]byte, 0, len(cifMagic)+binary.MaxVarintLen64+1+len(payload)+4)
 	buf = append(buf, cifMagic...)

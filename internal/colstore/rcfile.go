@@ -223,7 +223,6 @@ func (in *RCInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 		return nil, err
 	}
 	var splits []mr.InputSplit
-	blockSize := ctx.FS.BlockSize()
 	for _, path := range listDataFiles(ctx.FS, in.Dir) {
 		r, err := ctx.FS.Open(path, "")
 		if err != nil {
@@ -234,28 +233,18 @@ func (in *RCInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 		if err != nil {
 			return nil, err
 		}
-		var cur *RCSplit
-		var curBlock int64 = -1
-		for _, g := range groups {
-			blk := g.offset / blockSize
-			if cur == nil || blk != curBlock {
-				locs, err := ctx.FS.BlockLocations(path, g.offset, 1)
-				if err != nil {
-					return nil, err
-				}
-				var hosts []string
-				if len(locs) > 0 {
-					hosts = locs[0].Hosts
-				}
-				cur = &RCSplit{Path: path, Hosts: hosts}
-				splits = append(splits, cur)
-				curBlock = blk
-			}
-			cur.Groups = append(cur.Groups, g)
+		fileSplits, err := splitAtBlocks(ctx.FS, path, groups, func(g rcGroupMeta) (offset, length int64) {
 			for _, l := range g.chunkLens {
-				cur.bytes += l
+				length += l
 			}
+			return g.offset, length
+		}, func(gs []rcGroupMeta, hosts []string, bytes int64) mr.InputSplit {
+			return &RCSplit{Path: path, Groups: gs, Hosts: hosts, bytes: bytes}
+		})
+		if err != nil {
+			return nil, err
 		}
+		splits = append(splits, fileSplits...)
 	}
 	return splits, nil
 }

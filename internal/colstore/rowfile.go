@@ -302,27 +302,39 @@ func splitRowFile(fs *hdfs.FileSystem, path string) ([]mr.InputSplit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return splitAtBlocks(fs, path, groups, func(g groupMeta) (int64, int64) { return g.offset, g.length },
+		func(gs []groupMeta, hosts []string, bytes int64) mr.InputSplit {
+			return &RowSplit{Path: path, Groups: gs, Hosts: hosts, bytes: bytes}
+		})
+}
+
+// splitAtBlocks cuts a file's groups, each at span(g) = (offset, byte
+// length) in file order, into one split per HDFS block a group starts in,
+// located where that block is: the split rule row files and RCFiles share.
+func splitAtBlocks[G any](fs *hdfs.FileSystem, path string, groups []G, span func(G) (offset, length int64),
+	split func(groups []G, hosts []string, bytes int64) mr.InputSplit) ([]mr.InputSplit, error) {
 	blockSize := fs.BlockSize()
 	var splits []mr.InputSplit
-	var cur *RowSplit
-	var curBlock int64 = -1
-	for _, g := range groups {
-		blk := g.offset / blockSize
-		if cur == nil || blk != curBlock {
-			locs, err := fs.BlockLocations(path, g.offset, 1)
-			if err != nil {
-				return nil, err
-			}
-			var hosts []string
-			if len(locs) > 0 {
-				hosts = locs[0].Hosts
-			}
-			cur = &RowSplit{Path: path, Hosts: hosts}
-			splits = append(splits, cur)
-			curBlock = blk
+	for lo := 0; lo < len(groups); {
+		offset, bytes := span(groups[lo])
+		locs, err := fs.BlockLocations(path, offset, 1)
+		if err != nil {
+			return nil, err
 		}
-		cur.Groups = append(cur.Groups, g)
-		cur.bytes += g.length
+		var hosts []string
+		if len(locs) > 0 {
+			hosts = locs[0].Hosts
+		}
+		hi := lo + 1
+		for ; hi < len(groups); hi++ {
+			o, l := span(groups[hi])
+			if o/blockSize != offset/blockSize {
+				break
+			}
+			bytes += l
+		}
+		splits = append(splits, split(groups[lo:hi], hosts, bytes))
+		lo = hi
 	}
 	return splits, nil
 }

@@ -66,11 +66,11 @@ func (a Ablate) Has(f Ablate) bool { return a&f != 0 }
 type Options struct {
 	// Ablate switches techniques off; zero runs everything.
 	Ablate Ablate
-	// Tables, when non-nil, supplies the dimension hash tables instead of
-	// per-job builds — the hook a serving layer uses to share tables across
-	// queries. The provider owns node memory accounting and build
-	// instrumentation for the tables it hands out.
-	Tables TableProvider
+	// Tables, when non-nil, is the cache every job takes its dimension hash
+	// tables from and leaves them in — how a serving layer shares tables
+	// across queries. Its owner closes it. With none, each job has a cache
+	// of its own for as long as it runs (§5.2).
+	Tables *TableCache
 	// Speculative enables MapReduce speculative execution for the query
 	// jobs: once the pending queue drains, still-running map tasks get
 	// backup attempts on other nodes, masking stragglers (slow disks, hot
@@ -88,9 +88,9 @@ type Engine struct {
 	opts  Options
 	snaps *colstore.Snapshots
 
-	// hints memoizes the scan pushdowns (FK-range prune hint + semi-join
-	// bloom) derived from one version of a dimension under one predicate.
-	hints colstore.VersionMemo[*dimScan]
+	// scans memoizes what the driver's one scan of a dimension version under
+	// one build spec yields (dimScan), by DimSpec.Fingerprint.
+	scans colstore.VersionMemo[*dimScan]
 }
 
 // New creates an engine over a MapReduce engine and a catalog.
@@ -304,17 +304,14 @@ func (e *Engine) phaseSpan(ctx context.Context, name string) func() {
 	}
 }
 
-// ensureCached makes the node-local copy of every listed dimension, at the
-// version its spec names, present on every live node (normally a no-op
-// after cluster setup), under a dim-cache phase span.
-func (e *Engine) ensureCached(ctx context.Context, dims []DimSpec) error {
+// ensureCached makes the node-local copy of every listed dimension (dirs
+// index-aligned with dims), at the version its spec names, present on every
+// live node (normally a no-op after cluster setup), under a dim-cache phase
+// span.
+func (e *Engine) ensureCached(ctx context.Context, dims []DimSpec, dirs []string) error {
 	defer e.phaseSpan(ctx, obs.PhaseDimCache)()
 	for i := range dims {
-		dir, err := e.cat.DimDir(dims[i].Table)
-		if err != nil {
-			return err
-		}
-		if _, err := ensureDimCached(e.mr.FS(), dir, dims[i].Version); err != nil {
+		if _, err := ensureDimCached(e.mr.FS(), dirs[i], dims[i].Version); err != nil {
 			return err
 		}
 	}

@@ -579,47 +579,24 @@ func dimTableCapacity(n int64) int64 {
 }
 
 // EstimateDimHashBytes computes the memory each listed dimension hash
-// table would occupy (one entry per spec, in order), by
-// evaluating the dimension predicates over rows supplied by each(table).
-// It mirrors the open-addressing layout exactly — slot and tag arrays at
-// the capacity the build ends with, plus the aux-value arena — so the
-// estimate equals the MemBytes a real build reserves. The benchmark
-// harness uses it (with the SSB generator as the row source, so no I/O is
-// charged) to size the Clydesdale residency constraint: a node holds the
-// *sum* of the query's tables (§6.4). Mapjoin budgets use the boxed-map
-// model in package hive instead.
+// table would occupy (one entry per spec, in order), by evaluating the
+// dimension predicates over rows supplied by each(table): the driver's
+// dimension scan (scanDim, whose bytes equal the MemBytes a real build
+// reserves) over the caller's row source. The benchmark harness uses it
+// (with the SSB generator as the row source, so no I/O is charged) to size
+// the Clydesdale residency constraint: a node holds the *sum* of the
+// query's tables (§6.4). Mapjoin budgets use the boxed-map model in package
+// hive instead.
 func EstimateDimHashBytes(dims []DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
 	out := make([]int64, len(dims))
 	for i := range dims {
-		spec := &dims[i]
-		var pred expr.RowPred
-		if spec.Pred != nil {
-			p, err := expr.CompilePred(spec.Pred, spec.Schema)
-			if err != nil {
-				return nil, err
-			}
-			pred = p
-		}
-		auxIx := make([]int, len(spec.Aux))
-		for j, a := range spec.Aux {
-			auxIx[j] = spec.Schema.MustIndex(a)
-		}
-		var entries, auxBytes int64
-		err := each(spec.Table, func(rec records.Record) error {
-			if pred != nil && !pred(rec) {
-				return nil
-			}
-			entries++
-			for _, ix := range auxIx {
-				auxBytes += rec.At(ix).MemSize()
-			}
-			return nil
+		ds, err := scanDim(&dims[i], func(fn func(records.Record) error) error {
+			return each(dims[i].Table, fn)
 		})
 		if err != nil {
 			return nil, err
 		}
-		// 16 bytes per slot + 1 tag byte, plus the arena.
-		out[i] = dimTableCapacity(entries)*17 + auxBytes
+		out[i] = ds.bytes
 	}
 	return out, nil
 }

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"clydesdale/internal/records"
@@ -140,78 +137,6 @@ func TestDimHashTableDuplicateOverwriteInPlace(t *testing.T) {
 	}
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d after duplicate insert, want 1", h.Len())
-	}
-}
-
-// TestNodeTableGroupSingleflight spins many goroutines per node at once; the
-// build function must run exactly once per node and everyone must share the
-// winner's tables, with all but one caller reporting reuse.
-func TestNodeTableGroupSingleflight(t *testing.T) {
-	var g nodeTableGroup
-	var builds atomic.Int64
-	release := make(chan struct{})
-	const callers = 16
-
-	var wg sync.WaitGroup
-	results := make([][]*DimHashTable, callers)
-	reuses := make([]bool, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			hts, reused, err := g.do("node-1", func() ([]*DimHashTable, error) {
-				builds.Add(1)
-				<-release // hold the build so every other caller piles up
-				return []*DimHashTable{{Table: "d"}}, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = hts
-			reuses[i] = reused
-		}(i)
-	}
-	close(release)
-	wg.Wait()
-
-	if n := builds.Load(); n != 1 {
-		t.Fatalf("build ran %d times, want 1", n)
-	}
-	reuseCount := 0
-	for i := range results {
-		if results[i][0] != results[0][0] {
-			t.Fatal("callers got different table instances")
-		}
-		if reuses[i] {
-			reuseCount++
-		}
-	}
-	if reuseCount != callers-1 {
-		t.Fatalf("%d callers reported reuse, want %d", reuseCount, callers-1)
-	}
-}
-
-// TestNodeTableGroupRetriesAfterError: a failed build must not be cached —
-// the next task on that node retries and can succeed.
-func TestNodeTableGroupRetriesAfterError(t *testing.T) {
-	var g nodeTableGroup
-	boom := errors.New("dim cache missing")
-	if _, _, err := g.do("node-1", func() ([]*DimHashTable, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	hts, reused, err := g.do("node-1", func() ([]*DimHashTable, error) {
-		return []*DimHashTable{{Table: "d"}}, nil
-	})
-	if err != nil || reused || hts[0].Table != "d" {
-		t.Fatalf("retry after error: hts=%v reused=%v err=%v", hts, reused, err)
-	}
-	// And a third call on the same node now shares the cached success.
-	hts2, reused2, err := g.do("node-1", func() ([]*DimHashTable, error) {
-		t.Fatal("build ran again despite cached success")
-		return nil, nil
-	})
-	if err != nil || !reused2 || hts2[0] != hts[0] {
-		t.Fatalf("cached success not shared: reused=%v err=%v", reused2, err)
 	}
 }
 

@@ -82,7 +82,16 @@ func (e *Engine) run(ctx context.Context, p *plan.Physical, pin *Pin) (*results.
 	sh := p.Shape
 	passes := p.PassSteps()
 	dims := pin.DimSpecs(p.Steps)
-	if err := e.ensureCached(ctx, dims); err != nil {
+	dirs := make([]string, len(dims))
+	keys := make([]string, len(dims))
+	for i := range dims {
+		var err error
+		if dirs[i], err = e.cat.DimDir(dims[i].Table); err != nil {
+			return nil, nil, err
+		}
+		keys[i] = TableKey(dirs[i], &dims[i])
+	}
+	if err := e.ensureCached(ctx, dims, dirs); err != nil {
 		return nil, nil, err
 	}
 	// Only depth-1 FKs are fact columns, so only those dimensions — whichever
@@ -107,8 +116,9 @@ func (e *Engine) run(ctx context.Context, p *plan.Physical, pin *Pin) (*results.
 	sums := &mr.MemoryOutput{}
 	var res *mr.JobResult
 	for i, steps := range passes {
-		runner := &starJoinRunner{eng: e, dims: dims[:len(steps)], factPred: factPred}
-		dims = dims[len(steps):]
+		n := len(steps)
+		runner := &starJoinRunner{eng: e, dims: dims[:n], dirs: dirs[:n], keys: keys[:n], factPred: factPred}
+		dims, dirs, keys = dims[n:], dirs[n:], keys[n:]
 		job := &mr.Job{
 			Name:         fmt.Sprintf("clydesdale-%s-pass-%d", sh.Name, i+1),
 			Conf:         e.mapJoinConf(),
@@ -127,7 +137,7 @@ func (e *Engine) run(ctx context.Context, p *plan.Physical, pin *Pin) (*results.
 		}
 		before := res
 		var err error
-		if res, err = e.mr.Submit(ctx, job); err != nil {
+		if res, err = e.submit(ctx, job, runner); err != nil {
 			tables := make([]string, len(steps))
 			for j := range steps {
 				tables[j] = steps[j].Table
@@ -139,4 +149,19 @@ func (e *Engine) run(ctx context.Context, p *plan.Physical, pin *Pin) (*results.
 		}
 	}
 	return finish(sh, sums, &Report{Job: res, Staged: len(passes) > 1, Passes: len(passes)}, start)
+}
+
+// submit runs one pass's job with the table cache its tasks share: the one
+// the engine was given, else (multi-threading on) one made for this job and
+// closed when the job returns, whatever it returns. A table so lives as long
+// as its job (§5.2): every pass of a plan, and of the one-step-per-pass
+// re-run after ErrOOM, starts with no byte reserved.
+func (e *Engine) submit(ctx context.Context, job *mr.Job, runner *starJoinRunner) (*mr.JobResult, error) {
+	runner.tables = e.opts.Tables
+	if runner.tables == nil && !e.opts.Ablate.Has(NoMultiThreading) {
+		c := e.mr.Cluster()
+		runner.tables = NewTableCache(c, c.Config().MemoryPerNode)
+		defer runner.tables.Close()
+	}
+	return e.mr.Submit(ctx, job)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/expr"
-	"clydesdale/internal/hdfs"
 	"clydesdale/internal/records"
 )
 
@@ -36,40 +35,117 @@ import (
 // only when qualifying keys / total keys is at or below this.
 const bloomMaxSelectivity = 0.5
 
-// dimScan is what one driver-side scan of a filtered dimension yields:
-// the FK-range prune hint and the semi-join bloom filter (either may be nil
-// when underivable or not worth pushing). Memoized per (dimension version,
-// fact FK, predicate) in Engine.hints.
+// dimScan is what the driver's one scan of a dimension version under one
+// build spec yields: the qualifying keys' count and range (→ prune hint),
+// their bloom filter when the predicate is selective enough to pay for it,
+// and the bytes of the hash table a node builds from the same rows (→
+// admission). Memoized per (table, version, DimSpec.Fingerprint) in
+// Engine.scans.
 type dimScan struct {
-	hint  expr.Pred
-	bloom *colstore.KeyBloom
+	keys   int64
+	lo, hi int64
+	bloom  *colstore.KeyBloom
+	bytes  int64
+}
+
+// scanDim derives a spec's dimScan from one walk of rows. bytes mirrors the
+// open-addressing layout exactly — 16 bytes per slot and a tag byte at the
+// capacity the build ends with, plus the aux-value arena — so it equals the
+// MemBytes a real build reserves.
+func scanDim(d *DimSpec, rows func(fn func(records.Record) error) error) (*dimScan, error) {
+	ds := &dimScan{}
+	var keys []int64
+	var total, entries, auxBytes int64
+	err := d.Select(func(fn func(records.Record) error) error {
+		return rows(func(r records.Record) error {
+			total++
+			return fn(r)
+		})
+	}, func(pk records.Value, aux []records.Value) error {
+		entries++
+		for _, v := range aux {
+			auxBytes += v.MemSize()
+		}
+		if pk.Kind() != records.KindInt64 {
+			return nil // no such table gets built; nothing to push down
+		}
+		k := pk.Int64()
+		if len(keys) == 0 || k < ds.lo {
+			ds.lo = k
+		}
+		if len(keys) == 0 || k > ds.hi {
+			ds.hi = k
+		}
+		keys = append(keys, k)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ds.keys = int64(len(keys))
+	ds.bytes = dimTableCapacity(entries)*17 + auxBytes
+	if len(keys) > 0 && float64(len(keys)) <= bloomMaxSelectivity*float64(total) {
+		ds.bloom = colstore.NewKeyBloom(keys, colstore.DefaultBloomBitsPerKey)
+	}
+	return ds, nil
 }
 
 // dimScanFor returns the scan products for the version of the dimension the
-// spec names, scanning that version once per (predicate, fact FK). Returns
-// nil for dimensions that can yield nothing (no predicate, no schema).
-func (e *Engine) dimScanFor(d *DimSpec) *dimScan {
+// spec names, scanning that version's master copy once per fingerprint: the
+// one place the engine and the serving layer read a dimension on the driver.
+func (e *Engine) dimScanFor(d *DimSpec) (*dimScan, error) {
+	key := d.Fingerprint()
+	if ds, ok := e.scans.Get(d.Table, d.Version, key); ok {
+		return ds, nil
+	}
+	dir, err := e.cat.DimDir(d.Table)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := scanDim(d, func(fn func(records.Record) error) error {
+		return colstore.ScanRowTableAt(e.mr.FS(), dir, d.Version, "", fn)
+	})
+	if err == nil {
+		e.scans.Put(d.Table, d.Version, key, ds)
+	}
+	return ds, err
+}
+
+// DimTableBytes is the memory the spec's hash table occupies on a node, to
+// the byte (see scanDim): what admission control charges for a table no
+// node holds yet.
+func (e *Engine) DimTableBytes(d *DimSpec) (int64, error) {
+	ds, err := e.dimScanFor(d)
+	if err != nil {
+		return 0, err
+	}
+	return ds.bytes, nil
+}
+
+// DimScansHeld counts the driver-side dimension scans the engine has
+// memoized: one per (dimension, build spec) at each table's newest version.
+func (e *Engine) DimScansHeld() int { return e.scans.Len() }
+
+// pushable returns the scan of a filtered dimension with qualifying keys,
+// nil for one that can push nothing into the fact scan (no predicate, no
+// schema, a scan error, no key) — pruning and filtering just see less.
+func (e *Engine) pushable(d *DimSpec) *dimScan {
 	if d.Pred == nil || d.Schema == nil {
 		return nil
 	}
-	key := d.FactFK + "|" + d.Pred.String()
-	ds, ok := e.hints.Get(d.Table, d.Version, key)
-	if !ok {
-		ds = deriveDimScan(e.mr.FS(), e.cat, d)
-		e.hints.Put(d.Table, d.Version, key, ds)
+	if ds, err := e.dimScanFor(d); err == nil && ds.keys > 0 {
+		return ds
 	}
-	return ds
+	return nil
 }
 
 // fkPruneHints returns one BETWEEN hint per dimension whose qualifying
-// primary keys are non-empty. Dimensions that cannot yield a hint (no
-// predicate, non-integer key, scan error) are skipped — pruning just sees
-// fewer hints.
+// primary keys are non-empty.
 func (e *Engine) fkPruneHints(dims []DimSpec) []expr.Pred {
 	var hints []expr.Pred
 	for i := range dims {
-		if ds := e.dimScanFor(&dims[i]); ds != nil && ds.hint != nil {
-			hints = append(hints, ds.hint)
+		if ds := e.pushable(&dims[i]); ds != nil {
+			hints = append(hints, expr.Between(expr.Col(dims[i].FactFK), records.Int(ds.lo), records.Int(ds.hi)))
 		}
 	}
 	return hints
@@ -83,62 +159,11 @@ func (e *Engine) fkPruneHints(dims []DimSpec) []expr.Pred {
 func (e *Engine) semiJoinFilters(dims []DimSpec) []colstore.KeyFilter {
 	var filters []colstore.KeyFilter
 	for i := range dims {
-		d := &dims[i]
-		if ds := e.dimScanFor(d); ds != nil && ds.bloom != nil {
-			filters = append(filters, colstore.KeyFilter{Column: d.FactFK, Keys: ds.bloom})
+		if ds := e.pushable(&dims[i]); ds != nil && ds.bloom != nil {
+			filters = append(filters, colstore.KeyFilter{Column: dims[i].FactFK, Keys: ds.bloom})
 		}
 	}
 	return filters
-}
-
-// deriveDimScan scans one version of a filtered dimension once, collecting the
-// qualifying-key range (→ prune hint) and the qualifying keys themselves
-// (→ bloom filter, when selective enough). Never returns nil; an empty
-// dimScan means nothing was derivable.
-func deriveDimScan(fs *hdfs.FileSystem, cat *Catalog, d *DimSpec) *dimScan {
-	ds := &dimScan{}
-	pkIdx := d.Schema.Index(d.DimPK)
-	if pkIdx < 0 || d.Schema.Field(pkIdx).Kind != records.KindInt64 {
-		return ds
-	}
-	dir, err := cat.DimDir(d.Table)
-	if err != nil {
-		return ds
-	}
-	pred, err := expr.CompilePred(d.Pred, d.Schema)
-	if err != nil {
-		return ds
-	}
-	var keys []int64
-	var total int64
-	var lo, hi int64
-	err = colstore.ScanRowTableAt(fs, dir, d.Version, "", func(r records.Record) error {
-		total++
-		if !pred(r) {
-			return nil
-		}
-		v := r.At(pkIdx).Int64()
-		if len(keys) == 0 {
-			lo, hi = v, v
-		} else {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		keys = append(keys, v)
-		return nil
-	})
-	if err != nil || len(keys) == 0 {
-		return ds
-	}
-	ds.hint = expr.Between(expr.Col(d.FactFK), records.Int(lo), records.Int(hi))
-	if float64(len(keys)) <= bloomMaxSelectivity*float64(total) {
-		ds.bloom = colstore.NewKeyBloom(keys, colstore.DefaultBloomBitsPerKey)
-	}
-	return ds
 }
 
 // factFKs lists the fact-side join keys, the columns the probe needs before

@@ -66,7 +66,9 @@ func TestDimScanReadsItsVersion(t *testing.T) {
 	// at the last of them, after the scan has listed the table's files.
 	hook := &rollInDuringRead{}
 	fs.SetReadFaultInjector(hook)
-	deriveDimScan(fs, cat, spec)
+	if _, err := New(mr.NewEngine(c, fs, mr.Options{}), cat, Options{}).dimScanFor(spec); err != nil {
+		t.Fatal(err)
+	}
 	if hook.reads.Load() == 0 {
 		t.Fatal("a derive reads no block; nothing to race")
 	}
@@ -81,10 +83,10 @@ func TestDimScanReadsItsVersion(t *testing.T) {
 		}
 	}}
 	fs.SetReadFaultInjector(hook)
-	racing := eng.dimScanFor(spec)
+	racing, err := eng.dimScanFor(spec)
 	fs.SetReadFaultInjector(nil)
-	if hint, ok := racing.hint.(expr.BetweenPred); !ok || hint.Hi.Int64() >= newKey {
-		t.Fatalf("racing derive's hint = %v, want the range of version 1", racing.hint)
+	if err != nil || racing.keys == 0 || racing.hi >= newKey {
+		t.Fatalf("racing derive = %+v, %v, want the key range of version 1", racing, err)
 	}
 	if got := eng.Snapshots().Versions("/t/fact", dir)[1]; got != 2 {
 		t.Fatalf("dimension at version %d after the roll-in, want 2", got)
@@ -92,23 +94,22 @@ func TestDimScanReadsItsVersion(t *testing.T) {
 
 	next := *spec
 	next.Version = 2
-	ds := eng.dimScanFor(&next)
-	hint, ok := ds.hint.(expr.BetweenPred)
-	if !ok {
-		t.Fatalf("hint = %v, want a BETWEEN range", ds.hint)
+	hints := eng.fkPruneHints([]DimSpec{next})
+	if len(hints) != 1 {
+		t.Fatalf("hints = %v, want one BETWEEN range", hints)
 	}
-	if hi := hint.Hi.Int64(); hi < newKey {
-		t.Errorf("hint after the roll-in is %v: the pre-append derive was memoized, partitions holding fk=%d would be pruned", hint, newKey)
+	if hint, ok := hints[0].(expr.BetweenPred); !ok || hint.Hi.Int64() < newKey {
+		t.Errorf("hint after the roll-in is %v: the pre-append derive was memoized, partitions holding fk=%d would be pruned", hints[0], newKey)
 	}
-	if ds.bloom == nil || !ds.bloom.MayContain(newKey) {
+	if fs := eng.semiJoinFilters([]DimSpec{next}); len(fs) != 1 || !fs[0].Keys.MayContain(newKey) {
 		t.Errorf("bloom after the roll-in does not admit key %d: fact rows joining it would be killed in the scan", newKey)
 	}
 	// A query still pinned at version 1 derives its own state again and
 	// leaves the memo to the newer version.
-	if hint, ok := eng.dimScanFor(spec).hint.(expr.BetweenPred); !ok || hint.Hi.Int64() >= newKey {
-		t.Errorf("version-1 derive after the roll-in = %v, want the range of version 1", hint)
+	if ds, err := eng.dimScanFor(spec); err != nil || ds.hi >= newKey {
+		t.Errorf("version-1 derive after the roll-in = %+v, %v, want the range of version 1", ds, err)
 	}
-	if n := eng.hints.Len(); n != 1 {
-		t.Errorf("hint memo holds %d entries, want the version-2 entry alone", n)
+	if n := eng.scans.Len(); n != 1 {
+		t.Errorf("scan memo holds %d entries, want the version-2 entry alone", n)
 	}
 }

@@ -53,6 +53,37 @@ func (d *DimSpec) Fingerprint() string {
 	return fmt.Sprintf("%d|%s|%s|%s", d.Version, d.DimPK, p, strings.Join(d.Aux, ","))
 }
 
+// Select is the row-wise dimension filter: it walks rows, a source of the
+// dimension's records, and hands fn the key and the aux values of every row
+// that passes Pred. aux is one slice refilled per row; fn must not keep it.
+func (d *DimSpec) Select(rows func(fn func(records.Record) error) error, fn func(pk records.Value, aux []records.Value) error) error {
+	var pred expr.RowPred
+	if d.Pred != nil {
+		var err error
+		if pred, err = expr.CompilePred(d.Pred, d.Schema); err != nil {
+			return err
+		}
+	}
+	pkIx := d.Schema.Index(d.DimPK)
+	if pkIx < 0 {
+		return fmt.Errorf("core: dim %s has no column %s", d.Table, d.DimPK)
+	}
+	auxIx := make([]int, len(d.Aux))
+	for i, a := range d.Aux {
+		auxIx[i] = d.Schema.MustIndex(a)
+	}
+	aux := make([]records.Value, len(auxIx))
+	return rows(func(r records.Record) error {
+		if pred != nil && !pred(r) {
+			return nil
+		}
+		for i, ix := range auxIx {
+			aux[i] = r.At(ix)
+		}
+		return fn(r.At(pkIx), aux)
+	})
+}
+
 // OrderKey is one ORDER BY term; Col may name a group-by column or the
 // aggregate output.
 type OrderKey struct {

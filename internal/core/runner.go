@@ -34,46 +34,26 @@ const (
 	CtrDimBytesRead   = "dim_bytes_read"
 )
 
-// RecordDimBuilds adds the read accounting of freshly built tables to the
-// task counters, per table, and returns the same numbers as hash-build span
-// attributes ("dim_rows_scanned.customer", "30000", ...).
-func RecordDimBuilds(ctrs *mr.Counters, hts ...*DimHashTable) []string {
-	attrs := make([]string, 0, 6*len(hts))
-	for _, h := range hts {
-		for _, m := range [...]struct {
-			name string
-			v    int64
-		}{
-			{CtrDimRowsScanned, h.Stats.RowsScanned},
-			{CtrDimRowsKept, h.Stats.RowsKept},
-			{CtrDimBytesRead, h.Stats.BytesRead},
-		} {
-			name := m.name + "." + h.Table
-			ctrs.Add(name, m.v)
-			attrs = append(attrs, name, strconv.FormatInt(m.v, 10))
-		}
-	}
-	return attrs
-}
-
 // starJoinRunner is Clydesdale's MTMapRunner (§5.1, Figure 5) and the one
 // map-side join implementation in this package: it acquires the node's
-// dimension hash tables (from the TableProvider, the job's per-node shared
-// build, or a private build), unpacks its multi-split into one reader per
-// thread, and probes every table with early-out over block or row readers.
-// What it does with a joined row is the sink, fixed once per job: fold the
-// measure into grouped partial sums (a plan's last pass, the star job) or
-// carry the row on through the collector (every pass before it).
-//
-// One runner instance serves every task of the job, so the table group
-// below is the per-job, per-node build cache — the Go equivalent of the
-// paper's JVM statics, minus the race two concurrent tasks on one node
-// would have hitting a load-then-store cache.
+// dimension hash tables (from the table cache, or under NoMultiThreading by
+// a private build), unpacks its multi-split into one reader per thread, and
+// probes every table with early-out over block or row readers. What it does
+// with a joined row is the sink, fixed once per job: fold the measure into
+// grouped partial sums (a plan's last pass, the star job) or carry the row
+// on through the collector (every pass before it). One runner instance
+// serves every task of the job.
 type starJoinRunner struct {
 	eng *Engine
 	// dims are the tables to build, in probe order; their FactFK columns
-	// are read off the probe stream.
+	// are read off the probe stream. dirs and keys are each one's directory
+	// and TableKey, worked out once per job rather than once per task.
 	dims []DimSpec
+	dirs []string
+	keys []string
+	// tables is the cache the job's tasks take their tables from: the one
+	// the engine was given, else the job's own. Nil under NoMultiThreading.
+	tables *TableCache
 	// factPred filters the probe stream before the probe; nil when the
 	// stream is an already-filtered intermediate.
 	factPred expr.Pred
@@ -83,146 +63,80 @@ type starJoinRunner struct {
 	// or with a measure agg (the grouped-partial-sum sink) the group key.
 	out *records.Schema
 	agg expr.Expr
-
-	tables nodeTableGroup
-}
-
-// nodeTableGroup deduplicates hash-table builds across the concurrently
-// running tasks of one job: per node, the first caller builds and every
-// other caller blocks until that build finishes, then shares the result.
-// Without this, two tasks launched together on one node both miss the
-// cache, build duplicate tables, and double-reserve node memory.
-type nodeTableGroup struct {
-	mu    sync.Mutex
-	calls map[string]*tableCall
-}
-
-type tableCall struct {
-	done chan struct{}
-	hts  []*DimHashTable
-	err  error
-}
-
-// do returns the node's tables, invoking build exactly once per node even
-// under concurrent callers; reused reports whether this caller shared a
-// winner's tables. A failed build is not cached — the next task retries it.
-func (g *nodeTableGroup) do(node string, build func() ([]*DimHashTable, error)) (hts []*DimHashTable, reused bool, err error) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*tableCall)
-	}
-	if c, ok := g.calls[node]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.hts, c.err == nil, c.err
-	}
-	c := &tableCall{done: make(chan struct{})}
-	g.calls[node] = c
-	g.mu.Unlock()
-
-	c.hts, c.err = build()
-	if c.err != nil {
-		g.mu.Lock()
-		delete(g.calls, node)
-		g.mu.Unlock()
-	}
-	close(c.done)
-	return c.hts, false, c.err
-}
-
-// TableProvider supplies ready-to-probe dimension hash tables, decoupling
-// table lifetime from job lifetime: a serving layer implements it to keep
-// tables resident across queries. The provider owns the node memory
-// reservation and the build instrumentation (counters, hash-build spans)
-// for every table it hands out; release unpins the table and must be called
-// exactly once when the task stops probing it.
-type TableProvider interface {
-	AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *DimSpec) (ht *DimHashTable, release func(), err error)
 }
 
 // hashTables returns the node's hash tables, building them on first use,
-// plus a release the caller runs when probing ends. With a TableProvider
-// configured the tables come from (and are accounted by) the provider;
-// otherwise, with multi-threading enabled the tables are shared per node
-// across consecutive and concurrent tasks of the job, and under
-// NoMultiThreading each task builds privately, reproducing the Figure 9
-// ablation. In the provider-less paths the caller's task reserves the
-// resident size (the release is then a no-op: the reservation falls with
-// the task).
+// plus a release the caller runs when probing ends. With multi-threading on
+// they come from the table cache, which owns their reservations and shares
+// them among the node's consecutive and concurrent tasks; a task that built
+// none of the tables it probes counts one reuse. Under NoMultiThreading each
+// task builds privately, reproducing the Figure 9 ablation, and reserves the
+// resident size against its own allowance (the release is then a no-op: the
+// reservation falls with the task).
 func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(), error) {
-	noop := func() {}
-	if p := r.eng.opts.Tables; p != nil {
-		hts := make([]*DimHashTable, len(r.dims))
-		releases := make([]func(), 0, len(r.dims))
-		releaseAll := func() {
-			for _, rel := range releases {
-				rel()
-			}
-		}
+	hts := make([]*DimHashTable, len(r.dims))
+	if r.tables == nil {
+		var total int64
 		for i := range r.dims {
-			spec := &r.dims[i]
-			dir, err := r.eng.cat.DimDir(spec.Table)
+			h, err := buildDim(ctx, r.dirs[i], &r.dims[i])
 			if err != nil {
-				releaseAll()
 				return nil, nil, err
 			}
-			ht, rel, err := p.AcquireDimTable(ctx, dir, spec)
-			if err != nil {
-				releaseAll()
-				return nil, nil, err
-			}
-			hts[i] = ht
-			releases = append(releases, rel)
+			hts[i] = h
+			total += h.MemBytes
 		}
-		return hts, releaseAll, nil
+		return hts, func() {}, ctx.ReserveMemory(total)
 	}
-	if r.eng.opts.Ablate.Has(NoMultiThreading) {
-		hts, err := r.buildHashTables(ctx)
+	releases := make([]func(), 0, len(r.dims))
+	releaseAll := func() {
+		for _, rel := range releases {
+			rel()
+		}
+	}
+	reused := len(r.dims) > 0
+	for i := range r.dims {
+		ht, built, rel, err := r.tables.acquire(ctx, r.dirs[i], r.keys[i], &r.dims[i])
 		if err != nil {
+			releaseAll()
 			return nil, nil, err
 		}
-		return hts, noop, r.reserve(ctx, hts)
-	}
-	hts, reused, err := r.tables.do(ctx.Node().ID(), func() ([]*DimHashTable, error) {
-		return r.buildHashTables(ctx)
-	})
-	if err != nil {
-		return nil, nil, err
+		hts[i] = ht
+		reused = reused && !built
+		releases = append(releases, rel)
 	}
 	if reused {
 		ctx.Counters.Add(CtrHashReuses, 1)
 	}
-	return hts, noop, r.reserve(ctx, hts)
+	return hts, releaseAll, nil
 }
 
-func (r *starJoinRunner) buildHashTables(ctx *mr.TaskContext) ([]*DimHashTable, error) {
+// buildDim is a task building one table on its node (BuildDimHashTable),
+// and the one place the hash-build counters and span come from: the build's
+// time, and per table ("dim_rows_scanned.customer") what it read from the
+// node-local copy.
+func buildDim(ctx *mr.TaskContext, dimDir string, spec *DimSpec) (*DimHashTable, error) {
 	start := time.Now()
-	hts := make([]*DimHashTable, len(r.dims))
-	for i := range r.dims {
-		spec := &r.dims[i]
-		dir, err := r.eng.cat.DimDir(spec.Table)
-		if err != nil {
-			return nil, err
-		}
-		h, err := BuildDimHashTable(ctx.FS, ctx.Node(), dir, spec)
-		if err != nil {
-			return nil, err
-		}
-		hts[i] = h
-		ctx.Counters.Add(CtrHashTablesBuilt, 1)
+	h, err := BuildDimHashTable(ctx.FS, ctx.Node(), dimDir, spec)
+	if err != nil {
+		return nil, err
 	}
+	ctx.Counters.Add(CtrHashTablesBuilt, 1)
 	ctx.Counters.Add(CtrHashBuildNanos, time.Since(start).Nanoseconds())
-	attrs := append([]string{"tables", fmt.Sprint(len(hts))}, RecordDimBuilds(ctx.Counters, hts...)...)
-	ctx.Span(obs.PhaseHashBuild, start, attrs...)
-	return hts, nil
-}
-
-func (r *starJoinRunner) reserve(ctx *mr.TaskContext, hts []*DimHashTable) error {
-	var total int64
-	for _, h := range hts {
-		total += h.MemBytes
+	attrs := []string{"table", spec.Table}
+	for _, m := range [...]struct {
+		name string
+		v    int64
+	}{
+		{CtrDimRowsScanned, h.Stats.RowsScanned},
+		{CtrDimRowsKept, h.Stats.RowsKept},
+		{CtrDimBytesRead, h.Stats.BytesRead},
+	} {
+		name := m.name + "." + h.Table
+		ctx.Counters.Add(name, m.v)
+		attrs = append(attrs, name, strconv.FormatInt(m.v, 10))
 	}
-	return ctx.ReserveMemory(total)
+	ctx.Span(obs.PhaseHashBuild, start, attrs...)
+	return h, nil
 }
 
 // probeScratch is one probe thread's reusable state: the per-row join

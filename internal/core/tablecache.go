@@ -1,30 +1,33 @@
-package serve
+package core
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"clydesdale/internal/cluster"
-	"clydesdale/internal/core"
 	"clydesdale/internal/mr"
-	"clydesdale/internal/obs"
 )
 
-// tableCache keeps built dimension hash tables resident per node across
-// queries, implementing core.TableProvider. It generalizes the per-job
-// nodeTableGroup singleflight: concurrent misses on one (node, key) still
-// build once, but the winner's table outlives the job and serves every
-// later query until evicted. Residency is accounted against the node's
-// memory (each cached table holds a cluster reservation) and bounded by a
-// per-node budget with LRU eviction of unpinned entries.
+// TableCache keeps built dimension hash tables resident per node, and is
+// the one place a multi-threaded star-join task gets its tables (§5.2):
+// concurrent misses on one (node, key) build once, and the winner's table
+// serves every later task on the node until evicted. Residency is accounted
+// against the node's memory (each cached table holds a cluster reservation)
+// and bounded by a per-node budget with LRU eviction of unpinned entries.
+//
+// Who owns the cache decides how long tables live. An Engine given none
+// makes one per job and closes it when the job ends, the paper's lifetime:
+// a node's consecutive tasks share one build and nothing stays reserved
+// between jobs. A serving session owns one for its life, so query N+1
+// probes the tables query N built.
 //
 // The version of the dimension a spec reads is part of its fingerprint, so
 // a query that pinned a newer version cannot reach a table built from an
 // older one. A node reclaims those when it first builds from the newer
 // version, or under budget pressure like any other entry.
-type tableCache struct {
-	budget int64 // per-node resident-bytes bound
+type TableCache struct {
+	budget  int64  // per-node resident-bytes bound
+	unwatch func() // cancels the cluster death watcher
 
 	mu    sync.Mutex
 	nodes map[string]*nodeCache
@@ -37,14 +40,22 @@ type tableCache struct {
 	invalidations atomic.Int64 // evictions of tables a newer version superseded
 }
 
-// cacheKey is the cache identity of one table build: dimension directory
+// TableCacheStats is a point-in-time snapshot of a cache's counters.
+// Invalidations counts the evictions of tables a newer version superseded.
+type TableCacheStats struct {
+	Hits, Misses, Builds, Evictions, Invalidations int64
+	ResidentBytes                                  int64
+}
+
+// TableKey is the cache identity of one table build: dimension directory
 // and build fingerprint (table version, join key, predicate, aux
 // projection). Two lookups with equal keys probe byte-identical tables.
-func cacheKey(dimDir string, spec *core.DimSpec) string {
+func TableKey(dimDir string, spec *DimSpec) string {
 	return dimDir + "\x00" + spec.Fingerprint()
 }
 
 type nodeCache struct {
+	node     *cluster.Node
 	entries  map[string]*cacheEntry
 	resident int64
 	// dead marks the node as killed: its reservations were freed with the
@@ -61,40 +72,50 @@ type cacheEntry struct {
 	dir     string // the dimension the table was built from, and
 	version uint64 // which version of it
 	done    chan struct{}
-	ht      *core.DimHashTable
+	ht      *DimHashTable
 	err     error
 	bytes   int64
 	pins    int
 	lastUse uint64
 }
 
-// idle reports whether the entry holds a finished table nobody probes: the
-// only kind eviction may take.
-func (e *cacheEntry) idle() bool {
+// finished reports whether the entry's build has ended, either way.
+func (e *cacheEntry) finished() bool {
 	select {
 	case <-e.done:
-		return e.err == nil && e.pins == 0
+		return true
 	default:
 		return false
 	}
 }
 
-func newTableCache(budget int64) *tableCache {
-	return &tableCache{budget: budget, nodes: make(map[string]*nodeCache)}
+// idle reports whether the entry holds a finished table nobody probes: the
+// only kind eviction may take.
+func (e *cacheEntry) idle() bool { return e.finished() && e.err == nil && e.pins == 0 }
+
+// NewTableCache returns an empty cache over the cluster's nodes holding at
+// most budget bytes of tables per node. A killed node takes its memory
+// reservations with it, so the cache watches for deaths and drops the
+// node's tables at once: a later warm probe must not touch a table whose
+// reservation was freed. Close ends the watch.
+func NewTableCache(c *cluster.Cluster, budget int64) *TableCache {
+	tc := &TableCache{budget: budget, nodes: make(map[string]*nodeCache)}
+	tc.unwatch = c.OnDeath(func(n *cluster.Node) { tc.dropNode(n.ID()) })
+	return tc
 }
 
-// AcquireDimTable implements core.TableProvider: return the node's resident
-// table for the spec, building (and reserving node memory for) it on first
-// use. The returned release unpins the table; the bytes stay resident —
-// and reserved — until LRU eviction or Close.
-func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *core.DimSpec) (*core.DimHashTable, func(), error) {
+// acquire returns the node's resident table for the spec under key (its
+// TableKey, which the caller computes once per job, not once per task),
+// building it and reserving node memory for it on first use; built reports
+// that this caller did the build. The returned release unpins the table;
+// the bytes stay resident, and reserved, until LRU eviction or Close.
+func (c *TableCache) acquire(ctx *mr.TaskContext, dimDir, key string, spec *DimSpec) (ht *DimHashTable, built bool, release func(), err error) {
 	node := ctx.Node()
-	key := cacheKey(dimDir, spec)
 
 	c.mu.Lock()
 	nc, ok := c.nodes[node.ID()]
 	if !ok {
-		nc = &nodeCache{entries: make(map[string]*cacheEntry)}
+		nc = &nodeCache{node: node, entries: make(map[string]*cacheEntry)}
 		c.nodes[node.ID()] = nc
 	}
 	if nc.dead && node.IsAlive() {
@@ -112,16 +133,16 @@ func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *c
 			c.mu.Lock()
 			e.pins--
 			c.mu.Unlock()
-			return nil, nil, e.err
+			return nil, false, nil, e.err
 		}
 		c.hits.Add(1)
-		return e.ht, func() { c.unpin(node, nc, e) }, nil
+		return e.ht, false, func() { c.unpin(nc, e) }, nil
 	}
 	// First sight of this version on the node: tables built from older
 	// versions of the dimension are superseded, so reclaim the idle ones.
 	for k, old := range nc.entries {
 		if old.dir == dimDir && old.version < spec.Version && old.idle() {
-			c.evictEntryLocked(node, nc, k, old)
+			c.evictEntryLocked(nc, k, old)
 			c.invalidations.Add(1)
 		}
 	}
@@ -132,63 +153,51 @@ func (c *tableCache) AcquireDimTable(ctx *mr.TaskContext, dimDir string, spec *c
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	start := time.Now()
-	ht, err := core.BuildDimHashTable(ctx.FS, node, dimDir, spec)
-	if err == nil {
+	e.ht, e.err = buildDim(ctx, dimDir, spec)
+	if e.err == nil {
 		// Make room under the budget before taking the node reservation, so
 		// a full cache cycles instead of spuriously OOMing the build.
 		c.mu.Lock()
-		c.evictLocked(node, nc, ht.MemBytes)
+		c.evictLocked(nc, e.ht.MemBytes)
 		c.mu.Unlock()
-		err = node.ReserveMemory(ht.MemBytes)
+		e.err = node.ReserveMemory(e.ht.MemBytes)
 	}
-	if err != nil {
-		e.err = err
-		c.mu.Lock()
-		delete(nc.entries, key) // failed builds are not cached; next query retries
-		c.mu.Unlock()
-		close(e.done)
-		return nil, nil, err
-	}
-	e.ht = ht
-	e.bytes = ht.MemBytes
 	c.mu.Lock()
-	if nc.dead {
+	if e.err == nil && nc.dead {
 		// The node was killed between the reservation and publication: the
 		// reservation died with the node's memory, so caching the table
 		// would let later warm probes use a freed reservation. Fail the
 		// build instead; dropNode already handled the finished entries.
-		delete(nc.entries, key)
 		e.err = cluster.ErrNodeDown
+	}
+	if e.err != nil {
+		delete(nc.entries, key) // failed builds are not cached; the next task retries
 		c.mu.Unlock()
 		close(e.done)
-		return nil, nil, e.err
+		return nil, false, nil, e.err
 	}
+	e.bytes = e.ht.MemBytes
 	nc.resident += e.bytes
 	c.mu.Unlock()
 	close(e.done)
 	c.builds.Add(1)
-	ctx.Counters.Add(core.CtrHashTablesBuilt, 1)
-	ctx.Counters.Add(core.CtrHashBuildNanos, time.Since(start).Nanoseconds())
-	attrs := append([]string{"table", spec.Table, "cache", "miss"}, core.RecordDimBuilds(ctx.Counters, ht)...)
-	ctx.Span(obs.PhaseHashBuild, start, attrs...)
-	return ht, func() { c.unpin(node, nc, e) }, nil
+	return e.ht, true, func() { c.unpin(nc, e) }, nil
 }
 
-func (c *tableCache) unpin(node *cluster.Node, nc *nodeCache, e *cacheEntry) {
+func (c *TableCache) unpin(nc *nodeCache, e *cacheEntry) {
 	c.mu.Lock()
 	e.pins--
 	c.clock++
 	e.lastUse = c.clock
-	c.evictLocked(node, nc, 0)
+	c.evictLocked(nc, 0)
 	c.mu.Unlock()
 }
 
 // evictEntryLocked drops one idle entry and returns its reservation.
-func (c *tableCache) evictEntryLocked(node *cluster.Node, nc *nodeCache, key string, e *cacheEntry) {
+func (c *TableCache) evictEntryLocked(nc *nodeCache, key string, e *cacheEntry) {
 	delete(nc.entries, key)
 	nc.resident -= e.bytes
-	node.ReleaseMemory(e.bytes)
+	nc.node.ReleaseMemory(e.bytes)
 	c.evictions.Add(1)
 }
 
@@ -197,7 +206,7 @@ func (c *tableCache) evictEntryLocked(node *cluster.Node, nc *nodeCache, key str
 // still-building entries are skipped, so eviction can legitimately fail to
 // reach the budget under heavy concurrency — admission control is what
 // keeps that from spiraling.
-func (c *tableCache) evictLocked(node *cluster.Node, nc *nodeCache, incoming int64) {
+func (c *TableCache) evictLocked(nc *nodeCache, incoming int64) {
 	for nc.resident+incoming > c.budget {
 		var victimKey string
 		var victim *cacheEntry
@@ -209,7 +218,7 @@ func (c *tableCache) evictLocked(node *cluster.Node, nc *nodeCache, incoming int
 		if victim == nil {
 			return
 		}
-		c.evictEntryLocked(node, nc, victimKey, victim)
+		c.evictEntryLocked(nc, victimKey, victim)
 	}
 }
 
@@ -220,7 +229,7 @@ func (c *tableCache) evictLocked(node *cluster.Node, nc *nodeCache, incoming int
 // revive. Entries still pinned by in-flight probes are dropped too — those
 // probes fail anyway (every charge on the dead node does) and their later
 // unpin of a removed entry is harmless.
-func (c *tableCache) dropNode(nodeID string) {
+func (c *TableCache) dropNode(nodeID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	nc, ok := c.nodes[nodeID]
@@ -229,9 +238,7 @@ func (c *tableCache) dropNode(nodeID string) {
 	}
 	nc.dead = true
 	for k, e := range nc.entries {
-		select {
-		case <-e.done:
-		default:
+		if !e.finished() {
 			continue // in-flight build; it observes nc.dead and fails itself
 		}
 		delete(nc.entries, k)
@@ -240,10 +247,10 @@ func (c *tableCache) dropNode(nodeID string) {
 	}
 }
 
-// residentEverywhere reports whether the key's table is already built and
+// ResidentEverywhere reports whether the key's table is already built and
 // resident on every listed node — the admission controller then charges
 // nothing for that dimension.
-func (c *tableCache) residentEverywhere(key string, nodeIDs []string) bool {
+func (c *TableCache) ResidentEverywhere(key string, nodeIDs []string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range nodeIDs {
@@ -251,52 +258,41 @@ func (c *tableCache) residentEverywhere(key string, nodeIDs []string) bool {
 		if !ok {
 			return false
 		}
-		e, ok := nc.entries[key]
-		if !ok {
-			return false
-		}
-		select {
-		case <-e.done:
-		default:
-			return false
-		}
-		if e.err != nil {
+		if e, ok := nc.entries[key]; !ok || !e.finished() || e.err != nil {
 			return false
 		}
 	}
 	return true
 }
 
-// residentBytes sums the resident table bytes across all nodes.
-func (c *tableCache) residentBytes() int64 {
+// Stats snapshots the cache's counters and sums the resident table bytes
+// across all nodes.
+func (c *TableCache) Stats() TableCacheStats {
+	st := TableCacheStats{
+		Hits: c.hits.Load(), Misses: c.misses.Load(), Builds: c.builds.Load(),
+		Evictions: c.evictions.Load(), Invalidations: c.invalidations.Load(),
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var total int64
 	for _, nc := range c.nodes {
-		total += nc.resident
+		st.ResidentBytes += nc.resident
 	}
-	return total
+	return st
 }
 
-// evictAll releases every cached table's node reservation; Close calls it
-// after in-flight queries drain, so no entry should be pinned or building.
-func (c *tableCache) evictAll(nodeOf func(string) *cluster.Node) {
+// Close releases every cached table's node reservation and stops watching
+// for node deaths. Its owner calls it once nothing probes the cache any
+// more — the job has returned, the session has drained — so no entry is
+// pinned or building.
+func (c *TableCache) Close() {
+	c.unwatch()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for id, nc := range c.nodes {
-		node := nodeOf(id)
+	for _, nc := range c.nodes {
 		for k, e := range nc.entries {
-			select {
-			case <-e.done:
-			default:
-				continue
+			if e.finished() {
+				c.evictEntryLocked(nc, k, e)
 			}
-			if e.err == nil && node != nil {
-				node.ReleaseMemory(e.bytes)
-			}
-			nc.resident -= e.bytes
-			delete(nc.entries, k)
-			c.evictions.Add(1)
 		}
 	}
 }

@@ -35,27 +35,14 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 	if err != nil {
 		return nil, err
 	}
-	var dimPred expr.RowPred
-	if st.spec.Pred != nil {
-		dimPred, err = expr.CompilePred(st.spec.Pred, st.spec.Schema)
-		if err != nil {
-			return nil, err
-		}
-	}
-	pkIdx := st.spec.Schema.MustIndex(st.spec.DimPK)
-	auxIdx := make([]int, len(st.spec.Aux))
-	for i, a := range st.spec.Aux {
-		auxIdx[i] = st.spec.Schema.MustIndex(a)
-	}
 	var blob []byte
-	entry := records.New(anonSchema(1 + len(auxIdx)))
-	err = colstore.ScanRowTable(e.mr.FS(), dimDir, "", func(r records.Record) error {
-		if dimPred != nil && !dimPred(r) {
-			return nil
-		}
-		entry.Set(0, r.At(pkIdx))
-		for i, ix := range auxIdx {
-			entry.Set(1+i, r.At(ix))
+	entry := records.New(anonSchema(1 + len(st.spec.Aux)))
+	err = st.spec.Select(func(fn func(records.Record) error) error {
+		return colstore.ScanRowTable(e.mr.FS(), dimDir, "", fn)
+	}, func(pk records.Value, aux []records.Value) error {
+		entry.Set(0, pk)
+		for i, v := range aux {
+			entry.Set(1+i, v)
 		}
 		blob = records.AppendRecord(blob, entry)
 		return nil
@@ -93,7 +80,6 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 		NewMapper: func() mr.Mapper {
 			return &mapJoinMapper{
 				cachePath: cachePath,
-				numAux:    len(auxIdx),
 				fkIdx:     fkIdx,
 				carryIdx:  carryIdx,
 				factPred:  factPred,
@@ -116,7 +102,6 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 // attempt, since the baseline does not reuse JVMs — and probes it per row.
 type mapJoinMapper struct {
 	cachePath string
-	numAux    int
 	fkIdx     int
 	carryIdx  []int
 	factPred  expr.RowPred
@@ -188,27 +173,9 @@ func (m *mapJoinMapper) Cleanup(mr.Collector) error { return nil }
 func EstimateMapJoinHashBytes(dims []core.DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
 	out := make([]int64, len(dims))
 	for i := range dims {
-		spec := &dims[i]
-		var pred expr.RowPred
-		if spec.Pred != nil {
-			p, err := expr.CompilePred(spec.Pred, spec.Schema)
-			if err != nil {
-				return nil, err
-			}
-			pred = p
-		}
-		auxIx := make([]int, len(spec.Aux))
-		for j, a := range spec.Aux {
-			auxIx[j] = spec.Schema.MustIndex(a)
-		}
-		aux := make([]records.Value, len(auxIx))
-		err := each(spec.Table, func(rec records.Record) error {
-			if pred != nil && !pred(rec) {
-				return nil
-			}
-			for j, ix := range auxIx {
-				aux[j] = rec.At(ix)
-			}
+		err := dims[i].Select(func(fn func(records.Record) error) error {
+			return each(dims[i].Table, fn)
+		}, func(_ records.Value, aux []records.Value) error {
 			out[i] += plan.MapJoinEntryBytes(aux)
 			return nil
 		})

@@ -12,14 +12,11 @@ import (
 	"clydesdale/internal/obs"
 )
 
-// JVM models one reusable task runtime on a node. Its static store is the
-// mechanism by which consecutive tasks of a job on the same node share
-// state (Clydesdale's dimension hash tables, §5.2): with JVM reuse enabled
-// the engine hands the next task the same JVM, so values stashed in Statics
-// survive across tasks.
+// JVM models one reusable task runtime on a node: with JVM reuse enabled the
+// engine hands the next task of the job on that node the same JVM instead
+// of starting (and charging for) a fresh one (§5.2).
 type JVM struct {
-	ID      int64
-	Statics sync.Map
+	ID int64
 }
 
 var jvmSeq atomic.Int64
@@ -180,10 +177,6 @@ func (t *TaskContext) Err() error {
 
 // Node returns the cluster node the task runs on.
 func (t *TaskContext) Node() *cluster.Node { return t.node }
-
-// JVM returns the task's JVM; with reuse enabled its Statics persist across
-// consecutive tasks of the job on this node.
-func (t *TaskContext) JVM() *JVM { return t.jvm }
 
 // ReserveMemory reserves b bytes against both the task allowance and the
 // node budget, returning cluster.ErrOutOfMemory when either is exceeded.

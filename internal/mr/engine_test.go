@@ -267,57 +267,63 @@ func (m *instrumentedMapper) Cleanup(c Collector) error {
 	return m.inner.Cleanup(c)
 }
 
+// TestJVMReuseSharesStatics: with reuse on, the pool hands consecutive tasks
+// of a job on one node the same JVM (what would let them share static state,
+// §5.2), and the job's counters say so; with reuse off every task starts its
+// own.
 func TestJVMReuseSharesStatics(t *testing.T) {
 	e := newTestEngine(1) // one node so all tasks land together
-	var builds atomic.Int64
 
-	makeJob := func(reuse bool, out *MemoryOutput) *Job {
+	run := func(reuse bool) (jvms map[*JVM]bool, c *Counters) {
 		splits := wordSplits(nil, []string{"a"}, []string{"b"}, []string{"c"}, []string{"d"})
-		job := wordCountJob(splits, out, 1)
+		job := wordCountJob(splits, &MemoryOutput{}, 1)
 		conf := NewJobConf().SetBool(ConfJVMReuse, reuse)
 		// One task at a time per node so consecutive tasks can reuse.
 		conf.SetInt(ConfTaskMemory, e.Cluster().Config().MemoryPerNode)
 		job.Conf = conf
+		var mu sync.Mutex
+		jvms = make(map[*JVM]bool)
 		base := job.NewMapper
 		job.NewMapper = func() Mapper {
-			return &staticsMapper{inner: base(), builds: &builds}
+			return &jvmSpyMapper{inner: base(), saw: func(j *JVM) {
+				mu.Lock()
+				jvms[j] = true
+				mu.Unlock()
+			}}
 		}
-		return job
+		res, err := e.Submit(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jvms, res.Counters
 	}
 
-	builds.Store(0)
-	if _, err := e.Submit(context.Background(), makeJob(true, &MemoryOutput{})); err != nil {
-		t.Fatal(err)
+	// Four map tasks and the reduce task, one after another on the one node.
+	jvms, c := run(true)
+	if len(jvms) != 1 || c.Get(CtrJVMsStarted) != 1 || c.Get(CtrJVMReuses) != 4 {
+		t.Errorf("with JVM reuse: map tasks saw %d JVMs, %d started, %d reuses; want 1, 1, 4",
+			len(jvms), c.Get(CtrJVMsStarted), c.Get(CtrJVMReuses))
 	}
-	if got := builds.Load(); got != 1 {
-		t.Errorf("with JVM reuse: %d builds, want 1", got)
-	}
-
-	builds.Store(0)
-	if _, err := e.Submit(context.Background(), makeJob(false, &MemoryOutput{})); err != nil {
-		t.Fatal(err)
-	}
-	if got := builds.Load(); got != 4 {
-		t.Errorf("without JVM reuse: %d builds, want 4 (one per task)", got)
+	jvms, c = run(false)
+	if len(jvms) != 4 || c.Get(CtrJVMsStarted) != 5 || c.Get(CtrJVMReuses) != 0 {
+		t.Errorf("without JVM reuse: map tasks saw %d JVMs, %d started, %d reuses; want 4 (one per task), 5, 0",
+			len(jvms), c.Get(CtrJVMsStarted), c.Get(CtrJVMReuses))
 	}
 }
 
-// staticsMapper builds expensive state once per JVM via the statics store.
-type staticsMapper struct {
-	inner  Mapper
-	builds *atomic.Int64
+// jvmSpyMapper reports the JVM each task it serves runs in.
+type jvmSpyMapper struct {
+	inner Mapper
+	saw   func(*JVM)
 }
 
-func (m *staticsMapper) Setup(ctx *TaskContext) error {
-	if _, ok := ctx.JVM().Statics.Load("state"); !ok {
-		m.builds.Add(1)
-		ctx.JVM().Statics.Store("state", "built")
-	}
+func (m *jvmSpyMapper) Setup(ctx *TaskContext) error {
+	m.saw(ctx.jvm)
 	return m.inner.Setup(ctx)
 }
 
-func (m *staticsMapper) Map(k, v records.Record, c Collector) error { return m.inner.Map(k, v, c) }
-func (m *staticsMapper) Cleanup(c Collector) error                  { return m.inner.Cleanup(c) }
+func (m *jvmSpyMapper) Map(k, v records.Record, c Collector) error { return m.inner.Map(k, v, c) }
+func (m *jvmSpyMapper) Cleanup(c Collector) error                  { return m.inner.Cleanup(c) }
 
 func TestTaskRetrySucceedsAfterTransientFailure(t *testing.T) {
 	e := newTestEngine(2)

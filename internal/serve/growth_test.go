@@ -15,9 +15,10 @@ import (
 // everything keyed by a superseded version has to go away on its own. After
 // any number of dimension roll-ins, each followed by queries, a quiesced
 // session holds what it held after the first: one node-local copy per
-// dimension on every live node, one admission estimate per (dimension,
-// spec), one cached result per query, resident hash tables inside the cache
-// budget, and Close returns every reserved byte.
+// dimension on every live node, one driver-side scan (the admission estimate
+// and the pushdowns) per (dimension, spec), one cached result per query,
+// resident hash tables inside the cache budget, and Close returns every
+// reserved byte.
 func TestDimRollInsLeaveBoundedState(t *testing.T) {
 	c := cluster.New(cluster.Testing(3))
 	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 23})
@@ -48,26 +49,23 @@ func TestDimRollInsLeaveBoundedState(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		f := footprint{estimates: s.estimates.Len()}
+		f := footprint{estimates: s.eng.DimScansHeld()}
 		s.rcache.mu.Lock()
 		f.results = len(s.rcache.entries)
 		s.rcache.mu.Unlock()
+		// Which node builds which table depends on task placement, so the
+		// resident bytes (all a quiesced node has reserved) are held to the
+		// budget, not to a number.
 		for _, n := range c.Alive() {
 			copies := n.LocalPaths("clydesdale/dimcache" + cat.DimDirs[ssb.TableCustomer] + "@")
 			if len(copies) != 1 {
 				t.Errorf("%s holds customer copies %v, want one", n.ID(), copies)
 			}
 			f.copies += len(n.LocalPaths("clydesdale/dimcache"))
-		}
-		// Which node builds which table depends on task placement, so the
-		// resident bytes are held to the budget, not to a number.
-		s.cache.mu.Lock()
-		for id, nc := range s.cache.nodes {
-			if nc.resident == 0 || nc.resident > budget {
-				t.Errorf("%s holds %d resident table bytes, budget %d", id, nc.resident, budget)
+			if resident := n.MemoryUsed(); resident == 0 || resident > budget {
+				t.Errorf("%s holds %d resident table bytes, budget %d", n.ID(), resident, budget)
 			}
 		}
-		s.cache.mu.Unlock()
 		return f
 	}
 	// Duplicates of existing customers: every version of the table builds

@@ -1,0 +1,149 @@
+package serve
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"clydesdale/internal/cluster"
+	"clydesdale/internal/colstore"
+	"clydesdale/internal/core"
+	"clydesdale/internal/expr"
+	"clydesdale/internal/hdfs"
+	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
+	"clydesdale/internal/records"
+	"clydesdale/internal/ssb"
+)
+
+// blockReads is a read hook counting the reads of a set of blocks.
+type blockReads struct {
+	mu     sync.Mutex
+	blocks map[int64]bool // nil: learn the set instead, every block read joins it
+	learnt map[int64]bool
+	n      int
+}
+
+func (b *blockReads) BeforeBlockRead(_ string, id int64) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case b.blocks == nil:
+		b.learnt[id] = true
+		b.n++
+	case b.blocks[id]:
+		b.n++
+	}
+	return nil
+}
+
+// TestOneDriverScanPerDimensionVersion: the admission estimate and the scan
+// pushdowns of a dimension come out of one driver-side scan of the version
+// the query pinned. With every node holding its local copy, so that only the
+// driver reads the master, a session's first miss on a never-seen customer
+// predicate reads the customer table once, a second statement with the same
+// customer predicate not at all, and the first statement again after a
+// customer roll-in once more.
+func TestOneDriverScanPerDimensionVersion(t *testing.T) {
+	c := cluster.New(cluster.Testing(2))
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 23})
+	gen := ssb.NewGenerator(0.002, 42)
+	lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{SkipRC: true, PartitionRows: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := lay.Catalog()
+	s := New(mr.NewEngine(c, fs, mr.Options{}), cat, Options{ResultCacheBudget: -1})
+	defer s.Close()
+	q, err := ssb.QueryByName("Q3.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := *q // the same three dimension specs under another fact predicate
+	again.Name, again.FactPred = "Q3.1-small-orders", expr.Lt(expr.Col("lo_quantity"), expr.ConstInt(25))
+
+	// watchCustomer gives every node its copy of the current customer
+	// version, learns which blocks one scan of the master reads and how
+	// many reads that is, and returns a hook counting reads of those blocks.
+	customer := cat.DimDirs[ssb.TableCustomer]
+	watchCustomer := func() (hook *blockReads, perScan int) {
+		t.Helper()
+		if _, err := core.EnsureCatalogCached(fs, cat); err != nil {
+			t.Fatal(err)
+		}
+		dry := &blockReads{learnt: map[int64]bool{}}
+		fs.SetReadFaultInjector(dry)
+		if err := colstore.ScanRowTable(fs, customer, "", func(records.Record) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if dry.n == 0 {
+			t.Fatal("fixture: a scan of the customer table reads no block")
+		}
+		hook = &blockReads{blocks: dry.learnt}
+		fs.SetReadFaultInjector(hook)
+		return hook, dry.n
+	}
+	defer fs.SetReadFaultInjector(nil)
+	run := func(q *core.Query) *core.Report {
+		t.Helper()
+		_, rep, err := s.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		return rep
+	}
+
+	hook, perScan := watchCustomer()
+	rep := run(q)
+	if hook.n != perScan {
+		t.Errorf("first miss read %d customer blocks on the driver, one scan is %d", hook.n, perScan)
+	}
+	if n := s.eng.DimScansHeld(); n != len(q.Dims) {
+		t.Errorf("the engine holds %d dimension scans after a query over %d dimensions", n, len(q.Dims))
+	}
+	// What admission charged and what the fact scan was handed are that one
+	// scan's products: the bytes cost no further read, and the query pruned.
+	l, err := core.LogicalOf(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Lower(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := s.eng.Pin(p.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := pin.DimSpecs(p.Steps)
+	pin.Release()
+	want, err := core.EstimateDimHashBytes(dims, gen.Each)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dims {
+		if got, err := s.eng.DimTableBytes(&dims[i]); err != nil || got != want[i] || got == 0 {
+			t.Errorf("%s: admission charges %d bytes (%v), its table takes %d", dims[i].Table, got, err, want[i])
+		}
+	}
+	if hook.n != perScan || rep.RowsBloomSkipped == 0 {
+		t.Errorf("%d customer block reads after re-reading the sizes, %d fact rows dropped by blooms; want %d reads and a pushdown",
+			hook.n, rep.RowsBloomSkipped, perScan)
+	}
+
+	run(&again)
+	if hook.n != perScan {
+		t.Errorf("a second statement with the same customer predicate read the master again: %d block reads, were %d", hook.n, perScan)
+	}
+
+	if _, err := s.RollIn(ssb.TableCustomer, func(emit func(records.Record) error) error {
+		return emit(gen.Customer(0))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hook, perScan = watchCustomer()
+	run(q)
+	if hook.n != perScan {
+		t.Errorf("first query after the roll-in read %d customer blocks on the driver, one scan is %d", hook.n, perScan)
+	}
+}

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
 	"clydesdale/internal/mr"
@@ -36,7 +35,7 @@ var ErrClosed = errors.New("serve: session closed")
 // Options configures a Session.
 type Options struct {
 	// Engine is the underlying core engine configuration. Tables is
-	// overwritten with the session's cross-query cache.
+	// overwritten with the session's cross-query table cache.
 	Engine core.Options
 	// MaxConcurrent caps queries executing simultaneously; <= 0 uses 4.
 	MaxConcurrent int
@@ -103,7 +102,7 @@ type Session struct {
 	mrEng  *mr.Engine
 	cat    *core.Catalog
 	eng    *core.Engine
-	cache  *tableCache
+	cache  *core.TableCache
 	adm    *admitter
 	rcache *resultCache // nil when Options.ResultCacheBudget < 0
 	opts   Options
@@ -116,7 +115,6 @@ type Session struct {
 	mu          sync.Mutex
 	closed      bool
 	wg          sync.WaitGroup
-	unwatch     func() // cancels the cluster death watcher
 	stopCompact func() // stops the background compactor; nil unless started
 
 	// ingestMu serializes the write path — roll-in, compaction, retention
@@ -126,8 +124,6 @@ type Session struct {
 	rollIns, rollInRows, rollInFailures atomic.Int64
 	compactions, compactedRows          atomic.Int64
 	partsPublished, partsRetired        atomic.Int64
-
-	estimates colstore.VersionMemo[int64] // dimDir, version, table-cache key → build bytes
 }
 
 // New creates a serving session over a MapReduce engine and catalog.
@@ -153,7 +149,7 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 		mrEngine.SetMetrics(obs.NewRegistry())
 	}
 	reg := mrEngine.Metrics()
-	cache := newTableCache(opts.CacheBudget)
+	cache := core.NewTableCache(mrEngine.Cluster(), opts.CacheBudget)
 	engOpts := opts.Engine
 	engOpts.Tables = cache
 	var rcache *resultCache
@@ -179,12 +175,6 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 		}, reg),
 		opts: opts,
 	}
-	// A killed node takes its memory reservations with it; drop its cached
-	// tables immediately so warm probes of later queries don't touch tables
-	// whose reservations were freed.
-	s.unwatch = mrEngine.Cluster().OnDeath(func(n *cluster.Node) {
-		cache.dropNode(n.ID())
-	})
 	if opts.ProfileDepth >= 0 {
 		// Profiling needs the span stream: attach a per-trace collector,
 		// creating the tracer when the owner didn't supply one.
@@ -575,7 +565,7 @@ func (s *Session) StartCompactor(interval time.Duration, opts colstore.CompactOp
 // and result-cache levels so every scrape sees the full gauge set.
 func (s *Session) syncGauges() {
 	if m := s.Metrics(); m != nil {
-		m.Gauge("serve.cache.resident_bytes").Set(s.cache.residentBytes())
+		m.Gauge("serve.cache.resident_bytes").Set(s.cache.Stats().ResidentBytes)
 		tables := []string{s.cat.FactName}
 		for t := range s.cat.DimDirs {
 			tables = append(tables, t)
@@ -657,10 +647,10 @@ func (s *Session) observeQueueWait(sc obs.SpanContext, query string, start time.
 // admissionCost estimates the per-node bytes admitting the query adds: the
 // exact build size of each dimension table not already resident on every
 // live node (cached tables are free — that is the point of the cache),
-// plus the configured task working memory. Estimates reuse
-// core.EstimateDimHashBytes, which mirrors the build layout byte-for-byte,
-// over a driver-side scan of the version of the dimension the query
-// pinned; each (dimDir, version, fingerprint) is estimated once.
+// plus the configured task working memory. The sizes come from the engine's
+// one driver-side scan of the dimension version the query pinned
+// (core.Engine.DimTableBytes), the scan its prune hints and blooms come
+// from too.
 func (s *Session) admissionCost(name string, dims []core.DimSpec) (int64, error) {
 	nodeIDs := s.aliveIDs()
 	cost := s.opts.TaskMemory
@@ -670,19 +660,11 @@ func (s *Session) admissionCost(name string, dims []core.DimSpec) (int64, error)
 		if err != nil {
 			return 0, err
 		}
-		key := cacheKey(dir, d)
-		est, ok := s.estimates.Get(dir, d.Version, key)
-		if !ok {
-			per, err := core.EstimateDimHashBytes(dims[i:i+1], func(_ string, fn func(records.Record) error) error {
-				return colstore.ScanRowTableAt(s.mrEng.FS(), dir, d.Version, "", fn)
-			})
-			if err != nil {
-				return 0, fmt.Errorf("serve: estimating %s tables: %w", name, err)
-			}
-			est = per[0]
-			s.estimates.Put(dir, d.Version, key, est)
+		est, err := s.eng.DimTableBytes(d)
+		if err != nil {
+			return 0, fmt.Errorf("serve: estimating %s tables: %w", name, err)
 		}
-		if !s.cache.residentEverywhere(key, nodeIDs) {
+		if !s.cache.ResidentEverywhere(core.TableKey(dir, d), nodeIDs) {
 			cost += est
 		}
 	}
@@ -701,12 +683,13 @@ func (s *Session) aliveIDs() []string {
 // Stats snapshots the serving counters.
 func (s *Session) Stats() Stats {
 	running, queued, admitted, rejected, peak := s.adm.snapshot()
+	tables := s.cache.Stats()
 	st := Stats{
-		Hits:           s.cache.hits.Load(),
-		Misses:         s.cache.misses.Load(),
-		Builds:         s.cache.builds.Load(),
-		Evictions:      s.cache.evictions.Load(),
-		ResidentBytes:  s.cache.residentBytes(),
+		Hits:           tables.Hits,
+		Misses:         tables.Misses,
+		Builds:         tables.Builds,
+		Evictions:      tables.Evictions,
+		ResidentBytes:  tables.ResidentBytes,
 		Admitted:       admitted,
 		Rejected:       rejected,
 		Running:        running,
@@ -728,7 +711,7 @@ func (s *Session) Stats() Stats {
 	st.CompactedRows = s.compactedRows.Load()
 	st.PartitionsPublished = s.partsPublished.Load()
 	st.PartitionsRetired = s.partsRetired.Load()
-	st.TableInvalidations = s.cache.invalidations.Load()
+	st.TableInvalidations = tables.Invalidations
 	return st
 }
 
@@ -750,11 +733,7 @@ func (s *Session) Close() error {
 		stopCompact()
 	}
 	s.wg.Wait()
-	if s.unwatch != nil {
-		s.unwatch()
-	}
-	cl := s.mrEng.Cluster()
-	s.cache.evictAll(cl.Node)
+	s.cache.Close()
 	if s.rcache != nil {
 		s.rcache.evictAll()
 	}

@@ -25,9 +25,15 @@ vet:
 # "Table versions"), so the engine and the serving layer have no hint
 # generations, table-cache generations or doomed entries to maintain. Nor
 # does a second dimension path: a task gets its hash tables from
-# core.TableCache and the driver scans a dimension version once, in
+# core.TableCache and the driver reads a dimension version once, in
 # core.Engine.dimScanFor (DESIGN.md "Dimension cache"), so no TableProvider,
-# nodeTableGroup or version memo of its own belongs in the serving layer.
+# nodeTableGroup or version memo of its own belongs in the serving layer. Nor
+# does a second dimension build: a DimHashTable is made in one place, the
+# body buildDimHashTable shares with the driver and with estimates
+# (buildDimTable), from a column set — so no row walk of a version
+# (ScanRowTableAt), no row-wise filter in core (DimSpec.Select is the Hive
+# baseline's) and no size formula beside the build (dimTableCapacity outside
+# hashtable.go).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -36,6 +42,10 @@ no-deprecated:
 	@if grep -rnw -e TableProvider -e nodeTableGroup internal/core internal/serve || \
 		grep -n VersionMemo $$(ls internal/serve/*.go | grep -v _test.go); then \
 		echo "second dimension path: tables come from core.TableCache, driver-side dimension scans from core.Engine.dimScanFor (DimTableBytes)"; exit 1; fi
+	@if grep -rn --include='*.go' ScanRowTableAt . || \
+		grep -n '\.Select(' $$(ls internal/core/*.go | grep -v _test.go) || \
+		grep -rn --include='*.go' 'dimTableCapacity(' . | grep -v '^\./internal/core/hashtable\.go:'; then \
+		echo "second dimension build: buildDimHashTable's shared body (buildDimTable, internal/core/hashtable.go) is the one place a dimension table is made, on a node, on the driver and for an estimate"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

@@ -60,17 +60,7 @@ func TestFigure7ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run")
 	}
-	// Six fact rows to a customer, not quickConfig's two. At 2:1 and one
-	// repeat, some 300 of Clydesdale's 370 ms on Q3.1-Q3.3 are its driver's
-	// first scan of the customer table under a new predicate (prune hint and
-	// semi-join filter, memoized afterwards), and the repartition plan ties
-	// it on Q3.2 and Q3.3 now that it no longer spends 85 ms a query on a
-	// schema per row and locked counters: the shape is lost there, which
-	// EXPERIMENTS.md (Figure 7) and ROADMAP 2c record. The paper's ratio is
-	// 200:1.
-	cfg := quickConfig()
-	cfg.FactRows = 180_000
-	h, err := NewHarness(cfg)
+	h, err := NewHarness(quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,16 +136,23 @@ func assembleColumnSet(rows int, cols []columnBlob) []byte {
 	return append(buf, payloads...)
 }
 
-// EncodeRowTable reads one version of the row-format table at dir exactly as
-// ScanRowTableAt does (same reads, charged to clientNode) and returns it as
-// a column set.
+// EncodeRowTable reads one version of the row-format table at dir — its
+// first version part files, which no later append touches — charging the
+// reads to clientNode, and returns it as a column set.
 func EncodeRowTable(fs *hdfs.FileSystem, dir string, version uint64, clientNode string) ([]byte, error) {
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return nil, err
 	}
+	return EncodeRows(schema, func(fn func(records.Record) error) error {
+		return scanRowFiles(fs, rowPartPaths(dir, version), clientNode, schema, fn)
+	})
+}
+
+// EncodeRows returns the rows a source emits as a column set of the schema.
+func EncodeRows(schema *records.Schema, rows func(fn func(records.Record) error) error) ([]byte, error) {
 	w := newColumnSetWriter(schema)
-	if err := scanRowFiles(fs, rowPartPaths(dir, version), clientNode, schema, w.append); err != nil {
+	if err := rows(w.append); err != nil {
 		return nil, err
 	}
 	return w.encode(), nil

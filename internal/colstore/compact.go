@@ -32,9 +32,6 @@ type CompactOptions struct {
 	// ClusterBy, when set, re-sorts the gathered rows by this column before
 	// rewriting, so the new partitions carry tight zone maps on it.
 	ClusterBy string
-	// ClientNode charges the gather reads to this node; "" reads as an
-	// unlocated client.
-	ClientNode string
 }
 
 // CompactResult summarizes one compaction pass.
@@ -83,7 +80,7 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 
 	var rows []records.Record
 	for _, pdir := range small {
-		if err := ScanCIFPartition(fs, pdir, schema, opts.ClientNode, func(r records.Record) error {
+		if err := ScanCIFPartition(fs, pdir, schema, "", func(r records.Record) error {
 			rows = append(rows, r)
 			return nil
 		}); err != nil {

@@ -371,11 +371,15 @@ func TestTableVersions(t *testing.T) {
 	}
 	countAt := func(version uint64) int {
 		t.Helper()
-		n := 0
-		if err := ScanRowTableAt(e.fs, "/dim", version, "", func(records.Record) error { n++; return nil }); err != nil {
+		img, err := EncodeRowTable(e.fs, "/dim", version, "")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		set, err := OpenColumnSet(img, tblSchema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set.Rows()
 	}
 	want(0, 1)
 

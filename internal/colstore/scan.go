@@ -9,25 +9,14 @@ import (
 
 // ScanRowTable reads every row of a row-format table directly (outside any
 // MapReduce job), charging I/O to clientNode: whatever data files the table
-// holds when it is called. Reads on behalf of a query go through
-// ScanRowTableAt instead.
+// holds when it is called. Reads on behalf of a query take one version's
+// column image instead (EncodeRowTable).
 func ScanRowTable(fs *hdfs.FileSystem, dir, clientNode string, fn func(records.Record) error) error {
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return err
 	}
 	return scanRowFiles(fs, listDataFiles(fs, dir), clientNode, schema, fn)
-}
-
-// ScanRowTableAt reads the rows of one version of a row table — its first
-// version part files, which no later append touches — charging I/O to
-// clientNode.
-func ScanRowTableAt(fs *hdfs.FileSystem, dir string, version uint64, clientNode string, fn func(records.Record) error) error {
-	schema, err := ReadSchema(fs, dir)
-	if err != nil {
-		return err
-	}
-	return scanRowFiles(fs, rowPartPaths(dir, version), clientNode, schema, fn)
 }
 
 func rowPartPaths(dir string, version uint64) []string {

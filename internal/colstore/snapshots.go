@@ -14,7 +14,7 @@ import (
 //
 //   - Table versions. A row table (a dimension) is append-only: its version
 //     is the number of part files published into it, so any past version is
-//     still readable as a file prefix (ScanRowTableAt). A partitioned table
+//     still readable as a file prefix (EncodeRowTable). A partitioned table
 //     (the fact) has a content version that moves on whenever its row
 //     multiset changes: on Publish and Retire, not on a compaction's Swap.
 //   - Pinned snapshots. A query acquires its fact partition list and the

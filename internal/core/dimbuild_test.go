@@ -20,9 +20,9 @@ import (
 // checkBuildAgainstRowwise holds BuildDimHashTable (columnar, from the
 // node-local copy) to the row-wise oracle over the master copy's rows: same
 // Len, same MemBytes, the same Probe answer for every key the dimension
-// holds (kept by the predicate or not) and for keys it does not hold; and,
-// when the keys are unique (EstimateDimHashBytes counts rows, so only
-// then), MemBytes equal to the estimate admission control charges.
+// holds (kept by the predicate or not) and for keys it does not hold; and
+// MemBytes equal to the estimate admission control charges, duplicate keys
+// or not.
 func checkBuildAgainstRowwise(t *testing.T, fs *hdfs.FileSystem, node *cluster.Node, dir string, spec *core.DimSpec) *core.DimHashTable {
 	t.Helper()
 	var rows []records.Record
@@ -50,7 +50,6 @@ func checkBuildAgainstRowwise(t *testing.T, fs *hdfs.FileSystem, node *cluster.N
 		t.Errorf("dim %s: Stats = %+v over %d rows, %d entries", spec.Table, got.Stats, len(rows), got.Len())
 	}
 	pkIx := spec.Schema.MustIndex(spec.DimPK)
-	distinct := make(map[int64]bool, len(rows))
 	probe := func(k int64) {
 		t.Helper()
 		gotAux, gotOK := got.Probe(k)
@@ -66,26 +65,23 @@ func checkBuildAgainstRowwise(t *testing.T, fs *hdfs.FileSystem, node *cluster.N
 	}
 	for _, r := range rows {
 		k := r.At(pkIx).Int64()
-		distinct[k] = true
 		probe(k)
 		probe(k + 1<<40) // absent: generated keys stay far below 2^40
 		probe(-k - 7)
 	}
-	if len(distinct) == len(rows) {
-		est, err := core.EstimateDimHashBytes([]core.DimSpec{*spec}, func(_ string, fn func(records.Record) error) error {
-			for _, r := range rows {
-				if err := fn(r); err != nil {
-					return err
-				}
+	est, err := core.EstimateDimHashBytes([]core.DimSpec{*spec}, func(_ string, fn func(records.Record) error) error {
+		for _, r := range rows {
+			if err := fn(r); err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if got.MemBytes != est[0] {
-			t.Errorf("dim %s: MemBytes = %d, EstimateDimHashBytes = %d", spec.Table, got.MemBytes, est[0])
-		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MemBytes != est[0] {
+		t.Errorf("dim %s: MemBytes = %d, EstimateDimHashBytes = %d", spec.Table, got.MemBytes, est[0])
 	}
 	return got
 }

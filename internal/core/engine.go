@@ -88,9 +88,11 @@ type Engine struct {
 	opts  Options
 	snaps *colstore.Snapshots
 
-	// scans memoizes what the driver's one scan of a dimension version under
-	// one build spec yields (dimScan), by DimSpec.Fingerprint.
-	scans colstore.VersionMemo[*dimScan]
+	// images memoizes the column image of a dimension version the driver
+	// read from the master; scans what the table one build spec makes of it
+	// yields (dimScan), by DimSpec.Fingerprint.
+	images colstore.VersionMemo[[]byte]
+	scans  colstore.VersionMemo[*dimScan]
 }
 
 // New creates an engine over a MapReduce engine and a catalog.
@@ -337,11 +339,14 @@ func (e *Engine) factScan(sh *plan.Shape, head []DimSpec, pin *Pin) *colstore.CI
 	if !ab.Has(NoColumnarStorage) {
 		input.Columns = sh.FactColumns()
 	}
-	if !ab.Has(NoScanPruning) {
-		input.PrunePreds = e.fkPruneHints(head)
-	}
-	if !ab.Has(NoBloomPushdown) {
-		input.KeyFilters = e.semiJoinFilters(head)
+	if prune, bloom := !ab.Has(NoScanPruning), !ab.Has(NoBloomPushdown); prune || bloom {
+		hints, filters := e.pushdowns(head)
+		if prune {
+			input.PrunePreds = hints
+		}
+		if bloom {
+			input.KeyFilters = filters
+		}
 	}
 	return input
 }

@@ -300,6 +300,28 @@ func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, s
 }
 
 func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, version uint64, spec *DimSpec) (*DimHashTable, error) {
+	set, err := localDim(fs, node, dimDir, version, spec.Schema)
+	if err != nil {
+		return nil, err
+	}
+	h, err := buildDimTable(spec, set)
+	if err != nil {
+		return nil, err
+	}
+	// The local dimension copy reads at nominal device speed: at the
+	// paper's scale it is page-cache-resident between tasks.
+	if err := node.ChargeDiskReadNominal(h.Stats.BytesRead); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// buildDimTable builds spec's table from a column set of the dimension, and
+// charges nothing. It is the one place a DimHashTable is made: a node builds
+// from its local copy (BuildDimHashTable), the driver from the column image
+// of the version a query pinned (Engine.dimScanFor), an estimate from the
+// caller's rows (EstimateDimHashBytes).
+func buildDimTable(spec *DimSpec, set *colstore.ColumnSet) (*DimHashTable, error) {
 	schema := spec.Schema
 	pkIx := schema.Index(spec.DimPK)
 	if pkIx < 0 {
@@ -311,10 +333,6 @@ func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, v
 	auxIx := make([]int, len(spec.Aux))
 	for i, a := range spec.Aux {
 		auxIx[i] = schema.MustIndex(a)
-	}
-	set, err := localDim(fs, node, dimDir, version, schema)
-	if err != nil {
-		return nil, err
 	}
 	b := &dimBuild{
 		spec:  spec,
@@ -389,11 +407,6 @@ func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, v
 	}
 	h.finalize()
 	h.Stats = DimBuildStats{RowsScanned: int64(set.Rows()), RowsKept: int64(kept), BytesRead: b.bytes}
-	// The local dimension copy reads at nominal device speed: at the
-	// paper's scale it is page-cache-resident between tasks.
-	if err := node.ChargeDiskReadNominal(b.bytes); err != nil {
-		return nil, err
-	}
 	return h, nil
 }
 
@@ -567,9 +580,7 @@ func (b *dimBuild) applyResidual(pred expr.Pred, sel []bool) error {
 
 // dimTableCapacity returns the slot-array capacity the open-addressing
 // table ends up with after inserting n entries: the smallest power of two
-// (at least 16) whose 0.7 load threshold admits n. Builds allocate with it
-// and estimates count with it, so an estimate matches what a build
-// reserves.
+// (at least 16) whose 0.7 load threshold admits n.
 func dimTableCapacity(n int64) int64 {
 	c := int64(16)
 	for c*7/10 < n {
@@ -578,25 +589,32 @@ func dimTableCapacity(n int64) int64 {
 	return c
 }
 
-// EstimateDimHashBytes computes the memory each listed dimension hash
-// table would occupy (one entry per spec, in order), by evaluating the
-// dimension predicates over rows supplied by each(table): the driver's
-// dimension scan (scanDim, whose bytes equal the MemBytes a real build
-// reserves) over the caller's row source. The benchmark harness uses it
-// (with the SSB generator as the row source, so no I/O is charged) to size
-// the Clydesdale residency constraint: a node holds the *sum* of the
-// query's tables (§6.4). Mapjoin budgets use the boxed-map model in package
-// hive instead.
+// EstimateDimHashBytes returns the MemBytes of each listed dimension's hash
+// table (one entry per spec, in order), built from the rows each(table)
+// supplies: an estimate is a build. The benchmark harness uses it (with the
+// SSB generator as the row source, so no I/O is charged) to size the
+// Clydesdale residency constraint: a node holds the *sum* of the query's
+// tables (§6.4). Mapjoin budgets use the boxed-map model in package hive
+// instead.
 func EstimateDimHashBytes(dims []DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
 	out := make([]int64, len(dims))
 	for i := range dims {
-		ds, err := scanDim(&dims[i], func(fn func(records.Record) error) error {
-			return each(dims[i].Table, fn)
+		d := &dims[i]
+		img, err := colstore.EncodeRows(d.Schema, func(fn func(records.Record) error) error {
+			return each(d.Table, fn)
 		})
 		if err != nil {
 			return nil, err
 		}
-		out[i] = ds.bytes
+		set, err := colstore.OpenColumnSet(img, d.Schema)
+		if err != nil {
+			return nil, err
+		}
+		h, err := buildDimTable(d, set)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = h.MemBytes
 	}
 	return out, nil
 }

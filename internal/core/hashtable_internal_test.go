@@ -97,26 +97,24 @@ func TestDimHashTableNoAuxColumns(t *testing.T) {
 }
 
 // TestDimHashTableMemBytesMatchesEstimate checks the residency contract the
-// budget calibration depends on: a built table's MemBytes equals
-// dimTableCapacity(n)*17 plus the arena's value sizes, regardless of the
-// sizeHint it started from.
+// budget calibration depends on: a table's capacity and MemBytes depend on
+// its entries, not on the sizeHint it started from — a table grown from a
+// small hint (the row-wise oracle) ends where one allocated for its n
+// entries (a build, hence an estimate) starts.
 func TestDimHashTableMemBytesMatchesEstimate(t *testing.T) {
-	for _, hint := range []int{0, 8, 1000} {
+	const n = 777
+	var want *DimHashTable
+	for _, hint := range []int{n, 0, 8, 1000} {
 		h := newDimHashTable("est", 1, hint)
-		var auxBytes int64
-		const n = 777
 		for i := int64(0); i < n; i++ {
-			v := records.Str(fmt.Sprintf("value-%d", i))
-			h.insert(i*31, []records.Value{v})
-			auxBytes += v.MemSize()
+			h.insert(i*31, []records.Value{records.Str(fmt.Sprintf("value-%d", i))})
 		}
 		h.finalize()
-		want := dimTableCapacity(n)*17 + auxBytes
-		if h.MemBytes != want {
-			t.Fatalf("hint %d: MemBytes = %d, want %d", hint, h.MemBytes, want)
+		if want == nil {
+			want = h
 		}
-		if int64(len(h.slots)) != dimTableCapacity(n) {
-			t.Fatalf("hint %d: capacity %d, want %d", hint, len(h.slots), dimTableCapacity(n))
+		if h.MemBytes != want.MemBytes || len(h.slots) != len(want.slots) {
+			t.Fatalf("hint %d: MemBytes %d at capacity %d, hint %d gives %d at %d", hint, h.MemBytes, len(h.slots), n, want.MemBytes, len(want.slots))
 		}
 	}
 }

@@ -88,28 +88,48 @@ func TestDimScanReadsItsVersion(t *testing.T) {
 	if err != nil || racing.keys == 0 || racing.hi >= newKey {
 		t.Fatalf("racing derive = %+v, %v, want the key range of version 1", racing, err)
 	}
+	// imageRows counts the rows of the memoized image of a version, -1 when
+	// there is none.
+	imageRows := func(version uint64) int {
+		t.Helper()
+		img, ok := eng.images.Get("dim", version, "")
+		if !ok {
+			return -1
+		}
+		set, err := colstore.OpenColumnSet(img, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set.Rows()
+	}
+	if n := imageRows(1); n != 10 {
+		t.Fatalf("version-1 image read mid-roll-in holds %d rows, want the 10 of version 1", n)
+	}
 	if got := eng.Snapshots().Versions("/t/fact", dir)[1]; got != 2 {
 		t.Fatalf("dimension at version %d after the roll-in, want 2", got)
 	}
 
 	next := *spec
 	next.Version = 2
-	hints := eng.fkPruneHints([]DimSpec{next})
+	hints, filters := eng.pushdowns([]DimSpec{next})
 	if len(hints) != 1 {
 		t.Fatalf("hints = %v, want one BETWEEN range", hints)
 	}
 	if hint, ok := hints[0].(expr.BetweenPred); !ok || hint.Hi.Int64() < newKey {
 		t.Errorf("hint after the roll-in is %v: the pre-append derive was memoized, partitions holding fk=%d would be pruned", hints[0], newKey)
 	}
-	if fs := eng.semiJoinFilters([]DimSpec{next}); len(fs) != 1 || !fs[0].Keys.MayContain(newKey) {
+	if len(filters) != 1 || !filters[0].Keys.MayContain(newKey) {
 		t.Errorf("bloom after the roll-in does not admit key %d: fact rows joining it would be killed in the scan", newKey)
 	}
 	// A query still pinned at version 1 derives its own state again and
-	// leaves the memo to the newer version.
+	// leaves both memos to the newer version.
 	if ds, err := eng.dimScanFor(spec); err != nil || ds.hi >= newKey {
 		t.Errorf("version-1 derive after the roll-in = %+v, %v, want the range of version 1", ds, err)
 	}
-	if n := eng.scans.Len(); n != 1 {
-		t.Errorf("scan memo holds %d entries, want the version-2 entry alone", n)
+	if n, m := eng.images.Len(), eng.scans.Len(); n != 1 || m != 1 {
+		t.Errorf("memos hold %d images and %d scans, want the version-2 entry of each alone", n, m)
+	}
+	if n := imageRows(2); n != 11 {
+		t.Errorf("version-2 image holds %d rows, want the 11 after the roll-in", n)
 	}
 }

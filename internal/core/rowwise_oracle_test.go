@@ -76,7 +76,7 @@ func buildRowwise(rows []records.Record, spec *DimSpec) (*DimHashTable, error) {
 	for i, a := range spec.Aux {
 		auxIx[i] = schema.MustIndex(a)
 	}
-	h := newDimHashTable(spec.Table, len(auxIx), 0) // grows to dimTableCapacity(entries)
+	h := newDimHashTable(spec.Table, len(auxIx), 0) // grows to the capacity its entries need
 	aux := make([]records.Value, len(auxIx))
 	for _, rec := range rows {
 		if pred != nil && !pred(rec) {

@@ -76,11 +76,16 @@ func (e ColExpr) Columns(dst []string) []string { return append(dst, e.Name) }
 func (e ColExpr) String() string                { return e.Name }
 
 func (e ConstExpr) Columns(dst []string) []string { return dst }
-func (e ConstExpr) String() string {
-	if e.Val.Kind() == records.KindString {
-		return "'" + e.Val.Str() + "'"
+func (e ConstExpr) String() string                { return constString(e.Val) }
+
+// constString renders a constant as SQL: a string single-quoted, its quotes
+// doubled, so no two constants (or lists of them) render alike — plan
+// fingerprints and cache keys are built from this text.
+func constString(v records.Value) string {
+	if v.Kind() == records.KindString {
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	}
-	return e.Val.String()
+	return v.String()
 }
 
 func (e ArithExpr) Columns(dst []string) []string { return e.R.Columns(e.L.Columns(dst)) }
@@ -177,14 +182,14 @@ func (p CmpPred) String() string                { return fmt.Sprintf("%s %s %s",
 
 func (p BetweenPred) Columns(dst []string) []string { return p.E.Columns(dst) }
 func (p BetweenPred) String() string {
-	return fmt.Sprintf("%s BETWEEN %s AND %s", p.E, p.Lo, p.Hi)
+	return fmt.Sprintf("%s BETWEEN %s AND %s", p.E, constString(p.Lo), constString(p.Hi))
 }
 
 func (p InPred) Columns(dst []string) []string { return p.E.Columns(dst) }
 func (p InPred) String() string {
 	parts := make([]string, len(p.Vals))
 	for i, v := range p.Vals {
-		parts[i] = v.String()
+		parts[i] = constString(v)
 	}
 	return fmt.Sprintf("%s IN (%s)", p.E, strings.Join(parts, ", "))
 }

@@ -204,9 +204,12 @@ func TestPredString(t *testing.T) {
 		Between(Col("d"), records.Int(1), records.Int(3)),
 		In(Col("r"), records.Str("a")),
 		Or(Not(True()), Lt(Col("q"), ConstInt(2))),
+		Between(Col("s"), records.Str("x"), records.Str("y, z")),
+		Eq(Col("n"), ConstStr("O'Brien")),
 	)
 	s := p.String()
-	for _, frag := range []string{"region = 'ASIA'", "BETWEEN 1 AND 3", "IN (a)", "NOT (TRUE)", "q < 2"} {
+	for _, frag := range []string{"region = 'ASIA'", "BETWEEN 1 AND 3", "IN ('a')", "NOT (TRUE)", "q < 2",
+		"s BETWEEN 'x' AND 'y, z'", "n = 'O''Brien'"} {
 		if !contains(s, frag) {
 			t.Errorf("String() = %q missing %q", s, frag)
 		}

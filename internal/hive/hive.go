@@ -66,9 +66,10 @@ type Options struct {
 	Strategy JoinStrategy
 	// Reducers for join and group-by stages; <= 0 uses one per worker.
 	Reducers int
-	// TmpRoot is where intermediate tables go (default "/tmp/hive").
-	TmpRoot string
 }
+
+// tmpRoot is where intermediate tables go.
+const tmpRoot = "/tmp/hive"
 
 // Engine executes star queries with Hive-style staged plans.
 type Engine struct {
@@ -82,9 +83,6 @@ type Engine struct {
 func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Engine {
 	if opts.Reducers <= 0 {
 		opts.Reducers = len(mrEngine.Cluster().Nodes())
-	}
-	if opts.TmpRoot == "" {
-		opts.TmpRoot = "/tmp/hive"
 	}
 	return &Engine{mr: mrEngine, cat: cat, opts: opts}
 }

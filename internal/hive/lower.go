@@ -63,7 +63,7 @@ func (e *Engine) lower(l *plan.Logical) (*stagedPlan, error) {
 	}
 	sp := &stagedPlan{
 		name:         sh.Name,
-		tmpDir:       fmt.Sprintf("%s/%s-%s-%d", e.opts.TmpRoot, sh.Name, e.opts.Strategy, e.seq.Add(1)),
+		tmpDir:       fmt.Sprintf("%s/%s-%s-%d", tmpRoot, sh.Name, e.opts.Strategy, e.seq.Add(1)),
 		factPred:     sh.FactPred,
 		agg:          sh.Agg,
 		groupBy:      sh.GroupBy,

@@ -114,10 +114,6 @@ type ProfileOptions struct {
 	Trace string
 	// Counters attaches job counters to the profile (shown in the report).
 	Counters map[string]int64
-	// StragglerFactor is the flagging threshold: a task attempt is a
-	// straggler when its duration is at least this many times the median of
-	// its peer group; <= 0 uses 2.
-	StragglerFactor float64
 	// Dropped records spans the collector discarded (surfaced, not fatal).
 	Dropped int64
 }
@@ -126,10 +122,6 @@ type ProfileOptions struct {
 // traces are ignored; spans whose Parent does not resolve are counted as
 // orphans and attached under the root.
 func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
-	if opts.StragglerFactor <= 0 {
-		opts.StragglerFactor = 2
-	}
-
 	trace := opts.Trace
 	if trace == "" {
 		trace = detectTrace(spans)
@@ -223,7 +215,7 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 		Counters: opts.Counters,
 	}
 	p.Phases = attributePhases(root)
-	p.Stragglers = findStragglers(root, opts.StragglerFactor)
+	p.Stragglers = findStragglers(root)
 	p.CriticalPath = criticalPath(root)
 	return p, nil
 }
@@ -528,11 +520,15 @@ func deeper(a, b *ProfileNode) bool {
 	return a.Span.SpanID < b.Span.SpanID
 }
 
-// findStragglers flags task attempts ≥ factor× their peer-group median.
-// Groups are (job, task kind): all map attempts of a job compare against
-// each other, reduces likewise. Groups smaller than 3 are skipped — a
-// median of two is noise.
-func findStragglers(root *ProfileNode, factor float64) []Straggler {
+// stragglerFactor is the flagging threshold: a task attempt is a straggler
+// when its duration is at least this many times its peer group's median.
+const stragglerFactor = 2
+
+// findStragglers flags task attempts ≥ stragglerFactor× their peer-group
+// median. Groups are (job, task kind): all map attempts of a job compare
+// against each other, reduces likewise. Groups smaller than 3 are skipped —
+// a median of two is noise.
+func findStragglers(root *ProfileNode) []Straggler {
 	groups := make(map[string][]*ProfileNode)
 	var walk func(*ProfileNode)
 	walk = func(n *ProfileNode) {
@@ -566,7 +562,7 @@ func findStragglers(root *ProfileNode, factor float64) []Straggler {
 		}
 		for _, n := range g {
 			f := float64(n.Span.Duration()) / float64(median)
-			if f < factor {
+			if f < stragglerFactor {
 				continue
 			}
 			out = append(out, Straggler{

@@ -160,7 +160,7 @@ func TestBuildProfileStragglers(t *testing.T) {
 		mkSpan("smx", "stx", PhaseMap, "j1", "m-x", "n2", 11, 109),
 		mkSpan("srx", "stx", PhaseRead, "j1", "m-x", "n2", 12, 105),
 	)
-	p, err := BuildProfile(spans, ProfileOptions{StragglerFactor: 2})
+	p, err := BuildProfile(spans, ProfileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clydesdale/internal/core"
+	"clydesdale/internal/expr"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/ssb"
@@ -73,5 +74,36 @@ func TestSSBGoldenPlans(t *testing.T) {
 			t.Errorf("%s: plan text changed (regenerate with -update if intended)\ngot:\n%s\nwant:\n%s",
 				q.Name, buf.String(), want)
 		}
+	}
+}
+
+// TestKeyOfTellsConstantListsApart: Q3.3's two-city list and the one city
+// whose name is that list's text are different statements, so their cache
+// keys must differ (they rendered alike while string constants went
+// unquoted in IN lists and BETWEEN bounds).
+func TestKeyOfTellsConstantListsApart(t *testing.T) {
+	cat := ssbPlanCatalog()
+	q, err := ssb.QueryByName("Q3.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := *q
+	one.Dims = append([]core.DimSpec(nil), q.Dims...)
+	one.Dims[0].Pred = expr.In(expr.Col("c_city"), records.Str("UNITED KI1, UNITED KI5"))
+	var keys []string
+	for _, q := range []*core.Query{q, &one} {
+		l, err := core.LogicalOf(q, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := plan.Decompose(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := plan.KeyOf(sh)
+		keys = append(keys, k.Fingerprint())
+	}
+	if keys[0] == keys[1] {
+		t.Errorf("Q3.3 and a one-city list share the cache key %s", keys[0])
 	}
 }

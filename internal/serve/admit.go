@@ -12,33 +12,30 @@ import (
 // QueueDepth; callers shed load instead of piling up. Check with errors.Is.
 var ErrQueueFull = errors.New("serve: admission queue full")
 
-// admitter is the weighted fair-share admission controller. Queries queue
-// per tenant (strict FIFO within a tenant) and tenants are served by
-// deficit scheduling: each scheduling round credits every waiting tenant
-// quantum×weight bytes of deficit, and a tenant's head query runs once its
-// cost fits the tenant's accumulated deficit — so over time each tenant's
-// admitted bytes are proportional to its weight, and one tenant's burst
-// cannot monopolize the budget. Globally a query runs only while the
-// concurrency cap holds and its estimated memory cost fits the remaining
-// budget.
+// admitter is the fair-share admission controller. Queries queue per tenant
+// (strict FIFO within a tenant) and tenants are served by deficit
+// scheduling: each scheduling round credits every waiting tenant quantum
+// bytes of deficit, and a tenant's head query runs once its cost fits the
+// tenant's accumulated deficit — so over time tenants are admitted equal
+// bytes, and one tenant's burst cannot monopolize the budget. Globally a
+// query runs only while the concurrency cap holds and its estimated memory
+// cost fits the remaining budget.
 //
 // Two starvation guards are layered on top. The escape valve (kept from the
 // FIFO admitter): a query whose cost alone exceeds the whole budget is
 // admitted once nothing else is in flight, rather than waiting forever.
 // Priority aging: a query that has watched agingPasses other admissions go
 // by has its deficit requirement waived — it then competes on global
-// feasibility alone, so a big reporting query in a low-weight tenant is
-// delayed proportionally, never indefinitely.
+// feasibility alone, so a big reporting query behind a stream of cheap ones
+// is delayed, never indefinitely.
 //
 // A session serving a single tenant reduces exactly to the old global FIFO:
 // one queue, arrival order, head-of-line blocking and all.
 type admitter struct {
-	budget      int64
-	maxConc     int
-	depth       int   // global bound on queued waiters
-	quantum     int64 // deficit credited per round per unit weight
-	agingPasses int   // passes before a waiter's deficit gate is waived; <= 0 disables
-	weights     map[string]int64
+	budget  int64
+	maxConc int
+	depth   int   // global bound on queued waiters
+	quantum int64 // deficit credited per round
 
 	reg *obs.Registry // live gauges (queue depth, in-flight, reserved); may be nil
 
@@ -55,9 +52,12 @@ type admitter struct {
 	peakInFlight int
 }
 
+// agingPasses is how many other admissions a waiter watches go by before
+// its deficit gate is waived.
+const agingPasses = 64
+
 type tenantQueue struct {
 	name    string
-	weight  int64
 	deficit int64
 	fifo    []*waiter
 }
@@ -71,12 +71,10 @@ type waiter struct {
 
 // admitConfig bundles the admitter's tuning knobs.
 type admitConfig struct {
-	budget      int64
-	maxConc     int
-	depth       int
-	weights     map[string]int64 // tenant → weight; missing or < 1 means 1
-	agingPasses int              // 0 → default 64; < 0 → disabled
-	quantum     int64            // 0 → budget/64 (min 1)
+	budget  int64
+	maxConc int
+	depth   int
+	quantum int64 // 0 → budget/64 (min 1)
 }
 
 func newAdmitter(cfg admitConfig, reg *obs.Registry) *admitter {
@@ -86,32 +84,20 @@ func newAdmitter(cfg admitConfig, reg *obs.Registry) *admitter {
 			cfg.quantum = 1
 		}
 	}
-	switch {
-	case cfg.agingPasses == 0:
-		cfg.agingPasses = 64
-	case cfg.agingPasses < 0:
-		cfg.agingPasses = 0
-	}
 	return &admitter{
-		budget:      cfg.budget,
-		maxConc:     cfg.maxConc,
-		depth:       cfg.depth,
-		quantum:     cfg.quantum,
-		agingPasses: cfg.agingPasses,
-		weights:     cfg.weights,
-		reg:         reg,
-		tenants:     make(map[string]*tenantQueue),
+		budget:  cfg.budget,
+		maxConc: cfg.maxConc,
+		depth:   cfg.depth,
+		quantum: cfg.quantum,
+		reg:     reg,
+		tenants: make(map[string]*tenantQueue),
 	}
 }
 
 func (a *admitter) tenantLocked(name string) *tenantQueue {
 	tq, ok := a.tenants[name]
 	if !ok {
-		w := int64(1)
-		if cfgW, ok := a.weights[name]; ok && cfgW >= 1 {
-			w = cfgW
-		}
-		tq = &tenantQueue{name: name, weight: w}
+		tq = &tenantQueue{name: name}
 		a.tenants[name] = tq
 	}
 	return tq
@@ -122,10 +108,9 @@ func (a *admitter) tenantLocked(name string) *tenantQueue {
 // ones costing ~0 bytes) would let one tenant's burst bank a single round's
 // credit into many consecutive grants, recreating the head-of-line blocking
 // fair sharing exists to break. With it, leftover deficit after a grant is
-// always below quantum×weight for one round, so a weight-1 tenant yields
-// after every grant while others wait, and weight-w tenants get up to w
-// cheap grants per round — byte proportionality for big queries, weighted
-// round-robin for small ones.
+// always below one round's quantum, so a tenant yields after every grant
+// while others wait — byte fairness for big queries, round-robin for small
+// ones.
 func (a *admitter) chargeOf(cost int64) int64 {
 	if cost < a.quantum {
 		return a.quantum
@@ -262,13 +247,13 @@ func (a *admitter) releaseLocked(cost int64) {
 	a.scheduleLocked()
 }
 
-// scheduleLocked admits every waiter that can run, in weighted fair-share
-// order. Each iteration considers only queue heads (within a tenant order
-// is strict FIFO) that are globally feasible, and picks the one needing the
-// fewest deficit rounds — aged waiters need zero by definition and oldest
-// wins among them. Rounds are advanced in one step rather than spun:
-// crediting every active tenant quantum×weight per round makes admitted
-// bytes track weights without a busy loop.
+// scheduleLocked admits every waiter that can run, in fair-share order. Each
+// iteration considers only queue heads (within a tenant order is strict
+// FIFO) that are globally feasible, and picks the one needing the fewest
+// deficit rounds — aged waiters need zero by definition and oldest wins
+// among them. Rounds are advanced in one step rather than spun: crediting
+// every active tenant quantum per round keeps admitted bytes even without a
+// busy loop.
 func (a *admitter) scheduleLocked() {
 	for {
 		var (
@@ -287,13 +272,11 @@ func (a *admitter) scheduleLocked() {
 			if !a.canRunLocked(head.cost) {
 				continue
 			}
-			aged := a.agingPasses > 0 && head.passes >= a.agingPasses
+			aged := head.passes >= agingPasses
 			charge := a.chargeOf(head.cost)
 			var rounds int64
 			if !aged && tq.deficit < charge {
-				per := a.quantum * tq.weight
-				need := charge - tq.deficit
-				rounds = (need + per - 1) / per
+				rounds = (charge - tq.deficit + a.quantum - 1) / a.quantum
 			}
 			better := false
 			switch {
@@ -315,7 +298,7 @@ func (a *admitter) scheduleLocked() {
 		}
 		if bestRounds > 0 {
 			for _, tq := range a.active {
-				tq.deficit += bestRounds * a.quantum * tq.weight
+				tq.deficit += bestRounds * a.quantum
 			}
 		}
 		head := best.fifo[0]

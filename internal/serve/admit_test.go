@@ -236,9 +236,9 @@ func TestAdmitterCancelHeadWakesQueue(t *testing.T) {
 	}
 }
 
-// TestAdmitterFairShareInterleaves: under equal weights, a tenant arriving
-// behind another tenant's backlog is served interleaved with it, not after
-// the whole backlog drains (the global-FIFO failure mode).
+// TestAdmitterFairShareInterleaves: a tenant arriving behind another
+// tenant's backlog is served interleaved with it, not after the whole
+// backlog drains (the global-FIFO failure mode).
 func TestAdmitterFairShareInterleaves(t *testing.T) {
 	a := testAdmitter(100, 1, 16)
 	release := mustAdmit(t, a, 10)
@@ -280,20 +280,17 @@ func TestAdmitterFairShareInterleaves(t *testing.T) {
 	}
 }
 
-// TestAdmitterAgingUnstarves: a heavy query in a low-weight tenant facing a
-// stream of cheap high-weight queries is admitted once it has watched
-// agingPasses admissions go by, instead of losing every deficit race.
+// TestAdmitterAgingUnstarves: a query costing more than the whole budget, in
+// one tenant, behind a stream of cheap queries from another is admitted once
+// it has watched agingPasses admissions go by. Without aging it would lose
+// every round while cheap heads keep arriving: a cheap head needs one round
+// of deficit, the heavy one 6 400.
 func TestAdmitterAgingUnstarves(t *testing.T) {
-	a := newAdmitter(admitConfig{
-		budget:      1000,
-		maxConc:     1,
-		depth:       16,
-		weights:     map[string]int64{"light": 10, "heavy": 1},
-		agingPasses: 2,
-	}, nil)
+	a := testAdmitter(6400, 1, 2*agingPasses)
 	release := mustAdmit(t, a, 10)
 
-	order := make(chan string, 8)
+	const light = agingPasses + 6
+	order := make(chan string, light+1)
 	enqueue := func(tenant string, cost int64) {
 		_, before, _, _, _ := a.snapshot()
 		go func() {
@@ -312,13 +309,13 @@ func TestAdmitterAgingUnstarves(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	enqueue("heavy", 500)
-	for i := 0; i < 5; i++ {
+	enqueue("heavy", 100*6400)
+	for i := 0; i < light; i++ {
 		enqueue("light", 10)
 	}
 
 	release()
-	got := make([]string, 6)
+	got := make([]string, light+1)
 	for i := range got {
 		got[i] = <-order
 	}
@@ -329,9 +326,9 @@ func TestAdmitterAgingUnstarves(t *testing.T) {
 			break
 		}
 	}
-	// Two light admissions age the heavy head past agingPasses=2; the third
-	// grant must be the heavy query.
-	if pos != 2 {
-		t.Fatalf("heavy query admitted at position %d of %v, want 2 (after agingPasses light grants)", pos, got)
+	// agingPasses light admissions age the heavy head; the next grant must
+	// be the heavy query.
+	if pos != agingPasses {
+		t.Fatalf("heavy query admitted at position %d of %v, want %d (after agingPasses light grants)", pos, got, agingPasses)
 	}
 }

@@ -38,12 +38,14 @@ func (b *blockReads) BeforeBlockRead(_ string, id int64) error {
 }
 
 // TestOneDriverScanPerDimensionVersion: the admission estimate and the scan
-// pushdowns of a dimension come out of one driver-side scan of the version
-// the query pinned. With every node holding its local copy, so that only the
-// driver reads the master, a session's first miss on a never-seen customer
-// predicate reads the customer table once, a second statement with the same
-// customer predicate not at all, and the first statement again after a
-// customer roll-in once more.
+// pushdowns of a dimension come out of the table the driver builds from one
+// read of the version the query pinned. With every node holding its local
+// copy, so that only the driver reads the master, a session's first miss
+// reads the customer table once, a second statement with the same customer
+// predicate and a third with another one not at all, and the first statement
+// again after a customer roll-in once more. That roll-in repeats a key, and
+// what admission charges and an estimate returns are still what a node's
+// build reserves.
 func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 	c := cluster.New(cluster.Testing(2))
 	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 23})
@@ -61,6 +63,13 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 	}
 	again := *q // the same three dimension specs under another fact predicate
 	again.Name, again.FactPred = "Q3.1-small-orders", expr.Lt(expr.Col("lo_quantity"), expr.ConstInt(25))
+	other := *q // another customer predicate
+	other.Name, other.Dims = "Q3.1-europe", append([]core.DimSpec(nil), q.Dims...)
+	for i := range other.Dims {
+		if other.Dims[i].Table == ssb.TableCustomer {
+			other.Dims[i].Pred = expr.Eq(expr.Col("c_region"), expr.ConstStr("EUROPE"))
+		}
+	}
 
 	// watchCustomer gives every node its copy of the current customer
 	// version, learns which blocks one scan of the master reads and how
@@ -98,8 +107,8 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 	if hook.n != perScan {
 		t.Errorf("first miss read %d customer blocks on the driver, one scan is %d", hook.n, perScan)
 	}
-	if n := s.eng.DimScansHeld(); n != len(q.Dims) {
-		t.Errorf("the engine holds %d dimension scans after a query over %d dimensions", n, len(q.Dims))
+	if n := s.eng.DimScansHeld(); n != 2*len(q.Dims) {
+		t.Errorf("the engine holds %d images and scans after a query over %d dimensions, want one of each per dimension", n, len(q.Dims))
 	}
 	// What admission charged and what the fact scan was handed are that one
 	// scan's products: the bytes cost no further read, and the query pruned.
@@ -135,6 +144,10 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 	if hook.n != perScan {
 		t.Errorf("a second statement with the same customer predicate read the master again: %d block reads, were %d", hook.n, perScan)
 	}
+	run(&other)
+	if hook.n != perScan {
+		t.Errorf("a statement with another customer predicate read the master again: %d block reads, were %d", hook.n, perScan)
+	}
 
 	if _, err := s.RollIn(ssb.TableCustomer, func(emit func(records.Record) error) error {
 		return emit(gen.Customer(0))
@@ -145,5 +158,40 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 	run(q)
 	if hook.n != perScan {
 		t.Errorf("first query after the roll-in read %d customer blocks on the driver, one scan is %d", hook.n, perScan)
+	}
+
+	// The roll-in re-appended customer 1, so the newest customer version
+	// holds that key twice and a build keeps its last row: every SSB spec,
+	// and one keeping every customer, at the current versions.
+	fs.SetReadFaultInjector(nil)
+	var specs []core.DimSpec
+	for _, sq := range ssb.Queries() {
+		specs = append(specs, sq.Dims...)
+	}
+	everyone := *q.Dim(ssb.TableCustomer)
+	everyone.Pred = nil
+	specs = append(specs, everyone)
+	for i := range specs {
+		d := &specs[i]
+		dir := cat.DimDirs[d.Table]
+		d.Version = colstore.RowTableVersion(fs, dir)
+		built, err := core.BuildDimHashTable(fs, c.Nodes()[0], dir, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		admits, err := s.eng.DimTableBytes(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := core.EstimateDimHashBytes([]core.DimSpec{*d}, func(_ string, fn func(records.Record) error) error {
+			return colstore.ScanRowTable(fs, dir, "", fn)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if admits != built.MemBytes || est[0] != built.MemBytes {
+			t.Errorf("%s@%d %v: admission charges %d bytes, an estimate says %d, a node build reserves %d",
+				d.Table, d.Version, d.Pred, admits, est[0], built.MemBytes)
+		}
 	}
 }

@@ -2,17 +2,21 @@ package serve_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
+	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
+	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
+	"clydesdale/internal/sql"
 	"clydesdale/internal/ssb"
 )
 
@@ -206,4 +210,52 @@ func TestServeResultCacheCloseReleases(t *testing.T) {
 		t.Errorf("%d result bytes still resident after Close", st.ResultBytes)
 	}
 	e.checkNoLeak(t)
+}
+
+// TestServeTellsConstantListsApart: Q3.3's customer filter is a list of two
+// cities; the same statement with the one city whose name is that list's
+// text asks for a customer no table holds. Both the result-cache key and the
+// table-cache key are built from a predicate's text, so with either cache on
+// the second statement must still get its own answer, not Q3.3's.
+func TestServeTellsConstantListsApart(t *testing.T) {
+	c := cluster.New(cluster.Testing(2))
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 23})
+	gen := ssb.NewGenerator(0.005, 48) // a seed whose Q3.3 answer is not empty
+	lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{SkipRC: true, PartitionRows: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q33 = `SELECT c_city, s_city, d_year, SUM(lo_revenue) AS revenue
+		FROM customer, lineorder, supplier, date
+		WHERE lo_custkey = c_custkey AND lo_suppkey = s_suppkey AND lo_orderdate = d_datekey
+		  AND c_city IN ('UNITED KI1', 'UNITED KI5') AND s_city IN ('UNITED KI1', 'UNITED KI5')
+		  AND d_year >= 1992 AND d_year <= 1997
+		GROUP BY c_city, s_city, d_year ORDER BY d_year ASC, revenue DESC`
+	one := strings.Replace(q33, "c_city IN ('UNITED KI1', 'UNITED KI5')", "c_city IN ('UNITED KI1, UNITED KI5')", 1)
+	for _, budget := range []int64{0, -1} {
+		s := serve.New(mr.NewEngine(c, fs, mr.Options{}), lay.Catalog(), serve.Options{ResultCacheBudget: budget})
+		for i, text := range []string{q33, one} {
+			l, err := sql.Parse(text, lay.Catalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refexec.RunLogical(l, gen.Each)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 && len(want.Rows) == 0 {
+				t.Fatal("fixture: Q3.3 answers no row, so nothing tells the statements apart")
+			}
+			rs, _, err := s.QueryPlan(context.Background(), l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+				t.Errorf("result cache budget %d, statement %d: %s\ngot:\n%swant:\n%s", budget, i+1, why, rs, want)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -56,14 +56,6 @@ type Options struct {
 	// 0 uses 16; negative disables per-query profiling entirely (no trace
 	// collection, no assembly cost).
 	ProfileDepth int
-	// TenantWeights maps tenant identity (see WithTenant) to its fair-share
-	// weight; missing tenants weigh 1. A tenant with weight 3 is admitted
-	// roughly 3× the bytes of a weight-1 tenant under contention.
-	TenantWeights map[string]int64
-	// AgingPasses bounds queue starvation: a queued query that has watched
-	// this many other admissions go by has its fair-share deficit gate
-	// waived. 0 uses 64; negative disables aging.
-	AgingPasses int
 	// ResultCacheBudget bounds driver-resident cached result bytes for the
 	// fingerprint result cache; 0 uses 64 MiB, negative disables the cache.
 	ResultCacheBudget int64
@@ -167,11 +159,9 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 		cache:  cache,
 		rcache: rcache,
 		adm: newAdmitter(admitConfig{
-			budget:      opts.AdmissionBudget,
-			maxConc:     opts.MaxConcurrent,
-			depth:       opts.QueueDepth,
-			weights:     opts.TenantWeights,
-			agingPasses: opts.AgingPasses,
+			budget:  opts.AdmissionBudget,
+			maxConc: opts.MaxConcurrent,
+			depth:   opts.QueueDepth,
 		}, reg),
 		opts: opts,
 	}

@@ -10,8 +10,8 @@ const DefaultTenant = "default"
 type tenantCtxKey struct{}
 
 // WithTenant returns a context carrying the tenant identity for Query calls
-// below it. Admission queues, fair-share weights and the admission byte
-// quota all key on this identity; an empty id means DefaultTenant.
+// below it. Admission queues and fair-share deficits key on this identity;
+// an empty id means DefaultTenant.
 func WithTenant(ctx context.Context, id string) context.Context {
 	if id == "" {
 		return ctx

@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet no-deprecated no-sleep build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke benchmark-smoke examples-smoke loc clean
+.PHONY: check fmt vet no-deprecated no-sleep surface build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke benchmark-smoke examples-smoke loc clean
 
-check: fmt vet no-deprecated no-sleep build race-concurrency chaos plan-golden benchmark-smoke examples-smoke
+check: fmt vet no-deprecated no-sleep surface build race-concurrency chaos plan-golden benchmark-smoke examples-smoke
 
 # Fail if any file is not gofmt-clean, listing the offenders.
 fmt:
@@ -31,8 +31,8 @@ vet:
 # does a second dimension build: a DimHashTable is made in one place, the
 # body buildDimHashTable shares with the driver and with estimates
 # (buildDimTable), from a column set — so no row walk of a version
-# (ScanRowTableAt), no row-wise filter in core (DimSpec.Select is the Hive
-# baseline's) and no size formula beside the build (dimTableCapacity outside
+# (ScanRowTableAt), no row-wise filter in core (the Hive baseline's mapjoin
+# build has its own, selectDim) and no size formula beside the build (dimTableCapacity outside
 # hashtable.go).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
@@ -56,6 +56,13 @@ no-deprecated:
 no-sleep:
 	@if grep -n -E 'time\.(Sleep|After|Tick|NewTimer)' $$(ls internal/mr/*.go | grep -v _test.go); then \
 		echo "timer or sleep in internal/mr: wait on the event, not on the clock"; exit 1; fi
+
+# The exported surface earns its place (DESIGN.md "Exported surface"): no
+# exported name of internal/ that only tests use beyond the entries of
+# testdata/surface.golden, which may only shrink, and every program under
+# cmd/ and examples/ run by examples-smoke and named in README.md.
+surface:
+	$(GO) test -count=1 -run 'TestExportedSurface|TestBinariesAreSmoked' .
 
 build:
 	$(GO) build ./...

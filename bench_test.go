@@ -268,7 +268,7 @@ func BenchmarkBlockIteration(b *testing.B) {
 				if !ok {
 					break
 				}
-				for _, v := range blk.ColNamed("lo_revenue").Ints {
+				for _, v := range blk.Col(blk.Schema().MustIndex("lo_revenue")).Ints {
 					sum += v
 				}
 			}

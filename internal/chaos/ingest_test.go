@@ -77,7 +77,7 @@ func TestChaosKillMidRollIn(t *testing.T) {
 		if rows != preRows || sum != preSum {
 			t.Fatalf("failed roll-in changed the table: %d rows (was %d)", rows, preRows)
 		}
-		if swept, _ := colstore.SweepUncommitted(e.fs, e.lay.Catalog().FactDir); len(swept) != 0 {
+		if swept := reg.SweepUncommitted(e.lay.Catalog().FactDir); len(swept) != 0 {
 			t.Fatalf("failed roll-in left uncommitted debris: %v", swept)
 		}
 		// Retry on the degraded cluster must succeed (3 nodes still alive).
@@ -98,7 +98,7 @@ func TestChaosKillMidRollIn(t *testing.T) {
 		t.Fatalf("acknowledged roll-in lost rows: %d rows / sum %d, want %d / %d",
 			rows, sum, preRows+batch, preSum+batchSum)
 	}
-	if swept, _ := colstore.SweepUncommitted(e.fs, e.lay.Catalog().FactDir); len(swept) != 0 {
+	if swept := reg.SweepUncommitted(e.lay.Catalog().FactDir); len(swept) != 0 {
 		t.Fatalf("uncommitted partitions visible on disk after ack: %v", swept)
 	}
 }
@@ -152,7 +152,7 @@ func TestChaosKillMidCompaction(t *testing.T) {
 			t.Error("mid-read kill caused no hdfs failovers")
 		}
 	}
-	if swept, _ := colstore.SweepUncommitted(e.fs, e.lay.Catalog().FactDir); len(swept) != 0 {
+	if swept := reg.SweepUncommitted(e.lay.Catalog().FactDir); len(swept) != 0 {
 		t.Fatalf("compaction left uncommitted partitions visible: %v", swept)
 	}
 

@@ -164,12 +164,6 @@ func (c *Cluster) ScaleIO(factor float64) {
 	c.live.netBW.Store(c.cfg.NetBandwidth / factor)
 }
 
-// DiskBandwidth returns the currently effective per-disk bandwidth.
-func (c *Cluster) DiskBandwidth() float64 { return c.live.diskBW.Load() }
-
-// NetBandwidth returns the currently effective per-node network bandwidth.
-func (c *Cluster) NetBandwidth() float64 { return c.live.netBW.Load() }
-
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 

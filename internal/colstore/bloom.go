@@ -1,7 +1,5 @@
 package colstore
 
-import "math/bits"
-
 // Semi-join filter pushdown (sideways information passing): after the driver
 // scans a filtered dimension, the set of surviving join keys is summarized
 // into a bloom filter and pushed into the fact scan, where rows whose FK is
@@ -30,7 +28,6 @@ const bloomProbes = 7
 type KeyBloom struct {
 	words []uint64
 	mask  uint64 // word-index mask (len(words)-1, power of two)
-	n     int    // keys inserted, for accounting
 }
 
 // NewKeyBloom builds a filter containing exactly the given keys, sized at
@@ -48,7 +45,7 @@ func NewKeyBloom(keys []int64, bitsPerKey int) *KeyBloom {
 	for words*64 < nbits {
 		words *= 2
 	}
-	b := &KeyBloom{words: make([]uint64, words), mask: uint64(words) - 1, n: len(keys)}
+	b := &KeyBloom{words: make([]uint64, words), mask: uint64(words) - 1}
 	for _, k := range keys {
 		idx, pattern := bloomPos(k)
 		b.words[idx&b.mask] |= pattern
@@ -61,22 +58,6 @@ func NewKeyBloom(keys []int64, bitsPerKey int) *KeyBloom {
 func (b *KeyBloom) MayContain(k int64) bool {
 	idx, pattern := bloomPos(k)
 	return b.words[idx&b.mask]&pattern == pattern
-}
-
-// Keys returns the number of keys the filter was built over.
-func (b *KeyBloom) Keys() int { return b.n }
-
-// MemBytes returns the filter's bit-array size.
-func (b *KeyBloom) MemBytes() int64 { return int64(len(b.words)) * 8 }
-
-// FillRatio returns the fraction of set bits — a direct handle on the
-// false-positive rate (≈ ratio^k) for reports and tests.
-func (b *KeyBloom) FillRatio() float64 {
-	set := 0
-	for _, w := range b.words {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(len(b.words)*64)
 }
 
 // bloomPos hashes a key (splitmix64 finalizer) into a word index and the

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -24,12 +25,6 @@ func TestKeyBloomNoFalseNegatives(t *testing.T) {
 			if !b.MayContain(k) {
 				t.Fatalf("n=%d: inserted key %d tested negative", n, k)
 			}
-		}
-		if b.Keys() != n {
-			t.Errorf("n=%d: Keys() = %d", n, b.Keys())
-		}
-		if b.MemBytes() <= 0 {
-			t.Errorf("n=%d: MemBytes() = %d", n, b.MemBytes())
 		}
 	}
 }
@@ -63,8 +58,14 @@ func TestKeyBloomFalsePositiveRate(t *testing.T) {
 	if rate := float64(fp) / probes; rate > 0.03 {
 		t.Errorf("false-positive rate %.4f, want < 0.03", rate)
 	}
-	if fr := b.FillRatio(); fr <= 0 || fr > 0.7 {
-		t.Errorf("FillRatio = %.3f, want in (0, 0.7] for 10 bits/key", fr)
+	// The fraction of set bits is a direct handle on the false-positive
+	// rate (about ratio^k).
+	set := 0
+	for _, w := range b.words {
+		set += bits.OnesCount64(w)
+	}
+	if fr := float64(set) / float64(len(b.words)*64); fr <= 0 || fr > 0.7 {
+		t.Errorf("fill ratio = %.3f, want in (0, 0.7] for 10 bits/key", fr)
 	}
 }
 

@@ -202,8 +202,7 @@ func (w *CIFWriter) Rows() int64 { return w.rows }
 
 // Pending returns the partition directories a staged writer has flushed but
 // not committed, in write order. Valid after Close; publish them atomically
-// via Snapshots.Publish (or commit them directly with SweepUncommitted's
-// inverse in tests).
+// via Snapshots.Publish.
 func (w *CIFWriter) Pending() []string { return w.pending }
 
 // DiscardPending deletes a staged writer's uncommitted partitions — the
@@ -354,22 +353,6 @@ func ListPartitions(fs *hdfs.FileSystem, dir string) ([]string, error) {
 	}
 	sortPartitionDirs(parts)
 	return parts, nil
-}
-
-// SweepUncommitted removes partition directories that never committed —
-// the debris of writers that crashed between phases. Callers must ensure no
-// writer is actively staging into the table. Returns the swept directories.
-func SweepUncommitted(fs *hdfs.FileSystem, dir string) ([]string, error) {
-	all, committed := scanPartitionDirs(fs, dir)
-	var swept []string
-	for _, p := range all {
-		if committed[p] {
-			continue
-		}
-		fs.DeletePrefix(p + "/")
-		swept = append(swept, p)
-	}
-	return swept, nil
 }
 
 // CIFSplit is one CIF partition: the unit of locality and scheduling.

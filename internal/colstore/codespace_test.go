@@ -364,8 +364,7 @@ func TestSemiJoinFilterParity(t *testing.T) {
 		case 3: // and a code bitmap followed by a conjunct over two columns, tested row by row
 			pred = expr.And(
 				expr.Ge(expr.Col("fa"), expr.ConstInt(int64(rng.Intn(20))*7)),
-				expr.Or(expr.Lt(expr.Col("fb"), expr.ConstInt(1000+int64(rng.Intn(700)))),
-					expr.Lt(expr.Col("fc"), expr.ConstInt(int64(rng.Intn(30000))))))
+				expr.Lt(expr.Col("fb"), expr.Col("fc")))
 		}
 		holds := func(records.Record) bool { return true }
 		if pred != nil {
@@ -398,7 +397,7 @@ func TestSemiJoinFilterParity(t *testing.T) {
 					t.Fatalf("%s: %d rows, reference %d", what, len(got), len(want))
 				}
 				for i := range want { // a scan returns rows in table order
-					if !got[i].Equal(want[i]) {
+					if got[i].Compare(want[i]) != 0 {
 						t.Fatalf("%s: row %d is %v, reference %v", what, i, got[i], want[i])
 					}
 				}

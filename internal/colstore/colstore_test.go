@@ -77,9 +77,7 @@ func scanAll(t *testing.T, e *env, input mr.InputFormat, conf *mr.JobConf) []rec
 func sortByID(rows []records.Record) map[int64]records.Record {
 	m := make(map[int64]records.Record, len(rows))
 	for _, r := range rows {
-		if v, ok := r.Lookup("id"); ok {
-			m[v.Int64()] = r
-		}
+		m[r.Get("id").Int64()] = r
 	}
 	return m
 }
@@ -130,7 +128,7 @@ func TestRowFileRoundTrip(t *testing.T) {
 	}
 	byID := sortByID(rows)
 	for i := 0; i < n; i++ {
-		if !byID[int64(i)].Equal(makeRow(i)) {
+		if byID[int64(i)].Compare(makeRow(i)) != 0 {
 			t.Errorf("row %d = %v", i, byID[int64(i)])
 		}
 	}
@@ -171,7 +169,7 @@ func TestRCFileRoundTripAndPruning(t *testing.T) {
 	}
 	byID := sortByID(rows)
 	for i := 0; i < n; i += 37 {
-		if !byID[int64(i)].Equal(makeRow(i)) {
+		if byID[int64(i)].Compare(makeRow(i)) != 0 {
 			t.Errorf("row %d = %v", i, byID[int64(i)])
 		}
 	}
@@ -220,7 +218,7 @@ func TestCIFRoundTrip(t *testing.T) {
 	}
 	byID := sortByID(rows)
 	for i := 0; i < n; i++ {
-		if !byID[int64(i)].Equal(makeRow(i)) {
+		if byID[int64(i)].Compare(makeRow(i)) != 0 {
 			t.Fatalf("row %d = %v", i, byID[int64(i)])
 		}
 	}
@@ -304,8 +302,8 @@ func TestCIFBlockReader(t *testing.T) {
 			if blk.Len() == 0 || blk.Len() > 30 {
 				t.Errorf("block len = %d", blk.Len())
 			}
-			ids := blk.ColNamed("id").Ints
-			names := blk.ColNamed("name").Strs
+			ids := blk.Col(blk.Schema().MustIndex("id")).Ints
+			names := blk.Col(blk.Schema().MustIndex("name")).Strs
 			for i := range ids {
 				if names[i] != fmt.Sprintf("item-%03d", ids[i]) {
 					t.Errorf("row mismatch: id=%d name=%s", ids[i], names[i])
@@ -459,7 +457,7 @@ func TestRowOutputFormat(t *testing.T) {
 	}
 	byID := sortByID(rows)
 	for i := 0; i < 50; i++ {
-		if !byID[int64(i)].Equal(makeRow(i)) {
+		if byID[int64(i)].Compare(makeRow(i)) != 0 {
 			t.Errorf("row %d mismatch", i)
 		}
 	}
@@ -515,7 +513,7 @@ func TestCIFRollOut(t *testing.T) {
 	if _, old := byID[0]; old {
 		t.Error("rolled-out row still visible")
 	}
-	if !byID[150].Equal(makeRow(150)) {
+	if byID[150].Compare(makeRow(150)) != 0 {
 		t.Error("surviving rows corrupted")
 	}
 	if files := e.fs.List(parts[0] + "/"); len(files) != 0 || reg.Versions("/cif")[0] != 1 {

@@ -3,6 +3,7 @@ package colstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"clydesdale/internal/records"
@@ -59,10 +60,7 @@ func TestUncommittedPartitionsInvisible(t *testing.T) {
 	}
 
 	// SweepUncommitted treats them as debris from a crashed writer.
-	swept, err := SweepUncommitted(e.fs, "/cif")
-	if err != nil {
-		t.Fatal(err)
-	}
+	swept := NewSnapshots(e.fs).SweepUncommitted("/cif")
 	if len(swept) != 2 {
 		t.Fatalf("swept = %v", swept)
 	}
@@ -162,7 +160,7 @@ func TestRollInAtomicVisibilityAndFailure(t *testing.T) {
 	if parts, _ := ListPartitions(e.fs, "/cif"); len(parts) != 2 {
 		t.Fatalf("failed roll-in changed visibility: %v", parts)
 	}
-	if swept, _ := SweepUncommitted(e.fs, "/cif"); len(swept) != 0 {
+	if swept := reg.SweepUncommitted("/cif"); len(swept) != 0 {
 		t.Fatalf("failed roll-in left debris: %v", swept)
 	}
 
@@ -240,6 +238,42 @@ func TestSnapshotPinsPreSwapState(t *testing.T) {
 	snap.Release() // idempotent
 }
 
+// TestSweepSparesPinnedRetirees: a retired partition loses its commit
+// marker at once but keeps its files while a snapshot reads it, so on disk
+// it looks like a crashed writer's debris. The sweep tells the two apart:
+// after a compaction retires every partition a pinned snapshot reads, a
+// sweep deletes nothing and the pin still scans every row; staged debris
+// beside them is still swept.
+func TestSweepSparesPinnedRetirees(t *testing.T) {
+	e := newEnv(2, 1024)
+	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 16, genRows(64)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewSnapshots(e.fs)
+	snap, err := reg.Acquire("/cif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	res, err := Compact(reg, "/cif", CompactOptions{MinRows: 32, TargetRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Retired) != len(snap.Parts) {
+		t.Fatalf("compaction retired %v, the snapshot reads %v", res.Retired, snap.Parts)
+	}
+	if swept := reg.SweepUncommitted("/cif"); len(swept) != 0 {
+		t.Fatalf("sweep deleted partitions a pinned snapshot reads: %v", swept)
+	}
+	if rows := scanAll(t, e, &CIFInput{Dir: "/cif", Snapshot: snap.Parts}, nil); len(rows) != 64 {
+		t.Fatalf("pinned snapshot scans %d rows after the sweep, want 64", len(rows))
+	}
+	w := stageBatch(t, e, "/cif", 64, 16, 16)
+	if swept := reg.SweepUncommitted("/cif"); !slices.Equal(swept, w.Pending()) {
+		t.Fatalf("swept %v, the staged debris is %v", swept, w.Pending())
+	}
+}
+
 func TestCompactRewritesSmallPartitions(t *testing.T) {
 	e := newEnv(2, 4096)
 	const n = 96
@@ -275,7 +309,7 @@ func TestCompactRewritesSmallPartitions(t *testing.T) {
 	}
 	byID := sortByID(rows)
 	for i := 0; i < n; i++ {
-		if !byID[int64(i)].Equal(makeRow(i)) {
+		if byID[int64(i)].Compare(makeRow(i)) != 0 {
 			t.Fatalf("row %d corrupted by compaction: %v", i, byID[int64(i)])
 		}
 	}

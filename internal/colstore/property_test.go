@@ -141,7 +141,7 @@ func sameRows(want, got []records.Record) bool {
 	sortRecords(w)
 	sortRecords(g)
 	for i := range w {
-		if !w[i].Equal(g[i]) {
+		if w[i].Compare(g[i]) != 0 {
 			return false
 		}
 	}

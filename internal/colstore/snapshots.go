@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"clydesdale/internal/hdfs"
@@ -218,6 +219,27 @@ func (s *Snapshots) swap(dir string, publish, retire []string, newContent bool) 
 		s.versions[dir]++
 	}
 	return nil
+}
+
+// SweepUncommitted removes the partition directories of the table at dir
+// that never committed — the debris of writers that crashed between phases
+// — and returns them. A retired partition a pinned snapshot still reads has
+// lost its marker too, but it is not debris: the sweep skips it, under the
+// mutex that retires and reaps. Callers must ensure no writer is staging
+// into the table.
+func (s *Snapshots) SweepUncommitted(dir string) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	all, committed := scanPartitionDirs(s.fs, dir)
+	var swept []string
+	for _, p := range all {
+		if committed[p] || slices.Contains(s.doomed[dir], p) {
+			continue
+		}
+		s.fs.DeletePrefix(p + "/")
+		swept = append(swept, p)
+	}
+	return swept
 }
 
 // RollIn appends a batch of rows to the table, visible atomically: rows are

@@ -100,9 +100,6 @@ func New(mrEngine *mr.Engine, cat *Catalog, opts Options) *Engine {
 	return &Engine{mr: mrEngine, cat: cat, opts: opts, snaps: colstore.NewSnapshots(mrEngine.FS())}
 }
 
-// Catalog returns the engine's catalog.
-func (e *Engine) Catalog() *Catalog { return e.cat }
-
 // Snapshots returns the engine's table-version registry. Every query the
 // engine runs pins its {table → version} vector here at plan time, so
 // ingestion paths (roll-in, compaction, retention) must publish and retire
@@ -212,9 +209,8 @@ type Report struct {
 	// Passes counts the jobs that ran, one per pass of the plan: 1 for a
 	// star, one per depth level for a snowflake plan, one per step after the
 	// one-step-per-pass fallback of a plan that ran out of node memory; 0
-	// when no job ran. Staged reports that more than one did. Job is then
-	// the last pass's job, its counters those of every pass together.
-	Staged bool
+	// when no job ran. With more than one, Job is the last pass's job, its
+	// counters those of every pass together.
 	Passes int
 	// PartitionsPruned and BytesSkipped summarize zone-map partition
 	// pruning on the fact scan (the scan.* counters).
@@ -232,11 +228,7 @@ func (r *Report) PlanAttr() string {
 	if r == nil || r.Passes == 0 {
 		return ""
 	}
-	kind := "star"
-	if r.Staged {
-		kind = "staged"
-	}
-	return fmt.Sprintf("%s passes=%d", kind, r.Passes)
+	return fmt.Sprintf("%s passes=%d", plan.KindOf(r.Passes), r.Passes)
 }
 
 // fillScanStats copies the pruning counters into the report.

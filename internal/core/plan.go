@@ -41,7 +41,7 @@ func (e *Engine) RunPlan(ctx context.Context, p *plan.Physical) (*results.Result
 // reads that one vector. A plan whose pass holds more hash tables than node
 // memory re-runs over the same vector with one step per pass — the §5.1
 // fallback, one table resident at a time — and the report says so
-// (Report.Staged, Report.Passes).
+// (Report.Passes).
 func (e *Engine) RunPlanAt(ctx context.Context, p *plan.Physical, pin *Pin) (rs *results.ResultSet, rep *Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -148,7 +148,7 @@ func (e *Engine) run(ctx context.Context, p *plan.Physical, pin *Pin) (*results.
 			res.Counters.Merge(before.Counters)
 		}
 	}
-	return finish(sh, sums, &Report{Job: res, Staged: len(passes) > 1, Passes: len(passes)}, start)
+	return finish(sh, sums, &Report{Job: res, Passes: len(passes)}, start)
 }
 
 // submit runs one pass's job with the table cache its tasks share: the one

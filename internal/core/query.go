@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"clydesdale/internal/expr"
@@ -53,37 +52,6 @@ func (d *DimSpec) Fingerprint() string {
 	return fmt.Sprintf("%d|%s|%s|%s", d.Version, d.DimPK, p, strings.Join(d.Aux, ","))
 }
 
-// Select is the row-wise dimension filter: it walks rows, a source of the
-// dimension's records, and hands fn the key and the aux values of every row
-// that passes Pred. aux is one slice refilled per row; fn must not keep it.
-func (d *DimSpec) Select(rows func(fn func(records.Record) error) error, fn func(pk records.Value, aux []records.Value) error) error {
-	var pred expr.RowPred
-	if d.Pred != nil {
-		var err error
-		if pred, err = expr.CompilePred(d.Pred, d.Schema); err != nil {
-			return err
-		}
-	}
-	pkIx := d.Schema.Index(d.DimPK)
-	if pkIx < 0 {
-		return fmt.Errorf("core: dim %s has no column %s", d.Table, d.DimPK)
-	}
-	auxIx := make([]int, len(d.Aux))
-	for i, a := range d.Aux {
-		auxIx[i] = d.Schema.MustIndex(a)
-	}
-	aux := make([]records.Value, len(auxIx))
-	return rows(func(r records.Record) error {
-		if pred != nil && !pred(r) {
-			return nil
-		}
-		for i, ix := range auxIx {
-			aux[i] = r.At(ix)
-		}
-		return fn(r.At(pkIx), aux)
-	})
-}
-
 // OrderKey is one ORDER BY term; Col may name a group-by column or the
 // aggregate output.
 type OrderKey struct {
@@ -104,31 +72,6 @@ type Query struct {
 	AggName  string    // output column name for the aggregate
 	GroupBy  []string  // dimension auxiliary columns
 	OrderBy  []OrderKey
-}
-
-// FactColumns returns the fact-table columns the query reads: foreign keys
-// of joined dimensions, measure columns, and fact-predicate columns,
-// deduplicated and sorted.
-func (q *Query) FactColumns() []string {
-	var exprs []expr.Expr
-	if q.AggExpr != nil {
-		exprs = append(exprs, q.AggExpr)
-	}
-	preds := []expr.Pred{q.FactPred}
-	cols := expr.ColumnsOf(exprs, preds)
-	for _, d := range q.Dims {
-		cols = append(cols, d.FactFK)
-	}
-	seen := map[string]bool{}
-	out := cols[:0]
-	for _, c := range cols {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Dim returns the spec for a dimension table, or nil.

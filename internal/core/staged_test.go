@@ -65,8 +65,8 @@ func TestStagedMatchesReference(t *testing.T) {
 			if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 				t.Errorf("%s %s staged: %s", name, q.Name, why)
 			}
-			if rep.Passes != len(q.Dims) || rep.Staged != (len(q.Dims) > 1) {
-				t.Errorf("%s %s: report says staged=%v passes=%d for %d joins", name, q.Name, rep.Staged, rep.Passes, len(q.Dims))
+			if rep.Passes != len(q.Dims) {
+				t.Errorf("%s %s: report says passes=%d for %d joins", name, q.Name, rep.Passes, len(q.Dims))
 			}
 			if rep.Job.Counters.Get(core.CtrHashTablesBuilt) == 0 {
 				t.Errorf("%s %s: no hash builds recorded", name, q.Name)
@@ -147,7 +147,7 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
-	if !rep.Staged {
+	if rep.Passes < 2 {
 		t.Error("Run should have hit the single-job OOM and fallen back to the staged plan")
 	}
 	if ok, why := results.Equivalent(rs2, want, 1e-9); !ok {
@@ -190,9 +190,9 @@ func TestZeroJoinStatementIsOnePass(t *testing.T) {
 			t.Errorf("zero joins: %s\ngot:\n%swant:\n%s", why, rs, want)
 		}
 		c := rep.Job.Counters
-		if rep.Passes != 1 || rep.Staged || c.Get(mr.CtrMapTasks) == 0 || c.Get(mr.CtrReduceTasks) != 1 || c.Get(core.CtrHashTablesBuilt) != 0 {
-			t.Errorf("zero joins ran staged=%v passes=%d with %d map tasks, %d reduce tasks and %d hash builds; want one aggregating job that builds nothing",
-				rep.Staged, rep.Passes, c.Get(mr.CtrMapTasks), c.Get(mr.CtrReduceTasks), c.Get(core.CtrHashTablesBuilt))
+		if rep.Passes != 1 || c.Get(mr.CtrMapTasks) == 0 || c.Get(mr.CtrReduceTasks) != 1 || c.Get(core.CtrHashTablesBuilt) != 0 {
+			t.Errorf("zero joins ran %d passes with %d map tasks, %d reduce tasks and %d hash builds; want one aggregating job that builds nothing",
+				rep.Passes, c.Get(mr.CtrMapTasks), c.Get(mr.CtrReduceTasks), c.Get(core.CtrHashTablesBuilt))
 		}
 	}
 	if files := e.fs.List("/tmp/clydesdale/"); len(files) != 0 {
@@ -218,7 +218,7 @@ func TestRunPrefersSinglePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Staged {
+	if rep.Passes != 1 {
 		t.Error("should not stage with ample memory")
 	}
 }

@@ -113,8 +113,6 @@ func arith(op ArithOp, l, r float64) float64 {
 // CompilePred compiles p against the schema into a row predicate.
 func CompilePred(p Pred, s *records.Schema) (RowPred, error) {
 	switch p := p.(type) {
-	case TruePred:
-		return func(records.Record) bool { return true }, nil
 	case CmpPred:
 		l, err := Compile(p.L, s)
 		if err != nil {
@@ -149,9 +147,12 @@ func CompilePred(p Pred, s *records.Schema) (RowPred, error) {
 		}
 		return func(rec records.Record) bool { return set[e(rec)] }, nil
 	case AndPred:
-		parts, err := compileParts(p.Parts, s)
-		if err != nil {
-			return nil, err
+		parts := make([]RowPred, len(p.Parts))
+		for i, q := range p.Parts {
+			var err error
+			if parts[i], err = CompilePred(q, s); err != nil {
+				return nil, err
+			}
 		}
 		return func(rec records.Record) bool {
 			for _, q := range parts {
@@ -161,40 +162,9 @@ func CompilePred(p Pred, s *records.Schema) (RowPred, error) {
 			}
 			return true
 		}, nil
-	case OrPred:
-		parts, err := compileParts(p.Parts, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(rec records.Record) bool {
-			for _, q := range parts {
-				if q(rec) {
-					return true
-				}
-			}
-			return false
-		}, nil
-	case NotPred:
-		q, err := CompilePred(p.P, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(rec records.Record) bool { return !q(rec) }, nil
 	default:
 		return nil, fmt.Errorf("expr: cannot compile predicate %T", p)
 	}
-}
-
-func compileParts(parts []Pred, s *records.Schema) ([]RowPred, error) {
-	out := make([]RowPred, len(parts))
-	for i, p := range parts {
-		q, err := CompilePred(p, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = q
-	}
-	return out, nil
 }
 
 func cmpHolds(op CmpOp, c int) bool {

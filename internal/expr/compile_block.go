@@ -79,8 +79,6 @@ func CompileBlockNum(e Expr, s *records.Schema) (BlockNum, error) {
 // specialized unboxed paths; everything else falls back to boxed evaluation.
 func CompileBlockPred(p Pred, s *records.Schema) (BlockPred, error) {
 	switch p := p.(type) {
-	case TruePred:
-		return func(*records.RowBlock, int) bool { return true }, nil
 	case CmpPred:
 		if fast, ok, err := fastColConstCmp(p, s); err != nil {
 			return nil, err
@@ -170,9 +168,12 @@ func CompileBlockPred(p Pred, s *records.Schema) (BlockPred, error) {
 		}
 		return func(b *records.RowBlock, row int) bool { return set[e(b, row)] }, nil
 	case AndPred:
-		parts, err := compileBlockParts(p.Parts, s)
-		if err != nil {
-			return nil, err
+		parts := make([]BlockPred, len(p.Parts))
+		for i, q := range p.Parts {
+			var err error
+			if parts[i], err = CompileBlockPred(q, s); err != nil {
+				return nil, err
+			}
 		}
 		return func(b *records.RowBlock, row int) bool {
 			for _, q := range parts {
@@ -182,40 +183,9 @@ func CompileBlockPred(p Pred, s *records.Schema) (BlockPred, error) {
 			}
 			return true
 		}, nil
-	case OrPred:
-		parts, err := compileBlockParts(p.Parts, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(b *records.RowBlock, row int) bool {
-			for _, q := range parts {
-				if q(b, row) {
-					return true
-				}
-			}
-			return false
-		}, nil
-	case NotPred:
-		q, err := CompileBlockPred(p.P, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(b *records.RowBlock, row int) bool { return !q(b, row) }, nil
 	default:
 		return nil, fmt.Errorf("expr: cannot block-compile predicate %T", p)
 	}
-}
-
-func compileBlockParts(parts []Pred, s *records.Schema) ([]BlockPred, error) {
-	out := make([]BlockPred, len(parts))
-	for i, p := range parts {
-		q, err := CompileBlockPred(p, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = q
-	}
-	return out, nil
 }
 
 // fastColConstCmp recognizes "col OP const" and compiles an unboxed

@@ -1,6 +1,6 @@
 // Package expr provides the small expression and predicate language used by
 // both query engines: column references, constants, arithmetic, comparisons,
-// BETWEEN, IN, and boolean combinators. Expressions are compiled against a
+// BETWEEN, IN, and conjunction. Expressions are compiled against a
 // schema into closures; separate row-oriented and block-oriented (vectorized
 // row index) compilations back the two execution paths the paper ablates.
 package expr
@@ -132,15 +132,6 @@ type InPred struct {
 // AndPred is the conjunction of its parts; empty means true.
 type AndPred struct{ Parts []Pred }
 
-// OrPred is the disjunction of its parts; empty means false.
-type OrPred struct{ Parts []Pred }
-
-// NotPred negates its operand.
-type NotPred struct{ P Pred }
-
-// TruePred always holds.
-type TruePred struct{}
-
 // Eq returns l = r.
 func Eq(l, r Expr) Pred { return CmpPred{Op: CmpEq, L: l, R: r} }
 
@@ -168,15 +159,6 @@ func In(e Expr, vals ...records.Value) Pred { return InPred{E: e, Vals: vals} }
 // And returns the conjunction of parts.
 func And(parts ...Pred) Pred { return AndPred{Parts: parts} }
 
-// Or returns the disjunction of parts.
-func Or(parts ...Pred) Pred { return OrPred{Parts: parts} }
-
-// Not negates p.
-func Not(p Pred) Pred { return NotPred{P: p} }
-
-// True returns the always-true predicate.
-func True() Pred { return TruePred{} }
-
 func (p CmpPred) Columns(dst []string) []string { return p.R.Columns(p.L.Columns(dst)) }
 func (p CmpPred) String() string                { return fmt.Sprintf("%s %s %s", p.L, p.Op, p.R) }
 
@@ -200,28 +182,12 @@ func (p AndPred) Columns(dst []string) []string {
 	}
 	return dst
 }
-func (p AndPred) String() string { return joinPred(p.Parts, " AND ") }
-
-func (p OrPred) Columns(dst []string) []string {
-	for _, q := range p.Parts {
-		dst = q.Columns(dst)
+func (p AndPred) String() string {
+	ss := make([]string, len(p.Parts))
+	for i, q := range p.Parts {
+		ss[i] = "(" + q.String() + ")"
 	}
-	return dst
-}
-func (p OrPred) String() string { return joinPred(p.Parts, " OR ") }
-
-func (p NotPred) Columns(dst []string) []string { return p.P.Columns(dst) }
-func (p NotPred) String() string                { return "NOT (" + p.P.String() + ")" }
-
-func (p TruePred) Columns(dst []string) []string { return dst }
-func (p TruePred) String() string                { return "TRUE" }
-
-func joinPred(parts []Pred, sep string) string {
-	ss := make([]string, len(parts))
-	for i, p := range parts {
-		ss[i] = "(" + p.String() + ")"
-	}
-	return strings.Join(ss, sep)
+	return strings.Join(ss, " AND ")
 }
 
 // ColumnsOf returns the deduplicated column names read by the given

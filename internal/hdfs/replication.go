@@ -142,30 +142,3 @@ func (fs *FileSystem) rereplicate(b *blockMeta, path string) error {
 	}
 	return nil
 }
-
-// UnderReplicated returns the number of blocks with fewer than the
-// configured replica count (excluding lost blocks).
-func (fs *FileSystem) UnderReplicated() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	n := 0
-	for _, b := range fs.blocks {
-		if !b.lost && len(b.replicas) < fs.replication {
-			n++
-		}
-	}
-	return n
-}
-
-// LostBlocks returns the number of blocks with no surviving replica.
-func (fs *FileSystem) LostBlocks() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	n := 0
-	for _, b := range fs.blocks {
-		if b.lost {
-			n++
-		}
-	}
-	return n
-}

@@ -239,13 +239,12 @@ func (fs *FileSystem) WriteFiles(writerNode string, files []File) error {
 }
 
 // Reader reads a file with locality-aware cost accounting. It implements
-// io.Reader, io.ReaderAt, io.Seeker and io.Closer. Reader is not safe for
-// concurrent use (create one per task thread, as HDFS clients do).
+// io.ReaderAt and io.Closer. Reader is not safe for concurrent use (create
+// one per task thread, as HDFS clients do).
 type Reader struct {
 	fs     *FileSystem
 	meta   *fileMeta
 	client string
-	pos    int64
 	trace  obs.SpanContext
 }
 
@@ -271,33 +270,6 @@ func (r *Reader) Size() int64 {
 	r.fs.mu.RLock()
 	defer r.fs.mu.RUnlock()
 	return r.meta.size
-}
-
-// Read reads from the current position.
-func (r *Reader) Read(p []byte) (int, error) {
-	n, err := r.ReadAt(p, r.pos)
-	r.pos += int64(n)
-	return n, err
-}
-
-// Seek implements io.Seeker.
-func (r *Reader) Seek(offset int64, whence int) (int64, error) {
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = r.pos
-	case io.SeekEnd:
-		base = r.Size()
-	default:
-		return 0, fmt.Errorf("hdfs: bad whence %d", whence)
-	}
-	if base+offset < 0 {
-		return 0, fmt.Errorf("hdfs: negative seek")
-	}
-	r.pos = base + offset
-	return r.pos, nil
 }
 
 // Close releases the reader.

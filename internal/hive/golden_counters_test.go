@@ -4,7 +4,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,7 +46,7 @@ func TestRunCountersGolden(t *testing.T) {
 				t.Fatalf("%s/%s: %v", c.strategy, name, err)
 			}
 			fmt.Fprintf(&b, "%s/%s", c.strategy, name)
-			for _, ctr := range rep.Counters.Names() {
+			for _, ctr := range slices.Sorted(maps.Keys(rep.Counters.Snapshot())) {
 				if strings.HasSuffix(ctr, "_NANOS") {
 					continue
 				}

@@ -52,13 +52,12 @@ func (s JoinStrategy) String() string {
 
 // Hive-specific counters.
 const (
-	CtrStages            = "HIVE_STAGES"
-	CtrHashBroadcasts    = "HIVE_MAPJOIN_BROADCASTS"
-	CtrHashLoads         = "HIVE_MAPJOIN_HASH_LOADS"
-	CtrHashLoadNanos     = "HIVE_MAPJOIN_HASH_LOAD_NANOS"
-	CtrIntermediateRows  = "HIVE_INTERMEDIATE_ROWS"
-	CtrDriverBuildNanos  = "HIVE_DRIVER_HASH_BUILD_NANOS"
-	CtrIntermediateBytes = "HIVE_INTERMEDIATE_BYTES"
+	CtrStages           = "HIVE_STAGES"
+	CtrHashBroadcasts   = "HIVE_MAPJOIN_BROADCASTS"
+	CtrHashLoads        = "HIVE_MAPJOIN_HASH_LOADS"
+	CtrHashLoadNanos    = "HIVE_MAPJOIN_HASH_LOAD_NANOS"
+	CtrIntermediateRows = "HIVE_INTERMEDIATE_ROWS"
+	CtrDriverBuildNanos = "HIVE_DRIVER_HASH_BUILD_NANOS"
 )
 
 // Options configures the baseline engine.

@@ -37,7 +37,7 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 	}
 	var blob []byte
 	entry := records.New(anonSchema(1 + len(st.spec.Aux)))
-	err = st.spec.Select(func(fn func(records.Record) error) error {
+	err = selectDim(&st.spec, func(fn func(records.Record) error) error {
 		return colstore.ScanRowTable(e.mr.FS(), dimDir, "", fn)
 	}, func(pk records.Value, aux []records.Value) error {
 		entry.Set(0, pk)
@@ -173,7 +173,7 @@ func (m *mapJoinMapper) Cleanup(mr.Collector) error { return nil }
 func EstimateMapJoinHashBytes(dims []core.DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
 	out := make([]int64, len(dims))
 	for i := range dims {
-		err := dims[i].Select(func(fn func(records.Record) error) error {
+		err := selectDim(&dims[i], func(fn func(records.Record) error) error {
 			return each(dims[i].Table, fn)
 		}, func(_ records.Value, aux []records.Value) error {
 			out[i] += plan.MapJoinEntryBytes(aux)
@@ -184,4 +184,36 @@ func EstimateMapJoinHashBytes(dims []core.DimSpec, each func(table string, fn fu
 		}
 	}
 	return out, nil
+}
+
+// selectDim is the mapjoin build's row-wise dimension filter: it walks
+// rows, a source of the dimension's records, and hands fn the key and the
+// aux values of every row that passes d.Pred. aux is one slice refilled per
+// row; fn must not keep it.
+func selectDim(d *core.DimSpec, rows func(fn func(records.Record) error) error, fn func(pk records.Value, aux []records.Value) error) error {
+	var pred expr.RowPred
+	if d.Pred != nil {
+		var err error
+		if pred, err = expr.CompilePred(d.Pred, d.Schema); err != nil {
+			return err
+		}
+	}
+	pkIx := d.Schema.Index(d.DimPK)
+	if pkIx < 0 {
+		return fmt.Errorf("hive: dim %s has no column %s", d.Table, d.DimPK)
+	}
+	auxIx := make([]int, len(d.Aux))
+	for i, a := range d.Aux {
+		auxIx[i] = d.Schema.MustIndex(a)
+	}
+	aux := make([]records.Value, len(auxIx))
+	return rows(func(r records.Record) error {
+		if pred != nil && !pred(r) {
+			return nil
+		}
+		for i, ix := range auxIx {
+			aux[i] = r.At(ix)
+		}
+		return fn(r.At(pkIx), aux)
+	})
 }

@@ -29,7 +29,7 @@ func (m *blockingMapper) Setup(ctx *TaskContext) error {
 	case m.ready <- struct{}{}:
 	default:
 	}
-	<-ctx.Context().Done()
+	<-ctx.runCtx.Done()
 	return ctx.Err()
 }
 

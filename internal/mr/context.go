@@ -156,16 +156,6 @@ func (t *TaskContext) Superseded() bool {
 	return t.superseded != nil && t.superseded()
 }
 
-// Context returns the context the job was submitted under. Mappers,
-// runners, and formats doing long or blocking work should watch it: when it
-// is done the job is being torn down and the attempt should return Err().
-func (t *TaskContext) Context() context.Context {
-	if t.runCtx == nil {
-		return context.Background()
-	}
-	return t.runCtx
-}
-
 // Err is a cheap poll of the submission context: nil while the job is live,
 // the context's error once the job has been canceled.
 func (t *TaskContext) Err() error {

@@ -1,9 +1,6 @@
 package mr
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Standard counter names, mirroring Hadoop's task counters.
 const (
@@ -61,18 +58,6 @@ func (c *Counters) Get(name string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m[name]
-}
-
-// Names returns the counter names in sorted order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.m))
-	for k := range c.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot returns a copy of all counters.

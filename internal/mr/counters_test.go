@@ -67,8 +67,7 @@ func TestCountersSnapshotIsolated(t *testing.T) {
 	if got := c.Get("other"); got != 0 {
 		t.Errorf("other = %d after mutating snapshot, want 0", got)
 	}
-	names := c.Names()
-	if len(names) != 1 || names[0] != "n" {
-		t.Errorf("names = %v, want [n]", names)
+	if snap := c.Snapshot(); len(snap) != 1 || snap["n"] != 3 {
+		t.Errorf("snapshot = %v, want [n:3]", snap)
 	}
 }

@@ -6,15 +6,6 @@ import (
 	"clydesdale/internal/records"
 )
 
-// BaseMapper provides no-op Setup/Cleanup for embedding.
-type BaseMapper struct{}
-
-// Setup implements Mapper.
-func (BaseMapper) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Mapper.
-func (BaseMapper) Cleanup(Collector) error { return nil }
-
 // BaseReducer provides no-op Setup/Cleanup for embedding.
 type BaseReducer struct{}
 

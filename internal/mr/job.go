@@ -104,18 +104,6 @@ func (c *JobConf) GetBool(key string, def bool) bool {
 	return v
 }
 
-// Clone copies the configuration.
-func (c *JobConf) Clone() *JobConf {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := NewJobConf()
-	out.m = make(map[string]string, len(c.m))
-	for k, v := range c.m {
-		out.m[k] = v
-	}
-	return out
-}
-
 // InputSplit is a schedulable unit of input. Locations lists the nodes
 // holding the split's data locally, used for locality-aware scheduling.
 type InputSplit interface {

@@ -22,7 +22,7 @@ import (
 // consulted before an attempt opens its reader, so a failure after records
 // were read has to come from inside the task.)
 type failAfterMapper struct {
-	BaseMapper
+	baseMapper
 	task    string
 	attempt int
 	after   int
@@ -209,7 +209,7 @@ func TestReducersSeeTheReferenceOrder(t *testing.T) {
 					v = records.Make(countSchema, records.Int(id))
 				}
 				splits[task].Pairs = append(splits[task].Pairs, KV{Key: k, Value: v})
-				all = append(all, pair{key: k.Encode(), task: task, emit: emit,
+				all = append(all, pair{key: records.AppendRecord(nil, k), task: task, emit: emit,
 					part: HashPartitioner(k, parts), text: k.At(0).Str(), val: renderValue(v)})
 			}
 		}

@@ -29,7 +29,7 @@ func (m *stragglerMapper) Map(_, v records.Record, out Collector) error {
 	if m.ctx.TaskID == m.slowTask && m.ctx.Attempt == 1 {
 		select {
 		case <-m.backupDone:
-		case <-m.ctx.Context().Done():
+		case <-m.ctx.runCtx.Done():
 			return m.ctx.Err()
 		}
 		// The backup is past its last record; it is superseding this attempt

@@ -31,9 +31,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -650,16 +650,6 @@ func (p *Profile) PhaseWallTotal() time.Duration {
 	return sum
 }
 
-// Phase returns the named phase's stat, or a zero stat.
-func (p *Profile) Phase(name string) PhaseStat {
-	for _, st := range p.Phases {
-		if st.Name == name {
-			return st
-		}
-	}
-	return PhaseStat{Name: name}
-}
-
 // reportCounters lists the counters the report surfaces first, the
 // accounting the scan/probe/serve layers maintain. The map-placement block
 // goes by the job counters' own names (mr/counters.go): attempts, how many

@@ -94,15 +94,15 @@ func TestBuildProfilePhaseWallsPartitionWall(t *testing.T) {
 	}
 	// Deepest-covering attribution: hdfs-read owns exactly its own 15ms;
 	// the root query owns only the 10ms no other span covers.
-	if got := p.Phase(PhaseHDFSRead).Wall; got != 15*time.Millisecond {
+	if got := p.phase(PhaseHDFSRead).Wall; got != 15*time.Millisecond {
 		t.Errorf("hdfs-read wall = %v, want 15ms", got)
 	}
-	if got := p.Phase(PhaseQuery).Wall; got != 10*time.Millisecond {
+	if got := p.phase(PhaseQuery).Wall; got != 10*time.Millisecond {
 		t.Errorf("query wall = %v, want 10ms", got)
 	}
 	// Busy sums self times; per-phase self can never exceed span count ×
 	// wall, and for the single-span read phase equals its self.
-	if got := p.Phase(PhaseRead).Busy; got != 11*time.Millisecond {
+	if got := p.phase(PhaseRead).Busy; got != 11*time.Millisecond {
 		t.Errorf("read busy = %v, want 11ms", got)
 	}
 }
@@ -118,7 +118,7 @@ func TestBuildProfileOrphans(t *testing.T) {
 		t.Fatalf("orphans = %d, want 1", p.Orphans)
 	}
 	// The orphan is re-attached under the root so its time stays accounted.
-	if got := p.Phase(PhaseSpill).Count; got != 1 {
+	if got := p.phase(PhaseSpill).Count; got != 1 {
 		t.Errorf("orphan phase not reachable, count = %d", got)
 	}
 	if got := p.PhaseWallTotal(); got != p.Wall {
@@ -234,4 +234,14 @@ func TestBuildProfileSyntheticRoot(t *testing.T) {
 	if got := p.PhaseWallTotal(); got != p.Wall {
 		t.Errorf("walls don't partition synthetic root: %v != %v", got, p.Wall)
 	}
+}
+
+// phase returns the named phase's stat, or a zero stat.
+func (p *Profile) phase(name string) PhaseStat {
+	for _, st := range p.Phases {
+		if st.Name == name {
+			return st
+		}
+	}
+	return PhaseStat{Name: name}
 }

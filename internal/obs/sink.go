@@ -7,14 +7,6 @@ import (
 	"time"
 )
 
-// NopSink discards every span. Attaching it enables the tracer's emit path
-// without retaining anything — useful for measuring instrumentation
-// overhead in benchmarks.
-type NopSink struct{}
-
-// Emit implements Sink.
-func (NopSink) Emit(Span) {}
-
 // MemorySink retains spans in memory, for tests and in-process renderers
 // (the timeline).
 type MemorySink struct {
@@ -37,13 +29,6 @@ func (m *MemorySink) Spans() []Span {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Span(nil), m.spans...)
-}
-
-// Len returns the number of collected spans.
-func (m *MemorySink) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.spans)
 }
 
 // Reset discards the collected spans.

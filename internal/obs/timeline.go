@@ -12,8 +12,6 @@ import (
 type TimelineOptions struct {
 	// Job filters spans to one job ID; empty renders all task spans.
 	Job string
-	// Width is the bar width in cells; <= 0 uses 64.
-	Width int
 }
 
 // phaseStyle maps a span name to its timeline glyph and overlay priority.
@@ -66,11 +64,7 @@ type lane struct {
 // and skew are visible as long bars on their node's lanes. Spans without a
 // TaskID (e.g. raw HDFS reads) are excluded.
 func RenderTimeline(w io.Writer, spans []Span, opts TimelineOptions) {
-	width := opts.Width
-	if width <= 0 {
-		width = 64
-	}
-
+	const width = 64 // a lane's bar width in cells
 	lanes := map[string]*lane{}
 	var t0, t1 time.Time
 	n := 0

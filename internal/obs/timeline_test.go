@@ -46,16 +46,16 @@ func TestRenderTimelineGolden(t *testing.T) {
 	for i := len(spans) - 1; i >= 0; i-- {
 		rev = append(rev, spans[i])
 	}
-	RenderTimeline(&buf, rev, TimelineOptions{Job: "job-1", Width: 40})
+	RenderTimeline(&buf, rev, TimelineOptions{Job: "job-1"})
 
 	want := strings.Join([]string{
 		"timeline: 4 lanes over 100ms",
 		"node-0",
-		"  m-0      |JJrrrrMMMMMMMMMW........................| 40ms",
-		"  m-1      |qqqqqqqqqqqqqqqqrrMMMMMMMMMM............| 70ms",
-		"  r-0      |............................SSSSOORRRRRR| 30ms",
+		"  m-0      |JJJrrrrrrrMMMMMMMMMMMMMMWW......................................| 40ms",
+		"  m-1      |qqqqqqqqqqqqqqqqqqqqqqqqqrrrrMMMMMMMMMMMMMMMM...................| 70ms",
+		"  r-0      |............................................SSSSSSSOOOORRRRRRRRR| 30ms",
 		"node-1",
-		"  m-2      |qqqqrrrrMMMMMMMMMMMMMMMMMMMMMMMMMMMMMM..| 95ms",
+		"  m-2      |qqqqqqrrrrrrrMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMMM...| 95ms",
 		"legend: q=queue-wait J=jvm-start r=read M=map W=spill S=shuffle O=sort R=reduce",
 		"",
 	}, "\n")

@@ -162,13 +162,6 @@ func (c *TraceCollector) Take(trace string) (spans []Span, dropped int64) {
 	return b.spans, b.dropped
 }
 
-// Len returns the number of live (unclaimed) traces.
-func (c *TraceCollector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.traces)
-}
-
 // FlightRecorder keeps the most recent query profiles in a fixed ring — the
 // bounded in-memory history behind the debug server's /profilez endpoint.
 type FlightRecorder struct {

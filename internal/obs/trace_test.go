@@ -69,8 +69,8 @@ func TestTraceCollector(t *testing.T) {
 	if spans, _ := c.Take("t1"); spans != nil {
 		t.Fatalf("t1 should have been evicted, got %d spans", len(spans))
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if n := len(c.traces); n != 2 {
+		t.Fatalf("live traces = %d, want 2", n)
 	}
 }
 

@@ -6,6 +6,15 @@ import (
 	"strings"
 )
 
+// KindOf names a plan of the given number of passes: "star" for one pass,
+// "staged" for more. EXPLAIN and the "plan" span attribute both print it.
+func KindOf(passes int) string {
+	if passes > 1 {
+		return "staged"
+	}
+	return "star"
+}
+
 // Explain renders a physical plan as deterministic text: the kind (star for
 // one pass, staged for more) and pass count, the fact scan, then one line
 // per join step led by the pass that runs it (steps with equal pass numbers
@@ -16,11 +25,7 @@ func Explain(w io.Writer, p *Physical) error {
 	sh := p.Shape
 	var b strings.Builder
 	passes := p.PassSteps()
-	kind := "star"
-	if len(passes) > 1 {
-		kind = "staged"
-	}
-	fmt.Fprintf(&b, "plan %s: kind=%s passes=%d\n", sh.Name, kind, len(passes))
+	fmt.Fprintf(&b, "plan %s: kind=%s passes=%d\n", sh.Name, KindOf(len(passes)), len(passes))
 	fmt.Fprintf(&b, "  scan %s read=[%s]", sh.Fact, strings.Join(sh.FactColumns(), " "))
 	if sh.FactPred != nil {
 		fmt.Fprintf(&b, " where %s", sh.FactPred)

@@ -56,9 +56,6 @@ func KeyOf(sh *Shape) CacheKey {
 	var conjs []conj
 	addPred := func(p expr.Pred) {
 		for _, c := range expr.Conjuncts(p) {
-			if _, ok := c.(expr.TruePred); ok {
-				continue
-			}
 			conjs = append(conjs, conj{s: c.String(), p: c})
 		}
 	}

@@ -21,8 +21,6 @@ import (
 type Node interface {
 	// Schema is the operator's output schema.
 	Schema() *records.Schema
-	// Children returns the operator's inputs, left to right.
-	Children() []Node
 }
 
 // Scan reads one table.
@@ -38,9 +36,6 @@ type Scan struct {
 // Schema implements Node.
 func (s *Scan) Schema() *records.Schema { return s.Source }
 
-// Children implements Node.
-func (s *Scan) Children() []Node { return nil }
-
 // Filter keeps the input rows satisfying Pred.
 type Filter struct {
 	Input Node
@@ -49,9 +44,6 @@ type Filter struct {
 
 // Schema implements Node.
 func (f *Filter) Schema() *records.Schema { return f.Input.Schema() }
-
-// Children implements Node.
-func (f *Filter) Children() []Node { return []Node{f.Input} }
 
 // Join is an equi-join. Left is the probe (big) side, Right the build
 // (small) side; LeftKey must be a column of the left subtree's schema and
@@ -78,9 +70,6 @@ func (j *Join) Schema() *records.Schema {
 	return records.NewSchema(fields...)
 }
 
-// Children implements Node.
-func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
-
 // Aggregate computes one SUM measure over the input, grouped by GroupBy
 // columns.
 type Aggregate struct {
@@ -105,9 +94,6 @@ func (a *Aggregate) Schema() *records.Schema {
 	return records.NewSchema(fields...)
 }
 
-// Children implements Node.
-func (a *Aggregate) Children() []Node { return []Node{a.Input} }
-
 // Order sorts the input.
 type Order struct {
 	Input Node
@@ -116,9 +102,6 @@ type Order struct {
 
 // Schema implements Node.
 func (o *Order) Schema() *records.Schema { return o.Input.Schema() }
-
-// Children implements Node.
-func (o *Order) Children() []Node { return []Node{o.Input} }
 
 // OrderKey is one ORDER BY term.
 type OrderKey struct {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -150,8 +152,8 @@ func TestSnowflakePropertyAllStrategiesAgree(t *testing.T) {
 							t.Fatalf("q%d %s%s: %v", qi, v.what, name, err)
 						}
 						check(v.what+name, got)
-						if !rep.Staged || rep.Passes != v.passes {
-							t.Errorf("q%d %s%s report: staged=%v passes=%d, want %d passes", qi, v.what, name, rep.Staged, rep.Passes, v.passes)
+						if rep.Passes != v.passes {
+							t.Errorf("q%d %s%s report: passes=%d, want %d", qi, v.what, name, rep.Passes, v.passes)
 						}
 					}
 				}
@@ -167,8 +169,8 @@ func TestSnowflakePropertyAllStrategiesAgree(t *testing.T) {
 						t.Fatalf("q%d fallback under a %d-byte node budget: %v", qi, budget, err)
 					}
 					check("fallback", got)
-					if !rep.Staged || rep.Passes != len(p.Steps) {
-						t.Errorf("q%d fallback report: staged=%v passes=%d, want %d passes", qi, rep.Staged, rep.Passes, len(p.Steps))
+					if rep.Passes != len(p.Steps) {
+						t.Errorf("q%d fallback report: passes=%d, want %d", qi, rep.Passes, len(p.Steps))
 					}
 					if files := tight.fs.List("/tmp/clydesdale/"); len(files) != 0 {
 						t.Errorf("q%d fallback left intermediates: %v", qi, files)
@@ -177,8 +179,10 @@ func TestSnowflakePropertyAllStrategiesAgree(t *testing.T) {
 
 				// The Hive baseline lowers the same IR; both join
 				// strategies must agree too.
+				rc := e.lay.Catalog(e.snow)
+				rc.FactDir = e.lay.FactRC
 				for _, strat := range []hive.JoinStrategy{hive.Repartition, hive.MapJoin} {
-					heng := hive.New(e.mr, e.lay.RCCatalog(e.snow), hive.Options{Strategy: strat})
+					heng := hive.New(e.mr, rc, hive.Options{Strategy: strat})
 					got, _, err := heng.ExecutePlan(context.Background(), l)
 					if err != nil {
 						t.Fatalf("q%d hive %s: %v", qi, strat, err)
@@ -249,8 +253,8 @@ func TestSnowflakeRunsOneJobPerPassLastAggregating(t *testing.T) {
 			if n := e.jobs.Value() - submitted; n != int64(d) {
 				t.Errorf("%s: %d jobs submitted, want one per pass", what, n)
 			}
-			if !rep.Staged || rep.Passes != d {
-				t.Errorf("%s: report says staged=%v passes=%d", what, rep.Staged, rep.Passes)
+			if rep.Passes != d {
+				t.Errorf("%s: report says passes=%d, want %d", what, rep.Passes, d)
 			}
 			if len(spy.dirs) != d-1 {
 				t.Errorf("%s: %d intermediate directories written, want %d: %v", what, len(spy.dirs), d-1, spy.dirs)
@@ -334,7 +338,7 @@ func TestSnowflakeCountersGolden(t *testing.T) {
 			firstPass := factRows - c.Get(colstore.CtrRowsPruned) - c.Get(colstore.CtrRowsLateSkipped) - c.Get(colstore.CtrRowsBloomSkipped)
 			fmt.Fprintf(&b, "seed-%d/q0 passes=%d jobs_submitted=%d intermediate_rows=%d\n",
 				seed, rep.Passes, e.jobs.Value()-submitted, c.Get(core.CtrProbeRows)-firstPass)
-			for _, name := range c.Names() {
+			for _, name := range slices.Sorted(maps.Keys(c.Snapshot())) {
 				if !strings.HasSuffix(name, "_NANOS") {
 					fmt.Fprintf(&b, "  %s=%d\n", name, c.Get(name))
 				}

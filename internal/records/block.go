@@ -32,14 +32,6 @@ type ColumnDict struct {
 	Strs []string
 }
 
-// Len returns the number of dictionary entries.
-func (d *ColumnDict) Len() int {
-	if d.Ints != nil {
-		return len(d.Ints)
-	}
-	return len(d.Strs)
-}
-
 // NewColumnVector allocates an empty vector of the given kind with the given
 // capacity.
 func NewColumnVector(kind Kind, capacity int) *ColumnVector {
@@ -196,11 +188,6 @@ func (b *RowBlock) Len() int { return b.n }
 
 // Col returns the vector for the i-th schema field.
 func (b *RowBlock) Col(i int) *ColumnVector { return b.cols[i] }
-
-// ColNamed returns the vector for the named field, panicking if absent.
-func (b *RowBlock) ColNamed(name string) *ColumnVector {
-	return b.cols[b.schema.MustIndex(name)]
-}
 
 // AppendRow adds one row; the record's schema must match positionally.
 func (b *RowBlock) AppendRow(r Record) {

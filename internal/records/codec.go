@@ -77,9 +77,6 @@ func AppendRecord(dst []byte, r Record) []byte {
 	return dst
 }
 
-// Encode returns the wire encoding of r.
-func (r Record) Encode() []byte { return AppendRecord(nil, r) }
-
 // DecodeRecord decodes a record encoded by AppendRecord, attaching the given
 // schema (which may be nil, producing an anonymous record usable only
 // positionally). It returns the record and the number of bytes consumed.

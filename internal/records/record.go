@@ -43,24 +43,10 @@ func (r Record) At(i int) Value { return r.vals[i] }
 // Get returns the value of the named field, panicking if absent.
 func (r Record) Get(name string) Value { return r.vals[r.schema.MustIndex(name)] }
 
-// Lookup returns the value of the named field and whether it exists.
-func (r Record) Lookup(name string) (Value, bool) {
-	i := r.schema.Index(name)
-	if i < 0 {
-		return Null, false
-	}
-	return r.vals[i], true
-}
-
 // Set assigns the i-th value in place and returns the record for chaining.
 func (r Record) Set(i int, v Value) Record {
 	r.vals[i] = v
 	return r
-}
-
-// SetNamed assigns the named field in place, panicking if absent.
-func (r Record) SetNamed(name string, v Value) Record {
-	return r.Set(r.schema.MustIndex(name), v)
 }
 
 // Values returns the underlying value slice. Callers must treat it as
@@ -70,28 +56,6 @@ func (r Record) Values() []Value { return r.vals }
 // Clone returns a deep copy of the record (its value slice is fresh).
 func (r Record) Clone() Record {
 	return Record{schema: r.schema, vals: append([]Value(nil), r.vals...)}
-}
-
-// Project returns a new record restricted to the named fields, in order.
-func (r Record) Project(names ...string) (Record, error) {
-	schema, err := r.schema.Project(names...)
-	if err != nil {
-		return Record{}, err
-	}
-	vals := make([]Value, len(names))
-	for i, n := range names {
-		vals[i] = r.vals[r.schema.MustIndex(n)]
-	}
-	return Record{schema: schema, vals: vals}, nil
-}
-
-// MustProject is Project but panics on a missing field.
-func (r Record) MustProject(names ...string) Record {
-	p, err := r.Project(names...)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // Concat returns a record holding this record's fields followed by the
@@ -124,9 +88,6 @@ func (r Record) Compare(o Record) int {
 	}
 	return 0
 }
-
-// Equal reports whether two records hold equal values field-by-field.
-func (r Record) Equal(o Record) bool { return r.Compare(o) == 0 }
 
 // Hash returns an FNV-1a hash over all values.
 func (r Record) Hash() uint64 {

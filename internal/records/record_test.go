@@ -80,15 +80,12 @@ func TestRecordAccess(t *testing.T) {
 	if r.Get("name").Str() != "alice" {
 		t.Error("Get failed")
 	}
-	if v, ok := r.Lookup("score"); !ok || v.Float64() != 9.5 {
-		t.Error("Lookup failed")
+	if r.Get("score").Float64() != 9.5 {
+		t.Error("Get failed")
 	}
-	if _, ok := r.Lookup("missing"); ok {
-		t.Error("Lookup should miss")
-	}
-	r.SetNamed("score", Float(1.25))
+	r.Set(s.MustIndex("score"), Float(1.25))
 	if r.Get("score").Float64() != 1.25 {
-		t.Error("SetNamed failed")
+		t.Error("Set failed")
 	}
 	if r.String() != "[7 alice 1.25]" {
 		t.Errorf("String = %q", r.String())
@@ -104,13 +101,9 @@ func TestRecordMakePanicsOnArity(t *testing.T) {
 	Make(testSchema(), Int(1))
 }
 
-func TestRecordProjectConcatClone(t *testing.T) {
+func TestRecordConcatClone(t *testing.T) {
 	s := testSchema()
 	r := Make(s, Int(7), Str("alice"), Float(9.5))
-	p := r.MustProject("name", "id")
-	if p.Len() != 2 || p.At(0).Str() != "alice" || p.At(1).Int64() != 7 {
-		t.Errorf("Project = %v", p)
-	}
 	o := Make(NewSchema(F("extra", KindBool)), Bool(true))
 	cat := r.Concat(o)
 	if cat.Len() != 4 || !cat.Get("extra").Bool() {
@@ -120,9 +113,6 @@ func TestRecordProjectConcatClone(t *testing.T) {
 	cl.Set(0, Int(99))
 	if r.At(0).Int64() != 7 {
 		t.Error("Clone must not alias")
-	}
-	if _, err := r.Project("missing"); err == nil {
-		t.Error("expected Project error")
 	}
 }
 
@@ -137,7 +127,7 @@ func TestRecordCompare(t *testing.T) {
 	if r1.Compare(r3) != -1 {
 		t.Error("first field must dominate")
 	}
-	if !r1.Equal(r1.Clone()) {
+	if r1.Compare(r1.Clone()) != 0 {
 		t.Error("clone must compare equal")
 	}
 	// Prefix ordering.
@@ -150,7 +140,7 @@ func TestRecordCompare(t *testing.T) {
 func TestRecordEncodeRoundTrip(t *testing.T) {
 	s := testSchema()
 	r := Make(s, Int(-3), Str("日本 bytes"), Float(0.125))
-	buf := r.Encode()
+	buf := AppendRecord(nil, r)
 	got, n, err := DecodeRecord(buf, s)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +148,7 @@ func TestRecordEncodeRoundTrip(t *testing.T) {
 	if n != len(buf) {
 		t.Errorf("consumed %d of %d", n, len(buf))
 	}
-	if !got.Equal(r) {
+	if got.Compare(r) != 0 {
 		t.Errorf("round trip: got %v, want %v", got, r)
 	}
 	if got.Schema() != s {
@@ -179,8 +169,8 @@ func TestRecordEncodeRoundTripQuick(t *testing.T) {
 	s := NewSchema(F("i", KindInt64), F("s", KindString))
 	f := func(i int64, str string) bool {
 		r := Make(s, Int(i), Str(str))
-		got, _, err := DecodeRecord(r.Encode(), s)
-		return err == nil && got.Equal(r)
+		got, _, err := DecodeRecord(AppendRecord(nil, r), s)
+		return err == nil && got.Compare(r) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -219,8 +209,8 @@ func TestDecodeRecordErrors(t *testing.T) {
 // TestDecodeRecordIntoReusesTheSlice: decoding into a slice with room takes
 // its backing array; one without room, or nil, gets a fresh one.
 func TestDecodeRecordIntoReusesTheSlice(t *testing.T) {
-	a := Make(testSchema(), Int(1), Str("x"), Float(2)).Encode()
-	b := Make(testSchema(), Int(7), Str("y"), Float(3)).Encode()
+	a := AppendRecord(nil, Make(testSchema(), Int(1), Str("x"), Float(2)))
+	b := AppendRecord(nil, Make(testSchema(), Int(7), Str("y"), Float(3)))
 	first, _, err := DecodeRecordInto(nil, a, testSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +226,7 @@ func TestDecodeRecordIntoReusesTheSlice(t *testing.T) {
 	if err != nil || third.Len() != 3 || third.At(1).Str() != "x" {
 		t.Errorf("decode into a short slice: %v %v", third, err)
 	}
-	zero, _, err := DecodeRecordInto(second.Values(), Record{}.Encode(), nil)
+	zero, _, err := DecodeRecordInto(second.Values(), AppendRecord(nil, Record{}), nil)
 	if err != nil || zero.Len() != 0 || !zero.IsZero() {
 		t.Errorf("zero record decoded as %v (%v)", zero, err)
 	}
@@ -255,9 +245,9 @@ func FuzzDecodeRecord(f *testing.F) {
 		if n > len(data) || rec.Len() >= n {
 			t.Fatalf("%d values and %d bytes consumed out of %d", rec.Len(), n, len(data))
 		}
-		wire := rec.Encode()
+		wire := AppendRecord(nil, rec)
 		again, m, err := DecodeRecordInto(make([]Value, 1), wire, nil)
-		if err != nil || m != len(wire) || !bytes.Equal(again.Encode(), wire) {
+		if err != nil || m != len(wire) || !bytes.Equal(AppendRecord(nil, again), wire) {
 			t.Fatalf("%v re-encoded as %x does not decode back (%v)", rec, wire, err)
 		}
 	})
@@ -276,11 +266,11 @@ func TestRowBlock(t *testing.T) {
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	if got := b.ColNamed("name").Strs; len(got) != 2 || got[1] != "b" {
-		t.Errorf("ColNamed = %v", got)
+	if got := b.Col(s.MustIndex("name")).Strs; len(got) != 2 || got[1] != "b" {
+		t.Errorf("name column = %v", got)
 	}
 	for i, want := range rows {
-		if !b.Row(i).Equal(want) {
+		if b.Row(i).Compare(want) != 0 {
 			t.Errorf("Row(%d) = %v, want %v", i, b.Row(i), want)
 		}
 	}

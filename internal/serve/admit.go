@@ -35,7 +35,7 @@ type admitter struct {
 	budget  int64
 	maxConc int
 	depth   int   // global bound on queued waiters
-	quantum int64 // deficit credited per round
+	quantum int64 // deficit credited per round: budget/64, at least 1
 
 	reg *obs.Registry // live gauges (queue depth, in-flight, reserved); may be nil
 
@@ -69,26 +69,12 @@ type waiter struct {
 	granted chan struct{}
 }
 
-// admitConfig bundles the admitter's tuning knobs.
-type admitConfig struct {
-	budget  int64
-	maxConc int
-	depth   int
-	quantum int64 // 0 → budget/64 (min 1)
-}
-
-func newAdmitter(cfg admitConfig, reg *obs.Registry) *admitter {
-	if cfg.quantum <= 0 {
-		cfg.quantum = cfg.budget / 64
-		if cfg.quantum < 1 {
-			cfg.quantum = 1
-		}
-	}
+func newAdmitter(budget int64, maxConc, depth int, reg *obs.Registry) *admitter {
 	return &admitter{
-		budget:  cfg.budget,
-		maxConc: cfg.maxConc,
-		depth:   cfg.depth,
-		quantum: cfg.quantum,
+		budget:  budget,
+		maxConc: maxConc,
+		depth:   depth,
+		quantum: max(budget/64, 1),
 		reg:     reg,
 		tenants: make(map[string]*tenantQueue),
 	}

@@ -11,7 +11,7 @@ import (
 // under the fair-share scheduler reduces exactly to the old global FIFO, so
 // these tests still pin that contract.
 func testAdmitter(budget int64, maxConc, depth int) *admitter {
-	return newAdmitter(admitConfig{budget: budget, maxConc: maxConc, depth: depth}, nil)
+	return newAdmitter(budget, maxConc, depth, nil)
 }
 
 func mustAdmit(t *testing.T, a *admitter, cost int64) func() {

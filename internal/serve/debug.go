@@ -30,7 +30,7 @@ type DebugServer struct {
 }
 
 // NewDebugServer wires the debug endpoints for a session. Call Start to
-// listen, or mount Handler on a server of your own.
+// listen.
 func NewDebugServer(s *Session) *DebugServer {
 	d := &DebugServer{session: s, mux: http.NewServeMux()}
 	d.mux.HandleFunc("/metrics", d.handleMetrics)
@@ -43,9 +43,6 @@ func NewDebugServer(s *Session) *DebugServer {
 	d.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return d
 }
-
-// Handler returns the debug mux (for tests and embedding).
-func (d *DebugServer) Handler() http.Handler { return d.mux }
 
 // Start listens on addr (e.g. "localhost:0") and serves in the background.
 func (d *DebugServer) Start(addr string) error {

@@ -48,9 +48,6 @@ type Options struct {
 	// AdmissionBudget is the per-node byte budget admission reserves
 	// against; <= 0 uses CacheBudget.
 	AdmissionBudget int64
-	// TaskMemory is an additional per-query admission charge for working
-	// state beyond the dimension tables; 0 charges tables only.
-	TaskMemory int64
 	// ProfileDepth is the flight recorder's capacity: how many recent query
 	// profiles the session retains (the debug server's /profilez history).
 	// 0 uses 16; negative disables per-query profiling entirely (no trace
@@ -158,12 +155,8 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 		eng:    core.New(mrEngine, cat, engOpts),
 		cache:  cache,
 		rcache: rcache,
-		adm: newAdmitter(admitConfig{
-			budget:  opts.AdmissionBudget,
-			maxConc: opts.MaxConcurrent,
-			depth:   opts.QueueDepth,
-		}, reg),
-		opts: opts,
+		adm:    newAdmitter(opts.AdmissionBudget, opts.MaxConcurrent, opts.QueueDepth, reg),
+		opts:   opts,
 	}
 	if opts.ProfileDepth >= 0 {
 		// Profiling needs the span stream: attach a per-trace collector,
@@ -213,9 +206,6 @@ func (s *Session) slo(class, outcome string, latency time.Duration) {
 		m.Counter(prefix + "errors").Inc()
 	}
 }
-
-// Engine exposes the session's core engine (e.g. for catalog access).
-func (s *Session) Engine() *core.Engine { return s.eng }
 
 // Query runs one star query: LogicalOf lifts it into the plan IR, QueryPlan
 // serves that. A query that does not validate is an error of its class, and
@@ -636,14 +626,13 @@ func (s *Session) observeQueueWait(sc obs.SpanContext, query string, start time.
 
 // admissionCost estimates the per-node bytes admitting the query adds: the
 // exact build size of each dimension table not already resident on every
-// live node (cached tables are free — that is the point of the cache),
-// plus the configured task working memory. The sizes come from the engine's
-// one driver-side scan of the dimension version the query pinned
-// (core.Engine.DimTableBytes), the scan its prune hints and blooms come
-// from too.
+// live node (cached tables are free — that is the point of the cache). The
+// sizes come from the engine's one driver-side scan of the dimension
+// version the query pinned (core.Engine.DimTableBytes), the scan its prune
+// hints and blooms come from too.
 func (s *Session) admissionCost(name string, dims []core.DimSpec) (int64, error) {
 	nodeIDs := s.aliveIDs()
-	cost := s.opts.TaskMemory
+	var cost int64
 	for i := range dims {
 		d := &dims[i]
 		dir, err := s.cat.DimDir(d.Table)

@@ -12,6 +12,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
@@ -172,54 +173,92 @@ func TestServeConcurrentQueries(t *testing.T) {
 }
 
 // TestServeAdmissionSerializes proves the admission controller serializes
-// two queries whose combined cost exceeds the budget: with warm tables the
-// per-query cost is exactly TaskMemory, so two 600-byte queries against a
-// 1000-byte budget must never overlap.
+// two queries whose combined cost exceeds the budget. Q1.1 and Q2.1 share no
+// dimension table and every table is cold, so each query costs the exact
+// size of its own tables (Engine.DimTableBytes) until it has run: a budget
+// that holds either query alone but not both must never let them overlap.
 func TestServeAdmissionSerializes(t *testing.T) {
 	e := newEnv(t, 2, 0.002, mr.Options{})
+	cat := e.lay.Catalog()
+	sizer := core.New(e.mr, cat, core.Options{})
+	var queries []*core.Query
+	var costs []int64
+	seen := map[string]bool{}
+	for _, name := range []string{"Q1.1", "Q2.1"} {
+		q, err := ssb.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range tableKeys(t, cat, q) {
+			if seen[k] {
+				t.Fatalf("fixture: %s shares a dimension table with an earlier query", name)
+			}
+			seen[k] = true
+		}
+		queries = append(queries, q)
+		costs = append(costs, coldCost(t, sizer, cat, q))
+	}
+	if costs[0] == 0 || costs[1] == 0 {
+		t.Fatalf("fixture: cold costs %v, want both non-zero", costs)
+	}
 	s := e.session(serve.Options{
 		MaxConcurrent:     4,
-		AdmissionBudget:   1000,
-		TaskMemory:        600,
-		ResultCacheBudget: -1, // repeated runs must exercise admission
+		AdmissionBudget:   max(costs[0], costs[1]),
+		ResultCacheBudget: -1,
 	})
 	defer s.Close()
 
-	q, err := ssb.QueryByName("Q2.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-up: tables are cold, so this first query costs tables+600 and is
-	// admitted alone through the starvation escape valve.
-	if _, _, err := s.Query(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	if peak := s.Stats().PeakConcurrent; peak != 1 {
-		t.Fatalf("warm-up peak concurrency %d, want 1", peak)
-	}
-
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
+	errs := make([]error, len(queries))
+	for i, q := range queries {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			_, _, errs[i] = s.Query(context.Background(), q)
-		}(i)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
+			t.Fatalf("%s: %v", queries[i].Name, err)
 		}
 	}
 	stats := s.Stats()
 	if stats.PeakConcurrent != 1 {
-		t.Errorf("peak concurrency %d: over-budget queries ran together", stats.PeakConcurrent)
+		t.Errorf("peak concurrency %d: queries costing %v bytes ran together under a %d-byte budget",
+			stats.PeakConcurrent, costs, max(costs[0], costs[1]))
 	}
-	if stats.Admitted != 3 {
-		t.Errorf("admitted %d, want 3", stats.Admitted)
+	if stats.Admitted != 2 {
+		t.Errorf("admitted %d, want 2", stats.Admitted)
 	}
+}
+
+// coldCost is what admission charges q while none of its tables is
+// resident: the exact size of each of its dimension tables.
+func coldCost(t *testing.T, eng *core.Engine, cat *core.Catalog, q *core.Query) int64 {
+	t.Helper()
+	l, err := core.LogicalOf(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Lower(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, err := eng.Pin(p.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	var cost int64
+	for _, d := range pin.DimSpecs(p.Steps) {
+		b, err := eng.DimTableBytes(&d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cost += b
+	}
+	return cost
 }
 
 // cancelOnSpan cancels a context the first time a span with the given name
@@ -406,7 +445,7 @@ func TestServeStagedFallbackUsesTableCache(t *testing.T) {
 	if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
 		t.Errorf("staged fallback through the session: %s", why)
 	}
-	if !rep.Staged {
+	if rep.Passes < 2 {
 		t.Fatal("the star plan fit; the fixture's node budget should have forced the staged fallback")
 	}
 	st := s.Stats()

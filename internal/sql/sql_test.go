@@ -141,7 +141,11 @@ func TestSSBQueriesFromSQLMatchCatalog(t *testing.T) {
 			aligned := &results.ResultSet{Schema: q.ResultSchema()}
 			names := q.ResultSchema().Names()
 			for _, r := range got.Rows {
-				aligned.Rows = append(aligned.Rows, r.MustProject(names...))
+				vals := make([]records.Value, len(names))
+				for i, n := range names {
+					vals[i] = r.Get(n)
+				}
+				aligned.Rows = append(aligned.Rows, records.Make(aligned.Schema, vals...))
 			}
 			got = aligned
 		}

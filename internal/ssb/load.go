@@ -83,9 +83,6 @@ func Load(fs *hdfs.FileSystem, gen *Generator, root string, opts LoadOptions) (*
 	return lay, nil
 }
 
-// DimPath returns the HDFS row-table directory of a dimension.
-func (l *Layout) DimPath(table string) string { return l.Dims[table] }
-
 // Catalog exposes the layout to the query engines.
 func (l *Layout) Catalog() *core.Catalog {
 	return &core.Catalog{

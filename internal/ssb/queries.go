@@ -255,13 +255,3 @@ func QueryByName(name string) (*Query, error) {
 	}
 	return nil, fmt.Errorf("ssb: unknown query %q", name)
 }
-
-// Flights groups the queries by flight number (1–4).
-func Flights() map[int][]*Query {
-	out := map[int][]*Query{}
-	for _, q := range Queries() {
-		f := int(q.Name[1] - '0')
-		out[f] = append(out[f], q)
-	}
-	return out
-}

@@ -114,36 +114,6 @@ func SchemaOf(table string) *records.Schema {
 	return nil
 }
 
-// PKOf returns the primary key column of a dimension table.
-func PKOf(table string) string {
-	switch table {
-	case TableCustomer:
-		return "c_custkey"
-	case TableSupplier:
-		return "s_suppkey"
-	case TablePart:
-		return "p_partkey"
-	case TableDate:
-		return "d_datekey"
-	}
-	return ""
-}
-
-// FKOf returns the fact-table foreign key referencing a dimension table.
-func FKOf(table string) string {
-	switch table {
-	case TableCustomer:
-		return "lo_custkey"
-	case TableSupplier:
-		return "lo_suppkey"
-	case TablePart:
-		return "lo_partkey"
-	case TableDate:
-		return "lo_orderdate"
-	}
-	return ""
-}
-
 // Regions are the five SSB/TPC-H regions.
 var Regions = []string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 

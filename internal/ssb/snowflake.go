@@ -201,24 +201,16 @@ func LoadSnowflake(fs *hdfs.FileSystem, s *Snowflake, root string) (*SnowLayout,
 	return lay, nil
 }
 
-// Catalog exposes the CIF layout to the Clydesdale engine.
+// Catalog exposes the CIF layout to the Clydesdale engine; the Hive
+// baseline reads the same catalog with FactDir set to FactRC.
 func (l *SnowLayout) Catalog(s *Snowflake) *core.Catalog {
-	return l.catalog(s, l.FactCIF)
-}
-
-// RCCatalog exposes the RCFile fact copy to the Hive baseline.
-func (l *SnowLayout) RCCatalog(s *Snowflake) *core.Catalog {
-	return l.catalog(s, l.FactRC)
-}
-
-func (l *SnowLayout) catalog(s *Snowflake, factDir string) *core.Catalog {
 	dims := make(map[string]*records.Schema, len(s.Tables))
 	for i := range s.Tables {
 		dims[s.Tables[i].Name] = s.Tables[i].Schema
 	}
 	return &core.Catalog{
 		FactName:   s.FactName,
-		FactDir:    factDir,
+		FactDir:    l.FactCIF,
 		FactSchema: s.FactSchema,
 		DimDirs:    l.Dims,
 		DimSchemas: dims,

@@ -1,11 +1,14 @@
 package ssb
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"clydesdale/internal/cluster"
+	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
@@ -31,13 +34,13 @@ func TestGeneratorDeterminism(t *testing.T) {
 	b := NewGenerator(0.01, 7)
 	for _, table := range []string{TableLineorder, TableCustomer, TableSupplier, TablePart, TableDate} {
 		for _, i := range []int64{0, 1, 17, 999} {
-			if !a.Row(table, i).Equal(b.Row(table, i)) {
+			if a.Row(table, i).Compare(b.Row(table, i)) != 0 {
 				t.Errorf("%s row %d not deterministic", table, i)
 			}
 		}
 	}
 	c := NewGenerator(0.01, 8)
-	if a.Lineorder(5).Equal(c.Lineorder(5)) {
+	if a.Lineorder(5).Compare(c.Lineorder(5)) == 0 {
 		t.Error("different seeds should produce different rows")
 	}
 }
@@ -165,6 +168,13 @@ func TestQueriesCatalog(t *testing.T) {
 		"Q3.1": 3, "Q3.2": 3, "Q3.3": 3, "Q3.4": 3,
 		"Q4.1": 4, "Q4.2": 4, "Q4.3": 4,
 	}
+	// Each dimension's fact foreign key and primary key.
+	keys := map[string][2]string{
+		TableCustomer: {"lo_custkey", "c_custkey"},
+		TableSupplier: {"lo_suppkey", "s_suppkey"},
+		TablePart:     {"lo_partkey", "p_partkey"},
+		TableDate:     {"lo_orderdate", "d_datekey"},
+	}
 	for _, q := range qs {
 		if len(q.Dims) != wantDims[q.Name] {
 			t.Errorf("%s: %d dims, want %d", q.Name, len(q.Dims), wantDims[q.Name])
@@ -173,7 +183,7 @@ func TestQueriesCatalog(t *testing.T) {
 			t.Errorf("%s: missing aggregate", q.Name)
 		}
 		for _, d := range q.Dims {
-			if PKOf(d.Table) != d.DimPK || FKOf(d.Table) != d.FactFK {
+			if keys[d.Table] != [2]string{d.FactFK, d.DimPK} {
 				t.Errorf("%s: %s join keys %s=%s", q.Name, d.Table, d.FactFK, d.DimPK)
 			}
 			for _, aux := range d.Aux {
@@ -207,15 +217,17 @@ func TestFactColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := q.FactColumns()
-	want := []string{"lo_custkey", "lo_orderdate", "lo_revenue", "lo_suppkey"}
-	if len(cols) != len(want) {
-		t.Fatalf("FactColumns = %v", cols)
+	l, err := core.LogicalOf(q, &core.Catalog{FactName: TableLineorder, FactSchema: LineorderSchema})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if cols[i] != want[i] {
-			t.Errorf("FactColumns = %v, want %v", cols, want)
-		}
+	sh, err := plan.Decompose(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"lo_custkey", "lo_suppkey", "lo_orderdate", "lo_revenue"}
+	if cols := sh.FactColumns(); !slices.Equal(cols, want) {
+		t.Errorf("FactColumns = %v, want %v", cols, want)
 	}
 	if _, err := QueryByName("q9.9"); err == nil {
 		t.Error("expected unknown query error")
@@ -226,9 +238,12 @@ func TestFactColumns(t *testing.T) {
 }
 
 func TestFlights(t *testing.T) {
-	f := Flights()
-	if len(f[1]) != 3 || len(f[2]) != 3 || len(f[3]) != 4 || len(f[4]) != 3 {
-		t.Errorf("flight sizes: %d %d %d %d", len(f[1]), len(f[2]), len(f[3]), len(f[4]))
+	f := map[byte]int{}
+	for _, q := range Queries() {
+		f[q.Name[1]]++
+	}
+	if f['1'] != 3 || f['2'] != 3 || f['3'] != 4 || f['4'] != 3 {
+		t.Errorf("flight sizes: %d %d %d %d", f['1'], f['2'], f['3'], f['4'])
 	}
 }
 
@@ -250,7 +265,7 @@ func TestLoad(t *testing.T) {
 		t.Error("fact RC missing")
 	}
 	for _, d := range []string{TableCustomer, TableSupplier, TablePart, TableDate} {
-		if !fs.Exists(lay.DimPath(d) + "/_schema") {
+		if !fs.Exists(lay.Dims[d] + "/_schema") {
 			t.Errorf("dim %s missing", d)
 		}
 	}

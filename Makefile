@@ -33,7 +33,9 @@ vet:
 # (buildDimTable), from a column set — so no row walk of a version
 # (ScanRowTableAt), no row-wise filter in core (the Hive baseline's mapjoin
 # build has its own, selectDim) and no size formula beside the build (dimTableCapacity outside
-# hashtable.go).
+# hashtable.go). Nor does a multi-split pack by count: CIFInput packs by bytes
+# whenever a job runs more than one map thread (DESIGN.md "Query pipeline"),
+# so no job sets a pack size.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -46,6 +48,8 @@ no-deprecated:
 		grep -n '\.Select(' $$(ls internal/core/*.go | grep -v _test.go) || \
 		grep -rn --include='*.go' 'dimTableCapacity(' . | grep -v '^\./internal/core/hashtable\.go:'; then \
 		echo "second dimension build: buildDimHashTable's shared body (buildDimTable, internal/core/hashtable.go) is the one place a dimension table is made, on a node, on the driver and for an estimate"; exit 1; fi
+	@if grep -rn --include='*.go' -e ConfMultiSplitPack -e 'mr\.multisplit\.pack' .; then \
+		echo "multi-split pack size: CIFInput packs by bytes from mr.ConfMapThreads and the block size, no job sets a count"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

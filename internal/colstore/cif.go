@@ -397,7 +397,7 @@ func (s *MultiSplit) Length() int64 {
 //
 // The same input format serves the three execution modes the paper
 // evaluates: row-at-a-time (CIF) through Next, block iteration (B-CIF)
-// through NextBlock, and MultiCIF packing via mr.ConfMultiSplitPack.
+// through NextBlock, and MultiCIF packing for jobs that set mr.ConfMapThreads.
 //
 // With Pred set the scan additionally skips work at two granularities:
 // Splits drops whole partitions whose zone maps prove Pred false everywhere,
@@ -478,7 +478,8 @@ type filterPlan struct {
 }
 
 // Splits implements mr.InputFormat: it lists partitions, prunes those whose
-// zone maps refute the predicate, and optionally packs multi-splits.
+// zone maps refute the predicate, and, when the job runs more than one map
+// thread (mr.ConfMapThreads), packs them into multi-splits by bytes.
 func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
@@ -525,15 +526,19 @@ func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 		raw = append(raw, s)
 	}
 
-	pack := int(ctx.Conf.GetInt(mr.ConfMultiSplitPack, 1))
-	if pack <= 1 {
+	threads := int(ctx.Conf.GetInt(mr.ConfMapThreads, 1))
+	if threads <= 1 {
 		out := make([]mr.InputSplit, len(raw))
 		for i, s := range raw {
 			out[i] = s
 		}
 		return out, nil
 	}
-	// Group by primary host so a pack stays local to one node.
+	// Group by primary host so a pack stays local to one node, then cut each
+	// host's list in order: a pack takes one partition per probe thread, then
+	// more while its bytes stay within a block per thread, so a table of
+	// small partitions launches tasks by data volume, not partition count.
+	target := int64(threads) * ctx.FS.BlockSize()
 	byHost := map[string][]*CIFSplit{}
 	var hosts []string
 	for _, s := range raw {
@@ -549,14 +554,17 @@ func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	sort.Strings(hosts)
 	var out []mr.InputSplit
 	for _, h := range hosts {
-		group := byHost[h]
-		for i := 0; i < len(group); i += pack {
-			end := i + pack
-			if end > len(group) {
-				end = len(group)
+		var pack []*CIFSplit
+		var bytes int64
+		for _, s := range byHost[h] {
+			if len(pack) >= threads && bytes+s.bytes > target {
+				out = append(out, &MultiSplit{Parts: pack})
+				pack, bytes = nil, 0
 			}
-			out = append(out, &MultiSplit{Parts: group[i:end]})
+			pack = append(pack, s)
+			bytes += s.bytes
 		}
+		out = append(out, &MultiSplit{Parts: pack})
 	}
 	return out, nil
 }
@@ -1277,9 +1285,13 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 	return nil, false, nil
 }
 
-// Close implements mr.RecordReader.
+// Close implements mr.RecordReader. It drops the decoded partition (the
+// column payloads and dictionaries), the block and the scratch buffers, so a
+// drained partition of a multi-split is freed before its task ends. Closing
+// again is harmless.
 func (r *cifReader) Close() error {
-	r.decs = nil
+	r.decs, r.block, r.codeBufs, r.scratch = nil, nil, nil, nil
+	r.sel, r.plan = selection{}, partPlan{}
 	return nil
 }
 

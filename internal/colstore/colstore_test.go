@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clydesdale/internal/cluster"
+	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/records"
@@ -325,87 +326,260 @@ func taskCtx(e *env, jctx *mr.JobContext) *mr.TaskContext {
 	return mr.NewTestTaskContext(jctx, e.cluster.Nodes()[0])
 }
 
-func TestMultiCIFPacking(t *testing.T) {
-	e := newEnv(3, 1024)
-	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 32, genRows(320)); err != nil {
-		t.Fatal(err)
+// writePartitions writes a CIF table at dir with one partition per entry of
+// rows, of that many rows each; ids run 0..sum(rows)-1.
+func writePartitions(t *testing.T, e *env, dir string, rows []int) {
+	t.Helper()
+	id := 0
+	for i, n := range rows {
+		gen := func(emit func(records.Record) error) error {
+			for ; n > 0; n-- {
+				if err := emit(makeRow(id)); err != nil {
+					return err
+				}
+				id++
+			}
+			return nil
+		}
+		if i == 0 {
+			if _, err := WriteCIFTable(e.fs, dir, tblSchema, int64(n), gen); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		w, err := AppendPartitions(e.fs, dir, int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gen(w.Append); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	conf := mr.NewJobConf().SetInt(mr.ConfMultiSplitPack, 4)
-	in := &CIFInput{Dir: "/cif"}
+}
+
+// TestMultiCIFPacking holds the MultiCIF packing rule over partition sizes.
+// With a 1 KiB block and two map threads the target is 2 KiB; a 64-row
+// partition is about 1.4 KiB, a 4-row one about 110 bytes and a 128-row one
+// about 2.8 KiB (each case checks its sizes are in the regime it names).
+func TestMultiCIFPacking(t *testing.T) {
+	const blockSize = 1024
+	rep := func(n, rows int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = rows
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		threads int
+		rows    []int
+		// uniform: every partition is at least target/threads bytes, so the
+		// packs are exactly the old ones of threads partitions each. tiny:
+		// strictly fewer packs than the old rule.
+		uniform, tiny bool
+	}{
+		{name: "uniform", threads: 2, rows: rep(12, 64), uniform: true},
+		{name: "tiny", threads: 2, rows: rep(24, 4), tiny: true},
+		{name: "above-target", threads: 2, rows: append(rep(5, 4), append([]int{128}, rep(6, 4)...)...)},
+		{name: "mixed", threads: 2, rows: []int{4, 64, 4, 4, 128, 8, 32, 4, 64, 16, 4, 128, 4, 4, 32, 8}},
+		{name: "remainder", threads: 3, rows: rep(13, 64), uniform: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(3, blockSize)
+			writePartitions(t, e, "/cif", tc.rows)
+			in := &CIFInput{Dir: "/cif"}
+			conf := mr.NewJobConf().SetInt(mr.ConfMapThreads, int64(tc.threads))
+			jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: conf, Counters: mr.NewCounters()}
+			splits, err := in.Splits(jctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := int64(tc.threads) * blockSize
+			// The partitions in order, grouped by primary host: what the packs
+			// of each host must cut, in order.
+			byHost := map[string][]string{}
+			size := map[string]int64{}
+			raw, err := (&CIFInput{Dir: "/cif"}).Splits(&mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range raw {
+				p := s.(*CIFSplit)
+				byHost[p.Hosts[0]] = append(byHost[p.Hosts[0]], p.PartitionDir)
+				size[p.PartitionDir] = p.bytes
+				if tc.uniform && p.bytes < target/int64(tc.threads) {
+					t.Fatalf("uniform case: %s is %d bytes, under target/threads %d", p.PartitionDir, p.bytes, target/int64(tc.threads))
+				}
+				if tc.tiny && p.bytes > target/8 {
+					t.Fatalf("tiny case: %s is %d bytes", p.PartitionDir, p.bytes)
+				}
+			}
+
+			packs := map[string][][]string{}
+			var hosts []string
+			for _, s := range splits {
+				ms, ok := s.(*MultiSplit)
+				if !ok {
+					t.Fatalf("split type %T, want *MultiSplit", s)
+				}
+				h := ms.Parts[0].Hosts[0]
+				var dirs []string
+				var bytes int64
+				for _, p := range ms.Parts {
+					if p.Hosts[0] != h {
+						t.Errorf("pack mixes primary hosts %s and %s", h, p.Hosts[0])
+					}
+					dirs = append(dirs, p.PartitionDir)
+					bytes += p.bytes
+				}
+				if bytes != ms.Length() {
+					t.Errorf("pack Length %d, parts sum to %d", ms.Length(), bytes)
+				}
+				if bytes > target && len(ms.Parts) > tc.threads {
+					t.Errorf("pack of %d partitions holds %d bytes, over the %d target with more than %d partitions", len(ms.Parts), bytes, target, tc.threads)
+				}
+				if _, ok := packs[h]; !ok {
+					hosts = append(hosts, h)
+				}
+				packs[h] = append(packs[h], dirs)
+			}
+
+			oldTasks := 0
+			for _, h := range hosts {
+				want := byHost[h]
+				var got []string
+				for i, dirs := range packs[h] {
+					got = append(got, dirs...)
+					// A pack is closed only when it cannot take the next one.
+					if i < len(packs[h])-1 && len(got) < len(want) {
+						var bytes int64
+						for _, d := range dirs {
+							bytes += size[d]
+						}
+						if next := want[len(got)]; len(dirs) < tc.threads || bytes+size[next] <= target {
+							t.Errorf("%s: pack %v closed before %s (%d+%d bytes of %d)", h, dirs, next, bytes, size[next], target)
+						}
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: packs cover %v, want every partition once in order %v", h, got, want)
+				}
+				// The old rule: threads partitions a pack, whatever their size.
+				var old [][]string
+				for i := 0; i < len(want); i += tc.threads {
+					old = append(old, want[i:min(i+tc.threads, len(want))])
+				}
+				oldTasks += len(old)
+				if len(packs[h]) > len(old) {
+					t.Errorf("%s: %d packs from %d partitions, more than the old %d", h, len(packs[h]), len(want), len(old))
+				}
+				if tc.uniform && fmt.Sprint(packs[h]) != fmt.Sprint(old) {
+					t.Errorf("%s: packs %v, want the old packs %v", h, packs[h], old)
+				}
+			}
+			if len(hosts) != len(byHost) {
+				t.Errorf("packs on %d hosts, partitions on %d", len(hosts), len(byHost))
+			}
+			if tc.tiny && len(splits) >= oldTasks {
+				t.Errorf("%d packs of tiny partitions, want fewer than the old %d", len(splits), oldTasks)
+			}
+
+			// Every row is read once through the per-partition readers, and
+			// once through sequential Next.
+			total := 0
+			for _, n := range tc.rows {
+				total += n
+			}
+			for _, perPart := range []bool{true, false} {
+				seen := make(map[int64]int)
+				for _, s := range splits {
+					reader, err := in.Open(s, taskCtx(e, jctx))
+					if err != nil {
+						t.Fatal(err)
+					}
+					readers := []mr.RecordReader{reader}
+					if perPart {
+						if readers, err = reader.(mr.MultiReader).Readers(); err != nil {
+							t.Fatal(err)
+						}
+						if len(readers) != len(s.(*MultiSplit).Parts) {
+							t.Errorf("%d readers for %d parts", len(readers), len(s.(*MultiSplit).Parts))
+						}
+					}
+					for _, rd := range readers {
+						for {
+							_, v, ok, err := rd.Next()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !ok {
+								break
+							}
+							seen[v.Get("id").Int64()]++
+						}
+					}
+					if err := reader.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(seen) != total {
+					t.Errorf("per-partition readers %v: %d distinct rows, want %d", perPart, len(seen), total)
+				}
+				for id, n := range seen {
+					if n != 1 || id < 0 || id >= int64(total) {
+						t.Errorf("per-partition readers %v: row %d read %d times", perPart, id, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCIFReaderCloseReleases: Close drops a drained partition's decoded
+// state, and a second Close (the task's, after the runner's) is harmless.
+func TestCIFReaderCloseReleases(t *testing.T) {
+	e := newEnv(2, 1024)
+	writePartitions(t, e, "/cif", []int{40, 40})
+	in := &CIFInput{Dir: "/cif", BlockRows: 16, Pred: expr.Ge(expr.Col("id"), expr.ConstInt(10))}
+	conf := mr.NewJobConf().SetInt(mr.ConfMapThreads, 2)
 	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: conf, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawParts, _ := ListPartitions(e.fs, "/cif")
-	if len(splits) >= len(rawParts) {
-		t.Errorf("packing produced %d splits from %d partitions", len(splits), len(rawParts))
+	reader, err := in.Open(splits[0], taskCtx(e, jctx))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Multi-splits expose independent readers and preserve all rows.
-	total := 0
-	for _, s := range splits {
-		ms, ok := s.(*MultiSplit)
-		if !ok {
-			t.Fatalf("split type %T", s)
-		}
-		// All packed parts share the primary host.
-		for _, p := range ms.Parts {
-			if len(p.Hosts) > 0 && len(ms.Parts[0].Hosts) > 0 && p.Hosts[0] != ms.Parts[0].Hosts[0] {
-				t.Error("pack mixes primary hosts")
+	children, err := reader.(mr.MultiReader).Readers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range children {
+		for {
+			_, ok, err := c.(BlockReader).NextBlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
 			}
 		}
-		reader, err := in.Open(s, taskCtx(e, jctx))
-		if err != nil {
+		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		mrdr, ok := reader.(mr.MultiReader)
-		if !ok {
-			t.Fatal("multi-split reader must implement mr.MultiReader")
+		cr := c.(*cifReader)
+		if cr.decs != nil || cr.block != nil || cr.codeBufs != nil || cr.sel.mask != nil {
+			t.Errorf("%s: closed reader still holds its decoded partition", cr.split.PartitionDir)
 		}
-		children, err := mrdr.Readers()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(children) != len(ms.Parts) {
-			t.Errorf("children = %d, parts = %d", len(children), len(ms.Parts))
-		}
-		for _, c := range children {
-			for {
-				_, _, ok, err := c.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				total++
-			}
-		}
-		reader.Close()
 	}
-	if total != 320 {
-		t.Errorf("multi-split readers produced %d rows", total)
-	}
-	// Sequential Next over a fresh multi-split reader also yields all rows.
-	reader, _ := in.Open(splits[0], taskCtx(e, jctx))
-	count := 0
-	for {
-		_, _, ok, err := reader.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		count++
-	}
-	ms := splits[0].(*MultiSplit)
-	want := 0
-	for range ms.Parts {
-		want += 32
-	}
-	if count != want {
-		t.Errorf("sequential multi reader rows = %d, want %d", count, want)
+	if err := reader.Close(); err != nil {
+		t.Errorf("second Close through the multi-split reader: %v", err)
 	}
 }
 

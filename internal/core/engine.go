@@ -346,15 +346,15 @@ func (e *Engine) factScan(sh *plan.Shape, head []DimSpec, pin *Pin) *colstore.CI
 // mapJoinConf configures a pass, a job whose map side runs the star-join
 // runner. With multi-threading on: one map task per node (capacity
 // scheduling via a whole-node memory request), JVM reuse so consecutive
-// tasks share the node's hash tables, and MultiCIF packing so each of the
-// node's map slots gets its own reader and probe thread.
+// tasks share the node's hash tables, and a probe thread per map slot, for
+// which CIFInput packs multi-splits (MultiCIF) so each thread gets its own
+// readers.
 func (e *Engine) mapJoinConf() *mr.JobConf {
 	conf := mr.NewJobConf()
 	if !e.opts.Ablate.Has(NoMultiThreading) {
 		cfg := e.mr.Cluster().Config()
 		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
 		conf.SetBool(mr.ConfJVMReuse, true)
-		conf.SetInt(mr.ConfMultiSplitPack, int64(cfg.MapSlots))
 		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
 	}
 	return conf

@@ -61,8 +61,9 @@ func (w *jobWatch) Emit(s obs.Span) {
 // to the job that built them (§5.2). Q4.1, four dimensions, runs as lowered
 // (one job), one step per pass (four) and through the ErrOOM re-run of a
 // cluster whose nodes hold the largest table but not all four (a failed job,
-// then four). On two-slot nodes with several fact partitions each, every
-// job builds each of its tables once per node it runs on, every later task
+// then four). On two-slot nodes with several fact partitions each, and a
+// block small enough that a multi-split packs only two of them (so a node
+// runs several tasks), every job builds each of its tables once per node it runs on, every later task
 // there reuses them, no job starts with a byte of an earlier one still
 // reserved, and none is reserved at the end.
 func TestTablesLiveAsLongAsTheirJob(t *testing.T) {
@@ -110,7 +111,7 @@ func TestTablesLiveAsLongAsTheirJob(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cluster.New(tc.cfg)
-			fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 13})
+			fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 12, Seed: 13})
 			lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{SkipRC: true, PartitionRows: 1000})
 			if err != nil {
 				t.Fatal(err)

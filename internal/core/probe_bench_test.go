@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"clydesdale/internal/cluster"
 	"clydesdale/internal/expr"
+	"clydesdale/internal/mr"
 	"clydesdale/internal/records"
 )
 
@@ -88,7 +90,78 @@ func BenchmarkDimTableProbe(b *testing.B) {
 			}
 			benchSink = hits
 		})
+
+		b.Run(fmt.Sprintf("shared-dict/n=%d", n), func(b *testing.B) {
+			benchSharedDictProbe(b, keys, aux)
+		})
 	}
+}
+
+// benchSharedDictProbe is probeBlocks over one reader of a 4096-row
+// partition (four 1024-row blocks) whose FK column carries a 4096-entry
+// dictionary, an eighth of it hits. As in a Session, the table outlives the query
+// that built its side table, and each reader brings its own *ColumnDict with
+// the same contents. The two readers alternate, so every op is a reader the
+// scratch has not seen; ns/op is one reader's probe.
+func benchSharedDictProbe(b *testing.B, keys []int64, aux [][]records.Value) {
+	const rows, blocks = 1024, 4
+	h := newBenchTable(keys, aux)
+	entries := make([]int64, 4096)
+	for c := range entries {
+		entries[c] = keys[c%len(keys)]
+		if c%8 != 0 {
+			entries[c]++ // never a key
+		}
+	}
+	if _, built := h.CodeSideTable(&records.ColumnDict{ID: 1, Ints: entries}); !built {
+		b.Fatal("no side table built")
+	}
+	schema := records.NewSchema(records.F("fk", records.KindInt64))
+	var readers [2]*records.RowBlock
+	for i := range readers {
+		blk := records.NewRowBlock(schema, rows)
+		cv := blk.Col(0)
+		for r := 0; r < rows; r++ {
+			code := uint32(r*4099) % uint32(len(entries))
+			cv.Ints = append(cv.Ints, entries[code])
+			cv.Codes = append(cv.Codes, code)
+		}
+		cv.Dict = &records.ColumnDict{ID: 1, Ints: append([]int64(nil), entries...)}
+		blk.SetLen(rows)
+		readers[i] = blk
+	}
+	r := &starJoinRunner{
+		eng:  &Engine{},
+		dims: []DimSpec{{FactFK: "fk", Aux: []string{"name", "n"}}},
+		out:  records.NewSchema(records.F("n", records.KindInt64)),
+		agg:  expr.Col("fk"),
+	}
+	ctx := mr.NewTestTaskContext(&mr.JobContext{}, cluster.New(cluster.Testing(1)).Nodes()[0])
+	hts := []*DimHashTable{h}
+	sc := r.newScratch()
+	out := &encodeSink{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.probeBlocks(ctx, &repeatBlock{blk: readers[i%2], left: blocks}, hts, sc, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchSink = int64(len(sc.agg.sums))
+}
+
+// repeatBlock is a colstore.BlockReader yielding one block left times.
+type repeatBlock struct {
+	blk  *records.RowBlock
+	left int
+}
+
+func (r *repeatBlock) NextBlock() (*records.RowBlock, bool, error) {
+	if r.left == 0 {
+		return nil, false, nil
+	}
+	r.left--
+	return r.blk, true, nil
 }
 
 // BenchmarkDimHashBuild measures the table layout alone: row-at-a-time

@@ -37,8 +37,8 @@ const (
 // starJoinRunner is Clydesdale's MTMapRunner (§5.1, Figure 5) and the one
 // map-side join implementation in this package: it acquires the node's
 // dimension hash tables (from the table cache, or under NoMultiThreading by
-// a private build), unpacks its multi-split into one reader per thread, and
-// probes every table with early-out over block or row readers. What it does
+// a private build), unpacks its multi-split into one reader per partition,
+// which its threads take from a queue, and probes every table with early-out over block or row readers. What it does
 // with a joined row is the sink, fixed once per job: fold the measure into
 // grouped partial sums (a plan's last pass, the star job) or carry the row
 // on through the collector (every pass before it). One runner instance
@@ -155,16 +155,28 @@ type probeScratch struct {
 	valRec  records.Record // wraps valVals
 	keyBuf  []byte
 	agg     *groupAgg
+
+	// lastSide is, per dim, the dictionary last looked up and its side table:
+	// a reader's blocks share one dictionary, so CodeSideTable (a lock and,
+	// for a dictionary a cached table saw in another query, a full content
+	// compare) runs once per reader, not once per block.
+	lastSide []sideLookup
+}
+
+type sideLookup struct {
+	dict *records.ColumnDict
+	offs []int32
 }
 
 func (r *starJoinRunner) newScratch() *probeScratch {
 	sc := &probeScratch{
-		auxRow:  make([][]records.Value, len(r.dims)),
-		fkCols:  make([][]int64, len(r.dims)),
-		fkCodes: make([][]uint32, len(r.dims)),
-		fkSide:  make([][]int32, len(r.dims)),
-		outVals: make([]records.Value, r.out.Len()),
-		valVals: make([]records.Value, 1),
+		auxRow:   make([][]records.Value, len(r.dims)),
+		fkCols:   make([][]int64, len(r.dims)),
+		fkCodes:  make([][]uint32, len(r.dims)),
+		fkSide:   make([][]int32, len(r.dims)),
+		outVals:  make([]records.Value, r.out.Len()),
+		valVals:  make([]records.Value, 1),
+		lastSide: make([]sideLookup, len(r.dims)),
 	}
 	sc.outRec = records.Make(r.out, sc.outVals...)
 	sc.valRec = records.Make(aggValueSchema, sc.valVals...)
@@ -258,7 +270,14 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 			defer wg.Done()
 			sc := r.newScratch()
 			for rd := range queue {
-				if err := r.probe(ctx, rd, hts, sc, out); err != nil {
+				// Close each reader once drained, so a pack holds one decoded
+				// partition per thread, not all of them until the task ends;
+				// the task closes them all again, which is harmless.
+				err := r.probe(ctx, rd, hts, sc, out)
+				if cerr := rd.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
 					errs[i] = err
 					return
 				}
@@ -351,12 +370,17 @@ func (r *starJoinRunner) probeBlocks(ctx *mr.TaskContext, br colstore.BlockReade
 			// column's codes out of the scan, translate its dictionary to
 			// arena offsets once and probe by array index below.
 			if !r.eng.opts.Ablate.Has(NoCodeSpacePreds) && cv.Dict != nil && len(cv.Codes) == len(cv.Ints) {
-				if side, built := hts[i].CodeSideTable(cv.Dict); side != nil {
-					fkSide[i] = side
-					fkCodes[i] = cv.Codes
+				last := &sc.lastSide[i]
+				if last.dict != cv.Dict {
+					side, built := hts[i].CodeSideTable(cv.Dict)
+					*last = sideLookup{dict: cv.Dict, offs: side}
 					if built {
 						ctx.Counters.Add(CtrCodeSideTables, 1)
 					}
+				}
+				if last.offs != nil {
+					fkSide[i] = last.offs
+					fkCodes[i] = cv.Codes
 				}
 			}
 		}

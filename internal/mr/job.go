@@ -31,11 +31,9 @@ const (
 	// ConfJVMReuse enables JVM reuse: consecutive tasks of the same job on a
 	// node run in a recycled JVM and see its static state (§3, §5.2).
 	ConfJVMReuse = "mr.jvm.reuse"
-	// ConfMultiSplitPack asks the input format to pack this many raw splits
-	// into one multi-split (MultiCIF, §5.1).
-	ConfMultiSplitPack = "mr.multisplit.pack"
 	// ConfMapThreads is the thread count a multi-threaded MapRunner should
-	// use (the slots the task occupies, §5.2 requirement 3).
+	// use (the slots the task occupies, §5.2 requirement 3). An input format
+	// that packs multi-splits (MultiCIF, §5.1) packs only when it is above 1.
 	ConfMapThreads = "mr.map.threads"
 	// ConfSpeculative enables speculative execution of map tasks: when no
 	// pending tasks remain, idle slots launch backup attempts of still-

@@ -119,10 +119,12 @@ plan-golden:
 # one join job of the Hive baseline on top of it (see DESIGN.md "MapReduce
 # scheduler", Record path); SnowflakeLowering is host wall and modeled seconds
 # of generated snowflake queries as lowered and one step per pass (see
-# EXPERIMENTS.md "Snowflake lowering"). CI-friendly: short benchtime, no
-# external state.
+# EXPERIMENTS.md "Snowflake lowering"); ServeHit is a served statement the
+# result cache answers, exact or by subsumption, and a lookup nothing cached
+# answers, beside 300 entries of another skeleton (see DESIGN.md "Result
+# cache"). CI-friendly: short benchtime, no external state.
 bench:
-	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|Shuffle|RepartitionStage|SnowflakeLowering' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ ./internal/hive/ .
+	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|Shuffle|RepartitionStage|SnowflakeLowering|ServeHit' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ ./internal/hive/ ./internal/serve/ .
 
 # Twenty-five seconds of coverage-guided fuzzing, five targets at five
 # seconds each. FuzzOpenColumnSet and FuzzOpenColumnFile: the column decoders

@@ -6,7 +6,7 @@
 package expr
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"clydesdale/internal/records"
@@ -76,23 +76,12 @@ func (e ColExpr) Columns(dst []string) []string { return append(dst, e.Name) }
 func (e ColExpr) String() string                { return e.Name }
 
 func (e ConstExpr) Columns(dst []string) []string { return dst }
-func (e ConstExpr) String() string                { return constString(e.Val) }
-
-// constString renders a constant as SQL: a string single-quoted, its quotes
-// doubled, so no two constants (or lists of them) render alike — plan
-// fingerprints and cache keys are built from this text.
-func constString(v records.Value) string {
-	if v.Kind() == records.KindString {
-		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
-	}
-	return v.String()
-}
+func (e ConstExpr) String() string                { return render(e) }
 
 func (e ArithExpr) Columns(dst []string) []string { return e.R.Columns(e.L.Columns(dst)) }
-func (e ArithExpr) String() string {
-	op := map[ArithOp]string{OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/"}[e.Op]
-	return fmt.Sprintf("(%s %s %s)", e.L, op, e.R)
-}
+func (e ArithExpr) String() string                { return render(e) }
+
+var arithNames = [...]string{OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/"}
 
 // CmpOp enumerates comparison operators.
 type CmpOp uint8
@@ -107,8 +96,13 @@ const (
 	CmpGe
 )
 
+var cmpNames = [...]string{CmpEq: "=", CmpNe: "<>", CmpLt: "<", CmpLe: "<=", CmpGt: ">", CmpGe: ">="}
+
 func (op CmpOp) String() string {
-	return map[CmpOp]string{CmpEq: "=", CmpNe: "<>", CmpLt: "<", CmpLe: "<=", CmpGt: ">", CmpGe: ">="}[op]
+	if int(op) < len(cmpNames) {
+		return cmpNames[op]
+	}
+	return ""
 }
 
 // CmpPred compares two expressions.
@@ -160,21 +154,13 @@ func In(e Expr, vals ...records.Value) Pred { return InPred{E: e, Vals: vals} }
 func And(parts ...Pred) Pred { return AndPred{Parts: parts} }
 
 func (p CmpPred) Columns(dst []string) []string { return p.R.Columns(p.L.Columns(dst)) }
-func (p CmpPred) String() string                { return fmt.Sprintf("%s %s %s", p.L, p.Op, p.R) }
+func (p CmpPred) String() string                { return render(p) }
 
 func (p BetweenPred) Columns(dst []string) []string { return p.E.Columns(dst) }
-func (p BetweenPred) String() string {
-	return fmt.Sprintf("%s BETWEEN %s AND %s", p.E, constString(p.Lo), constString(p.Hi))
-}
+func (p BetweenPred) String() string                { return render(p) }
 
 func (p InPred) Columns(dst []string) []string { return p.E.Columns(dst) }
-func (p InPred) String() string {
-	parts := make([]string, len(p.Vals))
-	for i, v := range p.Vals {
-		parts[i] = constString(v)
-	}
-	return fmt.Sprintf("%s IN (%s)", p.E, strings.Join(parts, ", "))
-}
+func (p InPred) String() string                { return render(p) }
 
 func (p AndPred) Columns(dst []string) []string {
 	for _, q := range p.Parts {
@@ -182,12 +168,97 @@ func (p AndPred) Columns(dst []string) []string {
 	}
 	return dst
 }
-func (p AndPred) String() string {
-	ss := make([]string, len(p.Parts))
-	for i, q := range p.Parts {
-		ss[i] = "(" + q.String() + ")"
+func (p AndPred) String() string { return render(p) }
+
+func render(n Expr) string {
+	var b strings.Builder
+	Write(&b, n)
+	return b.String()
+}
+
+// Write renders an expression or a predicate (Expr and Pred have one
+// method set) into b: the text its String method returns, built without a
+// string per node. Plan fingerprints and cache keys are made of this text,
+// so no two different constants (or lists of them) may render alike: a
+// string constant is single-quoted, its quotes doubled.
+func Write(b *strings.Builder, n Expr) {
+	switch n := n.(type) {
+	case nil:
+		b.WriteString("%!s(<nil>)") // fmt's %s of a nil operand
+	case ColExpr:
+		b.WriteString(n.Name)
+	case ConstExpr:
+		writeConst(b, n.Val)
+	case ArithExpr:
+		b.WriteByte('(')
+		Write(b, n.L)
+		b.WriteByte(' ')
+		if int(n.Op) < len(arithNames) {
+			b.WriteString(arithNames[n.Op])
+		}
+		b.WriteByte(' ')
+		Write(b, n.R)
+		b.WriteByte(')')
+	case CmpPred:
+		Write(b, n.L)
+		b.WriteByte(' ')
+		b.WriteString(n.Op.String())
+		b.WriteByte(' ')
+		Write(b, n.R)
+	case BetweenPred:
+		Write(b, n.E)
+		b.WriteString(" BETWEEN ")
+		writeConst(b, n.Lo)
+		b.WriteString(" AND ")
+		writeConst(b, n.Hi)
+	case InPred:
+		Write(b, n.E)
+		b.WriteString(" IN (")
+		for i, v := range n.Vals {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			writeConst(b, v)
+		}
+		b.WriteByte(')')
+	case AndPred:
+		for i, q := range n.Parts {
+			if i > 0 {
+				b.WriteString(" AND ")
+			}
+			b.WriteByte('(')
+			Write(b, q)
+			b.WriteByte(')')
+		}
+	default:
+		b.WriteString(n.String())
 	}
-	return strings.Join(ss, " AND ")
+}
+
+func writeConst(b *strings.Builder, v records.Value) {
+	var num [32]byte
+	switch v.Kind() {
+	case records.KindString:
+		s := v.Str()
+		b.WriteByte('\'')
+		for {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				break
+			}
+			b.WriteString(s[:i+1])
+			b.WriteByte('\'')
+			s = s[i+1:]
+		}
+		b.WriteString(s)
+		b.WriteByte('\'')
+	case records.KindInt64:
+		b.Write(strconv.AppendInt(num[:0], v.Int64(), 10))
+	case records.KindFloat64:
+		b.Write(strconv.AppendFloat(num[:0], v.Float64(), 'g', -1, 64))
+	default:
+		b.WriteString(v.String())
+	}
 }
 
 // ColumnsOf returns the deduplicated column names read by the given

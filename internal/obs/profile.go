@@ -26,6 +26,10 @@ type Profile struct {
 	// Plan is the root span's plan attribute: what ran, as the executor
 	// reports it ("staged passes=2"); empty when no job ran.
 	Plan string
+	// ResultCache is the root span's result_cache attribute: what a serving
+	// session's result cache did for the query ("hit", "subsumed", "miss"
+	// or "off"); empty outside a session.
+	ResultCache string
 	// Start/End/Wall cover the root span.
 	Start time.Time
 	End   time.Time
@@ -201,18 +205,19 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 	computeSelf(root)
 
 	p := &Profile{
-		Trace:    trace,
-		Query:    rootQueryName(root),
-		Read:     root.Span.Attrs["read"],
-		Plan:     root.Span.Attrs["plan"],
-		Start:    root.Span.Start,
-		End:      root.Span.End,
-		Wall:     root.Span.Duration(),
-		Root:     root,
-		Spans:    len(all),
-		Orphans:  orphans,
-		Dropped:  opts.Dropped,
-		Counters: opts.Counters,
+		Trace:       trace,
+		Query:       rootQueryName(root),
+		Read:        root.Span.Attrs["read"],
+		Plan:        root.Span.Attrs["plan"],
+		ResultCache: root.Span.Attrs["result_cache"],
+		Start:       root.Span.Start,
+		End:         root.Span.End,
+		Wall:        root.Span.Duration(),
+		Root:        root,
+		Spans:       len(all),
+		Orphans:     orphans,
+		Dropped:     opts.Dropped,
+		Counters:    opts.Counters,
 	}
 	p.Phases = attributePhases(root)
 	p.Stragglers = findStragglers(root)
@@ -676,7 +681,11 @@ var reportCounters = []string{
 // table, counters, stragglers, critical path, and the span tree trimmed to
 // the interesting depth.
 func (p *Profile) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "EXPLAIN ANALYZE %s  (trace %s)\n", p.Query, p.Trace)
+	fmt.Fprintf(w, "EXPLAIN ANALYZE %s  (trace %s", p.Query, p.Trace)
+	if p.ResultCache != "" {
+		fmt.Fprintf(w, ", result cache %s", p.ResultCache)
+	}
+	fmt.Fprintln(w, ")")
 	if p.Read != "" {
 		fmt.Fprintf(w, "read: %s\n", p.Read)
 	}
@@ -802,20 +811,21 @@ func leavesOnly(ns []*ProfileNode) bool {
 
 // jsonProfile is the JSON wire shape of a profile.
 type jsonProfile struct {
-	Trace      string           `json:"trace"`
-	Query      string           `json:"query"`
-	Read       string           `json:"read,omitempty"`
-	Plan       string           `json:"plan,omitempty"`
-	StartNs    int64            `json:"start_ns"`
-	WallNs     int64            `json:"wall_ns"`
-	Spans      int              `json:"spans"`
-	Orphans    int              `json:"orphans,omitempty"`
-	Dropped    int64            `json:"dropped,omitempty"`
-	Phases     []jsonPhase      `json:"phases"`
-	Stragglers []jsonStraggler  `json:"stragglers,omitempty"`
-	Critical   []jsonStep       `json:"critical_path,omitempty"`
-	Counters   map[string]int64 `json:"counters,omitempty"`
-	Root       *jsonNode        `json:"root"`
+	Trace       string           `json:"trace"`
+	Query       string           `json:"query"`
+	Read        string           `json:"read,omitempty"`
+	Plan        string           `json:"plan,omitempty"`
+	ResultCache string           `json:"result_cache,omitempty"`
+	StartNs     int64            `json:"start_ns"`
+	WallNs      int64            `json:"wall_ns"`
+	Spans       int              `json:"spans"`
+	Orphans     int              `json:"orphans,omitempty"`
+	Dropped     int64            `json:"dropped,omitempty"`
+	Phases      []jsonPhase      `json:"phases"`
+	Stragglers  []jsonStraggler  `json:"stragglers,omitempty"`
+	Critical    []jsonStep       `json:"critical_path,omitempty"`
+	Counters    map[string]int64 `json:"counters,omitempty"`
+	Root        *jsonNode        `json:"root"`
 }
 
 type jsonPhase struct {
@@ -878,17 +888,18 @@ func toJSONNode(n *ProfileNode) *jsonNode {
 // /profilez body) marshals directly.
 func (p *Profile) MarshalJSON() ([]byte, error) {
 	out := jsonProfile{
-		Trace:    p.Trace,
-		Query:    p.Query,
-		Read:     p.Read,
-		Plan:     p.Plan,
-		StartNs:  p.Start.UnixNano(),
-		WallNs:   int64(p.Wall),
-		Spans:    p.Spans,
-		Orphans:  p.Orphans,
-		Dropped:  p.Dropped,
-		Counters: p.Counters,
-		Root:     toJSONNode(p.Root),
+		Trace:       p.Trace,
+		Query:       p.Query,
+		Read:        p.Read,
+		Plan:        p.Plan,
+		ResultCache: p.ResultCache,
+		StartNs:     p.Start.UnixNano(),
+		WallNs:      int64(p.Wall),
+		Spans:       p.Spans,
+		Orphans:     p.Orphans,
+		Dropped:     p.Dropped,
+		Counters:    p.Counters,
+		Root:        toJSONNode(p.Root),
 	}
 	for _, st := range p.Phases {
 		out.Phases = append(out.Phases, jsonPhase{st.Name, int64(st.Wall), int64(st.Busy), st.Count})

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"clydesdale/internal/expr"
@@ -21,7 +21,8 @@ import (
 // columns, the narrower answer is a post-filter of the cached rows (each
 // group row already carries the full SUM for that group).
 
-// CacheKey is the canonical cache identity of a decomposed plan.
+// CacheKey is the canonical cache identity of a decomposed plan. KeyOf
+// makes it; its strings are all slices of one rendering.
 type CacheKey struct {
 	// Skeleton identifies everything but the predicates and the ordering:
 	// the fact table, the join edges sorted by dimension table, the
@@ -31,7 +32,7 @@ type CacheKey struct {
 	// Conjuncts are the normalized top-level AND factors of every predicate
 	// in the plan (fact filter and each dimension filter pooled together —
 	// column names are globally unique, so a conjunct's owner is implied),
-	// sorted by their canonical rendering.
+	// sorted by their canonical rendering, without repeats.
 	Conjuncts []string
 	// ConjPreds are the predicate trees behind Conjuncts, index-aligned.
 	ConjPreds []expr.Pred
@@ -40,64 +41,110 @@ type CacheKey struct {
 	// Tables lists every table the plan reads (Shape.Tables): the tables
 	// whose versions a cached result is labelled with.
 	Tables []string
+
+	fp string // Skeleton + "|where=" + Conjuncts joined by " AND "
 }
 
-// KeyOf canonicalizes a decomposed shape into its cache key.
-func KeyOf(sh *Shape) CacheKey {
-	k := CacheKey{
-		GroupBy: append([]string(nil), sh.GroupBy...),
-		Tables:  sh.Tables(),
-	}
+// keyPart is a rendered piece of a key: text[lo:hi] of the key's buffer.
+type keyPart struct {
+	lo, hi int
+	p      expr.Pred // the conjunct rendered, nil for a join edge
+}
 
-	type conj struct {
-		s string
-		p expr.Pred
-	}
-	var conjs []conj
-	addPred := func(p expr.Pred) {
-		for _, c := range expr.Conjuncts(p) {
-			conjs = append(conjs, conj{s: c.String(), p: c})
+// KeyOf canonicalizes a decomposed shape into its cache key. Every conjunct
+// and join edge is rendered once into one buffer, sorted by its text, then
+// copied into the fingerprint the same buffer ends with; the key's strings
+// are slices of that buffer.
+func KeyOf(sh *Shape) CacheKey {
+	var b strings.Builder
+	b.Grow(1024)
+	conjs, edges := make([]keyPart, 0, 2*len(sh.Joins)+2), make([]keyPart, 0, len(sh.Joins))
+	// addPred renders p's top-level AND factors (expr.Conjuncts).
+	var addPred func(p expr.Pred)
+	addPred = func(p expr.Pred) {
+		switch p := p.(type) {
+		case nil:
+		case expr.AndPred:
+			for _, q := range p.Parts {
+				addPred(q)
+			}
+		default:
+			lo := b.Len()
+			expr.Write(&b, p)
+			conjs = append(conjs, keyPart{lo: lo, hi: b.Len(), p: p})
 		}
 	}
 	addPred(sh.FactPred)
-
-	// Join edges sorted by dimension table name: declaration order does not
-	// change the join result, so it must not change the key.
-	edges := make([]string, 0, len(sh.Joins))
 	for i := range sh.Joins {
 		e := &sh.Joins[i]
-		edges = append(edges, e.Table+" ON "+e.FK+"="+e.PK)
+		lo := b.Len()
+		b.WriteString(e.Table)
+		b.WriteString(" ON ")
+		b.WriteString(e.FK)
+		b.WriteByte('=')
+		b.WriteString(e.PK)
+		edges = append(edges, keyPart{lo: lo, hi: b.Len()})
 		addPred(e.Pred)
 	}
-	sort.Strings(edges)
+	// Join edges sorted by their text: declaration order does not change the
+	// join result, so it must not change the key. Conjuncts likewise, and
+	// p AND p ≡ p: the key is a set, not a multiset.
+	text := b.String()
+	byText := func(x, y keyPart) int { return strings.Compare(text[x.lo:x.hi], text[y.lo:y.hi]) }
+	slices.SortFunc(edges, byText)
+	slices.SortFunc(conjs, byText)
+	conjs = slices.CompactFunc(conjs, func(x, y keyPart) bool { return byText(x, y) == 0 })
 
-	agg := ""
-	if sh.Agg != nil {
-		agg = sh.Agg.String()
-	}
-	k.Skeleton = strings.Join([]string{
-		"fact=" + sh.Fact,
-		"join=" + strings.Join(edges, ";"),
-		"agg=SUM(" + agg + ") AS " + sh.AggName,
-		"group=" + strings.Join(sh.GroupBy, ","),
-	}, "|")
-
-	sort.Slice(conjs, func(i, j int) bool { return conjs[i].s < conjs[j].s })
-	for i, c := range conjs {
-		if i > 0 && c.s == conjs[i-1].s {
-			continue // p AND p ≡ p: the key is a set, not a multiset
+	skel := b.Len()
+	b.WriteString("fact=")
+	b.WriteString(sh.Fact)
+	b.WriteString("|join=")
+	for i, e := range edges {
+		if i > 0 {
+			b.WriteByte(';')
 		}
-		k.Conjuncts = append(k.Conjuncts, c.s)
-		k.ConjPreds = append(k.ConjPreds, c.p)
+		b.WriteString(text[e.lo:e.hi])
+	}
+	b.WriteString("|agg=SUM(")
+	if sh.Agg != nil {
+		expr.Write(&b, sh.Agg)
+	}
+	b.WriteString(") AS ")
+	b.WriteString(sh.AggName)
+	b.WriteString("|group=")
+	for i, g := range sh.GroupBy {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(g)
+	}
+	where := b.Len()
+	b.WriteString("|where=")
+	for i, c := range conjs {
+		if i > 0 {
+			b.WriteString(" AND ")
+		}
+		b.WriteString(text[c.lo:c.hi])
+	}
+
+	all := b.String()
+	k := CacheKey{
+		Skeleton:  all[skel:where],
+		Conjuncts: make([]string, len(conjs)),
+		ConjPreds: make([]expr.Pred, len(conjs)),
+		GroupBy:   append([]string(nil), sh.GroupBy...),
+		Tables:    sh.Tables(),
+		fp:        all[skel:],
+	}
+	for i, c := range conjs {
+		k.Conjuncts[i], k.ConjPreds[i] = all[c.lo:c.hi], c.p
 	}
 	return k
 }
 
 // Fingerprint renders the full canonical identity: skeleton plus the sorted
 // conjunct set. Equal fingerprints mean equal results (up to row order).
-func (k *CacheKey) Fingerprint() string {
-	return k.Skeleton + "|where=" + strings.Join(k.Conjuncts, " AND ")
-}
+func (k *CacheKey) Fingerprint() string { return k.fp }
 
 // Subsumes reports whether a result computed for k answers the strictly-
 // narrower query identified by narrow, and if so returns the extra
@@ -105,35 +152,31 @@ func (k *CacheKey) Fingerprint() string {
 // (same joins, aggregate and grouping), k's conjuncts a subset of narrow's,
 // and every extra conjunct reading only k's group-by columns — those are the
 // only input columns that survive into the result, and filtering whole
-// groups preserves each group's SUM.
+// groups preserves each group's SUM. Both conjunct lists are sorted and
+// free of repeats (KeyOf), so one merge walk compares them.
 func (k *CacheKey) Subsumes(narrow *CacheKey) (extra []expr.Pred, ok bool) {
 	if k.Skeleton != narrow.Skeleton {
 		return nil, false
 	}
-	have := make(map[string]bool, len(k.Conjuncts))
-	for _, c := range k.Conjuncts {
-		have[c] = true
-	}
-	grouped := make(map[string]bool, len(k.GroupBy))
-	for _, g := range k.GroupBy {
-		grouped[g] = true
-	}
-	matched := 0
+	have := k.Conjuncts
 	for i, c := range narrow.Conjuncts {
-		if have[c] {
-			matched++
+		if len(have) > 0 && have[0] == c {
+			have = have[1:]
 			continue
 		}
-		for _, col := range expr.ColumnsOf(nil, []expr.Pred{narrow.ConjPreds[i]}) {
-			if !grouped[col] {
+		if len(have) > 0 && have[0] < c {
+			// A cached conjunct is missing from the narrow query: the cached
+			// result may be the narrower one, which a cache cannot widen.
+			return nil, false
+		}
+		for _, col := range narrow.ConjPreds[i].Columns(nil) {
+			if !contains(k.GroupBy, col) {
 				return nil, false
 			}
 		}
 		extra = append(extra, narrow.ConjPreds[i])
 	}
-	if matched != len(k.Conjuncts) {
-		// A cached conjunct is missing from the narrow query: the cached
-		// result may be the narrower one, which a cache cannot widen.
+	if len(have) > 0 {
 		return nil, false
 	}
 	return extra, true

@@ -15,16 +15,22 @@ type Physical struct {
 }
 
 // Lower compiles a bound logical plan into the physical plan the engine
-// runs. Steps are ordered level by level (a star keeps its bind order): a
-// shape whose joins all hang off the fact is one star-join job, and a
-// snowflake is one pass per depth level — every table of a level probes a
-// key the levels before it carried — map-only but for the last, which
-// aggregates. It reads no table, so it is cheap enough for every query.
+// runs: Decompose, then Shape.Lower.
 func Lower(l *Logical) (*Physical, error) {
 	sh, err := Decompose(l)
 	if err != nil {
 		return nil, err
 	}
+	return sh.Lower()
+}
+
+// Lower builds the physical plan of a decomposed shape. Steps are ordered
+// level by level (a star keeps its bind order): a shape whose joins all hang
+// off the fact is one star-join job, and a snowflake is one pass per depth
+// level — every table of a level probes a key the levels before it carried
+// — map-only but for the last, which aggregates. It reads no table, so it is
+// cheap enough for every query that runs.
+func (sh *Shape) Lower() (*Physical, error) {
 	// Edges level by level, bind order within a level; a level's parents
 	// are all in the level before it.
 	order := make([]int, 0, len(sh.Joins))

@@ -73,7 +73,7 @@ func Decompose(l *Logical) (*Shape, error) {
 	sh.Agg, sh.AggName, sh.GroupBy = agg.Agg, agg.AggName, agg.GroupBy
 
 	// Walk the left spine collecting joins, then reverse into bind order.
-	var joins []*Join
+	joins := make([]*Join, 0, 8)
 	n = agg.Input
 	for {
 		j, ok := n.(*Join)
@@ -96,20 +96,14 @@ func Decompose(l *Logical) (*Shape, error) {
 	}
 	sh.Fact, sh.FactSchema = fact.Table, fact.Source
 
-	// owner maps every column visible in the pipeline to the table that
-	// produced it. Bound once; this is the ownership the hive lowering
-	// used to re-guess per stage.
-	owner := make(map[string]string, sh.FactSchema.Len())
-	for _, f := range sh.FactSchema.Fields() {
-		owner[f.Name] = sh.Fact
-	}
-	depth := map[string]int{sh.Fact: 0}
-	seenTable := map[string]bool{sh.Fact: true}
-	// sharedKey maps a join key spelled the same on both sides (fact
-	// store_id = store.store_id) to the table building on it: the probe side
-	// stays the column's owner, but a GROUP BY on it may take the build
-	// side's copy, which is the only one a fact-owned key can be grouped by.
-	sharedKey := map[string]string{}
+	// A column belongs to the first table, in pipeline order (the fact, then
+	// the joins in bind order), whose schema has it; sh.owner asks the
+	// schemas' own indexes. Ambiguity is refused as each join is bound, so
+	// no later table has one of those columns, with one exception: a join key
+	// spelled the same on both sides (fact store_id = store.store_id). That
+	// one stays the probe side's, but a GROUP BY on it may take the build
+	// side's copy, the only one a fact-owned key can be grouped by.
+	sh.Joins = make([]JoinEdge, 0, len(joins))
 	for _, j := range joins {
 		rn := j.Right
 		var pred expr.Pred
@@ -121,54 +115,45 @@ func Decompose(l *Logical) (*Shape, error) {
 		if !ok {
 			return nil, fmt.Errorf("plan: the build side of a join must be a (optionally filtered) table scan")
 		}
-		if seenTable[sc.Table] {
+		if sc.Table == sh.Fact || sh.edge(sc.Table) != nil {
 			return nil, fmt.Errorf("plan: table %s joined twice", sc.Table)
 		}
-		e := JoinEdge{Table: sc.Table, Schema: sc.Source, FK: j.LeftKey, PK: j.RightKey, Pred: pred}
+		e := JoinEdge{Table: sc.Table, Schema: sc.Source, FK: j.LeftKey, PK: j.RightKey, Pred: pred, Depth: 1}
 		if !e.Schema.Has(e.PK) {
 			return nil, fmt.Errorf("plan: join key %s is not a column of %s", e.PK, e.Table)
 		}
-		parent, ok := owner[e.FK]
-		if !ok {
+		parent := sh.owner(e.FK)
+		if parent == "" {
 			return nil, fmt.Errorf("plan: join key %s is not produced by the plan below the join with %s", e.FK, e.Table)
 		}
 		if parent != sh.Fact {
 			e.Parent = parent
+			e.Depth = sh.edge(parent).Depth + 1
 		}
-		e.Depth = depth[parent] + 1
-		for _, f := range sc.Source.Fields() {
-			if _, dup := owner[f.Name]; dup {
-				if f.Name == e.PK && e.PK == e.FK {
-					// Equal to the probe column by the join condition, so
-					// not ambiguous.
-					sharedKey[f.Name] = sc.Table
-					continue
-				}
-				return nil, fmt.Errorf("plan: column %s is ambiguous between %s and %s", f.Name, owner[f.Name], sc.Table)
+		for i := 0; i < e.Schema.Len(); i++ {
+			name := e.Schema.Field(i).Name
+			if name == e.PK && e.PK == e.FK {
+				continue // equal to the probe column by the join condition, so not ambiguous
 			}
-			owner[f.Name] = sc.Table
+			if o := sh.owner(name); o != "" {
+				return nil, fmt.Errorf("plan: column %s is ambiguous between %s and %s", name, o, e.Table)
+			}
 		}
-		depth[sc.Table] = e.Depth
-		seenTable[sc.Table] = true
 		sh.Joins = append(sh.Joins, e)
 	}
 
 	// Resolve auxiliary (carried) columns per edge: group columns it owns,
 	// then FKs of its child edges.
-	byTable := make(map[string]*JoinEdge, len(sh.Joins))
-	for i := range sh.Joins {
-		byTable[sh.Joins[i].Table] = &sh.Joins[i]
-	}
 	for _, g := range sh.GroupBy {
-		t, ok := owner[g]
-		if !ok {
+		t := sh.owner(g)
+		if t == "" {
 			return nil, fmt.Errorf("plan: group column %s is not produced by the plan", g)
 		}
-		e, ok := byTable[t]
-		if !ok {
-			e, ok = byTable[sharedKey[g]]
+		e := sh.edge(t)
+		if e == nil {
+			e = sh.sharedKeyEdge(g)
 		}
-		if !ok {
+		if e == nil {
 			return nil, fmt.Errorf("plan: group column %s must come from a joined dimension", g)
 		}
 		e.Aux = append(e.Aux, g)
@@ -178,41 +163,79 @@ func Decompose(l *Logical) (*Shape, error) {
 		if e.Parent == "" {
 			continue
 		}
-		p := byTable[e.Parent]
-		if !contains(p.Aux, e.FK) {
+		if p := sh.edge(e.Parent); !contains(p.Aux, e.FK) {
 			p.Aux = append(p.Aux, e.FK)
 		}
 	}
 
 	// Validate the aggregate and the predicates against ownership.
-	for _, c := range expr.ColumnsOf([]expr.Expr{sh.Agg}, nil) {
-		if owner[c] != sh.Fact {
+	cols := sh.Agg.Columns(make([]string, 0, 8))
+	for _, c := range cols {
+		if sh.owner(c) != sh.Fact {
 			return nil, fmt.Errorf("plan: aggregate column %s is not a fact column", c)
 		}
 	}
-	for _, c := range expr.ColumnsOf(nil, []expr.Pred{sh.FactPred}) {
-		if owner[c] != sh.Fact {
-			return nil, fmt.Errorf("plan: fact predicate column %s is not a fact column", c)
+	if sh.FactPred != nil {
+		cols = sh.FactPred.Columns(cols[:0])
+		for _, c := range cols {
+			if sh.owner(c) != sh.Fact {
+				return nil, fmt.Errorf("plan: fact predicate column %s is not a fact column", c)
+			}
 		}
 	}
 	for i := range sh.Joins {
 		e := &sh.Joins[i]
-		for _, c := range expr.ColumnsOf(nil, []expr.Pred{e.Pred}) {
-			if owner[c] != e.Table {
+		if e.Pred == nil {
+			continue
+		}
+		cols = e.Pred.Columns(cols[:0])
+		for _, c := range cols {
+			if sh.owner(c) != e.Table {
 				return nil, fmt.Errorf("plan: predicate column %s does not belong to %s", c, e.Table)
 			}
 		}
 	}
-	out := map[string]bool{sh.AggName: true}
-	for _, g := range sh.GroupBy {
-		out[g] = true
-	}
 	for _, k := range sh.OrderBy {
-		if !out[k.Col] {
+		if k.Col != sh.AggName && !contains(sh.GroupBy, k.Col) {
 			return nil, fmt.Errorf("plan: order column %s is neither grouped nor the aggregate", k.Col)
 		}
 	}
 	return sh, nil
+}
+
+// owner is the table producing col in the pipeline bound so far: the fact
+// table or a join's, "" when no table has it.
+func (sh *Shape) owner(col string) string {
+	if sh.FactSchema.Has(col) {
+		return sh.Fact
+	}
+	for i := range sh.Joins {
+		if sh.Joins[i].Schema.Has(col) {
+			return sh.Joins[i].Table
+		}
+	}
+	return ""
+}
+
+// edge is the join of table, nil when it is not joined.
+func (sh *Shape) edge(table string) *JoinEdge {
+	for i := range sh.Joins {
+		if sh.Joins[i].Table == table {
+			return &sh.Joins[i]
+		}
+	}
+	return nil
+}
+
+// sharedKeyEdge is the last join whose key is spelled col on both sides: a
+// fact-owned column only that join's build side can supply to a GROUP BY.
+func (sh *Shape) sharedKeyEdge(col string) *JoinEdge {
+	for i := len(sh.Joins) - 1; i >= 0; i-- {
+		if e := &sh.Joins[i]; e.PK == col && e.FK == col {
+			return e
+		}
+	}
+	return nil
 }
 
 // Tables lists every table the shape reads: the fact table first, then the

@@ -144,8 +144,8 @@ func TestDebugMetricsLiveGauges(t *testing.T) {
 	if v := gauge("serve_result_cache_resident_bytes"); v <= 0 {
 		t.Errorf("serve_result_cache_resident_bytes = %d with 2 cached results", v)
 	}
-	if v := gauge("serve_result_cache_hits"); v != 0 {
-		t.Errorf("serve_result_cache_hits = %d with no repeated query, want 0", v)
+	if v := gauge("serve_result_cache_hits_total"); v != 0 {
+		t.Errorf("serve_result_cache_hits_total = %d with no repeated query, want 0", v)
 	}
 	// One version gauge per catalog table: the fact table's content version
 	// (nothing rolled in yet), each dimension's count of published files.

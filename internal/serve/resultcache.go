@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,9 +25,12 @@ var errResultNotCached = errors.New("serve: result not cached")
 // the same answer share one entry no matter how their predicates were
 // spelled. Entries singleflight — concurrent misses on one fingerprint run
 // the query once and everyone else waits for the published rows — and a
-// lookup that misses its own fingerprint still scans for a subsuming entry
+// lookup that misses its own fingerprint still looks for a subsuming entry
 // (same skeleton, subset conjuncts, extras over group-by columns only)
-// whose rows answer the narrower query after a post-filter.
+// whose rows answer the narrower query after a post-filter. Finished
+// entries are indexed by skeleton, so that search tests only the entries
+// that can subsume, and when several do, the one with the fewest rows
+// answers (ties to the smaller fingerprint).
 //
 // Like the table cache, residency is byte-accounted (records.Record
 // MemSize) against a budget with LRU eviction; unlike it, results live on
@@ -39,18 +43,24 @@ var errResultNotCached = errors.New("serve: result not cached")
 // dropped on sight and the lookup is a miss.
 type resultCache struct {
 	budget int64
-	reg    *obs.Registry // live gauges; may be nil
 
 	mu      sync.Mutex
 	entries map[string]*resultEntry // fingerprint → entry
-	bytes   int64
-	clock   uint64 // LRU clock; ticks on every touch
+	// skeletons holds the finished entries of entries (published, not
+	// aborted) by key skeleton: the only ones that can subsume a lookup.
+	skeletons map[string][]*resultEntry
+	bytes     int64
+	clock     uint64 // LRU clock; ticks on every touch
 
 	hits          atomic.Int64
 	subsumedHits  atomic.Int64
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
+	// The registry's copies of the counters above and the residency gauges,
+	// resolved once.
+	hitsCtr, subsumedCtr, missesCtr, evictionsCtr, invalidationsCtr *obs.Counter
+	bytesGauge, entriesGauge                                        *obs.Gauge
 }
 
 // resultEntry is one cached result. done closes when the build publishes or
@@ -61,6 +71,9 @@ type resultEntry struct {
 	fp   string
 	done chan struct{}
 	rs   *results.ResultSet
+	// orders is the order rs's rows are in: that of the statement whose
+	// miss built the entry.
+	orders []results.Order
 	// at is the version of each of key.Tables the rows were computed from,
 	// in that order; set with rs.
 	at      core.Versions
@@ -82,41 +95,60 @@ func (e *resultEntry) staleAt(cur core.Versions) bool {
 	return false
 }
 
+// ordered puts rs, the entry's rows or some of them in a slice the caller
+// owns, in orders: a statement ordered as the one that built the entry
+// takes them as they are.
+func (e *resultEntry) ordered(rs *results.ResultSet, orders []results.Order) (*results.ResultSet, error) {
+	if slices.Equal(e.orders, orders) {
+		return rs, nil
+	}
+	return rs, rs.Sort(orders)
+}
+
+// newResultCache makes an empty cache of budget bytes whose counters and
+// gauges land in reg.
 func newResultCache(budget int64, reg *obs.Registry) *resultCache {
-	return &resultCache{budget: budget, reg: reg, entries: make(map[string]*resultEntry)}
+	const prefix = "serve.result_cache."
+	return &resultCache{
+		budget:           budget,
+		entries:          make(map[string]*resultEntry),
+		skeletons:        make(map[string][]*resultEntry),
+		hitsCtr:          reg.Counter(prefix + "hits"),
+		subsumedCtr:      reg.Counter(prefix + "subsumption_hits"),
+		missesCtr:        reg.Counter(prefix + "misses"),
+		evictionsCtr:     reg.Counter(prefix + "evictions"),
+		invalidationsCtr: reg.Counter(prefix + "invalidations"),
+		bytesGauge:       reg.Gauge(prefix + "resident_bytes"),
+		entriesGauge:     reg.Gauge(prefix + "entries"),
+	}
 }
 
+// updateGaugesLocked publishes the residency after a change to it.
 func (rc *resultCache) updateGaugesLocked() {
-	if rc.reg == nil {
-		return
-	}
-	rc.reg.Gauge("serve.result_cache.resident_bytes").Set(rc.bytes)
-	rc.reg.Gauge("serve.result_cache.entries").Set(int64(len(rc.entries)))
-	rc.reg.Gauge("serve.result_cache.hits").Set(rc.hits.Load())
-	rc.reg.Gauge("serve.result_cache.subsumption_hits").Set(rc.subsumedHits.Load())
+	rc.bytesGauge.Set(rc.bytes)
+	rc.entriesGauge.Set(int64(len(rc.entries)))
 }
 
-func (rc *resultCache) count(c *atomic.Int64, name string) {
+func count(c *atomic.Int64, m *obs.Counter) {
 	c.Add(1)
-	if rc.reg != nil {
-		rc.reg.Counter("serve.result_cache." + name).Inc()
-	}
+	m.Inc()
 }
 
-// lookup resolves key against the cache for a query arriving when the
-// tables of key.Tables are at versions cur. Outcomes:
-//   - exact hit: (rows, "hit", at, nil) — rows are a fresh ResultSet whose
-//     row slice the caller owns (it may re-sort freely), computed from
-//     versions at, none older than cur;
+// lookup resolves key against the cache for a query ordered by orders,
+// arriving when the tables of key.Tables are at versions cur. Outcomes:
+//   - exact hit: (rows, "hit", at, nil) — rows are a fresh ResultSet in
+//     orders whose row slice the caller owns, computed from versions at,
+//     none older than cur;
 //   - subsumption hit: (rows, "subsumed", at, nil) — cached rows of a
-//     broader query, already post-filtered by the extra conjuncts;
+//     broader query, post-filtered by the extra conjuncts, in orders;
 //   - miss: (nil, "miss", nil, publish) — the caller owns the placeholder
-//     and MUST call publish exactly once: with the computed result and the
-//     versions it was computed from to cache it, or with nil to abort
-//     (query failed or was shed).
+//     and MUST call publish exactly once: with the computed result, in
+//     orders, and the versions it was computed from to cache it, or with
+//     nil to abort (query failed or was shed).
 //
 // Waiting on a concurrent build blocks until it resolves or ctx ends.
-func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string, cur core.Versions) (*results.ResultSet, string, core.Versions, func(*results.ResultSet, core.Versions), error) {
+func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, orders []results.Order, cur core.Versions) (*results.ResultSet, string, core.Versions, func(*results.ResultSet, core.Versions), error) {
+	fp := key.Fingerprint()
 	trySubsume := true
 	for {
 		rc.mu.Lock()
@@ -138,9 +170,12 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string
 				rc.mu.Unlock()
 				continue
 			}
-			rc.count(&rc.hits, "hits")
-			rc.updateGauges()
-			return copyResult(e.rs), "hit", e.at, nil, nil
+			rs, err := e.ordered(copyResult(e.rs), orders)
+			if err != nil {
+				return nil, "", core.Versions{}, nil, err
+			}
+			count(&rc.hits, rc.hitsCtr)
+			return rs, "hit", e.at, nil, nil
 		}
 		// No exact entry: a finished broader one may subsume this query.
 		if trySubsume {
@@ -151,8 +186,10 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string
 				rc.mu.Unlock()
 				filtered, err := filterResult(rs, extra)
 				if err == nil {
-					rc.count(&rc.subsumedHits, "subsumption_hits")
-					rc.updateGauges()
+					if filtered, err = e.ordered(filtered, orders); err != nil {
+						return nil, "", core.Versions{}, nil, err
+					}
+					count(&rc.subsumedHits, rc.subsumedCtr)
 					return filtered, "subsumed", e.at, nil, nil
 				}
 				// A predicate the result schema cannot evaluate: degrade to a
@@ -163,12 +200,12 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, fp string
 				continue
 			}
 		}
-		e := &resultEntry{key: *key, fp: fp, done: make(chan struct{})}
+		e := &resultEntry{key: *key, fp: fp, orders: orders, done: make(chan struct{})}
 		rc.clock++
 		e.lastUse = rc.clock
 		rc.entries[fp] = e
 		rc.mu.Unlock()
-		rc.count(&rc.misses, "misses")
+		count(&rc.misses, rc.missesCtr)
 		return nil, "miss", core.Versions{}, func(rs *results.ResultSet, at core.Versions) { rc.publish(e, rs, at) }, nil
 	}
 }
@@ -178,34 +215,57 @@ func (rc *resultCache) dropStaleLocked(e *resultEntry) {
 	if rc.entries[e.fp] != e {
 		return // another lookup already did
 	}
-	delete(rc.entries, e.fp)
-	rc.bytes -= e.bytes
-	rc.count(&rc.invalidations, "invalidations")
+	rc.removeLocked(e)
+	count(&rc.invalidations, rc.invalidationsCtr)
 	rc.updateGaugesLocked()
 }
 
-// subsumerLocked finds a finished entry, current at versions cur, whose key
-// subsumes the lookup key, returning it with the extra post-filter
-// conjuncts. Stale subsumers it comes across are reclaimed.
+// removeLocked takes a finished entry out of the cache and its index.
+func (rc *resultCache) removeLocked(e *resultEntry) {
+	delete(rc.entries, e.fp)
+	rc.bytes -= e.bytes
+	same := rc.skeletons[e.key.Skeleton]
+	if i := slices.Index(same, e); i >= 0 {
+		same[i] = same[len(same)-1]
+		same[len(same)-1] = nil
+		same = same[:len(same)-1]
+	}
+	if len(same) == 0 {
+		delete(rc.skeletons, e.key.Skeleton)
+	} else {
+		rc.skeletons[e.key.Skeleton] = same
+	}
+}
+
+// subsumerLocked finds the finished entry, current at versions cur, whose
+// key subsumes the lookup key and whose rows are fewest (ties to the
+// smaller fingerprint), returning it with the extra post-filter conjuncts.
+// Only entries of the lookup's skeleton can subsume it. Stale subsumers it
+// comes across are reclaimed.
 func (rc *resultCache) subsumerLocked(key *plan.CacheKey, cur core.Versions) (*resultEntry, []expr.Pred) {
-	for _, e := range rc.entries {
-		select {
-		case <-e.done:
-		default:
-			continue // still building; its key may yet fail to publish
-		}
-		if e.err != nil {
+	var (
+		best      *resultEntry
+		bestExtra []expr.Pred
+		stale     []*resultEntry
+	)
+	for _, e := range rc.skeletons[key.Skeleton] {
+		extra, ok := e.key.Subsumes(key)
+		if !ok {
 			continue
 		}
-		if extra, ok := e.key.Subsumes(key); ok {
-			if e.staleAt(cur) {
-				rc.dropStaleLocked(e)
-				continue
-			}
-			return e, extra
+		if e.staleAt(cur) {
+			stale = append(stale, e)
+			continue
+		}
+		if best == nil || len(e.rs.Rows) < len(best.rs.Rows) ||
+			len(e.rs.Rows) == len(best.rs.Rows) && e.fp < best.fp {
+			best, bestExtra = e, extra
 		}
 	}
-	return nil, nil
+	for _, e := range stale {
+		rc.dropStaleLocked(e)
+	}
+	return best, bestExtra
 }
 
 // publish resolves a miss placeholder: caches rs as computed from versions
@@ -222,8 +282,8 @@ func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet, at core.Ve
 		close(e.done)
 		return
 	}
-	// Snapshot the rows: the caller re-sorts its copy per query, and cached
-	// canonical rows must not move under later readers.
+	// Snapshot the rows: the caller owns its copy, and cached canonical rows
+	// must not move under later readers.
 	canonical := copyResult(rs)
 	bytes := resultBytes(canonical)
 	rc.mu.Lock()
@@ -234,6 +294,7 @@ func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet, at core.Ve
 		rc.evictLocked(bytes)
 		e.rs, e.at, e.bytes = canonical, at, bytes
 		rc.bytes += bytes
+		rc.skeletons[e.key.Skeleton] = append(rc.skeletons[e.key.Skeleton], e)
 	}
 	rc.updateGaugesLocked()
 	rc.mu.Unlock()
@@ -244,9 +305,8 @@ func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet, at core.Ve
 // incoming bytes fit the budget.
 func (rc *resultCache) evictLocked(incoming int64) {
 	for rc.bytes+incoming > rc.budget {
-		var victimFP string
 		var victim *resultEntry
-		for fp, e := range rc.entries {
+		for _, e := range rc.entries {
 			select {
 			case <-e.done:
 			default:
@@ -256,15 +316,14 @@ func (rc *resultCache) evictLocked(incoming int64) {
 				continue
 			}
 			if victim == nil || e.lastUse < victim.lastUse {
-				victimFP, victim = fp, e
+				victim = e
 			}
 		}
 		if victim == nil {
 			return
 		}
-		delete(rc.entries, victimFP)
-		rc.bytes -= victim.bytes
-		rc.count(&rc.evictions, "evictions")
+		rc.removeLocked(victim)
+		count(&rc.evictions, rc.evictionsCtr)
 	}
 }
 
@@ -272,10 +331,9 @@ func (rc *resultCache) evictLocked(incoming int64) {
 func (rc *resultCache) evictAll() {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	for fp, e := range rc.entries {
-		delete(rc.entries, fp)
-		rc.bytes -= e.bytes
-		rc.count(&rc.invalidations, "invalidations")
+	for _, e := range rc.entries {
+		rc.removeLocked(e)
+		count(&rc.invalidations, rc.invalidationsCtr)
 	}
 	rc.updateGaugesLocked()
 }
@@ -285,12 +343,6 @@ func (rc *resultCache) residentBytes() int64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.bytes
-}
-
-func (rc *resultCache) updateGauges() {
-	rc.mu.Lock()
-	rc.updateGaugesLocked()
-	rc.mu.Unlock()
 }
 
 // copyResult returns a ResultSet sharing rows but owning its slice: sorting

@@ -259,3 +259,122 @@ func TestServeTellsConstantListsApart(t *testing.T) {
 		}
 	}
 }
+
+// TestServeProfileNamesResultCacheOutcome: a served statement's profile says
+// what the result cache did for it, on the root span's result_cache
+// attribute and on EXPLAIN ANALYZE's header line: the first statement a
+// miss, its repeat a hit, a statement it narrows subsumed, and every
+// statement "off" in a session without the cache.
+func TestServeProfileNamesResultCacheOutcome(t *testing.T) {
+	e := newEnv(t, 2, 0.002, mr.Options{})
+	broad, err := ssb.QueryByName("Q4.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := *broad
+	again.Name = "Q4.1-again"
+	narrow := narrowedQ41(t)
+	narrow.Name = "Q4.1-narrow"
+	for _, c := range []struct {
+		budget int64
+		want   map[string]string
+	}{
+		{0, map[string]string{"Q4.1": "miss", "Q4.1-again": "hit", "Q4.1-narrow": "subsumed"}},
+		{-1, map[string]string{"Q4.1": "off", "Q4.1-again": "off", "Q4.1-narrow": "off"}},
+	} {
+		s := e.session(serve.Options{ResultCacheBudget: c.budget})
+		for _, q := range []*core.Query{broad, &again, narrow} {
+			if _, _, err := s.Query(context.Background(), q); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+		}
+		got := map[string]string{}
+		for _, p := range s.Profiles().Recent() {
+			got[p.Query] = p.ResultCache
+			if root := p.Root.Span.Attrs["result_cache"]; root != p.ResultCache {
+				t.Errorf("%s: profile says %q, root span %q", p.Query, p.ResultCache, root)
+			}
+			var text strings.Builder
+			p.WriteText(&text)
+			header, _, _ := strings.Cut(text.String(), "\n")
+			if want := ", result cache " + c.want[p.Query] + ")"; !strings.HasSuffix(header, want) {
+				t.Errorf("%s: EXPLAIN ANALYZE header %q does not end in %q", p.Query, header, want)
+			}
+		}
+		for name, want := range c.want {
+			if got[name] != want {
+				t.Errorf("result cache budget %d: %s profiled result_cache=%q, want %q", c.budget, name, got[name], want)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestServeHitKeepsEachStatementsOrder: ordering is not part of the cache
+// identity, so two statements that differ only in ORDER BY share one entry,
+// and a third narrows it. After the first computes the entry, each of the
+// three is answered from the cache, and each gets its rows in its own
+// order: the reference executor's answer sorted the same way, row for row.
+func TestServeHitKeepsEachStatementsOrder(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := newEnv(t, 2, 0.002, mr.Options{Metrics: reg})
+	s := e.session(serve.Options{})
+	defer s.Close()
+
+	byYear, err := ssb.QueryByName("Q3.1") // ORDER BY d_year ASC, revenue DESC
+	if err != nil {
+		t.Fatal(err)
+	}
+	byNation := *byYear
+	byNation.Name = "Q3.1-by-nation"
+	byNation.OrderBy = []core.OrderKey{{Col: "c_nation"}, {Col: "s_nation", Desc: true}, {Col: "d_year", Desc: true}}
+	in1995 := byNation
+	in1995.Name = "Q3.1-1995"
+	in1995.Dims = append([]core.DimSpec(nil), byYear.Dims...)
+	for i := range in1995.Dims {
+		if d := &in1995.Dims[i]; d.Table == ssb.TableDate {
+			d.Pred = expr.And(d.Pred, expr.Eq(expr.Col("d_year"), expr.ConstInt(1995)))
+		}
+	}
+	in1995.OrderBy = []core.OrderKey{{Col: "revenue"}}
+
+	if _, _, err := s.Query(context.Background(), byYear); err != nil {
+		t.Fatal(err)
+	}
+	jobs := reg.Counter("mr.jobs_submitted").Value()
+	for _, q := range []*core.Query{&byNation, byYear, &in1995} {
+		got, _, err := s.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		want, err := refexec.Run(e.gen, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orders := make([]results.Order, len(q.OrderBy))
+		for i, k := range q.OrderBy {
+			orders[i] = results.Order(k)
+		}
+		if err := want.Sort(orders); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(want.Rows) || len(want.Rows) < 2 {
+			t.Fatalf("%s: %d rows, reference %d (the order check needs two or more)", q.Name, len(got.Rows), len(want.Rows))
+		}
+		for i := range want.Rows {
+			g := &results.ResultSet{Schema: got.Schema, Rows: got.Rows[i : i+1]}
+			w := &results.ResultSet{Schema: want.Schema, Rows: want.Rows[i : i+1]}
+			if ok, why := results.Equivalent(g, w, 1e-9); !ok {
+				t.Errorf("%s row %d: %s", q.Name, i, why)
+			}
+		}
+	}
+	if n := reg.Counter("mr.jobs_submitted").Value(); n != jobs {
+		t.Errorf("%d jobs ran after the first statement; all three must be answered from the cache", n-jobs)
+	}
+	if st := s.Stats(); st.ResultHits != 2 || st.ResultSubsumedHits != 1 {
+		t.Errorf("hits=%d subsumed=%d, want 2 and 1", st.ResultHits, st.ResultSubsumedHits)
+	}
+}

@@ -95,6 +95,7 @@ type Session struct {
 	adm    *admitter
 	rcache *resultCache // nil when Options.ResultCacheBudget < 0
 	opts   Options
+	slos   [len(sloClasses)]atomic.Pointer[sloMetrics] // by classIndex
 
 	// collector buckets the session's spans by trace; recorder keeps the
 	// recently assembled profiles. Both nil when profiling is disabled.
@@ -182,28 +183,52 @@ func (s *Session) Profiles() *obs.FlightRecorder { return s.recorder }
 // "flight-1" … "flight-4" ("Q3.4" → "flight-3"), anything else is "adhoc".
 // Per-class latency histograms and shed/error counters land in the registry
 // under "serve.slo.<class>.*".
-func QueryClass(name string) string {
+func QueryClass(name string) string { return sloClasses[classIndex(name)] }
+
+var sloClasses = [...]string{"adhoc", "flight-1", "flight-2", "flight-3", "flight-4", "flight-5", "flight-6", "flight-7", "flight-8", "flight-9"}
+
+func classIndex(name string) int {
 	if len(name) >= 2 && name[0] == 'Q' && name[1] >= '1' && name[1] <= '9' {
-		return "flight-" + name[1:2]
+		return int(name[1] - '0')
 	}
-	return "adhoc"
+	return 0
 }
 
-// slo records one query outcome in the per-class SLO accounting.
-func (s *Session) slo(class, outcome string, latency time.Duration) {
-	m := s.Metrics()
-	if m == nil {
-		return
+// sloMetrics is one SLO class's accounting in the registry.
+type sloMetrics struct {
+	queries, shed, errors *obs.Counter
+	latency               *obs.Histogram
+}
+
+// sloOf returns the accounting of name's SLO class, resolving its handles
+// on the class's first query, so that /slo lists the classes that ran.
+func (s *Session) sloOf(name string) *sloMetrics {
+	i := classIndex(name)
+	if c := s.slos[i].Load(); c != nil {
+		return c
 	}
-	prefix := "serve.slo." + class + "."
-	m.Counter(prefix + "queries").Inc()
+	m, prefix := s.Metrics(), "serve.slo."+QueryClass(name)+"."
+	c := &sloMetrics{
+		queries: m.Counter(prefix + "queries"),
+		shed:    m.Counter(prefix + "shed"),
+		errors:  m.Counter(prefix + "errors"),
+		latency: m.Histogram(prefix + "latency_ns"),
+	}
+	s.slos[i].Store(c) // a racing first query stores the same handles
+	return c
+}
+
+// record counts one query outcome: "ok" with its latency, "shed", or an
+// error.
+func (c *sloMetrics) record(outcome string, latency time.Duration) {
+	c.queries.Inc()
 	switch outcome {
 	case "ok":
-		m.Histogram(prefix + "latency_ns").ObserveDuration(latency)
+		c.latency.ObserveDuration(latency)
 	case "shed":
-		m.Counter(prefix + "shed").Inc()
+		c.shed.Inc()
 	default:
-		m.Counter(prefix + "errors").Inc()
+		c.errors.Inc()
 	}
 }
 
@@ -219,7 +244,7 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 	}
 	l, err := core.LogicalOf(q, s.cat)
 	if err != nil {
-		s.slo(QueryClass(q.Name), "error", 0)
+		s.sloOf(q.Name).record("error", 0)
 		return nil, nil, err
 	}
 	return s.QueryPlan(ctx, l)
@@ -246,7 +271,7 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 	s.mu.Unlock()
 	defer s.wg.Done()
 
-	class := QueryClass(l.Name)
+	slo := s.sloOf(l.Name)
 	tenant := TenantFrom(ctx)
 	qstart := time.Now()
 	var sc obs.SpanContext
@@ -255,12 +280,12 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 		ctx = obs.ContextWith(ctx, sc)
 	}
 
-	// Lower once: the one physical plan supplies the result-cache key, the
-	// effective ordering, the admission cost and the execution.
-	p, err := plan.Lower(l)
+	// Decompose once: the one shape supplies the result-cache key, the
+	// effective ordering and, on a miss only, the physical plan.
+	sh, err := plan.Decompose(l)
 	if err != nil {
-		s.slo(class, "error", 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil)
+		slo.record("error", 0)
+		s.finishTrace(sc, l.Name, qstart, err, nil, "")
 		return nil, nil, err
 	}
 
@@ -270,32 +295,27 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 	// the publish below (or the abort on any failure path) must always run.
 	// An entry answers only if no table has moved past the version it was
 	// computed from; the current versions are counters, read without a pin.
+	// Ordering is not part of the cache identity: a hit comes back in this
+	// statement's order, sorted only if the entry's rows are in another.
+	cacheOutcome := "off"
 	var cachePublish func(*results.ResultSet, core.Versions)
 	if s.rcache != nil {
-		key := plan.KeyOf(p.Shape)
+		key := plan.KeyOf(sh)
 		var (
 			crs     *results.ResultSet
-			kind    string
 			read    core.Versions
 			publish func(*results.ResultSet, core.Versions)
 		)
 		cur, lerr := s.eng.CurrentVersions(key.Tables)
 		if lerr == nil {
-			crs, kind, read, publish, lerr = s.rcache.lookup(ctx, &key, key.Fingerprint(), cur)
+			crs, cacheOutcome, read, publish, lerr = s.rcache.lookup(ctx, &key, core.Orders(sh), cur)
 		}
 		if lerr != nil {
-			s.slo(class, "error", 0)
-			s.finishTrace(sc, l.Name, qstart, lerr, nil)
+			slo.record("error", 0)
+			s.finishTrace(sc, l.Name, qstart, lerr, nil, "")
 			return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, lerr)
 		}
-		if kind != "miss" {
-			// Cached rows are re-sorted per query; ordering is not part of
-			// the cache identity.
-			if err := crs.Sort(core.Orders(p.Shape)); err != nil {
-				s.slo(class, "error", 0)
-				s.finishTrace(sc, l.Name, qstart, err, nil)
-				return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
-			}
+		if cacheOutcome != "miss" {
 			rep := &core.Report{
 				Query: l.Name,
 				// No job ran; synthesize empty counters so report
@@ -304,8 +324,8 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 				Total: time.Since(qstart),
 				Read:  read,
 			}
-			s.slo(class, "ok", time.Since(qstart))
-			s.finishTrace(sc, l.Name, qstart, nil, rep)
+			slo.record("ok", time.Since(qstart))
+			s.finishTrace(sc, l.Name, qstart, nil, rep, cacheOutcome)
 			return crs, rep, nil
 		}
 		cachePublish = publish
@@ -316,20 +336,29 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 		}
 	}()
 
+	// Lower on a miss only: the pipeline, its steps and passes are what the
+	// pin, the admission cost and the execution need.
+	p, err := sh.Lower()
+	if err != nil {
+		slo.record("error", 0)
+		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
+		return nil, nil, err
+	}
+
 	// A miss: pin the one {table → version} vector the admission estimate,
 	// every job of the plan and the cached rows' label all read.
-	pin, err := s.eng.Pin(p.Shape)
+	pin, err := s.eng.Pin(sh)
 	if err != nil {
-		s.slo(class, "error", 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil)
+		slo.record("error", 0)
+		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
 		return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 	}
 	defer pin.Release()
 
 	cost, err := s.admissionCost(l.Name, pin.DimSpecs(p.Steps))
 	if err != nil {
-		s.slo(class, "error", 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil)
+		slo.record("error", 0)
+		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
 		return nil, nil, err
 	}
 
@@ -340,8 +369,8 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 		if errors.Is(err, ErrQueueFull) {
 			outcome = "shed"
 		}
-		s.slo(class, outcome, 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil)
+		slo.record(outcome, 0)
+		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
 		return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 	}
 	defer release()
@@ -353,11 +382,11 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 			cachePublish(rs, pin.Read)
 			cachePublish = nil
 		}
-		s.slo(class, "ok", time.Since(qstart))
+		slo.record("ok", time.Since(qstart))
 	} else {
-		s.slo(class, "error", 0)
+		slo.record("error", 0)
 	}
-	s.finishTrace(sc, l.Name, qstart, err, rep)
+	s.finishTrace(sc, l.Name, qstart, err, rep, cacheOutcome)
 	return rs, rep, err
 }
 
@@ -542,7 +571,8 @@ func (s *Session) StartCompactor(interval time.Duration, opts colstore.CompactOp
 
 // syncGauges refreshes scrape-time gauges for sources without inline update
 // hooks (the table cache, the table versions) and republishes the admission
-// and result-cache levels so every scrape sees the full gauge set.
+// levels so every scrape sees the full gauge set. The result cache keeps its
+// own gauges current.
 func (s *Session) syncGauges() {
 	if m := s.Metrics(); m != nil {
 		m.Gauge("serve.cache.resident_bytes").Set(s.cache.Stats().ResidentBytes)
@@ -557,15 +587,14 @@ func (s *Session) syncGauges() {
 		}
 	}
 	s.adm.syncGauges()
-	if s.rcache != nil {
-		s.rcache.updateGauges()
-	}
 }
 
 // finishTrace emits the root query span, claims the trace's spans from the
 // collector, and records the assembled profile in the flight recorder. A
-// no-op for untraced queries.
-func (s *Session) finishTrace(sc obs.SpanContext, query string, start time.Time, qerr error, rep *core.Report) {
+// no-op for untraced queries. resultCache is what the result cache did for
+// the query ("hit", "subsumed", "miss" or "off"; "" before a lookup): the
+// root span's result_cache attribute, which EXPLAIN ANALYZE's header prints.
+func (s *Session) finishTrace(sc obs.SpanContext, query string, start time.Time, qerr error, rep *core.Report, resultCache string) {
 	if !sc.Valid() {
 		return
 	}
@@ -579,7 +608,7 @@ func (s *Session) finishTrace(sc obs.SpanContext, query string, start time.Time,
 			read = rep.Read
 		}
 		root := obs.Span{Name: obs.PhaseQuery, Start: start, End: time.Now(),
-			Attrs: obs.Attrs("query", query, "status", status, "read", read.String(), "plan", rep.PlanAttr())}
+			Attrs: obs.Attrs("query", query, "status", status, "read", read.String(), "plan", rep.PlanAttr(), "result_cache", resultCache)}
 		sc.Fill(&root, "")
 		tr.Emit(root)
 	}

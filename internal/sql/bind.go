@@ -40,7 +40,8 @@ func Parse(input string, cat *core.Catalog) (*plan.Logical, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bind(st, cat)
+	l, _, err := bind(st, cat)
+	return l, err
 }
 
 // ParseStar compiles a SQL string against a star schema into a core.Query.
@@ -54,11 +55,11 @@ func ParseStar(input string, star *Star) (*core.Query, error) {
 		FactSchema: star.FactSchema,
 		DimSchemas: star.Dims,
 	}
-	l, err := Parse(input, cat)
+	st, err := parse(input)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := plan.Decompose(l)
+	_, sh, err := bind(st, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,9 @@ func (b *binder) owner(col string) (string, error) {
 	return found, nil
 }
 
-func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
+// bind resolves a parsed statement against the catalog into a logical plan,
+// returned with the shape Decompose validated it as.
+func bind(st *stmt, cat *core.Catalog) (*plan.Logical, *plan.Shape, error) {
 	factName := cat.FactName
 	if factName == "" {
 		factName = "fact"
@@ -124,16 +127,16 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 			sawFact = true
 		case cat.DimSchemas[t] != nil:
 			if b.dims[t] != nil {
-				return nil, fmt.Errorf("sql: table %s appears twice in FROM", t)
+				return nil, nil, fmt.Errorf("sql: table %s appears twice in FROM", t)
 			}
 			b.dims[t] = cat.DimSchemas[t]
 			b.order = append(b.order, t)
 		default:
-			return nil, fmt.Errorf("sql: unknown table %q in FROM", t)
+			return nil, nil, fmt.Errorf("sql: unknown table %q in FROM", t)
 		}
 	}
 	if !sawFact {
-		return nil, fmt.Errorf("sql: FROM must include the fact table %q", factName)
+		return nil, nil, fmt.Errorf("sql: FROM must include the fact table %q", factName)
 	}
 
 	// WHERE: split join edges from predicates.
@@ -151,14 +154,14 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 		}
 		owner, err := b.owner(c.col)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if owner == "" {
-			return nil, fmt.Errorf("sql: unknown column %q in WHERE", c.col)
+			return nil, nil, fmt.Errorf("sql: unknown column %q in WHERE", c.col)
 		}
 		pred, err := conditionPred(c)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		preds[owner] = append(preds[owner], pred)
 	}
@@ -176,17 +179,17 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 		for _, c := range pendingJoins {
 			lo, err := b.owner(c.left)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			ro, err := b.owner(c.right)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if lo == "" {
-				return nil, fmt.Errorf("sql: unknown column %q in join", c.left)
+				return nil, nil, fmt.Errorf("sql: unknown column %q in join", c.left)
 			}
 			if ro == "" {
-				return nil, fmt.Errorf("sql: unknown column %q in join", c.right)
+				return nil, nil, fmt.Errorf("sql: unknown column %q in join", c.right)
 			}
 			var fkCol, pkCol, pkTbl string
 			switch {
@@ -195,13 +198,13 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 			case attached[ro] && !attached[lo]:
 				fkCol, pkCol, pkTbl = c.right, c.left, lo
 			case attached[lo] && attached[ro]:
-				return nil, fmt.Errorf("sql: join %s = %s relates two already-joined tables", c.left, c.right)
+				return nil, nil, fmt.Errorf("sql: join %s = %s relates two already-joined tables", c.left, c.right)
 			default:
 				rest = append(rest, c) // neither side attached yet; retry
 				continue
 			}
 			if pkTbl == factName {
-				return nil, fmt.Errorf("sql: join %s = %s cannot re-join the fact table", c.left, c.right)
+				return nil, nil, fmt.Errorf("sql: join %s = %s cannot re-join the fact table", c.left, c.right)
 			}
 			joined[pkTbl] = &edge{fk: fkCol, pk: pkCol, table: pkTbl}
 			attached[pkTbl] = true
@@ -210,18 +213,18 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 		}
 		if !progressed {
 			c := rest[0]
-			return nil, fmt.Errorf("sql: join %s = %s is not connected to the fact table", c.left, c.right)
+			return nil, nil, fmt.Errorf("sql: join %s = %s is not connected to the fact table", c.left, c.right)
 		}
 		pendingJoins = rest
 	}
 	for _, d := range b.order {
 		if joined[d] == nil {
-			return nil, fmt.Errorf("sql: table %s has no join condition", d)
+			return nil, nil, fmt.Errorf("sql: table %s has no join condition", d)
 		}
 	}
 	for t := range preds {
 		if t != factName && joined[t] == nil {
-			return nil, fmt.Errorf("sql: predicate on %s, which is not joined", t)
+			return nil, nil, fmt.Errorf("sql: predicate on %s, which is not joined", t)
 		}
 	}
 
@@ -232,7 +235,7 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 	for _, item := range st.selects {
 		if item.isSum {
 			if aggExpr != nil {
-				return nil, fmt.Errorf("sql: only one SUM aggregate is supported")
+				return nil, nil, fmt.Errorf("sql: only one SUM aggregate is supported")
 			}
 			aggExpr = item.sum
 			aggName = item.alias
@@ -244,11 +247,11 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 		plainCols = append(plainCols, item.col)
 	}
 	if aggExpr == nil {
-		return nil, fmt.Errorf("sql: the select list needs a SUM aggregate")
+		return nil, nil, fmt.Errorf("sql: the select list needs a SUM aggregate")
 	}
 	for _, c := range expr.ColumnsOf([]expr.Expr{aggExpr}, nil) {
 		if !cat.FactSchema.Has(c) {
-			return nil, fmt.Errorf("sql: SUM argument column %q is not a fact column", c)
+			return nil, nil, fmt.Errorf("sql: SUM argument column %q is not a fact column", c)
 		}
 	}
 
@@ -258,17 +261,17 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 	for _, g := range st.groupBy {
 		owner, err := b.owner(g)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if owner == "" || owner == factName || joined[owner] == nil {
-			return nil, fmt.Errorf("sql: GROUP BY column %q must come from a joined dimension", g)
+			return nil, nil, fmt.Errorf("sql: GROUP BY column %q must come from a joined dimension", g)
 		}
 		groupBy = append(groupBy, g)
 		groupSet[g] = true
 	}
 	for _, c := range plainCols {
 		if !groupSet[c] {
-			return nil, fmt.Errorf("sql: selected column %q is not in GROUP BY", c)
+			return nil, nil, fmt.Errorf("sql: selected column %q is not in GROUP BY", c)
 		}
 	}
 
@@ -276,7 +279,7 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 	var orderBy []plan.OrderKey
 	for _, o := range st.orderBy {
 		if !groupSet[o.col] && o.col != aggName {
-			return nil, fmt.Errorf("sql: ORDER BY column %q is neither grouped nor the aggregate", o.col)
+			return nil, nil, fmt.Errorf("sql: ORDER BY column %q is neither grouped nor the aggregate", o.col)
 		}
 		orderBy = append(orderBy, plan.OrderKey{Col: o.col, Desc: o.desc})
 	}
@@ -302,10 +305,11 @@ func bind(st *stmt, cat *core.Catalog) (*plan.Logical, error) {
 	l := &plan.Logical{Name: "sql", Root: root}
 	// Decompose validates the whole statement (ownership, reachability,
 	// aux resolution) so errors surface at bind time, not execution time.
-	if _, err := plan.Decompose(l); err != nil {
-		return nil, err
+	sh, err := plan.Decompose(l)
+	if err != nil {
+		return nil, nil, err
 	}
-	return l, nil
+	return l, sh, nil
 }
 
 // andAll conjoins a predicate list (nil when empty).

@@ -32,7 +32,7 @@ type token struct {
 // lex splits the input into tokens. SQL keywords are returned as tokIdent
 // and matched case-insensitively by the parser.
 func lex(input string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(input)/4+1) // a token with its spacing is rarely under four bytes
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -61,10 +61,10 @@ func lex(input string) ([]token, error) {
 			for j < len(input) && (unicode.IsLetter(rune(input[j])) || unicode.IsDigit(rune(input[j])) || input[j] == '_') {
 				j++
 			}
-			toks = append(toks, token{kind: tokIdent, text: strings.ToLower(input[i:j]), pos: i})
+			toks = append(toks, token{kind: tokIdent, text: lowerIdent(input[i:j]), pos: i})
 			i = j
 		case strings.ContainsRune("(),;=+-*/", c):
-			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
+			toks = append(toks, token{kind: tokSymbol, text: input[i : i+1], pos: i})
 			i++
 		case c == '<':
 			if i+1 < len(input) && (input[i+1] == '=' || input[i+1] == '>') {
@@ -88,4 +88,34 @@ func lex(input string) ([]token, error) {
 	}
 	toks = append(toks, token{kind: tokEOF, pos: len(input)})
 	return toks, nil
+}
+
+// keywords are the words the parser matches, each its own lower-case
+// spelling. maxKeyword is the longest one's length.
+var keywords = map[string]string{
+	"select": "select", "sum": "sum", "as": "as", "from": "from", "where": "where",
+	"and": "and", "between": "between", "in": "in", "group": "group", "order": "order",
+	"by": "by", "asc": "asc", "desc": "desc",
+}
+
+const maxKeyword = len("between")
+
+// lowerIdent is word in lower case without a new string where it can: a
+// keyword in any case is the keyword's own string, and strings.ToLower
+// returns a word with no upper-case letter as it is.
+func lowerIdent(word string) string {
+	if len(word) <= maxKeyword {
+		var buf [maxKeyword]byte
+		for i := 0; i < len(word); i++ {
+			c := word[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[i] = c
+		}
+		if kw, ok := keywords[string(buf[:len(word)])]; ok {
+			return kw
+		}
+	}
+	return strings.ToLower(word)
 }

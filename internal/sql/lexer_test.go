@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -55,5 +56,32 @@ func TestLexTotalQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLexKeepsNoTokenCopies: a keyword lexes to its lower-case spelling in
+// any case, and no token's text is a string of its own, so lexing a
+// statement allocates for the token slice alone, whose appends double it.
+func TestLexKeepsNoTokenCopies(t *testing.T) {
+	const stmt = `SELECT SUM(lo_revenue) AS revenue, d_year, p_brand1 FROM lineorder, date, part, supplier
+		WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey
+		  AND p_brand1 BETWEEN 'MFGR#2221' AND 'MFGR#2228' AND s_region In ('ASIA')
+		GROUP BY d_year, p_brand1 ORDER BY d_year Asc, p_brand1 DeSc;`
+	toks, err := lex(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, tk := range toks {
+		seen[tk.text] = true
+	}
+	for w := range keywords {
+		if !seen[w] {
+			t.Errorf("keyword %q not lexed in lower case", w)
+		}
+	}
+	growths := bits.Len(uint(len(toks))) + 1
+	if allocs := testing.AllocsPerRun(20, func() { lex(stmt) }); allocs > float64(growths) {
+		t.Errorf("lexing %d tokens allocates %v times, want at most the token slice's %d growths", len(toks), allocs, growths)
 	}
 }

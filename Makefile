@@ -29,13 +29,17 @@ vet:
 # core.Engine.dimScanFor (DESIGN.md "Dimension cache"), so no TableProvider,
 # nodeTableGroup or version memo of its own belongs in the serving layer. Nor
 # does a second dimension build: a DimHashTable is made in one place, the
-# body buildDimHashTable shares with the driver and with estimates
-# (buildDimTable), from a column set — so no row walk of a version
-# (ScanRowTableAt), no row-wise filter in core (the Hive baseline's mapjoin
-# build has its own, selectDim) and no size formula beside the build (dimTableCapacity outside
-# hashtable.go). Nor does a multi-split pack by count: CIFInput packs by bytes
-# whenever a job runs more than one map thread (DESIGN.md "Query pipeline"),
-# so no job sets a pack size.
+# body buildDimHashTable shares with the driver, with estimates and with the
+# Hive baseline's mapjoin driver (buildDimTable, via core.BuildDimTables),
+# from a column set — so no row walk of a version (ScanRowTableAt), no
+# row-wise filter in core or in the baseline (selectDim), no mapjoin estimate
+# beside the build (EstimateMapJoinHashBytes; the boxed-entry model is the
+# baseline's own, not plan's MapJoinEntryBytes) and no size formula beside the
+# build (dimTableCapacity outside hashtable.go). Nor does a second SUM tail:
+# the baseline's group-by job reduces with core.SumReducer and collects with
+# core.CollectRows (no hiveSumReducer). Nor does a multi-split pack by
+# count: CIFInput packs by bytes whenever a job runs more than one map
+# thread (DESIGN.md "Query pipeline"), so no job sets a pack size.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -44,10 +48,13 @@ no-deprecated:
 	@if grep -rnw -e TableProvider -e nodeTableGroup internal/core internal/serve || \
 		grep -n VersionMemo $$(ls internal/serve/*.go | grep -v _test.go); then \
 		echo "second dimension path: tables come from core.TableCache, driver-side dimension scans from core.Engine.dimScanFor (DimTableBytes)"; exit 1; fi
-	@if grep -rn --include='*.go' ScanRowTableAt . || \
+	@if grep -rn --include='*.go' -e ScanRowTableAt -e selectDim -e EstimateMapJoinHashBytes . || \
+		grep -rn --include='*.go' MapJoinEntryBytes internal/plan || \
 		grep -n '\.Select(' $$(ls internal/core/*.go | grep -v _test.go) || \
 		grep -rn --include='*.go' 'dimTableCapacity(' . | grep -v '^\./internal/core/hashtable\.go:'; then \
-		echo "second dimension build: buildDimHashTable's shared body (buildDimTable, internal/core/hashtable.go) is the one place a dimension table is made, on a node, on the driver and for an estimate"; exit 1; fi
+		echo "second dimension build: buildDimHashTable's shared body (buildDimTable, internal/core/hashtable.go) is the one place a dimension table is made, on a node, on the driver, for an estimate and for the Hive mapjoin's broadcast (core.BuildDimTables)"; exit 1; fi
+	@if grep -rn --include='*.go' hiveSumReducer .; then \
+		echo "second SUM tail: the Hive baseline's group-by job uses core.SumReducer and core.CollectRows"; exit 1; fi
 	@if grep -rn --include='*.go' -e ConfMultiSplitPack -e 'mr\.multisplit\.pack' .; then \
 		echo "multi-split pack size: CIFInput packs by bytes from mr.ConfMapThreads and the block size, no job sets a count"; exit 1; fi
 

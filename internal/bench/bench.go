@@ -111,8 +111,9 @@ type Harness struct {
 	// hashSum caches per-query total hash-table bytes under Clydesdale's
 	// open-addressing layout (what a Clydesdale node holds resident);
 	// hashMax caches the largest single dimension's table under the boxed
-	// mapjoin layout (what one mapjoin task holds) — two different
-	// estimators because the two engines build different structures.
+	// mapjoin layout (what one mapjoin task holds). Both are read off one
+	// build per dimension: the two engines hold the same entries in
+	// different structures.
 	hashSum map[string]int64
 	hashMax map[string]int64
 }
@@ -139,21 +140,13 @@ func (h *Harness) estimateHashSizes() error {
 	h.hashMax = make(map[string]int64)
 	each := func(tbl string, fn func(records.Record) error) error { return h.gen.Each(tbl, fn) }
 	for _, q := range ssb.Queries() {
-		per, err := core.EstimateDimHashBytes(q.Dims, each)
+		tables, err := core.BuildDimTables(q.Dims, each)
 		if err != nil {
 			return err
 		}
-		for _, b := range per {
-			h.hashSum[q.Name] += b
-		}
-		mjPer, err := hive.EstimateMapJoinHashBytes(q.Dims, each)
-		if err != nil {
-			return err
-		}
-		for _, b := range mjPer {
-			if b > h.hashMax[q.Name] {
-				h.hashMax[q.Name] = b
-			}
+		for _, t := range tables {
+			h.hashSum[q.Name] += t.MemBytes
+			h.hashMax[q.Name] = max(h.hashMax[q.Name], hive.MapJoinTableBytes(t))
 		}
 	}
 	return nil

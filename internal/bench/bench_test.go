@@ -99,6 +99,7 @@ func TestFigure8MapjoinCompletes(t *testing.T) {
 	}
 	cfg := quickConfig()
 	cfg.FactRows = 6_000
+	cfg.TimeScale = -1 // memory decides the outcome, not time: no sleeping
 	h, err := NewHarness(cfg)
 	if err != nil {
 		t.Fatal(err)

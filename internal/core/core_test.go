@@ -281,12 +281,12 @@ func TestEstimateHashTableBytes(t *testing.T) {
 	each := func(table string, fn func(records.Record) error) error { return gen.Each(table, fn) }
 	total := func(dims []core.DimSpec) (sum int64) {
 		t.Helper()
-		per, err := core.EstimateDimHashBytes(dims, each)
+		tables, err := core.BuildDimTables(dims, each)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range per {
-			sum += b
+		for _, h := range tables {
+			sum += h.MemBytes
 		}
 		return sum
 	}

@@ -69,7 +69,7 @@ func checkBuildAgainstRowwise(t *testing.T, fs *hdfs.FileSystem, node *cluster.N
 		probe(k + 1<<40) // absent: generated keys stay far below 2^40
 		probe(-k - 7)
 	}
-	est, err := core.EstimateDimHashBytes([]core.DimSpec{*spec}, func(_ string, fn func(records.Record) error) error {
+	est, err := core.BuildDimTables([]core.DimSpec{*spec}, func(_ string, fn func(records.Record) error) error {
 		for _, r := range rows {
 			if err := fn(r); err != nil {
 				return err
@@ -80,8 +80,8 @@ func checkBuildAgainstRowwise(t *testing.T, fs *hdfs.FileSystem, node *cluster.N
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MemBytes != est[0] {
-		t.Errorf("dim %s: MemBytes = %d, EstimateDimHashBytes = %d", spec.Table, got.MemBytes, est[0])
+	if got.MemBytes != est[0].MemBytes {
+		t.Errorf("dim %s: MemBytes = %d, BuildDimTables = %d", spec.Table, got.MemBytes, est[0].MemBytes)
 	}
 	return got
 }

@@ -361,21 +361,21 @@ func (e *Engine) mapJoinConf() *mr.JobConf {
 }
 
 // sumJob fills in the grouped-SUM reduce side of a plan's last pass:
-// sumReducer as combiner and reducer over (group key, partial sum), one
+// SumReducer as combiner and reducer over (group key, partial sum), one
 // reducer per worker node (the paper's one reduce slot per node), a single
 // one for a grand aggregate.
 func (e *Engine) sumJob(job *mr.Job, sh *plan.Shape) {
 	if e.opts.Speculative {
 		job.Conf.SetBool(mr.ConfSpeculative, true)
 	}
-	job.NewReducer = func() mr.Reducer { return sumReducer{} }
-	job.NewCombiner = func() mr.Reducer { return sumReducer{} }
+	job.NewReducer = func() mr.Reducer { return SumReducer{} }
+	job.NewCombiner = func() mr.Reducer { return SumReducer{} }
 	job.NumReduceTasks = len(e.mr.Cluster().Nodes())
 	if len(sh.GroupBy) == 0 {
 		job.NumReduceTasks = 1
 	}
 	job.KeySchema = sh.GroupSchema()
-	job.ValueSchema = aggValueSchema
+	job.ValueSchema = AggValueSchema
 }
 
 // Orders is the shape's effective result ordering in the result package's
@@ -393,7 +393,7 @@ func Orders(sh *plan.Shape) []results.Order {
 // pass reduced into out, run the final sort (Figure 4 line 33), and complete
 // the report.
 func finish(sh *plan.Shape, out *mr.MemoryOutput, rep *Report, start time.Time) (*results.ResultSet, *Report, error) {
-	rs := collectRows(sh.ResultSchema(), len(sh.GroupBy) > 0, out)
+	rs := CollectRows(sh.ResultSchema(), len(sh.GroupBy) > 0, out)
 	sortStart := time.Now()
 	if orders := Orders(sh); len(orders) > 0 {
 		if err := rs.Sort(orders); err != nil {
@@ -407,8 +407,9 @@ func finish(sh *plan.Shape, out *mr.MemoryOutput, rep *Report, start time.Time) 
 	return rs, rep, nil
 }
 
-// collectRows turns grouped-SUM reduce output into a result set.
-func collectRows(schema *records.Schema, grouped bool, out *mr.MemoryOutput) *results.ResultSet {
+// CollectRows turns grouped-SUM reduce output into a result set; the Hive
+// baseline collects its group-by job's output with it too.
+func CollectRows(schema *records.Schema, grouped bool, out *mr.MemoryOutput) *results.ResultSet {
 	rs := &results.ResultSet{Schema: schema}
 	pairs := out.Pairs()
 	if len(pairs) == 0 && !grouped {

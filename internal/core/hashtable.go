@@ -146,6 +146,17 @@ func (h *DimHashTable) Probe(fk int64) (aux []records.Value, ok bool) {
 	}
 }
 
+// Each calls fn for every entry, in slot order: one call per key, with the
+// aux values the build kept for it (nil for tables with no aux columns).
+// aux aliases the arena and must not be modified.
+func (h *DimHashTable) Each(fn func(key int64, aux []records.Value)) {
+	for i, t := range h.tags {
+		if t != tagEmpty {
+			fn(h.slots[i].key, h.AuxAt(h.slots[i].off))
+		}
+	}
+}
+
 // ProbeOffset looks up a foreign key and returns its arena offset (0 for
 // tables with no aux columns) instead of the aux slice — the form side
 // tables store.
@@ -319,8 +330,8 @@ func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, v
 // buildDimTable builds spec's table from a column set of the dimension, and
 // charges nothing. It is the one place a DimHashTable is made: a node builds
 // from its local copy (BuildDimHashTable), the driver from the column image
-// of the version a query pinned (Engine.dimScanFor), an estimate from the
-// caller's rows (EstimateDimHashBytes).
+// of the version a query pinned (Engine.dimScanFor), an estimate or the
+// Hive baseline's broadcast table from the caller's rows (BuildDimTables).
 func buildDimTable(spec *DimSpec, set *colstore.ColumnSet) (*DimHashTable, error) {
 	schema := spec.Schema
 	pkIx := schema.Index(spec.DimPK)
@@ -589,15 +600,14 @@ func dimTableCapacity(n int64) int64 {
 	return c
 }
 
-// EstimateDimHashBytes returns the MemBytes of each listed dimension's hash
-// table (one entry per spec, in order), built from the rows each(table)
-// supplies: an estimate is a build. The benchmark harness uses it (with the
-// SSB generator as the row source, so no I/O is charged) to size the
-// Clydesdale residency constraint: a node holds the *sum* of the query's
-// tables (§6.4). Mapjoin budgets use the boxed-map model in package hive
-// instead.
-func EstimateDimHashBytes(dims []DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
-	out := make([]int64, len(dims))
+// BuildDimTables builds each listed dimension's hash table (one per spec,
+// in order) from the rows each(table) supplies, and charges nothing: an
+// estimate is a build. The benchmark harness sizes both engines' memory
+// constraints from these tables, with the SSB generator as the row source;
+// the Hive baseline's mapjoin driver builds its broadcast table here from
+// the rows it read off HDFS.
+func BuildDimTables(dims []DimSpec, each func(table string, fn func(records.Record) error) error) ([]*DimHashTable, error) {
+	out := make([]*DimHashTable, len(dims))
 	for i := range dims {
 		d := &dims[i]
 		img, err := colstore.EncodeRows(d.Schema, func(fn func(records.Record) error) error {
@@ -610,11 +620,9 @@ func EstimateDimHashBytes(dims []DimSpec, each func(table string, fn func(record
 		if err != nil {
 			return nil, err
 		}
-		h, err := buildDimTable(d, set)
-		if err != nil {
+		if out[i], err = buildDimTable(d, set); err != nil {
 			return nil, err
 		}
-		out[i] = h.MemBytes
 	}
 	return out, nil
 }

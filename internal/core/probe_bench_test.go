@@ -306,7 +306,7 @@ func BenchmarkAggregateEmit(b *testing.B) {
 				keyVals[gi] = sc.auxRow[src.dim][src.aux]
 			}
 			key := records.Make(gschema, keyVals...)
-			val := records.Make(aggValueSchema, records.Float(float64(i)))
+			val := records.Make(AggValueSchema, records.Float(float64(i)))
 			if err := out.Collect(key, val); err != nil {
 				b.Fatal(err)
 			}

@@ -81,11 +81,7 @@ func (e *Engine) dimScanFor(d *DimSpec) (*dimScan, error) {
 	ds := &dimScan{keys: int64(h.n), bytes: h.MemBytes}
 	if h.n > 0 {
 		keys := make([]int64, 0, h.n)
-		for i, t := range h.tags {
-			if t != tagEmpty {
-				keys = append(keys, h.slots[i].key)
-			}
-		}
+		h.Each(func(k int64, _ []records.Value) { keys = append(keys, k) })
 		ds.lo, ds.hi = slices.Min(keys), slices.Max(keys)
 		if float64(h.Stats.RowsKept) <= bloomMaxSelectivity*float64(h.Stats.RowsScanned) {
 			ds.bloom = colstore.NewKeyBloom(keys, colstore.DefaultBloomBitsPerKey)

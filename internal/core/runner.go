@@ -179,7 +179,7 @@ func (r *starJoinRunner) newScratch() *probeScratch {
 		lastSide: make([]sideLookup, len(r.dims)),
 	}
 	sc.outRec = records.Make(r.out, sc.outVals...)
-	sc.valRec = records.Make(aggValueSchema, sc.valVals...)
+	sc.valRec = records.Make(AggValueSchema, sc.valVals...)
 	if r.agg != nil && !r.eng.opts.Ablate.Has(NoInMapperCombining) {
 		sc.agg = newGroupAgg()
 	}
@@ -220,7 +220,7 @@ func (a *groupAgg) flush(gschema *records.Schema, out mr.Collector) error {
 		if err != nil {
 			return fmt.Errorf("core: decoding aggregated group key: %w", err)
 		}
-		if err := out.Collect(key, records.Make(aggValueSchema, records.Float(a.sums[i]))); err != nil {
+		if err := out.Collect(key, records.Make(AggValueSchema, records.Float(a.sums[i]))); err != nil {
 			return err
 		}
 	}
@@ -559,18 +559,20 @@ fields:
 	return srcs, nil
 }
 
-// aggValueSchema is the map-output value: one partial aggregate.
-var aggValueSchema = records.NewSchema(records.F("agg", records.KindFloat64))
+// AggValueSchema is the map-output value: one partial aggregate. The Hive
+// baseline's group-by job emits it too.
+var AggValueSchema = records.NewSchema(records.F("agg", records.KindFloat64))
 
-// sumReducer sums partial aggregates per group; it serves as both the
-// combiner and the reducer (Figure 4).
-type sumReducer struct{ mr.BaseReducer }
+// SumReducer sums partial aggregates per group; it serves as both the
+// combiner and the reducer (Figure 4), here and in the Hive baseline's
+// group-by job.
+type SumReducer struct{ mr.BaseReducer }
 
 // Reduce implements mr.Reducer.
-func (sumReducer) Reduce(key records.Record, values mr.Values, out mr.Collector) error {
+func (SumReducer) Reduce(key records.Record, values mr.Values, out mr.Collector) error {
 	var sum float64
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
 		sum += v.At(0).Float64()
 	}
-	return out.Collect(key, records.Make(aggValueSchema, records.Float(sum)))
+	return out.Collect(key, records.Make(AggValueSchema, records.Float(sum)))
 }

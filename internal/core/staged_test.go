@@ -84,17 +84,17 @@ func TestStagedSurvivesTightMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, err := core.EstimateDimHashBytes(q.Dims, func(tbl string, fn func(records.Record) error) error {
+	tables, err := core.BuildDimTables(q.Dims, func(tbl string, fn func(records.Record) error) error {
 		return gen.Each(tbl, fn)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum, max int64
-	for _, b := range per {
-		sum += b
-		if b > max {
-			max = b
+	for _, h := range tables {
+		sum += h.MemBytes
+		if h.MemBytes > max {
+			max = h.MemBytes
 		}
 	}
 	if sum <= max {

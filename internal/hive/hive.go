@@ -7,17 +7,22 @@
 //   - Repartition join (Hive's "common join"): both sides are tagged,
 //     shuffled on the join key, and joined in the reducers. Robust, but the
 //     whole fact stream crosses the network every stage.
-//   - Mapjoin (broadcast join): the driver builds a hash table of the
-//     filtered dimension, broadcasts it through the distributed cache, and
-//     map-only tasks probe it. Every map task re-loads and deserializes the
-//     hash table (no JVM reuse) and every concurrently running task holds
-//     its own copy, which is what runs the memory-constrained cluster out
-//     of memory on queries with large dimension hash tables (§6.4).
+//   - Mapjoin (broadcast join): the driver builds the filtered dimension's
+//     table with core's one dimension build, broadcasts its entries through
+//     the distributed cache, and map-only tasks probe it. Every map task
+//     re-loads them into a boxed map of its own (no JVM reuse), and every
+//     concurrently running task holds its own copy, which is what runs the
+//     memory-constrained cluster out of memory on queries with large
+//     dimension hash tables (§6.4).
 //
-// The engine is deliberately faithful to the baseline's pathologies; it
-// shares the plan IR (internal/plan), storage (RCFile fact table, row-
-// format dimensions) and MapReduce substrate with Clydesdale so that the
-// comparison isolates the plan and execution-strategy differences.
+// The engine is deliberately faithful to the baseline's pathologies: the
+// lowering, one job per join, intermediates through HDFS, RCFile input, the
+// broadcast and the per-task boxed reload are its own. Everything else it
+// shares with Clydesdale so that the comparison isolates the plan and
+// execution-strategy differences: the plan IR (internal/plan), storage
+// (RCFile fact table, row-format dimensions), the MapReduce substrate, the
+// dimension build, and the grouped-SUM tail (core.SumReducer,
+// core.CollectRows, core.Orders).
 package hive
 
 import (
@@ -29,7 +34,6 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/plan"
-	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 )
 
@@ -158,7 +162,7 @@ func (e *Engine) ExecutePlan(ctx context.Context, l *plan.Logical) (*results.Res
 	report.Counters.Merge(gbRes.Counters)
 	report.Counters.Add(CtrStages, 1)
 
-	rs := e.collect(sp, gbOut)
+	rs := core.CollectRows(sp.resultSchema, len(sp.groupBy) > 0, gbOut)
 
 	// Order-by stage: Hive runs a single-reducer MapReduce job; its cost is
 	// modeled by the job below, and the driver applies the final ordering
@@ -175,35 +179,11 @@ func (e *Engine) ExecutePlan(ctx context.Context, l *plan.Logical) (*results.Res
 		report.Counters.Merge(obRes.Counters)
 		report.Counters.Add(CtrStages, 1)
 	}
-	orders := make([]results.Order, 0, len(sp.orders))
-	for _, o := range sp.orders {
-		orders = append(orders, results.Order{Col: o.Col, Desc: o.Desc})
-	}
-	if len(orders) > 0 {
-		if err := rs.Sort(orders); err != nil {
-			return nil, report, err
-		}
+	if err := rs.Sort(sp.orders); err != nil {
+		return nil, report, err
 	}
 	report.Total = time.Since(start)
 	return rs, report, nil
-}
-
-// collect converts group-by output pairs to a result set.
-func (e *Engine) collect(sp *stagedPlan, out *mr.MemoryOutput) *results.ResultSet {
-	schema := sp.resultSchema
-	rs := &results.ResultSet{Schema: schema}
-	pairs := out.Pairs()
-	if len(pairs) == 0 && len(sp.groupBy) == 0 {
-		rs.Rows = append(rs.Rows, records.Make(schema, records.Float(0)))
-		return rs
-	}
-	for _, kv := range pairs {
-		vals := make([]records.Value, 0, schema.Len())
-		vals = append(vals, kv.Key.Values()...)
-		vals = append(vals, records.Float(kv.Value.At(0).Float64()))
-		rs.Rows = append(rs.Rows, records.Make(schema, vals...))
-	}
-	return rs
 }
 
 func (e *Engine) cleanup(sp *stagedPlan) {

@@ -3,10 +3,12 @@ package hive_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
+	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
@@ -127,15 +129,15 @@ func TestMapJoinOOMOnConstrainedCluster(t *testing.T) {
 	q, _ := ssb.QueryByName("Q3.1")
 
 	// One copy of Q3.1's hash tables.
-	perDim, err := core.EstimateDimHashBytes(q.Dims, func(tbl string, fn func(r records.Record) error) error {
+	tables, err := core.BuildDimTables(q.Dims, func(tbl string, fn func(r records.Record) error) error {
 		return gen.Each(tbl, fn)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var oneCopy int64
-	for _, b := range perDim {
-		oneCopy += b
+	for _, h := range tables {
+		oneCopy += h.MemBytes
 	}
 
 	slots := 3
@@ -173,6 +175,91 @@ func TestMapJoinOOMOnConstrainedCluster(t *testing.T) {
 	}
 	if ok, why := results.Equivalent(crs, want, 1e-9); !ok {
 		t.Errorf("clydesdale under memory pressure: %s", why)
+	}
+}
+
+// TestMapJoinDuplicateKeysReserveTheTable rolls in date rows that repeat
+// every 1993 key with d_year 1999. The driver's table holds one entry per
+// key, the last row's (as core's build does), so a task reserves exactly
+// MapJoinTableBytes of it: an allowance of that size runs the join and one
+// byte less runs out of memory. The answer equals Clydesdale's over the same
+// catalog, with the repeated keys counted under 1999.
+func TestMapJoinDuplicateKeysReserveTheTable(t *testing.T) {
+	gen := ssb.NewGenerator(0.001, 42)
+	q := &core.Query{
+		Name: "revenue-by-year",
+		Dims: []core.DimSpec{{Table: ssb.TableDate, Schema: ssb.DateSchema, FactFK: "lo_orderdate",
+			DimPK: "d_datekey", Aux: []string{"d_year"}}},
+		AggExpr: expr.Col("lo_revenue"), AggName: "revenue",
+		GroupBy: []string{"d_year"},
+	}
+	yearIx := ssb.DateSchema.MustIndex("d_year")
+	var moved []records.Record
+	if err := gen.Each(ssb.TableDate, func(r records.Record) error {
+		if r.At(yearIx).Int64() == 1993 {
+			moved = append(moved, r.Clone().Set(yearIx, records.Int(1999)))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rollIn := func(emit func(records.Record) error) error {
+		for _, r := range moved {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	tables, err := core.BuildDimTables(q.Dims, func(tbl string, fn func(records.Record) error) error {
+		if err := gen.Each(tbl, fn); err != nil {
+			return err
+		}
+		return rollIn(fn)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(moved) == 0 || tables[0].Stats.RowsKept != int64(tables[0].Len()+len(moved)) {
+		t.Fatalf("%d rows kept for %d keys: the roll-in repeats no key", tables[0].Stats.RowsKept, tables[0].Len())
+	}
+	table := hive.MapJoinTableBytes(tables[0])
+
+	// run loads the star on one worker whose two map slots each get
+	// allowance bytes, rolls the moved dates in, and runs the mapjoin.
+	run := func(allowance int64) (*results.ResultSet, *core.Engine, error) {
+		t.Helper()
+		c := cluster.New(cluster.Config{Workers: 1, MapSlots: 2, ReduceSlots: 1, MemoryPerNode: 2 * allowance})
+		fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 5})
+		lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{PartitionRows: 1000, RCGroupRows: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := mr.NewEngine(c, fs, mr.Options{})
+		clyde := core.New(eng, lay.Catalog(), core.Options{})
+		if _, err := clyde.Snapshots().AppendRows(lay.Dims[ssb.TableDate], rollIn); err != nil {
+			t.Fatal(err)
+		}
+		rs, _, err := hive.New(eng, lay.RCCatalog(), hive.Options{Strategy: hive.MapJoin}).Execute(context.Background(), q)
+		return rs, clyde, err
+	}
+
+	rs, clyde, err := run(table)
+	if err != nil {
+		t.Fatalf("mapjoin with an allowance of MapJoinTableBytes (%d): %v", table, err)
+	}
+	want, _, err := clyde.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+		t.Errorf("mapjoin over repeated keys: %s\nhive:\n%svs clydesdale:\n%s", why, rs, want)
+	}
+	if !slices.ContainsFunc(want.Rows, func(r records.Record) bool { return r.At(0).Int64() == 1999 }) {
+		t.Errorf("no 1999 group: the roll-in did not replace the 1993 rows\n%s", want)
+	}
+	if _, _, err := run(table - 1); !errors.Is(err, cluster.ErrOutOfMemory) {
+		t.Errorf("mapjoin with an allowance one byte short of its table: %v, want out of memory", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"clydesdale/internal/expr"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
+	"clydesdale/internal/results"
 )
 
 // stagedPlan is the executable form of a bound logical plan: one joinStage
@@ -23,7 +24,7 @@ type stagedPlan struct {
 	groupBy      []string
 	gschema      *records.Schema
 	resultSchema *records.Schema
-	orders       []plan.OrderKey
+	orders       []results.Order
 	hasOrderBy   bool
 	joins        []joinStage
 }
@@ -69,7 +70,7 @@ func (e *Engine) lower(l *plan.Logical) (*stagedPlan, error) {
 		groupBy:      sh.GroupBy,
 		gschema:      sh.GroupSchema(),
 		resultSchema: sh.ResultSchema(),
-		orders:       sh.Orders(),
+		orders:       core.Orders(sh),
 		hasOrderBy:   len(sh.OrderBy) > 0,
 	}
 	if sp.factRead, err = sh.FactRead(); err != nil {

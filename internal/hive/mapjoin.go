@@ -9,17 +9,17 @@ import (
 	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
-	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 )
 
-// The mapjoin (broadcast) plan, Figure 6: the driver builds a hash table on
-// the filtered dimension, serializes it to HDFS, and the distributed cache
-// copies it to every node once per job. Each map task then loads and
-// deserializes its own copy (Hive 0.7 does not reuse JVMs, so this repeats
-// per task, and concurrent tasks on a node each hold a full copy in
-// memory), probes the big side, and writes the joined rows — no reduce
-// phase.
+// The mapjoin (broadcast) plan, Figure 6: the driver builds the filtered
+// dimension's hash table (core's one build, core.BuildDimTables),
+// serializes its entries to HDFS, and the distributed cache copies them to
+// every node once per job. Each map task then loads and deserializes its
+// own boxed copy (Hive 0.7 does not reuse JVMs, so this repeats per task,
+// and concurrent tasks on a node each hold a full copy in memory), probes
+// the big side, and writes the joined rows — no reduce phase. The reload
+// and the boxed copy are the baseline's own; the build is not.
 
 // runMapJoinStage executes one broadcast join stage.
 func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinStage, in stageInput) (*mr.JobResult, error) {
@@ -29,27 +29,28 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 	}
 
 	// Driver-side build: scan the dimension from HDFS (the driver is not a
-	// cluster node), filter, and serialize [pk, aux...] entries.
+	// cluster node) into core's table, and serialize its [pk, aux...]
+	// entries, one per key.
 	buildStart := time.Now()
 	dimDir, err := e.cat.DimDir(st.spec.Table)
 	if err != nil {
 		return nil, err
 	}
-	var blob []byte
-	entry := records.New(anonSchema(1 + len(st.spec.Aux)))
-	err = selectDim(&st.spec, func(fn func(records.Record) error) error {
+	tables, err := core.BuildDimTables([]core.DimSpec{st.spec}, func(_ string, fn func(records.Record) error) error {
 		return colstore.ScanRowTable(e.mr.FS(), dimDir, "", fn)
-	}, func(pk records.Value, aux []records.Value) error {
-		entry.Set(0, pk)
-		for i, v := range aux {
-			entry.Set(1+i, v)
-		}
-		blob = records.AppendRecord(blob, entry)
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	var blob []byte
+	entry := records.New(anonSchema(1 + len(st.spec.Aux)))
+	tables[0].Each(func(pk int64, aux []records.Value) {
+		entry.Set(0, records.Int(pk))
+		for i, v := range aux {
+			entry.Set(1+i, v)
+		}
+		blob = records.AppendRecord(blob, entry)
+	})
 	buildDur := time.Since(buildStart)
 
 	cachePath := fmt.Sprintf("%s/hashtable-%s", sp.tmpDir, st.spec.Table)
@@ -112,8 +113,9 @@ type mapJoinMapper struct {
 }
 
 // Setup implements mr.Mapper: deserialize the hash table and account its
-// memory against the task's slot allowance. This is the per-task redundant
-// work §6.3 quantifies (4,887 loads for Hive vs 8 builds for Clydesdale).
+// memory, MapJoinTableBytes of the driver's table, against the task's slot
+// allowance. This is the per-task redundant work §6.3 quantifies (4,887
+// loads for Hive vs 8 builds for Clydesdale).
 func (m *mapJoinMapper) Setup(ctx *mr.TaskContext) error {
 	start := time.Now()
 	data, err := ctx.CacheFile(m.cachePath)
@@ -132,7 +134,7 @@ func (m *mapJoinMapper) Setup(ctx *mr.TaskContext) error {
 		vals := rec.Values()
 		aux := append([]records.Value(nil), vals[1:]...)
 		m.hash[vals[0].Int64()] = aux
-		memBytes += plan.MapJoinEntryBytes(aux)
+		memBytes += mapJoinEntryBytes(aux)
 	}
 	if err := ctx.ReserveMemory(memBytes); err != nil {
 		return fmt.Errorf("hive: mapjoin hash table for %s: %w", m.cachePath, err)
@@ -162,58 +164,23 @@ func (m *mapJoinMapper) Map(_, v records.Record, out mr.Collector) error {
 // Cleanup implements mr.Mapper.
 func (m *mapJoinMapper) Cleanup(mr.Collector) error { return nil }
 
-// EstimateMapJoinHashBytes computes the memory one deserialized mapjoin
-// hash-table copy occupies per listed dimension (in order), by
-// evaluating the dimension predicates over rows supplied by each(table).
-// The per-entry model is plan.MapJoinEntryBytes — the boxed map
-// mapJoinMapper.Setup builds — which keeps this estimate and Setup's
-// runtime accounting in exact agreement; the benchmark harness calibrates
-// the §6.4 OOM budgets from it: each mapjoin task holds one dimension at a
-// time, so its constraint is the *maximum* dimension.
-func EstimateMapJoinHashBytes(dims []core.DimSpec, each func(table string, fn func(records.Record) error) error) ([]int64, error) {
-	out := make([]int64, len(dims))
-	for i := range dims {
-		err := selectDim(&dims[i], func(fn func(records.Record) error) error {
-			return each(dims[i].Table, fn)
-		}, func(_ records.Value, aux []records.Value) error {
-			out[i] += plan.MapJoinEntryBytes(aux)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+// mapJoinEntryBytes models one boxed entry of the map mapJoinMapper.Setup
+// loads: object headers plus the carried aux payload.
+func mapJoinEntryBytes(aux []records.Value) int64 {
+	n := int64(48)
+	for _, v := range aux {
+		n += v.MemSize()
 	}
-	return out, nil
+	return n
 }
 
-// selectDim is the mapjoin build's row-wise dimension filter: it walks
-// rows, a source of the dimension's records, and hands fn the key and the
-// aux values of every row that passes d.Pred. aux is one slice refilled per
-// row; fn must not keep it.
-func selectDim(d *core.DimSpec, rows func(fn func(records.Record) error) error, fn func(pk records.Value, aux []records.Value) error) error {
-	var pred expr.RowPred
-	if d.Pred != nil {
-		var err error
-		if pred, err = expr.CompilePred(d.Pred, d.Schema); err != nil {
-			return err
-		}
-	}
-	pkIx := d.Schema.Index(d.DimPK)
-	if pkIx < 0 {
-		return fmt.Errorf("hive: dim %s has no column %s", d.Table, d.DimPK)
-	}
-	auxIx := make([]int, len(d.Aux))
-	for i, a := range d.Aux {
-		auxIx[i] = d.Schema.MustIndex(a)
-	}
-	aux := make([]records.Value, len(auxIx))
-	return rows(func(r records.Record) error {
-		if pred != nil && !pred(r) {
-			return nil
-		}
-		for i, ix := range auxIx {
-			aux[i] = r.At(ix)
-		}
-		return fn(r.At(pkIx), aux)
-	})
+// MapJoinTableBytes is the memory one task's copy of the broadcast table t
+// occupies, which is what mapJoinMapper.Setup reserves for it. The
+// benchmark harness calibrates the §6.4 OOM budgets from it: each mapjoin
+// task holds one dimension at a time, so its constraint is the *maximum*
+// dimension.
+func MapJoinTableBytes(t *core.DimHashTable) int64 {
+	var n int64
+	t.Each(func(_ int64, aux []records.Value) { n += mapJoinEntryBytes(aux) })
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"clydesdale/internal/colstore"
+	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/records"
@@ -13,8 +14,8 @@ import (
 
 // runGroupByStage aggregates the final joined intermediate: map emits
 // (group key, measure), a combiner pre-aggregates, reducers produce the
-// final sums. This is the separate MapReduce job Hive launches after the
-// join chain (§6.3: "one for the group by").
+// final sums with core's SUM reducer. This is the separate MapReduce job
+// Hive launches after the join chain (§6.3: "one for the group by").
 func (e *Engine) runGroupByStage(ctx context.Context, sp *stagedPlan, in stageInput) (*mr.MemoryOutput, *mr.JobResult, error) {
 	input, err := e.bigSideInput(in)
 	if err != nil {
@@ -46,7 +47,7 @@ func (e *Engine) runGroupByStage(ctx context.Context, sp *stagedPlan, in stageIn
 		Output: out,
 		NewMapper: func() mr.Mapper {
 			// One output pair per task, refilled for every row.
-			key, val := records.New(gschema), records.New(hiveAggSchema)
+			key, val := records.New(gschema), records.New(core.AggValueSchema)
 			return mr.MapperFunc(func(_, v records.Record, out mr.Collector) error {
 				for i, ix := range gIdx {
 					key.Set(i, v.At(ix))
@@ -54,30 +55,17 @@ func (e *Engine) runGroupByStage(ctx context.Context, sp *stagedPlan, in stageIn
 				return out.Collect(key, val.Set(0, records.Float(agg(v))))
 			})
 		},
-		NewReducer:     func() mr.Reducer { return hiveSumReducer{} },
-		NewCombiner:    func() mr.Reducer { return hiveSumReducer{} },
+		NewReducer:     func() mr.Reducer { return core.SumReducer{} },
+		NewCombiner:    func() mr.Reducer { return core.SumReducer{} },
 		NumReduceTasks: numReduce,
 		KeySchema:      gschema,
-		ValueSchema:    hiveAggSchema,
+		ValueSchema:    core.AggValueSchema,
 	}
 	res, err := e.mr.Submit(ctx, job)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, res, nil
-}
-
-var hiveAggSchema = records.NewSchema(records.F("agg", records.KindFloat64))
-
-type hiveSumReducer struct{ mr.BaseReducer }
-
-// Reduce implements mr.Reducer.
-func (hiveSumReducer) Reduce(key records.Record, values mr.Values, out mr.Collector) error {
-	var sum float64
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		sum += v.At(0).Float64()
-	}
-	return out.Collect(key, records.Make(hiveAggSchema, records.Float(sum)))
 }
 
 // runOrderByStage models Hive's final single-reducer ORDER BY job (§6.3:

@@ -1,7 +1,5 @@
 package plan
 
-import "clydesdale/internal/records"
-
 // Physical is a lowered plan: the shape, its join pipeline, and how the
 // pipeline is cut into MapReduce jobs. Lower builds it and OneStepPerPass
 // re-cuts it; there is no other way to obtain one.
@@ -76,16 +74,6 @@ func (p *Physical) OneStepPerPass() *Physical {
 		q.Passes[i] = 1
 	}
 	return q
-}
-
-// MapJoinEntryBytes models one boxed hash table entry of a Hive-style
-// mapjoin: object headers plus the carried aux payload.
-func MapJoinEntryBytes(aux []records.Value) int64 {
-	n := int64(48)
-	for _, v := range aux {
-		n += v.MemSize()
-	}
-	return n
 }
 
 // Stats is the argument Choose takes; it carries nothing.

@@ -77,16 +77,14 @@ func tightBudget(t *testing.T, snow *ssb.Snowflake, p *plan.Physical) int64 {
 		for i := range steps {
 			specs[i] = core.DimSpecOf(&steps[i].JoinEdge)
 		}
-		per, err := core.EstimateDimHashBytes(specs, snow.Each)
+		tables, err := core.BuildDimTables(specs, snow.Each)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var pass int64
-		for _, b := range per {
-			pass += b
-			if b > largest {
-				largest = b
-			}
+		for _, h := range tables {
+			pass += h.MemBytes
+			largest = max(largest, h.MemBytes)
 		}
 		if pass > largestPass {
 			largestPass = pass

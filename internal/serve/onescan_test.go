@@ -126,13 +126,13 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 	}
 	dims := pin.DimSpecs(p.Steps)
 	pin.Release()
-	want, err := core.EstimateDimHashBytes(dims, gen.Each)
+	want, err := core.BuildDimTables(dims, gen.Each)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range dims {
-		if got, err := s.eng.DimTableBytes(&dims[i]); err != nil || got != want[i] || got == 0 {
-			t.Errorf("%s: admission charges %d bytes (%v), its table takes %d", dims[i].Table, got, err, want[i])
+		if got, err := s.eng.DimTableBytes(&dims[i]); err != nil || got != want[i].MemBytes || got == 0 {
+			t.Errorf("%s: admission charges %d bytes (%v), its table takes %d", dims[i].Table, got, err, want[i].MemBytes)
 		}
 	}
 	if hook.n != perScan || rep.RowsBloomSkipped == 0 {
@@ -183,15 +183,15 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := core.EstimateDimHashBytes([]core.DimSpec{*d}, func(_ string, fn func(records.Record) error) error {
+		est, err := core.BuildDimTables([]core.DimSpec{*d}, func(_ string, fn func(records.Record) error) error {
 			return colstore.ScanRowTable(fs, dir, "", fn)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if admits != built.MemBytes || est[0] != built.MemBytes {
+		if admits != built.MemBytes || est[0].MemBytes != built.MemBytes {
 			t.Errorf("%s@%d %v: admission charges %d bytes, an estimate says %d, a node build reserves %d",
-				d.Table, d.Version, d.Pred, admits, est[0], built.MemBytes)
+				d.Table, d.Version, d.Pred, admits, est[0].MemBytes, built.MemBytes)
 		}
 	}
 }

@@ -57,13 +57,13 @@ func TestServeSnowflakeOracle(t *testing.T) {
 				for i := range p.Steps {
 					specs[i] = core.DimSpecOf(&p.Steps[i].JoinEdge)
 				}
-				per, err := core.EstimateDimHashBytes(specs, snow.Each)
+				tables, err := core.BuildDimTables(specs, snow.Each)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var sum int64
-				for _, b := range per {
-					sum += b
+				for _, h := range tables {
+					sum += h.MemBytes
 				}
 				if sum > budget {
 					budget = sum

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet no-deprecated no-sleep surface build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke profile-smoke benchmark-smoke examples-smoke loc clean
+.PHONY: check fmt vet no-deprecated no-sleep surface build test race race-concurrency chaos plan-golden bench fuzz-smoke bench-smoke bench-pairs profile-smoke benchmark-smoke examples-smoke loc clean
 
 check: fmt vet no-deprecated no-sleep surface build race-concurrency chaos plan-golden benchmark-smoke examples-smoke
 
@@ -160,6 +160,19 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run 'TestAllQueriesMatchReference' -count=1 ./internal/core/
+
+# The before/after file a performance change checks in (BENCH_<w>.json):
+# the parent revision, built through a temporary git worktree, against the
+# working tree on one workload of the repository benchmark, ten alternating
+# pairs on the `selfcheck` seeds, every run's result line and per end-to-end
+# metric both sides' medians and quartiles, the pairs won and the verdict of
+# benchmark/README.md "Reading a paired comparison". A run lasts
+# BENCHMARK.json's run_seconds (20): about ten minutes in all. It changes no file under benchmark/ (a run leaves its
+# output in the ignored benchmark/out/).
+PARENT ?= HEAD
+WORKLOAD ?= hive_shuffle
+bench-pairs:
+	$(GO) run ./tools/benchpairs -parent $(PARENT) -workload $(WORKLOAD)
 
 # EXPLAIN ANALYZE invariant gate (see DESIGN.md "Observability"): run Q1.1
 # with profiling on and fail unless the per-phase exclusive walls sum to the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
@@ -302,9 +303,11 @@ type rcReader struct {
 	groups []rcGroupMeta
 	gi     int
 
-	chunks [][]byte // per projected column, remaining bytes
-	left   int64    // rows left in current group
-	row    records.Record
+	bufs    [][]byte // per projected column, the group's chunk, reused from group to group
+	offsets []int64  // chunk offsets within the group, reused likewise
+	chunks  [][]byte // per projected column, remaining bytes
+	left    int64    // rows left in current group
+	row     records.Record
 }
 
 func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
@@ -334,17 +337,23 @@ func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
 
 func (rc *rcReader) loadGroup(g rcGroupMeta) error {
 	// Chunk offsets within the group come from prefix sums of chunk lengths.
-	offsets := make([]int64, len(g.chunkLens)+1)
-	for i, l := range g.chunkLens {
-		offsets[i+1] = offsets[i] + l
+	// The buffers are the previous group's: DecodeValue copies what it
+	// hands out, so no row points into them.
+	offsets := append(rc.offsets[:0], 0)
+	for _, l := range g.chunkLens {
+		offsets = append(offsets, offsets[len(offsets)-1]+l)
 	}
-	rc.chunks = make([][]byte, len(rc.in.colIdx))
+	rc.offsets = offsets
+	if rc.bufs == nil {
+		rc.bufs = make([][]byte, len(rc.in.colIdx))
+		rc.chunks = make([][]byte, len(rc.in.colIdx))
+	}
 	for i, ci := range rc.in.colIdx {
-		buf := make([]byte, g.chunkLens[ci])
+		buf := slices.Grow(rc.bufs[i][:0], int(g.chunkLens[ci]))[:g.chunkLens[ci]]
 		if _, err := rc.r.ReadAt(buf, g.offset+offsets[ci]); err != nil && err != io.EOF {
 			return err
 		}
-		rc.chunks[i] = buf
+		rc.bufs[i], rc.chunks[i] = buf, buf
 	}
 	rc.left = g.rows
 	return nil

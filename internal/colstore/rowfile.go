@@ -246,14 +246,21 @@ func (s *RowSplit) Length() int64 { return s.bytes }
 
 // RowInput is an InputFormat over the row files under Dir (any file not
 // starting with "_"). Each split covers the groups within one HDFS block.
+// Records hold Columns (nil → all), in the order given. A row file is read
+// whole whatever Columns says; the columns left out are stepped over, not
+// decoded.
 type RowInput struct {
-	Dir    string
-	Schema *records.Schema // nil → read from _schema
+	Dir     string
+	Columns []string
+	Schema  *records.Schema // nil → read from _schema
+
+	projected *records.Schema
+	slots     []int // per field of Schema, its place in projected, -1 if not read; nil when all are
 }
 
 // Splits implements mr.InputFormat.
 func (in *RowInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
-	if err := in.resolveSchema(ctx.FS); err != nil {
+	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
 	}
 	var splits []mr.InputSplit
@@ -267,15 +274,33 @@ func (in *RowInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	return splits, nil
 }
 
-func (in *RowInput) resolveSchema(fs *hdfs.FileSystem) error {
-	if in.Schema != nil {
+func (in *RowInput) resolve(fs *hdfs.FileSystem) error {
+	if in.Schema == nil {
+		s, err := ReadSchema(fs, in.Dir)
+		if err != nil {
+			return err
+		}
+		in.Schema = s
+	}
+	if in.projected != nil {
 		return nil
 	}
-	s, err := ReadSchema(fs, in.Dir)
+	if in.Columns == nil {
+		in.projected = in.Schema
+		return nil
+	}
+	proj, err := in.Schema.Project(in.Columns...)
 	if err != nil {
 		return err
 	}
-	in.Schema = s
+	slots := make([]int, in.Schema.Len())
+	for i := range slots {
+		slots[i] = -1
+	}
+	for j, c := range in.Columns {
+		slots[in.Schema.MustIndex(c)] = j
+	}
+	in.projected, in.slots = proj, slots
 	return nil
 }
 
@@ -345,7 +370,7 @@ func (in *RowInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRea
 	if !ok {
 		return nil, fmt.Errorf("colstore: RowInput got %T split", split)
 	}
-	if err := in.resolveSchema(ctx.FS); err != nil {
+	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
 	}
 	r, err := ctx.FS.Open(s.Path, ctx.Node().ID())
@@ -353,7 +378,7 @@ func (in *RowInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRea
 		return nil, err
 	}
 	r.SetTrace(ctx.TraceContext())
-	return &rowReader{r: r, schema: in.Schema, groups: s.Groups}, nil
+	return &rowReader{r: r, in: in, groups: s.Groups}, nil
 }
 
 // rowReader iterates the records of a row split, reading one group at a
@@ -362,7 +387,7 @@ func (in *RowInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRea
 // the buffer, so nothing handed out points into it.
 type rowReader struct {
 	r      *hdfs.Reader
-	schema *records.Schema
+	in     *RowInput
 	groups []groupMeta
 	gi     int
 	buf    []byte
@@ -383,13 +408,50 @@ func (rr *rowReader) Next() (records.Record, records.Record, bool, error) {
 		}
 		rr.pos = 0
 	}
-	rec, n, err := records.DecodeRecordInto(rr.row.Values(), rr.buf[rr.pos:], rr.schema)
+	var n int
+	var err error
+	if rr.in.slots == nil {
+		rr.row, n, err = records.DecodeRecordInto(rr.row.Values(), rr.buf[rr.pos:], rr.in.Schema)
+	} else {
+		n, err = rr.decodeProjected(rr.buf[rr.pos:])
+	}
 	if err != nil {
 		return records.Record{}, records.Record{}, false, err
 	}
-	rr.row = rec
 	rr.pos += n
-	return records.Record{}, rec, true, nil
+	return records.Record{}, rr.row, true, nil
+}
+
+// decodeProjected decodes the record at the front of buf into rr.row,
+// keeping the projected fields and stepping over the rest, and returns the
+// bytes it took. A field stepped over is checked as a decoded one is, so a
+// corrupt row fails here as it fails a full read.
+func (rr *rowReader) decodeProjected(buf []byte) (int, error) {
+	n, pos := binary.Uvarint(buf)
+	if pos <= 0 {
+		return 0, fmt.Errorf("records: decode record: bad field count")
+	}
+	if n != uint64(len(rr.in.slots)) {
+		return 0, fmt.Errorf("records: decode record: %d values for %d-field schema", n, len(rr.in.slots))
+	}
+	if rr.row.IsZero() {
+		rr.row = records.New(rr.in.projected)
+	}
+	vals := rr.row.Values()
+	for i, slot := range rr.in.slots {
+		var used int
+		var err error
+		if slot < 0 {
+			used, err = records.SkipValue(buf[pos:])
+		} else {
+			vals[slot], used, err = records.DecodeValue(buf[pos:])
+		}
+		if err != nil {
+			return 0, fmt.Errorf("records: decode record field %d: %w", i, err)
+		}
+		pos += used
+	}
+	return pos, nil
 }
 
 func (rr *rowReader) Close() error { return rr.r.Close() }

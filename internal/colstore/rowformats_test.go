@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,4 +215,45 @@ func FuzzRCFooter(f *testing.F) {
 func decodeRCFooterOf(file []byte) ([]rcGroupMeta, error) {
 	flen := int(binary.LittleEndian.Uint32(file[len(file)-8:]))
 	return decodeRCFooter(file[len(file)-8-flen:len(file)-8], intsSchema.Len(), int64(len(file)-8-flen))
+}
+
+// TestSkippedColumnsAreChecked: a projected row read steps over the columns
+// it does not keep, but a row that is corrupt in one of them fails it as it
+// fails a full read: a truncated string, an unknown kind byte, a malformed
+// varint, a missing field, a short float, a field count off the schema's.
+func TestSkippedColumnsAreChecked(t *testing.T) {
+	schema := records.NewSchema(records.F("a", records.KindInt64), records.F("b", records.KindString),
+		records.F("c", records.KindFloat64), records.F("d", records.KindInt64))
+	good := records.AppendRecord(nil, records.Make(schema, records.Int(7), records.Str("hello"), records.Float(1.5), records.Int(-3)))
+	readFirst := func(cols []string, buf []byte) (records.Record, error) {
+		in := &RowInput{Schema: schema, Columns: cols}
+		if err := in.resolve(nil); err != nil {
+			t.Fatal(err)
+		}
+		rr := &rowReader{in: in, buf: buf}
+		_, rec, _, err := rr.Next()
+		return rec, err
+	}
+	rec, err := readFirst([]string{"d", "a"}, good)
+	if err != nil || rec.Len() != 2 || rec.At(0).Int64() != -3 || rec.At(1).Int64() != 7 {
+		t.Fatalf("projected read of a good row: %v, %v", rec, err)
+	}
+	// Byte 0 is the field count, 1-2 field a, 3-9 field b ("hello"), 10-18
+	// field c, 19-20 field d.
+	corrupt := map[string][]byte{
+		"truncated string": good[:6],
+		"unknown kind":     append(append(slices.Clone(good[:3]), 0x7f), good[4:]...),
+		"bad varint":       append(append(slices.Clone(good[:19]), byte(records.KindInt64)), 0x80),
+		"missing field":    good[:19],
+		"short float":      good[:14],
+		"field count":      append([]byte{5}, good[1:]...),
+	}
+	for name, buf := range corrupt {
+		if _, err := readFirst(nil, buf); err == nil {
+			t.Fatalf("%s: the full read accepts %x", name, buf)
+		}
+		if _, err := readFirst([]string{"a"}, buf); err == nil {
+			t.Errorf("%s: reading only a accepts %x", name, buf)
+		}
+	}
 }

@@ -3,8 +3,10 @@ package hive
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"clydesdale/internal/colstore"
+	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/records"
@@ -90,12 +92,20 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 	if err != nil {
 		return nil, err
 	}
-	dimInput := &colstore.RowInput{Dir: dimDir, Schema: st.spec.Schema}
+	// The mapper reads the dimension's key, its aux columns and what its
+	// predicate tests, and steps over the rest (Hive's column pruning); the
+	// row groups are fetched whole all the same.
+	dimCols := dimColumns(st.spec)
+	dimSchema, err := st.spec.Schema.Project(dimCols...)
+	if err != nil {
+		return nil, err
+	}
+	dimInput := &colstore.RowInput{Dir: dimDir, Columns: dimCols, Schema: st.spec.Schema}
 
 	// Compile what the mapper needs.
 	var dimPred expr.RowPred
 	if st.spec.Pred != nil {
-		dimPred, err = expr.CompilePred(st.spec.Pred, st.spec.Schema)
+		dimPred, err = expr.CompilePred(st.spec.Pred, dimSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -107,10 +117,10 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 			return nil, err
 		}
 	}
-	dimPK := st.spec.Schema.MustIndex(st.spec.DimPK)
+	dimPK := dimSchema.MustIndex(st.spec.DimPK)
 	auxIdx := make([]int, len(st.spec.Aux))
 	for i, a := range st.spec.Aux {
-		auxIdx[i] = st.spec.Schema.MustIndex(a)
+		auxIdx[i] = dimSchema.MustIndex(a)
 	}
 	fkIdx := in.schema.MustIndex(st.fk)
 	carryIdx, err := projectionIndexes(in.schema, st.outSchema, st.auxSchema)
@@ -200,6 +210,22 @@ func newRepartitionReducer(outSchema *records.Schema, numAux int) mr.Reducer {
 		}
 		return nil
 	})
+}
+
+// dimColumns names the dimension columns a repartition mapper uses, in
+// schema order: the primary key, the aux columns and the predicate's.
+func dimColumns(spec core.DimSpec) []string {
+	used := append([]string{spec.DimPK}, spec.Aux...)
+	if spec.Pred != nil {
+		used = spec.Pred.Columns(used)
+	}
+	var cols []string
+	for _, name := range spec.Schema.Names() {
+		if slices.Contains(used, name) {
+			cols = append(cols, name)
+		}
+	}
+	return cols
 }
 
 // bigSideInput opens the stage's big side: the pruned RCFile fact table for

@@ -21,6 +21,10 @@ import (
 // the driver applies any user-visible ordering itself. The one caveat: float
 // keys whose Compare treats distinct bit patterns as equal (NaN, ±0.0)
 // encode differently and land in separate groups.
+//
+// Both orderings, the map task's sort and the reducer's merge, are one LSD
+// radix sort of index entries on (partition, prefix), with comparisons left
+// only where the prefix does not settle the order (sortRefs).
 
 // pairRef is the index entry of one serialised pair.
 type pairRef struct {
@@ -28,12 +32,15 @@ type pairRef struct {
 	// most comparisons are settled without touching the buffer. Where two
 	// prefixes differ they order as the keys do.
 	prefix uint64
-	// off is where the key starts in the buffer; the value follows the key.
+	// off is where the key starts in its buffer; the value follows the key.
 	// Pairs are appended as they are collected, so off is also emit order.
 	off  int
 	klen uint32
 	vlen uint32
 	part uint32
+	// src names the buffer off points into: 0 in a map task, the run number
+	// in a reducer's merge.
+	src uint32
 }
 
 func keyPrefix(key []byte) uint64 {
@@ -47,15 +54,116 @@ func keyPrefix(key []byte) uint64 {
 	return p
 }
 
+// prefixHoldsKeys reports whether two keys of equal prefix are equal exactly
+// when their lengths are: keys of at most eight bytes lie whole in the prefix.
+func prefixHoldsKeys(klen uint32) bool { return klen <= 8 }
+
+// sortRefs orders refs by partition, then key bytes, keeping their given
+// order among equal keys, and returns the sorted entries: refs or scratch
+// (of refs' length), whichever the last pass wrote. data[r.src] is the
+// buffer r's key lies in.
+//
+// A stable LSD radix sort orders the entries on the twelve bytes of
+// (partition, prefix), least significant first, skipping every byte on which
+// all entries agree. Within a run of equal (partition, prefix) the entries
+// are then in the given order; only where the prefix does not hold the run's
+// keys whole (a key longer than eight bytes, or keys of different lengths:
+// the padding cannot tell nil from {0}) does a comparison sort put them in
+// key-byte order, ties kept by (src, off): the given order, since equal keys
+// come in that order within a buffer.
+func sortRefs(refs, scratch []pairRef, data [][]byte) []pairRef {
+	if len(refs) < 2 {
+		return refs
+	}
+	// The bits in which some entry differs from the first: a byte with none
+	// set is one all entries share, and its pass is skipped.
+	var differ [2]uint64
+	for i := range refs {
+		differ[0] |= refs[i].prefix ^ refs[0].prefix
+		differ[1] |= uint64(refs[i].part ^ refs[0].part)
+	}
+	src, dst := refs, scratch[:len(refs)]
+	for d := 0; d < 12; d++ {
+		hi, shift := d >= 8, uint(8*(d%8))
+		if byte(differ[d/8]>>shift) == 0 {
+			continue
+		}
+		var next [256]uint32
+		for i := range src {
+			next[byte(radixWord(&src[i], hi)>>shift)]++
+		}
+		sum := uint32(0)
+		for b, c := range next {
+			next[b] = sum
+			sum += c
+		}
+		for i := range src {
+			b := byte(radixWord(&src[i], hi) >> shift)
+			dst[next[b]] = src[i]
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	for lo := 0; lo < len(src); {
+		first := &src[lo]
+		ambiguous := !prefixHoldsKeys(first.klen)
+		hi := lo + 1
+		for ; hi < len(src) && src[hi].prefix == first.prefix && src[hi].part == first.part; hi++ {
+			if src[hi].klen != first.klen {
+				ambiguous = true
+			}
+		}
+		if ambiguous && hi-lo > 1 {
+			slices.SortFunc(src[lo:hi], func(x, y pairRef) int {
+				if c := bytes.Compare(x.key(data), y.key(data)); c != 0 {
+					return c
+				}
+				if x.src != y.src {
+					return cmp.Compare(x.src, y.src)
+				}
+				return cmp.Compare(x.off, y.off)
+			})
+		}
+		lo = hi
+	}
+	return src
+}
+
+// radixWord is the word holding a radix digit: the prefix for the low eight
+// bytes, the partition for the high four.
+func radixWord(r *pairRef, hi bool) uint64 {
+	if hi {
+		return uint64(r.part)
+	}
+	return r.prefix
+}
+
+func (r *pairRef) key(data [][]byte) []byte {
+	return data[r.src][r.off : r.off+int(r.klen)]
+}
+
+func (r *pairRef) value(data [][]byte) []byte {
+	v := r.off + int(r.klen)
+	return data[r.src][v : v+int(r.vlen)]
+}
+
 // pairBuffer is a sequence of serialised pairs and their index.
 type pairBuffer struct {
 	data []byte
 	refs []pairRef
 }
 
+// pairHeadroom is the free space add makes sure of before it serialises a
+// pair; a pair larger than that grows the buffer by append's own rule.
+const pairHeadroom = 256
+
 // add serialises one pair at the end of the buffer and returns its size in
-// bytes (key plus value, the unit of every spill and shuffle charge).
+// bytes (key plus value, the unit of every spill and shuffle charge). The
+// buffer and the index grow by doubling: append grows a large slice by a
+// quarter, which for the buffer of a map task is twice the copies.
 func (b *pairBuffer) add(part int, k, v records.Record) int {
+	b.data = growDoubling(b.data, pairHeadroom)
+	b.refs = growDoubling(b.refs, 1)
 	off := len(b.data)
 	b.data = records.AppendRecord(b.data, k)
 	klen := len(b.data) - off
@@ -68,31 +176,25 @@ func (b *pairBuffer) add(part int, k, v records.Record) int {
 	return klen + vlen
 }
 
+// growDoubling makes room for n more elements, at least doubling the
+// capacity when it has to grow.
+func growDoubling[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	grown := make(S, len(s), max(2*cap(s), len(s)+n))
+	copy(grown, s)
+	return grown
+}
+
 func (b *pairBuffer) sort() {
-	data := b.data
-	slices.SortFunc(b.refs, func(x, y pairRef) int {
-		if x.part != y.part {
-			return cmp.Compare(x.part, y.part)
-		}
-		if x.prefix != y.prefix {
-			return cmp.Compare(x.prefix, y.prefix)
-		}
-		if c := bytes.Compare(data[x.off:x.off+int(x.klen)], data[y.off:y.off+int(y.klen)]); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.off, y.off)
-	})
+	b.refs = sortRefs(b.refs, make([]pairRef, len(b.refs)), [][]byte{b.data})
 }
 
 // pairRun is one sorted run of pairs: a partition of one map task's output.
 type pairRun struct {
 	data []byte
 	refs []pairRef
-}
-
-func (r *pairRun) headKey() []byte {
-	h := &r.refs[0]
-	return r.data[h.off : h.off+int(h.klen)]
 }
 
 // mapOutput is the sorted, combined output of one map task, resident on the
@@ -193,102 +295,47 @@ func (c *mapCollector) finish(ctx *TaskContext, job *Job) (*mapOutput, error) {
 	return combined.sorted(out.node), nil
 }
 
-// mergedRuns is a finished k-way merge of sorted runs: order names, pair by
-// pair, the run the next pair comes from, and taking a pair advances that
-// run. Pairs come out in key-byte order; equal keys in run order (the order
-// the runs were given in: map-task order at a reducer) and, within a run, in
-// the order the run holds them (emit order). The bytes stay where they are:
-// the merge costs four bytes a pair.
+// mergedRuns is a finished merge of sorted runs: refs holds what is left of
+// their pairs in order, ref.src naming the run each comes from. Pairs come
+// out in key-byte order; equal keys in run order (the order the runs were
+// given in: map-task order at a reducer) and, within a run, in the order the
+// run holds them (emit order).
 type mergedRuns struct {
-	runs  []pairRun
-	order []uint32
+	data [][]byte // per run, its buffer
+	refs []pairRef
 }
 
-// mergeRuns merges through a binary heap of run numbers ordered by each
-// run's head; taking pairs off the result consumes the run headers given.
+// mergeRuns orders the runs' entries with the map side's radix sort. The
+// entries go in run by run, so the sort's stability breaks ties as a merge
+// of run heads would: by run number, then position in the run. The bytes
+// stay where they are; the entries are copied. A single run is already in
+// order and is taken as it is.
 func mergeRuns(runs []pairRun) *mergedRuns {
-	h := runHeap{runs: slices.Clone(runs), heap: make([]int, 0, len(runs))}
+	data := make([][]byte, len(runs))
 	n := 0
 	for i := range runs {
-		if len(runs[i].refs) > 0 {
-			h.heap = append(h.heap, i)
-			n += len(runs[i].refs)
+		data[i] = runs[i].data
+		n += len(runs[i].refs)
+	}
+	if len(runs) == 1 {
+		return &mergedRuns{data: data, refs: runs[0].refs}
+	}
+	refs := make([]pairRef, 0, n)
+	for i := range runs {
+		for _, r := range runs[i].refs {
+			r.src = uint32(i)
+			refs = append(refs, r)
 		}
 	}
-	for i := len(h.heap)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	order := make([]uint32, 0, n)
-	for len(h.heap) > 1 {
-		top := h.heap[0]
-		order = append(order, uint32(top))
-		r := &h.runs[top]
-		r.refs = r.refs[1:]
-		if len(r.refs) == 0 {
-			last := len(h.heap) - 1
-			h.heap[0] = h.heap[last]
-			h.heap = h.heap[:last]
-		}
-		h.down(0)
-	}
-	if len(h.heap) == 1 { // the last run standing has nothing to be compared with
-		for range h.runs[h.heap[0]].refs {
-			order = append(order, uint32(h.heap[0]))
-		}
-	}
-	return &mergedRuns{runs: runs, order: order}
-}
-
-type runHeap struct {
-	runs []pairRun
-	heap []int
-}
-
-func (m *runHeap) less(a, b int) bool {
-	x, y := &m.runs[a], &m.runs[b]
-	if px, py := x.refs[0].prefix, y.refs[0].prefix; px != py {
-		return px < py
-	}
-	if c := bytes.Compare(x.headKey(), y.headKey()); c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
-func (m *runHeap) down(i int) {
-	h := m.heap
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		if r := l + 1; r < len(h) && m.less(h[r], h[l]) {
-			l = r
-		}
-		if !m.less(h[l], h[i]) {
-			return
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-}
-
-// head returns the run holding the next pair, nil when none is left.
-func (m *mergedRuns) head() *pairRun {
-	if len(m.order) == 0 {
-		return nil
-	}
-	return &m.runs[m.order[0]]
+	// The array the sort does not end in is garbage once it returns.
+	return &mergedRuns{data: data, refs: sortRefs(refs, make([]pairRef, n), data)}
 }
 
 // pop takes the next pair and returns its serialised value.
 func (m *mergedRuns) pop() []byte {
-	r := &m.runs[m.order[0]]
-	m.order = m.order[1:]
-	h := r.refs[0]
-	r.refs = r.refs[1:]
-	v := h.off + int(h.klen)
-	return r.data[v : v+int(h.vlen)]
+	v := m.refs[0].value(m.data)
+	m.refs = m.refs[1:]
+	return v
 }
 
 // forEachGroup walks the merged pairs and invokes fn once per distinct key
@@ -300,8 +347,9 @@ func (m *mergedRuns) pop() []byte {
 func forEachGroup(m *mergedRuns, keySchema, valueSchema *records.Schema, fn func(key records.Record, vals Values) error) (groups int64, err error) {
 	vals := groupValues{m: m, schema: valueSchema}
 	var key records.Record
-	for r := m.head(); r != nil; r = m.head() {
-		vals.key, vals.prefix, vals.done = r.headKey(), r.refs[0].prefix, false
+	for len(m.refs) > 0 {
+		h := &m.refs[0]
+		vals.key, vals.prefix, vals.done = h.key(m.data), h.prefix, false
 		key, _, err = records.DecodeRecordInto(key.Values(), vals.key, keySchema)
 		if err != nil {
 			return groups, fmt.Errorf("mr: decoding group key: %w", err)
@@ -336,12 +384,20 @@ func (s *groupValues) more() bool {
 	if s.done {
 		return false
 	}
-	r := s.m.head()
-	if r == nil || r.refs[0].prefix != s.prefix || !bytes.Equal(r.headKey(), s.key) {
+	if len(s.m.refs) == 0 || !s.sameKey(&s.m.refs[0]) {
 		s.done = true
 		return false
 	}
 	return true
+}
+
+// sameKey reports whether r's key is the group's. Keys of one prefix and one
+// length of at most eight bytes are equal without a look at their bytes.
+func (s *groupValues) sameKey(r *pairRef) bool {
+	if r.prefix != s.prefix || int(r.klen) != len(s.key) {
+		return false
+	}
+	return prefixHoldsKeys(r.klen) || bytes.Equal(r.key(s.m.data), s.key)
 }
 
 func (s *groupValues) Next() (records.Record, bool) {

@@ -67,6 +67,41 @@ func DecodeValue(buf []byte) (Value, int, error) {
 	}
 }
 
+// SkipValue returns the number of bytes the value at the front of buf takes,
+// without decoding it: it refuses what DecodeValue refuses (an empty buffer,
+// an unknown kind, a malformed varint, a string or float running past the
+// buffer) and allocates nothing but its error.
+func SkipValue(buf []byte) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("records: skip value: empty buffer")
+	}
+	switch Kind(buf[0]) {
+	case KindNull:
+		return 1, nil
+	case KindInt64, KindBool:
+		if _, n := binary.Varint(buf[1:]); n > 0 {
+			return 1 + n, nil
+		}
+		return 0, fmt.Errorf("records: skip value: bad varint")
+	case KindFloat64:
+		if len(buf) < 9 {
+			return 0, fmt.Errorf("records: skip value: short float")
+		}
+		return 9, nil
+	case KindString:
+		l, n := binary.Uvarint(buf[1:])
+		if n <= 0 {
+			return 0, fmt.Errorf("records: skip value: bad string length")
+		}
+		if uint64(len(buf)-1-n) < l {
+			return 0, fmt.Errorf("records: skip value: short string")
+		}
+		return 1 + n + int(l), nil
+	default:
+		return 0, fmt.Errorf("records: skip value: unknown kind %d", buf[0])
+	}
+}
+
 // AppendRecord appends the encoding of r (a field-count uvarint followed by
 // each value) to dst and returns the result.
 func AppendRecord(dst []byte, r Record) []byte {

@@ -236,8 +236,23 @@ func TestDecodeRecordIntoReusesTheSlice(t *testing.T) {
 // error. It does not panic, it consumes no more than it was given and yields
 // no more values than bytes (so nothing is sized by a count the bytes merely
 // claim), and what it accepts survives a round trip through the encoder.
+// Value by value from the field count on, SkipValue agrees with DecodeValue on
+// the bytes a value takes and on whether it fails.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, pos := binary.Uvarint(data); pos > 0 {
+			for pos < len(data) {
+				_, n, derr := DecodeValue(data[pos:])
+				m, serr := SkipValue(data[pos:])
+				if (derr == nil) != (serr == nil) || n != m {
+					t.Fatalf("at byte %d of %x: DecodeValue took %d (%v), SkipValue %d (%v)", pos, data, n, derr, m, serr)
+				}
+				if derr != nil {
+					break
+				}
+				pos += n
+			}
+		}
 		rec, n, err := DecodeRecord(data, nil)
 		if err != nil {
 			return

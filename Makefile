@@ -129,9 +129,12 @@ plan-golden:
 # EXPERIMENTS.md "Snowflake lowering"); ServeHit is a served statement the
 # result cache answers, exact or by subsumption, and a lookup nothing cached
 # answers, beside 300 entries of another skeleton (see DESIGN.md "Result
-# cache"). CI-friendly: short benchtime, no external state.
+# cache"); ReadAll is a whole-file HDFS read of a one-block file, handed
+# over in place with an allocation that does not grow with the file, and of
+# a four-block one, copied (see DESIGN.md "Scan path"). CI-friendly: short
+# benchtime, no external state.
 bench:
-	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|Shuffle|RepartitionStage|SnowflakeLowering|ServeHit' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ ./internal/hive/ ./internal/serve/ .
+	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|Shuffle|RepartitionStage|SnowflakeLowering|ServeHit|ReadAll' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ ./internal/hive/ ./internal/serve/ ./internal/hdfs/ .
 
 # Twenty-five seconds of coverage-guided fuzzing, five targets at five
 # seconds each. FuzzOpenColumnSet and FuzzOpenColumnFile: the column decoders

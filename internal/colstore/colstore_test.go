@@ -700,12 +700,14 @@ func TestCIFChecksumDetectsCorruption(t *testing.T) {
 	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 64, genRows(64)); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one column replica by rewriting the file with a flipped byte.
+	// Corrupt one column replica by rewriting the file with a flipped byte,
+	// in a copy: ReadAll's bytes are read-only.
 	path := "/cif/p-00000/name.col"
-	data, err := e.fs.ReadAll(path, "")
+	view, err := e.fs.ReadAll(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := append([]byte(nil), view...)
 	data[len(data)/2] ^= 0xff
 	e.fs.Delete(path)
 	if err := e.fs.WriteFile(path, "", data); err != nil {

@@ -29,7 +29,7 @@ func (k *killOnRead) BeforeBlockRead(nodeID string, blockID int64) error {
 }
 
 // TestFailoverWhenServingReplicaKilledMidRead is the regression test for
-// the readBlockRange failover loop: the replica chosen to serve the read
+// the serveBlock failover loop: the replica chosen to serve the read
 // dies after selection; the read must move to a surviving replica and
 // return the full, correct bytes.
 func TestFailoverWhenServingReplicaKilledMidRead(t *testing.T) {

@@ -280,6 +280,18 @@ func (r *Reader) Close() error { return nil }
 // observer attached (FileSystem.Observe) it emits one "hdfs-read" span per
 // call carrying the file path and the local/remote byte split.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
+	_, n, err := r.read(p, off, false)
+	return n, err
+}
+
+// read serves the file's bytes block by block through serveBlock and
+// records the read once: the local/remote byte counters, the read-time
+// histogram and one "hdfs-read" span. It copies the bytes [off,
+// off+len(p)) into p and returns p. With whole set (p nil, off 0) it reads
+// the entire file instead: the bytes of a one-block file are the verified
+// replica's own, capped so an append cannot reach them, and any other file
+// is copied into a fresh buffer.
+func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 	fs := r.fs
 	fs.mu.RLock()
 	size := r.meta.size
@@ -295,11 +307,17 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 		start = time.Now()
 	}
 
+	view := whole && len(blocks) == 1
+	if whole && !view {
+		p = make([]byte, size)
+	}
 	if off >= size {
-		return 0, io.EOF
+		return p, 0, io.EOF
 	}
 	want := int64(len(p))
-	if off+want > size {
+	if view {
+		want = size
+	} else if off+want > size {
 		want = size - off
 	}
 	var done, localBytes, remoteBytes int64
@@ -313,12 +331,18 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 		}
 		from := max64(off, bStart) - bStart
 		to := min64(off+want, bEnd) - bStart
-		n, local, err := r.readBlockRange(b, from, to, p[done:done+(to-from)])
-		done += int64(n)
-		if local {
-			localBytes += int64(n)
+		served, local, err := r.serveBlock(b, from, to)
+		if view {
+			p = served[:len(served):len(served)]
 		} else {
-			remoteBytes += int64(n)
+			copy(p[done:], served)
+		}
+		n := int64(len(served))
+		done += n
+		if local {
+			localBytes += n
+		} else {
+			remoteBytes += n
 		}
 		if err != nil {
 			rerr = err
@@ -349,16 +373,18 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 		}
 	}
 	if rerr != nil {
-		return int(done), rerr
+		return p, int(done), rerr
 	}
 	if done < int64(len(p)) {
-		return int(done), io.EOF
+		return p, int(done), io.EOF
 	}
-	return int(done), nil
+	return p, int(done), nil
 }
 
-// readBlockRange copies block bytes [from, to) into dst and charges costs.
-// The second return reports whether the bytes came from a local replica.
+// serveBlock serves block bytes [from, to) from one verified replica and
+// charges costs. It returns the replica's own bytes, not a copy, so the
+// caller must not write into them, and reports whether they came from a
+// local replica.
 //
 // The read loops over replicas until one serves the bytes: each iteration
 // re-reads the replica set and liveness under the lock (a replica that was
@@ -368,7 +394,7 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 // Locality is re-derived per attempt so failover from a dead local replica
 // is accounted as a remote read. The loop terminates because every
 // iteration marks one replica attempted and never retries it.
-func (r *Reader) readBlockRange(b *blockMeta, from, to int64, dst []byte) (int, bool, error) {
+func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) {
 	fs := r.fs
 	attempted := make(map[string]bool)
 	var lastErr error
@@ -402,13 +428,13 @@ func (r *Reader) readBlockRange(b *blockMeta, from, to int64, dst []byte) (int, 
 		fs.mu.RUnlock()
 
 		if lost {
-			return 0, false, fmt.Errorf("hdfs: block %d of %s: all replicas lost", b.id, r.meta.path)
+			return nil, false, fmt.Errorf("hdfs: block %d of %s: all replicas lost", b.id, r.meta.path)
 		}
 		if serving == "" {
 			if lastErr != nil {
-				return 0, false, fmt.Errorf("hdfs: block %d of %s: no live replica: %w", b.id, r.meta.path, lastErr)
+				return nil, false, fmt.Errorf("hdfs: block %d of %s: no live replica: %w", b.id, r.meta.path, lastErr)
 			}
-			return 0, false, fmt.Errorf("hdfs: block %d of %s: no live replica", b.id, r.meta.path)
+			return nil, false, fmt.Errorf("hdfs: block %d of %s: no live replica", b.id, r.meta.path)
 		}
 		attempted[serving] = true
 		local := serving == r.client
@@ -463,7 +489,8 @@ func (r *Reader) readBlockRange(b *blockMeta, from, to int64, dst []byte) (int, 
 			continue
 		}
 
-		n := copy(dst, replicaData[from:to])
+		served := replicaData[from:to]
+		n := len(served)
 		if local {
 			fs.metrics.LocalReads.Add(1)
 			fs.metrics.LocalBytesRead.Add(int64(n))
@@ -479,10 +506,10 @@ func (r *Reader) readBlockRange(b *blockMeta, from, to int64, dst []byte) (int, 
 				target = node
 			}
 			if err := target.ChargeNet(int64(n)); err != nil {
-				return 0, local, err
+				return nil, local, err
 			}
 		}
-		return n, local, nil
+		return served, local, nil
 	}
 }
 
@@ -528,14 +555,21 @@ func (fs *FileSystem) reportBadReplica(b *blockMeta, nodeID, path string) {
 	}
 }
 
-// ReadAll reads the entire file.
+// ReadAll reads the entire file. The returned bytes are read-only for
+// life: a file of one block returns its verified replica's own bytes, which
+// every replica of the block shares, so a single write into them would
+// corrupt the block for every later reader. Callers may hold them as long
+// as they like (column decoders, a distributed-cache file's node-local
+// copies), and must copy before changing them. A file of several blocks, and
+// an empty one, still come back as a fresh copy.
 func (fs *FileSystem) ReadAll(path, clientNode string) ([]byte, error) {
 	return fs.ReadAllTraced(path, clientNode, obs.SpanContext{})
 }
 
 // ReadAllTraced reads the entire file with the read span parented at the
 // given trace position (a task attempt's context), so whole-file reads —
-// the column-store load path — land inside their task in the profile.
+// the column-store load path — land inside their task in the profile. Its
+// bytes are read-only for life, as ReadAll's are.
 func (fs *FileSystem) ReadAllTraced(path, clientNode string, sc obs.SpanContext) ([]byte, error) {
 	r, err := fs.Open(path, clientNode)
 	if err != nil {
@@ -543,11 +577,11 @@ func (fs *FileSystem) ReadAllTraced(path, clientNode string, sc obs.SpanContext)
 	}
 	defer r.Close()
 	r.SetTrace(sc)
-	buf := make([]byte, r.Size())
-	if _, err := r.ReadAt(buf, 0); err != nil && err != io.EOF {
+	data, _, err := r.read(nil, 0, true)
+	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	return buf, nil
+	return data, nil
 }
 
 func max64(a, b int64) int64 {

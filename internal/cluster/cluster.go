@@ -467,21 +467,7 @@ func (n *Node) acquireDisk() func() {
 // the HDFS-efficiency-degraded bandwidth (reads through the DFS client) vs
 // raw device bandwidth.
 func (n *Node) ChargeDiskRead(b int64, hdfs bool) error {
-	if !n.IsAlive() {
-		return ErrNodeDown
-	}
-	n.modelled.diskReadBytes.Add(b)
-	bw := n.cluster.live.diskBW.Load() / n.diskSlow.Load()
-	if hdfs {
-		bw *= n.cfg.HDFSEfficiency
-	}
-	if bw <= 0 {
-		return nil
-	}
-	release := n.acquireDisk()
-	defer release()
-	n.charge(time.Duration(float64(b) / bw * float64(time.Second)))
-	return nil
+	return n.chargeDisk(&n.modelled.diskReadBytes, b, n.diskBandwidth(hdfs))
 }
 
 // ChargeDiskReadNominal models reading b bytes from the node's local disk
@@ -491,30 +477,32 @@ func (n *Node) ChargeDiskRead(b int64, hdfs bool) error {
 // 16-32 GB nodes — so the benchmark harness's bandwidth scaling (which
 // restores the fact-scan-to-overhead ratio) does not distort them.
 func (n *Node) ChargeDiskReadNominal(b int64) error {
-	if !n.IsAlive() {
-		return ErrNodeDown
-	}
-	n.modelled.diskReadBytes.Add(b)
-	bw := n.cfg.DiskBandwidth / n.diskSlow.Load()
-	if bw <= 0 {
-		return nil
-	}
-	release := n.acquireDisk()
-	defer release()
-	n.charge(time.Duration(float64(b) / bw * float64(time.Second)))
-	return nil
+	return n.chargeDisk(&n.modelled.diskReadBytes, b, n.cfg.DiskBandwidth/n.diskSlow.Load())
 }
 
 // ChargeDiskWrite models writing b bytes to one local disk.
 func (n *Node) ChargeDiskWrite(b int64, hdfs bool) error {
-	if !n.IsAlive() {
-		return ErrNodeDown
-	}
-	n.modelled.diskWriteBytes.Add(b)
+	return n.chargeDisk(&n.modelled.diskWriteBytes, b, n.diskBandwidth(hdfs))
+}
+
+// diskBandwidth is the node's live disk bandwidth, through the DFS client
+// when hdfs is set.
+func (n *Node) diskBandwidth(hdfs bool) float64 {
 	bw := n.cluster.live.diskBW.Load() / n.diskSlow.Load()
 	if hdfs {
 		bw *= n.cfg.HDFSEfficiency
 	}
+	return bw
+}
+
+// chargeDisk is every disk charge: it counts b bytes into bytes, then holds
+// a disk stream for the time b takes at bw (nothing when bw is not
+// positive).
+func (n *Node) chargeDisk(bytes *atomic.Int64, b int64, bw float64) error {
+	if !n.IsAlive() {
+		return ErrNodeDown
+	}
+	bytes.Add(b)
 	if bw <= 0 {
 		return nil
 	}

@@ -39,7 +39,12 @@ vet:
 # the baseline's group-by job reduces with core.SumReducer and collects with
 # core.CollectRows (no hiveSumReducer). Nor does a multi-split pack by
 # count: CIFInput packs by bytes whenever a job runs more than one map
-# thread (DESIGN.md "Query pipeline"), so no job sets a pack size.
+# thread (DESIGN.md "Query pipeline"), so no job sets a pack size. Nor does
+# a string-keyed job configuration: a job's four settings are the typed
+# fields of mr.Conf (no JobConf, NewJobConf). Nor does a second group-file
+# framing: row files and RCFiles share one footer codec, split type, split
+# cutter and open step (internal/colstore/groupfile.go), so no RowSplit,
+# RCSplit, decodeRCFooter, decodeGroupFooter or splitRowFile.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -56,7 +61,11 @@ no-deprecated:
 	@if grep -rn --include='*.go' hiveSumReducer .; then \
 		echo "second SUM tail: the Hive baseline's group-by job uses core.SumReducer and core.CollectRows"; exit 1; fi
 	@if grep -rn --include='*.go' -e ConfMultiSplitPack -e 'mr\.multisplit\.pack' .; then \
-		echo "multi-split pack size: CIFInput packs by bytes from mr.ConfMapThreads and the block size, no job sets a count"; exit 1; fi
+		echo "multi-split pack size: CIFInput packs by bytes from mr.Conf.MapThreads and the block size, no job sets a count"; exit 1; fi
+	@if grep -rnw --include='*.go' -e JobConf -e NewJobConf .; then \
+		echo "string-keyed job configuration: a job's settings are the typed fields of mr.Conf"; exit 1; fi
+	@if grep -rnw --include='*.go' -e RowSplit -e RCSplit -e decodeRCFooter -e decodeGroupFooter -e splitRowFile .; then \
+		echo "second group-file framing: row files and RCFiles share internal/colstore/groupfile.go"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node
@@ -136,11 +145,13 @@ plan-golden:
 bench:
 	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|Shuffle|RepartitionStage|SnowflakeLowering|ServeHit|ReadAll' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ ./internal/hive/ ./internal/serve/ ./internal/hdfs/ .
 
-# Twenty-five seconds of coverage-guided fuzzing, five targets at five
-# seconds each. FuzzOpenColumnSet and FuzzOpenColumnFile: the column decoders
-# from their checked-in corpora (testdata/fuzz, held current by
+# Thirty seconds of coverage-guided fuzzing, six targets at five seconds
+# each. FuzzOpenColumnSet and FuzzOpenColumnFile: the column decoders from
+# their checked-in corpora (testdata/fuzz, held current by
 # TestFuzzSeedCorpus), the node-local dimension copy's column sets and a
-# partition's column files. FuzzRCFooter: a whole RC file, footer then rows.
+# partition's column files. FuzzRCFooter and FuzzRowFooter: a whole RC file
+# and a whole row file (every dimension table, every Hive intermediate),
+# footer then rows.
 # FuzzDecodeRecord: the wire record every row file, spill and broadcast hash
 # table is made of. No input may panic them or make them allocate by a count
 # the bytes merely claim. FuzzParse: the SQL front end against the SSB
@@ -152,6 +163,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenColumnSet -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzOpenColumnFile -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzRCFooter -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
+	$(GO) test -run '^$$' -fuzz FuzzRowFooter -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/records/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 1s ./internal/sql/
 

@@ -208,7 +208,7 @@ func BenchmarkCIFScanAll(b *testing.B) {
 }
 
 func benchScan(b *testing.B, env *queryEnv, cols []string) {
-	jctx := &mr.JobContext{FS: env.fs, Cluster: env.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: env.fs, Cluster: env.cluster, Counters: mr.NewCounters()}
 	in := &colstore.CIFInput{Dir: env.lay.FactCIF, Columns: cols, Schema: ssb.LineorderSchema}
 	splits, err := in.Splits(jctx)
 	if err != nil {
@@ -244,7 +244,7 @@ func benchScan(b *testing.B, env *queryEnv, cols []string) {
 // BenchmarkBlockIteration reads the fact table block-at-a-time (B-CIF).
 func BenchmarkBlockIteration(b *testing.B) {
 	env := sharedEnv(b)
-	jctx := &mr.JobContext{FS: env.fs, Cluster: env.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: env.fs, Cluster: env.cluster, Counters: mr.NewCounters()}
 	in := &colstore.CIFInput{Dir: env.lay.FactCIF, Columns: []string{"lo_orderdate", "lo_revenue"}, Schema: ssb.LineorderSchema, BlockRows: 1024}
 	splits, err := in.Splits(jctx)
 	if err != nil {
@@ -283,7 +283,7 @@ func BenchmarkBlockIteration(b *testing.B) {
 // BenchmarkRowIteration reads the same two columns row-at-a-time (CIF).
 func BenchmarkRowIteration(b *testing.B) {
 	env := sharedEnv(b)
-	jctx := &mr.JobContext{FS: env.fs, Cluster: env.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: env.fs, Cluster: env.cluster, Counters: mr.NewCounters()}
 	in := &colstore.CIFInput{Dir: env.lay.FactCIF, Columns: []string{"lo_orderdate", "lo_revenue"}, Schema: ssb.LineorderSchema}
 	splits, err := in.Splits(jctx)
 	if err != nil {

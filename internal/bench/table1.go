@@ -53,7 +53,7 @@ func (h *Harness) RunTable1(profile string, fileMB int64, w io.Writer) (*DFSIORe
 			Hosts: []string{n.ID()},
 		})
 	}
-	conf := mr.NewJobConf().SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
+	conf := mr.Conf{TaskMemory: cfg.MemoryPerNode}
 
 	writeOut := &mr.MemoryOutput{}
 	writeJob := &mr.Job{

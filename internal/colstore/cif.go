@@ -397,7 +397,7 @@ func (s *MultiSplit) Length() int64 {
 //
 // The same input format serves the three execution modes the paper
 // evaluates: row-at-a-time (CIF) through Next, block iteration (B-CIF)
-// through NextBlock, and MultiCIF packing for jobs that set mr.ConfMapThreads.
+// through NextBlock, and MultiCIF packing for jobs that set mr.Conf.MapThreads.
 //
 // With Pred set the scan additionally skips work at two granularities:
 // Splits drops whole partitions whose zone maps prove Pred false everywhere,
@@ -479,7 +479,7 @@ type filterPlan struct {
 
 // Splits implements mr.InputFormat: it lists partitions, prunes those whose
 // zone maps refute the predicate, and, when the job runs more than one map
-// thread (mr.ConfMapThreads), packs them into multi-splits by bytes.
+// thread (mr.Conf.MapThreads), packs them into multi-splits by bytes.
 func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
@@ -526,7 +526,7 @@ func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 		raw = append(raw, s)
 	}
 
-	threads := int(ctx.Conf.GetInt(mr.ConfMapThreads, 1))
+	threads := ctx.Conf.MapThreads
 	if threads <= 1 {
 		out := make([]mr.InputSplit, len(raw))
 		for i, s := range raw {

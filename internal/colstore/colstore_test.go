@@ -51,12 +51,11 @@ func newEnv(workers int, blockSize int64) *env {
 }
 
 // scanAll runs an identity map-only job over the input and returns the rows.
-func scanAll(t *testing.T, e *env, input mr.InputFormat, conf *mr.JobConf) []records.Record {
+func scanAll(t *testing.T, e *env, input mr.InputFormat) []records.Record {
 	t.Helper()
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
 		Name:   "scan",
-		Conf:   conf,
 		Input:  input,
 		Output: out,
 		NewMapper: func() mr.Mapper {
@@ -123,7 +122,7 @@ func TestRowFileRoundTrip(t *testing.T) {
 	if written != n {
 		t.Errorf("wrote %d rows", written)
 	}
-	rows := scanAll(t, e, &RowInput{Dir: "/rows"}, nil)
+	rows := scanAll(t, e, &RowInput{Dir: "/rows"})
 	if len(rows) != n {
 		t.Fatalf("read %d rows, want %d", len(rows), n)
 	}
@@ -141,7 +140,7 @@ func TestRowFileMultipleSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &RowInput{Dir: "/rows"}
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +163,7 @@ func TestRCFileRoundTripAndPruning(t *testing.T) {
 	}
 
 	// Full scan.
-	rows := scanAll(t, e, &RCInput{Dir: "/rc"}, nil)
+	rows := scanAll(t, e, &RCInput{Dir: "/rc"})
 	if len(rows) != n {
 		t.Fatalf("read %d rows", len(rows))
 	}
@@ -177,7 +176,7 @@ func TestRCFileRoundTripAndPruning(t *testing.T) {
 
 	// Pruned scan reads fewer bytes.
 	before := e.fs.Metrics().Snapshot()
-	pruned := scanAll(t, e, &RCInput{Dir: "/rc", Columns: []string{"id"}}, nil)
+	pruned := scanAll(t, e, &RCInput{Dir: "/rc", Columns: []string{"id"}})
 	after := e.fs.Metrics().Snapshot()
 	if len(pruned) != n {
 		t.Fatalf("pruned read %d rows", len(pruned))
@@ -188,7 +187,7 @@ func TestRCFileRoundTripAndPruning(t *testing.T) {
 	prunedBytes := (after.LocalBytesRead + after.RemoteBytesRead) - (before.LocalBytesRead + before.RemoteBytesRead)
 
 	before = e.fs.Metrics().Snapshot()
-	scanAll(t, e, &RCInput{Dir: "/rc"}, nil)
+	scanAll(t, e, &RCInput{Dir: "/rc"})
 	after = e.fs.Metrics().Snapshot()
 	fullBytes := (after.LocalBytesRead + after.RemoteBytesRead) - (before.LocalBytesRead + before.RemoteBytesRead)
 	if prunedBytes >= fullBytes {
@@ -213,7 +212,7 @@ func TestCIFRoundTrip(t *testing.T) {
 	if len(parts) != 4 { // ceil(250/64)
 		t.Errorf("partitions = %v", parts)
 	}
-	rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil)
+	rows := scanAll(t, e, &CIFInput{Dir: "/cif"})
 	if len(rows) != n {
 		t.Fatalf("read %d rows", len(rows))
 	}
@@ -232,7 +231,7 @@ func TestCIFColumnPruningSavesIO(t *testing.T) {
 	}
 	readBytes := func(cols []string) int64 {
 		before := e.fs.Metrics().Snapshot()
-		rows := scanAll(t, e, &CIFInput{Dir: "/cif", Columns: cols}, nil)
+		rows := scanAll(t, e, &CIFInput{Dir: "/cif", Columns: cols})
 		after := e.fs.Metrics().Snapshot()
 		if len(rows) != 400 {
 			t.Fatalf("scan(%v) read %d rows", cols, len(rows))
@@ -277,7 +276,7 @@ func TestCIFBlockReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &CIFInput{Dir: "/cif", BlockRows: 30}
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +392,7 @@ func TestMultiCIFPacking(t *testing.T) {
 			e := newEnv(3, blockSize)
 			writePartitions(t, e, "/cif", tc.rows)
 			in := &CIFInput{Dir: "/cif"}
-			conf := mr.NewJobConf().SetInt(mr.ConfMapThreads, int64(tc.threads))
+			conf := mr.Conf{MapThreads: tc.threads}
 			jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: conf, Counters: mr.NewCounters()}
 			splits, err := in.Splits(jctx)
 			if err != nil {
@@ -404,7 +403,7 @@ func TestMultiCIFPacking(t *testing.T) {
 			// of each host must cut, in order.
 			byHost := map[string][]string{}
 			size := map[string]int64{}
-			raw, err := (&CIFInput{Dir: "/cif"}).Splits(&mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf()})
+			raw, err := (&CIFInput{Dir: "/cif"}).Splits(&mr.JobContext{FS: e.fs, Cluster: e.cluster})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -546,7 +545,7 @@ func TestCIFReaderCloseReleases(t *testing.T) {
 	e := newEnv(2, 1024)
 	writePartitions(t, e, "/cif", []int{40, 40})
 	in := &CIFInput{Dir: "/cif", BlockRows: 16, Pred: expr.Ge(expr.Col("id"), expr.ConstInt(10))}
-	conf := mr.NewJobConf().SetInt(mr.ConfMapThreads, 2)
+	conf := mr.Conf{MapThreads: 2}
 	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: conf, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
@@ -600,7 +599,7 @@ func TestCIFRollIn(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil)
+	rows := scanAll(t, e, &CIFInput{Dir: "/cif"})
 	if len(rows) != 150 {
 		t.Errorf("after roll-in: %d rows", len(rows))
 	}
@@ -625,7 +624,7 @@ func TestRowOutputFormat(t *testing.T) {
 	if _, err := e.engine.Submit(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
-	rows := scanAll(t, e, &RowInput{Dir: "/dst"}, nil)
+	rows := scanAll(t, e, &RowInput{Dir: "/dst"})
 	if len(rows) != 50 {
 		t.Errorf("copied %d rows", len(rows))
 	}
@@ -643,7 +642,7 @@ func TestCIFEmptyTableError(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &CIFInput{Dir: "/empty"}
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	if _, err := in.Splits(jctx); err == nil {
 		t.Error("expected error for empty CIF table")
 	}
@@ -655,7 +654,7 @@ func TestCIFUnknownColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &CIFInput{Dir: "/cif", Columns: []string{"nope"}}
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	if _, err := in.Splits(jctx); err == nil {
 		t.Error("expected error for unknown column")
 	}
@@ -679,7 +678,7 @@ func TestCIFRollOut(t *testing.T) {
 	if err := reg.Retire("/cif", parts[:2]); err != nil {
 		t.Fatal(err)
 	}
-	rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil)
+	rows := scanAll(t, e, &CIFInput{Dir: "/cif"})
 	if len(rows) != 100 {
 		t.Fatalf("after roll-out: %d rows", len(rows))
 	}
@@ -714,7 +713,7 @@ func TestCIFChecksumDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &CIFInput{Dir: "/cif"}
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)

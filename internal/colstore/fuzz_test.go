@@ -376,12 +376,16 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		}
 	}
 
-	footers := rcFooterCorpus(t)
+	footers, rowFooters := rcFooterCorpus(t), rowFooterCorpus(t)
 	if _, err := decodeRCFooterOf(footers["good"].data); err != nil {
 		t.Fatalf("rc footer corpus: good: %v", err)
 	}
+	if groups, err := decodeRowFooterOf(rowFooters["good"].data); err != nil || len(groups) < 2 {
+		t.Fatalf("row footer corpus: good: %d groups, %v; want several", len(groups), err)
+	}
 
-	for target, want := range map[string]map[string]fuzzSeed{"FuzzOpenColumnFile": files, "FuzzOpenColumnSet": sets, "FuzzRCFooter": footers} {
+	for target, want := range map[string]map[string]fuzzSeed{"FuzzOpenColumnFile": files, "FuzzOpenColumnSet": sets,
+		"FuzzRCFooter": footers, "FuzzRowFooter": rowFooters} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		if *updateCorpus {
 			if err := os.RemoveAll(dir); err != nil {

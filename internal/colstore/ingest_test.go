@@ -55,7 +55,7 @@ func TestUncommittedPartitionsInvisible(t *testing.T) {
 	if len(after) != len(before) {
 		t.Fatalf("uncommitted partitions visible: %v vs %v", after, before)
 	}
-	if rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil); len(rows) != 64 {
+	if rows := scanAll(t, e, &CIFInput{Dir: "/cif"}); len(rows) != 64 {
 		t.Fatalf("scan saw %d rows before publish, want 64", len(rows))
 	}
 
@@ -179,7 +179,7 @@ func TestRollInAtomicVisibilityAndFailure(t *testing.T) {
 	if n != 64 || len(pub) != 2 {
 		t.Fatalf("roll-in = %d rows, %v", n, pub)
 	}
-	if rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil); len(rows) != 128 {
+	if rows := scanAll(t, e, &CIFInput{Dir: "/cif"}); len(rows) != 128 {
 		t.Fatalf("after roll-in: %d rows", len(rows))
 	}
 }
@@ -219,7 +219,7 @@ func TestSnapshotPinsPreSwapState(t *testing.T) {
 		}
 	}
 	// The frozen list still scans: exactly the pre-swap 64 rows.
-	rows := scanAll(t, e, &CIFInput{Dir: "/cif", Snapshot: snap.Parts}, nil)
+	rows := scanAll(t, e, &CIFInput{Dir: "/cif", Snapshot: snap.Parts})
 	if len(rows) != 64 {
 		t.Fatalf("snapshot scan = %d rows, want 64", len(rows))
 	}
@@ -265,7 +265,7 @@ func TestSweepSparesPinnedRetirees(t *testing.T) {
 	if swept := reg.SweepUncommitted("/cif"); len(swept) != 0 {
 		t.Fatalf("sweep deleted partitions a pinned snapshot reads: %v", swept)
 	}
-	if rows := scanAll(t, e, &CIFInput{Dir: "/cif", Snapshot: snap.Parts}, nil); len(rows) != 64 {
+	if rows := scanAll(t, e, &CIFInput{Dir: "/cif", Snapshot: snap.Parts}); len(rows) != 64 {
 		t.Fatalf("pinned snapshot scans %d rows after the sweep, want 64", len(rows))
 	}
 	w := stageBatch(t, e, "/cif", 64, 16, 16)
@@ -303,7 +303,7 @@ func TestCompactRewritesSmallPartitions(t *testing.T) {
 	}
 	// Row multiset unchanged, and the rewrite is clustered: fresh zone maps
 	// on id must not overlap across the new partitions.
-	rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil)
+	rows := scanAll(t, e, &CIFInput{Dir: "/cif"})
 	if len(rows) != n {
 		t.Fatalf("after compact: %d rows", len(rows))
 	}
@@ -357,7 +357,7 @@ func TestExpireBeforeRetiresOnlyProvablyOld(t *testing.T) {
 	if len(retired) != 1 || retired[0] != "/cif/p-00000" {
 		t.Fatalf("retired = %v", retired)
 	}
-	rows := scanAll(t, e, &CIFInput{Dir: "/cif"}, nil)
+	rows := scanAll(t, e, &CIFInput{Dir: "/cif"})
 	if len(rows) != 64 {
 		t.Fatalf("after retention: %d rows, want 64 (straddling partition kept)", len(rows))
 	}

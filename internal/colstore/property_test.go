@@ -40,7 +40,7 @@ func randomRows(rng *rand.Rand, n int) []records.Record {
 // readAllVia reads a table back through its input format, outside a job.
 func readAllVia(t *testing.T, e *env, in mr.InputFormat) []records.Record {
 	t.Helper()
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestCIFBlockMatchesRowsQuick(t *testing.T) {
 	f := func(blockRows uint8) bool {
 		br := int(blockRows)%200 + 1
 		in := &CIFInput{Dir: "/blk", Schema: propSchema, BlockRows: br}
-		jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+		jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 		splits, err := in.Splits(jctx)
 		if err != nil {
 			return false

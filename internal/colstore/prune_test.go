@@ -15,7 +15,7 @@ import (
 // and returns the materialized rows.
 func readBlocks(t *testing.T, e *env, in *CIFInput) ([]records.Record, *mr.Counters) {
 	t.Helper()
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -11,33 +10,36 @@ import (
 	"clydesdale/internal/records"
 )
 
-// RCFile layout (PAX): row groups whose bytes are the concatenation of one
-// chunk per column (encoded values back to back), followed by a footer:
-//
-//	uvarint numGroups, then per group:
-//	  uvarint offset, uvarint rows, then one uvarint chunk length per column
-//
-// and the usual footerLen(uint32 LE) + magic tail. Readers fetch only the
-// chunks of the requested columns, at row-group granularity.
-
+// An RCFile (PAX) is a group file (groupfile.go) with magic "RCF1" whose
+// groups are one chunk per column, the column's encoded values back to back,
+// so a reader fetches only the chunks of the columns it reads. A group's
+// footer tuple is (offset, rows, then one chunk length per column).
 var rcMagic = [4]byte{'R', 'C', 'F', '1'}
 
-type rcGroupMeta struct {
-	offset    int64
-	rows      int64
-	chunkLens []int64
+// rcFormat is the RCFile layout over numCols columns.
+func rcFormat(numCols int) groupFormat {
+	return groupFormat{
+		name:  "RC file",
+		magic: rcMagic,
+		width: 2 + numCols,
+		tuple: func(dst []int64, g groupMeta) []int64 { return append(append(dst, g.offset, g.rows), g.chunkLens...) },
+		group: func(v []int64) groupMeta {
+			g := groupMeta{offset: v[0], rows: v[1], chunkLens: v[2:]}
+			for _, l := range g.chunkLens {
+				g.length += l
+			}
+			return g
+		},
+	}
 }
 
 // RCWriter streams records into an RCFile.
 type RCWriter struct {
-	w         *hdfs.Writer
+	groupWriter
 	schema    *records.Schema
 	groupRows int64
 	cols      [][]byte
 	bufRows   int64
-	offset    int64
-	groups    []rcGroupMeta
-	closed    bool
 }
 
 // NewRCWriter opens an RCFile for writing with groupRows rows per row group
@@ -46,11 +48,11 @@ func NewRCWriter(fs *hdfs.FileSystem, path, writerNode string, schema *records.S
 	if groupRows <= 0 {
 		groupRows = 8192
 	}
-	w, err := fs.Create(path, writerNode)
+	gw, err := createGroupFile(fs, path, writerNode, rcFormat(schema.Len()))
 	if err != nil {
 		return nil, err
 	}
-	return &RCWriter{w: w, schema: schema, groupRows: groupRows, cols: make([][]byte, schema.Len())}, nil
+	return &RCWriter{groupWriter: gw, schema: schema, groupRows: groupRows, cols: make([][]byte, schema.Len())}, nil
 }
 
 // Append writes one record.
@@ -75,102 +77,22 @@ func (rw *RCWriter) flushGroup() error {
 	if rw.bufRows == 0 {
 		return nil
 	}
-	meta := rcGroupMeta{offset: rw.offset, rows: rw.bufRows, chunkLens: make([]int64, len(rw.cols))}
+	g := groupMeta{rows: rw.bufRows, chunkLens: make([]int64, len(rw.cols))}
 	for i, chunk := range rw.cols {
-		if _, err := rw.w.Write(chunk); err != nil {
-			return err
-		}
-		meta.chunkLens[i] = int64(len(chunk))
-		rw.offset += int64(len(chunk))
+		g.chunkLens[i] = int64(len(chunk))
+	}
+	if err := rw.writeGroup(g, rw.cols...); err != nil {
+		return err
+	}
+	for i := range rw.cols {
 		rw.cols[i] = rw.cols[i][:0]
 	}
-	rw.groups = append(rw.groups, meta)
 	rw.bufRows = 0
 	return nil
 }
 
 // Close flushes and writes the footer.
-func (rw *RCWriter) Close() error {
-	if rw.closed {
-		return nil
-	}
-	rw.closed = true
-	if err := rw.flushGroup(); err != nil {
-		return err
-	}
-	var footer []byte
-	footer = binary.AppendUvarint(footer, uint64(len(rw.groups)))
-	for _, g := range rw.groups {
-		footer = binary.AppendUvarint(footer, uint64(g.offset))
-		footer = binary.AppendUvarint(footer, uint64(g.rows))
-		for _, l := range g.chunkLens {
-			footer = binary.AppendUvarint(footer, uint64(l))
-		}
-	}
-	if _, err := rw.w.Write(footer); err != nil {
-		return err
-	}
-	var tail [8]byte
-	binary.LittleEndian.PutUint32(tail[:4], uint32(len(footer)))
-	copy(tail[4:], rcMagic[:])
-	if _, err := rw.w.Write(tail[:]); err != nil {
-		return err
-	}
-	return rw.w.Close()
-}
-
-// readRCFooter loads and checks the footer of the RC file at path.
-func readRCFooter(r *hdfs.Reader, path string, numCols int) ([]rcGroupMeta, error) {
-	var groups []rcGroupMeta
-	buf, err := readTail(r, rcMagic)
-	if err == nil {
-		groups, err = decodeRCFooter(buf, numCols, r.Size()-8-int64(len(buf)))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("colstore: RC file %s: %w", path, err)
-	}
-	return groups, nil
-}
-
-// decodeRCFooter parses an RC footer whose row groups must lie within the
-// dataLen bytes in front of it. The footer's own counts size nothing until
-// they are checked: a group takes at least 2+numCols footer bytes, and a
-// reader sizes its chunk buffers from lengths held to the file here.
-func decodeRCFooter(buf []byte, numCols int, dataLen int64) ([]rcGroupMeta, error) {
-	n, read := binary.Uvarint(buf)
-	if read <= 0 {
-		return nil, fmt.Errorf("bad group count")
-	}
-	pos := read
-	if n > uint64(len(buf)-pos)/uint64(2+numCols) {
-		return nil, fmt.Errorf("%d groups claimed by a %d-byte footer", n, len(buf))
-	}
-	groups := make([]rcGroupMeta, n)
-	vals := make([]int64, (2+numCols)*int(n))
-	for i := range groups {
-		g := vals[i*(2+numCols) : (i+1)*(2+numCols)]
-		for j := range g {
-			v, r := binary.Uvarint(buf[pos:])
-			if r <= 0 {
-				return nil, fmt.Errorf("truncated footer")
-			}
-			if v > uint64(dataLen) {
-				return nil, fmt.Errorf("group %d: %d exceeds the %d bytes of row groups", i, v, dataLen)
-			}
-			g[j] = int64(v)
-			pos += r
-		}
-		groups[i] = rcGroupMeta{offset: g[0], rows: g[1], chunkLens: g[2:]}
-		end := g[0]
-		for _, l := range g[2:] {
-			end += l // each term is at most dataLen, so the sum cannot wrap before it is caught
-			if end > dataLen {
-				return nil, fmt.Errorf("group %d runs past the %d bytes of row groups", i, dataLen)
-			}
-		}
-	}
-	return groups, nil
-}
+func (rw *RCWriter) Close() error { return rw.close(rw.flushGroup) }
 
 // WriteRCTable writes rows into dir/part-00000 as one RCFile plus the
 // schema file.
@@ -193,20 +115,6 @@ func WriteRCTable(fs *hdfs.FileSystem, dir string, schema *records.Schema, group
 	return n, w.Close()
 }
 
-// RCSplit is a run of row groups of one RCFile.
-type RCSplit struct {
-	Path   string
-	Groups []rcGroupMeta
-	Hosts  []string
-	bytes  int64
-}
-
-// Locations implements mr.InputSplit.
-func (s *RCSplit) Locations() []string { return s.Hosts }
-
-// Length implements mr.InputSplit.
-func (s *RCSplit) Length() int64 { return s.bytes }
-
 // RCInput is an InputFormat over the RCFiles under Dir, reading only
 // Columns (nil → all), in schema order.
 type RCInput struct {
@@ -223,31 +131,7 @@ func (in *RCInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
 	}
-	var splits []mr.InputSplit
-	for _, path := range listDataFiles(ctx.FS, in.Dir) {
-		r, err := ctx.FS.Open(path, "")
-		if err != nil {
-			return nil, err
-		}
-		groups, err := readRCFooter(r, path, in.Schema.Len())
-		r.Close()
-		if err != nil {
-			return nil, err
-		}
-		fileSplits, err := splitAtBlocks(ctx.FS, path, groups, func(g rcGroupMeta) (offset, length int64) {
-			for _, l := range g.chunkLens {
-				length += l
-			}
-			return g.offset, length
-		}, func(gs []rcGroupMeta, hosts []string, bytes int64) mr.InputSplit {
-			return &RCSplit{Path: path, Groups: gs, Hosts: hosts, bytes: bytes}
-		})
-		if err != nil {
-			return nil, err
-		}
-		splits = append(splits, fileSplits...)
-	}
-	return splits, nil
+	return rcFormat(in.Schema.Len()).splits(ctx.FS, in.Dir)
 }
 
 func (in *RCInput) resolve(fs *hdfs.FileSystem) error {
@@ -279,19 +163,14 @@ func (in *RCInput) resolve(fs *hdfs.FileSystem) error {
 
 // Open implements mr.InputFormat.
 func (in *RCInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordReader, error) {
-	s, ok := split.(*RCSplit)
-	if !ok {
-		return nil, fmt.Errorf("colstore: RCInput got %T split", split)
-	}
 	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
 	}
-	r, err := ctx.FS.Open(s.Path, ctx.Node().ID())
+	r, s, err := openGroupSplit(split, ctx)
 	if err != nil {
 		return nil, err
 	}
-	r.SetTrace(ctx.TraceContext())
-	return &rcReader{r: r, in: in, groups: s.Groups}, nil
+	return &rcReader{r: r, in: in, path: s.path, groups: s.groups}, nil
 }
 
 // rcReader iterates a split's rows, fetching only the projected columns'
@@ -300,7 +179,8 @@ func (in *RCInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRead
 type rcReader struct {
 	r      *hdfs.Reader
 	in     *RCInput
-	groups []rcGroupMeta
+	path   string
+	groups []groupMeta
 	gi     int
 
 	bufs    [][]byte // per projected column, the group's chunk, reused from group to group
@@ -326,7 +206,7 @@ func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
 	for i := range rc.chunks {
 		v, n, err := records.DecodeValue(rc.chunks[i])
 		if err != nil {
-			return records.Record{}, records.Record{}, false, err
+			return records.Record{}, records.Record{}, false, fmt.Errorf("colstore: RC file %s: %w", rc.path, err)
 		}
 		rc.chunks[i] = rc.chunks[i][n:]
 		rc.row.Set(i, v)
@@ -335,7 +215,7 @@ func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
 	return records.Record{}, rc.row, true, nil
 }
 
-func (rc *rcReader) loadGroup(g rcGroupMeta) error {
+func (rc *rcReader) loadGroup(g groupMeta) error {
 	// Chunk offsets within the group come from prefix sums of chunk lengths.
 	// The buffers are the previous group's: DecodeValue copies what it
 	// hands out, so no row points into them.

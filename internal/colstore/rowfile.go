@@ -12,35 +12,25 @@ import (
 	"clydesdale/internal/records"
 )
 
-// Row file layout:
-//
-//	[group bytes]*  footer  footerLen(uint32 LE)  magic "RWF1"
-//
-// where each group is a concatenation of encoded records and the footer is
-//
-//	uvarint numGroups, then per group: uvarint offset, byteLen, rows
-//
-// Groups are sized to roughly the HDFS block size so a split (one or more
-// whole groups) reads locally.
-
-var rowMagic = [4]byte{'R', 'W', 'F', '1'}
-
-type groupMeta struct {
-	offset int64
-	length int64
-	rows   int64
+// A row file is a group file (groupfile.go) with magic "RWF1" whose groups
+// are encoded records back to back, each group cut at about groupSize bytes
+// (the HDFS block size by default) so a split reads locally. A group's
+// footer tuple is (offset, byte length, rows).
+var rowFormat = groupFormat{
+	name:  "row file",
+	magic: [4]byte{'R', 'W', 'F', '1'},
+	width: 3,
+	tuple: func(dst []int64, g groupMeta) []int64 { return append(dst, g.offset, g.length, g.rows) },
+	group: func(v []int64) groupMeta { return groupMeta{offset: v[0], length: v[1], rows: v[2]} },
 }
 
 // RowWriter streams records into a row file.
 type RowWriter struct {
-	w         *hdfs.Writer
+	groupWriter
 	schema    *records.Schema
 	groupSize int64
 	buf       []byte
 	bufRows   int64
-	offset    int64
-	groups    []groupMeta
-	closed    bool
 }
 
 // NewRowWriter opens a row file for writing. groupSize is the target bytes
@@ -49,11 +39,11 @@ func NewRowWriter(fs *hdfs.FileSystem, path, writerNode string, schema *records.
 	if groupSize <= 0 {
 		groupSize = fs.BlockSize()
 	}
-	w, err := fs.Create(path, writerNode)
+	gw, err := createGroupFile(fs, path, writerNode, rowFormat)
 	if err != nil {
 		return nil, err
 	}
-	return &RowWriter{w: w, schema: schema, groupSize: groupSize}, nil
+	return &RowWriter{groupWriter: gw, schema: schema, groupSize: groupSize}, nil
 }
 
 // Append writes one record.
@@ -73,121 +63,16 @@ func (rw *RowWriter) flushGroup() error {
 	if rw.bufRows == 0 {
 		return nil
 	}
-	if _, err := rw.w.Write(rw.buf); err != nil {
+	if err := rw.writeGroup(groupMeta{rows: rw.bufRows}, rw.buf); err != nil {
 		return err
 	}
-	rw.groups = append(rw.groups, groupMeta{offset: rw.offset, length: int64(len(rw.buf)), rows: rw.bufRows})
-	rw.offset += int64(len(rw.buf))
 	rw.buf = rw.buf[:0]
 	rw.bufRows = 0
 	return nil
 }
 
 // Close flushes the last group and writes the footer.
-func (rw *RowWriter) Close() error {
-	if rw.closed {
-		return nil
-	}
-	rw.closed = true
-	if err := rw.flushGroup(); err != nil {
-		return err
-	}
-	footer := encodeGroupFooter(rw.groups)
-	if _, err := rw.w.Write(footer); err != nil {
-		return err
-	}
-	var tail [8]byte
-	binary.LittleEndian.PutUint32(tail[:4], uint32(len(footer)))
-	copy(tail[4:], rowMagic[:])
-	if _, err := rw.w.Write(tail[:]); err != nil {
-		return err
-	}
-	return rw.w.Close()
-}
-
-func encodeGroupFooter(groups []groupMeta) []byte {
-	var out []byte
-	out = binary.AppendUvarint(out, uint64(len(groups)))
-	for _, g := range groups {
-		out = binary.AppendUvarint(out, uint64(g.offset))
-		out = binary.AppendUvarint(out, uint64(g.length))
-		out = binary.AppendUvarint(out, uint64(g.rows))
-	}
-	return out
-}
-
-// decodeGroupFooter parses a row-file footer whose groups must lie within
-// the dataLen bytes in front of it. A group takes at least three footer
-// bytes, so a count beyond a third of the footer is refused before anything
-// is sized by it.
-func decodeGroupFooter(buf []byte, dataLen int64) ([]groupMeta, error) {
-	n, read := binary.Uvarint(buf)
-	if read <= 0 {
-		return nil, fmt.Errorf("bad group count")
-	}
-	pos := read
-	if n > uint64(len(buf)-pos)/3 {
-		return nil, fmt.Errorf("%d groups claimed by a %d-byte footer", n, len(buf))
-	}
-	groups := make([]groupMeta, n)
-	for i := range groups {
-		var vals [3]int64
-		for j := 0; j < 3; j++ {
-			v, r := binary.Uvarint(buf[pos:])
-			if r <= 0 {
-				return nil, fmt.Errorf("truncated footer")
-			}
-			if v > uint64(dataLen) {
-				return nil, fmt.Errorf("group %d: %d exceeds the %d bytes of row groups", i, v, dataLen)
-			}
-			vals[j] = int64(v)
-			pos += r
-		}
-		if vals[0]+vals[1] > dataLen {
-			return nil, fmt.Errorf("group %d runs past the %d bytes of row groups", i, dataLen)
-		}
-		groups[i] = groupMeta{offset: vals[0], length: vals[1], rows: vals[2]}
-	}
-	return groups, nil
-}
-
-// readTail returns the footer bytes of a file ending in footer,
-// footerLen(uint32 LE), magic.
-func readTail(r *hdfs.Reader, magic [4]byte) ([]byte, error) {
-	size := r.Size()
-	if size < 8 {
-		return nil, fmt.Errorf("file too small (%d bytes)", size)
-	}
-	var tail [8]byte
-	if _, err := r.ReadAt(tail[:], size-8); err != nil && err != io.EOF {
-		return nil, err
-	}
-	if [4]byte(tail[4:]) != magic {
-		return nil, fmt.Errorf("bad magic %q, want %q", tail[4:], magic[:])
-	}
-	flen := int64(binary.LittleEndian.Uint32(tail[:4]))
-	if flen <= 0 || flen > size-8 {
-		return nil, fmt.Errorf("bad footer length %d", flen)
-	}
-	buf := make([]byte, flen)
-	if _, err := r.ReadAt(buf, size-8-flen); err != nil && err != io.EOF {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFooter loads and checks the group footer of the row file at path.
-func readFooter(r *hdfs.Reader, path string) ([]groupMeta, error) {
-	var groups []groupMeta
-	buf, err := readTail(r, rowMagic)
-	if err == nil {
-		groups, err = decodeGroupFooter(buf, r.Size()-8-int64(len(buf)))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("colstore: row file %s: %w", path, err)
-	}
-	return groups, nil
-}
+func (rw *RowWriter) Close() error { return rw.close(rw.flushGroup) }
 
 // WriteRowTable writes rows into dir/part-00000 as one row file plus the
 // schema file, returning the number of rows written.
@@ -230,22 +115,8 @@ func RowTableVersion(fs *hdfs.FileSystem, dir string) uint64 {
 	return v
 }
 
-// RowSplit is a run of whole groups of one row file.
-type RowSplit struct {
-	Path   string
-	Groups []groupMeta
-	Hosts  []string
-	bytes  int64
-}
-
-// Locations implements mr.InputSplit.
-func (s *RowSplit) Locations() []string { return s.Hosts }
-
-// Length implements mr.InputSplit.
-func (s *RowSplit) Length() int64 { return s.bytes }
-
 // RowInput is an InputFormat over the row files under Dir (any file not
-// starting with "_"). Each split covers the groups within one HDFS block.
+// starting with "_"). Each split covers the groups that start in one HDFS block.
 // Records hold Columns (nil → all), in the order given. A row file is read
 // whole whatever Columns says; the columns left out are stepped over, not
 // decoded.
@@ -263,15 +134,7 @@ func (in *RowInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
 	}
-	var splits []mr.InputSplit
-	for _, path := range listDataFiles(ctx.FS, in.Dir) {
-		fileSplits, err := splitRowFile(ctx.FS, path)
-		if err != nil {
-			return nil, err
-		}
-		splits = append(splits, fileSplits...)
-	}
-	return splits, nil
+	return rowFormat.splits(ctx.FS, in.Dir)
 }
 
 func (in *RowInput) resolve(fs *hdfs.FileSystem) error {
@@ -304,81 +167,16 @@ func (in *RowInput) resolve(fs *hdfs.FileSystem) error {
 	return nil
 }
 
-// listDataFiles returns the non-metadata files under dir.
-func listDataFiles(fs *hdfs.FileSystem, dir string) []string {
-	var out []string
-	for _, p := range fs.List(dir + "/") {
-		base := p[len(dir)+1:]
-		if len(base) > 0 && base[0] != '_' {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// splitRowFile groups a row file's groups into block-aligned splits.
-func splitRowFile(fs *hdfs.FileSystem, path string) ([]mr.InputSplit, error) {
-	r, err := fs.Open(path, "")
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	groups, err := readFooter(r, path)
-	if err != nil {
-		return nil, err
-	}
-	return splitAtBlocks(fs, path, groups, func(g groupMeta) (int64, int64) { return g.offset, g.length },
-		func(gs []groupMeta, hosts []string, bytes int64) mr.InputSplit {
-			return &RowSplit{Path: path, Groups: gs, Hosts: hosts, bytes: bytes}
-		})
-}
-
-// splitAtBlocks cuts a file's groups, each at span(g) = (offset, byte
-// length) in file order, into one split per HDFS block a group starts in,
-// located where that block is: the split rule row files and RCFiles share.
-func splitAtBlocks[G any](fs *hdfs.FileSystem, path string, groups []G, span func(G) (offset, length int64),
-	split func(groups []G, hosts []string, bytes int64) mr.InputSplit) ([]mr.InputSplit, error) {
-	blockSize := fs.BlockSize()
-	var splits []mr.InputSplit
-	for lo := 0; lo < len(groups); {
-		offset, bytes := span(groups[lo])
-		locs, err := fs.BlockLocations(path, offset, 1)
-		if err != nil {
-			return nil, err
-		}
-		var hosts []string
-		if len(locs) > 0 {
-			hosts = locs[0].Hosts
-		}
-		hi := lo + 1
-		for ; hi < len(groups); hi++ {
-			o, l := span(groups[hi])
-			if o/blockSize != offset/blockSize {
-				break
-			}
-			bytes += l
-		}
-		splits = append(splits, split(groups[lo:hi], hosts, bytes))
-		lo = hi
-	}
-	return splits, nil
-}
-
 // Open implements mr.InputFormat.
 func (in *RowInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordReader, error) {
-	s, ok := split.(*RowSplit)
-	if !ok {
-		return nil, fmt.Errorf("colstore: RowInput got %T split", split)
-	}
 	if err := in.resolve(ctx.FS); err != nil {
 		return nil, err
 	}
-	r, err := ctx.FS.Open(s.Path, ctx.Node().ID())
+	r, s, err := openGroupSplit(split, ctx)
 	if err != nil {
 		return nil, err
 	}
-	r.SetTrace(ctx.TraceContext())
-	return &rowReader{r: r, in: in, groups: s.Groups}, nil
+	return &rowReader{r: r, in: in, path: s.path, groups: s.groups}, nil
 }
 
 // rowReader iterates the records of a row split, reading one group at a
@@ -388,6 +186,7 @@ func (in *RowInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRea
 type rowReader struct {
 	r      *hdfs.Reader
 	in     *RowInput
+	path   string
 	groups []groupMeta
 	gi     int
 	buf    []byte
@@ -416,7 +215,7 @@ func (rr *rowReader) Next() (records.Record, records.Record, bool, error) {
 		n, err = rr.decodeProjected(rr.buf[rr.pos:])
 	}
 	if err != nil {
-		return records.Record{}, records.Record{}, false, err
+		return records.Record{}, records.Record{}, false, fmt.Errorf("colstore: row file %s: %w", rr.path, err)
 	}
 	rr.pos += n
 	return records.Record{}, rr.row, true, nil

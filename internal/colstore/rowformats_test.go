@@ -29,7 +29,7 @@ func genIntRows(n int) func(emit func(records.Record) error) error {
 // openOnlySplit opens the reader of a one-split input.
 func openOnlySplit(t *testing.T, e *env, in mr.InputFormat) mr.RecordReader {
 	t.Helper()
-	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil || len(splits) != 1 {
 		t.Fatalf("%d splits, %v; want one", len(splits), err)
@@ -108,13 +108,13 @@ func TestHostileFootersAreRefused(t *testing.T) {
 		"rc: cut short":              {append(uv(1, 0, 1, 1, 1), 0x80), true, "truncated"},
 	} {
 		e := newEnv(1, 1<<16)
-		magic, path := rowMagic, "/t/part-00000"
+		format, path := rowFormat, "/t/part-00000"
 		if c.rc {
-			magic = rcMagic
+			format = rcFormat(3)
 		}
 		file := append(append([]byte(nil), data...), c.footer...)
 		file = binary.LittleEndian.AppendUint32(file, uint32(len(c.footer)))
-		file = append(file, magic[:]...)
+		file = append(file, format.magic[:]...)
 		if err := e.fs.WriteFile(path, "", file); err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +122,7 @@ func TestHostileFootersAreRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.rc {
-			_, err = readRCFooter(r, path, 3)
-		} else {
-			_, err = readFooter(r, path)
-		}
+		_, err = format.readFooter(r, path)
 		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), path) {
 			t.Errorf("%s: got %v, want an error naming %s and saying %q", name, err, path, c.want)
 		}
@@ -169,7 +165,7 @@ func rcFooterCorpus(t testing.TB) map[string]fuzzSeed {
 func FuzzRCFooter(f *testing.F) {
 	c := cluster.New(cluster.Testing(1))
 	fs := hdfs.New(c, hdfs.Options{Seed: 5})
-	jctx := &mr.JobContext{FS: fs, Cluster: c, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: fs, Cluster: c, Counters: mr.NewCounters()}
 	const path = "/fuzz/part-00000"
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs.Delete(path)
@@ -185,7 +181,7 @@ func FuzzRCFooter(f *testing.F) {
 			return
 		}
 		for _, s := range splits {
-			for _, g := range s.(*RCSplit).Groups {
+			for _, g := range s.(*groupSplit).groups {
 				end := g.offset
 				for _, l := range g.chunkLens {
 					end += l
@@ -211,10 +207,105 @@ func FuzzRCFooter(f *testing.F) {
 	})
 }
 
+// rowFooterCorpus is FuzzRowFooter's seed corpus: a good file of several
+// groups and the four ways its footer can lie about it.
+func rowFooterCorpus(t testing.TB) map[string]fuzzSeed {
+	c := cluster.New(cluster.Testing(1))
+	fs := hdfs.New(c, hdfs.Options{Seed: 5})
+	w, err := NewRowWriter(fs, "/rows/part-00000", "", intsSchema, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := genIntRows(100)(w.Append); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := fs.ReadAll("/rows/part-00000", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flen := int(binary.LittleEndian.Uint32(good[len(good)-8:]))
+	body, footer := good[:len(good)-8-flen], good[len(good)-8-flen:len(good)-8]
+	reframe := func(footer []byte) []byte {
+		out := append(append([]byte(nil), body...), footer...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
+		return append(out, rowFormat.magic[:]...)
+	}
+	_, countLen := binary.Uvarint(footer)
+	_, lengthLen := binary.Uvarint(footer[countLen+1:]) // the first group's, after its offset 0
+	return map[string]fuzzSeed{
+		"good":            corpusEntry(good),
+		"truncated":       corpusEntry(reframe(footer[:len(footer)-2])),
+		"oversized-count": corpusEntry(reframe(append(binary.AppendUvarint(nil, 1<<40), footer[countLen:]...))),
+		"oversized-length": corpusEntry(reframe(append(append([]byte(nil), footer[:countLen+1]...),
+			append(binary.AppendUvarint(nil, 1<<40), footer[countLen+1+lengthLen:]...)...))),
+		"overrun": corpusEntry(reframe(append(append(append([]byte(nil), footer[:countLen]...),
+			binary.AppendUvarint(nil, uint64(len(body)-1))...), footer[countLen+1:]...))),
+	}
+}
+
+// FuzzRowFooter is FuzzRCFooter's twin for row files, the files of every
+// dimension table and every Hive intermediate: whatever the bytes, splitting,
+// opening and reading the file returns rows or an error naming the file. It
+// does not panic, and every group a footer yields lies inside the file.
+func FuzzRowFooter(f *testing.F) {
+	c := cluster.New(cluster.Testing(1))
+	fs := hdfs.New(c, hdfs.Options{Seed: 5})
+	jctx := &mr.JobContext{FS: fs, Cluster: c, Counters: mr.NewCounters()}
+	const path = "/fuzz/part-00000"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs.Delete(path)
+		if err := fs.WriteFile(path, "", data); err != nil {
+			t.Fatal(err)
+		}
+		in := &RowInput{Dir: "/fuzz", Schema: intsSchema}
+		splits, err := in.Splits(jctx)
+		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("footer error does not name the file: %v", err)
+			}
+			return
+		}
+		for _, s := range splits {
+			for _, g := range s.(*groupSplit).groups {
+				if g.offset < 0 || g.length < 0 || g.rows < 0 || g.offset+g.length > int64(len(data)) {
+					t.Fatalf("group %+v accepted in a %d-byte file", g, len(data))
+				}
+			}
+			r, err := in.Open(s, mr.NewTestTaskContext(jctx, c.Nodes()[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rows := 0; ; rows++ {
+				_, _, ok, err := r.Next()
+				if err != nil && !strings.Contains(err.Error(), path) {
+					t.Fatalf("read error does not name the file: %v", err)
+				}
+				if !ok || err != nil {
+					break
+				}
+				if rows > len(data) {
+					t.Fatalf("more than %d rows out of a %d-byte file", rows, len(data))
+				}
+			}
+			r.Close()
+		}
+	})
+}
+
 // decodeRCFooterOf decodes the footer of an intsSchema RC file held in memory.
-func decodeRCFooterOf(file []byte) ([]rcGroupMeta, error) {
+func decodeRCFooterOf(file []byte) ([]groupMeta, error) {
+	return decodeFooterOf(rcFormat(intsSchema.Len()), file)
+}
+
+// decodeRowFooterOf decodes the footer of a row file held in memory.
+func decodeRowFooterOf(file []byte) ([]groupMeta, error) { return decodeFooterOf(rowFormat, file) }
+
+func decodeFooterOf(f groupFormat, file []byte) ([]groupMeta, error) {
 	flen := int(binary.LittleEndian.Uint32(file[len(file)-8:]))
-	return decodeRCFooter(file[len(file)-8-flen:len(file)-8], intsSchema.Len(), int64(len(file)-8-flen))
+	return f.decodeFooter(file[len(file)-8-flen:len(file)-8], int64(len(file)-8-flen))
 }
 
 // TestSkippedColumnsAreChecked: a projected row read steps over the columns

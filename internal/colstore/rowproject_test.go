@@ -15,7 +15,7 @@ import (
 // readRows reads every split of in, cloning each row.
 func readRows(t *testing.T, c *cluster.Cluster, fs *hdfs.FileSystem, in mr.InputFormat) []records.Record {
 	t.Helper()
-	jctx := &mr.JobContext{FS: fs, Cluster: c, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: fs, Cluster: c, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)

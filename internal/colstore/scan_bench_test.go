@@ -37,7 +37,7 @@ func BenchmarkCIFScan(b *testing.B) {
 			var rows int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Conf: mr.NewJobConf(), Counters: mr.NewCounters()}
+				jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
 				splits, err := bc.in.Splits(jctx)
 				if err != nil {
 					b.Fatal(err)

@@ -349,15 +349,12 @@ func (e *Engine) factScan(sh *plan.Shape, head []DimSpec, pin *Pin) *colstore.CI
 // tasks share the node's hash tables, and a probe thread per map slot, for
 // which CIFInput packs multi-splits (MultiCIF) so each thread gets its own
 // readers.
-func (e *Engine) mapJoinConf() *mr.JobConf {
-	conf := mr.NewJobConf()
-	if !e.opts.Ablate.Has(NoMultiThreading) {
-		cfg := e.mr.Cluster().Config()
-		conf.SetInt(mr.ConfTaskMemory, cfg.MemoryPerNode)
-		conf.SetBool(mr.ConfJVMReuse, true)
-		conf.SetInt(mr.ConfMapThreads, int64(cfg.MapSlots))
+func (e *Engine) mapJoinConf() mr.Conf {
+	if e.opts.Ablate.Has(NoMultiThreading) {
+		return mr.Conf{}
 	}
-	return conf
+	cfg := e.mr.Cluster().Config()
+	return mr.Conf{TaskMemory: cfg.MemoryPerNode, JVMReuse: true, MapThreads: cfg.MapSlots}
 }
 
 // sumJob fills in the grouped-SUM reduce side of a plan's last pass:
@@ -365,9 +362,7 @@ func (e *Engine) mapJoinConf() *mr.JobConf {
 // reducer per worker node (the paper's one reduce slot per node), a single
 // one for a grand aggregate.
 func (e *Engine) sumJob(job *mr.Job, sh *plan.Shape) {
-	if e.opts.Speculative {
-		job.Conf.SetBool(mr.ConfSpeculative, true)
-	}
+	job.Conf.Speculative = e.opts.Speculative
 	job.NewReducer = func() mr.Reducer { return SumReducer{} }
 	job.NewCombiner = func() mr.Reducer { return SumReducer{} }
 	job.NumReduceTasks = len(e.mr.Cluster().Nodes())

@@ -247,13 +247,7 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 	// §5.2 requirement (3): the scheduler tells the task how many slots it
 	// may occupy; cap the thread count accordingly and let threads pull
 	// readers from a queue (a pack may hold more splits than slots).
-	threads := int(ctx.Conf.GetInt(mr.ConfMapThreads, 1))
-	if threads < 1 {
-		threads = 1
-	}
-	if threads > len(readers) {
-		threads = len(readers)
-	}
+	threads := min(max(ctx.Conf.MapThreads, 1), len(readers))
 	ctx.Counters.Add(CtrProbeThreads, int64(threads))
 
 	probeStart := time.Now()

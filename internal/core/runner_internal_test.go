@@ -77,7 +77,7 @@ func TestRunClosesEachDrainedReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &colstore.CIFInput{Dir: "/t/fact"}
-	jctx := &mr.JobContext{FS: fs, Cluster: c, Conf: mr.NewJobConf().SetInt(mr.ConfMapThreads, 2), Counters: mr.NewCounters()}
+	jctx := &mr.JobContext{FS: fs, Cluster: c, Conf: mr.Conf{MapThreads: 2}, Counters: mr.NewCounters()}
 	splits, err := in.Splits(jctx)
 	if err != nil {
 		t.Fatal(err)

@@ -72,9 +72,10 @@ func (e *Engine) runMapJoinStage(ctx context.Context, sp *stagedPlan, st *joinSt
 		return nil, err
 	}
 
+	// Hive's default job settings (the zero mr.Conf): no JVM reuse, default
+	// task memory.
 	job := &mr.Job{
 		Name:       fmt.Sprintf("hive-mapjoin-%s-%s", sp.name, st.spec.Table),
-		Conf:       mr.NewJobConf(), // note: no JVM reuse, default task memory
 		Input:      bigInput,
 		Output:     &colstore.RowOutput{Dir: st.outDir, Schema: st.outSchema},
 		CacheFiles: []string{cachePath},

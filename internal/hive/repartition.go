@@ -134,7 +134,6 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 
 	job := &mr.Job{
 		Name:  fmt.Sprintf("hive-rep-%s-%s", sp.name, st.spec.Table),
-		Conf:  mr.NewJobConf(),
 		Input: &taggedInput{sources: []mr.InputFormat{dimInput, bigInput}},
 		Output: &colstore.RowOutput{
 			Dir:    st.outDir,

@@ -42,7 +42,6 @@ func (e *Engine) runGroupByStage(ctx context.Context, sp *stagedPlan, in stageIn
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
 		Name:   "hive-groupby-" + sp.name,
-		Conf:   mr.NewJobConf(),
 		Input:  input,
 		Output: out,
 		NewMapper: func() mr.Mapper {
@@ -92,7 +91,6 @@ func (e *Engine) runOrderByStage(ctx context.Context, sp *stagedPlan, rs *result
 	out := &mr.MemoryOutput{}
 	job := &mr.Job{
 		Name:   "hive-orderby-" + sp.name,
-		Conf:   mr.NewJobConf(),
 		Input:  &colstore.RowInput{Dir: dir, Schema: schema},
 		Output: out,
 		NewMapper: func() mr.Mapper {

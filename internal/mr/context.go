@@ -56,7 +56,7 @@ func (p *jvmPool) release(jvm *JVM, reuse bool) {
 // JobContext is the job-scoped view handed to InputFormat.Splits.
 type JobContext struct {
 	JobID    string
-	Conf     *JobConf
+	Conf     Conf
 	FS       *hdfs.FileSystem
 	Cluster  *cluster.Cluster
 	Counters *Counters

@@ -112,7 +112,7 @@ func (e *Engine) Submit(ctx context.Context, job *Job) (res *JobResult, err erro
 		m.Counter("mr.jobs_submitted").Inc()
 	}
 	counters := NewCounters()
-	jctx := &JobContext{JobID: jobID, Conf: job.conf(), FS: e.fs, Cluster: e.cluster, Counters: counters, Tracer: e.opts.Tracer}
+	jctx := &JobContext{JobID: jobID, Conf: job.Conf, FS: e.fs, Cluster: e.cluster, Counters: counters, Tracer: e.opts.Tracer}
 
 	// A traced submission (serve/core put a SpanContext in ctx) gets a job
 	// span: the root of this job's subtree in the query's trace. Deferred so
@@ -164,9 +164,9 @@ func (e *Engine) Submit(ctx context.Context, job *Job) (res *JobResult, err erro
 		splits:     splits,
 		mapOutputs: make([]*mapOutput, len(splits)),
 		jvmPools:   make(map[string]*jvmPool),
-		reuse:      job.conf().GetBool(ConfJVMReuse, false),
+		reuse:      job.Conf.JVMReuse,
 	}
-	run.taskMem = job.conf().GetInt(ConfTaskMemory, 0)
+	run.taskMem = job.Conf.TaskMemory
 	if run.taskMem <= 0 {
 		cfg := e.cluster.Config()
 		run.taskMem = cfg.MemoryPerNode / int64(cfg.MapSlots)
@@ -472,7 +472,7 @@ func (run *jobRun) mapPhase() error {
 		name:         "map",
 		capNode:      run.capPerNode(),
 		locations:    locations,
-		speculative:  firstWins && run.job.conf().GetBool(ConfSpeculative, false),
+		speculative:  firstWins && run.job.Conf.Speculative,
 		eagerRequeue: firstWins,
 		exec: func(a assignment, node *cluster.Node, qwait time.Duration, tsc obs.SpanContext, superseded func() bool) (*mapOutput, map[string]time.Duration, error) {
 			return run.executeMapAttempt(a.task, node, a.attempt, a.place, qwait, tsc, superseded)

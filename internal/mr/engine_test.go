@@ -222,7 +222,7 @@ func TestCapacitySchedulerOneTaskPerNode(t *testing.T) {
 	job := wordCountJob(splits, out, 1)
 	// Request the whole node's memory → capacity scheduler must cap at one
 	// concurrent task per node (§5.2).
-	job.Conf = NewJobConf().SetInt(ConfTaskMemory, nodeMem)
+	job.Conf = Conf{TaskMemory: nodeMem}
 	base := job.NewMapper
 	job.NewMapper = func() Mapper {
 		return &instrumentedMapper{inner: base(), enter: func(node string) {
@@ -278,10 +278,8 @@ func TestJVMReuseSharesStatics(t *testing.T) {
 	run := func(reuse bool) (jvms map[*JVM]bool, c *Counters) {
 		splits := wordSplits(nil, []string{"a"}, []string{"b"}, []string{"c"}, []string{"d"})
 		job := wordCountJob(splits, &MemoryOutput{}, 1)
-		conf := NewJobConf().SetBool(ConfJVMReuse, reuse)
 		// One task at a time per node so consecutive tasks can reuse.
-		conf.SetInt(ConfTaskMemory, e.Cluster().Config().MemoryPerNode)
-		job.Conf = conf
+		job.Conf = Conf{JVMReuse: reuse, TaskMemory: e.Cluster().Config().MemoryPerNode}
 		var mu sync.Mutex
 		jvms = make(map[*JVM]bool)
 		base := job.NewMapper
@@ -437,7 +435,7 @@ func TestTaskMemoryReservationOOM(t *testing.T) {
 	}
 	// With a bigger declared task memory it fits.
 	job2 := &Job{
-		Conf:   NewJobConf().SetInt(ConfTaskMemory, nodeMem),
+		Conf:   Conf{TaskMemory: nodeMem},
 		Input:  &MemoryInput{SplitsList: wordSplits(nil, []string{"a"})},
 		Output: &MemoryOutput{},
 		NewMapper: func() Mapper {
@@ -589,21 +587,6 @@ func TestNodeDeathDuringShuffleReexecutesMaps(t *testing.T) {
 		t.Errorf("counts = %v", got)
 	}
 	_ = res
-}
-
-func TestJobConfTypedAccessors(t *testing.T) {
-	c := NewJobConf()
-	c.Set("s", "v").SetInt("i", 42).SetBool("b", true)
-	if c.Get("s") != "v" || c.GetInt("i", 0) != 42 || !c.GetBool("b", false) {
-		t.Error("round trip failed")
-	}
-	if c.GetInt("missing", 7) != 7 || c.GetBool("missing", true) != true {
-		t.Error("defaults failed")
-	}
-	c.Set("badint", "xx").Set("badbool", "yy")
-	if c.GetInt("badint", 5) != 5 || c.GetBool("badbool", true) != true {
-		t.Error("malformed values must fall back to defaults")
-	}
 }
 
 func TestCountersMergeAndNames(t *testing.T) {

@@ -14,92 +14,33 @@
 package mr
 
 import (
-	"strconv"
-	"sync"
 	"time"
 
 	"clydesdale/internal/records"
 )
 
-// Standard configuration keys.
-const (
-	// ConfTaskMemory is the per-task memory requirement in bytes. The
-	// capacity scheduler limits concurrent tasks per node to
-	// floor(node memory / task memory); requesting the whole node therefore
-	// yields exactly one concurrent task per node (§5.2).
-	ConfTaskMemory = "mr.task.memory"
-	// ConfJVMReuse enables JVM reuse: consecutive tasks of the same job on a
-	// node run in a recycled JVM and see its static state (§3, §5.2).
-	ConfJVMReuse = "mr.jvm.reuse"
-	// ConfMapThreads is the thread count a multi-threaded MapRunner should
-	// use (the slots the task occupies, §5.2 requirement 3). An input format
-	// that packs multi-splits (MultiCIF, §5.1) packs only when it is above 1.
-	ConfMapThreads = "mr.map.threads"
-	// ConfSpeculative enables speculative execution of map tasks: when no
+// Conf holds a job's settings. The zero value is Hadoop's default job:
+// default task memory, no JVM reuse, one map thread, no speculation.
+type Conf struct {
+	// TaskMemory is the per-task memory requirement in bytes (<= 0: the
+	// node's memory over its map slots). The capacity scheduler limits
+	// concurrent tasks per node to floor(node memory / task memory);
+	// requesting the whole node therefore yields exactly one concurrent task
+	// per node (§5.2).
+	TaskMemory int64
+	// JVMReuse runs consecutive tasks of the job on a node in a recycled
+	// JVM that keeps its static state (§3, §5.2).
+	JVMReuse bool
+	// MapThreads is the thread count a multi-threaded MapRunner should use
+	// (the slots the task occupies, §5.2 requirement 3); <= 1 means one. An
+	// input format that packs multi-splits (MultiCIF, §5.1) packs only when
+	// it is above 1.
+	MapThreads int
+	// Speculative enables speculative execution of map tasks: when no
 	// pending tasks remain, idle slots launch backup attempts of still-
 	// running tasks; the first attempt to finish wins and the loser is
 	// cancelled (Hadoop's straggler mitigation).
-	ConfSpeculative = "mr.speculative.maps"
-)
-
-// JobConf is a string-typed configuration map with typed accessors,
-// mirroring Hadoop's JobConf. The zero value is usable.
-type JobConf struct {
-	mu sync.RWMutex
-	m  map[string]string
-}
-
-// NewJobConf returns an empty configuration.
-func NewJobConf() *JobConf { return &JobConf{} }
-
-// Set stores a string value.
-func (c *JobConf) Set(key, val string) *JobConf {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]string)
-	}
-	c.m[key] = val
-	return c
-}
-
-// Get fetches a string value, with "" when absent.
-func (c *JobConf) Get(key string) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.m[key]
-}
-
-// SetInt stores an integer value.
-func (c *JobConf) SetInt(key string, v int64) *JobConf { return c.Set(key, strconv.FormatInt(v, 10)) }
-
-// GetInt fetches an integer value, with def when absent or malformed.
-func (c *JobConf) GetInt(key string, def int64) int64 {
-	s := c.Get(key)
-	if s == "" {
-		return def
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return def
-	}
-	return v
-}
-
-// SetBool stores a boolean value.
-func (c *JobConf) SetBool(key string, v bool) *JobConf { return c.Set(key, strconv.FormatBool(v)) }
-
-// GetBool fetches a boolean value, with def when absent or malformed.
-func (c *JobConf) GetBool(key string, def bool) bool {
-	s := c.Get(key)
-	if s == "" {
-		return def
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		return def
-	}
-	return v
+	Speculative bool
 }
 
 // InputSplit is a schedulable unit of input. Locations lists the nodes
@@ -196,7 +137,7 @@ func HashPartitioner(key records.Record, numPartitions int) int {
 // to the OutputFormat, as Hive's mapjoin stages do.
 type Job struct {
 	Name string
-	Conf *JobConf
+	Conf Conf
 
 	Input  InputFormat
 	Output OutputFormat
@@ -225,14 +166,6 @@ type Job struct {
 	// FailureInjector, when non-nil, is consulted before each task attempt;
 	// a non-nil error fails that attempt. Used by fault-tolerance tests.
 	FailureInjector func(taskID string, attempt int) error
-}
-
-// conf returns the job's configuration, never nil.
-func (j *Job) conf() *JobConf {
-	if j.Conf == nil {
-		j.Conf = NewJobConf()
-	}
-	return j.Conf
 }
 
 // TaskReport summarizes one executed task attempt chain.

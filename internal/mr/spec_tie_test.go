@@ -55,7 +55,7 @@ func TestSpeculativeTieBothOrders(t *testing.T) {
 			out := &MemoryOutput{}
 			job := &Job{
 				Name:  fmt.Sprintf("spec-tie-%s", name),
-				Conf:  NewJobConf().SetBool(ConfSpeculative, true),
+				Conf:  Conf{Speculative: true},
 				Input: &MemoryInput{SplitsList: []*MemorySplit{bigWordSplit("w", 1, "node-0")}},
 				NewMapper: func() Mapper {
 					return &rendezvousMapper{arrived: arrived, release: release}

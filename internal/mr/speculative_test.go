@@ -71,8 +71,7 @@ func TestSpeculativeExecutionMitigatesStraggler(t *testing.T) {
 		Name: "speculative",
 		// A whole node's memory per task: one map slot per node, so the only
 		// slot a backup can get is the one m-1 frees.
-		Conf: NewJobConf().SetBool(ConfSpeculative, true).
-			SetInt(ConfTaskMemory, e.Cluster().Config().MemoryPerNode),
+		Conf:  Conf{Speculative: true, TaskMemory: e.Cluster().Config().MemoryPerNode},
 		Input: &MemoryInput{SplitsList: splits},
 		NewMapper: func() Mapper {
 			return &stragglerMapper{slowTask: "m-0", backupDone: backupDone}
@@ -145,7 +144,7 @@ func TestSpeculationIgnoredForMapOnlyJobs(t *testing.T) {
 	out := &MemoryOutput{}
 	job := &Job{
 		Name:  "maponly-spec",
-		Conf:  NewJobConf().SetBool(ConfSpeculative, true),
+		Conf:  Conf{Speculative: true},
 		Input: &MemoryInput{SplitsList: []*MemorySplit{bigWordSplit("z", 300)}},
 		NewMapper: func() Mapper {
 			return MapperFunc(func(_, v records.Record, c Collector) error {

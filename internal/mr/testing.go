@@ -6,9 +6,6 @@ import "clydesdale/internal/cluster"
 // exercising InputFormats and readers outside a running job (tests, tools).
 // Memory allowance is the node's full budget and the JVM is fresh.
 func NewTestTaskContext(jctx *JobContext, node *cluster.Node) *TaskContext {
-	if jctx.Conf == nil {
-		jctx.Conf = NewJobConf()
-	}
 	if jctx.Counters == nil {
 		jctx.Counters = NewCounters()
 	}

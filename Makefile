@@ -44,7 +44,11 @@ vet:
 # fields of mr.Conf (no JobConf, NewJobConf). Nor does a second group-file
 # framing: row files and RCFiles share one footer codec, split type, split
 # cutter and open step (internal/colstore/groupfile.go), so no RowSplit,
-# RCSplit, decodeRCFooter, decodeGroupFooter or splitRowFile.
+# RCSplit, decodeRCFooter, decodeGroupFooter or splitRowFile. Nor does a
+# guessed span parent: a task phase is opened with TaskContext.Begin under
+# the phase it runs in, so the profile nests spans by Parent alone, with no
+# time-containment pass in internal/obs (refine, strictlyContains,
+# containerOrder) and no phase emitted flat under its task (ctx.Span).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -66,6 +70,9 @@ no-deprecated:
 		echo "string-keyed job configuration: a job's settings are the typed fields of mr.Conf"; exit 1; fi
 	@if grep -rnw --include='*.go' -e RowSplit -e RCSplit -e decodeRCFooter -e decodeGroupFooter -e splitRowFile .; then \
 		echo "second group-file framing: row files and RCFiles share internal/colstore/groupfile.go"; exit 1; fi
+	@if grep -rn -e 'refine(' -e strictlyContains -e containerOrder internal/obs || \
+		grep -rn --include='*.go' 'ctx.Span(obs.Phase' .; then \
+		echo "a span's parent is the one it names: TaskContext.Begin"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

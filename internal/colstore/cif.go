@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -1016,28 +1017,19 @@ func newCIFReader(ctx *mr.TaskContext, s *CIFSplit, in *CIFInput, blockRows int)
 
 // load fetches the partition's projected column files from HDFS (charging
 // only those columns' bytes — the I/O saving of columnar storage). The fetch
-// is recorded as a "read" span on the owning task, with the partition and
-// whether this node holds the partition's replicas.
+// is the task's "read" phase, opened in the thread form because a probe
+// thread may do it, with the partition and whether this node holds the
+// partition's replicas; each file's hdfs-read span is parented under it.
 func (r *cifReader) load() error {
 	if r.loaded {
 		return nil
 	}
 	r.loaded = true
-	readStart := time.Now()
-	local := false
-	for _, h := range r.split.Locations() {
-		if h == r.ctx.Node().ID() {
-			local = true
-			break
-		}
-	}
-	defer func() {
-		r.ctx.Span(obs.PhaseRead, readStart,
-			"partition", r.split.PartitionDir,
-			"local", strconv.FormatBool(local))
-	}()
+	local := slices.Contains(r.split.Locations(), r.ctx.Node().ID())
+	reading := r.ctx.BeginThread(obs.PhaseRead)
+	defer reading.End("partition", r.split.PartitionDir, "local", strconv.FormatBool(local))
 	decs, rows, err := openPartition(r.split.PartitionDir, r.schema, func(path string) ([]byte, error) {
-		return r.ctx.FS.ReadAllTraced(path, r.ctx.Node().ID(), r.ctx.TraceContext())
+		return r.ctx.FS.ReadAllTraced(path, r.ctx.Node().ID(), reading.Trace)
 	})
 	if err != nil {
 		return err

@@ -234,7 +234,7 @@ func (f groupFormat) splits(fs *hdfs.FileSystem, dir string) ([]mr.InputSplit, e
 }
 
 // openGroupSplit opens a split's file on the task's node, its reads traced
-// under the task.
+// under the task's innermost open phase (the map that opens its input).
 func openGroupSplit(split mr.InputSplit, ctx *mr.TaskContext) (*hdfs.Reader, *groupSplit, error) {
 	s, ok := split.(*groupSplit)
 	if !ok {

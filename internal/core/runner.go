@@ -116,6 +116,7 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 // node-local copy.
 func buildDim(ctx *mr.TaskContext, dimDir string, spec *DimSpec) (*DimHashTable, error) {
 	start := time.Now()
+	building := ctx.Begin(obs.PhaseHashBuild)
 	h, err := BuildDimHashTable(ctx.FS, ctx.Node(), dimDir, spec)
 	if err != nil {
 		return nil, err
@@ -135,7 +136,7 @@ func buildDim(ctx *mr.TaskContext, dimDir string, spec *DimSpec) (*DimHashTable,
 		ctx.Counters.Add(name, m.v)
 		attrs = append(attrs, name, strconv.FormatInt(m.v, 10))
 	}
-	ctx.Span(obs.PhaseHashBuild, start, attrs...)
+	building.End(attrs...)
 	return h, nil
 }
 
@@ -251,6 +252,7 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 	ctx.Counters.Add(CtrProbeThreads, int64(threads))
 
 	probeStart := time.Now()
+	probing := ctx.Begin(obs.PhaseProbe)
 	queue := make(chan mr.RecordReader, len(readers))
 	for _, rd := range readers {
 		queue <- rd
@@ -285,7 +287,7 @@ func (r *starJoinRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr
 	}
 	wg.Wait()
 	ctx.Counters.Add(CtrProbeNanos, time.Since(probeStart).Nanoseconds())
-	ctx.Span(obs.PhaseProbe, probeStart, "threads", fmt.Sprint(threads))
+	probing.End("threads", fmt.Sprint(threads))
 	for _, err := range errs {
 		if err != nil {
 			return err

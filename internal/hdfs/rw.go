@@ -567,9 +567,9 @@ func (fs *FileSystem) ReadAll(path, clientNode string) ([]byte, error) {
 }
 
 // ReadAllTraced reads the entire file with the read span parented at the
-// given trace position (a task attempt's context), so whole-file reads —
-// the column-store load path — land inside their task in the profile. Its
-// bytes are read-only for life, as ReadAll's are.
+// given trace position (the task phase doing the read), so whole-file reads
+// — the column-store load path — land inside their phase in the profile.
+// Its bytes are read-only for life, as ReadAll's are.
 func (fs *FileSystem) ReadAllTraced(path, clientNode string, sc obs.SpanContext) ([]byte, error) {
 	r, err := fs.Open(path, clientNode)
 	if err != nil {

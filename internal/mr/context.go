@@ -62,7 +62,7 @@ type JobContext struct {
 	Counters *Counters
 	// Tracer receives sub-phase spans; nil or sink-less means tracing is
 	// disabled (the fast path). Input formats and runners may emit into it
-	// directly or via TaskContext.Span.
+	// directly or via TaskContext.Begin.
 	Tracer *obs.Tracer
 	// Trace is the job span's position in the submitting query's trace
 	// (zero when the submission was untraced). Task attempts and driver-side
@@ -90,6 +90,7 @@ type TaskContext struct {
 
 	phaseMu sync.Mutex
 	phases  map[string]time.Duration
+	open    []obs.SpanContext // phases Begin opened that have not ended, innermost last
 
 	tally tally
 }
@@ -121,33 +122,73 @@ func (t *TaskContext) Phases() map[string]time.Duration {
 	return out
 }
 
-// Span records a completed sub-phase that started at start and ends now:
-// it accumulates into the attempt's phase durations and, when tracing is
-// enabled, emits a span to the job's tracer, parented under this attempt's
-// task span. attrs are alternating key/value pairs, attached only when
-// tracing is enabled.
-func (t *TaskContext) Span(name string, start time.Time, attrs ...string) {
-	end := time.Now()
-	t.ObservePhase(name, end.Sub(start))
+// Phase is a sub-phase of a task attempt, open from Begin or BeginThread
+// until End. It is a value, so opening a phase allocates nothing.
+type Phase struct {
+	// Trace is the phase's position in the attempt's trace.
+	Trace obs.SpanContext
+
+	t      *TaskContext
+	name   string
+	parent obs.SpanContext
+	start  time.Time
+	depth  int // Begin's: how many phases were open below it; BeginThread's: -1
+}
+
+// Begin opens the named sub-phase of the attempt, on the attempt's own
+// goroutine: a child of the innermost open phase, or of the attempt's task
+// span when none is open. It stays innermost, so TraceContext returns it,
+// until End. A phase with children must end on every path out of it, or its
+// children are orphans.
+func (t *TaskContext) Begin(name string) Phase {
+	p := t.BeginThread(name)
+	t.phaseMu.Lock()
+	p.depth = len(t.open)
+	t.open = append(t.open, p.Trace)
+	t.phaseMu.Unlock()
+	return p
+}
+
+// BeginThread is Begin for a thread the attempt started: the phase is a
+// child of the innermost open phase but does not become innermost, so any
+// number of threads may hold phases at once. Work inside it parents its
+// spans at the phase's Trace explicitly.
+func (t *TaskContext) BeginThread(name string) Phase {
+	parent := t.TraceContext()
+	return Phase{Trace: parent.NewChild(), t: t, name: name, parent: parent, start: time.Now(), depth: -1}
+}
+
+// End closes the phase, and any phase opened inside it with Begin that was
+// left open. It accumulates the phase's duration into the attempt's phase
+// durations and, when tracing is enabled, emits its span; attrs are
+// alternating key/value pairs, attached only then.
+func (p Phase) End(attrs ...string) {
+	t, end := p.t, time.Now()
+	if p.depth >= 0 {
+		t.phaseMu.Lock()
+		t.open = t.open[:p.depth]
+		t.phaseMu.Unlock()
+	}
+	t.ObservePhase(p.name, end.Sub(p.start))
 	if t.Tracer.Enabled() {
-		s := obs.Span{
-			Job:    t.JobID,
-			Name:   name,
-			Node:   t.node.ID(),
-			TaskID: t.TaskID,
-			Start:  start,
-			End:    end,
-			Attrs:  obs.Attrs(attrs...),
-		}
-		t.sc.NewChild().Fill(&s, t.sc.Span)
+		s := obs.Span{Job: t.JobID, Name: p.name, Node: t.node.ID(), TaskID: t.TaskID, Start: p.start, End: end, Attrs: obs.Attrs(attrs...)}
+		p.Trace.Fill(&s, p.parent.Span)
 		t.Tracer.Emit(s)
 	}
 }
 
-// TraceContext returns the attempt span's trace position. Work done on
-// behalf of this attempt in other layers (HDFS reads, column loads) parents
-// its spans here so it lands inside the attempt in the assembled profile.
-func (t *TaskContext) TraceContext() obs.SpanContext { return t.sc }
+// TraceContext returns the innermost open phase's trace position, or the
+// attempt span's when no phase is open. Work done on behalf of this attempt
+// in other layers (HDFS reads, column loads) parents its spans here so it
+// lands inside the phase that did it in the assembled profile.
+func (t *TaskContext) TraceContext() obs.SpanContext {
+	t.phaseMu.Lock()
+	defer t.phaseMu.Unlock()
+	if n := len(t.open); n > 0 {
+		return t.open[n-1]
+	}
+	return t.sc
+}
 
 // Superseded reports whether another attempt of this task already finished
 // (speculative execution); long-running mappers may poll it and abandon

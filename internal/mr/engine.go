@@ -266,7 +266,8 @@ func (run *jobRun) capPerNode() int {
 // emitSpanUnder emits one completed span, parented at the given trace
 // position, when tracing is enabled; a no-op (one atomic load) otherwise.
 // With an invalid parent the span is emitted uncorrelated, preserving the
-// untraced JSONL behaviour.
+// untraced JSONL behaviour. Only queue-wait, which precedes the attempt's
+// TaskContext, is emitted here; an attempt's phases use TaskContext.Begin.
 func (run *jobRun) emitSpanUnder(parent obs.SpanContext, name, node, taskID string, start, end time.Time, attrs ...string) {
 	tr := run.engine.opts.Tracer
 	if !tr.Enabled() {
@@ -503,28 +504,11 @@ func (run *jobRun) startAttempt(taskID string, node *cluster.Node, attempt int, 
 			return nil, false, ferr
 		}
 	}
-	launchStart := time.Now()
-	node.ChargeOverhead(e.opts.TaskLaunchOverhead)
-	launchDur := time.Since(launchStart)
-
-	jvmStart := time.Now()
-	jvm, fresh := run.pool(node.ID()).acquire(run.reuse)
-	var jvmDur time.Duration
-	if fresh {
-		run.counters.Add(CtrJVMsStarted, 1)
-		node.ChargeOverhead(e.opts.JVMStartup)
-		jvmDur = time.Since(jvmStart)
-		run.emitSpanUnder(tsc, obs.PhaseJVMStart, node.ID(), taskID, jvmStart, jvmStart.Add(jvmDur))
-	} else {
-		run.counters.Add(CtrJVMReuses, 1)
-	}
-
 	ctx = &TaskContext{
 		JobContext: run.jctx,
 		TaskID:     taskID,
 		Attempt:    attempt,
 		node:       node,
-		jvm:        jvm,
 		job:        run.job,
 		sc:         tsc,
 		allowance:  run.taskMem,
@@ -532,12 +516,18 @@ func (run *jobRun) startAttempt(taskID string, node *cluster.Node, attempt int, 
 		runCtx:     run.ctx,
 	}
 	ctx.ObservePhase(obs.PhaseQueueWait, qwait)
-	if launchDur > 0 {
-		ctx.ObservePhase(obs.PhaseLaunch, launchDur)
-		run.emitSpanUnder(tsc, obs.PhaseLaunch, node.ID(), taskID, launchStart, launchStart.Add(launchDur))
-	}
+	launch := ctx.Begin(obs.PhaseLaunch)
+	node.ChargeOverhead(e.opts.TaskLaunchOverhead)
+	launch.End()
+
+	ctx.jvm, fresh = run.pool(node.ID()).acquire(run.reuse)
 	if fresh {
-		ctx.ObservePhase(obs.PhaseJVMStart, jvmDur)
+		run.counters.Add(CtrJVMsStarted, 1)
+		jvmStart := ctx.Begin(obs.PhaseJVMStart)
+		node.ChargeOverhead(e.opts.JVMStartup)
+		jvmStart.End()
+	} else {
+		run.counters.Add(CtrJVMReuses, 1)
 	}
 	return ctx, fresh, nil
 }
@@ -592,10 +582,43 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	if fresh {
 		jvmAttr = "fresh"
 	}
-	mapStart := time.Now()
-	reader, err := run.job.Input.Open(run.splits[task], ctx)
+	mapping := ctx.Begin(obs.PhaseMap)
+	mc, err := run.runMap(ctx, task)
+	mapping.End("local", strconv.FormatBool(local), "jvm", jvmAttr)
 	if err != nil {
 		return nil, nil, err
+	}
+	if mc == nil {
+		return &mapOutput{node: node.ID()}, ctx.Phases(), nil
+	}
+
+	combining := ctx.Begin(obs.PhaseCombine)
+	out, err := mc.finish(ctx, run.job)
+	if err != nil {
+		return nil, nil, err
+	}
+	combining.End()
+	// Spilling the sorted output to the node's local disk (raw device, not
+	// HDFS).
+	var spill int64
+	for _, b := range out.bytes {
+		spill += b
+	}
+	spilling := ctx.Begin(obs.PhaseSpill)
+	if err := node.ChargeDiskWrite(spill, false); err != nil {
+		return nil, nil, err
+	}
+	spilling.End("bytes", strconv.FormatInt(spill, 10))
+	return out, ctx.Phases(), nil
+}
+
+// runMap is the map phase of an attempt: the split's reader, the runner
+// over it and, for a map-only job, the OutputFormat writer it collects
+// into. It returns the buffered output's collector, nil for a map-only job.
+func (run *jobRun) runMap(ctx *TaskContext, task int) (*mapCollector, error) {
+	reader, err := run.job.Input.Open(run.splits[task], ctx)
+	if err != nil {
+		return nil, err
 	}
 	defer reader.Close()
 
@@ -608,7 +631,7 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 	} else {
 		writer, err = run.job.Output.OpenWriter(ctx, task)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		collector = &writerCollector{w: writer, n: &ctx.tally.mapOutput}
 	}
@@ -623,35 +646,12 @@ func (run *jobRun) executeMapAttempt(task int, node *cluster.Node, attempt int, 
 		if writer != nil {
 			writer.Close()
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	if writer != nil {
-		if err := writer.Close(); err != nil {
-			return nil, nil, err
-		}
-		ctx.Span(obs.PhaseMap, mapStart, "local", strconv.FormatBool(local), "jvm", jvmAttr)
-		return &mapOutput{node: node.ID()}, ctx.Phases(), nil
+		return nil, writer.Close()
 	}
-	ctx.Span(obs.PhaseMap, mapStart, "local", strconv.FormatBool(local), "jvm", jvmAttr)
-
-	combineStart := time.Now()
-	out, err := mc.finish(ctx, run.job)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx.Span(obs.PhaseCombine, combineStart)
-	// Spilling the sorted output to the node's local disk (raw device, not
-	// HDFS).
-	var spill int64
-	for _, b := range out.bytes {
-		spill += b
-	}
-	spillStart := time.Now()
-	if err := node.ChargeDiskWrite(spill, false); err != nil {
-		return nil, nil, err
-	}
-	ctx.Span(obs.PhaseSpill, spillStart, "bytes", strconv.FormatInt(spill, 10))
-	return out, ctx.Phases(), nil
+	return mc, nil
 }
 
 // defaultMapRunner is the stock record-at-a-time loop (§3).

@@ -3,6 +3,8 @@ package mr
 import (
 	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clydesdale/internal/obs"
@@ -107,11 +109,25 @@ func TestTraceTreeComplete(t *testing.T) {
 
 	// The same spans must assemble into an orphan-free profile whose phase
 	// walls partition the wall clock exactly.
-	all := append([]obs.Span{}, spans...)
-	qs := obs.Span{Name: obs.PhaseQuery, Start: jobSpan.Start, End: jobSpan.End}
+	p := checkProfile(t, root, spans)
+	if !strings.HasPrefix(p.Trace, "t") {
+		t.Errorf("profile trace %q not a trace ID", p.Trace)
+	}
+}
+
+// checkProfile assembles a job's spans under a query span at root covering
+// the job, and requires the profile to have no orphans and phase walls that
+// partition its wall exactly.
+func checkProfile(t *testing.T, root obs.SpanContext, spans []obs.Span) *obs.Profile {
+	t.Helper()
+	qs := obs.Span{Name: obs.PhaseQuery}
+	for _, s := range spans {
+		if s.Name == obs.PhaseJob {
+			qs.Start, qs.End = s.Start, s.End
+		}
+	}
 	root.Fill(&qs, "")
-	all = append(all, qs)
-	p, err := obs.BuildProfile(all, obs.ProfileOptions{})
+	p, err := obs.BuildProfile(append(spans, qs), obs.ProfileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +137,80 @@ func TestTraceTreeComplete(t *testing.T) {
 	if got, want := p.PhaseWallTotal(), p.Wall; got != want {
 		t.Errorf("phase walls sum to %v, want exactly the wall %v", got, want)
 	}
-	if !strings.HasPrefix(p.Trace, "t") {
-		t.Errorf("profile trace %q not a trace ID", p.Trace)
+	return p
+}
+
+// setupMapper is a Mapper whose Setup calls a hook first.
+type setupMapper struct {
+	Mapper
+	hook func(*TaskContext)
+}
+
+func (m setupMapper) Setup(ctx *TaskContext) error {
+	m.hook(ctx)
+	return m.Mapper.Setup(ctx)
+}
+
+// TestReexecutedMapsNestUnderShuffle: a node holding map output dies
+// before the reduce fetches, the reduce re-executes the lost maps, and each
+// re-executed map's task span is a child of the shuffle that paid for it.
+func TestReexecutedMapsNestUnderShuffle(t *testing.T) {
+	e := newTestEngine(3)
+	col := obs.NewTraceCollector(0, 0)
+	e.SetTracer(obs.NewTracer(col))
+	root := obs.NewTrace()
+
+	job := wordCountJob(wordSplits(nil, []string{"a"}, []string{"b"}, []string{"c"}), &MemoryOutput{}, 1)
+	var mu sync.Mutex
+	var mapNode string
+	newMapper := job.NewMapper
+	job.NewMapper = func() Mapper {
+		return setupMapper{newMapper(), func(ctx *TaskContext) {
+			mu.Lock()
+			if mapNode == "" {
+				mapNode = ctx.Node().ID()
+			}
+			mu.Unlock()
+		}}
 	}
+	var killed atomic.Bool
+	job.FailureInjector = func(taskID string, _ int) error {
+		if strings.HasPrefix(taskID, "r-") && killed.CompareAndSwap(false, true) {
+			mu.Lock()
+			e.Cluster().Node(mapNode).Kill()
+			mu.Unlock()
+		}
+		return nil
+	}
+	res, err := e.Submit(obs.ContextWith(context.Background(), root), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reexecuted := res.Counters.Get(CtrMapsReExecuted)
+	if reexecuted == 0 {
+		t.Fatal("no map was re-executed for the shuffle")
+	}
+
+	spans, _ := col.Take(root.Trace)
+	byID := make(map[string]obs.Span, len(spans))
+	for _, s := range spans {
+		byID[s.SpanID] = s
+	}
+	var underShuffle int64
+	for _, s := range spans {
+		if s.Name != obs.PhaseTask || !strings.HasPrefix(s.TaskID, "m-") {
+			continue
+		}
+		switch byID[s.Parent].Name {
+		case obs.PhaseShuffle:
+			underShuffle++
+		case obs.PhaseJob:
+		default:
+			t.Errorf("map task span %s nests under %q, want the job or a shuffle", s.TaskID, byID[s.Parent].Name)
+		}
+	}
+	if underShuffle != reexecuted {
+		t.Errorf("%d map task spans under a shuffle, want one per re-execution (%d)", underShuffle, reexecuted)
+	}
+	checkProfile(t, root, spans)
 }

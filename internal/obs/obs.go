@@ -29,10 +29,13 @@ const (
 	PhaseLaunch = "launch"
 	// PhaseJVMStart is a fresh JVM's startup; absent when a JVM was reused.
 	PhaseJVMStart = "jvm-start"
-	// PhaseRead is input read time (HDFS fetch of the split's data).
+	// PhaseRead is input read time (HDFS fetch of the split's data). It
+	// nests under the probe or map that reads, and its hdfs-read spans nest
+	// under it.
 	PhaseRead = "read"
-	// PhaseMap is the map runner's execution (includes read and probe,
-	// which overlay it as finer spans).
+	// PhaseMap is the map runner's execution: the input's open, the runner
+	// and, for a map-only job, the output's writer. hash-build, probe and
+	// read are its descendants.
 	PhaseMap = "map"
 	// PhaseCombine is the map-side sort+combine of buffered output.
 	PhaseCombine = "combine"
@@ -69,9 +72,10 @@ const (
 	// PhaseJob spans one MapReduce job submission; task spans nest under it.
 	PhaseJob = "job"
 	// PhaseTask spans one task attempt from scheduler readiness to the
-	// attempt's end; the attempt's sub-phases (queue-wait, launch, map,
-	// read, probe, ...) nest under it. Carries attempt number and whether
-	// the attempt won the task.
+	// attempt's end; the attempt's top-level phases (queue-wait, launch,
+	// jvm-start, map, combine, spill, shuffle, sort, reduce) are its
+	// children, and finer ones nest under those. Carries attempt number and
+	// whether the attempt won the task.
 	PhaseTask = "task"
 )
 

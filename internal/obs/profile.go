@@ -34,9 +34,9 @@ type Profile struct {
 	Start time.Time
 	End   time.Time
 	Wall  time.Duration
-	// Root is the span tree. Children nest by Parent ID across layers
-	// (query → job → task) and by time containment within a task (read
-	// inside map, hash-build inside map, ...).
+	// Root is the span tree. Children nest by Parent ID alone: every span
+	// names its parent when it is emitted, down to a task's phases (read
+	// inside probe inside map) and the hdfs-read spans of each read.
 	Root *ProfileNode
 	// Phases is the per-phase accounting, sorted by attributed wall
 	// descending. The Wall columns partition the root's wall time exactly:
@@ -157,7 +157,7 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 		if n.Span.Parent != "" {
 			continue
 		}
-		if root == nil || better(n, root) {
+		if root == nil || better(&n.Span, &root.Span) {
 			root = n
 		}
 	}
@@ -177,6 +177,8 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 		all = append(all, root)
 	}
 
+	// Parentless spans other than the root are orphans too: they claimed
+	// to be roots.
 	orphans := 0
 	for _, n := range all {
 		if n == root {
@@ -189,18 +191,7 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 		}
 		parent.Children = append(parent.Children, n)
 	}
-	// The synthesized root reattached everything; parentless extras under a
-	// real root are orphans too (they claimed to be roots).
-	if root.Span.SpanID != "synthetic-root" {
-		for _, n := range all {
-			if n != root && n.Span.Parent == "" {
-				orphans++
-				root.Children = append(root.Children, n)
-			}
-		}
-	}
 
-	refine(root)
 	setDepth(root, 0)
 	computeSelf(root)
 
@@ -226,45 +217,40 @@ func BuildProfile(spans []Span, opts ProfileOptions) (*Profile, error) {
 }
 
 // detectTrace picks the trace of the best parentless span among the given
-// spans (used when the caller knows its sink holds one query's spans).
+// spans, in the order BuildProfile chooses its root, else of any traced
+// span (used when the caller knows its sink holds one query's spans).
 func detectTrace(spans []Span) string {
 	var best *Span
+	trace := ""
 	for i := range spans {
 		s := &spans[i]
 		if s.Trace == "" {
 			continue
 		}
-		if s.Parent == "" {
-			if best == nil || best.Parent != "" ||
-				(s.Name == PhaseQuery && best.Name != PhaseQuery) ||
-				(s.Name == best.Name && s.Start.Before(best.Start)) {
-				if best == nil || best.Parent != "" || s.Name == PhaseQuery || best.Name != PhaseQuery {
-					best = s
-				}
-			}
-			continue
+		if trace == "" {
+			trace = s.Trace
 		}
-		if best == nil {
+		if s.Parent == "" && (best == nil || better(s, best)) {
 			best = s
 		}
 	}
-	if best == nil {
-		return ""
+	if best != nil {
+		return best.Trace
 	}
-	return best.Trace
+	return trace
 }
 
 // better orders root candidates: prefer the query span, then earlier start,
 // then span ID for determinism.
-func better(a, b *ProfileNode) bool {
-	aq, bq := a.Span.Name == PhaseQuery, b.Span.Name == PhaseQuery
+func better(a, b *Span) bool {
+	aq, bq := a.Name == PhaseQuery, b.Name == PhaseQuery
 	if aq != bq {
 		return aq
 	}
-	if !a.Span.Start.Equal(b.Span.Start) {
-		return a.Span.Start.Before(b.Span.Start)
+	if !a.Start.Equal(b.Start) {
+		return a.Start.Before(b.Start)
 	}
-	return a.Span.SpanID < b.Span.SpanID
+	return a.SpanID < b.SpanID
 }
 
 func rootQueryName(root *ProfileNode) string {
@@ -274,86 +260,12 @@ func rootQueryName(root *ProfileNode) string {
 	return root.Span.Name
 }
 
-// structural reports whether a span's position is authoritative: query, job
-// and task spans carry explicit parentage and must never be re-parented by
-// time containment (two parallel task attempts routinely contain each other
-// in time without nesting), nor absorb siblings as containers.
-func structural(n *ProfileNode) bool {
-	switch n.Span.Name {
-	case PhaseQuery, PhaseJob, PhaseTask:
-		return true
-	}
-	return false
-}
-
-// refine re-parents each non-structural child under the smallest
-// strictly-longer non-structural sibling whose interval contains it,
-// recursively. Parent IDs give the coarse structure (query → job → task);
-// containment recovers the nesting of a task's phases, which are emitted as
-// flat siblings (read happens inside map, hash-build inside map, ...), so
-// depth-based attribution charges time to the finest phase covering it.
-func refine(n *ProfileNode) {
-	if len(n.Children) > 1 {
-		moved := make(map[*ProfileNode]*ProfileNode)
-		for _, b := range n.Children {
-			if structural(b) {
-				continue
-			}
-			var best *ProfileNode
-			for _, a := range n.Children {
-				if a == b || structural(a) || !strictlyContains(a, b) {
-					continue
-				}
-				if best == nil || containerOrder(a, best) {
-					best = a
-				}
-			}
-			if best != nil {
-				moved[b] = best
-			}
-		}
-		if len(moved) > 0 {
-			kept := n.Children[:0]
-			for _, c := range n.Children {
-				if _, ok := moved[c]; !ok {
-					kept = append(kept, c)
-				}
-			}
-			n.Children = kept
-			for b, a := range moved {
-				a.Children = append(a.Children, b)
-			}
-		}
-	}
-	sortNodes(n.Children)
-	for _, c := range n.Children {
-		refine(c)
-	}
-}
-
-// strictlyContains reports whether a's interval contains b's and is
-// strictly longer (identical intervals never nest, avoiding cycles).
-func strictlyContains(a, b *ProfileNode) bool {
-	return !a.Span.Start.After(b.Span.Start) &&
-		!a.Span.End.Before(b.Span.End) &&
-		a.Span.Duration() > b.Span.Duration()
-}
-
-// containerOrder prefers the smaller container, breaking ties
-// deterministically.
-func containerOrder(a, b *ProfileNode) bool {
-	if a.Span.Duration() != b.Span.Duration() {
-		return a.Span.Duration() < b.Span.Duration()
-	}
-	if !a.Span.Start.Equal(b.Span.Start) {
-		return a.Span.Start.After(b.Span.Start)
-	}
-	return a.Span.SpanID < b.Span.SpanID
-}
-
-func sortNodes(ns []*ProfileNode) {
-	sort.Slice(ns, func(i, j int) bool {
-		a, b := ns[i], ns[j]
+// setDepth records each node's depth and orders its children by start,
+// then name and ID for determinism.
+func setDepth(n *ProfileNode, d int) {
+	n.depth = d
+	sort.Slice(n.Children, func(i, j int) bool {
+		a, b := n.Children[i], n.Children[j]
 		if !a.Span.Start.Equal(b.Span.Start) {
 			return a.Span.Start.Before(b.Span.Start)
 		}
@@ -362,10 +274,6 @@ func sortNodes(ns []*ProfileNode) {
 		}
 		return a.Span.SpanID < b.Span.SpanID
 	})
-}
-
-func setDepth(n *ProfileNode, d int) {
-	n.depth = d
 	for _, c := range n.Children {
 		setDepth(c, d+1)
 	}

@@ -20,9 +20,9 @@ func mkSpan(id, parent, name, job, task, node string, s, e int) Span {
 }
 
 // profileFixture is one query's worth of spans: a root, a job, two task
-// attempts, and within the long task a map span whose read (emitted as a
-// sibling, as the real task context does) must be re-parented by time
-// containment, plus an hdfs-read explicitly parented under the read.
+// attempts, and within the long task a map span with a read parented under
+// it, as the task context emits them, and an hdfs-read parented under the
+// read.
 func profileFixture() []Span {
 	return []Span{
 		mkSpan("sq", "", PhaseQuery, "", "", "", 0, 100),
@@ -30,7 +30,7 @@ func profileFixture() []Span {
 		mkSpan("st0", "sj", PhaseTask, "j1", "m-0", "n1", 10, 50),
 		mkSpan("st1", "sj", PhaseTask, "j1", "m-1", "n2", 10, 90),
 		mkSpan("sm", "st1", PhaseMap, "j1", "m-1", "n2", 12, 88),
-		mkSpan("sr", "st1", PhaseRead, "j1", "m-1", "n2", 14, 40),
+		mkSpan("sr", "sm", PhaseRead, "j1", "m-1", "n2", 14, 40),
 		mkSpan("sh", "sr", PhaseHDFSRead, "", "", "n2", 15, 30),
 	}
 }
@@ -50,9 +50,8 @@ func TestBuildProfileTree(t *testing.T) {
 		t.Fatalf("spans/orphans = %d/%d, want 7/0", p.Spans, p.Orphans)
 	}
 
-	// Structure: query → job → {task m-0, task m-1}; the read span was
-	// emitted as the task's child but is contained in the map span, so
-	// containment refinement nests it there: m-1 → map → read → hdfs-read.
+	// Structure: query → job → {task m-0, task m-1}, and each span under
+	// the parent it names: m-1 → map → read → hdfs-read.
 	if len(p.Root.Children) != 1 || p.Root.Children[0].Span.Name != PhaseJob {
 		t.Fatalf("root children = %+v", p.Root.Children)
 	}
@@ -71,7 +70,7 @@ func TestBuildProfileTree(t *testing.T) {
 	}
 	mp := m1.Children[0]
 	if len(mp.Children) != 1 || mp.Children[0].Span.Name != PhaseRead {
-		t.Fatalf("map's child should be the re-parented read, got %+v", mp.Children)
+		t.Fatalf("map's child should be its read, got %+v", mp.Children)
 	}
 	rd := mp.Children[0]
 	if len(rd.Children) != 1 || rd.Children[0].Span.Name != PhaseHDFSRead {
@@ -126,6 +125,55 @@ func TestBuildProfileOrphans(t *testing.T) {
 	}
 }
 
+// TestBuildProfileNestsByParentOnly: a span whose interval lies inside a
+// sibling's stays where its Parent puts it. Here a combine that (on a
+// coarse clock) falls within the map's interval is the task's child, not
+// the map's.
+func TestBuildProfileNestsByParentOnly(t *testing.T) {
+	spans := append(profileFixture(),
+		mkSpan("sc", "st1", PhaseCombine, "j1", "m-1", "n2", 50, 60))
+	p, err := BuildProfile(spans, ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parents []string
+	var walk func(n *ProfileNode)
+	walk = func(n *ProfileNode) {
+		for _, c := range n.Children {
+			if c.Span.Name == PhaseCombine {
+				parents = append(parents, n.Span.SpanID)
+			}
+			walk(c)
+		}
+	}
+	walk(p.Root)
+	if len(parents) != 1 || parents[0] != "st1" {
+		t.Fatalf("combine nests under %v, want only its named parent st1", parents)
+	}
+	if got := p.PhaseWallTotal(); got != p.Wall {
+		t.Errorf("phase walls sum to %v, want exactly wall %v", got, p.Wall)
+	}
+}
+
+// TestBuildProfileExtraRootIsOneOrphan: a second parentless span is one
+// orphan, attached under the root once.
+func TestBuildProfileExtraRootIsOneOrphan(t *testing.T) {
+	spans := append(profileFixture(), mkSpan("sx", "", PhaseDimCache, "", "", "", 1, 4))
+	p, err := BuildProfile(spans, ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Root.Span.SpanID != "sq" {
+		t.Fatalf("root = %s, want the query span", p.Root.Span.SpanID)
+	}
+	if p.Orphans != 1 {
+		t.Errorf("orphans = %d, want 1", p.Orphans)
+	}
+	if got := p.phase(PhaseDimCache).Count; got != 1 {
+		t.Errorf("extra root attached %d times, want once", got)
+	}
+}
+
 func TestBuildProfileCriticalPath(t *testing.T) {
 	p, err := BuildProfile(profileFixture(), ProfileOptions{})
 	if err != nil {
@@ -158,7 +206,7 @@ func TestBuildProfileStragglers(t *testing.T) {
 	spans = append(spans,
 		mkSpan("stx", "sj", PhaseTask, "j1", "m-x", "n2", 10, 110),
 		mkSpan("smx", "stx", PhaseMap, "j1", "m-x", "n2", 11, 109),
-		mkSpan("srx", "stx", PhaseRead, "j1", "m-x", "n2", 12, 105),
+		mkSpan("srx", "smx", PhaseRead, "j1", "m-x", "n2", 12, 105),
 	)
 	p, err := BuildProfile(spans, ProfileOptions{})
 	if err != nil {

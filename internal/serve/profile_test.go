@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -84,24 +85,35 @@ func TestConcurrentProfilesDisjoint(t *testing.T) {
 	}
 }
 
-// checkNesting walks a profile tree asserting the structural layering:
-// every span belongs to the profile's trace, task spans sit under job
-// spans, and job spans sit under the query root (directly or via another
-// structural span — never under a peer task).
+// checkNesting walks a profile tree asserting the layering every span is
+// emitted with: every span belongs to the profile's trace, job spans sit
+// under the query root, task spans under job spans (never under a peer
+// task), an attempt's phases under its task, hash-build and probe under
+// map, read under probe, and each hdfs-read under the read or map that did
+// it, or under the query or job for driver-side reads.
 func checkNesting(t *testing.T, trace string, n *obs.ProfileNode, parentName string) {
 	t.Helper()
 	if n.Span.Trace != trace {
 		t.Errorf("span %s (%s) carries trace %q inside profile %q", n.Span.Name, n.Span.SpanID, n.Span.Trace, trace)
 	}
+	var want []string
 	switch n.Span.Name {
 	case obs.PhaseJob:
-		if parentName != obs.PhaseQuery {
-			t.Errorf("job span %s nests under %q, want query", n.Span.Job, parentName)
-		}
+		want = []string{obs.PhaseQuery}
 	case obs.PhaseTask:
-		if parentName != obs.PhaseJob {
-			t.Errorf("task span %s nests under %q, want job", n.Span.TaskID, parentName)
-		}
+		want = []string{obs.PhaseJob}
+	case obs.PhaseLaunch, obs.PhaseJVMStart, obs.PhaseQueueWait, obs.PhaseMap, obs.PhaseCombine,
+		obs.PhaseSpill, obs.PhaseShuffle, obs.PhaseSort, obs.PhaseReduce:
+		want = []string{obs.PhaseTask}
+	case obs.PhaseProbe, obs.PhaseHashBuild:
+		want = []string{obs.PhaseMap}
+	case obs.PhaseRead:
+		want = []string{obs.PhaseProbe}
+	case obs.PhaseHDFSRead:
+		want = []string{obs.PhaseRead, obs.PhaseMap, obs.PhaseQuery, obs.PhaseJob}
+	}
+	if want != nil && !slices.Contains(want, parentName) {
+		t.Errorf("%s span %s (%s) nests under %q, want one of %v", n.Span.Name, n.Span.TaskID, n.Span.SpanID, parentName, want)
 	}
 	for _, c := range n.Children {
 		checkNesting(t, trace, c, n.Span.Name)

@@ -48,7 +48,11 @@ vet:
 # guessed span parent: a task phase is opened with TaskContext.Begin under
 # the phase it runs in, so the profile nests spans by Parent alone, with no
 # time-containment pass in internal/obs (refine, strictlyContains,
-# containerOrder) and no phase emitted flat under its task (ctx.Span).
+# containerOrder) and no phase emitted flat under its task (ctx.Span). Nor
+# does a second grouping of spans: the timeline is drawn from the profile
+# tree (Profile.WriteTimeline) and the phase table is Profile.Phases, so no
+# RenderTimeline, TimelineOptions, phaseStyle priority table,
+# AggregatePhases or WritePhaseSummary.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -73,6 +77,8 @@ no-deprecated:
 	@if grep -rn -e 'refine(' -e strictlyContains -e containerOrder internal/obs || \
 		grep -rn --include='*.go' 'ctx.Span(obs.Phase' .; then \
 		echo "a span's parent is the one it names: TaskContext.Begin"; exit 1; fi
+	@if grep -rn --include='*.go' -e RenderTimeline -e TimelineOptions -e AggregatePhases -e WritePhaseSummary -e phaseStyle .; then \
+		echo "a timeline is a view of the profile: Profile.WriteTimeline"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node
@@ -199,10 +205,17 @@ bench-pairs:
 # EXPLAIN ANALYZE invariant gate (see DESIGN.md "Observability"): run Q1.1
 # with profiling on and fail unless the per-phase exclusive walls sum to the
 # query's wall clock, the span tree is rooted at a query span, and nothing
-# was orphaned or dropped. -explain-check exits non-zero on violation.
+# was orphaned or dropped. -explain-check exits non-zero on violation. The
+# same run draws the timeline from the profile, and every map lane (m-N)
+# must draw one of its phases (M map, H hash-build, P probe, r read), so a
+# lane cannot fall back to a bare task bar.
 profile-smoke:
-	@out="$$($(GO) run ./cmd/clydesdale -query Q1.1 -factrows 20000 -explain -explain-check)" || \
-		{ echo "$$out"; exit 1; }; echo "$$out" | grep 'explain-check'
+	@out="$$($(GO) run ./cmd/clydesdale -query Q1.1 -factrows 20000 -explain -explain-check -timeline)" || \
+		{ echo "$$out"; exit 1; }; echo "$$out" | grep 'explain-check'; \
+	lanes="$$(echo "$$out" | grep -E '^  m-[0-9]+ +\|')"; \
+	if [ -z "$$lanes" ] || echo "$$lanes" | grep -v '|[^|]*[MHPr][^|]*|'; then \
+		echo "timeline: every m-N lane must draw a map phase (M, H, P or r): a timeline is a view of the profile"; exit 1; fi; \
+	echo "timeline ok: $$(echo "$$lanes" | wc -l) map lanes draw their phases"
 
 # The repository benchmark's own smoke (benchmark/README.md): all four
 # workloads (ssb_star, hive_shuffle, serve_mix, ingest_live) for a quarter

@@ -232,19 +232,19 @@ func main() {
 			fmt.Printf("-- zone maps pruned %d partitions (%d bytes never read)\n",
 				rep.PartitionsPruned, rep.BytesSkipped)
 		}
+		if memSink == nil {
+			continue
+		}
+		p, err := obs.BuildProfile(memSink.Spans(), obs.ProfileOptions{
+			Counters: rep.Job.Counters.Snapshot(),
+		})
+		if err != nil {
+			fatal(fmt.Errorf("%s: profile: %w", l.Name, err))
+		}
 		if *timeline {
-			spans := memSink.Spans()
-			fmt.Printf("-- phase totals (measured):\n")
-			obs.WritePhaseSummary(os.Stdout, obs.AggregatePhases(spans, rep.Job.JobID))
-			obs.RenderTimeline(os.Stdout, spans, obs.TimelineOptions{Job: rep.Job.JobID})
+			p.WriteTimeline(os.Stdout)
 		}
 		if *explain {
-			p, err := obs.BuildProfile(memSink.Spans(), obs.ProfileOptions{
-				Counters: rep.Job.Counters.Snapshot(),
-			})
-			if err != nil {
-				fatal(fmt.Errorf("%s: explain: %w", l.Name, err))
-			}
 			fmt.Println()
 			p.WriteText(os.Stdout)
 			if *explCheck {

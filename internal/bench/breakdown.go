@@ -24,17 +24,14 @@ type BreakdownResult struct {
 	// Clydesdale.
 	ClyTotal     time.Duration
 	ClyMapTasks  int64
-	ClyHashBuild time.Duration // summed across nodes, measured from spans
-	ClyProbe     time.Duration // measured from spans
+	ClyHashBuild time.Duration // summed across nodes (CLYDESDALE_HASH_BUILD_NANOS)
+	ClyProbe     time.Duration // summed across tasks (CLYDESDALE_PROBE_NANOS)
 	ClyBytesRead int64
 	// ClyJob is the Clydesdale job's result (task reports with per-phase
-	// durations); ClySpans the trace its run emitted; ClyPhases the
-	// per-phase totals aggregated from that trace; ClyProfile the full
-	// correlated profile assembled from the trace (what `benchssb
-	// -profile-json` serializes).
+	// durations); ClyProfile the correlated profile assembled from the
+	// run's trace (what `benchssb -profile-json` serializes and the
+	// breakdown's timeline draws).
 	ClyJob     *mr.JobResult
-	ClySpans   []obs.Span
-	ClyPhases  map[string]time.Duration
 	ClyProfile *obs.Profile
 
 	// Hive mapjoin.
@@ -64,9 +61,9 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 	}
 	out := &BreakdownResult{Query: q.Name, Cluster: "A"}
 
-	// Trace the Clydesdale run so the breakdown reports measured sub-phase
-	// times (spans) instead of recomputed estimates. Detached before the
-	// Hive runs so the trace holds exactly one job.
+	// Trace the Clydesdale run so the breakdown draws its profile's
+	// timeline. Detached before the Hive runs so the trace holds exactly
+	// one job.
 	sink := obs.NewMemorySink()
 	env.MR.SetTracer(obs.NewTracer(sink))
 
@@ -79,22 +76,14 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 	env.MR.SetTracer(nil)
 	out.ClyTotal = crep.Total
 	out.ClyJob = crep.Job
-	out.ClySpans = sink.Spans()
-	out.ClyPhases = obs.AggregatePhases(out.ClySpans, crep.Job.JobID)
-	if p, err := obs.BuildProfile(out.ClySpans, obs.ProfileOptions{
+	if p, err := obs.BuildProfile(sink.Spans(), obs.ProfileOptions{
 		Counters: crep.Job.Counters.Snapshot(),
 	}); err == nil {
 		out.ClyProfile = p
 	}
 	out.ClyMapTasks = crep.Job.Counters.Get(mr.CtrMapTasks)
-	out.ClyHashBuild = out.ClyPhases[obs.PhaseHashBuild]
-	out.ClyProbe = out.ClyPhases[obs.PhaseProbe]
-	if out.ClyHashBuild == 0 {
-		out.ClyHashBuild = time.Duration(crep.Job.Counters.Get(core.CtrHashBuildNanos))
-	}
-	if out.ClyProbe == 0 {
-		out.ClyProbe = time.Duration(crep.Job.Counters.Get(core.CtrProbeNanos))
-	}
+	out.ClyHashBuild = time.Duration(crep.Job.Counters.Get(core.CtrHashBuildNanos))
+	out.ClyProbe = time.Duration(crep.Job.Counters.Get(core.CtrProbeNanos))
 	out.ClyBytesRead = (after.LocalBytesRead + after.RemoteBytesRead) - (before.LocalBytesRead + before.RemoteBytesRead)
 
 	if _, mrep, err := env.Hive(hive.MapJoin).Execute(context.Background(), q); err != nil {
@@ -128,12 +117,8 @@ func printBreakdown(w io.Writer, b *BreakdownResult) {
 	fmt.Fprintf(w, "  hash-table build (sum over nodes): %v\n", b.ClyHashBuild.Round(time.Millisecond))
 	fmt.Fprintf(w, "  probe phase (sum over tasks):      %v\n", b.ClyProbe.Round(time.Millisecond))
 	fmt.Fprintf(w, "  HDFS bytes read:                   %d\n", b.ClyBytesRead)
-	if len(b.ClyPhases) > 0 {
-		fmt.Fprintf(w, "  measured phase totals (from trace):\n")
-		obs.WritePhaseSummary(w, b.ClyPhases)
-	}
-	if len(b.ClySpans) > 0 {
-		obs.RenderTimeline(w, b.ClySpans, obs.TimelineOptions{Job: b.ClyJob.JobID})
+	if b.ClyProfile != nil {
+		b.ClyProfile.WriteTimeline(w)
 	}
 
 	if b.MapjoinOOM {

@@ -38,7 +38,7 @@ func TestTraceStraggler(t *testing.T) {
 			return c.Collect(v, records.Make(countSchema, records.Int(1)))
 		})
 	}
-	res, err := e.Submit(context.Background(), job)
+	res, err := e.Submit(obs.ContextWith(context.Background(), obs.NewTrace()), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,17 @@ func TestTraceStraggler(t *testing.T) {
 			slowSpan.Duration(), maxOther)
 	}
 
-	// The rendered timeline must place the m-1 lane under the straggler's
-	// node header, with strictly the widest stretch of map ('M') cells —
-	// the visual straggler signal. (Lane *duration* includes queue-wait, so
-	// a task that waited behind the straggler can match its length.)
+	// The timeline drawn from the traced run's profile must place the m-1
+	// lane under the straggler's node header, with strictly the widest
+	// stretch of map ('M') cells — the visual straggler signal. (Lane
+	// *duration* includes queue-wait, so a task that waited behind the
+	// straggler can match its length.)
+	p, err := obs.BuildProfile(spans, obs.ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	obs.RenderTimeline(&buf, spans, obs.TimelineOptions{Job: res.JobID})
+	p.WriteTimeline(&buf)
 	lines := strings.Split(buf.String(), "\n")
 	node := ""
 	laneMapCells := map[string]int{}

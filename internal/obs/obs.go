@@ -167,17 +167,3 @@ func Attrs(kv ...string) map[string]string {
 	}
 	return m
 }
-
-// AggregatePhases sums span durations by name, optionally filtered to one
-// job (empty job means all). It is how reports derive measured per-phase
-// times from the trace instead of recomputing estimates.
-func AggregatePhases(spans []Span, job string) map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	for _, s := range spans {
-		if job != "" && s.Job != job {
-			continue
-		}
-		out[s.Name] += s.Duration()
-	}
-	return out
-}

@@ -109,27 +109,6 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
-func TestAggregatePhases(t *testing.T) {
-	base := time.Unix(1000, 0)
-	spans := []Span{
-		span("j1", PhaseMap, "n0", "m-0", base, base.Add(10*time.Millisecond)),
-		span("j1", PhaseMap, "n1", "m-1", base, base.Add(20*time.Millisecond)),
-		span("j2", PhaseMap, "n0", "m-0", base, base.Add(99*time.Millisecond)),
-		span("j1", PhaseRead, "n0", "m-0", base, base.Add(time.Millisecond)),
-	}
-	agg := AggregatePhases(spans, "j1")
-	if agg[PhaseMap] != 30*time.Millisecond {
-		t.Errorf("map = %v, want 30ms", agg[PhaseMap])
-	}
-	if agg[PhaseRead] != time.Millisecond {
-		t.Errorf("read = %v, want 1ms", agg[PhaseRead])
-	}
-	all := AggregatePhases(spans, "")
-	if all[PhaseMap] != 129*time.Millisecond {
-		t.Errorf("unfiltered map = %v, want 129ms", all[PhaseMap])
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	h := &Histogram{}
 	for i := 1; i <= 100; i++ {

@@ -258,7 +258,7 @@ func (s *Session) Query(ctx context.Context, q *core.Query) (*results.ResultSet,
 // root "query" span, every job/task/read span the query causes parents into
 // it via the context, and the assembled profile lands in the flight
 // recorder.
-func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.ResultSet, *core.Report, error) {
+func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (rs *results.ResultSet, rep *core.Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -279,13 +279,26 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 		sc = obs.NewTrace()
 		ctx = obs.ContextWith(ctx, sc)
 	}
+	// Every exit past this point records one SLO outcome and emits the
+	// root span. cacheOutcome is the root's result_cache attribute: empty
+	// until the cache lookup returns.
+	cacheOutcome := ""
+	defer func() {
+		switch {
+		case err == nil:
+			slo.record("ok", time.Since(qstart))
+		case errors.Is(err, ErrQueueFull):
+			slo.record("shed", 0)
+		default:
+			slo.record("error", 0)
+		}
+		s.finishTrace(sc, l.Name, qstart, err, rep, cacheOutcome)
+	}()
 
 	// Decompose once: the one shape supplies the result-cache key, the
 	// effective ordering and, on a miss only, the physical plan.
 	sh, err := plan.Decompose(l)
 	if err != nil {
-		slo.record("error", 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil, "")
 		return nil, nil, err
 	}
 
@@ -297,9 +310,10 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 	// computed from; the current versions are counters, read without a pin.
 	// Ordering is not part of the cache identity: a hit comes back in this
 	// statement's order, sorted only if the entry's rows are in another.
-	cacheOutcome := "off"
 	var cachePublish func(*results.ResultSet, core.Versions)
-	if s.rcache != nil {
+	if s.rcache == nil {
+		cacheOutcome = "off"
+	} else {
 		key := plan.KeyOf(sh)
 		var (
 			crs     *results.ResultSet
@@ -311,22 +325,18 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 			crs, cacheOutcome, read, publish, lerr = s.rcache.lookup(ctx, &key, core.Orders(sh), cur)
 		}
 		if lerr != nil {
-			slo.record("error", 0)
-			s.finishTrace(sc, l.Name, qstart, lerr, nil, "")
+			// A failed lookup answers no outcome.
 			return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, lerr)
 		}
 		if cacheOutcome != "miss" {
-			rep := &core.Report{
+			return crs, &core.Report{
 				Query: l.Name,
 				// No job ran; synthesize empty counters so report
 				// consumers need no cache-hit special case.
 				Job:   &mr.JobResult{Counters: mr.NewCounters()},
 				Total: time.Since(qstart),
 				Read:  read,
-			}
-			slo.record("ok", time.Since(qstart))
-			s.finishTrace(sc, l.Name, qstart, nil, rep, cacheOutcome)
-			return crs, rep, nil
+			}, nil
 		}
 		cachePublish = publish
 	}
@@ -340,8 +350,6 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 	// pin, the admission cost and the execution need.
 	p, err := sh.Lower()
 	if err != nil {
-		slo.record("error", 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
 		return nil, nil, err
 	}
 
@@ -349,44 +357,28 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (*results.Resu
 	// every job of the plan and the cached rows' label all read.
 	pin, err := s.eng.Pin(sh)
 	if err != nil {
-		slo.record("error", 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
 		return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 	}
 	defer pin.Release()
 
 	cost, err := s.admissionCost(l.Name, pin.DimSpecs(p.Steps))
 	if err != nil {
-		slo.record("error", 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
 		return nil, nil, err
 	}
 
 	waitStart := time.Now()
 	release, err := s.adm.admit(ctx, tenant, cost)
 	if err != nil {
-		outcome := "error"
-		if errors.Is(err, ErrQueueFull) {
-			outcome = "shed"
-		}
-		slo.record(outcome, 0)
-		s.finishTrace(sc, l.Name, qstart, err, nil, cacheOutcome)
 		return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 	}
 	defer release()
 	s.observeQueueWait(sc, l.Name, waitStart)
 
-	rs, rep, err := s.eng.RunPlanAt(ctx, p, pin)
-	if err == nil {
-		if cachePublish != nil {
-			cachePublish(rs, pin.Read)
-			cachePublish = nil
-		}
-		slo.record("ok", time.Since(qstart))
-	} else {
-		slo.record("error", 0)
+	rs, rep, err = s.eng.RunPlanAt(ctx, p, pin)
+	if err == nil && cachePublish != nil {
+		cachePublish(rs, pin.Read)
+		cachePublish = nil
 	}
-	s.finishTrace(sc, l.Name, qstart, err, rep, cacheOutcome)
 	return rs, rep, err
 }
 

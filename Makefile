@@ -52,7 +52,12 @@ vet:
 # does a second grouping of spans: the timeline is drawn from the profile
 # tree (Profile.WriteTimeline) and the phase table is Profile.Phases, so no
 # RenderTimeline, TimelineOptions, phaseStyle priority table,
-# AggregatePhases or WritePhaseSummary.
+# AggregatePhases or WritePhaseSummary. Nor does a second copy of a metric:
+# the registry reads a count or a level from the state that owns it
+# (Registry.CounterFunc, GaugeFunc; DESIGN.md "Observability"), so no
+# settable gauge (obs.Gauge, Registry.Gauge), no gauge pushed at each change
+# or synced at scrape time, no registry counter beside an owner's atomic
+# and no report field copied from the job counters (fillScanStats).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -79,6 +84,10 @@ no-deprecated:
 		echo "a span's parent is the one it names: TaskContext.Begin"; exit 1; fi
 	@if grep -rn --include='*.go' -e RenderTimeline -e TimelineOptions -e AggregatePhases -e WritePhaseSummary -e phaseStyle .; then \
 		echo "a timeline is a view of the profile: Profile.WriteTimeline"; exit 1; fi
+	@if grep -rnw --include='*.go' -e updateGaugesLocked -e syncGauges -e countIngest -e noteFailover \
+		-e noteRereplicationFailure -e fillScanStats -e mLocalBytes -e hitsCtr . || \
+		grep -rn --include='*.go' -e '\.Gauge(' -e 'obs\.Gauge\b' -e 'type Gauge\b' .; then \
+		echo "a metric is read from the state that owns it: Registry.CounterFunc / GaugeFunc"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

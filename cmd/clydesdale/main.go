@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"clydesdale/internal/cluster"
+	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
@@ -228,9 +229,9 @@ func main() {
 			ctr.Get(core.CtrHashTablesBuilt),
 			ctr.Get(core.CtrProbeRows), ctr.Get(core.CtrProbeEmits),
 			rep.SortTime.Round(time.Microsecond))
-		if rep.PartitionsPruned > 0 {
+		if pruned := ctr.Get(colstore.CtrPartitionsPruned); pruned > 0 {
 			fmt.Printf("-- zone maps pruned %d partitions (%d bytes never read)\n",
-				rep.PartitionsPruned, rep.BytesSkipped)
+				pruned, ctr.Get(colstore.CtrBytesSkipped))
 		}
 		if memSink == nil {
 			continue

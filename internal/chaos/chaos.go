@@ -92,8 +92,6 @@ type Controller struct {
 	c    *cluster.Cluster
 	fs   *hdfs.FileSystem
 
-	faults *obs.Counter // chaos.faults_injected; nil without a registry
-
 	mu       sync.Mutex
 	rng      *rand.Rand
 	serves   map[string]int // per-node block-read attempts observed
@@ -102,8 +100,8 @@ type Controller struct {
 	started  bool
 }
 
-// New builds a controller for the plan. reg, when non-nil, receives the
-// chaos.faults_injected counter.
+// New builds a controller for the plan. reg, when non-nil, reads
+// FaultsInjected as the chaos.faults_injected counter.
 func New(c *cluster.Cluster, fs *hdfs.FileSystem, plan Plan, reg *obs.Registry) *Controller {
 	ctl := &Controller{
 		plan:   plan,
@@ -114,7 +112,7 @@ func New(c *cluster.Cluster, fs *hdfs.FileSystem, plan Plan, reg *obs.Registry) 
 		killed: make(map[string]bool),
 	}
 	if reg != nil {
-		ctl.faults = reg.Counter("chaos.faults_injected")
+		reg.CounterFunc("chaos.faults_injected", ctl.FaultsInjected)
 	}
 	return ctl
 }
@@ -171,9 +169,6 @@ func (ctl *Controller) noteFault() {
 	ctl.mu.Lock()
 	ctl.injected++
 	ctl.mu.Unlock()
-	if ctl.faults != nil {
-		ctl.faults.Inc()
-	}
 }
 
 // BeforeBlockRead implements hdfs.ReadFaultInjector: it counts the node's

@@ -102,10 +102,10 @@ func TestChaosOracleAllQueries(t *testing.T) {
 				if got := e.fs.Metrics().Snapshot().Failovers; got == 0 {
 					t.Error("expected nonzero hdfs failovers after mid-read kill")
 				}
-				if got := e.reg.Counter("hdfs.failovers").Value(); got == 0 {
+				if got := e.reg.Snapshot().Counters["hdfs.failovers"]; got == 0 {
 					t.Error("hdfs.failovers obs counter not incremented")
 				}
-				if got := e.reg.Counter("chaos.faults_injected").Value(); got == 0 {
+				if got := e.reg.Snapshot().Counters["chaos.faults_injected"]; got == 0 {
 					t.Error("chaos.faults_injected obs counter not incremented")
 				}
 			},
@@ -166,7 +166,7 @@ func TestChaosOracleAllQueries(t *testing.T) {
 				if snap.Failovers == 0 {
 					t.Error("CRC failure should have failed over to a pristine replica")
 				}
-				if got := e.reg.Counter("hdfs.crc_failures").Value(); got == 0 {
+				if got := e.reg.Snapshot().Counters["hdfs.crc_failures"]; got == 0 {
 					t.Error("hdfs.crc_failures obs counter not incremented")
 				}
 			},

@@ -125,6 +125,15 @@ func (s *Snapshots) Bump(dir string) {
 	}
 }
 
+// Held reports what readers hold of the partitioned table at dir: the
+// snapshots pinned on it, and the retired partitions those keep from
+// deletion.
+func (s *Snapshots) Held(dir string) (pins, unreaped int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.live[dir]), len(s.doomed[dir])
+}
+
 // Release unpins the snapshot, physically deleting any retired partitions
 // no other snapshot still reads. Safe on nil and idempotent.
 func (sn *Snapshot) Release() {

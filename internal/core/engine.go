@@ -212,13 +212,6 @@ type Report struct {
 	// when no job ran. With more than one, Job is the last pass's job, its
 	// counters those of every pass together.
 	Passes int
-	// PartitionsPruned and BytesSkipped summarize zone-map partition
-	// pruning on the fact scan (the scan.* counters).
-	PartitionsPruned int64
-	BytesSkipped     int64
-	// RowsBloomSkipped counts fact rows dropped in the scan by semi-join
-	// bloom pushdown (rows whose FK provably misses the dimension probe).
-	RowsBloomSkipped int64
 }
 
 // PlanAttr is the root query span's "plan" attribute, which EXPLAIN ANALYZE
@@ -229,16 +222,6 @@ func (r *Report) PlanAttr() string {
 		return ""
 	}
 	return fmt.Sprintf("%s passes=%d", plan.KindOf(r.Passes), r.Passes)
-}
-
-// fillScanStats copies the pruning counters into the report.
-func (r *Report) fillScanStats(c *mr.Counters) {
-	if c == nil {
-		return
-	}
-	r.PartitionsPruned = c.Get(colstore.CtrPartitionsPruned)
-	r.BytesSkipped = c.Get(colstore.CtrBytesSkipped)
-	r.RowsBloomSkipped = c.Get(colstore.CtrRowsBloomSkipped)
 }
 
 // Run executes a star query: LogicalOf lifts it into the plan IR, plan.Lower
@@ -398,7 +381,6 @@ func finish(sh *plan.Shape, out *mr.MemoryOutput, rep *Report, start time.Time) 
 	rep.Query = sh.Name
 	rep.SortTime = time.Since(sortStart)
 	rep.Total = time.Since(start)
-	rep.fillScanStats(rep.Job.Counters)
 	return rs, rep, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
 	"clydesdale/internal/results"
 	"clydesdale/internal/ssb"
@@ -35,15 +36,15 @@ func TestPruningOracleAllQueries(t *testing.T) {
 		if ok, why := results.Equivalent(got, want, 1e-9); !ok {
 			t.Errorf("%s: pruned and unpruned runs disagree: %s", q.Name, why)
 		}
-		if brep.PartitionsPruned != 0 {
-			t.Errorf("%s: NoScanPruning still pruned %d partitions", q.Name, brep.PartitionsPruned)
+		if brep.Job.Counters.Get(colstore.CtrPartitionsPruned) != 0 {
+			t.Errorf("%s: NoScanPruning still pruned %d partitions", q.Name, brep.Job.Counters.Get(colstore.CtrPartitionsPruned))
 		}
-		totalPruned += rep.PartitionsPruned
-		if mustPrune[q.Name] && rep.PartitionsPruned == 0 {
+		totalPruned += rep.Job.Counters.Get(colstore.CtrPartitionsPruned)
+		if mustPrune[q.Name] && rep.Job.Counters.Get(colstore.CtrPartitionsPruned) == 0 {
 			t.Errorf("%s: expected zone maps to prune partitions, pruned 0", q.Name)
 		}
-		if rep.PartitionsPruned > 0 && rep.BytesSkipped == 0 {
-			t.Errorf("%s: pruned %d partitions but skipped 0 bytes", q.Name, rep.PartitionsPruned)
+		if rep.Job.Counters.Get(colstore.CtrPartitionsPruned) > 0 && rep.Job.Counters.Get(colstore.CtrBytesSkipped) == 0 {
+			t.Errorf("%s: pruned %d partitions but skipped 0 bytes", q.Name, rep.Job.Counters.Get(colstore.CtrPartitionsPruned))
 		}
 	}
 	if totalPruned == 0 {
@@ -82,15 +83,15 @@ func TestCompressedExecutionOracle(t *testing.T) {
 			if ok, why := results.Equivalent(got, want, 1e-9); !ok {
 				t.Errorf("%s: optimized and %s runs disagree: %s", q.Name, name, why)
 			}
-			if name == "no-bloom" && wrep.RowsBloomSkipped != 0 {
-				t.Errorf("%s: NoBloomPushdown still bloom-skipped %d rows", q.Name, wrep.RowsBloomSkipped)
+			if name == "no-bloom" && wrep.Job.Counters.Get(colstore.CtrRowsBloomSkipped) != 0 {
+				t.Errorf("%s: NoBloomPushdown still bloom-skipped %d rows", q.Name, wrep.Job.Counters.Get(colstore.CtrRowsBloomSkipped))
 			}
 		}
-		totalBloom += rep.RowsBloomSkipped
+		totalBloom += rep.Job.Counters.Get(colstore.CtrRowsBloomSkipped)
 		c := rep.Job.Counters
 		totalSide += c.Get(core.CtrCodeSideTables)
 		totalCodeProbe += c.Get(core.CtrCodeProbeRows)
-		if mustBloom[q.Name] && rep.RowsBloomSkipped == 0 {
+		if mustBloom[q.Name] && rep.Job.Counters.Get(colstore.CtrRowsBloomSkipped) == 0 {
 			t.Errorf("%s: expected bloom pushdown to skip rows, skipped 0", q.Name)
 		}
 	}

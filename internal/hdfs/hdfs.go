@@ -66,15 +66,11 @@ type FileSystem struct {
 	injector ReadFaultInjector
 
 	// Observability hooks, attached by Observe. Guarded by mu; nil when no
-	// observer is attached (the default, zero-cost path).
-	tracer        *obs.Tracer
-	mLocalBytes   *obs.Counter
-	mRemoteBytes  *obs.Counter
-	mWrittenBytes *obs.Counter
-	mReadNs       *obs.Histogram
-	mFailovers    *obs.Counter
-	mCRCFailures  *obs.Counter
-	mRereplFailed *obs.Counter
+	// observer is attached (the default, zero-cost path). observed holds
+	// the registries that read metrics, each registered with once.
+	tracer   *obs.Tracer
+	readNs   *obs.Histogram
+	observed map[*obs.Registry]bool
 }
 
 // ReadFaultInjector intercepts block reads for fault injection. It is
@@ -195,25 +191,37 @@ func (fs *FileSystem) Replication() int { return fs.replication }
 func (fs *FileSystem) Metrics() *Metrics { return &fs.metrics }
 
 // Observe attaches the observability layer: each ReadAt emits an "hdfs-read"
-// span into tracer with local/remote byte attrs, and byte counters plus a
-// read-latency histogram are maintained in reg. Either argument may be nil.
-// Attach before running jobs; Observe is not synchronized with in-flight
-// reads.
+// span into tracer with local/remote byte attrs, and reg gets a read-latency
+// histogram and reads the byte and fault counts from Metrics, from the
+// filesystem's creation on. Either argument may be nil, and calling Observe
+// again with a registry already attached registers nothing twice. Attach
+// before running jobs; Observe is not synchronized with in-flight reads.
 func (fs *FileSystem) Observe(tracer *obs.Tracer, reg *obs.Registry) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.tracer = tracer
-	if reg != nil {
-		fs.mLocalBytes = reg.Counter("hdfs.read_bytes_local")
-		fs.mRemoteBytes = reg.Counter("hdfs.read_bytes_remote")
-		fs.mWrittenBytes = reg.Counter("hdfs.write_bytes")
-		fs.mReadNs = reg.Histogram("hdfs.read_ns")
-		fs.mFailovers = reg.Counter("hdfs.failovers")
-		fs.mCRCFailures = reg.Counter("hdfs.crc_failures")
-		fs.mRereplFailed = reg.Counter("hdfs.rereplication_failed")
-	} else {
-		fs.mLocalBytes, fs.mRemoteBytes, fs.mWrittenBytes, fs.mReadNs = nil, nil, nil, nil
-		fs.mFailovers, fs.mCRCFailures, fs.mRereplFailed = nil, nil, nil
+	fs.readNs = nil
+	if reg == nil {
+		return
+	}
+	fs.readNs = reg.Histogram("hdfs.read_ns")
+	if fs.observed[reg] {
+		return
+	}
+	if fs.observed == nil {
+		fs.observed = make(map[*obs.Registry]bool)
+	}
+	fs.observed[reg] = true
+	m := &fs.metrics
+	for name, v := range map[string]*atomic.Int64{
+		"hdfs.read_bytes_local":     &m.LocalBytesRead,
+		"hdfs.read_bytes_remote":    &m.RemoteBytesRead,
+		"hdfs.write_bytes":          &m.BytesWritten,
+		"hdfs.failovers":            &m.Failovers,
+		"hdfs.crc_failures":         &m.CRCFailures,
+		"hdfs.rereplication_failed": &m.RereplicationsFailed,
+	} {
+		reg.CounterFunc(name, v.Load)
 	}
 }
 

@@ -60,24 +60,12 @@ func (fs *FileSystem) OnNodeFailure(nodeID string) (rereplicated, lost int, err 
 	for _, j := range jobs {
 		if e := fs.rereplicate(j.b, j.path); e != nil {
 			errs = append(errs, e)
-			fs.noteRereplicationFailure()
+			fs.metrics.RereplicationsFailed.Add(1)
 			continue
 		}
 		rereplicated++
 	}
 	return rereplicated, lost, errors.Join(errs...)
-}
-
-// noteRereplicationFailure records one block left under-replicated in
-// metrics and, when attached, the obs registry.
-func (fs *FileSystem) noteRereplicationFailure() {
-	fs.metrics.RereplicationsFailed.Add(1)
-	fs.mu.RLock()
-	ctr := fs.mRereplFailed
-	fs.mu.RUnlock()
-	if ctr != nil {
-		ctr.Inc()
-	}
 }
 
 // rereplicate copies one under-replicated block to new live targets. The

@@ -114,7 +114,6 @@ func (fs *FileSystem) seal(steps []*sealing) error {
 		s.targets = fs.policyFor(s.w.path).ChooseTargets(s.w.path, s.w.placed, fs.replication, s.w.writer, alive, fs.rng)
 		s.w.placed++
 	}
-	written := fs.mWrittenBytes
 	fs.mu.Unlock()
 
 	for _, s := range steps {
@@ -138,9 +137,6 @@ func (fs *FileSystem) seal(steps []*sealing) error {
 			}
 		}
 		fs.metrics.BytesWritten.Add(int64(len(s.data)))
-		if written != nil {
-			written.Add(int64(len(s.data)))
-		}
 		s.block = &blockMeta{
 			id:   s.id,
 			size: int64(len(s.data)),
@@ -298,7 +294,7 @@ func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 	blocks := r.meta.blocks
 	path := r.meta.path
 	tracer := fs.tracer
-	localCtr, remoteCtr, readNs := fs.mLocalBytes, fs.mRemoteBytes, fs.mReadNs
+	readNs := fs.readNs
 	fs.mu.RUnlock()
 
 	observing := tracer.Enabled() || readNs != nil
@@ -348,10 +344,6 @@ func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 			rerr = err
 			break
 		}
-	}
-	if localCtr != nil {
-		localCtr.Add(localBytes)
-		remoteCtr.Add(remoteBytes)
 	}
 	if observing {
 		end := time.Now()
@@ -442,7 +434,7 @@ func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) 
 		node := fs.cluster.Node(serving)
 		if node == nil || !node.IsAlive() {
 			lastErr = fmt.Errorf("hdfs: block %d of %s: replica on %s: node down", b.id, r.meta.path, serving)
-			fs.noteFailover()
+			fs.metrics.Failovers.Add(1)
 			continue
 		}
 
@@ -451,13 +443,13 @@ func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) 
 		if injector != nil {
 			if err := injector.BeforeBlockRead(serving, b.id); err != nil {
 				lastErr = fmt.Errorf("hdfs: block %d of %s: replica on %s: %w", b.id, r.meta.path, serving, err)
-				fs.noteFailover()
+				fs.metrics.Failovers.Add(1)
 				continue
 			}
 			// The injector may have killed the serving node.
 			if !node.IsAlive() {
 				lastErr = fmt.Errorf("hdfs: block %d of %s: replica on %s: node down", b.id, r.meta.path, serving)
-				fs.noteFailover()
+				fs.metrics.Failovers.Add(1)
 				continue
 			}
 		}
@@ -471,21 +463,15 @@ func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) 
 		}
 		if crc32.ChecksumIEEE(replicaData) != crc {
 			fs.metrics.CRCFailures.Add(1)
-			fs.mu.RLock()
-			crcCtr := fs.mCRCFailures
-			fs.mu.RUnlock()
-			if crcCtr != nil {
-				crcCtr.Inc()
-			}
 			fs.reportBadReplica(b, serving, r.meta.path)
 			lastErr = fmt.Errorf("hdfs: block %d of %s: replica on %s: checksum mismatch", b.id, r.meta.path, serving)
-			fs.noteFailover()
+			fs.metrics.Failovers.Add(1)
 			continue
 		}
 
 		if err := node.ChargeDiskRead(to-from, true); err != nil {
 			lastErr = fmt.Errorf("hdfs: block %d of %s: replica on %s: %w", b.id, r.meta.path, serving, err)
-			fs.noteFailover()
+			fs.metrics.Failovers.Add(1)
 			continue
 		}
 
@@ -510,18 +496,6 @@ func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) 
 			}
 		}
 		return served, local, nil
-	}
-}
-
-// noteFailover records one replica failover in metrics and, when attached,
-// the obs registry.
-func (fs *FileSystem) noteFailover() {
-	fs.metrics.Failovers.Add(1)
-	fs.mu.RLock()
-	ctr := fs.mFailovers
-	fs.mu.RUnlock()
-	if ctr != nil {
-		ctr.Inc()
 	}
 }
 
@@ -551,7 +525,7 @@ func (fs *FileSystem) reportBadReplica(b *blockMeta, nodeID, path string) {
 		return
 	}
 	if err := fs.rereplicate(b, path); err != nil {
-		fs.noteRereplicationFailure()
+		fs.metrics.RereplicationsFailed.Add(1)
 	}
 }
 

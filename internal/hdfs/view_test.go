@@ -137,10 +137,11 @@ func TestReadAllAccountsLikeReadAt(t *testing.T) {
 				t.Fatalf("%s: bytes differ from the written file", client)
 			}
 		}
+		counts := reg.Snapshot().Counters
 		return readRecord{
 			snap:    fs.Metrics().Snapshot(),
-			local:   reg.Counter("hdfs.read_bytes_local").Value(),
-			remote:  reg.Counter("hdfs.read_bytes_remote").Value(),
+			local:   counts["hdfs.read_bytes_local"],
+			remote:  counts["hdfs.read_bytes_remote"],
 			reads:   reg.Histogram("hdfs.read_ns").Count(),
 			charged: c.TotalStats(),
 			spans:   sink.Spans(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -24,15 +25,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable level (tasks currently running, resident bytes).
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histSampleCap bounds a histogram's retained samples. Count / sum / min /
 // max stay exact past it; quantiles come from a uniform reservoir (Algorithm
@@ -150,21 +142,28 @@ func (h *Histogram) Summary() HistogramSummary {
 }
 
 // Registry is a named set of counters, gauges and histograms shared by the
-// instrumented layers. Accessors create on first use, so layers need no
-// registration step.
+// instrumented layers. It owns the counters and histograms it hands out
+// (accessors create on first use, so layers need no registration step) and
+// reads everything else from the layer that keeps it: a count another layer
+// already holds is a CounterFunc, and every level is a GaugeFunc, so no
+// value is kept twice or copied in at scrape time. The value of a name
+// another layer shows is read through Snapshot, not through Counter(name),
+// which returns only the registry's own part.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu           sync.Mutex
+	counters     map[string]*Counter
+	counterFuncs map[string][]func() int64
+	gauges       map[string]func() int64
+	hists        map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters:     make(map[string]*Counter),
+		counterFuncs: make(map[string][]func() int64),
+		gauges:       make(map[string]func() int64),
+		hists:        make(map[string]*Histogram),
 	}
 }
 
@@ -180,16 +179,22 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+// CounterFunc adds fn as a source of the named counter, whose value is the
+// sum of every source registered under it: two sessions sharing one engine
+// total their counts. fn must be monotone and safe to call concurrently.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	r.counterFuncs[name] = append(r.counterFuncs[name], fn)
+}
+
+// GaugeFunc makes fn the named level. A level has one owner: a later
+// registration under the name replaces the earlier one. fn must be safe to
+// call concurrently.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gauges[name] = fn
 }
 
 // Histogram returns the named histogram, creating it on first use. New
@@ -217,33 +222,31 @@ type Snapshot struct {
 	Histograms map[string]HistogramSummary
 }
 
-// Snapshot copies all current metric values.
+// Snapshot copies all current metric values. The registered funcs run
+// outside the registry lock, so a func may take its owner's lock.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
+	counters := maps.Clone(r.counters)
+	counterFuncs := maps.Clone(r.counterFuncs) // appends never touch a copied prefix
+	gauges := maps.Clone(r.gauges)
+	hists := maps.Clone(r.hists)
 	r.mu.Unlock()
 
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(counters)),
+		Counters:   make(map[string]int64, len(counters)+len(counterFuncs)),
 		Gauges:     make(map[string]int64, len(gauges)),
 		Histograms: make(map[string]HistogramSummary, len(hists)),
 	}
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
 	}
-	for k, v := range gauges {
-		s.Gauges[k] = v.Value()
+	for k, fns := range counterFuncs {
+		for _, fn := range fns {
+			s.Counters[k] += fn()
+		}
+	}
+	for k, fn := range gauges {
+		s.Gauges[k] = fn()
 	}
 	for k, v := range hists {
 		s.Histograms[k] = v.Summary()

@@ -89,7 +89,7 @@ func fixtureRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("a").Inc()
 	r.Counter("b").Add(2)
-	r.Gauge("g").Set(5)
+	r.GaugeFunc("g", func() int64 { return 5 })
 	h := r.Histogram("lat_ns")
 	h.Observe(1000)
 	h.Observe(2000)

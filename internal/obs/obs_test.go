@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -133,8 +134,8 @@ func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(3)
 	r.Counter("c").Inc()
-	r.Gauge("g").Set(7)
-	r.Gauge("g").Set(5)
+	r.GaugeFunc("g", func() int64 { return 7 })
+	r.GaugeFunc("g", func() int64 { return 5 }) // a later owner replaces the first
 	r.Histogram("h_ns").ObserveDuration(time.Millisecond)
 
 	if r.Counter("c").Value() != 4 {
@@ -143,6 +144,26 @@ func TestRegistry(t *testing.T) {
 	s := r.Snapshot()
 	if s.Counters["c"] != 4 || s.Gauges["g"] != 5 || s.Histograms["h_ns"].Count != 1 {
 		t.Errorf("snapshot = %+v", s)
+	}
+
+	// A counter kept by another layer is the sum of its sources, beside
+	// whatever the registry holds under the name itself.
+	var a, b atomic.Int64
+	r.CounterFunc("c", a.Load)
+	r.CounterFunc("c", b.Load)
+	r.CounterFunc("f", a.Load)
+	a.Store(10)
+	b.Store(100)
+	if s := r.Snapshot(); s.Counters["c"] != 114 || s.Counters["f"] != 10 {
+		t.Errorf("counter funcs: c = %d, f = %d, want 114 and 10", s.Counters["c"], s.Counters["f"])
+	}
+	if r.Counter("c").Value() != 4 {
+		t.Errorf("Counter(c) = %d, want the registry's own 4", r.Counter("c").Value())
+	}
+	// Snapshot runs the funcs outside its lock: one may use the registry.
+	r.GaugeFunc("reentrant", func() int64 { return r.Counter("c").Value() })
+	if got := r.Snapshot().Gauges["reentrant"]; got != 4 {
+		t.Errorf("reentrant gauge = %d, want 4", got)
 	}
 
 	var buf bytes.Buffer

@@ -37,8 +37,6 @@ type admitter struct {
 	depth   int   // global bound on queued waiters
 	quantum int64 // deficit credited per round: budget/64, at least 1
 
-	reg *obs.Registry // live gauges (queue depth, in-flight, reserved); may be nil
-
 	mu       sync.Mutex
 	reserved int64
 	inFlight int
@@ -69,15 +67,27 @@ type waiter struct {
 	granted chan struct{}
 }
 
+// newAdmitter makes an idle admitter whose levels reg reads under its lock.
 func newAdmitter(budget int64, maxConc, depth int, reg *obs.Registry) *admitter {
-	return &admitter{
+	a := &admitter{
 		budget:  budget,
 		maxConc: maxConc,
 		depth:   depth,
 		quantum: max(budget/64, 1),
-		reg:     reg,
 		tenants: make(map[string]*tenantQueue),
 	}
+	for name, level := range map[string]func() int64{
+		"queue_depth":    func() int64 { return int64(a.queued) },
+		"in_flight":      func() int64 { return int64(a.inFlight) },
+		"reserved_bytes": func() int64 { return a.reserved },
+	} {
+		reg.GaugeFunc("serve.admission."+name, func() int64 {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			return level()
+		})
+	}
+	return a
 }
 
 func (a *admitter) tenantLocked(name string) *tenantQueue {
@@ -120,17 +130,6 @@ func (a *admitter) grantLocked(cost int64) {
 	a.admitted++
 }
 
-// updateGaugesLocked publishes the live admission levels; /metrics scrapes
-// read them without touching the admitter.
-func (a *admitter) updateGaugesLocked() {
-	if a.reg == nil {
-		return
-	}
-	a.reg.Gauge("serve.admission.queue_depth").Set(int64(a.queued))
-	a.reg.Gauge("serve.admission.in_flight").Set(int64(a.inFlight))
-	a.reg.Gauge("serve.admission.reserved_bytes").Set(a.reserved)
-}
-
 // admit blocks until the query may run, the queue overflows, or ctx ends.
 // On success the returned release must be called exactly once when the
 // query finishes (however it finishes).
@@ -138,7 +137,6 @@ func (a *admitter) admit(ctx context.Context, tenant string, cost int64) (func()
 	a.mu.Lock()
 	if a.queued == 0 && a.canRunLocked(cost) {
 		a.grantLocked(cost)
-		a.updateGaugesLocked()
 		a.mu.Unlock()
 		return func() { a.release(cost) }, nil
 	}
@@ -157,7 +155,6 @@ func (a *admitter) admit(ctx context.Context, tenant string, cost int64) (func()
 	// The new waiter may be schedulable right away (e.g. its tenant holds
 	// deficit while the others' heads do not fit the budget).
 	a.scheduleLocked()
-	a.updateGaugesLocked()
 	a.mu.Unlock()
 
 	select {
@@ -178,7 +175,6 @@ func (a *admitter) admit(ctx context.Context, tenant string, cost int64) (func()
 		// is behind it could fit the free capacity right now, so run the
 		// scheduler instead of waiting for the next release.
 		a.scheduleLocked()
-		a.updateGaugesLocked()
 		a.mu.Unlock()
 		return nil, ctx.Err()
 	}
@@ -223,7 +219,6 @@ func (a *admitter) deactivateLocked(tq *tenantQueue) {
 func (a *admitter) release(cost int64) {
 	a.mu.Lock()
 	a.releaseLocked(cost)
-	a.updateGaugesLocked()
 	a.mu.Unlock()
 }
 
@@ -308,14 +303,6 @@ func (a *admitter) scheduleLocked() {
 			}
 		}
 	}
-}
-
-// syncGauges republishes the current admission levels (scrape-time refresh,
-// so gauges exist even before the first admit).
-func (a *admitter) syncGauges() {
-	a.mu.Lock()
-	a.updateGaugesLocked()
-	a.mu.Unlock()
 }
 
 // snapshot returns (running, queued, admitted, rejected, peak).

@@ -5,13 +5,15 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"clydesdale/internal/obs"
 )
 
 // testAdmitter builds an admitter with the FIFO-era knobs; a single tenant
 // under the fair-share scheduler reduces exactly to the old global FIFO, so
 // these tests still pin that contract.
 func testAdmitter(budget int64, maxConc, depth int) *admitter {
-	return newAdmitter(budget, maxConc, depth, nil)
+	return newAdmitter(budget, maxConc, depth, obs.NewRegistry())
 }
 
 func mustAdmit(t *testing.T, a *admitter, cost int64) func() {

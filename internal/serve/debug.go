@@ -73,17 +73,8 @@ func (d *DebugServer) Close() error {
 }
 
 func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	m := d.session.Metrics()
-	if m == nil {
-		http.Error(w, "no metrics registry attached", http.StatusServiceUnavailable)
-		return
-	}
-	// Refresh the live serve gauges (queue depth, in-flight, reserved
-	// bytes, cache residency) so the scrape reflects this instant;
-	// re-setting a gauge to its current value keeps scrapes idempotent.
-	d.session.syncGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.WriteProm(w)
+	d.session.Metrics().WriteProm(w)
 }
 
 // handleProfilez renders the flight recorder: text reports by default,
@@ -141,12 +132,7 @@ type sloClass struct {
 const sloPrefix = "serve.slo."
 
 func (d *DebugServer) handleSLO(w http.ResponseWriter, _ *http.Request) {
-	m := d.session.Metrics()
-	if m == nil {
-		http.Error(w, "no metrics registry attached", http.StatusServiceUnavailable)
-		return
-	}
-	snap := m.Snapshot()
+	snap := d.session.Metrics().Snapshot()
 	classes := make(map[string]*sloClass)
 	get := func(class string) *sloClass {
 		c, ok := classes[class]

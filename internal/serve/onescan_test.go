@@ -135,9 +135,9 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 			t.Errorf("%s: admission charges %d bytes (%v), its table takes %d", dims[i].Table, got, err, want[i].MemBytes)
 		}
 	}
-	if hook.n != perScan || rep.RowsBloomSkipped == 0 {
+	if hook.n != perScan || rep.Job.Counters.Get(colstore.CtrRowsBloomSkipped) == 0 {
 		t.Errorf("%d customer block reads after re-reading the sizes, %d fact rows dropped by blooms; want %d reads and a pushdown",
-			hook.n, rep.RowsBloomSkipped, perScan)
+			hook.n, rep.Job.Counters.Get(colstore.CtrRowsBloomSkipped), perScan)
 	}
 
 	run(&again)

@@ -57,10 +57,6 @@ type resultCache struct {
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
-	// The registry's copies of the counters above and the residency gauges,
-	// resolved once.
-	hitsCtr, subsumedCtr, missesCtr, evictionsCtr, invalidationsCtr *obs.Counter
-	bytesGauge, entriesGauge                                        *obs.Gauge
 }
 
 // resultEntry is one cached result. done closes when the build publishes or
@@ -105,33 +101,31 @@ func (e *resultEntry) ordered(rs *results.ResultSet, orders []results.Order) (*r
 	return rs, rs.Sort(orders)
 }
 
-// newResultCache makes an empty cache of budget bytes whose counters and
-// gauges land in reg.
+// newResultCache makes an empty cache of budget bytes whose counts and
+// residency reg reads.
 func newResultCache(budget int64, reg *obs.Registry) *resultCache {
-	const prefix = "serve.result_cache."
-	return &resultCache{
-		budget:           budget,
-		entries:          make(map[string]*resultEntry),
-		skeletons:        make(map[string][]*resultEntry),
-		hitsCtr:          reg.Counter(prefix + "hits"),
-		subsumedCtr:      reg.Counter(prefix + "subsumption_hits"),
-		missesCtr:        reg.Counter(prefix + "misses"),
-		evictionsCtr:     reg.Counter(prefix + "evictions"),
-		invalidationsCtr: reg.Counter(prefix + "invalidations"),
-		bytesGauge:       reg.Gauge(prefix + "resident_bytes"),
-		entriesGauge:     reg.Gauge(prefix + "entries"),
+	rc := &resultCache{
+		budget:    budget,
+		entries:   make(map[string]*resultEntry),
+		skeletons: make(map[string][]*resultEntry),
 	}
-}
-
-// updateGaugesLocked publishes the residency after a change to it.
-func (rc *resultCache) updateGaugesLocked() {
-	rc.bytesGauge.Set(rc.bytes)
-	rc.entriesGauge.Set(int64(len(rc.entries)))
-}
-
-func count(c *atomic.Int64, m *obs.Counter) {
-	c.Add(1)
-	m.Inc()
+	const prefix = "serve.result_cache."
+	for name, c := range map[string]*atomic.Int64{
+		"hits":             &rc.hits,
+		"subsumption_hits": &rc.subsumedHits,
+		"misses":           &rc.misses,
+		"evictions":        &rc.evictions,
+		"invalidations":    &rc.invalidations,
+	} {
+		reg.CounterFunc(prefix+name, c.Load)
+	}
+	reg.GaugeFunc(prefix+"resident_bytes", rc.residentBytes)
+	reg.GaugeFunc(prefix+"entries", func() int64 {
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		return int64(len(rc.entries))
+	})
+	return rc
 }
 
 // lookup resolves key against the cache for a query ordered by orders,
@@ -174,7 +168,7 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, orders []
 			if err != nil {
 				return nil, "", core.Versions{}, nil, err
 			}
-			count(&rc.hits, rc.hitsCtr)
+			rc.hits.Add(1)
 			return rs, "hit", e.at, nil, nil
 		}
 		// No exact entry: a finished broader one may subsume this query.
@@ -189,7 +183,7 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, orders []
 					if filtered, err = e.ordered(filtered, orders); err != nil {
 						return nil, "", core.Versions{}, nil, err
 					}
-					count(&rc.subsumedHits, rc.subsumedCtr)
+					rc.subsumedHits.Add(1)
 					return filtered, "subsumed", e.at, nil, nil
 				}
 				// A predicate the result schema cannot evaluate: degrade to a
@@ -205,7 +199,7 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, orders []
 		e.lastUse = rc.clock
 		rc.entries[fp] = e
 		rc.mu.Unlock()
-		count(&rc.misses, rc.missesCtr)
+		rc.misses.Add(1)
 		return nil, "miss", core.Versions{}, func(rs *results.ResultSet, at core.Versions) { rc.publish(e, rs, at) }, nil
 	}
 }
@@ -216,8 +210,7 @@ func (rc *resultCache) dropStaleLocked(e *resultEntry) {
 		return // another lookup already did
 	}
 	rc.removeLocked(e)
-	count(&rc.invalidations, rc.invalidationsCtr)
-	rc.updateGaugesLocked()
+	rc.invalidations.Add(1)
 }
 
 // removeLocked takes a finished entry out of the cache and its index.
@@ -277,7 +270,6 @@ func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet, at core.Ve
 			delete(rc.entries, e.fp)
 		}
 		e.err = errResultNotCached
-		rc.updateGaugesLocked()
 		rc.mu.Unlock()
 		close(e.done)
 		return
@@ -296,7 +288,6 @@ func (rc *resultCache) publish(e *resultEntry, rs *results.ResultSet, at core.Ve
 		rc.bytes += bytes
 		rc.skeletons[e.key.Skeleton] = append(rc.skeletons[e.key.Skeleton], e)
 	}
-	rc.updateGaugesLocked()
 	rc.mu.Unlock()
 	close(e.done)
 }
@@ -323,7 +314,7 @@ func (rc *resultCache) evictLocked(incoming int64) {
 			return
 		}
 		rc.removeLocked(victim)
-		count(&rc.evictions, rc.evictionsCtr)
+		rc.evictions.Add(1)
 	}
 }
 
@@ -333,9 +324,8 @@ func (rc *resultCache) evictAll() {
 	defer rc.mu.Unlock()
 	for _, e := range rc.entries {
 		rc.removeLocked(e)
-		count(&rc.invalidations, rc.invalidationsCtr)
+		rc.invalidations.Add(1)
 	}
-	rc.updateGaugesLocked()
 }
 
 // residentBytes returns the cache's current byte accounting.

@@ -113,6 +113,7 @@ type Session struct {
 
 	rollIns, rollInRows, rollInFailures atomic.Int64
 	compactions, compactedRows          atomic.Int64
+	compactionFailures, retentions      atomic.Int64
 	partsPublished, partsRetired        atomic.Int64
 }
 
@@ -159,6 +160,7 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 		adm:    newAdmitter(opts.AdmissionBudget, opts.MaxConcurrent, opts.QueueDepth, reg),
 		opts:   opts,
 	}
+	s.observe(reg)
 	if opts.ProfileDepth >= 0 {
 		// Profiling needs the span stream: attach a per-trace collector,
 		// creating the tracer when the owner didn't supply one.
@@ -170,6 +172,44 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 		s.recorder = obs.NewFlightRecorder(opts.ProfileDepth)
 	}
 	return s
+}
+
+// observe shows the session's ingest counts and its levels in reg, read
+// from the state that keeps them. Counts add up over the sessions of one
+// engine; the levels are the newest session's.
+func (s *Session) observe(reg *obs.Registry) {
+	for name, c := range map[string]*atomic.Int64{
+		"rows":                &s.rollInRows,
+		"roll_ins":            &s.rollIns,
+		"roll_in_failures":    &s.rollInFailures,
+		"compactions":         &s.compactions,
+		"compaction_failures": &s.compactionFailures,
+		"retentions":          &s.retentions,
+	} {
+		reg.CounterFunc("serve.ingest."+name, c.Load)
+	}
+	reg.GaugeFunc("serve.ingest.snapshot_pins", func() int64 {
+		pins, _ := s.eng.Snapshots().Held(s.cat.FactDir)
+		return int64(pins)
+	})
+	reg.GaugeFunc("serve.ingest.partitions_unreaped", func() int64 {
+		_, unreaped := s.eng.Snapshots().Held(s.cat.FactDir)
+		return int64(unreaped)
+	})
+	reg.GaugeFunc("serve.cache.resident_bytes", func() int64 { return s.cache.Stats().ResidentBytes })
+	tables := []string{s.cat.FactName}
+	for t := range s.cat.DimDirs {
+		tables = append(tables, t)
+	}
+	for i, t := range tables {
+		reg.GaugeFunc("serve.table_version."+t, func() int64 {
+			cur, err := s.eng.CurrentVersions(tables)
+			if err != nil {
+				return 0
+			}
+			return int64(cur.At[i])
+		})
+	}
 }
 
 // Metrics returns the registry the session's accounting lands in.
@@ -410,21 +450,14 @@ func (s *Session) InvalidateTable(table string) error {
 // Roll-ins serialize with each other and with compaction/retention, not
 // with queries.
 func (s *Session) RollIn(table string, rows func(emit func(records.Record) error) error) (int64, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
+	end, err := s.beginWrite()
+	if err != nil {
+		return 0, err
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	defer end()
 	var (
 		n     int64
 		parts []string
-		err   error
 	)
 	if table == s.cat.FactName {
 		n, parts, err = s.eng.Snapshots().RollIn(s.cat.FactDir, s.opts.IngestPartitionRows, rows)
@@ -437,7 +470,6 @@ func (s *Session) RollIn(table string, rows func(emit func(records.Record) error
 	}
 	if err != nil {
 		s.rollInFailures.Add(1)
-		s.countIngest("roll_in_failures")
 		return 0, fmt.Errorf("serve: roll-in %s: %w", table, err)
 	}
 	if n == 0 {
@@ -446,17 +478,25 @@ func (s *Session) RollIn(table string, rows func(emit func(records.Record) error
 	s.partsPublished.Add(int64(len(parts)))
 	s.rollIns.Add(1)
 	s.rollInRows.Add(n)
-	s.countIngest("roll_ins")
-	if m := s.Metrics(); m != nil {
-		m.Counter("serve.ingest.rows").Add(n)
-	}
 	return n, nil
 }
 
-func (s *Session) countIngest(name string) {
-	if m := s.Metrics(); m != nil {
-		m.Counter("serve.ingest." + name).Inc()
+// beginWrite enters the write path: it refuses a closed session, and
+// otherwise holds the session open and the write path to itself until end
+// is called.
+func (s *Session) beginWrite() (end func(), err error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, ErrClosed
 	}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.ingestMu.Lock()
+	return func() {
+		s.ingestMu.Unlock()
+		s.wg.Done()
+	}, nil
 }
 
 // CompactFact runs one compaction pass over the fact table: small roll-in
@@ -465,20 +505,14 @@ func (s *Session) countIngest(name string) {
 // multiset is unchanged, so no cached state needs invalidating — a racing
 // query answers identically from either side of the swap.
 func (s *Session) CompactFact(opts colstore.CompactOptions) (*colstore.CompactResult, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	end, err := s.beginWrite()
+	if err != nil {
+		return nil, err
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	defer end()
 	res, err := colstore.Compact(s.eng.Snapshots(), s.cat.FactDir, opts)
 	if err != nil {
-		s.countIngest("compaction_failures")
+		s.compactionFailures.Add(1)
 		return nil, fmt.Errorf("serve: compact %s: %w", s.cat.FactName, err)
 	}
 	if len(res.Retired) > 0 {
@@ -486,7 +520,6 @@ func (s *Session) CompactFact(opts colstore.CompactOptions) (*colstore.CompactRe
 		s.compactedRows.Add(res.Rows)
 		s.partsPublished.Add(int64(len(res.Published)))
 		s.partsRetired.Add(int64(len(res.Retired)))
-		s.countIngest("compactions")
 	}
 	return res, nil
 }
@@ -498,24 +531,18 @@ func (s *Session) CompactFact(opts colstore.CompactOptions) (*colstore.CompactRe
 // the swap gives the fact table a new content version. Returns the retired
 // partitions.
 func (s *Session) RetainFact(col string, cutoff int64) ([]string, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	end, err := s.beginWrite()
+	if err != nil {
+		return nil, err
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	defer end()
 	retired, err := colstore.ExpireBefore(s.eng.Snapshots(), s.cat.FactDir, col, cutoff)
 	if err != nil {
 		return nil, fmt.Errorf("serve: retention %s: %w", s.cat.FactName, err)
 	}
 	if len(retired) > 0 {
 		s.partsRetired.Add(int64(len(retired)))
-		s.countIngest("retentions")
+		s.retentions.Add(1)
 	}
 	return retired, nil
 }
@@ -561,26 +588,6 @@ func (s *Session) StartCompactor(interval time.Duration, opts colstore.CompactOp
 	return stop
 }
 
-// syncGauges refreshes scrape-time gauges for sources without inline update
-// hooks (the table cache, the table versions) and republishes the admission
-// levels so every scrape sees the full gauge set. The result cache keeps its
-// own gauges current.
-func (s *Session) syncGauges() {
-	if m := s.Metrics(); m != nil {
-		m.Gauge("serve.cache.resident_bytes").Set(s.cache.Stats().ResidentBytes)
-		tables := []string{s.cat.FactName}
-		for t := range s.cat.DimDirs {
-			tables = append(tables, t)
-		}
-		if cur, err := s.eng.CurrentVersions(tables); err == nil {
-			for i, t := range tables {
-				m.Gauge("serve.table_version." + t).Set(int64(cur.At[i]))
-			}
-		}
-	}
-	s.adm.syncGauges()
-}
-
 // finishTrace emits the root query span, claims the trace's spans from the
 // collector, and records the assembled profile in the flight recorder. A
 // no-op for untraced queries. resultCache is what the result cache did for
@@ -621,8 +628,8 @@ func (s *Session) finishTrace(sc obs.SpanContext, query string, start time.Time,
 		return
 	}
 	s.recorder.Record(p)
-	if m := s.Metrics(); m != nil && p.Orphans > 0 {
-		m.Counter("serve.profile.orphan_spans").Add(int64(p.Orphans))
+	if p.Orphans > 0 {
+		s.Metrics().Counter("serve.profile.orphan_spans").Add(int64(p.Orphans))
 	}
 }
 
@@ -640,9 +647,7 @@ func (s *Session) observeQueueWait(sc obs.SpanContext, query string, start time.
 		sc.NewChild().Fill(&span, sc.Span)
 		tr.Emit(span)
 	}
-	if m := s.mrEng.Metrics(); m != nil {
-		m.Histogram("serve.admission_wait_ns").ObserveDuration(end.Sub(start))
-	}
+	s.Metrics().Histogram("serve.admission_wait_ns").ObserveDuration(end.Sub(start))
 }
 
 // admissionCost estimates the per-node bytes admitting the query adds: the

@@ -57,7 +57,10 @@ vet:
 # (Registry.CounterFunc, GaugeFunc; DESIGN.md "Observability"), so no
 # settable gauge (obs.Gauge, Registry.Gauge), no gauge pushed at each change
 # or synced at scrape time, no registry counter beside an owner's atomic
-# and no report field copied from the job counters (fillScanStats).
+# and no report field copied from the job counters (fillScanStats). Nor does
+# a second meaning of a row output: RowOutput writes values, so an encoded
+# write (RecordWriter.WriteEncoded) is one row as it stands, with no key
+# folded in (IncludeKey).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -88,6 +91,8 @@ no-deprecated:
 		-e noteRereplicationFailure -e fillScanStats -e mLocalBytes -e hitsCtr . || \
 		grep -rn --include='*.go' -e '\.Gauge(' -e 'obs\.Gauge\b' -e 'type Gauge\b' .; then \
 		echo "a metric is read from the state that owns it: Registry.CounterFunc / GaugeFunc"; exit 1; fi
+	@if grep -rnw --include='*.go' IncludeKey .; then \
+		echo "a row output writes values: an encoded write is one row, with no key folded in"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node
@@ -120,9 +125,12 @@ race:
 # run under -race on every check. colstore rides along so the scan-path
 # property tests (encoding round-trips, zone-map oracle) run race-checked
 # too, and with internal/mr come the record path's model tests (random jobs
-# held to the sorted-pairs reference, four goroutines on one collector).
+# held to the sorted-pairs reference, four goroutines on one collector) and
+# its recycled buffers (two jobs on one engine). internal/hive is where the
+# pooled buffers meet the repartition join's byte path (values moved from
+# the shuffle to the row file undecoded).
 race-concurrency:
-	$(GO) test -race ./internal/serve/... ./internal/core/... ./internal/mr/... ./internal/colstore/...
+	$(GO) test -race ./internal/serve/... ./internal/core/... ./internal/mr/... ./internal/colstore/... ./internal/hive/...
 
 # Fault-injection suite (see DESIGN.md "Fault tolerance"): every SSB query
 # under node kills, stragglers, transient read errors and corrupted
@@ -199,7 +207,7 @@ bench-smoke:
 	$(GO) test -run 'TestAllQueriesMatchReference' -count=1 ./internal/core/
 
 # The before/after file a performance change checks in (BENCH_<w>.json):
-# the parent revision, built through a temporary git worktree, against the
+# the parent revision, built from a `git archive` of it, against the
 # working tree on one workload of the repository benchmark, ten alternating
 # pairs on the `selfcheck` seeds, every run's result line and per end-to-end
 # metric both sides' medians and quartiles, the pairs won and the verdict of

@@ -11,6 +11,7 @@ import (
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
 	"clydesdale/internal/records"
@@ -417,5 +418,67 @@ func TestRecoveryOverheadReport(t *testing.T) {
 			q, healthy[q].Round(time.Millisecond),
 			straggler[q].Round(time.Millisecond),
 			kill[q].Round(time.Millisecond))
+	}
+}
+
+// TestChaosHiveRepartitionNodeKill: the Hive baseline's repartition join
+// under a node kill that fires inside a join stage. The shuffle recycles
+// its buffers, and recovery is where an output can be replaced while a
+// reducer still merges it, so the stage must have re-executed a map or
+// retried a task, and the answers must be the healthy run's.
+func TestChaosHiveRepartitionNodeKill(t *testing.T) {
+	load := func(t *testing.T) (*env, *hive.Engine) {
+		c := cluster.New(cluster.Testing(4))
+		fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 23})
+		gen := ssb.NewGenerator(0.002, 42)
+		lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{PartitionRows: 1000, RCGroupRows: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &env{cluster: c, fs: fs, mr: mr.NewEngine(c, fs, mr.Options{}), gen: gen, lay: lay}
+		return e, hive.New(e.mr, lay.RCCatalog(), hive.Options{Strategy: hive.Repartition})
+	}
+	for _, name := range []string{"Q2.1", "Q4.1"} {
+		t.Run(name, func(t *testing.T) {
+			q, err := ssb.QueryByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, healthy := load(t)
+			want, _, err := healthy.Execute(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			e, eng := load(t)
+			ctl := chaos.New(e.cluster, e.fs, chaos.Plan{Name: "hive-kill", Seed: 5,
+				Kills: []chaos.NodeKill{{Node: "node-1", AfterBlockReads: 8}}}, nil)
+			if err := ctl.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer ctl.Stop()
+			got, rep, err := eng.Execute(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.cluster.Node("node-1").IsAlive() {
+				t.Fatal("node-1 is alive: the kill never fired")
+			}
+			recovered := false
+			for _, st := range rep.Stages {
+				c := st.Job.Counters
+				if st.Kind == "join" && c.Get(mr.CtrMapsReExecuted)+c.Get(mr.CtrTaskRetries) > 0 {
+					recovered = true
+				}
+				t.Logf("%s (%s): maps re-executed %d, task retries %d, attempts requeued %d", st.Name, st.Kind,
+					c.Get(mr.CtrMapsReExecuted), c.Get(mr.CtrTaskRetries), c.Get(mr.CtrAttemptsRequeuedDeadNode))
+			}
+			if !recovered {
+				t.Error("no join stage re-executed a map or retried a task: the kill fired outside the joins")
+			}
+			if ok, why := results.Equivalent(got, want, 1e-9); !ok {
+				t.Fatalf("answer under the kill differs from the healthy run's: %s\ngot:\n%swant:\n%s", why, got, want)
+			}
+		})
 	}
 }

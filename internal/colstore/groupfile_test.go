@@ -11,8 +11,9 @@ import (
 
 // TestGroupFileBytesGolden pins the bytes of both group-file formats: a row
 // file of several groups over more than one HDFS block, an RCFile of several
-// row groups, and the part file a RowOutput task writes (key fields first).
-// A change to either writer's framing, footer or group body moves a hash.
+// row groups, and the part file a RowOutput task writes (a key's fields
+// concatenated ahead of a row's, every other row written encoded). A change
+// to either writer's framing, footer or group body moves a hash.
 func TestGroupFileBytesGolden(t *testing.T) {
 	const blockSize = 4096
 	e := newEnv(2, blockSize)
@@ -24,13 +25,19 @@ func TestGroupFileBytesGolden(t *testing.T) {
 	}
 
 	keySchema := records.NewSchema(records.F("k", records.KindInt64))
-	out := &RowOutput{Dir: "/out", IncludeKey: true, Schema: records.NewSchema(append(keySchema.Fields(), tblSchema.Fields()...)...)}
+	out := &RowOutput{Dir: "/out", Schema: records.NewSchema(append(keySchema.Fields(), tblSchema.Fields()...)...)}
 	w, err := out.OpenWriter(mr.NewTestTaskContext(&mr.JobContext{FS: e.fs, Cluster: e.cluster}, e.cluster.Nodes()[1]), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if err := w.Write(records.Make(keySchema, records.Int(int64(i%7))), makeRow(i)); err != nil {
+		row := records.Make(out.Schema, append([]records.Value{records.Int(int64(i % 7))}, makeRow(i).Values()...)...)
+		if i%2 == 0 {
+			err = w.Write(records.Record{}, row)
+		} else {
+			err = w.WriteEncoded(records.AppendRecord(nil, row))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

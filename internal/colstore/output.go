@@ -8,18 +8,14 @@ import (
 	"clydesdale/internal/records"
 )
 
-// RowOutput is an mr.OutputFormat writing each task's (key, value) pairs as
-// rows of a row-format table under Dir. Values are written; keys are
-// ignored unless IncludeKey is set, in which case key fields precede value
-// fields (both schemas must be provided by the caller via Schema).
+// RowOutput is an mr.OutputFormat writing the values of each task's (key,
+// value) pairs as rows of a row-format table under Dir; keys are ignored.
 //
 // Hive's staged plans use this to round-trip intermediate join results
 // through HDFS between MapReduce jobs (§6.3).
 type RowOutput struct {
 	Dir    string
 	Schema *records.Schema
-	// IncludeKey prepends the key's fields to each row.
-	IncludeKey bool
 
 	once sync.Once
 	err  error
@@ -46,20 +42,13 @@ func (o *RowOutput) OpenWriter(ctx *mr.TaskContext, taskIndex int) (mr.RecordWri
 	if err != nil {
 		return nil, err
 	}
-	return &rowOutputWriter{w: w, includeKey: o.IncludeKey}, nil
+	return &rowOutputWriter{w: w}, nil
 }
 
-type rowOutputWriter struct {
-	w          *RowWriter
-	includeKey bool
-}
+type rowOutputWriter struct{ w *RowWriter }
 
-func (w *rowOutputWriter) Write(k, v records.Record) error {
-	row := v
-	if w.includeKey {
-		row = k.Concat(v)
-	}
-	return w.w.Append(row)
-}
+func (w *rowOutputWriter) Write(_, v records.Record) error { return w.w.Append(v) }
+
+func (w *rowOutputWriter) WriteEncoded(v []byte) error { return w.w.AppendEncoded(v) }
 
 func (w *rowOutputWriter) Close() error { return w.w.Close() }

@@ -31,6 +31,7 @@ type RowWriter struct {
 	groupSize int64
 	buf       []byte
 	bufRows   int64
+	enc       []byte // Append's encoding of its record
 }
 
 // NewRowWriter opens a row file for writing. groupSize is the target bytes
@@ -46,12 +47,20 @@ func NewRowWriter(fs *hdfs.FileSystem, path, writerNode string, schema *records.
 	return &RowWriter{groupWriter: gw, schema: schema, groupSize: groupSize}, nil
 }
 
-// Append writes one record.
+// Append writes one record: its encoding, appended as AppendEncoded
+// appends it.
 func (rw *RowWriter) Append(r records.Record) error {
+	rw.enc = records.AppendRecord(rw.enc[:0], r)
+	return rw.AppendEncoded(rw.enc)
+}
+
+// AppendEncoded writes one row given in records.AppendRecord's encoding,
+// copying it; a group is cut once it holds groupSize bytes.
+func (rw *RowWriter) AppendEncoded(row []byte) error {
 	if rw.closed {
 		return fmt.Errorf("colstore: append to closed row writer")
 	}
-	rw.buf = records.AppendRecord(rw.buf, r)
+	rw.buf = append(rw.buf, row...)
 	rw.bufRows++
 	if int64(len(rw.buf)) >= rw.groupSize {
 		return rw.flushGroup()

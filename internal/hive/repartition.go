@@ -2,6 +2,8 @@ package hive
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -176,39 +178,76 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 	return res, nil
 }
 
-// newRepartitionReducer joins one key's values: it keeps the key's
-// dimension rows (numAux values each; primary keys make that one row in
-// practice), which arrive first, and emits every big-side row that follows
-// once per kept row, carried columns then aux columns, as it arrives. A
-// dimension row after a big-side row would have missed the rows already
-// streamed past it, so it is an error and not a shorter answer.
+// newRepartitionReducer joins one key's values without decoding them: it
+// keeps the aux bytes of the key's dimension rows (primary keys make that one
+// row in practice), which arrive first, and writes every big-side row that
+// follows once per kept row, as it arrives: the output's field count, the
+// big-side row's carried columns, then the dimension row's aux columns, each
+// value's bytes as the mapper encoded them. A value whose field count is not
+// its side's is refused. So is a dimension row after a big-side row: it
+// would have missed the rows already streamed past it, so it is an error and
+// not a shorter answer.
 func newRepartitionReducer(outSchema *records.Schema, numAux int) mr.Reducer {
-	var dims []records.Value // the key's dimension rows, end to end
-	row := records.New(outSchema)
+	dimWidth, bigWidth := uint64(1+numAux), uint64(1+outSchema.Len()-numAux)
+	header := binary.AppendUvarint(nil, uint64(outSchema.Len()))
+	var dims []byte // the key's dimension rows' aux bytes, end to end
+	var ends []int  // where each of those rows ends in dims
+	var row []byte
 	return mr.ReducerFunc(func(key records.Record, vals mr.Values, out mr.Collector) error {
-		dims = dims[:0]
-		numDims, streaming := 0, false
-		for v, ok := vals.Next(); ok; v, ok = vals.Next() {
-			payload := v.Values()[1:]
-			if v.At(0).Int64() == tagDim {
+		w, ok := out.(mr.EncodedCollector)
+		if !ok {
+			return fmt.Errorf("hive: repartition join: %T takes no encoded rows", out)
+		}
+		dims, ends = dims[:0], ends[:0]
+		streaming := false
+		for v, ok := vals.NextEncoded(); ok; v, ok = vals.NextEncoded() {
+			tag, width, cols, err := untag(v)
+			if err != nil {
+				return fmt.Errorf("hive: repartition join: a value of key %v: %w", key, err)
+			}
+			if tag == tagDim {
+				if width != dimWidth {
+					return fmt.Errorf("hive: repartition join: a dimension row of key %v has %d values, want %d", key, width, dimWidth)
+				}
 				if streaming {
 					return fmt.Errorf("hive: repartition join: a dimension row of key %v follows a big-side row", key)
 				}
-				dims = append(dims, payload...) // a copy: v is gone at the next Next
-				numDims++
+				dims = append(dims, cols...) // a copy: v is gone at the next call
+				ends = append(ends, len(dims))
 				continue
 			}
+			if width != bigWidth {
+				return fmt.Errorf("hive: repartition join: a big-side row of key %v has %d values, want %d", key, width, bigWidth)
+			}
 			streaming = true
-			for d := 0; d < numDims; d++ {
-				copy(row.Values(), payload)
-				copy(row.Values()[len(payload):], dims[d*numAux:(d+1)*numAux])
-				if err := out.Collect(records.Record{}, row); err != nil {
+			start := 0
+			for _, end := range ends {
+				row = append(append(append(row[:0], header...), cols...), dims[start:end]...)
+				if err := w.CollectEncoded(row); err != nil {
 					return err
 				}
+				start = end
 			}
 		}
 		return nil
 	})
+}
+
+// untag splits a mapper's tagged value into its tag, its field count (the
+// tag's included) and the encoded values that follow the tag.
+func untag(v []byte) (tag int64, width uint64, cols []byte, err error) {
+	width, n := binary.Uvarint(v)
+	if n <= 0 {
+		return 0, 0, nil, errors.New("bad field count")
+	}
+	t, m, err := records.DecodeValue(v[n:])
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if t.Kind() != records.KindInt64 {
+		return 0, 0, nil, fmt.Errorf("a %s tag", t.Kind())
+	}
+	return t.Int64(), width, v[n+m:], nil
 }
 
 // dimColumns names the dimension columns a repartition mapper uses, in

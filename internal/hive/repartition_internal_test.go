@@ -76,6 +76,39 @@ func TestRepartitionReducerStreamsTheBigSide(t *testing.T) {
 	}
 }
 
+// TestRepartitionReducerRefusesWrongWidth: the reducer moves values as
+// bytes, so it checks each value's field count against its side's width, a
+// dimension row's and a big-side row's, and refuses a value of another.
+func TestRepartitionReducerRefusesWrongWidth(t *testing.T) {
+	outSchema := records.NewSchema(records.F("fact", records.KindInt64), records.F("aux", records.KindString))
+	key := records.Make(joinKeySchema, records.Int(1))
+	tagged := func(tag int64, vals ...records.Value) mr.KV {
+		return mr.KV{Key: key, Value: records.Make(anonSchema(1+len(vals)), append([]records.Value{records.Int(tag)}, vals...)...)}
+	}
+	dim, fact := tagged(tagDim, records.Str("one")), tagged(tagFact, records.Int(10))
+	e := mr.NewEngine(cluster.New(cluster.Testing(2)), nil, mr.Options{})
+	for _, c := range []struct {
+		name       string
+		dims, bigs []mr.KV
+		want       string
+	}{
+		{"wide dimension row", []mr.KV{tagged(tagDim, records.Str("one"), records.Str("extra"))}, []mr.KV{fact}, "a dimension row of key [1] has 3 values, want 2"},
+		{"narrow big-side row", []mr.KV{dim}, []mr.KV{tagged(tagFact)}, "a big-side row of key [1] has 1 values, want 2"},
+	} {
+		_, err := e.Submit(context.Background(), joinJob(&mr.MemoryOutput{}, outSchema, 1, c.dims, c.bigs))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
+	}
+	out := &mr.MemoryOutput{}
+	if _, err := e.Submit(context.Background(), joinJob(out, outSchema, 1, []mr.KV{dim}, []mr.KV{fact})); err != nil {
+		t.Fatal(err)
+	}
+	if rows := out.Pairs(); len(rows) != 1 || rows[0].Value.String() != "[10 one]" {
+		t.Errorf("the well-formed pair joined to %v, want [10 one]", rows)
+	}
+}
+
 // BenchmarkRepartitionStage is one repartition join job, Q2.1's first (the
 // 20 000-row fact table against part, filtered to one category), from RCFile
 // and row-file decode through tag, shuffle and merge to the joined rows

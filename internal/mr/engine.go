@@ -39,7 +39,10 @@ type Engine struct {
 	cluster *cluster.Cluster
 	fs      *hdfs.FileSystem
 	opts    Options
-	jobSeq  atomic.Int64
+	jobSeq  atomic.Int64 // jobs submitted: the job IDs and mr.jobs_submitted
+	// observed holds the registries that read jobSeq, each registered with
+	// once.
+	observed map[*obs.Registry]bool
 }
 
 // NewEngine creates an engine. Zero options mean no modeled overheads and
@@ -48,7 +51,9 @@ func NewEngine(c *cluster.Cluster, fs *hdfs.FileSystem, opts Options) *Engine {
 	if opts.MaxTaskAttempts <= 0 {
 		opts.MaxTaskAttempts = 4
 	}
-	return &Engine{cluster: c, fs: fs, opts: opts}
+	e := &Engine{cluster: c, fs: fs, opts: opts}
+	e.SetMetrics(opts.Metrics)
+	return e
 }
 
 // Cluster returns the engine's cluster.
@@ -67,7 +72,19 @@ func (e *Engine) SetTracer(t *obs.Tracer) { e.opts.Tracer = t }
 func (e *Engine) Metrics() *obs.Registry { return e.opts.Metrics }
 
 // SetMetrics attaches a metrics registry. Call between jobs, not during one.
-func (e *Engine) SetMetrics(r *obs.Registry) { e.opts.Metrics = r }
+// The registry's mr.jobs_submitted counts the engine's jobs from its
+// creation.
+func (e *Engine) SetMetrics(r *obs.Registry) {
+	e.opts.Metrics = r
+	if r == nil || e.observed[r] {
+		return
+	}
+	if e.observed == nil {
+		e.observed = make(map[*obs.Registry]bool)
+	}
+	e.observed[r] = true
+	r.CounterFunc("mr.jobs_submitted", e.jobSeq.Load)
+}
 
 // ErrCanceled marks a job that was stopped because its submission context
 // was canceled or timed out. Errors returned by Submit for such jobs match
@@ -108,9 +125,6 @@ func (e *Engine) Submit(ctx context.Context, job *Job) (res *JobResult, err erro
 	}
 	start := time.Now()
 	jobID := fmt.Sprintf("job-%d", e.jobSeq.Add(1))
-	if m := e.opts.Metrics; m != nil {
-		m.Counter("mr.jobs_submitted").Inc()
-	}
 	counters := NewCounters()
 	jctx := &JobContext{JobID: jobID, Conf: job.Conf, FS: e.fs, Cluster: e.cluster, Counters: counters, Tracer: e.opts.Tracer}
 
@@ -166,6 +180,7 @@ func (e *Engine) Submit(ctx context.Context, job *Job) (res *JobResult, err erro
 		jvmPools:   make(map[string]*jvmPool),
 		reuse:      job.Conf.JVMReuse,
 	}
+	defer run.releaseOutputs()
 	run.taskMem = job.Conf.TaskMemory
 	if run.taskMem <= 0 {
 		cfg := e.cluster.Config()
@@ -199,6 +214,20 @@ func (e *Engine) Submit(ctx context.Context, job *Job) (res *JobResult, err erro
 		Tasks:    run.reports,
 		Duration: time.Since(start),
 	}, nil
+}
+
+// releaseOutputs recycles the buffers of the map outputs the job holds.
+// Submit defers it, so it runs after the last phase on every way out, and a
+// phase returns only once each attempt it started has reported back: no
+// attempt reads an output any more. A speculative loser's output was never
+// held and one replaced in fetchPartition no longer is; both are left to the
+// collector.
+func (run *jobRun) releaseOutputs() {
+	for _, mo := range run.mapOutputs {
+		if mo != nil {
+			mo.pairs.release()
+		}
+	}
 }
 
 // cancelErr shapes the error Submit returns for a canceled job so that
@@ -702,4 +731,12 @@ func (c *writerCollector) Collect(k, v records.Record) error {
 	defer c.mu.Unlock()
 	*c.n++
 	return c.w.Write(k, v)
+}
+
+// CollectEncoded implements EncodedCollector.
+func (c *writerCollector) CollectEncoded(value []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	*c.n++
+	return c.w.WriteEncoded(value)
 }

@@ -125,6 +125,18 @@ func (w *memoryWriter) Write(k, v records.Record) error {
 	return nil
 }
 
+// WriteEncoded decodes a copy of value: a record the output keeps.
+func (w *memoryWriter) WriteEncoded(value []byte) error {
+	v, _, err := records.DecodeRecord(value, nil)
+	if err != nil {
+		return err
+	}
+	w.out.mu.Lock()
+	w.out.pairs = append(w.out.pairs, KV{Value: v})
+	w.out.mu.Unlock()
+	return nil
+}
+
 func (w *memoryWriter) Close() error { return nil }
 
 // DiscardOutput drops all output (benchmarks that only exercise the input
@@ -137,4 +149,5 @@ func (DiscardOutput) OpenWriter(*TaskContext, int) (RecordWriter, error) { retur
 type discardWriter struct{}
 
 func (discardWriter) Write(_, _ records.Record) error { return nil }
+func (discardWriter) WriteEncoded([]byte) error       { return nil }
 func (discardWriter) Close() error                    { return nil }

@@ -78,6 +78,10 @@ type InputFormat interface {
 // RecordWriter consumes a task's output pairs.
 type RecordWriter interface {
 	Write(key, value records.Record) error
+	// WriteEncoded writes one pair with an empty key whose value is already
+	// encoded as records.AppendRecord encodes it. The writer keeps nothing
+	// of value past the call.
+	WriteEncoded(value []byte) error
 	Close() error
 }
 
@@ -92,6 +96,16 @@ type Collector interface {
 	Collect(key, value records.Record) error
 }
 
+// EncodedCollector is the collector a reduce task hands its reducer (and a
+// map-only task its mapper): besides records, it takes a keyless output
+// value already in records.AppendRecord's encoding and passes it to the
+// OutputFormat's RecordWriter.WriteEncoded, so a reducer that only moves
+// bytes does not decode them to have them encoded again.
+type EncodedCollector interface {
+	Collector
+	CollectEncoded(value []byte) error
+}
+
 // Mapper is the user map function plus per-task lifecycle hooks.
 type Mapper interface {
 	Setup(ctx *TaskContext) error
@@ -102,9 +116,14 @@ type Mapper interface {
 // Values iterates the values of one reduce group, in map-task order and,
 // within a map task, in emit order. Each value is decoded into the slice the
 // one before it occupied: a record is valid until the next call to Next,
-// and a reducer that keeps one copies it.
+// and a reducer that keeps one copies it. NextEncoded takes the next value
+// without decoding it: the bytes records.AppendRecord wrote on the map side,
+// unchecked against the job's ValueSchema. They alias the shuffle's buffer
+// and are valid until the next call to either method. The two may be mixed
+// within a group; each value is handed out once.
 type Values interface {
 	Next() (records.Record, bool)
+	NextEncoded() ([]byte, bool)
 }
 
 // Reducer is the user reduce function plus lifecycle hooks. Combiners use

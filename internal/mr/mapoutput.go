@@ -59,9 +59,9 @@ func keyPrefix(key []byte) uint64 {
 func prefixHoldsKeys(klen uint32) bool { return klen <= 8 }
 
 // sortRefs orders refs by partition, then key bytes, keeping their given
-// order among equal keys, and returns the sorted entries: refs or scratch
-// (of refs' length), whichever the last pass wrote. data[r.src] is the
-// buffer r's key lies in.
+// order among equal keys. It returns the sorted entries, refs or scratch (of
+// refs' length), whichever the last pass wrote, and the other as spare.
+// data[r.src] is the buffer r's key lies in.
 //
 // A stable LSD radix sort orders the entries on the twelve bytes of
 // (partition, prefix), least significant first, skipping every byte on which
@@ -71,9 +71,9 @@ func prefixHoldsKeys(klen uint32) bool { return klen <= 8 }
 // the padding cannot tell nil from {0}) does a comparison sort put them in
 // key-byte order, ties kept by (src, off): the given order, since equal keys
 // come in that order within a buffer.
-func sortRefs(refs, scratch []pairRef, data [][]byte) []pairRef {
+func sortRefs(refs, scratch []pairRef, data [][]byte) (sorted, spare []pairRef) {
 	if len(refs) < 2 {
-		return refs
+		return refs, scratch
 	}
 	// The bits in which some entry differs from the first: a byte with none
 	// set is one all entries share, and its pass is skipped.
@@ -126,7 +126,7 @@ func sortRefs(refs, scratch []pairRef, data [][]byte) []pairRef {
 		}
 		lo = hi
 	}
-	return src
+	return src, dst
 }
 
 // radixWord is the word holding a radix digit: the prefix for the low eight
@@ -147,10 +147,59 @@ func (r *pairRef) value(data [][]byte) []byte {
 	return data[r.src][v : v+int(r.vlen)]
 }
 
+// The record path's arrays are recycled: a pair buffer, its index, the
+// sort scratch and a reducer's merge index have the same shape from one task
+// to the next, and allocating them fresh (zeroed) for every task was most of
+// what a shuffle allocated. Each array has one owner at a time, which
+// returns it here when it is done with it (DESIGN.md "Record path").
+var (
+	dataPool slicePool[byte]
+	refsPool slicePool[pairRef]
+)
+
+// slicePool recycles the backing arrays of one element type.
+type slicePool[E any] struct{ p sync.Pool }
+
+// get returns an empty slice with room for n elements: the array the pool
+// offers if it is large enough, a fresh one otherwise.
+func (sp *slicePool[E]) get(n int) []E {
+	if s, _ := sp.p.Get().(*[]E); s != nil && cap(*s) >= n {
+		return (*s)[:0]
+	}
+	return make([]E, 0, n)
+}
+
+// put recycles s's array. The caller gives up every reference into it.
+func (sp *slicePool[E]) put(s []E) {
+	if cap(s) > 0 {
+		s = s[:0]
+		sp.p.Put(&s)
+	}
+}
+
+// sortPooled sorts refs (see sortRefs) with scratch from the pool, to which
+// it returns whichever array the sort did not end in.
+func sortPooled(refs []pairRef, data [][]byte) []pairRef {
+	sorted, spare := sortRefs(refs, refsPool.get(len(refs))[:len(refs)], data)
+	refsPool.put(spare)
+	return sorted
+}
+
 // pairBuffer is a sequence of serialised pairs and their index.
 type pairBuffer struct {
 	data []byte
 	refs []pairRef
+}
+
+func newPairBuffer() pairBuffer {
+	return pairBuffer{data: dataPool.get(0), refs: refsPool.get(0)}
+}
+
+// release returns the buffer's arrays to the pools.
+func (b *pairBuffer) release() {
+	dataPool.put(b.data)
+	refsPool.put(b.refs)
+	*b = pairBuffer{}
 }
 
 // pairHeadroom is the free space add makes sure of before it serialises a
@@ -158,9 +207,10 @@ type pairBuffer struct {
 const pairHeadroom = 256
 
 // add serialises one pair at the end of the buffer and returns its size in
-// bytes (key plus value, the unit of every spill and shuffle charge). The
-// buffer and the index grow by doubling: append grows a large slice by a
-// quarter, which for the buffer of a map task is twice the copies.
+// bytes (key plus value, the unit of every spill and shuffle charge). Where
+// the recycled arrays are too small, the buffer and the index grow by
+// doubling: append grows a large slice by a quarter, which for the buffer of
+// a map task is twice the copies.
 func (b *pairBuffer) add(part int, k, v records.Record) int {
 	b.data = growDoubling(b.data, pairHeadroom)
 	b.refs = growDoubling(b.refs, 1)
@@ -187,9 +237,7 @@ func growDoubling[S ~[]E, E any](s S, n int) S {
 	return grown
 }
 
-func (b *pairBuffer) sort() {
-	b.refs = sortRefs(b.refs, make([]pairRef, len(b.refs)), [][]byte{b.data})
-}
+func (b *pairBuffer) sort() { b.refs = sortPooled(b.refs, [][]byte{b.data}) }
 
 // pairRun is one sorted run of pairs: a partition of one map task's output.
 type pairRun struct {
@@ -198,7 +246,8 @@ type pairRun struct {
 }
 
 // mapOutput is the sorted, combined output of one map task, resident on the
-// local disk of the node that ran it.
+// local disk of the node that ran it. Its buffer goes back to the pools when
+// the job that published it ends (jobRun.releaseOutputs).
 type mapOutput struct {
 	node  string
 	pairs pairBuffer
@@ -227,7 +276,7 @@ type mapCollector struct {
 }
 
 func newMapCollector(numParts int, p Partitioner, t *tally) *mapCollector {
-	return &mapCollector{partBytes: make([]int64, numParts), partitioner: p, tally: t}
+	return &mapCollector{pairs: newPairBuffer(), partBytes: make([]int64, numParts), partitioner: p, tally: t}
 }
 
 func (c *mapCollector) Collect(k, v records.Record) error {
@@ -246,7 +295,8 @@ func (c *mapCollector) Collect(k, v records.Record) error {
 	return nil
 }
 
-// sorted sorts what was collected and cuts it into per-partition runs.
+// sorted sorts what was collected and cuts it into per-partition runs. The
+// output takes over the collector's buffer.
 func (c *mapCollector) sorted(node string) *mapOutput {
 	c.pairs.sort()
 	ends := make([]int, len(c.partBytes))
@@ -267,7 +317,9 @@ func (c *mapCollector) finish(ctx *TaskContext, job *Job) (*mapOutput, error) {
 	}
 	// Each partition's groups go through a fresh combiner into a second
 	// collector, whose sort puts back in order what a combiner emitted out
-	// of it.
+	// of it. The combiner keeps nothing of its input past Reduce, so the
+	// first buffer is free once it has run.
+	defer out.pairs.release()
 	var emitted tally
 	part := 0
 	combined := newMapCollector(len(c.partBytes), func(records.Record, int) int { return part }, &emitted)
@@ -303,13 +355,21 @@ func (c *mapCollector) finish(ctx *TaskContext, job *Job) (*mapOutput, error) {
 type mergedRuns struct {
 	data [][]byte // per run, its buffer
 	refs []pairRef
+	own  []pairRef // the pooled index refs is cut from; nil when refs is a run's own
+}
+
+// release returns the merge's index to the pool. A reduce attempt defers
+// it; refs must not be read after.
+func (m *mergedRuns) release() {
+	refsPool.put(m.own)
+	m.own, m.refs = nil, nil
 }
 
 // mergeRuns orders the runs' entries with the map side's radix sort. The
 // entries go in run by run, so the sort's stability breaks ties as a merge
 // of run heads would: by run number, then position in the run. The bytes
-// stay where they are; the entries are copied. A single run is already in
-// order and is taken as it is.
+// stay where they are; the entries are copied into a pooled index. A single
+// run is already in order and is taken as it is.
 func mergeRuns(runs []pairRun) *mergedRuns {
 	data := make([][]byte, len(runs))
 	n := 0
@@ -320,15 +380,15 @@ func mergeRuns(runs []pairRun) *mergedRuns {
 	if len(runs) == 1 {
 		return &mergedRuns{data: data, refs: runs[0].refs}
 	}
-	refs := make([]pairRef, 0, n)
+	refs := refsPool.get(n)
 	for i := range runs {
 		for _, r := range runs[i].refs {
 			r.src = uint32(i)
 			refs = append(refs, r)
 		}
 	}
-	// The array the sort does not end in is garbage once it returns.
-	return &mergedRuns{data: data, refs: sortRefs(refs, make([]pairRef, n), data)}
+	sorted := sortPooled(refs, data)
+	return &mergedRuns{data: data, refs: sorted, own: sorted}
 }
 
 // pop takes the next pair and returns its serialised value.
@@ -368,8 +428,9 @@ func forEachGroup(m *mergedRuns, keySchema, valueSchema *records.Schema, fn func
 	return groups, nil
 }
 
-// groupValues lazily decodes the serialized values of one group, taking
-// pairs off the merge while their key is the group's.
+// groupValues hands out the serialized values of one group, decoded (Next)
+// or as they are (NextEncoded), taking pairs off the merge while their key
+// is the group's.
 type groupValues struct {
 	m      *mergedRuns
 	schema *records.Schema
@@ -400,11 +461,19 @@ func (s *groupValues) sameKey(r *pairRef) bool {
 	return prefixHoldsKeys(r.klen) || bytes.Equal(r.key(s.m.data), s.key)
 }
 
-func (s *groupValues) Next() (records.Record, bool) {
+func (s *groupValues) NextEncoded() ([]byte, bool) {
 	if s.err != nil || !s.more() {
+		return nil, false
+	}
+	return s.m.pop(), true
+}
+
+func (s *groupValues) Next() (records.Record, bool) {
+	v, ok := s.NextEncoded()
+	if !ok {
 		return records.Record{}, false
 	}
-	s.val, _, s.err = records.DecodeRecordInto(s.val.Values(), s.m.pop(), s.schema)
+	s.val, _, s.err = records.DecodeRecordInto(s.val.Values(), v, s.schema)
 	if s.err != nil {
 		return records.Record{}, false
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
@@ -146,12 +147,16 @@ func (c *concatCombiner) Cleanup(out Collector) error {
 	return nil
 }
 
-// logReducer appends every group it is given to its partition's log.
+// logReducer appends every group it is given to its partition's log. It
+// takes every other value with NextEncoded, starting with a group's first
+// value in one group and its second in the next, and holds those bytes to
+// the encoding of the record they decode to.
 type logReducer struct {
 	BaseReducer
-	mu   *sync.Mutex
-	logs [][]seenGroup
-	part int
+	mu     *sync.Mutex
+	logs   [][]seenGroup
+	part   int
+	groups int
 }
 
 func (r *logReducer) Setup(ctx *TaskContext) error {
@@ -161,9 +166,26 @@ func (r *logReducer) Setup(ctx *TaskContext) error {
 
 func (r *logReducer) Reduce(k records.Record, vs Values, _ Collector) error {
 	g := seenGroup{key: k.At(0).Str()}
-	for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+	for i := 0; ; i++ {
+		if (i+r.groups)%2 == 1 {
+			v, ok := vs.Next()
+			if !ok {
+				break
+			}
+			g.vals = append(g.vals, renderValue(v))
+			continue
+		}
+		enc, ok := vs.NextEncoded()
+		if !ok {
+			break
+		}
+		v, n, err := records.DecodeRecord(enc, nil)
+		if err != nil || n != len(enc) || !bytes.Equal(records.AppendRecord(nil, v), enc) {
+			return fmt.Errorf("key %q value %d: % x is not one record's encoding (%v)", g.key, i, enc, err)
+		}
 		g.vals = append(g.vals, renderValue(v))
 	}
+	r.groups++
 	r.mu.Lock()
 	r.logs[r.part] = append(r.logs[r.part], g)
 	r.mu.Unlock()
@@ -174,7 +196,9 @@ func (r *logReducer) Reduce(k records.Record, vs Values, _ Collector) error {
 // holds what each reducer saw, group by group and value by value, to the
 // definition of the path: all pairs ordered by key bytes, then map task,
 // then emit order, cut by partition; with a combiner, one value per key and
-// map task naming that task's values in emit order.
+// map task naming that task's values in emit order. The reducer takes half
+// the values decoded and half as bytes, so both ways hand out the same
+// values in the same order, and the bytes are a record's encoding.
 func TestReducersSeeTheReferenceOrder(t *testing.T) {
 	// Heavy duplication; keys alike in their first eight encoded bytes (a
 	// string key is count, kind, length, then the text) and different after,
@@ -469,15 +493,138 @@ func TestCollectFromFourGoroutines(t *testing.T) {
 	}
 }
 
+// ------------------------------------------------------ buffer lifetimes
+
+// sumPairs is a combiner over (word, n) values: one (word, sum) per group.
+type sumPairs struct{ BaseReducer }
+
+func (sumPairs) Reduce(k records.Record, vs Values, out Collector) error {
+	var sum int64
+	for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+		sum += v.At(1).Int64()
+	}
+	return out.Collect(k, records.Make(pairSchema, k.At(0), records.Int(sum)))
+}
+
+var pairSchema = records.NewSchema(records.F("word", records.KindString), records.F("n", records.KindInt64))
+
+// lifetimeJob is a shuffle job over seeded random (word, n) pairs in six
+// splits, combined and reduced by three reducers that write every value they
+// are given, alternately as bytes and decoded.
+func lifetimeJob(seed int64, out *MemoryOutput) *Job {
+	rng := rand.New(rand.NewSource(seed))
+	splits := make([]*MemorySplit, 6)
+	for i := range splits {
+		splits[i] = &MemorySplit{}
+		for j := 500 + rng.Intn(1000); j > 0; j-- {
+			w := records.Str(fmt.Sprintf("w%d-%d", rng.Intn(400), seed))
+			splits[i].Pairs = append(splits[i].Pairs, KV{Value: records.Make(pairSchema, w, records.Int(rng.Int63n(1000)))})
+		}
+	}
+	return &Job{
+		Name:   "lifetime",
+		Input:  &MemoryInput{SplitsList: splits},
+		Output: out,
+		NewMapper: func() Mapper {
+			return MapperFunc(func(_, v records.Record, c Collector) error {
+				return c.Collect(records.Make(wordSchema, v.At(0)), v)
+			})
+		},
+		NewCombiner: func() Reducer { return sumPairs{} },
+		NewReducer: func() Reducer {
+			return ReducerFunc(func(k records.Record, vs Values, c Collector) error {
+				for {
+					enc, ok := vs.NextEncoded()
+					if !ok {
+						return nil
+					}
+					if err := c.(EncodedCollector).CollectEncoded(enc); err != nil {
+						return err
+					}
+					v, ok := vs.Next()
+					if !ok {
+						return nil
+					}
+					if err := c.Collect(k, v); err != nil {
+						return err
+					}
+				}
+			})
+		},
+		NumReduceTasks: 3,
+		KeySchema:      wordSchema,
+	}
+}
+
+// renderOutput names every value a job wrote, sorted.
+func renderOutput(out *MemoryOutput) []string {
+	var got []string
+	for _, kv := range out.Pairs() {
+		got = append(got, kv.Value.String())
+	}
+	slices.Sort(got)
+	return got
+}
+
+// TestRecycledBuffersOutliveNoJob: two shuffle jobs on one engine, the
+// second over other data, so that its tasks run in the arrays the first
+// one's gave back. What the first job collected is unchanged after the
+// second has run, and each job's output is what a fresh engine makes of the
+// same job.
+func TestRecycledBuffersOutliveNoJob(t *testing.T) {
+	run := func(e *Engine, seed int64) []string {
+		out := &MemoryOutput{}
+		if _, err := e.Submit(context.Background(), lifetimeJob(seed, out)); err != nil {
+			t.Fatal(err)
+		}
+		return renderOutput(out)
+	}
+	e := newTestEngine(3)
+	firstOut := &MemoryOutput{}
+	if _, err := e.Submit(context.Background(), lifetimeJob(1, firstOut)); err != nil {
+		t.Fatal(err)
+	}
+	first := renderOutput(firstOut)
+	second := run(e, 2)
+	if again := renderOutput(firstOut); !slices.Equal(again, first) {
+		t.Errorf("the first job's output changed when the second ran")
+	}
+	if len(first) == 0 || len(second) == 0 {
+		t.Fatalf("outputs of %d and %d values", len(first), len(second))
+	}
+	for i, got := range [][]string{first, second} {
+		if want := run(newTestEngine(3), int64(i+1)); !slices.Equal(got, want) {
+			t.Errorf("job %d on a used engine wrote %d values, a fresh engine %d; they differ", i+1, len(got), len(want))
+		}
+	}
+}
+
 // ------------------------------------------------------- allocation gates
+
+// coldAllocsPerRun is testing.AllocsPerRun of f run on empty pools, so that
+// the count hangs neither on what earlier code left in them nor on chance
+// (the race detector drops a random quarter of what is put back), and with
+// the garbage collector off: a collection clears the pools, and the next
+// Get allocates them anew.
+func coldAllocsPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, func() {
+		for dataPool.p.Get() != nil {
+		}
+		for refsPool.p.Get() != nil {
+		}
+		f()
+	})
+}
 
 // TestCollectAllocatesByDoubling: 10 000 pairs of about ten bytes cost the
 // collector, its partition sizes and the growths by doubling of a 100 KB
 // buffer from 256 bytes and of the index from one entry: 29 allocations
-// (append's growth by a quarter took 46).
+// (append's growth by a quarter took 46). The pools are emptied first: this
+// is a task's collect with nothing to recycle.
 func TestCollectAllocatesByDoubling(t *testing.T) {
 	key, val := records.New(countSchema), records.New(countSchema)
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := coldAllocsPerRun(5, func() {
 		mc := newMapCollector(4, HashPartitioner, &tally{})
 		for i := 0; i < 10000; i++ {
 			if err := mc.Collect(key.Set(0, records.Int(int64(i))), val.Set(0, records.Int(int64(i)))); err != nil {
@@ -491,7 +638,8 @@ func TestCollectAllocatesByDoubling(t *testing.T) {
 }
 
 // TestMergeAllocatesPerRunNotPerRecord: merging and grouping eight runs
-// allocates the same few times whether they hold 800 pairs or 40 000.
+// allocates the same few times whether they hold 800 pairs or 40 000, with
+// the pools emptied first.
 func TestMergeAllocatesPerRunNotPerRecord(t *testing.T) {
 	const numRuns = 8
 	build := func(perRun int) []pairRun {
@@ -509,7 +657,7 @@ func TestMergeAllocatesPerRunNotPerRecord(t *testing.T) {
 	}
 	measure := func(perRun int) float64 {
 		runs := build(perRun)
-		return testing.AllocsPerRun(3, func() {
+		return coldAllocsPerRun(3, func() {
 			var sum int64
 			groups, err := forEachGroup(mergeRuns(runs), countSchema, countSchema, func(_ records.Record, vs Values) error {
 				for v, ok := vs.Next(); ok; v, ok = vs.Next() {

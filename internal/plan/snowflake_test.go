@@ -32,8 +32,11 @@ type snowEnv struct {
 	fs   *hdfs.FileSystem
 	mr   *mr.Engine
 	sink *obs.MemorySink
-	jobs *obs.Counter // mr.jobs_submitted
+	reg  *obs.Registry
 }
+
+// jobs reads mr.jobs_submitted: the engine's jobs since it was made.
+func (e *snowEnv) jobs() int64 { return e.reg.Snapshot().Counters["mr.jobs_submitted"] }
 
 // newSnowEnv loads the seed's snowflake dataset on a three-node test
 // cluster; nodeMemory > 0 overrides the per-node memory budget.
@@ -58,7 +61,7 @@ func newSnowEnvOn(t *testing.T, cfg cluster.Config, seed uint64, factRows int64)
 	sink := obs.NewMemorySink()
 	reg := obs.NewRegistry()
 	eng := mr.NewEngine(c, fs, mr.Options{Tracer: obs.NewTracer(sink), Metrics: reg})
-	return &snowEnv{snow: snow, lay: lay, fs: fs, mr: eng, sink: sink, jobs: reg.Counter("mr.jobs_submitted")}
+	return &snowEnv{snow: snow, lay: lay, fs: fs, mr: eng, sink: sink, reg: reg}
 }
 
 func (e *snowEnv) engine(ab core.Ablate) *core.Engine {
@@ -242,13 +245,13 @@ func TestSnowflakeRunsOneJobPerPassLastAggregating(t *testing.T) {
 			spy := &intermediateSpy{fs: e.fs, dirs: map[string]bool{}}
 			e.fs.SetReadFaultInjector(spy)
 			e.sink.Reset()
-			submitted := e.jobs.Value()
+			submitted := e.jobs()
 			_, rep, err := e.engine(0).RunPlan(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			e.fs.SetReadFaultInjector(nil)
-			if n := e.jobs.Value() - submitted; n != int64(d) {
+			if n := e.jobs() - submitted; n != int64(d) {
 				t.Errorf("%s: %d jobs submitted, want one per pass", what, n)
 			}
 			if rep.Passes != d {
@@ -325,7 +328,7 @@ func TestSnowflakeCountersGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []*plan.Physical{lowered, lowered.OneStepPerPass()} {
-			submitted := e.jobs.Value()
+			submitted := e.jobs()
 			_, rep, err := e.engine(0).RunPlan(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
@@ -335,7 +338,7 @@ func TestSnowflakeCountersGolden(t *testing.T) {
 			// every other probed row was carried there by an intermediate.
 			firstPass := factRows - c.Get(colstore.CtrRowsPruned) - c.Get(colstore.CtrRowsLateSkipped) - c.Get(colstore.CtrRowsBloomSkipped)
 			fmt.Fprintf(&b, "seed-%d/q0 passes=%d jobs_submitted=%d intermediate_rows=%d\n",
-				seed, rep.Passes, e.jobs.Value()-submitted, c.Get(core.CtrProbeRows)-firstPass)
+				seed, rep.Passes, e.jobs()-submitted, c.Get(core.CtrProbeRows)-firstPass)
 			for _, name := range slices.Sorted(maps.Keys(c.Snapshot())) {
 				if !strings.HasSuffix(name, "_NANOS") {
 					fmt.Fprintf(&b, "  %s=%d\n", name, c.Get(name))

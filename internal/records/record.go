@@ -58,16 +58,6 @@ func (r Record) Clone() Record {
 	return Record{schema: r.schema, vals: append([]Value(nil), r.vals...)}
 }
 
-// Concat returns a record holding this record's fields followed by the
-// other's, with the concatenated schema.
-func (r Record) Concat(o Record) Record {
-	schema := r.schema.Concat(o.schema)
-	vals := make([]Value, 0, len(r.vals)+len(o.vals))
-	vals = append(vals, r.vals...)
-	vals = append(vals, o.vals...)
-	return Record{schema: schema, vals: vals}
-}
-
 // Compare orders two records field-by-field. Records of different lengths
 // compare by length after their common prefix.
 func (r Record) Compare(o Record) int {
@@ -107,11 +97,9 @@ func (r Record) MemSize() int64 {
 	return n
 }
 
-// String renders the record as "[v1 v2 ...]".
+// String renders the record as "[v1 v2 ...]", a positional record (one
+// decoded without a schema) too.
 func (r Record) String() string {
-	if r.IsZero() {
-		return "[]"
-	}
 	var b strings.Builder
 	b.WriteByte('[')
 	for i, v := range r.vals {

@@ -59,13 +59,9 @@ func TestSchemaProject(t *testing.T) {
 	}
 }
 
-func TestSchemaConcatAndEqual(t *testing.T) {
+func TestSchemaEqual(t *testing.T) {
 	a := NewSchema(F("x", KindInt64))
 	b := NewSchema(F("y", KindString))
-	c := a.Concat(b)
-	if c.Len() != 2 || c.Field(1).Name != "y" {
-		t.Errorf("Concat = %v", c)
-	}
 	if !a.Equal(NewSchema(F("x", KindInt64))) {
 		t.Error("Equal should match identical schemas")
 	}
@@ -101,14 +97,8 @@ func TestRecordMakePanicsOnArity(t *testing.T) {
 	Make(testSchema(), Int(1))
 }
 
-func TestRecordConcatClone(t *testing.T) {
-	s := testSchema()
-	r := Make(s, Int(7), Str("alice"), Float(9.5))
-	o := Make(NewSchema(F("extra", KindBool)), Bool(true))
-	cat := r.Concat(o)
-	if cat.Len() != 4 || !cat.Get("extra").Bool() {
-		t.Errorf("Concat = %v", cat)
-	}
+func TestRecordClone(t *testing.T) {
+	r := Make(testSchema(), Int(7), Str("alice"), Float(9.5))
 	cl := r.Clone()
 	cl.Set(0, Int(99))
 	if r.At(0).Int64() != 7 {

@@ -93,12 +93,6 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	return NewSchema(fields...), nil
 }
 
-// Concat returns a schema holding this schema's fields followed by the
-// other's. Duplicate names in the result cause a panic, mirroring NewSchema.
-func (s *Schema) Concat(o *Schema) *Schema {
-	return NewSchema(append(s.Fields(), o.Fields()...)...)
-}
-
 // Equal reports whether two schemas have identical field lists.
 func (s *Schema) Equal(o *Schema) bool {
 	if s == o {

@@ -20,6 +20,10 @@ import (
 	"clydesdale/internal/ssb"
 )
 
+// jobsSubmitted reads mr.jobs_submitted: the jobs of the engine the
+// registry observes, counted since it was made.
+func jobsSubmitted(reg *obs.Registry) int64 { return reg.Snapshot().Counters["mr.jobs_submitted"] }
+
 // TestServeResultCacheSingleflight: concurrent identical queries coalesce
 // into ONE MapReduce job — the first becomes the builder, the rest block on
 // the in-flight entry — and every caller gets the reference answer.
@@ -34,6 +38,7 @@ func TestServeResultCacheSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	const callers = 8
+	before := jobsSubmitted(reg)
 	var wg sync.WaitGroup
 	sets := make([]*results.ResultSet, callers)
 	errs := make([]error, callers)
@@ -58,7 +63,7 @@ func TestServeResultCacheSingleflight(t *testing.T) {
 			t.Errorf("caller %d: %s", i, why)
 		}
 	}
-	if jobs := reg.Counter("mr.jobs_submitted").Value(); jobs != 1 {
+	if jobs := jobsSubmitted(reg) - before; jobs != 1 {
 		t.Errorf("%d concurrent identical queries submitted %d MR jobs, want 1", callers, jobs)
 	}
 	st := s.Stats()
@@ -104,7 +109,7 @@ func TestServeResultCacheSubsumption(t *testing.T) {
 	if _, _, err := s.Query(context.Background(), broad); err != nil {
 		t.Fatal(err)
 	}
-	coldJobs := reg.Counter("mr.jobs_submitted").Value()
+	coldJobs := jobsSubmitted(reg)
 	if coldJobs == 0 {
 		t.Fatal("cold Q4.1 submitted no MR jobs")
 	}
@@ -114,7 +119,7 @@ func TestServeResultCacheSubsumption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jobs := reg.Counter("mr.jobs_submitted").Value(); jobs != coldJobs {
+	if jobs := jobsSubmitted(reg); jobs != coldJobs {
 		t.Errorf("narrow query submitted %d MR jobs; subsumption must serve from cache", jobs-coldJobs)
 	}
 	if st := s.Stats(); st.ResultSubsumedHits != 1 {
@@ -152,7 +157,7 @@ func TestServeResultCacheExternalWriter(t *testing.T) {
 	if len(before.Rows) != 1 {
 		t.Fatalf("Q1.1 returned %d rows, want 1", len(before.Rows))
 	}
-	jobsBefore := reg.Counter("mr.jobs_submitted").Value()
+	jobsBefore := jobsSubmitted(reg)
 
 	// Append a full copy of the fact data behind the session's back (no
 	// rewrite of existing partitions), then tell the session.
@@ -174,7 +179,7 @@ func TestServeResultCacheExternalWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jobs := reg.Counter("mr.jobs_submitted").Value(); jobs == jobsBefore {
+	if jobs := jobsSubmitted(reg); jobs == jobsBefore {
 		t.Error("query after the append served from cache; a new table version must force recompute")
 	}
 	got := after.Rows[0].Get(q.AggName).Float64()
@@ -343,7 +348,7 @@ func TestServeHitKeepsEachStatementsOrder(t *testing.T) {
 	if _, _, err := s.Query(context.Background(), byYear); err != nil {
 		t.Fatal(err)
 	}
-	jobs := reg.Counter("mr.jobs_submitted").Value()
+	jobs := jobsSubmitted(reg)
 	for _, q := range []*core.Query{&byNation, byYear, &in1995} {
 		got, _, err := s.Query(context.Background(), q)
 		if err != nil {
@@ -371,7 +376,7 @@ func TestServeHitKeepsEachStatementsOrder(t *testing.T) {
 			}
 		}
 	}
-	if n := reg.Counter("mr.jobs_submitted").Value(); n != jobs {
+	if n := jobsSubmitted(reg); n != jobs {
 		t.Errorf("%d jobs ran after the first statement; all three must be answered from the cache", n-jobs)
 	}
 	if st := s.Stats(); st.ResultHits != 2 || st.ResultSubsumedHits != 1 {

@@ -94,12 +94,12 @@ func TestServeSnowflakeOracle(t *testing.T) {
 			}
 
 			round("cold")
-			jobs := reg.Counter("mr.jobs_submitted").Value()
+			jobs := jobsSubmitted(reg)
 			if jobs == 0 {
 				t.Fatal("the cold round submitted no MapReduce job")
 			}
 			round("repeat")
-			if again := reg.Counter("mr.jobs_submitted").Value(); again != jobs {
+			if again := jobsSubmitted(reg); again != jobs {
 				t.Errorf("the repeat round submitted %d MapReduce jobs; the result cache should have answered", again-jobs)
 			}
 			if st := s.Stats(); st.ResultHits != queries {

@@ -1,7 +1,7 @@
 // Command benchpairs compares the working tree with a parent revision on one
 // workload of the repository benchmark, by the rule of benchmark/README.md
 // "Reading a paired comparison": it builds both sides once (the parent
-// through a temporary git worktree), runs ten pairs on the seeds
+// from a `git archive` of it in a temporary directory), runs ten pairs on the seeds
 // `benchmark selfcheck` uses, each run as long as BENCHMARK.json's
 // run_seconds, alternating which side goes first, and writes to
 // BENCH_<workload>.json every run's result line and, per end-to-end metric of
@@ -120,15 +120,18 @@ func compare(parent, workload string) (err error) {
 	if err != nil {
 		return err
 	}
-	tree := filepath.Join(tmp, "parent")
-	if _, err := output("", "git", "worktree", "add", "--detach", tree, rev); err != nil {
+	// An archive, not a worktree: the parent's copy leaves nothing in the
+	// repository's own git state, whichever way the run ends.
+	tree, archive := filepath.Join(tmp, "parent"), filepath.Join(tmp, "parent.tar")
+	if err := os.Mkdir(tree, 0o755); err != nil {
 		return err
 	}
-	defer func() {
-		if _, rmErr := output("", "git", "worktree", "remove", "--force", tree); err == nil {
-			err = rmErr
-		}
-	}()
+	if _, err := output("", "git", "archive", "-o", archive, rev); err != nil {
+		return err
+	}
+	if _, err := output("", "tar", "-xf", archive, "-C", tree); err != nil {
+		return err
+	}
 	bins := map[string]string{"parent": filepath.Join(tmp, "bench-parent"), "change": filepath.Join(tmp, "bench-change")}
 	dirs := map[string]string{"parent": tree, "change": "."}
 	for side, bin := range bins {

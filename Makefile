@@ -60,7 +60,11 @@ vet:
 # and no report field copied from the job counters (fillScanStats). Nor does
 # a second meaning of a row output: RowOutput writes values, so an encoded
 # write (RecordWriter.WriteEncoded) is one row as it stands, with no key
-# folded in (IncludeKey).
+# folded in (IncludeKey). Nor does a figure measured in host time over
+# sleeps: a cell of Figures 7-9 and a breakdown total are the modeled
+# node-seconds of one warm run (internal/bench Cost), with host CPU beside
+# them and never added, so the harness and the root figure benchmarks set
+# no TimeScale, take no Repeats and keep no medianTime.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -93,6 +97,8 @@ no-deprecated:
 		echo "a metric is read from the state that owns it: Registry.CounterFunc / GaugeFunc"; exit 1; fi
 	@if grep -rnw --include='*.go' IncludeKey .; then \
 		echo "a row output writes values: an encoded write is one row, with no key folded in"; exit 1; fi
+	@if grep -rnw -e TimeScale -e Repeats -e medianTime internal/bench bench_test.go; then \
+		echo "figures are modeled node-seconds of a warm run, never host time over sleeps: no TimeScale, Repeats or medianTime in internal/bench or bench_test.go"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -26,20 +27,17 @@ import (
 	"clydesdale/internal/ssb"
 )
 
-// benchCfg sizes the figure benchmarks. Raise FactRows/DimScale for a
-// larger run (e.g. BENCH_FACT_ROWS=300000 go test -bench Figure7).
-func benchCfg() bench.Config {
-	cfg := bench.Config{DimScale: 1, FactRows: 60_000, Seed: 42, WorkersA: 4, WorkersB: 8, TimeScale: 5e-3}
+// benchCfg sizes the figure benchmarks. Raise FactRows for a larger run
+// (e.g. BENCH_FACT_ROWS=300000 go test -bench Figure7); a value that is not
+// a positive integer fails the benchmark.
+func benchCfg(b *testing.B) bench.Config {
+	cfg := bench.Config{DimScale: 1, FactRows: 60_000, Seed: 42, WorkersA: 4, WorkersB: 8}
 	if v := os.Getenv("BENCH_FACT_ROWS"); v != "" {
-		var n int64
-		for _, ch := range v {
-			if ch >= '0' && ch <= '9' {
-				n = n*10 + int64(ch-'0')
-			}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n <= 0 {
+			b.Fatalf("BENCH_FACT_ROWS=%q: want a positive integer", v)
 		}
-		if n > 0 {
-			cfg.FactRows = n
-		}
+		cfg.FactRows = n
 	}
 	return cfg
 }
@@ -47,9 +45,9 @@ func benchCfg() bench.Config {
 // BenchmarkFigure7 regenerates Figure 7: all 13 SSB queries on Clydesdale,
 // Hive-repartition and Hive-mapjoin over the cluster A profile. The figure
 // table prints on the first iteration; the reported metric is the average
-// speedup over Hive's better plan.
+// speedup over Hive's better plan in modeled node-seconds of a warm run.
 func BenchmarkFigure7(b *testing.B) {
-	h, err := bench.NewHarness(benchCfg())
+	h, err := bench.NewHarness(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,13 +63,13 @@ func BenchmarkFigure7(b *testing.B) {
 		}
 		avg = fig.AverageSpeedup()
 	}
-	b.ReportMetric(avg, "avg-speedup-x")
+	b.ReportMetric(avg, "avg-node-s-speedup-x")
 }
 
 // BenchmarkFigure8 regenerates Figure 8 (cluster B profile: more workers,
 // more memory — mapjoin completes everywhere, speedups shrink).
 func BenchmarkFigure8(b *testing.B) {
-	h, err := bench.NewHarness(benchCfg())
+	h, err := bench.NewHarness(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,16 +85,17 @@ func BenchmarkFigure8(b *testing.B) {
 		}
 		avg = fig.AverageSpeedup()
 	}
-	b.ReportMetric(avg, "avg-speedup-x")
+	b.ReportMetric(avg, "avg-node-s-speedup-x")
 }
 
-// BenchmarkFigure9 regenerates Figure 9: the per-feature ablation.
+// BenchmarkFigure9 regenerates Figure 9: the per-feature ablation, each
+// factor a slowdown in modeled node-seconds of a warm run.
 func BenchmarkFigure9(b *testing.B) {
-	h, err := bench.NewHarness(benchCfg())
+	h, err := bench.NewHarness(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	var nb, nc, nm float64
+	var nb, nc, nm, ni float64
 	for i := 0; i < b.N; i++ {
 		w := os.Stdout
 		if i > 0 {
@@ -106,16 +105,17 @@ func BenchmarkFigure9(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nb, nc, nm = abl.Average()
+		nb, nc, nm, ni = abl.Average()
 	}
-	b.ReportMetric(nb, "noblock-slowdown-x")
-	b.ReportMetric(nc, "nocolumnar-slowdown-x")
-	b.ReportMetric(nm, "nothreads-slowdown-x")
+	b.ReportMetric(nb, "noblock-node-s-slowdown-x")
+	b.ReportMetric(nc, "nocolumnar-node-s-slowdown-x")
+	b.ReportMetric(nm, "nothreads-node-s-slowdown-x")
+	b.ReportMetric(ni, "nocombining-node-s-slowdown-x")
 }
 
 // BenchmarkTable1 regenerates Table 1: TestDFSIO on cluster A.
 func BenchmarkTable1(b *testing.B) {
-	h, err := bench.NewHarness(benchCfg())
+	h, err := bench.NewHarness(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkBreakdownQ21 regenerates the §6.3 anatomy of query 2.1.
 func BenchmarkBreakdownQ21(b *testing.B) {
-	h, err := bench.NewHarness(benchCfg())
+	h, err := bench.NewHarness(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func BenchmarkStagedVsSingleJob(b *testing.B) {
 func BenchmarkSnowflakeLowering(b *testing.B) {
 	for _, seed := range []uint64{7, 23, 101, 5, 11, 42} {
 		shape := cluster.ClusterA()
-		shape.Workers, shape.MapSlots, shape.TimeScale = 4, 2, 0
+		shape.Workers, shape.MapSlots = 4, 2
 		cl := cluster.New(shape)
 		fs := hdfs.New(cl, hdfs.Options{BlockSize: 256 << 10, Seed: int64(seed)})
 		snow := ssb.GenSnowflake(seed, 240_000)

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
@@ -15,17 +17,18 @@ import (
 
 // BreakdownResult reproduces the §6.3 anatomy of one query (the paper uses
 // Q2.1 on cluster A): where Clydesdale's single job spends its time versus
-// the baseline's staged plans, plus the §6.4 observation that subtracting
-// hash-table dissemination still leaves a large gap.
+// the baseline's staged plans. Each total is the Cost of one warm run; the
+// counters beside it are that run's, and a duration read off a counter or a
+// stage is host time.
 type BreakdownResult struct {
 	Query   string
 	Cluster string
 
 	// Clydesdale.
-	ClyTotal     time.Duration
+	ClyTotal     Cost
 	ClyMapTasks  int64
-	ClyHashBuild time.Duration // summed across nodes (CLYDESDALE_HASH_BUILD_NANOS)
-	ClyProbe     time.Duration // summed across tasks (CLYDESDALE_PROBE_NANOS)
+	ClyHashBuild time.Duration // host, summed across nodes (CLYDESDALE_HASH_BUILD_NANOS)
+	ClyProbe     time.Duration // host, summed across tasks (CLYDESDALE_PROBE_NANOS)
 	ClyBytesRead int64
 	// ClyJob is the Clydesdale job's result (task reports with per-phase
 	// durations); ClyProfile the correlated profile assembled from the
@@ -35,16 +38,16 @@ type BreakdownResult struct {
 	ClyProfile *obs.Profile
 
 	// Hive mapjoin.
-	MapjoinTotal     time.Duration
+	MapjoinTotal     Cost
 	MapjoinOOM       bool
 	MapjoinStages    []hive.StageReport
 	MapjoinHashLoads int64
-	MapjoinLoadTime  time.Duration // total deserialization time across tasks
-	MapjoinBuildTime time.Duration // driver-side builds
+	MapjoinLoadTime  time.Duration // host, deserialization across tasks
+	MapjoinBuildTime time.Duration // host, driver-side builds
 	MapjoinInterRows int64
 
 	// Hive repartition.
-	RepartitionTotal  time.Duration
+	RepartitionTotal  Cost
 	RepartitionStages []hive.StageReport
 }
 
@@ -62,19 +65,25 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 	out := &BreakdownResult{Query: q.Name, Cluster: "A"}
 
 	// Trace the Clydesdale run so the breakdown draws its profile's
-	// timeline. Detached before the Hive runs so the trace holds exactly
-	// one job.
-	sink := obs.NewMemorySink()
-	env.MR.SetTracer(obs.NewTracer(sink))
-
-	before := env.FS.Metrics().Snapshot()
-	_, crep, err := env.Clydesdale(0).Run(context.Background(), q)
+	// timeline: a fresh sink for each run, detached after it, so the trace
+	// holds exactly the measured job.
+	cly := env.Clydesdale(0)
+	var sink *obs.MemorySink
+	var crep *core.Report
+	out.ClyTotal, err = env.warmRun(func() error {
+		sink = obs.NewMemorySink()
+		env.MR.SetTracer(obs.NewTracer(sink))
+		defer env.MR.SetTracer(nil)
+		before := env.FS.Metrics().Snapshot()
+		_, r, err := cly.Run(context.Background(), q)
+		after := env.FS.Metrics().Snapshot()
+		crep = r
+		out.ClyBytesRead = (after.LocalBytesRead + after.RemoteBytesRead) - (before.LocalBytesRead + before.RemoteBytesRead)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	after := env.FS.Metrics().Snapshot()
-	env.MR.SetTracer(nil)
-	out.ClyTotal = crep.Total
 	out.ClyJob = crep.Job
 	if p, err := obs.BuildProfile(sink.Spans(), obs.ProfileOptions{
 		Counters: crep.Job.Counters.Snapshot(),
@@ -84,12 +93,17 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 	out.ClyMapTasks = crep.Job.Counters.Get(mr.CtrMapTasks)
 	out.ClyHashBuild = time.Duration(crep.Job.Counters.Get(core.CtrHashBuildNanos))
 	out.ClyProbe = time.Duration(crep.Job.Counters.Get(core.CtrProbeNanos))
-	out.ClyBytesRead = (after.LocalBytesRead + after.RemoteBytesRead) - (before.LocalBytesRead + before.RemoteBytesRead)
 
-	if _, mrep, err := env.Hive(hive.MapJoin).Execute(context.Background(), q); err != nil {
+	mj, mrep := env.Hive(hive.MapJoin), (*hive.Report)(nil)
+	out.MapjoinTotal, err = env.warmRun(func() (err error) {
+		_, mrep, err = mj.Execute(context.Background(), q)
+		return err
+	})
+	if errors.Is(err, cluster.ErrOutOfMemory) {
 		out.MapjoinOOM = true
+	} else if err != nil {
+		return nil, err
 	} else {
-		out.MapjoinTotal = mrep.Total
 		out.MapjoinStages = mrep.Stages
 		out.MapjoinHashLoads = mrep.Counters.Get(hive.CtrHashLoads)
 		out.MapjoinLoadTime = time.Duration(mrep.Counters.Get(hive.CtrHashLoadNanos))
@@ -97,11 +111,13 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 		out.MapjoinInterRows = mrep.Counters.Get(hive.CtrIntermediateRows)
 	}
 
-	_, rrep, err := env.Hive(hive.Repartition).Execute(context.Background(), q)
-	if err != nil {
+	rep, rrep := env.Hive(hive.Repartition), (*hive.Report)(nil)
+	if out.RepartitionTotal, err = env.warmRun(func() (err error) {
+		_, rrep, err = rep.Execute(context.Background(), q)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	out.RepartitionTotal = rrep.Total
 	out.RepartitionStages = rrep.Stages
 
 	if w != nil {
@@ -111,38 +127,42 @@ func (h *Harness) RunBreakdown(queryName string, w io.Writer) (*BreakdownResult,
 }
 
 func printBreakdown(w io.Writer, b *BreakdownResult) {
-	fmt.Fprintf(w, "\n§6.3 breakdown: %s on cluster %s\n", b.Query, b.Cluster)
-	fmt.Fprintf(w, "Clydesdale: total %v — one MapReduce job, %d map tasks\n",
-		b.ClyTotal.Round(time.Millisecond), b.ClyMapTasks)
-	fmt.Fprintf(w, "  hash-table build (sum over nodes): %v\n", b.ClyHashBuild.Round(time.Millisecond))
-	fmt.Fprintf(w, "  probe phase (sum over tasks):      %v\n", b.ClyProbe.Round(time.Millisecond))
+	fmt.Fprintf(w, "\n§6.3 breakdown: %s on cluster %s (totals: modeled node-seconds of a warm run, host CPU beside)\n", b.Query, b.Cluster)
+	fmt.Fprintf(w, "Clydesdale: total %s, host CPU %s — one MapReduce job, %d map tasks\n",
+		nodeSeconds(b.ClyTotal.NodeSeconds), hostMS(b.ClyTotal.HostCPU), b.ClyMapTasks)
+	fmt.Fprintf(w, "  hash-table build (sum over nodes): %s host\n", hostMS(b.ClyHashBuild))
+	fmt.Fprintf(w, "  probe phase (sum over tasks):      %s host\n", hostMS(b.ClyProbe))
 	fmt.Fprintf(w, "  HDFS bytes read:                   %d\n", b.ClyBytesRead)
 	if b.ClyProfile != nil {
+		fmt.Fprintf(w, "  profile of the measured run, in host wall time:\n")
 		b.ClyProfile.WriteTimeline(w)
 	}
 
 	if b.MapjoinOOM {
 		fmt.Fprintf(w, "Hive mapjoin: DNF (out of memory)\n")
 	} else {
-		fmt.Fprintf(w, "Hive mapjoin: total %v — %d stages\n", b.MapjoinTotal.Round(time.Millisecond), len(b.MapjoinStages))
+		fmt.Fprintf(w, "Hive mapjoin: total %s, host CPU %s — %d stages\n",
+			nodeSeconds(b.MapjoinTotal.NodeSeconds), hostMS(b.MapjoinTotal.HostCPU), len(b.MapjoinStages))
 		for _, st := range b.MapjoinStages {
-			fmt.Fprintf(w, "  %-22s %10v  (%d map tasks)\n", st.Name,
-				st.Duration.Round(time.Millisecond), st.Job.Counters.Get(mr.CtrMapTasks))
+			fmt.Fprintf(w, "  %-22s %10s host  (%d map tasks)\n", st.Name,
+				hostMS(st.Duration), st.Job.Counters.Get(mr.CtrMapTasks))
 		}
 		fmt.Fprintf(w, "  hash-table loads across tasks: %d (vs Clydesdale's %d node builds)\n",
 			b.MapjoinHashLoads, b.ClyMapTasks)
-		fmt.Fprintf(w, "  deserialization time in tasks: %v; driver builds: %v\n",
-			b.MapjoinLoadTime.Round(time.Millisecond), b.MapjoinBuildTime.Round(time.Millisecond))
+		fmt.Fprintf(w, "  deserialization in tasks: %s host; driver builds: %s host\n",
+			hostMS(b.MapjoinLoadTime), hostMS(b.MapjoinBuildTime))
 		fmt.Fprintf(w, "  intermediate rows through HDFS: %d\n", b.MapjoinInterRows)
-		adj := b.MapjoinTotal - b.MapjoinLoadTime - b.MapjoinBuildTime
-		fmt.Fprintf(w, "  §6.4: even after subtracting dissemination+loads (%v), Clydesdale is %.1fx faster\n",
-			adj.Round(time.Millisecond), float64(adj)/float64(b.ClyTotal))
+		// §6.4 subtracts hash dissemination from this gap; the load and
+		// build times above are host clocks, so that waits for a
+		// node-second meter of them.
+		fmt.Fprintf(w, "  node-seconds over Clydesdale's: %.1fx\n",
+			float64(b.MapjoinTotal.NodeSeconds)/float64(b.ClyTotal.NodeSeconds))
 	}
 
-	fmt.Fprintf(w, "Hive repartition: total %v — %d stages\n",
-		b.RepartitionTotal.Round(time.Millisecond), len(b.RepartitionStages))
+	fmt.Fprintf(w, "Hive repartition: total %s, host CPU %s — %d stages\n",
+		nodeSeconds(b.RepartitionTotal.NodeSeconds), hostMS(b.RepartitionTotal.HostCPU), len(b.RepartitionStages))
 	for _, st := range b.RepartitionStages {
-		fmt.Fprintf(w, "  %-22s %10v  (shuffle %d bytes)\n", st.Name,
-			st.Duration.Round(time.Millisecond), st.Job.Counters.Get(mr.CtrShuffleBytes))
+		fmt.Fprintf(w, "  %-22s %10s host  (shuffle %d bytes)\n", st.Name,
+			hostMS(st.Duration), st.Job.Counters.Get(mr.CtrShuffleBytes))
 	}
 }

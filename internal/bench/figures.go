@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"time"
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/core"
@@ -14,28 +12,28 @@ import (
 	"clydesdale/internal/ssb"
 )
 
-// QueryRow is one row of Figure 7/8: the three systems' times on one query.
+// QueryRow is one row of Figure 7/8: the three systems' costs on one query.
 type QueryRow struct {
 	Query           string
-	Clydesdale      time.Duration
-	HiveRepartition time.Duration
-	HiveMapjoin     time.Duration
+	Clydesdale      Cost
+	HiveRepartition Cost
+	HiveMapjoin     Cost
 	// MapjoinOOM marks the mapjoin plan as DNF (out of memory), the paper's
 	// missing bars on cluster A.
 	MapjoinOOM bool
 }
 
-// SpeedupRepartition is Hive-repartition time / Clydesdale time.
+// SpeedupRepartition is Hive-repartition node-seconds / Clydesdale's.
 func (r QueryRow) SpeedupRepartition() float64 {
-	return float64(r.HiveRepartition) / float64(r.Clydesdale)
+	return float64(r.HiveRepartition.NodeSeconds) / float64(r.Clydesdale.NodeSeconds)
 }
 
-// SpeedupMapjoin is Hive-mapjoin time / Clydesdale time (0 when DNF).
+// SpeedupMapjoin is Hive-mapjoin node-seconds / Clydesdale's (0 when DNF).
 func (r QueryRow) SpeedupMapjoin() float64 {
 	if r.MapjoinOOM {
 		return 0
 	}
-	return float64(r.HiveMapjoin) / float64(r.Clydesdale)
+	return float64(r.HiveMapjoin.NodeSeconds) / float64(r.Clydesdale.NodeSeconds)
 }
 
 // FigureResult is a full Figure 7 or 8.
@@ -63,7 +61,8 @@ func (f *FigureResult) AverageSpeedup() float64 {
 }
 
 // RunFigure runs Figure 7 (cluster "A") or Figure 8 (cluster "B"): all 13
-// SSB queries on Clydesdale, Hive-repartition and Hive-mapjoin.
+// SSB queries on Clydesdale, Hive-repartition and Hive-mapjoin, each cell
+// one warm run.
 func (h *Harness) RunFigure(profile string, w io.Writer) (*FigureResult, error) {
 	env, err := h.SetupCluster(profile)
 	if err != nil {
@@ -82,46 +81,17 @@ func (h *Harness) RunFigure(profile string, w io.Writer) (*FigureResult, error) 
 	for _, q := range ssb.Queries() {
 		h.logf(w, "# %s on cluster %s\n", q.Name, profile)
 		row := QueryRow{Query: q.Name}
-
-		t, err := h.medianTime(func() (time.Duration, error) {
-			_, rep, err := cly.Run(context.Background(), q)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Total, nil
-		})
-		if err != nil {
+		if row.Clydesdale, err = env.warmRun(clydesdaleRun(cly, q)); err != nil {
 			return nil, fmt.Errorf("bench: clydesdale %s: %w", q.Name, err)
 		}
-		row.Clydesdale = t
-
-		t, err = h.medianTime(func() (time.Duration, error) {
-			_, rep, err := rep.Execute(context.Background(), q)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Total, nil
-		})
-		if err != nil {
+		if row.HiveRepartition, err = env.warmRun(hiveRun(rep, q)); err != nil {
 			return nil, fmt.Errorf("bench: hive-repartition %s: %w", q.Name, err)
 		}
-		row.HiveRepartition = t
-
-		t, err = h.medianTime(func() (time.Duration, error) {
-			_, rep, err := mj.Execute(context.Background(), q)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Total, nil
-		})
-		if err != nil {
-			if errors.Is(err, cluster.ErrOutOfMemory) {
-				row.MapjoinOOM = true
-			} else {
-				return nil, fmt.Errorf("bench: hive-mapjoin %s: %w", q.Name, err)
-			}
-		} else {
-			row.HiveMapjoin = t
+		row.HiveMapjoin, err = env.warmRun(hiveRun(mj, q))
+		if errors.Is(err, cluster.ErrOutOfMemory) {
+			row.MapjoinOOM = true
+		} else if err != nil {
+			return nil, fmt.Errorf("bench: hive-mapjoin %s: %w", q.Name, err)
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -131,38 +101,44 @@ func (h *Harness) RunFigure(profile string, w io.Writer) (*FigureResult, error) 
 	return out, nil
 }
 
-func printFigure(w io.Writer, f *FigureResult) {
-	fmt.Fprintf(w, "\n%s: SSB on cluster %s — execution time (wall, includes modeled cluster costs)\n", f.Figure, f.Cluster)
-	fmt.Fprintf(w, "%-6s %14s %18s %14s %10s %10s\n",
-		"Query", "Clydesdale", "Hive-repartition", "Hive-mapjoin", "spd(rep)", "spd(mapj)")
-	for _, r := range f.Rows {
-		mapjoin := fmt.Sprintf("%14s", r.HiveMapjoin.Round(time.Millisecond))
-		spdM := fmt.Sprintf("%9.1fx", r.SpeedupMapjoin())
-		if r.MapjoinOOM {
-			mapjoin = fmt.Sprintf("%14s", "DNF(OOM)")
-			spdM = fmt.Sprintf("%10s", "—")
-		}
-		fmt.Fprintf(w, "%-6s %14s %18s %s %9.1fx %s\n",
-			r.Query,
-			r.Clydesdale.Round(time.Millisecond),
-			r.HiveRepartition.Round(time.Millisecond),
-			mapjoin,
-			r.SpeedupRepartition(),
-			spdM)
-	}
-	fmt.Fprintf(w, "Average speedup over Hive's better plan: %.1fx\n", f.AverageSpeedup())
+func clydesdaleRun(e *core.Engine, q *core.Query) func() error {
+	return func() error { _, _, err := e.Run(context.Background(), q); return err }
 }
 
-// AblationRow is one Figure 9 row: a query's slowdown when one feature is
-// disabled.
+func hiveRun(e *hive.Engine, q *core.Query) func() error {
+	return func() error { _, _, err := e.Execute(context.Background(), q); return err }
+}
+
+func printFigure(w io.Writer, f *FigureResult) {
+	fmt.Fprintf(w, "\n%s: SSB on cluster %s — modeled node-seconds of a warm run; host CPU beside, never added\n", f.Figure, f.Cluster)
+	fmt.Fprintf(w, "%-6s %14s %18s %14s %10s %10s   %s\n",
+		"Query", "Clydesdale", "Hive-repartition", "Hive-mapjoin", "spd(rep)", "spd(mapj)", "host CPU cly/rep/mapj")
+	for _, r := range f.Rows {
+		mapjoin, spdM, cpuM := nodeSeconds(r.HiveMapjoin.NodeSeconds), fmt.Sprintf("%.1fx", r.SpeedupMapjoin()), hostMS(r.HiveMapjoin.HostCPU)
+		if r.MapjoinOOM {
+			mapjoin, spdM, cpuM = "DNF(OOM)", "—", "—"
+		}
+		fmt.Fprintf(w, "%-6s %14s %18s %14s %9.1fx %10s   %s / %s / %s\n",
+			r.Query, nodeSeconds(r.Clydesdale.NodeSeconds), nodeSeconds(r.HiveRepartition.NodeSeconds), mapjoin,
+			r.SpeedupRepartition(), spdM, hostMS(r.Clydesdale.HostCPU), hostMS(r.HiveRepartition.HostCPU), cpuM)
+	}
+	fmt.Fprintf(w, "Average speedup over Hive's better plan: %.1fx (node-seconds)\n", f.AverageSpeedup())
+}
+
+// AblationRow is one Figure 9 row: a query's cost with every technique on
+// and with each one disabled in turn.
 type AblationRow struct {
-	Query    string
-	Baseline time.Duration
-	// Slowdowns relative to all-features-on.
-	NoBlockIteration    float64
-	NoColumnar          float64
-	NoMultiThreading    float64
-	NoInMapperCombining float64
+	Query               string
+	Baseline            Cost
+	NoBlockIteration    Cost
+	NoColumnar          Cost
+	NoMultiThreading    Cost
+	NoInMapperCombining Cost
+}
+
+// Slowdown is c's node-seconds over the baseline's.
+func (r AblationRow) Slowdown(c Cost) float64 {
+	return float64(c.NodeSeconds) / float64(r.Baseline.NodeSeconds)
 }
 
 // AblationResult is Figure 9.
@@ -170,38 +146,27 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// Average returns the mean slowdown for each disabled feature.
-func (a *AblationResult) Average() (noBlock, noColumnar, noMT float64) {
+// Average returns the mean slowdown for each disabled feature (in-mapper
+// combining disabled: map tasks emit one record per joined row and leave
+// all map-side aggregation to the combiner).
+func (a *AblationResult) Average() (noBlock, noColumnar, noMT, noCombining float64) {
 	if len(a.Rows) == 0 {
 		return
 	}
 	for _, r := range a.Rows {
-		noBlock += r.NoBlockIteration
-		noColumnar += r.NoColumnar
-		noMT += r.NoMultiThreading
+		noBlock += r.Slowdown(r.NoBlockIteration)
+		noColumnar += r.Slowdown(r.NoColumnar)
+		noMT += r.Slowdown(r.NoMultiThreading)
+		noCombining += r.Slowdown(r.NoInMapperCombining)
 	}
 	n := float64(len(a.Rows))
-	return noBlock / n, noColumnar / n, noMT / n
+	return noBlock / n, noColumnar / n, noMT / n, noCombining / n
 }
 
-// AverageNoCombining returns the mean slowdown with in-mapper combining
-// disabled (map tasks emit one record per joined row and leave all map-side
-// aggregation to the combiner).
-func (a *AblationResult) AverageNoCombining() float64 {
-	if len(a.Rows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range a.Rows {
-		sum += r.NoInMapperCombining
-	}
-	return sum / float64(len(a.Rows))
-}
-
-// RunFigure9 runs the ablation on cluster A: each feature disabled in turn.
-// The memory budget is relaxed (see SetupClusterRelaxedMemory) so the
-// single-threaded variant's per-task hash-table copies fit, as they did at
-// the paper's scale.
+// RunFigure9 runs the ablation on cluster A: each feature disabled in turn,
+// each cell one warm run. The memory budget is relaxed (see
+// SetupClusterRelaxedMemory) so the single-threaded variant's per-task
+// hash-table copies fit, as they did at the paper's scale.
 func (h *Harness) RunFigure9(w io.Writer) (*AblationResult, error) {
 	env, err := h.SetupClusterRelaxedMemory("A")
 	if err != nil {
@@ -217,31 +182,15 @@ func (h *Harness) RunFigure9(w io.Writer) (*AblationResult, error) {
 	for _, q := range ssb.Queries() {
 		h.logf(w, "# ablation %s\n", q.Name)
 		row := AblationRow{Query: q.Name}
-		base, err := h.timeQuery(full, q)
-		if err != nil {
-			return nil, err
+		for _, v := range []struct {
+			e    *core.Engine
+			cost *Cost
+		}{{full, &row.Baseline}, {noBlock, &row.NoBlockIteration}, {noCol, &row.NoColumnar},
+			{noMT, &row.NoMultiThreading}, {noIMC, &row.NoInMapperCombining}} {
+			if *v.cost, err = env.warmRun(clydesdaleRun(v.e, q)); err != nil {
+				return nil, fmt.Errorf("bench: ablation %s: %w", q.Name, err)
+			}
 		}
-		row.Baseline = base
-		nb, err := h.timeQuery(noBlock, q)
-		if err != nil {
-			return nil, err
-		}
-		nc, err := h.timeQuery(noCol, q)
-		if err != nil {
-			return nil, err
-		}
-		nm, err := h.timeQuery(noMT, q)
-		if err != nil {
-			return nil, err
-		}
-		ni, err := h.timeQuery(noIMC, q)
-		if err != nil {
-			return nil, err
-		}
-		row.NoBlockIteration = float64(nb) / float64(base)
-		row.NoColumnar = float64(nc) / float64(base)
-		row.NoMultiThreading = float64(nm) / float64(base)
-		row.NoInMapperCombining = float64(ni) / float64(base)
 		out.Rows = append(out.Rows, row)
 	}
 	if w != nil {
@@ -250,44 +199,17 @@ func (h *Harness) RunFigure9(w io.Writer) (*AblationResult, error) {
 	return out, nil
 }
 
-func (h *Harness) timeQuery(e *core.Engine, q *core.Query) (time.Duration, error) {
-	return h.medianTime(func() (time.Duration, error) {
-		_, rep, err := e.Run(context.Background(), q)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Total, nil
-	})
-}
-
-// medianTime runs fn Repeats times and returns the median duration (the
-// paper reports the average of three runs; the median is more robust to
-// the simulator's scheduling jitter).
-func (h *Harness) medianTime(fn func() (time.Duration, error)) (time.Duration, error) {
-	n := h.cfg.Repeats
-	if n < 1 {
-		n = 1
-	}
-	times := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := fn()
-		if err != nil {
-			return 0, err
-		}
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2], nil
-}
-
 func printAblation(w io.Writer, a *AblationResult) {
-	fmt.Fprintf(w, "\nFigure 9: impact of disabling individual techniques (slowdown vs full Clydesdale, cluster A)\n")
-	fmt.Fprintf(w, "%-6s %12s %12s %12s %12s %12s\n", "Query", "baseline", "-blockiter", "-columnar", "-multithread", "-combining")
+	fmt.Fprintf(w, "\nFigure 9: impact of disabling individual techniques (slowdown in modeled node-seconds vs full Clydesdale, cluster A)\n")
+	fmt.Fprintf(w, "%-6s %14s %12s %12s %12s %12s   %s\n", "Query", "baseline", "-blockiter", "-columnar", "-multithread", "-combining",
+		"host CPU: baseline, then each over it")
 	for _, r := range a.Rows {
-		fmt.Fprintf(w, "%-6s %12s %11.2fx %11.2fx %11.2fx %11.2fx\n",
-			r.Query, r.Baseline.Round(time.Millisecond),
-			r.NoBlockIteration, r.NoColumnar, r.NoMultiThreading, r.NoInMapperCombining)
+		cpu := func(c Cost) float64 { return float64(c.HostCPU) / float64(r.Baseline.HostCPU) }
+		fmt.Fprintf(w, "%-6s %14s %11.2fx %11.2fx %11.2fx %11.2fx   %s %.2fx %.2fx %.2fx %.2fx\n",
+			r.Query, nodeSeconds(r.Baseline.NodeSeconds),
+			r.Slowdown(r.NoBlockIteration), r.Slowdown(r.NoColumnar), r.Slowdown(r.NoMultiThreading), r.Slowdown(r.NoInMapperCombining),
+			hostMS(r.Baseline.HostCPU), cpu(r.NoBlockIteration), cpu(r.NoColumnar), cpu(r.NoMultiThreading), cpu(r.NoInMapperCombining))
 	}
-	nb, nc, nm := a.Average()
-	fmt.Fprintf(w, "%-6s %12s %11.2fx %11.2fx %11.2fx %11.2fx\n", "avg", "", nb, nc, nm, a.AverageNoCombining())
+	nb, nc, nm, ni := a.Average()
+	fmt.Fprintf(w, "%-6s %14s %11.2fx %11.2fx %11.2fx %11.2fx\n", "avg", "", nb, nc, nm, ni)
 }

@@ -55,18 +55,23 @@ func (h *Harness) RunTable1(profile string, fileMB int64, w io.Writer) (*DFSIORe
 	}
 	conf := mr.Conf{TaskMemory: cfg.MemoryPerNode}
 
+	// Files are written one at a time, a job each: a write charges the
+	// nodes that take its replicas too, so its cost is the cluster's modeled
+	// time over it, which a second writer running meanwhile would add to.
 	writeOut := &mr.MemoryOutput{}
-	writeJob := &mr.Job{
-		Name:   "dfsio-write",
-		Conf:   conf,
-		Input:  &mr.MemoryInput{SplitsList: splits},
-		Output: writeOut,
-		NewMapper: func() mr.Mapper {
-			return &dfsioWriteMapper{size: size}
-		},
-	}
-	if _, err := env.MR.Submit(context.Background(), writeJob); err != nil {
-		return nil, fmt.Errorf("bench: dfsio write: %w", err)
+	for _, sp := range splits {
+		writeJob := &mr.Job{
+			Name:   "dfsio-write",
+			Conf:   conf,
+			Input:  &mr.MemoryInput{SplitsList: []*mr.MemorySplit{sp}},
+			Output: writeOut,
+			NewMapper: func() mr.Mapper {
+				return &dfsioWriteMapper{size: size}
+			},
+		}
+		if _, err := env.MR.Submit(context.Background(), writeJob); err != nil {
+			return nil, fmt.Errorf("bench: dfsio write: %w", err)
+		}
 	}
 
 	readOut := &mr.MemoryOutput{}
@@ -120,9 +125,10 @@ func meanThroughput(out *mr.MemoryOutput, fileMB int64) float64 {
 	return sum / float64(len(pairs))
 }
 
-// dfsioWriteMapper writes one file to HDFS and reports the node's modeled
-// time spent doing it (the difference of the node's modeled-time counter,
-// clean because exactly one task runs per node).
+// dfsioWriteMapper writes one file to HDFS and reports the modeled time
+// the cluster spent doing it: the writer's disk and network and the
+// replicas' (the difference of the cluster's modeled-time counter, clean
+// because no other task runs meanwhile).
 type dfsioWriteMapper struct {
 	size int64
 	ctx  *mr.TaskContext
@@ -139,7 +145,7 @@ func (m *dfsioWriteMapper) Map(_, v records.Record, out mr.Collector) error {
 	idx := v.Get("i").Int64()
 	path := fmt.Sprintf("/dfsio/file-%05d", idx)
 	m.ctx.FS.Delete(path)
-	before := m.ctx.Node().Stats().ModelTime
+	before := m.ctx.Cluster.TotalStats().ModelTime
 	wtr, err := m.ctx.FS.Create(path, m.ctx.Node().ID())
 	if err != nil {
 		return err
@@ -153,7 +159,7 @@ func (m *dfsioWriteMapper) Map(_, v records.Record, out mr.Collector) error {
 	if err := wtr.Close(); err != nil {
 		return err
 	}
-	elapsed := m.ctx.Node().Stats().ModelTime - before
+	elapsed := m.ctx.Cluster.TotalStats().ModelTime - before
 	return out.Collect(records.Record{}, records.Make(dfsioValueSchema, records.Int(int64(elapsed))))
 }
 

@@ -46,9 +46,10 @@ type Config struct {
 	// bandwidth). 1.0 means HDFS is as fast as the raw disk.
 	HDFSEfficiency float64
 	// TimeScale converts modeled durations to real sleeps: a modeled second
-	// costs TimeScale real seconds. Zero disables sleeping (unit tests);
-	// benchmarks use a small positive value so that modeled I/O shows up in
-	// wall-clock measurements.
+	// costs TimeScale real seconds. Zero disables sleeping; the chaos
+	// straggler and recovery tests and `clydesdale -timescale` set a
+	// positive value so that modeled I/O shows up in wall-clock time. The
+	// paper's figures never sleep: they read modeled time (ModelTime).
 	TimeScale float64
 }
 

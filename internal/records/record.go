@@ -28,8 +28,9 @@ func Make(schema *Schema, vals ...Value) Record {
 	return Record{schema: schema, vals: vals}
 }
 
-// IsZero reports whether this is the zero (nil) record.
-func (r Record) IsZero() bool { return r.schema == nil }
+// IsZero reports whether this is the zero (nil) record: no schema and no
+// values. A record decoded without a schema holds values and is not zero.
+func (r Record) IsZero() bool { return r.schema == nil && len(r.vals) == 0 }
 
 // Schema returns the record's schema (nil for the zero record).
 func (r Record) Schema() *Schema { return r.schema }

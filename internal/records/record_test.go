@@ -220,6 +220,11 @@ func TestDecodeRecordIntoReusesTheSlice(t *testing.T) {
 	if err != nil || zero.Len() != 0 || !zero.IsZero() {
 		t.Errorf("zero record decoded as %v (%v)", zero, err)
 	}
+	// Decoded without a schema, a record still holds its values.
+	positional, _, err := DecodeRecord(a, nil)
+	if err != nil || positional.Len() != 3 || positional.IsZero() {
+		t.Errorf("schemaless record decoded as %v (%v), IsZero %v", positional, err, positional.IsZero())
+	}
 }
 
 // FuzzDecodeRecord: whatever the bytes, DecodeRecord returns a record or an

@@ -64,7 +64,12 @@ vet:
 # sleeps: a cell of Figures 7-9 and a breakdown total are the modeled
 # node-seconds of one warm run (internal/bench Cost), with host CPU beside
 # them and never added, so the harness and the root figure benchmarks set
-# no TimeScale, take no Repeats and keep no medianTime.
+# no TimeScale, take no Repeats and keep no medianTime. Nor does a second
+# map-side path of the repartition join: its runner decodes a row's key and
+# predicate fields from the readers' spans (NextSpans) and collects the rest
+# as bytes (DESIGN.md "Record path"), so the row reader has no decoding
+# projection of its own (decodeProjected) and runRepartitionStage no
+# MapperFunc.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -99,6 +104,9 @@ no-deprecated:
 		echo "a row output writes values: an encoded write is one row, with no key folded in"; exit 1; fi
 	@if grep -rnw -e TimeScale -e Repeats -e medianTime internal/bench bench_test.go; then \
 		echo "figures are modeled node-seconds of a warm run, never host time over sleeps: no TimeScale, Repeats or medianTime in internal/bench or bench_test.go"; exit 1; fi
+	@if grep -rnw --include='*.go' decodeProjected . || \
+		awk '/^func \(e \*Engine\) runRepartitionStage\(/,/^}/' internal/hive/repartition.go | grep -n MapperFunc; then \
+		echo "one map-side path in the repartition join: spans in, the key and predicate fields decoded, the rest collected as bytes (no decodeProjected, no MapperFunc in runRepartitionStage)"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

@@ -7,6 +7,7 @@ import (
 
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/records"
 )
 
 // Group files: the framing row files and RCFiles share,
@@ -246,4 +247,29 @@ func openGroupSplit(split mr.InputSplit, ctx *mr.TaskContext) (*hdfs.Reader, *gr
 	}
 	r.SetTrace(ctx.TraceContext())
 	return r, s, nil
+}
+
+// spanDecoder is the Next of both group-file readers: it decodes the fields
+// their NextSpans found into one value slice, reused from row to row (see
+// mr.RecordReader). A span NextSpans returned was checked by
+// records.SkipValue, which refuses what DecodeValue refuses.
+type spanDecoder struct {
+	schema *records.Schema
+	row    records.Record
+}
+
+func (d *spanDecoder) decode(spans [][]byte, ok bool, err error) (records.Record, records.Record, bool, error) {
+	if !ok || err != nil {
+		return records.Record{}, records.Record{}, false, err
+	}
+	if d.row.IsZero() {
+		d.row = records.New(d.schema)
+	}
+	vals := d.row.Values()
+	for i, s := range spans {
+		if vals[i], _, err = records.DecodeValue(s); err != nil {
+			return records.Record{}, records.Record{}, false, err
+		}
+	}
+	return records.Record{}, d.row, true, nil
 }

@@ -170,12 +170,12 @@ func (in *RCInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRead
 	if err != nil {
 		return nil, err
 	}
-	return &rcReader{r: r, in: in, path: s.path, groups: s.groups}, nil
+	return &rcReader{r: r, in: in, path: s.path, groups: s.groups, spans: make([][]byte, len(in.colIdx)), rows: spanDecoder{schema: in.projected}}, nil
 }
 
 // rcReader iterates a split's rows, fetching only the projected columns'
-// chunks one row group at a time. Every row is decoded into the same value
-// slice (see mr.RecordReader).
+// chunks one row group at a time. NextSpans walks a row's fields where the
+// chunks hold them; Next decodes what it finds.
 type rcReader struct {
 	r      *hdfs.Reader
 	in     *RCInput
@@ -187,38 +187,44 @@ type rcReader struct {
 	offsets []int64  // chunk offsets within the group, reused likewise
 	chunks  [][]byte // per projected column, remaining bytes
 	left    int64    // rows left in current group
-	row     records.Record
+	spans   [][]byte // per projected column, the current row's field
+	rows    spanDecoder
 }
 
-func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
+// NextSpans returns the next row's projected fields, in the input's column
+// order, each the bytes records.AppendValue wrote, checked with
+// records.SkipValue. The spans alias the reader's chunk buffers and are
+// valid until the next call to NextSpans or Next.
+func (rc *rcReader) NextSpans() ([][]byte, bool, error) {
 	for rc.left == 0 {
 		if rc.gi >= len(rc.groups) {
-			return records.Record{}, records.Record{}, false, nil
+			return nil, false, nil
 		}
 		if err := rc.loadGroup(rc.groups[rc.gi]); err != nil {
-			return records.Record{}, records.Record{}, false, err
+			return nil, false, err
 		}
 		rc.gi++
 	}
-	if rc.row.IsZero() {
-		rc.row = records.New(rc.in.projected)
-	}
-	for i := range rc.chunks {
-		v, n, err := records.DecodeValue(rc.chunks[i])
+	for i, chunk := range rc.chunks {
+		n, err := records.SkipValue(chunk)
 		if err != nil {
-			return records.Record{}, records.Record{}, false, fmt.Errorf("colstore: RC file %s: %w", rc.path, err)
+			return nil, false, fmt.Errorf("colstore: RC file %s: %w", rc.path, err)
 		}
-		rc.chunks[i] = rc.chunks[i][n:]
-		rc.row.Set(i, v)
+		rc.spans[i], rc.chunks[i] = chunk[:n], chunk[n:]
 	}
 	rc.left--
-	return records.Record{}, rc.row, true, nil
+	return rc.spans, true, nil
+}
+
+// Next implements mr.RecordReader: NextSpans, decoded.
+func (rc *rcReader) Next() (records.Record, records.Record, bool, error) {
+	return rc.rows.decode(rc.NextSpans())
 }
 
 func (rc *rcReader) loadGroup(g groupMeta) error {
 	// Chunk offsets within the group come from prefix sums of chunk lengths.
-	// The buffers are the previous group's: DecodeValue copies what it
-	// hands out, so no row points into them.
+	// The buffers are the previous group's: spans handed out are valid only
+	// until the next row, and DecodeValue copies what it hands out.
 	offsets := append(rc.offsets[:0], 0)
 	for _, l := range g.chunkLens {
 		offsets = append(offsets, offsets[len(offsets)-1]+l)

@@ -135,7 +135,7 @@ type RowInput struct {
 	Schema  *records.Schema // nil → read from _schema
 
 	projected *records.Schema
-	slots     []int // per field of Schema, its place in projected, -1 if not read; nil when all are
+	slots     []int // per field of Schema, its place in projected, -1 if not read
 }
 
 // Splits implements mr.InputFormat.
@@ -157,19 +157,20 @@ func (in *RowInput) resolve(fs *hdfs.FileSystem) error {
 	if in.projected != nil {
 		return nil
 	}
-	if in.Columns == nil {
-		in.projected = in.Schema
-		return nil
-	}
-	proj, err := in.Schema.Project(in.Columns...)
-	if err != nil {
-		return err
+	cols, proj := in.Columns, in.Schema
+	if cols == nil {
+		cols = in.Schema.Names()
+	} else {
+		var err error
+		if proj, err = in.Schema.Project(cols...); err != nil {
+			return err
+		}
 	}
 	slots := make([]int, in.Schema.Len())
 	for i := range slots {
 		slots[i] = -1
 	}
-	for j, c := range in.Columns {
+	for j, c := range cols {
 		slots[in.Schema.MustIndex(c)] = j
 	}
 	in.projected, in.slots = proj, slots
@@ -185,13 +186,17 @@ func (in *RowInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordRea
 	if err != nil {
 		return nil, err
 	}
-	return &rowReader{r: r, in: in, path: s.path, groups: s.groups}, nil
+	return in.reader(r, s.path, s.groups), nil
+}
+
+// reader reads the given groups of the row file at path through r.
+func (in *RowInput) reader(r *hdfs.Reader, path string, groups []groupMeta) *rowReader {
+	return &rowReader{r: r, in: in, path: path, groups: groups, spans: make([][]byte, in.projected.Len()), rows: spanDecoder{schema: in.projected}}
 }
 
 // rowReader iterates the records of a row split, reading one group at a
-// time from HDFS. Groups are read into one buffer and rows decoded into one
-// value slice (see mr.RecordReader); DecodeRecord copies string bytes out of
-// the buffer, so nothing handed out points into it.
+// time from HDFS into one buffer. NextSpans walks a row's fields where the
+// buffer holds them; Next decodes what it finds.
 type rowReader struct {
 	r      *hdfs.Reader
 	in     *RowInput
@@ -200,41 +205,39 @@ type rowReader struct {
 	gi     int
 	buf    []byte
 	pos    int
-	row    records.Record
+	spans  [][]byte // per projected column, the current row's field
+	rows   spanDecoder
 }
 
-func (rr *rowReader) Next() (records.Record, records.Record, bool, error) {
+// NextSpans returns the next row's projected fields, in the input's column
+// order, each the bytes records.AppendValue wrote. Every field is checked
+// with records.SkipValue, those left out too, so a corrupt row fails here as
+// it fails a full read. The spans alias the reader's group buffer and are
+// valid until the next call to NextSpans or Next.
+func (rr *rowReader) NextSpans() ([][]byte, bool, error) {
 	for rr.pos >= len(rr.buf) {
 		if rr.gi >= len(rr.groups) {
-			return records.Record{}, records.Record{}, false, nil
+			return nil, false, nil
 		}
 		g := rr.groups[rr.gi]
 		rr.gi++
 		rr.buf = slices.Grow(rr.buf[:0], int(g.length))[:g.length]
 		if _, err := rr.r.ReadAt(rr.buf, g.offset); err != nil && err != io.EOF {
-			return records.Record{}, records.Record{}, false, err
+			return nil, false, err
 		}
 		rr.pos = 0
 	}
-	var n int
-	var err error
-	if rr.in.slots == nil {
-		rr.row, n, err = records.DecodeRecordInto(rr.row.Values(), rr.buf[rr.pos:], rr.in.Schema)
-	} else {
-		n, err = rr.decodeProjected(rr.buf[rr.pos:])
-	}
+	n, err := rr.cut(rr.buf[rr.pos:])
 	if err != nil {
-		return records.Record{}, records.Record{}, false, fmt.Errorf("colstore: row file %s: %w", rr.path, err)
+		return nil, false, fmt.Errorf("colstore: row file %s: %w", rr.path, err)
 	}
 	rr.pos += n
-	return records.Record{}, rr.row, true, nil
+	return rr.spans, true, nil
 }
 
-// decodeProjected decodes the record at the front of buf into rr.row,
-// keeping the projected fields and stepping over the rest, and returns the
-// bytes it took. A field stepped over is checked as a decoded one is, so a
-// corrupt row fails here as it fails a full read.
-func (rr *rowReader) decodeProjected(buf []byte) (int, error) {
+// cut finds the fields of the record at the front of buf, keeping the
+// projected ones' spans, and returns the bytes the record takes.
+func (rr *rowReader) cut(buf []byte) (int, error) {
 	n, pos := binary.Uvarint(buf)
 	if pos <= 0 {
 		return 0, fmt.Errorf("records: decode record: bad field count")
@@ -242,24 +245,22 @@ func (rr *rowReader) decodeProjected(buf []byte) (int, error) {
 	if n != uint64(len(rr.in.slots)) {
 		return 0, fmt.Errorf("records: decode record: %d values for %d-field schema", n, len(rr.in.slots))
 	}
-	if rr.row.IsZero() {
-		rr.row = records.New(rr.in.projected)
-	}
-	vals := rr.row.Values()
 	for i, slot := range rr.in.slots {
-		var used int
-		var err error
-		if slot < 0 {
-			used, err = records.SkipValue(buf[pos:])
-		} else {
-			vals[slot], used, err = records.DecodeValue(buf[pos:])
-		}
+		used, err := records.SkipValue(buf[pos:])
 		if err != nil {
 			return 0, fmt.Errorf("records: decode record field %d: %w", i, err)
+		}
+		if slot >= 0 {
+			rr.spans[slot] = buf[pos : pos+used]
 		}
 		pos += used
 	}
 	return pos, nil
+}
+
+// Next implements mr.RecordReader: NextSpans, decoded.
+func (rr *rowReader) Next() (records.Record, records.Record, bool, error) {
+	return rr.rows.decode(rr.NextSpans())
 }
 
 func (rr *rowReader) Close() error { return rr.r.Close() }

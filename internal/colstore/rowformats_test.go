@@ -159,9 +159,10 @@ func rcFooterCorpus(t testing.TB) map[string]fuzzSeed {
 }
 
 // FuzzRCFooter: whatever the bytes of an RC file, reading its footer and
-// then its rows returns rows or an error naming the file. It does not panic
-// and sizes nothing by a number the file merely claims: the groups a footer
-// yields lie inside the file, so a reader's chunk buffers do too.
+// then its rows returns rows or an error naming the file, with Next and with
+// NextSpans alike (readBothWays). It does not panic and sizes nothing by a
+// number the file merely claims: the groups a footer yields lie inside the
+// file, so a reader's chunk buffers do too.
 func FuzzRCFooter(f *testing.F) {
 	c := cluster.New(cluster.Testing(1))
 	fs := hdfs.New(c, hdfs.Options{Seed: 5})
@@ -190,21 +191,45 @@ func FuzzRCFooter(f *testing.F) {
 					t.Fatalf("group %+v accepted in a %d-byte file", g, len(data))
 				}
 			}
-			r, err := in.Open(s, mr.NewTestTaskContext(jctx, c.Nodes()[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for rows := 0; ; rows++ {
-				if _, _, ok, err := r.Next(); !ok || err != nil {
-					break
-				}
-				if rows > len(data) {
-					t.Fatalf("more than %d rows out of a %d-byte file", rows, len(data))
-				}
-			}
-			r.Close()
+			readBothWays(t, in, s, mr.NewTestTaskContext(jctx, c.Nodes()[0]), path, len(data))
 		}
 	})
+}
+
+// readBothWays reads a fuzzed split twice in step, with Next and with
+// NextSpans: the two end together, refuse the same row, and name the file
+// when they refuse it.
+func readBothWays(t *testing.T, in mr.InputFormat, s mr.InputSplit, tctx *mr.TaskContext, path string, size int) {
+	decoded, err := in.Open(s, tctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer decoded.Close()
+	spanned, err := in.Open(s, tctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spanned.Close()
+	for rows := 0; ; rows++ {
+		_, _, ok, err := decoded.Next()
+		_, sok, serr := spanned.(interface {
+			NextSpans() ([][]byte, bool, error)
+		}).NextSpans()
+		if ok != sok || (err == nil) != (serr == nil) {
+			t.Fatalf("row %d: Next (%v, %v), NextSpans (%v, %v)", rows, ok, err, sok, serr)
+		}
+		for _, err := range []error{err, serr} {
+			if err != nil && !strings.Contains(err.Error(), path) {
+				t.Fatalf("read error does not name the file: %v", err)
+			}
+		}
+		if !ok || err != nil {
+			return
+		}
+		if rows > size {
+			t.Fatalf("more than %d rows out of a %d-byte file", rows, size)
+		}
+	}
 }
 
 // rowFooterCorpus is FuzzRowFooter's seed corpus: a good file of several
@@ -248,8 +273,9 @@ func rowFooterCorpus(t testing.TB) map[string]fuzzSeed {
 
 // FuzzRowFooter is FuzzRCFooter's twin for row files, the files of every
 // dimension table and every Hive intermediate: whatever the bytes, splitting,
-// opening and reading the file returns rows or an error naming the file. It
-// does not panic, and every group a footer yields lies inside the file.
+// opening and reading the file, with Next and with NextSpans, returns rows or
+// an error naming the file. It does not panic, and every group a footer
+// yields lies inside the file.
 func FuzzRowFooter(f *testing.F) {
 	c := cluster.New(cluster.Testing(1))
 	fs := hdfs.New(c, hdfs.Options{Seed: 5})
@@ -274,23 +300,7 @@ func FuzzRowFooter(f *testing.F) {
 					t.Fatalf("group %+v accepted in a %d-byte file", g, len(data))
 				}
 			}
-			r, err := in.Open(s, mr.NewTestTaskContext(jctx, c.Nodes()[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for rows := 0; ; rows++ {
-				_, _, ok, err := r.Next()
-				if err != nil && !strings.Contains(err.Error(), path) {
-					t.Fatalf("read error does not name the file: %v", err)
-				}
-				if !ok || err != nil {
-					break
-				}
-				if rows > len(data) {
-					t.Fatalf("more than %d rows out of a %d-byte file", rows, len(data))
-				}
-			}
-			r.Close()
+			readBothWays(t, in, s, mr.NewTestTaskContext(jctx, c.Nodes()[0]), path, len(data))
 		}
 	})
 }
@@ -312,22 +322,37 @@ func decodeFooterOf(f groupFormat, file []byte) ([]groupMeta, error) {
 // it does not keep, but a row that is corrupt in one of them fails it as it
 // fails a full read: a truncated string, an unknown kind byte, a malformed
 // varint, a missing field, a short float, a field count off the schema's.
+// That holds for NextSpans as for Next, and a good row's spans are its
+// fields' bytes.
 func TestSkippedColumnsAreChecked(t *testing.T) {
 	schema := records.NewSchema(records.F("a", records.KindInt64), records.F("b", records.KindString),
 		records.F("c", records.KindFloat64), records.F("d", records.KindInt64))
 	good := records.AppendRecord(nil, records.Make(schema, records.Int(7), records.Str("hello"), records.Float(1.5), records.Int(-3)))
-	readFirst := func(cols []string, buf []byte) (records.Record, error) {
+	reader := func(cols []string, buf []byte) *rowReader {
 		in := &RowInput{Schema: schema, Columns: cols}
 		if err := in.resolve(nil); err != nil {
 			t.Fatal(err)
 		}
-		rr := &rowReader{in: in, buf: buf}
-		_, rec, _, err := rr.Next()
+		rr := in.reader(nil, "", nil)
+		rr.buf = buf
+		return rr
+	}
+	readFirst := func(cols []string, buf []byte) (records.Record, error) {
+		_, rec, _, err := reader(cols, buf).Next()
 		return rec, err
+	}
+	spansOfFirst := func(cols []string, buf []byte) ([][]byte, error) {
+		spans, _, err := reader(cols, buf).NextSpans()
+		return spans, err
 	}
 	rec, err := readFirst([]string{"d", "a"}, good)
 	if err != nil || rec.Len() != 2 || rec.At(0).Int64() != -3 || rec.At(1).Int64() != 7 {
 		t.Fatalf("projected read of a good row: %v, %v", rec, err)
+	}
+	spans, err := spansOfFirst([]string{"d", "a"}, good)
+	if err != nil || len(spans) != 2 || !slices.Equal(spans[0], records.AppendValue(nil, records.Int(-3))) ||
+		!slices.Equal(spans[1], records.AppendValue(nil, records.Int(7))) {
+		t.Fatalf("projected spans of a good row: %x, %v", spans, err)
 	}
 	// Byte 0 is the field count, 1-2 field a, 3-9 field b ("hello"), 10-18
 	// field c, 19-20 field d.
@@ -345,6 +370,9 @@ func TestSkippedColumnsAreChecked(t *testing.T) {
 		}
 		if _, err := readFirst([]string{"a"}, buf); err == nil {
 			t.Errorf("%s: reading only a accepts %x", name, buf)
+		}
+		if _, err := spansOfFirst([]string{"a"}, buf); err == nil {
+			t.Errorf("%s: the spans of only a accept %x", name, buf)
 		}
 	}
 }

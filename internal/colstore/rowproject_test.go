@@ -89,3 +89,84 @@ func TestRowInputColumnsMatchFullRead(t *testing.T) {
 		}
 	}
 }
+
+// spanReader is what colstore's RC and row readers add to mr.RecordReader.
+type spanReader interface {
+	NextSpans() ([][]byte, bool, error)
+}
+
+// TestSpansDecodeToNext: over every SSB table as a row file and as an
+// RCFile, read whole, as one column and as a shuffled subset of columns,
+// each span NextSpans returns is exactly the encoding (records.AppendValue)
+// of the value Next returns for the same field of the same row, and both
+// reads end together.
+func TestSpansDecodeToNext(t *testing.T) {
+	c := cluster.New(cluster.Testing(2))
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 14, Seed: 7})
+	jctx := &mr.JobContext{FS: fs, Cluster: c, Counters: mr.NewCounters()}
+	gen := ssb.NewBenchGenerator(0.05, 2000, 11)
+	rng := rand.New(rand.NewSource(9))
+	for _, table := range []string{ssb.TableLineorder, ssb.TableCustomer, ssb.TableSupplier, ssb.TablePart, ssb.TableDate} {
+		schema := ssb.SchemaOf(table)
+		rows := func(emit func(records.Record) error) error { return gen.Each(table, emit) }
+		if _, err := colstore.WriteRowTable(fs, "/rows/"+table, schema, rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := colstore.WriteRCTable(fs, "/rc/"+table, schema, 100, rows); err != nil {
+			t.Fatal(err)
+		}
+		names := schema.Names()
+		var shuffled []string
+		for _, i := range rng.Perm(len(names))[:1+rng.Intn(len(names))] {
+			shuffled = append(shuffled, names[i])
+		}
+		for _, cols := range [][]string{nil, {names[rng.Intn(len(names))]}, shuffled} {
+			for _, in := range []mr.InputFormat{
+				&colstore.RowInput{Dir: "/rows/" + table, Columns: cols},
+				&colstore.RCInput{Dir: "/rc/" + table, Columns: cols},
+			} {
+				splits, err := in.Splits(jctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := 0
+				for _, s := range splits {
+					decoded, err := in.Open(s, mr.NewTestTaskContext(jctx, c.Nodes()[0]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					spanned, err := in.Open(s, mr.NewTestTaskContext(jctx, c.Nodes()[0]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for ; ; rows++ {
+						_, row, ok, err := decoded.Next()
+						spans, sok, serr := spanned.(spanReader).NextSpans()
+						if err != nil || serr != nil {
+							t.Fatalf("%T %s %v: Next %v, NextSpans %v", in, table, cols, err, serr)
+						}
+						if ok != sok {
+							t.Fatalf("%T %s %v row %d: Next ok %v, NextSpans ok %v", in, table, cols, rows, ok, sok)
+						}
+						if !ok {
+							break
+						}
+						if len(spans) != row.Len() {
+							t.Fatalf("%T %s %v row %d: %d spans for %d values", in, table, cols, rows, len(spans), row.Len())
+						}
+						for i, span := range spans {
+							if want := records.AppendValue(nil, row.At(i)); string(span) != string(want) {
+								t.Fatalf("%T %s %v row %d field %d: span %x, want %x (%v)", in, table, cols, rows, i, span, want, row.At(i))
+							}
+						}
+					}
+					decoded.Close()
+					spanned.Close()
+				}
+				if rows == 0 {
+					t.Fatalf("%T %s %v: no rows", in, table, cols)
+				}
+			}
+		}
+	}
+}

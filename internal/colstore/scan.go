@@ -29,6 +29,9 @@ func rowPartPaths(dir string, version uint64) []string {
 // clientNode, and hands fn a copy of each row.
 func scanRowFiles(fs *hdfs.FileSystem, paths []string, clientNode string, schema *records.Schema, fn func(records.Record) error) error {
 	in := &RowInput{Schema: schema}
+	if err := in.resolve(fs); err != nil {
+		return err
+	}
 	for _, path := range paths {
 		if err := scanRowFile(fs, path, clientNode, in, fn); err != nil {
 			return err
@@ -47,7 +50,7 @@ func scanRowFile(fs *hdfs.FileSystem, path, clientNode string, in *RowInput, fn 
 	if err != nil {
 		return err
 	}
-	rr := &rowReader{r: r, in: in, path: path, groups: groups}
+	rr := in.reader(r, path, groups)
 	for {
 		_, row, ok, err := rr.Next()
 		if err != nil || !ok {

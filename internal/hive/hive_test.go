@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"clydesdale/internal/cluster"
@@ -12,6 +14,7 @@ import (
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/obs"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
@@ -284,5 +287,70 @@ func TestIntermediateResultsRoundTripHDFS(t *testing.T) {
 	// Intermediates are cleaned up.
 	if files := e.fs.List("/tmp/hive/"); len(files) != 0 {
 		t.Errorf("leftover intermediates: %v", files)
+	}
+}
+
+// cancelAtFactRead cancels a query at the first read of the fact table by a
+// task (the driver's footer reads name no node), the first stage's map
+// phase, and counts the task reads of the fact table that follow it.
+type cancelAtFactRead struct {
+	fact   string // the fact table's directory, slash-terminated
+	cancel context.CancelFunc
+
+	mu       sync.Mutex
+	canceled bool
+	after    int
+}
+
+func (s *cancelAtFactRead) Emit(sp obs.Span) {
+	if sp.Name != obs.PhaseHDFSRead || sp.Node == "" || !strings.HasPrefix(sp.Attrs["path"], s.fact) {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.canceled {
+		s.after++
+		return
+	}
+	s.canceled = true
+	s.cancel()
+}
+
+// TestRepartitionCancelDuringMap cancels Q4.1 while its first stage maps the
+// fact table. The query returns context.Canceled and leaves nothing under
+// the intermediates' root, and the map attempts running at the cancel stop
+// at the runner's next poll, within 128 records, instead of reading the
+// rest of their splits: with 16-row RC groups, each reads at most nine more
+// groups, one read per fact column the stage keeps.
+func TestRepartitionCancelDuringMap(t *testing.T) {
+	const groupRows, factCols = 16, 6 // Q4.1 reads lo_custkey, suppkey, partkey, orderdate, revenue and supplycost
+	c := cluster.New(cluster.Testing(1))
+	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 31})
+	lay, err := ssb.Load(fs, ssb.NewGenerator(0.001, 42), "/ssb", ssb.LoadOptions{PartitionRows: 1000, RCGroupRows: groupRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := &cancelAtFactRead{fact: lay.RCCatalog().FactDir + "/", cancel: cancel}
+	fs.Observe(obs.NewTracer(sink), nil)
+	eng := hive.New(mr.NewEngine(c, fs, mr.Options{}), lay.RCCatalog(), hive.Options{Strategy: hive.Repartition})
+	q, err := ssb.QueryByName("Q4.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Execute(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Q4.1 returned %v, want context.Canceled", err)
+	}
+	if !sink.canceled {
+		t.Fatal("the query read no fact row group")
+	}
+	if left := fs.List("/tmp/hive"); len(left) > 0 {
+		t.Errorf("the canceled query left %v", left)
+	}
+	// Every map slot of the one worker may have been mid-split at the cancel.
+	limit := c.Config().MapSlots * (128/groupRows + 2) * factCols
+	if sink.after > limit {
+		t.Errorf("%d fact reads after the cancel, want at most %d: the map runner did not poll", sink.after, limit)
 	}
 }

@@ -29,7 +29,7 @@ const (
 )
 
 // taggedInput unions several input formats, tagging each split with its
-// source index (delivered to the mapper as the record key).
+// source index: the tag the repartition runner puts in front of its rows.
 type taggedInput struct {
 	sources []mr.InputFormat
 }
@@ -65,24 +65,121 @@ func (t *taggedInput) Open(split mr.InputSplit, ctx *mr.TaskContext) (mr.RecordR
 	if err != nil {
 		return nil, err
 	}
-	return &taggedReader{inner: inner, tag: records.Make(tagKeySchema, records.Int(int64(ts.source)))}, nil
+	sr, ok := inner.(spanReader)
+	if !ok {
+		inner.Close()
+		return nil, fmt.Errorf("hive: taggedInput source %d reads no spans (%T)", ts.source, inner)
+	}
+	return &taggedReader{spanReader: sr, tag: ts.source}, nil
 }
 
-var tagKeySchema = records.NewSchema(records.F("src", records.KindInt64))
+// spanReader is a reader that also hands out each row's fields as the bytes
+// records.AppendValue wrote, valid until its next call: colstore's row and
+// RC readers.
+type spanReader interface {
+	mr.RecordReader
+	NextSpans() (spans [][]byte, ok bool, err error)
+}
 
+// taggedReader is one source's reader and the source's tag.
 type taggedReader struct {
-	inner mr.RecordReader
-	tag   records.Record
+	spanReader
+	tag int
 }
-
-func (r *taggedReader) Next() (records.Record, records.Record, bool, error) {
-	_, v, ok, err := r.inner.Next()
-	return r.tag, v, ok, err
-}
-
-func (r *taggedReader) Close() error { return r.inner.Close() }
 
 var joinKeySchema = records.NewSchema(records.F("k", records.KindInt64))
+
+// repartitionSide is what the repartition runner does with the rows of one
+// source, whose fields it reads as spans in schema's order: it keeps the rows
+// pred holds for (all when nil), and emits each keyed by the field at key
+// with a value of header (the value's field count and the source's tag)
+// followed by the fields at carry.
+type repartitionSide struct {
+	schema   *records.Schema
+	key      int
+	pred     expr.RowPred
+	predCols []int // the fields pred reads
+	carry    []int
+	header   []byte
+}
+
+func newRepartitionSide(tag int64, schema *records.Schema, key string, pred expr.Pred, carry []int) (*repartitionSide, error) {
+	side := &repartitionSide{
+		schema: schema,
+		key:    schema.Index(key),
+		carry:  carry,
+		header: records.AppendValue(binary.AppendUvarint(nil, uint64(1+len(carry))), records.Int(tag)),
+	}
+	if side.key < 0 {
+		return nil, fmt.Errorf("hive: join key %s missing from %v", key, schema)
+	}
+	if pred != nil {
+		var err error
+		if side.pred, err = expr.CompilePred(pred, schema); err != nil {
+			return nil, err
+		}
+		for _, c := range pred.Columns(nil) {
+			side.predCols = append(side.predCols, schema.MustIndex(c))
+		}
+	}
+	return side, nil
+}
+
+// repartitionRunner is the repartition stage's map task (a MapRunner, the
+// extension point Clydesdale's own tasks use, §3). It decodes only a row's
+// join key and the fields its side's predicate reads; the carried fields go
+// to the shuffle as the reader found them, behind the side's header.
+type repartitionRunner struct {
+	sides []*repartitionSide // by tag
+}
+
+// Run implements mr.MapRunner.
+func (r repartitionRunner) Run(ctx *mr.TaskContext, reader mr.RecordReader, out mr.Collector) error {
+	tr, ok := reader.(*taggedReader)
+	if !ok {
+		return fmt.Errorf("hive: repartition runner got a %T", reader)
+	}
+	c, ok := out.(mr.EncodedValueCollector)
+	if !ok {
+		return fmt.Errorf("hive: repartition runner: %T takes no encoded values", out)
+	}
+	side := r.sides[tr.tag]
+	row := records.New(side.schema) // the predicate's fields of the current row
+	key := records.New(joinKeySchema)
+	value := make([][]byte, 1+len(side.carry))
+	value[0] = side.header
+	for {
+		spans, ok, err := tr.NextSpans()
+		if err != nil || !ok {
+			return err
+		}
+		if err := ctx.InputRecord(); err != nil {
+			return err
+		}
+		if side.pred != nil {
+			for _, i := range side.predCols {
+				v, _, err := records.DecodeValue(spans[i])
+				if err != nil {
+					return err
+				}
+				row.Set(i, v)
+			}
+			if !side.pred(row) {
+				continue
+			}
+		}
+		k, _, err := records.DecodeValue(spans[side.key])
+		if err != nil {
+			return err
+		}
+		for j, i := range side.carry {
+			value[1+j] = spans[i]
+		}
+		if err := c.CollectEncodedValue(key.Set(0, k), value...); err != nil {
+			return err
+		}
+	}
+}
 
 // runRepartitionStage executes one repartition join stage.
 func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *joinStage, in stageInput) (*mr.JobResult, error) {
@@ -103,69 +200,33 @@ func (e *Engine) runRepartitionStage(ctx context.Context, sp *stagedPlan, st *jo
 		return nil, err
 	}
 	dimInput := &colstore.RowInput{Dir: dimDir, Columns: dimCols, Schema: st.spec.Schema}
-
-	// Compile what the mapper needs.
-	var dimPred expr.RowPred
-	if st.spec.Pred != nil {
-		dimPred, err = expr.CompilePred(st.spec.Pred, dimSchema)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var factPred expr.RowPred
-	if st.applyFactPred && sp.factPred != nil {
-		factPred, err = expr.CompilePred(sp.factPred, in.schema)
-		if err != nil {
-			return nil, err
-		}
-	}
-	dimPK := dimSchema.MustIndex(st.spec.DimPK)
 	auxIdx := make([]int, len(st.spec.Aux))
 	for i, a := range st.spec.Aux {
 		auxIdx[i] = dimSchema.MustIndex(a)
 	}
-	fkIdx := in.schema.MustIndex(st.fk)
 	carryIdx, err := projectionIndexes(in.schema, st.outSchema, st.auxSchema)
 	if err != nil {
 		return nil, err
 	}
-
-	// The tagged payloads' schemas only size them (values carry their own
-	// kinds); they are built here, once per stage, not per record.
-	dimPayload, factPayload := anonSchema(1+len(auxIdx)), anonSchema(1+len(carryIdx))
+	var factPred expr.Pred
+	if st.applyFactPred {
+		factPred = sp.factPred
+	}
+	dimSide, err := newRepartitionSide(tagDim, dimSchema, st.spec.DimPK, st.spec.Pred, auxIdx)
+	if err != nil {
+		return nil, err
+	}
+	bigSide, err := newRepartitionSide(tagFact, in.schema, st.fk, factPred, carryIdx)
+	if err != nil {
+		return nil, err
+	}
+	runner := repartitionRunner{sides: []*repartitionSide{tagDim: dimSide, tagFact: bigSide}}
 
 	job := &mr.Job{
-		Name:  fmt.Sprintf("hive-rep-%s-%s", sp.name, st.spec.Table),
-		Input: &taggedInput{sources: []mr.InputFormat{dimInput, bigInput}},
-		Output: &colstore.RowOutput{
-			Dir:    st.outDir,
-			Schema: st.outSchema,
-		},
-		NewMapper: func() mr.Mapper {
-			// One key and one payload per side and task, refilled for every
-			// row: Collect serialises at once and keeps nothing.
-			key := records.New(joinKeySchema)
-			dimOut := records.New(dimPayload).Set(0, records.Int(tagDim))
-			factOut := records.New(factPayload).Set(0, records.Int(tagFact))
-			return mr.MapperFunc(func(k, v records.Record, out mr.Collector) error {
-				if k.At(0).Int64() == tagDim {
-					if dimPred != nil && !dimPred(v) {
-						return nil
-					}
-					for i, ix := range auxIdx {
-						dimOut.Set(1+i, v.At(ix))
-					}
-					return out.Collect(key.Set(0, v.At(dimPK)), dimOut)
-				}
-				if factPred != nil && !factPred(v) {
-					return nil
-				}
-				for i, ix := range carryIdx {
-					factOut.Set(1+i, v.At(ix))
-				}
-				return out.Collect(key.Set(0, v.At(fkIdx)), factOut)
-			})
-		},
+		Name:           fmt.Sprintf("hive-rep-%s-%s", sp.name, st.spec.Table),
+		Input:          &taggedInput{sources: []mr.InputFormat{tagDim: dimInput, tagFact: bigInput}},
+		Output:         &colstore.RowOutput{Dir: st.outDir, Schema: st.outSchema},
+		NewMapRunner:   func() mr.MapRunner { return runner },
 		NewReducer:     func() mr.Reducer { return newRepartitionReducer(st.outSchema, len(auxIdx)) },
 		NumReduceTasks: e.opts.Reducers,
 		KeySchema:      joinKeySchema,
@@ -293,8 +354,9 @@ func projectionIndexes(in, out, aux *records.Schema) ([]int, error) {
 	return idx, nil
 }
 
-// anonSchema returns a positional schema of n int-typed placeholders; used
-// only to size tagged payload records, whose values carry their own kinds.
+// anonSchema returns a positional schema of n placeholders; it only sizes
+// records whose values carry their own kinds, the mapjoin's broadcast
+// entries.
 func anonSchema(n int) *records.Schema {
 	fields := make([]records.Field, n)
 	for i := range fields {

@@ -206,6 +206,24 @@ func (t *TaskContext) Err() error {
 	return t.runCtx.Err()
 }
 
+// InputRecord is a map runner's step for each record it reads: it counts
+// the record into MAP_INPUT_RECORDS and, every 128 records, polls for the
+// job's cancellation (Err) and for a sibling attempt that already finished
+// (Superseded), returning the error the attempt then ends with. It is
+// called from one goroutine.
+func (t *TaskContext) InputRecord() error {
+	if (t.tally.mapInput+1)%128 == 0 {
+		if err := t.Err(); err != nil {
+			return err
+		}
+		if t.Superseded() {
+			return errSuperseded
+		}
+	}
+	t.tally.mapInput++
+	return nil
+}
+
 // Node returns the cluster node the task runs on.
 func (t *TaskContext) Node() *cluster.Node { return t.node }
 

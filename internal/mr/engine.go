@@ -701,15 +701,9 @@ func (r *defaultMapRunner) Run(ctx *TaskContext, reader RecordReader, out Collec
 		if !ok {
 			break
 		}
-		if (ctx.tally.mapInput+1)%128 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if ctx.Superseded() {
-				return errSuperseded
-			}
+		if err := ctx.InputRecord(); err != nil {
+			return err
 		}
-		ctx.tally.mapInput++
 		if err := m.Map(k, v, out); err != nil {
 			return err
 		}

@@ -106,6 +106,17 @@ type EncodedCollector interface {
 	CollectEncoded(value []byte) error
 }
 
+// EncodedValueCollector is the collector a map task with reduce tasks hands
+// its runner: besides records, it takes a pair whose value is already in
+// records.AppendRecord's encoding, given as parts laid end to end, so a
+// runner that moves fields as its reader found them does not decode them to
+// have them encoded again. The key is a record, partitioned as Collect's
+// is. The parts are not checked, and nothing of them is kept past the call.
+type EncodedValueCollector interface {
+	Collector
+	CollectEncodedValue(key records.Record, value ...[]byte) error
+}
+
 // Mapper is the user map function plus per-task lifecycle hooks.
 type Mapper interface {
 	Setup(ctx *TaskContext) error
@@ -136,8 +147,10 @@ type Reducer interface {
 }
 
 // MapRunner drives one map task: it owns the loop that pulls pairs from the
-// reader and applies the map function. Supplying a custom MapRunner is how
-// Clydesdale runs multi-threaded map tasks without modifying the framework.
+// reader and applies the map function (a record-at-a-time loop calls
+// TaskContext.InputRecord for each record it reads). Supplying a custom
+// MapRunner is how Clydesdale runs multi-threaded map tasks without
+// modifying the framework.
 type MapRunner interface {
 	Run(ctx *TaskContext, reader RecordReader, out Collector) error
 }

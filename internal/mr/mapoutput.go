@@ -207,17 +207,23 @@ func (b *pairBuffer) release() {
 const pairHeadroom = 256
 
 // add serialises one pair at the end of the buffer and returns its size in
-// bytes (key plus value, the unit of every spill and shuffle charge). Where
-// the recycled arrays are too small, the buffer and the index grow by
-// doubling: append grows a large slice by a quarter, which for the buffer of
-// a map task is twice the copies.
-func (b *pairBuffer) add(part int, k, v records.Record) int {
+// bytes (key plus value, the unit of every spill and shuffle charge): k's
+// encoding, then the value's, which is v's or, when encoded is not nil,
+// encoded's parts laid end to end. Where the recycled arrays are too small,
+// the buffer and the index grow by doubling: append grows a large slice by a
+// quarter, which for the buffer of a map task is twice the copies.
+func (b *pairBuffer) add(part int, k, v records.Record, encoded [][]byte) int {
 	b.data = growDoubling(b.data, pairHeadroom)
 	b.refs = growDoubling(b.refs, 1)
 	off := len(b.data)
 	b.data = records.AppendRecord(b.data, k)
 	klen := len(b.data) - off
-	b.data = records.AppendRecord(b.data, v)
+	if encoded == nil {
+		b.data = records.AppendRecord(b.data, v)
+	}
+	for _, p := range encoded {
+		b.data = append(b.data, p...)
+	}
 	vlen := len(b.data) - off - klen
 	b.refs = append(b.refs, pairRef{
 		prefix: keyPrefix(b.data[off : off+klen]),
@@ -264,9 +270,10 @@ func (mo *mapOutput) run(p int) pairRun {
 }
 
 // mapCollector partitions and buffers map output, then sorts and combines.
-// Collect serializes immediately and retains no records, so mappers and map
-// runners may reuse key/value records (and their backing value slices)
-// across Collect calls. The threads of a multi-threaded runner share it.
+// Collect and CollectEncodedValue serialize immediately and retain nothing,
+// so mappers and map runners may reuse key/value records (and their backing
+// value slices) and value bytes across calls. The threads of a
+// multi-threaded runner share it.
 type mapCollector struct {
 	mu          sync.Mutex
 	pairs       pairBuffer
@@ -279,7 +286,16 @@ func newMapCollector(numParts int, p Partitioner, t *tally) *mapCollector {
 	return &mapCollector{pairs: newPairBuffer(), partBytes: make([]int64, numParts), partitioner: p, tally: t}
 }
 
-func (c *mapCollector) Collect(k, v records.Record) error {
+func (c *mapCollector) Collect(k, v records.Record) error { return c.collect(k, v, nil) }
+
+// CollectEncodedValue implements EncodedValueCollector.
+func (c *mapCollector) CollectEncodedValue(k records.Record, value ...[]byte) error {
+	return c.collect(k, records.Record{}, value)
+}
+
+// collect is both collects' path: k's partition, then, under the lock, the
+// pair's serialisation (pairBuffer.add) and its tally.
+func (c *mapCollector) collect(k, v records.Record, encoded [][]byte) error {
 	p := c.partitioner(k, len(c.partBytes))
 	if p < 0 || p >= len(c.partBytes) {
 		return fmt.Errorf("mr: partitioner returned %d of %d", p, len(c.partBytes))
@@ -287,7 +303,7 @@ func (c *mapCollector) Collect(k, v records.Record) error {
 	// Serialization happens here, as in Hadoop's collect path; its cost is
 	// real work in the simulation too.
 	c.mu.Lock()
-	n := int64(c.pairs.add(p, k, v))
+	n := int64(c.pairs.add(p, k, v, encoded))
 	c.partBytes[p] += n
 	c.tally.mapOutput++
 	c.tally.mapOutputBytes += n

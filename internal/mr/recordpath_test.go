@@ -198,7 +198,9 @@ func (r *logReducer) Reduce(k records.Record, vs Values, _ Collector) error {
 // then emit order, cut by partition; with a combiner, one value per key and
 // map task naming that task's values in emit order. The reducer takes half
 // the values decoded and half as bytes, so both ways hand out the same
-// values in the same order, and the bytes are a record's encoding.
+// values in the same order, and the bytes are a record's encoding. The
+// mapper collects every other pair with its value encoded, in two parts
+// (CollectEncodedValue), so both collects land a pair in the same place.
 func TestReducersSeeTheReferenceOrder(t *testing.T) {
 	// Heavy duplication; keys alike in their first eight encoded bytes (a
 	// string key is count, kind, length, then the text) and different after,
@@ -271,7 +273,15 @@ func TestReducersSeeTheReferenceOrder(t *testing.T) {
 			Input:  &MemoryInput{SplitsList: splits},
 			Output: DiscardOutput{},
 			NewMapper: func() Mapper {
-				return MapperFunc(func(k, v records.Record, c Collector) error { return c.Collect(k, v) })
+				var enc []byte
+				n := 0
+				return MapperFunc(func(k, v records.Record, c Collector) error {
+					if n++; n%2 == 1 {
+						return c.Collect(k, v)
+					}
+					enc = records.AppendRecord(enc[:0], v)
+					return c.(EncodedValueCollector).CollectEncodedValue(k, enc[:1], enc[1:])
+				})
 			},
 			NewReducer:     func() Reducer { return &logReducer{mu: &mu, logs: got} },
 			NumReduceTasks: parts,
@@ -438,9 +448,10 @@ func TestGroupsSplitOnKeyLength(t *testing.T) {
 }
 
 // TestCollectFromFourGoroutines is the multi-threaded runner's use of the
-// collector, for the race detector: four threads share one mapCollector, and
-// the sorted output holds every pair once, each thread's pairs of one key in
-// the order that thread emitted them.
+// collector, for the race detector: four threads share one mapCollector, two
+// of them collecting through CollectEncodedValue, and the sorted output holds
+// every pair once, each thread's pairs of one key in the order that thread
+// emitted them.
 func TestCollectFromFourGoroutines(t *testing.T) {
 	const threads, perThread, parts = 4, 2000, 3
 	var tl tally
@@ -451,8 +462,18 @@ func TestCollectFromFourGoroutines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			key, val := records.New(countSchema), records.New(countSchema)
+			var enc []byte
 			for i := 0; i < perThread; i++ {
-				if err := mc.Collect(key.Set(0, records.Int(int64(i%17))), val.Set(0, records.Int(int64(th*perThread+i)))); err != nil {
+				key.Set(0, records.Int(int64(i%17)))
+				val.Set(0, records.Int(int64(th*perThread+i)))
+				var err error
+				if th%2 == 0 {
+					err = mc.Collect(key, val)
+				} else {
+					enc = records.AppendRecord(enc[:0], val)
+					err = mc.CollectEncodedValue(key, enc)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -648,7 +669,7 @@ func TestMergeAllocatesPerRunNotPerRecord(t *testing.T) {
 		for r := range runs {
 			var b pairBuffer
 			for i := 0; i < perRun; i++ {
-				b.add(0, key.Set(0, records.Int(int64(i/3))), val.Set(0, records.Int(int64(i))))
+				b.add(0, key.Set(0, records.Int(int64(i/3))), val.Set(0, records.Int(int64(i))), nil)
 			}
 			b.sort()
 			runs[r] = pairRun{data: b.data, refs: b.refs}

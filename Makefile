@@ -69,7 +69,11 @@ vet:
 # predicate fields from the readers' spans (NextSpans) and collects the rest
 # as bytes (DESIGN.md "Record path"), so the row reader has no decoding
 # projection of its own (decodeProjected) and runRepartitionStage no
-# MapperFunc.
+# MapperFunc. Nor does a second table registry: a filesystem holds the one
+# colstore.Snapshots every engine and session over it shares, made in
+# NewSnapshots through hdfs.FileSystem.Tables, and that registry's writer
+# lock serializes roll-in, compaction and retention, so no Snapshots literal
+# is made anywhere else and serve keeps no write mutex of its own (ingestMu).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -107,6 +111,10 @@ no-deprecated:
 	@if grep -rnw --include='*.go' decodeProjected . || \
 		awk '/^func \(e \*Engine\) runRepartitionStage\(/,/^}/' internal/hive/repartition.go | grep -n MapperFunc; then \
 		echo "one map-side path in the repartition join: spans in, the key and predicate fields decoded, the rest collected as bytes (no decodeProjected, no MapperFunc in runRepartitionStage)"; exit 1; fi
+	@if awk 'FNR == 1 { inNew = 0 } /^func NewSnapshots\(/ { inNew = 1; shared = 0 } inNew && /\.Tables\(func/ { shared = 1 } \
+		/Snapshots\{/ && !(inNew && shared) { print FILENAME ":" FNR ": " $$0; found = 1 } inNew && /^}/ { inNew = 0 } \
+		END { exit !found }' $$(find . -name '*.go') || grep -rnw ingestMu internal/serve; then \
+		echo "one table registry per filesystem: colstore.NewSnapshots returns the filesystem's (hdfs.FileSystem.Tables), whose writer lock serializes every writer; no other Snapshots literal, no session write mutex"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

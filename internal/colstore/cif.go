@@ -202,8 +202,8 @@ func (w *CIFWriter) Close() error {
 func (w *CIFWriter) Rows() int64 { return w.rows }
 
 // Pending returns the partition directories a staged writer has flushed but
-// not committed, in write order. Valid after Close; publish them atomically
-// via Snapshots.Publish.
+// not committed, in write order. Valid after Close; the registry publishes
+// them atomically (Snapshots.RollIn, Compact).
 func (w *CIFWriter) Pending() []string { return w.pending }
 
 // DiscardPending deletes a staged writer's uncommitted partitions — the
@@ -230,8 +230,9 @@ func AppendPartitions(fs *hdfs.FileSystem, dir string, partitionRows int64) (*CI
 
 // StagePartitions opens an existing CIF table for staged roll-in: flushed
 // partitions stay uncommitted — invisible to every reader — until the
-// caller publishes the batch, normally via Snapshots.Publish so the whole
-// batch becomes visible atomically with respect to snapshot acquisition.
+// caller publishes the batch, normally through the registry (Snapshots.RollIn,
+// Compact) so the whole batch becomes visible atomically with respect to
+// snapshot acquisition.
 func StagePartitions(fs *hdfs.FileSystem, dir string, partitionRows int64) (*CIFWriter, error) {
 	w, err := AppendPartitions(fs, dir, partitionRows)
 	if err != nil {

@@ -675,7 +675,7 @@ func TestCIFRollOut(t *testing.T) {
 	// Retire the two oldest partitions (rows 0..99): nothing pins them, so
 	// they leave visibility and the disk at once, as a new content version.
 	reg := NewSnapshots(e.fs)
-	if err := reg.Retire("/cif", parts[:2]); err != nil {
+	if err := reg.retire("/cif", parts[:2]); err != nil {
 		t.Fatal(err)
 	}
 	rows := scanAll(t, e, &CIFInput{Dir: "/cif"})

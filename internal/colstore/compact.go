@@ -15,7 +15,7 @@ import (
 // re-sorted ones: rows are re-clustered by a clustering column (for SSB,
 // lo_orderdate — restoring the arrival-order property pruning depends on),
 // written to full-size staged partitions with fresh zone-map sidecars, and
-// swapped in atomically; old partitions retire in the same Swap and are
+// swapped in atomically; old partitions retire in the same swap and are
 // physically deleted only after pinned snapshots drain. The row multiset is
 // unchanged, so compaction invalidates no derived state — a query racing it
 // reads either the old partitions or the new ones, same answer.
@@ -44,9 +44,12 @@ type CompactResult struct {
 // Compact runs one compaction pass over the table at dir: gather every
 // committed partition smaller than MinRows (needs at least two to be worth
 // a rewrite), optionally re-sort by ClusterBy, stage full-size replacement
-// partitions, and commit the exchange in one atomic Swap. Returns an empty
-// result when there is nothing to compact.
+// partitions, and commit the exchange in one atomic swap. It holds the
+// registry's writer lock throughout, so the partitions it lists stay put
+// without a pin. Returns an empty result when there is nothing to compact.
 func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, error) {
+	reg.write.Lock()
+	defer reg.write.Unlock()
 	if opts.MinRows <= 0 {
 		opts.MinRows = DefaultPartitionRows / 4
 	}
@@ -54,18 +57,16 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 		opts.TargetRows = DefaultPartitionRows
 	}
 	fs := reg.fs
-	sn, err := reg.Acquire(dir)
+	parts, err := ListPartitions(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	defer sn.Release()
-
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	var small []string
-	for _, pdir := range sn.Parts {
+	for _, pdir := range parts {
 		ps, err := ReadPartitionStats(fs, pdir)
 		if err != nil || ps == nil {
 			continue // no stats, no verdict: leave the partition alone
@@ -112,7 +113,7 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 		return nil, err
 	}
 	// The commit point: new partitions in, small ones out, atomically.
-	if err := reg.Swap(dir, w.Pending(), small); err != nil {
+	if err := reg.swap(dir, w.Pending(), small, false); err != nil {
 		return nil, err
 	}
 	return &CompactResult{Rows: w.Rows(), Retired: small, Published: w.Pending()}, nil
@@ -123,17 +124,17 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 // rewriting anything. Partitions lacking stats, containing nulls, or merely
 // straddling the cutoff are kept: retention never drops a row it cannot
 // prove expired. Returns the retired partitions; their physical deletion
-// waits for pinned snapshots as usual.
+// waits for pinned snapshots as usual. Holds the registry's writer lock.
 func ExpireBefore(reg *Snapshots, dir, col string, cutoff int64) ([]string, error) {
-	fs := reg.fs
-	sn, err := reg.Acquire(dir)
+	reg.write.Lock()
+	defer reg.write.Unlock()
+	parts, err := ListPartitions(reg.fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	defer sn.Release()
 	var expired []string
-	for _, pdir := range sn.Parts {
-		ps, err := ReadPartitionStats(fs, pdir)
+	for _, pdir := range parts {
+		ps, err := ReadPartitionStats(reg.fs, pdir)
 		if err != nil || ps == nil {
 			continue
 		}
@@ -151,7 +152,7 @@ func ExpireBefore(reg *Snapshots, dir, col string, cutoff int64) ([]string, erro
 	if len(expired) == 0 {
 		return nil, nil
 	}
-	if err := reg.Retire(dir, expired); err != nil {
+	if err := reg.swap(dir, nil, expired, true); err != nil {
 		return nil, err
 	}
 	return expired, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"clydesdale/internal/records"
@@ -26,6 +27,139 @@ func stageBatch(t *testing.T, e *env, dir string, base, n int, partRows int64) *
 		t.Fatal(err)
 	}
 	return w
+}
+
+// retire retires the partitions of the table at dir as a retention does,
+// under the writer lock: what ExpireBefore commits, for partitions a test
+// picks.
+func (s *Snapshots) retire(dir string, parts []string) error {
+	s.write.Lock()
+	defer s.write.Unlock()
+	return s.swap(dir, nil, parts, true)
+}
+
+// rowsFrom emits rows [lo, lo+n).
+func rowsFrom(lo, n int) func(emit func(records.Record) error) error {
+	return func(emit func(records.Record) error) error {
+		for i := lo; i < lo+n; i++ {
+			if err := emit(makeRow(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestHandlesShareOneRegistry: two handles on one filesystem are one
+// registry. A pin taken through one keeps the partitions it reads on disk
+// across a roll-in and a retire through the other, until it is released,
+// and both handles report the versions either one publishes.
+func TestHandlesShareOneRegistry(t *testing.T) {
+	e := newEnv(2, 1024)
+	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 32, genRows(64)); err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewSnapshots(e.fs), NewSnapshots(e.fs)
+	snap, err := a.Acquire("/cif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.RollIn("/cif", 64, rowsFrom(64, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.retire("/cif", snap.Parts); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range snap.Parts {
+		if !e.fs.Exists(p + "/id.col") {
+			t.Errorf("partition %s deleted under a pin taken through the other handle", p)
+		}
+	}
+	if pins, unreaped := b.Held("/cif"); pins != 1 || unreaped != len(snap.Parts) {
+		t.Errorf("the retiring handle sees %d pins and %d unreaped partitions, want 1 and %d", pins, unreaped, len(snap.Parts))
+	}
+	if va, vb := a.Versions("/cif"), b.Versions("/cif"); !slices.Equal(va, vb) || va[0] != 2 {
+		t.Errorf("versions %v through one handle, %v through the other; want [2] through both", va, vb)
+	}
+	if a != b {
+		t.Errorf("two handles on one filesystem are two registries")
+	}
+	if t.Failed() {
+		return
+	}
+	if rows := scanAll(t, e, &CIFInput{Dir: "/cif", Snapshot: snap.Parts}); len(rows) != 64 {
+		t.Fatalf("pinned scan read %d rows, want the 64 it pinned", len(rows))
+	}
+	snap.Release()
+	for _, p := range snap.Parts {
+		if files := e.fs.List(p + "/"); len(files) != 0 {
+			t.Errorf("retired partition %s kept %v after its last pin went", p, files)
+		}
+	}
+}
+
+// TestWritersSerialize: two compactions of one table, and then a roll-in
+// and a compaction, run at once, each through its own handle on the
+// filesystem. The registry's writer lock lets one through at a time, so no
+// small partition is rewritten twice and no two writers stage into one
+// partition name: after every trial both writers succeeded and the table
+// holds exactly the acknowledged rows, counted and summed by id.
+func TestWritersSerialize(t *testing.T) {
+	const trials, base, batch = 20, 400, 200
+	opts := CompactOptions{MinRows: 100, TargetRows: 400}
+	race := func(first, second func() error) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, w := range []func() error{first, second} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = w()
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	holds := func(e *env, n int, what string) {
+		t.Helper()
+		var rows, sum int64
+		if err := ScanCIFTable(e.fs, "/cif", "", func(r records.Record) error {
+			rows++
+			sum += r.Get("id").Int64()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(n) * int64(n-1) / 2; rows != int64(n) || sum != want {
+			t.Fatalf("after %s: %d rows summing to %d, want the %d acknowledged rows summing to %d", what, rows, sum, n, want)
+		}
+	}
+	compact := func(e *env) func() error {
+		return func() error {
+			_, err := Compact(NewSnapshots(e.fs), "/cif", opts)
+			return err
+		}
+	}
+	for range trials {
+		e := newEnv(2, 4096)
+		if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 40, genRows(base)); err != nil {
+			t.Fatal(err)
+		}
+		race(compact(e), compact(e))
+		holds(e, base, "two compactions")
+
+		if _, _, err := NewSnapshots(e.fs).RollIn("/cif", 40, rowsFrom(base, batch)); err != nil {
+			t.Fatal(err)
+		}
+		race(func() error {
+			_, _, err := NewSnapshots(e.fs).RollIn("/cif", 40, rowsFrom(base+batch, batch))
+			return err
+		}, compact(e))
+		holds(e, base+2*batch, "a roll-in beside a compaction")
+	}
 }
 
 func TestUncommittedPartitionsInvisible(t *testing.T) {
@@ -117,7 +251,7 @@ func TestAppendNumberingSkipsRetiredGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Release()
-	if err := reg.Retire("/cif", []string{"/cif/p-00002"}); err != nil {
+	if err := reg.retire("/cif", []string{"/cif/p-00002"}); err != nil {
 		t.Fatal(err)
 	}
 	w, err := AppendPartitions(e.fs, "/cif", 32)
@@ -210,7 +344,7 @@ func TestSnapshotPinsPreSwapState(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Retire("/cif", snap.Parts); err != nil {
+	if err := reg.retire("/cif", snap.Parts); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range snap.Parts {
@@ -466,7 +600,7 @@ func TestTableVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Retire("/fact", parts[:1]); err != nil {
+	if err := reg.retire("/fact", parts[:1]); err != nil {
 		t.Fatal(err)
 	}
 	want(2, 2)

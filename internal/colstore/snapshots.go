@@ -11,13 +11,15 @@ import (
 
 // Snapshots is the table-visibility registry that makes roll-in, compaction
 // and retention safe to run while queries execute, and the one place that
-// knows table versions. It owns three things:
+// knows table versions. A filesystem has one (NewSnapshots). It owns four
+// things:
 //
 //   - Table versions. A row table (a dimension) is append-only: its version
 //     is the number of part files published into it, so any past version is
 //     still readable as a file prefix (EncodeRowTable). A partitioned table
 //     (the fact) has a content version that moves on whenever its row
-//     multiset changes: on Publish and Retire, not on a compaction's Swap.
+//     multiset changes: when a roll-in publishes or a retention retires, not
+//     when a compaction exchanges partitions.
 //   - Pinned snapshots. A query acquires its fact partition list and the
 //     version of every row table it joins exactly once, at plan time, under
 //     one hold of the mutex; every pass reads that frozen vector, so the
@@ -26,13 +28,19 @@ import (
 //     the mutex Acquire takes, so a snapshot observes a table strictly
 //     before or strictly after a batch — never a half-published roll-in or
 //     a half-retired compaction.
+//   - The writer lock. RollIn, AppendRows, Compact, ExpireBefore,
+//     SweepUncommitted and Bump hold it from staging through the publish,
+//     so one writer at a time changes a filesystem's tables. Queries
+//     (Acquire, Versions, Release) never take it. A rows callback must not
+//     write through the registry: it would wait on its own lock.
 //
 // Retired partitions are unlinked from visibility immediately (their commit
 // marker is removed) but physically deleted only once no pinned snapshot
 // still reads them; until then an in-flight query keeps scanning the
 // pre-swap state it pinned.
 type Snapshots struct {
-	fs *hdfs.FileSystem
+	fs    *hdfs.FileSystem
+	write sync.Mutex // the writer lock, taken before mu
 
 	mu       sync.Mutex
 	live     map[string]map[*Snapshot]bool // dir → pinned snapshots
@@ -40,14 +48,17 @@ type Snapshots struct {
 	versions map[string]uint64             // dir → content version or part files published
 }
 
-// NewSnapshots creates a registry over one filesystem.
+// NewSnapshots returns the filesystem's one registry, creating it on the
+// first call: every handle on a filesystem is the same pointer.
 func NewSnapshots(fs *hdfs.FileSystem) *Snapshots {
-	return &Snapshots{
-		fs:       fs,
-		live:     make(map[string]map[*Snapshot]bool),
-		doomed:   make(map[string][]string),
-		versions: make(map[string]uint64),
-	}
+	return fs.Tables(func() any {
+		return &Snapshots{
+			fs:       fs,
+			live:     make(map[string]map[*Snapshot]bool),
+			doomed:   make(map[string][]string),
+			versions: make(map[string]uint64),
+		}
+	}).(*Snapshots)
 }
 
 // Snapshot is one pinned {table → version} vector: the partition list of
@@ -116,6 +127,8 @@ func (s *Snapshots) rowVersionLocked(dir string) uint64 {
 // registry changed it: a row table is recounted from its part files, a
 // partitioned table's content version moves on by one.
 func (s *Snapshots) Bump(dir string) {
+	s.write.Lock()
+	defer s.write.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v := RowTableVersion(s.fs, dir); v > 0 {
@@ -154,32 +167,18 @@ func (sn *Snapshot) Release() {
 	s.reapLocked(sn.Dir)
 }
 
-// pinnedLocked reports whether any live snapshot of dir reads pdir.
-func (s *Snapshots) pinnedLocked(dir, pdir string) bool {
-	for sn := range s.live[dir] {
-		for _, p := range sn.Parts {
-			if p == pdir {
-				return true
+// reapLocked deletes the doomed partitions of dir that no live snapshot
+// reads.
+func (s *Snapshots) reapLocked(dir string) {
+	remaining := slices.DeleteFunc(s.doomed[dir], func(p string) bool {
+		for sn := range s.live[dir] {
+			if slices.Contains(sn.Parts, p) {
+				return false
 			}
 		}
-	}
-	return false
-}
-
-// reapLocked deletes doomed partitions of dir that no snapshot pins.
-func (s *Snapshots) reapLocked(dir string) {
-	doomed := s.doomed[dir]
-	if len(doomed) == 0 {
-		return
-	}
-	remaining := doomed[:0]
-	for _, p := range doomed {
-		if s.pinnedLocked(dir, p) {
-			remaining = append(remaining, p)
-			continue
-		}
 		s.fs.DeletePrefix(p + "/")
-	}
+		return true
+	})
 	if len(remaining) == 0 {
 		delete(s.doomed, dir)
 	} else {
@@ -187,30 +186,13 @@ func (s *Snapshots) reapLocked(dir string) {
 	}
 }
 
-// Publish commits staged partitions, making them visible as one batch and
-// the table's content a new version.
-func (s *Snapshots) Publish(dir string, parts []string) error {
-	return s.swap(dir, parts, nil, true)
-}
-
-// Retire removes partitions from visibility as one batch, making the
-// table's content a new version; physical deletion waits for pinned
-// snapshots to drain.
-func (s *Snapshots) Retire(dir string, parts []string) error {
-	return s.swap(dir, nil, parts, true)
-}
-
-// Swap atomically publishes staged partitions and retires old ones holding
-// the same rows: the compactor's commit point. Both lists change visibility
-// under the mutex Acquire holds, so no snapshot sees the new partitions
-// alongside the old; the content version stays, because every answer does.
-// Marker writes are the one phase that can fail (no alive datanodes); on
-// error nothing was retired and the published prefix is committed — a
-// retried Swap is idempotent.
-func (s *Snapshots) Swap(dir string, publish, retire []string) error {
-	return s.swap(dir, publish, retire, false)
-}
-
+// swap commits the staged partitions of publish and retires those of retire
+// under the mutex Acquire takes, so no snapshot sees a partition beside the
+// ones it replaces; retired ones are deleted once no snapshot pins them.
+// newContent gives the table a new content version (roll-in, retention); a
+// compaction's exchange keeps it. Marker writes can fail (no alive
+// datanodes): then nothing was retired and the published prefix is
+// committed, so a retry is idempotent. Callers hold the writer lock.
 func (s *Snapshots) swap(dir string, publish, retire []string, newContent bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,9 +216,11 @@ func (s *Snapshots) swap(dir string, publish, retire []string, newContent bool) 
 // that never committed — the debris of writers that crashed between phases
 // — and returns them. A retired partition a pinned snapshot still reads has
 // lost its marker too, but it is not debris: the sweep skips it, under the
-// mutex that retires and reaps. Callers must ensure no writer is staging
-// into the table.
+// mutex that retires and reaps. It holds the writer lock, so no partition it
+// finds uncommitted is one a writer is still staging.
 func (s *Snapshots) SweepUncommitted(dir string) []string {
+	s.write.Lock()
+	defer s.write.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	all, committed := scanPartitionDirs(s.fs, dir)
@@ -253,10 +237,13 @@ func (s *Snapshots) SweepUncommitted(dir string) []string {
 
 // RollIn appends a batch of rows to the table, visible atomically: rows are
 // staged into fresh uncommitted partitions, then the whole batch publishes
-// in one Swap. On error nothing became visible and the staged debris is
-// removed — an acknowledged (nil-error) roll-in is durable and complete, a
-// failed one is invisible. Returns the row count and published partitions.
+// in one swap, all under the writer lock. On error nothing became visible
+// and the staged debris is removed — an acknowledged (nil-error) roll-in is
+// durable and complete, a failed one is invisible. Returns the row count and
+// published partitions.
 func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(records.Record) error) error) (int64, []string, error) {
+	s.write.Lock()
+	defer s.write.Unlock()
 	w, err := StagePartitions(s.fs, dir, partitionRows)
 	if err != nil {
 		return 0, nil, err
@@ -273,7 +260,7 @@ func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(
 	if len(pending) == 0 {
 		return 0, nil, nil
 	}
-	if err := s.Publish(dir, pending); err != nil {
+	if err := s.swap(dir, pending, nil, true); err != nil {
 		return 0, nil, err
 	}
 	return w.Rows(), pending, nil
@@ -282,17 +269,21 @@ func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(
 // AppendRows rolls a batch of rows into the row table at dir as its next
 // part file and version: rows stream into a "_"-prefixed name no reader
 // opens, which is renamed into place, and counted, under the registry mutex
-// once its footer is written. A snapshot pins the table before the batch or
+// once its footer is written. The name is picked and the file renamed under
+// one hold of the writer lock. A snapshot pins the table before the batch or
 // after it; a failed or empty batch publishes nothing and leaves no file.
 // Returns the rows appended.
 func (s *Snapshots) AppendRows(dir string, rows func(emit func(records.Record) error) error) (int64, error) {
+	s.write.Lock()
+	defer s.write.Unlock()
 	schema, err := ReadSchema(s.fs, dir)
 	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
-	tmp := fmt.Sprintf("%s/_ingest-%05d", dir, s.rowVersionLocked(dir))
+	v := s.rowVersionLocked(dir)
 	s.mu.Unlock()
+	tmp := fmt.Sprintf("%s/_ingest-%05d", dir, v)
 	s.fs.Delete(tmp) // debris of a crashed earlier append
 	w, err := NewRowWriter(s.fs, tmp, "", schema, 0)
 	if err != nil {
@@ -308,7 +299,6 @@ func (s *Snapshots) AppendRows(dir string, rows func(emit func(records.Record) e
 	}
 	if err == nil && n > 0 {
 		s.mu.Lock()
-		v := s.rowVersionLocked(dir)
 		if err = s.fs.Rename(tmp, rowPartPath(dir, v)); err == nil {
 			s.versions[dir] = v + 1
 		}

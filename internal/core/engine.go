@@ -100,10 +100,10 @@ func New(mrEngine *mr.Engine, cat *Catalog, opts Options) *Engine {
 	return &Engine{mr: mrEngine, cat: cat, opts: opts, snaps: colstore.NewSnapshots(mrEngine.FS())}
 }
 
-// Snapshots returns the engine's table-version registry. Every query the
-// engine runs pins its {table → version} vector here at plan time, so
-// ingestion paths (roll-in, compaction, retention) must publish and retire
-// through the same registry to stay atomic with respect to queries.
+// Snapshots returns the filesystem's table-version registry, which every
+// engine over it shares. Every query pins its {table → version} vector there
+// at plan time, and roll-in, compaction and retention publish and retire
+// through it, so a query is atomic with respect to every writer.
 func (e *Engine) Snapshots() *colstore.Snapshots { return e.snaps }
 
 // Versions is a {table → version} vector: Tables in plan.Shape.Tables order

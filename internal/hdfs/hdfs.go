@@ -71,6 +71,7 @@ type FileSystem struct {
 	tracer   *obs.Tracer
 	readNs   *obs.Histogram
 	observed map[*obs.Registry]bool
+	tables   any // the table registry (a *colstore.Snapshots), made by Tables
 }
 
 // ReadFaultInjector intercepts block reads for fault injection. It is
@@ -186,6 +187,17 @@ func (fs *FileSystem) BlockSize() int64 { return fs.blockSize }
 
 // Replication returns the configured replica count.
 func (fs *FileSystem) Replication() int { return fs.replication }
+
+// Tables returns the filesystem's table registry, made by newTables on the
+// first call: every reader and writer of the namespace's tables shares it.
+func (fs *FileSystem) Tables(newTables func() any) any {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.tables == nil {
+		fs.tables = newTables()
+	}
+	return fs.tables
+}
 
 // Metrics returns the filesystem's accounting counters.
 func (fs *FileSystem) Metrics() *Metrics { return &fs.metrics }

@@ -16,6 +16,7 @@ import (
 	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/obs"
 	"clydesdale/internal/records"
 	"clydesdale/internal/refexec"
 	"clydesdale/internal/results"
@@ -646,4 +647,101 @@ func TestServeEmptyRollInIsNoOp(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSessionsShareTableVersions: two sessions over one engine see one set
+// of table versions, because both read the filesystem's one registry. The
+// second rolls fact rows in and compacts the whole fact table while the
+// first has Q4.1 pinned mid-job: the pinned query still reads the partitions
+// the compaction retired and equals the reference at its vector. The first
+// session's next Q4.1 misses its result cache and reads lineorder@1; once
+// the second rolls in the customers those rows reference, the first
+// session's next Q4.1 reads the new customer version and counts them.
+func TestSessionsShareTableVersions(t *testing.T) {
+	hold := &holdOnSpan{name: obs.PhaseMap, held: make(chan struct{}), release: make(chan struct{})}
+	e := newEnv(t, 2, 0.002, mr.Options{Tracer: obs.NewTracer(hold)})
+	first := e.session(serve.Options{})
+	defer first.Close()
+	second := e.session(serve.Options{IngestPartitionRows: 500})
+	defer second.Close()
+
+	gen, base, firstNew := e.gen, e.gen.LineorderRows(), e.gen.CustomerRows()
+	const newCustomers, lateRows = 40, 2000
+	var customers, facts []records.Record
+	for i := range int64(newCustomers) {
+		customers = append(customers, gen.Customer(firstNew+i)) // key firstNew+i+1
+	}
+	for i := range int64(lateRows) {
+		facts = append(facts, lineorderWith(gen, base+i, "lo_custkey", firstNew+1+i%newCustomers))
+	}
+	q, err := ssb.QueryByName("Q4.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	atZero := refOver(t, e, q, nil)
+	atOne := refOver(t, e, q, map[string][]records.Record{ssb.TableLineorder: facts})
+	withCustomers := refOver(t, e, q, map[string][]records.Record{ssb.TableLineorder: facts, ssb.TableCustomer: customers})
+	if ok, _ := results.Equivalent(atOne, withCustomers, 1e-9); ok {
+		t.Fatal("fixture: the late customers change no answer")
+	}
+	holds := func(what string, rs, want *results.ResultSet, rep *core.Report) {
+		t.Helper()
+		if ok, why := results.Equivalent(rs, want, 1e-9); !ok {
+			t.Errorf("%s read %s and does not equal the reference over it: %s", what, rep.Read, why)
+		}
+	}
+
+	hold.armed.Store(true)
+	type answer struct {
+		rs  *results.ResultSet
+		rep *core.Report
+		err error
+	}
+	pinned := make(chan answer, 1)
+	go func() {
+		rs, rep, err := first.Query(context.Background(), q)
+		pinned <- answer{rs, rep, err}
+	}()
+	<-hold.held
+	if _, err := second.RollIn(ssb.TableLineorder, emitRows(facts)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := second.CompactFact(colstore.CompactOptions{MinRows: 1 << 30, TargetRows: 4000})
+	if err != nil || len(res.Retired) == 0 {
+		t.Fatalf("compaction = %+v (%v), want every partition rewritten", res, err)
+	}
+	close(hold.release)
+	a := <-pinned
+	if a.err != nil {
+		t.Fatalf("query pinned across the other session's writes: %v", a.err)
+	}
+	if got := a.rep.Read.Of(ssb.TableLineorder); got != 0 {
+		t.Errorf("pinned query read %s, want lineorder@0", a.rep.Read)
+	}
+	holds("pinned query", a.rs, atZero, a.rep)
+
+	run := func() (*results.ResultSet, *core.Report) {
+		t.Helper()
+		rs, rep, err := first.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs, rep
+	}
+	misses := first.Stats().ResultMisses
+	rs, rep := run()
+	if got := first.Stats().ResultMisses; got != misses+1 || rep.Read.Of(ssb.TableLineorder) != 1 {
+		t.Errorf("after the other session's roll-in: %d result-cache misses (was %d) reading %s, want a miss reading lineorder@1", got, misses, rep.Read)
+	}
+	holds("query after the fact roll-in", rs, atOne, rep)
+
+	customerAt := rep.Read.Of(ssb.TableCustomer)
+	if _, err := second.RollIn(ssb.TableCustomer, emitRows(customers)); err != nil {
+		t.Fatal(err)
+	}
+	rs, rep = run()
+	if got := rep.Read.Of(ssb.TableCustomer); got != customerAt+1 {
+		t.Errorf("after the other session's customer roll-in the first read %s, want customer@%d", rep.Read, customerAt+1)
+	}
+	holds("query after the customer roll-in", rs, withCustomers, rep)
 }

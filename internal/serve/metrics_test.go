@@ -114,7 +114,8 @@ func (sc *scripted) query(t *testing.T, name string) *core.Query {
 // the filesystem's counts from its creation, the session's result-cache and
 // ingest counts as Stats reports them, and the table-cache residency and
 // table versions as they stand. A second session on the same engine adds its
-// counts to the first's and owns the levels.
+// counts to the first's and owns the cache levels; the table versions are
+// the filesystem's, so its query reads the first session's publishes too.
 func TestRegistryReadsOwnersState(t *testing.T) {
 	sc := newScripted(t)
 	s2 := sc.session(serve.Options{})
@@ -180,6 +181,11 @@ func TestRegistryReadsOwnersState(t *testing.T) {
 		if got, ok := snap.Gauges[name]; !ok || got != int64(rep.Read.At[i]) {
 			t.Errorf("%s = %d (present %v), the newer session's query read %s", name, got, ok, rep.Read)
 		}
+	}
+	// The first session's three fact roll-ins and its retention, then the
+	// second's roll-in: five fact versions, one count.
+	if got := rep.Read.Of(ssb.TableLineorder); got != 5 {
+		t.Errorf("the newer session's query read %s, want lineorder@5: both sessions' publishes", rep.Read)
 	}
 }
 

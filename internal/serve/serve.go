@@ -107,10 +107,6 @@ type Session struct {
 	wg          sync.WaitGroup
 	stopCompact func() // stops the background compactor; nil unless started
 
-	// ingestMu serializes the write path — roll-in, compaction, retention
-	// are single-writer; queries never take it.
-	ingestMu sync.Mutex
-
 	rollIns, rollInRows, rollInFailures atomic.Int64
 	compactions, compactedRows          atomic.Int64
 	compactionFailures, retentions      atomic.Int64
@@ -176,7 +172,8 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 
 // observe shows the session's ingest counts and its levels in reg, read
 // from the state that keeps them. Counts add up over the sessions of one
-// engine; the levels are the newest session's.
+// engine; the pins, unreaped partitions and table versions are the
+// filesystem registry's, every other level the newest session's.
 func (s *Session) observe(reg *obs.Registry) {
 	for name, c := range map[string]*atomic.Int64{
 		"rows":                &s.rollInRows,
@@ -447,8 +444,8 @@ func (s *Session) InvalidateTable(table string) error {
 // everything derived from a table is keyed by the version it was derived
 // from, so RollIn tells no cache anything. A nil error means the whole batch
 // is visible; on error, or for an empty batch, nothing was published.
-// Roll-ins serialize with each other and with compaction/retention, not
-// with queries.
+// Roll-ins serialize with each other and with compaction/retention, in this
+// session and every other over the filesystem, not with queries.
 func (s *Session) RollIn(table string, rows func(emit func(records.Record) error) error) (int64, error) {
 	end, err := s.beginWrite()
 	if err != nil {
@@ -482,21 +479,16 @@ func (s *Session) RollIn(table string, rows func(emit func(records.Record) error
 }
 
 // beginWrite enters the write path: it refuses a closed session, and
-// otherwise holds the session open and the write path to itself until end
-// is called.
+// otherwise holds the session open until end is called. Writers are
+// serialized by the filesystem's registry, across every session over it.
 func (s *Session) beginWrite() (end func(), err error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	s.wg.Add(1)
-	s.mu.Unlock()
-	s.ingestMu.Lock()
-	return func() {
-		s.ingestMu.Unlock()
-		s.wg.Done()
-	}, nil
+	return s.wg.Done, nil
 }
 
 // CompactFact runs one compaction pass over the fact table: small roll-in

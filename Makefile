@@ -74,6 +74,11 @@ vet:
 # NewSnapshots through hdfs.FileSystem.Tables, and that registry's writer
 # lock serializes roll-in, compaction and retention, so no Snapshots literal
 # is made anywhere else and serve keeps no write mutex of its own (ingestMu).
+# Nor does a second open of a CIF column file: openColumn is the one way a
+# reader opens one, through the decode HDFS keeps on the file's block
+# (FileSystem.ReadDecoded), so openColumnFile is called only there and by
+# the fuzz targets (fuzz_test.go), and no non-test colstore code reads a .col
+# or _stats file with ReadAll (only the table's _schema is read that way).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -115,6 +120,10 @@ no-deprecated:
 		/Snapshots\{/ && !(inNew && shared) { print FILENAME ":" FNR ": " $$0; found = 1 } inNew && /^}/ { inNew = 0 } \
 		END { exit !found }' $$(find . -name '*.go') || grep -rnw ingestMu internal/serve; then \
 		echo "one table registry per filesystem: colstore.NewSnapshots returns the filesystem's (hdfs.FileSystem.Tables), whose writer lock serializes every writer; no other Snapshots literal, no session write mutex"; exit 1; fi
+	@if awk 'FNR == 1 { inOpen = 0 } /^func openColumn\(/ { inOpen = 1 } /openColumnFile\(/ && !inOpen && !/^func openColumnFile\(/ { print FILENAME ":" FNR ": " $$0; found = 1 } \
+		inOpen && /^}/ { inOpen = 0 } END { exit !found }' $$(ls internal/colstore/*.go | grep -v '/fuzz_test\.go$$') || \
+		grep -n ReadAll $$(ls internal/colstore/*.go | grep -v _test.go) | grep -v SchemaFileName; then \
+		echo "one open path for a column file: openColumn, memoized on the HDFS block (ReadDecoded); no other openColumnFile call outside fuzz_test.go, no ReadAll of a .col or _stats file in internal/colstore"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

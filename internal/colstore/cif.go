@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"clydesdale/internal/expr"
@@ -33,7 +34,8 @@ import (
 // per-partition "_stats" zone-map sidecar (see stats.go).
 // openColumnFile is the one place a column file is taken apart: checksum
 // first, then the row count, bounded by the payload's length before anything
-// is sized by it, then the payload's own consistency checks.
+// is sized by it, then the payload's own consistency checks. Readers reach
+// it through openColumn, which keeps its result on the file's HDFS block.
 // The table prefix is registered with the co-locating placement policy so
 // all the column files of a partition replicate to the same nodes, keeping
 // column-pruned scans data-local (§4.1).
@@ -450,11 +452,14 @@ type CIFInput struct {
 	DisableCodeSpacePreds bool
 
 	projected *records.Schema
-	planned   bool // selection plan in effect (conj/filters/early/late valid)
-	conj      []conjunctPlan
-	filters   []filterPlan
-	earlyIdx  []int // projected-schema indexes decoded before selection
-	lateIdx   []int // projected-schema indexes decoded after selection
+	// scratchPool recycles readers' blocks, selection masks and code buffers
+	// (scanScratch) from one partition to the next.
+	scratchPool sync.Pool
+	planned     bool // selection plan in effect (conj/filters/early/late valid)
+	conj        []conjunctPlan
+	filters     []filterPlan
+	earlyIdx    []int // projected-schema indexes decoded before selection
+	lateIdx     []int // projected-schema indexes decoded after selection
 }
 
 // conjunctPlan is one AND-factor of Pred with everything partition-
@@ -769,17 +774,44 @@ type cifReader struct {
 	schema    *records.Schema
 	blockRows int
 
-	loaded  bool
-	decs    []*colDecoder // per projected column
-	rows    int64
-	pos     int64
-	block   *records.RowBlock
-	scratch []records.Value // Next's reused value slice
-	sel     selection       // late materialization: the current block's selection
+	loaded       bool
+	decs         []*colDecoder // per projected column
+	rows         int64
+	pos          int64
+	rowVals      []records.Value // Next's reused value slice
+	*scanScratch                 // NextBlock's, from the input's pool between its first call and Close
 
 	havePlan bool
 	plan     partPlan
-	codeBufs [][]uint32 // per projected column, reused raw-code scratch indexed by position in the block
+}
+
+// scanScratch is what a reader decodes a partition's blocks into: the block
+// it hands out, the selection and, per projected column, the raw-code
+// buffer indexed by position in the block. Every reader of one input needs
+// the same shapes, so a reader takes them from the input's pool at its
+// first NextBlock and puts them back when it is closed; a row-at-a-time
+// reader takes none.
+type scanScratch struct {
+	block    *records.RowBlock
+	sel      selection
+	codeBufs [][]uint32
+}
+
+// takeScratch returns a pooled scanScratch for a reader of blockRows-row
+// blocks, its block emptied of another partition's rows and dictionaries.
+func (in *CIFInput) takeScratch(blockRows int) *scanScratch {
+	s, _ := in.scratchPool.Get().(*scanScratch)
+	if s == nil {
+		return &scanScratch{
+			block:    records.NewRowBlock(in.projected, blockRows),
+			codeBufs: make([][]uint32, in.projected.Len()),
+		}
+	}
+	s.block.Reset()
+	for c := range s.codeBufs {
+		s.block.Col(c).Dict = nil
+	}
+	return s
 }
 
 // partPlan is the partition-scoped form of the selection plan: the same
@@ -946,12 +978,12 @@ func (r *cifReader) planPartition() {
 	}
 }
 
-// openColumnFile takes one column file apart and returns a decoder over its
-// payload, positioned at the first row. The CRC is verified before any other
-// byte is interpreted, and the row count the file claims is bounded by its
-// payload (a packed value is at least one bit: rows <= 8 x bytes) before
-// anything is sized by it. Every error names the file.
-func openColumnFile(path string, data []byte, kind records.Kind) (*colDecoder, error) {
+// openColumnFile takes one column file apart. The CRC is verified before
+// any other byte is interpreted, and the row count the file claims is
+// bounded by its payload (a packed value is at least one bit: rows <= 8 x
+// bytes) before anything is sized by it. A dictionary column's descriptor
+// is fingerprinted here, once. Every error names the file.
+func openColumnFile(path string, data []byte, kind records.Kind) (*colFile, error) {
 	if len(data) < len(cifMagic)+4 {
 		return nil, fmt.Errorf("colstore: %s: short column file", path)
 	}
@@ -981,32 +1013,52 @@ func openColumnFile(path string, data []byte, kind records.Kind) (*colDecoder, e
 	if count > 8*uint64(len(payload)) {
 		return nil, fmt.Errorf("colstore: %s: %d rows claimed by a %d-byte payload", path, count, len(payload))
 	}
-	dec, err := newColDecoder(kind, enc, int(count), payload)
+	f, err := newColFile(kind, enc, int(count), payload)
 	if err != nil {
 		return nil, fmt.Errorf("colstore: %s: %w", path, err)
 	}
-	return dec, nil
+	f.desc = f.fingerprint()
+	return f, nil
+}
+
+// openColumn reads the column file at path from HDFS as node and opens it
+// as a column of the given kind. The read is an ordinary charged, traced,
+// CRC-verified read every time; openColumnFile runs once per stored block
+// (hdfs.FileSystem.ReadDecoded), so the file's own CRC, dictionary and frame
+// directory are checked and parsed once while the block lives, and every
+// reader shares the one read-only colFile.
+func openColumn(fs *hdfs.FileSystem, path, node string, sc obs.SpanContext, kind records.Kind) (*colFile, error) {
+	v, data, err := fs.ReadDecoded(path, node, sc, func(data []byte) (any, error) {
+		return openColumnFile(path, data, kind)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if f, ok := v.(*colFile); ok && f.kind == kind {
+		return f, nil
+	}
+	// Kept for another kind: a schema that disagrees with the one the file
+	// was first read under.
+	return openColumnFile(path, data, kind)
 }
 
 // openPartition opens the column file of every schema column of the
-// partition at pdir, fetched through read, and checks that they agree on the
-// row count, which it returns.
-func openPartition(pdir string, schema *records.Schema, read func(path string) ([]byte, error)) ([]*colDecoder, int, error) {
+// partition at pdir, read as node with the reads parented at sc, and checks
+// that they agree on the row count, which it returns.
+func openPartition(fs *hdfs.FileSystem, pdir string, schema *records.Schema, node string, sc obs.SpanContext) ([]*colDecoder, int, error) {
 	decs := make([]*colDecoder, schema.Len())
 	rows := 0
 	for i := range decs {
 		path := fmt.Sprintf("%s/%s.col", pdir, schema.Field(i).Name)
-		data, err := read(path)
+		f, err := openColumn(fs, path, node, sc, schema.Field(i).Kind)
 		if err != nil {
 			return nil, 0, err
 		}
-		if decs[i], err = openColumnFile(path, data, schema.Field(i).Kind); err != nil {
-			return nil, 0, err
-		}
+		decs[i] = f.cursor()
 		if i == 0 {
-			rows = decs[i].rows
-		} else if decs[i].rows != rows {
-			return nil, 0, fmt.Errorf("colstore: %s: %d rows, sibling columns have %d", path, decs[i].rows, rows)
+			rows = f.rows
+		} else if f.rows != rows {
+			return nil, 0, fmt.Errorf("colstore: %s: %d rows, sibling columns have %d", path, f.rows, rows)
 		}
 	}
 	return decs, rows, nil
@@ -1029,14 +1081,11 @@ func (r *cifReader) load() error {
 	local := slices.Contains(r.split.Locations(), r.ctx.Node().ID())
 	reading := r.ctx.BeginThread(obs.PhaseRead)
 	defer reading.End("partition", r.split.PartitionDir, "local", strconv.FormatBool(local))
-	decs, rows, err := openPartition(r.split.PartitionDir, r.schema, func(path string) ([]byte, error) {
-		return r.ctx.FS.ReadAllTraced(path, r.ctx.Node().ID(), reading.Trace)
-	})
+	decs, rows, err := openPartition(r.ctx.FS, r.split.PartitionDir, r.schema, r.ctx.Node().ID(), reading.Trace)
 	if err != nil {
 		return err
 	}
 	r.decs, r.rows = decs, int64(rows)
-	r.codeBufs = make([][]uint32, len(decs))
 	r.planPartition()
 	return nil
 }
@@ -1053,18 +1102,18 @@ func (r *cifReader) Next() (records.Record, records.Record, bool, error) {
 	if r.pos >= r.rows {
 		return records.Record{}, records.Record{}, false, nil
 	}
-	if r.scratch == nil {
-		r.scratch = make([]records.Value, r.schema.Len())
+	if r.rowVals == nil {
+		r.rowVals = make([]records.Value, r.schema.Len())
 	}
 	for i, dec := range r.decs {
 		v, err := dec.next()
 		if err != nil {
 			return records.Record{}, records.Record{}, false, err
 		}
-		r.scratch[i] = v
+		r.rowVals[i] = v
 	}
 	r.pos++
-	return records.Record{}, records.Make(r.schema, r.scratch...), true, nil
+	return records.Record{}, records.Make(r.schema, r.rowVals...), true, nil
 }
 
 // blockCodes decodes projected column c's raw codes for the current block
@@ -1100,13 +1149,13 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 	if err := r.load(); err != nil {
 		return nil, false, err
 	}
+	if r.scanScratch == nil {
+		r.scanScratch = r.in.takeScratch(r.blockRows)
+	}
 	for r.pos < r.rows {
 		n := int(r.blockRows)
 		if r.pos+int64(n) > r.rows {
 			n = int(r.rows - r.pos)
-		}
-		if r.block == nil {
-			r.block = records.NewRowBlock(r.schema, r.blockRows)
 		}
 		r.block.Reset()
 		r.pos += int64(n)
@@ -1125,7 +1174,7 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 						return nil, false, err
 					}
 					dec.appendFromCodes(cv, codes, nil)
-					cv.Dict = dec.dictDescriptor()
+					cv.Dict = dec.desc
 				} else if err := dec.decodeInto(cv, n); err != nil {
 					return nil, false, err
 				}
@@ -1178,7 +1227,7 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 			if cc.fullVals {
 				cv := r.block.Col(cc.col)
 				r.decs[cc.col].appendFromCodes(cv, r.codeBufs[cc.col], nil)
-				cv.Dict = r.decs[cc.col].dictDescriptor()
+				cv.Dict = r.decs[cc.col].desc
 			}
 		}
 		for _, bp := range p.rowPreds {
@@ -1263,7 +1312,7 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 				}
 			}
 			r.decs[cc.col].appendFromCodes(cv, r.codeBufs[cc.col], s)
-			cv.Dict = r.decs[cc.col].dictDescriptor()
+			cv.Dict = r.decs[cc.col].desc
 		}
 		for _, set := range [][]int{p.post, r.in.lateIdx} {
 			for _, c := range set {
@@ -1278,13 +1327,15 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 	return nil, false, nil
 }
 
-// Close implements mr.RecordReader. It drops the decoded partition (the
-// column payloads and dictionaries), the block and the scratch buffers, so a
-// drained partition of a multi-split is freed before its task ends. Closing
-// again is harmless.
+// Close implements mr.RecordReader. It drops the partition's cursors and
+// puts the block and the scan scratch back in the input's pool, so the next
+// partition decodes into them; the block handed out last must not be read
+// after. Closing again is harmless.
 func (r *cifReader) Close() error {
-	r.decs, r.block, r.codeBufs, r.scratch = nil, nil, nil, nil
-	r.sel, r.plan = selection{}, partPlan{}
+	if r.scanScratch != nil {
+		r.in.scratchPool.Put(r.scanScratch)
+	}
+	r.decs, r.scanScratch, r.rowVals, r.plan = nil, nil, nil, partPlan{}
 	return nil
 }
 

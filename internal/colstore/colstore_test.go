@@ -539,8 +539,10 @@ func TestMultiCIFPacking(t *testing.T) {
 	}
 }
 
-// TestCIFReaderCloseReleases: Close drops a drained partition's decoded
-// state, and a second Close (the task's, after the runner's) is harmless.
+// TestCIFReaderCloseReleases: Close drops a drained partition's cursors and
+// hands its scan scratch back to the input's pool, a second Close (the
+// task's, after the runner's) is harmless, and a reader read only through
+// Next takes no scratch.
 func TestCIFReaderCloseReleases(t *testing.T) {
 	e := newEnv(2, 1024)
 	writePartitions(t, e, "/cif", []int{40, 40})
@@ -573,12 +575,37 @@ func TestCIFReaderCloseReleases(t *testing.T) {
 			t.Fatal(err)
 		}
 		cr := c.(*cifReader)
-		if cr.decs != nil || cr.block != nil || cr.codeBufs != nil || cr.sel.mask != nil {
+		if cr.decs != nil || cr.scanScratch != nil {
 			t.Errorf("%s: closed reader still holds its decoded partition", cr.split.PartitionDir)
 		}
 	}
 	if err := reader.Close(); err != nil {
 		t.Errorf("second Close through the multi-split reader: %v", err)
+	}
+
+	// A row-at-a-time reader never takes a block.
+	reader, err = in.Open(splits[0], taskCtx(e, jctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	children, err = reader.(mr.MultiReader).Readers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range children {
+		for {
+			_, _, ok, err := c.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		if cr := c.(*cifReader); cr.scanScratch != nil {
+			t.Errorf("%s: row-at-a-time reader holds a scan block", cr.split.PartitionDir)
+		}
+		c.Close()
 	}
 }
 

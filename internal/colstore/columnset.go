@@ -265,10 +265,11 @@ func (s *ColumnSet) Column(i int) (*ColumnReader, error) {
 	if crc32.ChecksumIEEE(payload) != m.crc {
 		return nil, badColumnSet("column %d: payload checksum mismatch", i)
 	}
-	d, err := newColDecoder(m.kind, m.enc, s.rows, payload)
+	f, err := newColFile(m.kind, m.enc, s.rows, payload)
 	if err != nil {
 		return nil, badColumnSet("column %d: %v", i, err)
 	}
+	d := f.cursor()
 	return &ColumnReader{d: d, body: d.buf, rows: s.rows, boxed: m.boxed, bytes: int64(m.len)}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/obs"
 	"clydesdale/internal/records"
 )
 
@@ -162,9 +163,7 @@ func ExpireBefore(reg *Snapshots, dir, col string, cutoff int64) ([]string, erro
 // decoding every schema column. Records own their values — fn may retain
 // them.
 func ScanCIFPartition(fs *hdfs.FileSystem, pdir string, schema *records.Schema, clientNode string, fn func(records.Record) error) error {
-	decs, nrows, err := openPartition(pdir, schema, func(path string) ([]byte, error) {
-		return fs.ReadAll(path, clientNode)
-	})
+	decs, nrows, err := openPartition(fs, pdir, schema, clientNode, obs.SpanContext{})
 	if err != nil {
 		return err
 	}

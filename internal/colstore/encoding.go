@@ -359,34 +359,48 @@ func unpack[T uint32 | int64](dst []T, buf []byte, bit int, w uint, base T) T {
 	return top
 }
 
-// colDecoder reads one column payload through a row cursor. It supports
+// colFile is one column payload taken apart: its encoding, row count,
+// dictionary or frame directory, and the packed region or stream they
+// index. It is read-only once opened, so one colFile serves any number of
+// readers at once, each through its own colDecoder. A CIF column file's is
+// kept on its HDFS block for as long as the block lives (openColumn).
+type colFile struct {
+	kind    records.Kind
+	enc     Encoding
+	rows    int        // rows in the column
+	payload []byte     // plain: the stream; dictionary: the packed codes; EncFOR: the payload
+	dict    []string   // EncDict only
+	intDict []int64    // EncDictI64 only
+	width   uint       // dictionary encodings: bits per code
+	frames  []forFrame // EncFOR only
+
+	desc *records.ColumnDict // the dictionary's descriptor, set by openColumnFile
+}
+
+// colDecoder reads a colFile through a row cursor of its own. It supports
 // boxed next() for the row-at-a-time path, bulk decodeInto and decodeCodes
 // for block iteration, decodeSelected (decodeFiltered, given only a mask) and
 // decodeCodesSelected for late materialization, and skip.
 // On a packed payload a bulk read costs by the rows it returns and skip is
 // free; a plain stream has to be parsed past either way.
 type colDecoder struct {
-	kind records.Kind
-	enc  Encoding
-	rows int // rows in the column
-	pos  int // the cursor: every read starts at this row and moves past what it read
-
-	buf     []byte     // plain: the stream from row pos on; dictionary: the packed codes; EncFOR: the payload
-	dict    []string   // EncDict only
-	intDict []int64    // EncDictI64 only
-	width   uint       // dictionary encodings: bits per code
-	frames  []forFrame // EncFOR only
-	codes   []uint32   // scratch: a run's codes on their way to values
-
-	desc *records.ColumnDict // lazily-built dictionary descriptor
+	*colFile
+	pos   int      // the cursor: every read starts at this row and moves past what it read
+	buf   []byte   // plain: the stream from row pos on; otherwise the payload
+	codes []uint32 // scratch: a run's codes on their way to values
 }
 
-// newColDecoder parses a payload's dictionary or frame headers and checks
+// cursor returns a decoder over f positioned at the first row.
+func (f *colFile) cursor() *colDecoder {
+	return &colDecoder{colFile: f, buf: f.payload}
+}
+
+// newColFile parses a payload's dictionary or frame headers and checks
 // that the payload is exactly as long as its rows need. The caller has
 // bounded rows by the payload (rows <= 8 * len(payload): a value is at least
 // a bit), which is what bounds the frame directory allocated here.
-func newColDecoder(kind records.Kind, enc Encoding, rows int, payload []byte) (*colDecoder, error) {
-	d := &colDecoder{kind: kind, enc: enc, rows: rows, buf: payload}
+func newColFile(kind records.Kind, enc Encoding, rows int, payload []byte) (*colFile, error) {
+	d := &colFile{kind: kind, enc: enc, rows: rows, payload: payload}
 	switch enc {
 	case EncPlain:
 	case EncFOR:
@@ -425,12 +439,12 @@ func newColDecoder(kind records.Kind, enc Encoding, rows int, payload []byte) (*
 		}
 		d.intDict = make([]int64, n)
 		for i := range d.intDict {
-			v, used := binary.Varint(d.buf)
+			v, used := binary.Varint(d.payload)
 			if used <= 0 {
 				return nil, fmt.Errorf("colstore: bad dictionary entry")
 			}
 			d.intDict[i] = v
-			d.buf = d.buf[used:]
+			d.payload = d.payload[used:]
 		}
 	case EncDict:
 		if kind != records.KindString {
@@ -446,19 +460,19 @@ func newColDecoder(kind records.Kind, enc Encoding, rows int, payload []byte) (*
 		spans := make([]span, n)
 		pos := 0
 		for i := range spans {
-			l, used := binary.Uvarint(d.buf[pos:])
-			if used <= 0 || uint64(len(d.buf)-pos-used) < l {
+			l, used := binary.Uvarint(d.payload[pos:])
+			if used <= 0 || uint64(len(d.payload)-pos-used) < l {
 				return nil, fmt.Errorf("colstore: bad dictionary entry")
 			}
 			spans[i] = span{pos + used, pos + used + int(l)}
 			pos = spans[i].hi
 		}
-		all := string(d.buf[:pos])
+		all := string(d.payload[:pos])
 		d.dict = make([]string, n)
 		for i, sp := range spans {
 			d.dict[i] = all[sp.lo:sp.hi]
 		}
-		d.buf = d.buf[pos:]
+		d.payload = d.payload[pos:]
 	default:
 		if was, ok := retiredEncodings[enc]; ok {
 			return nil, fmt.Errorf("colstore: column encoding id %d (%s) is retired: the table predates positional payloads and must be rewritten", uint8(enc), was)
@@ -467,26 +481,26 @@ func newColDecoder(kind records.Kind, enc Encoding, rows int, payload []byte) (*
 	}
 	if enc == EncDict || enc == EncDictI64 {
 		d.width = codeWidth(d.dictSize())
-		if want := packedLen(rows, d.width); len(d.buf) != want {
-			return nil, fmt.Errorf("colstore: %d rows of %d-bit codes need %d bytes, payload has %d", rows, d.width, want, len(d.buf))
+		if want := packedLen(rows, d.width); len(d.payload) != want {
+			return nil, fmt.Errorf("colstore: %d rows of %d-bit codes need %d bytes, payload has %d", rows, d.width, want, len(d.payload))
 		}
 	}
 	return d, nil
 }
 
 // dictHeader reads a dictionary's entry count.
-func (d *colDecoder) dictHeader() (int, error) {
-	n, used := binary.Uvarint(d.buf)
-	if used <= 0 || n > maxDictEntries || n > uint64(len(d.buf)-used) { // an entry is at least a byte
+func (d *colFile) dictHeader() (int, error) {
+	n, used := binary.Uvarint(d.payload)
+	if used <= 0 || n > maxDictEntries || n > uint64(len(d.payload)-used) { // an entry is at least a byte
 		return 0, fmt.Errorf("colstore: bad dictionary size")
 	}
-	d.buf = d.buf[used:]
+	d.payload = d.payload[used:]
 	return int(n), nil
 }
 
 // dictSize returns the dictionary entry count, or 0 when the payload is not
 // dictionary-encoded.
-func (d *colDecoder) dictSize() int {
+func (d *colFile) dictSize() int {
 	if d.enc == EncDict {
 		return len(d.dict)
 	}
@@ -497,22 +511,19 @@ func (d *colDecoder) dictSize() int {
 }
 
 // dictValue boxes dictionary entry c (valid for dictionary encodings only).
-func (d *colDecoder) dictValue(c int) records.Value {
+func (d *colFile) dictValue(c int) records.Value {
 	if d.enc == EncDict {
 		return records.Str(d.dict[c])
 	}
 	return records.Int(d.intDict[c])
 }
 
-// dictDescriptor returns this partition's dictionary descriptor, built on
-// first use. The ID fingerprints the entries (values and order), so equal
-// dictionaries in different partitions hash alike and can share downstream
-// caches such as probe side tables; consumers that key caches on the ID
-// still verify the entries on a pointer mismatch.
-func (d *colDecoder) dictDescriptor() *records.ColumnDict {
-	if d.desc != nil {
-		return d.desc
-	}
+// fingerprint returns the descriptor of a dictionary-encoded column, nil
+// for any other. The ID fingerprints the entries (values and order), so
+// equal dictionaries in different partitions hash alike and can share
+// downstream caches such as probe side tables; consumers that key caches on
+// the ID still verify the entries on a pointer mismatch.
+func (d *colFile) fingerprint() *records.ColumnDict {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -532,15 +543,15 @@ func (d *colDecoder) dictDescriptor() *records.ColumnDict {
 				mix(uint64(s[i]))
 			}
 		}
-		d.desc = &records.ColumnDict{ID: h, Strs: d.dict}
+		return &records.ColumnDict{ID: h, Strs: d.dict}
 	case EncDictI64:
 		mix(uint64(len(d.intDict)))
 		for _, v := range d.intDict {
 			mix(uint64(v))
 		}
-		d.desc = &records.ColumnDict{ID: h, Ints: d.intDict}
+		return &records.ColumnDict{ID: h, Ints: d.intDict}
 	}
-	return d.desc
+	return nil
 }
 
 // take moves the cursor past the next n rows and returns where they start.

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -41,13 +42,14 @@ func FuzzOpenColumnFile(f *testing.F) {
 
 func readColumnFileEveryWay(t *testing.T, data []byte, kind records.Kind) {
 	const path = "/fuzz/p-00000/c.col"
-	d, err := openColumnFile(path, data, kind)
+	f, err := openColumnFile(path, data, kind)
 	if err != nil {
 		if !strings.Contains(err.Error(), path) {
 			t.Fatalf("open error does not name the file: %v", err)
 		}
 		return
 	}
+	d := f.cursor()
 	n, body := d.rows, d.buf
 	if n > 8*len(data) {
 		t.Fatalf("%d rows claimed by a %d-byte file", n, len(data))
@@ -344,7 +346,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		if !good && !retired {
 			continue
 		}
-		d, err := openColumnFile(name, seed.data, fuzzKinds[seed.kind[0]])
+		f, err := openColumnFile(name, seed.data, fuzzKinds[seed.kind[0]])
 		if retired {
 			if err == nil || !strings.Contains(err.Error(), "is retired") {
 				t.Fatalf("%s: opened, or refused without saying why: %v", name, err)
@@ -354,6 +356,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		d := f.cursor()
 		for i := 0; i < d.rows; i++ {
 			if _, err := d.next(); err != nil {
 				t.Fatalf("%s: row %d: %v", name, i, err)
@@ -422,6 +425,92 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		sort.Strings(names)
 		if strings.Join(have, " ") != strings.Join(names, " ") {
 			t.Errorf("%s holds %v, want %v: rerun with -update-corpus", dir, have, names)
+		}
+	}
+}
+
+// TestOpenColumnFileRejects: column files that checksum correctly and lie —
+// about their row count, a frame's width, the length of their packed codes,
+// their last frame — or carry an encoding id no reader accepts any more.
+// Each must come back as an error naming the file, from opening it or from
+// reading it, without a panic and without an allocation sized by the lie.
+func TestOpenColumnFileRejects(t *testing.T) {
+	const path = "/t/p-00000/c.col"
+	frame := func(min int64, w byte, packed int) []byte {
+		return append(append(binary.AppendVarint(nil, min), w), make([]byte, packed)...)
+	}
+	dictI64 := func(entries int, packed []byte) []byte {
+		buf := binary.AppendUvarint(nil, uint64(entries))
+		for i := 0; i < entries; i++ {
+			buf = binary.AppendVarint(buf, int64(i))
+		}
+		return append(buf, packed...)
+	}
+	for _, c := range []struct {
+		name string
+		rows int
+		enc  Encoding
+		body []byte
+		want string // in the error
+	}{
+		{"2^40 rows in a ten-byte payload", 1 << 40, EncFOR, frame(0, 8, 8), "rows claimed"},
+		{"2^40 plain rows", 1 << 40, EncPlain, []byte{byte(records.KindInt64), 2}, "rows claimed"},
+		{"frame width 0", 8, EncFOR, frame(5, 0, 1), "width 0"},
+		{"frame width 57", 8, EncFOR, frame(5, 57, 57), "width 57"},
+		{"short last frame", 1032, EncFOR, append(frame(0, 8, 1024), frame(0, 8, 7)...), "packed bytes"},
+		{"last frame cut in its header", 1032, EncFOR, append(frame(0, 8, 1024), 0x80), "bad header"},
+		{"a frame too many rows would need", 2049, EncFOR, append(frame(0, 8, 1024), frame(0, 8, 1024)...), "bad header"},
+		{"bytes after the last frame", 8, EncFOR, frame(5, 8, 9), "after the last frame"},
+		{"codes a byte longer than rows x width", 10, EncDictI64, dictI64(3, make([]byte, 4)), "need 3 bytes"},
+		{"codes a byte shorter than rows x width", 10, EncDictI64, dictI64(3, make([]byte, 2)), "need 3 bytes"},
+		{"more entries than the cap", 10, EncDictI64, binary.AppendUvarint(nil, maxDictEntries+1), "dictionary size"},
+		{"more entries than bytes", 10, EncDictI64, binary.AppendUvarint(nil, 300), "dictionary size"},
+		{"retired varint dictionary", 3, 1, []byte{1, 1, 'x', 0, 0, 0}, "id 1"},
+		{"retired delta", 3, 2, []byte{2, 2, 2}, "id 2"},
+		{"retired varint int dictionary", 3, 3, []byte{1, 8, 0, 0, 0}, "id 3"},
+		{"unknown encoding", 3, 9, []byte{1, 2, 3}, "id 9"},
+		{"frame-of-reference strings", 8, EncFOR, frame(5, 8, 8), "encoding on"},
+	} {
+		kind := records.KindInt64
+		if c.name == "frame-of-reference strings" {
+			kind = records.KindString
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := openColumnFile(path, columnFile(c.rows, c.enc, c.body), kind)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %s and saying %q", c.name, err, path, c.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: %d bytes allocated on the way to the error", c.name, grew)
+		}
+	}
+
+	// Codes beyond the dictionary open (only their count is checked there)
+	// and fail where they are read, whichever way that is.
+	bad := columnFile(10, EncDictI64, dictI64(3, []byte{0xFF, 0xFF, 0xFF}))
+	reads := map[string]func(d *colDecoder) error{
+		"next":       func(d *colDecoder) error { _, err := d.next(); return err },
+		"decodeInto": func(d *colDecoder) error { return d.decodeInto(records.NewColumnVector(records.KindInt64, 0), 10) },
+		"decodeCodes": func(d *colDecoder) error {
+			_, err := d.decodeCodes(nil, 10)
+			return err
+		},
+		"decodeFiltered, dense": func(d *colDecoder) error {
+			return d.decodeFiltered(records.NewColumnVector(records.KindInt64, 0), []bool{true, true, true, true, true, true, true, true, true, true})
+		},
+		"decodeFiltered, sparse": func(d *colDecoder) error {
+			return d.decodeFiltered(records.NewColumnVector(records.KindInt64, 0), []bool{false, false, false, false, false, false, false, true, false, false})
+		},
+	}
+	for name, read := range reads {
+		f, err := openColumnFile(path, bad, records.KindInt64)
+		if err != nil {
+			t.Fatalf("codes beyond the dictionary: open: %v", err)
+		}
+		if err := read(f.cursor()); err == nil || !strings.Contains(err.Error(), "dictionary code") {
+			t.Errorf("codes beyond the dictionary, %s: err = %v", name, err)
 		}
 	}
 }

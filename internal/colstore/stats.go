@@ -2,10 +2,12 @@ package colstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 
 	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/obs"
 	"clydesdale/internal/records"
 )
 
@@ -69,56 +71,70 @@ func (ps *PartitionStats) encode() []byte {
 
 // ReadPartitionStats loads a partition's zone map. A missing, truncated, or
 // corrupted sidecar returns (nil, nil): callers must treat absent stats as
-// "cannot prune" and scan the partition in full.
+// "cannot prune" and scan the partition in full. The sidecar is read (and
+// charged, and CRC-checked by HDFS) on every call, but decoded, its own CRC
+// included, once per stored block: the zone map returned is shared and
+// read-only.
 func ReadPartitionStats(fs *hdfs.FileSystem, pdir string) (*PartitionStats, error) {
 	path := pdir + "/" + StatsFileName
 	if !fs.Exists(path) {
 		return nil, nil
 	}
-	data, err := fs.ReadAll(path, "")
+	v, _, err := fs.ReadDecoded(path, "", obs.SpanContext{}, func(data []byte) (any, error) {
+		return decodeStats(data)
+	})
 	if err != nil {
 		return nil, nil
 	}
+	ps, _ := v.(*PartitionStats)
+	return ps, nil
+}
+
+var errBadStats = errors.New("colstore: unreadable zone map")
+
+// decodeStats takes a _stats sidecar apart: its magic and CRC first, then
+// the zone map. Any inconsistency is errBadStats.
+func decodeStats(data []byte) (*PartitionStats, error) {
 	if len(data) < len(statsMagic)+4 || string(data[:len(statsMagic)]) != string(statsMagic) {
-		return nil, nil
+		return nil, errBadStats
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, nil
+		return nil, errBadStats
 	}
 	pos := len(statsMagic)
 	rows, n := binary.Uvarint(body[pos:])
 	if n <= 0 {
-		return nil, nil
+		return nil, errBadStats
 	}
 	pos += n
 	ncols, n := binary.Uvarint(body[pos:])
 	if n <= 0 {
-		return nil, nil
+		return nil, errBadStats
 	}
 	pos += n
 	ps := &PartitionStats{Rows: int64(rows), Cols: make([]ColStats, 0, ncols)}
 	for i := uint64(0); i < ncols; i++ {
 		nameLen, n := binary.Uvarint(body[pos:])
 		if n <= 0 || pos+n+int(nameLen) > len(body) {
-			return nil, nil
+			return nil, errBadStats
 		}
 		pos += n
 		name := string(body[pos : pos+int(nameLen)])
 		pos += int(nameLen)
 		nulls, n := binary.Uvarint(body[pos:])
 		if n <= 0 {
-			return nil, nil
+			return nil, errBadStats
 		}
 		pos += n
 		min, n, err := records.DecodeValue(body[pos:])
 		if err != nil {
-			return nil, nil
+			return nil, errBadStats
 		}
 		pos += n
 		max, n, err := records.DecodeValue(body[pos:])
 		if err != nil {
-			return nil, nil
+			return nil, errBadStats
 		}
 		pos += n
 		ps.Cols = append(ps.Cols, ColStats{Name: name, Nulls: int64(nulls), Min: min, Max: max})

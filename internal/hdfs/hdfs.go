@@ -14,7 +14,7 @@ package hdfs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,6 +53,7 @@ type FileSystem struct {
 
 	mu       sync.RWMutex
 	files    map[string]*fileMeta
+	names    []string // the keys of files, sorted: prefix listings search it
 	blocks   map[int64]*blockMeta
 	policies map[string]PlacementPolicy // path-prefix → policy
 	rng      *rand.Rand
@@ -155,7 +156,13 @@ type blockMeta struct {
 	// replica would actually return, modeling on-disk corruption. A replica
 	// absent from the map serves the pristine data.
 	corrupt map[string][]byte
+	// memo is what ReadDecoded's decode first made of data, kept while the
+	// block lives (see ReadDecoded).
+	memo atomic.Pointer[decoded]
 }
+
+// decoded boxes a memoized decode result.
+type decoded struct{ v any }
 
 // New creates a filesystem over the given cluster.
 func New(c *cluster.Cluster, opts Options) *FileSystem {
@@ -334,27 +341,64 @@ func (fs *FileSystem) Stat(path string) (FileInfo, error) {
 func (fs *FileSystem) List(prefix string) []string {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
+	lo, hi := fs.prefixRange(prefix)
+	if lo == hi {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(fs.names[lo:hi])
 }
 
-// Visit calls fn with every path that has the given prefix, in no order and
-// without collecting them, for a caller that folds the names into something
-// smaller and would pay List for a sorted copy it drops. fn runs under the
-// namespace lock and must not call the filesystem.
+// Visit calls fn with every path that has the given prefix, in sorted order
+// and without collecting them, for a caller that folds the names into
+// something smaller and would pay List for a copy it drops. fn runs under
+// the namespace lock and must not call the filesystem.
 func (fs *FileSystem) Visit(prefix string, fn func(path string)) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			fn(p)
-		}
+	lo, hi := fs.prefixRange(prefix)
+	for _, p := range fs.names[lo:hi] {
+		fn(p)
+	}
+}
+
+// prefixRange returns the span of names that start with prefix: a binary
+// search to its first and a walk over the k it holds. Caller holds fs.mu.
+func (fs *FileSystem) prefixRange(prefix string) (lo, hi int) {
+	lo, _ = slices.BinarySearch(fs.names, prefix)
+	hi = lo
+	for hi < len(fs.names) && strings.HasPrefix(fs.names[hi], prefix) {
+		hi++
+	}
+	return lo, hi
+}
+
+// addFile, unlink and forgetBlocks change the namespace, keeping names in
+// step with files. Caller holds fs.mu exclusively.
+func (fs *FileSystem) addFile(f *fileMeta) {
+	fs.files[f.path] = f
+	i, _ := slices.BinarySearch(fs.names, f.path)
+	fs.names = slices.Insert(fs.names, i, f.path)
+}
+
+// unlink takes path out of the namespace and returns its file, nil if there
+// is none; the blocks stay.
+func (fs *FileSystem) unlink(path string) *fileMeta {
+	f, ok := fs.files[path]
+	if !ok {
+		return nil
+	}
+	delete(fs.files, path)
+	if i, ok := slices.BinarySearch(fs.names, path); ok {
+		fs.names = slices.Delete(fs.names, i, i+1)
+	}
+	return f
+}
+
+// forgetBlocks deletes blocks, and with them what reads memoized of them.
+func (fs *FileSystem) forgetBlocks(blocks []*blockMeta) {
+	for _, b := range blocks {
+		delete(fs.blocks, b.id)
+		b.memo.Store(nil)
 	}
 }
 
@@ -363,21 +407,21 @@ func (fs *FileSystem) Visit(prefix string, fn func(path string)) {
 func (fs *FileSystem) Delete(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return
+	if f := fs.unlink(path); f != nil {
+		fs.forgetBlocks(f.blocks)
 	}
-	for _, b := range f.blocks {
-		delete(fs.blocks, b.id)
-	}
-	delete(fs.files, path)
 }
 
 // DeletePrefix removes every path with the given prefix.
 func (fs *FileSystem) DeletePrefix(prefix string) {
-	for _, p := range fs.List(prefix) {
-		fs.Delete(p)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	lo, hi := fs.prefixRange(prefix)
+	for _, p := range fs.names[lo:hi] {
+		fs.forgetBlocks(fs.files[p].blocks)
+		delete(fs.files, p)
 	}
+	fs.names = slices.Delete(fs.names, lo, hi)
 }
 
 // Rename moves src to dst. dst must not exist.
@@ -391,9 +435,9 @@ func (fs *FileSystem) Rename(src, dst string) error {
 	if _, exists := fs.files[dst]; exists {
 		return fmt.Errorf("hdfs: rename to %s: destination exists", dst)
 	}
-	delete(fs.files, src)
+	fs.unlink(src)
 	f.path = dst
-	fs.files[dst] = f
+	fs.addFile(f)
 	return nil
 }
 

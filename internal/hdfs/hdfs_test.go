@@ -194,6 +194,40 @@ func TestAbortDiscards(t *testing.T) {
 	}
 }
 
+// TestCloseAfterDeleteFails: a file deleted while it is written does not
+// come back at Close, which fails, and its blocks go with it; a file of the
+// same name created meanwhile is left alone, by the Close and by an Abort.
+func TestCloseAfterDeleteFails(t *testing.T) {
+	fs := newTestFS(t, 2, 8)
+	for _, finish := range []string{"close", "abort"} {
+		w, err := fs.Create("/gone", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(make([]byte, 20)); err != nil {
+			t.Fatal(err)
+		}
+		fs.Delete("/gone")
+		if err := fs.WriteFile("/gone", "", []byte("newer")); err != nil {
+			t.Fatal(err)
+		}
+		if finish == "close" {
+			if err := w.Close(); err == nil {
+				t.Error("Close of a deleted file succeeded")
+			}
+		} else {
+			w.Abort()
+		}
+		if got, err := fs.ReadAll("/gone", ""); err != nil || string(got) != "newer" {
+			t.Fatalf("%s: the newer file reads %q, %v", finish, got, err)
+		}
+		if len(fs.blocks) != 1 {
+			t.Fatalf("%s: %d blocks stored, want the newer file's one", finish, len(fs.blocks))
+		}
+		fs.Delete("/gone")
+	}
+}
+
 func TestFileVisibleOnlyAfterClose(t *testing.T) {
 	fs := newTestFS(t, 2, 8)
 	w, err := fs.Create("/pending", "")

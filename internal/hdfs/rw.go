@@ -15,15 +15,15 @@ import (
 // Close, like an HDFS file being closed. Writer is not safe for concurrent
 // use.
 type Writer struct {
-	fs       *FileSystem
-	path     string
-	writer   string // node ID of the writing client, or "" for external
-	reserved bool   // the name is taken in the namespace
-	placed   int    // blocks given replica targets so far
-	buf      []byte
-	blocks   []*blockMeta
-	size     int64
-	closed   bool
+	fs     *FileSystem
+	path   string
+	writer string    // node ID of the writing client, or "" for external
+	meta   *fileMeta // the file the writer reserved in the namespace, nil before
+	placed int       // blocks given replica targets so far
+	buf    []byte
+	blocks []*blockMeta
+	size   int64
+	closed bool
 }
 
 // Create starts writing a new file. writerNode is the cluster node the
@@ -43,15 +43,22 @@ func (fs *FileSystem) Create(path, writerNode string) (*Writer, error) {
 // reserve takes the writer's name in the namespace, so concurrent creators
 // conflict deterministically. Caller holds fs.mu.
 func (w *Writer) reserve() error {
-	if w.reserved {
+	if w.meta != nil {
 		return nil
 	}
 	if _, exists := w.fs.files[w.path]; exists {
 		return fmt.Errorf("hdfs: create %s: file exists", w.path)
 	}
-	w.fs.files[w.path] = &fileMeta{path: w.path}
-	w.reserved = true
+	w.meta = &fileMeta{path: w.path}
+	w.fs.addFile(w.meta)
 	return nil
+}
+
+// linked reports whether the writer's file is still in the namespace, under
+// whatever name it now has: a file deleted while it was written gets no
+// more blocks. Caller holds fs.mu.
+func (w *Writer) linked() bool {
+	return w.meta != nil && w.fs.files[w.meta.path] == w.meta
 }
 
 // Write buffers p, sealing full blocks as they fill.
@@ -149,20 +156,23 @@ func (fs *FileSystem) seal(steps []*sealing) error {
 	}
 
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	for _, s := range steps {
 		w := s.w
+		if !w.linked() {
+			fs.forgetBlocks(w.blocks)
+			return fmt.Errorf("hdfs: write %s: the file was deleted while it was written", w.path)
+		}
 		if s.block != nil {
 			fs.blocks[s.id] = s.block
 			w.blocks = append(w.blocks, s.block)
 			w.size += s.block.size
 		}
 		if s.last {
-			f := fs.files[w.path]
-			f.size = w.size
-			f.blocks = w.blocks
+			w.meta.size = w.size
+			w.meta.blocks = w.blocks
 		}
 	}
-	fs.mu.Unlock()
 	return nil
 }
 
@@ -186,11 +196,9 @@ func (w *Writer) Abort() {
 	fs := w.fs
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for _, b := range w.blocks {
-		delete(fs.blocks, b.id)
-	}
-	if w.reserved {
-		delete(fs.files, w.path)
+	fs.forgetBlocks(w.blocks)
+	if w.linked() {
+		fs.unlink(w.meta.path)
 	}
 }
 
@@ -276,7 +284,7 @@ func (r *Reader) Close() error { return nil }
 // observer attached (FileSystem.Observe) it emits one "hdfs-read" span per
 // call carrying the file path and the local/remote byte split.
 func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
-	_, n, err := r.read(p, off, false)
+	_, n, _, err := r.read(p, off, false)
 	return n, err
 }
 
@@ -286,8 +294,10 @@ func (r *Reader) ReadAt(p []byte, off int64) (int, error) {
 // off+len(p)) into p and returns p. With whole set (p nil, off 0) it reads
 // the entire file instead: the bytes of a one-block file are the verified
 // replica's own, capped so an append cannot reach them, and any other file
-// is copied into a fresh buffer.
-func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
+// is copied into a fresh buffer. The block it returns is the one block of a
+// whole read that was served the block's own bytes, not a corrupt
+// replica's, and is nil otherwise.
+func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, *blockMeta, error) {
 	fs := r.fs
 	fs.mu.RLock()
 	size := r.meta.size
@@ -308,7 +318,7 @@ func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 		p = make([]byte, size)
 	}
 	if off >= size {
-		return p, 0, io.EOF
+		return p, 0, nil, io.EOF
 	}
 	want := int64(len(p))
 	if view {
@@ -319,6 +329,7 @@ func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 	var done, localBytes, remoteBytes int64
 	var pos int64
 	var rerr error
+	var own *blockMeta
 	for _, b := range blocks {
 		bStart, bEnd := pos, pos+b.size
 		pos = bEnd
@@ -327,9 +338,12 @@ func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 		}
 		from := max64(off, bStart) - bStart
 		to := min64(off+want, bEnd) - bStart
-		served, local, err := r.serveBlock(b, from, to)
+		served, local, pristine, err := r.serveBlock(b, from, to)
 		if view {
 			p = served[:len(served):len(served)]
+			if pristine && err == nil {
+				own = b
+			}
 		} else {
 			copy(p[done:], served)
 		}
@@ -365,18 +379,19 @@ func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 		}
 	}
 	if rerr != nil {
-		return p, int(done), rerr
+		return p, int(done), nil, rerr
 	}
 	if done < int64(len(p)) {
-		return p, int(done), io.EOF
+		return p, int(done), own, io.EOF
 	}
-	return p, int(done), nil
+	return p, int(done), own, nil
 }
 
 // serveBlock serves block bytes [from, to) from one verified replica and
 // charges costs. It returns the replica's own bytes, not a copy, so the
 // caller must not write into them, and reports whether they came from a
-// local replica.
+// local replica and whether they are the block's own bytes (no corrupt
+// replica's copy that happened to pass the checksum).
 //
 // The read loops over replicas until one serves the bytes: each iteration
 // re-reads the replica set and liveness under the lock (a replica that was
@@ -386,7 +401,7 @@ func (r *Reader) read(p []byte, off int64, whole bool) ([]byte, int, error) {
 // Locality is re-derived per attempt so failover from a dead local replica
 // is accounted as a remote read. The loop terminates because every
 // iteration marks one replica attempted and never retries it.
-func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) {
+func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, bool, error) {
 	fs := r.fs
 	attempted := make(map[string]bool)
 	var lastErr error
@@ -420,13 +435,13 @@ func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) 
 		fs.mu.RUnlock()
 
 		if lost {
-			return nil, false, fmt.Errorf("hdfs: block %d of %s: all replicas lost", b.id, r.meta.path)
+			return nil, false, false, fmt.Errorf("hdfs: block %d of %s: all replicas lost", b.id, r.meta.path)
 		}
 		if serving == "" {
 			if lastErr != nil {
-				return nil, false, fmt.Errorf("hdfs: block %d of %s: no live replica: %w", b.id, r.meta.path, lastErr)
+				return nil, false, false, fmt.Errorf("hdfs: block %d of %s: no live replica: %w", b.id, r.meta.path, lastErr)
 			}
-			return nil, false, fmt.Errorf("hdfs: block %d of %s: no live replica", b.id, r.meta.path)
+			return nil, false, false, fmt.Errorf("hdfs: block %d of %s: no live replica", b.id, r.meta.path)
 		}
 		attempted[serving] = true
 		local := serving == r.client
@@ -492,10 +507,10 @@ func (r *Reader) serveBlock(b *blockMeta, from, to int64) ([]byte, bool, error) 
 				target = node
 			}
 			if err := target.ChargeNet(int64(n)); err != nil {
-				return nil, local, err
+				return nil, local, false, err
 			}
 		}
-		return served, local, nil
+		return served, local, override == nil, nil
 	}
 }
 
@@ -533,29 +548,65 @@ func (fs *FileSystem) reportBadReplica(b *blockMeta, nodeID, path string) {
 // life: a file of one block returns its verified replica's own bytes, which
 // every replica of the block shares, so a single write into them would
 // corrupt the block for every later reader. Callers may hold them as long
-// as they like (column decoders, a distributed-cache file's node-local
-// copies), and must copy before changing them. A file of several blocks, and
-// an empty one, still come back as a fresh copy.
+// as they like (a distributed-cache file's node-local copies), and must copy
+// before changing them. A file of several blocks, and an empty one, still
+// come back as a fresh copy.
 func (fs *FileSystem) ReadAll(path, clientNode string) ([]byte, error) {
-	return fs.ReadAllTraced(path, clientNode, obs.SpanContext{})
-}
-
-// ReadAllTraced reads the entire file with the read span parented at the
-// given trace position (the task phase doing the read), so whole-file reads
-// — the column-store load path — land inside their phase in the profile.
-// Its bytes are read-only for life, as ReadAll's are.
-func (fs *FileSystem) ReadAllTraced(path, clientNode string, sc obs.SpanContext) ([]byte, error) {
 	r, err := fs.Open(path, clientNode)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	r.SetTrace(sc)
-	data, _, err := r.read(nil, 0, true)
+	data, _, _, err := r.read(nil, 0, true)
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
 	return data, nil
+}
+
+// ReadDecoded reads the entire file exactly as ReadAll does (the same
+// replica choice, fault injection, per-read CRC check, failover, charges,
+// byte counters, read histogram and span), with the read span parented at
+// sc (the task phase doing the read, so the column-store load path lands
+// inside its phase in the profile), and returns what decode makes of its
+// bytes, with the bytes, which are read-only for life as ReadAll's are.
+// When a one-block file was served the block's
+// own bytes, the first successful decode of that block is kept on it until
+// the block is deleted, and every later read of it, from any node, returns
+// the kept value without calling decode. So decode must be a function of
+// the bytes alone, and its result must never change. Every reader of a
+// file must decode it to the same type; one that gets a value it cannot use
+// decodes the bytes itself. A file of several blocks, an empty file and a
+// read served by a corrupt replica's copy are decoded on every read, and a
+// failed decode is never kept.
+func (fs *FileSystem) ReadDecoded(path, clientNode string, sc obs.SpanContext, decode func([]byte) (any, error)) (any, []byte, error) {
+	r, err := fs.Open(path, clientNode)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer r.Close()
+	r.SetTrace(sc)
+	data, _, b, err := r.read(nil, 0, true)
+	if err != nil && err != io.EOF {
+		return nil, nil, err
+	}
+	if b == nil {
+		v, err := decode(data)
+		return v, data, err
+	}
+	if m := b.memo.Load(); m != nil {
+		return m.v, data, nil
+	}
+	v, err := decode(data)
+	if err != nil {
+		return nil, data, err
+	}
+	if m := (&decoded{v}); !b.memo.CompareAndSwap(nil, m) {
+		if won := b.memo.Load(); won != nil {
+			v = won.v
+		}
+	}
+	return v, data, nil
 }
 
 func max64(a, b int64) int64 {

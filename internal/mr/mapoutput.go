@@ -5,8 +5,10 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"clydesdale/internal/records"
 )
@@ -157,24 +159,51 @@ var (
 	refsPool slicePool[pairRef]
 )
 
-// slicePool recycles the backing arrays of one element type.
-type slicePool[E any] struct{ p sync.Pool }
+// slicePool recycles the backing arrays of one element type by size
+// class: class c holds arrays whose capacity is in [2^c, 2^(c+1)). Every
+// array of the class a request starts at is large enough for it, so an
+// array is never dropped for being too small, and pair buffers, sort
+// scratch and merge indexes of very different sizes share one pool without
+// crowding each other out.
+type slicePool[E any] struct {
+	classes [poolClasses]sync.Pool
+	top     atomic.Int32 // the highest class an array was ever put in
+}
 
-// get returns an empty slice with room for n elements: the array the pool
-// offers if it is large enough, a fresh one otherwise.
+const poolClasses = 48
+
+// get returns an empty slice with room for n elements: an array of the
+// smallest class on offer that holds n, a fresh one if none does. n = 0
+// asks for a buffer that grows as it fills, and gets the largest array on
+// offer.
 func (sp *slicePool[E]) get(n int) []E {
-	if s, _ := sp.p.Get().(*[]E); s != nil && cap(*s) >= n {
-		return (*s)[:0]
+	top := int(sp.top.Load())
+	if n == 0 {
+		for c := top; c >= 0; c-- {
+			if s, _ := sp.classes[c].Get().(*[]E); s != nil {
+				return (*s)[:0]
+			}
+		}
+		return nil
+	}
+	for c := bits.Len(uint(n - 1)); c <= top; c++ {
+		if s, _ := sp.classes[c].Get().(*[]E); s != nil {
+			return (*s)[:0]
+		}
 	}
 	return make([]E, 0, n)
 }
 
 // put recycles s's array. The caller gives up every reference into it.
 func (sp *slicePool[E]) put(s []E) {
-	if cap(s) > 0 {
-		s = s[:0]
-		sp.p.Put(&s)
+	if cap(s) == 0 {
+		return
 	}
+	c := min(bits.Len(uint(cap(s)))-1, poolClasses-1)
+	for top := sp.top.Load(); int32(c) > top && !sp.top.CompareAndSwap(top, int32(c)); top = sp.top.Load() {
+	}
+	s = s[:0]
+	sp.classes[c].Put(&s)
 }
 
 // sortPooled sorts refs (see sortRefs) with scratch from the pool, to which

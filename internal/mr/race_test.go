@@ -1,0 +1,5 @@
+//go:build race
+
+package mr
+
+const raceEnabled = true

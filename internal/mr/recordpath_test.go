@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -630,12 +631,18 @@ func TestRecycledBuffersOutliveNoJob(t *testing.T) {
 func coldAllocsPerRun(runs int, f func()) float64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	return testing.AllocsPerRun(runs, func() {
-		for dataPool.p.Get() != nil {
-		}
-		for refsPool.p.Get() != nil {
-		}
+		drainPool(&dataPool)
+		drainPool(&refsPool)
 		f()
 	})
+}
+
+// drainPool empties every size class of sp.
+func drainPool[E any](sp *slicePool[E]) {
+	for c := range sp.classes {
+		for sp.classes[c].Get() != nil {
+		}
+	}
 }
 
 // TestCollectAllocatesByDoubling: 10 000 pairs of about ten bytes cost the
@@ -694,5 +701,35 @@ func TestMergeAllocatesPerRunNotPerRecord(t *testing.T) {
 	small, large := measure(100), measure(5000)
 	if small != large || large > numRuns {
 		t.Errorf("merge allocated %.0f times over 800 pairs and %.0f over 40 000, want the same and at most %d", small, large, numRuns)
+	}
+}
+
+// TestWarmShuffleAllocationsSteady: after one warm-up job, each of 20
+// consecutive BenchmarkShuffle jobs allocates at most twice their median,
+// counted with the collector off. A pool that drops an array for being too
+// small for the request at hand made single jobs allocate 1.6 MB against a
+// median of 21 KB. The race detector drops a random quarter of what is put
+// back in a pool, so it is skipped there.
+func TestWarmShuffleAllocationsSteady(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled arrays at random")
+	}
+	run := shuffleJob(t, 200_000)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	allocs := make([]uint64, 20)
+	for i := range allocs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		allocs[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	median := slices.Clone(allocs)
+	slices.Sort(median)
+	for i, b := range allocs {
+		if b > 2*median[len(median)/2] {
+			t.Errorf("warm job %d allocated %d bytes, twice the median of %d is the limit (all: %v)", i, b, median[len(median)/2], allocs)
+		}
 	}
 }

@@ -61,7 +61,22 @@ func BenchmarkDispatch(b *testing.B) {
 // decode; allocs/op is per warm job (reportWarmAllocs) and must not grow
 // with the pairs.
 func BenchmarkShuffle(b *testing.B) {
-	const pairs, splits, reducers = 200_000, 4, 4
+	const pairs = 200_000
+	run := shuffleJob(b, pairs)
+	run() // fills the record path's pools before the timed jobs
+	b.ReportAllocs()
+	for b.Loop() {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/record")
+	reportWarmAllocs(b, run)
+}
+
+// shuffleJob returns a function that runs BenchmarkShuffle's job once:
+// the given number of integer pairs over 4 splits, mapped, sorted,
+// shuffled to 4 reducers and written out unchanged, on 4 nodes.
+func shuffleJob(tb testing.TB, pairs int) func() {
+	const splits, reducers = 4, 4
 	cfg := cluster.Testing(4)
 	cfg.ReduceSlots = 2
 	c := cluster.New(cfg)
@@ -72,7 +87,7 @@ func BenchmarkShuffle(b *testing.B) {
 		for i := 0; i < pairs/splits; i++ {
 			n := int64(s*pairs/splits + i)
 			sp.Pairs = append(sp.Pairs, KV{
-				Key:   records.Make(countSchema, records.Int(n*2654435761%pairs)),
+				Key:   records.Make(countSchema, records.Int(n*2654435761%int64(pairs))),
 				Value: records.Make(countSchema, records.Int(n)),
 			})
 		}
@@ -100,18 +115,11 @@ func BenchmarkShuffle(b *testing.B) {
 		ValueSchema:    countSchema,
 	}
 	ctx := context.Background()
-	run := func() {
+	return func() {
 		if _, err := e.Submit(ctx, job); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	run() // fills the record path's pools before the timed jobs
-	b.ReportAllocs()
-	for b.Loop() {
-		run()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/record")
-	reportWarmAllocs(b, run)
 }
 
 // reportWarmAllocs replaces a benchmark's B/op and allocs/op with what a

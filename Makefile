@@ -79,6 +79,10 @@ vet:
 # (FileSystem.ReadDecoded), so openColumnFile is called only there and by
 # the fuzz targets (fuzz_test.go), and no non-test colstore code reads a .col
 # or _stats file with ReadAll (only the table's _schema is read that way).
+# Nor does a semi-join bitmap made per query: a filter's verdict on each
+# dictionary entry of a column file is kept on the colFile (keyBitsFor), so
+# no non-test colstore code outside bloom.go probes a bloom (MayContain), and
+# a partition's plan makes no map (planPartition).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -124,6 +128,9 @@ no-deprecated:
 		inOpen && /^}/ { inOpen = 0 } END { exit !found }' $$(ls internal/colstore/*.go | grep -v '/fuzz_test\.go$$') || \
 		grep -n ReadAll $$(ls internal/colstore/*.go | grep -v _test.go) | grep -v SchemaFileName; then \
 		echo "one open path for a column file: openColumn, memoized on the HDFS block (ReadDecoded); no other openColumnFile call outside fuzz_test.go, no ReadAll of a .col or _stats file in internal/colstore"; exit 1; fi
+	@if grep -n 'MayContain(' $$(ls internal/colstore/*.go | grep -v -e _test.go -e '/bloom\.go$$') || \
+		awk '/^func \(r \*cifReader\) planPartition\(/,/^}/' internal/colstore/cif.go | grep -n 'make(map'; then \
+		echo "one semi-join bitmap per column file and bloom: keyBitsFor (bloom.go) keeps it on the colFile; no bloom probe elsewhere in internal/colstore, no map made in planPartition"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

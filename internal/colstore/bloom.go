@@ -1,5 +1,7 @@
 package colstore
 
+import "weak"
+
 // Semi-join filter pushdown (sideways information passing): after the driver
 // scans a filtered dimension, the set of surviving join keys is summarized
 // into a bloom filter and pushed into the fact scan, where rows whose FK is
@@ -54,7 +56,10 @@ func NewKeyBloom(keys []int64, bitsPerKey int) *KeyBloom {
 }
 
 // MayContain reports whether k may be in the set. False is definitive (k was
-// never added); true may be a false positive.
+// never added); true may be a false positive. The scan probes a filter in
+// two places only, both below: once per dictionary entry of a column file
+// (keyBitsFor), and once per row of a column with no integer dictionary
+// (keepRows).
 func (b *KeyBloom) MayContain(k int64) bool {
 	idx, pattern := bloomPos(k)
 	return b.words[idx&b.mask]&pattern == pattern
@@ -87,4 +92,50 @@ func bloomPos(k int64) (idx uint64, pattern uint64) {
 type KeyFilter struct {
 	Column string
 	Keys   *KeyBloom
+}
+
+// keyBits is a semi-join filter over one column file's integer dictionary:
+// bits[code] is whether the filter may contain that entry, passing how many
+// entries do. It is read-only once made.
+type keyBits struct {
+	bits    []bool
+	passing int
+}
+
+// keyBitsFor returns which of the column's intDict entries b may contain.
+// Both are immutable, so the answer is made on the first call for b and
+// kept on the colFile, which lives as long as its HDFS block: every later
+// partition plan with b reads it. The entry is keyed by b held weakly, so
+// it keeps no filter alive: once the filter's owner (the driver's
+// dimension memo) drops it, the next insert on this column deletes its
+// entry.
+func (f *colFile) keyBitsFor(b *KeyBloom) *keyBits {
+	key := weak.Make(b)
+	f.bloomsMu.Lock()
+	defer f.bloomsMu.Unlock()
+	if kb := f.blooms[key]; kb != nil {
+		return kb
+	}
+	kb := &keyBits{bits: make([]bool, len(f.intDict))}
+	for c, v := range f.intDict {
+		if kb.bits[c] = b.MayContain(v); kb.bits[c] {
+			kb.passing++
+		}
+	}
+	if f.blooms == nil {
+		f.blooms = make(map[weak.Pointer[KeyBloom]]*keyBits)
+	}
+	for k := range f.blooms {
+		if k.Value() == nil {
+			delete(f.blooms, k)
+		}
+	}
+	f.blooms[key] = kb
+	return kb
+}
+
+// keepRows deselects the selected rows whose key b proves absent; ints is
+// the key column's values, indexed by position in the block.
+func (b *KeyBloom) keepRows(s *selection, ints []int64) {
+	s.keepIf(func(i int32) bool { return b.MayContain(ints[i]) })
 }

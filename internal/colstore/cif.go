@@ -161,7 +161,7 @@ func (w *CIFWriter) flushPartition() error {
 		col := w.block.Col(i)
 		enc, payload, dict := encodeColumn(col)
 		ps.Cols[i] = columnStats(w.schema.Field(i).Name, col, dict)
-		files = append(files, hdfs.File{Path: fmt.Sprintf("%s/%s.col", pdir, w.schema.Field(i).Name), Data: columnFile(col.Len(), enc, payload)})
+		files = append(files, hdfs.File{Path: columnPath(pdir, w.schema.Field(i).Name), Data: columnFile(col.Len(), enc, payload)})
 	}
 	files = append(files, hdfs.File{Path: pdir + "/" + StatsFileName, Data: ps.encode()})
 	if err := w.fs.WriteFiles("", files); err != nil {
@@ -364,6 +364,20 @@ type CIFSplit struct {
 	PartitionDir string
 	Hosts        []string
 	bytes        int64
+	paths        []string // the projected columns' files, in projected order
+}
+
+// columnPath is the file of the named column in the partition at pdir.
+func columnPath(pdir, name string) string { return pdir + "/" + name + ".col" }
+
+// columnPaths is the file of every column of schema in the partition at
+// pdir, in schema order.
+func columnPaths(pdir string, schema *records.Schema) []string {
+	paths := make([]string, schema.Len())
+	for i := range paths {
+		paths[i] = columnPath(pdir, schema.Field(i).Name)
+	}
+	return paths
 }
 
 // Locations implements mr.InputSplit.
@@ -492,11 +506,7 @@ func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 		return nil, err
 	}
 	parts := in.Snapshot
-	if parts != nil {
-		// Pruning filters in place; the pinned snapshot slice must survive
-		// for the registry's pin accounting, so work on a copy.
-		parts = append([]string(nil), parts...)
-	} else {
+	if parts == nil {
 		var err error
 		parts, err = ListPartitions(ctx.FS, in.Dir)
 		if err != nil {
@@ -506,15 +516,15 @@ func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("colstore: CIF table %s has no partitions", in.Dir)
 	}
-	parts, err := in.prunePartitions(ctx, parts)
-	if err != nil {
-		return nil, err
+	// Each column file's path is built once, here: pruning sizes a dropped
+	// partition by them and a reader opens a kept one through them.
+	raw := make([]*CIFSplit, len(parts))
+	for i, pdir := range parts {
+		raw[i] = &CIFSplit{PartitionDir: pdir, paths: columnPaths(pdir, in.projected)}
 	}
-	var raw []*CIFSplit
-	for _, pdir := range parts {
-		s := &CIFSplit{PartitionDir: pdir}
-		for i := 0; i < in.projected.Len(); i++ {
-			path := fmt.Sprintf("%s/%s.col", pdir, in.projected.Field(i).Name)
+	raw = in.prunePartitions(ctx, raw)
+	for _, s := range raw {
+		for _, path := range s.paths {
 			info, err := ctx.FS.Stat(path)
 			if err != nil {
 				return nil, err
@@ -530,7 +540,6 @@ func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 				}
 			}
 		}
-		raw = append(raw, s)
 	}
 
 	threads := ctx.Conf.MapThreads
@@ -576,25 +585,25 @@ func (in *CIFInput) Splits(ctx *mr.JobContext) ([]mr.InputSplit, error) {
 	return out, nil
 }
 
-// prunePartitions drops partitions whose zone maps prove the predicate can
+// prunePartitions drops the splits whose zone maps prove the predicate can
 // match no row. Missing or unreadable stats keep the partition (never prune
 // on uncertainty). Pruning counters and a "prune" span are charged to the
 // job even when nothing is pruned, so reports can show 0 explicitly.
-func (in *CIFInput) prunePartitions(ctx *mr.JobContext, parts []string) ([]string, error) {
+func (in *CIFInput) prunePartitions(ctx *mr.JobContext, splits []*CIFSplit) []*CIFSplit {
 	preds := in.PrunePreds
 	if in.Pred != nil {
 		preds = append([]expr.Pred{in.Pred}, preds...)
 	}
 	if in.DisablePruning || len(preds) == 0 {
-		return parts, nil
+		return splits
 	}
 	start := time.Now()
-	kept := parts[:0]
+	kept := splits[:0]
 	var pruned, rowsPruned, bytesSkipped int64
-	for _, pdir := range parts {
-		ps, err := ReadPartitionStats(ctx.FS, pdir)
+	for _, s := range splits {
+		ps, err := ReadPartitionStats(ctx.FS, s.PartitionDir)
 		if err != nil || ps == nil {
-			kept = append(kept, pdir)
+			kept = append(kept, s)
 			continue
 		}
 		drop := false
@@ -606,13 +615,12 @@ func (in *CIFInput) prunePartitions(ctx *mr.JobContext, parts []string) ([]strin
 			}
 		}
 		if !drop {
-			kept = append(kept, pdir)
+			kept = append(kept, s)
 			continue
 		}
 		pruned++
 		rowsPruned += ps.Rows
-		for i := 0; i < in.projected.Len(); i++ {
-			path := fmt.Sprintf("%s/%s.col", pdir, in.projected.Field(i).Name)
+		for _, path := range s.paths {
 			if info, err := ctx.FS.Stat(path); err == nil {
 				bytesSkipped += info.Size
 			}
@@ -638,7 +646,7 @@ func (in *CIFInput) prunePartitions(ctx *mr.JobContext, parts []string) ([]strin
 		ctx.Trace.NewChild().Fill(&s, ctx.Trace.Span)
 		ctx.Tracer.Emit(s)
 	}
-	return kept, nil
+	return kept
 }
 
 func (in *CIFInput) resolve(fs *hdfs.FileSystem) error {
@@ -849,10 +857,23 @@ type codeCol struct {
 type codesWhen uint8
 
 const (
-	codesEarly codesWhen = iota
+	codesUnread codesWhen = iota // no reader yet (planPartition only)
+	codesEarly
 	codesAtFilter
 	codesLate
 )
+
+// planCol is what planPartition gathers about one projected column before
+// it lays the plan out: whether the column's values must exist for all rows
+// before residual predicates or value-form filters run, its first reader if
+// it is a dictionary column, and the intersected range of the conjuncts
+// fused into its frame-of-reference decode.
+type planCol struct {
+	needVals bool
+	when     codesWhen
+	fused    bool
+	lo, hi   int64
+}
 
 // codeBitmap is a per-dictionary-entry decision: bits[code] is whether a
 // row carrying that code passes. Predicates and bloom filters are evaluated
@@ -862,7 +883,8 @@ type codeBitmap struct {
 	bits []bool
 }
 
-// codeFilter is a semi-join filter as a code bitmap; decode marks the filter
+// codeFilter is a semi-join filter as a code bitmap, whose bits belong to
+// the column file (keyBitsFor) and are only read; decode marks the filter
 // that is its column's first reader and so decodes it.
 type codeFilter struct {
 	codeBitmap
@@ -874,11 +896,12 @@ type codeFilter struct {
 // encodings: single-column conjuncts on dictionary columns become code
 // bitmaps, range conjuncts on frame-of-reference columns fuse into decode
 // (settled per frame where the frame's bounds decide them), semi-join
-// filters on dictionary columns become code bitmaps (the bloom is probed
-// once per dictionary entry, not once per row) applied in order of the
-// share of the dictionary they pass, so that the columns of the later ones
-// are decoded for few rows, and everything else falls back to per-row
-// evaluation over materialized values.
+// filters on integer dictionary columns become code bitmaps applied in
+// order of the share of the dictionary they pass, so that the columns of
+// the later ones are decoded for few rows, and everything else falls back
+// to per-row evaluation over materialized values. A filter's bitmap is the
+// column file's own (keyBitsFor): the bloom is probed once per dictionary
+// entry per column file, not per query, and the plan only reads the bits.
 func (r *cifReader) planPartition() {
 	r.plan = partPlan{}
 	r.havePlan = r.in.planned
@@ -888,12 +911,7 @@ func (r *cifReader) planPartition() {
 	p := &r.plan
 	codeOK := !r.in.DisableCodeSpacePreds
 
-	// needVals marks early columns whose values must exist for all rows
-	// before residual predicates or value-form filters run; when is each
-	// dictionary column's first reader.
-	needVals := make(map[int]bool)
-	when := make(map[int]codesWhen)
-	fused := make(map[int]fusedRange)
+	cols := make([]planCol, len(r.decs))
 	for _, cp := range r.in.conj {
 		var dec *colDecoder
 		if cp.col >= 0 {
@@ -905,44 +923,32 @@ func (r *cifReader) planPartition() {
 				bits[c] = cp.vp(dec.dictValue(c))
 			}
 			p.codePreds = append(p.codePreds, codeBitmap{col: cp.col, bits: bits})
-			when[cp.col] = codesEarly
+			cols[cp.col].when = codesEarly
 			continue
 		}
 		if codeOK && dec != nil && dec.enc == EncFOR && cp.ranged {
-			f, ok := fused[cp.col]
-			if !ok {
-				f = fusedRange{col: cp.col, lo: cp.lo, hi: cp.hi}
+			pc := &cols[cp.col]
+			if !pc.fused {
+				pc.fused, pc.lo, pc.hi = true, cp.lo, cp.hi
 			} else {
 				// Several range conjuncts on one column intersect.
-				if cp.lo > f.lo {
-					f.lo = cp.lo
-				}
-				if cp.hi < f.hi {
-					f.hi = cp.hi
-				}
+				pc.lo, pc.hi = max(pc.lo, cp.lo), min(pc.hi, cp.hi)
 			}
-			fused[cp.col] = f
 			continue
 		}
 		p.rowPreds = append(p.rowPreds, cp.bp)
 		for _, c := range cp.cols {
-			needVals[c] = true
-			when[c] = codesEarly
+			cols[c].needVals, cols[c].when = true, codesEarly
 		}
 	}
 	for _, f := range r.in.filters {
 		dec := r.decs[f.col]
 		if codeOK && dec.enc == EncDictI64 {
-			cf := codeFilter{codeBitmap: codeBitmap{col: f.col, bits: make([]bool, len(dec.intDict))}}
-			for c, v := range dec.intDict {
-				if cf.bits[c] = f.keys.MayContain(v); cf.bits[c] {
-					cf.passing++
-				}
-			}
-			p.codeFilts = append(p.codeFilts, cf)
+			kb := dec.keyBitsFor(f.keys)
+			p.codeFilts = append(p.codeFilts, codeFilter{codeBitmap: codeBitmap{col: f.col, bits: kb.bits}, passing: kb.passing})
 		} else {
 			p.valFilts = append(p.valFilts, f)
-			needVals[f.col] = true
+			cols[f.col].needVals = true
 		}
 	}
 	sort.SliceStable(p.codeFilts, func(i, j int) bool {
@@ -951,24 +957,25 @@ func (r *cifReader) planPartition() {
 	})
 	for i := range p.codeFilts {
 		f := &p.codeFilts[i]
-		if _, read := when[f.col]; !read {
-			f.decode, when[f.col] = true, codesAtFilter
+		if cols[f.col].when == codesUnread {
+			f.decode, cols[f.col].when = true, codesAtFilter
 		}
 	}
 	for _, c := range r.in.earlyIdx {
-		if f, ok := fused[c]; ok {
-			p.fused = append(p.fused, f)
+		pc := &cols[c]
+		if pc.fused {
+			p.fused = append(p.fused, fusedRange{col: c, lo: pc.lo, hi: pc.hi})
 			continue
 		}
 		dec := r.decs[c]
 		switch {
 		case codeOK && dec.dictSize() > 0:
-			w, read := when[c]
-			if !read {
+			w := pc.when
+			if w == codesUnread {
 				w = codesLate
 			}
-			p.codeCols = append(p.codeCols, codeCol{col: c, fullVals: needVals[c], when: w})
-		case needVals[c]:
+			p.codeCols = append(p.codeCols, codeCol{col: c, fullVals: pc.needVals, when: w})
+		case pc.needVals:
 			p.preVals = append(p.preVals, c)
 		default:
 			// Early by request (e.g. an FK nothing filters on) but not read
@@ -1042,14 +1049,13 @@ func openColumn(fs *hdfs.FileSystem, path, node string, sc obs.SpanContext, kind
 	return openColumnFile(path, data, kind)
 }
 
-// openPartition opens the column file of every schema column of the
-// partition at pdir, read as node with the reads parented at sc, and checks
-// that they agree on the row count, which it returns.
-func openPartition(fs *hdfs.FileSystem, pdir string, schema *records.Schema, node string, sc obs.SpanContext) ([]*colDecoder, int, error) {
-	decs := make([]*colDecoder, schema.Len())
+// openPartition opens the column files at paths, one per schema column in
+// schema order, read as node with the reads parented at sc, and checks that
+// they agree on the row count, which it returns.
+func openPartition(fs *hdfs.FileSystem, paths []string, schema *records.Schema, node string, sc obs.SpanContext) ([]*colDecoder, int, error) {
+	decs := make([]*colDecoder, len(paths))
 	rows := 0
-	for i := range decs {
-		path := fmt.Sprintf("%s/%s.col", pdir, schema.Field(i).Name)
+	for i, path := range paths {
 		f, err := openColumn(fs, path, node, sc, schema.Field(i).Kind)
 		if err != nil {
 			return nil, 0, err
@@ -1081,7 +1087,7 @@ func (r *cifReader) load() error {
 	local := slices.Contains(r.split.Locations(), r.ctx.Node().ID())
 	reading := r.ctx.BeginThread(obs.PhaseRead)
 	defer reading.End("partition", r.split.PartitionDir, "local", strconv.FormatBool(local))
-	decs, rows, err := openPartition(r.ctx.FS, r.split.PartitionDir, r.schema, r.ctx.Node().ID(), reading.Trace)
+	decs, rows, err := openPartition(r.ctx.FS, r.split.paths, r.schema, r.ctx.Node().ID(), reading.Trace)
 	if err != nil {
 		return err
 	}
@@ -1250,8 +1256,7 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 			s.keepCodes(r.codeBufs[f.col], f.bits)
 		}
 		for _, vf := range p.valFilts {
-			ints := r.block.Col(vf.col).Ints
-			s.keepIf(func(i int32) bool { return vf.keys.MayContain(ints[i]) })
+			vf.keys.keepRows(s, r.block.Col(vf.col).Ints)
 		}
 		selected := s.count
 		if r.ctx.Counters != nil {

@@ -45,12 +45,13 @@ type CompactResult struct {
 // Compact runs one compaction pass over the table at dir: gather every
 // committed partition smaller than MinRows (needs at least two to be worth
 // a rewrite), optionally re-sort by ClusterBy, stage full-size replacement
-// partitions, and commit the exchange in one atomic swap. It holds the
-// registry's writer lock throughout, so the partitions it lists stay put
-// without a pin. Returns an empty result when there is nothing to compact.
+// partitions, and commit the exchange in one atomic swap. The gathering —
+// listing, stats, the scan and the sort — reads a pinned snapshot without
+// the registry's writer lock, so roll-ins publish beside it; the lock is
+// held only to stage and swap. If by then another writer (a compaction, a
+// retention) has retired any of the inputs, the pass stages nothing and
+// returns an empty result, as it does when there is nothing to compact.
 func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, error) {
-	reg.write.Lock()
-	defer reg.write.Unlock()
 	if opts.MinRows <= 0 {
 		opts.MinRows = DefaultPartitionRows / 4
 	}
@@ -58,16 +59,19 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 		opts.TargetRows = DefaultPartitionRows
 	}
 	fs := reg.fs
-	parts, err := ListPartitions(fs, dir)
+	// The pin keeps the inputs on disk while they are read, whoever
+	// retires them meanwhile.
+	sn, err := reg.Acquire(dir)
 	if err != nil {
 		return nil, err
 	}
+	defer sn.Release()
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	var small []string
-	for _, pdir := range parts {
+	for _, pdir := range sn.Parts {
 		ps, err := ReadPartitionStats(fs, pdir)
 		if err != nil || ps == nil {
 			continue // no stats, no verdict: leave the partition alone
@@ -99,6 +103,14 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 		})
 	}
 
+	reg.write.Lock()
+	defer reg.write.Unlock()
+	_, committed := scanPartitionDirs(fs, dir)
+	for _, pdir := range small {
+		if !committed[pdir] {
+			return &CompactResult{}, nil // another writer retired it first
+		}
+	}
 	w, err := StagePartitions(fs, dir, opts.TargetRows)
 	if err != nil {
 		return nil, err
@@ -163,7 +175,7 @@ func ExpireBefore(reg *Snapshots, dir, col string, cutoff int64) ([]string, erro
 // decoding every schema column. Records own their values — fn may retain
 // them.
 func ScanCIFPartition(fs *hdfs.FileSystem, pdir string, schema *records.Schema, clientNode string, fn func(records.Record) error) error {
-	decs, nrows, err := openPartition(fs, pdir, schema, clientNode, obs.SpanContext{})
+	decs, nrows, err := openPartition(fs, columnPaths(pdir, schema), schema, clientNode, obs.SpanContext{})
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
+	"weak"
 
 	"clydesdale/internal/records"
 )
@@ -361,9 +363,10 @@ func unpack[T uint32 | int64](dst []T, buf []byte, bit int, w uint, base T) T {
 
 // colFile is one column payload taken apart: its encoding, row count,
 // dictionary or frame directory, and the packed region or stream they
-// index. It is read-only once opened, so one colFile serves any number of
-// readers at once, each through its own colDecoder. A CIF column file's is
-// kept on its HDFS block for as long as the block lives (openColumn).
+// index. It is read-only once opened but for the filter bitmaps it keeps
+// under bloomsMu, so one colFile serves any number of readers at once, each
+// through its own colDecoder. A CIF column file's is kept on its HDFS block
+// for as long as the block lives (openColumn).
 type colFile struct {
 	kind    records.Kind
 	enc     Encoding
@@ -375,6 +378,12 @@ type colFile struct {
 	frames  []forFrame // EncFOR only
 
 	desc *records.ColumnDict // the dictionary's descriptor, set by openColumnFile
+
+	// blooms holds, per semi-join filter the column has been probed with,
+	// which intDict entries it passes (keyBitsFor, bloom.go): made once
+	// per filter, read by every reader of the column after.
+	bloomsMu sync.Mutex
+	blooms   map[weak.Pointer[KeyBloom]]*keyBits
 }
 
 // colDecoder reads a colFile through a row cursor of its own. It supports

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clydesdale/internal/records"
@@ -100,8 +101,11 @@ func TestHandlesShareOneRegistry(t *testing.T) {
 
 // TestWritersSerialize: two compactions of one table, and then a roll-in
 // and a compaction, run at once, each through its own handle on the
-// filesystem. The registry's writer lock lets one through at a time, so no
-// small partition is rewritten twice and no two writers stage into one
+// filesystem. A compaction reads its inputs through a pin, outside the
+// registry's writer lock, and takes the lock to stage and swap, where it
+// re-lists the table and publishes nothing if another writer retired an
+// input meanwhile; the lock lets one writer stage and publish at a time. So
+// no small partition is rewritten twice and no two writers stage into one
 // partition name: after every trial both writers succeeded and the table
 // holds exactly the acknowledged rows, counted and summed by id.
 func TestWritersSerialize(t *testing.T) {
@@ -649,4 +653,123 @@ func TestVersionMemo(t *testing.T) {
 	if v, ok := m.Get("b", 7, "k"); !ok || v != 70 {
 		t.Fatalf("b@7/k = (%d, %v)", v, ok)
 	}
+}
+
+// holdFirstRead is a read fault injector that stops the first block read
+// after it is installed until release is closed, having closed entered;
+// every other read passes.
+type holdFirstRead struct {
+	taken            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (h *holdFirstRead) BeforeBlockRead(string, int64) error {
+	if h.taken.CompareAndSwap(false, true) {
+		close(h.entered)
+		<-h.release
+	}
+	return nil
+}
+
+// compactHeldInRead starts a compaction of /cif (ten 40-row partitions and
+// up) and holds it at its first block read, inside its read phase. It fails
+// the test if the compaction holds the registry's writer lock there; else
+// it returns a function that lets the compaction go and waits for it.
+func compactHeldInRead(t *testing.T, e *env, reg *Snapshots) func() (*CompactResult, error) {
+	t.Helper()
+	h := &holdFirstRead{entered: make(chan struct{}), release: make(chan struct{})}
+	e.fs.SetReadFaultInjector(h)
+	var res *CompactResult
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = Compact(reg, "/cif", CompactOptions{MinRows: 100, TargetRows: 400})
+	}()
+	<-h.entered
+	finish := func() (*CompactResult, error) {
+		close(h.release)
+		<-done
+		return res, err
+	}
+	if !reg.write.TryLock() {
+		finish()
+		t.Fatal("a compaction reading its inputs holds the writer lock")
+	}
+	reg.write.Unlock()
+	return finish
+}
+
+// tableHolds fails the test unless /cif holds exactly the rows with ids
+// [lo, hi), every partition directory on disk is committed, and want
+// partitions are live.
+func tableHolds(t *testing.T, e *env, lo, hi, want int) {
+	t.Helper()
+	var rows, sum int64
+	if err := ScanCIFTable(e.fs, "/cif", "", func(r records.Record) error {
+		rows++
+		sum += r.Get("id").Int64()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, s := int64(hi-lo), int64(hi*(hi-1)/2-lo*(lo-1)/2); rows != n || sum != s {
+		t.Errorf("%d rows summing to %d, want ids [%d, %d): %d rows summing to %d", rows, sum, lo, hi, n, s)
+	}
+	all, committed := scanPartitionDirs(e.fs, "/cif")
+	if len(all) != want || len(committed) != want {
+		t.Errorf("%d partition directories, %d committed; want %d, all committed", len(all), len(committed), want)
+	}
+}
+
+// TestRollInBesideCompactRead: a roll-in publishes while a compaction is held
+// inside its read phase. Let go, the compaction finds its inputs still
+// committed and exchanges them; the roll-in's partitions are not among
+// them, and the table holds every acknowledged row once.
+func TestRollInBesideCompactRead(t *testing.T) {
+	e := newEnv(2, 4096)
+	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 40, genRows(400)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewSnapshots(e.fs)
+	finish := compactHeldInRead(t, e, reg)
+	_, rolled, err := reg.RollIn("/cif", 40, rowsFrom(400, 80))
+	res, cerr := finish()
+	if err != nil || cerr != nil {
+		t.Fatalf("roll-in: %v; compaction: %v", err, cerr)
+	}
+	if len(res.Retired) != 10 || len(res.Published) != 1 || res.Rows != 400 {
+		t.Fatalf("compaction retired %d partitions and published %d with %d rows, want 10, 1 and 400", len(res.Retired), len(res.Published), res.Rows)
+	}
+	for _, p := range rolled {
+		if slices.Contains(res.Retired, p) {
+			t.Errorf("the compaction retired %s, published after it pinned its inputs", p)
+		}
+	}
+	tableHolds(t, e, 0, 480, 1+len(rolled))
+}
+
+// TestCompactInputRetiredMidRead: a retention retires one of a compaction's
+// inputs while the compaction reads them. Let go, the compaction sees the
+// input gone, stages and publishes nothing, and the table holds exactly the
+// rows the retention left.
+func TestCompactInputRetiredMidRead(t *testing.T) {
+	e := newEnv(2, 4096)
+	if _, err := WriteCIFTable(e.fs, "/cif", tblSchema, 40, genRows(400)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewSnapshots(e.fs)
+	finish := compactHeldInRead(t, e, reg)
+	expired, err := ExpireBefore(reg, "/cif", "id", 40)
+	res, cerr := finish()
+	if err != nil || cerr != nil {
+		t.Fatalf("retention: %v; compaction: %v", err, cerr)
+	}
+	if len(expired) != 1 {
+		t.Fatalf("retention retired %v, want the first partition", expired)
+	}
+	if len(res.Retired) != 0 || len(res.Published) != 0 || res.Rows != 0 {
+		t.Fatalf("compaction of a retired input retired %v and published %v", res.Retired, res.Published)
+	}
+	tableHolds(t, e, 40, 400, 9)
 }

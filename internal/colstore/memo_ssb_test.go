@@ -44,8 +44,11 @@ type scanCase struct {
 
 // ssbScanCases reads each table whole, projected to every other column, and
 // behind a predicate on an integer and on a string column; the fact table
-// also behind semi-join filters, with and without a predicate, behind a
-// predicate its zone maps prune by, and behind one with pruning off.
+// also behind semi-join filters, with and without a predicate, behind
+// another bloom on a column the first filters also read, behind two blooms
+// on one column, behind a predicate its zone maps prune by, and behind one
+// with pruning off. The key-filter cases are those named "*-bloom*" or
+// "*key-filters".
 func ssbScanCases() []scanCase {
 	var cases []scanCase
 	for _, table := range ssbTables {
@@ -100,6 +103,17 @@ func ssbScanCases() []scanCase {
 		add("pred-and-key-filters", func(in *colstore.CIFInput) {
 			in.KeyFilters, in.EagerColumns = filters, []string{"lo_custkey"}
 			in.Pred = expr.And(expr.Le(expr.Col("lo_quantity"), expr.ConstInt(25)), expr.Ge(expr.Col("lo_discount"), expr.ConstInt(2)))
+		})
+		// The same column files as the filters above, probed with other
+		// blooms: a bitmap kept for one bloom must not answer for another.
+		other, fourth := bloom(7), bloom(4)
+		add("other-bloom", func(in *colstore.CIFInput) {
+			in.KeyFilters = []colstore.KeyFilter{{Column: "lo_custkey", Keys: other}}
+			in.Columns = []string{"lo_custkey", "lo_revenue"}
+		})
+		add("two-blooms-one-column", func(in *colstore.CIFInput) {
+			in.KeyFilters = []colstore.KeyFilter{{Column: "lo_custkey", Keys: fourth}, {Column: "lo_custkey", Keys: other}}
+			in.Columns = []string{"lo_custkey", "lo_orderdate", "lo_revenue"}
 		})
 		add("pruned", func(in *colstore.CIFInput) { in.Pred = expr.Le(expr.Col("lo_orderkey"), expr.ConstInt(1000)) })
 		add("pred-no-pruning", func(in *colstore.CIFInput) {
@@ -178,32 +192,34 @@ func scanInput(t *testing.T, c *cluster.Cluster, fs *hdfs.FileSystem, in *colsto
 }
 
 // TestWarmMemoScansLikeFreshOpens: on every SSB table, whole, projected,
-// behind predicates and behind semi-join filters, the blocks a scan reads
-// through a warm memo and recycled scratch — the third scan of the table on
-// one filesystem — equal, with their codes and dictionaries, those of a
-// scan whose every column file is opened for the first time, and so do the
-// scan counters.
+// behind predicates and behind semi-join filters, the blocks each of three
+// scans of the table on one filesystem reads — the later two through a warm
+// memo, recycled scratch and the filter bitmaps the column files keep, after
+// every case before them has filled those with its own filters — equal, with
+// their codes and dictionaries, those of a scan whose every column file is
+// opened for the first time, and so do the scan counters.
 func TestWarmMemoScansLikeFreshOpens(t *testing.T) {
 	c, warm := loadSSBCIF(t)
 	total := map[string]int64{}
 	for _, sc := range ssbScanCases() {
-		for i := 0; i < 2; i++ {
-			scanInput(t, c, warm, sc.in())
-		}
-		got, gotCtr := scanInput(t, c, warm, sc.in())
 		fc, fresh := loadSSBCIF(t)
 		want, wantCtr := scanInput(t, fc, fresh, sc.in())
 		if len(want) == 0 {
 			t.Fatalf("%s: the fresh scan read no block", sc.name)
 		}
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: %d blocks through the warm memo, %d fresh, and they differ", sc.name, len(got), len(want))
-		}
 		for name, v := range wantCtr {
-			if gotCtr[name] != v {
-				t.Errorf("%s: counter %s = %d warm, %d fresh", sc.name, name, gotCtr[name], v)
-			}
 			total[name] += v
+		}
+		for i := 0; i < 3; i++ {
+			got, gotCtr := scanInput(t, c, warm, sc.in())
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: scan %d read %d blocks through the memo, %d fresh, and they differ", sc.name, i+1, len(got), len(want))
+			}
+			for name, v := range wantCtr {
+				if gotCtr[name] != v {
+					t.Errorf("%s: scan %d counted %s = %d, %d fresh", sc.name, i+1, name, gotCtr[name], v)
+				}
+			}
 		}
 	}
 	for _, name := range []string{colstore.CtrPartitionsPruned, colstore.CtrRowsLateSkipped, colstore.CtrRowsBloomSkipped, colstore.CtrBlocksSkipped} {
@@ -254,13 +270,19 @@ func interleaved(t *testing.T, c *cluster.Cluster, jctx *mr.JobContext, in *cols
 // TestConcurrentReadersShareTheMemo: two readers of one split taking turns
 // on one goroutine, and readers of one input on several goroutines at once,
 // each reading every split in its own order, read the blocks one reader
-// reads alone. The column files and their dictionaries are shared; the
-// cursors and the scratch are not.
+// reads alone; so do readers of inputs with different semi-join filters,
+// one goroutine each, racing to fill the filter bitmaps of column files no
+// reader has opened yet. The column files, their dictionaries and their
+// filter bitmaps are shared; the cursors and the scratch are not.
 func TestConcurrentReadersShareTheMemo(t *testing.T) {
 	c, fs := loadSSBCIF(t)
+	var filtered []scanCase
 	for _, sc := range ssbScanCases() {
 		if !strings.HasPrefix(sc.name, "lineorder/") {
 			continue
+		}
+		if strings.Contains(sc.name, "bloom") || strings.HasSuffix(sc.name, "key-filters") {
+			filtered = append(filtered, sc)
 		}
 		in := sc.in()
 		jctx := &mr.JobContext{FS: fs, Cluster: c, Conf: mr.Conf{MapThreads: 2}, Counters: mr.NewCounters()}
@@ -290,4 +312,40 @@ func TestConcurrentReadersShareTheMemo(t *testing.T) {
 		}
 		wg.Wait()
 	}
+
+	// Readers with different filters: the lone readers' blocks come from one
+	// filesystem, the racing readers' from another no scan has touched.
+	cold, coldFS := loadSSBCIF(t)
+	want := make([][][]string, len(filtered))
+	for k, sc := range filtered {
+		in := sc.in()
+		jctx := &mr.JobContext{FS: fs, Cluster: c, Conf: mr.Conf{MapThreads: 2}, Counters: mr.NewCounters()}
+		splits, err := in.Splits(jctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range splits {
+			want[k] = append(want[k], scanSplit(t, c, jctx, in, s))
+		}
+	}
+	var wg sync.WaitGroup
+	for k, sc := range filtered {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in := sc.in()
+			jctx := &mr.JobContext{FS: coldFS, Cluster: cold, Conf: mr.Conf{MapThreads: 2}, Counters: mr.NewCounters()}
+			splits, err := in.Splits(jctx)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, s := range splits {
+				if got := scanSplit(t, cold, jctx, in, s); i >= len(want[k]) || !slices.Equal(got, want[k][i]) {
+					t.Errorf("%s: split %d read beside readers with other filters unlike a reader alone", sc.name, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

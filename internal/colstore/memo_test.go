@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"runtime"
 	"testing"
 
 	"clydesdale/internal/obs"
@@ -67,5 +68,70 @@ func TestOneColumnFilePerBlock(t *testing.T) {
 	}
 	if ps, _ := ReadPartitionStats(e.fs, "/memo/p-00000"); ps == nil || ps.Rows != 70 {
 		t.Fatalf("after a rewrite the zone map reads %+v", ps)
+	}
+}
+
+// TestKeyBitsGoWithTheirBloom: a column file keeps one filter bitmap per
+// bloom it is probed with, answered again without a probe, and each bit is
+// the bloom's verdict on that dictionary entry; a bloom its owner dropped
+// takes its bitmap with it at the next insert after a collection.
+func TestKeyBitsGoWithTheirBloom(t *testing.T) {
+	e := newEnv(2, 1<<20)
+	if _, err := WriteCIFTable(e.fs, "/keys", smallSchema, 1024, func(emit func(records.Record) error) error {
+		for i := 0; i < 1024; i++ {
+			if err := emit(records.Make(smallSchema, records.Int(int64(i)), records.Int(int64(i*7919%500)),
+				records.Str("t"), records.Float(0))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := openColumn(e.fs, "/keys/p-00000/fk.col", "", obs.SpanContext{}, records.KindInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.enc != EncDictI64 {
+		t.Fatalf("fk stored as %s, want %s", f.enc, EncDictI64)
+	}
+	every := func(step int64) *KeyBloom {
+		var keys []int64
+		for k := int64(0); k < 500; k += step {
+			keys = append(keys, k)
+		}
+		return NewKeyBloom(keys, 10)
+	}
+	// Probed with a bloom nothing else holds.
+	func() { f.keyBitsFor(every(2)) }()
+	if len(f.blooms) != 1 {
+		t.Fatalf("%d bitmaps after one bloom", len(f.blooms))
+	}
+
+	kept := every(3)
+	runtime.GC()
+	kb := f.keyBitsFor(kept)
+	if len(f.blooms) != 1 {
+		t.Errorf("%d bitmaps after the first bloom was dropped and collected, want the kept one's only", len(f.blooms))
+	}
+	for k := range f.blooms {
+		if k.Value() != kept {
+			t.Errorf("the bitmap left is keyed by %p, want the kept bloom %p", k.Value(), kept)
+		}
+	}
+	if again := f.keyBitsFor(kept); again != kb {
+		t.Error("a second plan with the same bloom made its bitmap again")
+	}
+	passing := 0
+	for c, v := range f.intDict {
+		if kb.bits[c] != kept.MayContain(v) {
+			t.Fatalf("entry %d (%d): bit %v, bloom says %v", c, v, kb.bits[c], kept.MayContain(v))
+		}
+		if kb.bits[c] {
+			passing++
+		}
+	}
+	if kb.passing != passing || passing == 0 || passing == len(f.intDict) {
+		t.Errorf("passing = %d, counted %d of %d entries", kb.passing, passing, len(f.intDict))
 	}
 }

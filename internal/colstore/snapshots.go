@@ -28,11 +28,13 @@ import (
 //     the mutex Acquire takes, so a snapshot observes a table strictly
 //     before or strictly after a batch — never a half-published roll-in or
 //     a half-retired compaction.
-//   - The writer lock. RollIn, AppendRows, Compact, ExpireBefore,
-//     SweepUncommitted and Bump hold it from staging through the publish,
-//     so one writer at a time changes a filesystem's tables. Queries
-//     (Acquire, Versions, Release) never take it. A rows callback must not
-//     write through the registry: it would wait on its own lock.
+//   - The writer lock. RollIn, AppendRows, ExpireBefore, SweepUncommitted
+//     and Bump hold it from staging through the publish, and Compact from
+//     staging its rewrite through the swap (it reads its inputs through a
+//     pin beforehand), so one writer at a time changes a filesystem's
+//     tables. Queries (Acquire, Versions, Release) never take it. A rows
+//     callback must not write through the registry: it would wait on its
+//     own lock.
 //
 // Retired partitions are unlinked from visibility immediately (their commit
 // marker is removed) but physically deleted only once no pinned snapshot

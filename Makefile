@@ -82,7 +82,14 @@ vet:
 # Nor does a semi-join bitmap made per query: a filter's verdict on each
 # dictionary entry of a column file is kept on the colFile (keyBitsFor), so
 # no non-test colstore code outside bloom.go probes a bloom (MayContain), and
-# a partition's plan makes no map (planPartition).
+# a partition's plan makes no map (planPartition). Nor does a second write
+# path (DESIGN.md "Live ingestion"): the dictionary builder's lookup is its
+# open-addressing code table, so no map in dictBuilder's code; compaction
+# decodes, sorts and gathers column vectors, so compact.go boxes no row
+# (ScanCIFPartition) and sorts none (sort.SliceStable); and the registry
+# keeps each table's partition list, so only ListPartitions and the
+# registry's re-list (relistLocked: first sight, Bump, SweepUncommitted, a
+# taken name) walk a table directory (scanPartitionDirs).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -131,6 +138,13 @@ no-deprecated:
 	@if grep -n 'MayContain(' $$(ls internal/colstore/*.go | grep -v -e _test.go -e '/bloom\.go$$') || \
 		awk '/^func \(r \*cifReader\) planPartition\(/,/^}/' internal/colstore/cif.go | grep -n 'make(map'; then \
 		echo "one semi-join bitmap per column file and bloom: keyBitsFor (bloom.go) keeps it on the colFile; no bloom probe elsewhere in internal/colstore, no map made in planPartition"; exit 1; fi
+	@if awk '/^(type dictBuilder|func newDictBuilder|func \(b \*dictBuilder)/ { inB = 1 } inB && /map\[/ { print FILENAME ":" FNR ": " $$0; found = 1 } \
+		inB && /^}/ { inB = 0 } END { exit !found }' internal/colstore/encoding.go || \
+		grep -n -e ScanCIFPartition -e 'sort\.SliceStable' internal/colstore/compact.go || \
+		awk 'FNR == 1 { ok = 0 } /^func ListPartitions\(|^func \(s \*Snapshots\) relistLocked\(/ { ok = 1 } \
+		/scanPartitionDirs\(/ && !ok && !/^func scanPartitionDirs\(/ { print FILENAME ":" FNR ": " $$0; found = 1 } \
+		ok && /^}/ { ok = 0 } END { exit !found }' $$(ls internal/colstore/*.go | grep -v _test.go); then \
+		echo "one write path: the dictionary builder looks up its code table, not a map (encoding.go); compaction gathers column vectors, boxing and sorting no row (compact.go); only ListPartitions and Snapshots.relistLocked walk a table's partition directories"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node
@@ -213,13 +227,14 @@ plan-golden:
 bench:
 	$(GO) test -run '^$$' -bench 'Probe|HashBuild|DimBuild|Aggregate|CIFScan|ColumnDecode|SubmitEmptyJob|Dispatch|Shuffle|RepartitionStage|SnowflakeLowering|ServeHit|ReadAll' -benchmem -benchtime 0.2s ./internal/core/ ./internal/colstore/ ./internal/mr/ ./internal/hive/ ./internal/serve/ ./internal/hdfs/ .
 
-# Thirty seconds of coverage-guided fuzzing, six targets at five seconds
-# each. FuzzOpenColumnSet and FuzzOpenColumnFile: the column decoders from
+# Thirty-five seconds of coverage-guided fuzzing, seven targets at five
+# seconds each. FuzzOpenColumnSet and FuzzOpenColumnFile: the column decoders from
 # their checked-in corpora (testdata/fuzz, held current by
 # TestFuzzSeedCorpus), the node-local dimension copy's column sets and a
 # partition's column files. FuzzRCFooter and FuzzRowFooter: a whole RC file
 # and a whole row file (every dimension table, every Hive intermediate),
-# footer then rows.
+# footer then rows. FuzzDictBuilder: the encoders' dictionary builder held
+# to a map-based reference, codes, entries and overflow alike.
 # FuzzDecodeRecord: the wire record every row file, spill and broadcast hash
 # table is made of. No input may panic them or make them allocate by a count
 # the bytes merely claim. FuzzParse: the SQL front end against the SSB
@@ -232,6 +247,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpenColumnFile -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzRCFooter -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzRowFooter -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
+	$(GO) test -run '^$$' -fuzz FuzzDictBuilder -fuzztime 5s -fuzzminimizetime 1s ./internal/colstore/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 1s ./internal/records/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s -fuzzminimizetime 1s ./internal/sql/
 

@@ -98,14 +98,19 @@ const (
 // DefaultPartitionRows is the row count per CIF partition when unspecified.
 const DefaultPartitionRows = 65536
 
-// CIFWriter writes a table in CIF format.
+// CIFWriter writes a table in CIF format. It names each partition it
+// flushes through the filesystem's registry (Snapshots.claim), so every
+// writer of a table — a load, a roll-in, a compaction, AppendPartitions —
+// numbers after every partition the others staged, and it encodes every
+// column with one scratch it keeps.
 type CIFWriter struct {
 	fs            *hdfs.FileSystem
+	reg           *Snapshots
 	dir           string
 	schema        *records.Schema
 	partitionRows int64
 	block         *records.RowBlock
-	partition     int
+	scratch       encodeScratch
 	rows          int64
 	closed        bool
 	// staged suppresses phase 2: flushed partitions stay uncommitted
@@ -118,26 +123,46 @@ type CIFWriter struct {
 // NewCIFWriter starts a CIF table at dir, installing the co-locating
 // placement policy for it. partitionRows <= 0 uses DefaultPartitionRows.
 func NewCIFWriter(fs *hdfs.FileSystem, dir string, schema *records.Schema, partitionRows int64) (*CIFWriter, error) {
-	if partitionRows <= 0 {
-		partitionRows = DefaultPartitionRows
-	}
 	fs.SetPlacementPolicy(dir+"/", hdfs.ColocatePolicy{})
 	if err := WriteSchema(fs, dir, schema); err != nil {
 		return nil, err
 	}
+	w := newCIFWriter(fs, dir, schema, partitionRows)
+	// The table is new: what the registry knew of a table of that name is
+	// not its.
+	w.reg.forget(dir)
+	return w, nil
+}
+
+func newCIFWriter(fs *hdfs.FileSystem, dir string, schema *records.Schema, partitionRows int64) *CIFWriter {
+	if partitionRows <= 0 {
+		partitionRows = DefaultPartitionRows
+	}
 	return &CIFWriter{
 		fs:            fs,
+		reg:           NewSnapshots(fs),
 		dir:           dir,
 		schema:        schema,
 		partitionRows: partitionRows,
 		block:         records.NewRowBlock(schema, int(partitionRows)),
-	}, nil
+	}
 }
 
-// Append buffers one record, flushing a partition when full.
+// Append buffers one record, flushing a partition when full. A record the
+// table cannot store — the wrong number of values, a null, a value of a
+// kind its column does not take — is refused with an error naming the
+// column, and nothing of it is buffered.
 func (w *CIFWriter) Append(r records.Record) error {
 	if w.closed {
 		return fmt.Errorf("colstore: append to closed CIF writer")
+	}
+	if r.Len() != w.schema.Len() {
+		return fmt.Errorf("colstore: %s: a row of %d values for %d columns", w.dir, r.Len(), w.schema.Len())
+	}
+	for i := 0; i < r.Len(); i++ {
+		if f, k := w.schema.Field(i), r.At(i).Kind(); !fits(f.Kind, k) {
+			return fmt.Errorf("colstore: %s: %s value in %s column %s", w.dir, k, f.Kind, f.Name)
+		}
 	}
 	w.block.AppendRow(r)
 	w.rows++
@@ -147,11 +172,56 @@ func (w *CIFWriter) Append(r records.Record) error {
 	return nil
 }
 
+// appendRows buffers src's rows in perm's order, a column at a time,
+// flushing each partition as it fills: compaction's path into the same
+// partitions Append fills a row at a time.
+func (w *CIFWriter) appendRows(src *records.RowBlock, perm []int32) error {
+	if w.closed {
+		return fmt.Errorf("colstore: append to closed CIF writer")
+	}
+	for len(perm) > 0 {
+		n := min(len(perm), int(w.partitionRows)-w.block.Len())
+		for i := 0; i < w.schema.Len(); i++ {
+			gatherInto(w.block.Col(i), src.Col(i), perm[:n])
+		}
+		w.block.SetLen(w.block.Len() + n)
+		w.rows += int64(n)
+		perm = perm[n:]
+		if int64(w.block.Len()) >= w.partitionRows {
+			if err := w.flushPartition(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// gatherInto appends src's values at rows to dst.
+func gatherInto(dst, src *records.ColumnVector, rows []int32) {
+	switch src.Kind {
+	case records.KindInt64:
+		dst.Ints = gather(dst.Ints, src.Ints, rows)
+	case records.KindFloat64:
+		dst.Floats = gather(dst.Floats, src.Floats, rows)
+	case records.KindString:
+		dst.Strs = gather(dst.Strs, src.Strs, rows)
+	case records.KindBool:
+		dst.Bools = gather(dst.Bools, src.Bools, rows)
+	}
+}
+
+func gather[T any](dst, src []T, rows []int32) []T {
+	for _, r := range rows {
+		dst = append(dst, src[r])
+	}
+	return dst
+}
+
 func (w *CIFWriter) flushPartition() error {
 	if w.block.Len() == 0 {
 		return nil
 	}
-	pdir := fmt.Sprintf("%s/p-%05d", w.dir, w.partition)
+	pdir := w.reg.claim(w.dir)
 	ps := &PartitionStats{Rows: int64(w.block.Len()), Cols: make([]ColStats, w.schema.Len())}
 	// The column files and the sidecar go to the filesystem in one call: a
 	// roll-in stages its partitions beside running queries, and a write
@@ -159,7 +229,7 @@ func (w *CIFWriter) flushPartition() error {
 	files := make([]hdfs.File, 0, w.schema.Len()+1)
 	for i := 0; i < w.schema.Len(); i++ {
 		col := w.block.Col(i)
-		enc, payload, dict := encodeColumn(col)
+		enc, payload, dict := encodeColumn(col, &w.scratch)
 		ps.Cols[i] = columnStats(w.schema.Field(i).Name, col, dict)
 		files = append(files, hdfs.File{Path: columnPath(pdir, w.schema.Field(i).Name), Data: columnFile(col.Len(), enc, payload)})
 	}
@@ -169,10 +239,9 @@ func (w *CIFWriter) flushPartition() error {
 	}
 	if w.staged {
 		w.pending = append(w.pending, pdir)
-	} else if err := commitPartition(w.fs, pdir); err != nil {
+	} else if err := w.reg.swap(w.dir, []string{pdir}, nil, false); err != nil {
 		return err
 	}
-	w.partition++
 	w.block.Reset()
 	return nil
 }
@@ -221,13 +290,15 @@ func (w *CIFWriter) DiscardPending() {
 
 // AppendPartitions opens an existing CIF table for roll-in: new rows go to
 // fresh partitions after the existing ones, without touching old data.
-// Each flushed partition commits immediately.
+// Each flushed partition commits immediately, and joins the registry's
+// list of the table, though not its version: a writer outside the
+// registry's lock Bumps the table when it is done.
 func AppendPartitions(fs *hdfs.FileSystem, dir string, partitionRows int64) (*CIFWriter, error) {
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	return newAppendingCIFWriter(fs, dir, schema, partitionRows)
+	return newCIFWriter(fs, dir, schema, partitionRows), nil
 }
 
 // StagePartitions opens an existing CIF table for staged roll-in: flushed
@@ -242,30 +313,6 @@ func StagePartitions(fs *hdfs.FileSystem, dir string, partitionRows int64) (*CIF
 	}
 	w.staged = true
 	return w, nil
-}
-
-func newAppendingCIFWriter(fs *hdfs.FileSystem, dir string, schema *records.Schema, partitionRows int64) (*CIFWriter, error) {
-	if partitionRows <= 0 {
-		partitionRows = DefaultPartitionRows
-	}
-	// Number after the highest existing index, committed or not: counting
-	// visible partitions would collide with uncommitted stages, and reusing
-	// indexes freed by retention would resurrect retired names.
-	next := 0
-	all, _ := scanPartitionDirs(fs, dir)
-	for _, p := range all {
-		if n, ok := partitionIndex(p); ok && n >= next {
-			next = n + 1
-		}
-	}
-	return &CIFWriter{
-		fs:            fs,
-		dir:           dir,
-		schema:        schema,
-		partitionRows: partitionRows,
-		block:         records.NewRowBlock(schema, int(partitionRows)),
-		partition:     next,
-	}, nil
 }
 
 // WriteCIFTable writes rows into a new CIF table.
@@ -319,9 +366,9 @@ func sortPartitionDirs(parts []string) {
 
 // scanPartitionDirs walks a table directory once, returning every partition
 // directory (in no order) and the set of those holding a commit marker. The
-// files are visited, not listed: every roll-in and every snapshot comes
-// through here, and sorting the names of all the table's column files was
-// half of what a roll-in into a table of 700 partitions cost.
+// files are visited, not listed. Only ListPartitions and the registry's
+// relistLocked walk a table: a snapshot and a writer read the list the
+// registry keeps.
 func scanPartitionDirs(fs *hdfs.FileSystem, dir string) ([]string, map[string]bool) {
 	seen := map[string]bool{}
 	committed := map[string]bool{}

@@ -55,8 +55,8 @@ func writeCodeSpaceTable(t *testing.T, e *env, dir string, rows, partRows int) [
 			hi = rows
 		}
 		part := all[lo:hi]
-		strs := newDictBuilder[string](len(part))
-		dictis := newDictBuilder[int64](len(part))
+		strs := newDictBuilder[string](len(part), nil)
+		dictis := newDictBuilder[int64](len(part), nil)
 		seqs := make([]int64, len(part))
 		hcs := &records.ColumnVector{Kind: records.KindString}
 		for i, r := range part {
@@ -303,8 +303,8 @@ func TestSemiJoinFilterParity(t *testing.T) {
 	const parts, partRows = 3, 2500
 	var all []records.Record
 	for p := 0; p < parts; p++ {
-		fa, fb := newDictBuilder[int64](partRows), newDictBuilder[int64](partRows)
-		tag := newDictBuilder[string](partRows)
+		fa, fb := newDictBuilder[int64](partRows, nil), newDictBuilder[int64](partRows, nil)
+		tag := newDictBuilder[string](partRows, nil)
 		fc, m := make([]int64, partRows), make([]int64, partRows)
 		for i := 0; i < partRows; i++ {
 			r := records.Make(schema,

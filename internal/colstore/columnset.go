@@ -94,10 +94,11 @@ func (w *columnSetWriter) append(r records.Record) error {
 
 func (w *columnSetWriter) encode() []byte {
 	cols := make([]columnBlob, len(w.typed))
+	var sc encodeScratch
 	for i, cv := range w.typed {
 		cols[i] = columnBlob{kind: w.schema.Field(i).Kind}
 		if cv != nil {
-			cols[i].enc, cols[i].payload, _ = encodeColumn(cv)
+			cols[i].enc, cols[i].payload, _ = encodeColumn(cv, &sc)
 			continue
 		}
 		cols[i].flags = colBoxed

@@ -1,8 +1,10 @@
 package colstore
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/obs"
@@ -46,11 +48,17 @@ type CompactResult struct {
 // committed partition smaller than MinRows (needs at least two to be worth
 // a rewrite), optionally re-sort by ClusterBy, stage full-size replacement
 // partitions, and commit the exchange in one atomic swap. The gathering —
-// listing, stats, the scan and the sort — reads a pinned snapshot without
-// the registry's writer lock, so roll-ins publish beside it; the lock is
-// held only to stage and swap. If by then another writer (a compaction, a
+// stats, the decode and the sort — reads a pinned snapshot without the
+// registry's writer lock, so roll-ins publish beside it; the lock is held
+// only to stage and swap. If by then another writer (a compaction, a
 // retention) has retired any of the inputs, the pass stages nothing and
 // returns an empty result, as it does when there is nothing to compact.
+//
+// The rows never leave column vectors: every input column is decoded into
+// one block, the ClusterBy vector orders a permutation of its rows, and
+// the staged partitions are gathered through that permutation a partition
+// at a time. Rows with equal ClusterBy values keep their input order, so
+// the files are those a stable sort of the rows would write.
 func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, error) {
 	if opts.MinRows <= 0 {
 		opts.MinRows = DefaultPartitionRows / 4
@@ -71,6 +79,7 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 		return nil, err
 	}
 	var small []string
+	var rows int64
 	for _, pdir := range sn.Parts {
 		ps, err := ReadPartitionStats(fs, pdir)
 		if err != nil || ps == nil {
@@ -78,48 +87,41 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 		}
 		if ps.Rows < opts.MinRows {
 			small = append(small, pdir)
+			rows += ps.Rows
 		}
 	}
 	if len(small) < 2 {
 		return &CompactResult{}, nil
 	}
 
-	var rows []records.Record
-	for _, pdir := range small {
-		if err := ScanCIFPartition(fs, pdir, schema, "", func(r records.Record) error {
-			rows = append(rows, r)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+	all, err := decodePartitions(fs, small, schema, int(rows))
+	if err != nil {
+		return nil, err
+	}
+	perm := make([]int32, all.Len())
+	for i := range perm {
+		perm[i] = int32(i)
 	}
 	if opts.ClusterBy != "" {
 		ci := schema.Index(opts.ClusterBy)
 		if ci < 0 {
 			return nil, fmt.Errorf("colstore: compact %s: no column %s to cluster by", dir, opts.ClusterBy)
 		}
-		sort.SliceStable(rows, func(i, j int) bool {
-			return rows[i].At(ci).Compare(rows[j].At(ci)) < 0
-		})
+		clusterOrder(perm, all.Col(ci))
 	}
 
-	reg.write.Lock()
-	defer reg.write.Unlock()
-	_, committed := scanPartitionDirs(fs, dir)
-	for _, pdir := range small {
-		if !committed[pdir] {
-			return &CompactResult{}, nil // another writer retired it first
-		}
+	held := reg.lockWriter()
+	defer reg.unlockWriter(held)
+	if committed := reg.partitions(dir); slices.ContainsFunc(small, func(p string) bool { return !slices.Contains(committed, p) }) {
+		return &CompactResult{}, nil // another writer retired one first
 	}
 	w, err := StagePartitions(fs, dir, opts.TargetRows)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		if err := w.Append(r); err != nil {
-			w.DiscardPending()
-			return nil, err
-		}
+	if err := w.appendRows(all, perm); err != nil {
+		w.DiscardPending()
+		return nil, err
 	}
 	if err := w.Close(); err != nil {
 		w.DiscardPending()
@@ -132,6 +134,64 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 	return &CompactResult{Rows: w.Rows(), Retired: small, Published: w.Pending()}, nil
 }
 
+// decodePartitions decodes every column of the partitions, in order, into
+// one block of the given row capacity, through the decoders a scan uses. A
+// null in a plain stream fails it: a vector has no null mask, and a
+// rewrite would store the null as its column's zero.
+func decodePartitions(fs *hdfs.FileSystem, parts []string, schema *records.Schema, capacity int) (*records.RowBlock, error) {
+	all := records.NewRowBlock(schema, capacity)
+	n := 0
+	for _, pdir := range parts {
+		decs, rows, err := openPartition(fs, columnPaths(pdir, schema), schema, "", obs.SpanContext{})
+		if err != nil {
+			return nil, err
+		}
+		for i, dec := range decs {
+			if err := dec.decodeInto(all.Col(i), rows); err != nil {
+				return nil, err
+			}
+			if dec.nulls > 0 {
+				return nil, fmt.Errorf("colstore: %s: %d nulls in column %s, which a column vector cannot carry", pdir, dec.nulls, schema.Field(i).Name)
+			}
+		}
+		n += rows
+		all.SetLen(n)
+	}
+	return all, nil
+}
+
+// clusterOrder sorts perm, row numbers of cv, by cv's values, equal values
+// in row order: the order a stable sort of the rows by the column gives.
+func clusterOrder(perm []int32, cv *records.ColumnVector) {
+	switch cv.Kind {
+	case records.KindInt64:
+		sortRowsBy(perm, cv.Ints, cmp.Compare[int64])
+	case records.KindFloat64:
+		sortRowsBy(perm, cv.Floats, cmp.Compare[float64])
+	case records.KindString:
+		sortRowsBy(perm, cv.Strs, strings.Compare)
+	case records.KindBool: // false before true
+		sortRowsBy(perm, cv.Bools, func(a, b bool) int {
+			if a == b {
+				return 0
+			}
+			if a {
+				return 1
+			}
+			return -1
+		})
+	}
+}
+
+func sortRowsBy[T any](perm []int32, vals []T, compare func(a, b T) int) {
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := compare(vals[a], vals[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // ExpireBefore retires every partition whose zone map proves the named
 // int64 column is everywhere below cutoff — date-range retention without
 // rewriting anything. Partitions lacking stats, containing nulls, or merely
@@ -139,14 +199,10 @@ func Compact(reg *Snapshots, dir string, opts CompactOptions) (*CompactResult, e
 // prove expired. Returns the retired partitions; their physical deletion
 // waits for pinned snapshots as usual. Holds the registry's writer lock.
 func ExpireBefore(reg *Snapshots, dir, col string, cutoff int64) ([]string, error) {
-	reg.write.Lock()
-	defer reg.write.Unlock()
-	parts, err := ListPartitions(reg.fs, dir)
-	if err != nil {
-		return nil, err
-	}
+	held := reg.lockWriter()
+	defer reg.unlockWriter(held)
 	var expired []string
-	for _, pdir := range parts {
+	for _, pdir := range reg.partitions(dir) {
 		ps, err := ReadPartitionStats(reg.fs, pdir)
 		if err != nil || ps == nil {
 			continue
@@ -169,62 +225,4 @@ func ExpireBefore(reg *Snapshots, dir, col string, cutoff int64) ([]string, erro
 		return nil, err
 	}
 	return expired, nil
-}
-
-// ScanCIFPartition streams one partition's rows to fn on the driver,
-// decoding every schema column. Records own their values — fn may retain
-// them.
-func ScanCIFPartition(fs *hdfs.FileSystem, pdir string, schema *records.Schema, clientNode string, fn func(records.Record) error) error {
-	decs, nrows, err := openPartition(fs, columnPaths(pdir, schema), schema, clientNode, obs.SpanContext{})
-	if err != nil {
-		return err
-	}
-	// Packed columns are unpacked a block at a time and boxed from the typed
-	// vectors; a plain stream is read value by value, because it may hold
-	// nulls, which a vector cannot carry.
-	block := records.NewRowBlock(schema, forFrameRows)
-	for at := 0; at < nrows; at += forFrameRows {
-		n := min(forFrameRows, nrows-at)
-		block.Reset()
-		for i, dec := range decs {
-			if dec.enc != EncPlain {
-				if err := dec.decodeInto(block.Col(i), n); err != nil {
-					return err
-				}
-			}
-		}
-		for r := 0; r < n; r++ {
-			vals := make([]records.Value, len(decs))
-			for i, dec := range decs {
-				if dec.enc != EncPlain {
-					vals[i] = block.Col(i).Value(r)
-				} else if vals[i], err = dec.next(); err != nil {
-					return err
-				}
-			}
-			if err := fn(records.Make(schema, vals...)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ScanCIFTable streams every committed partition's rows to fn in partition
-// order — the driver-side full scan tests and oracles compare against.
-func ScanCIFTable(fs *hdfs.FileSystem, dir, clientNode string, fn func(records.Record) error) error {
-	schema, err := ReadSchema(fs, dir)
-	if err != nil {
-		return err
-	}
-	parts, err := ListPartitions(fs, dir)
-	if err != nil {
-		return err
-	}
-	for _, pdir := range parts {
-		if err := ScanCIFPartition(fs, pdir, schema, clientNode, fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package colstore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
@@ -144,12 +145,12 @@ type dictEntries struct {
 // the marginal size difference. Frame-of-reference remains the choice for
 // high-cardinality integers, where dictionaries don't apply or lose to
 // plain.
-func encodeColumn(cv *records.ColumnVector) (Encoding, []byte, *dictEntries) {
+func encodeColumn(cv *records.ColumnVector, sc *encodeScratch) (Encoding, []byte, *dictEntries) {
 	switch cv.Kind {
 	case records.KindInt64:
-		return encodeInts(cv)
+		return encodeInts(cv, sc)
 	case records.KindString:
-		return encodeStrings(cv)
+		return encodeStrings(cv, sc)
 	}
 	return EncPlain, encodePlain(cv, 9*cv.Len()), nil
 }
@@ -164,20 +165,75 @@ func encodePlain(cv *records.ColumnVector, size int) []byte {
 	return buf
 }
 
+// encodeScratch is what encoding a column borrows: the dictionary's code
+// table and each row's code. A CIFWriter keeps one for all its columns and
+// partitions, so a load, a roll-in and a compaction allocate neither per
+// column; the payload is built before the next column borrows it. A nil
+// scratch is a fresh one.
+type encodeScratch struct {
+	slots []uint32
+	codes []uint32
+}
+
+// dictKey is what a dictionary holds: an integer or a string column's
+// values.
+type dictKey interface{ int64 | string }
+
 // dictBuilder measures a column as a dictionary payload: it assigns
 // first-seen codes to the values until the dictionary overflows, keeping
-// each row's code, and builds the payload if asked to.
-type dictBuilder[T comparable] struct {
-	codes   map[T]uint32
+// each row's code, and builds the payload if asked to. entries is its only
+// store of keys: the lookup is an open-addressing table of slots holding a
+// code plus one (0 is empty), probed linearly from the key's hash and
+// compared through entries, never a map. Codes are first-seen, so the
+// payload does not depend on the hash.
+type dictBuilder[T dictKey] struct {
 	entries []T
 	rows    []uint32 // each row's code
 	full    bool     // more than maxDictEntries distinct values
 	size    int      // bytes of the entries as the payload stores them
+
+	slots []uint32 // code+1 per slot, 0 for none; len is a power of two
+	shift uint     // a hash's top bits index the table: h >> shift
+	hash  func(T) uint64
 }
 
-func newDictBuilder[T comparable](rows int) *dictBuilder[T] {
-	return &dictBuilder[T]{codes: make(map[T]uint32, 64), rows: make([]uint32, 0, rows)}
+// newDictBuilder returns a builder for a column of rows values, its table
+// sized so that it holds every distinct value the column can have at most
+// half full: the next power of two at or above 2*min(rows,
+// maxDictEntries+1). It grows at half full when rows was too small a
+// guess.
+func newDictBuilder[T dictKey](rows int, sc *encodeScratch) *dictBuilder[T] {
+	if sc == nil {
+		sc = new(encodeScratch)
+	}
+	n := 2
+	for n < 2*min(rows, maxDictEntries+1) {
+		n <<= 1
+	}
+	if cap(sc.slots) < n {
+		sc.slots = make([]uint32, n)
+	}
+	slots := sc.slots[:n]
+	clear(slots)
+	if cap(sc.codes) < rows {
+		sc.codes = make([]uint32, 0, rows)
+	}
+	b := &dictBuilder[T]{rows: sc.codes[:0], slots: slots, shift: uint(64 - bits.TrailingZeros(uint(n)))}
+	switch h := any(&b.hash).(type) {
+	case *func(int64) uint64:
+		*h = hashInt
+	case *func(string) uint64:
+		*h = hashString
+	}
+	return b
 }
+
+// hashInt is Fibonacci hashing: the top bits of the product index a table.
+func hashInt(v int64) uint64 { return uint64(v) * 0x9e3779b97f4a7c15 }
+
+var stringSeed = maphash.MakeSeed()
+
+func hashString(s string) uint64 { return maphash.String(stringSeed, s) }
 
 // add records one row's value; entrySize is what a new entry costs.
 func (b *dictBuilder[T]) add(v T, entrySize int) {
@@ -185,18 +241,46 @@ func (b *dictBuilder[T]) add(v T, entrySize int) {
 		b.rows = append(b.rows, b.rows[n-1]) // a run: no lookup
 		return
 	}
-	c, ok := b.codes[v]
-	if !ok {
-		if len(b.entries) == maxDictEntries {
-			b.full = true
+	mask := uint64(len(b.slots) - 1)
+	i := b.hash(v) >> b.shift
+	for {
+		s := b.slots[i]
+		if s == 0 {
+			break
+		}
+		if b.entries[s-1] == v {
+			b.rows = append(b.rows, s-1)
 			return
 		}
-		c = uint32(len(b.entries))
-		b.codes[v] = c
-		b.entries = append(b.entries, v)
-		b.size += entrySize
+		i = (i + 1) & mask
 	}
+	if len(b.entries) == maxDictEntries {
+		b.full = true
+		return
+	}
+	c := uint32(len(b.entries))
+	b.entries = append(b.entries, v)
+	b.size += entrySize
 	b.rows = append(b.rows, c)
+	if 2*len(b.entries) > len(b.slots) {
+		b.grow()
+	} else {
+		b.slots[i] = c + 1
+	}
+}
+
+// grow doubles the table and places every entry again.
+func (b *dictBuilder[T]) grow() {
+	b.slots = make([]uint32, 2*len(b.slots))
+	b.shift--
+	mask := uint64(len(b.slots) - 1)
+	for c, v := range b.entries {
+		i := b.hash(v) >> b.shift
+		for b.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		b.slots[i] = uint32(c) + 1
+	}
 }
 
 // payloadSize is the dictionary payload's length: count, entries, codes.
@@ -218,8 +302,8 @@ func appendDictString(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-func encodeStrings(cv *records.ColumnVector) (Encoding, []byte, *dictEntries) {
-	d := newDictBuilder[string](len(cv.Strs))
+func encodeStrings(cv *records.ColumnVector, sc *encodeScratch) (Encoding, []byte, *dictEntries) {
+	d := newDictBuilder[string](len(cv.Strs), sc)
 	plain := 0
 	for _, s := range cv.Strs {
 		n := uvarintLen(uint64(len(s))) + len(s)
@@ -234,8 +318,8 @@ func encodeStrings(cv *records.ColumnVector) (Encoding, []byte, *dictEntries) {
 	return EncPlain, encodePlain(cv, plain), nil
 }
 
-func encodeInts(cv *records.ColumnVector) (Encoding, []byte, *dictEntries) {
-	d := newDictBuilder[int64](len(cv.Ints))
+func encodeInts(cv *records.ColumnVector, sc *encodeScratch) (Encoding, []byte, *dictEntries) {
+	d := newDictBuilder[int64](len(cv.Ints), sc)
 	plain := 0
 	for _, v := range cv.Ints {
 		n := varintLen(v)
@@ -397,6 +481,7 @@ type colDecoder struct {
 	pos   int      // the cursor: every read starts at this row and moves past what it read
 	buf   []byte   // plain: the stream from row pos on; otherwise the payload
 	codes []uint32 // scratch: a run's codes on their way to values
+	nulls int      // plain: nulls appended as their column's zero (appendCoerced)
 }
 
 // cursor returns a decoder over f positioned at the first row.
@@ -848,6 +933,22 @@ func (d *colDecoder) decodeRangeSel(cv *records.ColumnVector, sel []bool, lo, hi
 	return nil
 }
 
+// fits reports whether a value of kind v can be appended to a vector of
+// kind col: the same kind, or one the Value accessors widen (bool as int,
+// int or bool as float). ColumnVector.Append panics on anything else, a
+// null included.
+func fits(col, v records.Kind) bool {
+	switch {
+	case v == col:
+		return true
+	case col == records.KindInt64:
+		return v == records.KindBool
+	case col == records.KindFloat64:
+		return v == records.KindInt64 || v == records.KindBool
+	}
+	return false
+}
+
 // appendCoerced appends a boxed value to a typed vector, mapping nulls
 // (which the block representation cannot carry — there is no null mask) to
 // the column kind's zero value. The CIF writer never emits nulls, but plain
@@ -867,14 +968,8 @@ func appendCoerced(cv *records.ColumnVector, v records.Value) error {
 		}
 		return nil
 	}
-	// Append takes what the Value accessors widen (bool as int, int as
-	// float) and panics on the rest; a stream is outside input.
-	k := v.Kind()
-	switch {
-	case k == cv.Kind:
-	case cv.Kind == records.KindInt64 && k == records.KindBool:
-	case cv.Kind == records.KindFloat64 && (k == records.KindInt64 || k == records.KindBool):
-	default:
+	// A stream is outside input: refuse what Append would panic on.
+	if k := v.Kind(); !fits(cv.Kind, k) {
 		return fmt.Errorf("colstore: %s value in %s column", k, cv.Kind)
 	}
 	cv.Append(v)
@@ -905,6 +1000,9 @@ func (d *colDecoder) decodePlainInto(cv *records.ColumnVector, n int, sel []bool
 			}
 			buf = buf[used:]
 			if keep {
+				if v.IsNull() {
+					d.nulls++
+				}
 				if err := appendCoerced(cv, v); err != nil {
 					return err
 				}

@@ -230,7 +230,7 @@ func TestEncodingRoundTripQuick(t *testing.T) {
 		cols = append(cols, cv)
 
 		for _, cv := range cols {
-			enc, payload, _ := encodeColumn(cv)
+			enc, payload, _ := encodeColumn(cv, nil)
 			decodeAllWays(t, rng, cv, enc, payload)
 			// The plain encoding is the universal fallback and must always
 			// work.
@@ -307,7 +307,7 @@ func TestDictionaryWidths(t *testing.T) {
 			for _, n := range codecRows {
 				ints := records.NewColumnVector(records.KindInt64, n)
 				strs := records.NewColumnVector(records.KindString, n)
-				di, ds := newDictBuilder[int64](n), newDictBuilder[string](n)
+				di, ds := newDictBuilder[int64](n, nil), newDictBuilder[string](n, nil)
 				for i := 0; i < n; i++ {
 					e := rng.Intn(entries)
 					if i < entries {
@@ -379,7 +379,7 @@ func TestEncodeColumnChoices(t *testing.T) {
 		{"high-cardinality strings", strs(1000, func(i int) string { return fmt.Sprintf("customer-%08d", i) }), EncPlain},
 		{"floats", floats, EncPlain},
 	} {
-		enc, payload, dict := encodeColumn(c.cv)
+		enc, payload, dict := encodeColumn(c.cv, nil)
 		if enc != c.want {
 			t.Errorf("%s encoded as %s, want %s", c.name, enc, c.want)
 		}
@@ -412,10 +412,10 @@ func TestDictRefusesHighCardinality(t *testing.T) {
 			cv.Strs = append(cv.Strs, fmt.Sprintf("a-rather-long-repeated-value-%d", i))
 		}
 	}
-	if enc, _, dict := encodeColumn(cv); enc != EncPlain || dict != nil {
+	if enc, _, dict := encodeColumn(cv, nil); enc != EncPlain || dict != nil {
 		t.Fatalf("%d distinct values encoded as %s", maxDictEntries+1, enc)
 	}
-	d := newDictBuilder[string](0)
+	d := newDictBuilder[string](0, nil)
 	for _, s := range cv.Strs {
 		if !d.full {
 			d.add(s, 0)

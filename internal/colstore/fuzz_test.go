@@ -202,14 +202,14 @@ func columnFileCorpus() map[string]fuzzSeed {
 		return cv
 	}
 	file := func(cv *records.ColumnVector, want Encoding) []byte {
-		enc, payload, _ := encodeColumn(cv)
+		enc, payload, _ := encodeColumn(cv, nil)
 		if enc != want {
 			panic(fmt.Sprintf("seed column encoded as %s, want %s", enc, want))
 		}
 		return columnFile(cv.Len(), enc, payload)
 	}
 	forCol := ints(func(i int) int64 { return int64(5_000_000 + 37*i - i%9*1000) })
-	_, forPayload, _ := encodeColumn(forCol)
+	_, forPayload, _ := encodeColumn(forCol, nil)
 	floats := records.NewColumnVector(records.KindFloat64, 40)
 	bools := records.NewColumnVector(records.KindBool, 40)
 	for i := 0; i < 40; i++ {

@@ -34,8 +34,8 @@ func stageBatch(t *testing.T, e *env, dir string, base, n int, partRows int64) *
 // under the writer lock: what ExpireBefore commits, for partitions a test
 // picks.
 func (s *Snapshots) retire(dir string, parts []string) error {
-	s.write.Lock()
-	defer s.write.Unlock()
+	held := s.lockWriter()
+	defer s.unlockWriter(held)
 	return s.swap(dir, nil, parts, true)
 }
 

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/obs"
 	"clydesdale/internal/records"
 )
 
@@ -60,4 +61,62 @@ func scanRowFile(fs *hdfs.FileSystem, path, clientNode string, in *RowInput, fn 
 			return err
 		}
 	}
+}
+
+// ScanCIFPartition streams one partition's rows to fn on the driver,
+// decoding every schema column. Records own their values — fn may retain
+// them.
+func ScanCIFPartition(fs *hdfs.FileSystem, pdir string, schema *records.Schema, clientNode string, fn func(records.Record) error) error {
+	decs, nrows, err := openPartition(fs, columnPaths(pdir, schema), schema, clientNode, obs.SpanContext{})
+	if err != nil {
+		return err
+	}
+	// Packed columns are unpacked a block at a time and boxed from the typed
+	// vectors; a plain stream is read value by value, because it may hold
+	// nulls, which a vector cannot carry.
+	block := records.NewRowBlock(schema, forFrameRows)
+	for at := 0; at < nrows; at += forFrameRows {
+		n := min(forFrameRows, nrows-at)
+		block.Reset()
+		for i, dec := range decs {
+			if dec.enc != EncPlain {
+				if err := dec.decodeInto(block.Col(i), n); err != nil {
+					return err
+				}
+			}
+		}
+		for r := 0; r < n; r++ {
+			vals := make([]records.Value, len(decs))
+			for i, dec := range decs {
+				if dec.enc != EncPlain {
+					vals[i] = block.Col(i).Value(r)
+				} else if vals[i], err = dec.next(); err != nil {
+					return err
+				}
+			}
+			if err := fn(records.Make(schema, vals...)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// ScanCIFTable streams every committed partition's rows to fn in partition
+// order — the driver-side full scan tests and oracles compare against.
+func ScanCIFTable(fs *hdfs.FileSystem, dir, clientNode string, fn func(records.Record) error) error {
+	schema, err := ReadSchema(fs, dir)
+	if err != nil {
+		return err
+	}
+	parts, err := ListPartitions(fs, dir)
+	if err != nil {
+		return err
+	}
+	for _, pdir := range parts {
+		if err := ScanCIFPartition(fs, pdir, schema, clientNode, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }

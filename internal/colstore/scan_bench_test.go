@@ -156,7 +156,7 @@ func BenchmarkColumnDecode(b *testing.B) {
 		wide.Ints = append(wide.Ints, 1_000_000+int64(rng.Intn(6_000_000)))
 	}
 	open := func(cv *records.ColumnVector, want Encoding) *colDecoder {
-		enc, payload, _ := encodeColumn(cv)
+		enc, payload, _ := encodeColumn(cv, nil)
 		if enc != want {
 			b.Fatalf("column encoded as %s, want %s", enc, want)
 		}

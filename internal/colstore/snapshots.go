@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/obs"
 	"clydesdale/internal/records"
 )
 
 // Snapshots is the table-visibility registry that makes roll-in, compaction
 // and retention safe to run while queries execute, and the one place that
-// knows table versions. A filesystem has one (NewSnapshots). It owns four
+// knows table versions. A filesystem has one (NewSnapshots). It owns five
 // things:
 //
 //   - Table versions. A row table (a dimension) is append-only: its version
@@ -20,6 +23,14 @@ import (
 //     (the fact) has a content version that moves on whenever its row
 //     multiset changes: when a roll-in publishes or a retention retires, not
 //     when a compaction exchanges partitions.
+//   - Partition lists. For each partitioned table it has seen, the
+//     committed partitions in numeric order and the next partition index:
+//     the index after every partition directory, committed or not, that
+//     any writer has staged. The list is read from the filesystem the
+//     first time the registry sees the table, and on Bump and
+//     SweepUncommitted (relistLocked); from then on every commit and
+//     retirement goes through swap, which keeps it. Every CIFWriter names
+//     its partitions from the next index (claim).
 //   - Pinned snapshots. A query acquires its fact partition list and the
 //     version of every row table it joins exactly once, at plan time, under
 //     one hold of the mutex; every pass reads that frozen vector, so the
@@ -34,7 +45,7 @@ import (
 //     pin beforehand), so one writer at a time changes a filesystem's
 //     tables. Queries (Acquire, Versions, Release) never take it. A rows
 //     callback must not write through the registry: it would wait on its
-//     own lock.
+//     own lock. Every holder is timed (Observe).
 //
 // Retired partitions are unlinked from visibility immediately (their commit
 // marker is removed) but physically deleted only once no pinned snapshot
@@ -43,11 +54,21 @@ import (
 type Snapshots struct {
 	fs    *hdfs.FileSystem
 	write sync.Mutex // the writer lock, taken before mu
+	// The writer lock's totals: time waited for it, time held, holds.
+	writerWait, writerHold, writerHolds atomic.Int64
 
 	mu       sync.Mutex
+	lists    map[string]*partList          // dir → a partitioned table's partitions
 	live     map[string]map[*Snapshot]bool // dir → pinned snapshots
 	doomed   map[string][]string           // dir → retired, delete when unpinned
 	versions map[string]uint64             // dir → content version or part files published
+	observed map[*obs.Registry]bool        // registries showing the writer lock's totals
+}
+
+// partList is what the registry knows of a partitioned table's partitions.
+type partList struct {
+	parts []string // committed, in numeric order
+	next  int      // the index after every partition directory staged so far
 }
 
 // NewSnapshots returns the filesystem's one registry, creating it on the
@@ -56,6 +77,8 @@ func NewSnapshots(fs *hdfs.FileSystem) *Snapshots {
 	return fs.Tables(func() any {
 		return &Snapshots{
 			fs:       fs,
+			lists:    make(map[string]*partList),
+			observed: make(map[*obs.Registry]bool),
 			live:     make(map[string]map[*Snapshot]bool),
 			doomed:   make(map[string][]string),
 			versions: make(map[string]uint64),
@@ -80,20 +103,124 @@ type Snapshot struct {
 // with the current version of every listed row table. All of it is read
 // under one hold of the registry mutex, so the vector is atomic with respect
 // to every publish: a concurrent roll-in into any of the tables, or a
-// compaction, is observed fully or not at all.
+// compaction, is observed fully or not at all. The partition list is a copy
+// of the registry's.
 func (s *Snapshots) Acquire(dir string, rowTables ...string) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	parts, err := ListPartitions(s.fs, dir)
-	if err != nil {
-		return nil, err
-	}
+	parts := slices.Clone(s.listLocked(dir).parts)
 	sn := &Snapshot{Dir: dir, Parts: parts, Versions: s.versionsLocked(dir, rowTables), reg: s}
 	if s.live[dir] == nil {
 		s.live[dir] = make(map[*Snapshot]bool)
 	}
 	s.live[dir][sn] = true
 	return sn, nil
+}
+
+// partitions returns a copy of the committed partition list of the table at
+// dir.
+func (s *Snapshots) partitions(dir string) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.listLocked(dir).parts)
+}
+
+// listLocked returns the registry's list of the table at dir, reading it
+// from the filesystem the first time the registry sees the table.
+func (s *Snapshots) listLocked(dir string) *partList {
+	if l := s.lists[dir]; l != nil {
+		return l
+	}
+	s.relistLocked(dir)
+	return s.lists[dir]
+}
+
+// relistLocked reads the partition list of the table at dir from the
+// filesystem: on first sight, in Bump and in SweepUncommitted, and when a
+// partition name the registry was about to hand out is taken (claim). It
+// returns every partition directory and the set of committed ones. The
+// next index never moves back: a name once handed out is not handed out
+// again.
+func (s *Snapshots) relistLocked(dir string) (all []string, committed map[string]bool) {
+	all, committed = scanPartitionDirs(s.fs, dir)
+	l := s.lists[dir]
+	if l == nil {
+		l = &partList{}
+		s.lists[dir] = l
+	}
+	l.parts = nil
+	for _, p := range all {
+		if committed[p] {
+			l.parts = append(l.parts, p)
+		}
+		if n, ok := partitionIndex(p); ok && n >= l.next {
+			l.next = n + 1
+		}
+	}
+	sortPartitionDirs(l.parts)
+	return all, committed
+}
+
+// forget drops what the registry knows of the table at dir's partitions:
+// a new table of that name is being written (NewCIFWriter).
+func (s *Snapshots) forget(dir string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.lists, dir)
+}
+
+// claim names the next partition of the table at dir for a writer to
+// flush. One lookup checks that no writer outside the registry took the
+// name meanwhile (an AppendPartitions not yet Bumped, a crashed writer's
+// debris); if one did, the table is re-listed, so no partition is ever
+// written over another.
+func (s *Snapshots) claim(dir string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := s.listLocked(dir)
+	pdir := fmt.Sprintf("%s/p-%05d", dir, l.next)
+	if s.fs.Exists(pdir + "/" + StatsFileName) {
+		s.relistLocked(dir)
+		pdir = fmt.Sprintf("%s/p-%05d", dir, l.next)
+	}
+	l.next++
+	return pdir
+}
+
+// lockWriter takes the writer lock, counting the wait, and returns when it
+// was taken for unlockWriter, which counts the hold.
+func (s *Snapshots) lockWriter() time.Time {
+	start := time.Now()
+	s.write.Lock()
+	held := time.Now()
+	s.writerWait.Add(int64(held.Sub(start)))
+	return held
+}
+
+func (s *Snapshots) unlockWriter(held time.Time) {
+	s.writerHold.Add(int64(time.Since(held)))
+	s.writerHolds.Add(1)
+	s.write.Unlock()
+}
+
+// Observe shows the writer lock's totals in reg as counters named prefix
+// and writer_wait_ns, writer_hold_ns and writer_holds: the time writers
+// waited for the lock, the time they held it, and the number of holds,
+// since the registry was made. Every holder counts: a roll-in, an append, a
+// compaction's stage and swap, a retention, a sweep, a bump. Observing one
+// obs registry again registers nothing twice, so sessions sharing one do
+// not add the filesystem's totals up.
+func (s *Snapshots) Observe(reg *obs.Registry, prefix string) {
+	s.mu.Lock()
+	seen := s.observed[reg]
+	s.observed[reg] = true
+	s.mu.Unlock()
+	if seen {
+		return
+	}
+	reg.CounterFunc(prefix+"writer_wait_ns", s.writerWait.Load)
+	reg.CounterFunc(prefix+"writer_hold_ns", s.writerHold.Load)
+	reg.CounterFunc(prefix+"writer_holds", s.writerHolds.Load)
 }
 
 // Versions returns the vector Acquire would pin, without listing or pinning
@@ -127,16 +254,18 @@ func (s *Snapshots) rowVersionLocked(dir string) uint64 {
 
 // Bump gives the table at dir a new version after a writer outside the
 // registry changed it: a row table is recounted from its part files, a
-// partitioned table's content version moves on by one.
+// partitioned table's content version moves on by one and its partition
+// list is read again.
 func (s *Snapshots) Bump(dir string) {
-	s.write.Lock()
-	defer s.write.Unlock()
+	held := s.lockWriter()
+	defer s.unlockWriter(held)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v := RowTableVersion(s.fs, dir); v > 0 {
 		s.versions[dir] = v
 	} else {
 		s.versions[dir]++
+		s.relistLocked(dir)
 	}
 }
 
@@ -191,27 +320,52 @@ func (s *Snapshots) reapLocked(dir string) {
 // swap commits the staged partitions of publish and retires those of retire
 // under the mutex Acquire takes, so no snapshot sees a partition beside the
 // ones it replaces; retired ones are deleted once no snapshot pins them.
-// newContent gives the table a new content version (roll-in, retention); a
-// compaction's exchange keeps it. Marker writes can fail (no alive
-// datanodes): then nothing was retired and the published prefix is
-// committed, so a retry is idempotent. Callers hold the writer lock.
+// The table's partition list changes with the markers. newContent gives the
+// table a new content version (roll-in, retention); a compaction's exchange
+// keeps it. Marker writes can fail (no alive datanodes): then nothing was
+// retired and the published prefix is committed, so a retry is idempotent.
+// Registry writers hold the writer lock; a CIFWriter that commits as it
+// goes (a load, AppendPartitions) swaps one partition in at a time without
+// it.
 func (s *Snapshots) swap(dir string, publish, retire []string, newContent bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	l := s.listLocked(dir)
 	for _, p := range publish {
 		if err := commitPartition(s.fs, p); err != nil {
 			return err
 		}
+		l.parts = insertPartition(l.parts, p)
 	}
 	for _, p := range retire {
 		s.fs.Delete(p + "/" + CommitMarkerName)
 		s.doomed[dir] = append(s.doomed[dir], p)
+		if i := slices.Index(l.parts, p); i >= 0 {
+			l.parts = slices.Delete(l.parts, i, i+1)
+		}
 	}
 	s.reapLocked(dir)
 	if newContent && len(publish)+len(retire) > 0 {
 		s.versions[dir]++
 	}
 	return nil
+}
+
+// insertPartition adds p to parts, kept in numeric order, unless it is
+// there already. Newly staged partitions number after the others, so the
+// search starts at the end.
+func insertPartition(parts []string, p string) []string {
+	n, _ := partitionIndex(p)
+	i := len(parts)
+	for ; i > 0; i-- {
+		if m, ok := partitionIndex(parts[i-1]); ok && m <= n {
+			break
+		}
+	}
+	if i > 0 && parts[i-1] == p {
+		return parts
+	}
+	return slices.Insert(parts, i, p)
 }
 
 // SweepUncommitted removes the partition directories of the table at dir
@@ -221,11 +375,11 @@ func (s *Snapshots) swap(dir string, publish, retire []string, newContent bool) 
 // mutex that retires and reaps. It holds the writer lock, so no partition it
 // finds uncommitted is one a writer is still staging.
 func (s *Snapshots) SweepUncommitted(dir string) []string {
-	s.write.Lock()
-	defer s.write.Unlock()
+	held := s.lockWriter()
+	defer s.unlockWriter(held)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	all, committed := scanPartitionDirs(s.fs, dir)
+	all, committed := s.relistLocked(dir)
 	var swept []string
 	for _, p := range all {
 		if committed[p] || slices.Contains(s.doomed[dir], p) {
@@ -244,8 +398,8 @@ func (s *Snapshots) SweepUncommitted(dir string) []string {
 // durable and complete, a failed one is invisible. Returns the row count and
 // published partitions.
 func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(records.Record) error) error) (int64, []string, error) {
-	s.write.Lock()
-	defer s.write.Unlock()
+	held := s.lockWriter()
+	defer s.unlockWriter(held)
 	w, err := StagePartitions(s.fs, dir, partitionRows)
 	if err != nil {
 		return 0, nil, err
@@ -276,8 +430,8 @@ func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(
 // after it; a failed or empty batch publishes nothing and leaves no file.
 // Returns the rows appended.
 func (s *Snapshots) AppendRows(dir string, rows func(emit func(records.Record) error) error) (int64, error) {
-	s.write.Lock()
-	defer s.write.Unlock()
+	held := s.lockWriter()
+	defer s.unlockWriter(held)
 	schema, err := ReadSchema(s.fs, dir)
 	if err != nil {
 		return 0, err

@@ -745,3 +745,47 @@ func TestSessionsShareTableVersions(t *testing.T) {
 	}
 	holds("query after the customer roll-in", rs, withCustomers, rep)
 }
+
+// TestServeMalformedRollInFails: a fact roll-in whose batch holds a row the
+// table cannot store — a null, a float in an integer column, too few
+// values — fails with an error instead of taking the process down. It
+// publishes nothing and leaves no file, counts one roll-in failure, and
+// leaves the writer lock free: the next good roll-in publishes.
+func TestServeMalformedRollInFails(t *testing.T) {
+	ls := newLateStar(t, serve.Options{IngestPartitionRows: 6})
+	s := ls.session
+	schema := ls.cat.FactSchema
+	total, read := ls.sum(t)
+	for i, bad := range []records.Record{
+		records.Make(schema, records.Int(1), records.Null),
+		records.Make(schema, records.Float(2.5), records.Int(1)),
+		records.Make(records.NewSchema(records.F("f_fk", records.KindInt64)), records.Int(1)),
+	} {
+		files := ls.fs.List("/star/")
+		failures := s.Stats().RollInFailures
+		n, err := s.RollIn("f", func(emit func(records.Record) error) error {
+			if err := ls.factRows(1, 1, 12)(emit); err != nil { // two partitions staged first
+				return err
+			}
+			return emit(bad)
+		})
+		if err == nil || n != 0 {
+			t.Fatalf("row %d (%v): roll-in = (%d, %v), want an error", i, bad, n, err)
+		}
+		if got := ls.fs.List("/star/"); !reflect.DeepEqual(got, files) {
+			t.Errorf("row %d: the failed roll-in changed the files under /star:\n%v\nwas\n%v", i, got, files)
+		}
+		if got := s.Stats().RollInFailures; got != failures+1 {
+			t.Errorf("row %d: %d roll-in failures, want %d", i, got, failures+1)
+		}
+		if got, gotRead := ls.sum(t); got != total || gotRead != read {
+			t.Errorf("row %d: after the failed roll-in: total %v reading %s, was %v reading %s", i, got, gotRead, total, read)
+		}
+	}
+	if n, err := s.RollIn("f", ls.factRows(1, 1, 8)); err != nil || n != 8 {
+		t.Fatalf("the good roll-in after them = (%d, %v)", n, err)
+	}
+	if got, _ := ls.sum(t); got != total+lateStarOld {
+		t.Errorf("after the good roll-in: total %v, want %v", got, total+lateStarOld)
+	}
+}

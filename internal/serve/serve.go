@@ -172,8 +172,9 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 
 // observe shows the session's ingest counts and its levels in reg, read
 // from the state that keeps them. Counts add up over the sessions of one
-// engine; the pins, unreaped partitions and table versions are the
-// filesystem registry's, every other level the newest session's.
+// engine; the writer lock's totals, the pins, unreaped partitions and table
+// versions are the filesystem registry's, every other level the newest
+// session's.
 func (s *Session) observe(reg *obs.Registry) {
 	for name, c := range map[string]*atomic.Int64{
 		"rows":                &s.rollInRows,
@@ -185,6 +186,7 @@ func (s *Session) observe(reg *obs.Registry) {
 	} {
 		reg.CounterFunc("serve.ingest."+name, c.Load)
 	}
+	s.eng.Snapshots().Observe(reg, "serve.ingest.")
 	reg.GaugeFunc("serve.ingest.snapshot_pins", func() int64 {
 		pins, _ := s.eng.Snapshots().Held(s.cat.FactDir)
 		return int64(pins)

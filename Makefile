@@ -28,10 +28,12 @@ vet:
 # core.TableCache and the driver reads a dimension version once, in
 # core.Engine.dimScanFor (DESIGN.md "Dimension cache"), so no TableProvider,
 # nodeTableGroup or version memo of its own belongs in the serving layer. Nor
-# does a second dimension build: a DimHashTable is made in one place, the
-# body buildDimHashTable shares with the driver, with estimates and with the
-# Hive baseline's mapjoin driver (buildDimTable, via core.BuildDimTables),
-# from a column set — so no row walk of a version (ScanRowTableAt), no
+# does a second dimension build: a DimHashTable is made in one place,
+# buildDimTable, from a column set, and called only where a table is not
+# there to share — an engine's memo on a miss (tableFrom, for the driver's
+# image and the nodes' copies alike), an engine-less node build
+# (BuildDimHashTable's buildFromCopy), estimates and the Hive baseline's
+# mapjoin driver (core.BuildDimTables) — so no row walk of a version (ScanRowTableAt), no
 # row-wise filter in core or in the baseline (selectDim), no mapjoin estimate
 # beside the build (EstimateMapJoinHashBytes; the boxed-entry model is the
 # baseline's own, not plan's MapJoinEntryBytes) and no size formula beside the
@@ -101,8 +103,11 @@ no-deprecated:
 	@if grep -rn --include='*.go' -e ScanRowTableAt -e selectDim -e EstimateMapJoinHashBytes . || \
 		grep -rn --include='*.go' MapJoinEntryBytes internal/plan || \
 		grep -n '\.Select(' $$(ls internal/core/*.go | grep -v _test.go) || \
-		grep -rn --include='*.go' 'dimTableCapacity(' . | grep -v '^\./internal/core/hashtable\.go:'; then \
-		echo "second dimension build: buildDimHashTable's shared body (buildDimTable, internal/core/hashtable.go) is the one place a dimension table is made, on a node, on the driver, for an estimate and for the Hive mapjoin's broadcast (core.BuildDimTables)"; exit 1; fi
+		grep -rn --include='*.go' 'dimTableCapacity(' . | grep -v '^\./internal/core/hashtable\.go:' || \
+		awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /buildDimTable\(/ && !/^[ \t]*\/\// && !/^func buildDimTable\(/ && \
+		fn !~ /^func (tableFrom|buildFromCopy|BuildDimTables)\(/ { print FILENAME ":" FNR ": " $$0; found = 1 } \
+		END { exit !found }' $$(ls internal/core/*.go | grep -v _test.go); then \
+		echo "second dimension build: buildDimTable (internal/core/hashtable.go) is the one place a dimension table is made, called on an engine memo's miss (tableFrom), by the engine-less node build (BuildDimHashTable) and for an estimate or the Hive mapjoin's broadcast (core.BuildDimTables)"; exit 1; fi
 	@if grep -rn --include='*.go' hiveSumReducer .; then \
 		echo "second SUM tail: the Hive baseline's group-by job uses core.SumReducer and core.CollectRows"; exit 1; fi
 	@if grep -rn --include='*.go' -e ConfMultiSplitPack -e 'mr\.multisplit\.pack' .; then \

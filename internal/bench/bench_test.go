@@ -281,7 +281,7 @@ func TestBreakdownQuick(t *testing.T) {
 		t.Errorf("mapjoin node-seconds (%v) should exceed Clydesdale's (%v)",
 			b.MapjoinTotal.NodeSeconds, b.ClyTotal.NodeSeconds)
 	}
-	if !strings.Contains(buf.String(), "§6.3 breakdown") {
+	if !strings.Contains(buf.String(), "§6.3 breakdown") || !strings.Contains(buf.String(), "cold build") || b.ClyColdBuild <= 0 {
 		t.Error("printed output incomplete")
 	}
 }

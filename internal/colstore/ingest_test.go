@@ -653,6 +653,20 @@ func TestVersionMemo(t *testing.T) {
 	if v, ok := m.Get("b", 7, "k"); !ok || v != 70 {
 		t.Fatalf("b@7/k = (%d, %v)", v, ok)
 	}
+	// LoadOrStore keeps the first value under a key and hands it to later
+	// callers; an older version's value is handed back, not kept.
+	if v := m.LoadOrStore("a", 2, "k", 21); v != 20 {
+		t.Fatalf("LoadOrStore over a@2/k = %d, want the kept 20", v)
+	}
+	if v := m.LoadOrStore("a", 2, "l", 22); v != 22 || m.Len() != 3 {
+		t.Fatalf("LoadOrStore of a@2/l = %d, %d entries", v, m.Len())
+	}
+	if v := m.LoadOrStore("a", 1, "m", 12); v != 12 || m.Len() != 3 {
+		t.Fatalf("LoadOrStore of a@1/m = %d, %d entries: an older version was kept", v, m.Len())
+	}
+	if v := m.LoadOrStore("b", 8, "k", 80); v != 80 || m.Len() != 3 {
+		t.Fatalf("LoadOrStore of b@8/k = %d, %d entries: b@7 survived", v, m.Len())
+	}
 }
 
 // holdFirstRead is a read fault injector that stops the first block read

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -287,5 +288,53 @@ func TestWriterLockCounters(t *testing.T) {
 	c := r.Snapshot().Counters
 	if c["w.writer_holds"] != 5 || c["w.writer_hold_ns"] <= 0 || c["w.writer_wait_ns"] < 0 {
 		t.Fatalf("writer lock counters %d holds, %d ns held, %d ns waited; want 5 holds", c["w.writer_holds"], c["w.writer_hold_ns"], c["w.writer_wait_ns"])
+	}
+}
+
+// TestRollInsShareOneStagingWriter: consecutive roll-ins into a table stage
+// with one writer, whose row block and encode scratch the registry keeps
+// for the table. A failed roll-in leaves nothing of its batch to the next,
+// and forgetting the table drops the writer.
+func TestRollInsShareOneStagingWriter(t *testing.T) {
+	e := newEnv(2, 1<<20)
+	const dir = "/cif"
+	if _, err := WriteCIFTable(e.fs, dir, tblSchema, 32, genRows(64)); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewSnapshots(e.fs)
+	staging := func() *CIFWriter {
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		if l := reg.lists[dir]; l != nil {
+			return l.staging
+		}
+		return nil
+	}
+	if _, _, err := reg.RollIn(dir, 8, rowsFrom(64, 10)); err != nil {
+		t.Fatal(err)
+	}
+	w := staging()
+	if w == nil {
+		t.Fatal("no staging writer kept after a roll-in")
+	}
+	stop := errors.New("stop")
+	if _, _, err := reg.RollIn(dir, 8, func(emit func(records.Record) error) error {
+		if err := rowsFrom(1000, 12)(emit); err != nil { // one partition staged, four rows buffered
+			return err
+		}
+		return stop
+	}); !errors.Is(err, stop) {
+		t.Fatalf("failed roll-in: %v", err)
+	}
+	if n, _, err := reg.RollIn(dir, 8, rowsFrom(74, 3)); err != nil || n != 3 {
+		t.Fatalf("roll-in after the failed one: %d rows, %v", n, err)
+	}
+	if staging() != w {
+		t.Error("a roll-in made a staging writer of its own")
+	}
+	tableHolds(t, e, 0, 77, 5)
+	reg.forget(dir) // what a new table of the name does (NewCIFWriter)
+	if staging() != nil {
+		t.Error("forget kept the table's staging writer")
 	}
 }

@@ -65,10 +65,14 @@ type Snapshots struct {
 	observed map[*obs.Registry]bool        // registries showing the writer lock's totals
 }
 
-// partList is what the registry knows of a partitioned table's partitions.
+// partList is what the registry knows of a partitioned table's partitions,
+// and the writer its roll-ins stage with: its row block and encode scratch
+// serve one RollIn after another (each holds the writer lock), so a roll-in
+// does not allocate them afresh. forget drops both.
 type partList struct {
-	parts []string // committed, in numeric order
-	next  int      // the index after every partition directory staged so far
+	parts   []string // committed, in numeric order
+	next    int      // the index after every partition directory staged so far
+	staging *CIFWriter
 }
 
 // NewSnapshots returns the filesystem's one registry, creating it on the
@@ -161,8 +165,9 @@ func (s *Snapshots) relistLocked(dir string) (all []string, committed map[string
 	return all, committed
 }
 
-// forget drops what the registry knows of the table at dir's partitions:
-// a new table of that name is being written (NewCIFWriter).
+// forget drops what the registry knows of the table at dir's partitions,
+// and its roll-in staging: a new table of that name is being written
+// (NewCIFWriter).
 func (s *Snapshots) forget(dir string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,10 +405,11 @@ func (s *Snapshots) SweepUncommitted(dir string) []string {
 func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(records.Record) error) error) (int64, []string, error) {
 	held := s.lockWriter()
 	defer s.unlockWriter(held)
-	w, err := StagePartitions(s.fs, dir, partitionRows)
+	schema, err := ReadSchema(s.fs, dir)
 	if err != nil {
 		return 0, nil, err
 	}
+	w := s.stagingWriter(dir, schema, partitionRows)
 	if err := rows(func(r records.Record) error { return w.Append(r) }); err != nil {
 		w.DiscardPending()
 		return 0, nil, err
@@ -420,6 +426,28 @@ func (s *Snapshots) RollIn(dir string, partitionRows int64, rows func(emit func(
 		return 0, nil, err
 	}
 	return w.Rows(), pending, nil
+}
+
+// stagingWriter returns the table's staged writer (StagePartitions), reset
+// for a new batch: the one the last roll-in into the table used when the
+// schema and partition size are the same, else a new one kept for the next.
+// The caller holds the writer lock.
+func (s *Snapshots) stagingWriter(dir string, schema *records.Schema, partitionRows int64) *CIFWriter {
+	if partitionRows <= 0 {
+		partitionRows = DefaultPartitionRows
+	}
+	s.mu.Lock()
+	l := s.listLocked(dir)
+	w := l.staging
+	if w == nil || !w.schema.Equal(schema) || w.partitionRows != partitionRows {
+		w = newCIFWriter(s.fs, dir, schema, partitionRows)
+		w.staged = true
+		l.staging = w
+	}
+	s.mu.Unlock()
+	w.block.Reset()
+	w.rows, w.closed, w.pending = 0, false, nil
+	return w
 }
 
 // AppendRows rolls a batch of rows into the row table at dir as its next
@@ -496,6 +524,32 @@ func (m *VersionMemo[V]) Get(table string, version uint64, key string) (v V, ok 
 func (m *VersionMemo[V]) Put(table string, version uint64, key string, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if vals := m.valsLocked(table, version); vals != nil {
+		vals[key] = v
+	}
+}
+
+// LoadOrStore returns the value memoized under key for that version of the
+// table, memoizing v there first if there is none: callers racing on one
+// key all get the same value. A v for an older version than the table's
+// newest is returned, not kept.
+func (m *VersionMemo[V]) LoadOrStore(table string, version uint64, key string, v V) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	vals := m.valsLocked(table, version)
+	if vals == nil {
+		return v
+	}
+	if old, ok := vals[key]; ok {
+		return old
+	}
+	vals[key] = v
+	return v
+}
+
+// valsLocked returns the values kept for that version of the table,
+// dropping an older version's; nil when the memo holds a newer version.
+func (m *VersionMemo[V]) valsLocked(table string, version uint64) map[string]V {
 	t := m.tables[table]
 	switch {
 	case t == nil || t.version < version:
@@ -505,9 +559,9 @@ func (m *VersionMemo[V]) Put(table string, version uint64, key string, v V) {
 		t = &memoTable[V]{version: version, vals: make(map[string]V)}
 		m.tables[table] = t
 	case t.version > version:
-		return
+		return nil
 	}
-	t.vals[key] = v
+	return t.vals
 }
 
 // Len returns the number of values held.

@@ -90,9 +90,12 @@ type Engine struct {
 
 	// images memoizes the column image of a dimension version the driver
 	// read from the master; scans what the table one build spec makes of it
-	// yields (dimScan), by DimSpec.Fingerprint.
+	// yields (dimScan), by DimSpec.Fingerprint; built that table itself,
+	// which every node build of the spec takes instead of building it again
+	// (tableFrom).
 	images colstore.VersionMemo[[]byte]
 	scans  colstore.VersionMemo[*dimScan]
+	built  tableMemo
 }
 
 // New creates an engine over a MapReduce engine and a catalog.

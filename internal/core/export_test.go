@@ -6,3 +6,38 @@ var RunAsLowered = (*Engine).run
 
 // Catalog is the catalog the engine was made with.
 func (e *Engine) Catalog() *Catalog { return e.cat }
+
+// TableMemo is an engine's memo of built tables; NodeBuild a node's build
+// through one (nil builds afresh), BuildDim a task's, with its counters.
+type TableMemo = tableMemo
+
+var (
+	NodeBuild = nodeBuild
+	BuildDim  = buildDim
+)
+
+// SameArrays reports whether two tables are handles on one build's arrays.
+func SameArrays(a, b *DimHashTable) bool { return &a.tags[0] == &b.tags[0] }
+
+// BuiltTable is the table the engine's memo holds for the spec's version of
+// the dimension at dir, nil when it holds none; BuiltTables counts them.
+func (e *Engine) BuiltTable(dir string, spec *DimSpec) *DimHashTable {
+	if st, ok := e.built.Get(dir, spec.Version, builtKey(spec)); ok {
+		return st.h
+	}
+	return nil
+}
+
+func (e *Engine) BuiltTables() int { return e.built.Len() }
+
+// Held is the table the cache holds for key on the node, nil when none.
+func (c *TableCache) Held(nodeID, key string) *DimHashTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if nc := c.nodes[nodeID]; nc != nil {
+		if e := nc.entries[key]; e != nil && e.finished() {
+			return e.ht
+		}
+	}
+	return nil
+}

@@ -46,12 +46,18 @@ type DimHashTable struct {
 	// Stats is what the build read from the node-local dimension copy.
 	Stats DimBuildStats
 
+	// cols lists the columns of the dimension the build opened, in schema
+	// order: what a node handed this table's arrays opens on its own copy.
+	cols []int
+
 	// sideTables caches code→arena-offset translations per fact-column
 	// dictionary (keyed by dictionary fingerprint). They are the one
 	// mutation after finalize, guarded by sideMu; the table proper stays
 	// read-only, so concurrent probes remain safe. Not charged to MemBytes:
-	// a side table is at most 4 entries/KB of the probe loop's working set
-	// and exists only while the query runs.
+	// a side table is at most 4 entries/KB of the probe loop's working set.
+	// Each handle (share) has its own, which live as long as the handle: a
+	// job under a per-job table cache, a serving session's cache entry
+	// under the session's.
 	sideMu     sync.Mutex
 	sideTables map[uint64]*sideTable
 }
@@ -293,29 +299,42 @@ func (h *DimHashTable) finalize() {
 // latter two for qualifying rows alone. It reads the version of the table
 // the spec names, the current one when the spec names none. A copy that
 // fails its checks is dropped and re-copied from HDFS once (§4) before the
-// build gives up.
+// build gives up. It shares nothing: an engine's nodes build through its
+// memo of built tables instead (nodeBuild).
 func BuildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, spec *DimSpec) (*DimHashTable, error) {
+	return nodeBuild(fs, node, dimDir, spec, nil)
+}
+
+// nodeBuild is a node's build of spec's table from its local copy, taking
+// the table from built (an engine's memo; nil builds afresh) when the memo
+// has it: the copy is read, checked and charged all the same.
+func nodeBuild(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, spec *DimSpec, built *tableMemo) (*DimHashTable, error) {
 	version := spec.Version
 	if version == 0 {
 		version = colstore.RowTableVersion(fs, dimDir)
 	}
-	h, err := buildDimHashTable(fs, node, dimDir, version, spec)
+	h, err := buildFromCopy(fs, node, dimDir, version, spec, built)
 	if !errors.Is(err, colstore.ErrBadColumnSet) {
 		return h, err
 	}
 	node.DropLocal(dimCacheKey(dimDir, version))
-	if h, err = buildDimHashTable(fs, node, dimDir, version, spec); errors.Is(err, colstore.ErrBadColumnSet) {
+	if h, err = buildFromCopy(fs, node, dimDir, version, spec, built); errors.Is(err, colstore.ErrBadColumnSet) {
 		return nil, fmt.Errorf("core: dim %s: local copy on %s unusable after a re-copy: %w", spec.Table, node.ID(), err)
 	}
 	return h, err
 }
 
-func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, version uint64, spec *DimSpec) (*DimHashTable, error) {
+func buildFromCopy(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, version uint64, spec *DimSpec, built *tableMemo) (*DimHashTable, error) {
 	set, err := localDim(fs, node, dimDir, version, spec.Schema)
 	if err != nil {
 		return nil, err
 	}
-	h, err := buildDimTable(spec, set)
+	var h *DimHashTable
+	if built == nil {
+		h, err = buildDimTable(spec, set)
+	} else {
+		h, err = tableFrom(built, dimDir, version, spec, set)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -327,11 +346,79 @@ func buildDimHashTable(fs *hdfs.FileSystem, node *cluster.Node, dimDir string, v
 	return h, nil
 }
 
+// tableMemo is an engine's memo of the dimension tables it built
+// (Engine.built): one sharedTable per (dimension directory, version,
+// schema, build spec), at each dimension's newest version only.
+type tableMemo = colstore.VersionMemo[*sharedTable]
+
+// sharedTable is the one table an engine builds for its key: built once,
+// from the driver's column image or a node's local copy, whichever asks
+// first, and handed to every build after it as a handle of its own.
+type sharedTable struct {
+	mu sync.Mutex
+	h  *DimHashTable // nil until a build succeeds; a failed one is not kept
+}
+
+// tableFrom returns spec's table over set, a column set of that version of
+// the dimension at dir, through the memo: the key's one build, or on a hit
+// that table, once set is checked to be what it was built from — every
+// column the build read is opened, so its CRC is checked, and the bytes
+// come to what the build read. A set that is not builds a table of its
+// own, which the memo does not keep. Builds racing on a key make one.
+func tableFrom(memo *tableMemo, dir string, version uint64, spec *DimSpec, set *colstore.ColumnSet) (*DimHashTable, error) {
+	st := memo.LoadOrStore(dir, version, builtKey(spec), &sharedTable{})
+	st.mu.Lock()
+	h := st.h
+	if h == nil {
+		var err error
+		if h, err = buildDimTable(spec, set); err == nil {
+			st.h = h
+		}
+		st.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		return h.share(), nil
+	}
+	st.mu.Unlock()
+	bytes := set.DirBytes()
+	for _, ix := range h.cols {
+		col, err := set.Column(ix)
+		if err != nil {
+			return nil, err
+		}
+		bytes += col.Bytes()
+	}
+	if bytes != h.Stats.BytesRead || int64(set.Rows()) != h.Stats.RowsScanned {
+		return buildDimTable(spec, set)
+	}
+	return h.share(), nil
+}
+
+// builtKey is spec's key in a tableMemo within one version of a dimension:
+// its fingerprint, which leaves the schema out, and the schema, so two
+// schemas never share a table.
+func builtKey(spec *DimSpec) string {
+	return spec.Schema.String() + "\x00" + spec.Fingerprint()
+}
+
+// share returns a handle on the table's arrays with side tables of its
+// own, none yet: what each build a memoized table serves gets, so side
+// tables are made and live exactly as if the build had been its own.
+func (h *DimHashTable) share() *DimHashTable {
+	return &DimHashTable{
+		Table: h.Table, slots: h.slots, tags: h.tags, arena: h.arena, auxWidth: h.auxWidth,
+		mask: h.mask, n: h.n, MemBytes: h.MemBytes, Stats: h.Stats, cols: h.cols,
+	}
+}
+
 // buildDimTable builds spec's table from a column set of the dimension, and
-// charges nothing. It is the one place a DimHashTable is made: a node builds
-// from its local copy (BuildDimHashTable), the driver from the column image
-// of the version a query pinned (Engine.dimScanFor), an estimate or the
-// Hive baseline's broadcast table from the caller's rows (BuildDimTables).
+// charges nothing. It is the one place a DimHashTable is made: an engine
+// once per key of its memo (tableFrom), from the column image of the
+// version a query pinned (Engine.dimScanFor) or a node's local copy; an
+// engine-less node build from its copy (BuildDimHashTable); an estimate or
+// the Hive baseline's broadcast table from the caller's rows
+// (BuildDimTables).
 func buildDimTable(spec *DimSpec, set *colstore.ColumnSet) (*DimHashTable, error) {
 	schema := spec.Schema
 	pkIx := schema.Index(spec.DimPK)
@@ -418,6 +505,12 @@ func buildDimTable(spec *DimSpec, set *colstore.ColumnSet) (*DimHashTable, error
 	}
 	h.finalize()
 	h.Stats = DimBuildStats{RowsScanned: int64(set.Rows()), RowsKept: int64(kept), BytesRead: b.bytes}
+	h.cols = make([]int, 0, len(b.cols))
+	for ix, col := range b.cols {
+		if col != nil {
+			h.cols = append(h.cols, ix)
+		}
+	}
 	return h, nil
 }
 

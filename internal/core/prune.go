@@ -53,18 +53,19 @@ type dimScan struct {
 // the spec names: the one place the engine and the serving layer read a
 // dimension on the driver. The version's column image is read from the HDFS
 // master once, charged to the unlocated client, and every new fingerprint
-// builds its table from it with the code a node builds with.
+// takes its table from the engine's memo (tableFrom), built from the image
+// unless a node built it first; the nodes' builds then take it from there.
 func (e *Engine) dimScanFor(d *DimSpec) (*dimScan, error) {
 	key := d.Fingerprint()
 	if ds, ok := e.scans.Get(d.Table, d.Version, key); ok {
 		return ds, nil
 	}
+	dir, err := e.cat.DimDir(d.Table)
+	if err != nil {
+		return nil, err
+	}
 	img, ok := e.images.Get(d.Table, d.Version, "")
 	if !ok {
-		dir, err := e.cat.DimDir(d.Table)
-		if err != nil {
-			return nil, err
-		}
 		if img, err = colstore.EncodeRowTable(e.mr.FS(), dir, d.Version, ""); err != nil {
 			return nil, err
 		}
@@ -74,7 +75,7 @@ func (e *Engine) dimScanFor(d *DimSpec) (*dimScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := buildDimTable(d, set)
+	h, err := tableFrom(&e.built, dir, d.Version, d, set)
 	if err != nil {
 		return nil, err
 	}
@@ -102,10 +103,10 @@ func (e *Engine) DimTableBytes(d *DimSpec) (int64, error) {
 	return ds.bytes, nil
 }
 
-// DimScansHeld counts what the driver holds of the dimensions: one column
-// image per dimension and one dimScan per (dimension, build spec), each at
-// the table's newest version.
-func (e *Engine) DimScansHeld() int { return e.images.Len() + e.scans.Len() }
+// DimScansHeld counts what the engine holds of the dimensions: one column
+// image per dimension, and one dimScan and one built table per (dimension,
+// build spec), each at the table's newest version.
+func (e *Engine) DimScansHeld() int { return e.images.Len() + e.scans.Len() + e.built.Len() }
 
 // pushdowns returns the fact-scan pushdowns of the dimensions dims: one
 // BETWEEN prune hint per filtered dimension with qualifying keys, and one

@@ -78,7 +78,7 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 	if r.tables == nil {
 		var total int64
 		for i := range r.dims {
-			h, err := buildDim(ctx, r.dirs[i], &r.dims[i])
+			h, err := buildDim(ctx, &r.eng.built, r.dirs[i], &r.dims[i])
 			if err != nil {
 				return nil, nil, err
 			}
@@ -95,7 +95,7 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 	}
 	reused := len(r.dims) > 0
 	for i := range r.dims {
-		ht, built, rel, err := r.tables.acquire(ctx, r.dirs[i], r.keys[i], &r.dims[i])
+		ht, built, rel, err := r.tables.acquire(ctx, &r.eng.built, r.dirs[i], r.keys[i], &r.dims[i])
 		if err != nil {
 			releaseAll()
 			return nil, nil, err
@@ -110,14 +110,14 @@ func (r *starJoinRunner) hashTables(ctx *mr.TaskContext) ([]*DimHashTable, func(
 	return hts, releaseAll, nil
 }
 
-// buildDim is a task building one table on its node (BuildDimHashTable),
-// and the one place the hash-build counters and span come from: the build's
-// time, and per table ("dim_rows_scanned.customer") what it read from the
-// node-local copy.
-func buildDim(ctx *mr.TaskContext, dimDir string, spec *DimSpec) (*DimHashTable, error) {
+// buildDim is a task building one table on its node (nodeBuild, through
+// the engine's memo of built tables), and the one place the hash-build
+// counters and span come from: the build's time, and per table
+// ("dim_rows_scanned.customer") what it read from the node-local copy.
+func buildDim(ctx *mr.TaskContext, built *tableMemo, dimDir string, spec *DimSpec) (*DimHashTable, error) {
 	start := time.Now()
 	building := ctx.Begin(obs.PhaseHashBuild)
-	h, err := BuildDimHashTable(ctx.FS, ctx.Node(), dimDir, spec)
+	h, err := nodeBuild(ctx.FS, ctx.Node(), dimDir, spec, built)
 	if err != nil {
 		return nil, err
 	}

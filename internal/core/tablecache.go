@@ -106,10 +106,11 @@ func NewTableCache(c *cluster.Cluster, budget int64) *TableCache {
 
 // acquire returns the node's resident table for the spec under key (its
 // TableKey, which the caller computes once per job, not once per task),
-// building it and reserving node memory for it on first use; built reports
-// that this caller did the build. The returned release unpins the table;
-// the bytes stay resident, and reserved, until LRU eviction or Close.
-func (c *TableCache) acquire(ctx *mr.TaskContext, dimDir, key string, spec *DimSpec) (ht *DimHashTable, built bool, release func(), err error) {
+// building it through the engine's memo of built tables (buildDim) and
+// reserving node memory for it on first use; built reports that this
+// caller did the build. The returned release unpins the table; the bytes
+// stay resident, and reserved, until LRU eviction or Close.
+func (c *TableCache) acquire(ctx *mr.TaskContext, memo *tableMemo, dimDir, key string, spec *DimSpec) (ht *DimHashTable, built bool, release func(), err error) {
 	node := ctx.Node()
 
 	c.mu.Lock()
@@ -153,7 +154,7 @@ func (c *TableCache) acquire(ctx *mr.TaskContext, dimDir, key string, spec *DimS
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	e.ht, e.err = buildDim(ctx, dimDir, spec)
+	e.ht, e.err = buildDim(ctx, memo, dimDir, spec)
 	if e.err == nil {
 		// Make room under the budget before taking the node reservation, so
 		// a full cache cycles instead of spuriously OOMing the build.

@@ -72,7 +72,7 @@ func TestTableCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ht, built, release, err := tc.acquire(ctx, dir, key, spec)
+			ht, built, release, err := tc.acquire(ctx, nil, dir, key, spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -132,7 +132,7 @@ func TestTableCacheRetriesAfterError(t *testing.T) {
 	if err := node.ReserveMemory(all); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := tc.acquire(ctx, dir, key, spec); !errors.Is(err, ErrOOM) {
+	if _, _, _, err := tc.acquire(ctx, nil, dir, key, spec); !errors.Is(err, ErrOOM) {
 		t.Fatalf("acquire on a full node: %v, want ErrOOM", err)
 	}
 	if tc.ResidentEverywhere(key, []string{node.ID()}) || node.MemoryUsed() != all {
@@ -140,13 +140,13 @@ func TestTableCacheRetriesAfterError(t *testing.T) {
 	}
 	node.ReleaseMemory(all)
 
-	ht, built, release, err := tc.acquire(ctx, dir, key, spec)
+	ht, built, release, err := tc.acquire(ctx, nil, dir, key, spec)
 	if err != nil || !built || ht.Len() != 10 {
 		t.Fatalf("retry after error: table %v built=%v err=%v", ht, built, err)
 	}
 	release()
 	// And a third task on the same node now shares the cached success.
-	ht2, built2, release2, err := tc.acquire(ctx, dir, key, spec)
+	ht2, built2, release2, err := tc.acquire(ctx, nil, dir, key, spec)
 	if err != nil || built2 || ht2 != ht {
 		t.Fatalf("cached success not shared: built=%v err=%v", built2, err)
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"clydesdale/internal/cluster"
+	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
+	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/ssb"
 )
@@ -15,10 +17,11 @@ import (
 // everything keyed by a superseded version has to go away on its own. After
 // any number of dimension roll-ins, each followed by queries, a quiesced
 // session holds what it held after the first: one node-local copy per
-// dimension on every live node, one driver-side scan (the admission estimate
-// and the pushdowns) per (dimension, spec), one cached result per query,
-// resident hash tables inside the cache budget, and Close returns every
-// reserved byte.
+// dimension on every live node, one column image per dimension and one
+// driver-side scan (the admission estimate and the pushdowns) and one built
+// table per (dimension, spec), all at the newest version, one cached result
+// per query, resident hash tables inside the cache budget, and Close
+// returns every reserved byte.
 func TestDimRollInsLeaveBoundedState(t *testing.T) {
 	c := cluster.New(cluster.Testing(3))
 	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 23})
@@ -40,6 +43,9 @@ func TestDimRollInsLeaveBoundedState(t *testing.T) {
 	type footprint struct{ estimates, results, copies int }
 	measure := func() footprint {
 		t.Helper()
+		// At most one image per dimension, and one scan and one built table
+		// per (dimension, spec) at the version a query reads now.
+		dims, specs := map[string]bool{}, map[string]bool{}
 		for _, name := range queries {
 			q, err := ssb.QueryByName(name)
 			if err != nil {
@@ -48,8 +54,29 @@ func TestDimRollInsLeaveBoundedState(t *testing.T) {
 			if _, _, err := s.Query(context.Background(), q); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			l, err := core.LogicalOf(q, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := plan.Lower(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin, err := s.eng.Pin(p.Shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range pin.DimSpecs(p.Steps) {
+				dims[d.Table] = true
+				specs[d.Table+"\x00"+d.Fingerprint()] = true
+			}
+			pin.Release()
 		}
 		f := footprint{estimates: s.eng.DimScansHeld()}
+		if most := len(dims) + 2*len(specs); f.estimates > most {
+			t.Errorf("the engine holds %d images, scans and built tables; %d dimensions and %d specs at the newest versions allow %d",
+				f.estimates, len(dims), len(specs), most)
+		}
 		s.rcache.mu.Lock()
 		f.results = len(s.rcache.entries)
 		s.rcache.mu.Unlock()

@@ -107,8 +107,8 @@ func TestOneDriverScanPerDimensionVersion(t *testing.T) {
 	if hook.n != perScan {
 		t.Errorf("first miss read %d customer blocks on the driver, one scan is %d", hook.n, perScan)
 	}
-	if n := s.eng.DimScansHeld(); n != 2*len(q.Dims) {
-		t.Errorf("the engine holds %d images and scans after a query over %d dimensions, want one of each per dimension", n, len(q.Dims))
+	if n := s.eng.DimScansHeld(); n != 3*len(q.Dims) {
+		t.Errorf("the engine holds %d images, scans and built tables after a query over %d dimensions, want one of each per dimension", n, len(q.Dims))
 	}
 	// What admission charged and what the fact scan was handed are that one
 	// scan's products: the bytes cost no further read, and the query pruned.

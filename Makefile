@@ -91,7 +91,11 @@ vet:
 # (ScanCIFPartition) and sorts none (sort.SliceStable); and the registry
 # keeps each table's partition list, so only ListPartitions and the
 # registry's re-list (relistLocked: first sight, Bump, SweepUncommitted, a
-# taken name) walk a table directory (scanPartitionDirs).
+# taken name) walk a table directory (scanPartitionDirs). Nor does a second
+# owner of a node's memory: the sessions over one mr.Engine share its host
+# (DESIGN.md "What a session owns, and what it shares"), so outside tests
+# internal/serve makes a table cache, an admitter and a trace collector only
+# in the host's constructor (openHost).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -150,6 +154,10 @@ no-deprecated:
 		/scanPartitionDirs\(/ && !ok && !/^func scanPartitionDirs\(/ { print FILENAME ":" FNR ": " $$0; found = 1 } \
 		ok && /^}/ { ok = 0 } END { exit !found }' $$(ls internal/colstore/*.go | grep -v _test.go); then \
 		echo "one write path: the dictionary builder looks up its code table, not a map (encoding.go); compaction gathers column vectors, boxing and sorting no row (compact.go); only ListPartitions and Snapshots.relistLocked walk a table's partition directories"; exit 1; fi
+	@if awk 'FNR == 1 { inH = 0 } /^func openHost\(/ { inH = 1 } \
+		/(core\.NewTableCache|newAdmitter|NewTraceCollector)\(/ && !inH && !/^func newAdmitter\(/ && !/^[ \t]*\/\// { print FILENAME ":" FNR ": " $$0; found = 1 } \
+		inH && /^}/ { inH = 0 } END { exit !found }' $$(ls internal/serve/*.go | grep -v _test.go); then \
+		echo "one owner of a node's memory: the sessions over an engine share its host, and only its constructor (openHost) makes a table cache, an admitter or a trace collector"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node
@@ -304,9 +312,9 @@ profile-smoke:
 benchmark-smoke:
 	$(GO) test -count=1 -run 'TestSmoke|TestWrongAnswerFailsTheRun' ./benchmark/
 
-# Every example, the SQL front door of the main CLI and the three commands
-# no test drives must run to completion (~15 s together, most of it Table 1,
-# which runs last). The examples are the only programs that build catalogs
+# Every example, the SQL front door of the main CLI, its Hive baseline and
+# TSV dump, and the Table 1 run no test drives must run to completion (~15 s
+# together, most of it Table 1, which runs last). The examples are the only programs that build catalogs
 # and queries by hand, so they are what breaks first when the supported
 # entry point gets stricter than the tests' fixtures.
 examples-smoke:
@@ -317,8 +325,8 @@ examples-smoke:
 		WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey AND lo_suppkey = s_suppkey \
 		AND p_category = 'MFGR#12' AND s_region = 'AMERICA' \
 		GROUP BY d_year, p_brand1 ORDER BY d_year, p_brand1" >/dev/null || { echo "clydesdale -sql failed"; exit 1; }
-	@$(GO) run ./cmd/hivesim -query Q3.1 -strategy mapjoin -factrows 20000 >/dev/null || { echo "hivesim failed"; exit 1; }
-	@$(GO) run ./cmd/ssbgen -dimscale 1 -factrows 20000 >/dev/null || { echo "ssbgen failed"; exit 1; }
+	@$(GO) run ./cmd/clydesdale -query Q3.1 -hive mapjoin -factrows 20000 >/dev/null || { echo "clydesdale -hive failed"; exit 1; }
+	@d="$$(mktemp -d)" && $(GO) run ./cmd/clydesdale -factrows 20000 -dump "$$d" >/dev/null && rm -r "$$d" || { echo "clydesdale -dump failed"; exit 1; }
 	@$(GO) run ./cmd/benchssb -figure table1 -dfsio-mb 1 >/dev/null || { echo "benchssb -figure table1 failed"; exit 1; }
 	@echo "examples-smoke ok"
 

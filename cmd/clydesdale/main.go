@@ -1,6 +1,8 @@
 // Command clydesdale runs one SSB query (or all of them) on the Clydesdale
 // engine over a simulated cluster, printing the result rows and an
-// execution report (task counts, hash-table builds, probe statistics).
+// execution report (task counts, hash-table builds, probe statistics). With
+// -hive it runs them on the Hive baseline instead, and with -dump it writes
+// the generated dataset as TSV files and runs nothing.
 //
 // Usage:
 //
@@ -16,6 +18,9 @@
 //	clydesdale -query Q2.1 -json result.json          # job result as JSON
 //	clydesdale -query all -serve -concurrency 8       # concurrent serving mode
 //	clydesdale -query all -serve -debug-addr localhost:8080   # /metrics /profilez /slo
+//	clydesdale -query Q3.1 -hive mapjoin              # Hive baseline: mapjoin | repartition
+//	clydesdale -factrows 60000 -dump /tmp/ssb         # the dataset as TSV, one file per table
+//	clydesdale -sf 0.01 -query all                   # the SSB spec's cardinalities instead
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,9 +38,11 @@ import (
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/core"
 	"clydesdale/internal/hdfs"
+	"clydesdale/internal/hive"
 	"clydesdale/internal/mr"
 	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
+	"clydesdale/internal/records"
 	"clydesdale/internal/results"
 	"clydesdale/internal/serve"
 	"clydesdale/internal/sql"
@@ -51,6 +59,7 @@ func main() {
 	var (
 		query       = flag.String("query", "Q2.1", "SSB query name (Q1.1..Q4.3) or 'all'")
 		sqlText     = flag.String("sql", "", "run an ad-hoc SQL star query instead of a named one")
+		sf          = flag.Float64("sf", 0, "SSB scale factor with the spec's cardinalities, instead of -dimscale and -factrows")
 		dimScale    = flag.Float64("dimscale", 1, "dimension scale (SF1000 proportions)")
 		factRows    = flag.Int64("factrows", 60000, "fact rows")
 		seed        = flag.Uint64("seed", 42, "generator seed")
@@ -74,10 +83,30 @@ func main() {
 		serveMode   = flag.Bool("serve", false, "run the queries concurrently through a serving session (shared table cache + admission control)")
 		conc        = flag.Int("concurrency", 4, "serving mode: max queries executing simultaneously")
 		debugAddr   = flag.String("debug-addr", "", "serving mode: serve /metrics, /profilez, /slo and pprof on this address")
+		hiveStrat   = flag.String("hive", "", "run on the Hive baseline with this join strategy (mapjoin | repartition) instead")
+		dump        = flag.String("dump", "", "write the generated tables as TSV files to this directory and run nothing")
 	)
 	flag.Parse()
 
+	strat := hive.MapJoin
+	switch *hiveStrat {
+	case "", "mapjoin":
+	case "repartition":
+		strat = hive.Repartition
+	default:
+		fatal(fmt.Errorf("-hive: unknown strategy %q (mapjoin | repartition)", *hiveStrat))
+	}
 	gen := ssb.NewBenchGenerator(*dimScale, *factRows, *seed)
+	if *sf > 0 {
+		gen = ssb.NewGenerator(*sf, *seed)
+	}
+	if *dump != "" {
+		if err := dumpTSV(gen, *dump); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%d fact rows and their dimensions written as TSV under %s\n", gen.LineorderRows(), *dump)
+		return
+	}
 	ccfg := cluster.Testing(*workers)
 	if *timeScale > 0 {
 		ccfg.TimeScale = *timeScale
@@ -99,8 +128,8 @@ func main() {
 		n.SetDiskSlowdown(factor)
 	}
 	fs := hdfs.New(c, hdfs.Options{Seed: int64(*seed)})
-	fmt.Printf("loading SSB dataset (%d fact rows, %d workers)...\n", gen.LineorderRows(), *workers)
-	lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{SkipRC: true})
+	fmt.Printf("loading SSB dataset (%d fact rows, %d workers, replication %d)...\n", gen.LineorderRows(), *workers, fs.Replication())
+	lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{SkipRC: *hiveStrat == ""})
 	if err != nil {
 		fatal(err)
 	}
@@ -184,6 +213,10 @@ func main() {
 		}
 	}
 
+	if *hiveStrat != "" {
+		runHive(hive.New(mreng, lay.RCCatalog(), hive.Options{Strategy: strat}), strat, stmts, *rowsMax)
+		return
+	}
 	if *serveMode {
 		runServe(mreng, cat, ablate, stmts, *conc, *rowsMax, *debugAddr)
 		return
@@ -212,16 +245,7 @@ func main() {
 			fatal(err)
 		}
 		lastJob = rep.Job
-		printed := 0
-		fmt.Println(header(rs.Schema.Names()))
-		for _, r := range rs.Rows {
-			if printed >= *rowsMax {
-				fmt.Printf("... (%d more rows)\n", len(rs.Rows)-printed)
-				break
-			}
-			fmt.Println(r)
-			printed++
-		}
+		printRows(rs, *rowsMax)
 		ctr := rep.Job.Counters
 		fmt.Printf("-- %s in %v: %d map tasks (%d data-local), %d hash builds, %d probe rows, %d emits, sort %v\n",
 			l.Name, rep.Total.Round(time.Millisecond),
@@ -333,16 +357,7 @@ func runServe(mreng *mr.Engine, cat *core.Catalog, ablate core.Ablate, stmts []s
 			fatal(fmt.Errorf("%s: %w", st.l.Name, o.err))
 		}
 		fmt.Printf("\n== %s\n", st.desc)
-		printed := 0
-		fmt.Println(header(o.rs.Schema.Names()))
-		for _, r := range o.rs.Rows {
-			if printed >= rowsMax {
-				fmt.Printf("... (%d more rows)\n", len(o.rs.Rows)-printed)
-				break
-			}
-			fmt.Println(r)
-			printed++
-		}
+		printRows(o.rs, rowsMax)
 		ctr := o.rep.Job.Counters
 		fmt.Printf("-- %s in %v (wall %v): %d map tasks, %d hash builds, %d probe rows\n",
 			st.l.Name, o.rep.Total.Round(time.Millisecond), o.total.Round(time.Millisecond),
@@ -361,6 +376,59 @@ func runServe(mreng *mr.Engine, cat *core.Catalog, ablate core.Ablate, stmts []s
 	if err := sess.Close(); err != nil {
 		fatal(err)
 	}
+}
+
+// runHive runs every statement on the Hive baseline, printing its rows and
+// one line per MapReduce stage.
+func runHive(eng *hive.Engine, strat hive.JoinStrategy, stmts []stmt, rowsMax int) {
+	for _, st := range stmts {
+		fmt.Printf("\n== %s (%s plan)\n", st.desc, strat)
+		rs, rep, err := eng.ExecutePlan(context.Background(), st.l)
+		if err != nil {
+			fmt.Printf("-- %s FAILED: %v\n", st.l.Name, err)
+			continue
+		}
+		printRows(rs, rowsMax)
+		fmt.Printf("-- %s in %v, %d MapReduce stages:\n", st.l.Name, rep.Total.Round(time.Millisecond), len(rep.Stages))
+		for _, sg := range rep.Stages {
+			ctr := sg.Job.Counters
+			fmt.Printf("   %-22s %10v  maps=%d reduces=%d shuffleB=%d\n", sg.Name, sg.Duration.Round(time.Millisecond),
+				ctr.Get(mr.CtrMapTasks), ctr.Get(mr.CtrReduceTasks), ctr.Get(mr.CtrShuffleBytes))
+		}
+		if strat == hive.MapJoin {
+			fmt.Printf("   hash-table loads across tasks: %d\n", rep.Counters.Get(hive.CtrHashLoads))
+		}
+	}
+}
+
+// dumpTSV writes each SSB table gen makes to dir/<table>.tsv, a header line
+// of column names first.
+func dumpTSV(gen *ssb.Generator, dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, t := range []string{ssb.TableLineorder, ssb.TableCustomer, ssb.TableSupplier, ssb.TablePart, ssb.TableDate} {
+		f, err := os.Create(filepath.Join(dir, t+".tsv"))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(f, strings.Join(ssb.SchemaOf(t).Names(), "\t"))
+		err = gen.Each(t, func(r records.Record) error {
+			parts := make([]string, r.Len())
+			for i := range parts {
+				parts[i] = r.At(i).String()
+			}
+			_, err := fmt.Fprintln(f, strings.Join(parts, "\t"))
+			return err
+		})
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkProfile enforces the profile invariants `make profile-smoke` relies
@@ -392,15 +460,16 @@ func checkProfile(p *obs.Profile) error {
 	return nil
 }
 
-func header(names []string) string {
-	out := "["
-	for i, n := range names {
-		if i > 0 {
-			out += " "
+// printRows prints rs's column names and at most max of its rows.
+func printRows(rs *results.ResultSet, max int) {
+	fmt.Println("[" + strings.Join(rs.Schema.Names(), " ") + "]")
+	for i, r := range rs.Rows {
+		if i >= max {
+			fmt.Printf("... (%d more rows)\n", len(rs.Rows)-i)
+			break
 		}
-		out += n
+		fmt.Println(r)
 	}
-	return out + "]"
 }
 
 func fatal(err error) {

@@ -18,8 +18,8 @@ import (
 // Who owns the cache decides how long tables live. An Engine given none
 // makes one per job and closes it when the job ends, the paper's lifetime:
 // a node's consecutive tasks share one build and nothing stays reserved
-// between jobs. A serving session owns one for its life, so query N+1
-// probes the tables query N built.
+// between jobs. The serving sessions over one mr.Engine share one for as
+// long as any is open, so query N+1 probes the tables query N built.
 //
 // The version of the dimension a spec reads is part of its fingerprint, so
 // a query that pinned a newer version cannot reach a table built from an

@@ -43,6 +43,9 @@ type Engine struct {
 	// observed holds the registries that read jobSeq, each registered with
 	// once.
 	observed map[*obs.Registry]bool
+
+	hostOnce sync.Once
+	host     any // see Host
 }
 
 // NewEngine creates an engine. Zero options mean no modeled overheads and
@@ -84,6 +87,13 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 	}
 	e.observed[r] = true
 	r.CounterFunc("mr.jobs_submitted", e.jobSeq.Load)
+}
+
+// Host returns the state every serving session over the engine shares (the
+// nodes' table cache and admission), made by newHost on the first call.
+func (e *Engine) Host(newHost func() any) any {
+	e.hostOnce.Do(func() { e.host = newHost() })
+	return e.host
 }
 
 // ErrCanceled marks a job that was stopped because its submission context

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-
-	"clydesdale/internal/obs"
 )
 
 // ErrQueueFull is returned by Session.Query when the admission queue is at
@@ -67,27 +65,15 @@ type waiter struct {
 	granted chan struct{}
 }
 
-// newAdmitter makes an idle admitter whose levels reg reads under its lock.
-func newAdmitter(budget int64, maxConc, depth int, reg *obs.Registry) *admitter {
-	a := &admitter{
+// newAdmitter makes an idle admitter.
+func newAdmitter(budget int64, maxConc, depth int) *admitter {
+	return &admitter{
 		budget:  budget,
 		maxConc: maxConc,
 		depth:   depth,
 		quantum: max(budget/64, 1),
 		tenants: make(map[string]*tenantQueue),
 	}
-	for name, level := range map[string]func() int64{
-		"queue_depth":    func() int64 { return int64(a.queued) },
-		"in_flight":      func() int64 { return int64(a.inFlight) },
-		"reserved_bytes": func() int64 { return a.reserved },
-	} {
-		reg.GaugeFunc("serve.admission."+name, func() int64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return level()
-		})
-	}
-	return a
 }
 
 func (a *admitter) tenantLocked(name string) *tenantQueue {

@@ -5,16 +5,7 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"clydesdale/internal/obs"
 )
-
-// testAdmitter builds an admitter with the FIFO-era knobs; a single tenant
-// under the fair-share scheduler reduces exactly to the old global FIFO, so
-// these tests still pin that contract.
-func testAdmitter(budget int64, maxConc, depth int) *admitter {
-	return newAdmitter(budget, maxConc, depth, obs.NewRegistry())
-}
 
 func mustAdmit(t *testing.T, a *admitter, cost int64) func() {
 	t.Helper()
@@ -29,7 +20,7 @@ func mustAdmit(t *testing.T, a *admitter, cost int64) func() {
 // expensive head-of-line waiter must not jump the queue, even though its
 // cost alone would fit the remaining budget.
 func TestAdmitterFIFO(t *testing.T) {
-	a := testAdmitter(100, 4, 8)
+	a := newAdmitter(100, 4, 8)
 	release := mustAdmit(t, a, 50)
 
 	done := make(chan int, 2)
@@ -69,7 +60,7 @@ func TestAdmitterFIFO(t *testing.T) {
 }
 
 func TestAdmitterQueueFull(t *testing.T) {
-	a := testAdmitter(100, 1, 1)
+	a := newAdmitter(100, 1, 1)
 	release := mustAdmit(t, a, 100)
 
 	queued := make(chan struct{})
@@ -101,7 +92,7 @@ func TestAdmitterQueueFull(t *testing.T) {
 }
 
 func TestAdmitterCancelWhileQueued(t *testing.T) {
-	a := testAdmitter(100, 1, 8)
+	a := newAdmitter(100, 1, 8)
 	release := mustAdmit(t, a, 100)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -135,7 +126,7 @@ func TestAdmitterCancelWhileQueued(t *testing.T) {
 // TestAdmitterEscapeValve: a query costing more than the whole budget still
 // runs once the system is idle, instead of queueing forever.
 func TestAdmitterEscapeValve(t *testing.T) {
-	a := testAdmitter(100, 2, 8)
+	a := newAdmitter(100, 2, 8)
 	release := mustAdmit(t, a, 500)
 	if running, _, _, _, _ := a.snapshot(); running != 1 {
 		t.Fatalf("over-budget query not admitted on idle admitter")
@@ -165,7 +156,7 @@ func TestAdmitterEscapeValve(t *testing.T) {
 }
 
 func TestAdmitterConcurrencyCap(t *testing.T) {
-	a := testAdmitter(1000, 2, 8)
+	a := newAdmitter(1000, 2, 8)
 	r1 := mustAdmit(t, a, 1)
 	r2 := mustAdmit(t, a, 1)
 
@@ -193,7 +184,7 @@ func TestAdmitterConcurrencyCap(t *testing.T) {
 // cheap waiter queued behind an expensive cancelled head must be admitted
 // the moment the head leaves, not at the next release.
 func TestAdmitterCancelHeadWakesQueue(t *testing.T) {
-	a := testAdmitter(100, 4, 8)
+	a := newAdmitter(100, 4, 8)
 	release := mustAdmit(t, a, 50)
 	defer release()
 
@@ -242,7 +233,7 @@ func TestAdmitterCancelHeadWakesQueue(t *testing.T) {
 // tenant's backlog is served interleaved with it, not after the whole
 // backlog drains (the global-FIFO failure mode).
 func TestAdmitterFairShareInterleaves(t *testing.T) {
-	a := testAdmitter(100, 1, 16)
+	a := newAdmitter(100, 1, 16)
 	release := mustAdmit(t, a, 10)
 
 	order := make(chan string, 8)
@@ -288,7 +279,7 @@ func TestAdmitterFairShareInterleaves(t *testing.T) {
 // every round while cheap heads keep arriving: a cheap head needs one round
 // of deficit, the heavy one 6 400.
 func TestAdmitterAgingUnstarves(t *testing.T) {
-	a := testAdmitter(6400, 1, 2*agingPasses)
+	a := newAdmitter(6400, 1, 2*agingPasses)
 	release := mustAdmit(t, a, 10)
 
 	const light = agingPasses + 6

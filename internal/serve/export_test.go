@@ -2,8 +2,10 @@ package serve
 
 import (
 	"net/http"
+	"reflect"
 
 	"clydesdale/internal/colstore"
+	"clydesdale/internal/obs"
 )
 
 // Handler is the debug server's mux, for tests that serve it themselves.
@@ -12,4 +14,15 @@ func (d *DebugServer) Handler() http.Handler { return d.mux }
 // PinFact pins the fact table's current partitions, as a running query does.
 func (s *Session) PinFact() (*colstore.Snapshot, error) {
 	return s.eng.Snapshots().Acquire(s.cat.FactDir)
+}
+
+// TraceCollectors counts the trace collectors among t's sinks.
+func TraceCollectors(t *obs.Tracer) int {
+	sinks, n := reflect.ValueOf(t).Elem().FieldByName("sinks"), 0
+	for i := range sinks.Len() {
+		if sinks.Index(i).Elem().Type() == reflect.TypeFor[*obs.TraceCollector]() {
+			n++
+		}
+	}
+	return n
 }

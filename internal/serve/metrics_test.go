@@ -111,11 +111,13 @@ func (sc *scripted) query(t *testing.T, name string) *core.Query {
 }
 
 // TestRegistryReadsOwnersState: with no /metrics scrape, the registry shows
-// the filesystem's counts from its creation, the session's result-cache and
-// ingest counts as Stats reports them, and the table-cache residency and
-// table versions as they stand. A second session on the same engine adds its
-// counts to the first's and owns the cache levels; the table versions are
-// the filesystem's, so its query reads the first session's publishes too.
+// the filesystem's counts from its creation, the sessions' result-cache
+// counts as their Stats report them, the engine's ingest counts and
+// table-cache residency, and the table versions as they stand. A second
+// session on the same engine adds its result-cache counts to the first's
+// and shares the engine's ingest counts and table cache, which each
+// session's Stats reports whole; the table versions are the filesystem's,
+// so its query reads the first session's publishes too.
 func TestRegistryReadsOwnersState(t *testing.T) {
 	sc := newScripted(t)
 	s2 := sc.session(serve.Options{})
@@ -151,18 +153,22 @@ func TestRegistryReadsOwnersState(t *testing.T) {
 		"serve.result_cache.misses":           a.ResultMisses + b.ResultMisses,
 		"serve.result_cache.evictions":        a.ResultEvictions + b.ResultEvictions,
 		"serve.result_cache.invalidations":    a.ResultInvalidations + b.ResultInvalidations,
-		"serve.ingest.roll_ins":               a.RollIns + b.RollIns,
-		"serve.ingest.rows":                   a.RollInRows + b.RollInRows,
-		"serve.ingest.roll_in_failures":       a.RollInFailures + b.RollInFailures,
-		"serve.ingest.compactions":            a.Compactions + b.Compactions,
+		"serve.ingest.roll_ins":               b.RollIns,
+		"serve.ingest.rows":                   b.RollInRows,
+		"serve.ingest.roll_in_failures":       b.RollInFailures,
+		"serve.ingest.compactions":            b.Compactions,
 		"serve.ingest.retentions":             1,
 	} {
 		if got, ok := snap.Counters[name]; !ok || got != want {
 			t.Errorf("%s = %d (present %v), the sessions' Stats say %d", name, got, ok, want)
 		}
 	}
-	if a.ResultHits == 0 || a.ResultSubsumedHits == 0 || b.RollIns == 0 {
+	if a.ResultHits == 0 || a.ResultSubsumedHits == 0 || b.RollIns != 5 {
 		t.Fatalf("fixture: first session %+v, second %+v", a, b)
+	}
+	if a.RollIns != b.RollIns || a.RollInRows != b.RollInRows || a.Compactions != b.Compactions ||
+		a.Builds != b.Builds || a.ResidentBytes != b.ResidentBytes {
+		t.Errorf("the sessions report different engine counts: first %+v, second %+v", a, b)
 	}
 
 	if a.ResultBytes == b.ResultBytes {

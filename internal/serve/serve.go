@@ -32,10 +32,13 @@ import (
 // ErrClosed is returned by Query after Close; check with errors.Is.
 var ErrClosed = errors.New("serve: session closed")
 
-// Options configures a Session.
+// Options configures a Session. The sessions over one mr.Engine share one
+// table cache and admitter, sized by the first to open while none is open:
+// a later one's CacheBudget, AdmissionBudget, MaxConcurrent and QueueDepth
+// are ignored.
 type Options struct {
 	// Engine is the underlying core engine configuration. Tables is
-	// overwritten with the session's cross-query table cache.
+	// overwritten with the engine's shared table cache.
 	Engine core.Options
 	// MaxConcurrent caps queries executing simultaneously; <= 0 uses 4.
 	MaxConcurrent int
@@ -63,7 +66,8 @@ type Options struct {
 	IngestPartitionRows int64
 }
 
-// Stats is a point-in-time snapshot of the session's serving counters.
+// Stats is a point-in-time snapshot of the serving counters: the result
+// cache's are the session's own, the rest its engine's.
 type Stats struct {
 	// Table cache.
 	Hits, Misses, Builds, Evictions int64
@@ -86,31 +90,100 @@ type Stats struct {
 }
 
 // Session serves queries over one cluster, sharing dimension hash tables
-// across them. Safe for concurrent use.
+// across them and with the other sessions over its engine. Safe for
+// concurrent use.
 type Session struct {
-	mrEng  *mr.Engine
-	cat    *core.Catalog
-	eng    *core.Engine
-	cache  *core.TableCache
-	adm    *admitter
-	rcache *resultCache // nil when Options.ResultCacheBudget < 0
-	opts   Options
-	slos   [len(sloClasses)]atomic.Pointer[sloMetrics] // by classIndex
-
-	// collector buckets the session's spans by trace; recorder keeps the
-	// recently assembled profiles. Both nil when profiling is disabled.
-	collector *obs.TraceCollector
-	recorder  *obs.FlightRecorder
+	mrEng    *mr.Engine
+	host     *host
+	cat      *core.Catalog
+	eng      *core.Engine
+	rcache   *resultCache        // nil when Options.ResultCacheBudget < 0
+	recorder *obs.FlightRecorder // recent profiles; nil when profiling is disabled
+	opts     Options
+	slos     [len(sloClasses)]atomic.Pointer[sloMetrics] // by classIndex
 
 	mu          sync.Mutex
 	closed      bool
 	wg          sync.WaitGroup
 	stopCompact func() // stops the background compactor; nil unless started
+}
+
+// host is what the sessions over one mr.Engine share: the one owner of the
+// node memory they use (the table cache and the admitter), the one trace
+// collector on the engine's tracer, and the ingest counts.
+type host struct {
+	collector *obs.TraceCollector
+
+	mu       sync.Mutex
+	sessions int // open sessions
+	cache    *core.TableCache
+	adm      *admitter
+	tracer   *obs.Tracer // the tracer collector is a sink of
 
 	rollIns, rollInRows, rollInFailures atomic.Int64
 	compactions, compactedRows          atomic.Int64
 	compactionFailures, retentions      atomic.Int64
 	partsPublished, partsRetired        atomic.Int64
+}
+
+// openHost opens one more session on the engine's host: the host is made
+// once, its cache and admitter whenever no session is open.
+func openHost(e *mr.Engine, opts Options) *host {
+	h := e.Host(func() any {
+		h := &host{collector: obs.NewTraceCollector(0, 0)}
+		h.observe(e.Metrics())
+		return h
+	}).(*host)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sessions == 0 {
+		h.cache = core.NewTableCache(e.Cluster(), opts.CacheBudget)
+		h.adm = newAdmitter(opts.AdmissionBudget, opts.MaxConcurrent, opts.QueueDepth)
+	}
+	h.sessions++
+	if opts.ProfileDepth >= 0 && h.tracer != e.Tracer() {
+		h.tracer = e.Tracer()
+		h.tracer.AddSink(h.collector)
+	}
+	return h
+}
+
+// close closes one session on the host: the last returns every cached
+// table's node reservation.
+func (h *host) close() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sessions--; h.sessions == 0 {
+		h.cache.Close()
+	}
+}
+
+// observe shows the host's counts and levels in reg.
+func (h *host) observe(reg *obs.Registry) {
+	for name, c := range map[string]*atomic.Int64{
+		"rows":                &h.rollInRows,
+		"roll_ins":            &h.rollIns,
+		"roll_in_failures":    &h.rollInFailures,
+		"compactions":         &h.compactions,
+		"compaction_failures": &h.compactionFailures,
+		"retentions":          &h.retentions,
+	} {
+		reg.CounterFunc("serve.ingest."+name, c.Load)
+	}
+	for name, level := range map[string]func(*core.TableCache, *admitter) int64{
+		"cache.resident_bytes":     func(c *core.TableCache, _ *admitter) int64 { return c.Stats().ResidentBytes },
+		"admission.queue_depth":    func(_ *core.TableCache, a *admitter) int64 { return int64(a.queued) },
+		"admission.in_flight":      func(_ *core.TableCache, a *admitter) int64 { return int64(a.inFlight) },
+		"admission.reserved_bytes": func(_ *core.TableCache, a *admitter) int64 { return a.reserved },
+	} {
+		reg.GaugeFunc("serve."+name, func() int64 {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			h.adm.mu.Lock()
+			defer h.adm.mu.Unlock()
+			return level(h.cache, h.adm)
+		})
+	}
 }
 
 // New creates a serving session over a MapReduce engine and catalog.
@@ -130,83 +203,59 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 	if opts.AdmissionBudget <= 0 {
 		opts.AdmissionBudget = opts.CacheBudget
 	}
-	// The serving layer's accounting (SLO histograms, live gauges, /metrics)
-	// needs a registry; give the engine one if its owner didn't.
+	// Accounting (SLO histograms, live gauges, /metrics) needs a registry,
+	// profiling a tracer: give the engine them if its owner didn't.
 	if mrEngine.Metrics() == nil {
 		mrEngine.SetMetrics(obs.NewRegistry())
 	}
+	if opts.ProfileDepth >= 0 && mrEngine.Tracer() == nil {
+		mrEngine.SetTracer(obs.NewTracer())
+	}
 	reg := mrEngine.Metrics()
-	cache := core.NewTableCache(mrEngine.Cluster(), opts.CacheBudget)
+	h := openHost(mrEngine, opts)
 	engOpts := opts.Engine
-	engOpts.Tables = cache
-	var rcache *resultCache
+	engOpts.Tables = h.cache
+	s := &Session{
+		mrEng: mrEngine,
+		host:  h,
+		cat:   cat,
+		eng:   core.New(mrEngine, cat, engOpts),
+		opts:  opts,
+	}
 	if opts.ResultCacheBudget >= 0 {
 		budget := opts.ResultCacheBudget
 		if budget == 0 {
 			budget = 64 << 20
 		}
-		rcache = newResultCache(budget, reg)
+		s.rcache = newResultCache(budget, reg)
 	}
-	s := &Session{
-		mrEng:  mrEngine,
-		cat:    cat,
-		eng:    core.New(mrEngine, cat, engOpts),
-		cache:  cache,
-		rcache: rcache,
-		adm:    newAdmitter(opts.AdmissionBudget, opts.MaxConcurrent, opts.QueueDepth, reg),
-		opts:   opts,
-	}
-	s.observe(reg)
 	if opts.ProfileDepth >= 0 {
-		// Profiling needs the span stream: attach a per-trace collector,
-		// creating the tracer when the owner didn't supply one.
-		if mrEngine.Tracer() == nil {
-			mrEngine.SetTracer(obs.NewTracer())
-		}
-		s.collector = obs.NewTraceCollector(0, 0)
-		mrEngine.Tracer().AddSink(s.collector)
 		s.recorder = obs.NewFlightRecorder(opts.ProfileDepth)
 	}
+	observeTables(reg, s.eng.Snapshots(), cat)
 	return s
 }
 
-// observe shows the session's ingest counts and its levels in reg, read
-// from the state that keeps them. Counts add up over the sessions of one
-// engine; the writer lock's totals, the pins, unreaped partitions and table
-// versions are the filesystem registry's, every other level the newest
-// session's.
-func (s *Session) observe(reg *obs.Registry) {
-	for name, c := range map[string]*atomic.Int64{
-		"rows":                &s.rollInRows,
-		"roll_ins":            &s.rollIns,
-		"roll_in_failures":    &s.rollInFailures,
-		"compactions":         &s.compactions,
-		"compaction_failures": &s.compactionFailures,
-		"retentions":          &s.retentions,
-	} {
-		reg.CounterFunc("serve.ingest."+name, c.Load)
-	}
-	s.eng.Snapshots().Observe(reg, "serve.ingest.")
+// observeTables shows the fact table's pins and unreaped partitions and the
+// catalog's table versions in reg, read from the filesystem's registry.
+func observeTables(reg *obs.Registry, snaps *colstore.Snapshots, cat *core.Catalog) {
+	snaps.Observe(reg, "serve.ingest.")
+	fact := cat.FactDir
 	reg.GaugeFunc("serve.ingest.snapshot_pins", func() int64 {
-		pins, _ := s.eng.Snapshots().Held(s.cat.FactDir)
+		pins, _ := snaps.Held(fact)
 		return int64(pins)
 	})
 	reg.GaugeFunc("serve.ingest.partitions_unreaped", func() int64 {
-		_, unreaped := s.eng.Snapshots().Held(s.cat.FactDir)
+		_, unreaped := snaps.Held(fact)
 		return int64(unreaped)
 	})
-	reg.GaugeFunc("serve.cache.resident_bytes", func() int64 { return s.cache.Stats().ResidentBytes })
-	tables := []string{s.cat.FactName}
-	for t := range s.cat.DimDirs {
-		tables = append(tables, t)
+	tables, dirs := []string{cat.FactName}, []string{fact}
+	for t, dir := range cat.DimDirs {
+		tables, dirs = append(tables, t), append(dirs, dir)
 	}
 	for i, t := range tables {
 		reg.GaugeFunc("serve.table_version."+t, func() int64 {
-			cur, err := s.eng.CurrentVersions(tables)
-			if err != nil {
-				return 0
-			}
-			return int64(cur.At[i])
+			return int64(snaps.Versions(dirs[0], dirs[1:]...)[i])
 		})
 	}
 }
@@ -406,7 +455,7 @@ func (s *Session) QueryPlan(ctx context.Context, l *plan.Logical) (rs *results.R
 	}
 
 	waitStart := time.Now()
-	release, err := s.adm.admit(ctx, tenant, cost)
+	release, err := s.host.adm.admit(ctx, tenant, cost)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %s: %w", l.Name, err)
 	}
@@ -468,15 +517,15 @@ func (s *Session) RollIn(table string, rows func(emit func(records.Record) error
 		n, err = s.eng.Snapshots().AppendRows(dir, rows)
 	}
 	if err != nil {
-		s.rollInFailures.Add(1)
+		s.host.rollInFailures.Add(1)
 		return 0, fmt.Errorf("serve: roll-in %s: %w", table, err)
 	}
 	if n == 0 {
 		return 0, nil
 	}
-	s.partsPublished.Add(int64(len(parts)))
-	s.rollIns.Add(1)
-	s.rollInRows.Add(n)
+	s.host.partsPublished.Add(int64(len(parts)))
+	s.host.rollIns.Add(1)
+	s.host.rollInRows.Add(n)
 	return n, nil
 }
 
@@ -506,14 +555,14 @@ func (s *Session) CompactFact(opts colstore.CompactOptions) (*colstore.CompactRe
 	defer end()
 	res, err := colstore.Compact(s.eng.Snapshots(), s.cat.FactDir, opts)
 	if err != nil {
-		s.compactionFailures.Add(1)
+		s.host.compactionFailures.Add(1)
 		return nil, fmt.Errorf("serve: compact %s: %w", s.cat.FactName, err)
 	}
 	if len(res.Retired) > 0 {
-		s.compactions.Add(1)
-		s.compactedRows.Add(res.Rows)
-		s.partsPublished.Add(int64(len(res.Published)))
-		s.partsRetired.Add(int64(len(res.Retired)))
+		s.host.compactions.Add(1)
+		s.host.compactedRows.Add(res.Rows)
+		s.host.partsPublished.Add(int64(len(res.Published)))
+		s.host.partsRetired.Add(int64(len(res.Retired)))
 	}
 	return res, nil
 }
@@ -535,8 +584,8 @@ func (s *Session) RetainFact(col string, cutoff int64) ([]string, error) {
 		return nil, fmt.Errorf("serve: retention %s: %w", s.cat.FactName, err)
 	}
 	if len(retired) > 0 {
-		s.partsRetired.Add(int64(len(retired)))
-		s.retentions.Add(1)
+		s.host.partsRetired.Add(int64(len(retired)))
+		s.host.retentions.Add(1)
 	}
 	return retired, nil
 }
@@ -605,10 +654,10 @@ func (s *Session) finishTrace(sc obs.SpanContext, query string, start time.Time,
 		sc.Fill(&root, "")
 		tr.Emit(root)
 	}
-	if s.collector == nil {
+	spans, dropped := s.host.collector.Take(sc.Trace) // claimed even unprofiled: the collector is shared
+	if s.recorder == nil {
 		return
 	}
-	spans, dropped := s.collector.Take(sc.Trace)
 	var counters map[string]int64
 	if rep != nil && rep.Job != nil && rep.Job.Counters != nil {
 		counters = rep.Job.Counters.Snapshot()
@@ -663,7 +712,7 @@ func (s *Session) admissionCost(name string, dims []core.DimSpec) (int64, error)
 		if err != nil {
 			return 0, fmt.Errorf("serve: estimating %s tables: %w", name, err)
 		}
-		if !s.cache.ResidentEverywhere(core.TableKey(dir, d), nodeIDs) {
+		if !s.host.cache.ResidentEverywhere(core.TableKey(dir, d), nodeIDs) {
 			cost += est
 		}
 	}
@@ -681,19 +730,31 @@ func (s *Session) aliveIDs() []string {
 
 // Stats snapshots the serving counters.
 func (s *Session) Stats() Stats {
-	running, queued, admitted, rejected, peak := s.adm.snapshot()
-	tables := s.cache.Stats()
+	h := s.host
+	h.mu.Lock() // a closed session's Stats may race a reopening of the host
+	cache, adm := h.cache, h.adm
+	h.mu.Unlock()
+	running, queued, admitted, rejected, peak := adm.snapshot()
+	tables := cache.Stats()
 	st := Stats{
-		Hits:           tables.Hits,
-		Misses:         tables.Misses,
-		Builds:         tables.Builds,
-		Evictions:      tables.Evictions,
-		ResidentBytes:  tables.ResidentBytes,
-		Admitted:       admitted,
-		Rejected:       rejected,
-		Running:        running,
-		Queued:         queued,
-		PeakConcurrent: peak,
+		Hits:                tables.Hits,
+		Misses:              tables.Misses,
+		Builds:              tables.Builds,
+		Evictions:           tables.Evictions,
+		ResidentBytes:       tables.ResidentBytes,
+		Admitted:            admitted,
+		Rejected:            rejected,
+		Running:             running,
+		Queued:              queued,
+		PeakConcurrent:      peak,
+		RollIns:             h.rollIns.Load(),
+		RollInRows:          h.rollInRows.Load(),
+		RollInFailures:      h.rollInFailures.Load(),
+		Compactions:         h.compactions.Load(),
+		CompactedRows:       h.compactedRows.Load(),
+		PartitionsPublished: h.partsPublished.Load(),
+		PartitionsRetired:   h.partsRetired.Load(),
+		TableInvalidations:  tables.Invalidations,
 	}
 	if s.rcache != nil {
 		st.ResultHits = s.rcache.hits.Load()
@@ -703,20 +764,13 @@ func (s *Session) Stats() Stats {
 		st.ResultInvalidations = s.rcache.invalidations.Load()
 		st.ResultBytes = s.rcache.residentBytes()
 	}
-	st.RollIns = s.rollIns.Load()
-	st.RollInRows = s.rollInRows.Load()
-	st.RollInFailures = s.rollInFailures.Load()
-	st.Compactions = s.compactions.Load()
-	st.CompactedRows = s.compactedRows.Load()
-	st.PartitionsPublished = s.partsPublished.Load()
-	st.PartitionsRetired = s.partsRetired.Load()
-	st.TableInvalidations = tables.Invalidations
 	return st
 }
 
-// Close drains in-flight queries, evicts every cached table (returning its
-// node memory reservation), drops every cached result, and fails all future
-// Query calls with ErrClosed. Safe to call more than once.
+// Close drains in-flight queries, drops every cached result, and fails all
+// future Query calls with ErrClosed. The last session over the engine to
+// close evicts every cached table, returning its node memory reservation.
+// Safe to call more than once.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -732,7 +786,7 @@ func (s *Session) Close() error {
 		stopCompact()
 	}
 	s.wg.Wait()
-	s.cache.Close()
+	s.host.close()
 	if s.rcache != nil {
 		s.rcache.evictAll()
 	}

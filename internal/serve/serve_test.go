@@ -30,7 +30,13 @@ type env struct {
 
 func newEnv(t *testing.T, workers int, sf float64, mropts mr.Options) *env {
 	t.Helper()
-	c := cluster.New(cluster.Testing(workers))
+	return newEnvOn(t, cluster.Testing(workers), sf, mropts)
+}
+
+// newEnvOn is newEnv on a cluster configured by cfg.
+func newEnvOn(t *testing.T, cfg cluster.Config, sf float64, mropts mr.Options) *env {
+	t.Helper()
+	c := cluster.New(cfg)
 	fs := hdfs.New(c, hdfs.Options{BlockSize: 1 << 16, Seed: 23})
 	gen := ssb.NewGenerator(sf, 42)
 	lay, err := ssb.Load(fs, gen, "/ssb", ssb.LoadOptions{SkipRC: true, PartitionRows: 1000})

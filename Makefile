@@ -95,7 +95,12 @@ vet:
 # owner of a node's memory: the sessions over one mr.Engine share its host
 # (DESIGN.md "What a session owns, and what it shares"), so outside tests
 # internal/serve makes a table cache, an admitter and a trace collector only
-# in the host's constructor (openHost).
+# in the host's constructor (openHost). Nor does per-query work come back to
+# the probe path: a CIF reader adds its scan counters to the job's once, at
+# Close, so cifReader.NextBlock calls no Counters.Add; and a dimension
+# table's side tables are shared by every handle on it (DESIGN.md
+# "Dictionary-probe side tables"), so DimHashTable declares no side-table
+# mutex or map of its own (sideMu, sideTables).
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -158,6 +163,9 @@ no-deprecated:
 		/(core\.NewTableCache|newAdmitter|NewTraceCollector)\(/ && !inH && !/^func newAdmitter\(/ && !/^[ \t]*\/\// { print FILENAME ":" FNR ": " $$0; found = 1 } \
 		inH && /^}/ { inH = 0 } END { exit !found }' $$(ls internal/serve/*.go | grep -v _test.go); then \
 		echo "one owner of a node's memory: the sessions over an engine share its host, and only its constructor (openHost) makes a table cache, an admitter or a trace collector"; exit 1; fi
+	@if awk '/^func \(r \*cifReader\) NextBlock\(/,/^}/' internal/colstore/cif.go | grep -n 'Counters\.Add' || \
+		awk '/^type DimHashTable struct/,/^}/' internal/core/hashtable.go | grep -nE '^[[:space:]]*(sideMu|sideTables)[[:space:]]|map\['; then \
+		echo "per-query work on the probe path: a CIF reader adds its scan counters at Close (scanTally), not per block in NextBlock; side tables live on the state every handle of a DimHashTable shares (sideTables), not on the handle"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

@@ -838,6 +838,31 @@ type cifReader struct {
 
 	havePlan bool
 	plan     partPlan
+	scan     scanTally // NextBlock's counts, added to the job's at Close
+}
+
+// scanTally is a reader's scan counters as plain integers: NextBlock counts
+// each block here and Close adds them to the job's Counters once, not under
+// the job's lock four times a block. planned is whether a block ran a
+// selection plan, whose two drop counters are then added even when zero:
+// the job's counter keys are what they would be counted block by block.
+type scanTally struct {
+	rows, lateSkipped, bloomSkipped, blocksSkipped int64
+	planned                                        bool
+}
+
+// addTo adds the tally to c.
+func (t *scanTally) addTo(c *mr.Counters) {
+	if t.rows > 0 {
+		c.Add(CtrRowsScanned, t.rows)
+	}
+	if t.planned {
+		c.Add(CtrRowsLateSkipped, t.lateSkipped)
+		c.Add(CtrRowsBloomSkipped, t.bloomSkipped)
+	}
+	if t.blocksSkipped > 0 {
+		c.Add(CtrBlocksSkipped, t.blocksSkipped)
+	}
 }
 
 // scanScratch is what a reader decodes a partition's blocks into: the block
@@ -1036,7 +1061,7 @@ func (r *cifReader) planPartition() {
 // any other byte is interpreted, and the row count the file claims is
 // bounded by its payload (a packed value is at least one bit: rows <= 8 x
 // bytes) before anything is sized by it. A dictionary column's descriptor
-// is fingerprinted here, once. Every error names the file.
+// is made here, once. Every error names the file.
 func openColumnFile(path string, data []byte, kind records.Kind) (*colFile, error) {
 	if len(data) < len(cifMagic)+4 {
 		return nil, fmt.Errorf("colstore: %s: short column file", path)
@@ -1071,7 +1096,7 @@ func openColumnFile(path string, data []byte, kind records.Kind) (*colFile, erro
 	if err != nil {
 		return nil, fmt.Errorf("colstore: %s: %w", path, err)
 	}
-	f.desc = f.fingerprint()
+	f.desc = f.descriptor()
 	return f, nil
 }
 
@@ -1197,7 +1222,9 @@ func (r *cifReader) blockCodes(c, n int, s *selection) ([]uint32, error) {
 // are counted as rows_late_skipped, semi-join drops (tested only on rows
 // the predicate kept) as rows_bloom_skipped. Blocks in which no row
 // survives are skipped entirely (blocks_skipped): the cursors of the
-// columns not yet read move past them.
+// columns not yet read move past them. The four scan counters are kept on
+// the reader and added to the job's counters at Close, so a job's counts
+// are complete once its readers are closed.
 func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 	if err := r.load(); err != nil {
 		return nil, false, err
@@ -1212,9 +1239,7 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 		}
 		r.block.Reset()
 		r.pos += int64(n)
-		if r.ctx.Counters != nil {
-			r.ctx.Counters.Add(CtrRowsScanned, int64(n))
-		}
+		r.scan.rows += int64(n)
 		if !r.havePlan {
 			// No selection: decode every column, still carrying codes and
 			// dictionaries out of dictionary-encoded columns so the probe
@@ -1287,9 +1312,8 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 			s.keepIf(func(i int32) bool { return bp(r.block, int(i)) })
 		}
 		predKept := s.count
-		if r.ctx.Counters != nil {
-			r.ctx.Counters.Add(CtrRowsLateSkipped, int64(n-predKept))
-		}
+		r.scan.planned = true
+		r.scan.lateSkipped += int64(n - predKept)
 		// Semi-join filters run after the predicate, on surviving rows only,
 		// so the two drop counters partition the dropped rows.
 		ran := 0
@@ -1306,15 +1330,11 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 			vf.keys.keepRows(s, r.block.Col(vf.col).Ints)
 		}
 		selected := s.count
-		if r.ctx.Counters != nil {
-			r.ctx.Counters.Add(CtrRowsBloomSkipped, int64(predKept-selected))
-		}
+		r.scan.bloomSkipped += int64(predKept - selected)
 		if selected == 0 {
 			// Nothing survived: move the columns not yet read past this
 			// block.
-			if r.ctx.Counters != nil {
-				r.ctx.Counters.Add(CtrBlocksSkipped, 1)
-			}
+			r.scan.blocksSkipped++
 			var err error
 			skip := func(c int) {
 				if err == nil {
@@ -1379,15 +1399,19 @@ func (r *cifReader) NextBlock() (*records.RowBlock, bool, error) {
 	return nil, false, nil
 }
 
-// Close implements mr.RecordReader. It drops the partition's cursors and
-// puts the block and the scan scratch back in the input's pool, so the next
-// partition decodes into them; the block handed out last must not be read
-// after. Closing again is harmless.
+// Close implements mr.RecordReader. It adds what NextBlock counted to the
+// job's counters, drops the partition's cursors and puts the block and the
+// scan scratch back in the input's pool, so the next partition decodes into
+// them; the block handed out last must not be read after. Closing again is
+// harmless.
 func (r *cifReader) Close() error {
+	if r.ctx.Counters != nil {
+		r.scan.addTo(r.ctx.Counters)
+	}
 	if r.scanScratch != nil {
 		r.in.scratchPool.Put(r.scanScratch)
 	}
-	r.decs, r.scanScratch, r.rowVals, r.plan = nil, nil, nil, partPlan{}
+	r.decs, r.scanScratch, r.rowVals, r.plan, r.scan = nil, nil, nil, partPlan{}, scanTally{}
 	return nil
 }
 

@@ -612,38 +612,17 @@ func (d *colFile) dictValue(c int) records.Value {
 	return records.Int(d.intDict[c])
 }
 
-// fingerprint returns the descriptor of a dictionary-encoded column, nil
-// for any other. The ID fingerprints the entries (values and order), so
-// equal dictionaries in different partitions hash alike and can share
-// downstream caches such as probe side tables; consumers that key caches on
-// the ID still verify the entries on a pointer mismatch.
-func (d *colFile) fingerprint() *records.ColumnDict {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	// FNV-1a's step taken a whole entry at a time (a scan fingerprints up to
-	// 4096 entries per dictionary column per partition). Both halves of the
-	// step are one-to-one on h, so two dictionaries of one length that
-	// differ in a single entry still never fingerprint alike.
-	mix := func(v uint64) { h = (h ^ v) * prime64 }
+// descriptor returns the descriptor of a dictionary-encoded column, nil
+// for any other. It is made once per open (openColumnFile), so it stands
+// for the column file: a consumer keys what it derives from the dictionary
+// by it (the probe's side tables), held weakly, and such an entry goes
+// with the file.
+func (d *colFile) descriptor() *records.ColumnDict {
 	switch d.enc {
 	case EncDict:
-		mix(uint64(len(d.dict)))
-		for _, s := range d.dict {
-			mix(uint64(len(s)))
-			for i := 0; i < len(s); i++ {
-				mix(uint64(s[i]))
-			}
-		}
-		return &records.ColumnDict{ID: h, Strs: d.dict}
+		return &records.ColumnDict{Strs: d.dict}
 	case EncDictI64:
-		mix(uint64(len(d.intDict)))
-		for _, v := range d.intDict {
-			mix(uint64(v))
-		}
-		return &records.ColumnDict{ID: h, Ints: d.intDict}
+		return &records.ColumnDict{Ints: d.intDict}
 	}
 	return nil
 }

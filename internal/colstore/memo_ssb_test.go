@@ -124,13 +124,13 @@ func ssbScanCases() []scanCase {
 }
 
 // renderBlock is a block as text: every row's values, and per column the
-// codes and the dictionary's fingerprint it carries.
+// codes and the dictionary entries it carries.
 func renderBlock(blk *records.RowBlock) string {
 	var b strings.Builder
 	for c := 0; c < blk.Schema().Len(); c++ {
 		cv := blk.Col(c)
 		if cv.Dict != nil {
-			fmt.Fprintf(&b, "col %d dict %x codes %v\n", c, cv.Dict.ID, cv.Codes)
+			fmt.Fprintf(&b, "col %d dict %v%q codes %v\n", c, cv.Dict.Ints, cv.Dict.Strs, cv.Codes)
 		}
 	}
 	for i := 0; i < blk.Len(); i++ {

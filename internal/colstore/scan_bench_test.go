@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
 	"clydesdale/internal/expr"
@@ -21,7 +22,10 @@ import (
 // A fourth, small-partitions, reads 128 partitions of 1 024 rows, as live
 // ingestion leaves a fact table, behind a predicate on a dictionary column
 // and a semi-join filter on a dictionary-coded key: there what a partition
-// costs to open, not its rows, is most of the scan. Every column file's open
+// costs to open, not its rows, is most of the scan. A fifth, parallel, is
+// late-mat's scan run by GOMAXPROCS readers at once, each over every split,
+// all counting into one job's mr.Counters as a task's probe threads do;
+// its ns/tablerow is per row any of them read. Every column file's open
 // is memoized on its block by the first scan. B/op and allocs/op are those
 // of a warm scan, counted with the collector off (reportWarmAllocs).
 func BenchmarkCIFScan(b *testing.B) {
@@ -102,6 +106,48 @@ func BenchmarkCIFScan(b *testing.B) {
 			reportWarmAllocs(b, scan)
 		})
 	}
+	b.Run("parallel", func(b *testing.B) {
+		in := cases[1].in
+		readers := runtime.GOMAXPROCS(0)
+		scan := func() {
+			jctx := &mr.JobContext{FS: e.fs, Cluster: e.cluster, Counters: mr.NewCounters()}
+			splits, err := in.Splits(jctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for range readers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, s := range splits {
+						r, err := in.Open(s, mr.NewTestTaskContext(jctx, e.cluster.Nodes()[0]))
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						for br := r.(BlockReader); ; {
+							if _, ok, err := br.NextBlock(); err != nil || !ok {
+								break
+							}
+						}
+						r.Close()
+					}
+				}()
+			}
+			wg.Wait()
+			if got := jctx.Counters.Get(CtrRowsScanned); got != int64(readers)*cases[1].rows {
+				b.Fatalf("%d readers scanned %d rows, want %d", readers, got, int64(readers)*cases[1].rows)
+			}
+		}
+		scan()
+		b.ReportAllocs()
+		for b.Loop() {
+			scan()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cases[1].rows*int64(readers*b.N)), "ns/tablerow")
+		reportWarmAllocs(b, scan)
+	})
 }
 
 // smallSchema is BenchmarkCIFScan's small-partitions table: a unique id, a

@@ -41,3 +41,16 @@ func (c *TableCache) Held(nodeID, key string) *DimHashTable {
 	}
 	return nil
 }
+
+// SideTables counts the side tables the table's handles share: held in
+// all, and live, those whose dictionary has not been collected.
+func (h *DimHashTable) SideTables() (held, live int) {
+	h.sides.mu.Lock()
+	defer h.sides.mu.Unlock()
+	for k := range h.sides.m {
+		if held++; k.Value() != nil {
+			live++
+		}
+	}
+	return held, live
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"weak"
 
 	"clydesdale/internal/cluster"
 	"clydesdale/internal/colstore"
@@ -50,24 +51,31 @@ type DimHashTable struct {
 	// order: what a node handed this table's arrays opens on its own copy.
 	cols []int
 
-	// sideTables caches code→arena-offset translations per fact-column
-	// dictionary (keyed by dictionary fingerprint). They are the one
-	// mutation after finalize, guarded by sideMu; the table proper stays
-	// read-only, so concurrent probes remain safe. Not charged to MemBytes:
-	// a side table is at most 4 entries/KB of the probe loop's working set.
-	// Each handle (share) has its own, which live as long as the handle: a
-	// job under a per-job table cache, a serving session's cache entry
-	// under the session's.
-	sideMu     sync.Mutex
-	sideTables map[uint64]*sideTable
+	// sides holds the table's code→arena-offset side tables, one per
+	// fact-column dictionary it was probed with (CodeSideTable). Every
+	// handle share gives out has the same sides, so a side table is built
+	// once per engine table and dictionary, whichever node, job or query
+	// probes first. They are the one mutation after finalize; the table
+	// proper stays read-only, so concurrent probes remain safe. Not charged
+	// to MemBytes: a side table is at most 4 entries/KB of the probe loop's
+	// working set.
+	sides *sideTables
 }
 
-// sideTable is one cached translation: offs[code] is the arena offset of
-// the dimension entry whose key is the dictionary's code-th value, or -1
-// when that key misses the table. dict is retained to verify entries on a
-// fingerprint collision.
+// sideTables is a table's side tables by dictionary descriptor (a fact
+// column file's, one per memoized open). The descriptor is held weakly, so
+// no side table keeps its column file's dictionary alive: once the file is
+// dropped, with its partition, the next insert deletes its entry.
+type sideTables struct {
+	mu sync.Mutex
+	m  map[weak.Pointer[records.ColumnDict]]*sideTable
+}
+
+// sideTable is one translation: offs[code] is the arena offset of the
+// dimension entry whose key is the dictionary's code-th value, or -1 when
+// that key misses the table. once makes racing first probes build one.
 type sideTable struct {
-	dict *records.ColumnDict
+	once sync.Once
 	offs []int32
 }
 
@@ -99,7 +107,8 @@ type DimBuildStats struct {
 // newDimHashTable returns an empty table whose slot array holds the given
 // number of entries without growing.
 func newDimHashTable(table string, auxWidth, entries int) *DimHashTable {
-	h := &DimHashTable{Table: table, auxWidth: auxWidth}
+	sides := &sideTables{m: make(map[weak.Pointer[records.ColumnDict]]*sideTable)}
+	h := &DimHashTable{Table: table, auxWidth: auxWidth, sides: sides}
 	h.alloc(int(dimTableCapacity(int64(entries))))
 	return h
 }
@@ -199,47 +208,46 @@ func (h *DimHashTable) AuxAt(off int32) []records.Value {
 // CodeSideTable returns the code→arena-offset translation for a
 // dictionary-encoded fact FK column: offs[code] replaces the hash probe for
 // every row carrying that code with one array read. It is built once per
-// (table, dictionary) — at most dictionary-size hash probes, amortized over
-// every block and partition sharing the dictionary — and cached by the
-// dictionary fingerprint; built reports whether this call did the build
-// (for counters). Returns nil for non-integer dictionaries.
+// (table, dictionary descriptor) — at most dictionary-size hash probes,
+// amortized over every block, reader and query reading that column file —
+// and built reports whether this call did the build (for counters).
+// Returns nil for non-integer dictionaries.
 func (h *DimHashTable) CodeSideTable(dict *records.ColumnDict) (offs []int32, built bool) {
 	if dict == nil || dict.Ints == nil {
 		return nil, false
 	}
-	h.sideMu.Lock()
-	st, ok := h.sideTables[dict.ID]
-	h.sideMu.Unlock()
-	if ok && (st.dict == dict || sameIntDict(st.dict.Ints, dict.Ints)) {
-		return st.offs, false
-	}
-	offs = make([]int32, len(dict.Ints))
-	for c, k := range dict.Ints {
-		if off, hit := h.ProbeOffset(k); hit {
-			offs[c] = off
-		} else {
-			offs[c] = -1
+	st := h.sides.of(dict)
+	st.once.Do(func() {
+		st.offs = make([]int32, len(dict.Ints))
+		for c, k := range dict.Ints {
+			if off, hit := h.ProbeOffset(k); hit {
+				st.offs[c] = off
+			} else {
+				st.offs[c] = -1
+			}
 		}
-	}
-	h.sideMu.Lock()
-	if h.sideTables == nil {
-		h.sideTables = make(map[uint64]*sideTable)
-	}
-	h.sideTables[dict.ID] = &sideTable{dict: dict, offs: offs}
-	h.sideMu.Unlock()
-	return offs, true
+		built = true
+	})
+	return st.offs, built
 }
 
-func sameIntDict(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
+// of returns dict's entry, inserting an unbuilt one on a miss after
+// deleting the entries whose dictionaries are gone.
+func (s *sideTables) of(dict *records.ColumnDict) *sideTable {
+	key := weak.Make(dict)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.m[key]; st != nil {
+		return st
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for k := range s.m {
+		if k.Value() == nil {
+			delete(s.m, k)
 		}
 	}
-	return true
+	st := &sideTable{}
+	s.m[key] = st
+	return st
 }
 
 // insertKey claims a slot for k during the build and returns the arena
@@ -402,14 +410,12 @@ func builtKey(spec *DimSpec) string {
 	return spec.Schema.String() + "\x00" + spec.Fingerprint()
 }
 
-// share returns a handle on the table's arrays with side tables of its
-// own, none yet: what each build a memoized table serves gets, so side
-// tables are made and live exactly as if the build had been its own.
+// share returns a handle on the table's arrays and side tables: what each
+// build a memoized table serves gets, so a side table is made once per
+// memo entry and dictionary and lives no longer than either.
 func (h *DimHashTable) share() *DimHashTable {
-	return &DimHashTable{
-		Table: h.Table, slots: h.slots, tags: h.tags, arena: h.arena, auxWidth: h.auxWidth,
-		mask: h.mask, n: h.n, MemBytes: h.MemBytes, Stats: h.Stats, cols: h.cols,
-	}
+	c := *h
+	return &c
 }
 
 // buildDimTable builds spec's table from a column set of the dimension, and

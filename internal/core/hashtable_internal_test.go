@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clydesdale/internal/records"
@@ -139,9 +142,10 @@ func TestDimHashTableDuplicateOverwriteInPlace(t *testing.T) {
 }
 
 // TestCodeSideTable: the code→offset side table must answer exactly like
-// Probe for every dictionary entry (misses as -1), be built once per
-// dictionary fingerprint, and verify contents on fingerprint collisions
-// instead of trusting the cached table.
+// Probe for every dictionary entry (misses as -1) and be built once per
+// dictionary descriptor, for the table and every handle share gives out:
+// another descriptor, even with the same entries, is another column file's
+// and gets a side table of its own.
 func TestCodeSideTable(t *testing.T) {
 	h := newDimHashTable("side", 1, 0)
 	for k := int64(0); k < 100; k += 2 { // even keys only
@@ -149,7 +153,7 @@ func TestCodeSideTable(t *testing.T) {
 	}
 	h.finalize()
 
-	dict := &records.ColumnDict{ID: 42, Ints: []int64{8, 3, 96, -7, 0}}
+	dict := &records.ColumnDict{Ints: []int64{8, 3, 96, -7, 0}}
 	offs, built := h.CodeSideTable(dict)
 	if offs == nil || !built {
 		t.Fatalf("CodeSideTable = (%v, %v), want a freshly built table", offs, built)
@@ -180,24 +184,84 @@ func TestCodeSideTable(t *testing.T) {
 		t.Error("second CodeSideTable call returned a different table")
 	}
 
-	// A different dictionary with a colliding fingerprint must be detected
-	// by content comparison and rebuilt, not served the stale table.
-	collide := &records.ColumnDict{ID: 42, Ints: []int64{2, 4, 6}}
-	offs3, built3 := h.CodeSideTable(collide)
-	if !built3 {
-		t.Fatal("colliding-fingerprint dictionary was served the cached table")
+	// Two handles on the table, as two node builds served by one memo entry
+	// get: each finds the side table the table made, and one handle's first
+	// probe of a new dictionary builds the side table the other finds.
+	a, b := h.share(), h.share()
+	if offsA, builtA := a.CodeSideTable(dict); builtA || &offsA[0] != &offs[0] {
+		t.Errorf("a shared handle rebuilt the table's side table (built %v)", builtA)
 	}
-	for c, k := range collide.Ints {
-		if offs3[c] < 0 {
-			t.Errorf("code %d (key %d) missed after collision rebuild", c, k)
+	other := &records.ColumnDict{Ints: []int64{2, 4, 6}}
+	offsB, builtB := b.CodeSideTable(other)
+	if !builtB {
+		t.Fatal("a new dictionary was served a cached side table")
+	}
+	for c, k := range other.Ints {
+		if offsB[c] < 0 {
+			t.Errorf("code %d (key %d) missed in a shared handle's side table", c, k)
 		}
+	}
+	if offsA, builtA := a.CodeSideTable(other); builtA || &offsA[0] != &offsB[0] {
+		t.Errorf("handle a rebuilt the side table handle b made (built %v)", builtA)
+	}
+	if _, builtH := h.CodeSideTable(other); builtH {
+		t.Error("the table rebuilt the side table a handle made")
+	}
+
+	// The same entries under another descriptor: another column file's
+	// dictionary, another side table.
+	same := &records.ColumnDict{Ints: slices.Clone(dict.Ints)}
+	if offs4, built4 := a.CodeSideTable(same); !built4 || &offs4[0] == &offs[0] {
+		t.Errorf("a second descriptor with equal entries shared the first's side table (built %v)", built4)
 	}
 
 	// String dictionaries cannot feed an int64 join: no side table.
-	if offs, _ := h.CodeSideTable(&records.ColumnDict{ID: 7, Strs: []string{"a"}}); offs != nil {
+	if offs, _ := h.CodeSideTable(&records.ColumnDict{Strs: []string{"a"}}); offs != nil {
 		t.Error("string dictionary produced an int64 side table")
 	}
 	if offs, _ := h.CodeSideTable(nil); offs != nil {
 		t.Error("nil dictionary produced a side table")
+	}
+}
+
+// TestRacingFirstProbesBuildOneSideTable: eight probe threads, each on a
+// handle of its own over one table, meeting a dictionary together, build
+// its side table once and all read that one.
+func TestRacingFirstProbesBuildOneSideTable(t *testing.T) {
+	h := newDimHashTable("side", 1, 0)
+	for k := int64(0); k < 100; k++ {
+		h.insert(k, []records.Value{records.Int(k)})
+	}
+	h.finalize()
+	dict := &records.ColumnDict{Ints: []int64{5, 500, 7, 99}}
+	const threads = 8
+	offs := make([][]int32, threads)
+	var builds atomic.Int64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range threads {
+		handle := h.share()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var built bool
+			if offs[i], built = handle.CodeSideTable(dict); built {
+				builds.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("%d racing first probes built %d side tables, want 1", threads, n)
+	}
+	for i := range offs {
+		if &offs[i][0] != &offs[0][0] {
+			t.Errorf("thread %d read a side table of its own", i)
+		}
+	}
+	if offs[0][1] != -1 || h.AuxAt(offs[0][2])[0].Int64() != 7 {
+		t.Errorf("side table %v answers unlike the table", offs[0])
 	}
 }

@@ -99,10 +99,11 @@ func BenchmarkDimTableProbe(b *testing.B) {
 
 // benchSharedDictProbe is probeBlocks over one reader of a 4096-row
 // partition (four 1024-row blocks) whose FK column carries a 4096-entry
-// dictionary, an eighth of it hits. As in a Session, the table outlives the query
-// that built its side table, and each reader brings its own *ColumnDict with
-// the same contents. The two readers alternate, so every op is a reader the
-// scratch has not seen; ns/op is one reader's probe.
+// dictionary, an eighth of it hits. As in an engine, the table outlives the
+// query that built its side tables, and each reader brings the descriptor
+// of a column file of its own, with the same entries. The two readers
+// alternate, so every op is a reader the scratch has not seen; ns/op is one
+// reader's probe.
 func benchSharedDictProbe(b *testing.B, keys []int64, aux [][]records.Value) {
 	const rows, blocks = 1024, 4
 	h := newBenchTable(keys, aux)
@@ -112,9 +113,6 @@ func benchSharedDictProbe(b *testing.B, keys []int64, aux [][]records.Value) {
 		if c%8 != 0 {
 			entries[c]++ // never a key
 		}
-	}
-	if _, built := h.CodeSideTable(&records.ColumnDict{ID: 1, Ints: entries}); !built {
-		b.Fatal("no side table built")
 	}
 	schema := records.NewSchema(records.F("fk", records.KindInt64))
 	var readers [2]*records.RowBlock
@@ -126,9 +124,12 @@ func benchSharedDictProbe(b *testing.B, keys []int64, aux [][]records.Value) {
 			cv.Ints = append(cv.Ints, entries[code])
 			cv.Codes = append(cv.Codes, code)
 		}
-		cv.Dict = &records.ColumnDict{ID: 1, Ints: append([]int64(nil), entries...)}
+		cv.Dict = &records.ColumnDict{Ints: append([]int64(nil), entries...)}
 		blk.SetLen(rows)
 		readers[i] = blk
+		if _, built := h.CodeSideTable(cv.Dict); !built {
+			b.Fatal("no side table built")
+		}
 	}
 	r := &starJoinRunner{
 		eng:  &Engine{},

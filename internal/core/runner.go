@@ -158,9 +158,9 @@ type probeScratch struct {
 	agg     *groupAgg
 
 	// lastSide is, per dim, the dictionary last looked up and its side table:
-	// a reader's blocks share one dictionary, so CodeSideTable (a lock and,
-	// for a dictionary a cached table saw in another query, a full content
-	// compare) runs once per reader, not once per block.
+	// a reader's blocks share one dictionary, so CodeSideTable (a weak
+	// handle and a lock on the engine table's side tables) runs once per
+	// reader, not once per block.
 	lastSide []sideLookup
 }
 

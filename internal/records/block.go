@@ -23,11 +23,10 @@ type ColumnVector struct {
 }
 
 // ColumnDict describes the dictionary that a vector's Codes index into.
-// Exactly one of Ints/Strs is populated. ID fingerprints the contents so
-// consumers can cache per-dictionary structures across blocks and partitions:
-// equal dictionaries (same entries, same order) carry equal IDs.
+// Exactly one of Ints/Strs is populated. A producer hands out one
+// descriptor per stored dictionary, so consumers can cache per-dictionary
+// structures across blocks, readers and queries keyed by the pointer.
 type ColumnDict struct {
-	ID   uint64
 	Ints []int64
 	Strs []string
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"reflect"
+	"weak"
 
 	"clydesdale/internal/colstore"
 	"clydesdale/internal/obs"
@@ -26,3 +27,11 @@ func TraceCollectors(t *obs.Tracer) int {
 	}
 	return n
 }
+
+// CounterSources counts the sources registered under a counter name of reg.
+func CounterSources(reg *obs.Registry, name string) int {
+	return reflect.ValueOf(reg).Elem().FieldByName("counterFuncs").MapIndex(reflect.ValueOf(name)).Len()
+}
+
+// ResultCacheRef is a weak pointer to the session's result cache.
+func (s *Session) ResultCacheRef() weak.Pointer[resultCache] { return weak.Make(s.rcache) }

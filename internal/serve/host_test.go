@@ -229,6 +229,65 @@ func TestClosedSessionIsCollected(t *testing.T) {
 	}
 }
 
+// TestClosedSessionsLeaveOneResultCount: ten sessions opened on one
+// engine, each answering one query from its result cache, and closed in
+// turn leave each result-cache count with one source in the registry, the
+// sum of what every session counted, and no closed session's cache
+// reachable; the levels read the open sessions' caches only.
+func TestClosedSessionsLeaveOneResultCount(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := newEnv(t, 2, 0.001, mr.Options{Metrics: reg})
+	q, err := ssb.QueryByName("Q1.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits, misses int64
+	refs := func() (caches []func() bool) {
+		for range 10 {
+			s := e.session(serve.Options{})
+			for range 2 { // a miss, then a hit
+				if _, _, err := s.Query(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := s.Stats()
+			hits, misses = hits+st.ResultHits, misses+st.ResultMisses
+			rc := s.ResultCacheRef()
+			caches = append(caches, func() bool { return rc.Value() != nil })
+			s.Close()
+		}
+		return caches
+	}()
+	runtime.GC()
+	for i, held := range refs {
+		if held() {
+			t.Errorf("closed session %d's result cache is still reachable", i)
+		}
+	}
+	for _, name := range []string{"serve.result_cache.hits", "serve.result_cache.misses", "serve.result_cache.invalidations"} {
+		if n := serve.CounterSources(reg, name); n != 1 {
+			t.Errorf("%s has %d sources after 10 sessions, want 1", name, n)
+		}
+	}
+	snap := reg.Snapshot()
+	if hits != 10 || misses != 10 || snap.Counters["serve.result_cache.hits"] != hits || snap.Counters["serve.result_cache.misses"] != misses {
+		t.Errorf("the registry counts %d hits and %d misses; the sessions counted %d and %d, want 10 and 10",
+			snap.Counters["serve.result_cache.hits"], snap.Counters["serve.result_cache.misses"], hits, misses)
+	}
+	if b, n := snap.Gauges["serve.result_cache.resident_bytes"], snap.Gauges["serve.result_cache.entries"]; b != 0 || n != 0 {
+		t.Errorf("with every session closed the result caches hold %d bytes in %d entries, want 0", b, n)
+	}
+	open := e.session(serve.Options{})
+	defer open.Close()
+	if _, _, err := open.Query(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	if b := snap.Gauges["serve.result_cache.resident_bytes"]; b != open.Stats().ResultBytes || b == 0 {
+		t.Errorf("serve.result_cache.resident_bytes = %d, the open session caches %d", b, open.Stats().ResultBytes)
+	}
+}
+
 // TestProfiledSessionsShareOneCollector: ten profiled sessions opened and
 // closed in turn leave one trace collector on the engine's tracer.
 func TestProfiledSessionsShareOneCollector(t *testing.T) {

@@ -114,8 +114,8 @@ func (sc *scripted) query(t *testing.T, name string) *core.Query {
 // the filesystem's counts from its creation, the sessions' result-cache
 // counts as their Stats report them, the engine's ingest counts and
 // table-cache residency, and the table versions as they stand. A second
-// session on the same engine adds its result-cache counts to the first's
-// and shares the engine's ingest counts and table cache, which each
+// session on the same engine adds its result-cache counts and residency to
+// the first's and shares the engine's ingest counts and table cache, which each
 // session's Stats reports whole; the table versions are the filesystem's,
 // so its query reads the first session's publishes too.
 func TestRegistryReadsOwnersState(t *testing.T) {
@@ -175,11 +175,11 @@ func TestRegistryReadsOwnersState(t *testing.T) {
 		t.Fatalf("fixture: both sessions cache %d result bytes; the owner cannot be told", a.ResultBytes)
 	}
 	for name, want := range map[string]int64{
-		"serve.result_cache.resident_bytes": b.ResultBytes,
+		"serve.result_cache.resident_bytes": a.ResultBytes + b.ResultBytes,
 		"serve.cache.resident_bytes":        b.ResidentBytes,
 	} {
 		if got, ok := snap.Gauges[name]; !ok || got != want {
-			t.Errorf("%s = %d (present %v), the newer session's Stats say %d", name, got, ok, want)
+			t.Errorf("%s = %d (present %v), the open sessions' Stats say %d", name, got, ok, want)
 		}
 	}
 	for i, table := range rep.Read.Tables {

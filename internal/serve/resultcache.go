@@ -9,7 +9,6 @@ import (
 
 	"clydesdale/internal/core"
 	"clydesdale/internal/expr"
-	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/results"
@@ -52,11 +51,28 @@ type resultCache struct {
 	bytes     int64
 	clock     uint64 // LRU clock; ticks on every touch
 
-	hits          atomic.Int64
-	subsumedHits  atomic.Int64
-	misses        atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
+	counts resultCounts  // the session's own, for Stats
+	total  *resultCounts // the host's: every session's, for the registry
+}
+
+// The counts a result cache keeps, indexing resultCounts.
+const (
+	resultHits = iota
+	resultSubsumedHits
+	resultMisses
+	resultEvictions
+	resultInvalidations
+)
+
+// resultCountNames are the counts' names under serve.result_cache.
+var resultCountNames = [...]string{"hits", "subsumption_hits", "misses", "evictions", "invalidations"}
+
+type resultCounts [len(resultCountNames)]atomic.Int64
+
+// count adds one to count i of the cache and of the host.
+func (rc *resultCache) count(i int) {
+	rc.counts[i].Add(1)
+	rc.total[i].Add(1)
 }
 
 // resultEntry is one cached result. done closes when the build publishes or
@@ -101,31 +117,15 @@ func (e *resultEntry) ordered(rs *results.ResultSet, orders []results.Order) (*r
 	return rs, rs.Sort(orders)
 }
 
-// newResultCache makes an empty cache of budget bytes whose counts and
-// residency reg reads.
-func newResultCache(budget int64, reg *obs.Registry) *resultCache {
-	rc := &resultCache{
+// newResultCache makes an empty cache of budget bytes that adds its counts
+// to total as well as its own.
+func newResultCache(budget int64, total *resultCounts) *resultCache {
+	return &resultCache{
 		budget:    budget,
 		entries:   make(map[string]*resultEntry),
 		skeletons: make(map[string][]*resultEntry),
+		total:     total,
 	}
-	const prefix = "serve.result_cache."
-	for name, c := range map[string]*atomic.Int64{
-		"hits":             &rc.hits,
-		"subsumption_hits": &rc.subsumedHits,
-		"misses":           &rc.misses,
-		"evictions":        &rc.evictions,
-		"invalidations":    &rc.invalidations,
-	} {
-		reg.CounterFunc(prefix+name, c.Load)
-	}
-	reg.GaugeFunc(prefix+"resident_bytes", rc.residentBytes)
-	reg.GaugeFunc(prefix+"entries", func() int64 {
-		rc.mu.Lock()
-		defer rc.mu.Unlock()
-		return int64(len(rc.entries))
-	})
-	return rc
 }
 
 // lookup resolves key against the cache for a query ordered by orders,
@@ -168,7 +168,7 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, orders []
 			if err != nil {
 				return nil, "", core.Versions{}, nil, err
 			}
-			rc.hits.Add(1)
+			rc.count(resultHits)
 			return rs, "hit", e.at, nil, nil
 		}
 		// No exact entry: a finished broader one may subsume this query.
@@ -183,7 +183,7 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, orders []
 					if filtered, err = e.ordered(filtered, orders); err != nil {
 						return nil, "", core.Versions{}, nil, err
 					}
-					rc.subsumedHits.Add(1)
+					rc.count(resultSubsumedHits)
 					return filtered, "subsumed", e.at, nil, nil
 				}
 				// A predicate the result schema cannot evaluate: degrade to a
@@ -199,7 +199,7 @@ func (rc *resultCache) lookup(ctx context.Context, key *plan.CacheKey, orders []
 		e.lastUse = rc.clock
 		rc.entries[fp] = e
 		rc.mu.Unlock()
-		rc.misses.Add(1)
+		rc.count(resultMisses)
 		return nil, "miss", core.Versions{}, func(rs *results.ResultSet, at core.Versions) { rc.publish(e, rs, at) }, nil
 	}
 }
@@ -210,7 +210,7 @@ func (rc *resultCache) dropStaleLocked(e *resultEntry) {
 		return // another lookup already did
 	}
 	rc.removeLocked(e)
-	rc.invalidations.Add(1)
+	rc.count(resultInvalidations)
 }
 
 // removeLocked takes a finished entry out of the cache and its index.
@@ -314,7 +314,7 @@ func (rc *resultCache) evictLocked(incoming int64) {
 			return
 		}
 		rc.removeLocked(victim)
-		rc.evictions.Add(1)
+		rc.count(resultEvictions)
 	}
 }
 
@@ -324,7 +324,7 @@ func (rc *resultCache) evictAll() {
 	defer rc.mu.Unlock()
 	for _, e := range rc.entries {
 		rc.removeLocked(e)
-		rc.invalidations.Add(1)
+		rc.count(resultInvalidations)
 	}
 }
 
@@ -333,6 +333,13 @@ func (rc *resultCache) residentBytes() int64 {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.bytes
+}
+
+// len returns the number of cached results, builds in flight included.
+func (rc *resultCache) len() int64 {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return int64(len(rc.entries))
 }
 
 // copyResult returns a ResultSet sharing rows but owning its slice: sorting

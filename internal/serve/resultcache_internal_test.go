@@ -9,7 +9,6 @@ import (
 	"clydesdale/internal/expr"
 	"clydesdale/internal/hdfs"
 	"clydesdale/internal/mr"
-	"clydesdale/internal/obs"
 	"clydesdale/internal/plan"
 	"clydesdale/internal/records"
 	"clydesdale/internal/results"
@@ -127,7 +126,7 @@ func TestResultCacheSubsumerIsDeterministic(t *testing.T) {
 	// entries narrow first.
 	walk := func(want float64, why string, entries ...plan.CacheKey) {
 		t.Helper()
-		cache := newResultCache(1<<20, obs.NewRegistry())
+		cache := newResultCache(1<<20, new(resultCounts))
 		for _, k := range entries {
 			seed(t, cache, k, at, rows[k.Fingerprint()])
 		}

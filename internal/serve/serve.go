@@ -110,7 +110,8 @@ type Session struct {
 
 // host is what the sessions over one mr.Engine share: the one owner of the
 // node memory they use (the table cache and the admitter), the one trace
-// collector on the engine's tracer, and the ingest counts.
+// collector on the engine's tracer, the ingest counts and the result-cache
+// counts of every session it has had.
 type host struct {
 	collector *obs.TraceCollector
 
@@ -118,8 +119,10 @@ type host struct {
 	sessions int // open sessions
 	cache    *core.TableCache
 	adm      *admitter
-	tracer   *obs.Tracer // the tracer collector is a sink of
+	tracer   *obs.Tracer               // the tracer collector is a sink of
+	rcaches  map[*resultCache]struct{} // the open sessions' result caches
 
+	results                             resultCounts // every session's result-cache counts
 	rollIns, rollInRows, rollInFailures atomic.Int64
 	compactions, compactedRows          atomic.Int64
 	compactionFailures, retentions      atomic.Int64
@@ -130,7 +133,7 @@ type host struct {
 // once, its cache and admitter whenever no session is open.
 func openHost(e *mr.Engine, opts Options) *host {
 	h := e.Host(func() any {
-		h := &host{collector: obs.NewTraceCollector(0, 0)}
+		h := &host{collector: obs.NewTraceCollector(0, 0), rcaches: make(map[*resultCache]struct{})}
 		h.observe(e.Metrics())
 		return h
 	}).(*host)
@@ -148,11 +151,22 @@ func openHost(e *mr.Engine, opts Options) *host {
 	return h
 }
 
-// close closes one session on the host: the last returns every cached
-// table's node reservation.
-func (h *host) close() {
+// openResults makes a session's result cache of budget bytes, counted in
+// the host's totals and its levels read while the session is open.
+func (h *host) openResults(budget int64) *resultCache {
+	rc := newResultCache(budget, &h.results)
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.rcaches[rc] = struct{}{}
+	return rc
+}
+
+// close closes one session on the host, with its result cache rc (nil when
+// it has none): the last returns every cached table's node reservation.
+func (h *host) close(rc *resultCache) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delete(h.rcaches, rc)
 	if h.sessions--; h.sessions == 0 {
 		h.cache.Close()
 	}
@@ -169,6 +183,23 @@ func (h *host) observe(reg *obs.Registry) {
 		"retentions":          &h.retentions,
 	} {
 		reg.CounterFunc("serve.ingest."+name, c.Load)
+	}
+	for i, name := range resultCountNames {
+		reg.CounterFunc("serve.result_cache."+name, h.results[i].Load)
+	}
+	for name, level := range map[string]func(*resultCache) int64{
+		"resident_bytes": (*resultCache).residentBytes,
+		"entries":        (*resultCache).len,
+	} {
+		reg.GaugeFunc("serve.result_cache."+name, func() int64 {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			var n int64
+			for rc := range h.rcaches {
+				n += level(rc)
+			}
+			return n
+		})
 	}
 	for name, level := range map[string]func(*core.TableCache, *admitter) int64{
 		"cache.resident_bytes":     func(c *core.TableCache, _ *admitter) int64 { return c.Stats().ResidentBytes },
@@ -227,7 +258,7 @@ func New(mrEngine *mr.Engine, cat *core.Catalog, opts Options) *Session {
 		if budget == 0 {
 			budget = 64 << 20
 		}
-		s.rcache = newResultCache(budget, reg)
+		s.rcache = h.openResults(budget)
 	}
 	if opts.ProfileDepth >= 0 {
 		s.recorder = obs.NewFlightRecorder(opts.ProfileDepth)
@@ -757,11 +788,12 @@ func (s *Session) Stats() Stats {
 		TableInvalidations:  tables.Invalidations,
 	}
 	if s.rcache != nil {
-		st.ResultHits = s.rcache.hits.Load()
-		st.ResultSubsumedHits = s.rcache.subsumedHits.Load()
-		st.ResultMisses = s.rcache.misses.Load()
-		st.ResultEvictions = s.rcache.evictions.Load()
-		st.ResultInvalidations = s.rcache.invalidations.Load()
+		c := &s.rcache.counts
+		st.ResultHits = c[resultHits].Load()
+		st.ResultSubsumedHits = c[resultSubsumedHits].Load()
+		st.ResultMisses = c[resultMisses].Load()
+		st.ResultEvictions = c[resultEvictions].Load()
+		st.ResultInvalidations = c[resultInvalidations].Load()
 		st.ResultBytes = s.rcache.residentBytes()
 	}
 	return st
@@ -786,7 +818,7 @@ func (s *Session) Close() error {
 		stopCompact()
 	}
 	s.wg.Wait()
-	s.host.close()
+	s.host.close(s.rcache)
 	if s.rcache != nil {
 		s.rcache.evictAll()
 	}

@@ -100,7 +100,16 @@ vet:
 # Close, so cifReader.NextBlock calls no Counters.Add; and a dimension
 # table's side tables are shared by every handle on it (DESIGN.md
 # "Dictionary-probe side tables"), so DimHashTable declares no side-table
-# mutex or map of its own (sideMu, sideTables).
+# mutex or map of its own (sideMu, sideTables). Nor does a second encode
+# of a dimension version: its column image is made once per filesystem, in
+# the memoized colstore.EncodeRowTable (DESIGN.md "Dimension cache"), so in
+# non-test internal/colstore a column-set writer is made (newColumnSetWriter)
+# only there and in EncodeRows, the encoder of a caller's rows, which no
+# colstore code calls, and a version's part files are named (rowPartPaths)
+# only there; and internal/core calls EncodeRowTable only from a node's fill
+# (ensureDimCachedOn) and the driver's read (Engine.dimScanFor). The parent
+# of this rule fails it: its EncodeRowTable encoded through EncodeRows on
+# every call.
 no-deprecated:
 	@if grep -rn "Deprecated:" internal/core internal/serve internal/hive; then \
 		echo "deprecated API in core/serve/hive: delete it and migrate the callers"; exit 1; fi
@@ -166,6 +175,12 @@ no-deprecated:
 	@if awk '/^func \(r \*cifReader\) NextBlock\(/,/^}/' internal/colstore/cif.go | grep -n 'Counters\.Add' || \
 		awk '/^type DimHashTable struct/,/^}/' internal/core/hashtable.go | grep -nE '^[[:space:]]*(sideMu|sideTables)[[:space:]]|map\['; then \
 		echo "per-query work on the probe path: a CIF reader adds its scan counters at Close (scanTally), not per block in NextBlock; side tables live on the state every handle of a DimHashTable shares (sideTables), not on the handle"; exit 1; fi
+	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /(newColumnSetWriter|EncodeRows|rowPartPaths)\(/ && !/^func / && !/^[ \t]*\/\// && \
+		!(fn ~ /^func EncodeRowTable\(/ && !/EncodeRows\(/) && !(fn ~ /^func EncodeRows\(/ && /newColumnSetWriter\(/) \
+		{ print FILENAME ":" FNR ": " $$0; found = 1 } END { exit !found }' $$(ls internal/colstore/*.go | grep -v _test.go) || \
+		awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /EncodeRowTable\(/ && !/^[ \t]*\/\// && fn !~ /^func (ensureDimCachedOn|\(e \*Engine\) dimScanFor)\(/ \
+		{ print FILENAME ":" FNR ": " $$0; found = 1 } END { exit !found }' $$(ls internal/core/*.go | grep -v _test.go); then \
+		echo "a second encode of a dimension version: its image is made once per filesystem in colstore.EncodeRowTable, which internal/core calls only from ensureDimCachedOn and Engine.dimScanFor"; exit 1; fi
 
 # The MapReduce runtime waits on events, never on the clock: task assignment
 # is decided by one dispatch step at phase start, attempt completion, node

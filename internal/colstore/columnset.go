@@ -137,17 +137,57 @@ func assembleColumnSet(rows int, cols []columnBlob) []byte {
 	return append(buf, payloads...)
 }
 
-// EncodeRowTable reads one version of the row-format table at dir — its
-// first version part files, which no later append touches — charging the
-// reads to clientNode, and returns it as a column set.
+// EncodeRowTable returns one version of the row-format table at dir — its
+// first version part files, which no later append touches — as a column
+// set. Every call reads the version's schema and part files whole, the part
+// files as clientNode, with every replica check and charge of the read; the
+// column set is encoded once per filesystem and version, by the first
+// caller, and shared with every later one (Snapshots.image), so it must not
+// be written into.
 func EncodeRowTable(fs *hdfs.FileSystem, dir string, version uint64, clientNode string) ([]byte, error) {
 	schema, err := ReadSchema(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeRows(schema, func(fn func(records.Record) error) error {
-		return scanRowFiles(fs, rowPartPaths(dir, version), clientNode, schema, fn)
-	})
+	in := &RowInput{Schema: schema}
+	if err := in.resolve(fs); err != nil {
+		return nil, err
+	}
+	paths := rowPartPaths(dir, version)
+	files := make([]*hdfs.Reader, len(paths))
+	var blocks []int64
+	for i, path := range paths {
+		if files[i], err = fs.Open(path, clientNode); err != nil {
+			return nil, err
+		}
+		blocks = files[i].AppendBlockIDs(blocks)
+	}
+	walk := func(fn func(records.Record) error) error {
+		for i, r := range files {
+			if err := readRowFile(r, paths[i], in, fn); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	reg := NewSnapshots(fs)
+	im := reg.image(dir, version, fmt.Sprint(schema, blocks))
+	im.mu.Lock()
+	if data := im.data; data != nil {
+		im.mu.Unlock()
+		if err := walk(nil); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	defer im.mu.Unlock()
+	w := newColumnSetWriter(schema)
+	if err := walk(w.append); err != nil {
+		return nil, err
+	}
+	im.data = w.encode()
+	reg.imagesEncoded.Add(1)
+	return im.data, nil
 }
 
 // EncodeRows returns the rows a source emits as a column set of the schema.

@@ -34,18 +34,22 @@ func scanRowFiles(fs *hdfs.FileSystem, paths []string, clientNode string, schema
 		return err
 	}
 	for _, path := range paths {
-		if err := scanRowFile(fs, path, clientNode, in, fn); err != nil {
+		r, err := fs.Open(path, clientNode)
+		if err != nil {
+			return err
+		}
+		if err := readRowFile(r, path, in, func(row records.Record) error { return fn(row.Clone()) }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func scanRowFile(fs *hdfs.FileSystem, path, clientNode string, in *RowInput, fn func(records.Record) error) error {
-	r, err := fs.Open(path, clientNode)
-	if err != nil {
-		return err
-	}
+// readRowFile reads the row file r opened whole: its footer, then every
+// group, each row's fields checked as NextSpans checks them. With fn nil
+// nothing is decoded; otherwise fn gets each row, in a record reused from
+// row to row.
+func readRowFile(r *hdfs.Reader, path string, in *RowInput, fn func(records.Record) error) error {
 	defer r.Close()
 	groups, err := rowFormat.readFooter(r, path)
 	if err != nil {
@@ -53,11 +57,18 @@ func scanRowFile(fs *hdfs.FileSystem, path, clientNode string, in *RowInput, fn 
 	}
 	rr := in.reader(r, path, groups)
 	for {
-		_, row, ok, err := rr.Next()
+		spans, ok, err := rr.NextSpans()
 		if err != nil || !ok {
 			return err
 		}
-		if err := fn(row.Clone()); err != nil {
+		if fn == nil {
+			continue
+		}
+		_, row, _, err := rr.rows.decode(spans, ok, nil)
+		if err != nil {
+			return err
+		}
+		if err := fn(row); err != nil {
 			return err
 		}
 	}

@@ -14,7 +14,7 @@ import (
 
 // Snapshots is the table-visibility registry that makes roll-in, compaction
 // and retention safe to run while queries execute, and the one place that
-// knows table versions. A filesystem has one (NewSnapshots). It owns five
+// knows table versions. A filesystem has one (NewSnapshots). It owns six
 // things:
 //
 //   - Table versions. A row table (a dimension) is append-only: its version
@@ -46,6 +46,9 @@ import (
 //     tables. Queries (Acquire, Versions, Release) never take it. A rows
 //     callback must not write through the registry: it would wait on its
 //     own lock. Every holder is timed (Observe).
+//   - Row-table images. The column set EncodeRowTable makes of a row
+//     table's version, one per table: the newest version read so far, as
+//     its files held it (image).
 //
 // Retired partitions are unlinked from visibility immediately (their commit
 // marker is removed) but physically deleted only once no pinned snapshot
@@ -63,6 +66,40 @@ type Snapshots struct {
 	doomed   map[string][]string           // dir → retired, delete when unpinned
 	versions map[string]uint64             // dir → content version or part files published
 	observed map[*obs.Registry]bool        // registries showing the writer lock's totals
+	images   map[string]*rowImage          // dir → a row table's newest image
+	// imagesEncoded counts EncodeRowTable's encodes, kept or not.
+	imagesEncoded atomic.Int64
+}
+
+// rowImage is the column set of one version of a row table, as the files
+// key names held it: the schema and the part files' block IDs, which the
+// filesystem never reuses, so a table written again at the same version
+// has a new key. mu is held while it is encoded, so racing first readers
+// make one encode; data is nil until one succeeds.
+type rowImage struct {
+	version uint64
+	key     string
+	mu      sync.Mutex
+	data    []byte
+}
+
+// image returns the registry's image of the version of the row table at
+// dir whose files key names, an empty one to fill the first time. It keeps
+// one image per table, the newest version's: an image of a newer version,
+// or of another key at the same version, replaces the one kept, and one of
+// an older version is the caller's alone.
+func (s *Snapshots) image(dir string, version uint64, key string) *rowImage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	im := s.images[dir]
+	if im != nil && im.version == version && im.key == key {
+		return im
+	}
+	fresh := &rowImage{version: version, key: key}
+	if im == nil || im.version <= version {
+		s.images[dir] = fresh
+	}
+	return fresh
 }
 
 // partList is what the registry knows of a partitioned table's partitions,
@@ -83,6 +120,7 @@ func NewSnapshots(fs *hdfs.FileSystem) *Snapshots {
 			fs:       fs,
 			lists:    make(map[string]*partList),
 			observed: make(map[*obs.Registry]bool),
+			images:   make(map[string]*rowImage),
 			live:     make(map[string]map[*Snapshot]bool),
 			doomed:   make(map[string][]string),
 			versions: make(map[string]uint64),
@@ -212,9 +250,10 @@ func (s *Snapshots) unlockWriter(held time.Time) {
 // and writer_wait_ns, writer_hold_ns and writer_holds: the time writers
 // waited for the lock, the time they held it, and the number of holds,
 // since the registry was made. Every holder counts: a roll-in, an append, a
-// compaction's stage and swap, a retention, a sweep, a bump. Observing one
-// obs registry again registers nothing twice, so sessions sharing one do
-// not add the filesystem's totals up.
+// compaction's stage and swap, a retention, a sweep, a bump. Beside them
+// colstore.dim_images_encoded counts the row-table images EncodeRowTable
+// encoded. Observing one obs registry again registers nothing twice, so
+// sessions sharing one do not add the filesystem's totals up.
 func (s *Snapshots) Observe(reg *obs.Registry, prefix string) {
 	s.mu.Lock()
 	seen := s.observed[reg]
@@ -226,6 +265,7 @@ func (s *Snapshots) Observe(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"writer_wait_ns", s.writerWait.Load)
 	reg.CounterFunc(prefix+"writer_hold_ns", s.writerHold.Load)
 	reg.CounterFunc(prefix+"writer_holds", s.writerHolds.Load)
+	reg.CounterFunc("colstore.dim_images_encoded", s.imagesEncoded.Load)
 }
 
 // Versions returns the vector Acquire would pin, without listing or pinning

@@ -97,8 +97,10 @@ func localDim(fs *hdfs.FileSystem, node *cluster.Node, dir string, version uint6
 
 // ensureDimCachedOn gives one node its local copy of one version of the
 // dimension at dir — a colstore column set — reporting whether it had to
-// copy. Builds that miss the copy on one node at the same time share one
-// scan of the master and one disk write.
+// copy. The node reads the master through HDFS as its own client and
+// stores the filesystem's one image of the version (EncodeRowTable), with
+// a disk write of its own. Builds that miss the copy on one node at the
+// same time share one read of the master and one disk write.
 func ensureDimCachedOn(fs *hdfs.FileSystem, node *cluster.Node, dir string, version uint64) (bool, error) {
 	fresh, err := node.FillLocal(dimCacheKey(dir, version), func() ([]byte, error) {
 		buf, err := colstore.EncodeRowTable(fs, dir, version, node.ID())

@@ -89,10 +89,10 @@ type Engine struct {
 	snaps *colstore.Snapshots
 
 	// images memoizes the column image of a dimension version the driver
-	// read from the master; scans what the table one build spec makes of it
-	// yields (dimScan), by DimSpec.Fingerprint; built that table itself,
-	// which every node build of the spec takes instead of building it again
-	// (tableFrom).
+	// read from the master (the filesystem's one image, not a copy); scans
+	// what the table one build spec makes of it yields (dimScan), by
+	// DimSpec.Fingerprint; built that table itself, which every node build
+	// of the spec takes instead of building it again (tableFrom).
 	images colstore.VersionMemo[[]byte]
 	scans  colstore.VersionMemo[*dimScan]
 	built  tableMemo

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"clydesdale/internal/colstore"
+	"clydesdale/internal/hdfs"
+	"clydesdale/internal/obs"
+)
+
 // RunAsLowered is Engine.run for the tests outside the package: the plan
 // over the pin exactly as cut, with no one-step-per-pass fallback.
 var RunAsLowered = (*Engine).run
@@ -53,4 +59,12 @@ func (h *DimHashTable) SideTables() (held, live int) {
 		}
 	}
 	return held, live
+}
+
+// ImagesEncoded is how many dimension images the filesystem's registry has
+// encoded (colstore.dim_images_encoded), read through an obs registry.
+func ImagesEncoded(fs *hdfs.FileSystem) int64 {
+	reg := obs.NewRegistry()
+	colstore.NewSnapshots(fs).Observe(reg, "")
+	return reg.Snapshot().Counters["colstore.dim_images_encoded"]
 }

@@ -14,7 +14,7 @@ import (
 	"clydesdale/internal/ssb"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/run_counters.golden from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from this run")
 
 // goldenCounters are the work counters Run must reproduce exactly: how many
 // tables were built, how many fact rows reached the probe and survived it,

@@ -51,8 +51,9 @@ type dimScan struct {
 
 // dimScanFor returns the driver's products for the version of the dimension
 // the spec names: the one place the engine and the serving layer read a
-// dimension on the driver. The version's column image is read from the HDFS
-// master once, charged to the unlocated client, and every new fingerprint
+// dimension on the driver. The version is read from the HDFS master once
+// per engine, charged to the unlocated client, and the filesystem's one
+// column image of it kept (EncodeRowTable), and every new fingerprint
 // takes its table from the engine's memo (tableFrom), built from the image
 // unless a node built it first; the nodes' builds then take it from there.
 func (e *Engine) dimScanFor(d *DimSpec) (*dimScan, error) {

@@ -276,6 +276,18 @@ func (r *Reader) Size() int64 {
 	return r.meta.size
 }
 
+// AppendBlockIDs appends the IDs of the file's blocks to dst. The
+// filesystem never reuses a block ID, so they name the bytes the reader
+// reads: a file written again has new ones.
+func (r *Reader) AppendBlockIDs(dst []int64) []int64 {
+	r.fs.mu.RLock()
+	defer r.fs.mu.RUnlock()
+	for _, b := range r.meta.blocks {
+		dst = append(dst, b.id)
+	}
+	return dst
+}
+
 // Close releases the reader.
 func (r *Reader) Close() error { return nil }
 
